@@ -7,7 +7,7 @@
 //!           [records: count × 16B]
 //! ```
 
-use rum_core::{Key, Record, Result, RumError, RECORD_SIZE};
+use rum_core::{Key, Record, RecordSlice, Result, RumError, RECORD_SIZE};
 
 /// Identifier of a node within a [`NodeStore`](crate::store::NodeStore).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -185,17 +185,146 @@ impl Node {
     }
 }
 
+/// A validated node searched where its encoded bytes lie — what the read
+/// path uses instead of [`Node::decode`], which stays as the reference
+/// decoder and for writers that need an owned node to modify.
+#[derive(Clone, Copy, Debug)]
+pub enum NodeRef<'a> {
+    Internal(InternalRef<'a>),
+    Leaf {
+        /// Records sorted by strictly ascending key.
+        records: RecordSlice<'a>,
+        /// Right sibling for range scans.
+        next: NodeId,
+    },
+}
+
+/// The separator keys and child pointers of an encoded internal node;
+/// there is always exactly one more child than keys.
+#[derive(Clone, Copy, Debug)]
+pub struct InternalRef<'a> {
+    keys: &'a [[u8; 8]],
+    children: &'a [[u8; 8]],
+}
+
+impl<'a> NodeRef<'a> {
+    /// Validate a `node_size` buffer in place. Accepts exactly the buffers
+    /// [`Node::decode`] accepts and fails with the same
+    /// [`RumError::Corrupt`] on the rest: short, bit-damaged or garbled
+    /// bytes are refused before any search runs over them.
+    pub fn new(buf: &'a [u8]) -> Result<NodeRef<'a>> {
+        let node_size = buf.len();
+        if node_size < LEAF_HEADER {
+            return Err(RumError::Corrupt(format!(
+                "node buffer of {node_size} bytes is shorter than the \
+                 {LEAF_HEADER}-byte header"
+            )));
+        }
+        let count = u16::from_le_bytes([buf[2], buf[3]]) as usize;
+        match buf[0] {
+            TAG_INTERNAL => {
+                let cap = internal_capacity(node_size);
+                if count > cap {
+                    return Err(RumError::Corrupt(format!(
+                        "internal count {count} exceeds capacity {cap}"
+                    )));
+                }
+                let keys = field(buf, HEADER, count * 8)?;
+                let children = field(buf, HEADER + cap * 8, (count + 1) * 8)?;
+                Ok(NodeRef::Internal(InternalRef {
+                    keys: keys.as_chunks().0,
+                    children: children.as_chunks().0,
+                }))
+            }
+            TAG_LEAF => {
+                if count > leaf_capacity(node_size) {
+                    return Err(RumError::Corrupt(format!(
+                        "leaf count {count} exceeds capacity {}",
+                        leaf_capacity(node_size)
+                    )));
+                }
+                let next = NodeId(read_u64(buf, 8)?);
+                let records = field(buf, LEAF_HEADER, count * RECORD_SIZE)?;
+                Ok(NodeRef::Leaf {
+                    records: RecordSlice::new(records),
+                    next,
+                })
+            }
+            t => Err(RumError::Corrupt(format!("unknown node tag {t}"))),
+        }
+    }
+
+    /// The owned node these bytes encode — what [`Node::decode`] returns.
+    pub fn to_node(&self) -> Node {
+        match self {
+            NodeRef::Internal(n) => Node::Internal {
+                keys: n.keys().collect(),
+                children: n.children().collect(),
+            },
+            NodeRef::Leaf { records, next } => Node::Leaf {
+                records: records.iter().collect(),
+                next: *next,
+            },
+        }
+    }
+}
+
+impl<'a> InternalRef<'a> {
+    /// Separator keys in the node.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = Key> + 'a {
+        self.keys.iter().map(|k| Key::from_le_bytes(*k))
+    }
+
+    pub fn children(&self) -> impl ExactSizeIterator<Item = NodeId> + 'a {
+        self.children.iter().map(|c| NodeId(u64::from_le_bytes(*c)))
+    }
+
+    /// Child slot covering `key`: child `i` covers keys `< keys[i]`, the
+    /// last child the rest.
+    pub fn slot_for(&self, key: Key) -> usize {
+        self.keys.partition_point(|k| Key::from_le_bytes(*k) <= key)
+    }
+
+    /// The child in `slot`, `None` past the last one.
+    pub fn child(&self, slot: usize) -> Option<NodeId> {
+        self.children
+            .get(slot)
+            .map(|c| NodeId(u64::from_le_bytes(*c)))
+    }
+
+    /// The child covering `key`.
+    pub fn child_for(&self, key: Key) -> NodeId {
+        self.child(self.slot_for(key))
+            .expect("one more child than keys, so every slot has one")
+    }
+}
+
+/// Bounds-checked `len`-byte field at `off`.
+fn field(buf: &[u8], off: usize, len: usize) -> Result<&[u8]> {
+    buf.get(off..off + len).ok_or_else(|| {
+        RumError::Corrupt(format!(
+            "node field at offset {off} runs past the {}-byte buffer",
+            buf.len()
+        ))
+    })
+}
+
 /// Bounds-checked little-endian u64 field read.
 fn read_u64(buf: &[u8], off: usize) -> Result<u64> {
-    buf.get(off..off + 8)
-        .and_then(|s| <[u8; 8]>::try_from(s).ok())
-        .map(u64::from_le_bytes)
-        .ok_or_else(|| {
-            RumError::Corrupt(format!(
-                "node field at offset {off} runs past the {}-byte buffer",
-                buf.len()
-            ))
-        })
+    let bytes = field(buf, off, 8)?;
+    Ok(u64::from_le_bytes(
+        bytes
+            .try_into()
+            .expect("field() returned the 8 bytes asked for"),
+    ))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use rum_core::{CostTracker, DataClass, Result, RumError, PAGE_SIZE};
 use rum_storage::{BlockDevice, PageBuf, PageId, Pager};
 
-use crate::node::{Node, NodeId};
+use crate::node::{Node, NodeId, NodeRef};
 
 /// Allocates, reads and writes nodes over a [`Pager`].
 pub struct NodeStore<D: BlockDevice> {
@@ -21,6 +21,9 @@ pub struct NodeStore<D: BlockDevice> {
     pages_per_node: usize,
     directory: HashMap<NodeId, Vec<PageId>>,
     next_id: u64,
+    /// Where a multi-page node's pages are put side by side to be read as
+    /// one buffer; reused across reads. Single-page nodes never touch it.
+    scratch: Vec<u8>,
 }
 
 impl<D: BlockDevice> NodeStore<D> {
@@ -32,6 +35,7 @@ impl<D: BlockDevice> NodeStore<D> {
             pages_per_node: node_size.div_ceil(PAGE_SIZE),
             directory: HashMap::new(),
             next_id: 0,
+            scratch: Vec::new(),
         }
     }
 
@@ -86,22 +90,42 @@ impl<D: BlockDevice> NodeStore<D> {
         Ok(())
     }
 
-    /// Read and decode a node, charging `pages_per_node` page accesses of
-    /// `class` traffic.
-    pub fn read(&mut self, id: NodeId, class: DataClass) -> Result<Node> {
+    /// The device pages holding node `id`, for tests that damage them
+    /// behind the store's back.
+    #[cfg(test)]
+    pub(crate) fn pages_of(&self, id: NodeId) -> &[PageId] {
+        &self.directory[&id]
+    }
+
+    /// Lend a validated node to `f`, charging `pages_per_node` page
+    /// accesses of `class` traffic. A single-page node is searched in the
+    /// device's own buffer; a multi-page node is first assembled in the
+    /// store's scratch buffer. `f` does not run if any page fails to read
+    /// or the bytes are not a node ([`RumError::Corrupt`]).
+    pub fn with_node<R>(
+        &mut self,
+        id: NodeId,
+        class: DataClass,
+        f: impl FnOnce(NodeRef<'_>) -> R,
+    ) -> Result<R> {
         let pages = self
             .directory
             .get(&id)
-            .cloned()
             .ok_or_else(|| RumError::Storage(format!("read of unknown node {id:?}")))?;
-        let mut buf = Vec::with_capacity(self.pages_per_node * PAGE_SIZE);
-        for p in pages {
-            let pg = self.pager.read(p, class)?;
-            buf.extend_from_slice(&pg);
+        // Sub-page nodes are the node_size prefix of their page.
+        let node_size = self.node_size;
+        if let [page] = pages[..] {
+            return self.pager.with_page(page, class, |bytes| {
+                NodeRef::new(&bytes[..node_size.min(bytes.len())]).map(f)
+            })?;
         }
-        buf.truncate(self.node_size.max(PAGE_SIZE).min(buf.len()));
-        // Sub-page nodes decode from the node_size prefix.
-        Node::decode(&buf[..self.node_size.min(buf.len())])
+        let scratch = &mut self.scratch;
+        scratch.clear();
+        for &page in pages {
+            self.pager
+                .with_page(page, class, |bytes| scratch.extend_from_slice(bytes))?;
+        }
+        NodeRef::new(&scratch[..node_size.min(scratch.len())]).map(f)
     }
 
     /// Encode and write a node, charging `pages_per_node` page accesses.
@@ -109,13 +133,12 @@ impl<D: BlockDevice> NodeStore<D> {
         let pages = self
             .directory
             .get(&id)
-            .cloned()
             .ok_or_else(|| RumError::Storage(format!("write of unknown node {id:?}")))?;
         let mut buf = node.encode(self.node_size)?;
         buf.resize(self.pages_per_node * PAGE_SIZE, 0);
-        for (i, p) in pages.iter().enumerate() {
-            let page = PageBuf::from_bytes(&buf[i * PAGE_SIZE..(i + 1) * PAGE_SIZE]);
-            self.pager.write(*p, class, &page)?;
+        for (page, bytes) in pages.iter().zip(buf.chunks_exact(PAGE_SIZE)) {
+            self.pager
+                .write(*page, class, &PageBuf::from_bytes(bytes))?;
         }
         Ok(())
     }
@@ -140,6 +163,10 @@ mod tests {
         NodeStore::new(MemDevice::new(), CostTracker::new(), node_size)
     }
 
+    fn read(s: &mut NodeStore<MemDevice>, id: NodeId, class: DataClass) -> Result<Node> {
+        s.with_node(id, class, |n| n.to_node())
+    }
+
     #[test]
     fn node_roundtrip_single_page() {
         let mut s = store(4096);
@@ -149,7 +176,7 @@ mod tests {
             next: NodeId::INVALID,
         };
         s.write(id, DataClass::Base, &n).unwrap();
-        assert_eq!(s.read(id, DataClass::Base).unwrap(), n);
+        assert_eq!(read(&mut s, id, DataClass::Base).unwrap(), n);
     }
 
     #[test]
@@ -162,7 +189,7 @@ mod tests {
         };
         s.write(id, DataClass::Base, &n).unwrap();
         let before = s.pager().tracker().snapshot();
-        assert_eq!(s.read(id, DataClass::Base).unwrap(), n);
+        assert_eq!(read(&mut s, id, DataClass::Base).unwrap(), n);
         let d = s.pager().tracker().since(&before);
         assert_eq!(d.page_reads, 4, "multi-page node charges all its pages");
     }
@@ -176,7 +203,7 @@ mod tests {
             children: vec![NodeId(1), NodeId(2), NodeId(3)],
         };
         s.write(id, DataClass::Aux, &n).unwrap();
-        assert_eq!(s.read(id, DataClass::Aux).unwrap(), n);
+        assert_eq!(read(&mut s, id, DataClass::Aux).unwrap(), n);
         // A sub-page node still burns a whole page.
         assert!(s.physical_bytes() >= 4096);
     }
@@ -188,7 +215,7 @@ mod tests {
         assert_eq!(s.pager().live_pages(), 2);
         s.free(id).unwrap();
         assert_eq!(s.pager().live_pages(), 0);
-        assert!(s.read(id, DataClass::Base).is_err());
+        assert!(read(&mut s, id, DataClass::Base).is_err());
         assert!(s.free(id).is_err());
     }
 

@@ -3,12 +3,12 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError,
-    SpaceProfile, Value,
+    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, RecordSlice, Result,
+    RumError, SpaceProfile, Value,
 };
 use rum_storage::{BlockDevice, CheckedDevice, MemDevice, RetryPolicy, ScrubReport};
 
-use crate::node::{internal_capacity, leaf_capacity, Node, NodeId};
+use crate::node::{internal_capacity, leaf_capacity, InternalRef, Node, NodeId, NodeRef};
 use crate::store::NodeStore;
 
 /// How a full node splits on insert — the "split condition" knob of §5.
@@ -161,54 +161,74 @@ impl<D: BlockDevice> BTree<D> {
         internal_capacity(self.config.node_size)
     }
 
-    /// Child slot covering `key` in an internal node.
-    fn child_slot(keys: &[Key], key: Key) -> usize {
-        keys.partition_point(|&k| k <= key)
-    }
-
-    /// Descend to the leaf covering `key`, returning the path of internal
-    /// nodes `(id, keys, children, taken_slot)` and the leaf `(id, node)`.
-    #[allow(clippy::type_complexity)]
-    fn descend(
+    /// Walk the `height - 1` internal levels above the leaf covering
+    /// `key`, each node searched where the device holds it, and return
+    /// that leaf's id without reading it. `visit` sees every internal node
+    /// on the way down together with the child slot taken.
+    ///
+    /// Every leaf of a B+-tree is at depth `height - 1`, so the walk is
+    /// bounded by the height: a leaf met earlier, or (see
+    /// [`with_leaf`](Self::with_leaf)) an internal node where the leaf
+    /// must be, is a damaged page — reported as [`RumError::Corrupt`]
+    /// instead of followed, since a garbled child pointer can point back
+    /// up the tree.
+    fn leaf_for(
         &mut self,
         key: Key,
-    ) -> Result<(
-        Vec<(NodeId, Vec<Key>, Vec<NodeId>, usize)>,
-        NodeId,
-        Vec<Record>,
-        NodeId,
-    )> {
-        let mut path = Vec::with_capacity(self.height);
+        mut visit: impl FnMut(NodeId, &InternalRef<'_>, usize),
+    ) -> Result<NodeId> {
         let mut cur = self.root;
-        let mut depth = 0usize;
-        loop {
-            // Leaves (the last level) are base data in this clustered
-            // organization; everything above is auxiliary.
-            let class = if depth + 1 >= self.height {
-                DataClass::Base
-            } else {
-                DataClass::Aux
-            };
-            match self.store.read(cur, class)? {
-                Node::Internal { keys, children } => {
-                    let slot = Self::child_slot(&keys, key);
-                    let next = children[slot];
-                    path.push((cur, keys, children, slot));
-                    cur = next;
-                    depth += 1;
-                }
-                Node::Leaf { records, next } => return Ok((path, cur, records, next)),
-            }
+        for depth in 1..self.height {
+            // Everything above the leaves is auxiliary data.
+            cur = self
+                .store
+                .with_node(cur, DataClass::Aux, |node| match node {
+                    NodeRef::Internal(node) => {
+                        let slot = node.slot_for(key);
+                        visit(cur, &node, slot);
+                        Ok(node.child(slot).expect("one more child than keys"))
+                    }
+                    NodeRef::Leaf { .. } => Err(RumError::Corrupt(format!(
+                        "{cur:?} is a leaf at depth {depth} of a tree of height {}",
+                        self.height
+                    ))),
+                })??;
         }
+        Ok(cur)
     }
 
-    fn read_node(&mut self, id: NodeId, leaf_expected: bool) -> Result<Node> {
-        let class = if leaf_expected {
-            DataClass::Base
-        } else {
-            DataClass::Aux
-        };
-        self.store.read(id, class)
+    /// Lend the records and right-sibling pointer of leaf `id` to `f`.
+    /// Leaves are base data in this clustered organization.
+    fn with_leaf<R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(RecordSlice<'_>, NodeId) -> R,
+    ) -> Result<R> {
+        self.store
+            .with_node(id, DataClass::Base, |node| match node {
+                NodeRef::Leaf { records, next } => Ok(f(records, next)),
+                NodeRef::Internal(_) => Err(RumError::Corrupt(format!(
+                    "{id:?} is an internal node at the leaf level"
+                ))),
+            })?
+    }
+
+    /// For update and delete: find the leaf holding `key`, apply `edit`
+    /// to an owned copy of its records (and the index of `key` among
+    /// them) and return the leaf to write back. A miss is `None` and
+    /// materialises nothing.
+    fn edited_leaf_holding(
+        &mut self,
+        key: Key,
+        edit: impl FnOnce(&mut Vec<Record>, usize),
+    ) -> Result<Option<(NodeId, Node)>> {
+        let leaf = self.leaf_for(key, |_, _, _| {})?;
+        self.with_leaf(leaf, |records, next| {
+            let i = records.search(key).ok()?;
+            let mut records: Vec<Record> = records.iter().collect();
+            edit(&mut records, i);
+            Some((leaf, Node::Leaf { records, next }))
+        })
     }
 
     fn split_leaf(
@@ -237,7 +257,22 @@ impl<D: BlockDevice> BTree<D> {
     }
 
     fn insert_inner(&mut self, key: Key, value: Value) -> Result<()> {
-        let (mut path, leaf_id, mut records, next) = self.descend(key)?;
+        // Only the part of the path a split can reach is kept: a node with
+        // room absorbs the separator pushed up from below, so nothing
+        // above it is rewritten.
+        let cap = self.internal_cap();
+        let mut path: Vec<(NodeId, Vec<Key>, Vec<NodeId>, usize)> = Vec::new();
+        let leaf_id = self.leaf_for(key, |id, node, slot| {
+            if node.len() < cap {
+                path.clear();
+            }
+            path.push((id, node.keys().collect(), node.children().collect(), slot));
+        })?;
+        let (mut records, next) = self.with_leaf(leaf_id, |records, next| {
+            let mut owned = Vec::with_capacity(records.len() + 1);
+            owned.extend(records.iter());
+            (owned, next)
+        })?;
         match records.binary_search_by_key(&key, |r| r.key) {
             Ok(i) => {
                 records[i].value = value;
@@ -355,11 +390,8 @@ impl<D: BlockDevice> AccessMethod for BTree<D> {
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
-        let (_, _, records, _) = self.descend(key)?;
-        Ok(records
-            .binary_search_by_key(&key, |r| r.key)
-            .ok()
-            .map(|i| records[i].value))
+        let leaf = self.leaf_for(key, |_, _, _| {})?;
+        self.with_leaf(leaf, |records, _| records.find(key))
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
@@ -368,33 +400,39 @@ impl<D: BlockDevice> AccessMethod for BTree<D> {
                 "inverted range {lo}..{hi}"
             )));
         }
-        let (_, _leaf_id, records, mut next) = self.descend(lo)?;
         let mut out = Vec::new();
-        let start = records.partition_point(|r| r.key < lo);
-        for r in &records[start..] {
-            if r.key > hi {
+        let mut leaf = self.leaf_for(lo, |_, _, _| {})?;
+        // Largest key met so far along the leaf chain, and how many leaves
+        // were walked: a damaged `next` pointer that leads backwards (or,
+        // through emptied leaves, in a circle) is reported, not followed.
+        let mut last_key: Option<Key> = None;
+        for _ in 0..self.store.node_count() {
+            let (done, next) = self.with_leaf(leaf, |records, next| {
+                if let (Some(prev), Some(first)) = (last_key, records.get(0)) {
+                    if first.key <= prev {
+                        return Err(RumError::Corrupt(format!(
+                            "leaf chain goes backwards: {leaf:?} starts at key {} after key {prev}",
+                            first.key
+                        )));
+                    }
+                }
+                last_key = records.last().map(|r| r.key).or(last_key);
+                for r in records.tail(records.lower_bound(lo)).iter() {
+                    if r.key > hi {
+                        return Ok((true, next));
+                    }
+                    out.push(r);
+                }
+                Ok((false, next))
+            })??;
+            if done || !next.is_valid() {
                 return Ok(out);
             }
-            out.push(*r);
+            leaf = next;
         }
-        // Follow the leaf chain.
-        while next.is_valid() {
-            match self.read_node(next, true)? {
-                Node::Leaf { records, next: n } => {
-                    for r in &records {
-                        if r.key > hi {
-                            return Ok(out);
-                        }
-                        out.push(*r);
-                    }
-                    next = n;
-                }
-                Node::Internal { .. } => {
-                    return Err(RumError::Corrupt("leaf chain points at internal".into()))
-                }
-            }
-        }
-        Ok(out)
+        Err(RumError::Corrupt(
+            "leaf chain is longer than the tree has nodes".into(),
+        ))
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
@@ -402,33 +440,28 @@ impl<D: BlockDevice> AccessMethod for BTree<D> {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        let (_, leaf_id, mut records, next) = self.descend(key)?;
-        match records.binary_search_by_key(&key, |r| r.key) {
-            Ok(i) => {
-                records[i].value = value;
-                self.store
-                    .write(leaf_id, DataClass::Base, &Node::Leaf { records, next })?;
-                Ok(true)
-            }
-            Err(_) => Ok(false),
-        }
+        let Some((leaf_id, leaf)) =
+            self.edited_leaf_holding(key, |records, i| records[i].value = value)?
+        else {
+            return Ok(false);
+        };
+        self.store.write(leaf_id, DataClass::Base, &leaf)?;
+        Ok(true)
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
         // Lazy deletion: the record is removed in place; nodes are never
         // merged or freed (their slack shows up honestly in MO). Real
         // systems defer leaf consolidation the same way.
-        let (_, leaf_id, mut records, next) = self.descend(key)?;
-        match records.binary_search_by_key(&key, |r| r.key) {
-            Ok(i) => {
-                records.remove(i);
-                self.len -= 1;
-                self.store
-                    .write(leaf_id, DataClass::Base, &Node::Leaf { records, next })?;
-                Ok(true)
-            }
-            Err(_) => Ok(false),
-        }
+        let Some((leaf_id, leaf)) = self.edited_leaf_holding(key, |records, i| {
+            records.remove(i);
+        })?
+        else {
+            return Ok(false);
+        };
+        self.len -= 1;
+        self.store.write(leaf_id, DataClass::Base, &leaf)?;
+        Ok(true)
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
@@ -496,6 +529,7 @@ impl<D: BlockDevice> AccessMethod for BTree<D> {
 mod tests {
     use super::*;
     use rum_core::RECORDS_PER_PAGE;
+    use rum_storage::PageBuf;
 
     fn loaded(n: u64) -> BTree {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k * 2, k)).collect();
@@ -733,6 +767,96 @@ mod tests {
         assert_eq!(t.len(), 100);
         assert_eq!(t.get(0).unwrap(), None);
         assert_eq!(t.get(550).unwrap(), Some(1));
+    }
+
+    /// Damage single-page node `id` through `device_mut()`, behind the
+    /// tree's back.
+    fn overwrite(t: &mut BTree, id: NodeId, node: &Node) {
+        let page = t.store.pages_of(id)[0];
+        let bytes = node.encode(t.config.node_size).unwrap();
+        t.device_mut()
+            .write_page(page, &PageBuf::from_bytes(&bytes))
+            .unwrap();
+    }
+
+    fn assert_corrupt<T: std::fmt::Debug>(r: Result<T>) {
+        assert!(matches!(r, Err(RumError::Corrupt(_))), "got {r:?}");
+    }
+
+    #[test]
+    fn child_pointer_back_up_the_tree_is_corrupt_not_a_hang() {
+        let mut t = loaded(300 * RECORDS_PER_PAGE as u64);
+        assert_eq!(t.height(), 3);
+        let root = t.root;
+        // The leftmost second-level node now sends every key back to the
+        // root: root -> mid -> root -> mid -> ... without the height bound.
+        let (mid, fanout) = t
+            .store
+            .with_node(root, DataClass::Aux, |n| match n {
+                NodeRef::Internal(n) => (n.child(0).unwrap(), n.children().len()),
+                NodeRef::Leaf { .. } => unreachable!("height 3"),
+            })
+            .unwrap();
+        assert!(fanout >= 2);
+        let Node::Internal { keys, children } = t
+            .store
+            .with_node(mid, DataClass::Aux, |n| n.to_node())
+            .unwrap()
+        else {
+            unreachable!("height 3")
+        };
+        let looped = Node::Internal {
+            keys,
+            children: vec![root; children.len()],
+        };
+        overwrite(&mut t, mid, &looped);
+        assert_corrupt(t.get(10));
+        assert_corrupt(t.range(10, 500));
+        assert_corrupt(t.insert(11, 1));
+        assert_corrupt(t.update(10, 1));
+        assert_corrupt(t.delete(10));
+        // Keys routed through undamaged subtrees are still served.
+        let far = 2 * (300 * RECORDS_PER_PAGE as u64 - 1);
+        assert_eq!(t.get(far).unwrap(), Some(far / 2));
+    }
+
+    #[test]
+    fn leaf_chain_pointing_backwards_is_corrupt_not_a_hang() {
+        let mut t = loaded(8 * RECORDS_PER_PAGE as u64);
+        assert_eq!(t.height(), 2);
+        let leaves: Vec<NodeId> = t
+            .store
+            .with_node(t.root, DataClass::Aux, |n| match n {
+                NodeRef::Internal(n) => n.children().collect(),
+                NodeRef::Leaf { .. } => unreachable!("height 2"),
+            })
+            .unwrap();
+        let Node::Leaf { records, .. } = t
+            .store
+            .with_node(leaves[2], DataClass::Base, |n| n.to_node())
+            .unwrap()
+        else {
+            unreachable!("children of the last internal level are leaves")
+        };
+        let first_key = records[0].key;
+        let backwards = Node::Leaf {
+            records,
+            next: leaves[0],
+        };
+        overwrite(&mut t, leaves[2], &backwards);
+        assert_corrupt(t.range(0, u64::MAX));
+        // A scan that ends before the damaged pointer is followed is fine.
+        assert_eq!(t.range(0, first_key).unwrap().len(), 2 * 255 + 1);
+
+        // An emptied leaf whose `next` names itself has no key to compare:
+        // the walk is also bounded by the number of nodes.
+        let mut t = loaded(8 * RECORDS_PER_PAGE as u64);
+        let empty_loop = Node::Leaf {
+            records: Vec::new(),
+            next: leaves[2],
+        };
+        overwrite(&mut t, leaves[2], &empty_loop);
+        assert_corrupt(t.range(0, u64::MAX));
     }
 
     #[test]

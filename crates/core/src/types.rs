@@ -68,6 +68,83 @@ impl From<(Key, Value)> for Record {
     }
 }
 
+/// Borrowed, densely packed encoded records — a leaf's or a run page's
+/// payload searched where it lies, with no [`Record`] materialised but the
+/// ones asked for. Keys are expected in ascending order, as in every
+/// packed page this workspace writes; the searches are binary searches
+/// and answer arbitrarily (never out of bounds) on unsorted bytes.
+#[derive(Clone, Copy, Debug)]
+pub struct RecordSlice<'a>(&'a [[u8; RECORD_SIZE]]);
+
+impl<'a> RecordSlice<'a> {
+    /// View the whole records in `bytes`; a trailing partial record is
+    /// not part of the view.
+    #[inline]
+    pub fn new(bytes: &'a [u8]) -> Self {
+        RecordSlice(bytes.as_chunks().0)
+    }
+
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Record `i`, `None` past the end.
+    #[inline]
+    pub fn get(&self, i: usize) -> Option<Record> {
+        self.0.get(i).map(|r| Record::decode(r))
+    }
+
+    /// The last record, `None` when there is none.
+    #[inline]
+    pub fn last(&self) -> Option<Record> {
+        self.0.last().map(|r| Record::decode(r))
+    }
+
+    /// The records in order.
+    #[inline]
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = Record> + 'a {
+        self.0.iter().map(|r| Record::decode(r))
+    }
+
+    /// The records from index `start` on (empty when `start` is past the
+    /// end).
+    #[inline]
+    pub fn tail(&self, start: usize) -> RecordSlice<'a> {
+        RecordSlice(self.0.get(start..).unwrap_or_default())
+    }
+
+    /// Index of the first record whose key is `>= key`.
+    #[inline]
+    pub fn lower_bound(&self, key: Key) -> usize {
+        self.0.partition_point(|r| Record::decode(r).key < key)
+    }
+
+    /// `Ok(i)` when record `i` holds `key`, else `Err(i)` with the index
+    /// where it would be inserted — `binary_search_by_key` on the decoded
+    /// records.
+    #[inline]
+    pub fn search(&self, key: Key) -> std::result::Result<usize, usize> {
+        let i = self.lower_bound(key);
+        match self.get(i) {
+            Some(r) if r.key == key => Ok(i),
+            _ => Err(i),
+        }
+    }
+
+    /// The value stored under `key`.
+    #[inline]
+    pub fn find(&self, key: Key) -> Option<Value> {
+        let i = self.lower_bound(key);
+        self.get(i).filter(|r| r.key == key).map(|r| r.value)
+    }
+}
+
 /// Number of pages needed to hold `n` records packed densely.
 #[inline]
 pub const fn pages_for_records(n: usize) -> usize {
@@ -114,6 +191,30 @@ mod tests {
         let mut buf = [0u8; 32];
         r.encode_into(&mut buf[4..20]);
         assert_eq!(&buf[4..20], &r.encode());
+    }
+
+    #[test]
+    fn record_slice_searches_like_the_decoded_records() {
+        let recs: Vec<Record> = (0..37u64).map(|k| Record::new(k * 3 + 1, k)).collect();
+        let mut bytes: Vec<u8> = recs.iter().flat_map(|r| r.encode()).collect();
+        bytes.extend_from_slice(&[0xFF; 5]); // partial record: ignored
+        let s = RecordSlice::new(&bytes);
+        assert_eq!(s.len(), recs.len());
+        assert_eq!(s.iter().collect::<Vec<_>>(), recs);
+        assert_eq!(s.get(36), Some(recs[36]));
+        assert_eq!(s.get(37), None);
+        assert_eq!(s.last(), Some(recs[36]));
+        for key in 0..120u64 {
+            assert_eq!(s.search(key), recs.binary_search_by_key(&key, |r| r.key));
+            assert_eq!(s.lower_bound(key), recs.partition_point(|r| r.key < key));
+            let want = recs.iter().find(|r| r.key == key).map(|r| r.value);
+            assert_eq!(s.find(key), want);
+        }
+        assert_eq!(s.tail(30).iter().collect::<Vec<_>>(), recs[30..]);
+        assert!(s.tail(99).is_empty());
+        assert!(RecordSlice::new(&[]).is_empty());
+        assert_eq!(RecordSlice::new(&[]).find(1), None);
+        assert_eq!(RecordSlice::new(&[]).last(), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! the paper's "more efficient reads ... by avoiding accessing unnecessary
 //! data at the expense of additional space".
 
-use rum_core::{DataClass, Key, Record, Result, Value, RECORDS_PER_PAGE, RECORD_SIZE};
+use rum_core::{DataClass, Key, Record, RecordSlice, Result, Value, RECORDS_PER_PAGE, RECORD_SIZE};
 use rum_sketch::{BloomFilter, QuotientFilter};
 use rum_storage::{BlockDevice, PageBuf, PageId, Pager};
 
@@ -180,18 +180,19 @@ impl SortedRun {
         }
     }
 
-    /// Read one page's records by in-run page index (charged like any base
-    /// read). Public so the cross-run sorted view can fetch exactly the
-    /// pages its anchors name.
-    pub fn read_page<D: BlockDevice>(
+    /// Lend one page's records, by in-run page index, to `f` (charged like
+    /// any base read). Public so the cross-run sorted view can fetch
+    /// exactly the pages its anchors name.
+    pub fn with_page<D: BlockDevice, R>(
         &self,
         pager: &mut Pager<D>,
         page_idx: usize,
-    ) -> Result<Vec<Record>> {
-        let buf = pager.read(self.pages[page_idx], DataClass::Base)?;
-        Ok((0..self.records_in_page(page_idx))
-            .map(|i| Record::decode(&buf[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]))
-            .collect())
+        f: impl FnOnce(RecordSlice<'_>) -> R,
+    ) -> Result<R> {
+        let used = self.records_in_page(page_idx) * RECORD_SIZE;
+        pager.with_page(self.pages[page_idx], DataClass::Base, |bytes| {
+            f(RecordSlice::new(&bytes[..used]))
+        })
     }
 
     /// Point probe. Charges: one filter probe (if present), a fence binary
@@ -214,11 +215,7 @@ impl SortedRun {
             Err(0) => return Ok(None), // key below the run's first fence
             Err(i) => i - 1,
         };
-        let recs = self.read_page(pager, page_idx)?;
-        Ok(recs
-            .binary_search_by_key(&key, |r| r.key)
-            .ok()
-            .map(|i| recs[i].value))
+        self.with_page(pager, page_idx, |recs| recs.find(key))
     }
 
     /// All entries with keys in `[lo, hi]`, ascending (tombstones
@@ -244,14 +241,17 @@ impl SortedRun {
             if self.fences[page_idx] > hi {
                 break;
             }
-            let recs = self.read_page(pager, page_idx)?;
-            for r in recs {
-                if r.key > hi {
-                    return Ok(out);
-                }
-                if r.key >= lo {
+            let done = self.with_page(pager, page_idx, |recs| {
+                for r in recs.tail(recs.lower_bound(lo)).iter() {
+                    if r.key > hi {
+                        return true;
+                    }
                     out.push(r);
                 }
+                false
+            })?;
+            if done {
+                break;
             }
             page_idx += 1;
         }
@@ -262,7 +262,7 @@ impl SortedRun {
     pub fn scan_all<D: BlockDevice>(&self, pager: &mut Pager<D>) -> Result<Vec<Record>> {
         let mut out = Vec::with_capacity(self.len);
         for page_idx in 0..self.pages.len() {
-            out.extend(self.read_page(pager, page_idx)?);
+            self.with_page(pager, page_idx, |recs| out.extend(recs.iter()))?;
         }
         Ok(out)
     }

@@ -15,9 +15,9 @@
 //! tree, so the RO it buys on queries is paid for in the other two
 //! corners rather than hidden.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use rum_core::{DataClass, Key, Record, Result};
+use rum_core::{DataClass, Key, Record, Result, RumError};
 use rum_storage::{BlockDevice, Pager};
 
 use crate::run::SortedRun;
@@ -52,9 +52,11 @@ impl SortedView {
         let mut newest: BTreeMap<Key, (u32, u32, u64)> = BTreeMap::new();
         for (run_idx, run) in runs.iter().enumerate() {
             for page_idx in 0..run.num_pages() {
-                for rec in run.read_page(pager, page_idx)? {
-                    newest.insert(rec.key, (run_idx as u32, page_idx as u32, rec.value));
-                }
+                run.with_page(pager, page_idx, |recs| {
+                    for rec in recs.iter() {
+                        newest.insert(rec.key, (run_idx as u32, page_idx as u32, rec.value));
+                    }
+                })?;
             }
         }
         Ok(SortedView {
@@ -97,21 +99,51 @@ impl SortedView {
         let steps = (self.entries.len().max(2) as f64).log2().ceil() as u64;
         pager.tracker().read(DataClass::Aux, steps * 8);
         let start = self.entries.partition_point(|e| e.key < lo);
-        let mut pages: HashMap<(u32, u32), Vec<Record>> = HashMap::new();
-        let mut out = Vec::new();
-        for e in &self.entries[start..] {
-            if e.key > hi {
-                break;
+        let anchors = &self.entries[start..];
+        let anchors = &anchors[..anchors.partition_point(|e| e.key <= hi)];
+        // Pages are fetched in the order the key walk first names them,
+        // each once; while a page is lent, every anchor in the range that
+        // names it is resolved, so no page is kept after its read.
+        let mut out = vec![Record::default(); anchors.len()];
+        let mut resolved = vec![false; anchors.len()];
+        for i in 0..anchors.len() {
+            if resolved[i] {
+                continue;
             }
-            let recs = match pages.entry((e.run, e.page)) {
-                std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
-                std::collections::hash_map::Entry::Vacant(v) => {
-                    v.insert(runs[e.run as usize].read_page(pager, e.page as usize)?)
+            let (run, page) = (anchors[i].run, anchors[i].page);
+            runs[run as usize].with_page(pager, page as usize, |recs| {
+                let last = recs.last().map_or(0, |r| r.key);
+                // Anchors and records both ascend: one forward cursor.
+                let mut at = 0;
+                for (j, e) in anchors.iter().enumerate().skip(i) {
+                    if e.key > last {
+                        break;
+                    }
+                    if (e.run, e.page) != (run, page) {
+                        continue;
+                    }
+                    // Neighbouring live keys are usually neighbouring
+                    // records, so the record under the cursor is tried
+                    // before the rest of the page is searched.
+                    if recs.get(at).is_none_or(|r| r.key != e.key) {
+                        at += recs.tail(at).lower_bound(e.key);
+                    }
+                    match recs.get(at) {
+                        Some(r) if r.key == e.key => {
+                            out[j] = r;
+                            resolved[j] = true;
+                            at += 1;
+                        }
+                        _ => break,
+                    }
                 }
-            };
-            let i = recs.partition_point(|r| r.key < e.key);
-            debug_assert!(i < recs.len() && recs[i].key == e.key, "stale view anchor");
-            out.push(recs[i]);
+            })?;
+            if !resolved[i] {
+                return Err(RumError::Corrupt(format!(
+                    "stale view anchor: key {} is not in page {page} of run {run}",
+                    anchors[i].key
+                )));
+            }
         }
         Ok(out)
     }

@@ -1,6 +1,6 @@
 //! Sealed pages: a [`CheckedDevice`] wraps any [`BlockDevice`] and seals
 //! every `write_page` with the WAL's CRC-32 in a sidecar map, verifying on
-//! `read_page`. Silent bit-rot becomes
+//! every read (`read_page` and `with_page` alike). Silent bit-rot becomes
 //! [`RumError::CorruptPage`] — detect-or-fail, never wrong data.
 //!
 //! The seal lives in a sidecar (page id → CRC) rather than an in-page
@@ -72,8 +72,7 @@ impl<D: BlockDevice> CheckedDevice<D> {
             Some(&s) => s,
             None => return Ok(None),
         };
-        let buf = self.inner.read_page(id)?;
-        let computed = crc32(buf.as_slice());
+        let computed = self.inner.with_page(id, crc32)?;
         if computed == stored {
             Ok(None)
         } else {
@@ -84,8 +83,8 @@ impl<D: BlockDevice> CheckedDevice<D> {
     /// Re-seal `id` over whatever the device currently stores — used by
     /// repair after rebuilding a page's contents out-of-band.
     pub fn reseal(&mut self, id: PageId) -> Result<()> {
-        let buf = self.inner.read_page(id)?;
-        self.sums.insert(id.0, crc32(buf.as_slice()));
+        let seal = self.inner.with_page(id, crc32)?;
+        self.sums.insert(id.0, seal);
         Ok(())
     }
 }
@@ -101,18 +100,26 @@ impl<D: BlockDevice> BlockDevice for CheckedDevice<D> {
     }
 
     fn read_page(&mut self, id: PageId) -> Result<PageBuf> {
-        let buf = self.inner.read_page(id)?;
-        if let Some(&stored) = self.sums.get(&id.0) {
-            let computed = crc32(buf.as_slice());
-            if computed != stored {
-                return Err(RumError::CorruptPage {
-                    id: id.0,
-                    stored,
-                    computed,
-                });
+        self.with_page(id, PageBuf::from_bytes)
+    }
+
+    /// The seal is verified on the lent bytes *before* `f` sees any of
+    /// them: a damaged page is refused, never searched.
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        let seal = self.sums.get(&id.0).copied();
+        self.inner.with_page(id, |bytes| {
+            if let Some(stored) = seal {
+                let computed = crc32(bytes);
+                if computed != stored {
+                    return Err(RumError::CorruptPage {
+                        id: id.0,
+                        stored,
+                        computed,
+                    });
+                }
             }
-        }
-        Ok(buf)
+            Ok(f(bytes))
+        })?
     }
 
     fn write_page(&mut self, id: PageId, page: &PageBuf) -> Result<()> {

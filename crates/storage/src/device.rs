@@ -58,6 +58,22 @@ pub trait BlockDevice: Send {
     /// Copy a page's contents out of the device.
     fn read_page(&mut self, id: PageId) -> Result<PageBuf>;
 
+    /// Lend a page's contents to `f` instead of copying them out: one
+    /// device read, exactly like [`read_page`](Self::read_page). `f` runs
+    /// once when the read succeeds and never when it fails.
+    ///
+    /// The default goes through `read_page`, so a wrapper that overrides
+    /// only `read_page` (a tracer, a test double) still sees — and may
+    /// refuse — every access made this way. Devices that hold the bytes
+    /// override it to lend them in place; wrappers that override it must
+    /// do every check they do in `read_page` *before* `f` sees a byte.
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R>
+    where
+        Self: Sized,
+    {
+        self.read_page(id).map(|page| f(page.as_slice()))
+    }
+
     /// Replace a page's contents.
     fn write_page(&mut self, id: PageId, page: &PageBuf) -> Result<()>;
 
@@ -90,9 +106,10 @@ impl MemDevice {
         }
     }
 
-    fn slot(&self, id: PageId) -> Result<()> {
-        match self.pages.get(id.index()) {
-            Some(Some(_)) => Ok(()),
+    /// The live buffer behind `id`, or why there is none.
+    fn slot(&mut self, id: PageId) -> Result<&mut PageBuf> {
+        match self.pages.get_mut(id.index()) {
+            Some(Some(page)) => Ok(page),
             Some(None) => Err(RumError::Storage(format!("{id} is freed"))),
             None => Err(RumError::Storage(format!("{id} out of bounds"))),
         }
@@ -127,17 +144,19 @@ impl BlockDevice for MemDevice {
     }
 
     fn read_page(&mut self, id: PageId) -> Result<PageBuf> {
-        self.slot(id)?;
+        self.with_page(id, PageBuf::from_bytes)
+    }
+
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
+        let page = self.slot(id)?;
+        let out = f(page.as_slice());
         self.stats.page_reads.fetch_add(1, Ordering::Relaxed);
-        Ok(self.pages[id.index()]
-            .clone()
-            .expect("slot() verified a live page buffer at this index"))
+        Ok(out)
     }
 
     fn write_page(&mut self, id: PageId, page: &PageBuf) -> Result<()> {
-        self.slot(id)?;
+        self.slot(id)?.as_mut_slice().copy_from_slice(page);
         self.stats.page_writes.fetch_add(1, Ordering::Relaxed);
-        self.pages[id.index()] = Some(page.clone());
         Ok(())
     }
 
@@ -165,6 +184,10 @@ mod tests {
         assert_eq!(back.read_u64(0), 77);
         assert_eq!(d.stats().reads(), 1);
         assert_eq!(d.stats().writes(), 1);
+        // Lending is the same device read without the copy.
+        let lent = d.with_page(id, |bytes| bytes == back.as_slice()).unwrap();
+        assert!(lent);
+        assert_eq!(d.stats().reads(), 2);
     }
 
     #[test]
@@ -191,6 +214,8 @@ mod tests {
         let a = d.allocate().unwrap();
         d.free(a).unwrap();
         assert!(d.read_page(a).is_err());
+        assert!(d.with_page(a, |_| ()).is_err());
+        assert_eq!(d.stats().reads(), 0, "a refused read is not a read");
         assert!(d.write_page(a, &PageBuf::zeroed()).is_err());
         assert!(d.free(a).is_err(), "double free must error");
     }

@@ -520,8 +520,12 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
     }
 
     fn read_page(&mut self, id: PageId) -> Result<PageBuf> {
+        self.with_page(id, PageBuf::from_bytes)
+    }
+
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         match self.injector.on_page_read(id.0) {
-            ReadOutcome::Serve => self.inner.read_page(id),
+            ReadOutcome::Serve => self.inner.with_page(id, f),
             ReadOutcome::Transient => {
                 Err(RumError::Transient(format!("transient read error on {id}")))
             }

@@ -158,9 +158,10 @@ impl MemoryHierarchy {
         self.caches.iter().map(|c| c.stats.sim_ns()).sum::<u64>() + self.storage_stats.sim_ns()
     }
 
-    fn slot(&self, id: PageId) -> Result<()> {
-        match self.pages.get(id.index()) {
-            Some(Some(_)) => Ok(()),
+    /// The live buffer behind `id`, or why there is none.
+    fn slot(&mut self, id: PageId) -> Result<&mut PageBuf> {
+        match self.pages.get_mut(id.index()) {
+            Some(Some(page)) => Ok(page),
             Some(None) => Err(RumError::Storage(format!("{id} is freed"))),
             None => Err(RumError::Storage(format!("{id} out of bounds"))),
         }
@@ -243,6 +244,10 @@ impl BlockDevice for MemoryHierarchy {
     }
 
     fn read_page(&mut self, id: PageId) -> Result<PageBuf> {
+        self.with_page(id, PageBuf::from_bytes)
+    }
+
+    fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         self.slot(id)?;
         // Find the highest level holding the page.
         let mut hit_level = self.caches.len(); // storage by default
@@ -261,14 +266,11 @@ impl BlockDevice for MemoryHierarchy {
         for lvl in (0..hit_level).rev() {
             self.install(lvl, id, false);
         }
-        Ok(self.pages[id.index()]
-            .clone()
-            .expect("slot() verified a live page buffer at this index"))
+        Ok(f(self.slot(id)?.as_slice()))
     }
 
     fn write_page(&mut self, id: PageId, page: &PageBuf) -> Result<()> {
-        self.slot(id)?;
-        self.pages[id.index()] = Some(page.clone());
+        self.slot(id)?.as_mut_slice().copy_from_slice(page);
         if self.caches.is_empty() {
             self.charge_storage_write(id);
         } else {

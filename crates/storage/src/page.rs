@@ -32,9 +32,15 @@ impl std::fmt::Display for PageId {
     }
 }
 
-/// An owned, fixed-size page buffer. Reads copy out of the device into one
-/// of these; writes copy it back — page-granular traffic is the point of
-/// the simulation, and copying 4 KiB keeps the API free of borrow puzzles.
+/// An owned, fixed-size page buffer: what a writer fills and hands to
+/// `write_page`, and what tests compare. Readers do not need one — the
+/// device lends its own bytes ([`BlockDevice::with_page`],
+/// [`Pager::with_page`]) — and `read_page` / [`Pager::read`] copy into one
+/// only for callers that go on to modify the page and write it back.
+///
+/// [`BlockDevice::with_page`]: crate::device::BlockDevice::with_page
+/// [`Pager::with_page`]: crate::pager::Pager::with_page
+/// [`Pager::read`]: crate::pager::Pager::read
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageBuf {
     data: Box<[u8]>,

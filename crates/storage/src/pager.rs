@@ -93,17 +93,32 @@ impl<D: BlockDevice> Pager<D> {
         self.device.free(id)
     }
 
-    /// Read a page, charging one page access and `PAGE_SIZE` bytes of
-    /// `class` traffic **per attempt**: transient device faults are
+    /// Lend a page to `f`, charging one page access and `PAGE_SIZE` bytes
+    /// of `class` traffic **per attempt**: transient device faults are
     /// retried per the [`RetryPolicy`], and every failed attempt still
     /// touched the device, so resilience is priced as extra RO. Detected
     /// corruption ([`RumError::CorruptPage`]) is not retryable — the
     /// stored bytes are wrong, not busy — and is surfaced (and traced)
-    /// immediately.
-    pub fn read(&mut self, id: PageId, class: DataClass) -> Result<PageBuf> {
+    /// immediately. `f` runs once, on the attempt that succeeds.
+    ///
+    /// This is the one read loop: the charge is per attempt, never per
+    /// byte copied, so lending instead of copying changes no counted
+    /// quantity.
+    pub fn with_page<R>(
+        &mut self,
+        id: PageId,
+        class: DataClass,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
+        let mut f = Some(f);
         let mut attempt = 1u32;
         loop {
-            let r = self.device.read_page(id);
+            let r = self.device.with_page(id, |bytes| {
+                let f = f
+                    .take()
+                    .expect("a device lends the page only on the one attempt that succeeds");
+                f(bytes)
+            });
             if Self::attempt_touched_device(&r) {
                 self.tracker.page_read();
                 self.tracker.read(class, PAGE_SIZE as u64);
@@ -111,7 +126,7 @@ impl<D: BlockDevice> Pager<D> {
                 self.tracker.sim_time(ns);
             }
             match r {
-                Ok(buf) => return Ok(buf),
+                Ok(out) => return Ok(out),
                 Err(e) => {
                     if let Some(err) = self.note_failure(id, &e, &mut attempt) {
                         return Err(err);
@@ -119,6 +134,12 @@ impl<D: BlockDevice> Pager<D> {
                 }
             }
         }
+    }
+
+    /// Copy a page out — [`with_page`](Self::with_page) into an owned
+    /// buffer, for callers that go on to modify and write it back.
+    pub fn read(&mut self, id: PageId, class: DataClass) -> Result<PageBuf> {
+        self.with_page(id, class, PageBuf::from_bytes)
     }
 
     /// Write a page, charging one page access and `PAGE_SIZE` bytes of
@@ -241,8 +262,8 @@ impl<D: BlockDevice> Pager<CheckedDevice<D>> {
             ..ScrubReport::default()
         };
         for id in ids {
-            match self.read(id, DataClass::Aux) {
-                Ok(_) => {}
+            match self.with_page(id, DataClass::Aux, |_| ()) {
+                Ok(()) => {}
                 Err(RumError::CorruptPage { .. }) => report.corrupt.push(id),
                 Err(_) => report.unreadable.push(id),
             }
@@ -335,6 +356,125 @@ mod tests {
         );
         let (b, _) = run();
         assert_eq!(a, b, "same seed, same policy, bit-identical costs");
+    }
+
+    #[test]
+    fn lending_charges_and_retries_exactly_like_copying() {
+        use crate::fault::{FaultDevice, FaultInjector, FaultPlan, FaultProfile, RetryPolicy};
+        let run = |lend: bool| {
+            let inj = FaultInjector::with_profile(
+                FaultPlan::None,
+                Some(FaultProfile::transient(23, 300_000, 3)),
+            );
+            let tracker = CostTracker::new();
+            let mut pager = Pager::with_profile(
+                FaultDevice::new(MemDevice::new(), Arc::clone(&inj)),
+                Arc::clone(&tracker),
+                DeviceProfile::SSD,
+            );
+            pager.set_retry_policy(RetryPolicy::attempts(8));
+            let ids: Vec<_> = (0..4).map(|_| pager.allocate().unwrap()).collect();
+            for (i, id) in ids.iter().enumerate() {
+                let mut p = PageBuf::zeroed();
+                p.write_u64(0, i as u64);
+                pager.write(*id, DataClass::Base, &p).unwrap();
+            }
+            let mut seen = 0u64;
+            for n in 0..200usize {
+                let (id, class) = (ids[n * 7 % 4], [DataClass::Base, DataClass::Aux][n % 2]);
+                seen += if lend {
+                    pager
+                        .with_page(id, class, |b| {
+                            u64::from_le_bytes(b[..8].try_into().unwrap())
+                        })
+                        .unwrap()
+                } else {
+                    pager.read(id, class).unwrap().read_u64(0)
+                };
+            }
+            (tracker.snapshot(), inj.transient_faults(), seen)
+        };
+        let (lent, copied) = (run(true), run(false));
+        assert!(lent.1 > 0, "a 30% fault rate over 200 reads must fire");
+        assert!(lent.0.page_reads > 200, "failed attempts are priced");
+        assert_eq!(
+            lent, copied,
+            "same bytes, same sim time (backoff included), same faults drawn, same answers"
+        );
+    }
+
+    #[test]
+    fn a_page_damaged_behind_the_seal_is_never_lent() {
+        use crate::checked::CheckedDevice;
+        let tracker = CostTracker::new();
+        let mut pager = Pager::new(CheckedDevice::new(MemDevice::new()), Arc::clone(&tracker));
+        let id = pager.allocate().unwrap();
+        let mut p = PageBuf::zeroed();
+        p.as_mut_slice().fill(0x5A);
+        pager.write(id, DataClass::Base, &p).unwrap();
+        p.as_mut_slice()[99] ^= 1;
+        pager.device_mut().inner_mut().write_page(id, &p).unwrap();
+        let before = tracker.snapshot();
+        let mut called = false;
+        let err = pager
+            .with_page(id, DataClass::Base, |_| called = true)
+            .unwrap_err();
+        assert!(matches!(err, RumError::CorruptPage { .. }), "got {err:?}");
+        assert!(!called, "the closure must not see a byte of a damaged page");
+        assert_eq!(err, pager.read(id, DataClass::Base).unwrap_err());
+        // The refused attempt still touched the device, once per call.
+        assert_eq!(tracker.since(&before).page_reads, 2);
+    }
+
+    #[test]
+    fn a_wrapper_that_only_implements_read_page_sees_every_lent_access() {
+        use crate::device::IoStats;
+        /// Shaped like an external tracer: forwards everything, overrides
+        /// nothing it does not have to.
+        struct ReadCounter {
+            inner: MemDevice,
+            reads: Vec<PageId>,
+        }
+        impl BlockDevice for ReadCounter {
+            fn allocate(&mut self) -> Result<PageId> {
+                self.inner.allocate()
+            }
+            fn free(&mut self, id: PageId) -> Result<()> {
+                self.inner.free(id)
+            }
+            fn read_page(&mut self, id: PageId) -> Result<PageBuf> {
+                self.reads.push(id);
+                self.inner.read_page(id)
+            }
+            fn write_page(&mut self, id: PageId, page: &PageBuf) -> Result<()> {
+                self.inner.write_page(id, page)
+            }
+            fn live_pages(&self) -> usize {
+                self.inner.live_pages()
+            }
+            fn stats(&self) -> &Arc<IoStats> {
+                self.inner.stats()
+            }
+        }
+        let device = ReadCounter {
+            inner: MemDevice::new(),
+            reads: Vec::new(),
+        };
+        let mut pager = Pager::new(device, CostTracker::new());
+        let a = pager.allocate().unwrap();
+        let b = pager.allocate().unwrap();
+        let mut p = PageBuf::zeroed();
+        p.write_u64(8, 42);
+        pager.write(b, DataClass::Base, &p).unwrap();
+        for id in [a, b, b, a] {
+            let v = pager
+                .with_page(id, DataClass::Base, |bytes| bytes[8])
+                .unwrap();
+            assert_eq!(v, if id == b { 42 } else { 0 });
+        }
+        pager.read(a, DataClass::Base).unwrap();
+        assert_eq!(pager.device().reads, vec![a, b, b, a, a]);
+        assert_eq!(pager.device().stats().reads(), 5);
     }
 
     #[test]
