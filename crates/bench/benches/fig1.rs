@@ -24,7 +24,7 @@ fn bench_fig1(c: &mut Criterion) {
                     .into_iter()
                     .find(|m| &m.name() == name)
                     .unwrap();
-                std::hint::black_box(run_workload(m.as_mut(), &workload).unwrap().ro)
+                std::hint::black_box(run_stream(m.as_mut(), &workload).unwrap().ro)
             })
         });
     }

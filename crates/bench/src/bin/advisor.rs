@@ -29,22 +29,14 @@ fn main() {
     let rendered = advisor::render(&run);
     println!("{rendered}");
 
-    println!("=== Checks ===");
-    let mut all_ok = true;
-    for (desc, ok) in advisor::checks(&run) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-
-    if !smoke {
-        std::fs::create_dir_all("results").expect("results dir");
-        std::fs::write("results/advisor_profiles.csv", advisor::to_csv(&run))
-            .expect("write profiles");
-        std::fs::write("results/advisor.txt", &rendered).expect("write txt");
-        println!("wrote results/advisor_profiles.csv and results/advisor.txt");
-    }
-
-    if !all_ok {
-        std::process::exit(1);
-    }
+    let csv = advisor::to_csv(&run);
+    let files = [
+        ("advisor_profiles.csv", csv.as_str()),
+        ("advisor.txt", rendered.as_str()),
+    ];
+    rum_bench::conclude(
+        "=== Checks ===",
+        advisor::checks(&run),
+        if smoke { &[] } else { &files },
+    );
 }

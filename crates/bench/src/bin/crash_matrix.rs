@@ -26,21 +26,14 @@ fn main() {
     let rendered = crash::render(&matrix);
     println!("{rendered}");
 
-    println!("=== Checks ===");
-    let mut all_ok = true;
-    for (desc, ok) in crash::checks(&matrix) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-
-    if !smoke {
-        std::fs::create_dir_all("results").expect("results dir");
-        std::fs::write("results/crash_matrix.csv", crash::to_csv(&matrix)).expect("write csv");
-        std::fs::write("results/crash_matrix.txt", &rendered).expect("write txt");
-        println!("wrote results/crash_matrix.csv and results/crash_matrix.txt");
-    }
-
-    if !all_ok {
-        std::process::exit(1);
-    }
+    let csv = crash::to_csv(&matrix);
+    let files = [
+        ("crash_matrix.csv", csv.as_str()),
+        ("crash_matrix.txt", rendered.as_str()),
+    ];
+    rum_bench::conclude(
+        "=== Checks ===",
+        crash::checks(&matrix),
+        if smoke { &[] } else { &files },
+    );
 }

@@ -27,21 +27,14 @@ fn main() {
     let rendered = drift_sweep::render(&rows);
     println!("{rendered}");
 
-    println!("=== Checks ===");
-    let mut all_ok = true;
-    for (desc, ok) in drift_sweep::checks(&config, &rows) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-
-    if !smoke {
-        std::fs::create_dir_all("results").expect("results dir");
-        std::fs::write("results/drift_sweep.csv", drift_sweep::to_csv(&rows)).expect("write csv");
-        std::fs::write("results/drift_sweep.txt", &rendered).expect("write txt");
-        println!("wrote results/drift_sweep.csv and results/drift_sweep.txt");
-    }
-
-    if !all_ok {
-        std::process::exit(1);
-    }
+    let csv = drift_sweep::to_csv(&rows);
+    let files = [
+        ("drift_sweep.csv", csv.as_str()),
+        ("drift_sweep.txt", rendered.as_str()),
+    ];
+    rum_bench::conclude(
+        "=== Checks ===",
+        drift_sweep::checks(&config, &rows),
+        if smoke { &[] } else { &files },
+    );
 }

@@ -27,21 +27,14 @@ fn main() {
     let rendered = fault_storm::render(&matrix);
     println!("{rendered}");
 
-    println!("=== Checks ===");
-    let mut all_ok = true;
-    for (desc, ok) in fault_storm::checks(&matrix) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-
-    if !smoke {
-        std::fs::create_dir_all("results").expect("results dir");
-        std::fs::write("results/fault_storm.csv", fault_storm::to_csv(&matrix)).expect("write csv");
-        std::fs::write("results/fault_storm.txt", &rendered).expect("write txt");
-        println!("wrote results/fault_storm.csv and results/fault_storm.txt");
-    }
-
-    if !all_ok {
-        std::process::exit(1);
-    }
+    let csv = fault_storm::to_csv(&matrix);
+    let files = [
+        ("fault_storm.csv", csv.as_str()),
+        ("fault_storm.txt", rendered.as_str()),
+    ];
+    rum_bench::conclude(
+        "=== Checks ===",
+        fault_storm::checks(&matrix),
+        if smoke { &[] } else { &files },
+    );
 }

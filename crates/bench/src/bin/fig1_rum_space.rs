@@ -41,10 +41,9 @@ fn main() {
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
             assert_eq!(s.report.method, p.report.method, "method order diverged");
-            assert!(
-                s.report.ro == p.report.ro
-                    && s.report.uo == p.report.uo
-                    && s.report.mo == p.report.mo,
+            assert_eq!(
+                s.report.counted_diff(&p.report),
+                None,
                 "{}: serial and parallel measurements diverged",
                 s.report.method
             );
@@ -61,13 +60,9 @@ fn main() {
 
     println!("{}", fig1::render(&placements));
     println!("{harness_line}");
-    println!("=== Shape checks (the paper's qualitative placement) ===");
-    let mut all_ok = true;
-    for (desc, ok) in fig1::shape_checks(&placements) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-    if !all_ok {
-        std::process::exit(1);
-    }
+    rum_bench::conclude(
+        "=== Shape checks (the paper's qualitative placement) ===",
+        fig1::shape_checks(&placements),
+        &[],
+    );
 }

@@ -17,13 +17,5 @@ fn main() {
     let sweep: &[usize] = &[16, 64, 256, 1024, 4096, 16384];
     let rows = fig2::run(n, ops, sweep, DeviceProfile::SSD);
     println!("{}", fig2::render(&rows, n, ops));
-    println!("=== Shape checks ===");
-    let mut all_ok = true;
-    for (desc, ok) in fig2::shape_checks(&rows) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-    if !all_ok {
-        std::process::exit(1);
-    }
+    rum_bench::conclude("=== Shape checks ===", fig2::shape_checks(&rows), &[]);
 }

@@ -14,13 +14,9 @@ fn main() {
     };
     let points = fig3::run(n, ops);
     println!("{}", fig3::render(&points));
-    println!("=== Shape checks (each knob moves the method as the paper predicts) ===");
-    let mut all_ok = true;
-    for (desc, ok) in fig3::shape_checks(&points) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-    if !all_ok {
-        std::process::exit(1);
-    }
+    rum_bench::conclude(
+        "=== Shape checks (each knob moves the method as the paper predicts) ===",
+        fig3::shape_checks(&points),
+        &[],
+    );
 }

@@ -4,13 +4,5 @@
 
 fn main() {
     println!("{}", rum_bench::props::report());
-    println!("=== Verdicts ===");
-    let mut all_ok = true;
-    for (desc, ok) in rum_bench::props::verdicts() {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-    if !all_ok {
-        std::process::exit(1);
-    }
+    rum_bench::conclude("=== Verdicts ===", rum_bench::props::verdicts(), &[]);
 }

@@ -25,21 +25,14 @@ fn main() {
     let rendered = range_sweep::render(&rows);
     println!("{rendered}");
 
-    println!("=== Checks ===");
-    let mut all_ok = true;
-    for (desc, ok) in range_sweep::checks(&config, &rows) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-
-    if !smoke {
-        std::fs::create_dir_all("results").expect("results dir");
-        std::fs::write("results/range_sweep.csv", range_sweep::to_csv(&rows)).expect("write csv");
-        std::fs::write("results/range_sweep.txt", &rendered).expect("write txt");
-        println!("wrote results/range_sweep.csv and results/range_sweep.txt");
-    }
-
-    if !all_ok {
-        std::process::exit(1);
-    }
+    let csv = range_sweep::to_csv(&rows);
+    let files = [
+        ("range_sweep.csv", csv.as_str()),
+        ("range_sweep.txt", rendered.as_str()),
+    ];
+    rum_bench::conclude(
+        "=== Checks ===",
+        range_sweep::checks(&config, &rows),
+        if smoke { &[] } else { &files },
+    );
 }

@@ -38,16 +38,7 @@ fn fail(msg: &str) -> ! {
 /// traced report additionally carries latency quantiles, which wall-clock
 /// timing makes non-deterministic — excluded by construction).
 fn same_measurements(a: &RumReport, b: &RumReport) -> bool {
-    a.method == b.method
-        && a.n_final == b.n_final
-        && a.read_ops == b.read_ops
-        && a.write_ops == b.write_ops
-        && a.read_costs == b.read_costs
-        && a.write_costs == b.write_costs
-        && a.load_costs == b.load_costs
-        && a.ro.to_bits() == b.ro.to_bits()
-        && a.uo.to_bits() == b.uo.to_bits()
-        && a.mo.to_bits() == b.mo.to_bits()
+    a.method == b.method && a.counted_diff(b).is_none()
 }
 
 fn smoke() {

@@ -33,21 +33,14 @@ fn main() {
     let rendered = scale::render(&rows);
     println!("{rendered}");
 
-    println!("=== Checks ===");
-    let mut all_ok = true;
-    for (desc, ok) in scale::checks(&rows) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-
-    if !smoke {
-        std::fs::create_dir_all("results").expect("results dir");
-        std::fs::write("results/scale_sweep.csv", scale::to_csv(&rows)).expect("write csv");
-        std::fs::write("results/scale_sweep.txt", &rendered).expect("write txt");
-        println!("wrote results/scale_sweep.csv and results/scale_sweep.txt");
-    }
-
-    if !all_ok {
-        std::process::exit(1);
-    }
+    let csv = scale::to_csv(&rows);
+    let files = [
+        ("scale_sweep.csv", csv.as_str()),
+        ("scale_sweep.txt", rendered.as_str()),
+    ];
+    rum_bench::conclude(
+        "=== Checks ===",
+        scale::checks(&rows),
+        if smoke { &[] } else { &files },
+    );
 }

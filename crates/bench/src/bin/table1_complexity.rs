@@ -17,13 +17,9 @@ fn main() {
     let params = table1::Table1Params::default();
     let rows = table1::run(ns, params);
     println!("{}", table1::render(&rows, &params));
-    println!("=== Shape checks (the paper's qualitative claims) ===");
-    let mut all_ok = true;
-    for (desc, ok) in table1::shape_checks(&rows) {
-        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
-        all_ok &= ok;
-    }
-    if !all_ok {
-        std::process::exit(1);
-    }
+    rum_bench::conclude(
+        "=== Shape checks (the paper's qualitative claims) ===",
+        table1::shape_checks(&rows),
+        &[],
+    );
 }

@@ -17,8 +17,8 @@
 
 use std::sync::Arc;
 
-use rum_core::runner::run_workload;
-use rum_core::workload::{Op, OpMix, Workload, WorkloadSpec};
+use rum_core::runner::run_stream;
+use rum_core::workload::{OpMix, Workload, WorkloadSpec};
 use rum_core::{AccessMethod, Key, RumError};
 use rum_storage::{splitmix64, Durable, FaultInjector, FaultPlan};
 
@@ -134,17 +134,6 @@ fn workloads(config: &CrashConfig) -> Vec<(&'static str, Workload)> {
     .collect()
 }
 
-/// Execute one op, discarding the answer (mirrors the runner's driver).
-fn exec(method: &mut dyn AccessMethod, op: Op) -> rum_core::Result<()> {
-    match op {
-        Op::Get(k) => method.get(k).map(|_| ()),
-        Op::Range(lo, hi) => method.range(lo, hi).map(|_| ()),
-        Op::Insert(k, v) => method.insert(k, v),
-        Op::Update(k, v) => method.update(k, v).map(|_| ()),
-        Op::Delete(k) => method.delete(k).map(|_| ()),
-    }
-}
-
 /// Run every cell for one method family. `make_bare` builds the inner
 /// structure, `make_durable` its WAL wrapper (with an optional armed
 /// injector); both must configure the structure identically.
@@ -161,9 +150,9 @@ fn run_method<M, FB, FD>(
     for (wname, workload) in workloads(config) {
         // --- logging-cost comparison -------------------------------------
         let mut bare = make_bare();
-        let bare_report = run_workload(&mut bare, &workload).expect("bare run");
+        let bare_report = run_stream(&mut bare, &workload).expect("bare run");
         let mut durable = make_durable(None);
-        let wal_report = run_workload(&mut durable, &workload).expect("durable run");
+        let wal_report = run_stream(&mut durable, &workload).expect("durable run");
         let method = durable.name();
         eprintln!(
             "[crash] {method} / {wname}: UO comparison + {} crash points",
@@ -206,8 +195,8 @@ fn run_method<M, FB, FD>(
             let mut acked = 0usize;
             let mut crashed = false;
             for &op in &workload.ops {
-                match exec(&mut victim, op) {
-                    Ok(()) => acked += 1,
+                match op.apply(&mut victim) {
+                    Ok(_) => acked += 1,
                     Err(RumError::Crash(_)) => {
                         crashed = true;
                         break;
@@ -223,7 +212,7 @@ fn run_method<M, FB, FD>(
             reference.bulk_load(&workload.initial).expect("ref load");
             let mut acked_writes = 0usize;
             for &op in &workload.ops[..acked] {
-                exec(&mut reference, op).expect("ref op");
+                op.apply(&mut reference).expect("ref op");
                 if !op.is_read() {
                     acked_writes += 1;
                 }

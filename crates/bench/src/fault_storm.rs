@@ -32,7 +32,7 @@
 use std::sync::{Arc, Mutex};
 
 use rum_core::trace::{EventKind, MemorySink};
-use rum_core::workload::{Op, OpMix, Workload, WorkloadSpec};
+use rum_core::workload::{Op, OpAnswer, OpMix, Workload, WorkloadSpec};
 use rum_core::{AccessMethod, CostSnapshot, Key, RumError};
 use rum_storage::{
     CheckedDevice, Durable, FaultDevice, FaultInjector, FaultPlan, FaultProfile, MemDevice,
@@ -149,24 +149,16 @@ fn workload(config: &FaultStormConfig) -> Workload {
 /// served the same data iff their digests match op-for-op.
 fn op_digest(method: &mut dyn AccessMethod, op: Op) -> rum_core::Result<u64> {
     use rum_storage::splitmix64;
-    Ok(match op {
-        Op::Get(k) => match method.get(k)? {
-            Some(v) => splitmix64(k ^ v.wrapping_mul(3)),
-            None => splitmix64(k ^ 0x5EED),
-        },
-        Op::Range(lo, hi) => {
-            let mut acc = splitmix64(lo ^ hi.rotate_left(17));
-            for r in method.range(lo, hi)? {
-                acc = splitmix64(acc ^ r.key ^ r.value.rotate_left(31));
-            }
-            acc
-        }
-        Op::Insert(k, v) => {
-            method.insert(k, v)?;
-            1
-        }
-        Op::Update(k, v) => u64::from(method.update(k, v)?),
-        Op::Delete(k) => u64::from(method.delete(k)?),
+    Ok(match (op.apply(method)?, op) {
+        (OpAnswer::Get(Some(v)), Op::Get(k)) => splitmix64(k ^ v.wrapping_mul(3)),
+        (OpAnswer::Get(None), Op::Get(k)) => splitmix64(k ^ 0x5EED),
+        (OpAnswer::Range(records), Op::Range(lo, hi)) => records
+            .iter()
+            .fold(splitmix64(lo ^ hi.rotate_left(17)), |acc, r| {
+                splitmix64(acc ^ r.key ^ r.value.rotate_left(31))
+            }),
+        (OpAnswer::Applied(applied), _) => u64::from(applied),
+        _ => 1, // an insert answers nothing
     })
 }
 

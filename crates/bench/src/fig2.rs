@@ -11,7 +11,7 @@
 
 use rum_btree::{BTree, BTreeConfig};
 use rum_core::runner::{default_threads, parallel_map};
-use rum_core::workload::{KeyDist, KeySpace, Op, OpMix, OpStream, WorkloadSpec};
+use rum_core::workload::{KeyDist, KeySpace, OpMix, OpStream, WorkloadSpec};
 use rum_core::AccessMethod;
 use rum_storage::{BlockDevice, DeviceProfile, HierarchySpec, MemoryHierarchy};
 
@@ -76,15 +76,7 @@ pub fn run(
         }
 
         for op in stream {
-            match op {
-                Op::Get(key) => {
-                    tree.get(key).expect("get");
-                }
-                Op::Update(key, value) => {
-                    tree.update(key, value).expect("update");
-                }
-                other => unreachable!("mix generates only gets and updates, got {other:?}"),
-            }
+            op.apply(&mut tree).expect("op");
         }
         tree.device_mut().sync().expect("sync");
 

@@ -154,6 +154,34 @@ pub fn load_cost(method: &mut dyn AccessMethod, records: &[Record]) -> (u64, f64
     (d.page_writes, physical_pages, profile.space_amplification())
 }
 
+/// The epilogue the experiment binaries share: print `heading` and one
+/// `[PASS]`/`[FAIL]` line per check, write each `(name, body)` of `files`
+/// under `results/` (smoke runs pass none), and exit non-zero if any check
+/// failed.
+pub fn conclude(heading: &str, checks: Vec<(String, bool)>, files: &[(&str, &str)]) {
+    println!("{heading}");
+    let mut all_ok = true;
+    for (desc, ok) in checks {
+        println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
+        all_ok &= ok;
+    }
+
+    if !files.is_empty() {
+        std::fs::create_dir_all("results").expect("results dir");
+        let mut paths = Vec::with_capacity(files.len());
+        for (name, body) in files {
+            let path = format!("results/{name}");
+            std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+            paths.push(path);
+        }
+        println!("wrote {}", paths.join(" and "));
+    }
+
+    if !all_ok {
+        std::process::exit(1);
+    }
+}
+
 /// `log_B(n)` — the B-tree height scale of Table 1.
 pub fn log_b(n: f64) -> f64 {
     n.max(2.0).ln() / (RECORDS_PER_PAGE as f64).ln()

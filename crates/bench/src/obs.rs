@@ -230,15 +230,7 @@ pub fn metrics_equivalence(
             run_stream_metered(metered.as_mut(), OpStream::new(&spec), &mut trace, &plane)
                 .unwrap_or_else(|e| panic!("{name} metered: {e}"));
 
-        let identical = baseline.ro.to_bits() == observed.ro.to_bits()
-            && baseline.uo.to_bits() == observed.uo.to_bits()
-            && baseline.mo.to_bits() == observed.mo.to_bits()
-            && baseline.read_costs == observed.read_costs
-            && baseline.write_costs == observed.write_costs
-            && baseline.load_costs == observed.load_costs
-            && baseline.read_ops == observed.read_ops
-            && baseline.write_ops == observed.write_ops
-            && baseline.n_final == observed.n_final;
+        let identical = baseline.counted_diff(&observed).is_none();
         rows.push(EquivalenceRow {
             method: name,
             identical,

@@ -21,7 +21,7 @@
 //!   replay — view-on results must be bit-identical to view-off, op by
 //!   op, `Get` and `Range` alike.
 
-use rum_core::runner::{run_workload, RumReport};
+use rum_core::runner::{run_stream, RumReport};
 use rum_core::workload::{KeySpace, Op, OpMix, Workload, WorkloadSpec};
 use rum_core::{AccessMethod, Key};
 use rum_lsm::{CompactionPolicy, FilterKind, LsmConfig, LsmTree};
@@ -181,19 +181,8 @@ fn differential(workload: &Workload, filter: FilterKind) -> bool {
     let mut on = tree(filter, true);
     off.bulk_load(&workload.initial).expect("bulk load");
     on.bulk_load(&workload.initial).expect("bulk load");
-    for op in &workload.ops {
-        let same = match *op {
-            Op::Get(k) => off.get(k).unwrap() == on.get(k).unwrap(),
-            Op::Insert(k, v) => {
-                off.insert(k, v).unwrap();
-                on.insert(k, v).unwrap();
-                true
-            }
-            Op::Update(k, v) => off.update(k, v).unwrap() == on.update(k, v).unwrap(),
-            Op::Delete(k) => off.delete(k).unwrap() == on.delete(k).unwrap(),
-            Op::Range(lo, hi) => off.range(lo, hi).unwrap() == on.range(lo, hi).unwrap(),
-        };
-        if !same || off.len() != on.len() {
+    for &op in &workload.ops {
+        if op.apply(&mut off).unwrap() != op.apply(&mut on).unwrap() || off.len() != on.len() {
             return false;
         }
     }
@@ -213,7 +202,7 @@ pub fn run(config: &RangeSweepConfig) -> Vec<RangeRow> {
             let identical = differential(&workload, filter);
             for view in [false, true] {
                 let mut t = tree(filter, view);
-                let report = run_workload(&mut t, &workload).expect("workload run");
+                let report = run_stream(&mut t, &workload).expect("workload run");
                 // The MO column must not be understated by a trailing
                 // flush having dropped the anchors: rebuild (post-
                 // measurement) so `view_bytes` reports the resident cost

@@ -28,9 +28,9 @@
 //! merged per-worker latency distributions at zero cost-model effect.
 
 use rum_btree::BTree;
-use rum_core::runner::{run_stream_sharded_traced, run_workload, RumReport, DEFAULT_STREAM_BATCH};
+use rum_core::runner::{run_stream, run_stream_sharded_traced, RumReport, DEFAULT_STREAM_BATCH};
 use rum_core::trace::{noop_sink, TraceCollector};
-use rum_core::workload::{OpMix, OpStream, Workload, WorkloadSpec};
+use rum_core::workload::{OpMix, OpStream, WorkloadSpec};
 use rum_core::{AccessMethod, ShardedMethod};
 
 /// Sweep configuration.
@@ -106,9 +106,8 @@ fn sharded(k: usize) -> ShardedMethod {
 /// Run the sweep. Cells run serially (each cell already uses the shard
 /// workers); rows come back in (n, K) sweep order.
 ///
-/// When `verify` is set, every K at the *smallest* n is re-run serially —
-/// per-op, through a materialized `Workload` — and the streamed report's
-/// RO/UO/MO must match bit-for-bit.
+/// When `verify` is set, every K at the *smallest* n is re-run serially,
+/// per-op, and the batched report's RO/UO/MO must match bit-for-bit.
 pub fn run(config: &ScaleConfig) -> Vec<ScaleRow> {
     let smallest = config.ns.iter().copied().min();
     let mut rows = Vec::with_capacity(config.ns.len() * config.ks.len());
@@ -134,15 +133,8 @@ pub fn run(config: &ScaleConfig) -> Vec<ScaleRow> {
                 report.ops_per_sec
             );
             let verified = if config.verify && Some(n) == smallest {
-                let workload = Workload::generate(&spec);
-                let serial = run_workload(&mut sharded(k), &workload).expect("serial run");
-                Some(
-                    serial.ro.to_bits() == report.ro.to_bits()
-                        && serial.uo.to_bits() == report.uo.to_bits()
-                        && serial.mo.to_bits() == report.mo.to_bits()
-                        && serial.read_costs == report.read_costs
-                        && serial.write_costs == report.write_costs,
-                )
+                let serial = run_stream(&mut sharded(k), OpStream::new(&spec)).expect("serial run");
+                Some(serial.counted_diff(&report).is_none())
             } else {
                 None
             };

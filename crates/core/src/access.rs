@@ -85,11 +85,11 @@ impl SpaceProfile {
 /// [`RumError::Unsupported`]: crate::error::RumError::Unsupported
 ///
 /// Methods are `Send` so the measurement harness can fan a suite out
-/// across worker threads ([`run_suite_parallel`]); each instance is still
+/// across worker threads ([`run_suite_stream`]); each instance is still
 /// driven from one thread at a time (`&mut self`), so no `Sync` bound is
 /// needed.
 ///
-/// [`run_suite_parallel`]: crate::runner::run_suite_parallel
+/// [`run_suite_stream`]: crate::runner::run_suite_stream
 pub trait AccessMethod: Send {
     /// Human-readable name used in reports and plots.
     fn name(&self) -> String;
@@ -135,8 +135,8 @@ pub trait AccessMethod: Send {
     }
 
     /// Install a [`TraceSink`](crate::trace::TraceSink) for structured
-    /// event emission (LSM flush/compaction, WAL sync/checkpoint, buffer
-    /// eviction, shard dispatch...). Default: ignore it — methods without
+    /// event emission (LSM flush/compaction, WAL sync/checkpoint, shard
+    /// dispatch...). Default: ignore it — methods without
     /// noteworthy internal events need no wiring, and the compiled-in
     /// default everywhere is the disabled
     /// [`NoopSink`](crate::trace::NoopSink). Wrappers forward the sink to

@@ -5,7 +5,7 @@
 //! tradeoff surface as the workload shifts. This module closes that loop:
 //!
 //! * [`AutoTuner`] consumes the [`TrajectoryWindow`]s the
-//!   [`TraceCollector`](crate::trace::TraceCollector) already produces,
+//!   [`TraceCollector`] already produces,
 //!   maintains a decaying estimate of the live operation mix, and detects
 //!   drift when the estimate moves beyond hysteresis thresholds (mix L1
 //!   distance plus windowed RO/UO slope).
@@ -37,7 +37,9 @@ use std::sync::Arc;
 use crate::access::AccessMethod;
 use crate::advisor::{mix_distance, normalize_mix, AdvisorMemo, ProfileStore};
 use crate::error::Result;
-use crate::trace::{noop_sink, EventKind, TraceSink, TrajectoryWindow};
+use crate::runner::{RumReport, RunObserver};
+use crate::trace::{noop_sink, EventKind, TraceCollector, TraceSink, TrajectoryWindow};
+use crate::tracker::{CostSnapshot, CostTracker};
 use crate::types::PAGE_SIZE;
 use crate::wizard::{Constraints, Environment, Family};
 use crate::workload::{Op, OpMix};
@@ -144,7 +146,7 @@ pub trait Morphable: AccessMethod {
     /// unsupported); `Ok(Some(receipt))` prices the migration performed.
     ///
     /// Implementations must keep the logical contents and the
-    /// [`CostTracker`](crate::tracker::CostTracker) identity stable across
+    /// [`CostTracker`] identity stable across
     /// the migration, so answers and accumulated costs survive.
     fn morph_to(&mut self, family: Family, mix: &OpMix) -> Result<Option<MigrationReceipt>>;
 }
@@ -511,6 +513,72 @@ impl AutoTuner {
             }
             None => self.summary.noop_decisions += 1,
         }
+    }
+}
+
+/// A collector and a tuner observing one run together
+/// ([`run_stream_autotuned`](crate::runner::run_stream_autotuned)): every
+/// window the collector closes goes to [`AutoTuner::plan`] with the
+/// window's op-kind counts, and an ordered migration runs in place before
+/// the next op.
+pub(crate) struct Tuning<'a> {
+    trace: &'a mut TraceCollector,
+    tuner: &'a mut AutoTuner,
+    /// Op kinds seen since the last window close.
+    counts: OpCounts,
+    /// The migration `on_window` ordered, until `migrate` executes it.
+    plan: Option<TunePlan>,
+}
+
+impl<'a> Tuning<'a> {
+    pub(crate) fn new(trace: &'a mut TraceCollector, tuner: &'a mut AutoTuner) -> Self {
+        Tuning {
+            trace,
+            tuner,
+            counts: OpCounts::default(),
+            plan: None,
+        }
+    }
+}
+
+impl<'m> RunObserver<dyn Morphable + 'm> for Tuning<'_> {
+    fn on_begin(&mut self, _load: &CostSnapshot, tracker: &CostTracker) {
+        self.trace.begin(tracker);
+    }
+
+    fn on_op(
+        &mut self,
+        op: Op,
+        latency_ns: u64,
+        tracker: &CostTracker,
+        method: &(dyn Morphable + 'm),
+    ) -> bool {
+        self.counts.observe(&op);
+        self.trace.on_op(op, latency_ns, tracker, method)
+    }
+
+    fn on_window(&mut self, method: &mut (dyn Morphable + 'm)) -> bool {
+        let window = self.trace.windows().last().expect("a window just closed");
+        let counts = std::mem::take(&mut self.counts);
+        self.plan = self.tuner.plan(window, &counts, method);
+        self.plan.is_some()
+    }
+
+    fn migrate(&mut self, method: &mut (dyn Morphable + 'm)) -> Result<()> {
+        let plan = self.plan.take().expect("on_window ordered a migration");
+        self.tuner.begin_migration(&plan);
+        let receipt = method.morph_to(plan.family, &plan.mix)?;
+        self.tuner.complete(plan, receipt);
+        Ok(())
+    }
+
+    fn on_finish(
+        &mut self,
+        tracker: &CostTracker,
+        method: &(dyn Morphable + 'm),
+        report: &mut RumReport,
+    ) {
+        self.trace.on_finish(tracker, method, report);
     }
 }
 

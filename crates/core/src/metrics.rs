@@ -3,7 +3,7 @@
 //! of background bytes to the foreground op class that incurred them.
 //!
 //! The trace layer ([`crate::trace`]) answers "what happened, in order";
-//! an end-of-run [`RumReport`](crate::runner::RumReport) answers "what
+//! an end-of-run [`RumReport`] answers "what
 //! did the whole run cost". Neither answers the production question
 //! *"which op class is paying for this compaction burst right now?"*
 //! This module does, with three pieces:
@@ -44,15 +44,20 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
-use crate::trace::{detail_byte_weight, detail_field, EventKind, LatencyHistogram, TraceSink};
-use crate::tracker::CostSnapshot;
+use crate::access::AccessMethod;
+use crate::runner::{RumReport, RunObserver};
+use crate::trace::{
+    detail_byte_weight, detail_field, EventKind, LatencyHistogram, TraceCollector, TraceSink,
+};
+use crate::tracker::{CostSnapshot, CostTracker};
+use crate::workload::Op;
 
 // ---- op classes ----------------------------------------------------------
 
 /// The foreground operation class a cost is attributed to. `Load` is the
 /// bulk-load phase; `Read` covers get/range; `Write` covers
 /// insert/update/delete — the same split
-/// [`RumReport`](crate::runner::RumReport) uses for its per-class
+/// [`RumReport`] uses for its per-class
 /// [`CostSnapshot`]s.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum OpClass {
@@ -252,7 +257,7 @@ impl MetricsRegistry {
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct ClassAttribution {
     /// Tracker deltas settled while this class was running — exactly the
-    /// per-class split [`RumReport`](crate::runner::RumReport) reports.
+    /// per-class split [`RumReport`] reports.
     pub charged: CostSnapshot,
     /// Net physical read bytes moved into (positive) or out of
     /// (negative) this class by causal re-attribution. Signed so a move
@@ -447,7 +452,7 @@ impl DebtLedger {
                 detail_field(detail, "read_bytes").unwrap_or(0),
                 true,
             ),
-            EventKind::WalSync | EventKind::WalCheckpoint | EventKind::BufferEviction => {
+            EventKind::WalSync | EventKind::WalCheckpoint => {
                 (detail_field(detail, "bytes").unwrap_or(0), 0, false)
             }
             EventKind::LsmViewBuild => (
@@ -738,6 +743,67 @@ impl MetricsPlane {
         let ok = self.ledger.snapshot().conserves(totals);
         self.registry
             .gauge_set("rum_conservation_ok", &[], if ok { 1.0 } else { 0.0 });
+    }
+}
+
+/// A collector and a plane observing one run together
+/// ([`run_stream_metered`](crate::runner::run_stream_metered)): the ledger
+/// is charged every delta at the settle points the report is assembled
+/// from, op latencies are mirrored into the registry, and the live gauges
+/// are republished whenever the collector closes a window.
+pub(crate) struct Metered<'a> {
+    pub(crate) trace: &'a mut TraceCollector,
+    pub(crate) plane: &'a MetricsPlane,
+}
+
+impl<'m> RunObserver<dyn AccessMethod + 'm> for Metered<'_> {
+    fn on_begin(&mut self, load: &CostSnapshot, tracker: &CostTracker) {
+        self.plane.ledger().charge(OpClass::Load, load);
+        self.trace.begin(tracker);
+    }
+
+    fn on_settle(&mut self, settled: Option<bool>, delta: &CostSnapshot, next: Option<bool>) {
+        let ledger = self.plane.ledger();
+        if let Some(is_read) = settled {
+            ledger.charge(OpClass::of_read(is_read), delta);
+        }
+        if let Some(is_read) = next {
+            ledger.begin_class(OpClass::of_read(is_read));
+        }
+    }
+
+    fn on_op(
+        &mut self,
+        op: Op,
+        latency_ns: u64,
+        tracker: &CostTracker,
+        method: &(dyn AccessMethod + 'm),
+    ) -> bool {
+        let closed = self.trace.on_op(op, latency_ns, tracker, method);
+        self.plane.observe_op(op.is_read(), latency_ns);
+        closed
+    }
+
+    fn on_window(&mut self, method: &mut (dyn AccessMethod + 'm)) -> bool {
+        self.plane.refresh_live(
+            method.space_profile().space_amplification(),
+            method.len() as u64,
+        );
+        false
+    }
+
+    fn on_finish(
+        &mut self,
+        tracker: &CostTracker,
+        method: &(dyn AccessMethod + 'm),
+        report: &mut RumReport,
+    ) {
+        self.trace.on_finish(tracker, method, report);
+        self.plane.publish_final(
+            &tracker.snapshot(),
+            method.space_profile().space_amplification(),
+            method.len() as u64,
+        );
     }
 }
 

@@ -1,24 +1,31 @@
-//! Drives an [`AccessMethod`] through a [`Workload`] and measures the RUM
+//! Drives an [`AccessMethod`] through a workload and measures the RUM
 //! overheads, separating read-path and write-path traffic so RO and UO are
 //! attributed to the operations that incur them.
 //!
-//! Suites of methods are measured with [`run_suite`] (serial) or
-//! [`run_suite_parallel`] (one worker thread per core, one method at a time
-//! per worker). Both return reports sorted by method name, so their output
-//! is identical apart from wall-clock timings.
+//! There is one measurement loop (bulk load, settle / execute / count per
+//! operation class, assemble the [`RumReport`]) in two shapes: per-op
+//! behind [`run_stream`] and its observed variants, batched behind
+//! [`run_stream_sharded`]. Both take any [`OpSource`] and one
+//! [`RunObserver`].
+//!
+//! Suites of methods are measured with [`run_suite_stream`], one method at
+//! a time per worker thread. Reports come back sorted by method name, so
+//! the output is identical at every thread count apart from wall-clock
+//! timings.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::access::AccessMethod;
-use crate::autotune::{AutoTuneSummary, AutoTuner, Morphable, OpCounts};
+use crate::autotune::{AutoTuneSummary, AutoTuner, Morphable, Tuning};
 use crate::error::{panic_payload_message, Result, RumError};
-use crate::metrics::{MetricsPlane, OpClass};
+use crate::metrics::{Metered, MetricsPlane, OpClass};
 use crate::shard::ShardedMethod;
-use crate::trace::TraceCollector;
-use crate::tracker::CostSnapshot;
-use crate::workload::{Op, OpStream, Workload, WorkloadSpec};
+use crate::trace::{LatencyHistogram, TraceCollector};
+use crate::tracker::{CostSnapshot, CostTracker};
+use crate::types::Record;
+use crate::workload::{Op, OpSource, OpStream, WorkloadSpec};
 
 /// The measured RUM profile of one method over one workload.
 #[derive(Clone, Debug)]
@@ -57,7 +64,7 @@ pub struct RumReport {
     /// amplification columns.
     pub ops_per_sec: f64,
     /// Median op latency in nanoseconds, from the traced latency
-    /// histogram ([`run_workload_traced`] / [`run_stream_traced`]).
+    /// histogram ([`run_stream_traced`] and the observers built on it).
     /// `0` when tracing is off — untraced runners never time single ops.
     pub p50_ns: u64,
     /// 99th-percentile op latency in nanoseconds; `0` when tracing is off.
@@ -89,6 +96,26 @@ impl RumReport {
             "{:<28} {:>9} {:>9} {:>9} {:>9} {:>10} {:>10} {:>9} {:>9} {:>11}",
             "method", "N", "RO", "UO", "MO", "pg/read", "pg/write", "p50ns", "p99ns", "ops/s"
         )
+    }
+
+    /// The first counted measurement `other` disagrees on, or `None` when
+    /// the counted clock reads the same on both: `n_final`, the op counts,
+    /// the three cost snapshots and the RO/UO/MO bits. What every
+    /// "bit-identical apart from wall-clock fields" claim means.
+    pub fn counted_diff(&self, other: &RumReport) -> Option<&'static str> {
+        [
+            ("n_final", self.n_final == other.n_final),
+            ("read_ops", self.read_ops == other.read_ops),
+            ("write_ops", self.write_ops == other.write_ops),
+            ("read_costs", self.read_costs == other.read_costs),
+            ("write_costs", self.write_costs == other.write_costs),
+            ("load_costs", self.load_costs == other.load_costs),
+            ("ro", self.ro.to_bits() == other.ro.to_bits()),
+            ("uo", self.uo.to_bits() == other.uo.to_bits()),
+            ("mo", self.mo.to_bits() == other.mo.to_bits()),
+        ]
+        .into_iter()
+        .find_map(|(field, same)| (!same).then_some(field))
     }
 
     /// Header matching [`csv_row`](Self::csv_row), field for field.
@@ -134,17 +161,7 @@ fn finite(x: f64) -> f64 {
     }
 }
 
-/// Per-class cost totals of an operation phase, accumulated by
-/// [`OpPhase`]: traffic and op counts split by read vs write class.
-struct PhaseTotals {
-    read_costs: CostSnapshot,
-    write_costs: CostSnapshot,
-    read_ops: u64,
-    write_ops: u64,
-    wall_ns: u128,
-}
-
-/// Class-transition cost attribution shared by every runner entry point.
+/// Class-transition cost attribution shared by both drivers.
 ///
 /// Costs are attributed per operation *class*, not per operation: the
 /// tracker is snapshotted (9 atomic loads) only when the stream switches
@@ -154,22 +171,22 @@ struct PhaseTotals {
 /// so the batched sums equal the per-op sums exactly while the hot loop
 /// sheds the per-op snapshot.
 struct OpPhase {
-    totals: PhaseTotals,
+    read_costs: CostSnapshot,
+    write_costs: CostSnapshot,
+    read_ops: u64,
+    write_ops: u64,
     mark: CostSnapshot,
     batch_is_read: Option<bool>,
     started: Instant,
 }
 
 impl OpPhase {
-    fn start(tracker: &crate::tracker::CostTracker) -> Self {
+    fn start(tracker: &CostTracker) -> Self {
         OpPhase {
-            totals: PhaseTotals {
-                read_costs: CostSnapshot::default(),
-                write_costs: CostSnapshot::default(),
-                read_ops: 0,
-                write_ops: 0,
-                wall_ns: 0,
-            },
+            read_costs: CostSnapshot::default(),
+            write_costs: CostSnapshot::default(),
+            read_ops: 0,
+            write_ops: 0,
             mark: tracker.snapshot(),
             batch_is_read: None,
             started: Instant::now(),
@@ -177,125 +194,149 @@ impl OpPhase {
     }
 
     /// Fold the traffic since the previous settle point into the running
-    /// class, then switch the running class to `next`. Returns the class
-    /// the delta was folded into (`None` right after the phase started)
-    /// and the delta itself, so metered runners can mirror the exact same
-    /// attribution into a [`DebtLedger`](crate::metrics::DebtLedger).
-    fn settle(
-        &mut self,
-        tracker: &crate::tracker::CostTracker,
-        next: Option<bool>,
-    ) -> (Option<bool>, CostSnapshot) {
+    /// class, then switch the running class to `next` (`None` ends the
+    /// phase). The observer is shown the class the delta was folded into
+    /// and the delta itself, so it can mirror the exact same attribution.
+    fn settle<M, O>(&mut self, tracker: &CostTracker, next: Option<bool>, observer: &mut O)
+    where
+        M: AccessMethod + ?Sized,
+        O: RunObserver<M>,
+    {
         let now = tracker.snapshot();
         let d = now.delta(&self.mark);
         self.mark = now;
         let prev = self.batch_is_read;
         match prev {
-            Some(true) => self.totals.read_costs = self.totals.read_costs.add(&d),
-            Some(false) => self.totals.write_costs = self.totals.write_costs.add(&d),
+            Some(true) => self.read_costs = self.read_costs.add(&d),
+            Some(false) => self.write_costs = self.write_costs.add(&d),
             None => {} // nothing ran since the phase started
         }
         self.batch_is_read = next;
-        (prev, d)
+        observer.on_settle(prev, &d, next);
     }
 
     /// Note `count` ops of the running class having executed. Only counts;
     /// traffic is folded at the next [`settle`](Self::settle).
     fn count(&mut self, is_read: bool, count: u64) {
         if is_read {
-            self.totals.read_ops += count;
+            self.read_ops += count;
         } else {
-            self.totals.write_ops += count;
+            self.write_ops += count;
         }
     }
 
-    fn finish(mut self, tracker: &crate::tracker::CostTracker) -> PhaseTotals {
-        self.settle(tracker, None);
-        self.totals.wall_ns = self.started.elapsed().as_nanos();
-        self.totals
+    /// Stop the wall clock and assemble the report; call after the closing
+    /// `settle(.., None, ..)`.
+    fn finish<M: AccessMethod + ?Sized>(
+        self,
+        method: &M,
+        load_costs: CostSnapshot,
+        load_wall_ns: u128,
+    ) -> RumReport {
+        let wall_ns = self.started.elapsed().as_nanos();
+        let (read_costs, write_costs) = (self.read_costs, self.write_costs);
+        let (read_ops, write_ops) = (self.read_ops, self.write_ops);
+        let total_ops = read_ops + write_ops;
+        let ops_per_sec = if wall_ns == 0 {
+            if total_ops == 0 {
+                0.0
+            } else {
+                f64::INFINITY
+            }
+        } else {
+            total_ops as f64 * 1e9 / wall_ns as f64
+        };
+
+        RumReport {
+            method: method.name(),
+            n_final: method.len(),
+            read_ops,
+            write_ops,
+            ro: read_costs.read_amplification(),
+            uo: write_costs.write_amplification(),
+            mo: method.space_profile().space_amplification(),
+            pages_per_read_op: per_op(read_costs.page_accesses(), read_ops),
+            pages_per_write_op: per_op(write_costs.page_accesses(), write_ops),
+            sim_ns: read_costs.sim_time_ns + write_costs.sim_time_ns,
+            read_costs,
+            write_costs,
+            load_costs,
+            wall_ns,
+            load_wall_ns,
+            ops_per_sec,
+            // Filled by a collector-backed observer's `on_finish`;
+            // unobserved runs never time single ops, so they stay 0.
+            p50_ns: 0,
+            p99_ns: 0,
+        }
     }
 }
 
-/// Execute one op against `method` through the instrumented wrappers,
-/// discarding the result (runners measure costs, not answers).
-#[inline]
-fn execute_op(method: &mut dyn AccessMethod, op: Op) -> Result<()> {
-    match op {
-        Op::Get(k) => {
-            method.get(k)?;
-        }
-        Op::Range(lo, hi) => {
-            method.range(lo, hi)?;
-        }
-        Op::Insert(k, v) => {
-            method.insert(k, v)?;
-        }
-        Op::Update(k, v) => {
-            method.update(k, v)?;
-        }
-        Op::Delete(k) => {
-            method.delete(k)?;
-        }
+/// What watches a run, hooked into the one measurement loop at fixed
+/// points. Every hook defaults to nothing, and an observer only ever
+/// *reads* the tracker, so an observed run's counted measurements are
+/// bit-identical to an unobserved one's. `M` is the method type the run
+/// drives: `dyn AccessMethod` for passive observers, `dyn Morphable` for
+/// the autotuner, which reshapes the structure it watches.
+pub trait RunObserver<M: AccessMethod + ?Sized> {
+    /// Whether ops are clocked for [`on_op`](Self::on_op) /
+    /// [`on_batch`](Self::on_batch). `()` says no: a plain run never reads
+    /// the clock inside the loop.
+    const TIMED: bool = true;
+
+    /// The bulk load is done and cost `load`; the op phase starts now.
+    fn on_begin(&mut self, _load: &CostSnapshot, _tracker: &CostTracker) {}
+
+    /// The op phase folded `delta` into the `settled` class (`None` right
+    /// after the start) and switches to `next` (`None` at the end).
+    fn on_settle(&mut self, _settled: Option<bool>, _delta: &CostSnapshot, _next: Option<bool>) {}
+
+    /// One op ran. Returns whether it closed a trajectory window, in which
+    /// case [`on_window`](Self::on_window) is next.
+    fn on_op(&mut self, _op: Op, _latency_ns: u64, _tracker: &CostTracker, _method: &M) -> bool {
+        false
     }
-    Ok(())
+
+    /// The batched driver's `on_op`: `ops` same-class operations ran,
+    /// their latencies merged from the shard workers.
+    fn on_batch(
+        &mut self,
+        _is_read: bool,
+        _ops: u64,
+        _latency: &LatencyHistogram,
+        _tracker: &CostTracker,
+        _method: &M,
+    ) {
+    }
+
+    /// A trajectory window just closed. Return `true` to reshape the
+    /// method before the next op: the driver first settles the op phase
+    /// into the write class, so the migration's I/O is charged to UO, then
+    /// calls [`migrate`](Self::migrate).
+    fn on_window(&mut self, _method: &mut M) -> bool {
+        false
+    }
+
+    /// Carry out the reshaping [`on_window`](Self::on_window) asked for.
+    fn migrate(&mut self, _method: &mut M) -> Result<()> {
+        Ok(())
+    }
+
+    /// The last op is settled and `report` assembled; observers holding a
+    /// collector close its trailing window and fill the latency columns.
+    fn on_finish(&mut self, _tracker: &CostTracker, _method: &M, _report: &mut RumReport) {}
 }
 
-/// Assemble the final report from the load and op-phase measurements.
-fn assemble_report(
-    method: &dyn AccessMethod,
-    load_costs: CostSnapshot,
-    load_wall_ns: u128,
-    totals: PhaseTotals,
-) -> RumReport {
-    let PhaseTotals {
-        read_costs,
-        write_costs,
-        read_ops,
-        write_ops,
-        wall_ns,
-    } = totals;
-    let profile = method.space_profile();
-    let sim_ns = read_costs.sim_time_ns + write_costs.sim_time_ns;
-    let total_ops = read_ops + write_ops;
-    let ops_per_sec = if wall_ns == 0 {
-        if total_ops == 0 {
-            0.0
-        } else {
-            f64::INFINITY
-        }
-    } else {
-        total_ops as f64 * 1e9 / wall_ns as f64
-    };
-
-    RumReport {
-        method: method.name(),
-        n_final: method.len(),
-        read_ops,
-        write_ops,
-        ro: read_costs.read_amplification(),
-        uo: write_costs.write_amplification(),
-        mo: profile.space_amplification(),
-        pages_per_read_op: per_op(read_costs.page_accesses(), read_ops),
-        pages_per_write_op: per_op(write_costs.page_accesses(), write_ops),
-        read_costs,
-        write_costs,
-        load_costs,
-        wall_ns,
-        load_wall_ns,
-        sim_ns,
-        ops_per_sec,
-        // Latency quantiles come from the traced entry points; untraced
-        // runners never time single ops, so the columns stay 0.
-        p50_ns: 0,
-        p99_ns: 0,
-    }
+/// No observer: every hook is the empty default and nothing is clocked.
+impl<M: AccessMethod + ?Sized> RunObserver<M> for () {
+    const TIMED: bool = false;
 }
 
 /// Bulk-load `initial` with the tracker freshly reset, returning the load
 /// costs and wall time.
-fn load_phase(
-    method: &mut dyn AccessMethod,
-    initial: &[crate::types::Record],
+fn load_phase<M: AccessMethod + ?Sized>(
+    method: &mut M,
+    initial: &[Record],
 ) -> Result<(CostSnapshot, u128)> {
     method.tracker().reset();
     let load_started = Instant::now();
@@ -305,53 +346,60 @@ fn load_phase(
     Ok((load_costs, load_wall_ns))
 }
 
-/// Run `workload` against `method`: bulk-load the initial records, then play
-/// the operation stream, attributing costs per operation class.
-pub fn run_workload(method: &mut dyn AccessMethod, workload: &Workload) -> Result<RumReport> {
-    let (load_costs, load_wall_ns) = load_phase(method, &workload.initial)?;
-    let tracker = std::sync::Arc::clone(method.tracker());
-
-    let mut phase = OpPhase::start(&tracker);
-    for &op in &workload.ops {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
-        }
-        execute_op(method, op)?;
-        phase.count(is_read, 1);
-    }
-    let totals = phase.finish(&tracker);
-    Ok(assemble_report(method, load_costs, load_wall_ns, totals))
+pub(crate) fn elapsed_ns(since: Instant) -> u64 {
+    since.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
-/// Run a streaming workload against `method` without ever materializing a
-/// `Vec<Op>`: ops are drawn from the [`OpStream`] one at a time, so peak
-/// memory is O(live-set) no matter how many operations the spec asks for.
-///
-/// Produces a report bit-identical (apart from wall-clock fields) to
-/// [`run_workload`] on `Workload::generate(stream.spec())` — the stream
-/// yields the same op sequence by construction, and cost attribution uses
-/// the same class-transition batching.
-pub fn run_stream(method: &mut dyn AccessMethod, mut stream: OpStream) -> Result<RumReport> {
-    let initial = stream.take_initial();
+/// The one per-op measurement loop: bulk-load the source's initial
+/// records, play its ops attributing costs per operation class, assemble
+/// the report. Every entry point is its own instantiation, so with `()`
+/// the hooks compile away and nothing reads the clock per op.
+fn drive<M, S, O>(method: &mut M, source: S, observer: &mut O) -> Result<RumReport>
+where
+    M: AccessMethod + ?Sized,
+    S: OpSource,
+    O: RunObserver<M>,
+{
+    let (initial, ops) = source.into_parts();
     let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
     drop(initial);
-    let tracker = std::sync::Arc::clone(method.tracker());
+    let tracker = Arc::clone(method.tracker());
+    observer.on_begin(&load_costs, &tracker);
 
     let mut phase = OpPhase::start(&tracker);
-    for op in stream {
+    for op in ops {
         let is_read = op.is_read();
         if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
+            phase.settle(&tracker, Some(is_read), observer);
         }
-        execute_op(method, op)?;
+        let op_started = O::TIMED.then(Instant::now);
+        op.apply(method)?;
+        let latency_ns = op_started.map_or(0, elapsed_ns);
         phase.count(is_read, 1);
+        if observer.on_op(op, latency_ns, &tracker, method) && observer.on_window(method) {
+            phase.settle(&tracker, Some(false), observer);
+            observer.migrate(method)?;
+        }
     }
-    let totals = phase.finish(&tracker);
-    Ok(assemble_report(method, load_costs, load_wall_ns, totals))
+    phase.settle(&tracker, None, observer);
+    let mut report = phase.finish(method, load_costs, load_wall_ns);
+    observer.on_finish(&tracker, method, &mut report);
+    Ok(report)
 }
 
-/// [`run_workload`] with a [`TraceCollector`] observing the op phase:
+/// Run a workload against `method`: bulk-load the initial records, then
+/// play the operations, attributing costs per operation class.
+///
+/// `source` is an [`OpStream`] by value, drawn one op at a time so peak
+/// memory is O(live-set) however many operations the spec asks for, or a
+/// borrowed [`Workload`](crate::workload::Workload) that several methods
+/// replay. Both yield the same op sequence for the same spec, so the two
+/// reports are bit-identical apart from the wall-clock fields.
+pub fn run_stream(method: &mut dyn AccessMethod, source: impl OpSource) -> Result<RumReport> {
+    drive(method, source, &mut ())
+}
+
+/// [`run_stream`] with a [`TraceCollector`] observing the op phase:
 /// each op is individually timed into the collector's per-class latency
 /// histograms and the collector closes a trajectory window every
 /// [`window_ops`](TraceCollector::window_ops) operations.
@@ -359,77 +407,20 @@ pub fn run_stream(method: &mut dyn AccessMethod, mut stream: OpStream) -> Result
 /// The collector is a pure observer — it reads the tracker but never
 /// charges it — so every counted measurement in the returned report
 /// (`n_final`, op counts, all three [`CostSnapshot`]s, RO/UO/MO bits) is
-/// identical to an untraced [`run_workload`] run. The only additions are
+/// identical to an untraced [`run_stream`] run. The only additions are
 /// the latency columns: `p50_ns`/`p99_ns` are filled from the merged
 /// read+write histogram instead of staying 0.
 ///
-/// `trace.begin` is called after the bulk load and `trace.finish` after
-/// the last op, so the windowed deltas partition exactly the op-phase
-/// traffic: their sum equals `read_costs + write_costs` byte-exactly
-/// ([`TraceCollector::windowed_sum`]).
-pub fn run_workload_traced(
-    method: &mut dyn AccessMethod,
-    workload: &Workload,
-    trace: &mut TraceCollector,
-) -> Result<RumReport> {
-    let (load_costs, load_wall_ns) = load_phase(method, &workload.initial)?;
-    let tracker = std::sync::Arc::clone(method.tracker());
-    trace.begin(&tracker);
-
-    let mut phase = OpPhase::start(&tracker);
-    for &op in &workload.ops {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
-        }
-        let op_started = Instant::now();
-        execute_op(method, op)?;
-        let latency_ns = op_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        phase.count(is_read, 1);
-        trace.note_op(is_read, latency_ns, &tracker, method);
-    }
-    let totals = phase.finish(&tracker);
-    trace.finish(&tracker, method);
-    let mut report = assemble_report(method, load_costs, load_wall_ns, totals);
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
-    Ok(report)
-}
-
-/// [`run_stream`] with a [`TraceCollector`] observing the op phase — the
-/// streaming counterpart of [`run_workload_traced`], with the same
-/// zero-observer-effect and windowed-sum guarantees.
+/// The collector begins after the bulk load and closes its trailing
+/// window after the last op, so the windowed deltas partition exactly the
+/// op-phase traffic: their sum equals `read_costs + write_costs`
+/// byte-exactly ([`TraceCollector::windowed_sum`]).
 pub fn run_stream_traced(
     method: &mut dyn AccessMethod,
-    mut stream: OpStream,
+    source: impl OpSource,
     trace: &mut TraceCollector,
 ) -> Result<RumReport> {
-    let initial = stream.take_initial();
-    let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
-    drop(initial);
-    let tracker = std::sync::Arc::clone(method.tracker());
-    trace.begin(&tracker);
-
-    let mut phase = OpPhase::start(&tracker);
-    for op in stream {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
-        }
-        let op_started = Instant::now();
-        execute_op(method, op)?;
-        let latency_ns = op_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        phase.count(is_read, 1);
-        trace.note_op(is_read, latency_ns, &tracker, method);
-    }
-    let totals = phase.finish(&tracker);
-    trace.finish(&tracker, method);
-    let mut report = assemble_report(method, load_costs, load_wall_ns, totals);
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
-    Ok(report)
+    drive(method, source, trace)
 }
 
 /// [`run_stream_traced`] with a live [`MetricsPlane`] attached: the
@@ -457,63 +448,13 @@ pub fn run_stream_traced(
 /// because the ledger was charged every delta the tracker accrued.
 pub fn run_stream_metered(
     method: &mut dyn AccessMethod,
-    mut stream: OpStream,
+    source: impl OpSource,
     trace: &mut TraceCollector,
     plane: &MetricsPlane,
 ) -> Result<RumReport> {
-    let initial = stream.take_initial();
+    // Background work the bulk load triggers is the load's own bill.
     plane.ledger().begin_class(OpClass::Load);
-    let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
-    drop(initial);
-    plane.ledger().charge(OpClass::Load, &load_costs);
-    let tracker = std::sync::Arc::clone(method.tracker());
-    trace.begin(&tracker);
-
-    let mut phase = OpPhase::start(&tracker);
-    let mut windows_seen = 0usize;
-    for op in stream {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            let (prev, delta) = phase.settle(&tracker, Some(is_read));
-            if let Some(prev_is_read) = prev {
-                plane
-                    .ledger()
-                    .charge(OpClass::of_read(prev_is_read), &delta);
-            }
-            plane.ledger().begin_class(OpClass::of_read(is_read));
-        }
-        let op_started = Instant::now();
-        execute_op(method, op)?;
-        let latency_ns = op_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        phase.count(is_read, 1);
-        trace.note_op(is_read, latency_ns, &tracker, method);
-        plane.observe_op(is_read, latency_ns);
-        if trace.windows().len() > windows_seen {
-            windows_seen = trace.windows().len();
-            plane.refresh_live(
-                method.space_profile().space_amplification(),
-                method.len() as u64,
-            );
-        }
-    }
-    let (prev, delta) = phase.settle(&tracker, None);
-    if let Some(prev_is_read) = prev {
-        plane
-            .ledger()
-            .charge(OpClass::of_read(prev_is_read), &delta);
-    }
-    let totals = phase.finish(&tracker);
-    trace.finish(&tracker, method);
-    plane.publish_final(
-        &tracker.snapshot(),
-        method.space_profile().space_amplification(),
-        method.len() as u64,
-    );
-    let mut report = assemble_report(method, load_costs, load_wall_ns, totals);
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
-    Ok(report)
+    drive(method, source, &mut Metered { trace, plane })
 }
 
 /// [`run_stream_traced`] with the [`AutoTuner`] closing the loop: every
@@ -537,52 +478,11 @@ pub fn run_stream_metered(
 /// [`MigrationReceipt`]: crate::autotune::MigrationReceipt
 pub fn run_stream_autotuned(
     method: &mut dyn Morphable,
-    mut stream: OpStream,
+    source: impl OpSource,
     tuner: &mut AutoTuner,
     trace: &mut TraceCollector,
 ) -> Result<(RumReport, AutoTuneSummary)> {
-    let initial = stream.take_initial();
-    let (load_costs, load_wall_ns) = load_phase(&mut *method, &initial)?;
-    drop(initial);
-    let tracker = std::sync::Arc::clone(method.tracker());
-    trace.begin(&tracker);
-
-    let mut phase = OpPhase::start(&tracker);
-    let mut counts = OpCounts::default();
-    let mut closed = 0usize;
-    for op in stream {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
-        }
-        let op_started = Instant::now();
-        execute_op(&mut *method, op)?;
-        let latency_ns = op_started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        phase.count(is_read, 1);
-        counts.observe(&op);
-        trace.note_op(is_read, latency_ns, &tracker, &*method);
-
-        if trace.windows().len() > closed {
-            closed = trace.windows().len();
-            let window = trace.windows()[closed - 1].clone();
-            let window_counts = std::mem::take(&mut counts);
-            if let Some(plan) = tuner.plan(&window, &window_counts, method) {
-                // Settle into the write class first, so the migration's
-                // I/O is attributed to UO (not smeared into whatever class
-                // happened to be running).
-                phase.settle(&tracker, Some(false));
-                tuner.begin_migration(&plan);
-                let receipt = method.morph_to(plan.family, &plan.mix)?;
-                tuner.complete(plan, receipt);
-            }
-        }
-    }
-    let totals = phase.finish(&tracker);
-    trace.finish(&tracker, &*method);
-    let mut report = assemble_report(&*method, load_costs, load_wall_ns, totals);
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
+    let report = drive(method, source, &mut Tuning::new(trace, tuner))?;
     Ok((report, tuner.summary().clone()))
 }
 
@@ -592,11 +492,11 @@ pub fn run_stream_autotuned(
 /// sub-batches stay cache-resident.
 pub const DEFAULT_STREAM_BATCH: usize = 8192;
 
-/// Run a streaming workload against a [`ShardedMethod`], executing
+/// Run a workload against a [`ShardedMethod`], executing
 /// class-contiguous batches of up to `batch` ops concurrently on the
 /// wrapper's persistent worker pool, with **double-buffered batch
 /// assembly**: while the workers execute batch `i`, the runner is already
-/// drawing batch `i + 1` from the stream into the other buffer, so op
+/// drawing batch `i + 1` from the source into the other buffer, so op
 /// generation overlaps shard execution and at most one batch is in flight.
 ///
 /// Batches never mix read-class and write-class ops (a lookahead op that
@@ -604,24 +504,24 @@ pub const DEFAULT_STREAM_BATCH: usize = 8192;
 /// batch is always collected — its cost deltas folded into the wrapper
 /// tracker — *before* the phase settles at a class transition, so the
 /// tracker's delta per settle span is attributable to exactly one class:
-/// the same attribution [`run_workload`] performs per op. All counted
+/// the same attribution [`run_stream`] performs per op. All counted
 /// traffic is deterministic, so RO / UO / MO and every cost field are
 /// **bit-identical** to driving the same `ShardedMethod` serially with
-/// [`run_workload`]; only the wall-clock fields differ.
+/// [`run_stream`]; only the wall-clock fields differ.
 pub fn run_stream_sharded(
     method: &mut ShardedMethod,
-    stream: OpStream,
+    source: impl OpSource,
     batch: usize,
 ) -> Result<RumReport> {
-    run_stream_sharded_impl(method, stream, batch, None)
+    drive_batched(method, source, batch, &mut ())
 }
 
 /// [`run_stream_sharded`] with a [`TraceCollector`] observing the op
 /// phase: batches run timed, each shard worker records a per-op
-/// [`LatencyHistogram`](crate::trace::LatencyHistogram), and the merged
+/// [`LatencyHistogram`], and the merged
 /// per-batch histograms (associative + commutative pointwise sums, so the
 /// merge order across workers cannot matter) land in the collector via
-/// [`TraceCollector::note_batch`]. `p50_ns` / `p99_ns` in the returned
+/// [`RunObserver::on_batch`]. `p50_ns` / `p99_ns` in the returned
 /// report are filled from the merged distribution instead of staying 0.
 ///
 /// Granularity caveats versus the per-op traced runners: trajectory
@@ -632,57 +532,55 @@ pub fn run_stream_sharded(
 /// untraced [`run_stream_sharded`] — timing is a pure observer.
 pub fn run_stream_sharded_traced(
     method: &mut ShardedMethod,
-    stream: OpStream,
+    source: impl OpSource,
     batch: usize,
     trace: &mut TraceCollector,
 ) -> Result<RumReport> {
-    let mut report = run_stream_sharded_impl(method, stream, batch, Some(trace))?;
-    let overall = trace.overall_latency();
-    report.p50_ns = overall.p50();
-    report.p99_ns = overall.p99();
-    Ok(report)
+    drive_batched(method, source, batch, trace)
 }
 
-/// Shared body of [`run_stream_sharded`] / [`run_stream_sharded_traced`]:
-/// the double-buffered submit/assemble/collect loop, with per-batch timing
-/// switched on only when a collector is observing.
-fn run_stream_sharded_impl(
+/// The batched variant of [`drive`]: the double-buffered
+/// submit/assemble/collect loop over a [`ShardedMethod`], with the same
+/// observer (per-batch timing is on exactly when the observer is
+/// [`TIMED`](RunObserver::TIMED)).
+fn drive_batched<S, O>(
     method: &mut ShardedMethod,
-    mut stream: OpStream,
+    source: S,
     batch: usize,
-    mut trace: Option<&mut TraceCollector>,
-) -> Result<RumReport> {
+    observer: &mut O,
+) -> Result<RumReport>
+where
+    S: OpSource,
+    O: RunObserver<dyn AccessMethod>,
+{
     let batch = batch.max(1);
-    let initial = stream.take_initial();
+    let (initial, mut ops) = source.into_parts();
     let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
     drop(initial);
-    let tracker = std::sync::Arc::clone(method.tracker());
-    let timed = trace.is_some();
-    if let Some(t) = trace.as_deref_mut() {
-        t.begin(&tracker);
-    }
+    let tracker = Arc::clone(method.tracker());
+    observer.on_begin(&load_costs, &tracker);
 
     let mut phase = OpPhase::start(&tracker);
     let mut pending: Option<Op> = None;
     // Two assembly buffers: the workers read from one (it backs the
-    // in-flight batch's per-shard partitions) while the stream fills the
+    // in-flight batch's per-shard partitions) while the source fills the
     // other.
     let mut buffers = [Vec::with_capacity(batch), Vec::with_capacity(batch)];
     let mut which = 0usize;
     // The dispatched-but-uncollected batch: handle, class, op count.
     let mut in_flight: Option<(crate::shard::PendingBatch, bool, u64)> = None;
     loop {
-        // Assemble the next class-contiguous batch; these stream pulls
+        // Assemble the next class-contiguous batch; these source pulls
         // overlap the workers executing the in-flight batch.
         let buf = &mut buffers[which];
         buf.clear();
         let mut next_class: Option<bool> = None;
-        if let Some(first) = pending.take().or_else(|| stream.next()) {
+        if let Some(first) = pending.take().or_else(|| ops.next()) {
             let is_read = first.is_read();
             next_class = Some(is_read);
             buf.push(first);
             while buf.len() < batch {
-                match stream.next() {
+                match ops.next() {
                     Some(op) if op.is_read() == is_read => buf.push(op),
                     Some(op) => {
                         pending = Some(op);
@@ -698,26 +596,25 @@ fn run_stream_sharded_impl(
         if let Some((handle, class, count)) = in_flight.take() {
             let latency = method.finish_batch(handle)?;
             phase.count(class, count);
-            if let Some(t) = trace.as_deref_mut() {
-                let hist = latency.unwrap_or_default();
-                t.note_batch(class, count, &hist, &tracker, method);
+            // `Some` exactly when the batch was submitted timed.
+            if let Some(latency) = latency {
+                observer.on_batch(class, count, &latency, &tracker, &*method);
             }
         }
 
         let Some(is_read) = next_class else { break };
         if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read));
+            phase.settle(&tracker, Some(is_read), observer);
         }
         let count = buffers[which].len() as u64;
-        let handle = method.submit_batch(&buffers[which], timed)?;
+        let handle = method.submit_batch(&buffers[which], O::TIMED)?;
         in_flight = Some((handle, is_read, count));
         which ^= 1;
     }
-    let totals = phase.finish(&tracker);
-    if let Some(t) = trace {
-        t.finish(&tracker, method);
-    }
-    Ok(assemble_report(method, load_costs, load_wall_ns, totals))
+    phase.settle(&tracker, None, observer);
+    let mut report = phase.finish(&*method, load_costs, load_wall_ns);
+    observer.on_finish(&tracker, &*method, &mut report);
+    Ok(report)
 }
 
 /// Run one suite member's measurement, converting a panic or an error into
@@ -737,75 +634,20 @@ where
     }
 }
 
-/// Keep the successful reports (sorted by name); failed or panicking
-/// methods are reported on stderr and dropped from the suite's output.
-fn settle_suite(results: Vec<Result<RumReport>>) -> Vec<RumReport> {
-    let mut reports = Vec::with_capacity(results.len());
-    for result in results {
-        match result {
-            Ok(report) => reports.push(report),
-            Err(e) => eprintln!("[suite] skipping method: {e}"),
-        }
-    }
-    sort_reports(&mut reports);
-    reports
-}
-
-/// Run every method in `methods` over the same workload, serially, and
-/// return the reports **sorted by method name**. [`run_suite_parallel`]
-/// produces identical output (apart from wall-clock fields), so the two are
-/// interchangeable wherever determinism matters.
+/// Run every method in `methods` over the workload `spec` describes, on
+/// `threads` workers (`threads <= 1` runs inline), and return the reports
+/// **sorted by method name**.
+///
+/// Each worker owns one method at a time (methods are `Send` and carry
+/// their own private [`CostTracker`], so no cost traffic crosses methods)
+/// and regenerates its own [`OpStream`] from `spec` (generation is seeded
+/// and cheap relative to execution), so no materialized `Vec<Op>` is
+/// shared and peak memory stays O(live-set) per worker. The output is
+/// deterministic and identical at every thread count apart from the
+/// wall-clock fields.
 ///
 /// A method that fails or panics mid-measurement is reported on stderr and
 /// omitted from the returned reports; the rest of the suite still runs.
-pub fn run_suite(
-    methods: &mut [Box<dyn AccessMethod>],
-    workload: &Workload,
-) -> Result<Vec<RumReport>> {
-    let results = methods
-        .iter_mut()
-        .map(|method| {
-            let name = method.name();
-            run_guarded(&name, || run_workload(method.as_mut(), workload))
-        })
-        .collect();
-    Ok(settle_suite(results))
-}
-
-/// [`run_suite`] fanned across one worker thread per available core.
-///
-/// Each worker owns one method at a time (methods are `Send` and carry
-/// their own private [`CostTracker`](crate::tracker::CostTracker), so no
-/// cost traffic crosses methods) and the merged reports are sorted by
-/// method name, making the output deterministic and byte-identical to the
-/// serial run apart from wall-clock timings.
-pub fn run_suite_parallel(
-    methods: &mut [Box<dyn AccessMethod>],
-    workload: &Workload,
-) -> Result<Vec<RumReport>> {
-    run_suite_with_threads(methods, workload, default_threads())
-}
-
-/// [`run_suite_parallel`] with an explicit worker count. `threads <= 1`
-/// degenerates to the serial path.
-pub fn run_suite_with_threads(
-    methods: &mut [Box<dyn AccessMethod>],
-    workload: &Workload,
-    threads: usize,
-) -> Result<Vec<RumReport>> {
-    let results = parallel_map(methods.iter_mut().collect(), threads, |method| {
-        let name = method.name();
-        run_guarded(&name, || run_workload(method.as_mut(), workload))
-    });
-    Ok(settle_suite(results))
-}
-
-/// [`run_suite_with_threads`] for streaming workloads: every worker
-/// regenerates its own [`OpStream`] from `spec` (generation is seeded and
-/// cheap relative to execution), so no materialized `Vec<Op>` is shared —
-/// peak memory stays O(live-set) per worker. Reports are sorted by method
-/// name and match [`run_suite`] on `Workload::generate(spec)` bit-for-bit
-/// apart from wall-clock fields.
 pub fn run_suite_stream(
     methods: &mut [Box<dyn AccessMethod>],
     spec: &WorkloadSpec,
@@ -815,11 +657,22 @@ pub fn run_suite_stream(
         let name = method.name();
         run_guarded(&name, || run_stream(method.as_mut(), OpStream::new(spec)))
     });
-    Ok(settle_suite(results))
+    let mut reports = Vec::with_capacity(results.len());
+    for result in results {
+        match result {
+            Ok(report) => reports.push(report),
+            Err(e) => eprintln!("[suite] skipping method: {e}"),
+        }
+    }
+    // Stable name order; insertion order breaks ties, so duplicate names
+    // keep a deterministic relative order too.
+    reports.sort_by(|a, b| a.method.cmp(&b.method));
+    Ok(reports)
 }
 
-/// Number of workers [`run_suite_parallel`] uses: one per available core,
-/// unless the `RUM_THREADS` environment variable overrides it.
+/// The worker count to hand [`run_suite_stream`] by default: one per
+/// available core, unless the `RUM_THREADS` environment variable
+/// overrides it.
 ///
 /// `RUM_THREADS` must parse as a positive integer; unset, empty, zero, or
 /// unparsable values fall back to the core count. CI and single-core
@@ -837,12 +690,6 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// Stable name order; insertion order breaks ties, so duplicate names keep
-/// a deterministic relative order too.
-fn sort_reports(reports: &mut [RumReport]) {
-    reports.sort_by(|a, b| a.method.cmp(&b.method));
 }
 
 /// Apply `f` to every item on a pool of `threads` scoped workers and return
@@ -903,33 +750,17 @@ fn per_op(total: u64, ops: u64) -> f64 {
 /// experiments: runs `ops` against an already-loaded method and returns the
 /// per-operation page accesses and cost delta.
 pub fn measure_ops(method: &mut dyn AccessMethod, ops: &[Op]) -> Result<(f64, CostSnapshot)> {
-    let tracker = std::sync::Arc::clone(method.tracker());
+    let tracker = Arc::clone(method.tracker());
     let before = tracker.snapshot();
-    for op in ops {
-        match *op {
-            Op::Get(k) => {
-                method.get(k)?;
-            }
-            Op::Range(lo, hi) => {
-                method.range(lo, hi)?;
-            }
-            Op::Insert(k, v) => {
-                method.insert(k, v)?;
-            }
-            Op::Update(k, v) => {
-                method.update(k, v)?;
-            }
-            Op::Delete(k) => {
-                method.delete(k)?;
-            }
-        }
+    for &op in ops {
+        op.apply(method)?;
     }
     let d = tracker.since(&before);
     Ok((per_op(d.page_accesses(), ops.len() as u64), d))
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::access::SpaceProfile;
     use crate::tracker::{CostTracker, DataClass};
@@ -938,15 +769,16 @@ mod tests {
     use std::sync::Arc;
 
     /// Minimal sorted-vec method that charges 2 bytes of physical traffic
-    /// per byte of logical traffic, so amplification is exactly 2.
-    struct Amp2 {
+    /// per byte of logical traffic, so amplification is exactly 2. The
+    /// shard tests drive it too.
+    pub(crate) struct Amp2 {
         name: String,
         data: std::collections::BTreeMap<Key, Value>,
         tracker: Arc<CostTracker>,
     }
 
     impl Amp2 {
-        fn new() -> Self {
+        pub(crate) fn new() -> Self {
             Amp2::named("amp2")
         }
 
@@ -1021,15 +853,9 @@ mod tests {
 
     #[test]
     fn amplifications_attributed_per_class() {
-        let w = Workload::generate(&WorkloadSpec {
-            initial_records: 500,
-            operations: 2000,
-            mix: OpMix::BALANCED,
-            seed: 9,
-            ..Default::default()
-        });
+        let w = Workload::generate(&spec(500, 2000, 9));
         let mut m = Amp2::new();
-        let report = run_workload(&mut m, &w).unwrap();
+        let report = run_stream(&mut m, &w).unwrap();
         assert!((report.ro - 2.0).abs() < 1e-9, "ro = {}", report.ro);
         assert!((report.uo - 2.0).abs() < 1e-9, "uo = {}", report.uo);
         assert!((report.mo - 3.0).abs() < 1e-9, "mo = {}", report.mo);
@@ -1046,7 +872,7 @@ mod tests {
             ..Default::default()
         });
         let mut m = Amp2::new();
-        let report = run_workload(&mut m, &w).unwrap();
+        let report = run_stream(&mut m, &w).unwrap();
         // Bulk load wrote 1000 records; none of that traffic shows in UO.
         assert!(report.load_costs.total_write_bytes() > 0);
         assert_eq!(report.write_ops, 0);
@@ -1056,14 +882,9 @@ mod tests {
 
     #[test]
     fn report_rows_render() {
-        let w = Workload::generate(&WorkloadSpec {
-            initial_records: 100,
-            operations: 100,
-            seed: 1,
-            ..Default::default()
-        });
+        let w = Workload::generate(&spec(100, 100, 1));
         let mut m = Amp2::new();
-        let report = run_workload(&mut m, &w).unwrap();
+        let report = run_stream(&mut m, &w).unwrap();
         assert!(report.table_row().contains("amp2"));
         assert!(RumReport::table_header().contains("MO"));
         assert!(RumReport::table_header().contains("ops/s"));
@@ -1073,14 +894,9 @@ mod tests {
 
     #[test]
     fn header_and_row_field_counts_agree() {
-        let w = Workload::generate(&WorkloadSpec {
-            initial_records: 100,
-            operations: 100,
-            seed: 1,
-            ..Default::default()
-        });
+        let w = Workload::generate(&spec(100, 100, 1));
         let mut m = Amp2::new();
-        let report = run_workload(&mut m, &w).unwrap();
+        let report = run_stream(&mut m, &w).unwrap();
         // The test method's name has no spaces, so whitespace-splitting
         // counts table columns faithfully.
         assert_eq!(
@@ -1136,13 +952,7 @@ mod tests {
 
     #[test]
     fn parallel_suite_matches_serial_suite() {
-        let w = Workload::generate(&WorkloadSpec {
-            initial_records: 400,
-            operations: 800,
-            mix: OpMix::BALANCED,
-            seed: 11,
-            ..Default::default()
-        });
+        let spec = spec(400, 800, 11);
         let make_suite = || -> Vec<Box<dyn AccessMethod>> {
             vec![
                 Box::new(Amp2::named("zeta")),
@@ -1150,67 +960,52 @@ mod tests {
                 Box::new(Amp2::named("mid")),
             ]
         };
-        let serial = run_suite(&mut make_suite(), &w).unwrap();
-        let parallel = run_suite_with_threads(&mut make_suite(), &w, 3).unwrap();
+        let serial = run_suite_stream(&mut make_suite(), &spec, 1).unwrap();
+        let parallel = run_suite_stream(&mut make_suite(), &spec, 3).unwrap();
         let names: Vec<&str> = serial.iter().map(|r| r.method.as_str()).collect();
         assert_eq!(names, ["alpha", "mid", "zeta"], "reports sorted by name");
         assert_eq!(serial.len(), parallel.len());
         for (s, p) in serial.iter().zip(&parallel) {
-            assert_eq!(s.method, p.method);
-            assert_eq!(s.n_final, p.n_final);
-            assert_eq!((s.read_ops, s.write_ops), (p.read_ops, p.write_ops));
-            assert_eq!(s.read_costs, p.read_costs);
-            assert_eq!(s.write_costs, p.write_costs);
-            assert_eq!(s.load_costs, p.load_costs);
-            assert_eq!((s.ro, s.uo, s.mo), (p.ro, p.uo, p.mo));
+            assert_same_measurements(s, p);
+        }
+    }
+
+    /// A balanced uniform workload of the given size.
+    fn spec(initial_records: usize, operations: usize, seed: u64) -> WorkloadSpec {
+        WorkloadSpec {
+            initial_records,
+            operations,
+            seed,
+            ..Default::default()
         }
     }
 
     fn assert_same_measurements(a: &RumReport, b: &RumReport) {
         assert_eq!(a.method, b.method);
-        assert_eq!(a.n_final, b.n_final);
-        assert_eq!((a.read_ops, a.write_ops), (b.read_ops, b.write_ops));
-        assert_eq!(a.read_costs, b.read_costs);
-        assert_eq!(a.write_costs, b.write_costs);
-        assert_eq!(a.load_costs, b.load_costs);
-        assert_eq!(a.ro.to_bits(), b.ro.to_bits(), "RO must be bit-identical");
-        assert_eq!(a.uo.to_bits(), b.uo.to_bits(), "UO must be bit-identical");
-        assert_eq!(a.mo.to_bits(), b.mo.to_bits(), "MO must be bit-identical");
+        assert_eq!(a.counted_diff(b), None, "{}", a.method);
     }
 
     #[test]
     fn run_stream_matches_run_workload() {
-        let spec = WorkloadSpec {
-            initial_records: 300,
-            operations: 1500,
-            mix: OpMix::BALANCED,
-            seed: 21,
-            ..Default::default()
-        };
+        let spec = spec(300, 1500, 21);
         let w = Workload::generate(&spec);
-        let mut serial = Amp2::new();
+        let mut replayed = Amp2::new();
         let mut streamed = Amp2::new();
-        let a = run_workload(&mut serial, &w).unwrap();
+        let a = run_stream(&mut replayed, &w).unwrap();
         let b = run_stream(&mut streamed, crate::workload::OpStream::new(&spec)).unwrap();
         assert_same_measurements(&a, &b);
     }
 
     #[test]
     fn traced_run_matches_untraced_and_windows_sum_exactly() {
-        let spec = WorkloadSpec {
-            initial_records: 300,
-            operations: 1200,
-            mix: OpMix::BALANCED,
-            seed: 77,
-            ..Default::default()
-        };
+        let spec = spec(300, 1200, 77);
         let w = Workload::generate(&spec);
         let mut plain = Amp2::new();
-        let a = run_workload(&mut plain, &w).unwrap();
+        let a = run_stream(&mut plain, &w).unwrap();
 
         let mut traced = Amp2::new();
         let mut trace = crate::trace::TraceCollector::new(256, crate::trace::noop_sink());
-        let b = run_workload_traced(&mut traced, &w, &mut trace).unwrap();
+        let b = run_stream_traced(&mut traced, &w, &mut trace).unwrap();
         assert_same_measurements(&a, &b);
         assert!(b.p99_ns >= b.p50_ns);
         assert_eq!(
@@ -1236,17 +1031,11 @@ mod tests {
 
     #[test]
     fn run_stream_sharded_matches_serial_sharded() {
-        let spec = WorkloadSpec {
-            initial_records: 400,
-            operations: 2000,
-            mix: OpMix::BALANCED,
-            seed: 33,
-            ..Default::default()
-        };
+        let spec = spec(400, 2000, 33);
         let factory = |_: usize| -> Box<dyn AccessMethod> { Box::new(Amp2::new()) };
         let w = Workload::generate(&spec);
         let mut serial = crate::shard::ShardedMethod::new(4, factory);
-        let a = run_workload(&mut serial, &w).unwrap();
+        let a = run_stream(&mut serial, &w).unwrap();
         let mut concurrent = crate::shard::ShardedMethod::new(4, factory);
         let b = run_stream_sharded(
             &mut concurrent,
@@ -1261,17 +1050,11 @@ mod tests {
     fn run_stream_sharded_pooled_matches_serial_sharded() {
         // Force the persistent pool (the container may have 1 core, which
         // would make `new()` run inline) and fewer workers than shards.
-        let spec = WorkloadSpec {
-            initial_records: 400,
-            operations: 2000,
-            mix: OpMix::BALANCED,
-            seed: 43,
-            ..Default::default()
-        };
+        let spec = spec(400, 2000, 43);
         let factory = |_: usize| -> Box<dyn AccessMethod> { Box::new(Amp2::new()) };
         let w = Workload::generate(&spec);
         let mut serial = crate::shard::ShardedMethod::with_threads(4, 1, factory);
-        let a = run_workload(&mut serial, &w).unwrap();
+        let a = run_stream(&mut serial, &w).unwrap();
         for threads in [2, 4] {
             let mut pooled = crate::shard::ShardedMethod::with_threads(4, threads, factory);
             let b = run_stream_sharded(&mut pooled, crate::workload::OpStream::new(&spec), 257)
@@ -1283,13 +1066,7 @@ mod tests {
 
     #[test]
     fn traced_sharded_run_matches_untraced_and_fills_latency_quantiles() {
-        let spec = WorkloadSpec {
-            initial_records: 400,
-            operations: 2000,
-            mix: OpMix::BALANCED,
-            seed: 51,
-            ..Default::default()
-        };
+        let spec = spec(400, 2000, 51);
         let factory = |_: usize| -> Box<dyn AccessMethod> { Box::new(Amp2::new()) };
         let mut plain = crate::shard::ShardedMethod::with_threads(4, 2, factory);
         let a = run_stream_sharded(&mut plain, crate::workload::OpStream::new(&spec), 257).unwrap();
@@ -1320,18 +1097,19 @@ mod tests {
 
     #[test]
     fn run_suite_stream_matches_run_suite() {
-        let spec = WorkloadSpec {
-            initial_records: 200,
-            operations: 600,
-            mix: OpMix::BALANCED,
-            seed: 17,
-            ..Default::default()
-        };
+        let spec = spec(200, 600, 17);
         let w = Workload::generate(&spec);
         let make_suite = || -> Vec<Box<dyn AccessMethod>> {
             vec![Box::new(Amp2::named("b")), Box::new(Amp2::named("a"))]
         };
-        let serial = run_suite(&mut make_suite(), &w).unwrap();
+        // The suite against each member replaying the materialized form
+        // on its own, in the suite's (name) order.
+        let mut members = make_suite();
+        members.sort_by_key(|m| m.name());
+        let serial: Vec<RumReport> = members
+            .iter_mut()
+            .map(|m| run_stream(m.as_mut(), &w).unwrap())
+            .collect();
         let streamed = run_suite_stream(&mut make_suite(), &spec, 2).unwrap();
         assert_eq!(serial.len(), streamed.len());
         for (s, p) in serial.iter().zip(&streamed) {
@@ -1341,14 +1119,9 @@ mod tests {
 
     #[test]
     fn ops_per_sec_is_positive_for_real_runs() {
-        let w = Workload::generate(&WorkloadSpec {
-            initial_records: 100,
-            operations: 500,
-            seed: 5,
-            ..Default::default()
-        });
+        let w = Workload::generate(&spec(100, 500, 5));
         let mut m = Amp2::new();
-        let report = run_workload(&mut m, &w).unwrap();
+        let report = run_stream(&mut m, &w).unwrap();
         assert!(report.ops_per_sec > 0.0);
         // The rendered column is always finite, even if the clock was too
         // coarse to observe the run.
@@ -1431,13 +1204,7 @@ mod tests {
 
     #[test]
     fn suite_survives_a_panicking_member() {
-        let w = Workload::generate(&WorkloadSpec {
-            initial_records: 100,
-            operations: 400,
-            mix: OpMix::BALANCED,
-            seed: 13,
-            ..Default::default()
-        });
+        let spec = spec(100, 400, 13);
         let make_suite = || -> Vec<Box<dyn AccessMethod>> {
             vec![
                 Box::new(Fused::new("panicker", 10, true)),
@@ -1446,13 +1213,10 @@ mod tests {
             ]
         };
         for threads in [1, 3] {
-            let reports = run_suite_with_threads(&mut make_suite(), &w, threads).unwrap();
+            let reports = run_suite_stream(&mut make_suite(), &spec, threads).unwrap();
             let names: Vec<&str> = reports.iter().map(|r| r.method.as_str()).collect();
             assert_eq!(names, ["survivor"], "threads={threads}");
         }
-        let reports = run_suite(&mut make_suite(), &w).unwrap();
-        assert_eq!(reports.len(), 1);
-        assert_eq!(reports[0].method, "survivor");
     }
 
     #[test]

@@ -211,25 +211,9 @@ fn execute_ops(
         } else {
             None
         };
-        match op {
-            Op::Get(key) => {
-                method.get(key)?;
-            }
-            Op::Range(lo, hi) => {
-                method.range(lo, hi)?;
-            }
-            Op::Insert(key, value) => {
-                method.insert(key, value)?;
-            }
-            Op::Update(key, value) => {
-                method.update(key, value)?;
-            }
-            Op::Delete(key) => {
-                method.delete(key)?;
-            }
-        }
+        op.apply(method)?;
         if let (Some(hist), Some(started)) = (latency.as_mut(), started) {
-            hist.record(started.elapsed().as_nanos().min(u64::MAX as u128) as u64);
+            hist.record(crate::runner::elapsed_ns(started));
         }
     }
     Ok(())
@@ -937,82 +921,11 @@ impl AccessMethod for ShardedMethod {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracker::DataClass;
-    use crate::types::RECORD_SIZE;
-
-    /// In-memory method with a deterministic cost model: every physical
-    /// access charges 2 bytes per logical byte.
-    struct Amp2 {
-        data: std::collections::BTreeMap<Key, Value>,
-        tracker: Arc<CostTracker>,
-    }
+    use crate::runner::tests::Amp2;
 
     impl Amp2 {
         fn boxed(_shard: usize) -> Box<dyn AccessMethod> {
-            Box::new(Amp2 {
-                data: Default::default(),
-                tracker: CostTracker::new(),
-            })
-        }
-    }
-
-    impl AccessMethod for Amp2 {
-        fn name(&self) -> String {
-            "amp2".into()
-        }
-        fn len(&self) -> usize {
-            self.data.len()
-        }
-        fn tracker(&self) -> &Arc<CostTracker> {
-            &self.tracker
-        }
-        fn space_profile(&self) -> SpaceProfile {
-            SpaceProfile::from_physical(self.data.len(), (self.data.len() * 3 * RECORD_SIZE) as u64)
-        }
-        fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
-            let r = self.data.get(&key).copied();
-            if r.is_some() {
-                self.tracker.read(DataClass::Base, 2 * RECORD_SIZE as u64);
-            }
-            Ok(r)
-        }
-        fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-            let out: Vec<Record> = self
-                .data
-                .range(lo..=hi)
-                .map(|(&k, &v)| Record::new(k, v))
-                .collect();
-            self.tracker
-                .read(DataClass::Base, (2 * out.len() * RECORD_SIZE) as u64);
-            Ok(out)
-        }
-        fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-            self.tracker.write(DataClass::Base, 2 * RECORD_SIZE as u64);
-            self.data.insert(key, value);
-            Ok(())
-        }
-        fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-            if let std::collections::btree_map::Entry::Occupied(mut e) = self.data.entry(key) {
-                self.tracker.write(DataClass::Base, 2 * RECORD_SIZE as u64);
-                e.insert(value);
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        }
-        fn delete_impl(&mut self, key: Key) -> Result<bool> {
-            if self.data.remove(&key).is_some() {
-                self.tracker.write(DataClass::Base, 2 * RECORD_SIZE as u64);
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        }
-        fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-            self.tracker
-                .write(DataClass::Base, (records.len() * RECORD_SIZE) as u64);
-            self.data = records.iter().map(|r| (r.key, r.value)).collect();
-            Ok(())
+            Box::new(Amp2::new())
         }
     }
 
@@ -1022,21 +935,7 @@ mod tests {
 
     fn drive_per_op(m: &mut ShardedMethod, ops: &[Op]) {
         for &op in ops {
-            match op {
-                Op::Get(k) => {
-                    m.get(k).unwrap();
-                }
-                Op::Range(lo, hi) => {
-                    m.range(lo, hi).unwrap();
-                }
-                Op::Insert(k, v) => m.insert(k, v).unwrap(),
-                Op::Update(k, v) => {
-                    m.update(k, v).unwrap();
-                }
-                Op::Delete(k) => {
-                    m.delete(k).unwrap();
-                }
-            }
+            op.apply(m).unwrap();
         }
     }
 
@@ -1102,21 +1001,7 @@ mod tests {
         bare.bulk_load(&records).unwrap();
         sharded.bulk_load(&records).unwrap();
         for &op in &ops {
-            match op {
-                Op::Get(k) => {
-                    bare.get(k).unwrap();
-                }
-                Op::Range(lo, hi) => {
-                    bare.range(lo, hi).unwrap();
-                }
-                Op::Insert(k, v) => bare.insert(k, v).unwrap(),
-                Op::Update(k, v) => {
-                    bare.update(k, v).unwrap();
-                }
-                Op::Delete(k) => {
-                    bare.delete(k).unwrap();
-                }
-            }
+            op.apply(bare.as_mut()).unwrap();
         }
         drive_per_op(&mut sharded, &ops);
         assert_eq!(bare.len(), sharded.len());
@@ -1294,10 +1179,7 @@ mod tests {
         fn factory(trigger: Key, self_heals: bool) -> impl Fn(usize) -> Box<dyn AccessMethod> {
             move |_| {
                 Box::new(Trip {
-                    inner: Amp2 {
-                        data: Default::default(),
-                        tracker: CostTracker::new(),
-                    },
+                    inner: Amp2::new(),
                     trigger,
                     self_heals,
                 })

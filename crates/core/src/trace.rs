@@ -7,8 +7,8 @@
 //! instrument:
 //!
 //! * [`TraceSink`] — a structured event channel. Components (LSM
-//!   flush/compaction, WAL sync/checkpoint/recovery, buffer-pool eviction,
-//!   shard batch dispatch) emit [`Event`]s into whatever sink the caller
+//!   flush/compaction, WAL sync/checkpoint/recovery, shard batch
+//!   dispatch) emit [`Event`]s into whatever sink the caller
 //!   installed. The compiled-in default everywhere is [`NoopSink`], whose
 //!   [`enabled`](TraceSink::enabled) gate lets every emit site skip even
 //!   the field assembly — a disabled run does **zero** extra work and is
@@ -37,7 +37,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::access::AccessMethod;
+use crate::runner::{RumReport, RunObserver};
 use crate::tracker::{CostSnapshot, CostTracker};
+use crate::workload::Op;
 
 /// Default trajectory window width, in operations.
 pub const DEFAULT_TRACE_WINDOW: usize = 4096;
@@ -71,8 +73,6 @@ pub enum EventKind {
     WalCheckpoint,
     /// Recovery replaying the committed WAL prefix.
     WalRecovery,
-    /// Buffer pool evicting a page (dirty evictions write back).
-    BufferEviction,
     /// A sharded facade dispatching one batch across its workers.
     ShardDispatch,
     /// LSM cross-run sorted view (re)built from the current runs.
@@ -116,7 +116,6 @@ impl EventKind {
             EventKind::WalSync => "wal_sync",
             EventKind::WalCheckpoint => "wal_checkpoint",
             EventKind::WalRecovery => "wal_recovery",
-            EventKind::BufferEviction => "buffer_eviction",
             EventKind::ShardDispatch => "shard_dispatch",
             EventKind::LsmViewBuild => "lsm_view_build",
             EventKind::LsmViewInvalidate => "lsm_view_invalidate",
@@ -142,7 +141,6 @@ impl EventKind {
             | EventKind::LsmViewInvalidate
             | EventKind::LsmViewHit => "lsm",
             EventKind::WalSync | EventKind::WalCheckpoint | EventKind::WalRecovery => "wal",
-            EventKind::BufferEviction => "buffer",
             EventKind::ShardDispatch => "shard",
             EventKind::Window => "trace",
             EventKind::FaultInjected | EventKind::RetryAttempt => "fault",
@@ -632,8 +630,9 @@ impl TrajectoryWindow {
 /// Snapshots a [`CostTracker`] every `window` operations and records
 /// per-window RO/UO/MO, cumulative curves, and per-op-class latency
 /// histograms. Drive it through
-/// [`run_workload_traced`](crate::runner::run_workload_traced) /
-/// [`run_stream_traced`](crate::runner::run_stream_traced).
+/// [`run_stream_traced`](crate::runner::run_stream_traced): the collector
+/// is a [`RunObserver`], and the window source the metered and autotuned
+/// observers build on.
 ///
 /// The collector is a pure observer: it reads the tracker and the
 /// method's space profile but never charges either, so a traced run's
@@ -701,75 +700,17 @@ impl TraceCollector {
 
     /// Mark the start of the op phase. Must be called after the bulk load
     /// so the trajectory (like the aggregate report) excludes load traffic.
+    /// Everything a previous run left behind is dropped, windows and
+    /// latencies alike, so a reused collector describes one run only.
     pub fn begin(&mut self, tracker: &CostTracker) {
         let snap = tracker.snapshot();
         self.mark = snap;
         self.origin = snap;
         self.ops_in_window = 0;
         self.windows.clear();
+        self.read_latency = LatencyHistogram::new();
+        self.write_latency = LatencyHistogram::new();
         self.started = true;
-    }
-
-    /// Record one executed operation; closes a window when full.
-    pub fn note_op(
-        &mut self,
-        is_read: bool,
-        latency_ns: u64,
-        tracker: &CostTracker,
-        method: &dyn AccessMethod,
-    ) {
-        debug_assert!(self.started, "note_op before begin");
-        if is_read {
-            self.read_latency.record(latency_ns);
-        } else {
-            self.write_latency.record(latency_ns);
-        }
-        self.ops_in_window += 1;
-        if self.ops_in_window >= self.window_ops {
-            self.close_window(tracker, method);
-        }
-    }
-
-    /// Record a whole executed batch of `ops` same-class operations whose
-    /// per-op latencies arrive pre-aggregated in `latency` (merged from the
-    /// shard workers that executed the batch); closes a window when the op
-    /// count reaches the window width.
-    ///
-    /// This is [`note_op`](Self::note_op) at batch granularity, for the
-    /// sharded runner: windows then close on batch boundaries, so a window
-    /// may hold up to `batch - 1` ops more than `window_ops` — the windowed
-    /// deltas still partition the op-phase traffic byte-exactly, only the
-    /// window widths quantize. Note the histogram is merged as-is: on a
-    /// sharded batch a range op contributes one observation per shard it
-    /// fanned out to, so `latency.count()` may exceed `ops`.
-    pub fn note_batch(
-        &mut self,
-        is_read: bool,
-        ops: u64,
-        latency: &LatencyHistogram,
-        tracker: &CostTracker,
-        method: &dyn AccessMethod,
-    ) {
-        debug_assert!(self.started, "note_batch before begin");
-        if is_read {
-            self.read_latency.merge(latency);
-        } else {
-            self.write_latency.merge(latency);
-        }
-        self.ops_in_window += ops;
-        if self.ops_in_window >= self.window_ops {
-            self.close_window(tracker, method);
-        }
-    }
-
-    /// Close the trailing partial window (if any). Call once, after the
-    /// last op; every byte the tracker accrued since
-    /// [`begin`](Self::begin) is then covered by exactly one window, so
-    /// the window deltas sum byte-exactly to the op-phase totals.
-    pub fn finish(&mut self, tracker: &CostTracker, method: &dyn AccessMethod) {
-        if self.ops_in_window > 0 {
-            self.close_window(tracker, method);
-        }
     }
 
     fn close_window(&mut self, tracker: &CostTracker, method: &dyn AccessMethod) {
@@ -810,9 +751,97 @@ impl TraceCollector {
     }
 }
 
+/// The collector observing a run on its own: every op is clocked into the
+/// latency histograms, windows close every
+/// [`window_ops`](TraceCollector::window_ops) operations, and the report's
+/// `p50_ns` / `p99_ns` are filled at the end.
+impl<'m> RunObserver<dyn AccessMethod + 'm> for TraceCollector {
+    fn on_begin(&mut self, _load: &CostSnapshot, tracker: &CostTracker) {
+        self.begin(tracker);
+    }
+
+    fn on_op(
+        &mut self,
+        op: Op,
+        latency_ns: u64,
+        tracker: &CostTracker,
+        method: &(dyn AccessMethod + 'm),
+    ) -> bool {
+        debug_assert!(self.started, "on_op before begin");
+        if op.is_read() {
+            self.read_latency.record(latency_ns);
+        } else {
+            self.write_latency.record(latency_ns);
+        }
+        self.ops_in_window += 1;
+        let full = self.ops_in_window >= self.window_ops;
+        if full {
+            self.close_window(tracker, method);
+        }
+        full
+    }
+
+    /// Windows then close on batch boundaries, so a window may hold up to
+    /// `batch - 1` ops more than `window_ops`: the windowed deltas still
+    /// partition the op-phase traffic byte-exactly, only the widths
+    /// quantize. The histogram is merged as-is: a range op contributes one
+    /// observation per shard it fanned out to, so `latency.count()` may
+    /// exceed `ops`.
+    fn on_batch(
+        &mut self,
+        is_read: bool,
+        ops: u64,
+        latency: &LatencyHistogram,
+        tracker: &CostTracker,
+        method: &(dyn AccessMethod + 'm),
+    ) {
+        debug_assert!(self.started, "on_batch before begin");
+        if is_read {
+            self.read_latency.merge(latency);
+        } else {
+            self.write_latency.merge(latency);
+        }
+        self.ops_in_window += ops;
+        if self.ops_in_window >= self.window_ops {
+            self.close_window(tracker, method);
+        }
+    }
+
+    /// Closes the trailing partial window (if any): every byte the tracker
+    /// accrued since [`begin`](TraceCollector::begin) is then covered by
+    /// exactly one window, so the window deltas sum byte-exactly to the
+    /// op-phase totals.
+    fn on_finish(
+        &mut self,
+        tracker: &CostTracker,
+        method: &(dyn AccessMethod + 'm),
+        report: &mut RumReport,
+    ) {
+        if self.ops_in_window > 0 {
+            self.close_window(tracker, method);
+        }
+        let overall = self.overall_latency();
+        report.p50_ns = overall.p50();
+        report.p99_ns = overall.p99();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn begin_resets_latencies_with_the_windows() {
+        let tracker = CostTracker::new();
+        let mut trace = TraceCollector::new(4, noop_sink());
+        trace.begin(&tracker);
+        trace.read_latency.record(1_000_000);
+        trace.write_latency.record(2_000_000);
+        trace.begin(&tracker);
+        assert_eq!(trace.overall_latency().count(), 0);
+        trace.read_latency.record(10);
+        assert_eq!(trace.overall_latency().max(), 10, "second run only");
+    }
 
     #[test]
     fn bucket_indexing_is_monotone_and_continuous() {

@@ -23,6 +23,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::access::AccessMethod;
+use crate::error::Result;
 use crate::types::{Key, Record, Value};
 
 /// Which live key an operation targets.
@@ -251,6 +253,35 @@ impl Op {
     pub fn is_read(&self) -> bool {
         matches!(self, Op::Get(_) | Op::Range(_, _))
     }
+
+    /// Execute this operation against `method` through the instrumented
+    /// entry points, handing back exactly what the method returned. The
+    /// one op dispatcher: runners drop the answer (they measure costs),
+    /// differential replays compare it.
+    #[inline]
+    pub fn apply<M: AccessMethod + ?Sized>(self, method: &mut M) -> Result<OpAnswer> {
+        Ok(match self {
+            Op::Get(k) => OpAnswer::Get(method.get(k)?),
+            Op::Range(lo, hi) => OpAnswer::Range(method.range(lo, hi)?),
+            Op::Insert(k, v) => {
+                method.insert(k, v)?;
+                OpAnswer::Insert
+            }
+            Op::Update(k, v) => OpAnswer::Applied(method.update(k, v)?),
+            Op::Delete(k) => OpAnswer::Applied(method.delete(k)?),
+        })
+    }
+}
+
+/// What an [`Op`] answered: the value its [`AccessMethod`] entry point
+/// returned, moved, never copied.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum OpAnswer {
+    Get(Option<Value>),
+    Range(Vec<Record>),
+    Insert,
+    /// Update or delete: whether a live key was modified.
+    Applied(bool),
 }
 
 /// Full description of a generated workload.
@@ -562,6 +593,37 @@ impl Workload {
             ops,
             spec_range_len: spec.range_len,
         }
+    }
+}
+
+/// Anything a runner can play: the records to bulk-load first, then the
+/// operations. An [`OpStream`] (by value, O(live-set) memory) and a borrowed
+/// [`Workload`] (replayable) are the two sources, and for the same
+/// [`WorkloadSpec`] they yield the same records and the same ops.
+pub trait OpSource {
+    /// The initial dataset, owned or borrowed; the runner drops it as soon
+    /// as the bulk load is done.
+    type Initial: std::ops::Deref<Target = [Record]>;
+    type Ops: Iterator<Item = Op>;
+
+    fn into_parts(self) -> (Self::Initial, Self::Ops);
+}
+
+impl OpSource for OpStream {
+    type Initial = Vec<Record>;
+    type Ops = OpStream;
+
+    fn into_parts(mut self) -> (Vec<Record>, OpStream) {
+        (self.take_initial(), self)
+    }
+}
+
+impl<'a> OpSource for &'a Workload {
+    type Initial = &'a [Record];
+    type Ops = std::iter::Copied<std::slice::Iter<'a, Op>>;
+
+    fn into_parts(self) -> (Self::Initial, Self::Ops) {
+        (&self.initial, self.ops.iter().copied())
     }
 }
 

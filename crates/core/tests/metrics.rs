@@ -80,13 +80,12 @@ fn synth_delta(state: &mut u64) -> CostSnapshot {
     }
 }
 
-const KINDS: [EventKind; 8] = [
+const KINDS: [EventKind; 7] = [
     EventKind::LsmFlush,
     EventKind::LsmCompaction,
     EventKind::WalSync,
     EventKind::WalCheckpoint,
     EventKind::WalRecovery,
-    EventKind::BufferEviction,
     EventKind::LsmViewBuild,
     EventKind::MigrationComplete,
 ];

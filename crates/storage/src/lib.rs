@@ -17,10 +17,8 @@
 //!   the sequential-vs-random distinction the paper calls out ("in the
 //!   1970s ... minimize the number of random accesses on disk; ... now we
 //!   minimize the number of random accesses to main memory").
-//! * [`lru`] — an intrusive O(1) LRU used by the buffer pool and cache
+//! * [`lru`] — an intrusive O(1) LRU used by the hierarchy's cache
 //!   levels.
-//! * [`buffer`] — a [`BufferPool`] with hit/miss
-//!   accounting and dirty write-back.
 //! * [`pager`] — the [`Pager`]: the facade access methods
 //!   allocate and touch pages through; every access is charged to a
 //!   [`CostTracker`](rum_core::CostTracker) with its
@@ -48,7 +46,6 @@
 //!   pager's [`scrub`](Pager::scrub) walks the seals and prices the
 //!   verification as auxiliary reads.
 
-pub mod buffer;
 pub mod checked;
 pub mod cost;
 pub mod device;
@@ -60,7 +57,6 @@ pub mod page;
 pub mod pager;
 pub mod wal;
 
-pub use buffer::BufferPool;
 pub use checked::{CheckedDevice, ScrubReport};
 pub use cost::DeviceProfile;
 pub use device::{BlockDevice, IoStats, MemDevice};

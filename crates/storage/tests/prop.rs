@@ -3,16 +3,15 @@
 use proptest::prelude::*;
 use rum_core::{Result, RumError};
 use rum_storage::{
-    BlockDevice, BufferPool, CheckedDevice, DeviceProfile, FaultDevice, FaultInjector, FaultPlan,
-    FaultProfile, HierarchySpec, LevelSpec, LruSet, MemDevice, MemoryHierarchy, PageBuf, PageId,
-    Pager, RetryPolicy,
+    BlockDevice, CheckedDevice, DeviceProfile, FaultDevice, FaultInjector, FaultPlan, FaultProfile,
+    HierarchySpec, LevelSpec, LruSet, MemDevice, MemoryHierarchy, PageBuf, PageId, Pager,
+    RetryPolicy,
 };
 
-/// Any sequence of device ops applied to a raw device, a buffered device,
-/// and a hierarchy must read back identical data.
+/// Any sequence of device ops applied to a raw device and a hierarchy
+/// must read back identical data.
 fn apply_ops(ops: &[(u8, u8, u64)]) -> Result<()> {
     let mut raw = MemDevice::new();
-    let mut buf = BufferPool::new(MemDevice::new(), 3);
     let mut hier = MemoryHierarchy::new(HierarchySpec {
         caches: vec![
             LevelSpec::new("l1", 2, DeviceProfile::CACHE),
@@ -20,40 +19,34 @@ fn apply_ops(ops: &[(u8, u8, u64)]) -> Result<()> {
         ],
         storage_profile: DeviceProfile::SSD,
     });
-    let mut ids: Vec<(PageId, PageId, PageId)> = Vec::new();
+    let mut ids: Vec<(PageId, PageId)> = Vec::new();
 
     for &(op, slot, val) in ops {
         match op % 3 {
             0 => {
-                ids.push((raw.allocate()?, buf.allocate()?, hier.allocate()?));
+                ids.push((raw.allocate()?, hier.allocate()?));
             }
             1 if !ids.is_empty() => {
-                let (a, b, c) = ids[slot as usize % ids.len()];
+                let (a, c) = ids[slot as usize % ids.len()];
                 let mut page = PageBuf::zeroed();
                 page.write_u64(0, val);
                 raw.write_page(a, &page)?;
-                buf.write_page(b, &page)?;
                 hier.write_page(c, &page)?;
             }
             _ if !ids.is_empty() => {
-                let (a, b, c) = ids[slot as usize % ids.len()];
+                let (a, c) = ids[slot as usize % ids.len()];
                 let x = raw.read_page(a)?.read_u64(0);
-                let y = buf.read_page(b)?.read_u64(0);
                 let z = hier.read_page(c)?.read_u64(0);
-                assert_eq!(x, y, "buffer pool diverged");
                 assert_eq!(x, z, "hierarchy diverged");
             }
             _ => {}
         }
     }
     // Final full comparison after sync.
-    buf.sync()?;
     hier.sync()?;
-    for &(a, b, c) in &ids {
+    for &(a, c) in &ids {
         let x = raw.read_page(a)?.read_u64(0);
-        let y = buf.read_page(b)?.read_u64(0);
         let z = hier.read_page(c)?.read_u64(0);
-        assert_eq!(x, y);
         assert_eq!(x, z);
     }
     Ok(())

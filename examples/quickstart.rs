@@ -27,7 +27,7 @@ fn main() -> Result<()> {
     println!("{}", RumReport::table_header());
     let mut points = Vec::new();
     for method in [&mut btree as &mut dyn AccessMethod, &mut lsm, &mut zonemap] {
-        let report = run_workload(method, &workload)?;
+        let report = run_stream(method, &workload)?;
         println!("{}", report.table_row());
         points.push(rum_point(
             report.method.clone(),

@@ -19,15 +19,15 @@
 //! // Pick an access method (anything implementing AccessMethod).
 //! let mut index = rum::btree::BTree::new();
 //!
-//! // Generate a reproducible workload and run it.
+//! // Describe a reproducible workload and run it: streamed here, or
+//! // `&Workload::generate(&spec)` to replay one materialized copy.
 //! let spec = WorkloadSpec {
 //!     initial_records: 10_000,
 //!     operations: 5_000,
 //!     mix: OpMix::BALANCED,
 //!     ..Default::default()
 //! };
-//! let workload = Workload::generate(&spec);
-//! let report = run_workload(&mut index, &workload).unwrap();
+//! let report = run_stream(&mut index, OpStream::new(&spec)).unwrap();
 //!
 //! // The three RUM overheads, measured.
 //! assert!(report.ro >= 1.0);
@@ -40,7 +40,7 @@
 //! | Crate | Contents |
 //! |---|---|
 //! | [`core`] | `AccessMethod` trait, cost tracking, workloads, RUM triangle, wizard |
-//! | [`storage`] | pages, instrumented devices, buffer pool, memory hierarchy |
+//! | [`storage`] | pages, instrumented devices, memory hierarchy |
 //! | [`columns`] | sorted/unsorted columns + the §2 extreme designs (Props 1–3) |
 //! | [`btree`] | tunable paged B+-tree (read-optimized corner) |
 //! | [`hash`] | static + extendible hashing |
@@ -79,10 +79,9 @@ pub mod prelude {
         MetricsSnapshot, OpClass,
     };
     pub use rum_core::runner::{
-        measure_ops, parallel_map, run_stream, run_stream_autotuned, run_stream_metered,
-        run_stream_sharded, run_stream_sharded_traced, run_stream_traced, run_suite,
-        run_suite_parallel, run_suite_stream, run_suite_with_threads, run_workload,
-        run_workload_traced, RumReport, DEFAULT_STREAM_BATCH,
+        default_threads, measure_ops, parallel_map, run_stream, run_stream_autotuned,
+        run_stream_metered, run_stream_sharded, run_stream_sharded_traced, run_stream_traced,
+        run_suite_stream, RumReport, DEFAULT_STREAM_BATCH,
     };
     pub use rum_core::trace::{
         noop_sink, Event, EventKind, LatencyHistogram, MemorySink, NoopSink, TraceCollector,
@@ -187,10 +186,9 @@ mod tests {
             seed: 5,
             ..Default::default()
         };
-        let workload = Workload::generate(&spec);
         let mut suite = standard_suite();
         let expected = suite.len();
-        let reports = run_suite_parallel(&mut suite, &workload)
+        let reports = run_suite_stream(&mut suite, &spec, default_threads())
             .unwrap_or_else(|e| panic!("suite run failed: {e}"));
         assert_eq!(reports.len(), expected);
         for report in reports {

@@ -139,8 +139,7 @@ fn zipfian_streams_are_handled() {
         seed: 31,
         ..Default::default()
     };
-    let workload = Workload::generate(&spec);
-    let reports = run_suite_parallel(&mut rum::standard_suite(), &workload)
+    let reports = run_suite_stream(&mut rum::standard_suite(), &spec, default_threads())
         .unwrap_or_else(|e| panic!("suite run failed: {e}"));
     for report in reports {
         assert!(

@@ -19,7 +19,7 @@ fn second_flush_performs_zero_physical_writes() {
     let workload = Workload::generate(&spec);
     for mut method in rum::standard_suite() {
         let name = method.name();
-        run_workload(method.as_mut(), &workload)
+        run_stream(method.as_mut(), &workload)
             .unwrap_or_else(|e| panic!("{name}: workload failed: {e}"));
         method
             .flush()

@@ -115,23 +115,6 @@ fn metered_run_is_bit_identical_to_plain_run() {
         let baseline = run_stream(plain.as_mut(), OpStream::new(&spec()))
             .unwrap_or_else(|e| panic!("{name}: plain run failed: {e}"));
         let (observed, _, _) = metered_run(name);
-        assert_eq!(baseline.n_final, observed.n_final, "{name}: n_final");
-        assert_eq!(baseline.read_ops, observed.read_ops, "{name}: read_ops");
-        assert_eq!(baseline.write_ops, observed.write_ops, "{name}: write_ops");
-        assert_eq!(
-            baseline.read_costs, observed.read_costs,
-            "{name}: read_costs"
-        );
-        assert_eq!(
-            baseline.write_costs, observed.write_costs,
-            "{name}: write_costs"
-        );
-        assert_eq!(
-            baseline.load_costs, observed.load_costs,
-            "{name}: load_costs"
-        );
-        assert_eq!(baseline.ro.to_bits(), observed.ro.to_bits(), "{name}: RO");
-        assert_eq!(baseline.uo.to_bits(), observed.uo.to_bits(), "{name}: UO");
-        assert_eq!(baseline.mo.to_bits(), observed.mo.to_bits(), "{name}: MO");
+        assert_eq!(baseline.counted_diff(&observed), None, "{name}");
     }
 }

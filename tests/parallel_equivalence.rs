@@ -1,5 +1,5 @@
-//! The parallel harness's contract: `run_suite_parallel` produces exactly
-//! the same reports as the serial `run_suite` — same methods, same order
+//! The parallel harness's contract: `run_suite_stream` on N workers
+//! produces exactly the same reports as on one — same methods, same order
 //! (sorted by name), same costs and amplifications — with only the
 //! wall-clock fields free to differ. Checked across a balanced mix, a
 //! read-heavy mix, and a skewed (zipfian) stream.
@@ -11,15 +11,7 @@ use rum::prelude::*;
 fn assert_reports_identical(s: &RumReport, p: &RumReport) {
     let ctx = &s.method;
     assert_eq!(s.method, p.method);
-    assert_eq!(s.n_final, p.n_final, "{ctx}: n_final");
-    assert_eq!(s.read_ops, p.read_ops, "{ctx}: read_ops");
-    assert_eq!(s.write_ops, p.write_ops, "{ctx}: write_ops");
-    assert_eq!(s.read_costs, p.read_costs, "{ctx}: read_costs");
-    assert_eq!(s.write_costs, p.write_costs, "{ctx}: write_costs");
-    assert_eq!(s.load_costs, p.load_costs, "{ctx}: load_costs");
-    assert_eq!(s.ro.to_bits(), p.ro.to_bits(), "{ctx}: ro");
-    assert_eq!(s.uo.to_bits(), p.uo.to_bits(), "{ctx}: uo");
-    assert_eq!(s.mo.to_bits(), p.mo.to_bits(), "{ctx}: mo");
+    assert_eq!(s.counted_diff(p), None, "{ctx}");
     assert_eq!(
         s.pages_per_read_op.to_bits(),
         p.pages_per_read_op.to_bits(),
@@ -83,13 +75,12 @@ fn parallel_suite_reports_match_serial_bit_for_bit() {
         },
     ];
     for spec in specs {
-        let workload = Workload::generate(&spec);
-        let serial = run_suite(&mut rum::standard_suite(), &workload).expect("serial");
+        let serial = run_suite_stream(&mut rum::standard_suite(), &spec, 1).expect("serial");
         // An awkward worker count (3) exercises the queue re-balancing;
         // default_threads() covers whatever the machine really has.
-        for threads in [3, rum::core::runner::default_threads()] {
-            let parallel = run_suite_with_threads(&mut rum::standard_suite(), &workload, threads)
-                .expect("parallel");
+        for threads in [3, default_threads()] {
+            let parallel =
+                run_suite_stream(&mut rum::standard_suite(), &spec, threads).expect("parallel");
             assert_eq!(serial.len(), parallel.len());
             for (s, p) in serial.iter().zip(&parallel) {
                 assert_reports_identical(s, p);

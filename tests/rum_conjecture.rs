@@ -22,8 +22,7 @@ struct Measured {
 }
 
 fn measure_suite(spec: &WorkloadSpec) -> Vec<Measured> {
-    let workload = Workload::generate(spec);
-    run_suite_parallel(&mut rum::standard_suite(), &workload)
+    run_suite_stream(&mut rum::standard_suite(), spec, default_threads())
         .unwrap_or_else(|e| panic!("suite run failed: {e}"))
         .into_iter()
         .map(|r| Measured {

@@ -2,7 +2,7 @@
 //!
 //! 1. `run_stream_sharded` (concurrent, batched, streaming, on the
 //!    persistent worker pool) produces the same RO / UO / MO and cost
-//!    snapshots as `run_workload` (serial, per-op, materialized) driving
+//!    snapshots as `run_stream` (serial, per-op, materialized) driving
 //!    the *same* `ShardedMethod` — bit for bit, for every K, whether the
 //!    pool is full-width or narrower than K (workers serving several
 //!    shard queues). The cost model is deterministic; concurrency may
@@ -46,15 +46,7 @@ fn spec() -> WorkloadSpec {
 }
 
 fn assert_same_rum(ctx: &str, a: &RumReport, b: &RumReport) {
-    assert_eq!(a.n_final, b.n_final, "{ctx}: n_final");
-    assert_eq!(a.read_ops, b.read_ops, "{ctx}: read_ops");
-    assert_eq!(a.write_ops, b.write_ops, "{ctx}: write_ops");
-    assert_eq!(a.read_costs, b.read_costs, "{ctx}: read_costs");
-    assert_eq!(a.write_costs, b.write_costs, "{ctx}: write_costs");
-    assert_eq!(a.load_costs, b.load_costs, "{ctx}: load_costs");
-    assert_eq!(a.ro.to_bits(), b.ro.to_bits(), "{ctx}: RO");
-    assert_eq!(a.uo.to_bits(), b.uo.to_bits(), "{ctx}: UO");
-    assert_eq!(a.mo.to_bits(), b.mo.to_bits(), "{ctx}: MO");
+    assert_eq!(a.counted_diff(b), None, "{ctx}");
 }
 
 #[test]
@@ -66,7 +58,7 @@ fn concurrent_sharded_run_matches_serial_bit_for_bit() {
             // Serial reference: per-op execution over the materialized
             // workload, shards never run concurrently (threads = 1).
             let mut serial = rum::core::ShardedMethod::with_threads(k, 1, |_| factory());
-            let s = run_workload(&mut serial, &workload).expect("serial run");
+            let s = run_stream(&mut serial, &workload).expect("serial run");
 
             // Pool widths are forced explicitly (`new` would follow the
             // host's core count): full width, and — where K allows it —
@@ -102,13 +94,22 @@ fn traced_sharded_run_is_cost_identical_and_measures_latency() {
     let workload = Workload::generate(&spec);
     for (name, factory) in factories() {
         let mut serial = rum::core::ShardedMethod::with_threads(4, 1, |_| factory());
-        let s = run_workload(&mut serial, &workload).expect("serial run");
+        let s = run_stream(&mut serial, &workload).expect("serial run");
 
         let mut concurrent = rum::core::ShardedMethod::with_threads(4, 2, |_| factory());
         let mut trace = TraceCollector::new(1024, noop_sink());
         let c = run_stream_sharded_traced(&mut concurrent, OpStream::new(&spec), 777, &mut trace)
             .expect("traced sharded run");
         assert_same_rum(&format!("{name} traced K=4 T=2"), &s, &c);
+        let mut untraced = rum::core::ShardedMethod::with_threads(4, 2, |_| factory());
+        let u = run_stream_sharded(&mut untraced, OpStream::new(&spec), 777)
+            .expect("untraced sharded run");
+        assert_same_rum(&format!("{name} traced vs untraced K=4 T=2"), &u, &c);
+        assert_eq!(
+            (u.p50_ns, u.p99_ns),
+            (0, 0),
+            "{name}: untraced never clocks"
+        );
         assert!(c.p50_ns > 0, "{name}: sharded p50 must be measured");
         assert!(c.p99_ns >= c.p50_ns, "{name}");
         assert_eq!(
@@ -125,9 +126,9 @@ fn single_shard_wrapper_is_cost_transparent() {
     let workload = Workload::generate(&spec);
     for (name, factory) in factories() {
         let mut bare = factory();
-        let b = run_workload(bare.as_mut(), &workload).expect("bare run");
+        let b = run_stream(bare.as_mut(), &workload).expect("bare run");
         let mut wrapped = rum::core::ShardedMethod::new(1, |_| factory());
-        let w = run_workload(&mut wrapped, &workload).expect("wrapped run");
+        let w = run_stream(&mut wrapped, &workload).expect("wrapped run");
         assert_same_rum(&format!("{name} K=1 vs bare"), &b, &w);
     }
 }
@@ -309,21 +310,7 @@ fn poisoned_shard_heals_and_continues_with_bit_exact_costs() {
         sharded.execute_batch(chunk).unwrap();
     }
     for &op in &follow_up {
-        match op {
-            Op::Get(k) => {
-                control.get(k).unwrap();
-            }
-            Op::Range(lo, hi) => {
-                control.range(lo, hi).unwrap();
-            }
-            Op::Insert(k, v) => control.insert(k, v).unwrap(),
-            Op::Update(k, v) => {
-                control.update(k, v).unwrap();
-            }
-            Op::Delete(k) => {
-                control.delete(k).unwrap();
-            }
-        }
+        op.apply(&mut control).unwrap();
     }
     assert_eq!(
         sharded.tracker().since(&healed_before),

@@ -7,7 +7,11 @@
 //! 2. **Windowed-sum invariant** — the per-window cost deltas partition
 //!    the op phase: their sum equals the aggregate report's
 //!    `read_costs + write_costs` byte-exactly (u64 field sums, no floats).
-//! 3. **Histogram algebra** — [`LatencyHistogram::merge`] is associative
+//! 3. **One loop, any observer, any source** — plain, traced, metered and
+//!    (with a tuner that never migrates) autotuned runs, each fed an
+//!    `OpStream` and a borrowed `Workload`, all report the counted
+//!    measurements of a plain `run_stream`, bit for bit.
+//! 4. **Histogram algebra** — [`LatencyHistogram::merge`] is associative
 //!    and commutative, and merging shards matches recording everything in
 //!    one histogram — the property the sharded runner's pointwise
 //!    [`CostSnapshot::add`] already has, extended to latencies.
@@ -26,15 +30,7 @@ fn spec() -> WorkloadSpec {
 }
 
 fn assert_same_rum(ctx: &str, a: &RumReport, b: &RumReport) {
-    assert_eq!(a.n_final, b.n_final, "{ctx}: n_final");
-    assert_eq!(a.read_ops, b.read_ops, "{ctx}: read_ops");
-    assert_eq!(a.write_ops, b.write_ops, "{ctx}: write_ops");
-    assert_eq!(a.read_costs, b.read_costs, "{ctx}: read_costs");
-    assert_eq!(a.write_costs, b.write_costs, "{ctx}: write_costs");
-    assert_eq!(a.load_costs, b.load_costs, "{ctx}: load_costs");
-    assert_eq!(a.ro.to_bits(), b.ro.to_bits(), "{ctx}: RO");
-    assert_eq!(a.uo.to_bits(), b.uo.to_bits(), "{ctx}: UO");
-    assert_eq!(a.mo.to_bits(), b.mo.to_bits(), "{ctx}: MO");
+    assert_eq!(a.counted_diff(b), None, "{ctx}");
 }
 
 #[test]
@@ -49,9 +45,9 @@ fn noop_traced_runs_are_bit_identical_and_windows_partition_the_op_phase() {
         let name = traced_method.name();
 
         let mut trace = TraceCollector::new(512, noop_sink());
-        let traced = run_workload_traced(traced_method.as_mut(), &workload, &mut trace)
+        let traced = run_stream_traced(traced_method.as_mut(), &workload, &mut trace)
             .unwrap_or_else(|e| panic!("{name}: traced run failed: {e}"));
-        let untraced = run_workload(untraced_method.as_mut(), &workload)
+        let untraced = run_stream(untraced_method.as_mut(), &workload)
             .unwrap_or_else(|e| panic!("{name}: untraced run failed: {e}"));
 
         assert_same_rum(&name, &traced, &untraced);
@@ -76,6 +72,96 @@ fn noop_traced_runs_are_bit_identical_and_windows_partition_the_op_phase() {
         assert!(traced.p99_ns >= traced.p50_ns, "{name}: quantile order");
         assert_eq!(untraced.p50_ns, 0, "{name}");
         assert_eq!(untraced.p99_ns, 0, "{name}");
+    }
+}
+
+/// A tuner whose warmup never ends, so it observes every window and never
+/// orders a migration.
+fn idle_tuner(spec: &WorkloadSpec) -> AutoTuner {
+    let cfg = AutoTuneConfig {
+        warmup_windows: usize::MAX,
+        ..Default::default()
+    };
+    let (store, env, cons) = Default::default();
+    AutoTuner::new(cfg, &spec.mix, store, env, cons)
+}
+
+#[test]
+fn every_observer_and_every_source_reports_what_plain_run_stream_reports() {
+    let spec = spec();
+    let workload = Workload::generate(&spec);
+    let stream = || OpStream::new(&spec);
+    let collector = || TraceCollector::new(512, noop_sink());
+
+    for index in 0..rum::standard_suite().len() {
+        let fresh = || rum::standard_suite().swap_remove(index);
+        let name = fresh().name();
+        let plain = run_stream(fresh().as_mut(), stream()).unwrap();
+        let plane = MetricsPlane::new();
+        let (mut t1, mut t2, mut t3, mut t4) = (collector(), collector(), collector(), collector());
+        let runs = [
+            ("plain, &Workload", run_stream(fresh().as_mut(), &workload)),
+            (
+                "traced, OpStream",
+                run_stream_traced(fresh().as_mut(), stream(), &mut t1),
+            ),
+            (
+                "traced, &Workload",
+                run_stream_traced(fresh().as_mut(), &workload, &mut t2),
+            ),
+            (
+                "metered, OpStream",
+                run_stream_metered(fresh().as_mut(), stream(), &mut t3, &plane),
+            ),
+            (
+                "metered, &Workload",
+                run_stream_metered(fresh().as_mut(), &workload, &mut t4, &plane),
+            ),
+        ];
+        for (what, report) in runs {
+            let ctx = format!("{name}: {what}");
+            assert_same_rum(
+                &ctx,
+                &plain,
+                &report.unwrap_or_else(|e| panic!("{ctx}: {e}")),
+            );
+        }
+    }
+
+    // The autotuned runner drives `Morphable` structures only.
+    let morphables: [fn() -> Box<dyn Morphable>; 2] = [
+        || Box::new(rum::btree::BTree::new()),
+        || {
+            Box::new(rum::lsm::tuning::SelfTuningLsm::new(
+                rum::lsm::LsmTree::new(),
+            ))
+        },
+    ];
+    for fresh in morphables {
+        let name = fresh().name();
+        let plain = run_stream(fresh().as_mut(), stream()).unwrap();
+        let (mut t1, mut t2) = (collector(), collector());
+        let runs = [
+            (
+                "OpStream",
+                run_stream_autotuned(fresh().as_mut(), stream(), &mut idle_tuner(&spec), &mut t1),
+            ),
+            (
+                "&Workload",
+                run_stream_autotuned(fresh().as_mut(), &workload, &mut idle_tuner(&spec), &mut t2),
+            ),
+        ];
+        for (what, run) in runs {
+            let (report, summary) = run.unwrap();
+            assert_same_rum(&format!("{name}: autotuned, {what}"), &plain, &report);
+            // Only full windows reach the tuner; the trailing partial one
+            // closes after the last op.
+            assert_eq!(
+                (summary.windows, summary.migrations),
+                (spec.operations / 512, 0),
+                "{name}"
+            );
+        }
     }
 }
 
