@@ -5,9 +5,9 @@
 //! The grid crosses operation-mix presets × key distributions × scales;
 //! every cell runs the full standard suite through
 //! [`run_suite_stream`] and ingests the resulting [`RumReport`]s into a
-//! [`ProfileStore`]. For each canonical mix the experiment then asks the
-//! analytic wizard and the measured advisor the same unconstrained
-//! question and reports:
+//! [`ProfileStore`]. For each canonical mix the experiment then asks an
+//! empty store (the analytic wizard) and the measured one the same
+//! unconstrained question and reports:
 //!
 //! * both rankings side by side (with per-family analytic-vs-measured
 //!   deviation ratios),
@@ -19,8 +19,8 @@
 //! * when they disagree beyond tolerance: the Table 1 term of the analytic
 //!   pick that is most off ([`Deviation`]), i.e. *why* the model misranks.
 
-use rum::core::advisor::{dist_label, Deviation, MeasuredRanking, ProfileStore};
-use rum::core::wizard::{recommend, Constraints, Environment, Family, Recommendation};
+use rum::core::advisor::{Deviation, MeasuredRanking, ProfileStore};
+use rum::core::wizard::{Constraints, Environment, Family};
 use rum::prelude::*;
 
 /// Grid + comparison configuration.
@@ -95,7 +95,7 @@ pub fn canonical_mixes() -> [(&'static str, OpMix); 5] {
 pub struct MixVerdict {
     pub mix_name: &'static str,
     pub mix: OpMix,
-    pub analytic: Vec<Recommendation>,
+    pub analytic: MeasuredRanking,
     pub measured: MeasuredRanking,
     pub top_analytic: Family,
     pub top_measured: Family,
@@ -170,9 +170,9 @@ pub fn verdict(
     tolerance: f64,
 ) -> MixVerdict {
     let cons = Constraints::default();
-    let analytic = recommend(mix, env, &cons);
-    let measured = store.recommend_measured(mix, env, &cons);
-    let top_analytic = analytic[0].family;
+    let analytic = ProfileStore::new().recommend(mix, env, &cons);
+    let measured = store.recommend(mix, env, &cons);
+    let top_analytic = analytic.recs[0].family;
     let top_measured = measured.recs[0].family;
     let measured_cost = |family: Family| {
         measured
@@ -226,9 +226,7 @@ pub fn render(run: &AdvisorRun) -> String {
             "{:<4} {:<18} {:>10}   {:<18} {:>10} {:>7}\n",
             "rank", "analytic", "pages/op", "measured", "pages/op", "calib"
         ));
-        for i in 0..v.analytic.len() {
-            let a = &v.analytic[i];
-            let m = &v.measured.recs[i];
+        for (i, (a, m)) in v.analytic.recs.iter().zip(&v.measured.recs).enumerate() {
             out.push_str(&format!(
                 "{:<4} {:<18} {:>10.3}   {:<18} {:>10.3} {:>7}\n",
                 i + 1,
@@ -316,7 +314,7 @@ pub fn checks(run: &AdvisorRun) -> Vec<(String, bool)> {
     let deterministic = run.verdicts.iter().all(|v| {
         let again = run
             .store
-            .recommend_measured(&v.mix, &run.env, &Constraints::default());
+            .recommend(&v.mix, &run.env, &Constraints::default());
         again.recs.len() == v.measured.recs.len()
             && again.recs.iter().zip(&v.measured.recs).all(|(a, b)| {
                 a.family == b.family
@@ -325,7 +323,7 @@ pub fn checks(run: &AdvisorRun) -> Vec<(String, bool)> {
             })
     });
     out.push((
-        "recommend_measured is deterministic over the same store".to_string(),
+        "recommend is deterministic over the same store".to_string(),
         deterministic,
     ));
     out
@@ -335,6 +333,31 @@ pub fn checks(run: &AdvisorRun) -> Vec<(String, bool)> {
 /// [`ProfileStore`]).
 pub fn to_csv(run: &AdvisorRun) -> String {
     run.store.to_csv()
+}
+
+/// CSV of both rankings of every configured mix: the empty store's (the
+/// analytic prior) and the measured store's, one row per family in rank
+/// order, costs as shortest-roundtrip floats.
+pub fn rankings_csv(run: &AdvisorRun) -> String {
+    let mut out =
+        String::from("store,mix,rank,family,expected_cost,analytic_cost,feasible,calibrated\n");
+    for v in &run.verdicts {
+        for (store, ranking) in [("empty", &v.analytic), ("measured", &v.measured)] {
+            for (i, r) in ranking.recs.iter().enumerate() {
+                out.push_str(&format!(
+                    "{store},{},{},{},{},{},{},{}\n",
+                    v.mix_name,
+                    i + 1,
+                    r.method,
+                    r.expected_cost,
+                    r.analytic_cost,
+                    r.feasible,
+                    r.calibrated,
+                ));
+            }
+        }
+    }
+    out
 }
 
 /// Label helper shared with the binary's output.
@@ -347,11 +370,6 @@ pub fn grid_summary(config: &AdvisorConfig) -> String {
         config.ops_factor,
         config.seed,
     )
-}
-
-/// Re-exported so the binary can print which distributions were measured.
-pub fn dist_name(dist: &KeyDist) -> String {
-    dist_label(dist)
 }
 
 #[cfg(test)]

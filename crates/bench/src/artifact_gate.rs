@@ -74,6 +74,7 @@ pub fn strip_wall_clock(csv: &str) -> String {
 /// the gate covers — adding a module here (plus its committed twin) is
 /// all it takes to put a new experiment under the gate.
 pub fn regenerate() -> Vec<Artifact> {
+    let advisor_run = advisor::run(&advisor::AdvisorConfig::smoke());
     vec![
         Artifact {
             name: "scale_sweep",
@@ -85,9 +86,11 @@ pub fn regenerate() -> Vec<Artifact> {
         },
         Artifact {
             name: "advisor_profiles",
-            csv: strip_wall_clock(&advisor::to_csv(&advisor::run(
-                &advisor::AdvisorConfig::smoke(),
-            ))),
+            csv: strip_wall_clock(&advisor::to_csv(&advisor_run)),
+        },
+        Artifact {
+            name: "advisor_rankings",
+            csv: advisor::rankings_csv(&advisor_run),
         },
         Artifact {
             name: "range_sweep",

@@ -21,7 +21,7 @@ use rum_bench::dataset;
 use rum_bitmap::UpdateFriendlyBitmap;
 use rum_core::workload::value_for;
 use rum_core::{AccessMethod, Record};
-use rum_lsm::{advise, retune, CompactionPolicy, LsmConfig, LsmTree, TuningGoal};
+use rum_lsm::{advise, retune, CompactionPolicy, LsmConfig, LsmTree};
 use rum_sketch::QuotientFilter;
 
 fn section_cracking() {
@@ -118,7 +118,7 @@ fn section_lsm_retune() {
         let write_phase = t.tracker().snapshot();
         // The workload flips to reads; optionally re-tune.
         if adapt {
-            let cfg = advise(&rum_core::workload::OpMix::READ_HEAVY, TuningGoal::Balanced);
+            let cfg = advise(&rum_core::workload::OpMix::READ_HEAVY);
             retune(&mut t, cfg).unwrap();
         }
         t.tracker().reset();

@@ -32,7 +32,7 @@ use rum_core::trace::{noop_sink, TraceCollector};
 use rum_core::wizard::{Constraints, Environment, Family};
 use rum_core::workload::{Drift, OpMix, OpStream, WorkloadSpec};
 use rum_core::{AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value, PAGE_SIZE};
-use rum_lsm::tuning::{advise, SelfTuningLsm, TuningGoal};
+use rum_lsm::tuning::{advise, SelfTuningLsm};
 use rum_lsm::{LsmConfig, LsmTree};
 use std::sync::Arc;
 
@@ -100,7 +100,7 @@ impl DriftSweepConfig {
 pub fn static_arms() -> [(&'static str, LsmConfig); 4] {
     let sized = |mix: &OpMix| LsmConfig {
         memtable_records: 256,
-        ..advise(mix, TuningGoal::Balanced)
+        ..advise(mix)
     };
     [
         ("static-read", sized(&OpMix::READ_HEAVY)),
@@ -316,12 +316,7 @@ fn tuner_for(config: &DriftSweepConfig, allow_family_swap: bool) -> AutoTuner {
     )
 }
 
-fn run_static(
-    config: &DriftSweepConfig,
-    spec: &WorkloadSpec,
-    cfg: LsmConfig,
-) -> Result<(RumReport, u64, u64)> {
-    let _ = config;
+fn run_static(spec: &WorkloadSpec, cfg: LsmConfig) -> Result<(RumReport, u64, u64)> {
     let mut m = Digest::new(SelfTuningLsm::new(LsmTree::with_config(cfg)));
     let report = run_stream(&mut m, OpStream::new(spec))?;
     Ok((report, m.hash, m.space_profile().total_bytes()))
@@ -333,7 +328,7 @@ fn run_tuned(
 ) -> Result<(RumReport, AutoTuneSummary, u64, u64)> {
     let cfg = LsmConfig {
         memtable_records: 256,
-        ..advise(&OpMix::BALANCED, TuningGoal::Balanced)
+        ..advise(&OpMix::BALANCED)
     };
     let mut m = Digest::new(SelfTuningLsm::new(LsmTree::with_config(cfg)));
     let mut tuner = tuner_for(config, false);
@@ -364,8 +359,7 @@ pub fn run(config: &DriftSweepConfig) -> Vec<DriftRow> {
         let spec = spec_for(config, drift, scenario.len() as u64);
         for (arm, cfg) in static_arms() {
             eprintln!("[drift] {scenario} / {arm} ...");
-            let (report, digest, resident) =
-                run_static(config, &spec, cfg).expect("static arm run");
+            let (report, digest, resident) = run_static(&spec, cfg).expect("static arm run");
             rows.push(DriftRow {
                 scenario,
                 arm,

@@ -22,9 +22,8 @@
 //! | `artifact_gate` | CI artifact freshness: regenerates every committed smoke CSV and fails if the checked-in copy drifted |
 //! | `rum_top` | live terminal dashboard over the `rum-obs` exporter: per-op-class amortized RUM, debt table, sparklines; `--smoke` validates the exporter + conservation + metrics-on ≡ metrics-off |
 //!
-//! This library holds the measurement machinery those binaries (and the
-//! criterion benches) share, so experiments are reproducible from tests
-//! as well.
+//! This library holds the measurement machinery those binaries share, so
+//! experiments are reproducible from tests as well.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -4,7 +4,8 @@
 //! real (simulated) world.
 
 use rum_bench::{dataset, insert_cost, point_query_cost, range_query_cost, table1};
-use rum_core::wizard::{recommend, Constraints, Environment, Family};
+use rum_core::advisor::ProfileStore;
+use rum_core::wizard::{Constraints, Environment, Family};
 use rum_core::workload::OpMix;
 
 fn measured_cost(family: Family, mix: &OpMix, n: usize) -> f64 {
@@ -25,7 +26,7 @@ fn measured_cost(family: Family, mix: &OpMix, n: usize) -> f64 {
         .expect("family present");
     let mut m = factory();
     m.bulk_load(&dataset(n)).unwrap();
-    let total = mix.get + mix.insert + mix.update + mix.delete + mix.range;
+    let total = mix.total();
     let write_frac = (mix.insert + mix.update + mix.delete) / total;
     let mut cost = 0.0;
     if mix.get > 0.0 {
@@ -46,9 +47,11 @@ fn check_mix(mix: OpMix, n: usize) {
         n,
         ..Default::default()
     };
-    let recs = recommend(&mix, &env, &Constraints::default());
+    // The analytic wizard is the ranking of a store with no measurements.
+    let ranking = ProfileStore::new().recommend(&mix, &env, &Constraints::default());
     // Take the wizard's best and worst Table 1 families.
-    let ranked: Vec<Family> = recs
+    let ranked: Vec<Family> = ranking
+        .recs
         .iter()
         .filter(|r| r.family != Family::CrackedColumn)
         .map(|r| r.family)

@@ -26,7 +26,7 @@ use crate::tree::{BTree, BTreeConfig};
 /// page-cost model that is already the read optimum (any slack inflates
 /// both the scan length and the node count).
 pub fn advise_btree(mix: &OpMix) -> BTreeConfig {
-    let total = (mix.get + mix.insert + mix.update + mix.delete + mix.range).max(f64::EPSILON);
+    let total = mix.total().max(f64::EPSILON);
     let write_frac = (mix.insert + mix.update + mix.delete) / total;
 
     let mut cfg = BTreeConfig::default();
@@ -58,7 +58,7 @@ pub fn expected_cost_btree(cfg: &BTreeConfig, mix: &OpMix, n: usize, m: usize) -
     // Space rent: slack and wide nodes are resident MO every operation
     // indirectly pays for (buffer pressure in a real system).
     let rent = 0.2 * pages_per_node / cfg.fill_factor.clamp(0.05, 1.0);
-    let total = (mix.get + mix.insert + mix.update + mix.delete + mix.range).max(f64::EPSILON);
+    let total = mix.total().max(f64::EPSILON);
     (mix.get * point + mix.range * range + (mix.insert + mix.update + mix.delete) * write) / total
         + rent
 }

@@ -1,16 +1,17 @@
-//! The data-driven half of the §5 access-method wizard.
+//! The §5 access-method wizard: one ranking of the Table 1 families for a
+//! workload mix, an environment and the user's RUM caps.
 //!
-//! [`crate::wizard`] ranks the Table 1 families from closed-form cost
-//! formulas. This module ranks the same families from **measured**
-//! [`RumReport`]s: a [`ProfileStore`] ingests reports produced by
-//! [`run_suite_stream`](crate::runner::run_suite_stream) across a grid of
-//! operation mixes × key distributions × scales, and
-//! [`ProfileStore::recommend_measured`] answers the same question the
-//! analytic [`recommend`](crate::wizard::recommend) answers — *which family
-//! should serve this workload?* — from data instead of formulas.
+//! [`ProfileStore::recommend`] is the only place a ranking is computed. A
+//! [`ProfileStore`] holds **measured** [`RumReport`]s, ingested from
+//! [`run_suite_stream`](crate::runner::run_suite_stream) runs across a grid
+//! of operation mixes × key distributions × scales; a family with a
+//! measured profile is ranked by it, a family without one by the
+//! closed-form Table 1 model of [`crate::wizard`]. The analytic wizard is
+//! therefore not a second code path but the uncalibrated prior: the
+//! ranking of an empty store.
 //!
-//! Because both rankings exist side by side, the advisor doubles as a
-//! calibration check of the paper's cost model: every measured
+//! Because every entry carries both numbers, the advisor doubles as a
+//! calibration check of the paper's cost model: a calibrated
 //! recommendation carries the analytic expectation and a [`Deviation`]
 //! naming the Table 1 term (read, write, or space) where model and
 //! measurement disagree the most.
@@ -38,8 +39,7 @@
 //! The `advisor` binary in `rum-bench` persists this under
 //! `results/advisor_profiles.csv`.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::BTreeMap;
 
 use crate::error::{Result, RumError};
 use crate::runner::RumReport;
@@ -94,7 +94,7 @@ impl ProfilePoint {
         ProfilePoint {
             scale: spec.initial_records,
             operations: spec.operations,
-            mix: normalize_mix(&spec.mix),
+            mix: spec.mix.normalized(),
             dist: dist_label(&spec.dist),
             ro: report.ro,
             uo: report.uo,
@@ -113,37 +113,6 @@ fn ratio(total: f64, ops: u64) -> f64 {
     } else {
         total / ops as f64
     }
-}
-
-/// `mix` scaled so its five frequencies sum to 1 (an all-zero mix becomes
-/// pure point reads rather than NaN).
-pub fn normalize_mix(mix: &OpMix) -> OpMix {
-    let total = mix.get + mix.insert + mix.update + mix.delete + mix.range;
-    if total <= 0.0 {
-        return OpMix {
-            get: 1.0,
-            insert: 0.0,
-            update: 0.0,
-            delete: 0.0,
-            range: 0.0,
-        };
-    }
-    OpMix {
-        get: mix.get / total,
-        insert: mix.insert / total,
-        update: mix.update / total,
-        delete: mix.delete / total,
-        range: mix.range / total,
-    }
-}
-
-/// L1 distance between two normalized mixes (0 = identical, 2 = disjoint).
-pub fn mix_distance(a: &OpMix, b: &OpMix) -> f64 {
-    (a.get - b.get).abs()
-        + (a.insert - b.insert).abs()
-        + (a.update - b.update).abs()
-        + (a.delete - b.delete).abs()
-        + (a.range - b.range).abs()
 }
 
 /// Canonical grouping key for a normalized mix: exact shortest-roundtrip
@@ -180,29 +149,9 @@ impl MethodProfile {
 /// Methods are keyed by their report name (`b+tree`, `lsm-tree`, ...); the
 /// seven wizard families map onto suite methods through
 /// [`Family::suite_method`].
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct ProfileStore {
     profiles: BTreeMap<String, MethodProfile>,
-    /// Grid re-aggregations performed by [`Self::recommend_measured`]
-    /// (one per calibrated family per uncached call) — the work
-    /// [`AdvisorMemo`] exists to avoid; tests pin the memo against it.
-    aggregations: AtomicU64,
-}
-
-impl Clone for ProfileStore {
-    fn clone(&self) -> Self {
-        ProfileStore {
-            profiles: self.profiles.clone(),
-            aggregations: AtomicU64::new(self.aggregations.load(Ordering::Relaxed)),
-        }
-    }
-}
-
-impl PartialEq for ProfileStore {
-    fn eq(&self, other: &Self) -> bool {
-        // The aggregation counter is instrumentation, not state.
-        self.profiles == other.profiles
-    }
 }
 
 impl ProfileStore {
@@ -249,14 +198,6 @@ impl ProfileStore {
         self.profiles.values().map(|p| p.points.len()).sum()
     }
 
-    /// How many profile-grid aggregations [`Self::recommend_measured`]
-    /// has performed on this store. Each
-    /// uncached recommendation re-aggregates every calibrated family's
-    /// grid; [`AdvisorMemo`] keeps this flat across repeated queries.
-    pub fn aggregations(&self) -> u64 {
-        self.aggregations.load(Ordering::Relaxed)
-    }
-
     /// Serialize the store as CSV (header + one row per point). Floats use
     /// Rust's shortest-roundtrip `Display`, so [`ProfileStore::from_csv`]
     /// reconstructs the store exactly.
@@ -266,7 +207,7 @@ impl ProfileStore {
         for (method, profile) in &self.profiles {
             for p in &profile.points {
                 out.push_str(&format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
+                    "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
                     method,
                     p.scale,
                     p.operations,
@@ -281,9 +222,9 @@ impl ProfileStore {
                     p.mo,
                     p.read_cost,
                     p.write_cost,
+                    p.read_ops,
+                    p.write_ops,
                 ));
-                out.truncate(out.len() - 1);
-                out.push_str(&format!(",{},{}\n", p.read_ops, p.write_ops));
             }
         }
         out
@@ -313,16 +254,19 @@ impl ProfileStore {
                     fields.len()
                 )));
             }
+            let corrupt = |j: usize, why: &dyn std::fmt::Display| {
+                RumError::Corrupt(format!("profile CSV row {}: field {j}: {why}", i + 2))
+            };
+            // `inf` stays loadable: the tracker reports it as the read
+            // amplification of reads that retrieved nothing.
             let num = |j: usize| -> Result<f64> {
-                fields[j].parse::<f64>().map_err(|e| {
-                    RumError::Corrupt(format!("profile CSV row {}: field {j}: {e}", i + 2))
-                })
+                let v = fields[j].parse::<f64>().map_err(|e| corrupt(j, &e))?;
+                if v.is_nan() || v < 0.0 {
+                    return Err(corrupt(j, &"NaN or negative"));
+                }
+                Ok(v)
             };
-            let int = |j: usize| -> Result<u64> {
-                fields[j].parse::<u64>().map_err(|e| {
-                    RumError::Corrupt(format!("profile CSV row {}: field {j}: {e}", i + 2))
-                })
-            };
+            let int = |j: usize| fields[j].parse::<u64>().map_err(|e| corrupt(j, &e));
             let point = ProfilePoint {
                 scale: int(1)? as usize,
                 operations: int(2)? as usize,
@@ -342,76 +286,66 @@ impl ProfileStore {
                 read_ops: int(14)?,
                 write_ops: int(15)?,
             };
+            if point.mix.total() <= 0.0 {
+                return Err(corrupt(4, &"the five mix frequencies sum to zero"));
+            }
             store.add_point(fields[0], point);
         }
         Ok(store)
     }
 
-    /// Rank every wizard [`Family`] for `mix` from the measured profiles,
-    /// enforcing `cons` against **measured** amplifications.
+    /// Rank every wizard [`Family`] for `mix`: feasible families first,
+    /// then by expected cost.
     ///
-    /// Families whose suite method has no measured profile fall back to the
-    /// analytic wizard ([`profile`]) and are flagged `calibrated: false`;
-    /// an entirely empty store therefore reproduces the analytic ranking.
-    pub fn recommend_measured(
-        &self,
-        mix: &OpMix,
-        env: &Environment,
-        cons: &Constraints,
-    ) -> MeasuredRanking {
-        let query = normalize_mix(mix);
+    /// A family whose suite method has a measured profile is priced from it
+    /// and `cons` binds on its **measured** amplifications; a family without
+    /// one is priced by the Table 1 model ([`profile`]), `cons` binds on the
+    /// model's nominal amplifications, and the entry is flagged
+    /// `calibrated: false`. An empty store is therefore the analytic wizard.
+    pub fn recommend(&self, mix: &OpMix, env: &Environment, cons: &Constraints) -> MeasuredRanking {
+        let query = mix.normalized();
         let read_frac = query.get + query.range;
         let write_frac = query.insert + query.update + query.delete;
         let mut recs: Vec<MeasuredRecommendation> = Family::ALL
             .iter()
             .map(|&family| {
                 let analytic = profile(family, env);
-                // Blend over the raw mix (expected_cost normalizes
-                // internally) so the uncalibrated fallback reproduces the
-                // analytic wizard's costs bit-for-bit.
+                // Blended over the raw mix (`expected_cost` divides by the
+                // total itself): the uncalibrated cost is bit for bit
+                // `profile(family, env).expected_cost(mix)`.
                 let analytic_cost = analytic.expected_cost(mix);
-                let measured = self.get(family.suite_method()).and_then(|p| {
-                    self.aggregations.fetch_add(1, Ordering::Relaxed);
-                    calibrate(p, &query, env.n)
-                });
-                match measured {
-                    Some(m) => {
-                        let expected_cost = read_frac * m.read_cost + write_frac * m.write_cost;
-                        let violations = violations(cons, &analytic, m.ro, m.uo, m.mo, "measured");
-                        let deviation = deviation(family, &analytic, &query, &m);
-                        MeasuredRecommendation {
-                            family,
-                            method: family.suite_method(),
-                            expected_cost,
-                            analytic_cost,
-                            measured: Some(m),
-                            calibrated: true,
-                            feasible: violations.is_empty(),
-                            violations,
-                            deviation,
-                        }
-                    }
-                    None => {
-                        let violations = violations(
+                let measured = self
+                    .get(family.suite_method())
+                    .and_then(|p| calibrate(p, &query, env.n));
+                let (expected_cost, violations, deviation) = match &measured {
+                    Some(m) => (
+                        read_frac * m.read_cost + write_frac * m.write_cost,
+                        violations(cons, &analytic, m.ro, m.uo, m.mo, "measured"),
+                        deviation(family, &analytic, &query, m),
+                    ),
+                    None => (
+                        analytic_cost,
+                        violations(
                             cons,
                             &analytic,
                             analytic.read_amp,
                             analytic.write_amp,
                             analytic.space_amp,
                             "analytic",
-                        );
-                        MeasuredRecommendation {
-                            family,
-                            method: family.suite_method(),
-                            expected_cost: analytic_cost,
-                            analytic_cost,
-                            measured: None,
-                            calibrated: false,
-                            feasible: violations.is_empty(),
-                            violations,
-                            deviation: None,
-                        }
-                    }
+                        ),
+                        None,
+                    ),
+                };
+                MeasuredRecommendation {
+                    family,
+                    method: family.suite_method(),
+                    expected_cost,
+                    analytic_cost,
+                    calibrated: measured.is_some(),
+                    measured,
+                    feasible: violations.is_empty(),
+                    violations,
+                    deviation,
                 }
             })
             .collect();
@@ -453,7 +387,7 @@ fn calibrate(profile: &MethodProfile, query: &OpMix, n: usize) -> Option<Measure
     for p in &profile.points {
         let entry = groups
             .entry(mix_key(&p.mix))
-            .or_insert_with(|| (mix_distance(&p.mix, query), Vec::new()));
+            .or_insert_with(|| (p.mix.l1_distance(query), Vec::new()));
         entry.1.push(p);
     }
     let (_, (_, points)) = groups
@@ -665,123 +599,21 @@ pub struct MeasuredRanking {
 
 impl MeasuredRanking {
     /// The best feasible entry (or the overall best when nothing is
-    /// feasible — mirroring the analytic wizard's ordering contract).
+    /// feasible).
     pub fn top(&self) -> Option<&MeasuredRecommendation> {
         self.recs.first()
-    }
-}
-
-/// Cache key for [`AdvisorMemo`]: the query mix quantized into 1/64
-/// buckets plus the exact environment and constraints. Quantizing the mix
-/// is what makes the memo effective online — successive trajectory-window
-/// estimates of the same regime land in the same bucket even though the
-/// floats differ in the last bits.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-struct MemoKey {
-    mix: [u16; 5],
-    n: usize,
-    m: usize,
-    partition: usize,
-    size_ratio: usize,
-    caps: [u64; 3],
-    needs_ranges: bool,
-}
-
-impl MemoKey {
-    const BUCKETS: f64 = 64.0;
-
-    fn new(mix: &OpMix, env: &Environment, cons: &Constraints) -> MemoKey {
-        let q = normalize_mix(mix);
-        let b = |f: f64| (f * Self::BUCKETS).round() as u16;
-        MemoKey {
-            mix: [b(q.get), b(q.insert), b(q.update), b(q.delete), b(q.range)],
-            n: env.n,
-            m: env.m,
-            partition: env.partition,
-            size_ratio: env.size_ratio,
-            caps: [
-                cons.max_read_amp.unwrap_or(f64::INFINITY).to_bits(),
-                cons.max_write_amp.unwrap_or(f64::INFINITY).to_bits(),
-                cons.max_space_amp.unwrap_or(f64::INFINITY).to_bits(),
-            ],
-            needs_ranges: cons.needs_ranges,
-        }
-    }
-
-    /// The bucket centroid — the mix actually handed to the store, so
-    /// every query in a bucket gets the identical ranking.
-    fn centroid(&self) -> OpMix {
-        OpMix {
-            get: self.mix[0] as f64 / Self::BUCKETS,
-            insert: self.mix[1] as f64 / Self::BUCKETS,
-            update: self.mix[2] as f64 / Self::BUCKETS,
-            delete: self.mix[3] as f64 / Self::BUCKETS,
-            range: self.mix[4] as f64 / Self::BUCKETS,
-        }
-    }
-}
-
-/// Memoized front-end for [`ProfileStore::recommend_measured`].
-///
-/// The autotuner consults the advisor once per trajectory window; without
-/// memoization every consultation re-aggregates the whole measured profile
-/// grid (one pass per calibrated family). The memo hashes
-/// (mix-bucket, environment, constraints) and replays the cached
-/// [`MeasuredRanking`], so a steady workload regime costs one aggregation
-/// sweep total instead of one per window.
-#[derive(Clone, Debug, Default)]
-pub struct AdvisorMemo {
-    store: ProfileStore,
-    cache: HashMap<MemoKey, MeasuredRanking>,
-}
-
-impl AdvisorMemo {
-    pub fn new(store: ProfileStore) -> AdvisorMemo {
-        AdvisorMemo {
-            store,
-            cache: HashMap::new(),
-        }
-    }
-
-    /// The wrapped store (counters included).
-    pub fn store(&self) -> &ProfileStore {
-        &self.store
-    }
-
-    /// Cached rankings held.
-    pub fn cached(&self) -> usize {
-        self.cache.len()
-    }
-
-    /// Rank families for `mix` under `env`/`cons`, computing through the
-    /// store only on a bucket miss. Queries that quantize to the same
-    /// bucket return the identical ranking (computed at the bucket
-    /// centroid), so the answer is deterministic in the bucket, not the
-    /// float noise within it.
-    pub fn recommend(
-        &mut self,
-        mix: &OpMix,
-        env: &Environment,
-        cons: &Constraints,
-    ) -> &MeasuredRanking {
-        let key = MemoKey::new(mix, env, cons);
-        self.cache.entry(key.clone()).or_insert_with(|| {
-            let centroid = key.centroid();
-            self.store.recommend_measured(&centroid, env, cons)
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wizard::recommend;
 
     fn point(scale: usize, mix: OpMix, ro: f64, uo: f64, mo: f64) -> ProfilePoint {
         ProfilePoint {
             scale,
             operations: scale * 2,
-            mix: normalize_mix(&mix),
+            mix: mix.normalized(),
             dist: "uniform".into(),
             ro,
             uo,
@@ -810,76 +642,29 @@ mod tests {
     }
 
     #[test]
-    fn memo_skips_grid_reaggregation_within_a_mix_bucket() {
-        // Every uncached recommendation aggregates the grid once per
-        // calibrated family; the memo must make repeated (and
-        // float-jittered same-bucket) queries free.
-        let memo_store = full_store(OpMix::BALANCED);
-        let env = Environment::default();
-        let cons = Constraints::default();
-        let mut memo = AdvisorMemo::new(memo_store);
-
-        let top = memo
-            .recommend(&OpMix::BALANCED, &env, &cons)
-            .top()
-            .expect("ranking")
-            .family;
-        let after_first = memo.store().aggregations();
-        assert_eq!(
-            after_first,
-            Family::ALL.len() as u64,
-            "first query aggregates once per family"
-        );
-
-        // Same mix again, and a jittered estimate that lands in the same
-        // 1/64 bucket: both must be served from cache.
-        let jitter = OpMix {
-            get: OpMix::BALANCED.get + 0.003,
-            ..OpMix::BALANCED
-        };
-        let top_again = memo.recommend(&jitter, &env, &cons).top().unwrap().family;
-        memo.recommend(&OpMix::BALANCED, &env, &cons);
-        assert_eq!(top, top_again, "bucketed query changed the answer");
-        assert_eq!(
-            memo.store().aggregations(),
-            after_first,
-            "cached queries re-aggregated the grid"
-        );
-        assert_eq!(memo.cached(), 1);
-
-        // A genuinely different mix is a miss and aggregates again.
-        memo.recommend(&OpMix::SCAN_HEAVY, &env, &cons);
-        assert_eq!(memo.store().aggregations(), 2 * after_first);
-        assert_eq!(memo.cached(), 2);
-
-        // A changed environment is also a miss even at the same mix.
-        let env2 = Environment {
-            n: env.n * 2,
-            ..env
-        };
-        memo.recommend(&OpMix::BALANCED, &env2, &cons);
-        assert_eq!(memo.store().aggregations(), 3 * after_first);
-    }
-
-    #[test]
     fn empty_store_reproduces_the_analytic_ranking_uncalibrated() {
         let store = ProfileStore::new();
         let env = Environment::default();
-        let cons = Constraints::default();
-        let ranking = store.recommend_measured(&OpMix::BALANCED, &env, &cons);
+        let ranking = store.recommend(&OpMix::BALANCED, &env, &Constraints::default());
         assert!(!ranking.calibrated);
         assert!(ranking.recs.iter().all(|r| !r.calibrated));
-        let analytic = recommend(&OpMix::BALANCED, &env, &cons);
-        let measured_order: Vec<Family> = ranking.recs.iter().map(|r| r.family).collect();
-        let analytic_order: Vec<Family> = analytic.iter().map(|r| r.family).collect();
-        assert_eq!(measured_order, analytic_order);
+        // Unconstrained, the order is the Table 1 model's cost order.
+        let mut analytic =
+            Family::ALL.map(|f| (f, profile(f, &env).expected_cost(&OpMix::BALANCED)));
+        analytic.sort_by(|a, b| a.1.total_cmp(&b.1));
+        let ranked: Vec<(Family, f64)> = ranking
+            .recs
+            .iter()
+            .map(|r| (r.family, r.expected_cost))
+            .collect();
+        assert_eq!(ranked, analytic);
     }
 
     #[test]
     fn partial_store_flags_missing_families() {
         let mut store = ProfileStore::new();
         store.add_point("b+tree", point(1000, OpMix::BALANCED, 4.0, 8.0, 1.1));
-        let ranking = store.recommend_measured(
+        let ranking = store.recommend(
             &OpMix::BALANCED,
             &Environment::default(),
             &Constraints::default(),
@@ -893,7 +678,7 @@ mod tests {
     #[test]
     fn full_store_is_fully_calibrated() {
         let store = full_store(OpMix::BALANCED);
-        let ranking = store.recommend_measured(
+        let ranking = store.recommend(
             &OpMix::BALANCED,
             &Environment {
                 n: 3000,
@@ -922,7 +707,7 @@ mod tests {
             max_read_amp: Some(10.0),
             ..Default::default()
         };
-        let ranking = store.recommend_measured(&OpMix::BALANCED, &env, &cons);
+        let ranking = store.recommend(&OpMix::BALANCED, &env, &cons);
         let btree = ranking
             .recs
             .iter()
@@ -942,7 +727,7 @@ mod tests {
             max_read_amp: Some(1.0),
             ..Default::default()
         };
-        let ranking = store.recommend_measured(&OpMix::BALANCED, &env, &tight);
+        let ranking = store.recommend(&OpMix::BALANCED, &env, &tight);
         let btree = ranking
             .recs
             .iter()
@@ -956,7 +741,7 @@ mod tests {
     fn interpolation_is_monotone_between_scales_and_clamped_outside() {
         let store = full_store(OpMix::BALANCED);
         let profile = store.get(Family::BTree.suite_method()).unwrap();
-        let at = |n: usize| calibrate(profile, &normalize_mix(&OpMix::BALANCED), n).unwrap();
+        let at = |n: usize| calibrate(profile, &OpMix::BALANCED.normalized(), n).unwrap();
         assert_eq!(at(1000).ro, 2.0);
         assert_eq!(at(10_000).ro, 4.0);
         assert_eq!(at(10).ro, 2.0, "clamped below the smallest scale");
@@ -974,7 +759,7 @@ mod tests {
             ProfilePoint {
                 scale: 777,
                 operations: 3,
-                mix: normalize_mix(&OpMix::WRITE_HEAVY),
+                mix: OpMix::WRITE_HEAVY.normalized(),
                 dist: "zipf:0.99".into(),
                 ro: 1.0 / 3.0,
                 uo: std::f64::consts::PI,
@@ -998,9 +783,27 @@ mod tests {
         let mut truncated = String::from(CSV_HEADER);
         truncated.push_str("\nb+tree,1000,2000,uniform,1,0,0\n");
         assert!(ProfileStore::from_csv(&truncated).is_err());
-        let mut bad_float = String::from(CSV_HEADER);
-        bad_float.push_str("\nb+tree,1000,2000,uniform,1,0,0,0,0,abc,1,1,1,1,10,10\n");
-        assert!(ProfileStore::from_csv(&bad_float).is_err());
+        let row = |tail: &str| format!("{CSV_HEADER}\nb+tree,1000,2000,uniform,{tail}\n");
+        assert!(ProfileStore::from_csv(&row("1,0,0,0,0,abc,1,1,1,1,10,10")).is_err());
+        // Values that parse as f64 but poison every cost computed from them
+        // are refused with the row and field named.
+        for (tail, field) in [
+            ("1,0,0,0,0,NaN,1,1,1,1,10,10", "field 9"),
+            ("1,0,0,0,0,1,1,1,-1,1,10,10", "field 12"),
+            ("1,0,0,-0.5,0,1,1,1,1,1,10,10", "field 7"),
+            ("0,0,0,0,0,1,1,1,1,1,10,10", "field 4"),
+        ] {
+            match ProfileStore::from_csv(&row(tail)) {
+                Err(RumError::Corrupt(why)) => {
+                    assert!(why.contains("row 2") && why.contains(field), "{why}")
+                }
+                other => panic!("{tail}: expected Corrupt, got {other:?}"),
+            }
+        }
+        // Reads that retrieved nothing report RO = inf; that must load.
+        let inf = ProfileStore::from_csv(&row("1,0,0,0,0,inf,1,1,1,1,10,10")).unwrap();
+        assert_eq!(inf.get("b+tree").unwrap().points[0].ro, f64::INFINITY);
+        assert_eq!(ProfileStore::from_csv(&inf.to_csv()).unwrap(), inf);
     }
 
     #[test]
@@ -1018,7 +821,7 @@ mod tests {
             ProfilePoint {
                 scale: 1000,
                 operations: 2000,
-                mix: normalize_mix(&OpMix::BALANCED),
+                mix: OpMix::BALANCED.normalized(),
                 dist: "uniform".into(),
                 ro: analytic.read_amp,
                 uo: analytic.write_amp,
@@ -1029,7 +832,7 @@ mod tests {
                 write_ops: 10,
             },
         );
-        let ranking = store.recommend_measured(&OpMix::BALANCED, &env, &Constraints::default());
+        let ranking = store.recommend(&OpMix::BALANCED, &env, &Constraints::default());
         let lsm = ranking
             .recs
             .iter()
@@ -1055,7 +858,7 @@ mod tests {
             delete: 0.05,
             range: 0.0,
         };
-        let ranking = store.recommend_measured(
+        let ranking = store.recommend(
             &near_write,
             &Environment {
                 n: 1000,

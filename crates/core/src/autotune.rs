@@ -9,9 +9,10 @@
 //!   maintains a decaying estimate of the live operation mix, and detects
 //!   drift when the estimate moves beyond hysteresis thresholds (mix L1
 //!   distance plus windowed RO/UO slope).
-//! * On drift it asks the calibrated advisor (through the memoized
-//!   [`AdvisorMemo`]) and the structure itself ([`Morphable::retune_gain`])
-//!   what a better shape would cost, and orders a migration only when the
+//! * On drift it asks the advisor ([`ProfileStore::recommend`], at the
+//!   tuner's own estimate) and the structure itself
+//!   ([`Morphable::retune_gain`]) what a better shape would cost, and
+//!   orders a migration only when the
 //!   predicted per-op win, amortized over [`AutoTuneConfig::horizon_ops`],
 //!   exceeds the migration bill (rewriting the resident data).
 //! * Every migration is priced in the paper's own currency: its I/O is
@@ -35,7 +36,7 @@
 use std::sync::Arc;
 
 use crate::access::AccessMethod;
-use crate::advisor::{mix_distance, normalize_mix, AdvisorMemo, ProfileStore};
+use crate::advisor::ProfileStore;
 use crate::error::Result;
 use crate::runner::{RumReport, RunObserver};
 use crate::trace::{noop_sink, EventKind, TraceCollector, TraceSink, TrajectoryWindow};
@@ -77,13 +78,14 @@ impl OpCounts {
         if self.total() == 0 {
             return None;
         }
-        Some(normalize_mix(&OpMix {
+        let counted = OpMix {
             get: self.get as f64,
             insert: self.insert as f64,
             update: self.update as f64,
             delete: self.delete as f64,
             range: self.range as f64,
-        }))
+        };
+        Some(counted.normalized())
     }
 }
 
@@ -266,7 +268,7 @@ impl AutoTuneSummary {
 /// wiring; the tuner itself never touches the structure's data path.
 pub struct AutoTuner {
     cfg: AutoTuneConfig,
-    memo: AdvisorMemo,
+    store: ProfileStore,
     env: Environment,
     cons: Constraints,
     sink: Arc<dyn TraceSink>,
@@ -286,7 +288,7 @@ pub struct AutoTuner {
 impl AutoTuner {
     /// Build a tuner. `initial_mix` is the mix the structure's starting
     /// shape was chosen for; `store` carries measured profiles for family
-    /// ranking (an empty store falls back to the analytic wizard).
+    /// ranking (an empty store ranks by the analytic Table 1 model).
     pub fn new(
         cfg: AutoTuneConfig,
         initial_mix: &OpMix,
@@ -294,10 +296,10 @@ impl AutoTuner {
         env: Environment,
         cons: Constraints,
     ) -> AutoTuner {
-        let start = normalize_mix(initial_mix);
+        let start = initial_mix.normalized();
         AutoTuner {
             cfg,
-            memo: AdvisorMemo::new(store),
+            store,
             env,
             cons,
             sink: noop_sink(),
@@ -359,7 +361,7 @@ impl AutoTuner {
 
         let prev = self.est;
         self.est = blend(&prev, &observed, self.cfg.decay);
-        if mix_distance(&self.est, &prev) < self.cfg.settle_epsilon {
+        if self.est.l1_distance(&prev) < self.cfg.settle_epsilon {
             self.stable_streak += 1;
         } else {
             self.stable_streak = 0;
@@ -373,7 +375,7 @@ impl AutoTuner {
         self.last_ro = Some(ro);
         self.last_uo = Some(uo);
 
-        let dist = mix_distance(&self.est, &self.active_mix);
+        let dist = self.est.l1_distance(&self.active_mix);
         let drifted = dist > self.cfg.mix_threshold || slope > self.cfg.slope_threshold;
         if !drifted {
             self.drift_open = false;
@@ -416,19 +418,17 @@ impl AutoTuner {
             }
         }
 
-        // Candidate 2: family swap, priced by the calibrated advisor.
+        // Candidate 2: family swap, priced by the advisor.
         if self.cfg.allow_family_swap {
             let current = method.family();
-            let swap = {
-                let ranking = self.memo.recommend(&self.est, &self.env, &self.cons);
-                ranking.top().and_then(|top| {
-                    if top.family == current || !top.feasible {
-                        return None;
-                    }
-                    let cur = ranking.recs.iter().find(|r| r.family == current)?;
-                    Some((top.family, cur.expected_cost - top.expected_cost))
-                })
-            };
+            let ranking = self.store.recommend(&self.est, &self.env, &self.cons);
+            let swap = ranking.top().and_then(|top| {
+                if top.family == current || !top.feasible {
+                    return None;
+                }
+                let cur = ranking.recs.iter().find(|r| r.family == current)?;
+                Some((top.family, cur.expected_cost - top.expected_cost))
+            });
             if let Some((family, win)) = swap {
                 if win > 0.0 && best.as_ref().is_none_or(|b| win > b.predicted_win) {
                     // A swap drains everything; the re-tune's cheap-path
@@ -585,13 +585,14 @@ impl<'m> RunObserver<dyn Morphable + 'm> for Tuning<'_> {
 /// `decay·a + (1−decay)·b`, renormalized.
 fn blend(a: &OpMix, b: &OpMix, decay: f64) -> OpMix {
     let w = decay.clamp(0.0, 1.0);
-    normalize_mix(&OpMix {
+    OpMix {
         get: w * a.get + (1.0 - w) * b.get,
         insert: w * a.insert + (1.0 - w) * b.insert,
         update: w * a.update + (1.0 - w) * b.update,
         delete: w * a.delete + (1.0 - w) * b.delete,
         range: w * a.range + (1.0 - w) * b.range,
-    })
+    }
+    .normalized()
 }
 
 /// `|now − before| / max(before, 1)` — the windowed slope signal. The
@@ -716,7 +717,7 @@ mod tests {
     }
 
     fn counts_of(mix: &OpMix, total: u64) -> OpCounts {
-        let q = normalize_mix(mix);
+        let q = mix.normalized();
         OpCounts {
             get: (q.get * total as f64) as u64,
             insert: (q.insert * total as f64) as u64,
@@ -845,6 +846,40 @@ mod tests {
     }
 
     #[test]
+    fn family_swap_is_priced_by_the_ranking_at_the_estimate() {
+        let (env, cons) = (Environment::default(), Constraints::default());
+        let mut tuner = AutoTuner::new(
+            AutoTuneConfig {
+                allow_family_swap: true,
+                ..Default::default()
+            },
+            &OpMix::WRITE_HEAVY,
+            ProfileStore::new(),
+            env,
+            cons,
+        );
+        // No knob gain on offer: only the advisor can order a move.
+        let mut method = Scripted::new(1.0, 1.0, 1 << 20);
+        let plan = (0..30)
+            .find_map(|i| tuner.plan(&window(i), &counts_of(&OpMix::READ_HEAVY, 256), &mut method))
+            .expect("point reads on an LSM order a swap");
+        assert_eq!(plan.kind, TuneKind::FamilySwap);
+        let ranking = ProfileStore::new().recommend(tuner.estimate(), &env, &cons);
+        let top = ranking.top().unwrap();
+        let cur = ranking
+            .recs
+            .iter()
+            .find(|r| r.family == method.family())
+            .unwrap();
+        assert_eq!(plan.family, top.family);
+        assert_eq!(
+            plan.predicted_win.to_bits(),
+            (cur.expected_cost - top.expected_cost).to_bits(),
+            "the tuner and a direct query disagree about the same mix"
+        );
+    }
+
+    #[test]
     fn estimate_decays_toward_the_observed_mix() {
         let mut tuner = AutoTuner::new(
             AutoTuneConfig::default(),
@@ -856,9 +891,9 @@ mod tests {
         let mut method = Scripted::new(1.0, 1.0, 1 << 20);
         drive(&mut tuner, &mut method, &[(20, OpMix::WRITE_HEAVY)]);
         let est = tuner.estimate();
-        let target = normalize_mix(&OpMix::WRITE_HEAVY);
+        let target = OpMix::WRITE_HEAVY.normalized();
         assert!(
-            mix_distance(est, &target) < 0.05,
+            est.l1_distance(&target) < 0.05,
             "estimate did not converge: {est:?}"
         );
     }

@@ -1,18 +1,18 @@
-//! The "access method wizard" of §5: "Using the above classification and
-//! analysis we can make educated decisions about which access method should
-//! be used based on the application requirements and the hardware
-//! characteristics, effectively creating a powerful access method wizard."
+//! The Table 1 model behind the "access method wizard" of §5: "Using the
+//! above classification and analysis we can make educated decisions about
+//! which access method should be used based on the application requirements
+//! and the hardware characteristics, effectively creating a powerful access
+//! method wizard."
 //!
-//! The wizard scores each access-method family using the I/O cost formulas
-//! of Table 1 (in expected page accesses per operation) combined with the
-//! workload's operation mix, and honors hard caps the user places on any of
-//! the three RUM overheads.
-//!
-//! This module is the *analytic* half of the story: every number here comes
-//! from a closed-form model. Its empirical counterpart is
-//! [`crate::advisor`], which ranks the same [`Family`] list from measured
-//! [`RumReport`](crate::runner::RumReport)s and quantifies where the
-//! Table 1 model drifts from the measurements.
+//! This module holds what the wizard is asked ([`Environment`],
+//! [`Constraints`]), the families it knows ([`Family`]) and the closed-form
+//! cost of each in expected page accesses per operation ([`profile`],
+//! [`FamilyProfile`]). The ranking itself lives in [`crate::advisor`]:
+//! [`ProfileStore::recommend`](crate::advisor::ProfileStore::recommend)
+//! prices a family from these formulas wherever it holds no measurement, so
+//! an empty store is the analytic wizard and a filled one quantifies where
+//! Table 1 drifts from the measured
+//! [`RumReport`](crate::runner::RumReport)s.
 
 use crate::types::RECORDS_PER_PAGE;
 use crate::workload::OpMix;
@@ -170,7 +170,7 @@ impl FamilyProfile {
     /// Expected page accesses per operation under `mix`, blending all five
     /// per-operation costs by their (normalized) frequencies.
     pub fn expected_cost(&self, mix: &OpMix) -> f64 {
-        let total = mix.get + mix.insert + mix.update + mix.delete + mix.range;
+        let total = mix.total();
         let total = if total <= 0.0 { 1.0 } else { total };
         (mix.get * self.point_cost
             + mix.range * self.range_cost
@@ -206,9 +206,9 @@ pub fn profile(family: Family, env: &Environment) -> FamilyProfile {
             // place — no split amortization, same page count.
             update_cost: log_b(n, b) + 1.0,
             delete_cost: log_b(n, b) + 1.0,
-            read_amp: log_b(n, b).max(1.0) * b / 1.0, // page-granular probes
-            write_amp: b,                             // rewrite a leaf page per record update
-            space_amp: 1.0 + 1.0 / (b - 1.0) + 0.07,  // internal nodes + slack
+            read_amp: log_b(n, b).max(1.0) * b, // page-granular probes
+            write_amp: b,                       // rewrite a leaf page per record update
+            space_amp: 1.0 + 1.0 / (b - 1.0) + 0.07, // internal nodes + slack
             supports_ranges: true,
         },
         Family::HashIndex => FamilyProfile {
@@ -304,72 +304,24 @@ pub fn profile(family: Family, env: &Environment) -> FamilyProfile {
     }
 }
 
-/// One ranked recommendation.
-#[derive(Clone, Debug)]
-pub struct Recommendation {
-    pub family: Family,
-    /// Expected page accesses per operation under the mix (lower = better).
-    pub expected_cost: f64,
-    /// Whether every hard constraint is satisfied.
-    pub feasible: bool,
-    /// Human-readable reasons for infeasibility.
-    pub violations: Vec<String>,
-}
-
-/// Rank all families for a workload mix under constraints.
-/// Infeasible families sort after feasible ones.
-pub fn recommend(mix: &OpMix, env: &Environment, cons: &Constraints) -> Vec<Recommendation> {
-    let mut recs: Vec<Recommendation> = Family::ALL
-        .iter()
-        .map(|&f| {
-            let p = profile(f, env);
-            let expected_cost = p.expected_cost(mix);
-            let mut violations = Vec::new();
-            if cons.needs_ranges && !p.supports_ranges {
-                violations.push("range queries unsupported".to_string());
-            }
-            if let Some(cap) = cons.max_read_amp {
-                if p.read_amp > cap {
-                    violations.push(format!("read amp {:.1} > cap {:.1}", p.read_amp, cap));
-                }
-            }
-            if let Some(cap) = cons.max_write_amp {
-                if p.write_amp > cap {
-                    violations.push(format!("write amp {:.1} > cap {:.1}", p.write_amp, cap));
-                }
-            }
-            if let Some(cap) = cons.max_space_amp {
-                if p.space_amp > cap {
-                    violations.push(format!("space amp {:.2} > cap {:.2}", p.space_amp, cap));
-                }
-            }
-            Recommendation {
-                family: f,
-                expected_cost,
-                feasible: violations.is_empty(),
-                violations,
-            }
-        })
-        .collect();
-    recs.sort_by(|a, b| {
-        b.feasible
-            .cmp(&a.feasible)
-            .then(a.expected_cost.total_cmp(&b.expected_cost))
-    });
-    recs
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advisor::{MeasuredRanking, ProfileStore};
+
+    /// The analytic wizard: the ranking of a store with no measurements.
+    fn rank(mix: &OpMix, env: &Environment, cons: &Constraints) -> MeasuredRanking {
+        ProfileStore::new().recommend(mix, env, cons)
+    }
 
     #[test]
     fn read_only_point_workload_prefers_hash() {
-        let recs = recommend(
+        let recs = rank(
             &OpMix::READ_ONLY,
             &Environment::default(),
             &Constraints::default(),
-        );
+        )
+        .recs;
         assert_eq!(recs[0].family, Family::HashIndex);
     }
 
@@ -379,7 +331,7 @@ mod tests {
             needs_ranges: true,
             ..Default::default()
         };
-        let recs = recommend(&OpMix::SCAN_HEAVY, &Environment::default(), &cons);
+        let recs = rank(&OpMix::SCAN_HEAVY, &Environment::default(), &cons).recs;
         let hash = recs.iter().find(|r| r.family == Family::HashIndex).unwrap();
         assert!(!hash.feasible);
         assert!(recs[0].feasible);
@@ -388,11 +340,12 @@ mod tests {
 
     #[test]
     fn insert_only_prefers_append_or_lsm() {
-        let recs = recommend(
+        let recs = rank(
             &OpMix::INSERT_ONLY,
             &Environment::default(),
             &Constraints::default(),
-        );
+        )
+        .recs;
         assert!(
             matches!(
                 recs[0].family,
@@ -416,7 +369,7 @@ mod tests {
             max_write_amp: Some(16.0),
             ..Default::default()
         };
-        let recs = recommend(&OpMix::WRITE_HEAVY, &Environment::default(), &cons);
+        let recs = rank(&OpMix::WRITE_HEAVY, &Environment::default(), &cons).recs;
         let btree = recs.iter().find(|r| r.family == Family::BTree).unwrap();
         assert!(!btree.feasible, "B-tree write amp should exceed 16");
     }
@@ -428,7 +381,7 @@ mod tests {
             needs_ranges: true,
             ..Default::default()
         };
-        let recs = recommend(&OpMix::SCAN_HEAVY, &Environment::default(), &cons);
+        let recs = rank(&OpMix::SCAN_HEAVY, &Environment::default(), &cons).recs;
         assert!(recs[0].feasible);
         assert!(
             matches!(
@@ -514,7 +467,8 @@ mod tests {
         let env = Environment::default();
         let cons = Constraints::default();
         let pos = |mix: &OpMix| {
-            recommend(mix, &env, &cons)
+            rank(mix, &env, &cons)
+                .recs
                 .iter()
                 .position(|r| r.family == Family::SortedColumn)
                 .unwrap()

@@ -232,8 +232,36 @@ impl OpMix {
         range: 0.0,
     };
 
-    fn total(&self) -> f64 {
+    /// Sum of the five frequencies (1 for a normalized mix). Callers that
+    /// divide by it guard the all-zero mix themselves.
+    pub fn total(&self) -> f64 {
         self.get + self.insert + self.update + self.delete + self.range
+    }
+
+    /// This mix scaled so its five frequencies sum to 1 (an all-zero mix
+    /// becomes pure point reads rather than NaN).
+    pub fn normalized(&self) -> OpMix {
+        let total = self.total();
+        if total <= 0.0 {
+            return OpMix::READ_ONLY;
+        }
+        OpMix {
+            get: self.get / total,
+            insert: self.insert / total,
+            update: self.update / total,
+            delete: self.delete / total,
+            range: self.range / total,
+        }
+    }
+
+    /// L1 distance to `other`; between normalized mixes 0 = identical,
+    /// 2 = disjoint.
+    pub fn l1_distance(&self, other: &OpMix) -> f64 {
+        (self.get - other.get).abs()
+            + (self.insert - other.insert).abs()
+            + (self.update - other.update).abs()
+            + (self.delete - other.delete).abs()
+            + (self.range - other.range).abs()
     }
 }
 

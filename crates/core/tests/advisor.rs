@@ -1,10 +1,10 @@
-//! Property-based tests for the measured-profile advisor
-//! ([`rum_core::advisor`]): determinism, measured-value constraint
-//! enforcement, and graceful analytic fallback.
+//! Property-based tests for the advisor ([`rum_core::advisor`]):
+//! determinism, measured-value constraint enforcement, and the empty store
+//! as the analytic Table 1 wizard.
 
 use proptest::prelude::*;
-use rum_core::advisor::{normalize_mix, ProfilePoint, ProfileStore};
-use rum_core::wizard::{recommend, Constraints, Environment, Family};
+use rum_core::advisor::{ProfilePoint, ProfileStore};
+use rum_core::wizard::{profile, Constraints, Environment, Family};
 use rum_core::workload::OpMix;
 
 /// Deterministically expand a seed into a synthetic profile store covering
@@ -35,7 +35,7 @@ fn synth_store(seed: u64, families: u8) -> ProfileStore {
                     ProfilePoint {
                         scale,
                         operations: 2 * scale,
-                        mix: normalize_mix(&mix),
+                        mix: mix.normalized(),
                         dist: "uniform".to_string(),
                         ro: unit(&mut state, 1.0, 50.0),
                         uo: unit(&mut state, 1.0, 50.0),
@@ -78,8 +78,8 @@ proptest! {
         let mix = any_mix(g, i, u, d, r);
         let env = Environment::default();
         let cons = Constraints::default();
-        let ra = store_a.recommend_measured(&mix, &env, &cons);
-        let rb = store_b.recommend_measured(&mix, &env, &cons);
+        let ra = store_a.recommend(&mix, &env, &cons);
+        let rb = store_b.recommend(&mix, &env, &cons);
         prop_assert_eq!(format!("{ra:?}"), format!("{rb:?}"));
     }
 
@@ -100,8 +100,7 @@ proptest! {
             max_space_amp: Some(cap_mo),
             needs_ranges: false,
         };
-        let ranking =
-            store.recommend_measured(&OpMix::BALANCED, &Environment::default(), &cons);
+        let ranking = store.recommend(&OpMix::BALANCED, &Environment::default(), &cons);
         for rec in &ranking.recs {
             prop_assert!(rec.calibrated, "{:?} lacks measurements", rec.family);
             let m = rec.measured.expect("calibrated entries carry a profile");
@@ -121,9 +120,10 @@ proptest! {
         }
     }
 
-    /// An empty store must not panic: every family falls back to the
-    /// analytic wizard, is flagged `calibrated: false`, and the ranking
-    /// reproduces the analytic order exactly.
+    /// An empty store is the analytic wizard: every family is flagged
+    /// `calibrated: false` and priced bit for bit at its Table 1 cost,
+    /// feasibility is the model's, and the order is feasible first, then
+    /// cost.
     #[test]
     fn empty_store_falls_back_to_the_analytic_wizard(
         g in 0u64..10, i in 0u64..10, u in 0u64..10, d in 0u64..10, r in 0u64..10,
@@ -132,18 +132,21 @@ proptest! {
         let mix = any_mix(g, i, u, d, r);
         let env = Environment::default();
         let cons = Constraints { needs_ranges, ..Constraints::default() };
-        let ranking = ProfileStore::new().recommend_measured(&mix, &env, &cons);
+        let ranking = ProfileStore::new().recommend(&mix, &env, &cons);
         prop_assert!(!ranking.calibrated);
-        let analytic = recommend(&mix, &env, &cons);
-        prop_assert_eq!(ranking.recs.len(), analytic.len());
-        for (m, a) in ranking.recs.iter().zip(&analytic) {
+        prop_assert_eq!(ranking.recs.len(), Family::ALL.len());
+        for m in &ranking.recs {
             prop_assert!(!m.calibrated);
             prop_assert!(m.measured.is_none());
             prop_assert!(m.deviation.is_none());
-            prop_assert_eq!(m.family, a.family);
-            prop_assert_eq!(m.feasible, a.feasible);
-            prop_assert_eq!(m.expected_cost, a.expected_cost);
+            let model = profile(m.family, &env);
+            prop_assert_eq!(m.expected_cost.to_bits(), model.expected_cost(&mix).to_bits());
+            prop_assert_eq!(m.analytic_cost.to_bits(), m.expected_cost.to_bits());
+            prop_assert_eq!(m.feasible, model.supports_ranges || !needs_ranges);
         }
+        let keys: Vec<(bool, f64)> =
+            ranking.recs.iter().map(|r| (!r.feasible, r.expected_cost)).collect();
+        prop_assert!(keys.windows(2).all(|w| w[0] <= w[1]), "(infeasible, cost) order: {keys:?}");
     }
 
     /// The range-heavy canonical mix is first-class: a fully-measured
@@ -158,19 +161,19 @@ proptest! {
         let store = synth_store(seed, 0x7F);
         let cons = Constraints { needs_ranges, ..Constraints::default() };
         let env = Environment::default();
-        let ranking = store.recommend_measured(&OpMix::RANGE_HEAVY, &env, &cons);
+        let ranking = store.recommend(&OpMix::RANGE_HEAVY, &env, &cons);
         prop_assert!(ranking.calibrated);
         prop_assert_eq!(ranking.recs.len(), Family::ALL.len());
         for rec in &ranking.recs {
             prop_assert!(rec.calibrated, "{:?} lacks measurements", rec.family);
             prop_assert!(rec.measured.is_some());
         }
-        let again = store.recommend_measured(&OpMix::RANGE_HEAVY, &env, &cons);
+        let again = store.recommend(&OpMix::RANGE_HEAVY, &env, &cons);
         prop_assert_eq!(format!("{ranking:?}"), format!("{again:?}"));
         if needs_ranges {
             for rec in ranking.recs.iter().filter(|r| r.feasible) {
                 prop_assert!(
-                    rum_core::wizard::profile(rec.family, &env).supports_ranges,
+                    profile(rec.family, &env).supports_ranges,
                     "{:?} feasible despite needs_ranges",
                     rec.family
                 );
@@ -187,7 +190,7 @@ proptest! {
         families in 0u8..128,
     ) {
         let store = synth_store(seed, families);
-        let ranking = store.recommend_measured(
+        let ranking = store.recommend(
             &OpMix::BALANCED,
             &Environment::default(),
             &Constraints::default(),

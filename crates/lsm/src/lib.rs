@@ -32,7 +32,7 @@ pub mod view;
 pub use memtable::Memtable;
 pub use run::{FilterKind, SortedRun};
 pub use tree::{CompactionPolicy, LsmConfig, LsmStats, LsmTree};
-pub use tuning::{advise, retune, TuningGoal};
+pub use tuning::{advise, retune};
 pub use view::SortedView;
 
 /// A crash-consistent LSM tree: every mutation is write-ahead logged

@@ -9,9 +9,9 @@
 //!
 //! [`advise`] maps an observed operation mix to an [`LsmConfig`];
 //! [`retune`] applies a new configuration to a live tree, performing a
-//! major compaction so the new shape takes effect immediately.
+//! major compaction so the new shape takes effect immediately, and
+//! returns what that migration cost.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rum_core::autotune::{MigrationReceipt, Morphable, RetuneEstimate};
@@ -25,90 +25,41 @@ use rum_core::{
 
 use crate::tree::{CompactionPolicy, LsmConfig, LsmTree};
 
-/// What the tuner should favor when the mix is ambiguous.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum TuningGoal {
-    /// Minimize read overhead.
-    Reads,
-    /// Minimize write amplification.
-    Writes,
-    /// Minimize space amplification.
-    Space,
-    /// Balance all three.
-    #[default]
-    Balanced,
-}
-
 /// Recommend a configuration for an operation mix.
 ///
 /// Rules follow Table 1's cost model: levelling with a large size ratio
 /// collapses the hierarchy (reads and space improve, merges cost more);
 /// tiering with a small ratio defers merges (writes improve, reads and
 /// space suffer); Bloom bits buy read performance with auxiliary space.
-pub fn advise(mix: &OpMix, goal: TuningGoal) -> LsmConfig {
-    let total = (mix.get + mix.insert + mix.update + mix.delete + mix.range).max(f64::EPSILON);
+pub fn advise(mix: &OpMix) -> LsmConfig {
+    let total = mix.total().max(f64::EPSILON);
     let read_frac = (mix.get + mix.range) / total;
     let write_frac = 1.0 - read_frac;
 
     let mut cfg = LsmConfig::default();
-    match goal {
-        TuningGoal::Reads => {
-            cfg.policy = CompactionPolicy::Levelling;
-            cfg.size_ratio = 10;
-            cfg.bloom_bits_per_key = 14.0;
-        }
-        TuningGoal::Writes => {
-            cfg.policy = CompactionPolicy::Tiering;
-            cfg.size_ratio = 4;
-            cfg.bloom_bits_per_key = 6.0;
-        }
-        TuningGoal::Space => {
-            cfg.policy = CompactionPolicy::Levelling;
-            cfg.size_ratio = 8;
-            cfg.bloom_bits_per_key = 4.0;
-        }
-        TuningGoal::Balanced => {
-            if read_frac > 0.7 {
-                cfg.policy = CompactionPolicy::Levelling;
-                cfg.size_ratio = 8;
-                cfg.bloom_bits_per_key = 12.0;
-            } else if write_frac > 0.7 {
-                cfg.policy = CompactionPolicy::Tiering;
-                cfg.size_ratio = 4;
-                cfg.bloom_bits_per_key = 8.0;
-            } else {
-                // Mixed mixes are still read-majority in physical I/O:
-                // every read must probe, while writes amortize across
-                // merges. Keep the read-leaning ratio (fewer runs to
-                // probe and scan) and spend a mid-size filter budget.
-                cfg.policy = CompactionPolicy::Levelling;
-                cfg.size_ratio = 8;
-                cfg.bloom_bits_per_key = 10.0;
-            }
-        }
+    if read_frac > 0.7 {
+        cfg.policy = CompactionPolicy::Levelling;
+        cfg.size_ratio = 8;
+        cfg.bloom_bits_per_key = 12.0;
+    } else if write_frac > 0.7 {
+        cfg.policy = CompactionPolicy::Tiering;
+        cfg.size_ratio = 4;
+        cfg.bloom_bits_per_key = 8.0;
+    } else {
+        // Mixed mixes are still read-majority in physical I/O: every read
+        // must probe, while writes amortize across merges. Keep the
+        // read-leaning ratio (fewer runs to probe and scan) and spend a
+        // mid-size filter budget.
+        cfg.policy = CompactionPolicy::Levelling;
+        cfg.size_ratio = 8;
+        cfg.bloom_bits_per_key = 10.0;
     }
     // A range-dominated mix amortizes the sorted view's rebuild cost over
-    // many cheap walks: buy RO with MO/UO (unless space is the goal).
-    if mix.range / total >= 0.5 && goal != TuningGoal::Space {
+    // many cheap walks: buy RO with MO/UO.
+    if mix.range / total >= 0.5 {
         cfg.sorted_view = true;
     }
     cfg
-}
-
-/// Apply `config` to a live tree: its contents are drained and rebuilt
-/// under the new shape (a major compaction). Costs are charged to the
-/// tree's tracker like any other reorganization.
-pub fn retune(tree: &mut LsmTree, config: LsmConfig) -> Result<()> {
-    // Drain the current contents through the public API.
-    tree.flush()?;
-    let all: Vec<Record> = tree.range_impl(0, u64::MAX)?;
-    let mut rebuilt = LsmTree::with_config(config);
-    // Keep the original tracker so callers' accounting stays continuous
-    // (the major compaction's cost lands on it like any reorganization).
-    rebuilt.adopt_tracker(std::sync::Arc::clone(tree.tracker()));
-    rebuilt.bulk_load_impl(&all)?;
-    *tree = rebuilt;
-    Ok(())
 }
 
 /// Expected pages per operation for `cfg` under `mix` — the Table 1 cost
@@ -152,7 +103,7 @@ pub fn expected_cost(cfg: &LsmConfig, mix: &OpMix, n: usize, m: usize) -> f64 {
     // Updates and deletes are blind writes in an LSM (the live-set check
     // is in-memory): they cost the same amortized merge traffic as
     // inserts, with no read-before-write.
-    let total = (mix.get + mix.insert + mix.update + mix.delete + mix.range).max(f64::EPSILON);
+    let total = mix.total().max(f64::EPSILON);
     let mut cost =
         (mix.get * point + mix.range * range + (mix.insert + mix.update + mix.delete) * write)
             / total;
@@ -173,50 +124,6 @@ pub fn expected_cost(cfg: &LsmConfig, mix: &OpMix, n: usize, m: usize) -> f64 {
     cost
 }
 
-/// Memoized [`advise`]: mixes are quantized to 1/64 buckets per
-/// dimension so nearby mixes share one cache entry, and the rule table
-/// runs at most once per (bucket, goal).
-#[derive(Clone, Debug, Default)]
-pub struct AdviceMemo {
-    cache: HashMap<([u16; 5], TuningGoal), LsmConfig>,
-    computes: u64,
-}
-
-impl AdviceMemo {
-    const BUCKETS: f64 = 64.0;
-
-    fn bucket(mix: &OpMix) -> [u16; 5] {
-        let m = rum_core::advisor::normalize_mix(mix);
-        [m.get, m.insert, m.update, m.delete, m.range]
-            .map(|f| (f * Self::BUCKETS).floor().min(Self::BUCKETS - 1.0) as u16)
-    }
-
-    /// Advice for `mix`, computed at the bucket centroid and cached.
-    pub fn advise(&mut self, mix: &OpMix, goal: TuningGoal) -> LsmConfig {
-        let key = (Self::bucket(mix), goal);
-        if let Some(cfg) = self.cache.get(&key) {
-            return *cfg;
-        }
-        self.computes += 1;
-        let [g, i, u, d, r] = key.0.map(|b| (f64::from(b) + 0.5) / Self::BUCKETS);
-        let centroid = OpMix {
-            get: g,
-            insert: i,
-            update: u,
-            delete: d,
-            range: r,
-        };
-        let cfg = advise(&centroid, goal);
-        self.cache.insert(key, cfg);
-        cfg
-    }
-
-    /// How many times the rule table actually ran (cache misses).
-    pub fn computes(&self) -> u64 {
-        self.computes
-    }
-}
-
 /// One-line shape description for receipts and trace events.
 pub fn describe(cfg: &LsmConfig) -> String {
     format!(
@@ -225,11 +132,12 @@ pub fn describe(cfg: &LsmConfig) -> String {
     )
 }
 
-/// [`retune`], priced: returns a [`MigrationReceipt`] charging the drain
-/// and rebuild I/O (it lands on the tree's tracker like any
-/// reorganization, so the runner's phase accounting books it as UO) and
-/// the transient double-residency (old shape + drain buffer) as MO.
-pub fn retune_priced(tree: &mut LsmTree, config: LsmConfig) -> Result<MigrationReceipt> {
+/// Apply `config` to a live tree: its contents are drained and rebuilt
+/// under the new shape (a major compaction). The [`MigrationReceipt`]
+/// prices it: the drain and rebuild I/O (it lands on the tree's tracker
+/// like any reorganization, so the runner's phase accounting books it as
+/// UO) and the transient double-residency (old shape + drain buffer) as MO.
+pub fn retune(tree: &mut LsmTree, config: LsmConfig) -> Result<MigrationReceipt> {
     let from = describe(tree.config());
     let old_resident = tree.space_profile().total_bytes();
     let before = tree.tracker().snapshot();
@@ -237,6 +145,7 @@ pub fn retune_priced(tree: &mut LsmTree, config: LsmConfig) -> Result<MigrationR
     let all: Vec<Record> = tree.range_impl(0, u64::MAX)?;
     let buffer_bytes = (all.len() * RECORD_SIZE) as u64;
     let mut rebuilt = LsmTree::with_config(config);
+    // Keep the original tracker so callers' accounting stays continuous.
     rebuilt.adopt_tracker(Arc::clone(tree.tracker()));
     rebuilt.bulk_load_impl(&all)?;
     *tree = rebuilt;
@@ -270,42 +179,20 @@ pub fn toggle_view_priced(tree: &mut LsmTree, on: bool) -> Result<MigrationRecei
 }
 
 /// An [`LsmTree`] that knows how to reshape itself: the [`Morphable`]
-/// face the [`AutoTuner`](rum_core::autotune::AutoTuner) drives. Knob
-/// advice is memoized per mix bucket so steady workloads never re-run
-/// the rule table.
+/// face the [`AutoTuner`](rum_core::autotune::AutoTuner) drives.
 pub struct SelfTuningLsm {
     tree: LsmTree,
-    advice: AdviceMemo,
-    goal: TuningGoal,
 }
 
 impl SelfTuningLsm {
-    /// Wrap a live tree with [`TuningGoal::Balanced`] advice.
+    /// Wrap a live tree.
     pub fn new(tree: LsmTree) -> Self {
-        SelfTuningLsm {
-            tree,
-            advice: AdviceMemo::default(),
-            goal: TuningGoal::Balanced,
-        }
-    }
-
-    /// Wrap with an explicit goal.
-    pub fn with_goal(tree: LsmTree, goal: TuningGoal) -> Self {
-        SelfTuningLsm {
-            tree,
-            advice: AdviceMemo::default(),
-            goal,
-        }
+        SelfTuningLsm { tree }
     }
 
     /// The wrapped tree.
     pub fn tree(&self) -> &LsmTree {
         &self.tree
-    }
-
-    /// The advice cache (for inspecting memoization behavior).
-    pub fn advice(&self) -> &AdviceMemo {
-        &self.advice
     }
 
     /// The advised shape for `mix`, keeping the live memtable size:
@@ -319,24 +206,14 @@ impl SelfTuningLsm {
     /// depends on how much data a rebuild rescans — something a
     /// size-blind rule cannot weigh. (`m` cancels between the two arms,
     /// so any value prices the comparison.)
-    fn advised_for(&mut self, mix: &OpMix) -> LsmConfig {
+    fn advised_for(&self, mix: &OpMix) -> LsmConfig {
         let mut cfg = LsmConfig {
             memtable_records: self.tree.config().memtable_records,
-            ..self.advice.advise(mix, self.goal)
+            ..advise(mix)
         };
-        if self.goal != TuningGoal::Space {
-            let n = self.tree.len().max(1);
-            let with = LsmConfig {
-                sorted_view: true,
-                ..cfg
-            };
-            let without = LsmConfig {
-                sorted_view: false,
-                ..cfg
-            };
-            cfg.sorted_view =
-                expected_cost(&with, mix, n, 16) < expected_cost(&without, mix, n, 16);
-        }
+        let n = self.tree.len().max(1);
+        let cost = |sorted_view| expected_cost(&LsmConfig { sorted_view, ..cfg }, mix, n, 16);
+        cfg.sorted_view = cost(true) < cost(false);
         cfg
     }
 
@@ -452,7 +329,7 @@ impl Morphable for SelfTuningLsm {
         if self.cheap_bill(&advised).is_some() {
             return toggle_view_priced(&mut self.tree, advised.sorted_view).map(Some);
         }
-        retune_priced(&mut self.tree, advised).map(Some)
+        retune(&mut self.tree, advised).map(Some)
     }
 }
 
@@ -462,7 +339,7 @@ mod tests {
 
     #[test]
     fn read_heavy_mix_gets_levelling_with_big_ratio() {
-        let cfg = advise(&OpMix::READ_HEAVY, TuningGoal::Balanced);
+        let cfg = advise(&OpMix::READ_HEAVY);
         assert_eq!(cfg.policy, CompactionPolicy::Levelling);
         assert!(cfg.size_ratio >= 8);
         assert!(cfg.bloom_bits_per_key >= 10.0);
@@ -470,27 +347,16 @@ mod tests {
 
     #[test]
     fn write_heavy_mix_gets_tiering() {
-        let cfg = advise(&OpMix::WRITE_HEAVY, TuningGoal::Balanced);
+        let cfg = advise(&OpMix::WRITE_HEAVY);
         assert_eq!(cfg.policy, CompactionPolicy::Tiering);
     }
 
     #[test]
     fn range_heavy_mix_gets_sorted_view() {
-        let cfg = advise(&OpMix::RANGE_HEAVY, TuningGoal::Balanced);
+        let cfg = advise(&OpMix::RANGE_HEAVY);
         assert!(cfg.sorted_view, "range-heavy should enable the view");
-        assert!(advise(&OpMix::SCAN_HEAVY, TuningGoal::Reads).sorted_view);
-        // Space goal keeps the MO spend off the table.
-        assert!(!advise(&OpMix::RANGE_HEAVY, TuningGoal::Space).sorted_view);
         // Point-read mixes don't pay for a structure they rarely use.
-        assert!(!advise(&OpMix::READ_HEAVY, TuningGoal::Balanced).sorted_view);
-    }
-
-    #[test]
-    fn explicit_goals_override() {
-        let cfg = advise(&OpMix::WRITE_HEAVY, TuningGoal::Reads);
-        assert_eq!(cfg.policy, CompactionPolicy::Levelling);
-        let cfg = advise(&OpMix::READ_HEAVY, TuningGoal::Writes);
-        assert_eq!(cfg.policy, CompactionPolicy::Tiering);
+        assert!(!advise(&OpMix::READ_HEAVY).sorted_view);
     }
 
     #[test]
@@ -569,9 +435,9 @@ mod tests {
     #[test]
     fn expected_cost_orders_advised_shapes_correctly() {
         let (n, m) = (1 << 20, 256);
-        let read_cfg = advise(&OpMix::READ_HEAVY, TuningGoal::Balanced);
-        let write_cfg = advise(&OpMix::WRITE_HEAVY, TuningGoal::Balanced);
-        let scan_cfg = advise(&OpMix::SCAN_HEAVY, TuningGoal::Balanced);
+        let read_cfg = advise(&OpMix::READ_HEAVY);
+        let write_cfg = advise(&OpMix::WRITE_HEAVY);
+        let scan_cfg = advise(&OpMix::SCAN_HEAVY);
         // Each advised shape should win (or tie) its own mix against the
         // shapes advised for the opposite mixes.
         let at = |cfg: &LsmConfig, mix: &OpMix| expected_cost(cfg, mix, n, m);
@@ -580,25 +446,6 @@ mod tests {
         assert!(at(&read_cfg, &OpMix::READ_HEAVY) < at(&write_cfg, &OpMix::READ_HEAVY));
         assert!(at(&scan_cfg, &OpMix::SCAN_HEAVY) < at(&write_cfg, &OpMix::SCAN_HEAVY));
         assert!(at(&scan_cfg, &OpMix::SCAN_HEAVY) < at(&read_cfg, &OpMix::SCAN_HEAVY));
-    }
-
-    #[test]
-    fn advice_memo_runs_the_rule_table_once_per_bucket() {
-        let mut memo = AdviceMemo::default();
-        let a = memo.advise(&OpMix::READ_HEAVY, TuningGoal::Balanced);
-        let b = memo.advise(&OpMix::READ_HEAVY, TuningGoal::Balanced);
-        assert_eq!(a, b);
-        assert_eq!(memo.computes(), 1, "repeat query must hit the cache");
-        // A tiny jitter stays in the same 1/64 bucket.
-        let mut jitter = OpMix::READ_HEAVY;
-        jitter.get += 0.003;
-        memo.advise(&jitter, TuningGoal::Balanced);
-        assert_eq!(memo.computes(), 1, "same-bucket jitter must hit the cache");
-        // A different mix or goal misses.
-        memo.advise(&OpMix::WRITE_HEAVY, TuningGoal::Balanced);
-        assert_eq!(memo.computes(), 2);
-        memo.advise(&OpMix::READ_HEAVY, TuningGoal::Space);
-        assert_eq!(memo.computes(), 3);
     }
 
     #[test]
@@ -612,7 +459,7 @@ mod tests {
         for k in 0..3000u64 {
             t.insert(k, k + 1).unwrap();
         }
-        let receipt = retune_priced(
+        let receipt = retune(
             &mut t,
             LsmConfig {
                 memtable_records: 256,
@@ -639,7 +486,7 @@ mod tests {
             n: 4096,
             ..Default::default()
         };
-        let balanced = advise(&OpMix::BALANCED, TuningGoal::Balanced);
+        let balanced = advise(&OpMix::BALANCED);
         let mut m = SelfTuningLsm::new(LsmTree::with_config(balanced));
         for k in 0..4096u64 {
             m.insert(k, k).unwrap();

@@ -10,7 +10,7 @@ use rum_core::runner::run_stream_autotuned;
 use rum_core::trace::{noop_sink, TraceCollector};
 use rum_core::wizard::{Constraints, Environment};
 use rum_core::workload::{Drift, OpMix, OpStream, WorkloadSpec};
-use rum_lsm::tuning::{advise, SelfTuningLsm, TuningGoal};
+use rum_lsm::tuning::{advise, SelfTuningLsm};
 use rum_lsm::{LsmConfig, LsmTree};
 
 const N: usize = 4096;
@@ -56,7 +56,7 @@ fn run_tuned(start: &OpMix, mix: OpMix, drift: Drift, seed: u64) -> AutoTuneSumm
     // the live memtable size, so this never reads as "mis-shaped").
     let config = LsmConfig {
         memtable_records: 256,
-        ..advise(start, TuningGoal::Balanced)
+        ..advise(start)
     };
     let mut method = SelfTuningLsm::new(LsmTree::with_config(config));
     let mut tuner = AutoTuner::new(

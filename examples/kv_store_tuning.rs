@@ -6,7 +6,7 @@
 //! cargo run --release --example kv_store_tuning
 //! ```
 
-use rum::lsm::{advise, retune, CompactionPolicy, LsmConfig, LsmTree, TuningGoal};
+use rum::lsm::{advise, retune, CompactionPolicy, LsmConfig, LsmTree};
 use rum::prelude::*;
 
 fn ingest(t: &mut LsmTree, n: u64) -> Result<()> {
@@ -47,7 +47,7 @@ fn main() -> Result<()> {
     }
 
     println!("\n=== Phase 2: the workload flips to reads; ask the advisor ===");
-    let cfg = advise(&OpMix::READ_HEAVY, TuningGoal::Balanced);
+    let cfg = advise(&OpMix::READ_HEAVY);
     println!(
         "advisor says: policy={:?}, T={}, bloom={} bits/key",
         cfg.policy, cfg.size_ratio, cfg.bloom_bits_per_key

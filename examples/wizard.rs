@@ -1,11 +1,12 @@
 //! The §5 "access method wizard": describe your workload and constraints,
-//! get a ranked list of access-method families with predicted costs.
+//! get a ranked list of access-method families with predicted costs. With
+//! no measurements to calibrate from, an empty `ProfileStore` ranks by the
+//! analytic Table 1 model.
 //!
 //! ```sh
 //! cargo run --release --example wizard
 //! ```
 
-use rum::core::wizard::{recommend, Constraints, Environment};
 use rum::prelude::*;
 
 fn show(title: &str, mix: &OpMix, cons: &Constraints) {
@@ -15,7 +16,7 @@ fn show(title: &str, mix: &OpMix, cons: &Constraints) {
         "{:<18} {:>14} {:>9} violations",
         "family", "E[pages/op]", "feasible"
     );
-    for rec in recommend(mix, &env, cons) {
+    for rec in ProfileStore::new().recommend(mix, &env, cons).recs {
         println!(
             "{:<18} {:>14.2} {:>9} {}",
             rec.family.name(),

@@ -39,7 +39,7 @@
 //!
 //! | Crate | Contents |
 //! |---|---|
-//! | [`core`] | `AccessMethod` trait, cost tracking, workloads, RUM triangle, wizard |
+//! | [`core`] | `AccessMethod` trait, cost tracking, workloads, RUM triangle, the §5 advisor (`ProfileStore::recommend` over the Table 1 model) |
 //! | [`storage`] | pages, instrumented devices, memory hierarchy |
 //! | [`columns`] | sorted/unsorted columns + the §2 extreme designs (Props 1–3) |
 //! | [`btree`] | tunable paged B+-tree (read-optimized corner) |
@@ -88,7 +88,7 @@ pub mod prelude {
         TraceSink, TrajectoryWindow, DEFAULT_TRACE_WINDOW,
     };
     pub use rum_core::triangle::{render_ascii, rum_point, to_csv, RumPoint};
-    pub use rum_core::wizard::{recommend, Constraints, Environment, Family, Recommendation};
+    pub use rum_core::wizard::{Constraints, Environment, Family};
     pub use rum_core::workload::{KeyDist, KeySpace, Op, OpMix, OpStream, Workload, WorkloadSpec};
     pub use rum_core::{
         AccessMethod, CostSnapshot, CostTracker, DataClass, Key, Record, Result, RumError,
