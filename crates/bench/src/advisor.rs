@@ -23,6 +23,8 @@ use rum::core::advisor::{Deviation, MeasuredRanking, ProfileStore};
 use rum::core::wizard::{Constraints, Environment, Family};
 use rum::prelude::*;
 
+use crate::{Outcome, Scale, Target};
+
 /// Grid + comparison configuration.
 #[derive(Clone, Debug)]
 pub struct AdvisorConfig {
@@ -370,6 +372,28 @@ pub fn grid_summary(config: &AdvisorConfig) -> String {
         config.ops_factor,
         config.seed,
     )
+}
+
+/// `rum-bench advisor [--smoke]`: writes the profile store and the ranking
+/// tables; `--smoke` also yields the rankings CSV the gate holds.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let config = scale.config(AdvisorConfig::smoke);
+    eprintln!("[advisor] {}", grid_summary(&config));
+    let measured = run(&config);
+    let rendered = render(&measured);
+    let mut files = vec![
+        ("advisor_profiles.csv".to_string(), to_csv(&measured)),
+        ("advisor.txt".to_string(), rendered.clone()),
+    ];
+    if scale == Scale::Smoke {
+        files.push(("advisor_rankings.csv".to_string(), rankings_csv(&measured)));
+    }
+    Outcome {
+        rendered,
+        heading: "=== Checks ===",
+        checks: checks(&measured),
+        files,
+    }
 }
 
 #[cfg(test)]

@@ -1,20 +1,21 @@
-//! Artifact-freshness gate: regenerate every committed smoke CSV
-//! in-process and fail if the checked-in copy drifted.
+//! The gate: regenerate every gated smoke CSV in-process and fail if a
+//! checked-in copy drifted.
 //!
-//! Each experiment binary writes a full-scale `results/*.csv` that is too
-//! expensive to regenerate on every push, so those stay documentation.
-//! But every module also has a deterministic `--smoke` configuration —
-//! this gate runs each of them, strips the wall-clock columns (the only
-//! nondeterministic ones), and byte-compares the result against the
-//! committed twin under `results/smoke/`. Any code change that alters a
-//! measured cost now has to regenerate the artifacts in the same commit,
-//! exactly like the RUM baseline gate does for `baseline_rum.json`.
+//! Full-scale `results/*.csv` are too expensive to regenerate on every
+//! push, so those stay documentation. But every gated row of
+//! [`EXPERIMENTS`] has a deterministic `--smoke` configuration:
+//! `rum-bench gate` runs each, strips the wall-clock columns (the only
+//! nondeterministic ones), and byte-compares every `.csv` the run produced
+//! against its committed twin under `results/smoke/`. Floats are written
+//! in shortest-roundtrip or fixed-precision form, so equal bytes means
+//! equal measurements: any change that alters a counted cost (the suite's
+//! RO/UO/MO in `baseline_rum.csv` first among them) has to regenerate the
+//! twins in the same commit, and the CSV diff is the reviewable record.
 //!
-//! After an intentional cost-model change:
-//! `UPDATE_ARTIFACTS=1 cargo run --release -p rum-bench --bin artifact_gate`
-//! and commit the rewritten `results/smoke/*.csv`.
+//! After an intentional cost-model change: `rum-bench gate --update`, then
+//! commit the rewritten `results/smoke/*.csv`.
 
-use crate::{advisor, crash, drift_sweep, fault_storm, obs, range_sweep, scale};
+use crate::{conclude, require_dir, Outcome, Scale, Target, EXPERIMENTS};
 
 /// Columns measured from the host clock, not the cost model. These are
 /// the only nondeterministic values any module emits; everything else
@@ -69,52 +70,65 @@ pub fn strip_wall_clock(csv: &str) -> String {
     out
 }
 
-/// Regenerate every gated artifact by running each module's smoke
-/// configuration in-process. The list is the source of truth for what
-/// the gate covers — adding a module here (plus its committed twin) is
-/// all it takes to put a new experiment under the gate.
+/// Regenerate every gated artifact: one `--smoke` run per gated row of
+/// [`EXPERIMENTS`], keeping the CSVs whose stems the row declares.
 pub fn regenerate() -> Vec<Artifact> {
-    let advisor_run = advisor::run(&advisor::AdvisorConfig::smoke());
-    vec![
-        Artifact {
-            name: "scale_sweep",
-            csv: strip_wall_clock(&scale::to_csv(&scale::run(&scale::ScaleConfig::smoke()))),
+    let mut artifacts = Vec::new();
+    for e in EXPERIMENTS.iter().filter(|e| !e.gated.is_empty()) {
+        let outcome = (e.run)(Scale::Smoke, &Target::default());
+        for &name in e.gated {
+            let file = format!("{name}.csv");
+            let (_, csv) = outcome
+                .files
+                .iter()
+                .find(|(f, _)| *f == file)
+                .unwrap_or_else(|| panic!("{} --smoke produced no {file}", e.name));
+            artifacts.push(Artifact {
+                name,
+                csv: strip_wall_clock(csv),
+            });
+        }
+    }
+    artifacts
+}
+
+/// `rum-bench gate [--update]`: compare every regenerated artifact with
+/// its committed twin and exit 1 naming file and line on drift, or, with
+/// `update`, rewrite the twins. Exits 2 when `results/smoke/` is not under
+/// the current directory, so neither mode can act on the wrong tree.
+pub fn gate(update: bool) {
+    require_dir(SMOKE_DIR);
+    let artifacts = regenerate();
+
+    if update {
+        for a in &artifacts {
+            std::fs::write(a.path(), &a.csv).unwrap_or_else(|e| panic!("write {}: {e}", a.path()));
+            println!("wrote {}", a.path());
+        }
+        return;
+    }
+
+    let checks: Vec<(String, bool)> = artifacts
+        .iter()
+        .map(|a| {
+            let committed = std::fs::read_to_string(a.path()).ok();
+            match diff_against_committed(a, committed.as_deref()) {
+                None => (format!("{} is fresh", a.path()), true),
+                Some(why) => (why, false),
+            }
+        })
+        .collect();
+    if checks.iter().any(|(_, ok)| !ok) {
+        eprintln!("artifact drift: if intended, run `rum-bench gate --update` and commit the diff");
+    }
+    conclude(
+        Outcome {
+            heading: "=== Checks ===",
+            checks,
+            ..Default::default()
         },
-        Artifact {
-            name: "crash_matrix",
-            csv: strip_wall_clock(&crash::to_csv(&crash::run(&crash::CrashConfig::smoke()))),
-        },
-        Artifact {
-            name: "advisor_profiles",
-            csv: strip_wall_clock(&advisor::to_csv(&advisor_run)),
-        },
-        Artifact {
-            name: "advisor_rankings",
-            csv: advisor::rankings_csv(&advisor_run),
-        },
-        Artifact {
-            name: "range_sweep",
-            csv: strip_wall_clock(&range_sweep::to_csv(&range_sweep::run(
-                &range_sweep::RangeSweepConfig::smoke(),
-            ))),
-        },
-        Artifact {
-            name: "fault_storm",
-            csv: strip_wall_clock(&fault_storm::to_csv(&fault_storm::run(
-                &fault_storm::FaultStormConfig::smoke(),
-            ))),
-        },
-        Artifact {
-            name: "drift_sweep",
-            csv: strip_wall_clock(&drift_sweep::to_csv(&drift_sweep::run(
-                &drift_sweep::DriftSweepConfig::smoke(),
-            ))),
-        },
-        Artifact {
-            name: "obs_debt",
-            csv: strip_wall_clock(&obs::to_csv(&obs::run(&obs::ObsConfig::smoke()))),
-        },
-    ]
+        false,
+    );
 }
 
 /// Compare one regenerated artifact against its committed twin. Returns
@@ -122,7 +136,7 @@ pub fn regenerate() -> Vec<Artifact> {
 pub fn diff_against_committed(artifact: &Artifact, committed: Option<&str>) -> Option<String> {
     let Some(committed) = committed else {
         return Some(format!(
-            "{} is missing — run with UPDATE_ARTIFACTS=1 and commit it",
+            "{} is missing — run `rum-bench gate --update` and commit it",
             artifact.path()
         ));
     };
@@ -180,10 +194,11 @@ mod tests {
 
     #[test]
     fn smoke_regeneration_is_deterministic_for_the_cheapest_module() {
-        // The full regenerate() pass is the binary's job (it runs every
-        // smoke suite); here we pin the property the gate relies on —
+        // The full regenerate() pass is `rum-bench gate`'s job (it runs
+        // every smoke suite); here we pin the property the gate relies on —
         // same config ⇒ byte-identical CSV after wall-clock stripping —
         // on the cheapest module.
+        use crate::crash;
         let cfg = crash::CrashConfig::smoke();
         let a = strip_wall_clock(&crash::to_csv(&crash::run(&cfg)));
         let b = strip_wall_clock(&crash::to_csv(&crash::run(&cfg)));

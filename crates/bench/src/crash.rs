@@ -22,6 +22,8 @@ use rum_core::workload::{OpMix, Workload, WorkloadSpec};
 use rum_core::{AccessMethod, Key, RumError};
 use rum_storage::{splitmix64, Durable, FaultInjector, FaultPlan};
 
+use crate::{Outcome, Scale, Target};
+
 /// Matrix configuration.
 #[derive(Clone, Debug)]
 pub struct CrashConfig {
@@ -375,6 +377,17 @@ pub fn checks(matrix: &CrashMatrix) -> Vec<(String, bool)> {
         matrix.cells.iter().any(|c| c.torn_tail),
     ));
     out
+}
+
+/// `rum-bench crash_matrix [--smoke]`.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let matrix = run(&scale.config(CrashConfig::smoke));
+    Outcome::sweep(
+        "crash_matrix",
+        render(&matrix),
+        to_csv(&matrix),
+        checks(&matrix),
+    )
 }
 
 #[cfg(test)]

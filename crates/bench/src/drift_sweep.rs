@@ -36,6 +36,8 @@ use rum_lsm::tuning::{advise, SelfTuningLsm};
 use rum_lsm::{LsmConfig, LsmTree};
 use std::sync::Arc;
 
+use crate::{Outcome, Scale, Target};
+
 /// Sweep configuration.
 #[derive(Clone, Debug)]
 pub struct DriftSweepConfig {
@@ -547,6 +549,18 @@ pub fn checks(config: &DriftSweepConfig, rows: &[DriftRow]) -> Vec<(String, bool
         family_migrations >= 1,
     ));
     out
+}
+
+/// `rum-bench drift_sweep [--smoke]`.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let config = scale.config(DriftSweepConfig::smoke);
+    let rows = run(&config);
+    Outcome::sweep(
+        "drift_sweep",
+        render(&rows),
+        to_csv(&rows),
+        checks(&config, &rows),
+    )
 }
 
 #[cfg(test)]

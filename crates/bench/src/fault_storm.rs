@@ -39,6 +39,8 @@ use rum_storage::{
     RetryPolicy, ScrubReport,
 };
 
+use crate::{Outcome, Scale, Target};
+
 /// Matrix configuration.
 #[derive(Clone, Debug)]
 pub struct FaultStormConfig {
@@ -621,6 +623,17 @@ pub fn checks(matrix: &StormMatrix) -> Vec<(String, bool)> {
         ));
     }
     out
+}
+
+/// `rum-bench fault_storm [--smoke]`.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let matrix = run(&scale.config(FaultStormConfig::smoke));
+    Outcome::sweep(
+        "fault_storm",
+        render(&matrix),
+        to_csv(&matrix),
+        checks(&matrix),
+    )
 }
 
 #[cfg(test)]

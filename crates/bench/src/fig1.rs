@@ -9,6 +9,10 @@
 
 use rum::prelude::*;
 
+use std::time::Instant;
+
+use crate::{Outcome, Scale, Target};
+
 /// The measured placement of one method.
 #[derive(Clone, Debug)]
 pub struct Placement {
@@ -145,4 +149,58 @@ pub fn shape_checks(placements: &[Placement]) -> Vec<(String, bool)> {
             && get("cracked-column").point.y < get("skiplist").point.y,
     ));
     checks
+}
+
+/// `rum-bench fig1 [--quick]`: the suite runs serially once and, with more
+/// than one worker (`RUM_THREADS`, default one per core), in parallel once;
+/// the figure is the parallel run's, the last line the harness speedup.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let (n, ops) = match scale {
+        Scale::Full => (1 << 15, 1 << 13),
+        _ => (1 << 13, 1 << 11),
+    };
+    let seed = 0x0F16_0001;
+
+    let started = Instant::now();
+    let serial = run_with_threads(n, ops, seed, 1);
+    let serial_ms = started.elapsed().as_secs_f64() * 1e3;
+
+    let threads = rum::core::runner::default_threads();
+    let (placements, harness_line) = if threads <= 1 {
+        (
+            serial,
+            format!("harness: serial {serial_ms:.0} ms ({threads} core(s) available)"),
+        )
+    } else {
+        let started = Instant::now();
+        let parallel = run_with_threads(n, ops, seed, threads);
+        let parallel_ms = started.elapsed().as_secs_f64() * 1e3;
+        // Identical measurements are the parallel harness's contract;
+        // enforce it on every regeneration, not just in the test suite.
+        assert_eq!(serial.len(), parallel.len());
+        for (s, p) in serial.iter().zip(&parallel) {
+            assert_eq!(s.report.method, p.report.method, "method order diverged");
+            assert_eq!(
+                s.report.counted_diff(&p.report),
+                None,
+                "{}: serial and parallel measurements diverged",
+                s.report.method
+            );
+        }
+        let speedup = serial_ms / parallel_ms.max(1e-9);
+        (
+            parallel,
+            format!(
+                "harness: serial {serial_ms:.0} ms, parallel {parallel_ms:.0} ms \
+                 on {threads} workers — {speedup:.2}x speedup"
+            ),
+        )
+    };
+
+    Outcome {
+        rendered: format!("{}\n{harness_line}", render(&placements)),
+        heading: "=== Shape checks (the paper's qualitative placement) ===",
+        checks: shape_checks(&placements),
+        files: Vec::new(),
+    }
 }

@@ -15,6 +15,8 @@ use rum_core::workload::{KeyDist, KeySpace, OpMix, OpStream, WorkloadSpec};
 use rum_core::AccessMethod;
 use rum_storage::{BlockDevice, DeviceProfile, HierarchySpec, MemoryHierarchy};
 
+use crate::{Outcome, Scale, Target};
+
 /// One measured hierarchy configuration.
 #[derive(Clone, Debug)]
 pub struct Fig2Row {
@@ -138,4 +140,24 @@ pub fn shape_checks(rows: &[Fig2Row]) -> Vec<(String, bool)> {
         rows.last().unwrap().sim_ms < rows.first().unwrap().sim_ms,
     ));
     checks
+}
+
+/// `rum-bench fig2 [--quick]`: six buffer capacities over an SSD.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let (n, ops) = match scale {
+        Scale::Full => (1 << 17, 100_000),
+        _ => (1 << 14, 20_000),
+    };
+    let rows = run(
+        n,
+        ops,
+        &[16, 64, 256, 1024, 4096, 16384],
+        DeviceProfile::SSD,
+    );
+    Outcome {
+        rendered: render(&rows, n, ops),
+        heading: "=== Shape checks ===",
+        checks: shape_checks(&rows),
+        files: Vec::new(),
+    }
 }

@@ -24,6 +24,8 @@ use rum_core::RECORDS_PER_PAGE;
 use rum_lsm::{CompactionPolicy, LsmConfig, LsmTree};
 use rum_sparse::{ZoneMapConfig, ZoneMappedColumn};
 
+use crate::{Outcome, Scale, Target};
+
 /// One configuration's position in the RUM space.
 #[derive(Clone, Debug)]
 pub struct SweepPoint {
@@ -379,4 +381,19 @@ pub fn shape_checks(points: &[SweepPoint]) -> Vec<(String, bool)> {
         ));
     }
     checks
+}
+
+/// `rum-bench fig3 [--quick]`.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let (n, ops) = match scale {
+        Scale::Full => (1 << 16, 1 << 13),
+        _ => (1 << 13, 1 << 11),
+    };
+    let points = run(n, ops);
+    Outcome {
+        rendered: render(&points),
+        heading: "=== Shape checks (each knob moves the method as the paper predicts) ===",
+        checks: shape_checks(&points),
+        files: Vec::new(),
+    }
 }

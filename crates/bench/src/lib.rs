@@ -1,29 +1,20 @@
 //! # rum-bench
 //!
 //! The experiment harness that regenerates every table and figure of the
-//! RUM Conjecture paper. Binaries (one per experiment):
+//! RUM Conjecture paper, plus the follow-on sweeps, behind one binary:
 //!
-//! | Binary | Paper artifact |
-//! |---|---|
-//! | `props_extremes` | §2 Propositions 1–3 |
-//! | `table1_complexity` | Table 1 (I/O cost of six access methods) |
-//! | `fig1_rum_space` | Figure 1 (methods placed in the RUM triangle) |
-//! | `fig2_hierarchy` | Figure 2 (RUM overheads across a memory hierarchy) |
-//! | `fig3_tunable` | Figure 3 (tunable methods tracing curves in the space) |
-//! | `roadmap_adaptive` | §5 roadmap items (cracking, bitmaps, LSM retuning, filters) |
-//! | `scale_sweep` | streaming workloads × sharded execution, n up to 10^7, K up to 8 |
-//! | `crash_matrix` | WAL durability cost folded into UO + exact recovery under fault injection |
-//! | `advisor` | §5 wizard calibrated from measured profiles (analytic vs measured rankings) |
-//! | `baseline_gate` | RUM regression gate against `results/baseline_rum.json` |
-//! | `rum_trace` | time-resolved tracing: windowed RO/UO/MO trajectories, latency histograms, event JSONL + folded stacks |
-//! | `range_sweep` | REMIX-style sorted-view range acceleration: RO bought with MO/UO, view on/off × bloom/quotient × 3 mixes |
-//! | `fault_storm` | corruption resilience: methods × seeded fault profiles × retry policies, differential vs a fault-free twin |
-//! | `drift_sweep` | drifting workloads: the online AutoTuner vs every static configuration, priced migrations, bit-identical replay |
-//! | `artifact_gate` | CI artifact freshness: regenerates every committed smoke CSV and fails if the checked-in copy drifted |
-//! | `rum_top` | live terminal dashboard over the `rum-obs` exporter: per-op-class amortized RUM, debt table, sparklines; `--smoke` validates the exporter + conservation + metrics-on ≡ metrics-off |
+//! ```text
+//! cargo run --release -p rum-bench -- list
+//! cargo run --release -p rum-bench -- <experiment> [--quick | --smoke]
+//! cargo run --release -p rum-bench -- gate [--update]
+//! ```
 //!
-//! This library holds the measurement machinery those binaries share, so
-//! experiments are reproducible from tests as well.
+//! `list` prints [`EXPERIMENTS`], the one table of what there is to run:
+//! each row names a subcommand, the scales it has, the `results/smoke/`
+//! CSVs the gate holds it to and the module function that runs it (that
+//! module's doc describes the experiment). This library holds those
+//! modules and the measurement machinery they share, so experiments are
+//! reproducible from tests as well.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -35,6 +26,7 @@ use rum_core::{AccessMethod, CostSnapshot, Record, RECORDS_PER_PAGE};
 pub mod advisor;
 pub mod artifact_gate;
 pub mod baseline;
+pub mod cli;
 pub mod crash;
 pub mod drift_sweep;
 pub mod fault_storm;
@@ -44,9 +36,12 @@ pub mod fig3;
 pub mod obs;
 pub mod props;
 pub mod range_sweep;
+pub mod roadmap;
 pub mod scale;
 pub mod table1;
 pub mod trace;
+
+pub use cli::{list, parse, Command, Experiment, Outcome, Scale, Target, EXPERIMENTS};
 
 /// Sorted unique records with even keys `0, 2, ..., 2(n-1)` and
 /// deterministic payloads. Even keys leave odd gaps so fresh inserts can
@@ -153,22 +148,48 @@ pub fn load_cost(method: &mut dyn AccessMethod, records: &[Record]) -> (u64, f64
     (d.page_writes, physical_pages, profile.space_amplification())
 }
 
-/// The epilogue the experiment binaries share: print `heading` and one
-/// `[PASS]`/`[FAIL]` line per check, write each `(name, body)` of `files`
-/// under `results/` (smoke runs pass none), and exit non-zero if any check
-/// failed.
-pub fn conclude(heading: &str, checks: Vec<(String, bool)>, files: &[(&str, &str)]) {
-    println!("{heading}");
+/// Exit 2 unless `dir` is under the current directory. `results/` paths
+/// are relative, so a run from anywhere but the repository root would
+/// otherwise report every committed file missing or grow a stray tree.
+pub fn require_dir(dir: &str) {
+    if !std::path::Path::new(dir).is_dir() {
+        let cwd = std::env::current_dir().map(|p| p.display().to_string());
+        eprintln!(
+            "rum-bench: no {dir}/ in {}; run from the repository root",
+            cwd.as_deref().unwrap_or("the current directory")
+        );
+        std::process::exit(2);
+    }
+}
+
+/// Exit 1 with `msg`: a run that cannot go on (a port that will not bind,
+/// a scrape that fails) as opposed to a check that did not hold.
+pub fn fail(msg: &str) -> ! {
+    eprintln!("rum-bench: {msg}");
+    std::process::exit(1)
+}
+
+/// The epilogue every subcommand shares: print the rendered artifact,
+/// the heading (if any) and one `[PASS]`/`[FAIL]` line per check, write
+/// the outcome's files under `results/` when `write_files` (smoke runs
+/// write none), and exit non-zero if any check failed.
+pub fn conclude(outcome: Outcome, write_files: bool) {
+    if !outcome.rendered.is_empty() {
+        println!("{}", outcome.rendered);
+    }
+    if !outcome.heading.is_empty() {
+        println!("{}", outcome.heading);
+    }
     let mut all_ok = true;
-    for (desc, ok) in checks {
+    for (desc, ok) in outcome.checks {
         println!("  [{}] {desc}", if ok { "PASS" } else { "FAIL" });
         all_ok &= ok;
     }
 
-    if !files.is_empty() {
-        std::fs::create_dir_all("results").expect("results dir");
-        let mut paths = Vec::with_capacity(files.len());
-        for (name, body) in files {
+    if write_files && !outcome.files.is_empty() {
+        require_dir("results");
+        let mut paths = Vec::with_capacity(outcome.files.len());
+        for (name, body) in &outcome.files {
             let path = format!("results/{name}");
             std::fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
             paths.push(path);

@@ -11,16 +11,38 @@
 //!   same stream, for every standard-suite method
 //!   ([`metrics_equivalence`]).
 //!
+//! `rum-bench top [METHOD] [--mix MIX] [--n OPS] [--window W] [--addr
+//! HOST:PORT] [--refresh MS]` is the live dashboard over the same plane:
+//! it runs `METHOD` (default `lsm-tree+wal`, 4·10^5 balanced ops) on a
+//! driver thread, serves the registry over HTTP, and *scrapes its own
+//! exporter* — everything on screen travelled through the Prometheus text
+//! format, so the dashboard doubles as an end-to-end test of the wire
+//! path. Each frame shows per-op-class amortized RO/UO, the causal debt
+//! table, sparklined gauge histories, event counters, and latency
+//! quantiles. `--addr 127.0.0.1:9184` pins the port so an external
+//! Prometheus can scrape the same run.
+//!
+//! `rum-bench top --smoke` is the CI obs leg, in three acts:
+//!   1. conservation over every [`ObsConfig::smoke`] method;
+//!   2. exporter round-trip — serve a finished plane on an ephemeral
+//!      port, scrape `/metrics`, validate it with the strict parser, and
+//!      check the key series exist (including `rum_conservation_ok 1`);
+//!   3. observer-freedom over the whole standard suite.
+//!
 //! [`DebtLedger`]: rum_core::metrics::DebtLedger
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use rum::prelude::*;
 use rum_core::metrics::{DebtSnapshot, MetricsPlane, OpClass};
 use rum_core::runner::{run_stream, run_stream_metered};
 use rum_core::trace::TraceCollector;
+use rum_obs::{http_get, parse_prometheus, serve, PromSample};
 
 use crate::trace::find_method;
+use crate::{baseline, fail, Outcome, Scale, Target};
 
 /// Configuration of one observability run.
 pub struct ObsConfig {
@@ -202,23 +224,12 @@ pub struct EquivalenceRow {
 /// results. `identical` demands bit-equality of RO/UO/MO and equality
 /// of the read/write/load cost snapshots: the metrics plane must be a
 /// pure observer.
-pub fn metrics_equivalence(
-    initial_records: usize,
-    operations: usize,
-    seed: u64,
-) -> Vec<EquivalenceRow> {
-    let spec = WorkloadSpec {
-        initial_records,
-        operations,
-        mix: OpMix::BALANCED,
-        seed,
-        ..Default::default()
-    };
+pub fn metrics_equivalence(spec: &WorkloadSpec) -> Vec<EquivalenceRow> {
     let mut rows = Vec::new();
     let names: Vec<String> = rum::standard_suite().iter().map(|m| m.name()).collect();
     for name in names {
         let mut plain = find_method(&name).expect("suite method");
-        let baseline = run_stream(plain.as_mut(), OpStream::new(&spec))
+        let baseline = run_stream(plain.as_mut(), OpStream::new(spec))
             .unwrap_or_else(|e| panic!("{name} plain: {e}"));
 
         let mut metered = find_method(&name).expect("suite method");
@@ -227,7 +238,7 @@ pub fn metrics_equivalence(
         metered.set_trace_sink(sink.clone());
         let mut trace = TraceCollector::new(512, sink);
         let observed =
-            run_stream_metered(metered.as_mut(), OpStream::new(&spec), &mut trace, &plane)
+            run_stream_metered(metered.as_mut(), OpStream::new(spec), &mut trace, &plane)
                 .unwrap_or_else(|e| panic!("{name} metered: {e}"));
 
         let identical = baseline.counted_diff(&observed).is_none();
@@ -237,6 +248,364 @@ pub fn metrics_equivalence(
         });
     }
     rows
+}
+
+/// Gauge lookup in one scrape: exact name + optional `class` label.
+fn gauge(samples: &[PromSample], name: &str, class: Option<&str>) -> Option<f64> {
+    samples
+        .iter()
+        .find(|s| s.name == name && s.label("class") == class)
+        .map(|s| s.value)
+}
+
+/// Sum of a counter family across all label sets (e.g. every `kind`).
+fn counter_sum(samples: &[PromSample], name: &str) -> f64 {
+    samples
+        .iter()
+        .filter(|s| s.name == name)
+        .map(|s| s.value)
+        .sum()
+}
+
+/// Render `history` as a fixed-width sparkline, scaled to its own range.
+fn sparkline(history: &[f64], width: usize) -> String {
+    const BARS: [char; 8] = ['▁', '▂', '▃', '▄', '▅', '▆', '▇', '█'];
+    let tail: Vec<f64> = history
+        .iter()
+        .rev()
+        .take(width)
+        .rev()
+        .copied()
+        .filter(|v| v.is_finite())
+        .collect();
+    if tail.is_empty() {
+        return String::new();
+    }
+    let lo = tail.iter().cloned().fold(f64::INFINITY, f64::min);
+    let hi = tail.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+    let span = (hi - lo).max(f64::MIN_POSITIVE);
+    tail.iter()
+        .map(|v| BARS[(((v - lo) / span) * 7.0).round() as usize % 8])
+        .collect()
+}
+
+fn fmt_bytes(b: f64) -> String {
+    if b >= 1e9 {
+        format!("{:.2} GB", b / 1e9)
+    } else if b >= 1e6 {
+        format!("{:.2} MB", b / 1e6)
+    } else if b >= 1e3 {
+        format!("{:.1} KB", b / 1e3)
+    } else {
+        format!("{b:.0} B")
+    }
+}
+
+/// Per-series gauge histories for the sparklines.
+#[derive(Default)]
+struct Histories {
+    series: BTreeMap<String, Vec<f64>>,
+}
+
+impl Histories {
+    fn push(&mut self, key: &str, value: Option<f64>) {
+        if let Some(v) = value {
+            self.series.entry(key.to_string()).or_default().push(v);
+        }
+    }
+
+    fn line(&self, key: &str, width: usize) -> String {
+        self.series
+            .get(key)
+            .map(|h| sparkline(h, width))
+            .unwrap_or_default()
+    }
+}
+
+/// One dashboard frame, rendered entirely from a parsed scrape.
+fn render_frame(title: &str, scrape_no: u64, samples: &[PromSample], hist: &Histories) -> String {
+    const W: usize = 32;
+    let mut out = String::new();
+    out.push_str(&format!("rum_top — {title}  (scrape #{scrape_no})\n\n"));
+
+    out.push_str(&format!("  {:<28} {:>12}  {}\n", "gauge", "now", "history"));
+    for (label, key) in [
+        ("RO read (amortized)", "ro_read"),
+        ("UO write (amortized)", "uo_write"),
+        ("MO (space amp)", "mo"),
+        ("debt outstanding (bytes)", "debt_out"),
+        ("live records", "live"),
+    ] {
+        let now = hist
+            .series
+            .get(key)
+            .and_then(|h| h.last().copied())
+            .unwrap_or(0.0);
+        let shown = if key == "debt_out" {
+            fmt_bytes(now)
+        } else if key == "live" {
+            format!("{now:.0}")
+        } else {
+            format!("{now:.3}")
+        };
+        out.push_str(&format!(
+            "  {label:<28} {shown:>12}  {}\n",
+            hist.line(key, W)
+        ));
+    }
+
+    out.push_str("\n  causal debt attribution\n");
+    out.push_str(&format!(
+        "  {:<7} {:>10} {:>10} {:>12} {:>12}\n",
+        "class", "RO", "UO", "attr rd", "attr wr"
+    ));
+    for class in OpClass::ALL {
+        let c = Some(class.as_str());
+        out.push_str(&format!(
+            "  {:<7} {:>10.3} {:>10.3} {:>12} {:>12}\n",
+            class.as_str(),
+            gauge(samples, "rum_class_read_amplification", c).unwrap_or(0.0),
+            gauge(samples, "rum_class_write_amplification", c).unwrap_or(0.0),
+            fmt_bytes(gauge(samples, "rum_class_attributed_read_bytes", c).unwrap_or(0.0)),
+            fmt_bytes(gauge(samples, "rum_class_attributed_write_bytes", c).unwrap_or(0.0)),
+        ));
+    }
+    out.push_str(&format!(
+        "  debt: accrued {} / settled {} / outstanding {}   reattributed rd {} wr {}\n",
+        fmt_bytes(gauge(samples, "rum_debt_accrued_bytes", None).unwrap_or(0.0)),
+        fmt_bytes(gauge(samples, "rum_debt_settled_bytes", None).unwrap_or(0.0)),
+        fmt_bytes(gauge(samples, "rum_debt_outstanding_bytes", None).unwrap_or(0.0)),
+        fmt_bytes(gauge(samples, "rum_reattributed_read_bytes", None).unwrap_or(0.0)),
+        fmt_bytes(gauge(samples, "rum_reattributed_write_bytes", None).unwrap_or(0.0)),
+    ));
+
+    out.push_str("\n  latency (ns)        p50        p99\n");
+    for class in ["read", "write"] {
+        out.push_str(&format!(
+            "  {:<14} {:>10.0} {:>10.0}\n",
+            class,
+            gauge(samples, "rum_op_latency_p50_ns", Some(class)).unwrap_or(0.0),
+            gauge(samples, "rum_op_latency_p99_ns", Some(class)).unwrap_or(0.0),
+        ));
+    }
+
+    let mut kinds: Vec<(&str, f64)> = samples
+        .iter()
+        .filter(|s| s.name == "rum_events_total")
+        .filter_map(|s| s.label("kind").map(|k| (k, s.value)))
+        .collect();
+    kinds.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
+    out.push_str(&format!(
+        "\n  events ({} total)\n",
+        counter_sum(samples, "rum_events_total") as u64
+    ));
+    for chunk in kinds.chunks(3) {
+        out.push_str("  ");
+        for (kind, n) in chunk {
+            out.push_str(&format!("{kind:<18} {:>8}   ", *n as u64));
+        }
+        out.push('\n');
+    }
+    out
+}
+
+/// Act 2 of the smoke leg: serve `plane` on an ephemeral port and scrape
+/// it back. `Ok` is the passing check's text, `Err` the failing one's.
+fn exporter_roundtrip(plane: &MetricsPlane) -> std::result::Result<String, String> {
+    let mut server = serve(plane.registry().clone(), "127.0.0.1:0")
+        .map_err(|e| format!("exporter bind failed: {e}"))?;
+    let addr = server.local_addr();
+    let (status, body) = http_get(addr, "/metrics").map_err(|e| format!("scrape failed: {e}"))?;
+    if status != 200 {
+        return Err(format!("/metrics returned HTTP {status}"));
+    }
+    let samples = parse_prometheus(&body).map_err(|e| format!("exposition invalid: {e}"))?;
+    for series in [
+        "rum_events_total",
+        "rum_debt_outstanding_bytes",
+        "rum_op_latency_ns_bucket",
+    ] {
+        if !samples.iter().any(|s| s.name == series) {
+            return Err(format!("scrape missing series {series}"));
+        }
+    }
+    if gauge(&samples, "rum_class_read_amplification", Some("read")).is_none() {
+        return Err("scrape missing rum_class_read_amplification{class=\"read\"}".into());
+    }
+    if gauge(&samples, "rum_conservation_ok", None) != Some(1.0) {
+        return Err("rum_conservation_ok != 1 over the wire".into());
+    }
+    let (status, json) =
+        http_get(addr, "/snapshot.json").map_err(|e| format!("/snapshot.json failed: {e}"))?;
+    if status != 200 || !json.contains("\"counters\"") {
+        return Err("/snapshot.json malformed".into());
+    }
+    server.shutdown();
+    Ok(format!(
+        "{} samples scraped from {addr}, parsed strictly, key series live",
+        samples.len()
+    ))
+}
+
+/// `rum-bench top --smoke`: the three acts of the module doc, one check each.
+fn smoke() -> Outcome {
+    eprintln!("[obs] smoke: causal attribution + conservation ...");
+    let rows = run(&ObsConfig::smoke());
+
+    eprintln!("[obs] smoke: exporter round-trip ...");
+    let lsm = rows
+        .iter()
+        .find(|r| r.name == "lsm-tree")
+        .expect("lsm-tree is an ObsConfig::smoke method");
+    let exporter = exporter_roundtrip(&lsm.plane);
+
+    eprintln!("[obs] smoke: metrics-on ≡ metrics-off across the standard suite ...");
+    let verdicts = metrics_equivalence(&baseline::smoke_spec());
+    for v in verdicts.iter().filter(|v| !v.identical) {
+        eprintln!("[obs] metrics plane perturbed {}", v.method);
+    }
+
+    let mut rendered = render(&rows);
+    rendered.pop(); // the caller's println! puts the final newline back
+    Outcome {
+        rendered,
+        heading: "",
+        checks: vec![
+            (
+                format!(
+                    "conservation: {} methods, attributed bytes sum bit-equal to tracker totals",
+                    rows.len()
+                ),
+                rows.iter().all(|r| r.conserved),
+            ),
+            (
+                format!(
+                    "exporter: {}",
+                    exporter.as_deref().unwrap_or_else(|why| why)
+                ),
+                exporter.is_ok(),
+            ),
+            (
+                format!(
+                    "observer-freedom: {} suite methods bit-identical with the plane on vs off",
+                    verdicts.len()
+                ),
+                verdicts.iter().all(|v| v.identical),
+            ),
+        ],
+        files: vec![("obs_debt.csv".into(), to_csv(&rows))],
+    }
+}
+
+/// `rum-bench top`: see the module doc. The live mode draws its frames as
+/// it goes; what it returns is the closing summary.
+pub fn experiment(scale: Scale, target: &Target) -> Outcome {
+    if scale == Scale::Smoke {
+        return smoke();
+    }
+    let (method_name, mix_name) = (&target.method, &target.mix);
+    let spec = target.spec(400_000, 0x70_D0);
+    let operations = spec.operations;
+    let window = target.window.unwrap_or(2048);
+    let addr = target.addr.as_deref().unwrap_or("127.0.0.1:0");
+    let refresh_ms = target.refresh_ms.unwrap_or(250);
+    let mut method = find_method(method_name).expect("parse checked the method");
+
+    let plane = MetricsPlane::shared();
+    let server = serve(plane.registry().clone(), addr)
+        .unwrap_or_else(|e| fail(&format!("exporter bind on {addr} failed: {e}")));
+    let bound = server.local_addr();
+    eprintln!(
+        "[obs] {method_name} × {mix_name}, {operations} ops; exporter on http://{bound}/metrics"
+    );
+
+    // The driver owns the method and runs the metered stream; the main
+    // thread only ever sees the run through its own exporter scrapes.
+    let (tx, rx) = mpsc::channel();
+    let driver_plane = Arc::clone(&plane);
+    let driver = std::thread::Builder::new()
+        .name("rum-top-driver".into())
+        .spawn(move || {
+            let sink = driver_plane.sink();
+            method.set_trace_sink(sink.clone());
+            let mut collector = TraceCollector::new(window, sink);
+            let report = run_stream_metered(
+                method.as_mut(),
+                OpStream::new(&spec),
+                &mut collector,
+                &driver_plane,
+            );
+            let _ = tx.send(report);
+        })
+        .unwrap_or_else(|e| fail(&format!("driver thread: {e}")));
+
+    let title = format!("{method_name} × {mix_name} @ {bound}");
+    let mut hist = Histories::default();
+    let mut scrape_no = 0u64;
+    let mut finished: Option<Result<RumReport>> = None;
+    loop {
+        if finished.is_none() {
+            finished = rx.try_recv().ok();
+        }
+        match http_get(bound, "/metrics") {
+            Ok((200, body)) => match parse_prometheus(&body) {
+                Ok(samples) => {
+                    scrape_no += 1;
+                    hist.push(
+                        "ro_read",
+                        gauge(&samples, "rum_class_read_amplification", Some("read")),
+                    );
+                    hist.push(
+                        "uo_write",
+                        gauge(&samples, "rum_class_write_amplification", Some("write")),
+                    );
+                    hist.push("mo", gauge(&samples, "rum_space_amplification", None));
+                    hist.push(
+                        "debt_out",
+                        gauge(&samples, "rum_debt_outstanding_bytes", None),
+                    );
+                    hist.push("live", gauge(&samples, "rum_live_records", None));
+                    // ANSI: clear screen, home cursor, redraw.
+                    print!(
+                        "\x1b[2J\x1b[H{}",
+                        render_frame(&title, scrape_no, &samples, &hist)
+                    );
+                }
+                Err(e) => eprintln!("[obs] scrape #{scrape_no} unparseable: {e}"),
+            },
+            Ok((status, _)) => eprintln!("[obs] scrape returned HTTP {status}"),
+            Err(e) => eprintln!("[obs] scrape failed: {e}"),
+        }
+        if finished.is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(refresh_ms));
+    }
+    driver
+        .join()
+        .unwrap_or_else(|_| fail("driver thread panicked"));
+
+    let report = match finished.expect("driver result") {
+        Ok(r) => r,
+        Err(e) => fail(&format!("metered run failed: {e}")),
+    };
+    let debt = plane.ledger().snapshot();
+    Outcome {
+        rendered: format!(
+            "\n{}\n{}\ndebt: accrued {} / settled {} / outstanding {}; conservation gauge {}\n\
+             exporter stayed live through {scrape_no} scrapes on {bound}",
+            RumReport::table_header(),
+            report.table_row(),
+            debt.debt_accrued_bytes,
+            debt.debt_settled_bytes,
+            debt.debt_outstanding_bytes(),
+            plane
+                .registry()
+                .gauge("rum_conservation_ok", &[])
+                .unwrap_or(-1.0),
+        ),
+        ..Default::default()
+    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,8 @@ use rum_columns::{AppendLog, DenseArray, DirectAddressArray};
 use rum_core::runner::{default_threads, parallel_map};
 use rum_core::{AccessMethod, Record, RECORD_SIZE};
 
+use crate::{Outcome, Scale, Target};
+
 /// One measured data point of a proposition experiment.
 #[derive(Clone, Debug)]
 pub struct PropPoint {
@@ -201,4 +203,14 @@ pub fn verdicts() -> Vec<(String, bool)> {
         (p3[1].ro / p3[0].ro - 64.0).abs() < 2.0,
     ));
     v
+}
+
+/// `rum-bench props`: the report and the three verdicts.
+pub fn experiment(_: Scale, _: &Target) -> Outcome {
+    Outcome {
+        rendered: report(),
+        heading: "=== Verdicts ===",
+        checks: verdicts(),
+        files: Vec::new(),
+    }
 }

@@ -27,6 +27,8 @@ use rum_core::{AccessMethod, Key};
 use rum_lsm::{CompactionPolicy, FilterKind, LsmConfig, LsmTree};
 use std::collections::{HashMap, HashSet};
 
+use crate::{Outcome, Scale, Target};
+
 /// Sweep configuration.
 #[derive(Clone, Debug)]
 pub struct RangeSweepConfig {
@@ -342,6 +344,18 @@ pub fn checks(config: &RangeSweepConfig, rows: &[RangeRow]) -> Vec<(String, bool
         }
     }
     out
+}
+
+/// `rum-bench range_sweep [--smoke]`.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let config = scale.config(RangeSweepConfig::smoke);
+    let rows = run(&config);
+    Outcome::sweep(
+        "range_sweep",
+        render(&rows),
+        to_csv(&rows),
+        checks(&config, &rows),
+    )
 }
 
 #[cfg(test)]

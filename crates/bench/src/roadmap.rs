@@ -10,19 +10,18 @@
 //!    hierarchy when the workload flips from write-heavy to read-heavy.
 //! 4. **Approximate indexing with an updatable filter**: a quotient
 //!    filter (supports deletes, unlike Bloom) in front of a heap file.
-//!
-//! Usage: `cargo run --release -p rum-bench --bin roadmap_adaptive`
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use rum_adaptive::CrackedColumn;
-use rum_bench::dataset;
 use rum_bitmap::UpdateFriendlyBitmap;
 use rum_core::workload::value_for;
 use rum_core::{AccessMethod, Record};
 use rum_lsm::{advise, retune, CompactionPolicy, LsmConfig, LsmTree};
 use rum_sketch::QuotientFilter;
+
+use crate::{dataset, Outcome, Scale, Target};
 
 fn section_cracking() {
     println!("=== §5.1 Adaptive indexing: cracking converges ===");
@@ -198,9 +197,12 @@ fn section_quotient_index() {
     );
 }
 
-fn main() {
+/// `rum-bench roadmap`: the four sections print as they finish, in the
+/// order of §5; there are no verdicts to add.
+pub fn experiment(_: Scale, _: &Target) -> Outcome {
     section_cracking();
     section_bitmaps();
     section_lsm_retune();
     section_quotient_index();
+    Outcome::default()
 }

@@ -33,6 +33,8 @@ use rum_core::trace::{noop_sink, TraceCollector};
 use rum_core::workload::{OpMix, OpStream, WorkloadSpec};
 use rum_core::{AccessMethod, ShardedMethod};
 
+use crate::{Outcome, Scale, Target};
+
 /// Sweep configuration.
 #[derive(Clone, Debug)]
 pub struct ScaleConfig {
@@ -269,6 +271,20 @@ pub fn checks(rows: &[ScaleRow]) -> Vec<(String, bool)> {
         }
     }
     out
+}
+
+/// `rum-bench scale_sweep [--quick | --smoke]`: `--quick` caps n at 10^6.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let config = match scale {
+        Scale::Smoke => ScaleConfig::smoke(),
+        Scale::Quick => ScaleConfig {
+            ns: vec![100_000, 1_000_000],
+            ..Default::default()
+        },
+        Scale::Full => ScaleConfig::default(),
+    };
+    let rows = run(&config);
+    Outcome::sweep("scale_sweep", render(&rows), to_csv(&rows), checks(&rows))
 }
 
 #[cfg(test)]

@@ -23,7 +23,7 @@ use rum_sparse::{ZoneMapConfig, ZoneMappedColumn};
 
 use crate::{
     dataset, fmt_cell, insert_cost, load_cost, log_b, point_query_cost, range_query_cost,
-    update_cost,
+    update_cost, Outcome, Scale, Target,
 };
 
 /// Experiment parameters (the parameter table atop the paper's Table 1).
@@ -391,4 +391,20 @@ pub fn shape_checks(rows: &[Table1Row]) -> Vec<(String, bool)> {
             && get(point_winner, large).mo > get("Sorted column", large).mo
     }));
     checks
+}
+
+/// `rum-bench table1 [--quick]`: five dataset sizes, or two.
+pub fn experiment(scale: Scale, _: &Target) -> Outcome {
+    let ns: &[usize] = match scale {
+        Scale::Full => &[1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20],
+        _ => &[1 << 12, 1 << 16],
+    };
+    let params = Table1Params::default();
+    let rows = run(ns, params);
+    Outcome {
+        rendered: render(&rows, &params),
+        heading: "=== Shape checks (the paper's qualitative claims) ===",
+        checks: shape_checks(&rows),
+        files: Vec::new(),
+    }
 }

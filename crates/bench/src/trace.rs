@@ -11,15 +11,29 @@
 //!   format of `flamegraph.pl` / `inferno-flamegraph`, weighting each
 //!   event class by the physical bytes it moved.
 //!
-//! The module also carries the self-check the `rum_trace` binary and the
-//! CI trace leg enforce: the windowed deltas must sum **byte-exactly** to
-//! the aggregate report — every op-phase byte lands in exactly one window.
+//! Every run self-checks the windowed-sum invariant: the per-window cost
+//! deltas must sum **byte-exactly** to the aggregate report — every
+//! op-phase byte lands in exactly one window.
+//!
+//! `rum-bench trace [METHOD] [--mix MIX] [--n OPS] [--window W]` traces
+//! one [`rum::standard_suite`] method (default `lsm-tree+wal`) under one
+//! [`mix_by_name`] mix (default `balanced`) for 10^5 ops; the window
+//! defaults to `RUM_TRACE_WINDOW` (4096). Results land in
+//! `results/trace_<method>.jsonl`, `results/trajectory_<method>.csv` and
+//! `results/trace_<method>.folded`. `--smoke` is the CI trace leg: it
+//! traces `lsm-tree+wal` and `b+tree` at the baseline smoke scale and
+//! checks the sum invariant and that each traced run reproduces the
+//! untraced one bit-for-bit (that tracing *off* changes nothing is the
+//! gate's `baseline_rum.csv`).
 
 use rum::prelude::*;
-use rum_core::runner::run_stream_traced;
+use rum_core::runner::{run_stream, run_stream_traced};
 use rum_core::trace::{
-    events_to_jsonl, fold_events, Event, LatencyHistogram, MemorySink, TraceCollector,
+    env_trace_window, events_to_jsonl, fold_events, Event, LatencyHistogram, MemorySink,
+    TraceCollector,
 };
+
+use crate::{baseline, Outcome, Scale, Target};
 
 /// Everything one traced run produces.
 pub struct TraceRun {
@@ -175,14 +189,90 @@ pub fn event_counts(events: &[Event]) -> Vec<(String, usize)> {
     counts.into_iter().collect()
 }
 
-/// Events as JSONL (re-exported convenience for the binary).
-pub fn to_jsonl(events: &[Event]) -> String {
-    events_to_jsonl(events)
+/// `rum-bench trace --smoke`: per method, the windowed sums are exact and
+/// the traced report equals the untraced one in everything the cost model
+/// determines (latency quantiles are wall-clock, excluded by
+/// [`RumReport::counted_diff`]).
+fn smoke() -> Outcome {
+    let spec = baseline::smoke_spec();
+    let window = 512; // several windows at smoke scale
+    let checks = ["lsm-tree+wal", "b+tree"]
+        .into_iter()
+        .map(|name| {
+            eprintln!("[trace] smoke: {name} ...");
+            let mut traced = find_method(name).expect("suite name");
+            let run = run_traced(traced.as_mut(), &spec, window)
+                .unwrap_or_else(|e| panic!("{name}: traced run failed: {e}"));
+            let mut untraced = find_method(name).expect("suite name");
+            let plain = run_stream(untraced.as_mut(), OpStream::new(&spec))
+                .unwrap_or_else(|e| panic!("{name}: untraced run failed: {e}"));
+            let same =
+                run.report.method == plain.method && run.report.counted_diff(&plain).is_none();
+            (
+                format!(
+                    "{name}: {} windows sum byte-exactly; traced == untraced bit-for-bit",
+                    run.windows.len()
+                ),
+                run.windows_sum_exact && same,
+            )
+        })
+        .collect();
+    Outcome {
+        checks,
+        ..Default::default()
+    }
 }
 
-/// Events as flamegraph-compatible folded stacks.
-pub fn to_folded(events: &[Event]) -> String {
-    fold_events(events)
+/// `rum-bench trace`: see the module doc.
+pub fn experiment(scale: Scale, target: &Target) -> Outcome {
+    if scale == Scale::Smoke {
+        return smoke();
+    }
+    let name = &target.method;
+    let spec = target.spec(100_000, 0x7ACE_D000);
+    let window = target.window.unwrap_or_else(env_trace_window);
+    eprintln!(
+        "[trace] {name} × {}, {} ops, window {window} ...",
+        target.mix, spec.operations
+    );
+    let mut method = find_method(name).expect("parse checked the method");
+    let run = run_traced(method.as_mut(), &spec, window)
+        .unwrap_or_else(|e| crate::fail(&format!("traced run failed: {e}")));
+
+    let mut rendered = format!(
+        "{}\n{}\nevents:\n",
+        render_trajectory(name, window, &run.windows),
+        render_latency(&run)
+    );
+    for (kind, count) in event_counts(&run.events) {
+        rendered.push_str(&format!("  {kind:<16} {count:>7}\n"));
+    }
+    rendered.push_str(&format!(
+        "\n{}\n{}\n",
+        RumReport::table_header(),
+        run.report.table_row()
+    ));
+
+    let tag = sanitize_name(name);
+    Outcome {
+        rendered,
+        heading: "",
+        checks: vec![(
+            format!(
+                "{} windowed deltas sum byte-exactly to the aggregate report",
+                run.windows.len()
+            ),
+            run.windows_sum_exact,
+        )],
+        files: vec![
+            (format!("trace_{tag}.jsonl"), events_to_jsonl(&run.events)),
+            (
+                format!("trajectory_{tag}.csv"),
+                trajectory_csv(&run.windows),
+            ),
+            (format!("trace_{tag}.folded"), fold_events(&run.events)),
+        ],
+    }
 }
 
 #[cfg(test)]
@@ -232,9 +322,9 @@ mod tests {
         let csv = trajectory_csv(&run.windows);
         assert_eq!(csv.lines().count(), run.windows.len() + 1);
         assert!(!csv.contains("inf") && !csv.contains("NaN"));
-        let jsonl = to_jsonl(&run.events);
+        let jsonl = events_to_jsonl(&run.events);
         assert_eq!(jsonl.lines().count(), run.events.len());
-        let folded = to_folded(&run.events);
+        let folded = fold_events(&run.events);
         assert!(folded
             .lines()
             .any(|l| l.starts_with("rum;lsm;lsm_flush;L0 ")));
