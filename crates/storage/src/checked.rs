@@ -1,7 +1,8 @@
 //! Sealed pages: a [`CheckedDevice`] wraps any [`BlockDevice`] and seals
-//! every `write_page` with the WAL's CRC-32 in a sidecar map, verifying on
-//! every read (`read_page` and `with_page` alike). Silent bit-rot becomes
-//! [`RumError::CorruptPage`] — detect-or-fail, never wrong data.
+//! every `write_page` with a CRC-32 seal ([`crc`](crate::crc)) in a sidecar
+//! map, verifying on every read (`read_page` and `with_page` alike). Silent
+//! bit-rot becomes [`RumError::CorruptPage`] — detect-or-fail, never wrong
+//! data.
 //!
 //! The seal lives in a sidecar (page id → CRC) rather than an in-page
 //! trailer so page capacity — and therefore every node layout and every
@@ -19,9 +20,9 @@ use std::sync::Arc;
 
 use rum_core::{Result, RumError};
 
+use crate::crc::crc32;
 use crate::device::{BlockDevice, IoStats};
 use crate::page::{PageBuf, PageId};
-use crate::wal::crc32;
 
 /// A [`BlockDevice`] wrapper verifying a CRC-32 seal on every read.
 pub struct CheckedDevice<D: BlockDevice> {

@@ -27,6 +27,9 @@
 //! * [`hierarchy`] — the multi-level
 //!   [`MemoryHierarchy`] simulator behind the
 //!   Figure 2 experiment.
+//! * [`crc`] — the CRC-32 both integrity layers below share: one braided
+//!   table-driven kernel, so that sealing and verifying a page runs at
+//!   memory speed.
 //! * [`wal`] / [`durable`] — the crash-consistency layer: a checksummed
 //!   write-ahead log whose every synced byte is charged as auxiliary write
 //!   traffic (so UO includes the durability protocol), and the
@@ -40,7 +43,7 @@
 //!   bursts, sticky bad pages, silent bit-flips — and the deterministic
 //!   [`RetryPolicy`] the pager and WAL answer them with.
 //! * [`checked`] — sealed pages: [`CheckedDevice`]
-//!   seals every write with the WAL's CRC-32 in a sidecar map and verifies
+//!   seals every write with a CRC-32 ([`crc`]) in a sidecar map and verifies
 //!   on read, turning silent bit-rot into
 //!   [`RumError::CorruptPage`](rum_core::RumError::CorruptPage); the
 //!   pager's [`scrub`](Pager::scrub) walks the seals and prices the
@@ -48,6 +51,7 @@
 
 pub mod checked;
 pub mod cost;
+pub mod crc;
 pub mod device;
 pub mod durable;
 pub mod fault;
@@ -59,6 +63,7 @@ pub mod wal;
 
 pub use checked::{CheckedDevice, ScrubReport};
 pub use cost::DeviceProfile;
+pub use crc::crc32;
 pub use device::{BlockDevice, IoStats, MemDevice};
 pub use durable::{Durable, RecoveryReport};
 pub use fault::{
@@ -69,4 +74,4 @@ pub use hierarchy::{HierarchySpec, LevelSpec, MemoryHierarchy};
 pub use lru::LruSet;
 pub use page::{PageBuf, PageId};
 pub use pager::Pager;
-pub use wal::{crc32, Wal, WalEntry, WalReplay};
+pub use wal::{Wal, WalEntry, WalReplay};

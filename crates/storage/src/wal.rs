@@ -22,7 +22,8 @@
 //! ```
 //!
 //! `crc` is CRC-32 (IEEE, the zlib polynomial) over the payload,
-//! implemented in-tree. Replay applies data records **only when a commit
+//! implemented in-tree ([`crc`](crate::crc)). Replay applies data records
+//! **only when a commit
 //! marker covers them**: `Commit { seq, count }` commits exactly the
 //! `count` records staged immediately before it — records staged earlier
 //! belong to an operation that failed mid-apply (logged, never committed)
@@ -36,6 +37,7 @@ use std::sync::Arc;
 use rum_core::trace::{EventKind, TraceSink};
 use rum_core::{CostTracker, DataClass, Key, Result, RumError, Value, PAGE_SIZE};
 
+use crate::crc::crc32;
 use crate::fault::{FaultInjector, RetryPolicy, WriteOutcome};
 
 /// Frame header size: u32 length + u32 CRC.
@@ -43,39 +45,6 @@ pub const WAL_HEADER_BYTES: usize = 8;
 
 /// Largest valid payload (Insert/Update: tag + key + value).
 const MAX_PAYLOAD: usize = 17;
-
-// ---- CRC-32 (IEEE 802.3 / zlib polynomial), table-driven ----------------
-
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32 checksum (IEEE polynomial, reflected, init/xorout `!0`).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        c = CRC32_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
 
 // ---- log entries --------------------------------------------------------
 
@@ -96,27 +65,19 @@ pub enum WalEntry {
 }
 
 impl WalEntry {
-    fn encode_payload(&self, out: &mut Vec<u8>) {
+    /// Write the payload into `buf` and return its length.
+    fn encode_payload(&self, buf: &mut [u8; MAX_PAYLOAD]) -> usize {
+        let mut put = |tag: u8, first: u64, rest: &[u8]| {
+            buf[0] = tag;
+            buf[1..9].copy_from_slice(&first.to_le_bytes());
+            buf[9..9 + rest.len()].copy_from_slice(rest);
+            9 + rest.len()
+        };
         match *self {
-            WalEntry::Insert { key, value } => {
-                out.push(1);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-            WalEntry::Update { key, value } => {
-                out.push(2);
-                out.extend_from_slice(&key.to_le_bytes());
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-            WalEntry::Delete { key } => {
-                out.push(3);
-                out.extend_from_slice(&key.to_le_bytes());
-            }
-            WalEntry::Commit { seq, count } => {
-                out.push(4);
-                out.extend_from_slice(&seq.to_le_bytes());
-                out.extend_from_slice(&count.to_le_bytes());
-            }
+            WalEntry::Insert { key, value } => put(1, key, &value.to_le_bytes()),
+            WalEntry::Update { key, value } => put(2, key, &value.to_le_bytes()),
+            WalEntry::Delete { key } => put(3, key, &[]),
+            WalEntry::Commit { seq, count } => put(4, seq, &count.to_le_bytes()),
         }
     }
 
@@ -254,13 +215,13 @@ impl Wal {
 
     /// Buffer `entry` (volatile until [`sync`](Self::sync)).
     pub fn append(&mut self, entry: &WalEntry) {
-        let mut payload = Vec::with_capacity(MAX_PAYLOAD);
-        entry.encode_payload(&mut payload);
+        let mut buf = [0u8; MAX_PAYLOAD];
+        let len = entry.encode_payload(&mut buf);
+        let payload = &buf[..len];
+        self.pending.extend_from_slice(&(len as u32).to_le_bytes());
         self.pending
-            .extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        self.pending
-            .extend_from_slice(&crc32(&payload).to_le_bytes());
-        self.pending.extend_from_slice(&payload);
+            .extend_from_slice(&crc32(payload).to_le_bytes());
+        self.pending.extend_from_slice(payload);
     }
 
     /// Charge `n` bytes landing at durable offset `start` as auxiliary
@@ -464,10 +425,10 @@ impl Wal {
                         out.torn_tail = true;
                         break;
                     }
-                    let covered = staged.split_off(staged.len() - count);
-                    out.uncommitted += staged.len(); // aborted-op leftovers
+                    let aborted = staged.len() - count; // aborted-op leftovers
+                    out.committed.extend_from_slice(&staged[aborted..]);
+                    out.uncommitted += aborted;
                     staged.clear();
-                    out.committed.extend(covered);
                     out.last_commit_seq = Some(seq);
                 }
                 data => staged.push(data),
@@ -486,6 +447,7 @@ impl Wal {
 mod tests {
     use super::*;
     use crate::fault::{FaultInjector, FaultPlan};
+    use proptest::prelude::*;
 
     fn entries() -> Vec<WalEntry> {
         vec![
@@ -496,13 +458,6 @@ mod tests {
             WalEntry::Insert { key: 3, value: 30 },
             WalEntry::Commit { seq: 1, count: 1 },
         ]
-    }
-
-    #[test]
-    fn crc32_known_vector() {
-        // The canonical IEEE CRC-32 check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
     }
 
     #[test]
@@ -690,5 +645,73 @@ mod tests {
         );
         wal.sync().unwrap();
         assert_eq!(tracker.snapshot(), Default::default());
+    }
+
+    proptest! {
+        /// The log is input from outside the program once it has been on
+        /// "disk": whatever a crash or the media did to it, replay returns
+        /// (no index or arithmetic panic) exactly the operations whose
+        /// commit marker lies wholly before the first damaged byte.
+        #[test]
+        fn replay_of_a_garbled_log_is_a_committed_prefix_never_a_panic(
+            ops in proptest::collection::vec((0u8..3, any::<u64>(), any::<u64>()), 1..40),
+            damage in 0u8..3,
+            at in any::<u64>(),
+            forged in any::<u64>(),
+        ) {
+            let mut wal = Wal::new(CostTracker::new());
+            let mut acknowledged = Vec::new();
+            let mut boundaries = vec![0usize];
+            for (seq, &(kind, key, value)) in ops.iter().enumerate() {
+                let entry = match kind {
+                    0 => WalEntry::Insert { key, value },
+                    1 => WalEntry::Update { key, value },
+                    _ => WalEntry::Delete { key },
+                };
+                wal.append(&entry);
+                boundaries.push(wal.pending_len());
+                wal.append(&WalEntry::Commit { seq: seq as u64, count: 1 });
+                boundaries.push(wal.pending_len());
+                acknowledged.push(entry);
+            }
+            wal.sync().unwrap();
+            let intact = wal.durable.clone();
+            let at = at as usize;
+            match damage {
+                // One flipped byte anywhere.
+                0 => wal.durable[at % intact.len()] ^= (forged as u8) | 1,
+                // A forged header on some frame: a length that is sometimes
+                // plausible, sometimes absurd, and an arbitrary CRC.
+                1 => {
+                    let frame = boundaries[at % (boundaries.len() - 1)];
+                    let len = match forged & 1 {
+                        0 => forged as u32 % 32,
+                        _ => (forged >> 1) as u32,
+                    };
+                    wal.durable[frame..frame + 4].copy_from_slice(&len.to_le_bytes());
+                    wal.durable[frame + 4..frame + 8]
+                        .copy_from_slice(&((forged >> 32) as u32).to_le_bytes());
+                }
+                // Truncation at any offset, frame boundary or not.
+                _ => wal.durable.truncate(at % (intact.len() + 1)),
+            }
+            let damaged_at = intact
+                .iter()
+                .zip(&wal.durable)
+                .position(|(a, b)| a != b)
+                .unwrap_or(wal.durable.len());
+
+            let replay = wal.replay();
+
+            let valid_len = replay.valid_len as usize;
+            let frames = boundaries
+                .iter()
+                .position(|&b| b == valid_len)
+                .expect("valid_len lands on a frame boundary");
+            prop_assert!(valid_len <= damaged_at, "replay read past the damage");
+            prop_assert_eq!(&replay.committed[..], &acknowledged[..frames / 2]);
+            prop_assert_eq!(replay.uncommitted, frames % 2);
+            prop_assert_eq!(replay.torn_tail, valid_len < wal.durable.len());
+        }
     }
 }
