@@ -4,8 +4,9 @@
 //! The figures run at sizes where a materialized `Vec<Op>` is harmless;
 //! this sweep is where the streaming machinery earns its keep. For each
 //! (n, K) cell a `ShardedMethod` of K B+-trees takes `n` operations drawn
-//! straight from an [`OpStream`] — never materialized — in class-contiguous
-//! batches executed across K shard workers.
+//! straight from an [`OpStream`] — never materialized — in batches of
+//! `batch` ops, reads and writes mixed as the stream has them, executed
+//! across K shard workers.
 //!
 //! What the sweep demonstrates, in RUM terms:
 //!
@@ -22,6 +23,13 @@
 //!   the sweep's ratio-floor check pins K>1 within 3× of K=1 (6× on a
 //!   single-core host, where the pool is oversubscribed), which the old
 //!   spawn-threads-per-batch dispatch missed by 25–60×.
+//! * That handoff is amortized over a full batch only if a batch ends
+//!   where it is full. The wall floor is a clock and can flake; beside it
+//!   each cell's dispatch count, read from the wrapper, must stay within
+//!   `⌈n / batch⌉ + 1`. A schedule that cuts batches at class switches (a
+//!   balanced mix then ships about two ops per dispatch) fails that on any
+//!   runner, single-core ones included. The `.txt` table prints the
+//!   measured `ops/batch`; the gated CSV does not carry it.
 //!
 //! Cells run traced ([`run_stream_sharded_traced`]) with a whole-run
 //! window and a disabled sink, so the `p50ns`/`p99ns` columns carry the
@@ -83,6 +91,12 @@ pub struct ScaleRow {
     /// Shard count.
     pub k: usize,
     pub report: RumReport,
+    /// Ops per dispatch the cell was configured with.
+    pub batch: usize,
+    /// [`ShardedMethod::dispatches`] and
+    /// [`ShardedMethod::dispatched_ops`] after the run.
+    pub dispatches: u64,
+    pub dispatched_ops: u64,
     /// Whether a serial per-op cross-check ran for this cell, and whether
     /// its RO/UO/MO matched bit-for-bit.
     pub verified: Option<bool>,
@@ -144,6 +158,9 @@ pub fn run(config: &ScaleConfig) -> Vec<ScaleRow> {
                 n,
                 k,
                 report,
+                batch: config.batch.max(1),
+                dispatches: method.dispatches(),
+                dispatched_ops: method.dispatched_ops(),
                 verified,
             });
         }
@@ -168,10 +185,11 @@ pub fn render(rows: &[ScaleRow]) -> String {
     let mut out =
         String::from("=== Scale sweep: streaming balanced workload over K sharded B+-trees ===\n");
     out.push_str(&format!(
-        "{:>10} {:>3}  {}\n",
+        "{:>10} {:>3}  {} {:>9}\n",
         "ops",
         "K",
-        RumReport::table_header()
+        RumReport::table_header(),
+        "ops/batch"
     ));
     for r in rows {
         let mark = match r.verified {
@@ -180,10 +198,11 @@ pub fn render(rows: &[ScaleRow]) -> String {
             None => "",
         };
         out.push_str(&format!(
-            "{:>10} {:>3}  {}{}\n",
+            "{:>10} {:>3}  {} {:>9.1}{}\n",
             r.n,
             r.k,
             r.report.table_row(),
+            r.dispatched_ops as f64 / r.dispatches.max(1) as f64,
             mark
         ));
     }
@@ -211,6 +230,19 @@ pub fn checks(rows: &[ScaleRow]) -> Vec<(String, bool)> {
                 ok,
             ));
         }
+        let full_batches = r.n.div_ceil(r.batch) as u64;
+        out.push((
+            format!(
+                "n={} K={}: {} dispatches, at most ⌈n/{}⌉ + 1 = {} (a batch ends only where it \
+                 is full)",
+                r.n,
+                r.k,
+                r.dispatches,
+                r.batch,
+                full_batches + 1
+            ),
+            r.dispatches <= full_batches + 1,
+        ));
     }
     // MO is the axis sharding perturbs: K structures hold K roots and K
     // tails of slack. The *direction* flips with scale (K root-only trees

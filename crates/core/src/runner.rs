@@ -2,10 +2,12 @@
 //! overheads, separating read-path and write-path traffic so RO and UO are
 //! attributed to the operations that incur them.
 //!
-//! There is one measurement loop (bulk load, settle / execute / count per
+//! There is one measurement loop (bulk load, execute / count per
 //! operation class, assemble the [`RumReport`]) in two shapes: per-op
-//! behind [`run_stream`] and its observed variants, batched behind
-//! [`run_stream_sharded`]. Both take any [`OpSource`] and one
+//! behind [`run_stream`] and its observed variants, which split the
+//! method's tracker at every class switch of the stream, and batched behind
+//! [`run_stream_sharded`], where each shard splits its own tracker and the
+//! loop adds the per-class sums up. Both take any [`OpSource`] and one
 //! [`RunObserver`].
 //!
 //! Suites of methods are measured with [`run_suite_stream`], one method at
@@ -161,15 +163,18 @@ fn finite(x: f64) -> f64 {
     }
 }
 
-/// Class-transition cost attribution shared by both drivers.
+/// The op phase's per-class books, shared by both drivers.
 ///
-/// Costs are attributed per operation *class*, not per operation: the
-/// tracker is snapshotted (9 atomic loads) only when the stream switches
-/// between the read class (get/range) and the write class
-/// (insert/update/delete), plus once at the end. Between switches every
-/// byte the tracker accrues comes from operations of the running class,
-/// so the batched sums equal the per-op sums exactly while the hot loop
-/// sheds the per-op snapshot.
+/// Costs are attributed per operation *class*, not per operation. The
+/// per-op driver [`settle`](Self::settle)s: the tracker is snapshotted
+/// (9 atomic loads) only when the stream switches between the read class
+/// (get/range) and the write class (insert/update/delete), plus once at
+/// the end. Between switches every byte the tracker accrues comes from
+/// operations of the running class, so the per-class sums equal the
+/// per-op sums exactly while the hot loop sheds the per-op snapshot. The
+/// batched driver never reads the tracker: its shards make the same split
+/// on their private trackers, where the bytes are counted, and it
+/// [`fold`](Self::fold)s the sums they return.
 struct OpPhase {
     read_costs: CostSnapshot,
     write_costs: CostSnapshot,
@@ -225,8 +230,32 @@ impl OpPhase {
         }
     }
 
-    /// Stop the wall clock and assemble the report; call after the closing
-    /// `settle(.., None, ..)`.
+    /// Book `ops` operations of one class together with `delta`, the
+    /// traffic the shards that ran them attributed to that class. A class
+    /// with no ops in the batch is skipped, so the observer is only shown
+    /// classes that ran; `next` is `None` because a batch has no running
+    /// class to switch to.
+    fn fold<M, O>(&mut self, is_read: bool, ops: u64, delta: &CostSnapshot, observer: &mut O)
+    where
+        M: AccessMethod + ?Sized,
+        O: RunObserver<M>,
+    {
+        if ops == 0 {
+            return;
+        }
+        self.count(is_read, ops);
+        let costs = if is_read {
+            &mut self.read_costs
+        } else {
+            &mut self.write_costs
+        };
+        *costs = costs.add(delta);
+        observer.on_settle(Some(is_read), delta, None);
+    }
+
+    /// Stop the wall clock and assemble the report; call once every op's
+    /// traffic is booked (after the closing `settle(.., None, ..)` or the
+    /// last batch's [`fold`](Self::fold)s).
     fn finish<M: AccessMethod + ?Sized>(
         self,
         method: &M,
@@ -288,7 +317,9 @@ pub trait RunObserver<M: AccessMethod + ?Sized> {
     fn on_begin(&mut self, _load: &CostSnapshot, _tracker: &CostTracker) {}
 
     /// The op phase folded `delta` into the `settled` class (`None` right
-    /// after the start) and switches to `next` (`None` at the end).
+    /// after the start) and switches to `next` (`None` at the end, and
+    /// from the batched driver, which reports each class of a batch after
+    /// the batch ran).
     fn on_settle(&mut self, _settled: Option<bool>, _delta: &CostSnapshot, _next: Option<bool>) {}
 
     /// One op ran. Returns whether it closed a trajectory window, in which
@@ -297,13 +328,13 @@ pub trait RunObserver<M: AccessMethod + ?Sized> {
         false
     }
 
-    /// The batched driver's `on_op`: `ops` same-class operations ran,
-    /// their latencies merged from the shard workers.
+    /// The batched driver's `on_op`: a batch of `ops` operations ran,
+    /// their latencies merged from the shard workers per class.
     fn on_batch(
         &mut self,
-        _is_read: bool,
         _ops: u64,
-        _latency: &LatencyHistogram,
+        _read_latency: &LatencyHistogram,
+        _write_latency: &LatencyHistogram,
         _tracker: &CostTracker,
         _method: &M,
     ) {
@@ -492,22 +523,26 @@ pub fn run_stream_autotuned(
 /// sub-batches stay cache-resident.
 pub const DEFAULT_STREAM_BATCH: usize = 8192;
 
-/// Run a workload against a [`ShardedMethod`], executing
-/// class-contiguous batches of up to `batch` ops concurrently on the
-/// wrapper's persistent worker pool, with **double-buffered batch
-/// assembly**: while the workers execute batch `i`, the runner is already
-/// drawing batch `i + 1` from the source into the other buffer, so op
-/// generation overlaps shard execution and at most one batch is in flight.
+/// Run a workload against a [`ShardedMethod`], executing batches of the
+/// next `batch` ops, whatever their class, concurrently on the wrapper's
+/// persistent worker pool, with **double-buffered batch assembly**: while
+/// the workers execute batch `i`, the runner is already drawing batch
+/// `i + 1` from the source into the other buffer, so op generation
+/// overlaps shard execution and at most one batch is in flight.
 ///
-/// Batches never mix read-class and write-class ops (a lookahead op that
-/// switches class is held back for the next batch), and the in-flight
-/// batch is always collected — its cost deltas folded into the wrapper
-/// tracker — *before* the phase settles at a class transition, so the
-/// tracker's delta per settle span is attributable to exactly one class:
-/// the same attribution [`run_stream`] performs per op. All counted
-/// traffic is deterministic, so RO / UO / MO and every cost field are
-/// **bit-identical** to driving the same `ShardedMethod` serially with
-/// [`run_stream`]; only the wall-clock fields differ.
+/// A batch ends where the buffer is full, never where the stream switches
+/// class, so a dispatch carries `batch` ops on any mix. Read-path and
+/// write-path traffic are told apart where the bytes are counted: each
+/// shard job snapshots its private tracker wherever *its* sub-batch
+/// switches class and returns the read-class part beside its total, and
+/// the runner adds the per-shard pairs into `read_costs` / `write_costs`.
+/// That split is exact, not estimated: a shard runs its sub-batch in
+/// stream order on one FIFO lane, so between two of its switches every
+/// byte on its tracker belongs to the running class, exactly as between
+/// two class switches of [`run_stream`]; and the sums over shards are
+/// `u64` additions, which commute. RO / UO / MO and every cost field are
+/// therefore **bit-identical** to driving the same `ShardedMethod`
+/// serially with [`run_stream`]; only the wall-clock fields differ.
 pub fn run_stream_sharded(
     method: &mut ShardedMethod,
     source: impl OpSource,
@@ -517,8 +552,8 @@ pub fn run_stream_sharded(
 }
 
 /// [`run_stream_sharded`] with a [`TraceCollector`] observing the op
-/// phase: batches run timed, each shard worker records a per-op
-/// [`LatencyHistogram`], and the merged
+/// phase: batches run timed, each shard worker records one per-op
+/// [`LatencyHistogram`] per class, and the merged
 /// per-batch histograms (associative + commutative pointwise sums, so the
 /// merge order across workers cannot matter) land in the collector via
 /// [`RunObserver::on_batch`]. `p50_ns` / `p99_ns` in the returned
@@ -542,7 +577,9 @@ pub fn run_stream_sharded_traced(
 /// The batched variant of [`drive`]: the double-buffered
 /// submit/assemble/collect loop over a [`ShardedMethod`], with the same
 /// observer (per-batch timing is on exactly when the observer is
-/// [`TIMED`](RunObserver::TIMED)).
+/// [`TIMED`](RunObserver::TIMED)). It takes each batch's per-class
+/// traffic from the shards ([`OpPhase::fold`]) instead of settling the
+/// wrapper tracker, which by then holds both classes of the batch.
 fn drive_batched<S, O>(
     method: &mut ShardedMethod,
     source: S,
@@ -561,57 +598,46 @@ where
     observer.on_begin(&load_costs, &tracker);
 
     let mut phase = OpPhase::start(&tracker);
-    let mut pending: Option<Op> = None;
     // Two assembly buffers: the workers read from one (it backs the
     // in-flight batch's per-shard partitions) while the source fills the
     // other.
     let mut buffers = [Vec::with_capacity(batch), Vec::with_capacity(batch)];
     let mut which = 0usize;
-    // The dispatched-but-uncollected batch: handle, class, op count.
-    let mut in_flight: Option<(crate::shard::PendingBatch, bool, u64)> = None;
+    // The dispatched-but-uncollected batch: handle, read ops, write ops.
+    let mut in_flight: Option<(crate::shard::PendingBatch, u64, u64)> = None;
     loop {
-        // Assemble the next class-contiguous batch; these source pulls
-        // overlap the workers executing the in-flight batch.
+        // Assemble the next batch; these source pulls overlap the workers
+        // executing the in-flight batch.
         let buf = &mut buffers[which];
         buf.clear();
-        let mut next_class: Option<bool> = None;
-        if let Some(first) = pending.take().or_else(|| ops.next()) {
-            let is_read = first.is_read();
-            next_class = Some(is_read);
-            buf.push(first);
-            while buf.len() < batch {
-                match ops.next() {
-                    Some(op) if op.is_read() == is_read => buf.push(op),
-                    Some(op) => {
-                        pending = Some(op);
-                        break;
-                    }
-                    None => break,
-                }
-            }
-        }
+        buf.extend(ops.by_ref().take(batch));
 
-        // Collect the in-flight batch before any settle: its cost deltas
-        // must be in the tracker while its class is still the running one.
-        if let Some((handle, class, count)) = in_flight.take() {
-            let latency = method.finish_batch(handle)?;
-            phase.count(class, count);
+        if let Some((handle, reads, writes)) = in_flight.take() {
+            let done = method.finish_batch_by_class(handle);
+            done.result?;
+            phase.fold(true, reads, &done.read_delta, observer);
+            phase.fold(false, writes, &done.write_delta, observer);
             // `Some` exactly when the batch was submitted timed.
-            if let Some(latency) = latency {
-                observer.on_batch(class, count, &latency, &tracker, &*method);
+            if let Some(latency) = done.latency {
+                observer.on_batch(
+                    reads + writes,
+                    &latency.read,
+                    &latency.write,
+                    &tracker,
+                    &*method,
+                );
             }
         }
 
-        let Some(is_read) = next_class else { break };
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read), observer);
+        let buf = &buffers[which];
+        if buf.is_empty() {
+            break;
         }
-        let count = buffers[which].len() as u64;
-        let handle = method.submit_batch(&buffers[which], O::TIMED)?;
-        in_flight = Some((handle, is_read, count));
+        let reads = buf.iter().filter(|op| op.is_read()).count() as u64;
+        let handle = method.submit_batch(buf, O::TIMED)?;
+        in_flight = Some((handle, reads, buf.len() as u64 - reads));
         which ^= 1;
     }
-    phase.settle(&tracker, None, observer);
     let mut report = phase.finish(&*method, load_costs, load_wall_ns);
     observer.on_finish(&tracker, &*method, &mut report);
     Ok(report)
@@ -1092,6 +1118,86 @@ pub(crate) mod tests {
             );
             let total_ops: u64 = trace.windows().iter().map(|w| w.ops).sum();
             assert_eq!(total_ops, 2000, "threads={threads}");
+        }
+    }
+
+    /// What the batched driver showed an observer, in order.
+    #[derive(Default)]
+    struct Shown {
+        settles: Vec<(Option<bool>, CostSnapshot, Option<bool>)>,
+        batch_ops: Vec<u64>,
+    }
+
+    impl RunObserver<dyn AccessMethod> for Shown {
+        fn on_settle(&mut self, settled: Option<bool>, delta: &CostSnapshot, next: Option<bool>) {
+            self.settles.push((settled, *delta, next));
+        }
+        fn on_batch(
+            &mut self,
+            ops: u64,
+            _read_latency: &LatencyHistogram,
+            _write_latency: &LatencyHistogram,
+            _tracker: &CostTracker,
+            _method: &dyn AccessMethod,
+        ) {
+            self.batch_ops.push(ops);
+        }
+    }
+
+    #[test]
+    fn batched_driver_shows_each_class_that_ran_once_per_batch() {
+        let factory = |_: usize| -> Box<dyn AccessMethod> { Box::new(Amp2::new()) };
+        let initial: Vec<Record> = (0..200u64).map(|k| Record::new(k, k)).collect();
+        let gets: Vec<Op> = (0..100u64).map(Op::Get).collect();
+        let inserts: Vec<Op> = (0..100u64).map(|k| Op::Insert(1000 + k, k)).collect();
+        let alternating: Vec<Op> = gets
+            .iter()
+            .zip(&inserts)
+            .flat_map(|(&g, &i)| [g, i])
+            .collect();
+        // (stream, classes every batch of 64 must show, batches)
+        let cases: [(&[Op], &[bool], usize); 3] = [
+            (&gets, &[true], 2),
+            (&inserts, &[false], 2),
+            (&alternating, &[true, false], 4),
+        ];
+        for (ops, per_batch, batches) in cases {
+            let workload = Workload {
+                initial: initial.clone(),
+                ops: ops.to_vec(),
+                spec_range_len: 0,
+            };
+            for threads in [1, 2] {
+                let mut sharded = crate::shard::ShardedMethod::with_threads(2, threads, factory);
+                let mut shown = Shown::default();
+                let report = drive_batched(&mut sharded, &workload, 64, &mut shown).unwrap();
+                let settled: Vec<Option<bool>> = shown.settles.iter().map(|s| s.0).collect();
+                let expected: Vec<Option<bool>> = per_batch
+                    .iter()
+                    .map(|&c| Some(c))
+                    .cycle()
+                    .take(per_batch.len() * batches)
+                    .collect();
+                assert_eq!(
+                    settled, expected,
+                    "threads={threads}: an empty class was shown"
+                );
+                assert!(shown.settles.iter().all(|s| s.2.is_none()));
+                assert_eq!(shown.batch_ops.len(), batches, "threads={threads}");
+                assert_eq!(shown.batch_ops.iter().sum::<u64>(), ops.len() as u64);
+                assert_eq!(sharded.dispatches(), batches as u64);
+                assert_eq!(sharded.dispatched_ops(), ops.len() as u64);
+                // What the observer was shown is what the report holds.
+                let sum_of = |class: bool| {
+                    shown
+                        .settles
+                        .iter()
+                        .filter(|s| s.0 == Some(class))
+                        .fold(CostSnapshot::default(), |acc, s| acc.add(&s.1))
+                };
+                assert_eq!(sum_of(true), report.read_costs, "threads={threads}");
+                assert_eq!(sum_of(false), report.write_costs, "threads={threads}");
+            }
         }
     }
 

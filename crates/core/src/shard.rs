@@ -21,12 +21,18 @@
 //! Shard `s` is always served by worker `s % workers` through that
 //! worker's FIFO job lane, so each shard's job stream executes in
 //! submission order even when one worker serves several shards
-//! (`threads < K`). Jobs carry whole per-shard sub-batches in; completions
-//! carry the shard's tracker delta (plus an optional per-op latency
-//! histogram) back over a per-dispatch channel, and the facade folds the
-//! deltas in shard order. The old design spawned and joined K scoped
-//! threads for *every* batch — at the default 8192-op batch size that
-//! dispatch tax collapsed sharded throughput by 25–60×.
+//! (`threads < K`). Jobs carry whole per-shard sub-batches in, reads and
+//! writes mixed in stream order; completions carry the shard's tracker
+//! delta with its read-class part beside it (plus optional per-class op
+//! latency histograms) back over a per-dispatch channel, and the facade
+//! folds them in shard order. A dispatch costs one channel round trip per
+//! shard however many ops it carries, so the runner ends a batch only
+//! where its buffer is full ([`dispatches`](ShardedMethod::dispatches) /
+//! [`dispatched_ops`](ShardedMethod::dispatched_ops) count what was
+//! shipped). Keeping each dispatch class-pure instead, by cutting batches
+//! at the stream's read↔write switches, ships two ops per round trip on a
+//! balanced mix and spends more than half of every op on hand-off;
+//! spawning and joining K scoped threads per batch costs 25–60×.
 //!
 //! Per-op facade calls ([`get`](AccessMethod::get), ...) never touch the
 //! pool: each shard lives behind its own mutex, so the facade locks the
@@ -42,6 +48,21 @@
 //! by the wrapper's instrumented entry points on the per-op path, or by
 //! the inner wrappers on the batched path — so both paths report the same
 //! totals.
+//!
+//! RO and UO need those totals split by the class of op that incurred
+//! them, and on the batched path the wrapper's tracker cannot give that:
+//! by the time a mixed batch is folded it holds both classes. The split is
+//! made where the bytes are counted instead. A shard job snapshots its
+//! private tracker wherever *its* sub-batch switches class; between two
+//! switches the shard runs ops of one class only, alone on its tracker, so
+//! every byte in the span belongs to that class, which is the argument the
+//! per-op runner makes about the whole stream. The completion carries the
+//! read-class sum and the total; the write-class sum is their difference,
+//! so the two always add up to what the wrapper absorbed, also when an op
+//! errors or panics mid-job (its partial traffic stays in its own class).
+//! Summing the per-shard pairs is `u64` addition, so the per-class totals
+//! are bit-identical to the serial per-op run's at any K, pool width and
+//! batch size.
 
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -120,11 +141,69 @@ struct Completion {
     /// The shard tracker's delta over this job — everything the facade
     /// needs to fold the job's cost into the wrapper tracker.
     delta: CostSnapshot,
-    /// Per-op latencies, present when the job was `timed`.
-    latency: Option<LatencyHistogram>,
+    /// The part of `delta` accrued while read-class ops ran. The
+    /// write-class part is `delta − read_delta` by definition, so the pair
+    /// sums to the total on every exit path.
+    read_delta: CostSnapshot,
+    /// Per-op latencies by class, present when the job was `timed`.
+    latency: Option<ClassLatency>,
     /// The job's op buffer, cleared and returned for reuse (double-buffered
     /// batch assembly: submission never reallocates in steady state).
     recycled: Option<Vec<Op>>,
+}
+
+/// Per-op latencies of one job or batch, by op class.
+pub(crate) struct ClassLatency {
+    pub(crate) read: LatencyHistogram,
+    pub(crate) write: LatencyHistogram,
+}
+
+impl ClassLatency {
+    fn new() -> Self {
+        ClassLatency {
+            read: LatencyHistogram::new(),
+            write: LatencyHistogram::new(),
+        }
+    }
+
+    fn merge(&mut self, other: &ClassLatency) {
+        self.read.merge(&other.read);
+        self.write.merge(&other.write);
+    }
+}
+
+/// Splits one job's traffic on the shard's private tracker by op class.
+///
+/// The tracker is snapshotted (9 atomic loads) only where the *sub-batch*
+/// switches between the read class (get/range) and the write class
+/// (insert/update/delete): between two switches every byte the shard
+/// accrues comes from ops of the running class, so the per-class sums
+/// equal the per-op sums exactly. The meter lives outside the job's panic
+/// boundary, and [`run_shard_job`] closes it after the boundary, so an op
+/// that errors or panics still has its partial traffic folded into its own
+/// class.
+struct ClassMeter {
+    /// Traffic of the read-class runs closed so far.
+    read: CostSnapshot,
+    /// Shard tracker at the last class switch (or the job's start).
+    mark: CostSnapshot,
+    /// Class of the op now running; `None` before the first op, after the
+    /// close, and throughout a bulk load.
+    running: Option<bool>,
+    latency: Option<ClassLatency>,
+}
+
+impl ClassMeter {
+    /// Fold the traffic since the last switch into the class that was
+    /// running and make `next` the running class.
+    fn switch(&mut self, tracker: &CostTracker, next: Option<bool>) {
+        let now = tracker.snapshot();
+        if self.running == Some(true) {
+            self.read = self.read.add(&now.delta(&self.mark));
+        }
+        self.mark = now;
+        self.running = next;
+    }
 }
 
 /// Execute one job against its shard, with panic containment.
@@ -139,30 +218,35 @@ fn run_shard_job(shard: &Shard, index: usize, payload: JobPayload, timed: bool) 
             shard: index,
             outcome: Err(poisoned_error(index)),
             delta: CostSnapshot::default(),
+            read_delta: CostSnapshot::default(),
             latency: None,
             recycled: recycle(payload),
         };
     }
     let mut guard = shard.lock();
     let before = guard.tracker().snapshot();
-    let mut latency = if timed {
-        Some(LatencyHistogram::new())
-    } else {
-        None
+    let mut meter = ClassMeter {
+        read: CostSnapshot::default(),
+        mark: before,
+        running: None,
+        latency: timed.then(ClassLatency::new),
     };
     let caught = {
         let method = guard.as_mut();
-        let hist = &mut latency;
+        let meter = &mut meter;
         // The catch_unwind boundary sits inside the lock scope, so a
         // panicking op never unwinds through the guard (no std mutex
         // poisoning) and the tracker can still be read for the partial
         // delta the op accrued before it died.
         catch_unwind(AssertUnwindSafe(|| match &payload {
-            JobPayload::Ops(ops) => execute_ops(method, ops, hist),
+            JobPayload::Ops(ops) => execute_ops(method, ops, meter),
             JobPayload::Load(records) => method.bulk_load_impl(records),
         }))
     };
-    let delta = guard.tracker().since(&before);
+    // Close the running class on every exit path: success, `Err` and
+    // panic all leave the failed op's partial traffic in its own class.
+    meter.switch(guard.tracker(), None);
+    let delta = meter.mark.delta(&before);
     drop(guard);
     let outcome = match caught {
         Ok(result) => result,
@@ -178,7 +262,8 @@ fn run_shard_job(shard: &Shard, index: usize, payload: JobPayload, timed: bool) 
         shard: index,
         outcome,
         delta,
-        latency,
+        read_delta: meter.read,
+        latency: meter.latency,
         recycled: recycle(payload),
     }
 }
@@ -194,25 +279,27 @@ fn recycle(payload: JobPayload) -> Option<Vec<Op>> {
     }
 }
 
-/// Run a per-shard sub-batch through the instrumented wrappers, timing
-/// each op into `latency` when present.
+/// Run a per-shard sub-batch through the instrumented wrappers,
+/// switching `meter` wherever the sub-batch changes class and timing each
+/// op into the meter's per-class histograms when present.
 ///
 /// Latency semantics on the sharded path: a range op fans out to every
 /// shard, so it contributes one observation *per shard visited* (the
 /// per-shard probe latency), not one end-to-end fan-out latency.
-fn execute_ops(
-    method: &mut dyn AccessMethod,
-    ops: &[Op],
-    latency: &mut Option<LatencyHistogram>,
-) -> Result<()> {
+fn execute_ops(method: &mut dyn AccessMethod, ops: &[Op], meter: &mut ClassMeter) -> Result<()> {
     for &op in ops {
-        let started = if latency.is_some() {
-            Some(Instant::now())
-        } else {
-            None
-        };
+        let is_read = op.is_read();
+        if meter.running != Some(is_read) {
+            meter.switch(method.tracker(), Some(is_read));
+        }
+        let started = meter.latency.is_some().then(Instant::now);
         op.apply(method)?;
-        if let (Some(hist), Some(started)) = (latency.as_mut(), started) {
+        if let (Some(latency), Some(started)) = (meter.latency.as_mut(), started) {
+            let hist = if is_read {
+                &mut latency.read
+            } else {
+                &mut latency.write
+            };
             hist.record(crate::runner::elapsed_ns(started));
         }
     }
@@ -284,21 +371,34 @@ impl Drop for WorkerPool {
 /// travel in the completions, so dropping a `PendingBatch` unfinished
 /// loses that traffic from the facade tracker.
 pub struct PendingBatch {
-    state: BatchState,
+    /// What is folded already: the whole batch when it ran inline (no
+    /// pool), nothing yet when it went to the pool.
+    outcome: BatchOutcome,
+    /// The pool's reply channel and how many completions it still owes.
+    in_flight: Option<(Receiver<Completion>, usize)>,
 }
 
-enum BatchState {
-    /// Executed synchronously (no pool): deltas already absorbed.
-    Done {
-        outcome: Result<()>,
-        latency: Option<LatencyHistogram>,
-    },
-    /// In flight on the pool; completions pending on `rx`.
-    InFlight {
-        rx: Receiver<Completion>,
-        expected: usize,
-        timed: bool,
-    },
+/// A collected batch: what failed first (in shard order) and the traffic
+/// of every completion that arrived, folded in shard order and split by
+/// the op class that incurred it. `read_delta + write_delta` is exactly
+/// what the facade tracker absorbed, whether or not the batch failed.
+pub(crate) struct BatchOutcome {
+    pub(crate) result: Result<()>,
+    pub(crate) read_delta: CostSnapshot,
+    pub(crate) write_delta: CostSnapshot,
+    /// Per-class op latencies, present when the batch was timed.
+    pub(crate) latency: Option<ClassLatency>,
+}
+
+impl BatchOutcome {
+    fn new(timed: bool) -> Self {
+        BatchOutcome {
+            result: Ok(()),
+            read_delta: CostSnapshot::default(),
+            write_delta: CostSnapshot::default(),
+            latency: timed.then(ClassLatency::new),
+        }
+    }
 }
 
 /// `K` instances of an access method behind one [`AccessMethod`] facade,
@@ -356,6 +456,10 @@ pub struct ShardedMethod {
     /// Cleared op buffers recycled through completions, so steady-state
     /// batch submission allocates nothing.
     spare: Vec<Vec<Op>>,
+    /// [`submit_batch`](Self::submit_batch) calls so far, and the ops they
+    /// carried.
+    dispatches: u64,
+    dispatched_ops: u64,
     /// Replacement factory for rebuild-based healing, armed by
     /// [`set_factory`](Self::set_factory). When a poisoned shard's inner
     /// method cannot repair itself ([`AccessMethod::try_heal`] returns
@@ -397,6 +501,8 @@ impl ShardedMethod {
             threads: threads.clamp(1, k),
             sink: crate::trace::noop_sink(),
             spare: Vec::new(),
+            dispatches: 0,
+            dispatched_ops: 0,
             factory: None,
         }
     }
@@ -424,6 +530,19 @@ impl ShardedMethod {
     /// Batch worker threads this wrapper will use.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// Batches handed to [`submit_batch`](Self::submit_batch) so far. With
+    /// [`dispatched_ops`](Self::dispatched_ops) it gives the mean batch
+    /// size, the number the per-batch hand-off is amortized over.
+    pub fn dispatches(&self) -> u64 {
+        self.dispatches
+    }
+
+    /// Ops carried by the batches counted in
+    /// [`dispatches`](Self::dispatches).
+    pub fn dispatched_ops(&self) -> u64 {
+        self.dispatched_ops
     }
 
     /// Whether the persistent pool is currently running (it starts lazily
@@ -590,12 +709,17 @@ impl ShardedMethod {
     /// can assemble the next batch while the workers run this one, then
     /// [`finish_batch`](Self::finish_batch) to fold the costs in.
     ///
+    /// A batch may mix read-class and write-class ops freely: each shard
+    /// job splits its own traffic by class where it is counted.
+    ///
     /// Without a pool (`threads <= 1` or `K == 1`) the batch executes
     /// inline, in shard order, before returning; `finish_batch` then just
     /// reports its outcome. With `timed`, each worker records a per-op
     /// [`LatencyHistogram`] returned (merged in shard order) by
     /// `finish_batch`.
     pub fn submit_batch(&mut self, ops: &[Op], timed: bool) -> Result<PendingBatch> {
+        self.dispatches += 1;
+        self.dispatched_ops += ops.len() as u64;
         let k = self.shards.len();
         let mut parts: Vec<Vec<Op>> = Vec::with_capacity(k);
         for _ in 0..k {
@@ -619,6 +743,7 @@ impl ShardedMethod {
         if self.sink.enabled() {
             let largest = parts.iter().map(Vec::len).max().unwrap_or(0);
             let workers = self.pool.as_ref().map_or(1, WorkerPool::workers);
+            let reads = ops.iter().filter(|op| op.is_read()).count();
             self.sink.emit(
                 EventKind::ShardDispatch,
                 &[
@@ -626,6 +751,8 @@ impl ShardedMethod {
                     ("shards", k as u64),
                     ("workers", workers as u64),
                     ("largest_part", largest as u64),
+                    ("reads", reads as u64),
+                    ("writes", (ops.len() - reads) as u64),
                 ],
             );
         }
@@ -633,34 +760,18 @@ impl ShardedMethod {
         if !pooled {
             // Inline: the exact same job runner the workers use, shard
             // order, costs folded immediately.
-            let mut outcome: Result<()> = Ok(());
-            let mut merged = if timed {
-                Some(LatencyHistogram::new())
-            } else {
-                None
-            };
+            let mut outcome = BatchOutcome::new(timed);
             for (index, part) in parts.into_iter().enumerate() {
                 if part.is_empty() {
                     self.spare.push(part);
                     continue;
                 }
                 let c = run_shard_job(&self.shards[index], index, JobPayload::Ops(part), timed);
-                self.tracker.absorb(&c.delta);
-                if let Some(buf) = c.recycled {
-                    self.spare.push(buf);
-                }
-                if let (Some(m), Some(h)) = (merged.as_mut(), c.latency.as_ref()) {
-                    m.merge(h);
-                }
-                if outcome.is_ok() {
-                    outcome = c.outcome;
-                }
+                self.fold(&mut outcome, c);
             }
             return Ok(PendingBatch {
-                state: BatchState::Done {
-                    outcome,
-                    latency: merged,
-                },
+                outcome,
+                in_flight: None,
             });
         }
 
@@ -682,11 +793,8 @@ impl ShardedMethod {
         }
         drop(reply);
         Ok(PendingBatch {
-            state: BatchState::InFlight {
-                rx,
-                expected,
-                timed,
-            },
+            outcome: BatchOutcome::new(timed),
+            in_flight: Some((rx, expected)),
         })
     }
 
@@ -709,23 +817,53 @@ impl ShardedMethod {
     /// been folded in, so a failed batch never loses counted traffic from
     /// the shards that did finish.
     pub fn finish_batch(&mut self, batch: PendingBatch) -> Result<Option<LatencyHistogram>> {
-        match batch.state {
-            BatchState::Done { outcome, latency } => outcome.map(|()| latency),
-            BatchState::InFlight {
-                rx,
-                expected,
-                timed,
-            } => self.collect(rx, expected, timed),
+        let BatchOutcome {
+            result, latency, ..
+        } = self.finish_batch_by_class(batch);
+        result.map(|()| {
+            latency.map(|ClassLatency { mut read, write }| {
+                read.merge(&write);
+                read
+            })
+        })
+    }
+
+    /// [`finish_batch`](Self::finish_batch) for the batched runner: the
+    /// same wait and the same shard-order fold, returning the traffic and
+    /// the latencies split by op class instead of merged.
+    pub(crate) fn finish_batch_by_class(&mut self, batch: PendingBatch) -> BatchOutcome {
+        match batch.in_flight {
+            None => batch.outcome,
+            Some((rx, expected)) => self.collect(rx, expected, batch.outcome),
         }
     }
 
-    /// Receive `expected` completions and fold them in shard order.
+    /// Fold one completion into the wrapper tracker and the batch's
+    /// per-class totals. Called in shard order, so the first error kept is
+    /// the lowest failing shard's.
+    fn fold(&mut self, outcome: &mut BatchOutcome, c: Completion) {
+        self.tracker.absorb(&c.delta);
+        outcome.read_delta = outcome.read_delta.add(&c.read_delta);
+        outcome.write_delta = outcome.write_delta.add(&c.delta.delta(&c.read_delta));
+        if let Some(buf) = c.recycled {
+            self.spare.push(buf);
+        }
+        if let (Some(merged), Some(latency)) = (outcome.latency.as_mut(), c.latency.as_ref()) {
+            merged.merge(latency);
+        }
+        if outcome.result.is_ok() {
+            outcome.result = c.outcome;
+        }
+    }
+
+    /// Receive `expected` completions and fold them into `outcome` in
+    /// shard order.
     fn collect(
         &mut self,
         rx: Receiver<Completion>,
         expected: usize,
-        timed: bool,
-    ) -> Result<Option<LatencyHistogram>> {
+        mut outcome: BatchOutcome,
+    ) -> BatchOutcome {
         let k = self.shards.len();
         let mut completions: Vec<Option<Completion>> =
             std::iter::repeat_with(|| None).take(k).collect();
@@ -742,33 +880,15 @@ impl ShardedMethod {
                 Err(_) => break,
             }
         }
-        let mut outcome: Result<()> = if received == expected {
-            Ok(())
-        } else {
-            Err(RumError::Corrupt(
+        if received < expected {
+            outcome.result = Err(RumError::Corrupt(
                 "a shard worker died before completing its job; its cost delta is lost".into(),
-            ))
-        };
-        let mut merged = if timed {
-            Some(LatencyHistogram::new())
-        } else {
-            None
-        };
-        for c in completions.into_iter().flatten() {
-            self.tracker.absorb(&c.delta);
-            if let Some(buf) = c.recycled {
-                self.spare.push(buf);
-            }
-            if let (Some(m), Some(h)) = (merged.as_mut(), c.latency.as_ref()) {
-                m.merge(h);
-            }
-            if outcome.is_ok() {
-                if let Err(e) = c.outcome {
-                    outcome = Err(e);
-                }
-            }
+            ));
         }
-        outcome.map(|()| merged)
+        for c in completions.into_iter().flatten() {
+            self.fold(&mut outcome, c);
+        }
+        outcome
     }
 }
 
@@ -870,15 +990,12 @@ impl AccessMethod for ShardedMethod {
             parts[shard].push(r);
         }
         if !self.ensure_pool() {
-            let mut outcome: Result<()> = Ok(());
+            let mut outcome = BatchOutcome::new(false);
             for (index, part) in parts.into_iter().enumerate() {
                 let c = run_shard_job(&self.shards[index], index, JobPayload::Load(part), false);
-                self.tracker.absorb(&c.delta);
-                if outcome.is_ok() {
-                    outcome = c.outcome;
-                }
+                self.fold(&mut outcome, c);
             }
-            return outcome;
+            return outcome.result;
         }
         let (reply, rx) = channel();
         for (index, part) in parts.into_iter().enumerate() {
@@ -891,7 +1008,7 @@ impl AccessMethod for ShardedMethod {
             self.send_job(index, job)?;
         }
         drop(reply);
-        self.collect(rx, k, false).map(|_| ())
+        self.collect(rx, k, BatchOutcome::new(false)).result
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -922,6 +1039,7 @@ impl AccessMethod for ShardedMethod {
 mod tests {
     use super::*;
     use crate::runner::tests::Amp2;
+    use crate::tracker::DataClass;
 
     impl Amp2 {
         fn boxed(_shard: usize) -> Box<dyn AccessMethod> {
@@ -1166,24 +1284,51 @@ mod tests {
         assert_eq!(sharded.shards(), 4);
     }
 
-    /// An Amp2 that panics when asked to insert one specific key —
-    /// deterministic shard poisoning for the healing tests.
+    /// An Amp2 that panics (or, with `errors`, fails) when asked to get or
+    /// insert one specific key — deterministic shard poisoning for the
+    /// healing tests, and a failing op of either class for the class-split
+    /// tests.
     struct Trip {
         inner: Amp2,
         trigger: Key,
         /// When set, `try_heal` claims self-repair (data preserved).
         self_heals: bool,
+        /// Return `Err` at the tripwire instead of panicking.
+        errors: bool,
     }
+
+    /// What a tripped get / insert charges before it dies: the partial
+    /// traffic that must still land in the dying op's own class.
+    const TRIP_READ_BYTES: u64 = 7;
+    const TRIP_WRITE_BYTES: u64 = 11;
 
     impl Trip {
         fn factory(trigger: Key, self_heals: bool) -> impl Fn(usize) -> Box<dyn AccessMethod> {
-            move |_| {
-                Box::new(Trip {
-                    inner: Amp2::new(),
-                    trigger,
-                    self_heals,
-                })
+            move |_| Trip::boxed(trigger, self_heals, false)
+        }
+
+        fn boxed(trigger: Key, self_heals: bool, errors: bool) -> Box<dyn AccessMethod> {
+            Box::new(Trip {
+                inner: Amp2::new(),
+                trigger,
+                self_heals,
+                errors,
+            })
+        }
+
+        fn trip(&self, key: Key, is_read: bool) -> Result<()> {
+            if key != self.trigger {
+                return Ok(());
             }
+            if is_read {
+                self.tracker().read(DataClass::Aux, TRIP_READ_BYTES);
+            } else {
+                self.tracker().write(DataClass::Aux, TRIP_WRITE_BYTES);
+            }
+            if self.errors {
+                return Err(RumError::Corrupt("tripwire key touched".into()));
+            }
+            panic!("tripwire key touched");
         }
     }
 
@@ -1201,13 +1346,14 @@ mod tests {
             self.inner.space_profile()
         }
         fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
+            self.trip(key, true)?;
             self.inner.get_impl(key)
         }
         fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
             self.inner.range_impl(lo, hi)
         }
         fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-            assert!(key != self.trigger, "tripwire key inserted");
+            self.trip(key, false)?;
             self.inner.insert_impl(key, value)
         }
         fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
@@ -1298,5 +1444,191 @@ mod tests {
         assert!(sharded.execute_batch(&[Op::Insert(trigger, 1)]).is_err());
         assert!(sharded.try_heal().unwrap());
         assert!(sharded.poisoned_shards().is_empty());
+    }
+
+    /// Per-class traffic of `ops` applied one at a time to `m`, the
+    /// tracker read around every op: the attribution the batched split
+    /// must reproduce. Stops after the first op that fails, whose partial
+    /// traffic is booked to its own class.
+    fn per_op_split(m: &mut dyn AccessMethod, ops: &[Op]) -> (CostSnapshot, CostSnapshot) {
+        let tracker = Arc::clone(m.tracker());
+        let (mut read, mut write) = (CostSnapshot::default(), CostSnapshot::default());
+        for &op in ops {
+            let before = tracker.snapshot();
+            let failed = op.apply(m).is_err();
+            let d = tracker.since(&before);
+            if op.is_read() {
+                read = read.add(&d);
+            } else {
+                write = write.add(&d);
+            }
+            if failed {
+                break;
+            }
+        }
+        (read, write)
+    }
+
+    #[test]
+    fn class_split_conserves_on_every_exit_path() {
+        let trigger: Key = 0xBAD_F00D;
+        let records = sample_records(200);
+        let healthy = mixed_ops(40);
+        // The per-op reference fails with `Err` in both modes: the tripped
+        // op charges the same partial traffic before it panics or errors.
+        for errors in [false, true] {
+            for tripped in [Op::Get(trigger), Op::Insert(trigger, 1)] {
+                for at in [0, healthy.len() / 2, healthy.len()] {
+                    let ctx = format!("errors={errors} tripped={tripped:?} at={at}");
+                    let mut ops = healthy.clone();
+                    ops.insert(at, tripped);
+
+                    let mut reference = Trip::boxed(trigger, false, true);
+                    reference.bulk_load_impl(&records).unwrap();
+                    let (read, write) = per_op_split(reference.as_mut(), &ops);
+                    let tripped_part = if tripped.is_read() { read } else { write };
+                    assert!(
+                        tripped_part.aux_read_bytes + tripped_part.aux_write_bytes > 0,
+                        "{ctx}: the failing op must leave partial traffic behind"
+                    );
+
+                    let shard = Shard::new(Trip::boxed(trigger, false, errors));
+                    let load = run_shard_job(&shard, 0, JobPayload::Load(records.clone()), false);
+                    assert_eq!(load.read_delta, CostSnapshot::default(), "{ctx}");
+                    let c = run_shard_job(&shard, 0, JobPayload::Ops(ops.clone()), true);
+                    assert!(c.outcome.is_err(), "{ctx}");
+                    assert_eq!(c.read_delta, read, "{ctx}: read class");
+                    assert_eq!(c.delta.delta(&c.read_delta), write, "{ctx}: write class");
+                    assert_eq!(c.delta, read.add(&write), "{ctx}: total");
+                    // Only ops that completed are timed.
+                    let latency = c.latency.expect("timed job");
+                    assert_eq!(
+                        latency.read.count() + latency.write.count(),
+                        at as u64,
+                        "{ctx}"
+                    );
+
+                    // A panic poisons the shard: later jobs are refused
+                    // with an all-zero pair; an `Err` leaves it serving.
+                    let after = run_shard_job(&shard, 0, JobPayload::Ops(healthy.clone()), false);
+                    if errors {
+                        assert!(after.outcome.is_ok(), "{ctx}");
+                    } else {
+                        assert!(after.outcome.is_err(), "{ctx}");
+                        assert_eq!(after.delta, CostSnapshot::default(), "{ctx}");
+                        assert_eq!(after.read_delta, CostSnapshot::default(), "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn failed_batch_keeps_every_finished_shards_traffic_per_class() {
+        let trigger: Key = 0xBAD_F00D;
+        let records = sample_records(300);
+        // Point ops only: a range would fan out to the failed shard too.
+        let healthy: Vec<Op> = mixed_ops(400)
+            .into_iter()
+            .filter(|op| !matches!(op, Op::Range(..)))
+            .collect();
+        for errors in [false, true] {
+            for tripped in [Op::Get(trigger), Op::Insert(trigger, 1)] {
+                for threads in [1, 2] {
+                    let ctx = format!("errors={errors} tripped={tripped:?} threads={threads}");
+                    let mut ops = healthy.clone();
+                    ops.insert(healthy.len() / 2, tripped);
+
+                    // Reference: per-op through the facade, skipping what
+                    // the failed shard never reached.
+                    let mut reference =
+                        ShardedMethod::with_threads(2, 1, |_| Trip::boxed(trigger, false, true));
+                    reference.bulk_load(&records).unwrap();
+                    let bad = reference.shard_of(trigger);
+                    let reached: Vec<Op> = ops
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, op)| {
+                            let key = match *op {
+                                Op::Get(k)
+                                | Op::Insert(k, _)
+                                | Op::Update(k, _)
+                                | Op::Delete(k) => k,
+                                Op::Range(..) => unreachable!("filtered above"),
+                            };
+                            reference.shard_of(key) != bad || i <= healthy.len() / 2
+                        })
+                        .map(|(_, &op)| op)
+                        .collect();
+                    let mut read = CostSnapshot::default();
+                    let mut write = CostSnapshot::default();
+                    for op in reached {
+                        let (r, w) = per_op_split(&mut reference, &[op]);
+                        read = read.add(&r);
+                        write = write.add(&w);
+                    }
+
+                    let mut batched = ShardedMethod::with_threads(2, threads, |_| {
+                        Trip::boxed(trigger, false, errors)
+                    });
+                    batched.bulk_load(&records).unwrap();
+                    let before = batched.tracker().snapshot();
+                    let pending = batched.submit_batch(&ops, false).unwrap();
+                    let done = batched.finish_batch_by_class(pending);
+                    assert!(done.result.is_err(), "{ctx}");
+                    assert_eq!(done.read_delta, read, "{ctx}: read class");
+                    assert_eq!(done.write_delta, write, "{ctx}: write class");
+                    assert_eq!(
+                        batched.tracker().since(&before),
+                        read.add(&write),
+                        "{ctx}: the tracker absorbed exactly the two classes"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dispatches_are_counted_and_traced_with_their_mix() {
+        let mut sharded = ShardedMethod::with_threads(4, 2, Amp2::boxed);
+        let sink = crate::trace::MemorySink::shared();
+        sharded.set_trace_sink(Arc::clone(&sink) as _);
+        sharded.bulk_load(&sample_records(100)).unwrap();
+        assert_eq!((sharded.dispatches(), sharded.dispatched_ops()), (0, 0));
+
+        let ops = mixed_ops(100); // two of every five are get / range
+        for chunk in ops.chunks(30) {
+            sharded.execute_batch(chunk).unwrap();
+        }
+        assert_eq!((sharded.dispatches(), sharded.dispatched_ops()), (4, 100));
+
+        let events: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::ShardDispatch)
+            .collect();
+        assert_eq!(events.len(), 4);
+        let names: Vec<&str> = events[0].detail.iter().map(|(name, _)| *name).collect();
+        assert_eq!(
+            names,
+            [
+                "ops",
+                "shards",
+                "workers",
+                "largest_part",
+                "reads",
+                "writes"
+            ],
+            "field order is part of the JSONL format"
+        );
+        for (event, chunk) in events.iter().zip(ops.chunks(30)) {
+            let reads = chunk.iter().filter(|op| op.is_read()).count() as u64;
+            assert_eq!(event.field("ops"), Some(chunk.len() as u64));
+            assert_eq!(event.field("shards"), Some(4));
+            assert_eq!(event.field("workers"), Some(2));
+            assert_eq!(event.field("reads"), Some(reads));
+            assert_eq!(event.field("writes"), Some(chunk.len() as u64 - reads));
+            assert!(event.field("largest_part") >= Some(chunk.len() as u64 / 4));
+        }
     }
 }

@@ -784,23 +784,20 @@ impl<'m> RunObserver<dyn AccessMethod + 'm> for TraceCollector {
     /// Windows then close on batch boundaries, so a window may hold up to
     /// `batch - 1` ops more than `window_ops`: the windowed deltas still
     /// partition the op-phase traffic byte-exactly, only the widths
-    /// quantize. The histogram is merged as-is: a range op contributes one
-    /// observation per shard it fanned out to, so `latency.count()` may
-    /// exceed `ops`.
+    /// quantize. The histograms are merged as-is: a range op contributes
+    /// one observation per shard it fanned out to, so the read-class count
+    /// may exceed the batch's read ops.
     fn on_batch(
         &mut self,
-        is_read: bool,
         ops: u64,
-        latency: &LatencyHistogram,
+        read_latency: &LatencyHistogram,
+        write_latency: &LatencyHistogram,
         tracker: &CostTracker,
         method: &(dyn AccessMethod + 'm),
     ) {
         debug_assert!(self.started, "on_batch before begin");
-        if is_read {
-            self.read_latency.merge(latency);
-        } else {
-            self.write_latency.merge(latency);
-        }
+        self.read_latency.merge(read_latency);
+        self.write_latency.merge(write_latency);
         self.ops_in_window += ops;
         if self.ops_in_window >= self.window_ops {
             self.close_window(tracker, method);

@@ -9,6 +9,10 @@
 //!    only change wall-clock fields.
 //! 2. A K=1 `ShardedMethod` is cost-transparent: it reports exactly what
 //!    the bare inner method reports.
+//!    Batches mix classes freely; every batch size from 1 to the whole
+//!    stream, strictly alternating classes and single-class streams give
+//!    the same per-class books, and those books add up to the facade
+//!    tracker's own delta.
 //! 3. The pool's failure semantics: a worker panic poisons exactly its
 //!    shard (later batches on healthy shards still run), surfaces as
 //!    `RumError::Corrupt`, and never leaks worker threads.
@@ -49,6 +53,69 @@ fn assert_same_rum(ctx: &str, a: &RumReport, b: &RumReport) {
     assert_eq!(a.counted_diff(b), None, "{ctx}");
 }
 
+/// Streams whose class structure is an edge for the batched split, over
+/// the same initial records as [`spec`]: a class switch at every op, and
+/// one class never running at all.
+fn edge_streams() -> Vec<(&'static str, Workload)> {
+    let initial = Workload::generate(&spec()).initial;
+    let key = |i: usize| initial[(i * 7) % initial.len()].key;
+    let stream = |ops: Vec<Op>| Workload {
+        initial: initial.clone(),
+        ops,
+        spec_range_len: 100,
+    };
+    let n = 1500;
+    vec![
+        (
+            "alternating get/insert",
+            stream(
+                (0..n)
+                    .map(|i| match i % 2 {
+                        0 => Op::Get(key(i)),
+                        _ => Op::Insert(key(i) + 1, i as Value),
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "ranges only",
+            stream(
+                (0..n / 4)
+                    .map(|i| Op::Range(key(i), key(i) + 4000))
+                    .collect(),
+            ),
+        ),
+        (
+            "writes only",
+            stream(
+                (0..n)
+                    .map(|i| match i % 3 {
+                        0 => Op::Insert(key(i) + 1, i as Value),
+                        1 => Op::Update(key(i), i as Value),
+                        _ => Op::Delete(key(i + 1)),
+                    })
+                    .collect(),
+            ),
+        ),
+    ]
+}
+
+/// Batch sizes around every boundary of the batched schedule: one op per
+/// dispatch, a class switch inside every batch, a size that divides
+/// nothing, the old test's 777, and one batch holding the whole stream.
+fn batches(ops: usize) -> [usize; 5] {
+    [1, 2, 7, 777, ops + 1]
+}
+
+/// Pool widths 1 (inline), 2 and K, without repeats.
+fn widths(k: usize) -> Vec<usize> {
+    let mut widths = vec![1, 2, k];
+    widths.sort_unstable();
+    widths.dedup();
+    widths.retain(|&t| t <= k);
+    widths
+}
+
 #[test]
 fn concurrent_sharded_run_matches_serial_bit_for_bit() {
     let spec = spec();
@@ -61,26 +128,77 @@ fn concurrent_sharded_run_matches_serial_bit_for_bit() {
             let s = run_stream(&mut serial, &workload).expect("serial run");
 
             // Pool widths are forced explicitly (`new` would follow the
-            // host's core count): full width, and — where K allows it —
-            // narrower than K, so one worker serves several shard queues.
-            let mut widths = vec![k];
+            // host's core count): inline, full width, and (where K allows
+            // it) narrower than K, so one worker serves several shard
+            // queues.
+            let mut widths = widths(k);
             if k > 3 {
                 widths.push(3);
             }
             for threads in widths {
-                // Concurrent: streamed ops, batched across the wrapper's
-                // persistent worker pool.
-                let mut concurrent =
-                    rum::core::ShardedMethod::with_threads(k, threads, |_| factory());
-                let c = run_stream_sharded(&mut concurrent, OpStream::new(&spec), 777)
-                    .expect("sharded stream run");
-                if threads > 1 && k > 1 {
-                    assert!(
-                        concurrent.pool_running(),
-                        "{name} K={k} T={threads}: pool must be live after batches"
+                for batch in batches(spec.operations) {
+                    // Concurrent: streamed ops, batched across the
+                    // wrapper's persistent worker pool.
+                    let mut concurrent =
+                        rum::core::ShardedMethod::with_threads(k, threads, |_| factory());
+                    let c = run_stream_sharded(&mut concurrent, OpStream::new(&spec), batch)
+                        .expect("sharded stream run");
+                    if threads > 1 && k > 1 {
+                        assert!(
+                            concurrent.pool_running(),
+                            "{name} K={k} T={threads}: pool must be live after batches"
+                        );
+                    }
+                    assert_eq!(
+                        concurrent.dispatches(),
+                        spec.operations.div_ceil(batch) as u64,
+                        "{name} K={k} T={threads} B={batch}: a batch ends only where it is full"
                     );
+                    assert_same_rum(&format!("{name} K={k} T={threads} B={batch}"), &s, &c);
                 }
-                assert_same_rum(&format!("{name} K={k} T={threads}"), &s, &c);
+            }
+        }
+    }
+}
+
+#[test]
+fn edge_streams_match_serial_bit_for_bit() {
+    let k = 4;
+    for (stream, workload) in edge_streams() {
+        for (name, factory) in factories() {
+            let mut serial = rum::core::ShardedMethod::with_threads(k, 1, |_| factory());
+            let s = run_stream(&mut serial, &workload).expect("serial run");
+            for threads in widths(k) {
+                for batch in [1, 7, workload.ops.len() + 1] {
+                    let mut concurrent =
+                        rum::core::ShardedMethod::with_threads(k, threads, |_| factory());
+                    let c =
+                        run_stream_sharded(&mut concurrent, &workload, batch).expect("sharded run");
+                    assert_same_rum(&format!("{stream}: {name} T={threads} B={batch}"), &s, &c);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn batched_run_conserves() {
+    // Every byte the facade tracker accrued in the op phase is booked to
+    // exactly one class: the per-class sums the shards return add up to
+    // the tracker's own delta, field for field.
+    let spec = spec();
+    let mut streams = edge_streams();
+    streams.push(("balanced", Workload::generate(&spec)));
+    for (stream, workload) in streams {
+        for (name, factory) in factories() {
+            for threads in [1, 2] {
+                let mut sharded = rum::core::ShardedMethod::with_threads(4, threads, |_| factory());
+                let r = run_stream_sharded(&mut sharded, &workload, 7).expect("sharded run");
+                assert_eq!(
+                    r.read_costs.add(&r.write_costs),
+                    sharded.tracker().snapshot().delta(&r.load_costs),
+                    "{stream}: {name} T={threads}"
+                );
             }
         }
     }
@@ -117,6 +235,45 @@ fn traced_sharded_run_is_cost_identical_and_measures_latency() {
             c.read_costs.add(&c.write_costs),
             "{name}: window deltas must sum byte-exactly to the op-phase totals"
         );
+        // Latencies are split by class on the shards: a point op is one
+        // sample, a range one sample per shard it fanned out to.
+        assert_eq!(trace.write_latency.count(), c.write_ops, "{name}");
+        assert!(trace.read_latency.count() >= c.read_ops, "{name}");
+    }
+}
+
+#[test]
+fn traced_edge_streams_never_show_an_empty_class() {
+    for (stream, workload) in edge_streams() {
+        for (name, factory) in factories() {
+            let ctx = format!("{stream}: {name}");
+            let mut sharded = rum::core::ShardedMethod::with_threads(4, 2, |_| factory());
+            let mut trace = TraceCollector::new(256, noop_sink());
+            let r = run_stream_sharded_traced(&mut sharded, &workload, 7, &mut trace)
+                .expect("traced sharded run");
+            assert_eq!(r.read_ops + r.write_ops, workload.ops.len() as u64, "{ctx}");
+            assert_eq!(
+                trace.windowed_sum(),
+                r.read_costs.add(&r.write_costs),
+                "{ctx}"
+            );
+            assert_eq!(trace.write_latency.count(), r.write_ops, "{ctx}");
+            assert!(trace.read_latency.count() >= r.read_ops, "{ctx}");
+            assert!(r.p50_ns > 0 && r.p99_ns >= r.p50_ns, "{ctx}");
+            // A class that never ran has no ops, no traffic, no samples.
+            if r.read_ops == 0 {
+                assert_eq!(r.read_costs, CostSnapshot::default(), "{ctx}");
+                assert_eq!(trace.read_latency.count(), 0, "{ctx}");
+            }
+            if r.write_ops == 0 {
+                assert_eq!(r.write_costs, CostSnapshot::default(), "{ctx}");
+            }
+            assert_eq!(
+                (r.read_ops == 0, r.write_ops == 0),
+                (stream == "writes only", stream == "ranges only"),
+                "{ctx}"
+            );
+        }
     }
 }
 
