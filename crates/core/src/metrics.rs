@@ -399,7 +399,7 @@ struct LedgerState {
 /// |---|---|---|
 /// | `lsm_flush`, `lsm_compaction` | Write | `bytes` written, `read_bytes` read (settles deferred-write debt) |
 /// | `wal_sync`, `wal_checkpoint` | Write | `bytes` written |
-/// | `lsm_view_build` | Write | `bytes + read_bytes` (the rebuild the writes made necessary) |
+/// | `lsm_view_build` | Write | `bytes + read_bytes` (the refresh the writes made necessary) |
 /// | `buffer_eviction` | Write | `bytes` written back |
 /// | `wal_recovery` | Write | `bytes` written, `read_bytes` read (replaying writes) |
 /// | `migration_complete` | Write | `bytes_written`, `bytes_read` |
@@ -456,8 +456,9 @@ impl DebtLedger {
                 (detail_field(detail, "bytes").unwrap_or(0), 0, false)
             }
             EventKind::LsmViewBuild => (
-                // The tracker charges the scan and the materialized view
-                // together as auxiliary writes; move the same amount.
+                // The tracker charges what the refresh consumed (run scan
+                // and old anchors) and the anchors it wrote together as
+                // auxiliary writes; move the same amount.
                 detail_field(detail, "bytes").unwrap_or(0)
                     + detail_field(detail, "read_bytes").unwrap_or(0),
                 0,

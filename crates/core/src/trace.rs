@@ -75,9 +75,11 @@ pub enum EventKind {
     WalRecovery,
     /// A sharded facade dispatching one batch across its workers.
     ShardDispatch,
-    /// LSM cross-run sorted view (re)built from the current runs.
+    /// LSM cross-run sorted view brought up to date with the current
+    /// runs: a cold build (`dropped_runs` 0, every run in `added_runs`)
+    /// or a refresh that scanned only the added runs.
     LsmViewBuild,
-    /// LSM sorted view dropped because the run set changed.
+    /// LSM sorted view went stale because the run set changed.
     LsmViewInvalidate,
     /// A range query served through a valid LSM sorted view.
     LsmViewHit,

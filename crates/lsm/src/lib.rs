@@ -20,8 +20,9 @@
 //!
 //! Range reads can additionally be accelerated by a REMIX-style cross-run
 //! sorted [`view`]: one binary search plus a forward walk replaces the
-//! probe-every-run merge, trading MO (the view's anchors) and UO (lazy
-//! rebuilds after the run set changes) for RO.
+//! probe-every-run merge, trading MO (the view's anchors) and maintenance
+//! (after the run set changes, the next range merges the new runs into
+//! the anchors) for RO.
 
 pub mod memtable;
 pub mod run;

@@ -6,7 +6,9 @@
 //! the paper's "more efficient reads ... by avoiding accessing unnecessary
 //! data at the expense of additional space".
 
-use rum_core::{DataClass, Key, Record, RecordSlice, Result, Value, RECORDS_PER_PAGE, RECORD_SIZE};
+use rum_core::{
+    DataClass, Key, Record, RecordSlice, Result, RumError, Value, RECORDS_PER_PAGE, RECORD_SIZE,
+};
 use rum_sketch::{BloomFilter, QuotientFilter};
 use rum_storage::{BlockDevice, PageBuf, PageId, Pager};
 
@@ -81,8 +83,78 @@ impl RunFilter {
     }
 }
 
+/// Merge sorted, unique-key `inputs` ordered **oldest → newest** into one
+/// sorted, unique-key `Vec`: where a key repeats across inputs the newest
+/// input's item wins, and a winner `keep` rejects is dropped with every
+/// version it shadows (tombstones at the bottom level, or in a query
+/// answer). The one merge of the crate: flush, compaction, both range
+/// paths and the sorted view's refresh call it.
+///
+/// A k-way cursor merge by linear scans of the heads, since k is the
+/// handful of runs a merge or a range touches. One scan finds the input
+/// to take from, a second how far: up to the smallest head of the others,
+/// so a big run merged with small ones streams out in long streaks. A
+/// lone non-empty input is taken out of `inputs` and returned filtered,
+/// without a copy.
+pub fn merge_streams<T: Copy>(
+    inputs: &mut [Vec<T>],
+    key: impl Fn(&T) -> Key,
+    keep: impl Fn(&T) -> bool,
+) -> Vec<T> {
+    let mut occupied = inputs.iter().enumerate().filter(|(_, s)| !s.is_empty());
+    match (occupied.next(), occupied.next()) {
+        (None, _) => return Vec::new(),
+        (Some((i, _)), None) => {
+            let mut only = std::mem::take(&mut inputs[i]);
+            only.retain(keep);
+            return only;
+        }
+        _ => {}
+    }
+    let mut at = vec![0usize; inputs.len()];
+    let mut out = Vec::with_capacity(inputs.iter().map(Vec::len).sum());
+    loop {
+        // Smallest head key; `<=` lets the newest input holding it win.
+        let mut min: Option<(Key, usize)> = None;
+        for (i, s) in inputs.iter().enumerate() {
+            if let Some(item) = s.get(at[i]) {
+                let k = key(item);
+                if min.is_none_or(|(m, _)| k <= m) {
+                    min = Some((k, i));
+                }
+            }
+        }
+        let Some((k, newest)) = min else {
+            return out;
+        };
+        // Step the others over the version they lost with; below their
+        // smallest remaining head nothing shadows the winner's items.
+        let mut bound: Option<Key> = None;
+        for (i, s) in inputs.iter().enumerate() {
+            if i == newest {
+                continue;
+            }
+            if s.get(at[i]).is_some_and(|item| key(item) == k) {
+                at[i] += 1;
+            }
+            if let Some(item) = s.get(at[i]) {
+                bound = Some(bound.map_or(key(item), |b| b.min(key(item))));
+            }
+        }
+        let streak = &inputs[newest][at[newest]..];
+        let len = streak
+            .iter()
+            .position(|item| bound.is_some_and(|b| key(item) >= b))
+            .unwrap_or(streak.len());
+        out.extend(streak[..len].iter().filter(|item| keep(item)));
+        at[newest] += len;
+    }
+}
+
 /// One immutable sorted run.
 pub struct SortedRun {
+    /// Identity among the owning tree's runs (see [`with_id`](Self::with_id)).
+    id: u32,
     pages: Vec<PageId>,
     /// First key of each page.
     fences: Vec<Key>,
@@ -120,12 +192,25 @@ impl SortedRun {
             pager.tracker().write(DataClass::Aux, f.size_bytes());
         }
         Ok(SortedRun {
+            id: 0,
             pages,
             fences,
             filter,
             last_key: records.last().map_or(0, |r| r.key),
             len: records.len(),
         })
+    }
+
+    /// Stamp the run with the id its owner knows it by. The tree gives
+    /// every run it places a fresh one, so the sorted view's anchors can
+    /// name a run across flushes and compactions that reorder the levels.
+    pub fn with_id(mut self, id: u32) -> SortedRun {
+        self.id = id;
+        self
+    }
+
+    pub fn id(&self) -> u32 {
+        self.id
     }
 
     /// Entries in the run (live + tombstones).
@@ -182,13 +267,20 @@ impl SortedRun {
 
     /// Lend one page's records, by in-run page index, to `f` (charged like
     /// any base read). Public so the cross-run sorted view can fetch
-    /// exactly the pages its anchors name.
+    /// exactly the pages its anchors name; an index past the run's last
+    /// page is a bad anchor, not a bug here, so it is `Corrupt`.
     pub fn with_page<D: BlockDevice, R>(
         &self,
         pager: &mut Pager<D>,
         page_idx: usize,
         f: impl FnOnce(RecordSlice<'_>) -> R,
     ) -> Result<R> {
+        if page_idx >= self.pages.len() {
+            return Err(RumError::Corrupt(format!(
+                "page {page_idx} of a run of {} pages",
+                self.pages.len()
+            )));
+        }
         let used = self.records_in_page(page_idx) * RECORD_SIZE;
         pager.with_page(self.pages[page_idx], DataClass::Base, |bytes| {
             f(RecordSlice::new(&bytes[..used]))
@@ -288,6 +380,70 @@ mod tests {
 
     fn recs(n: u64) -> Vec<Record> {
         (0..n).map(|k| Record::new(k * 2, k)).collect()
+    }
+
+    /// What `merge_streams` replaced, kept as its oracle: push every
+    /// stream through a map, oldest first, so newer versions overwrite.
+    fn merge_oracle(inputs: &[Vec<Record>], drop_tombstones: bool) -> Vec<Record> {
+        let mut map = std::collections::BTreeMap::new();
+        for r in inputs.iter().flatten() {
+            map.insert(r.key, r.value);
+        }
+        map.into_iter()
+            .filter(|&(_, v)| !(drop_tombstones && v == crate::TOMBSTONE))
+            .map(|(k, v)| Record::new(k, v))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// 0–6 inputs, some empty, over a key domain small enough that
+        /// keys repeat across inputs; a fifth of the values are tombstones.
+        #[test]
+        fn merge_streams_matches_the_map_oracle(
+            raw in proptest::collection::vec(
+                proptest::collection::btree_set((0u64..48, 0u64..5), 0..40),
+                0..7,
+            ),
+            drop_tombstones in proptest::prelude::any::<bool>(),
+        ) {
+            let inputs: Vec<Vec<Record>> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, set)| {
+                    let mut stream: Vec<Record> = set
+                        .iter()
+                        .map(|&(k, v)| Record::new(k, if v == 0 { crate::TOMBSTONE } else { i as u64 }))
+                        .collect();
+                    stream.dedup_by_key(|r| r.key);
+                    stream
+                })
+                .collect();
+            let expect = merge_oracle(&inputs, drop_tombstones);
+            let got = merge_streams(
+                &mut inputs.clone(),
+                |r| r.key,
+                |r| !(drop_tombstones && r.value == crate::TOMBSTONE),
+            );
+            proptest::prop_assert_eq!(got, expect);
+        }
+    }
+
+    #[test]
+    fn merge_streams_takes_a_lone_input_without_copying() {
+        let mut inputs = vec![Vec::new(), recs(100), Vec::new()];
+        let at = inputs[1].as_ptr();
+        let got = merge_streams(&mut inputs, |r| r.key, |r| r.key != 4);
+        assert_eq!(got.as_ptr(), at);
+        assert_eq!(got.len(), 99);
+        assert!(merge_streams(&mut [Vec::<Record>::new()], |r| r.key, |_| true).is_empty());
+    }
+
+    #[test]
+    fn page_past_the_end_is_corrupt_not_a_panic() {
+        let mut p = pager();
+        let run = SortedRun::build(&mut p, &recs(1000), FilterKind::Bloom, 0.0).unwrap();
+        let err = run.with_page(&mut p, run.num_pages(), |_| ()).unwrap_err();
+        assert!(matches!(err, RumError::Corrupt(_)), "{err:?}");
     }
 
     #[test]

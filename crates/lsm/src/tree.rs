@@ -11,8 +11,8 @@ use rum_core::{
 use rum_storage::{BlockDevice, CheckedDevice, MemDevice, Pager, RetryPolicy, ScrubReport};
 
 use crate::memtable::Memtable;
-use crate::run::{FilterKind, SortedRun};
-use crate::view::SortedView;
+use crate::run::{merge_streams, FilterKind, SortedRun};
+use crate::view::{SortedView, ENTRY_BYTES};
 use crate::TOMBSTONE;
 
 /// How levels absorb runs.
@@ -42,7 +42,8 @@ pub struct LsmConfig {
     pub filter: FilterKind,
     /// Maintain a REMIX-style cross-run [`SortedView`] so range queries
     /// pay one binary search instead of a probe per run. Buys RO with MO
-    /// (the view's anchors) and UO (each lazy rebuild).
+    /// (the view's anchors) and maintenance (after a flush or compaction
+    /// the next range merges the new runs into the anchors).
     pub sorted_view: bool,
 }
 
@@ -93,9 +94,19 @@ pub struct LsmTree<D: BlockDevice = MemDevice> {
     /// Structured-event channel for flush/compaction records; the disabled
     /// [`NoopSink`](rum_core::trace::NoopSink) by default.
     sink: Arc<dyn TraceSink>,
-    /// Cross-run sorted view, present only when `config.sorted_view` and
-    /// the run set has not changed since the last build (`None` = stale).
+    /// Cross-run sorted view, present once a view-enabled range has built
+    /// it. A flush or compaction leaves the anchors resident but stale.
     view: Option<SortedView>,
+    /// Whether `view` was refreshed over exactly the current run set.
+    view_current: bool,
+    /// Id the next placed run is stamped with.
+    next_run_id: u32,
+}
+
+/// Every run, **oldest → newest**: deepest level first, and within a
+/// level in placement order.
+fn runs_oldest_first(levels: &[Vec<SortedRun>]) -> impl Iterator<Item = &SortedRun> + Clone {
+    levels.iter().rev().flatten()
 }
 
 impl LsmTree {
@@ -126,6 +137,8 @@ impl<D: BlockDevice> LsmTree<D> {
             compactions: 0,
             sink: rum_core::trace::noop_sink(),
             view: None,
+            view_current: false,
+            next_run_id: 0,
         }
     }
 
@@ -153,14 +166,15 @@ impl<D: BlockDevice> LsmTree<D> {
     /// Toggle the cross-run sorted view in place — the one shape change
     /// that needs no drain-and-rebuild. Turning it on builds the view
     /// eagerly (the build's scan and anchors are charged to the tracker
-    /// exactly like a lazy rebuild); turning it off drops the anchors and
+    /// exactly like a lazy refresh); turning it off drops the anchors and
     /// frees their MO. Run set and contents are untouched.
     pub fn set_sorted_view(&mut self, on: bool) -> Result<()> {
         self.config.sorted_view = on;
         if on {
             self.ensure_view()?;
         } else {
-            self.invalidate_view();
+            self.mark_view_stale();
+            self.view = None;
         }
         Ok(())
     }
@@ -214,56 +228,81 @@ impl<D: BlockDevice> LsmTree<D> {
 
     /// Merge record streams ordered **oldest → newest**, newest version
     /// winning; optionally drop tombstones (safe only at the bottom).
-    fn merge_streams(inputs: Vec<Vec<Record>>, drop_tombstones: bool) -> Vec<Record> {
-        let mut map = std::collections::BTreeMap::new();
-        for stream in inputs {
-            for r in stream {
-                map.insert(r.key, r.value);
-            }
-        }
-        map.into_iter()
-            .filter(|&(_, v)| !(drop_tombstones && v == TOMBSTONE))
-            .map(|(k, v)| Record::new(k, v))
-            .collect()
+    fn merge_records(inputs: &mut [Vec<Record>], drop_tombstones: bool) -> Vec<Record> {
+        merge_streams(
+            inputs,
+            |r| r.key,
+            |r| !(drop_tombstones && r.value == TOMBSTONE),
+        )
     }
 
-    /// Resident bytes of the sorted view (0 when disabled or stale).
+    /// [`merge_records`](Self::merge_records) for runs about to be
+    /// destroyed. The sorted view drops a destroyed run's anchors and
+    /// relies on every one of its keys reappearing in the merged run,
+    /// unless its newest version is a tombstone dropped at the bottom.
+    fn merge_doomed(mut inputs: Vec<Vec<Record>>, drop_tombstones: bool) -> Vec<Record> {
+        let merged = Self::merge_records(&mut inputs, drop_tombstones);
+        let newest = |key: Key| {
+            inputs.iter().rev().find_map(|run| {
+                let at = run.binary_search_by_key(&key, |r| r.key).ok()?;
+                Some(run[at].value)
+            })
+        };
+        debug_assert!(
+            inputs.iter().flatten().all(|r| {
+                merged.binary_search_by_key(&r.key, |m| m.key).is_ok()
+                    || (drop_tombstones && newest(r.key) == Some(TOMBSTONE))
+            }),
+            "a merge may lose a key only to a tombstone dropped at the bottom"
+        );
+        merged
+    }
+
+    /// Resident bytes of the sorted view's anchors, current or stale (0
+    /// when disabled or never built).
     pub fn view_bytes(&self) -> u64 {
         self.view.as_ref().map_or(0, |v| v.size_bytes())
     }
 
-    /// Drop the sorted view because the run set is about to change. The
-    /// next view-enabled range query rebuilds it lazily.
-    fn invalidate_view(&mut self) {
-        if let Some(v) = self.view.take() {
-            if self.sink.enabled() {
-                self.sink.emit(
-                    EventKind::LsmViewInvalidate,
-                    &[("entries", v.len() as u64), ("bytes", v.size_bytes())],
-                );
-            }
+    /// The run set is changing: a current view goes stale. Its anchors
+    /// stay resident for the next view-enabled range to refresh.
+    fn mark_view_stale(&mut self) {
+        if !self.view_current {
+            return;
+        }
+        self.view_current = false;
+        if let (Some(v), true) = (&self.view, self.sink.enabled()) {
+            self.sink.emit(
+                EventKind::LsmViewInvalidate,
+                &[("entries", v.len() as u64), ("bytes", v.size_bytes())],
+            );
         }
     }
 
-    /// Build the sorted view if it is stale. The scan's read traffic is
-    /// re-classed as auxiliary **write** bytes (UO): materialising the
-    /// view is maintenance spent to cheapen future reads, the same way a
+    /// Refresh the sorted view if it is stale (a cold build is a refresh
+    /// from the empty view). Lazy on purpose: run from `place_run`, the
+    /// anchor traffic of every memtable fill would land in the write
+    /// class and a bulk load would pay the cold build. The scan of the
+    /// added runs, the old anchors consumed and the new anchors written
+    /// are all booked as auxiliary **write** bytes: refreshing the view is
+    /// maintenance spent to cheapen future reads, the same way a
     /// compaction's traffic is, so leaving it on the read side would let
     /// the view hide its own cost inside the RO it is supposed to lower.
     fn ensure_view(&mut self) -> Result<()> {
-        if self.view.is_some() {
+        if self.view_current {
             return Ok(());
         }
         let scratch = CostTracker::new();
         self.pager.set_tracker(Arc::clone(&scratch));
-        let (levels, pager) = (&self.levels, &mut self.pager);
-        let runs: Vec<&SortedRun> = levels.iter().rev().flat_map(|l| l.iter()).collect();
-        let built = SortedView::build(pager, &runs);
+        let view = self.view.get_or_insert_with(SortedView::default);
+        let refreshed = view.refresh(&mut self.pager, runs_oldest_first(&self.levels));
         self.pager.set_tracker(Arc::clone(&self.tracker));
-        let view = built?;
+        let did = refreshed?;
+        self.view_current = true;
         let d = scratch.snapshot();
+        let consumed = d.total_read_bytes() + did.old_anchors as u64 * ENTRY_BYTES;
         self.tracker.absorb(&CostSnapshot {
-            aux_write_bytes: d.total_read_bytes() + view.size_bytes(),
+            aux_write_bytes: consumed + view.size_bytes(),
             page_writes: d.page_reads,
             sim_time_ns: d.sim_time_ns,
             ..Default::default()
@@ -274,18 +313,28 @@ impl<D: BlockDevice> LsmTree<D> {
                 &[
                     ("entries", view.len() as u64),
                     ("bytes", view.size_bytes()),
-                    ("read_bytes", d.total_read_bytes()),
+                    ("read_bytes", consumed),
+                    ("added_runs", did.added_runs as u64),
+                    ("dropped_runs", did.dropped_runs as u64),
+                    ("scanned_pages", d.page_reads),
                 ],
             );
         }
-        self.view = Some(view);
         Ok(())
     }
 
+    /// Build `records` into a run at `level`. Every change to the run set
+    /// ends here, so this is where the view goes stale and where a run
+    /// gets its id. The view's refresh needs the new run to be newer than
+    /// every run that survives it: it is pushed last in its level, and the
+    /// cascade that calls this has emptied every shallower level.
     fn place_run(&mut self, level: usize, records: Vec<Record>) -> Result<()> {
-        // Any change to the run set strands the view's anchors.
-        self.invalidate_view();
+        self.mark_view_stale();
         self.ensure_level(level);
+        debug_assert!(
+            self.levels[..level].iter().all(Vec::is_empty),
+            "a placed run must be the newest on disk"
+        );
         if records.is_empty() {
             return Ok(());
         }
@@ -294,7 +343,11 @@ impl<D: BlockDevice> LsmTree<D> {
             &records,
             self.config.filter,
             self.config.bloom_bits_per_key,
-        )?;
+        )?
+        .with_id(self.next_run_id);
+        // Ids only have to tell apart runs alive within one refresh
+        // interval; 2^32 placements apart is as good as unique.
+        self.next_run_id = self.next_run_id.wrapping_add(1);
         self.levels[level].push(run);
         Ok(())
     }
@@ -343,7 +396,7 @@ impl<D: BlockDevice> LsmTree<D> {
                 }
             };
             let records_in: usize = inputs.iter().map(Vec::len).sum();
-            let merged = Self::merge_streams(inputs, drop_tomb);
+            let merged = Self::merge_doomed(inputs, drop_tomb);
             let records_out = merged.len();
             for run in to_destroy {
                 run.destroy(&mut self.pager)?;
@@ -442,21 +495,13 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
         if self.config.sorted_view {
             self.ensure_view()?;
             // Snapshot after ensure_view so the hit event prices the
-            // query itself, not a rebuild it happened to trigger.
+            // query itself, not a refresh it happened to trigger.
             let before = self.sink.enabled().then(|| self.tracker.snapshot());
-            let LsmTree {
-                levels,
-                pager,
-                view,
-                ..
-            } = self;
-            let runs: Vec<&SortedRun> = levels.iter().rev().flat_map(|l| l.iter()).collect();
-            let on_disk = view
-                .as_ref()
-                .expect("ensure_view just built it")
-                .range(pager, &runs, lo, hi)?;
+            let view = self.view.as_ref().expect("ensure_view just refreshed it");
+            let runs = runs_oldest_first(&self.levels);
+            let on_disk = view.range(&mut self.pager, runs, lo, hi)?;
             let mem = self.memtable.range(lo, hi, &self.tracker);
-            let out = Self::merge_streams(vec![on_disk, mem], true);
+            let out = Self::merge_records(&mut [on_disk, mem], true);
             if let Some(before) = before {
                 let d = self.tracker.since(&before);
                 self.sink.emit(
@@ -472,18 +517,16 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
         // Oldest sources first so newer versions overwrite.
         let mut inputs: Vec<Vec<Record>> = Vec::new();
         let (levels, pager) = (&self.levels, &mut self.pager);
-        for level in levels.iter().rev() {
-            for run in level.iter() {
-                // Envelope pruning: a run whose [min, max] is disjoint
-                // from the query cannot contribute — skip it for free.
-                if !run.overlaps(lo, hi) {
-                    continue;
-                }
-                inputs.push(run.range(pager, lo, hi)?);
+        for run in runs_oldest_first(levels) {
+            // Envelope pruning: a run whose [min, max] is disjoint
+            // from the query cannot contribute — skip it for free.
+            if !run.overlaps(lo, hi) {
+                continue;
             }
+            inputs.push(run.range(pager, lo, hi)?);
         }
         inputs.push(self.memtable.range(lo, hi, &self.tracker));
-        Ok(Self::merge_streams(inputs, true))
+        Ok(Self::merge_records(&mut inputs, true))
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
@@ -535,7 +578,6 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
             ));
         }
         // Tear down.
-        self.invalidate_view();
         self.memtable = Memtable::new();
         for runs in std::mem::take(&mut self.levels) {
             for run in runs {
@@ -574,7 +616,7 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
                 }
                 inputs.push(fresh);
                 let drop_tomb = self.is_bottom(0);
-                let merged = Self::merge_streams(inputs, drop_tomb);
+                let merged = Self::merge_doomed(inputs, drop_tomb);
                 records_out = merged.len();
                 for run in doomed {
                     run.destroy(&mut self.pager)?;
@@ -1099,12 +1141,248 @@ mod tests {
         let before = t.tracker().snapshot();
         t.range(0, 10).unwrap();
         assert_eq!(t.tracker().since(&before).aux_write_bytes, 0);
-        // Mutating invalidates; the next range rebuilds.
+        // A flush leaves the anchors stale but resident: still MO.
         t.insert(5000, 1).unwrap();
         AccessMethod::flush(&mut t).unwrap();
-        assert_eq!(t.view_bytes(), 0, "flush must invalidate the view");
+        let stale = t.view_bytes();
+        assert!(stale > 0, "a stale view is still resident memory");
+        assert!(t.space_profile().total_bytes() > stale);
+        // The next range refreshes them and pays for it as aux writes.
+        let before = t.tracker().snapshot();
         t.range(0, 10).unwrap();
-        assert!(t.view_bytes() > 0);
+        let d = t.tracker().since(&before);
+        assert_eq!(t.view_bytes(), stale + 16, "one new key, one new anchor");
+        assert!(d.aux_write_bytes >= t.view_bytes());
+        assert!(d.page_reads <= 1, "refresh reads must not land on RO");
+    }
+
+    /// The anchors of `t`'s view, which must be current.
+    fn anchors(t: &LsmTree) -> Vec<crate::view::ViewEntry> {
+        assert!(t.view_current);
+        t.view.as_ref().unwrap().anchors().to_vec()
+    }
+
+    /// What a from-scratch build over `t`'s runs yields. Reads through
+    /// `t`'s pager on a throwaway tracker, so `t`'s charges do not move.
+    fn cold_anchors(t: &mut LsmTree) -> Vec<crate::view::ViewEntry> {
+        t.pager.set_tracker(CostTracker::new());
+        let cold = SortedView::build(&mut t.pager, runs_oldest_first(&t.levels));
+        t.pager.set_tracker(Arc::clone(&t.tracker));
+        cold.unwrap().anchors().to_vec()
+    }
+
+    #[test]
+    fn refresh_equals_cold_build() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for policy in [CompactionPolicy::Levelling, CompactionPolicy::Tiering] {
+            for size_ratio in [2, 3] {
+                let config = LsmConfig {
+                    size_ratio,
+                    ..small_config(policy)
+                };
+                let mut rng = StdRng::seed_from_u64(2100 + size_ratio as u64);
+                let mut plain = LsmTree::with_config(config);
+                let mut viewed = LsmTree::with_config(LsmConfig {
+                    sorted_view: true,
+                    ..config
+                });
+                let sink = rum_core::trace::MemorySink::shared();
+                viewed.set_trace_sink(sink.clone());
+                let mut model = std::collections::BTreeMap::<u64, u64>::new();
+                type Model = std::collections::BTreeMap<u64, u64>;
+                let check = |plain: &mut LsmTree, viewed: &mut LsmTree, model: &Model, lo, hi| {
+                    let got = viewed.range(lo, hi).unwrap();
+                    let expect: Vec<Record> = model
+                        .range(lo..=hi)
+                        .map(|(&k, &v)| Record::new(k, v))
+                        .collect();
+                    assert_eq!(got, expect, "{policy:?} T={size_ratio} {lo}..{hi}");
+                    assert_eq!(got, plain.range(lo, hi).unwrap());
+                    assert_eq!(anchors(viewed), cold_anchors(viewed));
+                };
+                for step in 0..12_000u64 {
+                    let k = rng.gen_range(0..900u64);
+                    match rng.gen_range(0..16) {
+                        0..=5 => {
+                            for t in [&mut plain, &mut viewed] {
+                                t.insert(k, step).unwrap();
+                            }
+                            model.insert(k, step);
+                        }
+                        6..=8 => {
+                            for t in [&mut plain, &mut viewed] {
+                                t.update(k, step).unwrap();
+                            }
+                            model.entry(k).and_modify(|v| *v = step);
+                        }
+                        9..=12 => {
+                            for t in [&mut plain, &mut viewed] {
+                                t.delete(k).unwrap();
+                            }
+                            model.remove(&k);
+                        }
+                        13 => {
+                            for t in [&mut plain, &mut viewed] {
+                                AccessMethod::flush(t).unwrap();
+                            }
+                        }
+                        // Rare enough that whole cascades (several flushes,
+                        // merges into deeper levels) pass between two ranges.
+                        _ if step % 32 == 0 => {
+                            let hi = k + rng.gen_range(0..80u64);
+                            check(&mut plain, &mut viewed, &model, k, hi);
+                        }
+                        _ => {}
+                    }
+                }
+                // Delete everything: tombstones that reach the bottom are
+                // dropped there and the rest shadow what lies deeper, so
+                // either way the refreshed view must end with no anchor.
+                check(&mut plain, &mut viewed, &model, 0, u64::MAX);
+                for k in 0..900u64 {
+                    for t in [&mut plain, &mut viewed] {
+                        t.delete(k).unwrap();
+                    }
+                }
+                model.clear();
+                for t in [&mut plain, &mut viewed] {
+                    AccessMethod::flush(t).unwrap();
+                }
+                check(&mut plain, &mut viewed, &model, 0, u64::MAX);
+                let field = |e: &rum_core::trace::Event, name| {
+                    e.detail.iter().find(|&&(k, _)| k == name).unwrap().1
+                };
+                let refreshes: Vec<(u64, u64)> = sink
+                    .events()
+                    .iter()
+                    .filter(|e| e.kind == EventKind::LsmViewBuild)
+                    .map(|e| (field(e, "added_runs"), field(e, "dropped_runs")))
+                    .collect();
+                assert!(refreshes.len() > 20, "{refreshes:?}");
+                assert!(
+                    refreshes
+                        .iter()
+                        .any(|&(added, dropped)| added >= 2 && dropped >= 2),
+                    "no refresh absorbed a whole cascade: {refreshes:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn view_refresh_reads_only_new_runs() {
+        let mut t = LsmTree::with_config(LsmConfig {
+            sorted_view: true,
+            ..small_config(CompactionPolicy::Tiering)
+        });
+        let recs: Vec<Record> = (0..3000u64).map(|k| Record::new(k * 2, k)).collect();
+        t.bulk_load(&recs).unwrap();
+        // The cold build charges, number for number, what the from-scratch
+        // rebuild it replaced charged: every page scanned once in order,
+        // re-classed as page writes, plus the anchors.
+        let before = t.tracker().snapshot();
+        t.range(0, 10).unwrap();
+        let pages = 3000u64.div_ceil(RECORDS_PER_PAGE as u64);
+        let scan = pages * rum_core::PAGE_SIZE as u64;
+        assert_eq!(
+            t.tracker().since(&before),
+            CostSnapshot {
+                base_read_bytes: rum_core::PAGE_SIZE as u64,
+                aux_read_bytes: 12 * 8,
+                aux_write_bytes: scan + 3000 * 16,
+                logical_read_bytes: 6 * 16,
+                page_reads: 1,
+                page_writes: pages,
+                sim_time_ns: 6400,
+                ..Default::default()
+            }
+        );
+        // One flush adds one run; the refresh scans that run and no other.
+        for k in 0..64u64 {
+            t.insert(k * 2 + 1, k).unwrap();
+        }
+        assert_eq!(t.stats().levels[0], (1, 64));
+        let added_pages = t.levels[0][0].num_pages() as u64;
+        let before = t.tracker().snapshot();
+        t.range(6001, 6002).unwrap(); // nothing there: the refresh alone
+        let d = t.tracker().since(&before);
+        assert_eq!(d.page_writes, added_pages);
+        assert_eq!(d.page_reads, 0);
+        assert_eq!(
+            d.aux_write_bytes,
+            added_pages * rum_core::PAGE_SIZE as u64 + 3000 * 16 + 3064 * 16,
+            "added-run scan + old anchors consumed + new anchors written"
+        );
+    }
+
+    #[test]
+    fn garbled_page_under_a_current_view_is_an_error() {
+        let mut t = LsmTree::with_config(LsmConfig {
+            sorted_view: true,
+            ..small_config(CompactionPolicy::Levelling)
+        });
+        for k in 0..2000u64 {
+            t.insert(k, k).unwrap();
+        }
+        assert_eq!(t.range(0, 5000).unwrap().len(), 2000);
+        assert!(t.view_current);
+        // Overwrite every run page behind the view's back.
+        let mut junk = rum_storage::PageBuf::zeroed();
+        junk.as_mut_slice().fill(0xA5);
+        for id in 0..64 {
+            let _ = t.device_mut().write_page(rum_storage::PageId(id), &junk);
+        }
+        for (lo, hi) in [(0, 5000), (100, 110), (1000, 1000)] {
+            let err = t.range(lo, hi).unwrap_err();
+            assert!(matches!(err, RumError::Corrupt(_)), "{lo}..{hi}: {err:?}");
+        }
+    }
+
+    #[test]
+    fn view_events_tell_a_cold_build_from_a_refresh() {
+        let sink = rum_core::trace::MemorySink::shared();
+        let mut t = LsmTree::with_config(LsmConfig {
+            sorted_view: true,
+            ..small_config(CompactionPolicy::Tiering)
+        });
+        t.set_trace_sink(sink.clone());
+        for k in 0..100u64 {
+            t.insert(k, k).unwrap();
+        }
+        AccessMethod::flush(&mut t).unwrap(); // runs: 64 + 36 records
+        t.range(0, 10).unwrap();
+        for k in 100..164u64 {
+            t.insert(k, k).unwrap(); // third run: level 0 compacts to one
+        }
+        t.range(0, 10).unwrap();
+        let events = sink.events();
+        let of = |kind| events.iter().filter(move |e| e.kind == kind);
+        assert_eq!(of(EventKind::LsmViewInvalidate).count(), 1);
+        let builds: Vec<_> = of(EventKind::LsmViewBuild)
+            .map(|e| e.detail.clone())
+            .collect();
+        let page = rum_core::PAGE_SIZE as u64;
+        assert_eq!(
+            builds,
+            vec![
+                vec![
+                    ("entries", 100),
+                    ("bytes", 1600),
+                    ("read_bytes", 2 * page),
+                    ("added_runs", 2),
+                    ("dropped_runs", 0),
+                    ("scanned_pages", 2),
+                ],
+                vec![
+                    ("entries", 164),
+                    ("bytes", 164 * 16),
+                    ("read_bytes", page),
+                    ("added_runs", 1),
+                    ("dropped_runs", 2),
+                    ("scanned_pages", 1),
+                ],
+            ]
+        );
     }
 
     #[test]

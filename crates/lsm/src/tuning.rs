@@ -54,7 +54,7 @@ pub fn advise(mix: &OpMix) -> LsmConfig {
         cfg.size_ratio = 8;
         cfg.bloom_bits_per_key = 10.0;
     }
-    // A range-dominated mix amortizes the sorted view's rebuild cost over
+    // A range-dominated mix amortizes the sorted view's refresh cost over
     // many cheap walks: buy RO with MO/UO.
     if mix.range / total >= 0.5 {
         cfg.sorted_view = true;
@@ -70,7 +70,7 @@ pub fn advise(mix: &OpMix) -> LsmConfig {
 /// space improve, each record is rewritten ~`T/2` times per level);
 /// tiering keeps up to `T` runs per level (writes improve, point reads
 /// probe more runs); Bloom bits suppress the per-run probes; a sorted
-/// view collapses range queries to one seek at an extra rebuild cost.
+/// view collapses range queries to one seek at an extra refresh cost.
 pub fn expected_cost(cfg: &LsmConfig, mix: &OpMix, n: usize, m: usize) -> f64 {
     let b = RECORDS_PER_PAGE as f64;
     let t = cfg.size_ratio.max(2) as f64;
@@ -108,18 +108,23 @@ pub fn expected_cost(cfg: &LsmConfig, mix: &OpMix, n: usize, m: usize) -> f64 {
         (mix.get * point + mix.range * range + (mix.insert + mix.update + mix.delete) * write)
             / total;
     if cfg.sorted_view {
-        // The view is stranded by every flush and lazily rebuilt over the
-        // *whole* tree by the next view-enabled range query: one rebuild
-        // scans every run (`n/b` pages) and writes an anchor per live key
-        // (~1.5x the data again), and at most one happens per flush
-        // (every `memtable_records` ingested records) and per range
-        // query, whichever is rarer. This is the UO the view spends to
-        // buy its RO — underpricing it makes a mixed read/write mix look
-        // like it wants a view it would thrash.
+        // Every flush leaves the view stale and the next view-enabled
+        // range query refreshes it by merging the old anchors with the
+        // new runs. An anchor is as wide as a record, so one refresh
+        // reads the old anchor array (`n/b` pages' worth), writes the new
+        // one (`n/b` again) and scans the runs the flush and its cascade
+        // produced: the `2.5 n/b` that priced a whole-tree rebuild (scan
+        // `n/b`, anchors ~`1.5 n/b`) still prices a refresh, so the term
+        // stays and no tuner decision or digest moves. At most one refresh
+        // happens per flush (every `memtable_records` ingested records)
+        // and per range query, whichever is rarer. This is the
+        // maintenance the view spends to buy its RO — underpricing it
+        // makes a mixed read/write mix look like it wants a view it
+        // would thrash.
         let write_frac = (mix.insert + mix.update + mix.delete) / total;
         let range_frac = mix.range / total;
-        let rebuilds_per_op = (write_frac / cfg.memtable_records.max(16) as f64).min(range_frac);
-        cost += rebuilds_per_op * 2.5 * (n.max(1) as f64 / b);
+        let refreshes_per_op = (write_frac / cfg.memtable_records.max(16) as f64).min(range_frac);
+        cost += refreshes_per_op * 2.5 * (n.max(1) as f64 / b);
     }
     cost
 }
@@ -202,8 +207,8 @@ impl SelfTuningLsm {
     ///
     /// The rule table's crude `range/total >= 0.5` view threshold is then
     /// refined with the cost model at the *live* size: the view pays
-    /// exactly when its range savings beat its rebuild thrash, which
-    /// depends on how much data a rebuild rescans — something a
+    /// exactly when its range savings beat its refresh thrash, which
+    /// depends on how many anchors a refresh streams — something a
     /// size-blind rule cannot weigh. (`m` cancels between the two arms,
     /// so any value prices the comparison.)
     fn advised_for(&self, mix: &OpMix) -> LsmConfig {

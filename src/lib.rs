@@ -126,7 +126,8 @@ pub fn standard_suite() -> Vec<Box<dyn AccessMethod>> {
         })),
         // The levelled LSM with the REMIX-style cross-run sorted view:
         // range queries binary-search one global anchor array instead of
-        // probing every run — RO bought with the view's MO and rebuild UO.
+        // probing every run — RO bought with the view's MO and the aux
+        // writes of refreshing it after each flush.
         Box::new(lsm::LsmTree::with_config(lsm::LsmConfig {
             memtable_records: 256,
             sorted_view: true,
