@@ -82,7 +82,13 @@ mod tests {
         let a = measure(1);
         let b = measure(2);
         assert_eq!(a, b, "RO/UO/MO must not depend on worker threads");
-        assert_eq!(to_csv(&a), to_csv(&b));
+        // The gated artifact itself, so a codec slip in any suite method
+        // fails `cargo test`, not only `rum-bench gate`.
+        assert_eq!(
+            to_csv(&a),
+            include_str!("../../../results/smoke/baseline_rum.csv"),
+            "counted traffic moved: see `rum-bench gate`"
+        );
         assert!(a.len() >= 19, "suite has {} methods", a.len());
         for r in &a {
             assert!(

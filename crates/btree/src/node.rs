@@ -7,7 +7,7 @@
 //!           [records: count × 16B]
 //! ```
 
-use rum_core::{Key, Record, RecordSlice, Result, RumError, RECORD_SIZE};
+use rum_core::{encode_records, Key, Record, RecordSlice, Result, RumError, RECORD_SIZE};
 
 /// Identifier of a node within a [`NodeStore`](crate::store::NodeStore).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -118,10 +118,7 @@ impl Node {
                 buf[0] = TAG_LEAF;
                 buf[2..4].copy_from_slice(&(records.len() as u16).to_le_bytes());
                 buf[8..16].copy_from_slice(&next.0.to_le_bytes());
-                for (i, r) in records.iter().enumerate() {
-                    let off = LEAF_HEADER + i * RECORD_SIZE;
-                    r.encode_into(&mut buf[off..off + RECORD_SIZE]);
-                }
+                encode_records(&mut buf, LEAF_HEADER, records);
             }
         }
         Ok(buf)

@@ -16,8 +16,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError,
-    SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
+    check_bulk_input, encode_records, AccessMethod, CostTracker, DataClass, Key, Record,
+    RecordSlice, Result, RumError, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
 };
 use rum_storage::{BlockDevice, MemDevice, PageBuf, PageId, Pager};
 
@@ -75,9 +75,7 @@ impl AppendLog {
         }
         let id = self.pager.allocate()?;
         let mut buf = PageBuf::zeroed();
-        for (i, r) in self.tail.iter().enumerate() {
-            r.encode_into(&mut buf[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]);
-        }
+        encode_records(&mut buf, 0, &self.tail);
         // Charge the page access directly on the device path, bypassing the
         // byte charge (Pager::write would double-count the bytes).
         self.pager.device_mut().write_page(id, &buf)?;
@@ -87,12 +85,12 @@ impl AppendLog {
         Ok(())
     }
 
-    fn read_sealed(&mut self, idx: usize) -> Result<Vec<Record>> {
+    /// Lend sealed page `idx`'s records, oldest first, to `f`.
+    fn with_sealed<R>(&mut self, idx: usize, f: impl FnOnce(RecordSlice<'_>) -> R) -> Result<R> {
         let (id, count) = self.sealed[idx];
-        let buf = self.pager.read(id, DataClass::Base)?;
-        Ok((0..count)
-            .map(|i| Record::decode(&buf[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]))
-            .collect())
+        self.pager.with_page(id, DataClass::Base, |bytes| {
+            f(RecordSlice::new(&bytes[..count * RECORD_SIZE]))
+        })
     }
 
     /// Newest-to-oldest search for the latest version of `key`.
@@ -108,9 +106,9 @@ impl AppendLog {
         self.tracker
             .read(DataClass::Base, (self.tail.len() * RECORD_SIZE) as u64);
         for idx in (0..self.sealed.len()).rev() {
-            let recs = self.read_sealed(idx)?;
-            if let Some(r) = recs.iter().rev().find(|r| r.key == key) {
-                return Ok(Some(*r));
+            let hit = self.with_sealed(idx, |recs| recs.iter().rev().find(|r| r.key == key))?;
+            if hit.is_some() {
+                return Ok(hit);
             }
         }
         Ok(None)
@@ -152,9 +150,9 @@ impl AccessMethod for AppendLog {
         // Reconstruct the newest version of everything: full log scan.
         let mut newest: std::collections::HashMap<Key, Value> = std::collections::HashMap::new();
         for idx in 0..self.sealed.len() {
-            for r in self.read_sealed(idx)? {
-                newest.insert(r.key, r.value);
-            }
+            self.with_sealed(idx, |recs| {
+                newest.extend(recs.iter().map(|r| (r.key, r.value)))
+            })?;
         }
         self.tracker
             .read(DataClass::Base, (self.tail.len() * RECORD_SIZE) as u64);
@@ -384,5 +382,49 @@ mod tests {
         assert_eq!(log.len(), 50);
         assert_eq!(log.total_entries(), 50, "history reset by rebuild");
         assert_eq!(log.get(10).unwrap(), Some(10));
+    }
+
+    #[test]
+    fn charges_of_a_fixed_sequence_are_pinned() {
+        let mut log = AppendLog::new();
+        for k in 0..600u64 {
+            log.insert(k, k).unwrap();
+        }
+        log.update(5, 55).unwrap();
+        log.delete(7).unwrap();
+        let t = Arc::clone(log.tracker());
+        let start = t.snapshot();
+        let mut reads = Vec::new();
+        let mut probe = |log: &mut AppendLog, key: Key, want: Option<Value>| {
+            let before = t.snapshot();
+            assert_eq!(log.get(key).unwrap(), want);
+            reads.push(t.since(&before).page_reads);
+        };
+        probe(&mut log, 5, Some(55)); // in the tail: no page
+        probe(&mut log, 7, None); // tombstone in the tail
+        probe(&mut log, 300, Some(300)); // newest sealed page
+        probe(&mut log, 0, Some(0)); // oldest: every sealed page
+        probe(&mut log, 99_999, None); // a miss reads the whole log
+        assert_eq!(reads, [0, 0, 1, 2, 2]);
+        let rs = log.range(4, 8).unwrap();
+        assert_eq!(
+            rs,
+            [(4, 4), (5, 55), (6, 6), (8, 8)].map(|(k, v)| Record::new(k, v))
+        );
+        // Number for number what the copying implementation charged.
+        assert_eq!(
+            t.since(&start),
+            rum_core::CostSnapshot {
+                base_read_bytes: 34480,
+                aux_read_bytes: 0,
+                base_write_bytes: 0,
+                aux_write_bytes: 0,
+                logical_read_bytes: 112,
+                logical_write_bytes: 0,
+                page_reads: 7,
+                page_writes: 0,
+                sim_time_ns: 4600
+            }
+        );
     }
 }

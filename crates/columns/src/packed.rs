@@ -7,7 +7,9 @@
 //! deliberately tiny (8 bytes per page) and reported as auxiliary space by
 //! the columns that use this layout.
 
-use rum_core::{DataClass, Record, Result, RECORDS_PER_PAGE, RECORD_SIZE};
+use rum_core::{
+    encode_records, DataClass, Record, RecordSlice, Result, RECORDS_PER_PAGE, RECORD_SIZE,
+};
 use rum_storage::{BlockDevice, PageBuf, PageId, Pager};
 
 /// Directory + length of a packed record file.
@@ -18,7 +20,10 @@ pub struct PackedFile {
     /// Memo of the page read most recently, so repeated probes into the
     /// same page during one binary search charge a single page access —
     /// any real implementation keeps the page it is searching in memory.
-    last_read: Option<(usize, Vec<Record>)>,
+    /// `memo` holds that page's records and a zeroed tail while
+    /// `memo_page` names it; one buffer, reused by every miss.
+    memo: PageBuf,
+    memo_page: Option<usize>,
 }
 
 impl PackedFile {
@@ -46,12 +51,6 @@ impl PackedFile {
         (self.pages.len() * std::mem::size_of::<PageId>()) as u64
     }
 
-    fn invalidate(&mut self, page_idx: usize) {
-        if matches!(self.last_read, Some((p, _)) if p == page_idx) {
-            self.last_read = None;
-        }
-    }
-
     fn records_in_page(&self, page_idx: usize) -> usize {
         debug_assert!(page_idx < self.pages.len());
         if page_idx + 1 == self.pages.len() {
@@ -66,35 +65,24 @@ impl PackedFile {
         }
     }
 
-    fn decode_page(buf: &PageBuf, count: usize) -> Vec<Record> {
-        (0..count)
-            .map(|i| Record::decode(&buf[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]))
-            .collect()
-    }
-
-    fn encode_page(records: &[Record]) -> PageBuf {
-        debug_assert!(records.len() <= RECORDS_PER_PAGE);
-        let mut buf = PageBuf::zeroed();
-        for (i, r) in records.iter().enumerate() {
-            r.encode_into(&mut buf[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]);
-        }
-        buf
-    }
-
-    /// Read all records of page `page_idx`, charging one page access
+    /// Lend all records of page `page_idx`, charging one page access
     /// (unless it is the memoized page).
     pub fn read_page<D: BlockDevice>(
         &mut self,
         pager: &mut Pager<D>,
         page_idx: usize,
-    ) -> Result<&[Record]> {
-        let cached = matches!(self.last_read, Some((p, _)) if p == page_idx);
-        if !cached {
-            let buf = pager.read(self.pages[page_idx], DataClass::Base)?;
-            let recs = Self::decode_page(&buf, self.records_in_page(page_idx));
-            self.last_read = Some((page_idx, recs));
+    ) -> Result<RecordSlice<'_>> {
+        let used = self.records_in_page(page_idx) * RECORD_SIZE;
+        if self.memo_page != Some(page_idx) {
+            let memo = &mut self.memo;
+            pager.with_page(self.pages[page_idx], DataClass::Base, |bytes| {
+                // Bytes past the count are a popped record's; not kept.
+                memo[..used].copy_from_slice(&bytes[..used]);
+                memo[used..].fill(0);
+            })?;
+            self.memo_page = Some(page_idx);
         }
-        Ok(&self.last_read.as_ref().expect("just set").1)
+        Ok(RecordSlice::new(&self.memo[..used]))
     }
 
     /// Overwrite page `page_idx` with `records`, charging one page access.
@@ -104,18 +92,37 @@ impl PackedFile {
         page_idx: usize,
         records: &[Record],
     ) -> Result<()> {
-        self.invalidate(page_idx);
-        let buf = Self::encode_page(records);
+        debug_assert!(records.len() <= RECORDS_PER_PAGE);
+        if self.memo_page == Some(page_idx) {
+            self.memo_page = None;
+        }
+        let mut buf = PageBuf::zeroed();
+        encode_records(&mut buf, 0, records);
         pager.write(self.pages[page_idx], DataClass::Base, &buf)
+    }
+
+    /// Second half of a read-modify-write: set one slot of the page
+    /// [`read_page`](Self::read_page) just memoized and write the memo
+    /// back, which drops it like any write to its page.
+    fn write_memo<D: BlockDevice>(
+        &mut self,
+        pager: &mut Pager<D>,
+        slot: usize,
+        rec: Record,
+    ) -> Result<()> {
+        let page_idx = self.memo_page.take().expect("read_page memoized it");
+        let at = slot * RECORD_SIZE;
+        encode_records(&mut self.memo[at..at + RECORD_SIZE], 0, &[rec]);
+        pager.write(self.pages[page_idx], DataClass::Base, &self.memo)
     }
 
     /// Record at global index `idx` (one charged page read, memoized).
     pub fn get<D: BlockDevice>(&mut self, pager: &mut Pager<D>, idx: usize) -> Result<Record> {
         debug_assert!(idx < self.len);
-        let page_idx = idx / RECORDS_PER_PAGE;
-        let slot = idx % RECORDS_PER_PAGE;
-        let recs = self.read_page(pager, page_idx)?;
-        Ok(recs[slot])
+        let recs = self.read_page(pager, idx / RECORDS_PER_PAGE)?;
+        Ok(recs
+            .get(idx % RECORDS_PER_PAGE)
+            .expect("idx < len, so its page holds the slot"))
     }
 
     /// Overwrite the record at `idx` (read-modify-write of its page).
@@ -126,11 +133,8 @@ impl PackedFile {
         rec: Record,
     ) -> Result<()> {
         debug_assert!(idx < self.len);
-        let page_idx = idx / RECORDS_PER_PAGE;
-        let slot = idx % RECORDS_PER_PAGE;
-        let mut recs = self.read_page(pager, page_idx)?.to_vec();
-        recs[slot] = rec;
-        self.write_page(pager, page_idx, &recs)
+        self.read_page(pager, idx / RECORDS_PER_PAGE)?;
+        self.write_memo(pager, idx % RECORDS_PER_PAGE, rec)
     }
 
     /// Append one record (read-modify-write of the tail page, allocating a
@@ -143,11 +147,11 @@ impl PackedFile {
             self.len += 1;
             self.write_page(pager, self.pages.len() - 1, &[rec])
         } else {
-            let page_idx = self.pages.len() - 1;
-            let mut recs = self.read_page(pager, page_idx)?.to_vec();
-            recs.push(rec);
+            // Read at the old count: the new slot is the first of the
+            // memo's zeroed tail.
+            self.read_page(pager, self.pages.len() - 1)?;
             self.len += 1;
-            self.write_page(pager, page_idx, &recs)
+            self.write_memo(pager, slot, rec)
         }
     }
 
@@ -159,8 +163,8 @@ impl PackedFile {
         let rec = self.get(pager, self.len - 1)?;
         self.len -= 1;
         // The memoized tail page still contains the popped record; drop it
-        // so later reads re-decode with the new count.
-        self.last_read = None;
+        // so later reads see the page at its new count.
+        self.memo_page = None;
         if self.len.is_multiple_of(RECORDS_PER_PAGE) {
             let id = self.pages.pop().expect("page exists for nonzero len");
             pager.free(id)?;
@@ -189,7 +193,7 @@ impl PackedFile {
         let mut carry = rec;
         for page_idx in first_page..old_pages {
             let start_slot = if page_idx == first_page { slot } else { 0 };
-            let mut recs = self.read_page(pager, page_idx)?.to_vec();
+            let mut recs: Vec<Record> = self.read_page(pager, page_idx)?.iter().collect();
             recs.insert(start_slot, carry);
             if recs.len() > RECORDS_PER_PAGE {
                 carry = recs.pop().expect("overflow record");
@@ -227,25 +231,22 @@ impl PackedFile {
         // next page into the current page's tail.
         for page_idx in first_page..=last_page {
             let start_slot = if page_idx == first_page { slot } else { 0 };
-            let mut recs = self.read_page(pager, page_idx)?.to_vec();
+            let mut recs: Vec<Record> = self.read_page(pager, page_idx)?.iter().collect();
             if removed.is_none() {
                 removed = Some(recs.remove(start_slot));
             } else {
                 recs.remove(0);
             }
             if page_idx < last_page {
-                let next_first = {
-                    let next = self.read_page(pager, page_idx + 1)?;
-                    next[0]
-                };
-                recs.push(next_first);
+                let next = self.read_page(pager, page_idx + 1)?;
+                recs.push(next.get(0).expect("a page of the file is never empty"));
             }
             self.write_page(pager, page_idx, &recs)?;
         }
         self.len -= 1;
         if self.len.is_multiple_of(RECORDS_PER_PAGE) {
             if let Some(id) = self.pages.pop() {
-                self.last_read = None;
+                self.memo_page = None;
                 pager.free(id)?;
             }
         }
@@ -262,25 +263,14 @@ impl PackedFile {
         for id in self.pages.drain(..) {
             pager.free(id)?;
         }
-        self.last_read = None;
+        self.memo_page = None;
         self.len = records.len();
         for chunk in records.chunks(RECORDS_PER_PAGE) {
             let id = pager.allocate()?;
             self.pages.push(id);
-            let buf = Self::encode_page(chunk);
-            pager.write(id, DataClass::Base, &buf)?;
+            self.write_page(pager, self.pages.len() - 1, chunk)?;
         }
         Ok(())
-    }
-
-    /// Read the whole file into memory in order (one charged read per
-    /// page) — the full scan primitive.
-    pub fn scan_all<D: BlockDevice>(&mut self, pager: &mut Pager<D>) -> Result<Vec<Record>> {
-        let mut out = Vec::with_capacity(self.len);
-        for page_idx in 0..self.pages.len() {
-            out.extend_from_slice(self.read_page(pager, page_idx)?);
-        }
-        Ok(out)
     }
 }
 
@@ -299,6 +289,17 @@ mod tests {
 
     fn rec(k: u64) -> Record {
         Record::new(k, k * 10)
+    }
+
+    impl PackedFile {
+        /// The whole file in order, page by page.
+        fn scan_all(&mut self, pager: &mut Pager<MemDevice>) -> Result<Vec<Record>> {
+            let mut out = Vec::with_capacity(self.len);
+            for page_idx in 0..self.pages.len() {
+                out.extend(self.read_page(pager, page_idx)?.iter());
+            }
+            Ok(out)
+        }
     }
 
     #[test]
@@ -466,5 +467,69 @@ mod tests {
             assert_eq!(f.len(), model.len());
         }
         assert_eq!(f.scan_all(&mut p).unwrap(), model);
+    }
+
+    #[test]
+    fn memo_rule_charges_are_pinned() {
+        let (mut f, mut p) = setup();
+        for k in 0..300u64 {
+            f.push(&mut p, rec(k)).unwrap();
+        }
+        let start = p.tracker().snapshot();
+        let mut last = start;
+        let mut steps = Vec::new();
+        let mut step = |p: &Pager<MemDevice>| {
+            let d = p.tracker().since(&last);
+            last = p.tracker().snapshot();
+            steps.push((d.page_reads, d.page_writes));
+        };
+        // Three probes into one page charge one read.
+        for idx in [10, 20, 30] {
+            assert_eq!(f.get(&mut p, idx).unwrap(), rec(idx as u64));
+        }
+        step(&p);
+        // A read of another page replaces the memo; coming back is a miss.
+        assert_eq!(f.get(&mut p, 260).unwrap(), rec(260));
+        assert_eq!(f.get(&mut p, 10).unwrap(), rec(10));
+        step(&p);
+        // A write to the memoized page reads it for free and drops it.
+        f.set(&mut p, 11, Record::new(999, 9)).unwrap();
+        step(&p);
+        assert_eq!(f.get(&mut p, 11).unwrap(), Record::new(999, 9));
+        assert_eq!(f.get(&mut p, 12).unwrap(), rec(12));
+        step(&p);
+        // A write to another page leaves the memo alone.
+        let tail: Vec<Record> = (256..300).map(|k| Record::new(k, 7)).collect();
+        f.write_page(&mut p, 1, &tail).unwrap();
+        assert_eq!(f.get(&mut p, 13).unwrap(), rec(13));
+        step(&p);
+        // `pop` reads the tail page and drops the memo; so does `push`.
+        assert_eq!(f.pop(&mut p).unwrap(), Some(Record::new(299, 7)));
+        assert_eq!(f.get(&mut p, 298).unwrap(), Record::new(298, 7));
+        step(&p);
+        f.push(&mut p, rec(1234)).unwrap();
+        assert_eq!(f.get(&mut p, 299).unwrap(), rec(1234));
+        assert_eq!(f.get(&mut p, 256).unwrap(), Record::new(256, 7));
+        step(&p);
+        assert_eq!(
+            steps,
+            [(1, 0), (2, 0), (0, 1), (1, 0), (0, 1), (2, 0), (1, 1)],
+            "(page reads, page writes) per step"
+        );
+        // Number for number what the copying implementation charged.
+        assert_eq!(
+            p.tracker().since(&start),
+            rum_core::CostSnapshot {
+                base_read_bytes: 28672,
+                aux_read_bytes: 0,
+                base_write_bytes: 12288,
+                aux_write_bytes: 0,
+                logical_read_bytes: 0,
+                logical_write_bytes: 0,
+                page_reads: 7,
+                page_writes: 3,
+                sim_time_ns: 5200
+            }
+        );
     }
 }

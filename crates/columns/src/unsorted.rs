@@ -92,12 +92,11 @@ impl AccessMethod for UnsortedColumn {
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
         // Full scan, filter, sort — there is no order to exploit.
-        let mut out: Vec<Record> = self
-            .file
-            .scan_all(&mut self.pager)?
-            .into_iter()
-            .filter(|r| r.key >= lo && r.key <= hi)
-            .collect();
+        let mut out = Vec::new();
+        for page_idx in 0..self.file.num_pages() {
+            let recs = self.file.read_page(&mut self.pager, page_idx)?;
+            out.extend(recs.iter().filter(|r| r.key >= lo && r.key <= hi));
+        }
         out.sort_unstable();
         Ok(out)
     }

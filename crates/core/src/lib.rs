@@ -77,4 +77,6 @@ pub use trace::{
     TrajectoryWindow, DEFAULT_TRACE_WINDOW,
 };
 pub use tracker::{CostSnapshot, CostTracker, DataClass};
-pub use types::{Key, Record, RecordSlice, Value, PAGE_SIZE, RECORDS_PER_PAGE, RECORD_SIZE};
+pub use types::{
+    encode_records, Key, Record, RecordSlice, Value, PAGE_SIZE, RECORDS_PER_PAGE, RECORD_SIZE,
+};

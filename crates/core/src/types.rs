@@ -108,7 +108,7 @@ impl<'a> RecordSlice<'a> {
 
     /// The records in order.
     #[inline]
-    pub fn iter(&self) -> impl ExactSizeIterator<Item = Record> + 'a {
+    pub fn iter(&self) -> impl DoubleEndedIterator<Item = Record> + ExactSizeIterator + 'a {
         self.0.iter().map(|r| Record::decode(r))
     }
 
@@ -143,6 +143,19 @@ impl<'a> RecordSlice<'a> {
         let i = self.lower_bound(key);
         self.get(i).filter(|r| r.key == key).map(|r| r.value)
     }
+}
+
+/// [`RecordSlice`]'s encoding twin, and the only place records are laid
+/// into a page: `records` packed densely into `buf` from byte `offset` on,
+/// every byte after them zeroed. `buf[..offset]` (a node or bucket header)
+/// is left alone. Panics if the records do not fit; callers check their
+/// capacity first.
+pub fn encode_records(buf: &mut [u8], offset: usize, records: &[Record]) {
+    let (body, tail) = buf[offset..].split_at_mut(records.len() * RECORD_SIZE);
+    for (slot, r) in body.as_chunks_mut().0.iter_mut().zip(records) {
+        *slot = r.encode();
+    }
+    tail.fill(0);
 }
 
 /// Number of pages needed to hold `n` records packed densely.

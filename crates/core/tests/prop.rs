@@ -5,7 +5,9 @@ use rum_core::triangle::project;
 use rum_core::workload::{
     Drift, KeyDist, KeySpace, Op, OpMix, OpStream, Workload, WorkloadSpec, Zipfian,
 };
-use rum_core::{CostSnapshot, Record};
+use rum_core::{
+    encode_records, CostSnapshot, Record, RecordSlice, PAGE_SIZE, RECORDS_PER_PAGE, RECORD_SIZE,
+};
 
 fn inside_triangle(x: f64, y: f64) -> bool {
     if !(-1e-9..=1.0 + 1e-9).contains(&y) {
@@ -42,6 +44,30 @@ proptest! {
     fn record_encoding_roundtrips(key in any::<u64>(), value in any::<u64>()) {
         let r = Record::new(key, value);
         prop_assert_eq!(Record::decode(&r.encode()), r);
+    }
+
+    #[test]
+    fn page_encoder_is_the_per_record_loop_and_record_slice_reads_it_back(
+        pairs in proptest::collection::vec((any::<u64>(), any::<u64>()), 0..RECORDS_PER_PAGE + 1),
+        header in any::<bool>(),
+    ) {
+        let records: Vec<Record> = pairs.into_iter().map(Record::from).collect();
+        let offset = if header { 8 } else { 0 };
+        let end = offset + records.len() * RECORD_SIZE;
+        // Dirty on purpose: the encoder owns every byte from `offset` on.
+        let mut buf = vec![0xAAu8; PAGE_SIZE + 24];
+        encode_records(&mut buf, offset, &records);
+        // The loop every call site used to carry, as the oracle.
+        let mut oracle = vec![0xAAu8; PAGE_SIZE + 24];
+        oracle[offset..].fill(0);
+        for (i, r) in records.iter().enumerate() {
+            r.encode_into(&mut oracle[offset + i * RECORD_SIZE..offset + (i + 1) * RECORD_SIZE]);
+        }
+        prop_assert_eq!(&buf, &oracle);
+        prop_assert!(buf[..offset].iter().all(|&b| b == 0xAA), "header untouched");
+        prop_assert!(buf[end..].iter().all(|&b| b == 0), "tail zeroed");
+        let back = RecordSlice::new(&buf[offset..end]);
+        prop_assert_eq!(back.iter().collect::<Vec<_>>(), records);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError,
-    SpaceProfile, Value, RECORD_SIZE,
+    check_bulk_input, encode_records, AccessMethod, CostTracker, DataClass, Key, Record,
+    RecordSlice, Result, RumError, SpaceProfile, Value, RECORD_SIZE,
 };
 use rum_storage::{MemDevice, PageBuf, PageId, Pager};
 
@@ -29,16 +29,21 @@ struct Bucket {
 }
 
 impl Bucket {
-    fn decode(buf: &PageBuf) -> Bucket {
-        let local_depth = buf.read_u16(0) as u32;
-        let count = buf.read_u16(2) as usize;
-        let records = (0..count.min(BUCKET_CAP))
-            .map(|i| Record::decode(&buf[HEADER + i * RECORD_SIZE..HEADER + (i + 1) * RECORD_SIZE]))
-            .collect();
-        Bucket {
-            local_depth,
-            records,
+    /// Validate a bucket page where it lies: its local depth and its
+    /// records, in insertion order. A header this index never wrote (more
+    /// records than fit, a depth past the directory's `global_depth`,
+    /// itself at most [`MAX_DEPTH`]) is refused, never clamped.
+    fn parse(page: &[u8], global_depth: u32) -> Result<(u32, RecordSlice<'_>)> {
+        let local_depth = u32::from(u16::from_le_bytes([page[0], page[1]]));
+        let count = usize::from(u16::from_le_bytes([page[2], page[3]]));
+        if local_depth > global_depth || count > BUCKET_CAP {
+            return Err(RumError::Corrupt(format!(
+                "bucket header: local depth {local_depth} (directory depth {global_depth}), \
+                 {count} records (capacity {BUCKET_CAP})"
+            )));
         }
+        let records = &page[HEADER..HEADER + count * RECORD_SIZE];
+        Ok((local_depth, RecordSlice::new(records)))
     }
 
     fn encode(&self) -> PageBuf {
@@ -46,9 +51,7 @@ impl Bucket {
         let mut buf = PageBuf::zeroed();
         buf.write_u16(0, self.local_depth as u16);
         buf.write_u16(2, self.records.len() as u16);
-        for (i, r) in self.records.iter().enumerate() {
-            r.encode_into(&mut buf[HEADER + i * RECORD_SIZE..HEADER + (i + 1) * RECORD_SIZE]);
-        }
+        encode_records(&mut buf, HEADER, &self.records);
         buf
     }
 }
@@ -110,9 +113,24 @@ impl ExtendibleHash {
         self.tracker.read(DataClass::Aux, 8);
     }
 
+    /// Lend the validated bucket at `page` (local depth, records) to `f`.
+    fn with_bucket<R>(
+        &mut self,
+        page: PageId,
+        f: impl FnOnce(u32, RecordSlice<'_>) -> R,
+    ) -> Result<R> {
+        let global_depth = self.global_depth;
+        self.pager.with_page(page, DataClass::Base, |bytes| {
+            Bucket::parse(bytes, global_depth).map(|(depth, records)| f(depth, records))
+        })?
+    }
+
+    /// An owned copy of the bucket at `page`, for writers.
     fn read_bucket(&mut self, page: PageId) -> Result<Bucket> {
-        let buf = self.pager.read(page, DataClass::Base)?;
-        Ok(Bucket::decode(&buf))
+        self.with_bucket(page, |local_depth, records| Bucket {
+            local_depth,
+            records: records.iter().collect(),
+        })
     }
 
     fn write_bucket(&mut self, page: PageId, bucket: &Bucket) -> Result<()> {
@@ -228,30 +246,23 @@ impl AccessMethod for ExtendibleHash {
         self.charge_dir();
         let slot = self.dir_slot(key);
         let page = self.directory[slot];
-        let bucket = self.read_bucket(page)?;
-        Ok(bucket
-            .records
-            .iter()
-            .find(|r| r.key == key)
-            .map(|r| r.value))
+        self.with_bucket(page, |_, records| {
+            records.iter().find(|r| r.key == key).map(|r| r.value)
+        })
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-        // Scan each distinct bucket once.
-        let mut seen = std::collections::HashSet::new();
+        // Scan each distinct bucket once: the entries that share a bucket
+        // share a hash prefix, so they are adjacent in the directory.
         let mut out = Vec::new();
-        let pages: Vec<PageId> = self.directory.clone();
-        for page in pages {
-            if !seen.insert(page) {
+        for i in 0..self.directory.len() {
+            let page = self.directory[i];
+            if i > 0 && self.directory[i - 1] == page {
                 continue;
             }
-            let bucket = self.read_bucket(page)?;
-            out.extend(
-                bucket
-                    .records
-                    .into_iter()
-                    .filter(|r| r.key >= lo && r.key <= hi),
-            );
+            self.with_bucket(page, |_, records| {
+                out.extend(records.iter().filter(|r| r.key >= lo && r.key <= hi))
+            })?;
         }
         out.sort_unstable();
         Ok(out)
@@ -447,5 +458,77 @@ mod tests {
         assert!(p.aux_bytes > 0);
         let mo = p.space_amplification();
         assert!(mo > 1.0 && mo < 5.0, "mo = {mo}");
+    }
+
+    #[test]
+    fn charges_of_a_fixed_sequence_are_pinned() {
+        let mut h = ExtendibleHash::loaded_600();
+        assert!(h.global_depth() >= 2, "600 records need at least 3 buckets");
+        for k in (0..700u64).step_by(7) {
+            assert_eq!(h.get(k).unwrap(), (k < 600).then_some(k));
+        }
+        assert!(h.update(3, 33).unwrap());
+        assert!(!h.update(601, 0).unwrap());
+        assert!(h.delete(4).unwrap());
+        assert!(!h.delete(4).unwrap());
+        let rs = h.range(2, 6).unwrap();
+        assert_eq!(
+            rs,
+            [(2, 2), (3, 33), (5, 5), (6, 6)].map(|(k, v)| Record::new(k, v))
+        );
+        // Number for number what the copying implementation charged.
+        assert_eq!(
+            h.tracker().snapshot(),
+            rum_core::CostSnapshot {
+                base_read_bytes: 2924544,
+                aux_read_bytes: 5656,
+                base_write_bytes: 2490368,
+                aux_write_bytes: 0,
+                logical_read_bytes: 1440,
+                logical_write_bytes: 9632,
+                page_reads: 714,
+                page_writes: 608,
+                sim_time_ns: 675800
+            }
+        );
+    }
+
+    #[test]
+    fn a_hostile_bucket_header_is_corrupt_never_clamped() {
+        use rum_storage::BlockDevice;
+        let corrupt = |r: Result<()>| assert!(matches!(r, Err(RumError::Corrupt(_))), "{r:?}");
+        let global = ExtendibleHash::loaded_600().global_depth() as u16;
+        for (off, forged) in [
+            (2, BUCKET_CAP as u16 + 1),
+            (2, u16::MAX),
+            (0, global + 1),
+            (0, MAX_DEPTH as u16 + 1),
+        ] {
+            let mut h = ExtendibleHash::loaded_600();
+            let page = h.directory[h.dir_slot(1)];
+            let mut buf = h.pager.device_mut().read_page(page).unwrap();
+            buf.write_u16(off, forged);
+            h.pager.device_mut().write_page(page, &buf).unwrap();
+            corrupt(h.get(1).map(drop));
+            corrupt(h.range(0, 10).map(drop));
+            corrupt(h.insert(1, 9));
+            corrupt(h.update(1, 9).map(drop));
+            corrupt(h.delete(1).map(drop));
+            assert_eq!(h.len(), 600, "a refused write changes nothing");
+            // The other buckets still answer.
+            let other = (0..600).find(|&k| h.directory[h.dir_slot(k)] != page);
+            let other = other.expect("600 records span several buckets");
+            assert_eq!(h.get(other).unwrap(), Some(other));
+        }
+    }
+
+    impl ExtendibleHash {
+        fn loaded_600() -> Self {
+            let mut h = ExtendibleHash::new();
+            for k in 0..600u64 {
+                h.insert(k, k).unwrap();
+            }
+            h
+        }
     }
 }

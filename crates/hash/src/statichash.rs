@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError,
-    SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
+    check_bulk_input, encode_records, AccessMethod, CostTracker, DataClass, Key, Record,
+    RecordSlice, Result, RumError, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
 };
 use rum_storage::{MemDevice, PageBuf, PageId, Pager};
 
@@ -79,10 +79,7 @@ impl StaticHash {
 
     fn empty_page() -> PageBuf {
         let mut p = PageBuf::zeroed();
-        let r = Record::new(EMPTY, 0);
-        for i in 0..RECORDS_PER_PAGE {
-            r.encode_into(&mut p[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]);
-        }
+        encode_records(&mut p, 0, &[Record::new(EMPTY, 0); RECORDS_PER_PAGE]);
         p
     }
 
@@ -96,57 +93,51 @@ impl StaticHash {
         (hash64(key) >> (64 - self.slots.trailing_zeros() as u64)) as usize
     }
 
-    fn read_slot_page(&mut self, slot: usize) -> Result<(usize, PageBuf)> {
-        let page_idx = slot / RECORDS_PER_PAGE;
-        let buf = self.pager.read(self.pages[page_idx], DataClass::Base)?;
-        Ok((page_idx, buf))
-    }
-
-    fn slot_record(buf: &PageBuf, slot: usize) -> Record {
-        let off = (slot % RECORDS_PER_PAGE) * RECORD_SIZE;
-        Record::decode(&buf[off..off + RECORD_SIZE])
-    }
-
-    fn set_slot(buf: &mut PageBuf, slot: usize, rec: Record) {
-        let off = (slot % RECORDS_PER_PAGE) * RECORD_SIZE;
-        rec.encode_into(&mut buf[off..off + RECORD_SIZE]);
-    }
-
     /// Probe for `key`. Returns `(slot, Some(record))` on a hit, or
     /// `(first_insertable_slot, None)` when the chain ends at EMPTY.
-    /// Each distinct page along the probe chain charges one read.
+    /// The chain is followed inside each lent page; every time it enters
+    /// a page (the home page, the next one, page 0 after the last) that
+    /// is one charged read.
     fn probe(&mut self, key: Key) -> Result<(usize, Option<Record>)> {
         debug_assert!(key < GRAVE, "keys u64::MAX-1 and u64::MAX are reserved");
         let mut slot = self.home_slot(key);
         let mut first_free: Option<usize> = None;
-        let (mut cur_page, mut buf) = self.read_slot_page(slot)?;
-        for _ in 0..self.slots {
+        let (mut left, mask) = (self.slots, self.slots - 1);
+        while left > 0 {
             let page_idx = slot / RECORDS_PER_PAGE;
-            if page_idx != cur_page {
-                let (p, b) = self.read_slot_page(slot)?;
-                cur_page = p;
-                buf = b;
+            let end = self
+                .pager
+                .with_page(self.pages[page_idx], DataClass::Base, |bytes| {
+                    let recs = RecordSlice::new(bytes);
+                    while left > 0 && slot / RECORDS_PER_PAGE == page_idx {
+                        let rec = recs
+                            .get(slot % RECORDS_PER_PAGE)
+                            .expect("a device page holds RECORDS_PER_PAGE slots");
+                        match rec.key {
+                            k if k == key => return Some((slot, Some(rec))),
+                            EMPTY => return Some((first_free.unwrap_or(slot), None)),
+                            GRAVE if first_free.is_none() => first_free = Some(slot),
+                            _ => {}
+                        }
+                        slot = (slot + 1) & mask;
+                        left -= 1;
+                    }
+                    None
+                })?;
+            if let Some(end) = end {
+                return Ok(end);
             }
-            let rec = Self::slot_record(&buf, slot);
-            match rec.key {
-                k if k == key => return Ok((slot, Some(rec))),
-                EMPTY => return Ok((first_free.unwrap_or(slot), None)),
-                GRAVE if first_free.is_none() => {
-                    first_free = Some(slot);
-                }
-                _ => {}
-            }
-            slot = (slot + 1) & (self.slots - 1);
         }
         Err(RumError::Corrupt("probe wrapped the whole table".into()))
     }
 
     /// Overwrite one slot (read-modify-write of its page).
     fn write_slot(&mut self, slot: usize, rec: Record) -> Result<()> {
-        let (page_idx, mut buf) = self.read_slot_page(slot)?;
-        Self::set_slot(&mut buf, slot, rec);
-        self.pager
-            .write(self.pages[page_idx], DataClass::Base, &buf)
+        let id = self.pages[slot / RECORDS_PER_PAGE];
+        let mut buf = self.pager.read(id, DataClass::Base)?;
+        let at = (slot % RECORDS_PER_PAGE) * RECORD_SIZE;
+        encode_records(&mut buf[at..at + RECORD_SIZE], 0, &[rec]);
+        self.pager.write(id, DataClass::Base, &buf)
     }
 
     /// Double the table and rehash everything (also clears tombstones).
@@ -154,13 +145,9 @@ impl StaticHash {
         let old_pages = std::mem::take(&mut self.pages);
         let mut records = Vec::with_capacity(self.live);
         for id in &old_pages {
-            let buf = self.pager.read(*id, DataClass::Base)?;
-            for i in 0..RECORDS_PER_PAGE {
-                let r = Record::decode(&buf[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]);
-                if r.key < GRAVE {
-                    records.push(r);
-                }
-            }
+            self.pager.with_page(*id, DataClass::Base, |bytes| {
+                records.extend(RecordSlice::new(bytes).iter().filter(|r| r.key < GRAVE))
+            })?;
         }
         for id in old_pages {
             self.pager.free(id)?;
@@ -220,13 +207,11 @@ impl AccessMethod for StaticHash {
         // O(N/B) row for the hash index).
         let mut out = Vec::new();
         for idx in 0..self.pages.len() {
-            let buf = self.pager.read(self.pages[idx], DataClass::Base)?;
-            for i in 0..RECORDS_PER_PAGE {
-                let r = Record::decode(&buf[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]);
-                if r.key < GRAVE && r.key >= lo && r.key <= hi {
-                    out.push(r);
-                }
-            }
+            self.pager
+                .with_page(self.pages[idx], DataClass::Base, |bytes| {
+                    let recs = RecordSlice::new(bytes).iter();
+                    out.extend(recs.filter(|r| r.key < GRAVE && r.key >= lo && r.key <= hi))
+                })?;
         }
         out.sort_unstable();
         Ok(out)
@@ -445,5 +430,81 @@ mod tests {
             }
             assert_eq!(h.len(), model.len());
         }
+    }
+
+    #[test]
+    fn probe_chains_cross_pages_and_wrap_at_pinned_cost() {
+        // Two pages: a chain that starts in the last two slots of page 1
+        // runs on into page 0.
+        let mut h = StaticHash::with_capacity(256, DEFAULT_LOAD);
+        assert_eq!(h.capacity(), 2 * RECORDS_PER_PAGE);
+        let keys: Vec<Key> = (0..u64::MAX)
+            .filter(|&k| h.home_slot(k) >= h.capacity() - 2)
+            .take(7)
+            .collect();
+        let t = Arc::clone(h.tracker());
+        let start = t.snapshot();
+        for &k in &keys[..6] {
+            h.insert(k, k + 1).unwrap();
+        }
+        let mut reads = Vec::new();
+        let mut probe = |h: &mut StaticHash, key: Key, want: Option<Value>| {
+            let before = t.snapshot();
+            assert_eq!(h.get(key).unwrap(), want);
+            reads.push(t.since(&before).page_reads);
+        };
+        probe(&mut h, keys[0], Some(keys[0] + 1)); // at home, page 1
+        probe(&mut h, keys[5], Some(keys[5] + 1)); // wrapped into page 0
+        probe(&mut h, keys[6], None); // the whole chain, then EMPTY
+        assert!(h.delete(keys[3]).unwrap()); // a grave in page 0
+        probe(&mut h, keys[5], Some(keys[5] + 1)); // walks through it
+        h.insert(keys[6], 1).unwrap(); // and reuses it
+        probe(&mut h, keys[6], Some(1));
+        assert_eq!(reads, [1, 2, 2, 2, 2]);
+        assert_eq!(h.range(0, u64::MAX - 2).unwrap().len(), 6);
+        // Number for number what the copying implementation charged.
+        assert_eq!(
+            t.since(&start),
+            rum_core::CostSnapshot {
+                base_read_bytes: 135168,
+                aux_read_bytes: 0,
+                base_write_bytes: 32768,
+                aux_write_bytes: 0,
+                logical_read_bytes: 160,
+                logical_write_bytes: 128,
+                page_reads: 33,
+                page_writes: 8,
+                sim_time_ns: 22400
+            }
+        );
+
+        // One page: the same chain wraps inside the page it started in.
+        let mut h = StaticHash::with_capacity(64, DEFAULT_LOAD);
+        assert_eq!(h.capacity(), RECORDS_PER_PAGE);
+        let keys: Vec<Key> = (0..u64::MAX)
+            .filter(|&k| h.home_slot(k) >= h.capacity() - 2)
+            .take(5)
+            .collect();
+        for &k in &keys {
+            h.insert(k, k).unwrap();
+        }
+        let before = h.tracker().snapshot();
+        assert_eq!(h.get(keys[4]).unwrap(), Some(keys[4]));
+        assert_eq!(h.tracker().since(&before).page_reads, 1);
+        // Number for number what the copying implementation charged.
+        assert_eq!(
+            h.tracker().snapshot(),
+            rum_core::CostSnapshot {
+                base_read_bytes: 45056,
+                aux_read_bytes: 0,
+                base_write_bytes: 20480,
+                aux_write_bytes: 0,
+                logical_read_bytes: 16,
+                logical_write_bytes: 80,
+                page_reads: 11,
+                page_writes: 5,
+                sim_time_ns: 6400
+            }
+        );
     }
 }

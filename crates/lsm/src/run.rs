@@ -7,7 +7,8 @@
 //! data at the expense of additional space".
 
 use rum_core::{
-    DataClass, Key, Record, RecordSlice, Result, RumError, Value, RECORDS_PER_PAGE, RECORD_SIZE,
+    encode_records, DataClass, Key, Record, RecordSlice, Result, RumError, Value, RECORDS_PER_PAGE,
+    RECORD_SIZE,
 };
 use rum_sketch::{BloomFilter, QuotientFilter};
 use rum_storage::{BlockDevice, PageBuf, PageId, Pager};
@@ -179,9 +180,7 @@ impl SortedRun {
         for chunk in records.chunks(RECORDS_PER_PAGE) {
             let id = pager.allocate()?;
             let mut buf = PageBuf::zeroed();
-            for (i, r) in chunk.iter().enumerate() {
-                r.encode_into(&mut buf[i * RECORD_SIZE..(i + 1) * RECORD_SIZE]);
-            }
+            encode_records(&mut buf, 0, chunk);
             pager.write(id, DataClass::Base, &buf)?;
             fences.push(chunk[0].key);
             pages.push(id);

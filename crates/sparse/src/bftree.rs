@@ -223,12 +223,12 @@ impl AccessMethod for BfTree {
             let slot = idx % RECORDS_PER_PAGE;
             let recs = self.file.read_page(&mut self.pager, page_idx)?;
             let mut done = false;
-            for r in &recs[slot..] {
+            for r in recs.tail(slot).iter() {
                 if r.key > hi {
                     done = true;
                     break;
                 }
-                out.push(*r);
+                out.push(r);
             }
             if done {
                 break;

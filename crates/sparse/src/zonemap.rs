@@ -161,11 +161,11 @@ impl ZoneMappedColumn {
             let first_page = start / RECORDS_PER_PAGE;
             let last_page = (end - 1) / RECORDS_PER_PAGE;
             for page_idx in first_page..=last_page {
-                let recs = self.file.read_page(&mut self.pager, page_idx)?.to_vec();
+                let recs = self.file.read_page(&mut self.pager, page_idx)?;
                 for (i, r) in recs.iter().enumerate() {
                     let idx = page_idx * RECORDS_PER_PAGE + i;
                     if idx >= start && idx < end {
-                        z.absorb(r);
+                        z.absorb(&r);
                     }
                 }
             }
@@ -205,7 +205,7 @@ impl ZoneMappedColumn {
                 let last_page = (end.saturating_sub(1)) / RECORDS_PER_PAGE;
                 for page_idx in first_page..=last_page.min(self.file.num_pages().saturating_sub(1))
                 {
-                    let recs = self.file.read_page(&mut self.pager, page_idx)?.to_vec();
+                    let recs = self.file.read_page(&mut self.pager, page_idx)?;
                     for (i, r) in recs.iter().enumerate() {
                         let idx = page_idx * RECORDS_PER_PAGE + i;
                         if idx >= start && idx < end && r.key >= lo && r.key <= hi {
@@ -269,11 +269,11 @@ impl AccessMethod for ZoneMappedColumn {
             let first_page = start / RECORDS_PER_PAGE;
             let last_page = (end.saturating_sub(1)) / RECORDS_PER_PAGE;
             for page_idx in first_page..=last_page.min(self.file.num_pages().saturating_sub(1)) {
-                let recs = self.file.read_page(&mut self.pager, page_idx)?.to_vec();
+                let recs = self.file.read_page(&mut self.pager, page_idx)?;
                 for (i, r) in recs.iter().enumerate() {
                     let idx = page_idx * RECORDS_PER_PAGE + i;
                     if idx >= start && idx < end && r.key >= lo && r.key <= hi {
-                        out.push(*r);
+                        out.push(r);
                     }
                 }
             }

@@ -33,10 +33,14 @@ impl std::fmt::Display for PageId {
 }
 
 /// An owned, fixed-size page buffer: what a writer fills and hands to
-/// `write_page`, and what tests compare. Readers do not need one — the
-/// device lends its own bytes ([`BlockDevice::with_page`],
-/// [`Pager::with_page`]) — and `read_page` / [`Pager::read`] copy into one
-/// only for callers that go on to modify the page and write it back.
+/// `write_page`, what a page memo (`PackedFile`'s) copies a lent page
+/// into, and what tests compare. Readers do not need one — the device
+/// lends its own bytes ([`BlockDevice::with_page`], [`Pager::with_page`])
+/// and every paged method reads there. `read_page` / [`Pager::read`] still
+/// copy into a fresh one: for a device wrapper that implements nothing
+/// else, for a read-modify-write of a few bytes of a page
+/// (`StaticHash::write_slot`, the one caller left), and for the wall-clock
+/// benchmark, which times that copy as `pager.read_ns`.
 ///
 /// [`BlockDevice::with_page`]: crate::device::BlockDevice::with_page
 /// [`Pager::with_page`]: crate::pager::Pager::with_page

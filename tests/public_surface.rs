@@ -92,3 +92,42 @@ fn entry_points_take_the_shapes_rum_perf_calls_them_with() {
     let pending = sharded.submit_batch(&[Op::Get(1)], false).expect("submit");
     assert!(sharded.finish_batch(pending).expect("finish").is_none());
 }
+
+/// `layers::device_timings`: one generic body over both devices.
+fn device_round_trip<D: BlockDevice>(mut device: D, page: &PageBuf) -> (D, PageId) {
+    let id = device.allocate().expect("allocate");
+    device.write_page(id, page).expect("live page");
+    assert_eq!(&device.read_page(id).expect("live page"), page);
+    (device, id)
+}
+
+#[test]
+fn storage_calls_take_the_shapes_layers_micro_times_them_with() {
+    // `layers::filled_page`.
+    let mut page = PageBuf::zeroed();
+    for off in (0..PAGE_SIZE).step_by(8) {
+        page.write_u64(off, splitmix64(7 ^ off as u64));
+    }
+    device_round_trip(CheckedDevice::new(MemDevice::new()), &page);
+    let (device, id) = device_round_trip(MemDevice::new(), &page);
+
+    // `pager.read_ns` / `pager.write_ns`: the owned read is what is timed.
+    let pager = std::cell::RefCell::new(Pager::new(device, CostTracker::new()));
+    let read: PageBuf = pager.borrow_mut().read(id, DataClass::Base).expect("read");
+    assert_eq!(read, page);
+    pager
+        .borrow_mut()
+        .write(id, DataClass::Base, &page)
+        .expect("write");
+    assert!(crc32(page.as_slice()) != 0);
+
+    // `wal.append_sync_ns`.
+    let mut wal = Wal::new(CostTracker::new());
+    wal.append(&WalEntry::Insert { key: 1, value: 1 });
+    wal.sync().expect("fault-free WAL sync");
+
+    // `layers::observer_twins`: the metered twin's sink.
+    let plane = MetricsPlane::new();
+    let mut tree = BTree::new();
+    tree.set_trace_sink(plane.sink());
+}
