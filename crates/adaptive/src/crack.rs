@@ -174,6 +174,15 @@ impl CrackedColumn {
         split
     }
 
+    /// Crack just above `hi`: the first position with `key > hi`, which
+    /// for `hi == u64::MAX` (no key above it to pivot on) is the end.
+    fn crack_after(&mut self, hi: Key) -> usize {
+        match hi.checked_add(1) {
+            Some(pivot) => self.crack_at(pivot),
+            None => self.data.len(),
+        }
+    }
+
     /// Fold pending inserts and deletes into the cracked region, resetting
     /// the cracker index (the simple update strategy: correctness first,
     /// adaptivity restarts).
@@ -255,7 +264,7 @@ impl AccessMethod for CrackedColumn {
             return Ok(None);
         }
         let p1 = self.crack_at(key);
-        let p2 = self.crack_at(key.saturating_add(1));
+        let p2 = self.crack_after(key);
         // The piece [p1, p2) now contains exactly the matches.
         self.tracker.read(DataClass::Base, (p2 - p1) as u64 * CELL);
         Ok(self.data[p1..p2].first().map(|r| r.value))
@@ -264,11 +273,7 @@ impl AccessMethod for CrackedColumn {
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
         self.maybe_merge();
         let p1 = self.crack_at(lo);
-        let p2 = if hi == Key::MAX {
-            self.data.len()
-        } else {
-            self.crack_at(hi + 1)
-        };
+        let p2 = self.crack_after(hi);
         self.tracker
             .read(DataClass::Base, (p2.saturating_sub(p1)) as u64 * CELL);
         let mut out: Vec<Record> = self.data[p1..p2]
@@ -318,7 +323,7 @@ impl AccessMethod for CrackedColumn {
             return Ok(false);
         }
         let p1 = self.crack_at(key);
-        let p2 = self.crack_at(key.saturating_add(1));
+        let p2 = self.crack_after(key);
         if p1 < p2 {
             self.data[p1].value = value;
             self.tracker.write(DataClass::Base, CELL);
@@ -360,6 +365,7 @@ impl AccessMethod for CrackedColumn {
 mod tests {
     use super::*;
     use rand::seq::SliceRandom;
+    use rum_core::oracle::{check, hostile_ops};
 
     /// A shuffled dataset (cracking on pre-sorted data is degenerate).
     fn shuffled(n: u64, seed: u64) -> Vec<Record> {
@@ -499,46 +505,12 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        let mut rng = StdRng::seed_from_u64(31);
         let mut c = CrackedColumn::with_config(CrackConfig {
             pending_threshold: 64,
             stochastic: true,
             seed: 9,
         });
-        let mut model = std::collections::BTreeMap::new();
-        for step in 0..4000u64 {
-            let k = rng.gen_range(0..1500u64);
-            match rng.gen_range(0..6) {
-                0 | 1 => {
-                    c.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(c.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(
-                        c.delete(k).unwrap(),
-                        model.remove(&k).is_some(),
-                        "step {step}"
-                    );
-                }
-                4 => {
-                    assert_eq!(c.get(k).unwrap(), model.get(&k).copied(), "step {step}");
-                }
-                _ => {
-                    let hi = k + rng.gen_range(0..40u64);
-                    let got = c.range(k, hi).unwrap();
-                    let expect: Vec<Record> = model
-                        .range(k..=hi)
-                        .map(|(&k, &v)| Record::new(k, v))
-                        .collect();
-                    assert_eq!(got, expect, "range {k}..{hi} step {step}");
-                }
-            }
-            assert_eq!(c.len(), model.len(), "step {step}");
-        }
+        check(&mut c, &hostile_ops(31, 4000, 1500)).unwrap();
     }
 
     use rand::{rngs::StdRng, Rng, SeedableRng};

@@ -282,6 +282,7 @@ impl AccessMethod for AdaptiveMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
 
     mod interval_set {
         use super::*;
@@ -444,41 +445,8 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(43);
-        let recs: Vec<Record> = (0..2000u64).map(|k| Record::new(k, k)).collect();
-        let mut m = AdaptiveMerger::new(128);
-        m.bulk_load(&recs).unwrap();
-        let mut model: std::collections::BTreeMap<u64, u64> =
-            recs.iter().map(|r| (r.key, r.value)).collect();
-        for step in 0..4000u64 {
-            let k = rng.gen_range(0..2500u64);
-            match rng.gen_range(0..6) {
-                0 => {
-                    m.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                1 | 2 => {
-                    assert_eq!(m.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(m.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                4 => {
-                    assert_eq!(m.get(k).unwrap(), model.get(&k).copied(), "step {step}");
-                }
-                _ => {
-                    let hi = k + rng.gen_range(0..60u64);
-                    let got = m.range(k, hi).unwrap();
-                    let expect: Vec<Record> = model
-                        .range(k..=hi)
-                        .map(|(&k, &v)| Record::new(k, v))
-                        .collect();
-                    assert_eq!(got, expect, "range {k}..{hi} step {step}");
-                }
-            }
-            assert_eq!(m.len(), model.len());
-        }
+        let mut stream = hostile_ops(43, 4000, 2500);
+        stream.initial = (0..2000u64).map(|k| Record::new(k, k)).collect();
+        check(&mut AdaptiveMerger::new(128), &stream).unwrap();
     }
 }

@@ -284,6 +284,7 @@ impl AccessMethod for MorphingIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
 
     fn cfg(window: usize) -> MorphConfig {
         MorphConfig {
@@ -410,39 +411,8 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(83);
         let mut m = MorphingIndex::with_config(cfg(16));
-        let mut model = std::collections::BTreeMap::new();
-        for step in 0..4000u64 {
-            let k = rng.gen_range(0..800u64);
-            match rng.gen_range(0..6) {
-                0 | 1 => {
-                    m.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(m.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(m.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                4 => {
-                    assert_eq!(m.get(k).unwrap(), model.get(&k).copied(), "step {step}");
-                }
-                _ => {
-                    let hi = k + rng.gen_range(0..50u64);
-                    let got = m.range(k, hi).unwrap();
-                    let expect: Vec<Record> = model
-                        .range(k..=hi)
-                        .map(|(&k, &v)| Record::new(k, v))
-                        .collect();
-                    assert_eq!(got, expect, "range at step {step} (shape {:?})", m.shape());
-                }
-            }
-            assert_eq!(m.len(), model.len());
-        }
+        check(&mut m, &hostile_ops(83, 4000, 800)).unwrap();
         assert!(m.morphs() > 0, "the stream should have triggered morphs");
     }
 

@@ -3,68 +3,22 @@
 
 use proptest::prelude::*;
 use rum_adaptive::{AdaptiveMerger, CrackConfig, CrackedColumn, IntervalSet};
+use rum_core::oracle::check;
+use rum_core::workload::Op;
 use rum_core::{AccessMethod, Record};
-use std::collections::BTreeMap;
 
-#[derive(Clone, Debug)]
-enum AOp {
-    Insert(u16, u32),
-    Update(u16, u32),
-    Delete(u16),
-    Get(u16),
-    Range(u16, u8),
-}
-
-fn op_strategy() -> impl Strategy<Value = AOp> {
+fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| AOp::Insert(k, v)),
-        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| AOp::Update(k, v)),
-        any::<u16>().prop_map(AOp::Delete),
-        any::<u16>().prop_map(AOp::Get),
-        (any::<u16>(), any::<u8>()).prop_map(|(lo, s)| AOp::Range(lo, s)),
+        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k as u64, v as u64)),
+        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Update(k as u64, v as u64)),
+        any::<u16>().prop_map(|k| Op::Delete(k as u64)),
+        any::<u16>().prop_map(|k| Op::Get(k as u64)),
+        (any::<u16>(), any::<u8>()).prop_map(|(lo, s)| Op::Range(lo as u64, lo as u64 + s as u64)),
     ]
 }
 
-fn run(method: &mut dyn AccessMethod, base: &[Record], ops: &[AOp]) {
-    let mut model: BTreeMap<u64, u64> = base.iter().map(|r| (r.key, r.value)).collect();
-    method.bulk_load(base).unwrap();
-    for op in ops {
-        match *op {
-            AOp::Insert(k, v) => {
-                method.insert(k as u64, v as u64).unwrap();
-                model.insert(k as u64, v as u64);
-            }
-            AOp::Update(k, v) => {
-                assert_eq!(
-                    method.update(k as u64, v as u64).unwrap(),
-                    model.contains_key(&(k as u64))
-                );
-                model.entry(k as u64).and_modify(|x| *x = v as u64);
-            }
-            AOp::Delete(k) => {
-                assert_eq!(
-                    method.delete(k as u64).unwrap(),
-                    model.remove(&(k as u64)).is_some()
-                );
-            }
-            AOp::Get(k) => {
-                assert_eq!(
-                    method.get(k as u64).unwrap(),
-                    model.get(&(k as u64)).copied()
-                );
-            }
-            AOp::Range(lo, span) => {
-                let (lo, hi) = (lo as u64, lo as u64 + span as u64);
-                let got = method.range(lo, hi).unwrap();
-                let expect: Vec<Record> = model
-                    .range(lo..=hi)
-                    .map(|(&k, &v)| Record::new(k, v))
-                    .collect();
-                assert_eq!(got, expect);
-            }
-        }
-        assert_eq!(method.len(), model.len());
-    }
+fn run(method: &mut dyn AccessMethod, base: Vec<Record>, ops: Vec<Op>) {
+    check(method, (base, ops.into_iter())).unwrap();
 }
 
 proptest! {
@@ -86,7 +40,7 @@ proptest! {
             pending_threshold: threshold,
             seed: 1,
         });
-        run(&mut c, &base, &ops);
+        run(&mut c, base, ops);
     }
 
     #[test]
@@ -100,7 +54,7 @@ proptest! {
             .map(|&k| Record::new(k as u64, k as u64))
             .collect();
         let mut m = AdaptiveMerger::new(run_size);
-        run(&mut m, &base, &ops);
+        run(&mut m, base, ops);
     }
 
     #[test]

@@ -10,16 +10,18 @@
 //!    to the byte, and `ΔUO == WAL bytes / logical write bytes`.
 //! 2. **Is recovery exact?** For each seeded crash point — clean power
 //!    loss, torn write, or failed flush — the workload is driven until the
-//!    fault fires, the structure recovers, and its full contents must be
-//!    bit-identical to a reference structure fed only the acknowledged
-//!    (committed) operation prefix. A torn final WAL record must be
+//!    fault fires under the oracle ([`rum_core::oracle`]), the structure
+//!    recovers, and its full contents must be bit-identical to the
+//!    oracle's model, which holds exactly the acknowledged (committed)
+//!    operation prefix. A torn final WAL record must be
 //!    detected and discarded somewhere in the matrix, never replayed.
 
 use std::sync::Arc;
 
+use rum_core::oracle::Oracle;
 use rum_core::runner::run_stream;
 use rum_core::workload::{OpMix, Workload, WorkloadSpec};
-use rum_core::{AccessMethod, Key, RumError};
+use rum_core::AccessMethod;
 use rum_storage::{splitmix64, Durable, FaultInjector, FaultPlan};
 
 use crate::{Outcome, Scale, Target};
@@ -193,35 +195,20 @@ fn run_method<M, FB, FD>(
                 }
             };
             let mut victim = make_durable(Some(FaultInjector::new(plan)));
-            victim.bulk_load(&workload.initial).expect("bulk load");
-            let mut acked = 0usize;
-            let mut crashed = false;
-            for &op in &workload.ops {
-                match op.apply(&mut victim) {
-                    Ok(_) => acked += 1,
-                    Err(RumError::Crash(_)) => {
-                        crashed = true;
-                        break;
-                    }
-                    Err(e) => panic!("unexpected error under {label}: {e}"),
-                }
-            }
+            // The oracle's model advances on acknowledged ops only, so
+            // after the crash it is the acknowledged prefix.
+            let mut oracle = Oracle::load(&mut victim, &workload.initial).expect("bulk load");
+            let acked = oracle
+                .step_until_crash(&mut victim, workload.ops.iter().copied())
+                .unwrap_or_else(|d| panic!("unexpected outcome under {label}: {d:?}"));
+            let crashed = acked < workload.ops.len();
+            let acked_writes = workload.ops[..acked]
+                .iter()
+                .filter(|o| !o.is_read())
+                .count();
             assert!(crashed, "{method}/{wname}/{label}: fault never fired");
             let report = victim.recover().expect("recovery");
-
-            // Reference: a bare structure fed only the acknowledged prefix.
-            let mut reference = make_bare();
-            reference.bulk_load(&workload.initial).expect("ref load");
-            let mut acked_writes = 0usize;
-            for &op in &workload.ops[..acked] {
-                op.apply(&mut reference).expect("ref op");
-                if !op.is_read() {
-                    acked_writes += 1;
-                }
-            }
-            let recovered_exact = victim.len() == reference.len()
-                && victim.range(0, Key::MAX).expect("victim scan")
-                    == reference.range(0, Key::MAX).expect("ref scan");
+            let recovered_exact = oracle.finish(&mut victim).is_ok();
             out.cells.push(CrashRow {
                 method: method.clone(),
                 workload: wname.into(),

@@ -1,5 +1,7 @@
 //! Fault storm: access methods × seeded fault profiles × retry policies,
-//! with every cell checked differentially against a fault-free twin.
+//! with every served answer held to the one oracle
+//! ([`rum_core::oracle`]) and every cell's bill compared with a
+//! fault-free twin's.
 //!
 //! Three guarantees, one per cell kind:
 //!
@@ -31,9 +33,10 @@
 
 use std::sync::{Arc, Mutex};
 
+use rum_core::oracle::Oracle;
 use rum_core::trace::{EventKind, MemorySink};
-use rum_core::workload::{Op, OpAnswer, OpMix, Workload, WorkloadSpec};
-use rum_core::{AccessMethod, CostSnapshot, Key, RumError};
+use rum_core::workload::{OpMix, Workload, WorkloadSpec};
+use rum_core::{AccessMethod, CostSnapshot, RumError};
 use rum_storage::{
     CheckedDevice, Durable, FaultDevice, FaultInjector, FaultPlan, FaultProfile, MemDevice,
     RetryPolicy, ScrubReport,
@@ -147,23 +150,6 @@ fn workload(config: &FaultStormConfig) -> Workload {
     })
 }
 
-/// Execute one op and fold its observable answer into a digest: two runs
-/// served the same data iff their digests match op-for-op.
-fn op_digest(method: &mut dyn AccessMethod, op: Op) -> rum_core::Result<u64> {
-    use rum_storage::splitmix64;
-    Ok(match (op.apply(method)?, op) {
-        (OpAnswer::Get(Some(v)), Op::Get(k)) => splitmix64(k ^ v.wrapping_mul(3)),
-        (OpAnswer::Get(None), Op::Get(k)) => splitmix64(k ^ 0x5EED),
-        (OpAnswer::Range(records), Op::Range(lo, hi)) => records
-            .iter()
-            .fold(splitmix64(lo ^ hi.rotate_left(17)), |acc, r| {
-                splitmix64(acc ^ r.key ^ r.value.rotate_left(31))
-            }),
-        (OpAnswer::Applied(applied), _) => u64::from(applied),
-        _ => 1, // an insert answers nothing
-    })
-}
-
 /// The faulty device stack every cell runs on: checksum seals *above* the
 /// fault layer, so injected flips land under the seal and must be caught.
 type StormDevice = CheckedDevice<FaultDevice<MemDevice>>;
@@ -192,23 +178,48 @@ fn converge_legs(seed: u64) -> Vec<(&'static str, FaultProfile, &'static str, Re
     ]
 }
 
-/// Drive the whole workload on a fault-free twin of the cell and record
-/// its per-op digests, final contents, and cost snapshot.
-fn reference_run<M: AccessMethod>(
+/// What the op phase costs on a fault-free twin of the cell: the
+/// baseline the retry traffic is priced against.
+fn reference_costs<M: AccessMethod>(
     make: impl Fn(&Arc<FaultInjector>) -> M,
     workload: &Workload,
-) -> (Vec<u64>, Vec<rum_core::Record>, CostSnapshot) {
-    let inert = FaultInjector::inert();
-    let mut reference = make(&inert);
+) -> CostSnapshot {
+    let mut reference = make(&FaultInjector::inert());
     reference.bulk_load(&workload.initial).expect("ref load");
-    let digests: Vec<u64> = workload
-        .ops
-        .iter()
-        .map(|&op| op_digest(&mut reference, op).expect("fault-free reference op"))
-        .collect();
-    let costs = reference.tracker().snapshot();
-    let contents = reference.range(0, Key::MAX).expect("ref scan");
-    (digests, contents, costs)
+    for &op in &workload.ops {
+        op.apply(&mut reference).expect("fault-free reference op");
+    }
+    reference.tracker().snapshot()
+}
+
+/// Play the op stream through the oracle, tallying into `row`. An answer
+/// (or invariant) the model disagrees with is wrong data; the method's
+/// own error ends the run: detection in a Detect cell when it is
+/// `CorruptPage`, a surfaced error anywhere else.
+fn play<M: AccessMethod>(
+    victim: &mut M,
+    oracle: &mut Oracle,
+    workload: &Workload,
+    row: &mut StormRow,
+) {
+    for &op in &workload.ops {
+        match oracle.step(victim, op).as_ref().map_err(|d| d.refusal()) {
+            Ok(()) => row.acked_ops += 1,
+            Err(None) => {
+                row.acked_ops += 1;
+                row.wrong_data += 1;
+            }
+            Err(Some(RumError::CorruptPage { .. })) if row.kind == CellKind::Detect => {
+                // Detection is the contract: stop here, scrub below.
+                row.detected += 1;
+                break;
+            }
+            Err(Some(_)) => {
+                row.surfaced_errors += 1;
+                break;
+            }
+        }
+    }
 }
 
 /// Run one Converge or Detect cell over a bare checked method.
@@ -223,10 +234,10 @@ fn run_cell<M: AccessMethod>(
     policy: (&str, RetryPolicy),
     out: &mut StormMatrix,
 ) {
-    let (digests, ref_contents, ref_costs) = reference_run(&make, workload);
+    let ref_costs = reference_costs(&make, workload);
     let injector = FaultInjector::with_profile(FaultPlan::None, Some(profile.1));
     let mut victim = make(&injector);
-    victim.bulk_load(&workload.initial).expect("victim load");
+    let mut oracle = Oracle::load(&mut victim, &workload.initial).expect("victim load");
     let mut row = StormRow {
         method: victim.name(),
         profile: profile.0.into(),
@@ -253,25 +264,7 @@ fn run_cell<M: AccessMethod>(
         row.policy,
         kind.as_str()
     );
-    for (&op, &expected) in workload.ops.iter().zip(&digests) {
-        match op_digest(&mut victim, op) {
-            Ok(digest) => {
-                row.acked_ops += 1;
-                if digest != expected {
-                    row.wrong_data += 1;
-                }
-            }
-            Err(RumError::CorruptPage { .. }) if kind == CellKind::Detect => {
-                // Detection is the contract: stop here, scrub below.
-                row.detected += 1;
-                break;
-            }
-            Err(_) => {
-                row.surfaced_errors += 1;
-                break;
-            }
-        }
-    }
+    play(&mut victim, &mut oracle, workload, &mut row);
     // Snapshot the op-phase ledger first: the reference snapshot was taken
     // at the same point, so the delta isolates retry traffic — the final
     // contents scan and the scrub below charge both sides' ledgers later
@@ -285,7 +278,7 @@ fn run_cell<M: AccessMethod>(
     row.faults_injected = injector.transient_faults();
     row.flips_injected = injector.bitflips();
     if row.acked_ops == workload.ops.len() {
-        row.contents_exact = victim.range(0, Key::MAX).map(|c| c == ref_contents) == Ok(true);
+        row.contents_exact = oracle.finish(&mut victim).is_ok();
     }
     if let Ok(report) = scrub(&mut victim) {
         row.scrub_pages = report.pages_scanned as u64;
@@ -313,8 +306,6 @@ fn run_heal_cell(
         tree.set_retry_policy(RetryPolicy::default());
         tree
     };
-    let (digests, ref_contents, _) = reference_run(make_tree, workload);
-
     let profile = FaultProfile::bitflips(seed ^ 0xF11B, flip_ppm);
     let injectors: Arc<Mutex<Vec<Arc<FaultInjector>>>> = Arc::default();
     let factory_injectors = Arc::clone(&injectors);
@@ -331,7 +322,7 @@ fn run_heal_cell(
     });
     let sink = MemorySink::shared();
     victim.set_trace_sink(Arc::clone(&sink) as _);
-    victim.bulk_load(&workload.initial).expect("heal load");
+    let mut oracle = Oracle::load(&mut victim, &workload.initial).expect("heal load");
     let mut row = StormRow {
         method: victim.name(),
         profile: "bitflip".into(),
@@ -352,22 +343,9 @@ fn run_heal_cell(
         contents_exact: false,
     };
     eprintln!("[storm] {} / bitflip / retry-3 (heal)", row.method);
-    for (&op, &expected) in workload.ops.iter().zip(&digests) {
-        match op_digest(&mut victim, op) {
-            Ok(digest) => {
-                row.acked_ops += 1;
-                if digest != expected {
-                    row.wrong_data += 1;
-                }
-            }
-            Err(_) => {
-                row.surfaced_errors += 1;
-                break;
-            }
-        }
-    }
+    play(&mut victim, &mut oracle, workload, &mut row);
     if row.acked_ops == workload.ops.len() {
-        row.contents_exact = victim.range(0, Key::MAX).map(|c| c == ref_contents) == Ok(true);
+        row.contents_exact = oracle.finish(&mut victim).is_ok();
     }
     for injector in injectors.lock().expect("injector list").iter() {
         row.flips_injected += injector.bitflips();

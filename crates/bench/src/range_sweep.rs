@@ -19,10 +19,11 @@
 //!   lazy refresh after a flush/compaction (new runs scanned, old
 //!   anchors merged, new anchors written) is priced as auxiliary writes
 //!   inside the read that triggered it: `pg/read` and `sim ns`, not RO.
-//! * Correctness is not traded: every cell pair runs a differential
-//!   replay — view-on results must be bit-identical to view-off, op by
-//!   op, `Get` and `Range` alike.
+//! * Correctness is not traded: every view-on cell is checked op by op,
+//!   `Get` and `Range` alike, against the one oracle
+//!   ([`rum_core::oracle`]) that view-off trees answer to as well.
 
+use rum_core::oracle::check;
 use rum_core::runner::{run_stream, RumReport};
 use rum_core::workload::{KeySpace, Op, OpMix, Workload, WorkloadSpec};
 use rum_core::{AccessMethod, Key};
@@ -173,24 +174,9 @@ pub struct RangeRow {
     /// Resident anchor bytes after the run (rebuilt if a trailing flush
     /// had invalidated them, so the MO column is never understated).
     pub view_bytes: u64,
-    /// Whether the differential replay against the view-off twin found
-    /// every op result bit-identical (view-on cells only).
+    /// Whether the oracle found every op result of the view-on tree
+    /// exact (view-on cells only).
     pub identical: Option<bool>,
-}
-
-/// Replay the workload op-by-op on a view-off and a view-on tree,
-/// comparing every observable result bit-for-bit.
-fn differential(workload: &Workload, filter: FilterKind) -> bool {
-    let mut off = tree(filter, false);
-    let mut on = tree(filter, true);
-    off.bulk_load(&workload.initial).expect("bulk load");
-    on.bulk_load(&workload.initial).expect("bulk load");
-    for &op in &workload.ops {
-        if op.apply(&mut off).unwrap() != op.apply(&mut on).unwrap() || off.len() != on.len() {
-            return false;
-        }
-    }
-    off.range(0, Key::MAX).unwrap() == on.range(0, Key::MAX).unwrap()
 }
 
 /// Run the grid. Rows come back mix-major, then filter, then view off/on.
@@ -203,7 +189,9 @@ pub fn run(config: &RangeSweepConfig) -> Vec<RangeRow> {
         let workload = workload;
         for (filter_name, filter) in filters() {
             eprintln!("[range] {mix_name} / {filter_name} ...");
-            let identical = differential(&workload, filter);
+            // The view-on tree, held to the oracle's model op by op (the
+            // view-off tree answers to the same model in `rum-lsm`'s tests).
+            let identical = check(&mut tree(filter, true), &workload).is_ok();
             for view in [false, true] {
                 let mut t = tree(filter, view);
                 let report = run_stream(&mut t, &workload).expect("workload run");

@@ -246,6 +246,7 @@ impl AccessMethod for BitmapIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
     use rum_core::RECORDS_PER_PAGE;
 
     fn loaded(n: u64) -> BitmapIndex {
@@ -326,37 +327,12 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(61);
         let mut b = BitmapIndex::with_config(BitmapConfig {
             bins: 16,
             key_domain: 2000,
             merge_threshold: 32,
         });
-        let mut model = std::collections::BTreeMap::new();
-        for step in 0..3000u64 {
-            let k = rng.gen_range(0..2000u64);
-            match rng.gen_range(0..5) {
-                0 | 1 => {
-                    b.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(b.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(b.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                _ => {
-                    assert_eq!(b.get(k).unwrap(), model.get(&k).copied(), "step {step}");
-                }
-            }
-            assert_eq!(b.len(), model.len());
-        }
-        let all = b.range(0, u64::MAX).unwrap();
-        let expect: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-        assert_eq!(all, expect);
+        check(&mut b, &hostile_ops(61, 3000, 2000)).unwrap();
     }
 
     #[test]

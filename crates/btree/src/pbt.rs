@@ -237,6 +237,7 @@ impl AccessMethod for PartitionedBTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
 
     fn small() -> PbtConfig {
         PbtConfig {
@@ -371,38 +372,7 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(91);
         let mut t = PartitionedBTree::with_config(small());
-        let mut model = std::collections::BTreeMap::new();
-        for step in 0..4000u64 {
-            let k = rng.gen_range(0..1200u64);
-            match rng.gen_range(0..6) {
-                0 | 1 => {
-                    t.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(t.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(t.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                4 => {
-                    assert_eq!(t.get(k).unwrap(), model.get(&k).copied(), "step {step}");
-                }
-                _ => {
-                    let hi = k + rng.gen_range(0..50u64);
-                    let got = t.range(k, hi).unwrap();
-                    let expect: Vec<Record> = model
-                        .range(k..=hi)
-                        .map(|(&k, &v)| Record::new(k, v))
-                        .collect();
-                    assert_eq!(got, expect, "range {k}..{hi} step {step}");
-                }
-            }
-            assert_eq!(t.len(), model.len());
-        }
+        check(&mut t, &hostile_ops(91, 4000, 1200)).unwrap();
     }
 }

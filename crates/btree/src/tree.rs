@@ -395,11 +395,6 @@ impl<D: BlockDevice> AccessMethod for BTree<D> {
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-        if lo > hi {
-            return Err(RumError::InvalidArgument(format!(
-                "inverted range {lo}..{hi}"
-            )));
-        }
         let mut out = Vec::new();
         let mut leaf = self.leaf_for(lo, |_, _, _| {})?;
         // Largest key met so far along the leaf chain, and how many leaves
@@ -528,6 +523,7 @@ impl<D: BlockDevice> AccessMethod for BTree<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
     use rum_core::RECORDS_PER_PAGE;
     use rum_storage::PageBuf;
 
@@ -715,37 +711,11 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(23);
         let mut t = BTree::with_config(BTreeConfig {
             node_size: 256, // tiny nodes stress splits
             ..Default::default()
         });
-        let mut model = std::collections::BTreeMap::new();
-        for step in 0..6000u64 {
-            let k = rng.gen_range(0..2000u64);
-            match rng.gen_range(0..5) {
-                0 | 1 => {
-                    t.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(t.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(t.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                _ => {
-                    assert_eq!(t.get(k).unwrap(), model.get(&k).copied(), "step {step}");
-                }
-            }
-            assert_eq!(t.len(), model.len());
-        }
-        // Final full-range comparison.
-        let all = t.range(0, u64::MAX).unwrap();
-        let expect: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-        assert_eq!(all, expect);
+        check(&mut t, &hostile_ops(23, 6000, 2000)).unwrap();
     }
 
     #[test]

@@ -4,69 +4,23 @@
 use proptest::prelude::*;
 use rum_btree::node::{internal_capacity, leaf_capacity};
 use rum_btree::{BTree, BTreeConfig, Node, NodeId, NodeRef, SplitPolicy};
+use rum_core::oracle::check;
+use rum_core::workload::Op;
 use rum_core::{AccessMethod, Record};
-use std::collections::BTreeMap;
 
-#[derive(Clone, Debug)]
-enum TreeOp {
-    Insert(u16, u64),
-    Update(u16, u64),
-    Delete(u16),
-    Get(u16),
-    Range(u16, u16),
-}
-
-fn op_strategy() -> impl Strategy<Value = TreeOp> {
+fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<u16>(), any::<u64>()).prop_map(|(k, v)| TreeOp::Insert(k, v)),
-        (any::<u16>(), any::<u64>()).prop_map(|(k, v)| TreeOp::Update(k, v)),
-        any::<u16>().prop_map(TreeOp::Delete),
-        any::<u16>().prop_map(TreeOp::Get),
-        (any::<u16>(), 0u16..64).prop_map(|(lo, span)| TreeOp::Range(lo, span)),
+        (any::<u16>(), any::<u64>()).prop_map(|(k, v)| Op::Insert(k as u64, v)),
+        (any::<u16>(), any::<u64>()).prop_map(|(k, v)| Op::Update(k as u64, v)),
+        any::<u16>().prop_map(|k| Op::Delete(k as u64)),
+        any::<u16>().prop_map(|k| Op::Get(k as u64)),
+        (any::<u16>(), 0u16..64).prop_map(|(lo, s)| Op::Range(lo as u64, lo as u64 + s as u64)),
     ]
 }
 
-fn run_ops(config: BTreeConfig, ops: &[TreeOp]) {
+fn run_ops(config: BTreeConfig, ops: Vec<Op>) {
     let mut tree = BTree::with_config(config);
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    for op in ops {
-        match *op {
-            TreeOp::Insert(k, v) => {
-                tree.insert(k as u64, v).unwrap();
-                model.insert(k as u64, v);
-            }
-            TreeOp::Update(k, v) => {
-                assert_eq!(
-                    tree.update(k as u64, v).unwrap(),
-                    model.contains_key(&(k as u64))
-                );
-                model.entry(k as u64).and_modify(|x| *x = v);
-            }
-            TreeOp::Delete(k) => {
-                assert_eq!(
-                    tree.delete(k as u64).unwrap(),
-                    model.remove(&(k as u64)).is_some()
-                );
-            }
-            TreeOp::Get(k) => {
-                assert_eq!(tree.get(k as u64).unwrap(), model.get(&(k as u64)).copied());
-            }
-            TreeOp::Range(lo, span) => {
-                let (lo, hi) = (lo as u64, lo as u64 + span as u64);
-                let got = tree.range(lo, hi).unwrap();
-                let expect: Vec<Record> = model
-                    .range(lo..=hi)
-                    .map(|(&k, &v)| Record::new(k, v))
-                    .collect();
-                assert_eq!(got, expect);
-            }
-        }
-        assert_eq!(tree.len(), model.len());
-    }
-    // Structural sanity at the end.
-    let all = tree.range(0, u64::MAX).unwrap();
-    assert!(all.windows(2).all(|w| w[0].key < w[1].key));
-    assert_eq!(all.len(), model.len());
+    check(&mut tree, (Vec::new(), ops.into_iter())).unwrap();
 }
 
 /// A valid node encoding at `node_size`, filled to `fill` of capacity with
@@ -196,7 +150,7 @@ proptest! {
 
     #[test]
     fn tree_matches_model_default_nodes(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        run_ops(BTreeConfig::default(), &ops);
+        run_ops(BTreeConfig::default(), ops);
     }
 
     #[test]
@@ -207,7 +161,7 @@ proptest! {
                 node_size: 256,
                 ..Default::default()
             },
-            &ops,
+            ops,
         );
     }
 
@@ -219,7 +173,7 @@ proptest! {
                 split_policy: SplitPolicy::RightHeavy,
                 ..Default::default()
             },
-            &ops,
+            ops,
         );
     }
 

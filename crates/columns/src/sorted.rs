@@ -150,6 +150,8 @@ impl AccessMethod for SortedColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::check;
+    use rum_core::workload::Op;
 
     fn loaded(n: u64) -> SortedColumn {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k * 2, k)).collect();
@@ -178,18 +180,8 @@ mod tests {
     fn stays_sorted_under_random_inserts() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(17);
-        let mut c = SortedColumn::new();
-        let mut model = std::collections::BTreeMap::new();
-        for _ in 0..1500 {
-            let k: u64 = rng.gen_range(0..10_000);
-            let v: u64 = rng.gen();
-            c.insert(k, v).unwrap();
-            model.insert(k, v);
-        }
-        assert_eq!(c.len(), model.len());
-        let all = c.range(0, u64::MAX).unwrap();
-        let expect: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-        assert_eq!(all, expect);
+        let inserts = (0..1500).map(|_| Op::Insert(rng.gen_range(0..10_000), rng.gen()));
+        check(&mut SortedColumn::new(), (Vec::new(), inserts)).unwrap();
     }
 
     #[test]

@@ -3,71 +3,23 @@
 
 use proptest::prelude::*;
 use rum_columns::{AppendLog, DenseArray, DirectAddressArray, SortedColumn, UnsortedColumn};
-use rum_core::{AccessMethod, Record};
-use std::collections::BTreeMap;
+use rum_core::oracle::check;
+use rum_core::workload::Op;
+use rum_core::AccessMethod;
 
-#[derive(Clone, Debug)]
-enum ColOp {
-    Insert(u16, u32),
-    Update(u16, u32),
-    Delete(u16),
-    Get(u16),
-    Range(u16, u8),
-}
-
-fn op_strategy() -> impl Strategy<Value = ColOp> {
+fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| ColOp::Insert(k, v)),
-        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| ColOp::Update(k, v)),
-        any::<u16>().prop_map(ColOp::Delete),
-        any::<u16>().prop_map(ColOp::Get),
-        (any::<u16>(), any::<u8>()).prop_map(|(lo, s)| ColOp::Range(lo, s)),
+        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k as u64, v as u64)),
+        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Update(k as u64, v as u64)),
+        any::<u16>().prop_map(|k| Op::Delete(k as u64)),
+        any::<u16>().prop_map(|k| Op::Get(k as u64)),
+        (any::<u16>(), any::<u8>()).prop_map(|(lo, s)| Op::Range(lo as u64, lo as u64 + s as u64)),
     ]
 }
 
-fn run_against_model(method: &mut dyn AccessMethod, ops: &[ColOp]) {
+fn run_against_model(method: &mut dyn AccessMethod, ops: &[Op]) {
     let name = method.name();
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    for op in ops {
-        match *op {
-            ColOp::Insert(k, v) => {
-                method.insert(k as u64, v as u64).unwrap();
-                model.insert(k as u64, v as u64);
-            }
-            ColOp::Update(k, v) => {
-                assert_eq!(
-                    method.update(k as u64, v as u64).unwrap(),
-                    model.contains_key(&(k as u64)),
-                    "{name}"
-                );
-                model.entry(k as u64).and_modify(|x| *x = v as u64);
-            }
-            ColOp::Delete(k) => {
-                assert_eq!(
-                    method.delete(k as u64).unwrap(),
-                    model.remove(&(k as u64)).is_some(),
-                    "{name}"
-                );
-            }
-            ColOp::Get(k) => {
-                assert_eq!(
-                    method.get(k as u64).unwrap(),
-                    model.get(&(k as u64)).copied(),
-                    "{name}"
-                );
-            }
-            ColOp::Range(lo, span) => {
-                let (lo, hi) = (lo as u64, lo as u64 + span as u64);
-                let got = method.range(lo, hi).unwrap();
-                let expect: Vec<Record> = model
-                    .range(lo..=hi)
-                    .map(|(&k, &v)| Record::new(k, v))
-                    .collect();
-                assert_eq!(got, expect, "{name}: range {lo}..={hi}");
-            }
-        }
-        assert_eq!(method.len(), model.len(), "{name}");
-    }
+    check(method, (Vec::new(), ops.iter().copied())).unwrap_or_else(|d| panic!("{name}: {d:?}"));
 }
 
 proptest! {

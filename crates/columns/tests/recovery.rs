@@ -1,8 +1,10 @@
 //! Crash/recovery tests for the WAL-wrapped append log (Proposition 2
 //! paying its durability tax).
 
-use rum_columns::{durable_log, durable_log_with_injector, AppendLog};
-use rum_core::{AccessMethod, Key, Record, RumError};
+use rum_columns::{durable_log, durable_log_with_injector};
+use rum_core::oracle::Oracle;
+use rum_core::workload::Op;
+use rum_core::{AccessMethod, Key, Record};
 use rum_storage::{FaultInjector, FaultPlan};
 
 fn scan<M: AccessMethod>(m: &mut M) -> Vec<Record> {
@@ -34,20 +36,13 @@ fn seeded_crashes_recover_the_committed_prefix() {
     for seed in 100..110u64 {
         let plan = FaultPlan::seeded_crash(seed, total, seed % 2 == 0);
         let mut d = durable_log_with_injector(FaultInjector::new(plan));
-        let mut committed = 0u64;
-        for k in 0..150u64 {
-            match d.insert(k, k) {
-                Ok(()) => committed += 1,
-                Err(RumError::Crash(_)) => break,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
+        let mut oracle = Oracle::load(&mut d, &[]).unwrap();
+        let inserts = (0..150u64).map(|k| Op::Insert(k, k));
+        let committed = oracle.step_until_crash(&mut d, inserts).unwrap();
         let report = d.recover().unwrap();
-        assert_eq!(report.committed_ops as u64, committed, "seed {seed}");
-        let mut model = AppendLog::new();
-        for k in 0..committed {
-            model.insert(k, k).unwrap();
-        }
-        assert_eq!(scan(&mut d), scan(&mut model), "seed {seed}");
+        assert_eq!(report.committed_ops, committed, "seed {seed}");
+        oracle
+            .finish(&mut d)
+            .unwrap_or_else(|e| panic!("seed {seed}: {e:?}"));
     }
 }

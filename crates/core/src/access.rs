@@ -77,12 +77,18 @@ impl SpaceProfile {
 ///   the method can tell; blind-write structures may report `true`
 ///   unconditionally (the workload generator only updates live keys).
 /// * [`range`](Self::range) is inclusive on both ends and returns records in
-///   ascending key order. Methods that fundamentally cannot answer range
-///   queries (pure hashing) return [`RumError::Unsupported`].
+///   ascending key order. An inverted range (`lo > hi`) is
+///   [`RumError::InvalidArgument`] for every method: the provided `range`
+///   decides it before [`range_impl`](Self::range_impl) runs, so no
+///   implementor answers it its own way. Methods that fundamentally cannot
+///   answer range queries (pure hashing) return [`RumError::Unsupported`].
 /// * [`bulk_load`](Self::bulk_load) takes records sorted by strictly
 ///   ascending key and replaces the current contents.
 ///
 /// [`RumError::Unsupported`]: crate::error::RumError::Unsupported
+/// [`RumError::InvalidArgument`]: crate::error::RumError::InvalidArgument
+///
+/// [`oracle`](crate::oracle) holds a method to all of this, op by op.
 ///
 /// Methods are `Send` so the measurement harness can fan a suite out
 /// across worker threads ([`run_suite_stream`]); each instance is still
@@ -166,7 +172,13 @@ pub trait AccessMethod: Send {
     }
 
     /// Inclusive range scan; charges the result size as logical reads.
+    /// `lo > hi` is refused here, for every method alike.
     fn range(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
+        if lo > hi {
+            return Err(crate::error::RumError::InvalidArgument(format!(
+                "inverted range {lo}..{hi}"
+            )));
+        }
         let rs = self.range_impl(lo, hi)?;
         self.tracker().logical_read((rs.len() * RECORD_SIZE) as u64);
         Ok(rs)
@@ -224,91 +236,11 @@ pub fn check_bulk_input(records: &[Record]) -> Result<()> {
 mod tests {
     use super::*;
     use crate::error::RumError;
-    use crate::tracker::DataClass;
-
-    /// A toy in-memory method used to test the instrumented wrappers.
-    struct VecMethod {
-        data: Vec<Record>,
-        tracker: Arc<CostTracker>,
-    }
-
-    impl VecMethod {
-        fn new() -> Self {
-            VecMethod {
-                data: Vec::new(),
-                tracker: CostTracker::new(),
-            }
-        }
-    }
-
-    impl AccessMethod for VecMethod {
-        fn name(&self) -> String {
-            "vec".into()
-        }
-        fn len(&self) -> usize {
-            self.data.len()
-        }
-        fn tracker(&self) -> &Arc<CostTracker> {
-            &self.tracker
-        }
-        fn space_profile(&self) -> SpaceProfile {
-            SpaceProfile::from_physical(
-                self.data.len(),
-                (self.data.capacity() * RECORD_SIZE) as u64,
-            )
-        }
-        fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
-            self.tracker
-                .read(DataClass::Base, (self.data.len() * RECORD_SIZE) as u64);
-            Ok(self.data.iter().find(|r| r.key == key).map(|r| r.value))
-        }
-        fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-            self.tracker
-                .read(DataClass::Base, (self.data.len() * RECORD_SIZE) as u64);
-            let mut out: Vec<Record> = self
-                .data
-                .iter()
-                .copied()
-                .filter(|r| r.key >= lo && r.key <= hi)
-                .collect();
-            out.sort();
-            Ok(out)
-        }
-        fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-            self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
-            if let Some(r) = self.data.iter_mut().find(|r| r.key == key) {
-                r.value = value;
-            } else {
-                self.data.push(Record::new(key, value));
-            }
-            Ok(())
-        }
-        fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-            if let Some(r) = self.data.iter_mut().find(|r| r.key == key) {
-                self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
-                r.value = value;
-                Ok(true)
-            } else {
-                Ok(false)
-            }
-        }
-        fn delete_impl(&mut self, key: Key) -> Result<bool> {
-            let before = self.data.len();
-            self.data.retain(|r| r.key != key);
-            Ok(self.data.len() != before)
-        }
-        fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-            check_bulk_input(records)?;
-            self.tracker
-                .write(DataClass::Base, (records.len() * RECORD_SIZE) as u64);
-            self.data = records.to_vec();
-            Ok(())
-        }
-    }
+    use crate::runner::tests::Amp2;
 
     #[test]
     fn wrappers_charge_logical_traffic() {
-        let mut m = VecMethod::new();
+        let mut m = Amp2::new();
         m.insert(1, 10).unwrap();
         m.insert(2, 20).unwrap();
         assert_eq!(m.get(1).unwrap(), Some(10));
@@ -322,14 +254,14 @@ mod tests {
 
     #[test]
     fn update_miss_charges_nothing_logical() {
-        let mut m = VecMethod::new();
+        let mut m = Amp2::new();
         assert!(!m.update(5, 1).unwrap());
         assert_eq!(m.tracker().snapshot().logical_write_bytes, 0);
     }
 
     #[test]
     fn range_charges_result_size() {
-        let mut m = VecMethod::new();
+        let mut m = Amp2::new();
         for k in 0..10 {
             m.insert(k, k).unwrap();
         }
@@ -338,6 +270,10 @@ mod tests {
         assert_eq!(rs.len(), 4);
         let d = m.tracker().since(&before);
         assert_eq!(d.logical_read_bytes, 64);
+        // An inverted range is refused before `range_impl` runs.
+        let before = m.tracker().snapshot();
+        assert!(matches!(m.range(5, 2), Err(RumError::InvalidArgument(_))));
+        assert_eq!(m.tracker().snapshot(), before);
     }
 
     #[test]

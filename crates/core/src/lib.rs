@@ -24,6 +24,9 @@
 //! * [`access`] — the [`AccessMethod`] trait.
 //! * [`workload`] — seeded workload generators (uniform / zipfian /
 //!   sequential key distributions, configurable operation mixes).
+//! * [`oracle`] — the one differential oracle: a `BTreeMap` model of the
+//!   [`AccessMethod`] contract, the per-op invariants, and the seeded
+//!   hostile stream every method's tests replay against it.
 //! * [`runner`] — drives an access method through a workload and produces a
 //!   [`RumReport`](runner::RumReport).
 //! * [`triangle`] — barycentric projection of (RO, UO, MO) onto the RUM
@@ -52,6 +55,7 @@ pub mod advisor;
 pub mod autotune;
 pub mod error;
 pub mod metrics;
+pub mod oracle;
 pub mod runner;
 pub mod shard;
 pub mod trace;

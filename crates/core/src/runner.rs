@@ -796,7 +796,7 @@ pub(crate) mod tests {
 
     /// Minimal sorted-vec method that charges 2 bytes of physical traffic
     /// per byte of logical traffic, so amplification is exactly 2. The
-    /// shard tests drive it too.
+    /// shard and `access` tests drive it too.
     pub(crate) struct Amp2 {
         name: String,
         data: std::collections::BTreeMap<Key, Value>,

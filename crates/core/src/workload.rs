@@ -626,7 +626,7 @@ impl Workload {
 
 /// Anything a runner can play: the records to bulk-load first, then the
 /// operations. An [`OpStream`] (by value, O(live-set) memory) and a borrowed
-/// [`Workload`] (replayable) are the two sources, and for the same
+/// [`Workload`] (replayable) are the two generated sources, and for the same
 /// [`WorkloadSpec`] they yield the same records and the same ops.
 pub trait OpSource {
     /// The initial dataset, owned or borrowed; the runner drops it as soon
@@ -652,6 +652,16 @@ impl<'a> OpSource for &'a Workload {
 
     fn into_parts(self) -> (Self::Initial, Self::Ops) {
         (&self.initial, self.ops.iter().copied())
+    }
+}
+
+/// A hand-assembled source: the records to load and the ops to play.
+impl<I: std::ops::Deref<Target = [Record]>, O: Iterator<Item = Op>> OpSource for (I, O) {
+    type Initial = I;
+    type Ops = O;
+
+    fn into_parts(self) -> (I, O) {
+        self
     }
 }
 

@@ -337,6 +337,8 @@ impl AccessMethod for ExtendibleHash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
+    use rum_core::workload::Op;
 
     #[test]
     fn crud_roundtrip() {
@@ -385,18 +387,8 @@ mod tests {
     fn splits_preserve_all_records() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let mut rng = StdRng::seed_from_u64(7);
-        let mut h = ExtendibleHash::new();
-        let mut model = std::collections::HashMap::new();
-        for _ in 0..30_000 {
-            let k: u64 = rng.gen();
-            let v: u64 = rng.gen();
-            h.insert(k, v).unwrap();
-            model.insert(k, v);
-        }
-        assert_eq!(h.len(), model.len());
-        for (&k, &v) in model.iter().take(500) {
-            assert_eq!(h.get(k).unwrap(), Some(v));
-        }
+        let inserts = (0..30_000).map(|_| Op::Insert(rng.gen(), rng.gen()));
+        check(&mut ExtendibleHash::new(), (Vec::new(), inserts)).unwrap();
     }
 
     #[test]
@@ -422,30 +414,7 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(41);
-        let mut h = ExtendibleHash::new();
-        let mut model = std::collections::HashMap::new();
-        for step in 0..8000u64 {
-            let k = rng.gen_range(0..2000u64);
-            match rng.gen_range(0..5) {
-                0 | 1 => {
-                    h.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(h.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(h.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                _ => {
-                    assert_eq!(h.get(k).unwrap(), model.get(&k).copied());
-                }
-            }
-            assert_eq!(h.len(), model.len());
-        }
+        check(&mut ExtendibleHash::new(), &hostile_ops(41, 8000, 2000)).unwrap();
     }
 
     #[test]

@@ -131,6 +131,17 @@ impl StaticHash {
         Err(RumError::Corrupt("probe wrapped the whole table".into()))
     }
 
+    /// The slot and record of a live `key`. The two marker keys are never
+    /// stored, so they are absent without a probe: an `EMPTY` or `GRAVE`
+    /// slot must not read as a hit.
+    fn find(&mut self, key: Key) -> Result<Option<(usize, Record)>> {
+        if key >= GRAVE {
+            return Ok(None);
+        }
+        let (slot, found) = self.probe(key)?;
+        Ok(found.map(|rec| (slot, rec)))
+    }
+
     /// Overwrite one slot (read-modify-write of its page).
     fn write_slot(&mut self, slot: usize, rec: Record) -> Result<()> {
         let id = self.pages[slot / RECORDS_PER_PAGE];
@@ -199,7 +210,7 @@ impl AccessMethod for StaticHash {
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
-        Ok(self.probe(key)?.1.map(|r| r.value))
+        Ok(self.find(key)?.map(|(_, r)| r.value))
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
@@ -234,23 +245,23 @@ impl AccessMethod for StaticHash {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        match self.probe(key)? {
-            (slot, Some(_)) => {
+        match self.find(key)? {
+            Some((slot, _)) => {
                 self.write_slot(slot, Record::new(key, value))?;
                 Ok(true)
             }
-            _ => Ok(false),
+            None => Ok(false),
         }
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        match self.probe(key)? {
-            (slot, Some(_)) => {
+        match self.find(key)? {
+            Some((slot, _)) => {
                 self.write_slot(slot, Record::new(GRAVE, 0))?;
                 self.live -= 1;
                 Ok(true)
             }
-            _ => Ok(false),
+            None => Ok(false),
         }
     }
 
@@ -282,6 +293,7 @@ impl AccessMethod for StaticHash {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
 
     fn loaded(n: u64) -> StaticHash {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k, k * 3)).collect();
@@ -406,30 +418,25 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(31);
         let mut h = StaticHash::with_capacity(16, 0.5);
-        let mut model = std::collections::HashMap::new();
-        for step in 0..5000u64 {
-            let k = rng.gen_range(0..1000u64);
-            match rng.gen_range(0..5) {
-                0 | 1 => {
-                    h.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(h.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(h.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                _ => {
-                    assert_eq!(h.get(k).unwrap(), model.get(&k).copied());
-                }
-            }
-            assert_eq!(h.len(), model.len());
+        check(&mut h, &hostile_ops(31, 5000, 1000)).unwrap();
+    }
+
+    #[test]
+    fn reserved_keys_are_absent_and_never_probed() {
+        // Ten records leave most of the table EMPTY, and the delete a GRAVE.
+        let mut h = loaded(10);
+        assert!(h.delete(4).unwrap());
+        let before = h.tracker().snapshot();
+        for key in [EMPTY, GRAVE] {
+            assert_eq!(h.get(key).unwrap(), None, "get {key}");
+            assert!(!h.update(key, 9).unwrap(), "update {key}");
+            assert!(!h.delete(key).unwrap(), "delete {key}");
+            assert!(h.insert(key, 9).is_err(), "insert {key}");
         }
+        assert_eq!(h.len(), 9);
+        assert_eq!(h.tracker().snapshot(), before, "no probe, nothing charged");
+        assert_eq!(h.range(0, Key::MAX).unwrap().len(), 9);
     }
 
     #[test]

@@ -1,57 +1,22 @@
 //! Property-based differential tests for the hash indexes.
 
 use proptest::prelude::*;
+use rum_core::oracle::check;
+use rum_core::workload::Op;
 use rum_core::AccessMethod;
 use rum_hash::{ExtendibleHash, StaticHash};
-use std::collections::HashMap;
 
-#[derive(Clone, Debug)]
-enum HOp {
-    Insert(u16, u32),
-    Update(u16, u32),
-    Delete(u16),
-    Get(u16),
-}
-
-fn op_strategy() -> impl Strategy<Value = HOp> {
+fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| HOp::Insert(k, v)),
-        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| HOp::Update(k, v)),
-        any::<u16>().prop_map(HOp::Delete),
-        any::<u16>().prop_map(HOp::Get),
+        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k as u64, v as u64)),
+        (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Op::Update(k as u64, v as u64)),
+        any::<u16>().prop_map(|k| Op::Delete(k as u64)),
+        any::<u16>().prop_map(|k| Op::Get(k as u64)),
     ]
 }
 
-fn run(method: &mut dyn AccessMethod, ops: &[HOp]) {
-    let mut model: HashMap<u64, u64> = HashMap::new();
-    for op in ops {
-        match *op {
-            HOp::Insert(k, v) => {
-                method.insert(k as u64, v as u64).unwrap();
-                model.insert(k as u64, v as u64);
-            }
-            HOp::Update(k, v) => {
-                assert_eq!(
-                    method.update(k as u64, v as u64).unwrap(),
-                    model.contains_key(&(k as u64))
-                );
-                model.entry(k as u64).and_modify(|x| *x = v as u64);
-            }
-            HOp::Delete(k) => {
-                assert_eq!(
-                    method.delete(k as u64).unwrap(),
-                    model.remove(&(k as u64)).is_some()
-                );
-            }
-            HOp::Get(k) => {
-                assert_eq!(
-                    method.get(k as u64).unwrap(),
-                    model.get(&(k as u64)).copied()
-                );
-            }
-        }
-        assert_eq!(method.len(), model.len());
-    }
+fn run(method: &mut dyn AccessMethod, ops: Vec<Op>) {
+    check(method, (Vec::new(), ops.into_iter())).unwrap();
 }
 
 proptest! {
@@ -60,11 +25,11 @@ proptest! {
     #[test]
     fn static_hash_matches_model(ops in proptest::collection::vec(op_strategy(), 1..500)) {
         // A tiny initial table exercises growth and tombstone reuse.
-        run(&mut StaticHash::with_capacity(8, 0.5), &ops);
+        run(&mut StaticHash::with_capacity(8, 0.5), ops);
     }
 
     #[test]
     fn extendible_hash_matches_model(ops in proptest::collection::vec(op_strategy(), 1..500)) {
-        run(&mut ExtendibleHash::new(), &ops);
+        run(&mut ExtendibleHash::new(), ops);
     }
 }

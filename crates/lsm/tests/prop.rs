@@ -2,124 +2,65 @@
 //! compaction policies and varied geometry.
 
 use proptest::prelude::*;
-use rum_core::{AccessMethod, Key, Record, RumError};
+use rum_core::oracle::Oracle;
+use rum_core::workload::Op;
+use rum_core::AccessMethod;
 use rum_lsm::{durable_lsm_with_injector, CompactionPolicy, LsmConfig, LsmTree};
 use rum_storage::{FaultInjector, FaultPlan};
-use std::collections::BTreeMap;
 
-#[derive(Clone, Debug)]
-enum LsmOp {
-    Insert(u16, u32),
-    Update(u16, u32),
-    Delete(u16),
-    Get(u16),
-    Range(u16, u8),
-    Flush,
-}
-
-fn op_strategy() -> impl Strategy<Value = LsmOp> {
+/// An op, or `None` for a flush between two of them.
+fn op_strategy() -> impl Strategy<Value = Option<Op>> {
     prop_oneof![
-        4 => (any::<u16>(), any::<u32>()).prop_map(|(k, v)| LsmOp::Insert(k, v)),
-        2 => (any::<u16>(), any::<u32>()).prop_map(|(k, v)| LsmOp::Update(k, v)),
-        2 => any::<u16>().prop_map(LsmOp::Delete),
-        2 => any::<u16>().prop_map(LsmOp::Get),
-        1 => (any::<u16>(), any::<u8>()).prop_map(|(lo, s)| LsmOp::Range(lo, s)),
-        1 => Just(LsmOp::Flush),
+        4 => (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Some(Op::Insert(k as u64, v as u64))),
+        2 => (any::<u16>(), any::<u32>()).prop_map(|(k, v)| Some(Op::Update(k as u64, v as u64))),
+        2 => any::<u16>().prop_map(|k| Some(Op::Delete(k as u64))),
+        2 => any::<u16>().prop_map(|k| Some(Op::Get(k as u64))),
+        1 => (any::<u16>(), any::<u8>())
+            .prop_map(|(lo, s)| Some(Op::Range(lo as u64, lo as u64 + s as u64))),
+        1 => Just(None),
     ]
 }
 
-fn run(config: LsmConfig, ops: &[LsmOp]) {
+fn run(config: LsmConfig, ops: &[Option<Op>]) {
     let mut t = LsmTree::with_config(config);
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    for op in ops {
-        match *op {
-            LsmOp::Insert(k, v) => {
-                t.insert(k as u64, v as u64).unwrap();
-                model.insert(k as u64, v as u64);
-            }
-            LsmOp::Update(k, v) => {
-                assert_eq!(
-                    t.update(k as u64, v as u64).unwrap(),
-                    model.contains_key(&(k as u64))
-                );
-                model.entry(k as u64).and_modify(|x| *x = v as u64);
-            }
-            LsmOp::Delete(k) => {
-                assert_eq!(
-                    t.delete(k as u64).unwrap(),
-                    model.remove(&(k as u64)).is_some()
-                );
-            }
-            LsmOp::Get(k) => {
-                assert_eq!(t.get(k as u64).unwrap(), model.get(&(k as u64)).copied());
-            }
-            LsmOp::Range(lo, span) => {
-                let (lo, hi) = (lo as u64, lo as u64 + span as u64);
-                let got = t.range(lo, hi).unwrap();
-                let expect: Vec<Record> = model
-                    .range(lo..=hi)
-                    .map(|(&k, &v)| Record::new(k, v))
-                    .collect();
-                assert_eq!(got, expect);
-            }
-            LsmOp::Flush => t.flush().unwrap(),
+    let mut oracle = Oracle::load(&mut t, &[]).unwrap();
+    for &op in ops {
+        match op {
+            Some(op) => oracle.step(&mut t, op).unwrap(),
+            None => t.flush().unwrap(),
         }
-        assert_eq!(t.len(), model.len());
     }
-    let all = t.range(0, u64::MAX).unwrap();
-    let expect: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-    assert_eq!(all, expect);
+    oracle.finish(&mut t).unwrap();
 }
 
-/// Apply `ops` to a view-enabled and a view-disabled tree in lockstep:
-/// every operation's result — range results bit-for-bit included — must
-/// be identical between the two configurations.
-fn run_view_differential(config: LsmConfig, ops: &[LsmOp]) {
-    let mut plain = LsmTree::with_config(config);
-    let mut viewed = LsmTree::with_config(LsmConfig {
+/// Small memtables under each policy, so every stream flushes and merges.
+fn levelling() -> LsmConfig {
+    LsmConfig {
+        memtable_records: 16,
+        size_ratio: 2,
+        policy: CompactionPolicy::Levelling,
+        bloom_bits_per_key: 8.0,
+        ..Default::default()
+    }
+}
+
+fn tiering() -> LsmConfig {
+    LsmConfig {
+        memtable_records: 16,
+        size_ratio: 3,
+        policy: CompactionPolicy::Tiering,
+        bloom_bits_per_key: 0.0,
+        ..Default::default()
+    }
+}
+
+/// The same geometry with the sorted view on: held to the model the
+/// view-off tests use, so the two configurations agree with each other.
+fn viewed(config: LsmConfig) -> LsmConfig {
+    LsmConfig {
         sorted_view: true,
         ..config
-    });
-    for op in ops {
-        match *op {
-            LsmOp::Insert(k, v) => {
-                plain.insert(k as u64, v as u64).unwrap();
-                viewed.insert(k as u64, v as u64).unwrap();
-            }
-            LsmOp::Update(k, v) => {
-                assert_eq!(
-                    plain.update(k as u64, v as u64).unwrap(),
-                    viewed.update(k as u64, v as u64).unwrap()
-                );
-            }
-            LsmOp::Delete(k) => {
-                assert_eq!(
-                    plain.delete(k as u64).unwrap(),
-                    viewed.delete(k as u64).unwrap()
-                );
-            }
-            LsmOp::Get(k) => {
-                assert_eq!(plain.get(k as u64).unwrap(), viewed.get(k as u64).unwrap());
-            }
-            LsmOp::Range(lo, span) => {
-                let (lo, hi) = (lo as u64, lo as u64 + span as u64);
-                assert_eq!(
-                    plain.range(lo, hi).unwrap(),
-                    viewed.range(lo, hi).unwrap(),
-                    "range {lo}..{hi} diverged"
-                );
-            }
-            LsmOp::Flush => {
-                plain.flush().unwrap();
-                viewed.flush().unwrap();
-            }
-        }
-        assert_eq!(plain.len(), viewed.len());
     }
-    assert_eq!(
-        plain.range(0, u64::MAX).unwrap(),
-        viewed.range(0, u64::MAX).unwrap()
-    );
 }
 
 proptest! {
@@ -127,64 +68,28 @@ proptest! {
 
     #[test]
     fn levelling_matches_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        run(
-            LsmConfig {
-                memtable_records: 16,
-                size_ratio: 2,
-                policy: CompactionPolicy::Levelling,
-                bloom_bits_per_key: 8.0,
-                ..Default::default()
-            },
-            &ops,
-        );
+        run(levelling(), &ops);
     }
 
     #[test]
     fn tiering_matches_model(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        run(
-            LsmConfig {
-                memtable_records: 16,
-                size_ratio: 3,
-                policy: CompactionPolicy::Tiering,
-                bloom_bits_per_key: 0.0,
-                ..Default::default()
-            },
-            &ops,
-        );
+        run(tiering(), &ops);
     }
 
     #[test]
     fn view_equals_no_view_levelling(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        run_view_differential(
-            LsmConfig {
-                memtable_records: 16,
-                size_ratio: 2,
-                policy: CompactionPolicy::Levelling,
-                bloom_bits_per_key: 8.0,
-                ..Default::default()
-            },
-            &ops,
-        );
+        run(viewed(levelling()), &ops);
     }
 
     #[test]
     fn view_equals_no_view_tiering(ops in proptest::collection::vec(op_strategy(), 1..400)) {
-        run_view_differential(
-            LsmConfig {
-                memtable_records: 16,
-                size_ratio: 3,
-                policy: CompactionPolicy::Tiering,
-                bloom_bits_per_key: 0.0,
-                ..Default::default()
-            },
-            &ops,
-        );
+        run(viewed(tiering()), &ops);
     }
 
     /// Crash at a random WAL offset mid-stream with the view enabled (and
     /// warm: range queries run before the crash). After recovery the tree
-    /// must serve ranges bit-identical to a view-disabled tree fed the
-    /// committed prefix — i.e. the view rebuilds cleanly from scratch.
+    /// must serve ranges bit-identical to the model of the committed
+    /// prefix — i.e. the view rebuilds cleanly from scratch.
     #[test]
     fn view_rebuilds_after_crash(seed in 0u64..64, torn in any::<bool>()) {
         let config = LsmConfig {
@@ -206,33 +111,16 @@ proptest! {
 
         let plan = FaultPlan::seeded_crash(seed, total, torn);
         let mut d = durable_lsm_with_injector(config, FaultInjector::new(plan));
-        let mut committed = Vec::new();
-        for &(k, v) in &ops {
-            if k % 13 == 0 && d.range(k, k + 20).is_err() {
-                break;
-            }
-            match d.insert(k, v) {
-                Ok(()) => committed.push((k, v)),
-                Err(RumError::Crash(_)) => break,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        d.recover().unwrap();
-        // Model: a plain (view-off) tree fed the committed prefix.
-        let mut model = LsmTree::with_config(LsmConfig {
-            sorted_view: false,
-            ..config
+        // The oracle's model advances on acknowledged ops only: at the
+        // crash it holds the committed prefix.
+        let mut oracle = Oracle::load(&mut d, &[]).unwrap();
+        let stream = ops.iter().flat_map(|&(k, v)| {
+            let warm = (k % 13 == 0).then_some(Op::Range(k, k + 20));
+            warm.into_iter().chain([Op::Insert(k, v)])
         });
-        for &(k, v) in &committed {
-            model.insert(k, v).unwrap();
-        }
-        prop_assert_eq!(
-            d.range(0, Key::MAX).unwrap(),
-            model.range(0, Key::MAX).unwrap()
-        );
-        prop_assert_eq!(
-            d.range(50, 120).unwrap(),
-            model.range(50, 120).unwrap()
-        );
+        oracle.step_until_crash(&mut d, stream).unwrap();
+        d.recover().unwrap();
+        oracle.finish(&mut d).unwrap();
+        oracle.step(&mut d, Op::Range(50, 120)).unwrap();
     }
 }

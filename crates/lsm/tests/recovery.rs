@@ -1,7 +1,9 @@
 //! Crash/recovery tests for the WAL-wrapped LSM tree: every crash point
 //! must recover exactly the committed prefix, bit-identically.
 
-use rum_core::{AccessMethod, Key, Record, RumError};
+use rum_core::oracle::Oracle;
+use rum_core::workload::Op;
+use rum_core::{AccessMethod, Key, Record};
 use rum_lsm::{durable_lsm, durable_lsm_with_injector, LsmConfig, LsmTree};
 use rum_storage::{FaultInjector, FaultPlan};
 
@@ -65,23 +67,14 @@ fn seeded_crashes_recover_the_committed_prefix() {
         let torn = seed % 2 == 0;
         let plan = FaultPlan::seeded_crash(seed, total, torn);
         let mut d = durable_lsm_with_injector(small(), FaultInjector::new(plan));
-        let mut committed = Vec::new();
-        for &(k, v) in &ops {
-            match d.insert(k, v) {
-                Ok(()) => committed.push((k, v)),
-                Err(RumError::Crash(_)) => break,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
-        assert!(committed.len() < ops.len(), "seed {seed} never crashed");
+        let mut oracle = Oracle::load(&mut d, &[]).unwrap();
+        let inserts = ops.iter().map(|&(k, v)| Op::Insert(k, v));
+        let committed = oracle.step_until_crash(&mut d, inserts).unwrap();
+        assert!(committed < ops.len(), "seed {seed} never crashed");
         let report = d.recover().unwrap();
-        assert_eq!(report.committed_ops, committed.len(), "seed {seed}");
-        // The recovered tree must equal a fresh tree fed the committed
-        // prefix — bit-identical range results.
-        let mut model = LsmTree::with_config(small());
-        for &(k, v) in &committed {
-            model.insert(k, v).unwrap();
-        }
-        assert_eq!(scan(&mut d), scan(&mut model), "seed {seed} torn {torn}");
+        assert_eq!(report.committed_ops, committed, "seed {seed}");
+        oracle
+            .finish(&mut d)
+            .unwrap_or_else(|e| panic!("seed {seed} torn {torn}: {e:?}"));
     }
 }

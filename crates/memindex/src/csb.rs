@@ -386,11 +386,7 @@ impl AccessMethod for CsbTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rum_memindex_test_util::*;
-
-    mod rum_memindex_test_util {
-        pub use rand::{rngs::StdRng, Rng, SeedableRng};
-    }
+    use rum_core::oracle::{check, hostile_ops};
 
     #[test]
     fn crud_roundtrip() {
@@ -485,38 +481,7 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        let mut rng = StdRng::seed_from_u64(3);
-        let mut t = CsbTree::new();
-        let mut model = std::collections::BTreeMap::new();
-        for step in 0..6000u64 {
-            let k = rng.gen_range(0..2000u64);
-            match rng.gen_range(0..6) {
-                0 | 1 => {
-                    t.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(t.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(t.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                4 => {
-                    assert_eq!(t.get(k).unwrap(), model.get(&k).copied(), "step {step}");
-                }
-                _ => {
-                    let hi = k + rng.gen_range(0..60u64);
-                    let got = t.range(k, hi).unwrap();
-                    let expect: Vec<Record> = model
-                        .range(k..=hi)
-                        .map(|(&k, &v)| Record::new(k, v))
-                        .collect();
-                    assert_eq!(got, expect, "range {k}..{hi} step {step}");
-                }
-            }
-            assert_eq!(t.len(), model.len());
-        }
+        check(&mut CsbTree::new(), &hostile_ops(3, 6000, 2000)).unwrap();
     }
 
     #[test]

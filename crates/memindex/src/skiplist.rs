@@ -276,6 +276,7 @@ impl AccessMethod for SkipList {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops, Model};
 
     #[test]
     fn crud_roundtrip() {
@@ -385,32 +386,26 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(13);
-        let mut s = SkipList::new();
-        let mut model = std::collections::BTreeMap::new();
-        for step in 0..5000u64 {
-            let k = rng.gen_range(0..1500u64);
-            match rng.gen_range(0..5) {
-                0 | 1 => {
-                    s.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(s.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(s.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                _ => {
-                    assert_eq!(s.get(k).unwrap(), model.get(&k).copied());
-                }
-            }
-            assert_eq!(s.len(), model.len());
+        check(&mut SkipList::new(), &hostile_ops(13, 5000, 1500)).unwrap();
+    }
+
+    /// The oracle's model checked from the other side (here and not in
+    /// `rum-core`, which cannot depend on a method crate): op for op it
+    /// answers what an independently written method answers, refusals and
+    /// their messages included.
+    #[test]
+    fn model_answers_equal_a_reference_method() {
+        let mut reference = SkipList::new();
+        let mut model = Model::default();
+        for (step, &op) in hostile_ops(29, 3000, 400).ops.iter().enumerate() {
+            assert_eq!(
+                model.answer(op),
+                op.apply(&mut reference),
+                "step {step}: {op:?}"
+            );
+            model.apply(op);
         }
-        let all = s.range(0, u64::MAX).unwrap();
-        let expect: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-        assert_eq!(all, expect);
+        let held: Vec<Record> = model.records().collect();
+        assert_eq!(held, reference.range(0, u64::MAX).unwrap());
     }
 }

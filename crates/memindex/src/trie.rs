@@ -281,6 +281,7 @@ impl AccessMethod for RadixTrie {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
 
     #[test]
     fn crud_roundtrip() {
@@ -387,33 +388,7 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(59);
-        let mut t = RadixTrie::new();
-        let mut model = std::collections::BTreeMap::new();
-        for step in 0..5000u64 {
-            let k = rng.gen_range(0..3000u64);
-            match rng.gen_range(0..5) {
-                0 | 1 => {
-                    t.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(t.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(t.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                _ => {
-                    assert_eq!(t.get(k).unwrap(), model.get(&k).copied());
-                }
-            }
-            assert_eq!(t.len(), model.len());
-        }
-        let all = t.range(0, u64::MAX).unwrap();
-        let expect: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-        assert_eq!(all, expect);
+        check(&mut RadixTrie::new(), &hostile_ops(59, 5000, 3000)).unwrap();
     }
 
     #[test]

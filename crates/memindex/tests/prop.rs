@@ -1,68 +1,27 @@
 //! Property-based differential tests for the in-memory indexes.
 
 use proptest::prelude::*;
-use rum_core::{AccessMethod, Record};
+use rum_core::oracle::check;
+use rum_core::workload::Op;
+use rum_core::AccessMethod;
 use rum_memindex::{CsbTree, RadixTrie, SkipList};
-use std::collections::BTreeMap;
 
-#[derive(Clone, Debug)]
-enum MOp {
-    Insert(u64, u32),
-    Update(u64, u32),
-    Delete(u64),
-    Get(u64),
-    Range(u64, u16),
-}
-
-fn op_strategy() -> impl Strategy<Value = MOp> {
+fn op_strategy() -> impl Strategy<Value = Op> {
     // Full 64-bit keys: tries must handle arbitrary byte paths.
     prop_oneof![
-        (any::<u64>(), any::<u32>()).prop_map(|(k, v)| MOp::Insert(k, v)),
-        (any::<u64>(), any::<u32>()).prop_map(|(k, v)| MOp::Update(k, v)),
-        any::<u64>().prop_map(MOp::Delete),
-        any::<u64>().prop_map(MOp::Get),
-        (any::<u64>(), any::<u16>()).prop_map(|(lo, s)| MOp::Range(lo, s)),
+        (any::<u64>(), any::<u32>()).prop_map(|(k, v)| Op::Insert(k, v as u64)),
+        (any::<u64>(), any::<u32>()).prop_map(|(k, v)| Op::Update(k, v as u64)),
+        any::<u64>().prop_map(Op::Delete),
+        any::<u64>().prop_map(Op::Get),
+        (any::<u64>(), any::<u16>()).prop_map(|(lo, s)| Op::Range(lo, lo.saturating_add(s as u64))),
     ]
 }
 
-fn run(method: &mut dyn AccessMethod, ops: &[MOp], keys: &[u64]) {
-    let mut model: BTreeMap<u64, u64> = BTreeMap::new();
-    // Seed with a base set so deletes/updates hit sometimes.
-    for &k in keys {
-        method.insert(k, 1).unwrap();
-        model.insert(k, 1);
-    }
-    for op in ops {
-        match *op {
-            MOp::Insert(k, v) => {
-                method.insert(k, v as u64).unwrap();
-                model.insert(k, v as u64);
-            }
-            MOp::Update(k, v) => {
-                assert_eq!(method.update(k, v as u64).unwrap(), model.contains_key(&k));
-                model.entry(k).and_modify(|x| *x = v as u64);
-            }
-            MOp::Delete(k) => {
-                assert_eq!(method.delete(k).unwrap(), model.remove(&k).is_some());
-            }
-            MOp::Get(k) => {
-                assert_eq!(method.get(k).unwrap(), model.get(&k).copied());
-            }
-            MOp::Range(lo, span) => {
-                let hi = lo.saturating_add(span as u64);
-                let got = method.range(lo, hi).unwrap();
-                let expect: Vec<Record> = model
-                    .range(lo..=hi)
-                    .map(|(&k, &v)| Record::new(k, v))
-                    .collect();
-                assert_eq!(got, expect);
-            }
-        }
-        assert_eq!(method.len(), model.len());
-    }
-    let all = method.range(0, u64::MAX).unwrap();
-    let expect: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-    assert_eq!(all, expect);
+fn run(method: &mut dyn AccessMethod, ops: &[Op], keys: &[u64]) {
+    // Seed with a base set, one insert at a time (duplicates overwrite),
+    // so deletes/updates hit sometimes.
+    let seeds = keys.iter().map(|&k| Op::Insert(k, 1));
+    check(method, (Vec::new(), seeds.chain(ops.iter().copied()))).unwrap();
 }
 
 proptest! {

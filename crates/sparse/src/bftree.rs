@@ -327,6 +327,7 @@ impl AccessMethod for BfTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
 
     fn loaded(n: u64, cfg: BfTreeConfig) -> BfTree {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k * 2, k)).collect();
@@ -472,44 +473,12 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(47);
         let mut t = BfTree::with_config(BfTreeConfig {
             zone_records: RECORDS_PER_PAGE,
             remainder_bits: 10,
         });
-        let base: Vec<Record> = (0..600u64).map(|k| Record::new(k * 3, k)).collect();
-        t.bulk_load(&base).unwrap();
-        let mut model: std::collections::BTreeMap<u64, u64> =
-            base.iter().map(|r| (r.key, r.value)).collect();
-        for step in 0..1200u64 {
-            let k = rng.gen_range(0..2000u64);
-            match rng.gen_range(0..6) {
-                0 => {
-                    t.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                1 | 2 => {
-                    assert_eq!(t.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(t.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                4 => {
-                    assert_eq!(t.get(k).unwrap(), model.get(&k).copied(), "step {step}");
-                }
-                _ => {
-                    let hi = k + rng.gen_range(0..60u64);
-                    let got = t.range(k, hi).unwrap();
-                    let expect: Vec<Record> = model
-                        .range(k..=hi)
-                        .map(|(&k, &v)| Record::new(k, v))
-                        .collect();
-                    assert_eq!(got, expect, "range {k}..{hi} step {step}");
-                }
-            }
-            assert_eq!(t.len(), model.len());
-        }
+        let mut stream = hostile_ops(47, 1200, 2000);
+        stream.initial = (0..600u64).map(|k| Record::new(k * 3, k)).collect();
+        check(&mut t, &stream).unwrap();
     }
 }

@@ -384,6 +384,7 @@ impl AccessMethod for ZoneMappedColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::oracle::{check, hostile_ops};
 
     fn loaded(n: u64, p: usize) -> ZoneMappedColumn {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k, 1)).collect();
@@ -539,35 +540,10 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(99);
         let mut z = ZoneMappedColumn::with_config(ZoneMapConfig {
             partition_records: RECORDS_PER_PAGE,
             ..Default::default()
         });
-        let mut model = std::collections::BTreeMap::new();
-        for step in 0..3000u64 {
-            let k = rng.gen_range(0..1000u64);
-            match rng.gen_range(0..5) {
-                0 | 1 => {
-                    z.insert(k, step).unwrap();
-                    model.insert(k, step);
-                }
-                2 => {
-                    assert_eq!(z.update(k, step).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|v| *v = step);
-                }
-                3 => {
-                    assert_eq!(z.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                _ => {
-                    assert_eq!(z.get(k).unwrap(), model.get(&k).copied(), "step {step}");
-                }
-            }
-            assert_eq!(z.len(), model.len());
-        }
-        let all = z.range(0, u64::MAX).unwrap();
-        let expect: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-        assert_eq!(all, expect);
+        check(&mut z, &hostile_ops(99, 3000, 1000)).unwrap();
     }
 }

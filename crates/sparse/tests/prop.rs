@@ -1,9 +1,10 @@
 //! Property-based tests for the sparse indexes.
 
 use proptest::prelude::*;
+use rum_core::oracle::check;
+use rum_core::workload::Op;
 use rum_core::{AccessMethod, Record, RECORDS_PER_PAGE};
 use rum_sparse::{ColumnImprint, ZoneMapConfig, ZoneMappedColumn};
-use std::collections::BTreeMap;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
@@ -23,41 +24,23 @@ proptest! {
             partition_records: RECORDS_PER_PAGE,
             ..Default::default()
         });
-        z.bulk_load(&base).unwrap();
-        let mut model: BTreeMap<u64, u64> = base.iter().map(|r| (r.key, r.value)).collect();
-        for &(op, k, v) in &ops {
-            let k = k as u64;
+        let ops = ops.iter().map(|&(op, k, v)| {
+            let (k, v) = (k as u64, v as u64);
             match op {
-                0 => {
-                    z.insert(k, v as u64).unwrap();
-                    model.insert(k, v as u64);
-                }
-                1 => {
-                    prop_assert_eq!(z.update(k, v as u64).unwrap(), model.contains_key(&k));
-                    model.entry(k).and_modify(|x| *x = v as u64);
-                }
-                2 => {
-                    prop_assert_eq!(z.delete(k).unwrap(), model.remove(&k).is_some());
-                }
-                3 => {
-                    prop_assert_eq!(z.get(k).unwrap(), model.get(&k).copied());
-                }
-                _ => {
-                    let hi = k + (v % 64) as u64;
-                    let got = z.range(k, hi).unwrap();
-                    let expect: Vec<Record> = model
-                        .range(k..=hi)
-                        .map(|(&k, &v)| Record::new(k, v))
-                        .collect();
-                    prop_assert_eq!(got, expect);
-                }
+                0 => Op::Insert(k, v),
+                1 => Op::Update(k, v),
+                2 => Op::Delete(k),
+                3 => Op::Get(k),
+                _ => Op::Range(k, k + v % 64),
             }
-            prop_assert_eq!(z.len(), model.len());
-        }
-        // Aggregates agree with direct computation.
+        });
+        check(&mut z, (base, ops)).unwrap();
+        // Aggregates agree with direct computation over the contents the
+        // oracle has just confirmed.
+        let held = z.range(0, u64::MAX).unwrap();
         let (count, sum) = z.aggregate(0, u64::MAX).unwrap();
-        prop_assert_eq!(count as usize, model.len());
-        let expect_sum: u64 = model.values().fold(0u64, |a, &b| a.wrapping_add(b));
+        prop_assert_eq!(count as usize, held.len());
+        let expect_sum = held.iter().fold(0u64, |a, r| a.wrapping_add(r.value));
         prop_assert_eq!(sum, expect_sum);
     }
 

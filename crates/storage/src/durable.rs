@@ -405,6 +405,8 @@ impl<M: AccessMethod> AccessMethod for Durable<M> {
 mod tests {
     use super::*;
     use crate::fault::{FaultInjector, FaultPlan};
+    use rum_core::oracle::Oracle;
+    use rum_core::workload::Op;
     use rum_core::{check_bulk_input, RumError};
     use std::collections::BTreeMap;
 
@@ -529,27 +531,18 @@ mod tests {
                     FaultPlan::crash_at(cut)
                 };
                 let mut d = Durable::with_injector(Toy::new, FaultInjector::new(plan));
-                let mut committed = 0u64;
-                let mut crashed = false;
-                for k in 0..20u64 {
-                    match d.insert(k, k) {
-                        Ok(()) => committed += 1,
-                        Err(RumError::Crash(_)) => {
-                            crashed = true;
-                            break;
-                        }
-                        Err(e) => panic!("unexpected error: {e}"),
-                    }
-                }
-                assert!(crashed, "cut={cut} must interrupt some sync");
+                let mut oracle = Oracle::load(&mut d, &[]).unwrap();
+                let inserts = (0..20u64).map(|k| Op::Insert(k, k));
+                let committed = oracle.step_until_crash(&mut d, inserts).unwrap();
+                assert!(committed < 20, "cut={cut} must interrupt some sync");
                 let report = d.recover().unwrap();
                 assert!(report.complete);
                 assert_eq!(
-                    report.committed_ops as u64, committed,
+                    report.committed_ops, committed,
                     "cut={cut} torn={torn}: recovery must match acknowledged ops"
                 );
-                let want: Vec<Record> = (0..committed).map(|k| Record::new(k, k)).collect();
-                assert_eq!(contents(&mut d), want, "cut={cut} torn={torn}");
+                let held = oracle.finish(&mut d);
+                held.unwrap_or_else(|e| panic!("cut={cut} torn={torn}: {e:?}"));
             }
         }
     }

@@ -6,9 +6,11 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use rum_core::oracle::Oracle;
+use rum_core::workload::Op;
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError,
-    SpaceProfile, Value, RECORD_SIZE,
+    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
+    Value, RECORD_SIZE,
 };
 use rum_storage::{Durable, FaultInjector, FaultPlan};
 
@@ -77,47 +79,12 @@ impl AccessMethod for Toy {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-enum WriteOp {
-    Insert(u8, u16),
-    Update(u8, u16),
-    Delete(u8),
-}
-
-fn op_strategy() -> impl Strategy<Value = WriteOp> {
+fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        3 => (any::<u8>(), any::<u16>()).prop_map(|(k, v)| WriteOp::Insert(k, v)),
-        1 => (any::<u8>(), any::<u16>()).prop_map(|(k, v)| WriteOp::Update(k, v)),
-        1 => any::<u8>().prop_map(WriteOp::Delete),
+        3 => (any::<u8>(), any::<u16>()).prop_map(|(k, v)| Op::Insert(k as Key, v as Value)),
+        1 => (any::<u8>(), any::<u16>()).prop_map(|(k, v)| Op::Update(k as Key, v as Value)),
+        1 => any::<u8>().prop_map(|k| Op::Delete(k as Key)),
     ]
-}
-
-fn apply<M: AccessMethod>(m: &mut M, op: WriteOp) -> Result<()> {
-    match op {
-        WriteOp::Insert(k, v) => m.insert(k as Key, v as Value),
-        WriteOp::Update(k, v) => m.update(k as Key, v as Value).map(|_| ()),
-        WriteOp::Delete(k) => m.delete(k as Key).map(|_| ()),
-    }
-}
-
-fn apply_to_model(model: &mut BTreeMap<Key, Value>, op: WriteOp) {
-    match op {
-        WriteOp::Insert(k, v) => {
-            model.insert(k as Key, v as Value);
-        }
-        WriteOp::Update(k, v) => {
-            if let Some(slot) = model.get_mut(&(k as Key)) {
-                *slot = v as Value;
-            }
-        }
-        WriteOp::Delete(k) => {
-            model.remove(&(k as Key));
-        }
-    }
-}
-
-fn contents<M: AccessMethod>(m: &mut M) -> Vec<Record> {
-    m.range_impl(0, Key::MAX).unwrap()
 }
 
 proptest! {
@@ -136,32 +103,26 @@ proptest! {
         // Reference run to learn the WAL footprint of this op sequence.
         let mut reference = Durable::new(Toy::new);
         for &op in &ops {
-            apply(&mut reference, op).unwrap();
+            op.apply(&mut reference).unwrap();
         }
         let total = reference.wal().synced_total();
         let cut = (total as f64 * cut_frac) as u64;
 
         let inj = FaultInjector::new(FaultPlan::torn_at(cut));
         let mut d = Durable::with_injector(Toy::new, inj);
-        let mut model = BTreeMap::new();
-        for &op in &ops {
-            match apply(&mut d, op) {
-                Ok(()) => apply_to_model(&mut model, op),
-                Err(RumError::Crash(_)) => break,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
-        }
+        // The oracle's model advances on acknowledged ops only.
+        let mut oracle = Oracle::load(&mut d, &[]).unwrap();
+        oracle.step_until_crash(&mut d, ops.iter().copied()).unwrap();
 
         let report = d.recover().unwrap();
         prop_assert!(report.complete);
-        let want: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-        prop_assert_eq!(&contents(&mut d), &want, "recovery == acknowledged prefix");
+        oracle.finish(&mut d).expect("recovery == acknowledged prefix");
         let profile = d.space_profile();
 
         // Idempotence: recovering again yields the same structure and the
         // same space profile.
         d.recover().unwrap();
-        prop_assert_eq!(&contents(&mut d), &want);
+        oracle.finish(&mut d).unwrap();
         prop_assert_eq!(d.space_profile(), profile);
 
         // Crash during recovery: replay an arbitrary prefix of the
@@ -170,7 +131,7 @@ proptest! {
         let partial_report = d.recover_prefix(stop).unwrap();
         prop_assert_eq!(partial_report.complete, stop == report.committed_ops);
         d.recover().unwrap();
-        prop_assert_eq!(&contents(&mut d), &want);
+        oracle.finish(&mut d).unwrap();
         prop_assert_eq!(d.space_profile(), profile);
     }
 
@@ -182,18 +143,16 @@ proptest! {
         flush_at in any::<usize>(),
     ) {
         let mut d = Durable::new(Toy::new);
-        let mut model = BTreeMap::new();
+        let mut oracle = Oracle::load(&mut d, &[]).unwrap();
         let flush_at = flush_at % (ops.len() + 1);
         for (i, &op) in ops.iter().enumerate() {
             if i == flush_at {
                 d.flush().unwrap();
             }
-            apply(&mut d, op).unwrap();
-            apply_to_model(&mut model, op);
+            oracle.step(&mut d, op).unwrap();
         }
-        let want: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
         d.recover().unwrap();
-        prop_assert_eq!(&contents(&mut d), &want);
+        oracle.finish(&mut d).unwrap();
 
         d.flush().unwrap();
         let before = d.tracker().snapshot();
@@ -202,6 +161,6 @@ proptest! {
         prop_assert_eq!(delta.total_write_bytes(), 0);
         prop_assert_eq!(delta.page_writes, 0);
         d.recover().unwrap();
-        prop_assert_eq!(&contents(&mut d), &want);
+        oracle.finish(&mut d).unwrap();
     }
 }

@@ -1,85 +1,132 @@
 //! Cross-method differential testing: every access method in the
-//! standard suite must agree with a model (`BTreeMap`) — and therefore
-//! with each other — under a randomized operation stream.
+//! standard suite, bare and under every wrapper stack, must agree with the
+//! one oracle (`rum::core::oracle`: a `BTreeMap` model plus the per-op
+//! invariants) and therefore with each other.
 //!
 //! This is the strongest correctness net in the repository: any method
 //! whose reorganization (splits, compactions, cracks, merges, zone
-//! rebuilds...) loses or corrupts a record fails here.
+//! rebuilds...) loses or corrupts a record, and any wrapper that bends an
+//! answer on its way through, fails here. CI also runs it with
+//! `--release`, where `debug_assert!` guards are compiled out.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rum::core::oracle::{check, hostile_ops, Oracle, Verdict};
+use rum::core::workload::{Drift, OpSource};
 use rum::prelude::*;
+use rum::selftune::FamilyMorph;
+use rum::storage::Durable;
+use std::sync::Arc;
 
-fn differential_run(method: &mut dyn AccessMethod, seed: u64, steps: u64) {
-    let name = method.name();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut model = std::collections::BTreeMap::new();
+/// Slot `i` of the standard suite, freshly built.
+fn suite_method(i: usize) -> Box<dyn AccessMethod> {
+    rum::standard_suite().swap_remove(i)
+}
 
-    // Start from a bulk-loaded base half the time.
-    if seed.is_multiple_of(2) {
-        let recs: Vec<Record> = (0..500u64).map(|k| Record::new(k * 3, k)).collect();
-        method.bulk_load(&recs).unwrap();
-        model.extend(recs.iter().map(|r| (r.key, r.value)));
+/// `Durable` wraps a sized method: a suite box behind a local newtype.
+struct Boxed(Box<dyn AccessMethod>);
+
+impl AccessMethod for Boxed {
+    fn name(&self) -> String {
+        self.0.name()
     }
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+    fn tracker(&self) -> &Arc<CostTracker> {
+        self.0.tracker()
+    }
+    fn space_profile(&self) -> SpaceProfile {
+        self.0.space_profile()
+    }
+    fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
+        self.0.get_impl(key)
+    }
+    fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
+        self.0.range_impl(lo, hi)
+    }
+    fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
+        self.0.insert_impl(key, value)
+    }
+    fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
+        self.0.update_impl(key, value)
+    }
+    fn delete_impl(&mut self, key: Key) -> Result<bool> {
+        self.0.delete_impl(key)
+    }
+    fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
+        self.0.bulk_load_impl(records)
+    }
+    fn flush(&mut self) -> Result<()> {
+        self.0.flush()
+    }
+}
 
-    for step in 0..steps {
-        let k = rng.gen_range(0..1500u64);
-        match rng.gen_range(0..6) {
-            0 | 1 => {
-                method.insert(k, step).unwrap();
-                model.insert(k, step);
-            }
-            2 => {
-                assert_eq!(
-                    method.update(k, step).unwrap(),
-                    model.contains_key(&k),
-                    "{name}: update {k} at step {step}"
-                );
-                model.entry(k).and_modify(|v| *v = step);
-            }
-            3 => {
-                assert_eq!(
-                    method.delete(k).unwrap(),
-                    model.remove(&k).is_some(),
-                    "{name}: delete {k} at step {step}"
-                );
-            }
-            4 => {
-                assert_eq!(
-                    method.get(k).unwrap(),
-                    model.get(&k).copied(),
-                    "{name}: get {k} at step {step}"
-                );
-            }
-            _ => {
-                let hi = k + rng.gen_range(0..40u64);
-                let got = method.range(k, hi).unwrap();
-                let expect: Vec<Record> = model
-                    .range(k..=hi)
-                    .map(|(&k, &v)| Record::new(k, v))
-                    .collect();
-                assert_eq!(got, expect, "{name}: range {k}..={hi} at step {step}");
-            }
+/// `check` on a [`FamilyMorph`] that is forced into the next family every
+/// 300 ops. The facade builds its own inner structure (one per range-capable
+/// [`Family`]), so slot `i` picks where the rotation starts.
+fn check_morphing(i: usize, source: impl OpSource) -> Verdict {
+    let families: Vec<Family> = Family::ALL
+        .into_iter()
+        .filter(|&f| f != Family::HashIndex)
+        .collect();
+    let family = |turn: usize| families[(i + turn) % families.len()];
+    let mut m = FamilyMorph::new(family(0)).expect("a range-capable family");
+    let (initial, ops) = source.into_parts();
+    let mut oracle = Oracle::load(&mut m, &initial).expect("bulk load");
+    for (n, op) in ops.enumerate() {
+        if n % 300 == 299 {
+            let receipt = m.morph_to(family(n / 300 + 1), &OpMix::BALANCED);
+            receipt.expect("morph").expect("a different family");
         }
-        assert_eq!(method.len(), model.len(), "{name}: len at step {step}");
+        oracle.step(&mut m, op)?;
     }
+    oracle.finish(&mut m)
+}
 
-    // Final sweep: the full contents must match exactly.
-    let all = method.range(0, u64::MAX).unwrap();
-    let expect: Vec<Record> = model.iter().map(|(&k, &v)| Record::new(k, v)).collect();
-    assert_eq!(all, expect, "{name}: final contents");
+/// Every suite slot × {bare, sharded, durable, family-morph} against the
+/// oracle on the stream `source(i)` builds; slots fan across cores.
+fn check_suite_under_every_stack<S: OpSource>(source: impl Fn(usize) -> S + Sync) {
+    let slots: Vec<usize> = (0..rum::standard_suite().len()).collect();
+    parallel_map(slots, default_threads(), |i| {
+        let name = suite_method(i).name();
+        let held = |stack: &str, verdict: Verdict| {
+            verdict.unwrap_or_else(|d| panic!("{name} [{stack}]: {d:?}"));
+        };
+        held("bare", check(suite_method(i).as_mut(), source(i)));
+        // K=3 on two workers: bulk loads run on the pool, point ops inline.
+        let mut sharded = ShardedMethod::with_threads(3, 2, |_| suite_method(i));
+        held("sharded", check(&mut sharded, source(i)));
+        let mut durable = Durable::new(move || Boxed(suite_method(i)));
+        held("durable", check(&mut durable, source(i)));
+        held("family-morph", check_morphing(i, source(i)));
+    });
 }
 
 #[test]
 fn every_suite_method_matches_the_model() {
-    // Each differential run is independent, so fan them across cores.
-    let methods: Vec<(usize, Box<dyn AccessMethod>)> =
-        rum::standard_suite().into_iter().enumerate().collect();
-    parallel_map(
-        methods,
-        rum::core::runner::default_threads(),
-        |(i, mut method)| differential_run(method.as_mut(), i as u64, 2500),
-    );
+    check_suite_under_every_stack(|i| {
+        // Even slots start from a bulk-loaded base.
+        let base = (0..500u64).filter(|_| i % 2 == 0);
+        let base: Vec<Record> = base.map(|k| Record::new(k * 3, k)).collect();
+        (base, hostile_ops(i as u64, 2500, 1500).ops.into_iter())
+    });
+}
+
+#[test]
+fn inverted_ranges_are_invalid_arguments_everywhere() {
+    for mut method in rum::standard_suite() {
+        let name = method.name();
+        for k in 0..50u64 {
+            method.insert(k * 2, k).unwrap();
+        }
+        for (lo, hi) in [(9, 3), (1, 0), (u64::MAX, 0), (u64::MAX, u64::MAX - 1)] {
+            let answer = method.range(lo, hi);
+            assert!(
+                matches!(answer, Err(RumError::InvalidArgument(_))),
+                "{name}: range({lo}, {hi}) answered {answer:?}"
+            );
+        }
+        assert_eq!(method.range(3, 9).unwrap().len(), 3, "{name}");
+    }
 }
 
 #[test]
@@ -139,6 +186,7 @@ fn zipfian_streams_are_handled() {
         seed: 31,
         ..Default::default()
     };
+    check_suite_under_every_stack(|_| OpStream::new(&spec));
     let reports = run_suite_stream(&mut rum::standard_suite(), &spec, default_threads())
         .unwrap_or_else(|e| panic!("suite run failed: {e}"));
     for report in reports {
@@ -148,4 +196,21 @@ fn zipfian_streams_are_handled() {
             report.method
         );
     }
+}
+
+#[test]
+fn drifting_streams_are_handled() {
+    // The generator the drift benchmarks use: an OLTP mix that flips to
+    // scans for the last quarter of every period.
+    let (_, drift) = Drift::suite(1000)[2];
+    let spec = WorkloadSpec {
+        initial_records: 800,
+        operations: 2000,
+        mix: OpMix::BALANCED,
+        range_len: 32,
+        seed: 47,
+        drift,
+        ..Default::default()
+    };
+    check_suite_under_every_stack(|_| OpStream::new(&spec));
 }
