@@ -19,6 +19,8 @@
 //!   it touches into a consolidated store, so hot ranges become fully
 //!   indexed while cold data is never reorganized.
 
+#![forbid(unsafe_code)]
+
 pub mod crack;
 pub mod merge;
 pub mod morph;

@@ -16,6 +16,8 @@
 //! modules and the measurement machinery they share, so experiments are
 //! reproducible from tests as well.
 
+#![forbid(unsafe_code)]
+
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 

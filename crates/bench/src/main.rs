@@ -1,6 +1,8 @@
 //! `rum-bench`: every experiment, the gate and the list behind one parser.
 //! `rum-bench list` says what there is to run.
 
+#![forbid(unsafe_code)]
+
 use rum_bench::{artifact_gate, Command, Scale};
 
 fn main() {

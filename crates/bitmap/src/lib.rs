@@ -15,6 +15,8 @@
 //! * [`BitmapIndex`] — an access method: an append-only row store plus one
 //!   update-friendly bitmap per key-range bin.
 
+#![forbid(unsafe_code)]
+
 pub mod index;
 pub mod updatable;
 pub mod wah;

@@ -20,6 +20,8 @@
 //! are charged as *base* data; internal nodes are *auxiliary* — matching
 //! the paper's RO/MO definitions.
 
+#![forbid(unsafe_code)]
+
 pub mod node;
 pub mod pbt;
 pub mod store;

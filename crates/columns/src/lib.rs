@@ -19,6 +19,8 @@
 //! * [`DenseArray`] — Proposition 3: `min(MO) = 1.0` with `RO = N` (full
 //!   scans) and `UO = 1.0` (in-place updates).
 
+#![forbid(unsafe_code)]
+
 pub mod dense;
 pub mod direct;
 pub mod log;

@@ -50,6 +50,8 @@
 //!   byte to the op class that causally incurred it, with byte-exact
 //!   conservation against the tracker.
 
+#![forbid(unsafe_code)]
+
 pub mod access;
 pub mod advisor;
 pub mod autotune;

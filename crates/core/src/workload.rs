@@ -376,6 +376,8 @@ pub struct Zipfian {
     zetan: f64,
     eta: f64,
     zeta2: f64,
+    /// `0.5^theta`: rank 1's share of `zetan`, fixed for the skew.
+    half_pow_theta: f64,
 }
 
 impl Zipfian {
@@ -397,6 +399,7 @@ impl Zipfian {
             zetan,
             eta,
             zeta2,
+            half_pow_theta: 0.5f64.powf(theta),
         }
     }
 
@@ -411,7 +414,7 @@ impl Zipfian {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow_theta {
             return 1;
         }
         let r = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as usize;

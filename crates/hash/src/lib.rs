@@ -19,6 +19,8 @@
 //! Key restriction: `u64::MAX` and `u64::MAX - 1` are reserved as the
 //! empty/tombstone slot markers in [`StaticHash`].
 
+#![forbid(unsafe_code)]
+
 pub mod extendible;
 pub mod statichash;
 

@@ -24,6 +24,8 @@
 //! (after the run set changes, the next range merges the new runs into
 //! the anchors) for RO.
 
+#![forbid(unsafe_code)]
+
 pub mod memtable;
 pub mod run;
 pub mod tree;

@@ -10,6 +10,8 @@
 //! payloads are base data, so their position in the RUM space emerges from
 //! the same counters as the paged structures.
 
+#![forbid(unsafe_code)]
+
 pub mod csb;
 pub mod skiplist;
 pub mod trie;

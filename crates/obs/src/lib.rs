@@ -21,6 +21,8 @@
 //! exporter attached to a live run is as observer-free as the metrics
 //! plane itself.
 
+#![forbid(unsafe_code)]
+
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -14,6 +14,8 @@
 //! Every structure reports its exact memory footprint so experiments can
 //! charge it as auxiliary space.
 
+#![forbid(unsafe_code)]
+
 pub mod bloom;
 pub mod countmin;
 pub mod quotient;

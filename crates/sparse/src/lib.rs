@@ -17,6 +17,8 @@
 //!   filters route point probes, trading a sliver of MO and occasional
 //!   false-positive page reads for a near-zero dense-index footprint.
 
+#![forbid(unsafe_code)]
+
 pub mod bftree;
 pub mod imprint;
 pub mod zonemap;

@@ -27,9 +27,15 @@
 //! * [`hierarchy`] — the multi-level
 //!   [`MemoryHierarchy`] simulator behind the
 //!   Figure 2 experiment.
-//! * [`crc`] — the CRC-32 both integrity layers below share: one braided
-//!   table-driven kernel, so that sealing and verifying a page runs at
-//!   memory speed.
+//! * [`crc`] — the CRC-32 both integrity layers below share. One
+//!   function, two kernels chosen from the machine and the input, same
+//!   bits from both: a carry-less-multiply folding kernel (`x86_64` with
+//!   `pclmulqdq`, inputs of 64 bytes and up: every page), so that sealing
+//!   and verifying a page runs at memory speed, and a portable braided
+//!   table kernel for everything else (other targets; WAL frames, which
+//!   are at most 17 bytes and stay on its byte loop). The call into the
+//!   hardware kernel is the workspace's one `unsafe` block; this crate
+//!   denies the keyword everywhere else and every other crate forbids it.
 //! * [`wal`] / [`durable`] — the crash-consistency layer: a checksummed
 //!   write-ahead log whose every synced byte is charged as auxiliary write
 //!   traffic (so UO includes the durability protocol), and the
@@ -48,6 +54,8 @@
 //!   [`RumError::CorruptPage`](rum_core::RumError::CorruptPage); the
 //!   pager's [`scrub`](Pager::scrub) walks the seals and prices the
 //!   verification as auxiliary reads.
+
+#![deny(unsafe_code)]
 
 pub mod checked;
 pub mod cost;

@@ -22,8 +22,11 @@
 //! ```
 //!
 //! `crc` is CRC-32 (IEEE, the zlib polynomial) over the payload,
-//! implemented in-tree ([`crc`](crate::crc)). Replay applies data records
-//! **only when a commit
+//! implemented in-tree ([`crc`](crate::crc)). A payload is at most 17
+//! bytes, under the 64 at which `crc32` switches to its hardware kernel,
+//! so every frame is summed by the portable byte loop on every machine
+//! (the folding needs a whole 64-byte block to start from).
+//! Replay applies data records **only when a commit
 //! marker covers them**: `Commit { seq, count }` commits exactly the
 //! `count` records staged immediately before it — records staged earlier
 //! belong to an operation that failed mid-apply (logged, never committed)
@@ -480,6 +483,30 @@ mod tests {
                 WalEntry::Insert { key: 3, value: 30 },
             ]
         );
+    }
+
+    /// A log on "disk" outlives the kernel that checksummed it: frames
+    /// written with the byte loop are, byte for byte, what `append` writes
+    /// now, and replay to the same result.
+    #[test]
+    fn a_log_written_by_the_byte_loop_replays_the_same() {
+        let mut written = Wal::new(CostTracker::new());
+        let mut old_bytes = Vec::new();
+        for e in entries() {
+            written.append(&e);
+            let mut buf = [0u8; MAX_PAYLOAD];
+            let len = e.encode_payload(&mut buf);
+            let payload = &buf[..len];
+            old_bytes.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+            old_bytes.extend_from_slice(&crate::crc::reference(payload).to_le_bytes());
+            old_bytes.extend_from_slice(payload);
+        }
+        written.sync().unwrap();
+        assert_eq!(written.durable, old_bytes);
+        let mut old = Wal::new(CostTracker::new());
+        old.durable = old_bytes;
+        assert_eq!(old.replay(), written.replay());
+        assert_eq!(old.replay().committed.len(), 4);
     }
 
     #[test]

@@ -51,6 +51,8 @@
 //! | [`lsm`] | levelled & tiered LSM-tree with Bloom filters and dynamic tuning |
 //! | [`adaptive`] | database cracking (plain & stochastic), adaptive merging |
 
+#![forbid(unsafe_code)]
+
 pub mod selftune;
 
 pub use rum_adaptive as adaptive;
