@@ -21,8 +21,8 @@
 //! Range reads can additionally be accelerated by a REMIX-style cross-run
 //! sorted [`view`]: one binary search plus a forward walk replaces the
 //! probe-every-run merge, trading MO (the view's anchors) and maintenance
-//! (after the run set changes, the next range merges the new runs into
-//! the anchors) for RO.
+//! (after the run set changes, the next range lays the new runs over the
+//! anchors in place) for RO.
 
 #![forbid(unsafe_code)]
 

@@ -2,7 +2,9 @@
 //!
 //! Inserts are absorbed here at byte granularity — this is where the LSM's
 //! low write amplification comes from: a record costs 16 bytes now and its
-//! share of page-granular merge traffic later.
+//! share of page-granular merge traffic later. A range reads the map in
+//! place: [`Memtable::range`] is a walk the tree lays straight over the
+//! runs' answer ([`overlay`](crate::run::overlay)), not a `Vec`.
 
 use rum_core::{CostTracker, DataClass, Key, Record, Value, RECORD_SIZE};
 use std::collections::BTreeMap;
@@ -50,15 +52,18 @@ impl Memtable {
         r
     }
 
-    /// Entries in `[lo, hi]`, ascending; charges the bytes returned.
-    pub fn range(&self, lo: Key, hi: Key, tracker: &CostTracker) -> Vec<Record> {
-        let out: Vec<Record> = self
-            .entries
-            .range(lo..=hi)
-            .map(|(&k, &v)| Record::new(k, v))
-            .collect();
-        tracker.read(DataClass::Base, (out.len() * RECORD_SIZE) as u64);
-        out
+    /// Entries in `[lo, hi]` (`lo <= hi`), ascending, as a walk over the
+    /// map; charges the bytes it yields up front.
+    pub fn range(
+        &self,
+        lo: Key,
+        hi: Key,
+        tracker: &CostTracker,
+    ) -> impl DoubleEndedIterator<Item = Record> + Clone + '_ {
+        let slice = self.entries.range(lo..=hi);
+        let bytes = slice.clone().count() * RECORD_SIZE;
+        tracker.read(DataClass::Base, bytes as u64);
+        slice.map(|(&k, &v)| Record::new(k, v))
     }
 
     /// Drain all entries in key order (for a flush).
@@ -108,8 +113,10 @@ mod tests {
         for k in 0..10u64 {
             m.put(k, k, &t);
         }
-        let rs = m.range(3, 6, &t);
-        assert_eq!(rs.len(), 4);
+        let before = t.snapshot();
+        let keys: Vec<Key> = m.range(3, 6, &t).map(|r| r.key).collect();
+        assert_eq!(keys, vec![3, 4, 5, 6]);
+        assert_eq!(t.since(&before).base_read_bytes, 4 * RECORD_SIZE as u64);
     }
 
     #[test]

@@ -1,10 +1,16 @@
 //! Immutable sorted runs: packed pages + fence pointers + an optional
-//! point-probe filter (Bloom or quotient).
+//! point-probe filter (Bloom or quotient), and the crate's two kernels
+//! over sorted, unique-key streams.
 //!
 //! Fence pointers (first key per page, kept in memory) route a point probe
 //! to exactly one page; the filter short-circuits probes for absent keys —
 //! the paper's "more efficient reads ... by avoiding accessing unnecessary
 //! data at the expense of additional space".
+//!
+//! [`merge_streams`] merges k streams into a new `Vec` (flush, compaction,
+//! the probe-every-run range, the sorted view's added runs);
+//! [`overlay`] lays one short newer stream over a long older one in place
+//! (the memtable over a range answer, added runs over the view's anchors).
 
 use rum_core::{
     encode_records, DataClass, Key, Record, RecordSlice, Result, RumError, Value, RECORDS_PER_PAGE,
@@ -88,8 +94,8 @@ impl RunFilter {
 /// sorted, unique-key `Vec`: where a key repeats across inputs the newest
 /// input's item wins, and a winner `keep` rejects is dropped with every
 /// version it shadows (tombstones at the bottom level, or in a query
-/// answer). The one merge of the crate: flush, compaction, both range
-/// paths and the sorted view's refresh call it.
+/// answer). Flush, compaction, the probe-every-run range and the sorted
+/// view's refresh (over its added runs) call it.
 ///
 /// A k-way cursor merge by linear scans of the heads, since k is the
 /// handful of runs a merge or a range touches. One scan finds the input
@@ -150,6 +156,112 @@ pub fn merge_streams<T: Copy>(
         out.extend(streak[..len].iter().filter(|item| keep(item)));
         at[newest] += len;
     }
+}
+
+/// Lay `newer` over `base` in place: the answer of
+/// `merge_streams(&mut [base, newer], key, |e| !dead(e))` without a second
+/// array. Both ascend with unique keys, every item of `newer` is newer
+/// than every item of `base`, and `base` holds nothing `dead`. A newer
+/// item overwrites the item of its key, or deletes it if `dead`; a dead
+/// item with nothing to shadow is dropped; the rest are inserted. The
+/// sorted view's refresh lays its added runs over the surviving anchors
+/// with it, and both range paths lay the memtable over the runs' answer.
+///
+/// Two passes over `newer`, each finding an item's place by galloping
+/// from where the last one landed, so `m` items over `n` cost
+/// O(m log(n/m)) probes rather than a bisect of `base` each. The forward
+/// pass overwrites and deletes; a deletion leaves a hole that moves up
+/// block by block (`copy_within`) until an insert fills it or the end
+/// closes it. The backward pass makes room for the other inserts: one
+/// `reserve_exact`, so the capacity is no more than MO counts, then each
+/// block moves once, back to front, straight to its final place.
+pub fn overlay<T: Copy>(
+    base: &mut Vec<T>,
+    newer: impl DoubleEndedIterator<Item = T> + Clone,
+    key: impl Fn(&T) -> Key,
+    dead: impl Fn(&T) -> bool,
+) {
+    debug_assert!(base.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+    debug_assert!(!base.iter().any(&dead));
+    // `base[..w]` is final and `base[r..]` unvisited; `w < r` while a
+    // deletion's hole is open.
+    let (mut r, mut w) = (0, 0);
+    let mut deferred = 0;
+    let mut filler = None;
+    for item in newer.clone() {
+        let k = key(&item);
+        let p = r + gallop(&base[r..], |b| key(b) < k);
+        if w < r {
+            base.copy_within(r..p, w);
+        }
+        w += p - r;
+        r = p;
+        if base.get(r).is_some_and(|b| key(b) == k) {
+            r += 1;
+        }
+        if dead(&item) {
+            continue;
+        }
+        // A live item takes the slot it shadows or an open hole; with
+        // neither, it waits for the backward pass.
+        if w < r {
+            base[w] = item;
+            w += 1;
+        } else {
+            deferred += 1;
+            filler = Some(item);
+        }
+    }
+    if w < r {
+        base.copy_within(r.., w);
+        base.truncate(base.len() - (r - w));
+    }
+    let Some(filler) = filler else {
+        return;
+    };
+    let mut r = base.len();
+    base.reserve_exact(deferred);
+    // Every slot `resize` fills is overwritten below.
+    base.resize(r + deferred, filler);
+    // `base[..r]` has not moved yet. A live item found in it was laid
+    // down by the forward pass; the others go in above it.
+    for item in newer.rev().filter(|item| !dead(item)) {
+        if deferred == 0 {
+            break;
+        }
+        let k = key(&item);
+        let q = gallop_back(&base[..r], |b| key(b) < k);
+        if base[..r].get(q).is_some_and(|b| key(b) == k) {
+            continue;
+        }
+        base.copy_within(q..r, q + deferred);
+        deferred -= 1;
+        base[q + deferred] = item;
+        r = q;
+    }
+}
+
+/// How many leading items of `s` are `below` (a monotone predicate),
+/// probing 1, 2, 4, … items in: O(log d) probes for an answer of d.
+fn gallop<T>(s: &[T], below: impl Fn(&T) -> bool) -> usize {
+    let (mut lo, mut hi) = (0, 1);
+    while hi <= s.len() && below(&s[hi - 1]) {
+        lo = hi;
+        hi *= 2;
+    }
+    lo + s[lo..(hi - 1).min(s.len())].partition_point(below)
+}
+
+/// [`gallop`] from the back: O(log d) probes for an answer d items short
+/// of `s.len()`.
+fn gallop_back<T>(s: &[T], below: impl Fn(&T) -> bool) -> usize {
+    let (mut hi, mut step) = (s.len(), 1);
+    while step <= s.len() && !below(&s[s.len() - step]) {
+        hi = s.len() - step;
+        step *= 2;
+    }
+    let lo = (s.len() + 1).saturating_sub(step);
+    lo + s[lo..hi].partition_point(below)
 }
 
 /// One immutable sorted run.
@@ -310,7 +422,8 @@ impl SortedRun {
     }
 
     /// All entries with keys in `[lo, hi]`, ascending (tombstones
-    /// included — the caller resolves versions across runs).
+    /// included — the caller resolves versions across runs), in one
+    /// allocation sized by the pages the fences say it will read.
     pub fn range<D: BlockDevice>(
         &self,
         pager: &mut Pager<D>,
@@ -327,11 +440,12 @@ impl SortedRun {
             Err(0) => 0,
             Err(i) => i - 1,
         };
-        let mut out = Vec::new();
-        while page_idx < self.pages.len() {
-            if self.fences[page_idx] > hi {
-                break;
-            }
+        let end = page_idx + self.fences[page_idx..].partition_point(|&f| f <= hi);
+        // Keys are unique, so `[lo, hi]` also bounds the answer.
+        let span = (end * RECORDS_PER_PAGE).min(self.len) - page_idx * RECORDS_PER_PAGE;
+        let keys = usize::try_from(hi - lo).map_or(usize::MAX, |d| d.saturating_add(1));
+        let mut out = Vec::with_capacity(span.min(keys));
+        while page_idx < end {
             let done = self.with_page(pager, page_idx, |recs| {
                 for r in recs.tail(recs.lower_bound(lo)).iter() {
                     if r.key > hi {
@@ -424,6 +538,86 @@ mod tests {
                 |r| !(drop_tombstones && r.value == crate::TOMBSTONE),
             );
             proptest::prop_assert_eq!(got, expect);
+        }
+    }
+
+    /// `overlay` against the merge it stands for, through `Record` (key,
+    /// `TOMBSTONE`) and through the sorted view's anchors.
+    fn check_overlay<T: Copy + PartialEq + std::fmt::Debug>(
+        base: Vec<T>,
+        newer: Vec<T>,
+        key: impl Fn(&T) -> Key + Copy,
+        dead: impl Fn(&T) -> bool + Copy,
+    ) {
+        let expect = merge_streams(&mut [base.clone(), newer.clone()], key, |e| !dead(e));
+        let mut got = base;
+        let capacity = got.capacity();
+        overlay(&mut got, newer.iter().copied(), key, dead);
+        assert_eq!(got, expect);
+        assert!(
+            got.capacity() <= capacity.max(got.len()),
+            "no slack past MO"
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+        /// Base keys lie in 1000..2000 and newer keys in 0..3000, so newer
+        /// keys land below, between, on and above the base's. `shape`
+        /// forces the edges: 0 empties the base, 1 the newer list, 2 kills
+        /// every newer item.
+        #[test]
+        fn overlay_matches_merge_streams(
+            base in proptest::collection::btree_set(1000u64..2000, 0..300),
+            newer in proptest::collection::btree_set(0u64..3000, 0..80),
+            deaths in proptest::collection::vec(0u8..4, 80..81),
+            shape in 0u8..6,
+        ) {
+            use crate::view::{ViewEntry, DEAD_PAGE};
+            use crate::TOMBSTONE;
+            let base: Vec<u64> = match shape {
+                0 => Vec::new(),
+                _ => base.into_iter().collect(),
+            };
+            let newer: Vec<(u64, bool)> = match shape {
+                1 => Vec::new(),
+                _ => newer
+                    .into_iter()
+                    .zip(&deaths)
+                    .map(|(k, &d)| (k, shape == 2 || d == 0))
+                    .collect(),
+            };
+            check_overlay(
+                base.iter().map(|&k| Record::new(k, k)).collect(),
+                newer
+                    .iter()
+                    .map(|&(k, dead)| Record::new(k, if dead { TOMBSTONE } else { k + 1 }))
+                    .collect(),
+                |r| r.key,
+                |r| r.value == TOMBSTONE,
+            );
+            let anchor = |key, run, page| ViewEntry { key, run, page };
+            check_overlay(
+                base.iter().map(|&k| anchor(k, 0, k as u32 % 7)).collect(),
+                newer
+                    .iter()
+                    .map(|&(k, dead)| anchor(k, 1, if dead { DEAD_PAGE } else { 3 }))
+                    .collect(),
+                |e| e.key,
+                |e| e.page == DEAD_PAGE,
+            );
+        }
+    }
+
+    #[test]
+    fn gallops_agree_with_partition_point() {
+        for n in 0..40u64 {
+            let s: Vec<u64> = (0..n).map(|k| 2 * k).collect();
+            for k in 0..2 * n + 2 {
+                let want = s.partition_point(|&x| x < k);
+                assert_eq!(gallop(&s, |&x| x < k), want, "n={n} k={k}");
+                assert_eq!(gallop_back(&s, |&x| x < k), want, "n={n} k={k}");
+            }
         }
     }
 

@@ -11,7 +11,7 @@ use rum_core::{
 use rum_storage::{BlockDevice, CheckedDevice, MemDevice, Pager, RetryPolicy, ScrubReport};
 
 use crate::memtable::Memtable;
-use crate::run::{merge_streams, FilterKind, SortedRun};
+use crate::run::{merge_streams, overlay, FilterKind, SortedRun};
 use crate::view::{SortedView, ENTRY_BYTES};
 use crate::TOMBSTONE;
 
@@ -258,6 +258,13 @@ impl<D: BlockDevice> LsmTree<D> {
         merged
     }
 
+    /// Lay the memtable's `[lo, hi]` over `out`, the runs' live answer
+    /// for that range: its versions win and its tombstones delete.
+    fn overlay_memtable(&self, out: &mut Vec<Record>, lo: Key, hi: Key) {
+        let mem = self.memtable.range(lo, hi, &self.tracker);
+        overlay(out, mem, |r| r.key, |r| r.value == TOMBSTONE);
+    }
+
     /// Resident bytes of the sorted view's anchors, current or stale (0
     /// when disabled or never built).
     pub fn view_bytes(&self) -> u64 {
@@ -501,9 +508,8 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
             let before = self.sink.enabled().then(|| self.tracker.snapshot());
             let view = self.view.as_ref().expect("ensure_view just refreshed it");
             let runs = runs_oldest_first(&self.levels);
-            let on_disk = view.range(&mut self.pager, runs, lo, hi)?;
-            let mem = self.memtable.range(lo, hi, &self.tracker);
-            let out = Self::merge_records(&mut [on_disk, mem], true);
+            let mut out = view.range(&mut self.pager, runs, lo, hi)?;
+            self.overlay_memtable(&mut out, lo, hi);
             if let Some(before) = before {
                 let d = self.tracker.since(&before);
                 self.sink.emit(
@@ -527,8 +533,9 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
             }
             inputs.push(run.range(pager, lo, hi)?);
         }
-        inputs.push(self.memtable.range(lo, hi, &self.tracker));
-        Ok(Self::merge_records(&mut inputs, true))
+        let mut out = Self::merge_records(&mut inputs, true);
+        self.overlay_memtable(&mut out, lo, hi);
+        Ok(out)
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
@@ -1127,6 +1134,23 @@ mod tests {
         assert_eq!(t.view_bytes(), stale + 16, "one new key, one new anchor");
         assert!(d.aux_write_bytes >= t.view_bytes());
         assert!(d.page_reads <= 1, "refresh reads must not land on RO");
+        // Field for field what the merge-into-a-new-array refresh charged:
+        // the added run's page, 1000 old and 1001 new anchors as aux
+        // writes; the query's own page, anchor search and answer as reads.
+        let page = rum_core::PAGE_SIZE as u64;
+        assert_eq!(
+            d,
+            CostSnapshot {
+                base_read_bytes: page,
+                aux_read_bytes: 80,
+                aux_write_bytes: page + 1000 * 16 + 1001 * 16,
+                logical_read_bytes: 11 * 16,
+                page_reads: 1,
+                page_writes: 1,
+                sim_time_ns: 1400,
+                ..Default::default()
+            }
+        );
     }
 
     /// The anchors of `t`'s view, which must be current.
@@ -1286,6 +1310,35 @@ mod tests {
             let err = t.range(lo, hi).unwrap_err();
             assert!(matches!(err, RumError::Corrupt(_)), "{lo}..{hi}: {err:?}");
         }
+    }
+
+    #[test]
+    fn failed_refresh_leaves_the_view_as_it_was() {
+        let mut t = LsmTree::with_config(LsmConfig {
+            sorted_view: true,
+            ..small_config(CompactionPolicy::Tiering)
+        });
+        for k in 0..64u64 {
+            t.insert(k * 2, k).unwrap(); // the 64th insert flushes run 1
+        }
+        assert_eq!(t.range(0, 10).unwrap().len(), 6);
+        // Nothing has been freed, so the next run's pages are the next ids.
+        let first_new_page = t.device().live_pages() as u64;
+        for k in 0..64u64 {
+            t.insert(k * 2 + 1, k).unwrap(); // flushes run 2, no compaction
+        }
+        assert_eq!(t.stats().levels[0], (2, 128));
+        let before = t.view.as_ref().unwrap().anchors().to_vec();
+        let bytes = t.view_bytes();
+        assert!(!t.view_current);
+        t.device_mut()
+            .free(rum_storage::PageId(first_new_page))
+            .unwrap();
+        let err = t.range(0, 10).unwrap_err();
+        assert!(matches!(err, RumError::Storage(_)), "{err:?}");
+        assert_eq!(t.view.as_ref().unwrap().anchors(), &before[..]);
+        assert!(!t.view_current);
+        assert_eq!(t.view_bytes(), bytes);
     }
 
     #[test]

@@ -11,10 +11,12 @@
 //!
 //! A flush or compaction does not throw the anchors away. The next
 //! view-enabled range [`refresh`](SortedView::refresh)es them the way
-//! REMIX absorbs a run-set change: the old anchors are merged with the
-//! *added* runs, reading only those runs' pages, and the anchors of runs
-//! that are gone fall out of the same pass. A cold build is a refresh
-//! from the empty view.
+//! REMIX absorbs a run-set change: only the *added* runs' pages are read,
+//! their candidates are merged with each other, and the result is laid
+//! over the surviving anchors in place ([`overlay`]), so a memtable fill
+//! moves blocks of the anchor array instead of copying it into a new one.
+//! The anchors of runs that are gone are dropped first. A cold build is a
+//! refresh from the empty view.
 //!
 //! The view is an auxiliary structure: its resident bytes are charged to
 //! MO by [`LsmTree::space_profile`](crate::LsmTree) whether or not they
@@ -25,7 +27,7 @@
 use rum_core::{DataClass, Key, Record, Result, RumError};
 use rum_storage::{BlockDevice, Pager};
 
-use crate::run::{merge_streams, SortedRun};
+use crate::run::{merge_streams, overlay, SortedRun};
 use crate::TOMBSTONE;
 
 /// Bytes one anchor occupies: an 8-byte key plus two 4-byte indices.
@@ -33,7 +35,7 @@ pub(crate) const ENTRY_BYTES: u64 = 16;
 
 /// `page` of a refresh candidate whose record is a tombstone: it shadows
 /// older anchors of its key during the merge and is never kept.
-const DEAD_PAGE: u32 = u32::MAX;
+pub(crate) const DEAD_PAGE: u32 = u32::MAX;
 
 /// One anchor: the newest live version of `key` lives in page `page` of
 /// the run whose [`id`](SortedRun::id) is `run`.
@@ -63,7 +65,7 @@ pub struct Refresh {
     pub added_runs: usize,
     /// Runs the view knew that are gone; their anchors were dropped.
     pub dropped_runs: usize,
-    /// Surviving old anchors carried into the merge.
+    /// Surviving old anchors the added runs were laid over.
     pub old_anchors: usize,
 }
 
@@ -81,13 +83,14 @@ impl SortedView {
     }
 
     /// Bring the view up to date with `runs` (ordered **oldest →
-    /// newest**) by merging, not rebuilding: scan only the runs the view
-    /// has not seen, drop the anchors of runs that are gone, and merge
-    /// the two in one pass in which a candidate from an added run beats a
-    /// surviving anchor of its key and a winning tombstone emits nothing.
-    /// All read traffic lands on `pager`'s current tracker; the caller
-    /// decides how to class it (the tree books it as maintenance). On an
-    /// error the view is left as it was.
+    /// newest**) by overlaying, not rebuilding: scan only the runs the
+    /// view has not seen and merge their candidates, tombstones kept;
+    /// drop the anchors of runs that are gone; then lay the candidates
+    /// over the surviving anchors in place, where a candidate beats the
+    /// anchor of its key and a tombstone deletes it. All read traffic
+    /// lands on `pager`'s current tracker; the caller decides how to class
+    /// it (the tree books it as maintenance). Every page is read before
+    /// an anchor changes, so on an error the view is left as it was.
     ///
     /// Two facts about the tree make the merge sound. (1) A run the tree
     /// places is newer than every run that survives it, so an added run
@@ -128,13 +131,19 @@ impl SortedView {
         }
         let added_runs = fresh.len();
         let dropped_runs = self.runs.iter().filter(|id| !live.contains(id)).count();
-        let mut survivors = std::mem::take(&mut self.entries);
+        let dead = |e: &ViewEntry| e.page == DEAD_PAGE;
+        let mut newer = merge_streams(&mut fresh, |e| e.key, |_| true);
         if dropped_runs > 0 {
-            survivors.retain(|e| live.contains(&e.run));
+            self.entries.retain(|e| live.contains(&e.run));
         }
-        let old_anchors = survivors.len();
-        fresh.insert(0, survivors);
-        self.entries = merge_streams(&mut fresh, |e| e.key, |e| e.page != DEAD_PAGE);
+        let old_anchors = self.entries.len();
+        if old_anchors == 0 {
+            // A cold build: the candidates are the anchors.
+            newer.retain(|e| !dead(e));
+            self.entries = newer;
+        } else {
+            overlay(&mut self.entries, newer.iter().copied(), |e| e.key, dead);
+        }
         self.runs = live;
         Ok(Refresh {
             added_runs,
@@ -161,8 +170,8 @@ impl SortedView {
     /// walk fetching each referenced `(run, page)` at most once. Returns
     /// the live on-disk records in the range, sorted by key — the exact
     /// run contents the probe-every-run path would produce after merging
-    /// (memtable entries are the caller's to merge in). `runs` must be the
-    /// run set the view was last refreshed over; an anchor that names no
+    /// (memtable entries are the caller's to lay over it). `runs` must be
+    /// the run set the view was last refreshed over; an anchor that names no
     /// such run, a page its run does not have or a page that does not
     /// hold its key is `Corrupt`.
     pub fn range<'a, D: BlockDevice>(
