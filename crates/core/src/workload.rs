@@ -456,158 +456,9 @@ impl Zipfian {
     }
 }
 
-/// Open-addressing key → rank table: the slot-map half of [`LiveSet`].
-///
-/// Replaces the former `HashMap<Key, usize>`: a fixed multiply-shift hash
-/// with linear probing keeps membership checks allocation-free, branch-light
-/// and fully deterministic (no per-process `RandomState`), and deletions use
-/// backward-shift compaction so a stream of millions of deletes never
-/// accumulates tombstones. Capacity stays a power of two at ≤ 75% load.
-struct KeySlots {
-    slots: Vec<Option<(Key, usize)>>,
-    mask: usize,
-    len: usize,
-}
-
-impl KeySlots {
-    fn with_capacity(n: usize) -> Self {
-        let cap = (n.max(4) * 2).next_power_of_two();
-        KeySlots {
-            slots: vec![None; cap],
-            mask: cap - 1,
-            len: 0,
-        }
-    }
-
-    #[inline]
-    fn home(&self, key: Key) -> usize {
-        // Fibonacci hashing: the golden-ratio multiplier diffuses dense
-        // (sequential) key universes across the table.
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) as usize & self.mask
-    }
-
-    /// Cyclic probe distance from slot `from` to slot `to`.
-    #[inline]
-    fn distance(&self, from: usize, to: usize) -> usize {
-        to.wrapping_sub(from) & self.mask
-    }
-
-    fn find(&self, key: Key) -> Option<usize> {
-        let mut i = self.home(key);
-        loop {
-            match self.slots[i] {
-                Some((k, _)) if k == key => return Some(i),
-                Some(_) => i = (i + 1) & self.mask,
-                None => return None,
-            }
-        }
-    }
-
-    fn get(&self, key: Key) -> Option<usize> {
-        self.find(key).map(|i| self.slots[i].expect("occupied").1)
-    }
-
-    /// Insert or overwrite `key → rank`.
-    fn set(&mut self, key: Key, rank: usize) {
-        if self.len * 4 >= self.slots.len() * 3 {
-            self.grow();
-        }
-        let mut i = self.home(key);
-        loop {
-            match self.slots[i] {
-                Some((k, _)) if k == key => {
-                    self.slots[i] = Some((key, rank));
-                    return;
-                }
-                Some(_) => i = (i + 1) & self.mask,
-                None => {
-                    self.slots[i] = Some((key, rank));
-                    self.len += 1;
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Remove `key`, returning its rank. Backward-shift compaction keeps
-    /// every remaining probe chain contiguous without tombstones.
-    fn remove(&mut self, key: Key) -> Option<usize> {
-        let mut hole = self.find(key)?;
-        let rank = self.slots[hole].expect("occupied").1;
-        self.slots[hole] = None;
-        self.len -= 1;
-        let mut j = hole;
-        loop {
-            j = (j + 1) & self.mask;
-            let Some((k, r)) = self.slots[j] else { break };
-            // An entry may move back into the hole iff its probe path
-            // passes through it (probe distance reaches at least as far
-            // back as the hole).
-            if self.distance(self.home(k), j) >= self.distance(hole, j) {
-                self.slots[hole] = Some((k, r));
-                self.slots[j] = None;
-                hole = j;
-            }
-        }
-        Some(rank)
-    }
-
-    fn grow(&mut self) {
-        let old = std::mem::replace(&mut self.slots, vec![None; (self.mask + 1) * 2]);
-        self.mask = self.slots.len() - 1;
-        self.len = 0;
-        for entry in old.into_iter().flatten() {
-            self.set(entry.0, entry.1);
-        }
-    }
-}
-
-/// Tracks the live key population during generation so updates/deletes/gets
-/// target existing keys and inserts target fresh keys.
-///
-/// Ranks (for zipfian / uniform sampling) are resolved in O(1) through the
-/// index-addressable `keys` vector; membership and removal go through the
-/// [`KeySlots`] slot map. Total memory is O(live keys) — the property that
-/// lets [`OpStream`] run multi-million-op streams without a `Vec<Op>`.
-struct LiveSet {
-    keys: Vec<Key>,
-    slots: KeySlots,
-}
-
-impl LiveSet {
-    fn new(keys: Vec<Key>) -> Self {
-        let mut slots = KeySlots::with_capacity(keys.len());
-        for (i, &k) in keys.iter().enumerate() {
-            slots.set(k, i);
-        }
-        LiveSet { keys, slots }
-    }
-    fn len(&self) -> usize {
-        self.keys.len()
-    }
-    fn contains(&self, k: Key) -> bool {
-        self.slots.get(k).is_some()
-    }
-    fn at(&self, i: usize) -> Key {
-        self.keys[i]
-    }
-    fn insert(&mut self, k: Key) {
-        if !self.contains(k) {
-            self.slots.set(k, self.keys.len());
-            self.keys.push(k);
-        }
-    }
-    fn remove(&mut self, k: Key) {
-        if let Some(i) = self.slots.remove(k) {
-            let last = self.keys.len() - 1;
-            self.keys.swap(i, last);
-            self.keys.pop();
-            if i < self.keys.len() {
-                self.slots.set(self.keys[i], i);
-            }
-        }
-    }
-}
+/// Panic message for a spec whose keys no longer fit in a [`Key`]: the
+/// generator never wraps, because a wrapped fresh key could be live.
+const KEYS_EXHAUSTED: &str = "key universe exhausted: the workload's keys overflow u64";
 
 impl Workload {
     /// Generate a workload from a spec. Deterministic in `spec.seed`.
@@ -670,9 +521,9 @@ impl<I: std::ops::Deref<Target = [Record]>, O: Iterator<Item = Op>> OpSource for
 
 /// Streaming equivalent of [`Workload::generate`]: yields the bit-identical
 /// operation sequence for the same [`WorkloadSpec`] seed, holding only the
-/// live key set (a rank-addressable `Vec` plus a slot map) instead of the
-/// whole `Vec<Op>` — O(live-set) memory, so 10⁷–10⁹-op experiments fit
-/// where the materialized form would not.
+/// live keys (one rank-addressable `Vec<Key>`) instead of the whole
+/// `Vec<Op>` — O(live-set) memory, so 10⁷–10⁹-op experiments fit where the
+/// materialized form would not.
 ///
 /// ```
 /// use rum_core::workload::{OpStream, Workload, WorkloadSpec};
@@ -686,7 +537,12 @@ pub struct OpStream {
     spec: WorkloadSpec,
     initial: Vec<Record>,
     rng: StdRng,
-    live: LiveSet,
+    /// The live keys, in no order, addressed by rank: a uniform or zipfian
+    /// draw picks an index and a delete `swap_remove`s the index it drew.
+    /// No key → rank map is needed, because the stream never asks where a
+    /// key is: inserts are fresh (above `next_fresh`'s watermark) and only
+    /// a miss candidate asks whether a key is live ([`Self::is_live`]).
+    live: Vec<Key>,
     zipf: Option<Zipfian>,
     /// Separate generator for flash-crowd spikes so the spike's hot skew
     /// never perturbs the base distribution's incremental zeta state.
@@ -694,8 +550,9 @@ pub struct OpStream {
     thresholds: [f64; 4],
     /// Drift regime the current `thresholds` were computed for.
     segment: usize,
-    /// Fresh keys for inserts continue above the initial population so
-    /// they never collide with live keys.
+    /// Fresh keys for inserts continue above the initial population, and
+    /// every key the stream has made live is below this one: it is also
+    /// the watermark at or above which no key is live.
     next_fresh: Key,
     fresh_step: u64,
     version: u64,
@@ -709,7 +566,11 @@ impl OpStream {
         let mut rng = StdRng::seed_from_u64(spec.seed);
         let initial = generate_initial(spec, &mut rng);
         let max_initial_key = initial.last().map(|r| r.key).unwrap_or(0);
-        let live = LiveSet::new(initial.iter().map(|r| r.key).collect());
+        // Room for as many inserts as there are initial keys, so a large
+        // stream does not copy its whole live set on the first insert.
+        let n = initial.len();
+        let mut live = Vec::with_capacity(n + spec.operations.min(n));
+        live.extend(initial.iter().map(|r| r.key));
 
         let zipf = match spec.dist {
             KeyDist::Zipf { theta } => Some(Zipfian::new(spec.initial_records.max(2), theta)),
@@ -727,7 +588,7 @@ impl OpStream {
             zipf_spike: None,
             thresholds,
             segment: spec.drift.segment(0),
-            next_fresh: max_initial_key + 1,
+            next_fresh: max_initial_key.checked_add(1).expect(KEYS_EXHAUSTED),
             fresh_step: match spec.key_space {
                 KeySpace::Dense { spacing } => spacing.max(1),
                 KeySpace::Sparse { universe_factor } => universe_factor.max(1),
@@ -775,25 +636,42 @@ impl OpStream {
     /// (an empty-start write-heavy spec could lose most of its slots).
     fn fresh_insert(&mut self) -> Op {
         let k = self.next_fresh;
-        let step = self.fresh_step.max(1);
-        self.next_fresh += step + (self.rng.gen::<u64>() % step) / 2;
-        self.live.insert(k);
+        let step = self.fresh_step;
+        let jitter = (self.rng.gen::<u64>() % step) / 2;
+        self.next_fresh = step
+            .checked_add(jitter)
+            .and_then(|gap| k.checked_add(gap))
+            .expect(KEYS_EXHAUSTED);
+        self.live.push(k);
         self.version += 1;
         Op::Insert(k, value_for(k, self.version))
     }
 
-    /// Pick a live key through the active distribution: the base one, or
-    /// the flash-crowd spike generator when `spike` carries a hot theta.
-    fn pick_key(&mut self, spike: Option<f64>) -> Key {
+    /// Pick the rank of a live key through the active distribution: the
+    /// base one, or the flash-crowd spike generator when `spike` carries a
+    /// hot theta.
+    fn pick_rank(&mut self, spike: Option<f64>) -> usize {
         match spike {
             Some(theta) => {
                 if self.zipf_spike.is_none() {
                     self.zipf_spike = Some(Zipfian::new(self.live.len().max(2), theta));
                 }
-                pick_live(&self.live, &mut self.zipf_spike, &mut self.rng)
+                pick_live(self.live.len(), &mut self.zipf_spike, &mut self.rng)
             }
-            None => pick_live(&self.live, &mut self.zipf, &mut self.rng),
+            None => pick_live(self.live.len(), &mut self.zipf, &mut self.rng),
         }
+    }
+
+    fn pick_key(&mut self, spike: Option<f64>) -> Key {
+        let rank = self.pick_rank(spike);
+        self.live[rank]
+    }
+
+    /// Whether `k` is live. Keys at or above the `next_fresh` watermark
+    /// never are, which settles every miss candidate (top bit set) without
+    /// a look-up; only a key universe past 2⁶³ falls back to the exact scan.
+    fn is_live(&self, k: Key) -> bool {
+        k < self.next_fresh && self.live.contains(&k)
     }
 }
 
@@ -827,14 +705,14 @@ impl Iterator for OpStream {
         let dice: f64 = self.rng.gen();
         let op = if dice < self.thresholds[0] {
             // GET
-            if self.live.len() == 0 {
+            if self.live.is_empty() {
                 Op::Get(self.rng.gen())
             } else if self.spec.miss_fraction > 0.0
                 && self.rng.gen::<f64>() < self.spec.miss_fraction
             {
                 // A key extremely unlikely to be live.
                 let mut k: Key = self.rng.gen::<Key>() | (1 << 63);
-                while self.live.contains(k) {
+                while self.is_live(k) {
                     k = self.rng.gen::<Key>() | (1 << 63);
                 }
                 Op::Get(k)
@@ -845,7 +723,7 @@ impl Iterator for OpStream {
             self.fresh_insert()
         } else if dice < self.thresholds[2] {
             // UPDATE
-            if self.live.len() == 0 {
+            if self.live.is_empty() {
                 self.fresh_insert()
             } else {
                 let k = self.pick_key(spike);
@@ -854,16 +732,15 @@ impl Iterator for OpStream {
             }
         } else if dice < self.thresholds[3] {
             // DELETE
-            if self.live.len() == 0 {
+            if self.live.is_empty() {
                 self.fresh_insert()
             } else {
-                let k = self.pick_key(spike);
-                self.live.remove(k);
-                Op::Delete(k)
+                let rank = self.pick_rank(spike);
+                Op::Delete(self.live.swap_remove(rank))
             }
         } else {
             // RANGE: span sized so the expected result count ≈ range_len.
-            if self.live.len() == 0 {
+            if self.live.is_empty() {
                 self.fresh_insert()
             } else {
                 let lo = self.pick_key(spike);
@@ -882,23 +759,22 @@ impl Iterator for OpStream {
 
 impl ExactSizeIterator for OpStream {}
 
-/// Pick a live key: uniformly, or by zipfian rank over the *current* live
-/// population. The zipfian generator is resized (incrementally — see
-/// [`Zipfian::resize_to`]) to track the population, rather than sampling
-/// over the initial size and wrapping with `% n`: the wrap aliased distinct
-/// ranks onto the same slot (distorting the skew whenever the population
-/// shrank) and could never reach keys inserted after generation started.
-fn pick_live(live: &LiveSet, zipf: &mut Option<Zipfian>, rng: &mut StdRng) -> Key {
-    let n = live.len();
+/// Pick the rank of one of `n` live keys: uniformly, or zipfian over the
+/// *current* live population. The zipfian generator is resized
+/// (incrementally — see [`Zipfian::resize_to`]) to track it, rather than
+/// sampling over the initial size and wrapping with `% n`: the wrap
+/// aliased distinct ranks onto the same slot (distorting the skew whenever
+/// the population shrank) and could never reach keys inserted after
+/// generation started.
+fn pick_live(n: usize, zipf: &mut Option<Zipfian>, rng: &mut StdRng) -> usize {
     debug_assert!(n > 0);
-    let rank = match zipf {
+    match zipf {
         Some(z) => {
             z.resize_to(n);
             z.sample(rng)
         }
         None => rng.gen_range(0..n),
-    };
-    live.at(rank)
+    }
 }
 
 fn expected_span(spec: &WorkloadSpec, key_high_watermark: Key, live: usize) -> u64 {
@@ -911,7 +787,9 @@ fn generate_initial(spec: &WorkloadSpec, rng: &mut StdRng) -> Vec<Record> {
     let mut keys: Vec<Key> = match spec.key_space {
         KeySpace::Dense { spacing } => {
             let s = spacing.max(1);
-            (0..n as u64).map(|i| i * s).collect()
+            (0..n as u64)
+                .map(|i| i.checked_mul(s).expect(KEYS_EXHAUSTED))
+                .collect()
         }
         KeySpace::Sparse { universe_factor } => {
             let universe = (n as u64).saturating_mul(universe_factor.max(1));
@@ -992,28 +870,183 @@ mod tests {
         assert!((frac - 0.95).abs() < 0.02, "get fraction {frac}");
     }
 
-    #[test]
-    fn updates_and_deletes_target_live_keys() {
-        // Replay the stream against a model set and confirm every update /
-        // delete hits a key that is live at that point.
-        let w = Workload::generate(&WorkloadSpec {
-            mix: OpMix::BALANCED,
-            ..spec()
-        });
+    /// Replay a miss-free stream against a model set: every get, update,
+    /// delete and range start hits a key live at that point, and every
+    /// insert key exceeds every key ever live before it (the watermark the
+    /// generator's membership test relies on).
+    fn assert_targets_live(tag: &str, w: &Workload) {
         let mut live: std::collections::HashSet<Key> = w.initial.iter().map(|r| r.key).collect();
+        let mut high = w.initial.last().map(|r| r.key);
         for op in &w.ops {
             match *op {
                 Op::Insert(k, _) => {
-                    assert!(!live.contains(&k), "insert of live key {k}");
+                    assert!(high < Some(k), "{tag}: insert {k} not above {high:?}");
+                    high = Some(k);
                     live.insert(k);
                 }
-                Op::Update(k, _) => assert!(live.contains(&k), "update of dead key {k}"),
-                Op::Delete(k) => {
-                    assert!(live.contains(&k), "delete of dead key {k}");
-                    live.remove(&k);
+                Op::Get(k) => assert!(live.is_empty() || live.contains(&k), "{tag}: get {k}"),
+                Op::Update(k, _) | Op::Range(k, _) => {
+                    assert!(live.contains(&k), "{tag}: {op:?} of dead key")
                 }
-                _ => {}
+                Op::Delete(k) => assert!(live.remove(&k), "{tag}: delete of dead key {k}"),
             }
+        }
+    }
+
+    #[test]
+    fn updates_and_deletes_target_live_keys() {
+        let mixes = [
+            OpMix::READ_HEAVY,
+            OpMix::WRITE_HEAVY,
+            OpMix::BALANCED,
+            OpMix::SCAN_HEAVY,
+            OpMix::RANGE_HEAVY,
+            OpMix::READ_ONLY,
+            OpMix::INSERT_ONLY,
+        ];
+        for mix in mixes {
+            for dist in [KeyDist::Uniform, KeyDist::Zipf { theta: 0.99 }] {
+                let s = WorkloadSpec {
+                    mix,
+                    dist,
+                    ..spec()
+                };
+                assert_targets_live(&format!("{mix:?}/{dist:?}"), &Workload::generate(&s));
+            }
+        }
+    }
+
+    #[test]
+    fn misses_past_two_to_the_63_take_the_exact_scan() {
+        // A sparse universe of ~u64::MAX puts about half the live keys at
+        // or above 2⁶³, so miss candidates fall below the watermark and
+        // the membership test must scan the live keys.
+        let spec = WorkloadSpec {
+            mix: OpMix::READ_ONLY,
+            miss_fraction: 0.5,
+            key_space: KeySpace::Sparse {
+                universe_factor: u64::MAX / 1000,
+            },
+            ..spec()
+        };
+        let w = Workload::generate(&spec);
+        assert_eq!(OpStream::new(&spec).collect::<Vec<_>>(), w.ops);
+        let live: std::collections::HashSet<Key> = w.initial.iter().map(|r| r.key).collect();
+        let watermark = w.initial.last().unwrap().key;
+        let misses: Vec<Key> = w
+            .ops
+            .iter()
+            .filter_map(|op| match *op {
+                Op::Get(k) if !live.contains(&k) => Some(k),
+                _ => None,
+            })
+            .collect();
+        let frac = misses.len() as f64 / w.ops.len() as f64;
+        assert!((frac - 0.5).abs() < 0.05, "miss fraction {frac}");
+        assert!(misses.iter().all(|&k| k >= 1 << 63), "a miss below 2⁶³");
+        assert!(
+            misses.iter().filter(|&&k| k < watermark).count() > misses.len() / 2,
+            "the fallback scan was not exercised"
+        );
+        let stream = OpStream::new(&spec);
+        assert!(
+            live.iter().all(|&k| stream.is_live(k)),
+            "a live key reads dead"
+        );
+        assert!(
+            misses.iter().all(|&k| !stream.is_live(k)),
+            "a miss reads live"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "key universe exhausted")]
+    fn fresh_keys_past_u64_max_panic_instead_of_wrapping() {
+        // Each insert strides ~u64::MAX / 1000 up a universe of ~u64::MAX,
+        // so the fresh keys pass u64::MAX within ~1000 inserts. Unchecked,
+        // a release build wrapped to a small key that could be live.
+        Workload::generate(&WorkloadSpec {
+            mix: OpMix::INSERT_ONLY,
+            key_space: KeySpace::Sparse {
+                universe_factor: u64::MAX / 1000,
+            },
+            ..spec()
+        });
+    }
+
+    #[test]
+    fn rum_perf_traffic_digests_hold() {
+        // The six workloads of the wall-clock benchmark (`rum_perf`,
+        // outside this workspace) at its 1/50 smoke scale, seed "RUM", and
+        // the FNV-1a digests it pins: a change to the generated traffic
+        // fails here, not only when the benchmark next runs.
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let (zipf, uniform) = (KeyDist::Zipf { theta: 0.99 }, KeyDist::Uniform);
+        // Full-scale records and ops, mix, key distribution, miss fraction.
+        let perf = |records: usize, ops: usize, mix, dist, miss_fraction| WorkloadSpec {
+            initial_records: records / 50,
+            operations: ops / 50,
+            mix,
+            dist,
+            miss_fraction,
+            range_len: 64,
+            seed: 0x52_55_4D,
+            ..Default::default()
+        };
+        let cases = [
+            (
+                "btree-point",
+                perf(1_000_000, 250_000, OpMix::READ_HEAVY, zipf, 0.05),
+                0x8b5e_c9f0_4b3c_6132,
+            ),
+            (
+                "lsm-ingest",
+                perf(1_000_000, 200_000, OpMix::WRITE_HEAVY, uniform, 0.0),
+                0x69b8_7ef7_eec4_8fc8,
+            ),
+            (
+                "lsm-scan",
+                perf(1_000_000, 120_000, OpMix::RANGE_HEAVY, zipf, 0.0),
+                0xff74_3365_fa0e_3ba7,
+            ),
+            (
+                "stack-balanced",
+                perf(1_000_000, 25_000, OpMix::BALANCED, zipf, 0.0),
+                0x71ec_3357_99a3_bf9d,
+            ),
+            (
+                "sharded-balanced",
+                perf(1_000_000, 25_000, OpMix::BALANCED, uniform, 0.0),
+                0xa61c_5c4f_cd3e_7097,
+            ),
+            (
+                "suite",
+                perf(1 << 12, 1 << 12, OpMix::BALANCED, uniform, 0.0),
+                0x46a3_2479_8f10_070a,
+            ),
+        ];
+        for (name, spec, pinned) in cases {
+            let w = Workload::generate(&spec);
+            let mut words = Vec::new();
+            for r in &w.initial {
+                words.extend([r.key, r.value]);
+            }
+            for op in &w.ops {
+                words.extend(match *op {
+                    Op::Get(k) => [1, k, 0],
+                    Op::Insert(k, v) => [2, k, v],
+                    Op::Update(k, v) => [3, k, v],
+                    Op::Delete(k) => [4, k, 0],
+                    Op::Range(lo, hi) => [5, lo, hi],
+                });
+            }
+            let digest = words
+                .iter()
+                .flat_map(|word| word.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325, |h: u64, b| {
+                    (h ^ u64::from(b)).wrapping_mul(FNV_PRIME)
+                });
+            assert_eq!(digest, pinned, "{name}: traffic digest {digest:#018x}");
         }
     }
 
@@ -1159,36 +1192,6 @@ mod tests {
     fn value_for_versions_differ() {
         assert_ne!(value_for(5, 0), value_for(5, 1));
         assert_ne!(value_for(5, 0), value_for(6, 0));
-    }
-
-    #[test]
-    fn key_slots_match_a_hashmap_model() {
-        // Drive the open-addressing slot map through a random op stream
-        // against std's HashMap; contents must agree at every step, and a
-        // narrow key domain forces heavy delete/re-insert probe-chain churn
-        // (the backward-shift path).
-        let mut rng = StdRng::seed_from_u64(0x510C);
-        let mut slots = KeySlots::with_capacity(4);
-        let mut model = std::collections::HashMap::new();
-        for step in 0..20_000usize {
-            let k: Key = rng.gen_range(0..512);
-            match rng.gen_range(0..3) {
-                0 => {
-                    slots.set(k, step);
-                    model.insert(k, step);
-                }
-                1 => {
-                    assert_eq!(slots.remove(k), model.remove(&k), "remove {k} @ {step}");
-                }
-                _ => {
-                    assert_eq!(slots.get(k), model.get(&k).copied(), "get {k} @ {step}");
-                }
-            }
-            assert_eq!(slots.len, model.len(), "len @ {step}");
-        }
-        for (&k, &v) in &model {
-            assert_eq!(slots.get(k), Some(v));
-        }
     }
 
     #[test]
@@ -1350,24 +1353,7 @@ mod tests {
                 drift,
                 ..spec()
             });
-            let mut live: std::collections::HashSet<Key> =
-                w.initial.iter().map(|r| r.key).collect();
-            for op in &w.ops {
-                match *op {
-                    Op::Insert(k, _) => {
-                        assert!(!live.contains(&k), "{tag}: insert of live key {k}");
-                        live.insert(k);
-                    }
-                    Op::Update(k, _) => {
-                        assert!(live.contains(&k), "{tag}: update of dead key {k}")
-                    }
-                    Op::Delete(k) => {
-                        assert!(live.contains(&k), "{tag}: delete of dead key {k}");
-                        live.remove(&k);
-                    }
-                    _ => {}
-                }
-            }
+            assert_targets_live(tag, &w);
         }
     }
 
