@@ -134,11 +134,6 @@ impl AdaptiveMerger {
         self.merged.len()
     }
 
-    /// Consolidated intervals (diagnostic).
-    pub fn covered_intervals(&self) -> usize {
-        self.covered.len()
-    }
-
     /// Pull every record in `[lo, hi]` out of the runs into the merged
     /// store, charging the binary searches, the records moved, and the
     /// shifts within each run.

@@ -283,7 +283,6 @@ fn env_for(config: &DriftSweepConfig) -> Environment {
     Environment {
         n: config.n,
         m: config.range_len,
-        ..Default::default()
     }
 }
 
@@ -306,7 +305,6 @@ fn tuner_for(config: &DriftSweepConfig, allow_family_swap: bool) -> AutoTuner {
             // future this suite deliberately denies.
             horizon_ops: (config.period / 4) as u64,
             allow_family_swap,
-            ..Default::default()
         },
         &OpMix::BALANCED,
         ProfileStore::default(),

@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 
 use rum_core::runner::measure_ops;
 use rum_core::workload::Op;
-use rum_core::{AccessMethod, CostSnapshot, Record, RECORDS_PER_PAGE};
+use rum_core::{AccessMethod, CostSnapshot, Record};
 
 pub mod advisor;
 pub mod artifact_gate;
@@ -202,11 +202,6 @@ pub fn conclude(outcome: Outcome, write_files: bool) {
     if !all_ok {
         std::process::exit(1);
     }
-}
-
-/// `log_B(n)` — the B-tree height scale of Table 1.
-pub fn log_b(n: f64) -> f64 {
-    n.max(2.0).ln() / (RECORDS_PER_PAGE as f64).ln()
 }
 
 /// Fixed-width cell formatting for experiment tables.

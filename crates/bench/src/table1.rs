@@ -1,6 +1,8 @@
 //! Table 1 of the paper: empirical I/O cost (page accesses) of the six
-//! access methods, swept over dataset sizes, against the analytic
-//! complexity the paper lists.
+//! access methods, swept over dataset sizes, against the closed forms the
+//! wizard ranks with ([`rum_core::wizard::profile`]), evaluated at the
+//! same `N`, `m`, [`PARTITION`] and [`SIZE_RATIO`] the methods are built
+//! with.
 //!
 //! The paper's asymptotics, with `B = 256` records/page:
 //!
@@ -16,25 +18,26 @@
 use rum_btree::BTree;
 use rum_columns::{SortedColumn, UnsortedColumn};
 use rum_core::runner::{default_threads, parallel_map};
+use rum_core::wizard::{profile, Environment, Family, PARTITION, SIZE_RATIO};
 use rum_core::{AccessMethod, ShardedMethod, RECORDS_PER_PAGE};
 use rum_hash::StaticHash;
 use rum_lsm::{LsmConfig, LsmTree};
 use rum_sparse::{ZoneMapConfig, ZoneMappedColumn};
 
 use crate::{
-    dataset, fmt_cell, insert_cost, load_cost, log_b, point_query_cost, range_query_cost,
-    update_cost, Outcome, Scale, Target,
+    dataset, fmt_cell, insert_cost, load_cost, point_query_cost, range_query_cost, update_cost,
+    Outcome, Scale, Target,
 };
 
-/// Experiment parameters (the parameter table atop the paper's Table 1).
+/// Shards in the "Sharded B+-Tree" row.
+const SHARDS: usize = 4;
+
+/// Experiment parameters (the parameter table atop the paper's Table 1;
+/// `P` and `T` are the wizard's [`PARTITION`] and [`SIZE_RATIO`]).
 #[derive(Clone, Copy, Debug)]
 pub struct Table1Params {
     /// Range-query result size `m` in records.
     pub m: usize,
-    /// ZoneMap partition size `P` in records.
-    pub partition: usize,
-    /// LSM size ratio `T`.
-    pub size_ratio: usize,
     /// LSM memtable (`MEM`) in records.
     pub memtable: usize,
 }
@@ -43,8 +46,6 @@ impl Default for Table1Params {
     fn default() -> Self {
         Table1Params {
             m: 512,
-            partition: 16 * RECORDS_PER_PAGE,
-            size_ratio: 4,
             memtable: 4096,
         }
     }
@@ -54,6 +55,9 @@ impl Default for Table1Params {
 #[derive(Clone, Debug)]
 pub struct Table1Row {
     pub method: String,
+    /// The wizard family that prices this row; `None` for the sharded
+    /// composition.
+    pub family: Option<Family>,
     pub n: usize,
     /// Pages written during bulk creation.
     pub load_pages: u64,
@@ -70,35 +74,40 @@ pub struct Table1Row {
 /// A boxed constructor for one Table 1 method.
 pub type MethodFactory = Box<dyn Fn() -> Box<dyn AccessMethod>>;
 
-/// The six methods of Table 1 as boxed factories.
-pub fn methods(p: Table1Params) -> Vec<(&'static str, MethodFactory)> {
+/// The six methods of Table 1 as boxed factories, each tagged with the
+/// wizard family that prices it (see [`Table1Row::family`]).
+pub fn methods(p: Table1Params) -> Vec<(&'static str, Option<Family>, MethodFactory)> {
     vec![
         (
             "B+-Tree",
+            Some(Family::BTree),
             Box::new(|| Box::new(BTree::new()) as Box<dyn AccessMethod>),
         ),
         (
             "Perfect Hash",
+            Some(Family::HashIndex),
             Box::new(|| Box::new(StaticHash::new()) as Box<dyn AccessMethod>),
         ),
         (
             "ZoneMaps",
+            Some(Family::ZoneMap),
             Box::new(move || {
                 Box::new(ZoneMappedColumn::with_config(ZoneMapConfig {
-                    partition_records: p.partition,
+                    partition_records: PARTITION,
                     blind_appends: true,
                 })) as Box<dyn AccessMethod>
             }),
         ),
         (
             "Levelled LSM",
+            Some(Family::LsmTree),
             Box::new(move || {
                 // No Bloom filters: the paper's Table 1 cost formula
                 // predates per-run filters (their effect is measured in
                 // the Figure 3 sweep and the ablation benches instead).
                 Box::new(LsmTree::with_config(LsmConfig {
                     memtable_records: p.memtable,
-                    size_ratio: p.size_ratio,
+                    size_ratio: SIZE_RATIO,
                     bloom_bits_per_key: 0.0,
                     ..Default::default()
                 })) as Box<dyn AccessMethod>
@@ -106,12 +115,14 @@ pub fn methods(p: Table1Params) -> Vec<(&'static str, MethodFactory)> {
         ),
         (
             "Sorted column",
+            Some(Family::SortedColumn),
             Box::new(|| Box::new(SortedColumn::new()) as Box<dyn AccessMethod>),
         ),
         (
             // Blind appends: the paper's O(1) heap insert (no uniqueness
             // scan; the workload only inserts fresh keys).
             "Unsorted column",
+            Some(Family::UnsortedColumn),
             Box::new(|| Box::new(UnsortedColumn::blind_appends()) as Box<dyn AccessMethod>),
         ),
         (
@@ -119,8 +130,9 @@ pub fn methods(p: Table1Params) -> Vec<(&'static str, MethodFactory)> {
             // adds. K=4 hash-partitioned B+-trees — point ops touch one
             // smaller tree (log_B(N/K)), ranges pay a K-way fan-out.
             "Sharded B+-Tree",
+            None,
             Box::new(|| {
-                Box::new(ShardedMethod::new(4, |_| {
+                Box::new(ShardedMethod::new(SHARDS, |_| {
                     Box::new(BTree::new()) as Box<dyn AccessMethod>
                 })) as Box<dyn AccessMethod>
             }),
@@ -128,14 +140,32 @@ pub fn methods(p: Table1Params) -> Vec<(&'static str, MethodFactory)> {
     ]
 }
 
+/// Table 1's closed forms for one row, in page accesses per
+/// `(point, range, insert)`: the wizard's [`profile`] of `family`, or for
+/// the sharded composition (`None`) that of one B+-tree of `N/K` records,
+/// whose ranges probe all K trees and then read the same `m/B` leaves.
+pub fn theory(family: Option<Family>, n: usize, m: usize) -> (f64, f64, f64) {
+    match family {
+        Some(family) => {
+            let p = profile(family, &Environment { n, m });
+            (p.point_cost, p.range_cost, p.insert_cost)
+        }
+        None => {
+            let shard = profile(Family::BTree, &Environment { n: n / SHARDS, m });
+            let range = SHARDS as f64 * shard.point_cost + m as f64 / RECORDS_PER_PAGE as f64;
+            (shard.point_cost, range, shard.insert_cost)
+        }
+    }
+}
+
 /// Number of inserts to average over, per method. Structures with
 /// amortized write paths (LSM) need enough inserts to cross flush and
 /// compaction boundaries; structures with deterministic per-op cost
 /// (sorted column: half the column shifts!) get few.
-fn insert_samples(method: &str, p: &Table1Params) -> usize {
-    match method {
-        "Levelled LSM" => 4 * p.memtable,
-        "Sorted column" => 8,
+fn insert_samples(family: Option<Family>, p: &Table1Params) -> usize {
+    match family {
+        Some(Family::LsmTree) => 4 * p.memtable,
+        Some(Family::SortedColumn) => 8,
         _ => 64,
     }
 }
@@ -143,6 +173,7 @@ fn insert_samples(method: &str, p: &Table1Params) -> usize {
 /// Measure one method at one dataset size.
 pub fn measure(
     name: &str,
+    family: Option<Family>,
     factory: &dyn Fn() -> Box<dyn AccessMethod>,
     n: usize,
     p: &Table1Params,
@@ -150,7 +181,7 @@ pub fn measure(
     let mut m = factory();
     let data = dataset(n);
     let (load_pages, _load_size_pages, _load_mo) = load_cost(m.as_mut(), &data);
-    if name == "Levelled LSM" {
+    if family == Some(Family::LsmTree) {
         // Drive the LSM into steady state: a pristine bulk-loaded tree is
         // one perfect run (reads as cheap as a sorted column), which is
         // not the multi-level shape Table 1 describes. Churn a slice of
@@ -165,15 +196,16 @@ pub fn measure(
     let point = point_query_cost(m.as_mut(), n, 64);
     let range = range_query_cost(m.as_mut(), n, p.m, 16);
     let update = update_cost(m.as_mut(), n, 32);
-    let insert = insert_cost(m.as_mut(), n, insert_samples(name, p));
+    let insert = insert_cost(m.as_mut(), n, insert_samples(family, p));
     // Footprint measured at the END of the run: for history-dependent
     // structures (the LSM) the pristine bulk-loaded state undersells the
     // space the method actually occupies in steady state.
-    let profile = m.space_profile();
-    let size_pages = profile.total_bytes() as f64 / rum_core::PAGE_SIZE as f64;
-    let mo = profile.space_amplification();
+    let space = m.space_profile();
+    let size_pages = space.total_bytes() as f64 / rum_core::PAGE_SIZE as f64;
+    let mo = space.space_amplification();
     Table1Row {
         method: name.to_string(),
+        family,
         n,
         load_pages,
         size_pages,
@@ -198,56 +230,16 @@ pub fn run(ns: &[usize], params: Table1Params) -> Vec<Table1Row> {
         }
     }
     parallel_map(cells, default_threads(), |(n, index)| {
-        let (name, factory) = methods(params).swap_remove(index);
+        let (name, family, factory) = methods(params).swap_remove(index);
         eprintln!("[table1] measuring {name} @ N={n} ...");
         let t0 = std::time::Instant::now();
-        let row = measure(name, factory.as_ref(), n, &params);
+        let row = measure(name, family, factory.as_ref(), n, &params);
         eprintln!("[table1]   done in {:.1}s", t0.elapsed().as_secs_f32());
         row
     })
 }
 
-/// Analytic expectation (in page accesses) for a method/op, straight from
-/// the paper's formulas — printed beside the measurements.
-pub fn analytic(method: &str, op: &str, n: usize, p: &Table1Params) -> f64 {
-    let nf = n as f64;
-    let b = RECORDS_PER_PAGE as f64;
-    let m = p.m as f64;
-    let pt = p.partition as f64;
-    let t = p.size_ratio as f64;
-    let pages = nf / b;
-    let _zones = nf / pt;
-    let lsm_levels = (pages / (p.memtable as f64 / b)).ln() / t.ln();
-    match (method, op) {
-        ("B+-Tree", "point") => log_b(nf),
-        ("B+-Tree", "range") => log_b(nf) + m / b,
-        ("B+-Tree", "insert") => log_b(nf) + 1.0,
-        ("Perfect Hash", "point") => 1.0,
-        ("Perfect Hash", "range") => pages / 0.5, // table sized at 50% load
-        ("Perfect Hash", "insert") => 1.0,
-        ("ZoneMaps", "point") => pt / b, // one partition (clustered best case)
-        ("ZoneMaps", "range") => pt / b + m / b,
-        ("ZoneMaps", "insert") => 2.0, // scan-free append + metadata
-        ("Levelled LSM", "point") => lsm_levels.max(1.0),
-        ("Levelled LSM", "range") => lsm_levels.max(1.0) + (m / b) * t / (t - 1.0),
-        ("Levelled LSM", "insert") => (t / b) * lsm_levels.max(1.0) * 2.0,
-        ("Sorted column", "point") => (pages).log2().max(1.0),
-        ("Sorted column", "range") => (pages).log2().max(1.0) + m / b,
-        ("Sorted column", "insert") => pages, // read+write half the column
-        ("Unsorted column", "point") => pages / 2.0,
-        ("Unsorted column", "range") => pages,
-        ("Unsorted column", "insert") => 2.0, // blind append: RMW the tail page
-        // K=4 shards of N/4 records each: point ops walk one shorter tree,
-        // ranges probe every shard's tree then read the same m/B leaf pages
-        // (the result is split across shards).
-        ("Sharded B+-Tree", "point") => log_b(nf / 4.0),
-        ("Sharded B+-Tree", "range") => 4.0 * log_b(nf / 4.0) + m / b,
-        ("Sharded B+-Tree", "insert") => log_b(nf / 4.0) + 1.0,
-        _ => f64::NAN,
-    }
-}
-
-/// Render measured-vs-analytic tables, one per dataset size.
+/// Render measured-vs-theory tables, one per dataset size.
 pub fn render(rows: &[Table1Row], params: &Table1Params) -> String {
     let mut out = String::new();
     let mut ns: Vec<usize> = rows.iter().map(|r| r.n).collect();
@@ -256,7 +248,7 @@ pub fn render(rows: &[Table1Row], params: &Table1Params) -> String {
     for n in ns {
         out.push_str(&format!(
             "\n=== Table 1 @ N = {n} (B = {}, m = {}, P = {}, T = {}) ===\n",
-            RECORDS_PER_PAGE, params.m, params.partition, params.size_ratio
+            RECORDS_PER_PAGE, params.m, PARTITION, SIZE_RATIO
         ));
         out.push_str(&format!(
             "{:<16} {:>10} {:>10} {:>8} | {:>10} {:>10} | {:>10} {:>10} | {:>10} {:>10} | {:>10}\n",
@@ -273,6 +265,7 @@ pub fn render(rows: &[Table1Row], params: &Table1Params) -> String {
             "update"
         ));
         for r in rows.iter().filter(|r| r.n == n) {
+            let (point, range, insert) = theory(r.family, n, params.m);
             out.push_str(&format!(
                 "{:<16} {:>10} {} {:>8.3} | {} {} | {} {} | {} {} | {}\n",
                 r.method,
@@ -280,11 +273,11 @@ pub fn render(rows: &[Table1Row], params: &Table1Params) -> String {
                 fmt_cell(r.size_pages),
                 r.mo,
                 fmt_cell(r.point_pages),
-                fmt_cell(analytic(&r.method, "point", n, params)),
+                fmt_cell(point),
                 fmt_cell(r.range_pages),
-                fmt_cell(analytic(&r.method, "range", n, params)),
+                fmt_cell(range),
                 fmt_cell(r.insert_pages),
-                fmt_cell(analytic(&r.method, "insert", n, params)),
+                fmt_cell(insert),
                 fmt_cell(r.update_pages),
             ));
         }

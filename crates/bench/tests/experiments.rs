@@ -68,11 +68,12 @@ fn scale_sweep_holds_at_test_scale() {
 #[test]
 fn table1_theory_tracks_measurement() {
     // Beyond qualitative shape: measured point-query costs should land
-    // within a small factor of the paper's formulas (same units: pages).
+    // within a small factor of the wizard's closed forms (same units:
+    // pages).
     let params = table1::Table1Params::default();
     let rows = table1::run(&[1 << 14], params);
     for r in &rows {
-        let theory = table1::analytic(&r.method, "point", r.n, &params);
+        let (theory, _, _) = table1::theory(r.family, r.n, params.m);
         let measured = r.point_pages.max(0.01);
         let ratio = measured / theory.max(0.01);
         assert!(

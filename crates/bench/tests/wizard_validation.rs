@@ -9,21 +9,14 @@ use rum_core::wizard::{Constraints, Environment, Family};
 use rum_core::workload::OpMix;
 
 fn measured_cost(family: Family, mix: &OpMix, n: usize) -> f64 {
-    // Map wizard families onto the Table 1 implementations.
+    // The Table 1 implementation tagged with this family.
     let params = table1::Table1Params::default();
-    let name = match family {
-        Family::BTree => "B+-Tree",
-        Family::HashIndex => "Perfect Hash",
-        Family::ZoneMap => "ZoneMaps",
-        Family::LsmTree => "Levelled LSM",
-        Family::SortedColumn => "Sorted column",
-        Family::UnsortedColumn => "Unsorted column",
-        Family::CrackedColumn => return f64::NAN, // not a Table 1 method
-    };
-    let (_, factory) = table1::methods(params)
+    let Some((_, _, factory)) = table1::methods(params)
         .into_iter()
-        .find(|(n, _)| *n == name)
-        .expect("family present");
+        .find(|(_, tag, _)| *tag == Some(family))
+    else {
+        return f64::NAN; // not a Table 1 method (the cracked column)
+    };
     let mut m = factory();
     m.bulk_load(&dataset(n)).unwrap();
     let total = mix.total();
@@ -36,7 +29,11 @@ fn measured_cost(family: Family, mix: &OpMix, n: usize) -> f64 {
         cost += (mix.range / total) * range_query_cost(m.as_mut(), n, params.m, 8).pages;
     }
     if write_frac > 0.0 {
-        let samples = if name == "Sorted column" { 4 } else { 64 };
+        let samples = if family == Family::SortedColumn {
+            4
+        } else {
+            64
+        };
         cost += write_frac * insert_cost(m.as_mut(), n, samples).pages;
     }
     cost

@@ -26,9 +26,7 @@ pub mod node;
 pub mod pbt;
 pub mod store;
 pub mod tree;
-pub mod tuning;
 
 pub use node::{InternalRef, Node, NodeId, NodeRef};
 pub use pbt::{PartitionedBTree, PbtConfig};
 pub use tree::{BTree, BTreeConfig, SplitPolicy};
-pub use tuning::{advise_btree, describe_btree, expected_cost_btree, retune_btree};

@@ -127,9 +127,9 @@ pub struct MigrationReceipt {
 /// A live structure the [`AutoTuner`] can reshape.
 ///
 /// Two migration granularities, both priced: an in-place knob re-tune
-/// (same family, new configuration — LSM `T`/memtable/filter/sorted-view,
-/// B+-tree node shape) and a family swap (drain into a different access
-/// method entirely, the `crates/adaptive` crack/merge/morph move).
+/// (same family, new configuration — LSM `T`/memtable/filter/sorted-view)
+/// and a family swap (drain into a different access method entirely, the
+/// `crates/adaptive` crack/merge/morph move).
 pub trait Morphable: AccessMethod {
     /// The wizard family the current shape belongs to.
     fn family(&self) -> Family;
@@ -178,19 +178,21 @@ pub struct TunePlan {
     pub window: usize,
 }
 
+/// L1 mix distance between the tuner's estimate and the mix the current
+/// shape was chosen for, beyond which drift is declared.
+const MIX_THRESHOLD: f64 = 0.3;
+
+/// Relative jump in windowed RO or UO between consecutive windows, beyond
+/// which drift is declared (catches cost drift the mix alone does not
+/// show, e.g. a skew spike).
+const SLOPE_THRESHOLD: f64 = 0.75;
+
 /// Hysteresis and pricing knobs of the [`AutoTuner`].
 #[derive(Clone, Copy, Debug)]
 pub struct AutoTuneConfig {
     /// Weight of history in the decaying mix estimate
     /// (`est ← decay·est + (1−decay)·window`).
     pub decay: f64,
-    /// L1 mix distance between the estimate and the mix the current shape
-    /// was chosen for, beyond which drift is declared.
-    pub mix_threshold: f64,
-    /// Relative jump in windowed RO or UO between consecutive windows,
-    /// beyond which drift is declared (catches cost drift the mix alone
-    /// does not show, e.g. a skew spike).
-    pub slope_threshold: f64,
     /// The estimate must move less than this (L1) between consecutive
     /// windows to count as settled.
     pub settle_epsilon: f64,
@@ -203,10 +205,8 @@ pub struct AutoTuneConfig {
     /// Windows to observe before the first decision.
     pub warmup_windows: usize,
     /// Operations the predicted per-op win is amortized over when weighed
-    /// against the migration bill.
+    /// against the migration bill; the amortized win must exceed the bill.
     pub horizon_ops: u64,
-    /// The amortized win must exceed `margin ×` the bill.
-    pub margin: f64,
     /// Whether family swaps (via the advisor ranking) are on the table, or
     /// only in-place re-tunes.
     pub allow_family_swap: bool,
@@ -216,14 +216,11 @@ impl Default for AutoTuneConfig {
     fn default() -> Self {
         AutoTuneConfig {
             decay: 0.5,
-            mix_threshold: 0.3,
-            slope_threshold: 0.75,
             settle_epsilon: 0.06,
             settle_windows: 2,
             cooldown_windows: 4,
             warmup_windows: 3,
             horizon_ops: 100_000,
-            margin: 1.0,
             allow_family_swap: false,
         }
     }
@@ -325,11 +322,6 @@ impl AutoTuner {
         &self.summary
     }
 
-    /// Consume the tuner, returning its decision log.
-    pub fn into_summary(self) -> AutoTuneSummary {
-        self.summary
-    }
-
     /// The current decayed mix estimate.
     pub fn estimate(&self) -> &OpMix {
         &self.est
@@ -367,16 +359,13 @@ impl AutoTuner {
             self.stable_streak = 0;
         }
 
-        let (ro, uo) = (window.ro(), window.uo());
         let slope = f64::max(
-            relative_jump(self.last_ro, ro),
-            relative_jump(self.last_uo, uo),
+            slope_step(&mut self.last_ro, window.ro()),
+            slope_step(&mut self.last_uo, window.uo()),
         );
-        self.last_ro = Some(ro);
-        self.last_uo = Some(uo);
 
         let dist = self.est.l1_distance(&self.active_mix);
-        let drifted = dist > self.cfg.mix_threshold || slope > self.cfg.slope_threshold;
+        let drifted = dist > MIX_THRESHOLD || slope > SLOPE_THRESHOLD;
         if !drifted {
             self.drift_open = false;
             return None;
@@ -455,7 +444,7 @@ impl AutoTuner {
         plan.bill_pages = bill_hint
             .map(|pages| pages.max(1.0))
             .unwrap_or((2 * resident) as f64 / PAGE_SIZE as f64);
-        if plan.predicted_win * self.cfg.horizon_ops as f64 <= self.cfg.margin * plan.bill_pages {
+        if plan.predicted_win * self.cfg.horizon_ops as f64 <= plan.bill_pages {
             return None;
         }
 
@@ -595,13 +584,19 @@ fn blend(a: &OpMix, b: &OpMix, decay: f64) -> OpMix {
     .normalized()
 }
 
-/// `|now − before| / max(before, 1)` — the windowed slope signal. The
-/// first window has no predecessor and reports no jump.
-fn relative_jump(before: Option<f64>, now: f64) -> f64 {
-    match before {
-        Some(b) => (now - b).abs() / b.max(1.0),
-        None => 0.0,
+/// `|now − baseline| / max(baseline, 1)` — the windowed slope signal —
+/// after which `now` becomes the baseline. The first window has no
+/// baseline and reports no jump. A non-finite `now` (a window that read
+/// pages but retrieved nothing has RO = ∞) carries no signal and leaves
+/// the baseline alone, so it neither fakes drift nor turns the next
+/// window's jump into `∞/∞`.
+fn slope_step(baseline: &mut Option<f64>, now: f64) -> f64 {
+    if !now.is_finite() {
+        return 0.0;
     }
+    let jump = baseline.map_or(0.0, |b| (now - b).abs() / b.max(1.0));
+    *baseline = Some(now);
+    jump
 }
 
 fn micros(x: f64) -> u64 {
@@ -769,6 +764,28 @@ mod tests {
             0,
             "no drift on a constant mix"
         );
+    }
+
+    #[test]
+    fn a_window_with_infinite_ro_is_not_drift() {
+        let mut tuner = AutoTuner::new(
+            AutoTuneConfig::default(),
+            &OpMix::BALANCED,
+            ProfileStore::new(),
+            Environment::default(),
+            Constraints::default(),
+        );
+        let mut method = Scripted::new(4.0, 1.0, 1 << 20);
+        let counts = counts_of(&OpMix::BALANCED, 256);
+        // Pages read, nothing retrieved: RO = ∞ (e.g. a flush scanned a
+        // run in a window whose reads all missed).
+        let mut blind = window(1);
+        blind.delta.base_read_bytes = PAGE_SIZE as u64;
+        assert!(blind.ro().is_infinite());
+        for w in [window(0), blind, window(2)] {
+            assert!(tuner.plan(&w, &counts, &mut method).is_none());
+        }
+        assert_eq!(tuner.summary().drift_events, 0);
     }
 
     #[test]

@@ -672,12 +672,6 @@ impl TraceCollector {
         }
     }
 
-    /// [`new`](Self::new) with the `RUM_TRACE_WINDOW` /
-    /// [`DEFAULT_TRACE_WINDOW`] width.
-    pub fn from_env(sink: Arc<dyn TraceSink>) -> Self {
-        Self::new(env_trace_window(), sink)
-    }
-
     /// Window width in operations.
     pub fn window_ops(&self) -> u64 {
         self.window_ops
@@ -952,28 +946,14 @@ mod tests {
         // race under the parallel test runner.
         std::env::set_var("RUM_TRACE_WINDOW", "128");
         assert_eq!(env_trace_window(), 128);
-        assert_eq!(
-            TraceCollector::from_env(noop_sink()).window_ops(),
-            128,
-            "from_env honors the variable"
-        );
         std::env::set_var("RUM_TRACE_WINDOW", " 64 ");
         assert_eq!(env_trace_window(), 64, "whitespace is trimmed");
         for junk in ["0", "", "-5", "many", "18446744073709551616"] {
             std::env::set_var("RUM_TRACE_WINDOW", junk);
             assert_eq!(env_trace_window(), DEFAULT_TRACE_WINDOW, "junk {junk:?}");
-            assert_eq!(
-                TraceCollector::from_env(noop_sink()).window_ops(),
-                DEFAULT_TRACE_WINDOW as u64,
-                "from_env falls back to the default on junk {junk:?}"
-            );
         }
         std::env::remove_var("RUM_TRACE_WINDOW");
         assert_eq!(env_trace_window(), DEFAULT_TRACE_WINDOW);
-        assert_eq!(
-            TraceCollector::from_env(noop_sink()).window_ops(),
-            DEFAULT_TRACE_WINDOW as u64
-        );
     }
 
     #[test]

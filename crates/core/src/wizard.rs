@@ -17,27 +17,24 @@
 use crate::types::RECORDS_PER_PAGE;
 use crate::workload::OpMix;
 
-/// Hardware / dataset parameters of Table 1.
+/// ZoneMap partition size in records (`P`) that Table 1 is priced at.
+pub const PARTITION: usize = 4096;
+
+/// LSM size ratio (`T`) that Table 1 is priced at.
+pub const SIZE_RATIO: usize = 4;
+
+/// Dataset parameters of Table 1.
 #[derive(Clone, Copy, Debug)]
 pub struct Environment {
     /// Dataset size in records (`N`).
     pub n: usize,
     /// Range query result size in records (`m`).
     pub m: usize,
-    /// ZoneMap partition size in records (`P`).
-    pub partition: usize,
-    /// LSM size ratio (`T`).
-    pub size_ratio: usize,
 }
 
 impl Default for Environment {
     fn default() -> Self {
-        Environment {
-            n: 1 << 22,
-            m: 256,
-            partition: 4096,
-            size_ratio: 4,
-        }
+        Environment { n: 1 << 22, m: 256 }
     }
 }
 
@@ -190,8 +187,8 @@ pub fn profile(family: Family, env: &Environment) -> FamilyProfile {
     let n = env.n as f64;
     let b = RECORDS_PER_PAGE as f64;
     let m = env.m as f64;
-    let p = env.partition as f64;
-    let t = env.size_ratio.max(2) as f64;
+    let p = PARTITION as f64;
+    let t = SIZE_RATIO as f64;
     let pages = (n / b).max(1.0);
     let zones = (n / p).max(1.0);
     let levels = log_b(pages, t).max(1.0);

@@ -63,11 +63,7 @@ fn run_tuned(start: &OpMix, mix: OpMix, drift: Drift, seed: u64) -> AutoTuneSumm
         reactive(),
         start,
         ProfileStore::default(),
-        Environment {
-            n: N,
-            m: 16,
-            ..Default::default()
-        },
+        Environment { n: N, m: 16 },
         Constraints {
             needs_ranges: true,
             ..Default::default()

@@ -159,14 +159,6 @@ impl FaultProfile {
             ..Self::none(seed)
         }
     }
-
-    /// Whether this profile can inject anything at all.
-    pub fn is_active(&self) -> bool {
-        self.read_error_ppm > 0
-            || self.write_error_ppm > 0
-            || self.bitflip_ppm > 0
-            || self.sticky_ppm > 0
-    }
 }
 
 /// Deterministic bounded backoff: exponential doubling from `base_ns`,

@@ -76,11 +76,6 @@ impl PageBuf {
         &mut self.data
     }
 
-    /// Freeze into an immutable, cheaply-clonable byte buffer.
-    pub fn freeze(self) -> std::sync::Arc<[u8]> {
-        self.data.into()
-    }
-
     // ---- little-endian field accessors used by node layouts -------------
 
     #[inline]

@@ -58,11 +58,19 @@ fn entry_points_take_the_shapes_rum_perf_calls_them_with() {
     plain_one(spec, BTree::new(), |m, s| {
         run_stream_metered(m, s, &mut collector(), &plane)
     });
+    // `layers::autotune_twins`: the struct update is how it builds the
+    // environment, so the literal must keep compiling as fields go.
+    #[allow(clippy::needless_update)]
+    let env = Environment {
+        n: spec.initial_records,
+        m: spec.range_len,
+        ..Default::default()
+    };
     let mut tuner = AutoTuner::new(
         AutoTuneConfig::default(),
         &spec.mix,
         ProfileStore::default(),
-        Environment::default(),
+        env,
         Constraints::default(),
     );
     plain_one(spec, SelfTuningLsm::new(LsmTree::new()), |m, s| {

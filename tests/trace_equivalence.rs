@@ -130,7 +130,12 @@ fn every_observer_and_every_source_reports_what_plain_run_stream_reports() {
 
     // The autotuned runner drives `Morphable` structures only.
     let morphables: [fn() -> Box<dyn Morphable>; 2] = [
-        || Box::new(rum::btree::BTree::new()),
+        || {
+            Box::new(
+                rum::selftune::FamilyMorph::new(rum::core::wizard::Family::BTree)
+                    .expect("B+-tree is range-capable"),
+            )
+        },
         || {
             Box::new(rum::lsm::tuning::SelfTuningLsm::new(
                 rum::lsm::LsmTree::new(),
