@@ -29,8 +29,7 @@
 use rum::prelude::*;
 use rum_core::runner::{run_stream, run_stream_traced};
 use rum_core::trace::{
-    env_trace_window, events_to_jsonl, fold_events, Event, LatencyHistogram, MemorySink,
-    TraceCollector,
+    env_trace_window, events_to_jsonl, fold_events, ClassLatency, Event, MemorySink, TraceCollector,
 };
 
 use crate::{baseline, Outcome, Scale, Target};
@@ -42,8 +41,7 @@ pub struct TraceRun {
     pub windows: Vec<rum_core::trace::TrajectoryWindow>,
     /// Structured events in emission order.
     pub events: Vec<Event>,
-    pub read_latency: LatencyHistogram,
-    pub write_latency: LatencyHistogram,
+    pub latency: ClassLatency,
     /// The byte-exact invariant: sum of windowed deltas == op-phase
     /// aggregate (`read_costs + write_costs`), compared field by field.
     pub windows_sum_exact: bool,
@@ -95,8 +93,7 @@ pub fn run_traced(
     let windows_sum_exact = trace.windowed_sum() == aggregate;
     Ok(TraceRun {
         report,
-        read_latency: trace.read_latency.clone(),
-        write_latency: trace.write_latency.clone(),
+        latency: trace.latency.clone(),
         windows: trace.into_windows(),
         events: sink.events(),
         windows_sum_exact,
@@ -170,13 +167,11 @@ pub fn render_trajectory(
 
 /// Latency summary lines (reads / writes / all), nanoseconds.
 pub fn render_latency(run: &TraceRun) -> String {
-    let mut all = run.read_latency.clone();
-    all.merge(&run.write_latency);
     format!(
         "latency (ns): reads  {}\n              writes {}\n              all    {}\n",
-        run.read_latency.summary(),
-        run.write_latency.summary(),
-        all.summary()
+        run.latency.read.summary(),
+        run.latency.write.summary(),
+        run.latency.overall().summary()
     )
 }
 
@@ -315,7 +310,7 @@ mod tests {
         );
         // Latencies were timed for both classes, and the report carries
         // the histogram quantiles.
-        assert!(run.read_latency.count() > 0 && run.write_latency.count() > 0);
+        assert!(run.latency.read.count() > 0 && run.latency.write.count() > 0);
         assert!(run.report.p99_ns >= run.report.p50_ns);
         assert!(run.report.p50_ns > 0);
         // Exports are well-formed.

@@ -33,19 +33,3 @@ pub use direct::DirectAddressArray;
 pub use log::AppendLog;
 pub use sorted::SortedColumn;
 pub use unsorted::UnsortedColumn;
-
-/// A crash-consistent append log: mutations are write-ahead logged through
-/// [`rum_storage::Durable`]. Deliberately ironic — a log in front of a log
-/// — but it makes the *minimum-UO* design pay its durability tax like
-/// everyone else, so Proposition 2's `UO → 1.0` becomes `1.0 + WAL`.
-pub fn durable_log() -> rum_storage::Durable<AppendLog> {
-    rum_storage::Durable::new(AppendLog::new)
-}
-
-/// [`durable_log`] with a [`FaultInjector`](rum_storage::FaultInjector)
-/// armed on the WAL sync path (crash-matrix cells).
-pub fn durable_log_with_injector(
-    injector: std::sync::Arc<rum_storage::FaultInjector>,
-) -> rum_storage::Durable<AppendLog> {
-    rum_storage::Durable::with_injector(AppendLog::new, injector)
-}

@@ -108,7 +108,18 @@ pub trait AccessMethod: Send {
         self.len() == 0
     }
 
-    /// The tracker this method charges physical traffic to.
+    /// The tracker this method charges physical traffic to: its account.
+    ///
+    /// One rule keeps the account whole across the method's life. A
+    /// structure rebuilt in place (recovery, a family swap, an LSM retune)
+    /// hands its history to its successor with
+    /// [`CostTracker::absorb`] before the successor does any work, so the
+    /// new tracker starts where the old one stopped. The `Arc` returned
+    /// here may therefore change across any `&mut self` call, and every
+    /// reader (the runner at each settle, observers at each window) asks
+    /// for it again instead of keeping a clone. Sharing one tracker among
+    /// parts of one structure is composition, not succession, and is
+    /// unaffected.
     fn tracker(&self) -> &Arc<CostTracker>;
 
     /// Space footprint, split into base and auxiliary bytes.

@@ -147,9 +147,11 @@ pub trait Morphable: AccessMethod {
     /// needed (already in the advised shape, or the target family is
     /// unsupported); `Ok(Some(receipt))` prices the migration performed.
     ///
-    /// Implementations must keep the logical contents and the
-    /// [`CostTracker`] identity stable across
-    /// the migration, so answers and accumulated costs survive.
+    /// Implementations must keep the logical contents and carry the
+    /// accumulated costs forward: a structure rebuilt by the migration
+    /// [`absorb`](crate::tracker::CostTracker::absorb)s its predecessor's
+    /// account (the rule on [`AccessMethod::tracker`]), so answers and
+    /// history both survive.
     fn morph_to(&mut self, family: Family, mix: &OpMix) -> Result<Option<MigrationReceipt>>;
 }
 
@@ -535,15 +537,9 @@ impl<'m> RunObserver<dyn Morphable + 'm> for Tuning<'_> {
         self.trace.begin(tracker);
     }
 
-    fn on_op(
-        &mut self,
-        op: Op,
-        latency_ns: u64,
-        tracker: &CostTracker,
-        method: &(dyn Morphable + 'm),
-    ) -> bool {
+    fn on_op(&mut self, op: Op, latency_ns: u64, method: &(dyn Morphable + 'm)) -> bool {
         self.counts.observe(&op);
-        self.trace.on_op(op, latency_ns, tracker, method)
+        self.trace.on_op(op, latency_ns, method)
     }
 
     fn on_window(&mut self, method: &mut (dyn Morphable + 'm)) -> bool {
@@ -561,13 +557,8 @@ impl<'m> RunObserver<dyn Morphable + 'm> for Tuning<'_> {
         Ok(())
     }
 
-    fn on_finish(
-        &mut self,
-        tracker: &CostTracker,
-        method: &(dyn Morphable + 'm),
-        report: &mut RumReport,
-    ) {
-        self.trace.on_finish(tracker, method, report);
+    fn on_finish(&mut self, method: &(dyn Morphable + 'm), report: &mut RumReport) {
+        self.trace.on_finish(method, report);
     }
 }
 

@@ -773,14 +773,8 @@ impl<'m> RunObserver<dyn AccessMethod + 'm> for Metered<'_> {
         }
     }
 
-    fn on_op(
-        &mut self,
-        op: Op,
-        latency_ns: u64,
-        tracker: &CostTracker,
-        method: &(dyn AccessMethod + 'm),
-    ) -> bool {
-        let closed = self.trace.on_op(op, latency_ns, tracker, method);
+    fn on_op(&mut self, op: Op, latency_ns: u64, method: &(dyn AccessMethod + 'm)) -> bool {
+        let closed = self.trace.on_op(op, latency_ns, method);
         self.plane.observe_op(op.is_read(), latency_ns);
         closed
     }
@@ -793,15 +787,10 @@ impl<'m> RunObserver<dyn AccessMethod + 'm> for Metered<'_> {
         false
     }
 
-    fn on_finish(
-        &mut self,
-        tracker: &CostTracker,
-        method: &(dyn AccessMethod + 'm),
-        report: &mut RumReport,
-    ) {
-        self.trace.on_finish(tracker, method, report);
+    fn on_finish(&mut self, method: &(dyn AccessMethod + 'm), report: &mut RumReport) {
+        self.trace.on_finish(method, report);
         self.plane.publish_final(
-            &tracker.snapshot(),
+            &method.tracker().snapshot(),
             method.space_profile().space_amplification(),
             method.len() as u64,
         );

@@ -6,9 +6,11 @@
 //! operation class, assemble the [`RumReport`]) in two shapes: per-op
 //! behind [`run_stream`] and its observed variants, which split the
 //! method's tracker at every class switch of the stream, and batched behind
-//! [`run_stream_sharded`], where each shard splits its own tracker and the
-//! loop adds the per-class sums up. Both take any [`OpSource`] and one
-//! [`RunObserver`].
+//! [`run_stream_sharded`], where every shard job runs that same op loop on
+//! its own tracker and the runner adds the per-class sums up. Both take any
+//! [`OpSource`] and one [`RunObserver`]. Neither keeps the method's tracker:
+//! a structure rebuilt mid-run hands its history to a new one (see
+//! [`AccessMethod::tracker`]), so every settle asks the method again.
 //!
 //! Suites of methods are measured with [`run_suite_stream`], one method at
 //! a time per worker thread. Reports come back sorted by method name, so
@@ -16,7 +18,7 @@
 //! timings.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use crate::access::AccessMethod;
@@ -24,7 +26,7 @@ use crate::autotune::{AutoTuneSummary, AutoTuner, Morphable, Tuning};
 use crate::error::{panic_payload_message, Result, RumError};
 use crate::metrics::{Metered, MetricsPlane, OpClass};
 use crate::shard::ShardedMethod;
-use crate::trace::{LatencyHistogram, TraceCollector};
+use crate::trace::{ClassLatency, TraceCollector};
 use crate::tracker::{CostSnapshot, CostTracker};
 use crate::types::Record;
 use crate::workload::{Op, OpSource, OpStream, WorkloadSpec};
@@ -163,21 +165,23 @@ fn finite(x: f64) -> f64 {
     }
 }
 
-/// The op phase's per-class books, shared by both drivers.
+/// The op phase's per-class books: the one op loop, run by the per-op
+/// driver over the whole stream and by every shard job over its
+/// sub-batch.
 ///
 /// Costs are attributed per operation *class*, not per operation. The
-/// per-op driver [`settle`](Self::settle)s: the tracker is snapshotted
-/// (9 atomic loads) only when the stream switches between the read class
-/// (get/range) and the write class (insert/update/delete), plus once at
-/// the end. Between switches every byte the tracker accrues comes from
-/// operations of the running class, so the per-class sums equal the
-/// per-op sums exactly while the hot loop sheds the per-op snapshot. The
-/// batched driver never reads the tracker: its shards make the same split
-/// on their private trackers, where the bytes are counted, and it
-/// [`fold`](Self::fold)s the sums they return.
-struct OpPhase {
-    read_costs: CostSnapshot,
-    write_costs: CostSnapshot,
+/// loop [`settle`](Self::settle)s: the tracker is snapshotted (9 atomic
+/// loads) only when the ops switch between the read class (get/range) and
+/// the write class (insert/update/delete), plus once at the end. Between
+/// switches every byte the tracker accrues comes from operations of the
+/// running class, so the per-class sums equal the per-op sums exactly
+/// while the hot loop sheds the per-op snapshot. The batched driver never
+/// reads the wrapper tracker: its shards make the split on their private
+/// trackers, where the bytes are counted, and it [`fold`](Self::fold)s the
+/// sums they return.
+pub(crate) struct OpPhase {
+    pub(crate) read_costs: CostSnapshot,
+    pub(crate) write_costs: CostSnapshot,
     read_ops: u64,
     write_ops: u64,
     mark: CostSnapshot,
@@ -186,7 +190,7 @@ struct OpPhase {
 }
 
 impl OpPhase {
-    fn start(tracker: &CostTracker) -> Self {
+    pub(crate) fn start(tracker: &CostTracker) -> Self {
         OpPhase {
             read_costs: CostSnapshot::default(),
             write_costs: CostSnapshot::default(),
@@ -202,8 +206,12 @@ impl OpPhase {
     /// class, then switch the running class to `next` (`None` ends the
     /// phase). The observer is shown the class the delta was folded into
     /// and the delta itself, so it can mirror the exact same attribution.
-    fn settle<M, O>(&mut self, tracker: &CostTracker, next: Option<bool>, observer: &mut O)
-    where
+    pub(crate) fn settle<M, O>(
+        &mut self,
+        tracker: &CostTracker,
+        next: Option<bool>,
+        observer: &mut O,
+    ) where
         M: AccessMethod + ?Sized,
         O: RunObserver<M>,
     {
@@ -228,6 +236,28 @@ impl OpPhase {
         } else {
             self.write_ops += count;
         }
+    }
+
+    /// Run one op: switch the running class when `op` leaves it, clock the
+    /// op when the observer is [`TIMED`](RunObserver::TIMED), apply it and
+    /// count it. Returns what [`on_op`](RunObserver::on_op) said: whether a
+    /// trajectory window closed. An op that fails is neither counted nor
+    /// shown to the observer; its partial traffic stays in the running
+    /// class until the next settle books it there.
+    pub(crate) fn step<M, O>(&mut self, method: &mut M, op: Op, observer: &mut O) -> Result<bool>
+    where
+        M: AccessMethod + ?Sized,
+        O: RunObserver<M>,
+    {
+        let is_read = op.is_read();
+        if self.batch_is_read != Some(is_read) {
+            self.settle(method.tracker(), Some(is_read), observer);
+        }
+        let op_started = O::TIMED.then(Instant::now);
+        op.apply(method)?;
+        let latency_ns = op_started.map_or(0, elapsed_ns);
+        self.count(is_read, 1);
+        Ok(observer.on_op(op, latency_ns, method))
     }
 
     /// Book `ops` operations of one class together with `delta`, the
@@ -306,7 +336,10 @@ impl OpPhase {
 /// *reads* the tracker, so an observed run's counted measurements are
 /// bit-identical to an unobserved one's. `M` is the method type the run
 /// drives: `dyn AccessMethod` for passive observers, `dyn Morphable` for
-/// the autotuner, which reshapes the structure it watches.
+/// the autotuner, which reshapes the structure it watches. Hooks that are
+/// handed the method read the account through
+/// [`method.tracker()`](AccessMethod::tracker), never through a copy kept
+/// from an earlier call.
 pub trait RunObserver<M: AccessMethod + ?Sized> {
     /// Whether ops are clocked for [`on_op`](Self::on_op) /
     /// [`on_batch`](Self::on_batch). `()` says no: a plain run never reads
@@ -324,21 +357,13 @@ pub trait RunObserver<M: AccessMethod + ?Sized> {
 
     /// One op ran. Returns whether it closed a trajectory window, in which
     /// case [`on_window`](Self::on_window) is next.
-    fn on_op(&mut self, _op: Op, _latency_ns: u64, _tracker: &CostTracker, _method: &M) -> bool {
+    fn on_op(&mut self, _op: Op, _latency_ns: u64, _method: &M) -> bool {
         false
     }
 
     /// The batched driver's `on_op`: a batch of `ops` operations ran,
     /// their latencies merged from the shard workers per class.
-    fn on_batch(
-        &mut self,
-        _ops: u64,
-        _read_latency: &LatencyHistogram,
-        _write_latency: &LatencyHistogram,
-        _tracker: &CostTracker,
-        _method: &M,
-    ) {
-    }
+    fn on_batch(&mut self, _ops: u64, _latency: &ClassLatency, _method: &M) {}
 
     /// A trajectory window just closed. Return `true` to reshape the
     /// method before the next op: the driver first settles the op phase
@@ -355,7 +380,7 @@ pub trait RunObserver<M: AccessMethod + ?Sized> {
 
     /// The last op is settled and `report` assembled; observers holding a
     /// collector close its trailing window and fill the latency columns.
-    fn on_finish(&mut self, _tracker: &CostTracker, _method: &M, _report: &mut RumReport) {}
+    fn on_finish(&mut self, _method: &M, _report: &mut RumReport) {}
 }
 
 /// No observer: every hook is the empty default and nothing is clocked.
@@ -377,7 +402,7 @@ fn load_phase<M: AccessMethod + ?Sized>(
     Ok((load_costs, load_wall_ns))
 }
 
-pub(crate) fn elapsed_ns(since: Instant) -> u64 {
+fn elapsed_ns(since: Instant) -> u64 {
     since.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
@@ -394,27 +419,18 @@ where
     let (initial, ops) = source.into_parts();
     let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
     drop(initial);
-    let tracker = Arc::clone(method.tracker());
-    observer.on_begin(&load_costs, &tracker);
+    observer.on_begin(&load_costs, method.tracker());
 
-    let mut phase = OpPhase::start(&tracker);
+    let mut phase = OpPhase::start(method.tracker());
     for op in ops {
-        let is_read = op.is_read();
-        if phase.batch_is_read != Some(is_read) {
-            phase.settle(&tracker, Some(is_read), observer);
-        }
-        let op_started = O::TIMED.then(Instant::now);
-        op.apply(method)?;
-        let latency_ns = op_started.map_or(0, elapsed_ns);
-        phase.count(is_read, 1);
-        if observer.on_op(op, latency_ns, &tracker, method) && observer.on_window(method) {
-            phase.settle(&tracker, Some(false), observer);
+        if phase.step(method, op, observer)? && observer.on_window(method) {
+            phase.settle(method.tracker(), Some(false), observer);
             observer.migrate(method)?;
         }
     }
-    phase.settle(&tracker, None, observer);
+    phase.settle(method.tracker(), None, observer);
     let mut report = phase.finish(method, load_costs, load_wall_ns);
-    observer.on_finish(&tracker, method, &mut report);
+    observer.on_finish(method, &mut report);
     Ok(report)
 }
 
@@ -525,16 +541,16 @@ pub const DEFAULT_STREAM_BATCH: usize = 8192;
 
 /// Run a workload against a [`ShardedMethod`], executing batches of the
 /// next `batch` ops, whatever their class, concurrently on the wrapper's
-/// persistent worker pool, with **double-buffered batch assembly**: while
-/// the workers execute batch `i`, the runner is already drawing batch
-/// `i + 1` from the source into the other buffer, so op generation
-/// overlaps shard execution and at most one batch is in flight.
+/// persistent worker pool, with **overlapped batch assembly**: while the
+/// workers execute batch `i` (from per-shard copies made at submission),
+/// the runner is already drawing batch `i + 1` from the source, so op
+/// generation overlaps shard execution and at most one batch is in flight.
 ///
 /// A batch ends where the buffer is full, never where the stream switches
 /// class, so a dispatch carries `batch` ops on any mix. Read-path and
 /// write-path traffic are told apart where the bytes are counted: each
-/// shard job snapshots its private tracker wherever *its* sub-batch
-/// switches class and returns the read-class part beside its total, and
+/// shard job runs the per-op driver's own op loop over its sub-batch, on
+/// its private tracker, and returns the per-class pair that loop booked;
 /// the runner adds the per-shard pairs into `read_costs` / `write_costs`.
 /// That split is exact, not estimated: a shard runs its sub-batch in
 /// stream order on one FIFO lane, so between two of its switches every
@@ -552,8 +568,8 @@ pub fn run_stream_sharded(
 }
 
 /// [`run_stream_sharded`] with a [`TraceCollector`] observing the op
-/// phase: batches run timed, each shard worker records one per-op
-/// [`LatencyHistogram`] per class, and the merged
+/// phase: batches run timed, each shard worker records its ops'
+/// latencies into a [`ClassLatency`], and the merged
 /// per-batch histograms (associative + commutative pointwise sums, so the
 /// merge order across workers cannot matter) land in the collector via
 /// [`RunObserver::on_batch`]. `p50_ns` / `p99_ns` in the returned
@@ -574,7 +590,7 @@ pub fn run_stream_sharded_traced(
     drive_batched(method, source, batch, trace)
 }
 
-/// The batched variant of [`drive`]: the double-buffered
+/// The batched variant of [`drive`]: the overlapped
 /// submit/assemble/collect loop over a [`ShardedMethod`], with the same
 /// observer (per-batch timing is on exactly when the observer is
 /// [`TIMED`](RunObserver::TIMED)). It takes each batch's per-class
@@ -594,21 +610,18 @@ where
     let (initial, mut ops) = source.into_parts();
     let (load_costs, load_wall_ns) = load_phase(method, &initial)?;
     drop(initial);
-    let tracker = Arc::clone(method.tracker());
-    observer.on_begin(&load_costs, &tracker);
+    observer.on_begin(&load_costs, method.tracker());
 
-    let mut phase = OpPhase::start(&tracker);
-    // Two assembly buffers: the workers read from one (it backs the
-    // in-flight batch's per-shard partitions) while the source fills the
-    // other.
-    let mut buffers = [Vec::with_capacity(batch), Vec::with_capacity(batch)];
-    let mut which = 0usize;
+    let mut phase = OpPhase::start(method.tracker());
+    // One assembly buffer: `submit_batch` copies every op into its shard's
+    // own partition before it returns, so the in-flight batch never reads
+    // it and the source can refill it at once.
+    let mut buf = Vec::with_capacity(batch);
     // The dispatched-but-uncollected batch: handle, read ops, write ops.
     let mut in_flight: Option<(crate::shard::PendingBatch, u64, u64)> = None;
     loop {
         // Assemble the next batch; these source pulls overlap the workers
         // executing the in-flight batch.
-        let buf = &mut buffers[which];
         buf.clear();
         buf.extend(ops.by_ref().take(batch));
 
@@ -619,27 +632,19 @@ where
             phase.fold(false, writes, &done.write_delta, observer);
             // `Some` exactly when the batch was submitted timed.
             if let Some(latency) = done.latency {
-                observer.on_batch(
-                    reads + writes,
-                    &latency.read,
-                    &latency.write,
-                    &tracker,
-                    &*method,
-                );
+                observer.on_batch(reads + writes, &latency, &*method);
             }
         }
 
-        let buf = &buffers[which];
         if buf.is_empty() {
             break;
         }
         let reads = buf.iter().filter(|op| op.is_read()).count() as u64;
-        let handle = method.submit_batch(buf, O::TIMED)?;
+        let handle = method.submit_batch(&buf, O::TIMED)?;
         in_flight = Some((handle, reads, buf.len() as u64 - reads));
-        which ^= 1;
     }
     let mut report = phase.finish(&*method, load_costs, load_wall_ns);
-    observer.on_finish(&tracker, &*method, &mut report);
+    observer.on_finish(&*method, &mut report);
     Ok(report)
 }
 
@@ -776,12 +781,11 @@ fn per_op(total: u64, ops: u64) -> f64 {
 /// experiments: runs `ops` against an already-loaded method and returns the
 /// per-operation page accesses and cost delta.
 pub fn measure_ops(method: &mut dyn AccessMethod, ops: &[Op]) -> Result<(f64, CostSnapshot)> {
-    let tracker = Arc::clone(method.tracker());
-    let before = tracker.snapshot();
+    let before = method.tracker().snapshot();
     for &op in ops {
         op.apply(method)?;
     }
-    let d = tracker.since(&before);
+    let d = method.tracker().since(&before);
     Ok((per_op(d.page_accesses(), ops.len() as u64), d))
 }
 
@@ -1132,14 +1136,7 @@ pub(crate) mod tests {
         fn on_settle(&mut self, settled: Option<bool>, delta: &CostSnapshot, next: Option<bool>) {
             self.settles.push((settled, *delta, next));
         }
-        fn on_batch(
-            &mut self,
-            ops: u64,
-            _read_latency: &LatencyHistogram,
-            _write_latency: &LatencyHistogram,
-            _tracker: &CostTracker,
-            _method: &dyn AccessMethod,
-        ) {
+        fn on_batch(&mut self, ops: u64, _latency: &ClassLatency, _method: &dyn AccessMethod) {
             self.batch_ops.push(ops);
         }
     }

@@ -23,8 +23,8 @@
 //! submission order even when one worker serves several shards
 //! (`threads < K`). Jobs carry whole per-shard sub-batches in, reads and
 //! writes mixed in stream order; completions carry the shard's tracker
-//! delta with its read-class part beside it (plus optional per-class op
-//! latency histograms) back over a per-dispatch channel, and the facade
+//! delta split by op class (plus optional per-class op latency
+//! histograms) back over a per-dispatch channel, and the facade
 //! folds them in shard order. A dispatch costs one channel round trip per
 //! shard however many ops it carries, so the runner ends a batch only
 //! where its buffer is full ([`dispatches`](ShardedMethod::dispatches) /
@@ -52,17 +52,18 @@
 //! RO and UO need those totals split by the class of op that incurred
 //! them, and on the batched path the wrapper's tracker cannot give that:
 //! by the time a mixed batch is folded it holds both classes. The split is
-//! made where the bytes are counted instead. A shard job snapshots its
-//! private tracker wherever *its* sub-batch switches class; between two
-//! switches the shard runs ops of one class only, alone on its tracker, so
-//! every byte in the span belongs to that class, which is the argument the
+//! made where the bytes are counted instead: a shard job runs the per-op
+//! runner's own op loop over its sub-batch, on its private tracker, which
+//! snapshots wherever *its* sub-batch switches class. Between two switches
+//! the shard runs ops of one class only, alone on its tracker, so every
+//! byte in the span belongs to that class, which is the argument the
 //! per-op runner makes about the whole stream. The completion carries the
-//! read-class sum and the total; the write-class sum is their difference,
-//! so the two always add up to what the wrapper absorbed, also when an op
-//! errors or panics mid-job (its partial traffic stays in its own class).
-//! Summing the per-shard pairs is `u64` addition, so the per-class totals
-//! are bit-identical to the serial per-op run's at any K, pool width and
-//! batch size.
+//! two class sums the loop booked; the loop is closed after the job's
+//! panic boundary, so the pair adds up to what the wrapper absorbed also
+//! when an op errors or panics mid-job (its partial traffic stays in its
+//! own class). Summing the per-shard pairs is `u64` addition, so the
+//! per-class totals are bit-identical to the serial per-op run's at any K,
+//! pool width and batch size.
 
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -70,11 +71,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
-use std::time::Instant;
 
 use crate::access::{AccessMethod, SpaceProfile};
 use crate::error::{panic_payload_message, Result, RumError};
-use crate::trace::{EventKind, LatencyHistogram, TraceSink};
+use crate::runner::OpPhase;
+use crate::trace::{ClassLatency, EventKind, LatencyHistogram, TraceSink};
 use crate::tracker::{CostSnapshot, CostTracker};
 use crate::types::{Key, Record, Value};
 use crate::workload::Op;
@@ -138,72 +139,18 @@ struct Job {
 struct Completion {
     shard: usize,
     outcome: Result<()>,
-    /// The shard tracker's delta over this job — everything the facade
-    /// needs to fold the job's cost into the wrapper tracker.
+    /// The shard tracker's delta over this job (`read_delta +
+    /// write_delta`) — what the facade folds into the wrapper tracker.
     delta: CostSnapshot,
-    /// The part of `delta` accrued while read-class ops ran. The
-    /// write-class part is `delta − read_delta` by definition, so the pair
-    /// sums to the total on every exit path.
+    /// The job's traffic by the class of op that incurred it, as the
+    /// shard's op loop booked it; a bulk load is write-class.
     read_delta: CostSnapshot,
+    write_delta: CostSnapshot,
     /// Per-op latencies by class, present when the job was `timed`.
     latency: Option<ClassLatency>,
-    /// The job's op buffer, cleared and returned for reuse (double-buffered
-    /// batch assembly: submission never reallocates in steady state).
+    /// The job's op buffer, cleared and returned for reuse (submission
+    /// never reallocates in steady state).
     recycled: Option<Vec<Op>>,
-}
-
-/// Per-op latencies of one job or batch, by op class.
-pub(crate) struct ClassLatency {
-    pub(crate) read: LatencyHistogram,
-    pub(crate) write: LatencyHistogram,
-}
-
-impl ClassLatency {
-    fn new() -> Self {
-        ClassLatency {
-            read: LatencyHistogram::new(),
-            write: LatencyHistogram::new(),
-        }
-    }
-
-    fn merge(&mut self, other: &ClassLatency) {
-        self.read.merge(&other.read);
-        self.write.merge(&other.write);
-    }
-}
-
-/// Splits one job's traffic on the shard's private tracker by op class.
-///
-/// The tracker is snapshotted (9 atomic loads) only where the *sub-batch*
-/// switches between the read class (get/range) and the write class
-/// (insert/update/delete): between two switches every byte the shard
-/// accrues comes from ops of the running class, so the per-class sums
-/// equal the per-op sums exactly. The meter lives outside the job's panic
-/// boundary, and [`run_shard_job`] closes it after the boundary, so an op
-/// that errors or panics still has its partial traffic folded into its own
-/// class.
-struct ClassMeter {
-    /// Traffic of the read-class runs closed so far.
-    read: CostSnapshot,
-    /// Shard tracker at the last class switch (or the job's start).
-    mark: CostSnapshot,
-    /// Class of the op now running; `None` before the first op, after the
-    /// close, and throughout a bulk load.
-    running: Option<bool>,
-    latency: Option<ClassLatency>,
-}
-
-impl ClassMeter {
-    /// Fold the traffic since the last switch into the class that was
-    /// running and make `next` the running class.
-    fn switch(&mut self, tracker: &CostTracker, next: Option<bool>) {
-        let now = tracker.snapshot();
-        if self.running == Some(true) {
-            self.read = self.read.add(&now.delta(&self.mark));
-        }
-        self.mark = now;
-        self.running = next;
-    }
 }
 
 /// Execute one job against its shard, with panic containment.
@@ -211,7 +158,12 @@ impl ClassMeter {
 /// This is the single execution path for *both* the pool workers and the
 /// inline (threads ≤ 1) mode, which is what makes the two modes trivially
 /// cost-equivalent: same per-shard op order, same instrumented wrappers,
-/// same tracker delta arithmetic.
+/// same tracker delta arithmetic. Ops run through the per-op runner's own
+/// loop ([`OpPhase::step`]), timed into a [`ClassLatency`] when `timed`.
+///
+/// Latency semantics on the sharded path: a range op fans out to every
+/// shard, so it contributes one observation *per shard visited* (the
+/// per-shard probe latency), not one end-to-end fan-out latency.
 fn run_shard_job(shard: &Shard, index: usize, payload: JobPayload, timed: bool) -> Completion {
     if shard.poisoned.load(Ordering::Acquire) {
         return Completion {
@@ -219,35 +171,41 @@ fn run_shard_job(shard: &Shard, index: usize, payload: JobPayload, timed: bool) 
             outcome: Err(poisoned_error(index)),
             delta: CostSnapshot::default(),
             read_delta: CostSnapshot::default(),
+            write_delta: CostSnapshot::default(),
             latency: None,
             recycled: recycle(payload),
         };
     }
     let mut guard = shard.lock();
-    let before = guard.tracker().snapshot();
-    let mut meter = ClassMeter {
-        read: CostSnapshot::default(),
-        mark: before,
-        running: None,
-        latency: timed.then(ClassLatency::new),
-    };
+    // The phase lives outside the panic boundary and is closed after it.
+    let mut phase = OpPhase::start(guard.tracker());
+    let mut latency = timed.then(ClassLatency::default);
     let caught = {
         let method = guard.as_mut();
-        let meter = &mut meter;
+        let (phase, latency) = (&mut phase, &mut latency);
         // The catch_unwind boundary sits inside the lock scope, so a
         // panicking op never unwinds through the guard (no std mutex
         // poisoning) and the tracker can still be read for the partial
         // delta the op accrued before it died.
         catch_unwind(AssertUnwindSafe(|| match &payload {
-            JobPayload::Ops(ops) => execute_ops(method, ops, meter),
-            JobPayload::Load(records) => method.bulk_load_impl(records),
+            JobPayload::Ops(ops) => ops.iter().try_for_each(|&op| {
+                match latency.as_mut() {
+                    Some(latency) => phase.step(method, op, latency),
+                    None => phase.step(method, op, &mut ()),
+                }
+                .map(drop)
+            }),
+            JobPayload::Load(records) => {
+                phase.settle::<dyn AccessMethod, _>(method.tracker(), Some(false), &mut ());
+                method.bulk_load_impl(records)
+            }
         }))
     };
     // Close the running class on every exit path: success, `Err` and
     // panic all leave the failed op's partial traffic in its own class.
-    meter.switch(guard.tracker(), None);
-    let delta = meter.mark.delta(&before);
+    phase.settle::<dyn AccessMethod, _>(guard.tracker(), None, &mut ());
     drop(guard);
+    let (read_delta, write_delta) = (phase.read_costs, phase.write_costs);
     let outcome = match caught {
         Ok(result) => result,
         Err(payload) => {
@@ -261,9 +219,10 @@ fn run_shard_job(shard: &Shard, index: usize, payload: JobPayload, timed: bool) 
     Completion {
         shard: index,
         outcome,
-        delta,
-        read_delta: meter.read,
-        latency: meter.latency,
+        delta: read_delta.add(&write_delta),
+        read_delta,
+        write_delta,
+        latency,
         recycled: recycle(payload),
     }
 }
@@ -277,33 +236,6 @@ fn recycle(payload: JobPayload) -> Option<Vec<Op>> {
         }
         JobPayload::Load(_) => None,
     }
-}
-
-/// Run a per-shard sub-batch through the instrumented wrappers,
-/// switching `meter` wherever the sub-batch changes class and timing each
-/// op into the meter's per-class histograms when present.
-///
-/// Latency semantics on the sharded path: a range op fans out to every
-/// shard, so it contributes one observation *per shard visited* (the
-/// per-shard probe latency), not one end-to-end fan-out latency.
-fn execute_ops(method: &mut dyn AccessMethod, ops: &[Op], meter: &mut ClassMeter) -> Result<()> {
-    for &op in ops {
-        let is_read = op.is_read();
-        if meter.running != Some(is_read) {
-            meter.switch(method.tracker(), Some(is_read));
-        }
-        let started = meter.latency.is_some().then(Instant::now);
-        op.apply(method)?;
-        if let (Some(latency), Some(started)) = (meter.latency.as_mut(), started) {
-            let hist = if is_read {
-                &mut latency.read
-            } else {
-                &mut latency.write
-            };
-            hist.record(crate::runner::elapsed_ns(started));
-        }
-    }
-    Ok(())
 }
 
 /// The persistent worker pool: long-lived named threads, one FIFO job lane
@@ -396,7 +328,7 @@ impl BatchOutcome {
             result: Ok(()),
             read_delta: CostSnapshot::default(),
             write_delta: CostSnapshot::default(),
-            latency: timed.then(ClassLatency::new),
+            latency: timed.then(ClassLatency::default),
         }
     }
 }
@@ -820,12 +752,7 @@ impl ShardedMethod {
         let BatchOutcome {
             result, latency, ..
         } = self.finish_batch_by_class(batch);
-        result.map(|()| {
-            latency.map(|ClassLatency { mut read, write }| {
-                read.merge(&write);
-                read
-            })
-        })
+        result.map(|()| latency.map(|latency| latency.overall()))
     }
 
     /// [`finish_batch`](Self::finish_batch) for the batched runner: the
@@ -844,7 +771,7 @@ impl ShardedMethod {
     fn fold(&mut self, outcome: &mut BatchOutcome, c: Completion) {
         self.tracker.absorb(&c.delta);
         outcome.read_delta = outcome.read_delta.add(&c.read_delta);
-        outcome.write_delta = outcome.write_delta.add(&c.delta.delta(&c.read_delta));
+        outcome.write_delta = outcome.write_delta.add(&c.write_delta);
         if let Some(buf) = c.recycled {
             self.spare.push(buf);
         }

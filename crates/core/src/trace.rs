@@ -585,6 +585,47 @@ impl LatencyHistogram {
     }
 }
 
+/// Op latencies split by class: read-class ops (get / range) and
+/// write-class ops (insert / update / delete). On its own it is the
+/// observer a timed shard job runs under; a [`TraceCollector`] keeps one
+/// for the whole run.
+#[derive(Clone, Debug, Default)]
+pub struct ClassLatency {
+    pub read: LatencyHistogram,
+    pub write: LatencyHistogram,
+}
+
+impl ClassLatency {
+    /// Record one op's latency under its class.
+    pub fn record(&mut self, is_read: bool, ns: u64) {
+        if is_read {
+            self.read.record(ns);
+        } else {
+            self.write.record(ns);
+        }
+    }
+
+    /// Fold another pair in, class by class.
+    pub fn merge(&mut self, other: &ClassLatency) {
+        self.read.merge(&other.read);
+        self.write.merge(&other.write);
+    }
+
+    /// Both classes in one histogram.
+    pub fn overall(&self) -> LatencyHistogram {
+        let mut merged = self.read.clone();
+        merged.merge(&self.write);
+        merged
+    }
+}
+
+impl<M: AccessMethod + ?Sized> RunObserver<M> for ClassLatency {
+    fn on_op(&mut self, op: Op, latency_ns: u64, _method: &M) -> bool {
+        self.record(op.is_read(), latency_ns);
+        false
+    }
+}
+
 // ---- windowed trajectories -----------------------------------------------
 
 /// One closed trajectory window: the cost delta accrued over `ops`
@@ -649,10 +690,8 @@ pub struct TraceCollector {
     origin: CostSnapshot,
     ops_in_window: u64,
     started: bool,
-    /// Latencies of read-class ops (get / range).
-    pub read_latency: LatencyHistogram,
-    /// Latencies of write-class ops (insert / update / delete).
-    pub write_latency: LatencyHistogram,
+    /// Op latencies by class.
+    pub latency: ClassLatency,
 }
 
 impl TraceCollector {
@@ -667,8 +706,7 @@ impl TraceCollector {
             origin: CostSnapshot::default(),
             ops_in_window: 0,
             started: false,
-            read_latency: LatencyHistogram::new(),
-            write_latency: LatencyHistogram::new(),
+            latency: ClassLatency::default(),
         }
     }
 
@@ -689,9 +727,7 @@ impl TraceCollector {
 
     /// All-op latency distribution (read and write histograms merged).
     pub fn overall_latency(&self) -> LatencyHistogram {
-        let mut merged = self.read_latency.clone();
-        merged.merge(&self.write_latency);
-        merged
+        self.latency.overall()
     }
 
     /// Mark the start of the op phase. Must be called after the bulk load
@@ -704,13 +740,12 @@ impl TraceCollector {
         self.origin = snap;
         self.ops_in_window = 0;
         self.windows.clear();
-        self.read_latency = LatencyHistogram::new();
-        self.write_latency = LatencyHistogram::new();
+        self.latency = ClassLatency::default();
         self.started = true;
     }
 
-    fn close_window(&mut self, tracker: &CostTracker, method: &dyn AccessMethod) {
-        let snap = tracker.snapshot();
+    fn close_window(&mut self, method: &dyn AccessMethod) {
+        let snap = method.tracker().snapshot();
         let window = TrajectoryWindow {
             index: self.windows.len(),
             ops: self.ops_in_window,
@@ -756,23 +791,13 @@ impl<'m> RunObserver<dyn AccessMethod + 'm> for TraceCollector {
         self.begin(tracker);
     }
 
-    fn on_op(
-        &mut self,
-        op: Op,
-        latency_ns: u64,
-        tracker: &CostTracker,
-        method: &(dyn AccessMethod + 'm),
-    ) -> bool {
+    fn on_op(&mut self, op: Op, latency_ns: u64, method: &(dyn AccessMethod + 'm)) -> bool {
         debug_assert!(self.started, "on_op before begin");
-        if op.is_read() {
-            self.read_latency.record(latency_ns);
-        } else {
-            self.write_latency.record(latency_ns);
-        }
+        self.latency.record(op.is_read(), latency_ns);
         self.ops_in_window += 1;
         let full = self.ops_in_window >= self.window_ops;
         if full {
-            self.close_window(tracker, method);
+            self.close_window(method);
         }
         full
     }
@@ -783,20 +808,12 @@ impl<'m> RunObserver<dyn AccessMethod + 'm> for TraceCollector {
     /// quantize. The histograms are merged as-is: a range op contributes
     /// one observation per shard it fanned out to, so the read-class count
     /// may exceed the batch's read ops.
-    fn on_batch(
-        &mut self,
-        ops: u64,
-        read_latency: &LatencyHistogram,
-        write_latency: &LatencyHistogram,
-        tracker: &CostTracker,
-        method: &(dyn AccessMethod + 'm),
-    ) {
+    fn on_batch(&mut self, ops: u64, latency: &ClassLatency, method: &(dyn AccessMethod + 'm)) {
         debug_assert!(self.started, "on_batch before begin");
-        self.read_latency.merge(read_latency);
-        self.write_latency.merge(write_latency);
+        self.latency.merge(latency);
         self.ops_in_window += ops;
         if self.ops_in_window >= self.window_ops {
-            self.close_window(tracker, method);
+            self.close_window(method);
         }
     }
 
@@ -804,14 +821,9 @@ impl<'m> RunObserver<dyn AccessMethod + 'm> for TraceCollector {
     /// accrued since [`begin`](TraceCollector::begin) is then covered by
     /// exactly one window, so the window deltas sum byte-exactly to the
     /// op-phase totals.
-    fn on_finish(
-        &mut self,
-        tracker: &CostTracker,
-        method: &(dyn AccessMethod + 'm),
-        report: &mut RumReport,
-    ) {
+    fn on_finish(&mut self, method: &(dyn AccessMethod + 'm), report: &mut RumReport) {
         if self.ops_in_window > 0 {
-            self.close_window(tracker, method);
+            self.close_window(method);
         }
         let overall = self.overall_latency();
         report.p50_ns = overall.p50();
@@ -828,11 +840,11 @@ mod tests {
         let tracker = CostTracker::new();
         let mut trace = TraceCollector::new(4, noop_sink());
         trace.begin(&tracker);
-        trace.read_latency.record(1_000_000);
-        trace.write_latency.record(2_000_000);
+        trace.latency.read.record(1_000_000);
+        trace.latency.write.record(2_000_000);
         trace.begin(&tracker);
         assert_eq!(trace.overall_latency().count(), 0);
-        trace.read_latency.record(10);
+        trace.latency.read.record(10);
         assert_eq!(trace.overall_latency().max(), 10, "second run only");
     }
 

@@ -38,23 +38,6 @@ pub use tree::{CompactionPolicy, LsmConfig, LsmStats, LsmTree};
 pub use tuning::{advise, retune};
 pub use view::SortedView;
 
-/// A crash-consistent LSM tree: every mutation is write-ahead logged
-/// through [`rum_storage::Durable`], so the reported UO includes the
-/// durability protocol and [`recover`](rum_storage::Durable::recover)
-/// rebuilds the tree after a simulated power loss.
-pub fn durable_lsm(config: LsmConfig) -> rum_storage::Durable<LsmTree> {
-    rum_storage::Durable::new(move || LsmTree::with_config(config))
-}
-
-/// [`durable_lsm`] with a [`FaultInjector`](rum_storage::FaultInjector)
-/// armed on the WAL sync path (crash-matrix cells).
-pub fn durable_lsm_with_injector(
-    config: LsmConfig,
-    injector: std::sync::Arc<rum_storage::FaultInjector>,
-) -> rum_storage::Durable<LsmTree> {
-    rum_storage::Durable::with_injector(move || LsmTree::with_config(config), injector)
-}
-
 /// Value sentinel marking a tombstone (consistent with
 /// `rum_columns::AppendLog`). User values must avoid it.
 pub const TOMBSTONE: rum_core::Value = rum_core::Value::MAX;

@@ -179,14 +179,6 @@ impl<D: BlockDevice> LsmTree<D> {
         Ok(())
     }
 
-    /// Rebind this tree's cost charges to `tracker` (used by `retune`,
-    /// which rebuilds the tree but must keep accounting continuous for
-    /// callers holding clones of the original tracker).
-    pub fn adopt_tracker(&mut self, tracker: Arc<CostTracker>) {
-        self.tracker = Arc::clone(&tracker);
-        self.pager.set_tracker(tracker);
-    }
-
     pub fn stats(&self) -> LsmStats {
         LsmStats {
             levels: self

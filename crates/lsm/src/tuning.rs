@@ -138,10 +138,12 @@ pub fn describe(cfg: &LsmConfig) -> String {
 }
 
 /// Apply `config` to a live tree: its contents are drained and rebuilt
-/// under the new shape (a major compaction). The [`MigrationReceipt`]
-/// prices it: the drain and rebuild I/O (it lands on the tree's tracker
-/// like any reorganization, so the runner's phase accounting books it as
-/// UO) and the transient double-residency (old shape + drain buffer) as MO.
+/// under the new shape (a major compaction). The rebuilt tree absorbs the
+/// old tree's account before it loads, so the costs accumulated so far
+/// carry forward and the drain and rebuild I/O land on top of them, where
+/// the runner's phase accounting books them as UO. The
+/// [`MigrationReceipt`] prices that I/O and the transient double-residency
+/// (old shape + drain buffer) as MO.
 pub fn retune(tree: &mut LsmTree, config: LsmConfig) -> Result<MigrationReceipt> {
     let from = describe(tree.config());
     let old_resident = tree.space_profile().total_bytes();
@@ -150,8 +152,7 @@ pub fn retune(tree: &mut LsmTree, config: LsmConfig) -> Result<MigrationReceipt>
     let all: Vec<Record> = tree.range_impl(0, u64::MAX)?;
     let buffer_bytes = (all.len() * RECORD_SIZE) as u64;
     let mut rebuilt = LsmTree::with_config(config);
-    // Keep the original tracker so callers' accounting stays continuous.
-    rebuilt.adopt_tracker(Arc::clone(tree.tracker()));
+    rebuilt.tracker().absorb(&tree.tracker().snapshot());
     rebuilt.bulk_load_impl(&all)?;
     *tree = rebuilt;
     let delta = tree.tracker().since(&before);

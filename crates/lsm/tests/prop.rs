@@ -5,8 +5,8 @@ use proptest::prelude::*;
 use rum_core::oracle::Oracle;
 use rum_core::workload::Op;
 use rum_core::AccessMethod;
-use rum_lsm::{durable_lsm_with_injector, CompactionPolicy, LsmConfig, LsmTree};
-use rum_storage::{FaultInjector, FaultPlan};
+use rum_lsm::{CompactionPolicy, LsmConfig, LsmTree};
+use rum_storage::{Durable, FaultInjector, FaultPlan};
 
 /// An op, or `None` for a flush between two of them.
 fn op_strategy() -> impl Strategy<Value = Option<Op>> {
@@ -98,9 +98,10 @@ proptest! {
             sorted_view: true,
             ..Default::default()
         };
+        let tree = move || LsmTree::with_config(config);
         let ops: Vec<(u64, u64)> = (0..150u64).map(|k| (k * 7 % 211, k)).collect();
         // Reference run to learn the stream's WAL footprint.
-        let mut reference = rum_lsm::durable_lsm(config);
+        let mut reference = Durable::new(tree);
         for &(k, v) in &ops {
             reference.insert(k, v).unwrap();
             if k % 13 == 0 {
@@ -110,7 +111,7 @@ proptest! {
         let total = reference.wal().synced_total();
 
         let plan = FaultPlan::seeded_crash(seed, total, torn);
-        let mut d = durable_lsm_with_injector(config, FaultInjector::new(plan));
+        let mut d = Durable::with_injector(tree, FaultInjector::new(plan));
         // The oracle's model advances on acknowledged ops only: at the
         // crash it holds the committed prefix.
         let mut oracle = Oracle::load(&mut d, &[]).unwrap();

@@ -4,8 +4,8 @@
 use rum_core::oracle::Oracle;
 use rum_core::workload::Op;
 use rum_core::{AccessMethod, Key, Record};
-use rum_lsm::{durable_lsm, durable_lsm_with_injector, LsmConfig, LsmTree};
-use rum_storage::{FaultInjector, FaultPlan};
+use rum_lsm::{LsmConfig, LsmTree};
+use rum_storage::{Durable, FaultInjector, FaultPlan};
 
 fn small() -> LsmConfig {
     LsmConfig {
@@ -14,13 +14,17 @@ fn small() -> LsmConfig {
     }
 }
 
+fn small_tree() -> LsmTree {
+    LsmTree::with_config(small())
+}
+
 fn scan<M: AccessMethod>(m: &mut M) -> Vec<Record> {
     m.range(0, Key::MAX).unwrap()
 }
 
 #[test]
 fn durable_lsm_recovers_losslessly() {
-    let mut d = durable_lsm(small());
+    let mut d = Durable::new(small_tree);
     let initial: Vec<Record> = (0..100u64).map(|k| Record::new(k * 2, k)).collect();
     d.bulk_load(&initial).unwrap();
     for k in 0..40u64 {
@@ -38,8 +42,8 @@ fn durable_lsm_recovers_losslessly() {
 
 #[test]
 fn durable_lsm_charges_wal_traffic_as_aux_writes() {
-    let mut bare = LsmTree::with_config(small());
-    let mut wal = durable_lsm(small());
+    let mut bare = small_tree();
+    let mut wal = Durable::new(small_tree);
     for k in 0..200u64 {
         bare.insert(k, k).unwrap();
         wal.insert(k, k).unwrap();
@@ -57,7 +61,7 @@ fn durable_lsm_charges_wal_traffic_as_aux_writes() {
 #[test]
 fn seeded_crashes_recover_the_committed_prefix() {
     // Reference run: learn the WAL footprint of the op stream.
-    let mut reference = durable_lsm(small());
+    let mut reference = Durable::new(small_tree);
     let ops: Vec<(u64, u64)> = (0..120u64).map(|k| (k * 3 % 251, k)).collect();
     for &(k, v) in &ops {
         reference.insert(k, v).unwrap();
@@ -66,7 +70,7 @@ fn seeded_crashes_recover_the_committed_prefix() {
     for seed in 0..12u64 {
         let torn = seed % 2 == 0;
         let plan = FaultPlan::seeded_crash(seed, total, torn);
-        let mut d = durable_lsm_with_injector(small(), FaultInjector::new(plan));
+        let mut d = Durable::with_injector(small_tree, FaultInjector::new(plan));
         let mut oracle = Oracle::load(&mut d, &[]).unwrap();
         let inserts = ops.iter().map(|&(k, v)| Op::Insert(k, v));
         let committed = oracle.step_until_crash(&mut d, inserts).unwrap();

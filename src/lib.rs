@@ -138,9 +138,11 @@ pub fn standard_suite() -> Vec<Box<dyn AccessMethod>> {
         // The levelled LSM again, behind the write-ahead log: same
         // structure, UO now honestly includes the durability protocol —
         // the RUM price of crash consistency, visible in Figure 1.
-        Box::new(lsm::durable_lsm(lsm::LsmConfig {
-            memtable_records: 256,
-            ..Default::default()
+        Box::new(storage::Durable::new(|| {
+            lsm::LsmTree::with_config(lsm::LsmConfig {
+                memtable_records: 256,
+                ..Default::default()
+            })
         })),
         Box::new(columns::AppendLog::new()),
         Box::new(columns::SortedColumn::new()),

@@ -3,14 +3,14 @@
 //! workload drifts far enough, while its answers and its cost account
 //! stay continuous.
 //!
-//! [`FamilyMorph`] wraps any suite structure behind a stable facade
-//! [`CostTracker`]: every physical byte the inner structure charges is
-//! absorbed into the facade account, so a family swap (drain → build →
-//! bulk load) is just another priced reorganization — its I/O lands in
-//! UO and its transient double-residency is reported as MO in the
-//! [`MigrationReceipt`]. The [`AutoTuner`](rum_core::autotune::AutoTuner)
-//! drives swaps through the [`Morphable`] face using the calibrated
-//! advisor's family ranking.
+//! [`FamilyMorph`] wraps any suite structure and reports the resident
+//! structure's own [`CostTracker`]. A family swap (drain → build → bulk
+//! load) hands the old account to the new structure before it loads, so
+//! the costs accumulated so far carry forward and the swap is just another
+//! priced reorganization — its I/O lands in UO and its transient
+//! double-residency is reported as MO in the [`MigrationReceipt`]. The
+//! [`AutoTuner`](rum_core::autotune::AutoTuner) drives swaps through the
+//! [`Morphable`] face using the calibrated advisor's family ranking.
 
 use std::sync::Arc;
 
@@ -18,9 +18,7 @@ use rum_core::autotune::{MigrationReceipt, Morphable, RetuneEstimate};
 use rum_core::trace::TraceSink;
 use rum_core::wizard::{Environment, Family};
 use rum_core::workload::OpMix;
-use rum_core::{
-    AccessMethod, CostSnapshot, CostTracker, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
-};
+use rum_core::{AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE};
 
 /// Build a fresh, empty representative of `family`, or `None` for
 /// families that cannot serve the full range contract (hash indexes).
@@ -49,11 +47,6 @@ pub fn build_family(family: Family) -> Option<Box<dyn AccessMethod>> {
 pub struct FamilyMorph {
     inner: Box<dyn AccessMethod>,
     family: Family,
-    /// The stable facade account: survives swaps, so RO/UO/MO accumulate
-    /// across the structure's whole life regardless of its current shape.
-    tracker: Arc<CostTracker>,
-    /// Where the inner tracker stood at the last absorption.
-    inner_mark: CostSnapshot,
     sink: Arc<dyn TraceSink>,
     swaps: u64,
 }
@@ -63,13 +56,9 @@ impl FamilyMorph {
     /// [`Family::HashIndex`] (no range contract, so it cannot be drained
     /// into — or out of — by a swap).
     pub fn new(family: Family) -> Option<Self> {
-        let inner = build_family(family)?;
-        let inner_mark = inner.tracker().snapshot();
         Some(FamilyMorph {
-            inner,
+            inner: build_family(family)?,
             family,
-            tracker: CostTracker::new(),
-            inner_mark,
             sink: rum_core::trace::noop_sink(),
             swaps: 0,
         })
@@ -84,14 +73,6 @@ impl FamilyMorph {
     pub fn swaps(&self) -> u64 {
         self.swaps
     }
-
-    /// Pull everything the inner structure charged since the last sync
-    /// into the facade account.
-    fn sync(&mut self) {
-        let now = self.inner.tracker().snapshot();
-        self.tracker.absorb(&now.delta(&self.inner_mark));
-        self.inner_mark = now;
-    }
 }
 
 impl AccessMethod for FamilyMorph {
@@ -104,7 +85,7 @@ impl AccessMethod for FamilyMorph {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.inner.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {
@@ -112,45 +93,31 @@ impl AccessMethod for FamilyMorph {
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
-        let r = self.inner.get_impl(key);
-        self.sync();
-        r
+        self.inner.get_impl(key)
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-        let r = self.inner.range_impl(lo, hi);
-        self.sync();
-        r
+        self.inner.range_impl(lo, hi)
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        let r = self.inner.insert_impl(key, value);
-        self.sync();
-        r
+        self.inner.insert_impl(key, value)
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        let r = self.inner.update_impl(key, value);
-        self.sync();
-        r
+        self.inner.update_impl(key, value)
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        let r = self.inner.delete_impl(key);
-        self.sync();
-        r
+        self.inner.delete_impl(key)
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        let r = self.inner.bulk_load_impl(records);
-        self.sync();
-        r
+        self.inner.bulk_load_impl(records)
     }
 
     fn flush(&mut self) -> Result<()> {
-        let r = self.inner.flush();
-        self.sync();
-        r
+        self.inner.flush()
     }
 
     fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
@@ -159,9 +126,7 @@ impl AccessMethod for FamilyMorph {
     }
 
     fn try_heal(&mut self) -> Result<bool> {
-        let r = self.inner.try_heal();
-        self.sync();
-        r
+        self.inner.try_heal()
     }
 }
 
@@ -191,21 +156,19 @@ impl Morphable for FamilyMorph {
         };
         let from = self.shape();
         let old_resident = self.inner.space_profile().total_bytes();
-        let mark = self.tracker.snapshot();
+        let mark = self.inner.tracker().snapshot();
         // Drain through the priced read path: the old shape's RO is the
         // first half of the migration bill.
         let all = self.inner.range_impl(0, u64::MAX)?;
-        self.sync();
+        // The new shape inherits the account, then pays for its build on
+        // top of it.
+        fresh.tracker().absorb(&self.inner.tracker().snapshot());
         fresh.set_trace_sink(Arc::clone(&self.sink));
         fresh.bulk_load_impl(&all)?;
-        // Adopt the new shape; fold its construction cost (counted from
-        // zero on its fresh tracker) into the facade account.
         self.inner = fresh;
-        self.inner_mark = CostSnapshot::default();
-        self.sync();
         self.family = family;
         self.swaps += 1;
-        let delta = self.tracker.since(&mark);
+        let delta = self.inner.tracker().since(&mark);
         Ok(Some(MigrationReceipt {
             from,
             to: self.shape(),
@@ -219,7 +182,7 @@ impl Morphable for FamilyMorph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rum_core::AccessMethod;
+    use rum_core::{AccessMethod, CostSnapshot};
 
     #[test]
     fn every_range_capable_family_builds() {
@@ -234,19 +197,20 @@ mod tests {
     }
 
     #[test]
-    fn swap_preserves_contents_answers_and_tracker_identity() {
+    fn swap_preserves_contents_answers_and_cost_history() {
         let mut m = FamilyMorph::new(Family::BTree).unwrap();
         for k in 0..2000u64 {
             m.insert(k * 3, k).unwrap();
         }
         m.delete(30).unwrap();
-        let tracker = Arc::clone(m.tracker());
         let before_answers = m.range(0, 600).unwrap();
+        let before = m.tracker().snapshot();
 
         let receipt = m
             .morph_to(Family::LsmTree, &OpMix::WRITE_HEAVY)
             .unwrap()
             .expect("cross-family morph must run");
+        let after = m.tracker().snapshot();
         assert_eq!(m.current_family(), Family::LsmTree);
         assert_eq!(m.swaps(), 1);
         assert!(receipt.bytes_read > 0, "drain must be priced");
@@ -255,11 +219,76 @@ mod tests {
             receipt.peak_extra_bytes as usize >= 1999 * RECORD_SIZE,
             "double residency must cover the drain buffer"
         );
-        assert!(Arc::ptr_eq(&tracker, m.tracker()), "account must survive");
+        // The history survives the swap: every counter only grew, and by
+        // exactly what the receipt prices.
+        let counters = |s: &CostSnapshot| {
+            [
+                s.base_read_bytes,
+                s.aux_read_bytes,
+                s.base_write_bytes,
+                s.aux_write_bytes,
+                s.logical_read_bytes,
+                s.logical_write_bytes,
+                s.page_reads,
+                s.page_writes,
+                s.sim_time_ns,
+            ]
+        };
+        let mut grew = counters(&after).into_iter().zip(counters(&before));
+        assert!(grew.all(|(a, b)| a >= b), "history lost");
+        let delta = after.delta(&before);
+        assert_eq!(delta.total_read_bytes(), receipt.bytes_read);
+        assert_eq!(delta.total_write_bytes(), receipt.bytes_written);
         assert_eq!(m.len(), 1999);
         assert_eq!(m.range(0, 600).unwrap(), before_answers);
         assert_eq!(m.get(30).unwrap(), None);
         assert_eq!(m.get(33).unwrap(), Some(11));
+    }
+
+    /// A tuned run that swaps families mid-stream: the runner reads the
+    /// account each new shape inherited, so the report holds every byte.
+    #[test]
+    fn autotuned_swaps_report_every_byte() {
+        use rum_core::advisor::ProfileStore;
+        use rum_core::autotune::{AutoTuneConfig, AutoTuner};
+        use rum_core::runner::run_stream_autotuned;
+        use rum_core::trace::{noop_sink, TraceCollector};
+        use rum_core::wizard::Constraints;
+        use rum_core::workload::{OpStream, WorkloadSpec};
+
+        let spec = WorkloadSpec {
+            initial_records: 2000,
+            operations: 20_000,
+            mix: OpMix::READ_HEAVY,
+            seed: 5,
+            ..Default::default()
+        };
+        let mut tuner = AutoTuner::new(
+            AutoTuneConfig {
+                allow_family_swap: true,
+                ..Default::default()
+            },
+            &OpMix::WRITE_HEAVY,
+            ProfileStore::default(),
+            Environment {
+                n: spec.initial_records,
+                ..Default::default()
+            },
+            Constraints {
+                needs_ranges: true,
+                ..Default::default()
+            },
+        );
+        let mut m = FamilyMorph::new(Family::LsmTree).unwrap();
+        let mut trace = TraceCollector::new(512, noop_sink());
+        let (report, summary) =
+            run_stream_autotuned(&mut m, OpStream::new(&spec), &mut tuner, &mut trace).unwrap();
+        assert!(summary.migrations >= 1 && m.swaps() >= 1, "no swap ran");
+        let reported = report
+            .load_costs
+            .add(&report.read_costs)
+            .add(&report.write_costs);
+        assert_eq!(reported, m.tracker().snapshot());
     }
 
     #[test]

@@ -11,9 +11,14 @@
 
 use rum::core::oracle::{check, hostile_ops, Oracle, Verdict};
 use rum::core::workload::{Drift, OpSource};
+use rum::lsm::{LsmConfig, LsmTree};
 use rum::prelude::*;
 use rum::selftune::FamilyMorph;
-use rum::storage::Durable;
+use rum::storage::{
+    CheckedDevice, Durable, FaultDevice, FaultInjector, FaultPlan, FaultProfile, MemDevice,
+    RetryPolicy,
+};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Slot `i` of the standard suite, freshly built.
@@ -196,6 +201,53 @@ fn zipfian_streams_are_handled() {
             report.method
         );
     }
+}
+
+/// A WAL-logged LSM tree whose first device decays heals mid-run: the
+/// checksum catches a flipped bit, `Durable` rebuilds onto clean storage
+/// and the rebuilt tree inherits the account. The runner must read the
+/// account the tree has now, not the one it had at the start, so the
+/// report holds every byte the tracker holds.
+#[test]
+fn healed_durable_reports_every_byte() {
+    let first_life = AtomicBool::new(true);
+    let mut stack = Durable::new(move || {
+        let injector = if first_life.swap(false, Ordering::Relaxed) {
+            FaultInjector::with_profile(FaultPlan::None, Some(FaultProfile::bitflips(7, 20_000)))
+        } else {
+            FaultInjector::inert()
+        };
+        let device = CheckedDevice::new(FaultDevice::new(MemDevice::new(), injector));
+        let config = LsmConfig {
+            memtable_records: 32,
+            ..Default::default()
+        };
+        let mut tree = LsmTree::with_device(device, config);
+        tree.set_retry_policy(RetryPolicy::default());
+        tree
+    });
+    let sink = MemorySink::shared();
+    stack.set_trace_sink(Arc::clone(&sink) as _);
+    let spec = WorkloadSpec {
+        initial_records: 2000,
+        operations: 4000,
+        mix: OpMix::BALANCED,
+        seed: 3,
+        ..Default::default()
+    };
+    let report = run_stream(&mut stack, OpStream::new(&spec)).expect("the stack heals and serves");
+
+    let repairs = sink
+        .events()
+        .iter()
+        .filter(|e| e.kind == EventKind::RepairComplete)
+        .count();
+    assert!(repairs >= 1, "no heal happened, so nothing was tested");
+    let reported = report
+        .load_costs
+        .add(&report.read_costs)
+        .add(&report.write_costs);
+    assert_eq!(reported, stack.tracker().snapshot());
 }
 
 #[test]

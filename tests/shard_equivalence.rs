@@ -237,8 +237,8 @@ fn traced_sharded_run_is_cost_identical_and_measures_latency() {
         );
         // Latencies are split by class on the shards: a point op is one
         // sample, a range one sample per shard it fanned out to.
-        assert_eq!(trace.write_latency.count(), c.write_ops, "{name}");
-        assert!(trace.read_latency.count() >= c.read_ops, "{name}");
+        assert_eq!(trace.latency.write.count(), c.write_ops, "{name}");
+        assert!(trace.latency.read.count() >= c.read_ops, "{name}");
     }
 }
 
@@ -257,13 +257,13 @@ fn traced_edge_streams_never_show_an_empty_class() {
                 r.read_costs.add(&r.write_costs),
                 "{ctx}"
             );
-            assert_eq!(trace.write_latency.count(), r.write_ops, "{ctx}");
-            assert!(trace.read_latency.count() >= r.read_ops, "{ctx}");
+            assert_eq!(trace.latency.write.count(), r.write_ops, "{ctx}");
+            assert!(trace.latency.read.count() >= r.read_ops, "{ctx}");
             assert!(r.p50_ns > 0 && r.p99_ns >= r.p50_ns, "{ctx}");
             // A class that never ran has no ops, no traffic, no samples.
             if r.read_ops == 0 {
                 assert_eq!(r.read_costs, CostSnapshot::default(), "{ctx}");
-                assert_eq!(trace.read_latency.count(), 0, "{ctx}");
+                assert_eq!(trace.latency.read.count(), 0, "{ctx}");
             }
             if r.write_ops == 0 {
                 assert_eq!(r.write_costs, CostSnapshot::default(), "{ctx}");
