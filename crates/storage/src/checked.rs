@@ -6,11 +6,13 @@
 //!
 //! Every one of those checksums runs over all 4 KiB: no verified bit, no
 //! once-per-residency skip, no sampling. What keeps that affordable is the
-//! kernel, not a shortcut: a page is far past the 64 bytes at which
-//! [`crc32`] hands the input to its carry-less-multiply
-//! kernel, so on a machine that has one a seal costs about a quarter of a
-//! microsecond; elsewhere the portable kernel computes the same bits, and
-//! a seal written under one verifies under the other.
+//! kernel, not a shortcut: a page is far past the 256 bytes at which
+//! [`crc32`] hands the input to its 512-bit carry-less-multiply kernel,
+//! so on a machine that has one (AVX-512 with `vpclmulqdq`) a cache-
+//! resident 4 KiB seal costs about 60 ns, and about 190 ns on the 128-bit
+//! kernel (`pclmulqdq` only; both measured on a Sapphire Rapids core).
+//! Elsewhere the portable kernel computes the same bits, and a seal
+//! written under one kernel verifies under any other.
 //!
 //! The seal lives in a sidecar (page id → CRC) rather than an in-page
 //! trailer so page capacity — and therefore every node layout and every

@@ -28,13 +28,14 @@
 //!   [`MemoryHierarchy`] simulator behind the
 //!   Figure 2 experiment.
 //! * [`crc`] — the CRC-32 both integrity layers below share. One
-//!   function, two kernels chosen from the machine and the input, same
-//!   bits from both: a carry-less-multiply folding kernel (`x86_64` with
-//!   `pclmulqdq`, inputs of 64 bytes and up: every page), so that sealing
-//!   and verifying a page runs at memory speed, and a portable braided
-//!   table kernel for everything else (other targets; WAL frames, which
-//!   are at most 17 bytes and stay on its byte loop). The call into the
-//!   hardware kernel is the workspace's one `unsafe` block; this crate
+//!   function, three kernels chosen from the machine and the input, same
+//!   bits from each: two carry-less-multiply folding kernels (`x86_64`:
+//!   512-bit registers with `avx512f` + `vpclmulqdq` from 256 bytes, so
+//!   every page; 128-bit lanes with `pclmulqdq` from 64 bytes), so that
+//!   sealing and verifying a page runs at memory speed, and a portable
+//!   braided table kernel for everything else (other targets; WAL frames,
+//!   which are at most 17 bytes and stay on its byte loop). The call into
+//!   the hardware kernels is the workspace's one `unsafe` block; this crate
 //!   denies the keyword everywhere else and every other crate forbids it.
 //! * [`wal`] / [`durable`] — the crash-consistency layer: a checksummed
 //!   write-ahead log whose every synced byte is charged as auxiliary write
