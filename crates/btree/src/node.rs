@@ -7,7 +7,10 @@
 //!           [records: count × 16B]
 //! ```
 
-use rum_core::{encode_records, Key, Record, RecordSlice, Result, RumError, RECORD_SIZE};
+use rum_core::{
+    encode_records, insert_record_at, remove_record_at, Key, Record, RecordSlice, Result, RumError,
+    Value, RECORD_SIZE,
+};
 
 /// Identifier of a node within a [`NodeStore`](crate::store::NodeStore).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -78,6 +81,15 @@ impl Node {
     /// Serialize into a `node_size` buffer.
     pub fn encode(&self, node_size: usize) -> Result<Vec<u8>> {
         let mut buf = vec![0u8; node_size];
+        self.encode_into(&mut buf)?;
+        Ok(buf)
+    }
+
+    /// Serialize into `buf`, which is the node (`buf.len()` is its
+    /// `node_size`): every byte of it is written, so a reused buffer needs
+    /// no clearing.
+    pub fn encode_into(&self, buf: &mut [u8]) -> Result<()> {
+        let node_size = buf.len();
         match self {
             Node::Internal { keys, children } => {
                 if keys.len() > internal_capacity(node_size) {
@@ -94,6 +106,8 @@ impl Node {
                         children.len()
                     )));
                 }
+                // Keys and children leave gaps at fixed offsets.
+                buf.fill(0);
                 buf[0] = TAG_INTERNAL;
                 buf[2..4].copy_from_slice(&(keys.len() as u16).to_le_bytes());
                 let cap = internal_capacity(node_size);
@@ -115,13 +129,14 @@ impl Node {
                         leaf_capacity(node_size)
                     )));
                 }
+                buf[..HEADER].fill(0);
                 buf[0] = TAG_LEAF;
                 buf[2..4].copy_from_slice(&(records.len() as u16).to_le_bytes());
                 buf[8..16].copy_from_slice(&next.0.to_le_bytes());
-                encode_records(&mut buf, LEAF_HEADER, records);
+                encode_records(buf, LEAF_HEADER, records);
             }
         }
-        Ok(buf)
+        Ok(())
     }
 
     /// Deserialize from a `node_size` buffer.
@@ -184,7 +199,8 @@ impl Node {
 
 /// A validated node searched where its encoded bytes lie — what the read
 /// path uses instead of [`Node::decode`], which stays as the reference
-/// decoder and for writers that need an owned node to modify.
+/// decoder. Its writing twin is [`LeafMut`]; only a split, which builds
+/// new nodes, still wants owned ones ([`NodeRef::to_node`]).
 #[derive(Clone, Copy, Debug)]
 pub enum NodeRef<'a> {
     Internal(InternalRef<'a>),
@@ -263,6 +279,71 @@ impl<'a> NodeRef<'a> {
                 next: *next,
             },
         }
+    }
+}
+
+/// A validated leaf edited where its encoded bytes lie — what a write that
+/// stays inside one leaf uses instead of decoding it into a [`Node`] and
+/// encoding that back. After every edit the bytes are exactly what
+/// [`Node::encode`] writes for the edited leaf.
+#[derive(Debug)]
+pub struct LeafMut<'a> {
+    buf: &'a mut [u8],
+    count: usize,
+}
+
+impl<'a> LeafMut<'a> {
+    /// Validate a `node_size` buffer as [`NodeRef::new`] does, refusing
+    /// the same bytes with the same [`RumError::Corrupt`]; `Ok(None)` when
+    /// it is a valid internal node.
+    pub fn new(buf: &'a mut [u8]) -> Result<Option<LeafMut<'a>>> {
+        let count = match NodeRef::new(buf)? {
+            NodeRef::Leaf { records, .. } => records.len(),
+            NodeRef::Internal(_) => return Ok(None),
+        };
+        Ok(Some(LeafMut { buf, count }))
+    }
+
+    /// Records sorted by strictly ascending key.
+    pub fn records(&self) -> RecordSlice<'_> {
+        RecordSlice::new(&self.buf[LEAF_HEADER..LEAF_HEADER + self.count * RECORD_SIZE])
+    }
+
+    /// Right sibling for range scans.
+    pub fn next(&self) -> NodeId {
+        NodeId(u64::from_le_bytes(
+            self.buf[8..16].try_into().expect("validated header"),
+        ))
+    }
+
+    /// Whether the leaf holds as many records as fit.
+    pub fn is_full(&self) -> bool {
+        self.count >= leaf_capacity(self.buf.len())
+    }
+
+    /// Overwrite the value of record `i`.
+    pub fn set_value(&mut self, i: usize, value: Value) {
+        assert!(i < self.count, "record {i} of {}", self.count);
+        let off = LEAF_HEADER + i * RECORD_SIZE + 8;
+        self.buf[off..off + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// Insert `rec` as record `i`. Panics if the leaf is full.
+    pub fn insert(&mut self, i: usize, rec: Record) {
+        assert!(!self.is_full(), "insert into a full leaf");
+        insert_record_at(&mut self.buf[LEAF_HEADER..], self.count, i, rec);
+        self.set_count(self.count + 1);
+    }
+
+    /// Remove record `i`.
+    pub fn remove(&mut self, i: usize) {
+        remove_record_at(&mut self.buf[LEAF_HEADER..], self.count, i);
+        self.set_count(self.count - 1);
+    }
+
+    fn set_count(&mut self, count: usize) {
+        self.count = count;
+        self.buf[2..4].copy_from_slice(&(count as u16).to_le_bytes());
     }
 }
 
@@ -421,6 +502,87 @@ mod tests {
                 Err(RumError::Corrupt(_)) => {}
                 other => panic!("tag {tag}: expected Corrupt, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn leaf_edits_in_place_write_what_encode_writes() {
+        for size in [256usize, 4096] {
+            let cap = leaf_capacity(size);
+            for count in [0, 1, 2, cap / 2, cap - 1, cap] {
+                let records: Vec<Record> = (0..count as u64)
+                    .map(|k| Record::new(k * 2 + 1, k))
+                    .collect();
+                let encoded = |records: Vec<Record>| {
+                    Node::Leaf {
+                        records,
+                        next: NodeId(9),
+                    }
+                    .encode(size)
+                    .unwrap()
+                };
+                let edited = |edit: &dyn Fn(&mut LeafMut<'_>)| {
+                    let mut bytes = encoded(records.clone());
+                    let mut leaf = LeafMut::new(&mut bytes).unwrap().unwrap();
+                    assert_eq!(leaf.records().iter().collect::<Vec<_>>(), records);
+                    assert_eq!(leaf.next(), NodeId(9));
+                    assert_eq!(leaf.is_full(), count == cap);
+                    edit(&mut leaf);
+                    bytes
+                };
+                for i in (0..=count).step_by(count / 3 + 1) {
+                    if count < cap {
+                        let mut want = records.clone();
+                        want.insert(i, Record::new(2 * i as u64, 77));
+                        let got = edited(&|l| l.insert(i, Record::new(2 * i as u64, 77)));
+                        assert_eq!(got, encoded(want), "size {size}: insert at {i} of {count}");
+                    }
+                    if i < count {
+                        let mut want = records.clone();
+                        want[i].value = 55;
+                        assert_eq!(edited(&|l| l.set_value(i, 55)), encoded(want));
+                        let mut want = records.clone();
+                        want.remove(i);
+                        let got = edited(&|l| l.remove(i));
+                        assert_eq!(got, encoded(want), "size {size}: remove {i} of {count}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn leaf_mut_refuses_what_node_ref_refuses() {
+        let internal = Node::Internal {
+            keys: vec![5],
+            children: vec![NodeId(1), NodeId(2)],
+        };
+        let mut bytes = internal.encode(4096).unwrap();
+        assert!(LeafMut::new(&mut bytes).unwrap().is_none());
+        for tag in [TAG_INTERNAL, TAG_LEAF, 7] {
+            let mut buf = vec![0u8; 64];
+            buf[0] = tag;
+            buf[2..4].copy_from_slice(&u16::MAX.to_le_bytes());
+            let want = NodeRef::new(&buf).map(|_| ()).unwrap_err();
+            assert_eq!(LeafMut::new(&mut buf).unwrap_err(), want, "tag {tag}");
+        }
+        assert!(LeafMut::new(&mut [TAG_LEAF; 8]).is_err(), "short buffer");
+    }
+
+    #[test]
+    fn encode_into_a_reused_buffer_overwrites_every_byte() {
+        let leaf = Node::Leaf {
+            records: (0..3).map(|k| Record::new(k, k)).collect(),
+            next: NodeId(4),
+        };
+        let internal = Node::Internal {
+            keys: vec![10, 20],
+            children: vec![NodeId(1), NodeId(2), NodeId(3)],
+        };
+        for node in [leaf, internal] {
+            let mut buf = vec![0xEEu8; 512];
+            node.encode_into(&mut buf).unwrap();
+            assert_eq!(buf, node.encode(512).unwrap());
         }
     }
 

@@ -24,6 +24,8 @@ pub struct NodeStore<D: BlockDevice> {
     /// Where a multi-page node's pages are put side by side to be read as
     /// one buffer; reused across reads. Single-page nodes never touch it.
     scratch: Vec<u8>,
+    /// The one page buffer a whole-node write is encoded into, reused.
+    page: PageBuf,
 }
 
 impl<D: BlockDevice> NodeStore<D> {
@@ -36,6 +38,7 @@ impl<D: BlockDevice> NodeStore<D> {
             directory: HashMap::new(),
             next_id: 0,
             scratch: Vec::new(),
+            page: PageBuf::zeroed(),
         }
     }
 
@@ -128,19 +131,63 @@ impl<D: BlockDevice> NodeStore<D> {
         NodeRef::new(&scratch[..node_size.min(scratch.len())]).map(f)
     }
 
+    /// Edit node `id` where the device holds it: `f` gets its `node_size`
+    /// bytes, unvalidated, and returns its answer and whether it changed
+    /// them. Charged as `pages_per_node` page reads and, if the node
+    /// changed, `pages_per_node` page writes, as
+    /// [`with_node`](Self::with_node) followed by [`write`](Self::write)
+    /// would be. A single-page node is edited in the device's own buffer
+    /// ([`Pager::with_page_mut`]); a multi-page one is assembled in the
+    /// scratch buffer, edited there and written back page by page.
+    pub fn edit_node<R>(
+        &mut self,
+        id: NodeId,
+        class: DataClass,
+        f: impl FnOnce(&mut [u8]) -> (R, bool),
+    ) -> Result<R> {
+        let pages = self
+            .directory
+            .get(&id)
+            .ok_or_else(|| RumError::Storage(format!("edit of unknown node {id:?}")))?;
+        let node_size = self.node_size;
+        if let [page] = pages[..] {
+            return self.pager.with_page_mut(page, class, |bytes| {
+                let len = node_size.min(bytes.len());
+                f(&mut bytes[..len])
+            });
+        }
+        let scratch = &mut self.scratch;
+        scratch.clear();
+        for &page in pages {
+            self.pager
+                .with_page(page, class, |bytes| scratch.extend_from_slice(bytes))?;
+        }
+        let len = node_size.min(scratch.len());
+        let (answer, changed) = f(&mut scratch[..len]);
+        if changed {
+            write_pages(&mut self.pager, &mut self.page, pages, scratch, class)?;
+        }
+        Ok(answer)
+    }
+
     /// Encode and write a node, charging `pages_per_node` page accesses.
     pub fn write(&mut self, id: NodeId, class: DataClass, node: &Node) -> Result<()> {
         let pages = self
             .directory
             .get(&id)
             .ok_or_else(|| RumError::Storage(format!("write of unknown node {id:?}")))?;
-        let mut buf = node.encode(self.node_size)?;
-        buf.resize(self.pages_per_node * PAGE_SIZE, 0);
-        for (page, bytes) in pages.iter().zip(buf.chunks_exact(PAGE_SIZE)) {
-            self.pager
-                .write(*page, class, &PageBuf::from_bytes(bytes))?;
+        if let [page] = pages[..] {
+            let (body, slack) = self.page.split_at_mut(self.node_size.min(PAGE_SIZE));
+            node.encode_into(body)?;
+            slack.fill(0);
+            return self.pager.write(page, class, &self.page);
         }
-        Ok(())
+        let scratch = &mut self.scratch;
+        scratch.resize(self.pages_per_node * PAGE_SIZE, 0);
+        let (body, slack) = scratch.split_at_mut(self.node_size);
+        node.encode_into(body)?;
+        slack.fill(0);
+        write_pages(&mut self.pager, &mut self.page, pages, scratch, class)
     }
 
     /// Free every node (used by bulk load).
@@ -151,6 +198,22 @@ impl<D: BlockDevice> NodeStore<D> {
         }
         Ok(())
     }
+}
+
+/// Write a multi-page node's `bytes` to its `pages`, one page at a time
+/// through the reused `staging` buffer.
+fn write_pages<D: BlockDevice>(
+    pager: &mut Pager<D>,
+    staging: &mut PageBuf,
+    pages: &[PageId],
+    bytes: &[u8],
+    class: DataClass,
+) -> Result<()> {
+    for (&page, chunk) in pages.iter().zip(bytes.chunks_exact(PAGE_SIZE)) {
+        staging.copy_from_slice(chunk);
+        pager.write(page, class, staging)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -192,6 +255,28 @@ mod tests {
         assert_eq!(read(&mut s, id, DataClass::Base).unwrap(), n);
         let d = s.pager().tracker().since(&before);
         assert_eq!(d.page_reads, 4, "multi-page node charges all its pages");
+    }
+
+    #[test]
+    fn an_edit_charges_every_page_of_the_node_and_writes_only_a_change() {
+        for node_size in [512, 4096, 16384] {
+            let mut s = store(node_size);
+            let id = s.allocate().unwrap();
+            s.write(id, DataClass::Base, &Node::empty_leaf()).unwrap();
+            let pages = node_size.div_ceil(PAGE_SIZE) as u64;
+            let before = s.pager().tracker().snapshot();
+            let len = s.edit_node(id, DataClass::Base, |b| (b.len(), false));
+            assert_eq!(len.unwrap(), node_size);
+            let edited = s.edit_node(id, DataClass::Base, |b| {
+                b[node_size - 1] = 7;
+                ((), true)
+            });
+            edited.unwrap();
+            let d = s.pager().tracker().since(&before);
+            assert_eq!((d.page_reads, d.page_writes), (2 * pages, pages));
+            let last = s.edit_node(id, DataClass::Base, |b| (b[node_size - 1], false));
+            assert_eq!(last.unwrap(), 7, "node size {node_size}");
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rum_core::{
 };
 use rum_storage::{BlockDevice, CheckedDevice, MemDevice, RetryPolicy, ScrubReport};
 
-use crate::node::{internal_capacity, leaf_capacity, InternalRef, Node, NodeId, NodeRef};
+use crate::node::{internal_capacity, leaf_capacity, InternalRef, LeafMut, Node, NodeId, NodeRef};
 use crate::store::NodeStore;
 
 /// How a full node splits on insert — the "split condition" knob of §5.
@@ -55,6 +55,8 @@ pub struct BTree<D: BlockDevice = MemDevice> {
     root: NodeId,
     height: usize,
     len: usize,
+    /// Buffers an insert keeps its way down in, reused by the next one.
+    path: Vec<PathNode>,
 }
 
 impl BTree<MemDevice> {
@@ -109,6 +111,7 @@ impl<D: BlockDevice> BTree<D> {
             root,
             height: 1,
             len: 0,
+            path: Vec::new(),
         }
     }
 
@@ -213,146 +216,225 @@ impl<D: BlockDevice> BTree<D> {
             })?
     }
 
-    /// For update and delete: find the leaf holding `key`, apply `edit`
-    /// to an owned copy of its records (and the index of `key` among
-    /// them) and return the leaf to write back. A miss is `None` and
-    /// materialises nothing.
-    fn edited_leaf_holding(
+    /// Edit leaf `id` where it lies (one read, and one write if `f`
+    /// reports a change; see [`NodeStore::edit_node`]). A node that is not
+    /// a leaf is refused before `f` runs, as [`with_leaf`](Self::with_leaf)
+    /// refuses it.
+    fn edit_leaf<R>(
+        &mut self,
+        id: NodeId,
+        f: impl FnOnce(&mut LeafMut<'_>) -> (R, bool),
+    ) -> Result<R> {
+        self.store
+            .edit_node(id, DataClass::Base, |bytes| match LeafMut::new(bytes) {
+                Ok(Some(mut leaf)) => {
+                    let (answer, changed) = f(&mut leaf);
+                    (Ok(answer), changed)
+                }
+                Ok(None) => (
+                    Err(RumError::Corrupt(format!(
+                        "{id:?} is an internal node at the leaf level"
+                    ))),
+                    false,
+                ),
+                Err(e) => (Err(e), false),
+            })?
+    }
+
+    /// For update and delete: find the leaf holding `key` and, on a hit,
+    /// apply `edit` to it where it lies, given the index of `key`. A miss
+    /// writes nothing. Returns whether `key` was found.
+    fn edit_leaf_holding(
         &mut self,
         key: Key,
-        edit: impl FnOnce(&mut Vec<Record>, usize),
-    ) -> Result<Option<(NodeId, Node)>> {
+        edit: impl FnOnce(&mut LeafMut<'_>, usize),
+    ) -> Result<bool> {
         let leaf = self.leaf_for(key, |_, _, _| {})?;
-        self.with_leaf(leaf, |records, next| {
-            let i = records.search(key).ok()?;
-            let mut records: Vec<Record> = records.iter().collect();
-            edit(&mut records, i);
-            Some((leaf, Node::Leaf { records, next }))
+        self.edit_leaf(leaf, |leaf| match leaf.records().search(key) {
+            Ok(i) => {
+                edit(leaf, i);
+                (true, true)
+            }
+            Err(_) => (false, false),
         })
     }
 
+    /// Split an overfull leaf's `records` (the new one at `at`): write the
+    /// right half to a fresh leaf and return the left half, the new leaf
+    /// and the separator between them.
     fn split_leaf(
         &mut self,
-        records: Vec<Record>,
+        mut records: Vec<Record>,
         next: NodeId,
-        inserted_at_end: bool,
-    ) -> Result<(Vec<Record>, NodeId, Key, Vec<Record>)> {
+        at: usize,
+    ) -> Result<(Vec<Record>, NodeId, Key)> {
         let mid = match self.config.split_policy {
-            SplitPolicy::RightHeavy if inserted_at_end => records.len() - 1,
+            SplitPolicy::RightHeavy if at == records.len() - 1 => records.len() - 1,
             _ => records.len() / 2,
         };
-        let right: Vec<Record> = records[mid..].to_vec();
-        let left: Vec<Record> = records[..mid].to_vec();
+        let right = records.split_off(mid);
         let sep = right[0].key;
         let right_id = self.store.allocate()?;
         self.store.write(
             right_id,
             DataClass::Base,
             &Node::Leaf {
-                records: right.clone(),
+                records: right,
                 next,
             },
         )?;
-        Ok((left, right_id, sep, right))
+        Ok((records, right_id, sep))
     }
 
     fn insert_inner(&mut self, key: Key, value: Value) -> Result<()> {
+        let mut path = std::mem::take(&mut self.path);
+        let inserted = self.insert_along(&mut path, key, value);
+        self.path = path;
+        inserted
+    }
+
+    /// The insert proper, keeping in `path` the internal nodes a split
+    /// below them may rewrite.
+    fn insert_along(&mut self, path: &mut Vec<PathNode>, key: Key, value: Value) -> Result<()> {
         // Only the part of the path a split can reach is kept: a node with
         // room absorbs the separator pushed up from below, so nothing
-        // above it is rewritten.
+        // above it is rewritten. The entries are reused from insert to
+        // insert, so keeping them allocates nothing once warm.
         let cap = self.internal_cap();
-        let mut path: Vec<(NodeId, Vec<Key>, Vec<NodeId>, usize)> = Vec::new();
+        let mut kept = 0;
         let leaf_id = self.leaf_for(key, |id, node, slot| {
             if node.len() < cap {
-                path.clear();
+                kept = 0;
             }
-            path.push((id, node.keys().collect(), node.children().collect(), slot));
-        })?;
-        let (mut records, next) = self.with_leaf(leaf_id, |records, next| {
-            let mut owned = Vec::with_capacity(records.len() + 1);
-            owned.extend(records.iter());
-            (owned, next)
-        })?;
-        match records.binary_search_by_key(&key, |r| r.key) {
-            Ok(i) => {
-                records[i].value = value;
-                self.store
-                    .write(leaf_id, DataClass::Base, &Node::Leaf { records, next })
+            if kept == path.len() {
+                path.push(PathNode::default());
             }
-            Err(i) => {
-                records.insert(i, Record::new(key, value));
-                self.len += 1;
-                let inserted_at_end = i == records.len() - 1;
-                if records.len() <= self.leaf_cap() {
-                    return self.store.write(
-                        leaf_id,
-                        DataClass::Base,
-                        &Node::Leaf { records, next },
-                    );
+            path[kept].keep(id, node, slot);
+            kept += 1;
+        })?;
+        // The common case ends here: the key is overwritten or inserted
+        // where the leaf lies. Only a full leaf is copied out, to split.
+        let (records, next, at) =
+            match self.edit_leaf(leaf_id, |leaf| match leaf.records().search(key) {
+                Ok(i) => {
+                    leaf.set_value(i, value);
+                    (LeafInsert::Overwrote, true)
                 }
-                // Leaf split.
-                let (left, right_id, sep, _right) =
-                    self.split_leaf(records, next, inserted_at_end)?;
-                self.store.write(
-                    leaf_id,
-                    DataClass::Base,
-                    &Node::Leaf {
-                        records: left,
-                        next: right_id,
-                    },
-                )?;
-                // Propagate the separator upward.
-                let mut sep = sep;
-                let mut new_child = right_id;
-                while let Some((node_id, mut keys, mut children, slot)) = path.pop() {
-                    keys.insert(slot, sep);
-                    children.insert(slot + 1, new_child);
-                    if keys.len() <= self.internal_cap() {
-                        return self.store.write(
-                            node_id,
-                            DataClass::Aux,
-                            &Node::Internal { keys, children },
-                        );
-                    }
-                    // Internal split.
-                    let mid = keys.len() / 2;
-                    let promoted = keys[mid];
-                    let right_keys: Vec<Key> = keys[mid + 1..].to_vec();
-                    let right_children: Vec<NodeId> = children[mid + 1..].to_vec();
-                    keys.truncate(mid);
-                    children.truncate(mid + 1);
-                    let right_internal = self.store.allocate()?;
-                    self.store.write(
-                        right_internal,
-                        DataClass::Aux,
-                        &Node::Internal {
-                            keys: right_keys,
-                            children: right_children,
-                        },
-                    )?;
-                    self.store.write(
-                        node_id,
-                        DataClass::Aux,
-                        &Node::Internal { keys, children },
-                    )?;
-                    sep = promoted;
-                    new_child = right_internal;
+                Err(i) if !leaf.is_full() => {
+                    leaf.insert(i, Record::new(key, value));
+                    (LeafInsert::Inserted, true)
                 }
-                // Root split: grow the tree.
-                let new_root = self.store.allocate()?;
-                self.store.write(
-                    new_root,
+                Err(i) => {
+                    let mut records = Vec::with_capacity(leaf.records().len() + 1);
+                    records.extend(leaf.records().iter());
+                    records.insert(i, Record::new(key, value));
+                    (LeafInsert::Full(records, leaf.next(), i), false)
+                }
+            })? {
+                LeafInsert::Overwrote => return Ok(()),
+                LeafInsert::Inserted => {
+                    self.len += 1;
+                    return Ok(());
+                }
+                LeafInsert::Full(records, next, at) => (records, next, at),
+            };
+        self.len += 1;
+        // Leaf split.
+        let (left, right_id, mut sep) = self.split_leaf(records, next, at)?;
+        self.store.write(
+            leaf_id,
+            DataClass::Base,
+            &Node::Leaf {
+                records: left,
+                next: right_id,
+            },
+        )?;
+        // Propagate the separator upward, through owned copies of the kept
+        // nodes (a split is rare; their buffers are simply reallocated).
+        let mut new_child = right_id;
+        while kept > 0 {
+            kept -= 1;
+            let node = &mut path[kept];
+            let (node_id, slot) = (node.id, node.slot);
+            let mut keys = std::mem::take(&mut node.keys);
+            let mut children = std::mem::take(&mut node.children);
+            keys.insert(slot, sep);
+            children.insert(slot + 1, new_child);
+            if keys.len() <= self.internal_cap() {
+                return self.store.write(
+                    node_id,
                     DataClass::Aux,
-                    &Node::Internal {
-                        keys: vec![sep],
-                        children: vec![self.root, new_child],
-                    },
-                )?;
-                self.root = new_root;
-                self.height += 1;
-                Ok(())
+                    &Node::Internal { keys, children },
+                );
             }
+            // Internal split.
+            let mid = keys.len() / 2;
+            let promoted = keys[mid];
+            let right_keys: Vec<Key> = keys[mid + 1..].to_vec();
+            let right_children: Vec<NodeId> = children[mid + 1..].to_vec();
+            keys.truncate(mid);
+            children.truncate(mid + 1);
+            let right_internal = self.store.allocate()?;
+            self.store.write(
+                right_internal,
+                DataClass::Aux,
+                &Node::Internal {
+                    keys: right_keys,
+                    children: right_children,
+                },
+            )?;
+            self.store
+                .write(node_id, DataClass::Aux, &Node::Internal { keys, children })?;
+            sep = promoted;
+            new_child = right_internal;
         }
+        // Root split: grow the tree.
+        let new_root = self.store.allocate()?;
+        self.store.write(
+            new_root,
+            DataClass::Aux,
+            &Node::Internal {
+                keys: vec![sep],
+                children: vec![self.root, new_child],
+            },
+        )?;
+        self.root = new_root;
+        self.height += 1;
+        Ok(())
+    }
+}
+
+/// What an insert found in its leaf.
+enum LeafInsert {
+    /// The key was there; its value was overwritten in place.
+    Overwrote,
+    /// The key was new and fit; it was inserted in place.
+    Inserted,
+    /// The leaf was full: its records with the new one at the index given,
+    /// and its right sibling, to split. Nothing was written.
+    Full(Vec<Record>, NodeId, usize),
+}
+
+/// An internal node on an insert's way down, kept in case a split below
+/// it must be absorbed: its separator keys, its children and the slot the
+/// insert took.
+#[derive(Default)]
+struct PathNode {
+    id: NodeId,
+    keys: Vec<Key>,
+    children: Vec<NodeId>,
+    slot: usize,
+}
+
+impl PathNode {
+    /// Keep `node` here, reusing this entry's buffers.
+    fn keep(&mut self, id: NodeId, node: &InternalRef<'_>, slot: usize) {
+        self.id = id;
+        self.slot = slot;
+        self.keys.clear();
+        self.keys.extend(node.keys());
+        self.children.clear();
+        self.children.extend(node.children());
     }
 }
 
@@ -435,28 +517,18 @@ impl<D: BlockDevice> AccessMethod for BTree<D> {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        let Some((leaf_id, leaf)) =
-            self.edited_leaf_holding(key, |records, i| records[i].value = value)?
-        else {
-            return Ok(false);
-        };
-        self.store.write(leaf_id, DataClass::Base, &leaf)?;
-        Ok(true)
+        self.edit_leaf_holding(key, |leaf, i| leaf.set_value(i, value))
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
         // Lazy deletion: the record is removed in place; nodes are never
         // merged or freed (their slack shows up honestly in MO). Real
         // systems defer leaf consolidation the same way.
-        let Some((leaf_id, leaf)) = self.edited_leaf_holding(key, |records, i| {
-            records.remove(i);
-        })?
-        else {
-            return Ok(false);
-        };
-        self.len -= 1;
-        self.store.write(leaf_id, DataClass::Base, &leaf)?;
-        Ok(true)
+        let found = self.edit_leaf_holding(key, |leaf, i| leaf.remove(i))?;
+        if found {
+            self.len -= 1;
+        }
+        Ok(found)
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
@@ -716,6 +788,39 @@ mod tests {
             ..Default::default()
         });
         check(&mut t, &hostile_ops(23, 6000, 2000)).unwrap();
+    }
+
+    /// Writes edit leaves where the device holds them: after a hostile
+    /// stream every page is still exactly what encoding its node writes,
+    /// and every seal matches.
+    #[test]
+    fn in_place_edits_keep_every_page_canonical_and_sealed() {
+        use rum_storage::BlockDevice;
+        let node_size = 512; // tiny nodes: many splits between the edits
+        let mut t = BTree::with_device(
+            CheckedDevice::new(MemDevice::new()),
+            BTreeConfig {
+                node_size,
+                ..Default::default()
+            },
+        );
+        check(&mut t, &hostile_ops(31, 5000, 1500)).unwrap();
+        assert!(t.scrub().unwrap().is_clean());
+        let mut pages = 0;
+        for id in 0..t.device().sealed_pages().len() as u64 * 2 {
+            let Ok(page) = t
+                .device_mut()
+                .inner_mut()
+                .read_page(rum_storage::PageId(id))
+            else {
+                continue;
+            };
+            let node = Node::decode(&page[..node_size]).unwrap();
+            assert_eq!(page[..node_size], node.encode(node_size).unwrap()[..]);
+            assert!(page[node_size..].iter().all(|&b| b == 0));
+            pages += 1;
+        }
+        assert_eq!(pages, t.node_count());
     }
 
     #[test]

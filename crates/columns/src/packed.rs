@@ -24,6 +24,9 @@ pub struct PackedFile {
     /// `memo_page` names it; one buffer, reused by every miss.
     memo: PageBuf,
     memo_page: Option<usize>,
+    /// Where [`write_page`](Self::write_page) lays a page out; one buffer,
+    /// reused by every write.
+    staging: PageBuf,
 }
 
 impl PackedFile {
@@ -96,9 +99,8 @@ impl PackedFile {
         if self.memo_page == Some(page_idx) {
             self.memo_page = None;
         }
-        let mut buf = PageBuf::zeroed();
-        encode_records(&mut buf, 0, records);
-        pager.write(self.pages[page_idx], DataClass::Base, &buf)
+        encode_records(&mut self.staging, 0, records);
+        pager.write(self.pages[page_idx], DataClass::Base, &self.staging)
     }
 
     /// Second half of a read-modify-write: set one slot of the page

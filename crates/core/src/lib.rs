@@ -84,5 +84,6 @@ pub use trace::{
 };
 pub use tracker::{CostSnapshot, CostTracker, DataClass};
 pub use types::{
-    encode_records, Key, Record, RecordSlice, Value, PAGE_SIZE, RECORDS_PER_PAGE, RECORD_SIZE,
+    encode_records, insert_record_at, remove_record_at, Key, Record, RecordSlice, Value, PAGE_SIZE,
+    RECORDS_PER_PAGE, RECORD_SIZE,
 };

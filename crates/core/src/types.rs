@@ -158,6 +158,24 @@ pub fn encode_records(buf: &mut [u8], offset: usize, records: &[Record]) {
     tail.fill(0);
 }
 
+/// Insert `rec` as record `i` of the `count` records packed at the start
+/// of `area`, where they lie: records `i..count` move up one slot. The
+/// bytes are what [`encode_records`] writes for the records with `rec`
+/// inserted. Panics if `area` has no room for `count + 1` records.
+pub fn insert_record_at(area: &mut [u8], count: usize, i: usize, rec: Record) {
+    area.copy_within(i * RECORD_SIZE..count * RECORD_SIZE, (i + 1) * RECORD_SIZE);
+    rec.encode_into(&mut area[i * RECORD_SIZE..]);
+}
+
+/// Remove record `i` of the `count` records packed at the start of
+/// `area`, where they lie: records `i + 1..count` move down one slot and
+/// the slot they leave is zeroed, so the bytes are what
+/// [`encode_records`] writes for the records without it.
+pub fn remove_record_at(area: &mut [u8], count: usize, i: usize) {
+    area.copy_within((i + 1) * RECORD_SIZE..count * RECORD_SIZE, i * RECORD_SIZE);
+    area[(count - 1) * RECORD_SIZE..count * RECORD_SIZE].fill(0);
+}
+
 /// Number of pages needed to hold `n` records packed densely.
 #[inline]
 pub const fn pages_for_records(n: usize) -> usize {
@@ -228,6 +246,32 @@ mod tests {
         assert!(RecordSlice::new(&[]).is_empty());
         assert_eq!(RecordSlice::new(&[]).find(1), None);
         assert_eq!(RecordSlice::new(&[]).last(), None);
+    }
+
+    #[test]
+    fn in_place_insert_and_remove_write_what_encode_records_writes() {
+        let encoded = |recs: &[Record]| {
+            let mut buf = vec![0xAAu8; 6 * RECORD_SIZE];
+            encode_records(&mut buf, 0, recs);
+            buf
+        };
+        for count in 0..=5u64 {
+            let recs: Vec<Record> = (0..count).map(|k| Record::new(k * 2, k + 10)).collect();
+            for i in 0..=recs.len() {
+                let mut want = recs.clone();
+                want.insert(i, Record::new(99, 7));
+                let mut area = encoded(&recs);
+                insert_record_at(&mut area, recs.len(), i, Record::new(99, 7));
+                assert_eq!(area, encoded(&want), "insert at {i} of {count}");
+            }
+            for i in 0..recs.len() {
+                let mut want = recs.clone();
+                want.remove(i);
+                let mut area = encoded(&recs);
+                remove_record_at(&mut area, recs.len(), i);
+                assert_eq!(area, encoded(&want), "remove {i} of {count}");
+            }
+        }
     }
 
     #[test]

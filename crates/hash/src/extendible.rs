@@ -7,8 +7,9 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, encode_records, AccessMethod, CostTracker, DataClass, Key, Record,
-    RecordSlice, Result, RumError, SpaceProfile, Value, RECORD_SIZE,
+    check_bulk_input, encode_records, insert_record_at, remove_record_at, AccessMethod,
+    CostTracker, DataClass, Key, Record, RecordSlice, Result, RumError, SpaceProfile, Value,
+    RECORD_SIZE,
 };
 use rum_storage::{MemDevice, PageBuf, PageId, Pager};
 
@@ -53,6 +54,54 @@ impl Bucket {
         buf.write_u16(2, self.records.len() as u16);
         encode_records(&mut buf, HEADER, &self.records);
         buf
+    }
+}
+
+/// A validated bucket page edited where it lies. After every edit the
+/// bytes are what [`Bucket::encode`] writes for the edited bucket.
+struct BucketMut<'a> {
+    page: &'a mut [u8],
+    count: usize,
+}
+
+impl<'a> BucketMut<'a> {
+    /// Validate `page` as [`Bucket::parse`] does.
+    fn new(page: &'a mut [u8], global_depth: u32) -> Result<Self> {
+        let count = Bucket::parse(page, global_depth)?.1.len();
+        Ok(BucketMut { page, count })
+    }
+
+    /// Index of the record holding `key`.
+    fn position(&self, key: Key) -> Option<usize> {
+        RecordSlice::new(&self.page[HEADER..HEADER + self.count * RECORD_SIZE])
+            .iter()
+            .position(|r| r.key == key)
+    }
+
+    fn set_value(&mut self, i: usize, value: Value) {
+        let at = HEADER + i * RECORD_SIZE + 8;
+        self.page[at..at + 8].copy_from_slice(&value.to_le_bytes());
+    }
+
+    /// Append `rec`; `false` (and nothing changed) when the bucket is full.
+    fn push(&mut self, rec: Record) -> bool {
+        if self.count == BUCKET_CAP {
+            return false;
+        }
+        insert_record_at(&mut self.page[HEADER..], self.count, self.count, rec);
+        self.set_count(self.count + 1);
+        true
+    }
+
+    /// Remove record `i`, keeping the others in insertion order.
+    fn remove(&mut self, i: usize) {
+        remove_record_at(&mut self.page[HEADER..], self.count, i);
+        self.set_count(self.count - 1);
+    }
+
+    fn set_count(&mut self, count: usize) {
+        self.count = count;
+        self.page[2..4].copy_from_slice(&(count as u16).to_le_bytes());
     }
 }
 
@@ -137,6 +186,30 @@ impl ExtendibleHash {
         self.pager.write(page, DataClass::Base, &bucket.encode())
     }
 
+    /// Edit the bucket for `key` where it lies: one charged read, and one
+    /// charged write if `f` reports a change. Returns the bucket's
+    /// directory slot with `f`'s answer.
+    fn edit_bucket<R>(
+        &mut self,
+        key: Key,
+        f: impl FnOnce(&mut BucketMut<'_>) -> (R, bool),
+    ) -> Result<(usize, R)> {
+        self.charge_dir();
+        let slot = self.dir_slot(key);
+        let (page, global_depth) = (self.directory[slot], self.global_depth);
+        let answer =
+            self.pager.with_page_mut(page, DataClass::Base, |bytes| {
+                match BucketMut::new(bytes, global_depth) {
+                    Ok(mut bucket) => {
+                        let (answer, changed) = f(&mut bucket);
+                        (Ok(answer), changed)
+                    }
+                    Err(e) => (Err(e), false),
+                }
+            })??;
+        Ok((slot, answer))
+    }
+
     /// Split the bucket at directory slot `slot` once, doubling the
     /// directory if its local depth equals the global depth.
     fn split(&mut self, slot: usize) -> Result<()> {
@@ -197,21 +270,23 @@ impl ExtendibleHash {
         Ok(())
     }
 
+    /// Upsert `rec`, splitting full buckets as needed; whether the key is
+    /// new.
     fn insert_record(&mut self, rec: Record) -> Result<bool> {
         loop {
-            self.charge_dir();
-            let slot = self.dir_slot(rec.key);
-            let page = self.directory[slot];
-            let mut bucket = self.read_bucket(page)?;
-            if let Some(r) = bucket.records.iter_mut().find(|r| r.key == rec.key) {
-                r.value = rec.value;
-                self.write_bucket(page, &bucket)?;
-                return Ok(false);
-            }
-            if bucket.records.len() < BUCKET_CAP {
-                bucket.records.push(rec);
-                self.write_bucket(page, &bucket)?;
-                return Ok(true);
+            let (slot, inserted) =
+                self.edit_bucket(rec.key, |bucket| match bucket.position(rec.key) {
+                    Some(i) => {
+                        bucket.set_value(i, rec.value);
+                        (Some(false), true)
+                    }
+                    None => {
+                        let pushed = bucket.push(rec);
+                        (pushed.then_some(true), pushed)
+                    }
+                })?;
+            if let Some(inserted) = inserted {
+                return Ok(inserted);
             }
             self.split(slot)?;
         }
@@ -276,33 +351,28 @@ impl AccessMethod for ExtendibleHash {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        self.charge_dir();
-        let slot = self.dir_slot(key);
-        let page = self.directory[slot];
-        let mut bucket = self.read_bucket(page)?;
-        if let Some(r) = bucket.records.iter_mut().find(|r| r.key == key) {
-            r.value = value;
-            self.write_bucket(page, &bucket)?;
-            Ok(true)
-        } else {
-            Ok(false)
-        }
+        let (_, found) = self.edit_bucket(key, |bucket| match bucket.position(key) {
+            Some(i) => {
+                bucket.set_value(i, value);
+                (true, true)
+            }
+            None => (false, false),
+        })?;
+        Ok(found)
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        self.charge_dir();
-        let slot = self.dir_slot(key);
-        let page = self.directory[slot];
-        let mut bucket = self.read_bucket(page)?;
-        let before = bucket.records.len();
-        bucket.records.retain(|r| r.key != key);
-        if bucket.records.len() != before {
-            self.write_bucket(page, &bucket)?;
+        let (_, found) = self.edit_bucket(key, |bucket| match bucket.position(key) {
+            Some(i) => {
+                bucket.remove(i);
+                (true, true)
+            }
+            None => (false, false),
+        })?;
+        if found {
             self.live -= 1;
-            Ok(true)
-        } else {
-            Ok(false)
         }
+        Ok(found)
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {

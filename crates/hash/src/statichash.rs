@@ -142,13 +142,14 @@ impl StaticHash {
         Ok(found.map(|rec| (slot, rec)))
     }
 
-    /// Overwrite one slot (read-modify-write of its page).
+    /// Overwrite one slot where its page lies (one read-modify-write).
     fn write_slot(&mut self, slot: usize, rec: Record) -> Result<()> {
         let id = self.pages[slot / RECORDS_PER_PAGE];
-        let mut buf = self.pager.read(id, DataClass::Base)?;
         let at = (slot % RECORDS_PER_PAGE) * RECORD_SIZE;
-        encode_records(&mut buf[at..at + RECORD_SIZE], 0, &[rec]);
-        self.pager.write(id, DataClass::Base, &buf)
+        self.pager.with_page_mut(id, DataClass::Base, |bytes| {
+            rec.encode_into(&mut bytes[at..at + RECORD_SIZE]);
+            ((), true)
+        })
     }
 
     /// Double the table and rehash everything (also clears tombstones).

@@ -1,8 +1,10 @@
 //! Sealed pages: a [`CheckedDevice`] wraps any [`BlockDevice`] and seals
-//! every `write_page` with a CRC-32 seal ([`crc`](crate::crc)) in a sidecar
-//! map, verifying on every read (`read_page` and `with_page` alike). Silent
-//! bit-rot becomes [`RumError::CorruptPage`] — detect-or-fail, never wrong
-//! data.
+//! every write with a CRC-32 seal ([`crc`](crate::crc)) in a sidecar map,
+//! verifying on every read (`read_page`, `with_page` and the read half of
+//! `with_page_mut` alike). Silent bit-rot becomes
+//! [`RumError::CorruptPage`] — detect-or-fail, never wrong data. An edit
+//! made in place costs two checksums, as a read and a write do: one
+//! verifies the page before the edit sees it, one seals what it left.
 //!
 //! Every one of those checksums runs over all 4 KiB: no verified bit, no
 //! once-per-residency skip, no sampling. What keeps that affordable is the
@@ -31,7 +33,7 @@ use std::sync::Arc;
 use rum_core::{Result, RumError};
 
 use crate::crc::crc32;
-use crate::device::{BlockDevice, IoStats};
+use crate::device::{BlockDevice, EditFault, IoStats};
 use crate::page::{PageBuf, PageId};
 
 /// A [`BlockDevice`] wrapper verifying a CRC-32 seal on every read.
@@ -140,6 +142,45 @@ impl<D: BlockDevice> BlockDevice for CheckedDevice<D> {
         // detected on the next read instead of trusted.
         self.inner.write_page(id, page)?;
         self.sums.insert(id.0, seal);
+        Ok(())
+    }
+
+    /// Verified before `f` sees a byte, as [`with_page`](Self::with_page)
+    /// verifies, and sealed once after: one checksum over the edited bytes,
+    /// kept only if the inner write lands. A damaged page is refused and
+    /// not written; a page `f` left unchanged keeps its seal.
+    fn with_page_mut(
+        &mut self,
+        id: PageId,
+        f: impl FnOnce(&mut [u8]) -> bool,
+    ) -> std::result::Result<(), EditFault> {
+        let seal = self.sums.get(&id.0).copied();
+        let mut refused = None;
+        let mut new_seal = None;
+        self.inner.with_page_mut(id, |bytes| {
+            if let Some(stored) = seal {
+                let computed = crc32(bytes);
+                if computed != stored {
+                    refused = Some(RumError::CorruptPage {
+                        id: id.0,
+                        stored,
+                        computed,
+                    });
+                    return false;
+                }
+            }
+            let changed = f(bytes);
+            if changed {
+                new_seal = Some(crc32(bytes));
+            }
+            changed
+        })?;
+        if let Some(e) = refused {
+            return Err(EditFault::Read(e));
+        }
+        if let Some(seal) = new_seal {
+            self.sums.insert(id.0, seal);
+        }
         Ok(())
     }
 

@@ -44,6 +44,18 @@ impl IoStats {
     }
 }
 
+/// Why a [`BlockDevice::with_page_mut`] did not land.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EditFault {
+    /// The read failed or was refused: the edit never ran and nothing was
+    /// written.
+    Read(RumError),
+    /// The edit ran, but writing it back failed as
+    /// [`write_page`](BlockDevice::write_page) fails. The edited page is
+    /// handed back, so the write alone can be retried.
+    Write(RumError, PageBuf),
+}
+
 /// A page-granular block device.
 ///
 /// Devices are `Send` so the access methods built on them can be measured
@@ -76,6 +88,37 @@ pub trait BlockDevice: Send {
 
     /// Replace a page's contents.
     fn write_page(&mut self, id: PageId, page: &PageBuf) -> Result<()>;
+
+    /// Edit a page where it lies: one device read, then `f` edits the
+    /// bytes and returns whether it changed them, then, only if it did,
+    /// one device write; exactly [`read_page`](Self::read_page) followed
+    /// by [`write_page`](Self::write_page). `f` runs once when the read
+    /// succeeds and never when it fails, and must leave the bytes as it
+    /// found them when it returns `false`.
+    ///
+    /// The default is that read and that write through an owned copy, so
+    /// a wrapper that overrides only `read_page` and `write_page` sees
+    /// (and may fail) both; a failed write hands the edited copy back in
+    /// [`EditFault::Write`] for the caller to retry. Devices whose writes
+    /// cannot fail override it to lend their own bytes; wrappers that
+    /// override it must refuse, before `f` sees a byte, every page
+    /// `with_page` refuses.
+    fn with_page_mut(
+        &mut self,
+        id: PageId,
+        f: impl FnOnce(&mut [u8]) -> bool,
+    ) -> std::result::Result<(), EditFault>
+    where
+        Self: Sized,
+    {
+        let mut page = self.read_page(id).map_err(EditFault::Read)?;
+        if f(page.as_mut_slice()) {
+            if let Err(e) = self.write_page(id, &page) {
+                return Err(EditFault::Write(e, page));
+            }
+        }
+        Ok(())
+    }
 
     /// Number of live (allocated, not freed) pages.
     fn live_pages(&self) -> usize;
@@ -160,6 +203,22 @@ impl BlockDevice for MemDevice {
         Ok(())
     }
 
+    /// A write to memory cannot fail, so the edit lands where the page
+    /// lies: no copy out, no copy back.
+    fn with_page_mut(
+        &mut self,
+        id: PageId,
+        f: impl FnOnce(&mut [u8]) -> bool,
+    ) -> std::result::Result<(), EditFault> {
+        let page = self.slot(id).map_err(EditFault::Read)?;
+        let changed = f(page.as_mut_slice());
+        self.stats.page_reads.fetch_add(1, Ordering::Relaxed);
+        if changed {
+            self.stats.page_writes.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
+    }
+
     fn live_pages(&self) -> usize {
         self.pages.len() - self.free_list.len()
     }
@@ -188,6 +247,27 @@ mod tests {
         let lent = d.with_page(id, |bytes| bytes == back.as_slice()).unwrap();
         assert!(lent);
         assert_eq!(d.stats().reads(), 2);
+    }
+
+    #[test]
+    fn an_edit_lands_in_place_and_counts_a_write_only_if_it_changed_the_page() {
+        let mut d = MemDevice::new();
+        let id = d.allocate().unwrap();
+        d.with_page_mut(id, |bytes| {
+            bytes[3] = 7;
+            true
+        })
+        .unwrap();
+        d.with_page_mut(id, |bytes| bytes[3] != 7).unwrap();
+        assert_eq!((d.stats().reads(), d.stats().writes()), (2, 1));
+        assert_eq!(d.read_page(id).unwrap()[3], 7);
+        d.free(id).unwrap();
+        let refused = d.with_page_mut(id, |_| unreachable!("a freed page is not lent"));
+        assert!(matches!(
+            refused,
+            Err(EditFault::Read(RumError::Storage(_)))
+        ));
+        assert_eq!(d.stats().reads(), 3, "a refused edit is not a read");
     }
 
     #[test]

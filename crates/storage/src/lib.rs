@@ -23,7 +23,10 @@
 //!   allocate and touch pages through; every access is charged to a
 //!   [`CostTracker`](rum_core::CostTracker) with its
 //!   [`DataClass`](rum_core::DataClass) (base vs. auxiliary), which is what
-//!   makes RO/UO/MO measurable.
+//!   makes RO/UO/MO measurable. Reads are lent
+//!   ([`Pager::with_page`]) and edits are made where the page lies
+//!   ([`Pager::with_page_mut`], one read-modify-write charged as a read
+//!   and a write), so neither copies a page the device already holds.
 //! * [`hierarchy`] — the multi-level
 //!   [`MemoryHierarchy`] simulator behind the
 //!   Figure 2 experiment.
@@ -73,7 +76,7 @@ pub mod wal;
 pub use checked::{CheckedDevice, ScrubReport};
 pub use cost::DeviceProfile;
 pub use crc::crc32;
-pub use device::{BlockDevice, IoStats, MemDevice};
+pub use device::{BlockDevice, EditFault, IoStats, MemDevice};
 pub use durable::{Durable, RecoveryReport};
 pub use fault::{
     splitmix64, Backoff, FaultDevice, FaultInjector, FaultPlan, FaultProfile, ReadOutcome,

@@ -32,18 +32,20 @@ impl std::fmt::Display for PageId {
     }
 }
 
-/// An owned, fixed-size page buffer: what a writer fills and hands to
-/// `write_page`, what a page memo (`PackedFile`'s) copies a lent page
-/// into, and what tests compare. Readers do not need one — the device
-/// lends its own bytes ([`BlockDevice::with_page`], [`Pager::with_page`])
-/// and every paged method reads there. `read_page` / [`Pager::read`] still
-/// copy into a fresh one: for a device wrapper that implements nothing
-/// else, for a read-modify-write of a few bytes of a page
-/// (`StaticHash::write_slot`, the one caller left), and for the wall-clock
+/// An owned, fixed-size page buffer: what a writer of a whole page fills
+/// and hands to `write_page`, what a page memo (`PackedFile`'s) copies a
+/// lent page into, and what tests compare. Readers do not need one — the
+/// device lends its own bytes ([`BlockDevice::with_page`],
+/// [`Pager::with_page`]) and every paged method reads there — and neither
+/// does an edit of part of a page, which the device lends mutably
+/// ([`Pager::with_page_mut`]). `read_page` / [`Pager::read`] still copy
+/// into a fresh one: for a device wrapper that implements nothing else
+/// (and the default edit, which goes through it), and for the wall-clock
 /// benchmark, which times that copy as `pager.read_ns`.
 ///
 /// [`BlockDevice::with_page`]: crate::device::BlockDevice::with_page
 /// [`Pager::with_page`]: crate::pager::Pager::with_page
+/// [`Pager::with_page_mut`]: crate::pager::Pager::with_page_mut
 /// [`Pager::read`]: crate::pager::Pager::read
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageBuf {

@@ -14,7 +14,7 @@ use rum_core::{CostTracker, DataClass, Result, RumError, PAGE_SIZE};
 
 use crate::checked::{CheckedDevice, ScrubReport};
 use crate::cost::{AccessClassifier, DeviceProfile};
-use crate::device::BlockDevice;
+use crate::device::{BlockDevice, EditFault};
 use crate::fault::RetryPolicy;
 use crate::page::{PageBuf, PageId};
 
@@ -101,9 +101,10 @@ impl<D: BlockDevice> Pager<D> {
     /// stored bytes are wrong, not busy — and is surfaced (and traced)
     /// immediately. `f` runs once, on the attempt that succeeds.
     ///
-    /// This is the one read loop: the charge is per attempt, never per
-    /// byte copied, so lending instead of copying changes no counted
-    /// quantity.
+    /// The charge is per attempt, never per byte copied, so lending
+    /// instead of copying changes no counted quantity; the same holds for
+    /// editing in place ([`with_page_mut`](Self::with_page_mut)), whose
+    /// read attempts go through the same failure handling as these.
     pub fn with_page<R>(
         &mut self,
         id: PageId,
@@ -119,16 +120,13 @@ impl<D: BlockDevice> Pager<D> {
                     .expect("a device lends the page only on the one attempt that succeeds");
                 f(bytes)
             });
-            if Self::attempt_touched_device(&r) {
-                self.tracker.page_read();
-                self.tracker.read(class, PAGE_SIZE as u64);
-                let ns = self.classifier.read(&self.profile, id);
-                self.tracker.sim_time(ns);
-            }
             match r {
-                Ok(out) => return Ok(out),
+                Ok(out) => {
+                    self.charge_read(id, class);
+                    return Ok(out);
+                }
                 Err(e) => {
-                    if let Some(err) = self.note_failure(id, &e, &mut attempt) {
+                    if let Some(err) = self.read_failed(id, class, &e, &mut attempt) {
                         return Err(err);
                     }
                 }
@@ -137,7 +135,8 @@ impl<D: BlockDevice> Pager<D> {
     }
 
     /// Copy a page out — [`with_page`](Self::with_page) into an owned
-    /// buffer, for callers that go on to modify and write it back.
+    /// buffer. Editing a page does not need one
+    /// ([`with_page_mut`](Self::with_page_mut)).
     pub fn read(&mut self, id: PageId, class: DataClass) -> Result<PageBuf> {
         self.with_page(id, class, PageBuf::from_bytes)
     }
@@ -147,19 +146,83 @@ impl<D: BlockDevice> Pager<D> {
     /// the [`RetryPolicy`], and every failed attempt is priced as extra
     /// UO.
     pub fn write(&mut self, id: PageId, class: DataClass, page: &PageBuf) -> Result<()> {
+        self.write_from(id, class, page, 1)
+    }
+
+    /// Edit a page where the device holds it: `f` gets its bytes and
+    /// returns its answer and whether it changed them, and a changed page
+    /// is written back. This is the one read-modify-write, charged exactly
+    /// like [`with_page`](Self::with_page) followed, when the page
+    /// changed, by [`write`](Self::write): every read attempt one page
+    /// read and every write attempt one page write of `class` traffic,
+    /// each half retried on its own under the [`RetryPolicy`], with the
+    /// same trace events. `f` runs once, on the read attempt that
+    /// succeeds; a failed write is retried with the edited bytes, never by
+    /// editing again. `f` must leave the bytes as it found them when it
+    /// reports no change.
+    pub fn with_page_mut<R>(
+        &mut self,
+        id: PageId,
+        class: DataClass,
+        f: impl FnOnce(&mut [u8]) -> (R, bool),
+    ) -> Result<R> {
+        let mut f = Some(f);
+        let mut out = None;
         let mut attempt = 1u32;
         loop {
-            let r = self.device.write_page(id, page);
-            if Self::attempt_touched_device(&r) {
-                self.tracker.page_write();
-                self.tracker.write(class, PAGE_SIZE as u64);
-                let ns = self.classifier.write(&self.profile, id);
-                self.tracker.sim_time(ns);
+            let r = self.device.with_page_mut(id, |bytes| {
+                let f = f
+                    .take()
+                    .expect("a device lends the page only on the one attempt that succeeds");
+                let (answer, changed) = f(bytes);
+                out = Some((answer, changed));
+                changed
+            });
+            let failed_write = match r {
+                Ok(()) => None,
+                Err(EditFault::Write(e, page)) => Some((e, page)),
+                Err(EditFault::Read(e)) => {
+                    if let Some(err) = self.read_failed(id, class, &e, &mut attempt) {
+                        return Err(err);
+                    }
+                    continue;
+                }
+            };
+            let (answer, changed) = out.expect("the read succeeded, so the edit ran");
+            self.charge_read(id, class);
+            match failed_write {
+                None if changed => self.charge_write(id, class),
+                None => {}
+                // The first write attempt failed; the rest of the write
+                // loop carries on with the edited copy.
+                Some((e, page)) => {
+                    let mut attempt = 1u32;
+                    if let Some(err) = self.write_failed(id, class, &e, &mut attempt) {
+                        return Err(err);
+                    }
+                    self.write_from(id, class, &page, attempt)?;
+                }
             }
-            match r {
-                Ok(()) => return Ok(()),
+            return Ok(answer);
+        }
+    }
+
+    /// The write loop from attempt number `attempt` on.
+    fn write_from(
+        &mut self,
+        id: PageId,
+        class: DataClass,
+        page: &PageBuf,
+        mut attempt: u32,
+    ) -> Result<()> {
+        loop {
+            match self.device.write_page(id, page) {
+                Ok(()) => {
+                    self.charge_write(id, class);
+                    return Ok(());
+                }
                 Err(e) => {
-                    if let Some(err) = self.note_failure(id, &e, &mut attempt) {
+                    if let Some(err) = self.write_failed(id, class, &e, &mut attempt) {
                         return Err(err);
                     }
                 }
@@ -167,16 +230,58 @@ impl<D: BlockDevice> Pager<D> {
         }
     }
 
-    /// Whether one device attempt performed (and should charge) a physical
-    /// page touch. Success always did; a transient fault or a checksum
-    /// mismatch cost the access before failing. Other errors (bad page id,
-    /// power loss — whose partial-write accounting lives with the fault
-    /// injector) keep their long-standing uncharged behavior.
-    fn attempt_touched_device<T>(r: &Result<T>) -> bool {
-        matches!(
-            r,
-            Ok(_) | Err(RumError::Transient(_)) | Err(RumError::CorruptPage { .. })
-        )
+    /// One page read of `class` traffic and its simulated time.
+    fn charge_read(&mut self, id: PageId, class: DataClass) {
+        self.tracker.page_read();
+        self.tracker.read(class, PAGE_SIZE as u64);
+        let ns = self.classifier.read(&self.profile, id);
+        self.tracker.sim_time(ns);
+    }
+
+    /// One page write of `class` traffic and its simulated time.
+    fn charge_write(&mut self, id: PageId, class: DataClass) {
+        self.tracker.page_write();
+        self.tracker.write(class, PAGE_SIZE as u64);
+        let ns = self.classifier.write(&self.profile, id);
+        self.tracker.sim_time(ns);
+    }
+
+    /// Whether a failed device attempt performed (and should charge) a
+    /// physical page touch: a transient fault or a checksum mismatch cost
+    /// the access before failing. Other errors (bad page id, power loss —
+    /// whose partial-write accounting lives with the fault injector) keep
+    /// their long-standing uncharged behavior.
+    fn touched_device(e: &RumError) -> bool {
+        matches!(e, RumError::Transient(_) | RumError::CorruptPage { .. })
+    }
+
+    /// One failed read attempt: charged if it touched the device, then
+    /// traced and either retried (`None`) or given up on.
+    fn read_failed(
+        &mut self,
+        id: PageId,
+        class: DataClass,
+        e: &RumError,
+        attempt: &mut u32,
+    ) -> Option<RumError> {
+        if Self::touched_device(e) {
+            self.charge_read(id, class);
+        }
+        self.note_failure(id, e, attempt)
+    }
+
+    /// One failed write attempt, as [`read_failed`](Self::read_failed).
+    fn write_failed(
+        &mut self,
+        id: PageId,
+        class: DataClass,
+        e: &RumError,
+        attempt: &mut u32,
+    ) -> Option<RumError> {
+        if Self::touched_device(e) {
+            self.charge_write(id, class);
+        }
+        self.note_failure(id, e, attempt)
     }
 
     /// Common failure handling for one failed attempt: trace it, decide
@@ -403,6 +508,163 @@ mod tests {
         );
     }
 
+    /// The pages, tracker, faults drawn, trace events and answers of 300
+    /// read-modify-writes (two in three change the page) over four pages
+    /// of `pager`, made in place or through an owned copy.
+    fn edit_run<D: BlockDevice>(
+        mut pager: Pager<D>,
+        inj: &crate::fault::FaultInjector,
+        in_place: bool,
+    ) -> (Vec<PageBuf>, rum_core::CostSnapshot, u64, usize, Vec<u64>) {
+        let tracker = Arc::clone(pager.tracker());
+        let sink = rum_core::trace::MemorySink::shared();
+        pager.set_trace_sink(sink.clone());
+        pager.set_retry_policy(crate::fault::RetryPolicy::attempts(8));
+        let ids: Vec<_> = (0..4).map(|_| pager.allocate().unwrap()).collect();
+        let mut seen = Vec::new();
+        for n in 0..300usize {
+            let (id, class) = (ids[n * 7 % 4], [DataClass::Base, DataClass::Aux][n % 2]);
+            let (off, change) = (n % 8 * 8, n % 3 != 0);
+            seen.push(if in_place {
+                pager
+                    .with_page_mut(id, class, |bytes| {
+                        let old = u64::from_le_bytes(bytes[off..off + 8].try_into().unwrap());
+                        if change {
+                            bytes[off..off + 8].copy_from_slice(&(n as u64).to_le_bytes());
+                        }
+                        (old, change)
+                    })
+                    .unwrap()
+            } else {
+                let mut page = pager.read(id, class).unwrap();
+                let old = page.read_u64(off);
+                if change {
+                    page.write_u64(off, n as u64);
+                    pager.write(id, class, &page).unwrap();
+                }
+                old
+            });
+        }
+        let pages = ids
+            .iter()
+            .map(|&id| pager.read(id, DataClass::Base).unwrap());
+        (
+            pages.collect(),
+            tracker.snapshot(),
+            inj.transient_faults(),
+            sink.len(),
+            seen,
+        )
+    }
+
+    #[test]
+    fn editing_in_place_charges_and_retries_exactly_like_read_then_write() {
+        use crate::checked::CheckedDevice;
+        use crate::fault::{FaultDevice, FaultInjector, FaultPlan, FaultProfile};
+        let injector = || {
+            FaultInjector::with_profile(
+                FaultPlan::None,
+                Some(FaultProfile::transient(29, 250_000, 3)),
+            )
+        };
+        let faulty = |inj: &Arc<FaultInjector>| FaultDevice::new(MemDevice::new(), Arc::clone(inj));
+        for in_place in [false, true] {
+            // Under transient faults (the default copy path, each half
+            // retried on its own) ...
+            let inj = injector();
+            let pager = Pager::with_profile(faulty(&inj), CostTracker::new(), DeviceProfile::SSD);
+            let run = edit_run(pager, &inj, in_place);
+            let inj = injector();
+            let pager = Pager::with_profile(faulty(&inj), CostTracker::new(), DeviceProfile::SSD);
+            assert_eq!(run, edit_run(pager, &inj, !in_place));
+            assert!(
+                run.2 > 0 && run.3 > 0,
+                "a 25% fault rate must fire and be traced"
+            );
+            assert!(run.1.page_reads > 300 && run.1.page_writes > 200);
+            // ... behind a seal, which verifies before the edit and seals
+            // once after ...
+            let inj = injector();
+            let sealed = CheckedDevice::new(faulty(&inj));
+            let pager = Pager::with_profile(sealed, CostTracker::new(), DeviceProfile::SSD);
+            assert_eq!(run, edit_run(pager, &inj, in_place));
+            // ... and where the edit lands in the device's own bytes.
+            let clean = FaultInjector::inert();
+            let mem = edit_run(
+                Pager::new(MemDevice::new(), CostTracker::new()),
+                &clean,
+                in_place,
+            );
+            let sealed = edit_run(
+                Pager::new(CheckedDevice::new(MemDevice::new()), CostTracker::new()),
+                &clean,
+                !in_place,
+            );
+            assert_eq!(mem, sealed);
+            assert_eq!((mem.1.page_reads, mem.1.page_writes), (304, 200));
+        }
+    }
+
+    #[test]
+    fn an_edit_is_refused_on_a_damaged_page_and_sealed_once_it_lands() {
+        use crate::checked::CheckedDevice;
+        use crate::fault::{FaultDevice, FaultInjector, FaultPlan};
+        let tracker = CostTracker::new();
+        let mut pager = Pager::new(CheckedDevice::new(MemDevice::new()), Arc::clone(&tracker));
+        let id = pager.allocate().unwrap();
+        pager
+            .write(id, DataClass::Base, &PageBuf::zeroed())
+            .unwrap();
+        pager
+            .with_page_mut(id, DataClass::Base, |b| {
+                b[5] = 9;
+                ((), true)
+            })
+            .unwrap();
+        assert!(pager.scrub().unwrap().is_clean(), "the edit was sealed");
+        let mut damaged = pager.read(id, DataClass::Base).unwrap();
+        damaged[77] ^= 4;
+        pager
+            .device_mut()
+            .inner_mut()
+            .write_page(id, &damaged)
+            .unwrap();
+        let (before, writes) = (tracker.snapshot(), pager.device().stats().writes());
+        let mut called = false;
+        let err = pager
+            .with_page_mut(id, DataClass::Base, |_| {
+                called = true;
+                ((), true)
+            })
+            .unwrap_err();
+        assert!(matches!(err, RumError::CorruptPage { .. }), "got {err:?}");
+        assert!(!called, "the closure must not see a byte of a damaged page");
+        assert_eq!(pager.device().stats().writes(), writes, "nothing written");
+        let d = tracker.since(&before);
+        assert_eq!((d.page_reads, d.page_writes), (1, 0));
+
+        // A write that tears under power loss leaves the old seal, so the
+        // half-written page is refused on the next read.
+        let inj = FaultInjector::new(FaultPlan::torn_at(PAGE_SIZE as u64 + 100));
+        let mut pager = Pager::new(
+            CheckedDevice::new(FaultDevice::new(MemDevice::new(), inj)),
+            CostTracker::new(),
+        );
+        let id = pager.allocate().unwrap();
+        pager
+            .write(id, DataClass::Base, &PageBuf::zeroed())
+            .unwrap();
+        let err = pager
+            .with_page_mut(id, DataClass::Base, |b| {
+                b.fill(0x33);
+                ((), true)
+            })
+            .unwrap_err();
+        assert!(matches!(err, RumError::Crash(_)), "got {err:?}");
+        let err = pager.read(id, DataClass::Base).unwrap_err();
+        assert!(matches!(err, RumError::CorruptPage { .. }), "got {err:?}");
+    }
+
     #[test]
     fn a_page_damaged_behind_the_seal_is_never_lent() {
         use crate::checked::CheckedDevice;
@@ -475,6 +737,17 @@ mod tests {
         pager.read(a, DataClass::Base).unwrap();
         assert_eq!(pager.device().reads, vec![a, b, b, a, a]);
         assert_eq!(pager.device().stats().reads(), 5);
+        // An edit goes through both methods it does implement.
+        let was = pager
+            .with_page_mut(b, DataClass::Base, |bytes| {
+                bytes[8] += 1;
+                (bytes[8] - 1, true)
+            })
+            .unwrap();
+        assert_eq!(was, 42);
+        assert_eq!(pager.device().reads, vec![a, b, b, a, a, b]);
+        assert_eq!(pager.device().stats().writes(), 2);
+        assert_eq!(pager.read(b, DataClass::Base).unwrap()[8], 43);
     }
 
     #[test]
