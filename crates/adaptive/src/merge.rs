@@ -3,7 +3,7 @@
 //! query merges only the key ranges it touches into a consolidated store,
 //! so the index materializes exactly where the workload looks.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rum_core::{
@@ -98,15 +98,19 @@ impl IntervalSet {
 }
 
 /// The adaptive merger.
+///
+/// `consolidate` drains every run copy of each key range it covers, so
+/// the runs hold only uncovered keys and `merged` holds exactly the live
+/// covered ones: the two stores together are the live set, and nothing
+/// else needs to remember which keys exist.
 pub struct AdaptiveMerger {
     /// Initial sorted runs; records migrate out as queries touch them.
     runs: Vec<Vec<Record>>,
-    /// The consolidated (fully indexed) store.
+    /// The consolidated (fully indexed) store; authoritative for every
+    /// covered key.
     merged: BTreeMap<Key, Value>,
     /// Key ranges already consolidated.
     covered: IntervalSet,
-    /// Liveness oracle (uncharged; see the LSM's note).
-    live_keys: HashSet<Key>,
     run_records: usize,
     tracker: Arc<CostTracker>,
 }
@@ -118,7 +122,6 @@ impl AdaptiveMerger {
             runs: Vec::new(),
             merged: BTreeMap::new(),
             covered: IntervalSet::new(),
-            live_keys: HashSet::new(),
             run_records: run_records.max(16),
             tracker: CostTracker::new(),
         }
@@ -192,7 +195,7 @@ impl AccessMethod for AdaptiveMerger {
     }
 
     fn len(&self) -> usize {
-        self.live_keys.len()
+        self.merged.len() + self.unmerged_records()
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
@@ -204,27 +207,19 @@ impl AccessMethod for AdaptiveMerger {
         let interval_meta = self.covered.len() as u64 * 16;
         // The merged store keeps tree structure: ~16 bytes/entry overhead.
         let tree_overhead = self.merged.len() as u64 * 16;
-        SpaceProfile::from_physical(
-            self.live_keys.len(),
-            records + interval_meta + tree_overhead,
-        )
+        SpaceProfile::from_physical(self.len(), records + interval_meta + tree_overhead)
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
         self.consolidate(key, key);
         let r = self.merged.get(&key).copied();
         self.tracker.read(DataClass::Base, CELL);
-        // Respect deletions: a consolidated range with no entry is a miss.
-        Ok(r.filter(|_| self.live_keys.contains(&key)))
+        Ok(r)
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
         self.consolidate(lo, hi);
-        Ok(self
-            .read_merged(lo, hi)
-            .into_iter()
-            .filter(|r| self.live_keys.contains(&r.key))
-            .collect())
+        Ok(self.read_merged(lo, hi))
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
@@ -233,26 +228,24 @@ impl AccessMethod for AdaptiveMerger {
         self.consolidate(key, key);
         self.merged.insert(key, value);
         self.tracker.write(DataClass::Base, CELL);
-        self.live_keys.insert(key);
         Ok(())
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        if !self.live_keys.contains(&key) {
-            return Ok(false);
-        }
         self.consolidate(key, key);
-        self.merged.insert(key, value);
+        let Some(slot) = self.merged.get_mut(&key) else {
+            return Ok(false);
+        };
+        *slot = value;
         self.tracker.write(DataClass::Base, CELL);
         Ok(true)
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        if !self.live_keys.remove(&key) {
+        self.consolidate(key, key);
+        if self.merged.remove(&key).is_none() {
             return Ok(false);
         }
-        self.consolidate(key, key);
-        self.merged.remove(&key);
         self.tracker.write(DataClass::Base, CELL);
         Ok(true)
     }
@@ -261,7 +254,6 @@ impl AccessMethod for AdaptiveMerger {
         check_bulk_input(records)?;
         self.merged.clear();
         self.covered = IntervalSet::new();
-        self.live_keys = records.iter().map(|r| r.key).collect();
         // Initial runs: contiguous chunks, each sorted (input is sorted,
         // so chunks are too — real systems sort each run at load).
         self.runs = records

@@ -19,11 +19,11 @@
 //! * when they disagree beyond tolerance: the Table 1 term of the analytic
 //!   pick that is most off ([`Deviation`]), i.e. *why* the model misranks.
 
-use rum::core::advisor::{Deviation, MeasuredRanking, ProfileStore};
+use rum::core::advisor::{Deviation, MeasuredRanking, MeasuredRecommendation, ProfileStore};
 use rum::core::wizard::{Constraints, Environment, Family};
 use rum::prelude::*;
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// Grid + comparison configuration.
 #[derive(Clone, Debug)]
@@ -209,61 +209,6 @@ pub fn verdict(
     }
 }
 
-/// Render the side-by-side ranking tables and the calibration summary.
-pub fn render(run: &AdvisorRun) -> String {
-    let mut out =
-        String::from("=== The RUM wizard, calibrated: analytic vs measured rankings ===\n");
-    out.push_str(&format!(
-        "environment: N = {}, profiles from {} measured points across {} methods\n",
-        run.env.n,
-        run.store.point_count(),
-        run.store.len(),
-    ));
-    for v in &run.verdicts {
-        out.push_str(&format!(
-            "\n--- mix {} (get {:.2} insert {:.2} update {:.2} delete {:.2} range {:.2}) ---\n",
-            v.mix_name, v.mix.get, v.mix.insert, v.mix.update, v.mix.delete, v.mix.range
-        ));
-        out.push_str(&format!(
-            "{:<4} {:<18} {:>10}   {:<18} {:>10} {:>7}\n",
-            "rank", "analytic", "pages/op", "measured", "pages/op", "calib"
-        ));
-        for (i, (a, m)) in v.analytic.recs.iter().zip(&v.measured.recs).enumerate() {
-            out.push_str(&format!(
-                "{:<4} {:<18} {:>10.3}   {:<18} {:>10.3} {:>7}\n",
-                i + 1,
-                a.family.name(),
-                a.expected_cost,
-                m.family.name(),
-                m.expected_cost,
-                if m.calibrated { "yes" } else { "NO" },
-            ));
-        }
-        out.push_str(&format!(
-            "top: analytic = {}, measured = {}, measured-cost ratio {:.2} -> {}\n",
-            v.top_analytic.name(),
-            v.top_measured.name(),
-            v.cost_ratio,
-            if v.agree { "AGREE" } else { "DISAGREE" },
-        ));
-        out.push_str("Table 1 deviations (measured / analytic, most-off term per family):\n");
-        for rec in &v.measured.recs {
-            if let Some(dev) = &rec.deviation {
-                out.push_str(&format!(
-                    "  {:<18} {:>7.2}x off on the {} term [{}]: model {:.2}, measured {:.2}\n",
-                    rec.family.name(),
-                    dev.ratio,
-                    dev.metric,
-                    dev.term,
-                    dev.analytic,
-                    dev.measured,
-                ));
-            }
-        }
-    }
-    out
-}
-
 /// The experiment's claims, checked. Any `false` fails the smoke job.
 pub fn checks(run: &AdvisorRun) -> Vec<(String, bool)> {
     let mut out = Vec::new();
@@ -331,35 +276,35 @@ pub fn checks(run: &AdvisorRun) -> Vec<(String, bool)> {
     out
 }
 
-/// CSV of every measured profile point (the persistence format of
-/// [`ProfileStore`]).
-pub fn to_csv(run: &AdvisorRun) -> String {
-    run.store.to_csv()
-}
-
-/// CSV of both rankings of every configured mix: the empty store's (the
+/// Both rankings of every configured mix: the empty store's (the
 /// analytic prior) and the measured store's, one row per family in rank
 /// order, costs as shortest-roundtrip floats.
-pub fn rankings_csv(run: &AdvisorRun) -> String {
-    let mut out =
-        String::from("store,mix,rank,family,expected_cost,analytic_cost,feasible,calibrated\n");
+pub fn rankings() -> Table<Ranked> {
+    Table::<Ranked>::default()
+        .col("store", "", |r| r.0)
+        .col("mix", "", |r| r.1)
+        .col("rank", "", |r| r.2)
+        .col("family", "", |r| r.3.method)
+        .col("expected_cost", "", |r| r.3.expected_cost)
+        .col("analytic_cost", "", |r| r.3.analytic_cost)
+        .col("feasible", "", |r| r.3.feasible)
+        .col("calibrated", "", |r| r.3.calibrated)
+}
+
+/// `(store, mix, rank, entry)`: one row of [`rankings`].
+pub type Ranked = (&'static str, &'static str, usize, MeasuredRecommendation);
+
+/// Every row of [`rankings`], mix by mix, the empty store's first.
+pub fn ranked(run: &AdvisorRun) -> Vec<Ranked> {
+    let mut rows = Vec::new();
     for v in &run.verdicts {
         for (store, ranking) in [("empty", &v.analytic), ("measured", &v.measured)] {
             for (i, r) in ranking.recs.iter().enumerate() {
-                out.push_str(&format!(
-                    "{store},{},{},{},{},{},{},{}\n",
-                    v.mix_name,
-                    i + 1,
-                    r.method,
-                    r.expected_cost,
-                    r.analytic_cost,
-                    r.feasible,
-                    r.calibrated,
-                ));
+                rows.push((store, v.mix_name, i + 1, r.clone()));
             }
         }
     }
-    out
+    rows
 }
 
 /// Label helper shared with the binary's output.
@@ -374,19 +319,75 @@ pub fn grid_summary(config: &AdvisorConfig) -> String {
     )
 }
 
+/// The side-by-side ranking tables and the calibration summary.
+pub fn text(run: &AdvisorRun) -> String {
+    let side_by_side =
+        Table::<(usize, &MeasuredRecommendation, &MeasuredRecommendation)>::default()
+            .col("", "rank:<4", |(i, _, _)| i + 1)
+            .col("", "analytic:<18", |(_, a, _)| a.family.name())
+            .col("", "pages/op:>10.3", |(_, a, _)| a.expected_cost)
+            .col("", "measured:   <18", |(_, _, m)| m.family.name())
+            .col("", "pages/op:>10.3", |(_, _, m)| m.expected_cost)
+            .col(
+                "",
+                "calib:>7",
+                |(_, _, m)| if m.calibrated { "yes" } else { "NO" },
+            );
+    let mut out =
+        String::from("=== The RUM wizard, calibrated: analytic vs measured rankings ===\n");
+    out.push_str(&format!(
+        "environment: N = {}, profiles from {} measured points across {} methods\n",
+        run.env.n,
+        run.store.point_count(),
+        run.store.len(),
+    ));
+    for v in &run.verdicts {
+        out.push_str(&format!(
+            "\n--- mix {} (get {:.2} insert {:.2} update {:.2} delete {:.2} range {:.2}) ---\n",
+            v.mix_name, v.mix.get, v.mix.insert, v.mix.update, v.mix.delete, v.mix.range
+        ));
+        let pairs = v.analytic.recs.iter().zip(&v.measured.recs);
+        let rows: Vec<_> = pairs.enumerate().map(|(i, (a, m))| (i, a, m)).collect();
+        out.push_str(&side_by_side.text(&rows));
+        out.push_str(&format!(
+            "top: analytic = {}, measured = {}, measured-cost ratio {:.2} -> {}\n",
+            v.top_analytic.name(),
+            v.top_measured.name(),
+            v.cost_ratio,
+            if v.agree { "AGREE" } else { "DISAGREE" },
+        ));
+        out.push_str("Table 1 deviations (measured / analytic, most-off term per family):\n");
+        for rec in &v.measured.recs {
+            if let Some(dev) = &rec.deviation {
+                out.push_str(&format!(
+                    "  {:<18} {:>7.2}x off on the {} term [{}]: model {:.2}, measured {:.2}\n",
+                    rec.family.name(),
+                    dev.ratio,
+                    dev.metric,
+                    dev.term,
+                    dev.analytic,
+                    dev.measured,
+                ));
+            }
+        }
+    }
+    out
+}
+
 /// `rum-bench advisor [--smoke]`: writes the profile store and the ranking
 /// tables; `--smoke` also yields the rankings CSV the gate holds.
 pub fn experiment(scale: Scale, _: &Target) -> Outcome {
     let config = scale.config(AdvisorConfig::smoke);
     eprintln!("[advisor] {}", grid_summary(&config));
     let measured = run(&config);
-    let rendered = render(&measured);
+    let rendered = text(&measured);
     let mut files = vec![
-        ("advisor_profiles.csv".to_string(), to_csv(&measured)),
+        ("advisor_profiles.csv".to_string(), measured.store.to_csv()),
         ("advisor.txt".to_string(), rendered.clone()),
     ];
     if scale == Scale::Smoke {
-        files.push(("advisor_rankings.csv".to_string(), rankings_csv(&measured)));
+        let csv = rankings().csv(&ranked(&measured));
+        files.push(("advisor_rankings.csv".to_string(), csv));
     }
     Outcome {
         rendered,
@@ -423,8 +424,11 @@ mod tests {
             }
             assert!(ok, "failed check: {desc}");
         }
-        let rendered = render(&run);
+        let rendered = text(&run);
         assert!(rendered.contains("analytic"));
         assert!(rendered.contains("Table 1 deviations"));
+        // Both stores rank every family.
+        let csv = rankings().csv(&ranked(&run));
+        assert_eq!(csv.lines().count(), 1 + 2 * v.measured.recs.len());
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The amplifications are pure counted-byte ratios, fully deterministic
 //! given the workload seed — independent of thread count, wall clock, and
-//! host — so the baseline is gated *byte-exactly*: [`to_csv`] writes each
+//! host — so the baseline is gated *byte-exactly*: [`table`] writes each
 //! value in Rust's shortest-roundtrip `Display` form, `rum-bench gate`
 //! compares the text with `results/smoke/baseline_rum.csv`, and any
 //! difference means an access method's physical traffic changed, which is
@@ -12,7 +12,7 @@
 
 use rum::prelude::*;
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// The workload every baseline measurement runs: small enough for CI,
 /// large enough that every suite method flushes/compacts/splits.
@@ -51,19 +51,19 @@ pub fn measure(threads: usize) -> Vec<BaselineRow> {
 }
 
 /// The gated artifact: `method,ro,uo,mo` with shortest-roundtrip floats.
-pub fn to_csv(rows: &[BaselineRow]) -> String {
-    let mut out = String::from("method,ro,uo,mo\n");
-    for r in rows {
-        out.push_str(&format!("{},{},{},{}\n", r.method, r.ro, r.uo, r.mo));
-    }
-    out
+pub fn table() -> Table<BaselineRow> {
+    Table::<BaselineRow>::default()
+        .col("method", "", |r| r.method.clone())
+        .col("ro", "", |r| r.ro)
+        .col("uo", "", |r| r.uo)
+        .col("mo", "", |r| r.mo)
 }
 
 /// `rum-bench baseline --smoke`: prints exactly what the gate compares.
 pub fn experiment(_: Scale, _: &Target) -> Outcome {
     let threads = rum::core::runner::default_threads();
     eprintln!("[baseline] measuring standard suite ({threads} threads) ...");
-    let mut csv = to_csv(&measure(threads));
+    let mut csv = table().csv(&measure(threads));
     let files = vec![("baseline_rum.csv".to_string(), csv.clone())];
     csv.pop(); // the caller's println! puts the final newline back
     Outcome {
@@ -85,7 +85,7 @@ mod tests {
         // The gated artifact itself, so a codec slip in any suite method
         // fails `cargo test`, not only `rum-bench gate`.
         assert_eq!(
-            to_csv(&a),
+            table().csv(&a),
             include_str!("../../../results/smoke/baseline_rum.csv"),
             "counted traffic moved: see `rum-bench gate`"
         );

@@ -22,7 +22,7 @@ use rum_core::workload::{OpMix, Workload, WorkloadSpec};
 use rum_core::AccessMethod;
 use rum_storage::{splitmix64, Durable, FaultInjector, FaultPlan};
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// Matrix configuration.
 #[derive(Clone, Debug)]
@@ -236,76 +236,77 @@ pub fn run(config: &CrashConfig) -> CrashMatrix {
     out
 }
 
-/// CSV: a `uo` section then a `cell` section, tagged in the first column.
-pub fn to_csv(matrix: &CrashMatrix) -> String {
-    let mut out = String::from(
-        "kind,method,workload,plan,uo_bare,uo_wal,wal_bytes,delta_bytes,acked_ops,committed_ops,torn_tail,recovered_exact\n",
-    );
-    for r in &matrix.uo {
-        out.push_str(&format!(
-            "uo,{},{},,{:.6},{:.6},{},{},,,,\n",
-            r.method, r.workload, r.uo_bare, r.uo_wal, r.wal_bytes, r.delta_bytes
-        ));
-    }
-    for c in &matrix.cells {
-        out.push_str(&format!(
-            "cell,{},{},{},,,,,{},{},{},{}\n",
-            c.method,
-            c.workload,
-            c.plan,
-            c.acked_ops,
-            c.committed_ops,
-            c.torn_tail,
-            c.recovered_exact
-        ));
-    }
-    out
+/// One row of [`table`]: a [`UoRow`] in the `uo` section or a
+/// [`CrashRow`] in the `cell` one.
+pub enum Line<'a> {
+    Uo(&'a UoRow),
+    Cell(&'a CrashRow),
 }
 
-/// Fixed-width report.
-pub fn render(matrix: &CrashMatrix) -> String {
-    let mut out =
-        String::from("=== Crash matrix: WAL durability cost and recovery exactness ===\n\n");
-    out.push_str("--- UO with logging folded in (op phase) ---\n");
-    out.push_str(&format!(
-        "{:<18} {:<12} {:>9} {:>9} {:>9} {:>11} {:>7}\n",
-        "method", "workload", "UO bare", "UO +wal", "ΔUO", "WAL bytes", "exact"
-    ));
-    for r in &matrix.uo {
-        out.push_str(&format!(
-            "{:<18} {:<12} {:>9.3} {:>9.3} {:>9.3} {:>11} {:>7}\n",
-            r.method,
-            r.workload,
-            r.uo_bare,
-            r.uo_wal,
-            r.uo_wal - r.uo_bare,
-            r.wal_bytes,
-            if r.delta_is_exact() { "yes" } else { "NO" },
-        ));
+impl Line<'_> {
+    fn uo(&self) -> &UoRow {
+        let Line::Uo(r) = self else {
+            unreachable!("only uo rows have uo columns")
+        };
+        r
     }
-    out.push_str("\n--- Seeded crash points ---\n");
-    out.push_str(&format!(
-        "{:<18} {:<12} {:<14} {:>7} {:>9} {:>9} {:>5} {:>9}\n",
-        "method", "workload", "plan", "acked", "acked-wr", "committed", "torn", "recovered"
-    ));
-    for c in &matrix.cells {
-        out.push_str(&format!(
-            "{:<18} {:<12} {:<14} {:>7} {:>9} {:>9} {:>5} {:>9}\n",
-            c.method,
-            c.workload,
-            c.plan,
-            c.acked_ops,
-            c.acked_writes,
-            c.committed_ops,
-            if c.torn_tail { "yes" } else { "-" },
-            if c.recovered_exact {
-                "exact"
-            } else {
-                "MISMATCH"
-            },
-        ));
+
+    fn cell(&self) -> &CrashRow {
+        let Line::Cell(c) = self else {
+            unreachable!("only cell rows have cell columns")
+        };
+        c
     }
-    out
+}
+
+impl CrashMatrix {
+    /// Every row of [`table`], the `uo` section first.
+    pub fn lines(&self) -> Vec<Line<'_>> {
+        let uo = self.uo.iter().map(Line::Uo);
+        uo.chain(self.cells.iter().map(Line::Cell)).collect()
+    }
+}
+
+/// The matrix's one table: the `uo` and `cell` sections, tagged in the
+/// CSV's first column and printed as two text tables.
+pub fn table<'a>() -> Table<Line<'a>> {
+    let either = |ok: bool, yes: &'static str, no: &'static str| if ok { yes } else { no };
+    Table::<Line<'a>>::default()
+        .sections("kind", |l| match l {
+            Line::Uo(_) => "uo",
+            Line::Cell(_) => "cell",
+        })
+        .col("method", "method:<18", |l| match l {
+            Line::Uo(r) => r.method.clone(),
+            Line::Cell(c) => c.method.clone(),
+        })
+        .col("workload", "workload:<12", |l| match l {
+            Line::Uo(r) => r.workload.clone(),
+            Line::Cell(c) => c.workload.clone(),
+        })
+        .section("cell")
+        .col("plan", "plan:<14", |l| l.cell().plan.clone())
+        .section("uo")
+        .col("uo_bare:.6", "UO bare:>9.3", |l| l.uo().uo_bare)
+        .col("uo_wal:.6", "UO +wal:>9.3", |l| l.uo().uo_wal)
+        .col("", "ΔUO:>9.3", |l| l.uo().uo_wal - l.uo().uo_bare)
+        .col("wal_bytes", "WAL bytes:>11", |l| l.uo().wal_bytes)
+        .col("delta_bytes", "", |l| l.uo().delta_bytes)
+        .col("", "exact:>7", move |l| {
+            either(l.uo().delta_is_exact(), "yes", "NO")
+        })
+        .section("cell")
+        .col("acked_ops", "acked:>7", |l| l.cell().acked_ops)
+        .col("", "acked-wr:>9", |l| l.cell().acked_writes)
+        .col("committed_ops", "committed:>9", |l| l.cell().committed_ops)
+        .col("torn_tail", "", |l| l.cell().torn_tail)
+        .col("", "torn:>5", move |l| {
+            either(l.cell().torn_tail, "yes", "-")
+        })
+        .col("recovered_exact", "", |l| l.cell().recovered_exact)
+        .col("", "recovered:>9", move |l| {
+            either(l.cell().recovered_exact, "exact", "MISMATCH")
+        })
 }
 
 /// The matrix's claims, checked. Any `false` fails the smoke job.
@@ -353,12 +354,15 @@ pub fn checks(matrix: &CrashMatrix) -> Vec<(String, bool)> {
 /// `rum-bench crash_matrix [--smoke]`.
 pub fn experiment(scale: Scale, _: &Target) -> Outcome {
     let matrix = run(&scale.config(CrashConfig::smoke));
-    Outcome::sweep(
-        "crash_matrix",
-        render(&matrix),
-        to_csv(&matrix),
-        checks(&matrix),
-    )
+    let (table, lines) = (table(), matrix.lines());
+    let (uo, cells) = lines.split_at(matrix.uo.len());
+    let rendered = format!(
+        "=== Crash matrix: WAL durability cost and recovery exactness ===\n\n\
+         --- UO with logging folded in (op phase) ---\n{}\n--- Seeded crash points ---\n{}",
+        table.text(uo),
+        table.text(cells)
+    );
+    Outcome::sweep("crash_matrix", rendered, table.csv(&lines), checks(&matrix))
 }
 
 #[cfg(test)]
@@ -379,7 +383,7 @@ mod tests {
         for (desc, ok) in checks(&matrix) {
             assert!(ok, "failed check: {desc}");
         }
-        let csv = to_csv(&matrix);
+        let csv = table().csv(&matrix.lines());
         assert_eq!(csv.lines().count(), 1 + 4 + 24);
     }
 }

@@ -36,7 +36,7 @@ use rum_lsm::tuning::{advise, SelfTuningLsm};
 use rum_lsm::{LsmConfig, LsmTree};
 use std::sync::Arc;
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// Sweep configuration.
 #[derive(Clone, Debug)]
@@ -394,61 +394,38 @@ pub fn run(config: &DriftSweepConfig) -> Vec<DriftRow> {
     rows
 }
 
-/// CSV of the grid: deterministic columns only (no wall-clock derived
-/// values), so the artifact-freshness gate can diff it byte-for-byte.
-pub fn to_csv(rows: &[DriftRow]) -> String {
-    let mut out = String::from(
-        "scenario,arm,n_final,ro,uo,mo,io_pages,resident_pages,peak_extra_pages,priced_total_pages,\
-         migrations,drift_events,migration_kib,digest\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{:.4},{:.4},{:.4},{:.1},{:.1},{:.1},{:.1},{},{},{:.1},{:016x}\n",
-            r.scenario,
-            r.arm,
-            r.report.n_final,
-            r.report.ro,
-            r.report.uo,
-            r.report.mo,
-            r.io_pages(),
-            r.resident_pages(),
-            r.peak_extra_pages(),
-            r.priced_total(),
-            r.migrations(),
-            r.summary.as_ref().map_or(0, |s| s.drift_events),
-            r.summary
-                .as_ref()
-                .map_or(0.0, |s| s.migration_bytes() as f64 / 1024.0),
-            r.digest,
-        ));
-    }
-    out
-}
-
-/// Fixed-width table of the grid.
-pub fn render(rows: &[DriftRow]) -> String {
-    let mut out =
-        String::from("=== Drift suite: online AutoTuner vs every static configuration ===\n");
-    out.push_str(&format!(
-        "{:>12} {:>15} {:>8} {:>8} {:>8} {:>10} {:>9} {:>10} {:>6} {:>6}\n",
-        "scenario", "arm", "RO", "UO", "MO", "io pages", "resident", "total", "migr", "drift"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:>12} {:>15} {:>8.3} {:>8.3} {:>8.3} {:>10.0} {:>9.0} {:>10.0} {:>6} {:>6}\n",
-            r.scenario,
-            r.arm,
-            r.report.ro,
-            r.report.uo,
-            r.report.mo,
-            r.io_pages(),
-            r.resident_pages(),
-            r.priced_total(),
-            r.migrations(),
-            r.summary.as_ref().map_or(0, |s| s.drift_events),
-        ));
-    }
-    out
+/// The grid's table. The CSV carries deterministic columns only (no
+/// wall-clock derived values), so the artifact-freshness gate can diff it
+/// byte-for-byte.
+pub fn table() -> Table<DriftRow> {
+    Table::<DriftRow>::default()
+        .col("scenario", "scenario:>12", |r| r.scenario)
+        .col("arm", "arm:>15", |r| r.arm)
+        .col("n_final", "", |r| r.report.n_final)
+        .col("ro:.4", "RO:>8.3", |r| r.report.ro)
+        .col("uo:.4", "UO:>8.3", |r| r.report.uo)
+        .col("mo:.4", "MO:>8.3", |r| r.report.mo)
+        .col("io_pages:.1", "io pages:>10.0", DriftRow::io_pages)
+        .col(
+            "resident_pages:.1",
+            "resident:>9.0",
+            DriftRow::resident_pages,
+        )
+        .col("peak_extra_pages:.1", "", DriftRow::peak_extra_pages)
+        .col(
+            "priced_total_pages:.1",
+            "total:>10.0",
+            DriftRow::priced_total,
+        )
+        .col("migrations", "migr:>6", DriftRow::migrations)
+        .col("drift_events", "drift:>6", |r| {
+            r.summary.as_ref().map_or(0, |s| s.drift_events)
+        })
+        .col("migration_kib:.1", "", |r| {
+            let bytes = r.summary.as_ref().map_or(0, |s| s.migration_bytes());
+            bytes as f64 / 1024.0
+        })
+        .col("digest", "", |r| format!("{:016x}", r.digest))
 }
 
 /// The sweep's claims, checked. Any `false` fails the smoke job.
@@ -553,12 +530,13 @@ pub fn checks(config: &DriftSweepConfig, rows: &[DriftRow]) -> Vec<(String, bool
 pub fn experiment(scale: Scale, _: &Target) -> Outcome {
     let config = scale.config(DriftSweepConfig::smoke);
     let rows = run(&config);
-    Outcome::sweep(
-        "drift_sweep",
-        render(&rows),
-        to_csv(&rows),
-        checks(&config, &rows),
-    )
+    let table = table();
+    let rendered = format!(
+        "=== Drift suite: online AutoTuner vs every static configuration ===\n{}",
+        table.text(&rows)
+    );
+    let csv = table.csv(&rows);
+    Outcome::sweep("drift_sweep", rendered, csv, checks(&config, &rows))
 }
 
 #[cfg(test)]
@@ -582,7 +560,7 @@ mod tests {
         for (desc, ok) in checks(&config, &rows) {
             assert!(ok, "failed check: {desc}");
         }
-        let csv = to_csv(&rows);
+        let csv = table().csv(&rows);
         assert_eq!(csv.lines().count(), 19);
     }
 }

@@ -42,7 +42,7 @@ use rum_storage::{
     RetryPolicy, ScrubReport,
 };
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// Matrix configuration.
 #[derive(Clone, Debug)]
@@ -456,80 +456,32 @@ pub fn run(config: &FaultStormConfig) -> StormMatrix {
     out
 }
 
-/// CSV, one row per cell.
-pub fn to_csv(matrix: &StormMatrix) -> String {
-    let mut out = String::from(
-        "method,profile,policy,kind,acked_ops,faults,flips,detected,repairs,scrub_pages,scrub_corrupt,extra_page_ops,extra_sim_ns,checksum_bytes,wrong_data,surfaced_errors,contents_exact\n",
-    );
-    for r in &matrix.rows {
-        out.push_str(&format!(
-            "{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{},{}\n",
-            r.method,
-            r.profile,
-            r.policy,
-            r.kind.as_str(),
-            r.acked_ops,
-            r.faults_injected,
-            r.flips_injected,
-            r.detected,
-            r.repairs,
-            r.scrub_pages,
-            r.scrub_corrupt,
-            r.extra_page_ops,
-            r.extra_sim_ns,
-            r.checksum_bytes,
-            r.wrong_data,
-            r.surfaced_errors,
-            r.contents_exact
-        ));
-    }
-    out
-}
-
-/// Fixed-width report.
-pub fn render(matrix: &StormMatrix) -> String {
-    let mut out = String::from(
-        "=== Fault storm: retry convergence, corruption detection, transparent healing ===\n\n",
-    );
-    out.push_str(&format!(
-        "{:<16} {:<10} {:<8} {:<9} {:>6} {:>7} {:>6} {:>7} {:>7} {:>9} {:>10} {:>6} {:>8}\n",
-        "method",
-        "profile",
-        "policy",
-        "kind",
-        "acked",
-        "faults",
-        "flips",
-        "caught",
-        "repairs",
-        "retry-ops",
-        "seal-bytes",
-        "wrong",
-        "contents"
-    ));
-    for r in &matrix.rows {
-        out.push_str(&format!(
-            "{:<16} {:<10} {:<8} {:<9} {:>6} {:>7} {:>6} {:>7} {:>7} {:>9} {:>10} {:>6} {:>8}\n",
-            r.method,
-            r.profile,
-            r.policy,
-            r.kind.as_str(),
-            r.acked_ops,
-            r.faults_injected,
-            r.flips_injected,
-            r.detected + r.scrub_corrupt,
-            r.repairs,
-            r.extra_page_ops,
-            r.checksum_bytes,
-            r.wrong_data,
-            match (r.kind, r.contents_exact) {
-                (CellKind::Detect, _) => "n/a",
-                (_, true) => "exact",
-                (_, false) => "MISMATCH",
-            },
-        ));
-    }
-    out
+/// The matrix's table, one row per cell.
+pub fn table() -> Table<StormRow> {
+    Table::<StormRow>::default()
+        .col("method", "method:<16", |r| r.method.clone())
+        .col("profile", "profile:<10", |r| r.profile.clone())
+        .col("policy", "policy:<8", |r| r.policy.clone())
+        .col("kind", "kind:<9", |r| r.kind.as_str())
+        .col("acked_ops", "acked:>6", |r| r.acked_ops)
+        .col("faults", "faults:>7", |r| r.faults_injected)
+        .col("flips", "flips:>6", |r| r.flips_injected)
+        .col("detected", "", |r| r.detected)
+        .col("", "caught:>7", |r| r.detected + r.scrub_corrupt)
+        .col("repairs", "repairs:>7", |r| r.repairs)
+        .col("scrub_pages", "", |r| r.scrub_pages)
+        .col("scrub_corrupt", "", |r| r.scrub_corrupt)
+        .col("extra_page_ops", "retry-ops:>9", |r| r.extra_page_ops)
+        .col("extra_sim_ns", "", |r| r.extra_sim_ns)
+        .col("checksum_bytes", "seal-bytes:>10", |r| r.checksum_bytes)
+        .col("wrong_data", "wrong:>6", |r| r.wrong_data)
+        .col("surfaced_errors", "", |r| r.surfaced_errors)
+        .col("contents_exact", "", |r| r.contents_exact)
+        .col("", "contents:>8", |r| match (r.kind, r.contents_exact) {
+            (CellKind::Detect, _) => "n/a",
+            (_, true) => "exact",
+            (_, false) => "MISMATCH",
+        })
 }
 
 /// The matrix's claims, checked. Any `false` fails the smoke job.
@@ -606,12 +558,12 @@ pub fn checks(matrix: &StormMatrix) -> Vec<(String, bool)> {
 /// `rum-bench fault_storm [--smoke]`.
 pub fn experiment(scale: Scale, _: &Target) -> Outcome {
     let matrix = run(&scale.config(FaultStormConfig::smoke));
-    Outcome::sweep(
-        "fault_storm",
-        render(&matrix),
-        to_csv(&matrix),
-        checks(&matrix),
-    )
+    let (table, rows) = (table(), &matrix.rows);
+    let rendered = format!(
+        "=== Fault storm: retry convergence, corruption detection, transparent healing ===\n\n{}",
+        table.text(rows)
+    );
+    Outcome::sweep("fault_storm", rendered, table.csv(rows), checks(&matrix))
 }
 
 #[cfg(test)]
@@ -631,7 +583,7 @@ mod tests {
         for (desc, ok) in checks(&matrix) {
             assert!(ok, "failed check: {desc}");
         }
-        let csv = to_csv(&matrix);
+        let csv = table().csv(&matrix.rows);
         assert_eq!(csv.lines().count(), 1 + 13);
     }
 
@@ -642,8 +594,8 @@ mod tests {
             operations: 200,
             seed: 42,
         };
-        let a = to_csv(&run(&config));
-        let b = to_csv(&run(&config));
+        let a = table().csv(&run(&config).rows);
+        let b = table().csv(&run(&config).rows);
         assert_eq!(a, b, "same seed must reproduce the matrix bit-for-bit");
     }
 }

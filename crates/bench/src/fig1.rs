@@ -11,7 +11,7 @@ use rum::prelude::*;
 
 use std::time::Instant;
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// The measured placement of one method.
 #[derive(Clone, Debug)]
@@ -59,34 +59,6 @@ pub fn run_with_threads(
             Placement { report, point }
         })
         .collect()
-}
-
-/// Render the experiment: per-method table, ASCII triangle, CSV.
-pub fn render(placements: &[Placement]) -> String {
-    let mut out = String::new();
-    out.push_str(&RumReport::table_header());
-    out.push('\n');
-    for p in placements {
-        out.push_str(&p.report.table_row());
-        out.push('\n');
-    }
-    let load_ms: f64 = placements
-        .iter()
-        .map(|p| p.report.load_wall_ns as f64 / 1e6)
-        .sum();
-    let ops_ms: f64 = placements
-        .iter()
-        .map(|p| p.report.wall_ns as f64 / 1e6)
-        .sum();
-    out.push_str(&format!(
-        "\ncpu time across methods: bulk load {load_ms:.1} ms, operation phase {ops_ms:.1} ms\n"
-    ));
-    out.push('\n');
-    let points: Vec<RumPoint> = placements.iter().map(|p| p.point.clone()).collect();
-    out.push_str(&render_ascii(&points, 72, 24));
-    out.push_str("\nCSV:\n");
-    out.push_str(&to_csv(&points));
-    out
 }
 
 /// The paper's qualitative claims about Figure 1, checked.
@@ -197,8 +169,26 @@ pub fn experiment(scale: Scale, _: &Target) -> Outcome {
         )
     };
 
+    let load_ms: f64 = placements
+        .iter()
+        .map(|p| p.report.load_wall_ns as f64 / 1e6)
+        .sum();
+    let ops_ms: f64 = placements
+        .iter()
+        .map(|p| p.report.wall_ns as f64 / 1e6)
+        .sum();
+    let points: Vec<RumPoint> = placements.iter().map(|p| p.point.clone()).collect();
+    let rendered = format!(
+        "{}\ncpu time across methods: bulk load {load_ms:.1} ms, operation phase {ops_ms:.1} ms\n\n\
+         {}\nCSV:\n{}\n{harness_line}",
+        Table::<Placement>::default()
+            .report("", |p| &p.report)
+            .text(&placements),
+        render_ascii(&points, 72, 24),
+        to_csv(&points)
+    );
     Outcome {
-        rendered: format!("{}\n{harness_line}", render(&placements)),
+        rendered,
         heading: "=== Shape checks (the paper's qualitative placement) ===",
         checks: shape_checks(&placements),
         files: Vec::new(),

@@ -15,7 +15,7 @@ use rum_core::workload::{KeyDist, KeySpace, OpMix, OpStream, WorkloadSpec};
 use rum_core::AccessMethod;
 use rum_storage::{BlockDevice, DeviceProfile, HierarchySpec, MemoryHierarchy};
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// One measured hierarchy configuration.
 #[derive(Clone, Debug)]
@@ -93,25 +93,6 @@ pub fn run(
     })
 }
 
-/// Render the sweep as a table.
-pub fn render(rows: &[Fig2Row], n: usize, operations: usize) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "=== Figure 2: two-level hierarchy, B+-tree of N={n}, {operations} zipfian ops (90% read / 10% update) ===\n"
-    ));
-    out.push_str(&format!(
-        "{:>12} {:>14} {:>14} {:>15} {:>10}\n",
-        "buffer(pg)", "buffer reads", "storage reads", "storage writes", "sim(ms)"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:>12} {:>14} {:>14} {:>15} {:>10.2}\n",
-            r.buffer_pages, r.buffer_reads, r.storage_reads, r.storage_writes, r.sim_ms
-        ));
-    }
-    out
-}
-
 /// Figure 2's claim, checked: storage-level reads and writes fall
 /// monotonically (within tolerance) as the buffer grows.
 pub fn shape_checks(rows: &[Fig2Row]) -> Vec<(String, bool)> {
@@ -154,8 +135,18 @@ pub fn experiment(scale: Scale, _: &Target) -> Outcome {
         &[16, 64, 256, 1024, 4096, 16384],
         DeviceProfile::SSD,
     );
+    let table = Table::<Fig2Row>::default()
+        .col("", "buffer(pg):>12", |r| r.buffer_pages)
+        .col("", "buffer reads:>14", |r| r.buffer_reads)
+        .col("", "storage reads:>14", |r| r.storage_reads)
+        .col("", "storage writes:>15", |r| r.storage_writes)
+        .col("", "sim(ms):>10.2", |r| r.sim_ms);
     Outcome {
-        rendered: render(&rows, n, ops),
+        rendered: format!(
+            "=== Figure 2: two-level hierarchy, B+-tree of N={n}, {ops} zipfian ops \
+             (90% read / 10% update) ===\n{}",
+            table.text(&rows)
+        ),
         heading: "=== Shape checks ===",
         checks: shape_checks(&rows),
         files: Vec::new(),

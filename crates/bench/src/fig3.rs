@@ -24,7 +24,7 @@ use rum_core::RECORDS_PER_PAGE;
 use rum_lsm::{CompactionPolicy, LsmConfig, LsmTree};
 use rum_sparse::{ZoneMapConfig, ZoneMappedColumn};
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// One configuration's position in the RUM space.
 #[derive(Clone, Debug)]
@@ -243,50 +243,6 @@ pub fn run(n: usize, ops: usize) -> Vec<SweepPoint> {
         .collect()
 }
 
-/// Render all sweeps: tables plus one combined triangle.
-pub fn render(points: &[SweepPoint]) -> String {
-    let mut out = String::new();
-    let mut sweeps: Vec<&str> = points.iter().map(|p| p.sweep.as_str()).collect();
-    sweeps.dedup();
-    for sweep in sweeps {
-        out.push_str(&format!("\n--- sweep: {sweep} ---\n"));
-        out.push_str(&format!(
-            "{:<14} {:>12} {:>12} {:>10} {:>8} {:>8}\n",
-            "param", "RO", "UO", "MO", "x", "y"
-        ));
-        for p in points.iter().filter(|p| p.sweep == sweep) {
-            out.push_str(&format!(
-                "{:<14} {:>12.2} {:>12.2} {:>10.4} {:>8.3} {:>8.3}\n",
-                p.param, p.ro, p.uo, p.mo, p.x, p.y
-            ));
-        }
-    }
-    // Combined triangle: label sweep endpoints only, to stay readable.
-    let mut tri: Vec<RumPoint> = Vec::new();
-    let mut sweeps: Vec<&str> = points.iter().map(|p| p.sweep.as_str()).collect();
-    sweeps.dedup();
-    for sweep in sweeps {
-        let of: Vec<&SweepPoint> = points.iter().filter(|p| p.sweep == sweep).collect();
-        if let (Some(first), Some(last)) = (of.first(), of.last()) {
-            tri.push(rum_point(
-                format!("{}[{}]", sweep, first.param),
-                first.ro,
-                first.uo,
-                first.mo,
-            ));
-            tri.push(rum_point(
-                format!("{}[{}]", sweep, last.param),
-                last.ro,
-                last.uo,
-                last.mo,
-            ));
-        }
-    }
-    out.push('\n');
-    out.push_str(&render_ascii(&tri, 72, 24));
-    out
-}
-
 /// Figure 3's claims, checked: every knob really moves the method in the
 /// expected direction.
 pub fn shape_checks(points: &[SweepPoint]) -> Vec<(String, bool)> {
@@ -390,8 +346,31 @@ pub fn experiment(scale: Scale, _: &Target) -> Outcome {
         _ => (1 << 13, 1 << 11),
     };
     let points = run(n, ops);
+    let table = Table::<SweepPoint>::default()
+        .col("", "param:<14", |p| p.param.clone())
+        .col("", "RO:>12.2", |p| p.ro)
+        .col("", "UO:>12.2", |p| p.uo)
+        .col("", "MO:>10.4", |p| p.mo)
+        .col("", "x:>8.3", |p| p.x)
+        .col("", "y:>8.3", |p| p.y);
+    let mut rendered = String::new();
+    // Combined triangle: label sweep endpoints only, to stay readable.
+    let mut ends: Vec<RumPoint> = Vec::new();
+    for sweep in points.chunk_by(|a, b| a.sweep == b.sweep) {
+        rendered.push_str(&format!(
+            "\n--- sweep: {} ---\n{}",
+            sweep[0].sweep,
+            table.text(sweep)
+        ));
+        for p in [&sweep[0], &sweep[sweep.len() - 1]] {
+            let label = format!("{}[{}]", p.sweep, p.param);
+            ends.push(rum_point(label, p.ro, p.uo, p.mo));
+        }
+    }
+    rendered.push('\n');
+    rendered.push_str(&render_ascii(&ends, 72, 24));
     Outcome {
-        rendered: render(&points),
+        rendered,
         heading: "=== Shape checks (each knob moves the method as the paper predicts) ===",
         checks: shape_checks(&points),
         files: Vec::new(),

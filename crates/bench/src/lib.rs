@@ -23,7 +23,7 @@ use rand::{Rng, SeedableRng};
 
 use rum_core::runner::measure_ops;
 use rum_core::workload::Op;
-use rum_core::{AccessMethod, CostSnapshot, Record};
+use rum_core::{AccessMethod, Record};
 
 pub mod advisor;
 pub mod artifact_gate;
@@ -40,10 +40,12 @@ pub mod props;
 pub mod range_sweep;
 pub mod roadmap;
 pub mod scale;
+pub mod table;
 pub mod table1;
 pub mod trace;
 
 pub use cli::{list, parse, Command, Experiment, Outcome, Scale, Target, EXPERIMENTS};
+pub use table::Table;
 
 /// Sorted unique records with even keys `0, 2, ..., 2(n-1)` and
 /// deterministic payloads. Even keys leave odd gaps so fresh inserts can
@@ -56,41 +58,24 @@ pub fn dataset(n: usize) -> Vec<Record> {
         .collect()
 }
 
-/// Per-operation measurement of one op kind against a loaded method.
-#[derive(Clone, Copy, Debug)]
-pub struct OpCost {
-    /// Mean page accesses (reads + writes) per operation.
-    pub pages: f64,
-    /// Mean physical bytes touched per operation.
-    pub bytes: f64,
-    /// Mean simulated nanoseconds per operation.
-    pub sim_ns: f64,
+/// Mean page accesses (reads + writes) per op of `ops` against a loaded
+/// method.
+fn pages_per_op(method: &mut dyn AccessMethod, ops: &[Op], what: &str) -> f64 {
+    let (_, d) = measure_ops(method, ops).expect(what);
+    d.page_accesses() as f64 / ops.len().max(1) as f64
 }
 
-impl OpCost {
-    fn from_delta(d: &CostSnapshot, ops: usize) -> OpCost {
-        let n = ops.max(1) as f64;
-        OpCost {
-            pages: d.page_accesses() as f64 / n,
-            bytes: (d.total_read_bytes() + d.total_write_bytes()) as f64 / n,
-            sim_ns: d.sim_time_ns as f64 / n,
-        }
-    }
-}
-
-/// Measure the average cost of `count` random point queries over live
-/// keys `0..n`.
-pub fn point_query_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> OpCost {
+/// Pages per op of `count` random point queries over live keys `0..n`.
+pub fn point_query_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> f64 {
     let mut rng = StdRng::seed_from_u64(0xF00D);
     let ops: Vec<Op> = (0..count)
         .map(|_| Op::Get(2 * rng.gen_range(0..n as u64)))
         .collect();
-    let (_, d) = measure_ops(method, &ops).expect("point queries");
-    OpCost::from_delta(&d, count)
+    pages_per_op(method, &ops, "point queries")
 }
 
-/// Measure `count` range queries of `m` records each.
-pub fn range_query_cost(method: &mut dyn AccessMethod, n: usize, m: usize, count: usize) -> OpCost {
+/// Pages per op of `count` range queries of `m` records each.
+pub fn range_query_cost(method: &mut dyn AccessMethod, n: usize, m: usize, count: usize) -> f64 {
     let mut rng = StdRng::seed_from_u64(0xBEEF);
     let ops: Vec<Op> = (0..count)
         .map(|_| {
@@ -99,13 +84,12 @@ pub fn range_query_cost(method: &mut dyn AccessMethod, n: usize, m: usize, count
             Op::Range(lo, lo + 2 * (m as u64 - 1))
         })
         .collect();
-    let (_, d) = measure_ops(method, &ops).expect("range queries");
-    OpCost::from_delta(&d, count)
+    pages_per_op(method, &ops, "range queries")
 }
 
-/// Measure `count` inserts of fresh odd keys at random positions inside
+/// Pages per op of `count` inserts of fresh odd keys at random positions inside
 /// the loaded (even-keyed) range — the paper's average-position insert.
-pub fn insert_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> OpCost {
+pub fn insert_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> f64 {
     let mut rng = StdRng::seed_from_u64(0xADD);
     let mut used = std::collections::HashSet::new();
     // Sample without replacement; widen the domain when the sample count
@@ -122,12 +106,11 @@ pub fn insert_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> OpC
             Op::Insert(k, rum_core::workload::value_for(k, 1))
         })
         .collect();
-    let (_, d) = measure_ops(method, &ops).expect("inserts");
-    OpCost::from_delta(&d, count)
+    pages_per_op(method, &ops, "inserts")
 }
 
-/// Measure `count` in-place updates of existing keys.
-pub fn update_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> OpCost {
+/// Pages per op of `count` in-place updates of existing keys.
+pub fn update_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> f64 {
     let mut rng = StdRng::seed_from_u64(0xCAFE);
     let ops: Vec<Op> = (0..count)
         .map(|_| {
@@ -135,8 +118,7 @@ pub fn update_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> OpC
             Op::Update(k, rum_core::workload::value_for(k, 2))
         })
         .collect();
-    let (_, d) = measure_ops(method, &ops).expect("updates");
-    OpCost::from_delta(&d, count)
+    pages_per_op(method, &ops, "updates")
 }
 
 /// Bulk-load `records` and report the construction cost and footprint:
@@ -204,17 +186,6 @@ pub fn conclude(outcome: Outcome, write_files: bool) {
     }
 }
 
-/// Fixed-width cell formatting for experiment tables.
-pub fn fmt_cell(x: f64) -> String {
-    if x >= 1000.0 {
-        format!("{x:>10.0}")
-    } else if x >= 10.0 {
-        format!("{x:>10.1}")
-    } else {
-        format!("{x:>10.2}")
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -229,13 +200,13 @@ mod tests {
         assert!(physical > 39.0); // 10k records = ~40 pages minimum
         assert!(mo >= 1.0);
         let pq = point_query_cost(&mut t, 10_000, 32);
-        assert!(pq.pages >= 1.0);
+        assert!(pq >= 1.0);
         let rq = range_query_cost(&mut t, 10_000, 256, 8);
-        assert!(rq.pages > pq.pages);
+        assert!(rq > pq);
         let ins = insert_cost(&mut t, 10_000, 16);
-        assert!(ins.pages >= 1.0);
+        assert!(ins >= 1.0);
         let upd = update_cost(&mut t, 10_000, 16);
-        assert!(upd.pages >= 1.0);
+        assert!(upd >= 1.0);
     }
 
     #[test]

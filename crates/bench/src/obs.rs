@@ -36,13 +36,15 @@ use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
 use rum::prelude::*;
-use rum_core::metrics::{DebtSnapshot, MetricsPlane, OpClass};
+use rum_core::metrics::{ClassAttribution, DebtSnapshot, MetricsPlane, OpClass};
 use rum_core::runner::{run_stream, run_stream_metered};
 use rum_core::trace::TraceCollector;
+use rum_core::RECORD_SIZE;
 use rum_obs::{http_get, parse_prometheus, serve, PromSample};
 
+use crate::table::Finite;
 use crate::trace::find_method;
-use crate::{baseline, fail, Outcome, Scale, Target};
+use crate::{baseline, fail, Outcome, Scale, Table, Target};
 
 /// Configuration of one observability run.
 pub struct ObsConfig {
@@ -134,81 +136,65 @@ pub fn run(cfg: &ObsConfig) -> Vec<MethodObs> {
         .collect()
 }
 
-fn finite(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        0.0
-    }
-}
-
-/// The causal-attribution table as CSV: one row per method × op class.
-/// Fully deterministic (no wall-clock columns), so the artifact gate
+/// The causal-attribution table: one row per method × op class. The CSV
+/// is fully deterministic (no wall-clock columns), so the artifact gate
 /// byte-compares it against `results/smoke/obs_debt.csv`.
-pub fn to_csv(rows: &[MethodObs]) -> String {
-    let mut out = String::from(
-        "method,class,ops,logical_read_bytes,logical_write_bytes,attributed_read_bytes,\
-         attributed_write_bytes,class_ro,class_uo,debt_accrued_bytes,debt_settled_bytes,\
-         debt_outstanding_bytes,reattributed_read_bytes,reattributed_write_bytes,conserved\n",
-    );
-    for r in rows {
-        for class in OpClass::ALL {
-            let a = r.debt.class(class);
-            let ops = match class {
-                // The load phase's "ops" are the records bulk-loaded.
-                OpClass::Load => {
-                    r.report.load_costs.logical_write_bytes / rum_core::RECORD_SIZE as u64
-                }
-                OpClass::Read => r.report.read_ops,
-                OpClass::Write => r.report.write_ops,
-            };
-            out.push_str(&format!(
-                "{},{},{},{},{},{},{},{:.6},{:.6},{},{},{},{},{},{}\n",
-                r.name,
-                class.as_str(),
-                ops,
-                a.charged.logical_read_bytes,
-                a.charged.logical_write_bytes,
-                a.attributed_read_bytes(),
-                a.attributed_write_bytes(),
-                finite(a.ro()),
-                finite(a.uo()),
-                r.debt.debt_accrued_bytes,
-                r.debt.debt_settled_bytes,
-                r.debt.debt_outstanding_bytes(),
-                r.debt.reattributed_read_bytes,
-                r.debt.reattributed_write_bytes,
-                u64::from(r.conserved),
-            ));
-        }
-    }
-    out
+pub fn table<'a>() -> Table<ClassRow<'a>> {
+    Table::<ClassRow>::default()
+        .col("method", "method:<16", |(r, ..)| r.name.clone())
+        .col("class", "class:>6", |(_, c, _)| c.as_str())
+        .col("ops", "", |&(r, class, _)| match class {
+            // The load phase's "ops" are the records bulk-loaded.
+            OpClass::Load => r.report.load_costs.logical_write_bytes / RECORD_SIZE as u64,
+            OpClass::Read => r.report.read_ops,
+            OpClass::Write => r.report.write_ops,
+        })
+        .col("logical_read_bytes", "", |(.., a)| {
+            a.charged.logical_read_bytes
+        })
+        .col("logical_write_bytes", "", |(.., a)| {
+            a.charged.logical_write_bytes
+        })
+        .col("attributed_read_bytes", "attr rd bytes:>14", |(.., a)| {
+            a.attributed_read_bytes()
+        })
+        .col("attributed_write_bytes", "attr wr bytes:>14", |(.., a)| {
+            a.attributed_write_bytes()
+        })
+        .col("class_ro:.6", "RO:>9.3", |(.., a)| Finite(a.ro()))
+        .col("class_uo:.6", "UO:>9.3", |(.., a)| Finite(a.uo()))
+        .col("debt_accrued_bytes", "", |(r, ..)| {
+            r.debt.debt_accrued_bytes
+        })
+        .col("debt_settled_bytes", "", |(r, ..)| {
+            r.debt.debt_settled_bytes
+        })
+        .col("debt_outstanding_bytes", "debt out:>12", |(r, ..)| {
+            r.debt.debt_outstanding_bytes()
+        })
+        .col("reattributed_read_bytes", "", |(r, ..)| {
+            r.debt.reattributed_read_bytes
+        })
+        .col("reattributed_write_bytes", "", |(r, ..)| {
+            r.debt.reattributed_write_bytes
+        })
+        .col("conserved", "", |(r, ..)| u64::from(r.conserved))
+        .col(
+            "",
+            "conserved:>9",
+            |(r, ..)| if r.conserved { "yes" } else { "NO" },
+        )
 }
 
-/// Fixed-width terminal rendering of the attribution table.
-pub fn render(rows: &[MethodObs]) -> String {
-    let mut out = String::from("=== causal debt attribution (per op class) ===\n");
-    out.push_str(&format!(
-        "{:<16} {:>6} {:>14} {:>14} {:>9} {:>9} {:>12} {:>9}\n",
-        "method", "class", "attr rd bytes", "attr wr bytes", "RO", "UO", "debt out", "conserved"
-    ));
-    for r in rows {
-        for class in OpClass::ALL {
-            let a = r.debt.class(class);
-            out.push_str(&format!(
-                "{:<16} {:>6} {:>14} {:>14} {:>9.3} {:>9.3} {:>12} {:>9}\n",
-                r.name,
-                class.as_str(),
-                a.attributed_read_bytes(),
-                a.attributed_write_bytes(),
-                finite(a.ro()),
-                finite(a.uo()),
-                r.debt.debt_outstanding_bytes(),
-                if r.conserved { "yes" } else { "NO" },
-            ));
-        }
-    }
-    out
+/// One row of [`table`]: a method, an op class and what it was charged.
+pub type ClassRow<'a> = (&'a MethodObs, OpClass, &'a ClassAttribution);
+
+/// Every row of [`table`], method-major.
+pub fn class_rows(rows: &[MethodObs]) -> Vec<ClassRow<'_>> {
+    let classes = rows
+        .iter()
+        .map(|r| OpClass::ALL.map(|c| (r, c, r.debt.class(c))));
+    classes.flatten().collect()
 }
 
 /// One method's metrics-on vs metrics-off verdict.
@@ -465,7 +451,11 @@ fn smoke() -> Outcome {
         eprintln!("[obs] metrics plane perturbed {}", v.method);
     }
 
-    let mut rendered = render(&rows);
+    let (table, class_rows) = (table(), class_rows(&rows));
+    let mut rendered = format!(
+        "=== causal debt attribution (per op class) ===\n{}",
+        table.text(&class_rows)
+    );
     rendered.pop(); // the caller's println! puts the final newline back
     Outcome {
         rendered,
@@ -493,7 +483,7 @@ fn smoke() -> Outcome {
                 verdicts.iter().all(|v| v.identical),
             ),
         ],
-        files: vec![("obs_debt.csv".into(), to_csv(&rows))],
+        files: vec![("obs_debt.csv".into(), table.csv(&class_rows))],
     }
 }
 
@@ -649,7 +639,7 @@ mod tests {
         );
         assert!(view.conserved, "re-attribution stays conservative");
         // CSV shape: header + methods × 3 classes, wall-clock free.
-        let csv = to_csv(&rows);
+        let csv = table().csv(&class_rows(&rows));
         assert_eq!(csv.lines().count(), 1 + rows.len() * 3);
         assert!(!csv.contains("inf") && !csv.contains("NaN"));
     }
@@ -657,7 +647,11 @@ mod tests {
     #[test]
     fn smoke_csv_is_deterministic() {
         let cfg = ObsConfig::smoke();
-        assert_eq!(to_csv(&run(&cfg)), to_csv(&run(&cfg)));
+        let csv = || {
+            let (rows, table) = (run(&cfg), table());
+            table.csv(&class_rows(&rows))
+        };
+        assert_eq!(csv(), csv());
     }
 
     #[test]

@@ -8,7 +8,7 @@ use rum_columns::{AppendLog, DenseArray, DirectAddressArray};
 use rum_core::runner::{default_threads, parallel_map};
 use rum_core::{AccessMethod, Record, RECORD_SIZE};
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// One measured data point of a proposition experiment.
 #[derive(Clone, Debug)]
@@ -120,46 +120,13 @@ pub fn proposition3(n_sweep: &[u64]) -> Vec<PropPoint> {
     })
 }
 
-/// Render the full §2 report.
-pub fn report() -> String {
-    let mut out = String::new();
-    out.push_str("=== Proposition 1: min(RO)=1.0 => UO=2.0 and unbounded MO ===\n");
-    out.push_str("  (direct-address array; 256 live keys, universe swept)\n");
-    out.push_str(&format!(
-        "  {:>12} {:>8} {:>8} {:>10}\n",
-        "universe", "RO", "UO", "MO"
-    ));
-    for p in proposition1(&[256, 1024, 4096, 16384, 65536, 262_144]) {
-        out.push_str(&format!(
-            "  {:>12} {:>8.3} {:>8.3} {:>10.1}\n",
-            p.x, p.ro, p.uo, p.mo
-        ));
-    }
-    out.push_str("\n=== Proposition 2: min(UO)=1.0 => RO and MO grow forever ===\n");
-    out.push_str("  (append-only log; 2048 live keys, update rounds swept)\n");
-    out.push_str(&format!(
-        "  {:>12} {:>12} {:>8} {:>10}\n",
-        "upd rounds", "RO", "UO", "MO"
-    ));
-    for p in proposition2(&[0, 2, 4, 8, 16, 32]) {
-        out.push_str(&format!(
-            "  {:>12} {:>12.1} {:>8.3} {:>10.1}\n",
-            p.x, p.ro, p.uo, p.mo
-        ));
-    }
-    out.push_str("\n=== Proposition 3: min(MO)=1.0 => RO=N and UO=1.0 ===\n");
-    out.push_str("  (dense array; N swept; RO reported in records scanned per miss)\n");
-    out.push_str(&format!(
-        "  {:>12} {:>12} {:>8} {:>10}\n",
-        "N", "RO(recs)", "UO", "MO"
-    ));
-    for p in proposition3(&[1 << 10, 1 << 12, 1 << 14, 1 << 16]) {
-        out.push_str(&format!(
-            "  {:>12} {:>12.0} {:>8.3} {:>10.3}\n",
-            p.x, p.ro, p.uo, p.mo
-        ));
-    }
-    out
+/// One proposition's sweep: the parameter, then RO/UO/MO.
+fn table(x: &str, ro: &str, mo: &str) -> Table<PropPoint> {
+    Table::<PropPoint>::default()
+        .col("", &format!("{x}:  >12"), |p| p.x)
+        .col("", ro, |p| p.ro)
+        .col("", "UO:>8.3", |p| p.uo)
+        .col("", mo, |p| p.mo)
 }
 
 /// Machine-checkable verdicts for the three propositions; used by the
@@ -207,8 +174,21 @@ pub fn verdicts() -> Vec<(String, bool)> {
 
 /// `rum-bench props`: the report and the three verdicts.
 pub fn experiment(_: Scale, _: &Target) -> Outcome {
+    let p1 = proposition1(&[256, 1024, 4096, 16384, 65536, 262_144]);
+    let p2 = proposition2(&[0, 2, 4, 8, 16, 32]);
+    let p3 = proposition3(&[1 << 10, 1 << 12, 1 << 14, 1 << 16]);
     Outcome {
-        rendered: report(),
+        rendered: format!(
+            "=== Proposition 1: min(RO)=1.0 => UO=2.0 and unbounded MO ===\n\
+             \x20 (direct-address array; 256 live keys, universe swept)\n{}\n\
+             === Proposition 2: min(UO)=1.0 => RO and MO grow forever ===\n\
+             \x20 (append-only log; 2048 live keys, update rounds swept)\n{}\n\
+             === Proposition 3: min(MO)=1.0 => RO=N and UO=1.0 ===\n\
+             \x20 (dense array; N swept; RO reported in records scanned per miss)\n{}",
+            table("universe", "RO:>8.3", "MO:>10.1").text(&p1),
+            table("upd rounds", "RO:>12.1", "MO:>10.1").text(&p2),
+            table("N", "RO(recs):>12.0", "MO:>10.3").text(&p3),
+        ),
         heading: "=== Verdicts ===",
         checks: verdicts(),
         files: Vec::new(),

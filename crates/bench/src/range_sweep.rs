@@ -30,7 +30,7 @@ use rum_core::{AccessMethod, Key};
 use rum_lsm::{CompactionPolicy, FilterKind, LsmConfig, LsmTree};
 use std::collections::{HashMap, HashSet};
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// Sweep configuration.
 #[derive(Clone, Debug)]
@@ -215,52 +215,19 @@ pub fn run(config: &RangeSweepConfig) -> Vec<RangeRow> {
     rows
 }
 
-/// CSV of the grid: cell coordinates + the standard report columns.
-pub fn to_csv(rows: &[RangeRow]) -> String {
-    let mut out = String::from(
-        "mix,filter,view,method,n_final,ro,uo,mo,pages_per_read_op,pages_per_write_op,sim_ns,\
-         p50_ns,p99_ns,ops_per_sec,view_kib,identical\n",
-    );
-    for r in rows {
-        out.push_str(&format!(
-            "{},{},{},{},{:.1},{}\n",
-            r.mix,
-            r.filter,
-            if r.view { "on" } else { "off" },
-            r.report.csv_row(),
-            r.view_bytes as f64 / 1024.0,
-            r.identical.map_or("", |ok| if ok { "yes" } else { "NO" }),
-        ));
-    }
-    out
-}
-
-/// Fixed-width table of the grid.
-pub fn render(rows: &[RangeRow]) -> String {
-    let mut out = String::from(
-        "=== Range-read acceleration: cross-run sorted view, RO bought with MO/UO ===\n",
-    );
-    out.push_str(&format!(
-        "{:>12} {:>9} {:>4}  {}  {:>9} {:>6}\n",
-        "mix",
-        "filter",
-        "view",
-        RumReport::table_header(),
-        "view KiB",
-        "equal"
-    ));
-    for r in rows {
-        out.push_str(&format!(
-            "{:>12} {:>9} {:>4}  {}  {:>9.1} {:>6}\n",
-            r.mix,
-            r.filter,
-            if r.view { "on" } else { "off" },
-            r.report.table_row(),
-            r.view_bytes as f64 / 1024.0,
-            r.identical.map_or("", |ok| if ok { "yes" } else { "NO" }),
-        ));
-    }
-    out
+/// The grid's table: cell coordinates + the standard report columns.
+pub fn table() -> Table<RangeRow> {
+    Table::<RangeRow>::default()
+        .col("mix", "mix:>12", |r| r.mix)
+        .col("filter", "filter:>9", |r| r.filter)
+        .col("view", "view:>4", |r| if r.view { "on" } else { "off" })
+        .report("  ", |r| &r.report)
+        .col("view_kib:.1", "view KiB:  >9.1", |r| {
+            r.view_bytes as f64 / 1024.0
+        })
+        .col("identical", "equal:>6", |r| {
+            r.identical.map_or("", |ok| if ok { "yes" } else { "NO" })
+        })
 }
 
 /// The sweep's claims, checked. Any `false` fails the smoke job.
@@ -341,12 +308,13 @@ pub fn checks(config: &RangeSweepConfig, rows: &[RangeRow]) -> Vec<(String, bool
 pub fn experiment(scale: Scale, _: &Target) -> Outcome {
     let config = scale.config(RangeSweepConfig::smoke);
     let rows = run(&config);
-    Outcome::sweep(
-        "range_sweep",
-        render(&rows),
-        to_csv(&rows),
-        checks(&config, &rows),
-    )
+    let table = table();
+    let rendered = format!(
+        "=== Range-read acceleration: cross-run sorted view, RO bought with MO/UO ===\n{}",
+        table.text(&rows)
+    );
+    let csv = table.csv(&rows);
+    Outcome::sweep("range_sweep", rendered, csv, checks(&config, &rows))
 }
 
 #[cfg(test)]
@@ -366,7 +334,7 @@ mod tests {
         for (desc, ok) in checks(&config, &rows) {
             assert!(ok, "failed check: {desc}");
         }
-        let csv = to_csv(&rows);
+        let csv = table().csv(&rows);
         assert_eq!(csv.lines().count(), 13);
         assert!(!csv.contains("NO"));
     }

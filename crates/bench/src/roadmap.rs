@@ -21,7 +21,7 @@ use rum_core::{AccessMethod, Record};
 use rum_lsm::{advise, retune, CompactionPolicy, LsmConfig, LsmTree};
 use rum_sketch::QuotientFilter;
 
-use crate::{dataset, Outcome, Scale, Target};
+use crate::{dataset, Outcome, Scale, Table, Target};
 
 fn section_cracking() {
     println!("=== §5.1 Adaptive indexing: cracking converges ===");
@@ -43,10 +43,7 @@ fn section_cracking() {
     };
     let mut plain = build(false);
     let mut stoch = build(true);
-    println!(
-        "{:>8} {:>16} {:>16} {:>10} {:>10}",
-        "query#", "plain rd(bytes)", "stoch rd(bytes)", "pieces", "MO"
-    );
+    let mut rows = Vec::new();
     let mut rng = StdRng::seed_from_u64(5);
     for q in 0..200 {
         let lo = 2 * rng.gen_range(0..(n as u64 - 200));
@@ -58,25 +55,23 @@ fn section_cracking() {
         let cp = cost(&mut plain);
         let cs = cost(&mut stoch);
         if q % 25 == 0 || q == 199 {
-            println!(
-                "{:>8} {:>16} {:>16} {:>10} {:>10.5}",
-                q,
-                cp,
-                cs,
-                plain.pieces(),
-                plain.space_profile().space_amplification()
-            );
+            let mo = plain.space_profile().space_amplification();
+            rows.push((q, cp, cs, plain.pieces(), mo));
         }
     }
+    let table = Table::<(usize, u64, u64, usize, f64)>::default()
+        .col("", "query#:>8", |r| r.0)
+        .col("", "plain rd(bytes):>16", |r| r.1)
+        .col("", "stoch rd(bytes):>16", |r| r.2)
+        .col("", "pieces:>10", |r| r.3)
+        .col("", "MO:>10.5", |r| r.4);
+    print!("{}", table.text(&rows));
     println!("  -> read cost falls by orders of magnitude as the cracker index forms;\n     MO creeps up by the pivot table only.\n");
 }
 
 fn section_bitmaps() {
     println!("=== §5.2 Update-friendly bitmaps: delta merge threshold sweep ===");
-    println!(
-        "{:>12} {:>12} {:>12} {:>12}",
-        "threshold", "merges", "size(bytes)", "ones"
-    );
+    let mut rows = Vec::new();
     for threshold in [16usize, 256, 4096, 65536] {
         let mut b = UpdateFriendlyBitmap::new(1 << 20, threshold);
         let mut rng = StdRng::seed_from_u64(9);
@@ -88,14 +83,14 @@ fn section_bitmaps() {
                 b.clear(pos);
             }
         }
-        println!(
-            "{:>12} {:>12} {:>12} {:>12}",
-            threshold,
-            b.merges(),
-            b.size_bytes(),
-            b.count_ones()
-        );
+        rows.push((threshold, b.merges(), b.size_bytes(), b.count_ones()));
     }
+    let table = Table::<(usize, u64, u64, u64)>::default()
+        .col("", "threshold:>12", |r| r.0)
+        .col("", "merges:>12", |r| r.1)
+        .col("", "size(bytes):>12", |r| r.2)
+        .col("", "ones:>12", |r| r.3);
+    print!("{}", table.text(&rows));
     println!("  -> small thresholds merge constantly (UO high, MO low);\n     large thresholds defer work into deltas (UO low, MO higher).\n");
 }
 
@@ -131,15 +126,15 @@ fn section_lsm_retune() {
     };
     let (w_fixed, r_fixed) = run(false);
     let (w_adapt, r_adapt) = run(true);
-    println!("{:>24} {:>14} {:>14}", "", "ingest pg-wr", "read pg-rd");
-    println!(
-        "{:>24} {:>14} {:>14}",
-        "fixed (tiered, 4b/key)", w_fixed, r_fixed
-    );
-    println!(
-        "{:>24} {:>14} {:>14}",
-        "retuned at the shift", w_adapt, r_adapt
-    );
+    let table = Table::<(&str, u64, u64)>::default()
+        .col("", ":>24", |r| r.0)
+        .col("", "ingest pg-wr:>14", |r| r.1)
+        .col("", "read pg-rd:>14", |r| r.2);
+    let rows = [
+        ("fixed (tiered, 4b/key)", w_fixed, r_fixed),
+        ("retuned at the shift", w_adapt, r_adapt),
+    ];
+    print!("{}", table.text(&rows));
     println!(
         "  -> identical ingest cost; re-tuning cuts the read phase by {:.1}x.\n",
         r_fixed as f64 / r_adapt.max(1) as f64

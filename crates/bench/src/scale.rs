@@ -41,7 +41,7 @@ use rum_core::trace::{noop_sink, TraceCollector};
 use rum_core::workload::{OpMix, OpStream, WorkloadSpec};
 use rum_core::{AccessMethod, ShardedMethod};
 
-use crate::{Outcome, Scale, Target};
+use crate::{Outcome, Scale, Table, Target};
 
 /// Sweep configuration.
 #[derive(Clone, Debug)]
@@ -168,45 +168,22 @@ pub fn run(config: &ScaleConfig) -> Vec<ScaleRow> {
     rows
 }
 
-/// CSV of the sweep: `n,k,` + the standard report columns.
-pub fn to_csv(rows: &[ScaleRow]) -> String {
-    let mut out = String::from(
-        "n,k,method,n_final,ro,uo,mo,pages_per_read_op,pages_per_write_op,sim_ns,p50_ns,p99_ns,\
-         ops_per_sec\n",
-    );
-    for r in rows {
-        out.push_str(&format!("{},{},{}\n", r.n, r.k, r.report.csv_row()));
-    }
-    out
-}
-
-/// Fixed-width table of the sweep.
-pub fn render(rows: &[ScaleRow]) -> String {
-    let mut out =
-        String::from("=== Scale sweep: streaming balanced workload over K sharded B+-trees ===\n");
-    out.push_str(&format!(
-        "{:>10} {:>3}  {} {:>9}\n",
-        "ops",
-        "K",
-        RumReport::table_header(),
-        "ops/batch"
-    ));
-    for r in rows {
-        let mark = match r.verified {
-            Some(true) => "  [serial ✓]",
-            Some(false) => "  [serial MISMATCH]",
-            None => "",
-        };
-        out.push_str(&format!(
-            "{:>10} {:>3}  {} {:>9.1}{}\n",
-            r.n,
-            r.k,
-            r.report.table_row(),
-            r.dispatched_ops as f64 / r.dispatches.max(1) as f64,
-            mark
-        ));
-    }
-    out
+/// The sweep's table: `n,k,` + the standard report columns; the text
+/// adds each cell's measured ops per dispatch and its serial cross-check.
+pub fn table() -> Table<ScaleRow> {
+    Table::<ScaleRow>::default()
+        .col("n", "ops:>10", |r| r.n)
+        .col("k", "K:>3", |r| r.k)
+        .report("  ", |r| &r.report)
+        .col("", "ops/batch:>9", |r| {
+            let mark = match r.verified {
+                Some(true) => "  [serial ✓]",
+                Some(false) => "  [serial MISMATCH]",
+                None => "",
+            };
+            let per_batch = r.dispatched_ops as f64 / r.dispatches.max(1) as f64;
+            format!("{per_batch:>9.1}{mark}")
+        })
 }
 
 /// The sweep's claims, checked. Any `false` fails the smoke job.
@@ -316,7 +293,12 @@ pub fn experiment(scale: Scale, _: &Target) -> Outcome {
         Scale::Full => ScaleConfig::default(),
     };
     let rows = run(&config);
-    Outcome::sweep("scale_sweep", render(&rows), to_csv(&rows), checks(&rows))
+    let table = table();
+    let rendered = format!(
+        "=== Scale sweep: streaming balanced workload over K sharded B+-trees ===\n{}",
+        table.text(&rows)
+    );
+    Outcome::sweep("scale_sweep", rendered, table.csv(&rows), checks(&rows))
 }
 
 #[cfg(test)]
@@ -341,7 +323,7 @@ mod tests {
         // permanently 0 on the sharded path).
         assert!(rows.iter().all(|r| r.report.p50_ns > 0));
         assert!(rows.iter().all(|r| r.report.p99_ns >= r.report.p50_ns));
-        let csv = to_csv(&rows);
+        let csv = table().csv(&rows);
         assert_eq!(csv.lines().count(), 4);
         assert!(!csv.contains("inf") && !csv.contains("NaN"));
     }

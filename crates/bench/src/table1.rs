@@ -25,8 +25,8 @@ use rum_lsm::{LsmConfig, LsmTree};
 use rum_sparse::{ZoneMapConfig, ZoneMappedColumn};
 
 use crate::{
-    dataset, fmt_cell, insert_cost, load_cost, point_query_cost, range_query_cost, update_cost,
-    Outcome, Scale, Target,
+    dataset, insert_cost, load_cost, point_query_cost, range_query_cost, update_cost, Outcome,
+    Scale, Table, Target,
 };
 
 /// Shards in the "Sharded B+-Tree" row.
@@ -210,10 +210,10 @@ pub fn measure(
         load_pages,
         size_pages,
         mo,
-        point_pages: point.pages,
-        range_pages: range.pages,
-        insert_pages: insert.pages,
-        update_pages: update.pages,
+        point_pages: point,
+        range_pages: range,
+        insert_pages: insert,
+        update_pages: update,
     }
 }
 
@@ -239,50 +239,34 @@ pub fn run(ns: &[usize], params: Table1Params) -> Vec<Table1Row> {
     })
 }
 
-/// Render measured-vs-theory tables, one per dataset size.
-pub fn render(rows: &[Table1Row], params: &Table1Params) -> String {
-    let mut out = String::new();
-    let mut ns: Vec<usize> = rows.iter().map(|r| r.n).collect();
-    ns.sort_unstable();
-    ns.dedup();
-    for n in ns {
-        out.push_str(&format!(
-            "\n=== Table 1 @ N = {n} (B = {}, m = {}, P = {}, T = {}) ===\n",
-            RECORDS_PER_PAGE, params.m, PARTITION, SIZE_RATIO
-        ));
-        out.push_str(&format!(
-            "{:<16} {:>10} {:>10} {:>8} | {:>10} {:>10} | {:>10} {:>10} | {:>10} {:>10} | {:>10}\n",
-            "method",
-            "load(pgW)",
-            "size(pg)",
-            "MO",
-            "point",
-            "(theory)",
-            "range",
-            "(theory)",
-            "insert",
-            "(theory)",
-            "update"
-        ));
-        for r in rows.iter().filter(|r| r.n == n) {
-            let (point, range, insert) = theory(r.family, n, params.m);
-            out.push_str(&format!(
-                "{:<16} {:>10} {} {:>8.3} | {} {} | {} {} | {} {} | {}\n",
-                r.method,
-                r.load_pages,
-                fmt_cell(r.size_pages),
-                r.mo,
-                fmt_cell(r.point_pages),
-                fmt_cell(point),
-                fmt_cell(r.range_pages),
-                fmt_cell(range),
-                fmt_cell(r.insert_pages),
-                fmt_cell(insert),
-                fmt_cell(r.update_pages),
-            ));
-        }
-    }
-    out
+/// A page count with three significant figures or so, as a Table 1 cell.
+fn pages(x: f64) -> String {
+    let prec = if x >= 1000.0 {
+        0
+    } else if x >= 10.0 {
+        1
+    } else {
+        2
+    };
+    format!("{x:.prec$}")
+}
+
+/// Measured against theory, one row per method at one dataset size.
+pub fn table(params: &Table1Params) -> Table<Table1Row> {
+    let m = params.m;
+    let theory = move |r: &Table1Row| theory(r.family, r.n, m);
+    Table::<Table1Row>::default()
+        .col("", "method:<16", |r| r.method.clone())
+        .col("", "load(pgW):>10", |r| r.load_pages)
+        .col("", "size(pg):>10", |r| pages(r.size_pages))
+        .col("", "MO:>8.3", |r| r.mo)
+        .col("", "point: | >10", |r| pages(r.point_pages))
+        .col("", "(theory):>10", move |r| pages(theory(r).0))
+        .col("", "range: | >10", |r| pages(r.range_pages))
+        .col("", "(theory):>10", move |r| pages(theory(r).1))
+        .col("", "insert: | >10", |r| pages(r.insert_pages))
+        .col("", "(theory):>10", move |r| pages(theory(r).2))
+        .col("", "update: | >10", |r| pages(r.update_pages))
 }
 
 /// The paper's qualitative claims about Table 1, checked against the
@@ -394,8 +378,21 @@ pub fn experiment(scale: Scale, _: &Target) -> Outcome {
     };
     let params = Table1Params::default();
     let rows = run(ns, params);
+    let table = table(&params);
+    let mut rendered = String::new();
+    for at_n in rows.chunk_by(|a, b| a.n == b.n) {
+        rendered.push_str(&format!(
+            "\n=== Table 1 @ N = {} (B = {}, m = {}, P = {}, T = {}) ===\n{}",
+            at_n[0].n,
+            RECORDS_PER_PAGE,
+            params.m,
+            PARTITION,
+            SIZE_RATIO,
+            table.text(at_n)
+        ));
+    }
     Outcome {
-        rendered: render(&rows, &params),
+        rendered,
         heading: "=== Shape checks (the paper's qualitative claims) ===",
         checks: shape_checks(&rows),
         files: Vec::new(),

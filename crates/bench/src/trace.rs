@@ -29,16 +29,18 @@
 use rum::prelude::*;
 use rum_core::runner::{run_stream, run_stream_traced};
 use rum_core::trace::{
-    env_trace_window, events_to_jsonl, fold_events, ClassLatency, Event, MemorySink, TraceCollector,
+    env_trace_window, events_to_jsonl, fold_events, ClassLatency, Event, MemorySink,
+    TraceCollector, TrajectoryWindow,
 };
 
-use crate::{baseline, Outcome, Scale, Target};
+use crate::table::Finite;
+use crate::{baseline, Outcome, Scale, Table, Target};
 
 /// Everything one traced run produces.
 pub struct TraceRun {
     pub report: RumReport,
     /// Closed trajectory windows, in execution order.
-    pub windows: Vec<rum_core::trace::TrajectoryWindow>,
+    pub windows: Vec<TrajectoryWindow>,
     /// Structured events in emission order.
     pub events: Vec<Event>,
     pub latency: ClassLatency,
@@ -100,79 +102,26 @@ pub fn run_traced(
     })
 }
 
-fn finite(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        0.0
-    }
-}
-
-/// CSV of the trajectory: one row per window, windowed + cumulative
-/// curves. Amplifications are finite-clamped (a window of an insert-only
-/// mix retrieves zero logical bytes, making its RO ∞).
-pub fn trajectory_csv(windows: &[rum_core::trace::TrajectoryWindow]) -> String {
-    let mut out = String::from(
-        "window,ops,ro,uo,mo,cum_ro,cum_uo,read_bytes,write_bytes,logical_read_bytes,\
-         logical_write_bytes,page_reads,page_writes\n",
-    );
-    for w in windows {
-        out.push_str(&format!(
-            "{},{},{:.6},{:.6},{:.6},{:.6},{:.6},{},{},{},{},{},{}\n",
-            w.index,
-            w.ops,
-            finite(w.ro()),
-            finite(w.uo()),
-            finite(w.mo),
-            finite(w.cumulative_ro()),
-            finite(w.cumulative_uo()),
-            w.delta.total_read_bytes(),
-            w.delta.total_write_bytes(),
-            w.delta.logical_read_bytes,
-            w.delta.logical_write_bytes,
-            w.delta.page_reads,
-            w.delta.page_writes,
-        ));
-    }
-    out
-}
-
-/// Fixed-width trajectory table for the terminal.
-pub fn render_trajectory(
-    method: &str,
-    window: usize,
-    windows: &[rum_core::trace::TrajectoryWindow],
-) -> String {
-    let mut out = format!("=== RUM trajectory: {method} (window = {window} ops) ===\n");
-    out.push_str(&format!(
-        "{:>6} {:>7} {:>9} {:>9} {:>7} {:>9} {:>9} {:>11} {:>11}\n",
-        "window", "ops", "RO", "UO", "MO", "cumRO", "cumUO", "rd bytes", "wr bytes"
-    ));
-    for w in windows {
-        out.push_str(&format!(
-            "{:>6} {:>7} {:>9.3} {:>9.3} {:>7.3} {:>9.3} {:>9.3} {:>11} {:>11}\n",
-            w.index,
-            w.ops,
-            finite(w.ro()),
-            finite(w.uo()),
-            finite(w.mo),
-            finite(w.cumulative_ro()),
-            finite(w.cumulative_uo()),
-            w.delta.total_read_bytes(),
-            w.delta.total_write_bytes(),
-        ));
-    }
-    out
-}
-
-/// Latency summary lines (reads / writes / all), nanoseconds.
-pub fn render_latency(run: &TraceRun) -> String {
-    format!(
-        "latency (ns): reads  {}\n              writes {}\n              all    {}\n",
-        run.latency.read.summary(),
-        run.latency.write.summary(),
-        run.latency.overall().summary()
-    )
+/// The trajectory: one row per window, windowed + cumulative curves.
+/// Amplifications are finite-clamped (a window of an insert-only mix
+/// retrieves zero logical bytes, making its RO ∞).
+pub fn trajectory() -> Table<TrajectoryWindow> {
+    Table::<TrajectoryWindow>::default()
+        .col("window", "window:>6", |w| w.index)
+        .col("ops", "ops:>7", |w| w.ops)
+        .col("ro:.6", "RO:>9.3", |w| Finite(w.ro()))
+        .col("uo:.6", "UO:>9.3", |w| Finite(w.uo()))
+        .col("mo:.6", "MO:>7.3", |w| Finite(w.mo))
+        .col("cum_ro:.6", "cumRO:>9.3", |w| Finite(w.cumulative_ro()))
+        .col("cum_uo:.6", "cumUO:>9.3", |w| Finite(w.cumulative_uo()))
+        .col("read_bytes", "rd bytes:>11", |w| w.delta.total_read_bytes())
+        .col("write_bytes", "wr bytes:>11", |w| {
+            w.delta.total_write_bytes()
+        })
+        .col("logical_read_bytes", "", |w| w.delta.logical_read_bytes)
+        .col("logical_write_bytes", "", |w| w.delta.logical_write_bytes)
+        .col("page_reads", "", |w| w.delta.page_reads)
+        .col("page_writes", "", |w| w.delta.page_writes)
 }
 
 /// Count events per kind, in a stable order, for the terminal summary.
@@ -234,10 +183,15 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
     let run = run_traced(method.as_mut(), &spec, window)
         .unwrap_or_else(|e| crate::fail(&format!("traced run failed: {e}")));
 
+    let trajectory = trajectory();
     let mut rendered = format!(
-        "{}\n{}\nevents:\n",
-        render_trajectory(name, window, &run.windows),
-        render_latency(&run)
+        "=== RUM trajectory: {name} (window = {window} ops) ===\n{}\n\
+         latency (ns): reads  {}\n              writes {}\n              all    {}\n\n\
+         events:\n",
+        trajectory.text(&run.windows),
+        run.latency.read.summary(),
+        run.latency.write.summary(),
+        run.latency.overall().summary(),
     );
     for (kind, count) in event_counts(&run.events) {
         rendered.push_str(&format!("  {kind:<16} {count:>7}\n"));
@@ -263,7 +217,7 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
             (format!("trace_{tag}.jsonl"), events_to_jsonl(&run.events)),
             (
                 format!("trajectory_{tag}.csv"),
-                trajectory_csv(&run.windows),
+                trajectory.csv(&run.windows),
             ),
             (format!("trace_{tag}.folded"), fold_events(&run.events)),
         ],
@@ -314,7 +268,7 @@ mod tests {
         assert!(run.report.p99_ns >= run.report.p50_ns);
         assert!(run.report.p50_ns > 0);
         // Exports are well-formed.
-        let csv = trajectory_csv(&run.windows);
+        let csv = trajectory().csv(&run.windows);
         assert_eq!(csv.lines().count(), run.windows.len() + 1);
         assert!(!csv.contains("inf") && !csv.contains("NaN"));
         let jsonl = events_to_jsonl(&run.events);

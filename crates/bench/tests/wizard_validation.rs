@@ -23,10 +23,10 @@ fn measured_cost(family: Family, mix: &OpMix, n: usize) -> f64 {
     let write_frac = (mix.insert + mix.update + mix.delete) / total;
     let mut cost = 0.0;
     if mix.get > 0.0 {
-        cost += (mix.get / total) * point_query_cost(m.as_mut(), n, 32).pages;
+        cost += (mix.get / total) * point_query_cost(m.as_mut(), n, 32);
     }
     if mix.range > 0.0 {
-        cost += (mix.range / total) * range_query_cost(m.as_mut(), n, params.m, 8).pages;
+        cost += (mix.range / total) * range_query_cost(m.as_mut(), n, params.m, 8);
     }
     if write_frac > 0.0 {
         let samples = if family == Family::SortedColumn {
@@ -34,7 +34,7 @@ fn measured_cost(family: Family, mix: &OpMix, n: usize) -> f64 {
         } else {
             64
         };
-        cost += write_frac * insert_cost(m.as_mut(), n, samples).pages;
+        cost += write_frac * insert_cost(m.as_mut(), n, samples);
     }
     cost
 }

@@ -351,11 +351,6 @@ impl SortedRun {
         self.fences.first().copied()
     }
 
-    /// Largest key in the run, `None` when empty.
-    pub fn max_key(&self) -> Option<Key> {
-        (self.len > 0).then_some(self.last_key)
-    }
-
     /// Whether the run's `[min, max]` key envelope intersects `[lo, hi]`.
     /// A pure in-memory comparison against two cached keys — deliberately
     /// charge-free, so callers can prune disjoint runs for nothing.
