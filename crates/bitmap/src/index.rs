@@ -96,18 +96,13 @@ impl BitmapIndex {
         }
     }
 
-    /// Row ids whose records *may* match `key` (exact: one bin's bits).
-    fn candidates_for_key(&mut self, key: Key) -> Vec<u64> {
+    /// Find the live row holding `key`, if any: walk its bin's set bits
+    /// (one charged bitmap read), probing each candidate row.
+    fn find_row(&mut self, key: Key) -> Result<Option<u64>> {
         let bin = self.bin_of(key);
         self.charge_bitmap_read(bin);
-        self.bitmaps[bin].ones()
-    }
-
-    /// Find the live row holding `key`, if any.
-    fn find_row(&mut self, key: Key) -> Result<Option<u64>> {
-        for row in self.candidates_for_key(key) {
-            let rec = self.rows.get(&mut self.pager, row as usize)?;
-            if rec.key == key {
+        for row in self.bitmaps[bin].iter_ones() {
+            if self.rows.get(&mut self.pager, row as usize)?.key == key {
                 return Ok(Some(row));
             }
         }
@@ -161,7 +156,7 @@ impl AccessMethod for BitmapIndex {
         let mut rows: Vec<u64> = Vec::new();
         for bin in b_lo..=b_hi {
             self.charge_bitmap_read(bin);
-            rows.extend(self.bitmaps[bin].ones());
+            rows.extend(self.bitmaps[bin].iter_ones());
         }
         rows.sort_unstable();
         rows.dedup();

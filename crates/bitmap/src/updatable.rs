@@ -70,14 +70,14 @@ impl UpdateFriendlyBitmap {
         self.base.size_bytes() + (self.delta_len() * 8) as u64
     }
 
-    /// Grow the logical domain to at least `n_bits` (zero-filled).
+    /// Grow the logical domain to at least `n_bits` (zero-filled). The
+    /// base grows in place ([`WahVec::grow_zeros`]); its words, and so
+    /// [`size_bytes`](Self::size_bytes), are what a rebuild would give.
     pub fn grow(&mut self, n_bits: u64) {
         if n_bits <= self.n_bits {
             return;
         }
-        // Rebuild the base at the new width (the old base is a prefix).
-        let ones = self.base.ones();
-        self.base = WahVec::from_positions(&ones, n_bits);
+        self.base.grow_zeros(n_bits);
         self.n_bits = n_bits;
     }
 
@@ -110,22 +110,33 @@ impl UpdateFriendlyBitmap {
 
     /// All set bits, ascending, with deltas applied.
     pub fn ones(&self) -> Vec<u64> {
-        let mut out: Vec<u64> = self
+        self.iter_ones().collect()
+    }
+
+    /// [`ones`](Self::ones) without collecting: the base's set bits, minus
+    /// `clear_delta`, merged with the sorted `set_delta`.
+    pub fn iter_ones(&self) -> impl Iterator<Item = u64> + '_ {
+        let mut base = self
             .base
-            .ones()
-            .into_iter()
+            .iter_ones()
             .filter(|p| !self.clear_delta.contains(p))
-            .collect();
-        for &p in &self.set_delta {
-            out.push(p);
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+            .peekable();
+        let mut set = self.set_delta.iter().copied().peekable();
+        std::iter::from_fn(move || match (base.peek(), set.peek()) {
+            (Some(&b), Some(&s)) if s < b => set.next(),
+            (Some(&b), Some(&s)) => {
+                if s == b {
+                    set.next();
+                }
+                base.next()
+            }
+            (Some(_), None) => base.next(),
+            (None, _) => set.next(),
+        })
     }
 
     pub fn count_ones(&self) -> u64 {
-        self.ones().len() as u64
+        self.iter_ones().count() as u64
     }
 
     /// Materialize the merged view as a compressed bitmap.

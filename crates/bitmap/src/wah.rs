@@ -64,21 +64,80 @@ impl<'a> RunCursor<'a> {
     }
 }
 
+/// Iterator over a [`WahVec`]'s set-bit positions, ascending
+/// ([`WahVec::iter_ones`]). Zero fills are skipped whole.
+pub struct Ones<'a> {
+    cursor: RunCursor<'a>,
+    /// The current run's group and how many of its groups are unstarted.
+    group: u32,
+    left: u32,
+    /// Position of the next unstarted group's bit 0.
+    next_base: u64,
+    /// Unvisited set bits of the group at `base`.
+    bits: u32,
+    base: u64,
+    n_bits: u64,
+}
+
+impl Iterator for Ones<'_> {
+    type Item = u64;
+
+    fn next(&mut self) -> Option<u64> {
+        loop {
+            if self.bits != 0 {
+                let pos = self.base + self.bits.trailing_zeros() as u64;
+                self.bits &= self.bits - 1;
+                if pos < self.n_bits {
+                    return Some(pos);
+                }
+                continue;
+            }
+            if self.left == 0 {
+                let r = self.cursor.next_run()?;
+                if r.group == 0 {
+                    self.next_base += GROUP_BITS as u64 * r.count as u64;
+                    continue;
+                }
+                self.group = r.group;
+                self.left = r.count;
+            }
+            self.base = self.next_base;
+            self.next_base += GROUP_BITS as u64;
+            self.bits = self.group;
+            self.left -= 1;
+        }
+    }
+}
+
 impl WahVec {
     /// An empty bitmap of `n_bits` logical zero bits.
     pub fn zeros(n_bits: u64) -> Self {
-        let mut v = WahVec {
-            words: Vec::new(),
-            n_bits,
-        };
-        let groups = n_bits.div_ceil(GROUP_BITS as u64);
-        let mut remaining = groups;
-        while remaining > 0 {
-            let chunk = remaining.min(MAX_RUN as u64) as u32;
-            v.push_run(0, chunk);
-            remaining -= chunk as u64;
-        }
+        let mut v = WahVec::default();
+        v.grow_zeros(n_bits);
         v
+    }
+
+    /// Extend the logical length to `n_bits` with zero bits, appending
+    /// zero groups to the words as they stand. Bits past the old length
+    /// are already zero, and the words are canonical (a literal is never
+    /// 0 or all-ones, and fills merge greedily), so the result is word for
+    /// word what compressing the grown bit stream afresh would give.
+    pub fn grow_zeros(&mut self, n_bits: u64) {
+        if n_bits <= self.n_bits {
+            return;
+        }
+        let groups = |bits: u64| bits.div_ceil(GROUP_BITS as u64);
+        self.push_zero_groups(groups(n_bits) - groups(self.n_bits));
+        self.n_bits = n_bits;
+    }
+
+    /// Append `groups` zero groups (any count; fills split at `MAX_RUN`).
+    fn push_zero_groups(&mut self, mut groups: u64) {
+        while groups > 0 {
+            let chunk = groups.min(MAX_RUN as u64) as u32;
+            self.push_run(0, chunk);
+            groups -= chunk as u64;
+        }
     }
 
     /// Compress a plain bit slice (`bits[i]` = bit `i`).
@@ -99,13 +158,34 @@ impl WahVec {
         v
     }
 
-    /// Compress from set-bit positions (must be sorted ascending, unique).
+    /// Compress from set-bit positions (must be sorted ascending, unique,
+    /// and below `n_bits`). Groups are built straight from the positions,
+    /// with one zero fill between set groups: the same words as
+    /// [`from_bools`](Self::from_bools) on the expanded bits, without
+    /// expanding them.
     pub fn from_positions(positions: &[u64], n_bits: u64) -> Self {
-        let mut bools = vec![false; n_bits as usize];
-        for &p in positions {
-            bools[p as usize] = true;
+        let mut v = WahVec {
+            words: Vec::new(),
+            n_bits,
+        };
+        // Groups pushed so far.
+        let mut done = 0u64;
+        let mut rest = positions;
+        while let Some(&first) = rest.first() {
+            debug_assert!(first < n_bits, "position {first} past {n_bits} bits");
+            let group_idx = first / GROUP_BITS as u64;
+            let base = group_idx * GROUP_BITS as u64;
+            let in_group = rest.partition_point(|&p| p < base + GROUP_BITS as u64);
+            let group = rest[..in_group]
+                .iter()
+                .fold(0u32, |g, &p| g | 1 << (p - base));
+            v.push_zero_groups(group_idx - done);
+            v.push_run(group, 1);
+            done = group_idx + 1;
+            rest = &rest[in_group..];
         }
-        Self::from_bools(&bools)
+        v.push_zero_groups(n_bits.div_ceil(GROUP_BITS as u64) - done);
+        v
     }
 
     /// Logical bit length.
@@ -224,28 +304,20 @@ impl WahVec {
 
     /// Positions of set bits, ascending.
     pub fn ones(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        let mut cursor = RunCursor::new(&self.words);
-        let mut base = 0u64;
-        while let Some(r) = cursor.next_run() {
-            if r.group == 0 {
-                base += GROUP_BITS as u64 * r.count as u64;
-                continue;
-            }
-            for _ in 0..r.count {
-                let mut g = r.group;
-                while g != 0 {
-                    let tz = g.trailing_zeros();
-                    let pos = base + tz as u64;
-                    if pos < self.n_bits {
-                        out.push(pos);
-                    }
-                    g &= g - 1;
-                }
-                base += GROUP_BITS as u64;
-            }
+        self.iter_ones().collect()
+    }
+
+    /// Positions of set bits, ascending, decoded as they are walked.
+    pub fn iter_ones(&self) -> Ones<'_> {
+        Ones {
+            cursor: RunCursor::new(&self.words),
+            group: 0,
+            left: 0,
+            next_base: 0,
+            bits: 0,
+            base: 0,
+            n_bits: self.n_bits,
         }
-        out
     }
 
     /// Random access to one bit (O(words) scan — use [`ones`] for bulk).
@@ -367,6 +439,20 @@ mod tests {
         }
         assert!(!w.get(1));
         assert!(!w.get(998));
+    }
+
+    #[test]
+    fn grow_zeros_matches_rebuild_past_one_fill_word() {
+        // More zero groups than one fill word holds: the growth splits
+        // into fills exactly as compressing the grown bits afresh does.
+        let huge = GROUP_BITS as u64 * (MAX_RUN as u64 + 5);
+        for pos in [vec![], vec![3u64], vec![0, 1, 2, 30, 31, 61]] {
+            let mut w = WahVec::from_positions(&pos, 100);
+            w.grow_zeros(huge);
+            assert_eq!(w, WahVec::from_positions(&pos, huge), "{pos:?}");
+            assert_eq!(w.ones(), pos);
+        }
+        assert_eq!(WahVec::zeros(huge).size_bytes(), 8 + 2 * 4);
     }
 
     #[test]

@@ -78,4 +78,48 @@ proptest! {
         prop_assert_eq!(b.ones(), expect.clone());
         prop_assert_eq!(b.materialize().ones(), expect);
     }
+
+    #[test]
+    fn wah_built_from_positions_and_grown_in_place_is_canonical(
+        runs in proptest::collection::vec((any::<bool>(), 1u64..80), 0..12),
+        extra in 0u64..160,
+        deltas in proptest::collection::vec((any::<bool>(), any::<u64>()), 0..24),
+    ) {
+        // Clustered runs, so all-ones groups (fills of 1) occur as well as
+        // literals and zero fills; `extra` crosses group boundaries.
+        let bits: Vec<bool> = runs
+            .iter()
+            .flat_map(|&(b, len)| std::iter::repeat_n(b, len as usize))
+            .collect();
+        let n = bits.len() as u64;
+        let grown = n + extra;
+        let ones: Vec<u64> = (0..n).filter(|&i| bits[i as usize]).collect();
+
+        let w = WahVec::from_positions(&ones, n);
+        prop_assert_eq!(&w, &WahVec::from_bools(&bits));
+        prop_assert_eq!(w.iter_ones().collect::<Vec<_>>(), ones.clone());
+        let mut g = w.clone();
+        g.grow_zeros(grown);
+        prop_assert_eq!(&g, &WahVec::from_positions(&ones, grown));
+
+        // `grow` with deltas pending: the footprint is the rebuilt base's
+        // plus the deltas', and the bits read through are unchanged.
+        let mut b = UpdateFriendlyBitmap::from_base(w, usize::MAX);
+        let mut model = bits.clone();
+        for &(set, pos) in deltas.iter().filter(|_| n > 0) {
+            let pos = pos % n;
+            if set {
+                b.set(pos);
+            } else {
+                b.clear(pos);
+            }
+            model[pos as usize] = set;
+        }
+        b.grow(grown);
+        let rebuilt = WahVec::from_positions(&ones, grown).size_bytes();
+        prop_assert_eq!(b.size_bytes(), rebuilt + 8 * b.delta_len() as u64);
+        let expect: Vec<u64> = (0..n).filter(|&i| model[i as usize]).collect();
+        prop_assert_eq!(b.count_ones(), expect.len() as u64);
+        prop_assert_eq!(b.ones(), expect);
+    }
 }

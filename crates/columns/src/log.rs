@@ -147,25 +147,28 @@ impl AccessMethod for AppendLog {
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-        // Reconstruct the newest version of everything: full log scan.
-        let mut newest: std::collections::HashMap<Key, Value> = std::collections::HashMap::new();
+        // Full log scan (every sealed page lent, the whole tail read),
+        // keeping the versions in range, oldest first.
+        let in_range = |r: &Record| r.key >= lo && r.key <= hi;
+        let mut versions: Vec<Record> = Vec::new();
         for idx in 0..self.sealed.len() {
-            self.with_sealed(idx, |recs| {
-                newest.extend(recs.iter().map(|r| (r.key, r.value)))
-            })?;
+            self.with_sealed(idx, |recs| versions.extend(recs.iter().filter(in_range)))?;
         }
         self.tracker
             .read(DataClass::Base, (self.tail.len() * RECORD_SIZE) as u64);
-        for r in &self.tail {
-            newest.insert(r.key, r.value);
-        }
-        let mut out: Vec<Record> = newest
-            .into_iter()
-            .filter(|&(k, v)| k >= lo && k <= hi && v != TOMBSTONE)
-            .map(|(k, v)| Record::new(k, v))
-            .collect();
-        out.sort_unstable();
-        Ok(out)
+        versions.extend(self.tail.iter().copied().filter(in_range));
+        // Stable: each key's versions stay oldest first, and the newest
+        // overwrites the one kept.
+        versions.sort_by_key(|r| r.key);
+        versions.dedup_by(|newer, kept| {
+            let same = newer.key == kept.key;
+            if same {
+                *kept = *newer;
+            }
+            same
+        });
+        versions.retain(|r| r.value != TOMBSTONE);
+        Ok(versions)
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {

@@ -7,8 +7,11 @@
 //! deliberately tiny (8 bytes per page) and reported as auxiliary space by
 //! the columns that use this layout.
 
+use std::ops::{ControlFlow, Range};
+
 use rum_core::{
-    encode_records, DataClass, Record, RecordSlice, Result, RECORDS_PER_PAGE, RECORD_SIZE,
+    encode_records, insert_record_at, remove_record_at, DataClass, Key, Record, RecordSlice,
+    Result, RECORDS_PER_PAGE, RECORD_SIZE,
 };
 use rum_storage::{BlockDevice, PageBuf, PageId, Pager};
 
@@ -24,8 +27,9 @@ pub struct PackedFile {
     /// `memo_page` names it; one buffer, reused by every miss.
     memo: PageBuf,
     memo_page: Option<usize>,
-    /// Where [`write_page`](Self::write_page) lays a page out; one buffer,
-    /// reused by every write.
+    /// Where [`write_page`](Self::write_page) lays a page out, and where
+    /// [`remove_at`](Self::remove_at) holds the next page of its ripple;
+    /// one buffer, reused by every write.
     staging: PageBuf,
 }
 
@@ -86,6 +90,84 @@ impl PackedFile {
             self.memo_page = Some(page_idx);
         }
         Ok(RecordSlice::new(&self.memo[..used]))
+    }
+
+    /// Lend pages `pages` (ascending) to `f` in turn, with their indices,
+    /// until `f` breaks; the break value is returned.
+    ///
+    /// Charged exactly like [`read_page`](Self::read_page) on each page
+    /// visited. `read_page` moves the memo to every page it reads, so in an
+    /// ascending scan only the *first* page can be a free memo hit; every
+    /// later page is a charged read however it was memoized before. Pages
+    /// are lent where the device holds them, and only the page the scan
+    /// stops on (the breaking one, or the last) is copied into the memo, so
+    /// the memo ends where `read_page` would have left it.
+    pub fn scan<D: BlockDevice, B>(
+        &mut self,
+        pager: &mut Pager<D>,
+        pages: Range<usize>,
+        mut f: impl FnMut(usize, RecordSlice<'_>) -> ControlFlow<B>,
+    ) -> Result<Option<B>> {
+        let last = pages.end.saturating_sub(1);
+        for page_idx in pages {
+            let used = self.records_in_page(page_idx) * RECORD_SIZE;
+            let flow = if self.memo_page == Some(page_idx) {
+                f(page_idx, RecordSlice::new(&self.memo[..used]))
+            } else {
+                // Dropped first: a read that fails leaves no stale memo.
+                self.memo_page = None;
+                let memo = &mut self.memo;
+                let flow = pager.with_page(self.pages[page_idx], DataClass::Base, |bytes| {
+                    let flow = f(page_idx, RecordSlice::new(&bytes[..used]));
+                    if flow.is_break() || page_idx == last {
+                        memo[..used].copy_from_slice(&bytes[..used]);
+                        memo[used..].fill(0);
+                    }
+                    flow
+                })?;
+                if flow.is_break() || page_idx == last {
+                    self.memo_page = Some(page_idx);
+                }
+                flow
+            };
+            if let ControlFlow::Break(b) = flow {
+                return Ok(Some(b));
+            }
+        }
+        Ok(None)
+    }
+
+    /// The records from global index `start` on, in file order, up to the
+    /// first whose key passes `hi`: the sequential half of a range query
+    /// on a file kept sorted by key. One [`scan`](Self::scan) from
+    /// `start`'s page; nothing is read when `start` is past the end.
+    pub fn range_from<D: BlockDevice>(
+        &mut self,
+        pager: &mut Pager<D>,
+        start: usize,
+        hi: Key,
+    ) -> Result<Vec<Record>> {
+        let mut out = Vec::new();
+        if start >= self.len {
+            return Ok(out);
+        }
+        let first_page = start / RECORDS_PER_PAGE;
+        let pages = first_page..self.pages.len();
+        self.scan(pager, pages, |page_idx, recs| {
+            let skip = if page_idx == first_page {
+                start % RECORDS_PER_PAGE
+            } else {
+                0
+            };
+            for r in recs.tail(skip).iter() {
+                if r.key > hi {
+                    return ControlFlow::Break(());
+                }
+                out.push(r);
+            }
+            ControlFlow::Continue(())
+        })?;
+        Ok(out)
     }
 
     /// Overwrite page `page_idx` with `records`, charging one page access.
@@ -177,7 +259,11 @@ impl PackedFile {
     /// Insert `rec` at global index `idx`, shifting everything after it one
     /// slot right. Page-wise ripple: each page from `idx / B` to the end is
     /// read once and written once — the O(N/B/2) average insert cost of
-    /// Table 1's sorted column.
+    /// Table 1's sorted column. Records move where they lie: a full page
+    /// shifts its slots up one and hands its last record to the next page.
+    /// A memoized first page is edited in the memo (a free read, as in
+    /// [`read_page`](Self::read_page)); every other page is one
+    /// [`Pager::with_page_mut`].
     pub fn insert_at<D: BlockDevice>(
         &mut self,
         pager: &mut Pager<D>,
@@ -189,33 +275,50 @@ impl PackedFile {
             return self.push(pager, rec);
         }
         let first_page = idx / RECORDS_PER_PAGE;
-        let slot = idx % RECORDS_PER_PAGE;
-        let old_pages = self.pages.len();
-
-        let mut carry = rec;
-        for page_idx in first_page..old_pages {
-            let start_slot = if page_idx == first_page { slot } else { 0 };
-            let mut recs: Vec<Record> = self.read_page(pager, page_idx)?.iter().collect();
-            recs.insert(start_slot, carry);
-            if recs.len() > RECORDS_PER_PAGE {
-                carry = recs.pop().expect("overflow record");
-                self.write_page(pager, page_idx, &recs)?;
+        let mut slot = idx % RECORDS_PER_PAGE;
+        // Page `first_page` onward is rewritten, so no memo survives.
+        let memo_hit = self.memo_page.take() == Some(first_page);
+        let mut carry = Some(rec);
+        for page_idx in first_page..self.pages.len() {
+            let Some(rec) = carry else { break };
+            let count = self.records_in_page(page_idx);
+            let ripple = |bytes: &mut [u8]| {
+                let carry = (count == RECORDS_PER_PAGE).then(|| {
+                    RecordSlice::new(bytes)
+                        .last()
+                        .expect("a full page has a last record")
+                });
+                let kept = count - usize::from(carry.is_some());
+                insert_record_at(bytes, kept, slot, rec);
+                // The bytes past the count are zero, as `write_page` lays
+                // them out.
+                bytes[(kept + 1) * RECORD_SIZE..].fill(0);
+                (carry, true)
+            };
+            carry = if memo_hit && page_idx == first_page {
+                let carry = ripple(&mut self.memo).0;
+                pager.write(self.pages[page_idx], DataClass::Base, &self.memo)?;
+                carry
             } else {
-                self.len += 1;
-                self.write_page(pager, page_idx, &recs)?;
-                return Ok(());
-            }
+                pager.with_page_mut(self.pages[page_idx], DataClass::Base, ripple)?
+            };
+            slot = 0;
         }
-        // The carry overflowed past the old tail: start a fresh page.
-        let id = pager.allocate()?;
-        self.pages.push(id);
         self.len += 1;
-        self.write_page(pager, self.pages.len() - 1, &[carry])
+        if let Some(rec) = carry {
+            // The carry overflowed past the old tail: start a fresh page.
+            self.pages.push(pager.allocate()?);
+            self.write_page(pager, self.pages.len() - 1, &[rec])?;
+        }
+        Ok(())
     }
 
     /// Remove the record at global index `idx`, shifting everything after
     /// it one slot left. Same page-wise ripple cost as
-    /// [`insert_at`](Self::insert_at).
+    /// [`insert_at`](Self::insert_at), charged in the same order as a
+    /// forward walk that reads page `k + 1` for its head record before it
+    /// writes page `k`: the page being edited rides in the memo, the next
+    /// page is lent into `staging` for its head, and the two trade places.
     pub fn remove_at<D: BlockDevice>(
         &mut self,
         pager: &mut Pager<D>,
@@ -226,33 +329,37 @@ impl PackedFile {
         let last_page = self.pages.len() - 1;
         let slot = idx % RECORDS_PER_PAGE;
 
-        let mut removed: Option<Record> = None;
-        // Walk pages from the tail toward the deletion point, carrying the
-        // head record of each later page into the tail of the previous one.
-        // Simpler equivalent: walk forward, pulling the first record of the
-        // next page into the current page's tail.
-        for page_idx in first_page..=last_page {
-            let start_slot = if page_idx == first_page { slot } else { 0 };
-            let mut recs: Vec<Record> = self.read_page(pager, page_idx)?.iter().collect();
-            if removed.is_none() {
-                removed = Some(recs.remove(start_slot));
-            } else {
-                recs.remove(0);
-            }
-            if page_idx < last_page {
-                let next = self.read_page(pager, page_idx + 1)?;
-                recs.push(next.get(0).expect("a page of the file is never empty"));
-            }
-            self.write_page(pager, page_idx, &recs)?;
+        let removed = self
+            .read_page(pager, first_page)?
+            .get(slot)
+            .expect("idx < len, so its page holds the slot");
+        let count = self.records_in_page(first_page);
+        remove_record_at(&mut self.memo[..], count, slot);
+        // The memo now holds edits not yet written: no longer a copy.
+        self.memo_page = None;
+        for page_idx in first_page..last_page {
+            // Pages before the last are full: the next page's head fills
+            // this page's last slot.
+            let used = self.records_in_page(page_idx + 1) * RECORD_SIZE;
+            let staging = &mut self.staging;
+            pager.with_page(self.pages[page_idx + 1], DataClass::Base, |bytes| {
+                staging[..used].copy_from_slice(&bytes[..used]);
+                staging[used..].fill(0);
+            })?;
+            let tail = (RECORDS_PER_PAGE - 1) * RECORD_SIZE;
+            self.memo[tail..].copy_from_slice(&self.staging[..RECORD_SIZE]);
+            pager.write(self.pages[page_idx], DataClass::Base, &self.memo)?;
+            std::mem::swap(&mut self.memo, &mut self.staging);
+            remove_record_at(&mut self.memo[..], used / RECORD_SIZE, 0);
         }
+        pager.write(self.pages[last_page], DataClass::Base, &self.memo)?;
         self.len -= 1;
         if self.len.is_multiple_of(RECORDS_PER_PAGE) {
             if let Some(id) = self.pages.pop() {
-                self.memo_page = None;
                 pager.free(id)?;
             }
         }
-        Ok(removed.expect("idx < len guarantees a removal"))
+        Ok(removed)
     }
 
     /// Replace the file's contents with `records`, packed densely. Frees
@@ -469,6 +576,58 @@ mod tests {
             assert_eq!(f.len(), model.len());
         }
         assert_eq!(f.scan_all(&mut p).unwrap(), model);
+    }
+
+    #[test]
+    fn scan_charges_what_a_read_page_loop_charges() {
+        // (memoized page, pages scanned, page the scan stops on)
+        let cases = [
+            (0, 0..5, None),
+            (3, 0..5, None),
+            (2, 2..5, Some(3)),
+            (4, 1..5, Some(1)),
+            (1, 1..1, None),
+        ];
+        for (memo, pages, stop) in cases {
+            let mut sides = [setup(), setup()];
+            for (f, p) in &mut sides {
+                for k in 0..(5 * RECORDS_PER_PAGE as u64 - 7) {
+                    f.push(p, rec(k)).unwrap();
+                }
+                f.get(p, memo * RECORDS_PER_PAGE).unwrap();
+            }
+            let [(f, p), (g, q)] = &mut sides;
+            let (before_p, before_q) = (p.tracker().snapshot(), q.tracker().snapshot());
+            let mut seen = Vec::new();
+            let broke = f
+                .scan(p, pages.clone(), |page_idx, recs| {
+                    seen.push((page_idx, recs.get(0).unwrap()));
+                    match stop {
+                        Some(s) if s == page_idx => ControlFlow::Break(page_idx),
+                        _ => ControlFlow::Continue(()),
+                    }
+                })
+                .unwrap();
+            assert_eq!(broke, stop);
+            let mut want = Vec::new();
+            for page_idx in pages.clone() {
+                let head = g.read_page(q, page_idx).unwrap().get(0).unwrap();
+                want.push((page_idx, head));
+                if stop == Some(page_idx) {
+                    break;
+                }
+            }
+            assert_eq!(seen, want);
+            // Then every page once more: the memo was left in one place.
+            for idx in (0..5).map(|page| page * RECORDS_PER_PAGE + 1) {
+                assert_eq!(f.get(p, idx).unwrap(), g.get(q, idx).unwrap());
+            }
+            assert_eq!(
+                p.tracker().since(&before_p),
+                q.tracker().since(&before_q),
+                "memo {memo}, pages {pages:?}, stop {stop:?}"
+            );
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@ use std::sync::Arc;
 
 use rum_core::{
     check_bulk_input, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value,
-    RECORDS_PER_PAGE,
 };
 use rum_storage::{MemDevice, Pager};
 
@@ -88,27 +87,8 @@ impl AccessMethod for SortedColumn {
         let start = match self.search(lo)? {
             Ok(i) | Err(i) => i,
         };
-        let mut out = Vec::new();
-        let mut idx = start;
         // Sequential page reads from the start position.
-        while idx < self.file.len() {
-            let page_idx = idx / RECORDS_PER_PAGE;
-            let slot = idx % RECORDS_PER_PAGE;
-            let recs = self.file.read_page(&mut self.pager, page_idx)?;
-            let mut done = false;
-            for r in recs.tail(slot).iter() {
-                if r.key > hi {
-                    done = true;
-                    break;
-                }
-                out.push(r);
-            }
-            if done {
-                break;
-            }
-            idx = (page_idx + 1) * RECORDS_PER_PAGE;
-        }
-        Ok(out)
+        self.file.range_from(&mut self.pager, start, hi)
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
@@ -152,6 +132,7 @@ mod tests {
     use super::*;
     use rum_core::oracle::check;
     use rum_core::workload::Op;
+    use rum_core::RECORDS_PER_PAGE;
 
     fn loaded(n: u64) -> SortedColumn {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k * 2, k)).collect();

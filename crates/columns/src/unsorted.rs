@@ -7,10 +7,12 @@
 //! we have to perform costly scans to locate any data we are interested
 //! in".
 
+use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use rum_core::{
     check_bulk_input, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value,
+    RECORDS_PER_PAGE,
 };
 use rum_storage::{MemDevice, Pager};
 
@@ -47,15 +49,16 @@ impl UnsortedColumn {
         }
     }
 
-    /// Scan for `key`; returns its global index.
+    /// Scan for `key`; returns its global index. The scan stops on the
+    /// page holding it, so a `get`/`set` of that index is a memo hit.
     fn find(&mut self, key: Key) -> Result<Option<usize>> {
-        for page_idx in 0..self.file.num_pages() {
-            let recs = self.file.read_page(&mut self.pager, page_idx)?;
-            if let Some(slot) = recs.iter().position(|r| r.key == key) {
-                return Ok(Some(page_idx * rum_core::RECORDS_PER_PAGE + slot));
+        let pages = 0..self.file.num_pages();
+        self.file.scan(&mut self.pager, pages, |page_idx, recs| {
+            match recs.iter().position(|r| r.key == key) {
+                Some(slot) => ControlFlow::Break(page_idx * RECORDS_PER_PAGE + slot),
+                None => ControlFlow::Continue(()),
             }
-        }
-        Ok(None)
+        })
     }
 }
 
@@ -93,10 +96,11 @@ impl AccessMethod for UnsortedColumn {
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
         // Full scan, filter, sort — there is no order to exploit.
         let mut out = Vec::new();
-        for page_idx in 0..self.file.num_pages() {
-            let recs = self.file.read_page(&mut self.pager, page_idx)?;
+        let pages = 0..self.file.num_pages();
+        self.file.scan(&mut self.pager, pages, |_, recs| {
             out.extend(recs.iter().filter(|r| r.key >= lo && r.key <= hi));
-        }
+            ControlFlow::<()>::Continue(())
+        })?;
         out.sort_unstable();
         Ok(out)
     }
@@ -149,7 +153,6 @@ impl AccessMethod for UnsortedColumn {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rum_core::RECORDS_PER_PAGE;
 
     fn loaded(n: u64) -> UnsortedColumn {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k, k * 2)).collect();

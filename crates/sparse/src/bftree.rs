@@ -216,26 +216,7 @@ impl AccessMethod for BfTree {
         let start = match self.search(lo)? {
             Ok(i) | Err(i) => i,
         };
-        let mut out = Vec::new();
-        let mut idx = start;
-        while idx < self.file.len() {
-            let page_idx = idx / RECORDS_PER_PAGE;
-            let slot = idx % RECORDS_PER_PAGE;
-            let recs = self.file.read_page(&mut self.pager, page_idx)?;
-            let mut done = false;
-            for r in recs.tail(slot).iter() {
-                if r.key > hi {
-                    done = true;
-                    break;
-                }
-                out.push(r);
-            }
-            if done {
-                break;
-            }
-            idx = (page_idx + 1) * RECORDS_PER_PAGE;
-        }
-        Ok(out)
+        self.file.range_from(&mut self.pager, start, hi)
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {

@@ -10,6 +10,7 @@
 //! widen zones until pruning stops working — exactly the degradation the
 //! paper's "best case" footnote hides.
 
+use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
 use rum_core::{
@@ -126,50 +127,33 @@ impl ZoneMappedColumn {
             .read(DataClass::Aux, self.zones.len() as u64 * Zone::BYTES);
     }
 
-    /// Record index range of zone `zi`.
-    fn zone_span(&self, zi: usize) -> (usize, usize) {
+    /// The pages holding zone `zi`'s records. Zones are page-aligned
+    /// (`P` is a multiple of `B`), so every record on them is the zone's.
+    fn zone_pages(&self, zi: usize) -> Range<usize> {
         let start = zi * self.p();
         let end = ((zi + 1) * self.p()).min(self.file.len());
-        (start, end)
+        start / RECORDS_PER_PAGE..end.div_ceil(RECORDS_PER_PAGE)
     }
 
-    /// Find `key` within zone `zi`, reading its pages.
+    /// Find `key` within zone `zi`, reading its pages until it turns up.
     fn find_in_zone(&mut self, zi: usize, key: Key) -> Result<Option<usize>> {
-        let (start, end) = self.zone_span(zi);
-        let first_page = start / RECORDS_PER_PAGE;
-        let last_page = (end.saturating_sub(1)) / RECORDS_PER_PAGE;
-        for page_idx in first_page..=last_page {
-            if page_idx >= self.file.num_pages() {
-                break;
+        let pages = self.zone_pages(zi);
+        self.file.scan(&mut self.pager, pages, |page_idx, recs| {
+            match recs.iter().position(|r| r.key == key) {
+                Some(slot) => ControlFlow::Break(page_idx * RECORDS_PER_PAGE + slot),
+                None => ControlFlow::Continue(()),
             }
-            let recs = self.file.read_page(&mut self.pager, page_idx)?;
-            if let Some(slot) = recs.iter().position(|r| r.key == key) {
-                let idx = page_idx * RECORDS_PER_PAGE + slot;
-                if idx >= start && idx < end {
-                    return Ok(Some(idx));
-                }
-            }
-        }
-        Ok(None)
+        })
     }
 
     /// Recompute zone `zi`'s metadata by reading its pages.
     fn recompute_zone(&mut self, zi: usize) -> Result<()> {
-        let (start, end) = self.zone_span(zi);
         let mut z = Zone::empty();
-        if start < end {
-            let first_page = start / RECORDS_PER_PAGE;
-            let last_page = (end - 1) / RECORDS_PER_PAGE;
-            for page_idx in first_page..=last_page {
-                let recs = self.file.read_page(&mut self.pager, page_idx)?;
-                for (i, r) in recs.iter().enumerate() {
-                    let idx = page_idx * RECORDS_PER_PAGE + i;
-                    if idx >= start && idx < end {
-                        z.absorb(&r);
-                    }
-                }
-            }
-        }
+        let pages = self.zone_pages(zi);
+        self.file.scan(&mut self.pager, pages, |_, recs| {
+            recs.iter().for_each(|r| z.absorb(&r));
+            ControlFlow::<()>::Continue(())
+        })?;
         if zi < self.zones.len() {
             self.zones[zi] = z;
             // Trim trailing empty zones.
@@ -200,20 +184,14 @@ impl ZoneMappedColumn {
                 sum = sum.wrapping_add(z.sum);
             } else {
                 // Partially covered: fall back to data pages.
-                let (start, end) = self.zone_span(zi);
-                let first_page = start / RECORDS_PER_PAGE;
-                let last_page = (end.saturating_sub(1)) / RECORDS_PER_PAGE;
-                for page_idx in first_page..=last_page.min(self.file.num_pages().saturating_sub(1))
-                {
-                    let recs = self.file.read_page(&mut self.pager, page_idx)?;
-                    for (i, r) in recs.iter().enumerate() {
-                        let idx = page_idx * RECORDS_PER_PAGE + i;
-                        if idx >= start && idx < end && r.key >= lo && r.key <= hi {
-                            count += 1;
-                            sum = sum.wrapping_add(r.value);
-                        }
+                let pages = self.zone_pages(zi);
+                self.file.scan(&mut self.pager, pages, |_, recs| {
+                    for r in recs.iter().filter(|r| r.key >= lo && r.key <= hi) {
+                        count += 1;
+                        sum = sum.wrapping_add(r.value);
                     }
-                }
+                    ControlFlow::<()>::Continue(())
+                })?;
             }
         }
         Ok((count, sum))
@@ -265,18 +243,11 @@ impl AccessMethod for ZoneMappedColumn {
             if !self.zones[zi].overlaps(lo, hi) {
                 continue;
             }
-            let (start, end) = self.zone_span(zi);
-            let first_page = start / RECORDS_PER_PAGE;
-            let last_page = (end.saturating_sub(1)) / RECORDS_PER_PAGE;
-            for page_idx in first_page..=last_page.min(self.file.num_pages().saturating_sub(1)) {
-                let recs = self.file.read_page(&mut self.pager, page_idx)?;
-                for (i, r) in recs.iter().enumerate() {
-                    let idx = page_idx * RECORDS_PER_PAGE + i;
-                    if idx >= start && idx < end && r.key >= lo && r.key <= hi {
-                        out.push(r);
-                    }
-                }
-            }
+            let pages = self.zone_pages(zi);
+            self.file.scan(&mut self.pager, pages, |_, recs| {
+                out.extend(recs.iter().filter(|r| r.key >= lo && r.key <= hi));
+                ControlFlow::<()>::Continue(())
+            })?;
         }
         out.sort_unstable();
         Ok(out)
