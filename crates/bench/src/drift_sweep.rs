@@ -126,13 +126,13 @@ fn spec_for(config: &DriftSweepConfig, drift: Drift, salt: u64) -> WorkloadSpec 
 
 /// FNV-1a over every observable read result: the answer digest that
 /// pins tuner-on replays to tuner-off, bit for bit.
-struct Digest<M: Morphable> {
-    inner: M,
+struct Digest {
+    inner: Box<dyn Morphable>,
     hash: u64,
 }
 
-impl<M: Morphable> Digest<M> {
-    fn new(inner: M) -> Self {
+impl Digest {
+    fn new(inner: Box<dyn Morphable>) -> Self {
         Digest {
             inner,
             hash: 0xcbf2_9ce4_8422_2325,
@@ -145,7 +145,7 @@ impl<M: Morphable> Digest<M> {
     }
 }
 
-impl<M: Morphable> AccessMethod for Digest<M> {
+impl AccessMethod for Digest {
     fn name(&self) -> String {
         self.inner.name()
     }
@@ -213,7 +213,7 @@ impl<M: Morphable> AccessMethod for Digest<M> {
     }
 }
 
-impl<M: Morphable> Morphable for Digest<M> {
+impl Morphable for Digest {
     fn family(&self) -> Family {
         self.inner.family()
     }
@@ -316,80 +316,47 @@ fn tuner_for(config: &DriftSweepConfig, allow_family_swap: bool) -> AutoTuner {
     )
 }
 
-fn run_static(spec: &WorkloadSpec, cfg: LsmConfig) -> Result<(RumReport, u64, u64)> {
-    let mut m = Digest::new(SelfTuningLsm::new(LsmTree::with_config(cfg)));
-    let report = run_stream(&mut m, OpStream::new(spec))?;
-    Ok((report, m.hash, m.space_profile().total_bytes()))
-}
-
-fn run_tuned(
-    config: &DriftSweepConfig,
-    spec: &WorkloadSpec,
-) -> Result<(RumReport, AutoTuneSummary, u64, u64)> {
-    let cfg = LsmConfig {
+/// Run the grid. Rows come back scenario-major: four static arms, the
+/// tuner, then the family-swap showcase. Every arm answers through a
+/// `Digest`; the tuner and the family showcase run under an
+/// [`AutoTuner`], the family showcase with family swaps allowed.
+pub fn run(config: &DriftSweepConfig) -> Vec<DriftRow> {
+    let lsm = |cfg| Box::new(SelfTuningLsm::new(LsmTree::with_config(cfg))) as Box<dyn Morphable>;
+    let tuned = LsmConfig {
         memtable_records: 256,
         ..advise(&OpMix::BALANCED)
     };
-    let mut m = Digest::new(SelfTuningLsm::new(LsmTree::with_config(cfg)));
-    let mut tuner = tuner_for(config, false);
-    let mut trace = TraceCollector::new(config.window, noop_sink());
-    let (report, summary) =
-        run_stream_autotuned(&mut m, OpStream::new(spec), &mut tuner, &mut trace)?;
-    Ok((report, summary, m.hash, m.space_profile().total_bytes()))
-}
-
-fn run_family(
-    config: &DriftSweepConfig,
-    spec: &WorkloadSpec,
-) -> Result<(RumReport, AutoTuneSummary, u64, u64)> {
-    let inner = FamilyMorph::new(Family::LsmTree).expect("LSM is range-capable");
-    let mut m = Digest::new(inner);
-    let mut tuner = tuner_for(config, true);
-    let mut trace = TraceCollector::new(config.window, noop_sink());
-    let (report, summary) =
-        run_stream_autotuned(&mut m, OpStream::new(spec), &mut tuner, &mut trace)?;
-    Ok((report, summary, m.hash, m.space_profile().total_bytes()))
-}
-
-/// Run the grid. Rows come back scenario-major: four static arms, the
-/// tuner, then the family-swap showcase.
-pub fn run(config: &DriftSweepConfig) -> Vec<DriftRow> {
     let mut rows = Vec::new();
     for (scenario, drift) in Drift::suite(config.period) {
         let spec = spec_for(config, drift, scenario.len() as u64);
-        for (arm, cfg) in static_arms() {
+        let mut arms: Vec<_> = (static_arms().into_iter())
+            .map(|(arm, cfg)| (arm, lsm(cfg), None))
+            .collect();
+        arms.push(("tuner", lsm(tuned), Some(tuner_for(config, false))));
+        let family = FamilyMorph::new(Family::LsmTree).expect("LSM is range-capable");
+        arms.push(("family", Box::new(family), Some(tuner_for(config, true))));
+        for (arm, method, tuner) in arms {
             eprintln!("[drift] {scenario} / {arm} ...");
-            let (report, digest, resident) = run_static(&spec, cfg).expect("static arm run");
+            let mut m = Digest::new(method);
+            let stream = OpStream::new(&spec);
+            let (report, summary) = match tuner {
+                None => run_stream(&mut m, stream).map(|report| (report, None)),
+                Some(mut tuner) => {
+                    let mut trace = TraceCollector::new(config.window, noop_sink());
+                    run_stream_autotuned(&mut m, stream, &mut tuner, &mut trace)
+                        .map(|(report, summary)| (report, Some(summary)))
+                }
+            }
+            .unwrap_or_else(|e| panic!("{scenario} / {arm}: {e}"));
             rows.push(DriftRow {
                 scenario,
                 arm,
                 report,
-                summary: None,
-                digest,
-                resident_bytes: resident,
+                summary,
+                digest: m.hash,
+                resident_bytes: m.space_profile().total_bytes(),
             });
         }
-        eprintln!("[drift] {scenario} / tuner ...");
-        let (report, summary, digest, resident) = run_tuned(config, &spec).expect("tuner arm run");
-        rows.push(DriftRow {
-            scenario,
-            arm: "tuner",
-            report,
-            summary: Some(summary),
-            digest,
-            resident_bytes: resident,
-        });
-        eprintln!("[drift] {scenario} / family ...");
-        let (report, summary, digest, resident) =
-            run_family(config, &spec).expect("family arm run");
-        rows.push(DriftRow {
-            scenario,
-            arm: "family",
-            report,
-            summary: Some(summary),
-            digest,
-            resident_bytes: resident,
-        });
     }
     rows
 }

@@ -37,6 +37,7 @@ use rum_core::oracle::Oracle;
 use rum_core::trace::{EventKind, MemorySink};
 use rum_core::workload::{OpMix, Workload, WorkloadSpec};
 use rum_core::{AccessMethod, CostSnapshot, RumError};
+use rum_lsm::LsmTree;
 use rum_storage::{
     CheckedDevice, Durable, FaultDevice, FaultInjector, FaultPlan, FaultProfile, MemDevice,
     RetryPolicy, ScrubReport,
@@ -77,8 +78,9 @@ impl FaultStormConfig {
 }
 
 /// What a cell claims (see the module docs).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum CellKind {
+    #[default]
     Converge,
     Detect,
     Heal,
@@ -95,7 +97,7 @@ impl CellKind {
 }
 
 /// One (method, profile, policy) cell, measured.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct StormRow {
     pub method: String,
     pub profile: String,
@@ -134,10 +136,21 @@ pub struct StormRow {
     pub contents_exact: bool,
 }
 
-/// Full matrix results.
-#[derive(Clone, Debug, Default)]
-pub struct StormMatrix {
-    pub rows: Vec<StormRow>,
+impl StormRow {
+    /// A cell before it runs, every tally zero, announced on stderr.
+    fn new(method: String, profile: &str, policy: &str, kind: CellKind) -> Self {
+        eprintln!(
+            "[storm] {method} / {profile} / {policy} ({})",
+            kind.as_str()
+        );
+        StormRow {
+            method,
+            profile: profile.into(),
+            policy: policy.into(),
+            kind,
+            ..Default::default()
+        }
+    }
 }
 
 fn workload(config: &FaultStormConfig) -> Workload {
@@ -158,23 +171,32 @@ fn storm_device(injector: &Arc<FaultInjector>) -> StormDevice {
     CheckedDevice::new(FaultDevice::new(MemDevice::new(), Arc::clone(injector)))
 }
 
-/// The profiles × policies of one method family, plus the clean baseline.
-/// Every transient pairing keeps `max_attempts > max_burst`, which is the
-/// convergence precondition the storage layer proves.
-fn converge_legs(seed: u64) -> Vec<(&'static str, FaultProfile, &'static str, RetryPolicy)> {
+/// One cell's kind, profile and retry policy, each named.
+type Leg = (
+    CellKind,
+    &'static str,
+    FaultProfile,
+    &'static str,
+    RetryPolicy,
+);
+
+/// The cells of one method family: the profiles × policies of its
+/// Converge cells, the clean baseline first, then one Detect cell under
+/// `flips`. Every transient pairing keeps `max_attempts > max_burst`,
+/// which is the convergence precondition the storage layer proves.
+fn legs(seed: u64, flips: FaultProfile) -> [Leg; 6] {
     let transient = FaultProfile::transient(seed ^ 0x7A17, 60_000, 1);
     let bursty = FaultProfile::transient(seed ^ 0xB0057, 90_000, 2);
-    vec![
-        (
-            "clean",
-            FaultProfile::none(seed),
-            "retry-3",
-            RetryPolicy::default(),
-        ),
-        ("transient", transient, "retry-3", RetryPolicy::default()),
-        ("transient", transient, "retry-6", RetryPolicy::attempts(6)),
-        ("bursty", bursty, "retry-3", RetryPolicy::default()),
-        ("bursty", bursty, "retry-6", RetryPolicy::attempts(6)),
+    let clean = FaultProfile::none(seed);
+    let (retry3, retry6) = (RetryPolicy::default(), RetryPolicy::attempts(6));
+    let converge = CellKind::Converge;
+    [
+        (converge, "clean", clean, "retry-3", retry3),
+        (converge, "transient", transient, "retry-3", retry3),
+        (converge, "transient", transient, "retry-6", retry6),
+        (converge, "bursty", bursty, "retry-3", retry3),
+        (converge, "bursty", bursty, "retry-6", retry6),
+        (CellKind::Detect, "bitflip", flips, "retry-3", retry3),
     ]
 }
 
@@ -222,48 +244,21 @@ fn play<M: AccessMethod>(
     }
 }
 
-/// Run one Converge or Detect cell over a bare checked method.
-#[allow(clippy::too_many_arguments)]
+/// Run one Converge or Detect cell over a bare checked method built by
+/// `make` with the leg's retry policy.
 fn run_cell<M: AccessMethod>(
-    make: impl Fn(&Arc<FaultInjector>) -> M,
+    make: impl Fn(&Arc<FaultInjector>, RetryPolicy) -> M,
     scrub: impl Fn(&mut M) -> rum_core::Result<ScrubReport>,
     checksum_bytes: impl Fn(&M) -> u64,
     workload: &Workload,
-    kind: CellKind,
-    profile: (&str, FaultProfile),
-    policy: (&str, RetryPolicy),
-    out: &mut StormMatrix,
-) {
-    let ref_costs = reference_costs(&make, workload);
-    let injector = FaultInjector::with_profile(FaultPlan::None, Some(profile.1));
+    (kind, profile_name, profile, policy_name, policy): Leg,
+) -> StormRow {
+    let make = |injector: &Arc<FaultInjector>| make(injector, policy);
+    let ref_costs = reference_costs(make, workload);
+    let injector = FaultInjector::with_profile(FaultPlan::None, Some(profile));
     let mut victim = make(&injector);
     let mut oracle = Oracle::load(&mut victim, &workload.initial).expect("victim load");
-    let mut row = StormRow {
-        method: victim.name(),
-        profile: profile.0.into(),
-        policy: policy.0.into(),
-        kind,
-        acked_ops: 0,
-        faults_injected: 0,
-        flips_injected: 0,
-        detected: 0,
-        repairs: 0,
-        scrub_pages: 0,
-        scrub_corrupt: 0,
-        extra_page_ops: 0,
-        extra_sim_ns: 0,
-        checksum_bytes: 0,
-        wrong_data: 0,
-        surfaced_errors: 0,
-        contents_exact: false,
-    };
-    eprintln!(
-        "[storm] {} / {} / {} ({})",
-        row.method,
-        row.profile,
-        row.policy,
-        kind.as_str()
-    );
+    let mut row = StormRow::new(victim.name(), profile_name, policy_name, kind);
     play(&mut victim, &mut oracle, workload, &mut row);
     // Snapshot the op-phase ledger first: the reference snapshot was taken
     // at the same point, so the delta isolates retry traffic — the final
@@ -285,7 +280,7 @@ fn run_cell<M: AccessMethod>(
         row.scrub_corrupt = (report.corrupt.len() + report.unreadable.len()) as u64;
     }
     row.checksum_bytes = checksum_bytes(&victim);
-    out.rows.push(row);
+    row
 }
 
 /// Run the Heal cell: the bit-flip profile under a WAL-wrapped LSM tree.
@@ -295,17 +290,11 @@ fn run_cell<M: AccessMethod>(
 /// retiring a failing disk. Injectors are collected so the flip tally
 /// spans every life of the structure.
 fn run_heal_cell(
-    lsm_config: rum_lsm::LsmConfig,
+    make: impl Fn(&Arc<FaultInjector>, RetryPolicy) -> LsmTree<StormDevice> + Send + 'static,
     seed: u64,
     flip_ppm: u32,
     workload: &Workload,
-    out: &mut StormMatrix,
-) {
-    let make_tree = move |injector: &Arc<FaultInjector>| {
-        let mut tree = rum_lsm::LsmTree::with_device(storm_device(injector), lsm_config);
-        tree.set_retry_policy(RetryPolicy::default());
-        tree
-    };
+) -> StormRow {
     let profile = FaultProfile::bitflips(seed ^ 0xF11B, flip_ppm);
     let injectors: Arc<Mutex<Vec<Arc<FaultInjector>>>> = Arc::default();
     let factory_injectors = Arc::clone(&injectors);
@@ -318,31 +307,12 @@ fn run_heal_cell(
             FaultInjector::inert()
         };
         list.push(Arc::clone(&injector));
-        make_tree(&injector)
+        make(&injector, RetryPolicy::default())
     });
     let sink = MemorySink::shared();
     victim.set_trace_sink(Arc::clone(&sink) as _);
     let mut oracle = Oracle::load(&mut victim, &workload.initial).expect("heal load");
-    let mut row = StormRow {
-        method: victim.name(),
-        profile: "bitflip".into(),
-        policy: "retry-3".into(),
-        kind: CellKind::Heal,
-        acked_ops: 0,
-        faults_injected: 0,
-        flips_injected: 0,
-        detected: 0,
-        repairs: 0,
-        scrub_pages: 0,
-        scrub_corrupt: 0,
-        extra_page_ops: 0,
-        extra_sim_ns: 0,
-        checksum_bytes: 0,
-        wrong_data: 0,
-        surfaced_errors: 0,
-        contents_exact: false,
-    };
-    eprintln!("[storm] {} / bitflip / retry-3 (heal)", row.method);
+    let mut row = StormRow::new(victim.name(), "bitflip", "retry-3", CellKind::Heal);
     play(&mut victim, &mut oracle, workload, &mut row);
     if row.acked_ops == workload.ops.len() {
         row.contents_exact = oracle.finish(&mut victim).is_ok();
@@ -362,98 +332,58 @@ fn run_heal_cell(
         .filter(|e| e.kind == EventKind::CorruptionDetected)
         .count() as u64;
     row.checksum_bytes = victim.inner().device().checksum_bytes();
-    out.rows.push(row);
+    row
 }
 
 /// Run the full matrix: B+-tree and LSM tree over checksum-sealed faulty
 /// devices (Converge + Detect), plus the WAL-wrapped LSM tree (Heal).
-pub fn run(config: &FaultStormConfig) -> StormMatrix {
+pub fn run(config: &FaultStormConfig) -> Vec<StormRow> {
     let workload = workload(config);
-    let mut out = StormMatrix::default();
+    let btree = |injector: &Arc<FaultInjector>, policy| {
+        let config = rum_btree::BTreeConfig::default();
+        let mut tree = rum_btree::BTree::with_device(storm_device(injector), config);
+        tree.set_retry_policy(policy);
+        tree
+    };
     // A small memtable forces real device traffic (flushes + compaction),
     // so the fault layer has pages to flip and the retry layer work to do.
-    let lsm_config = rum_lsm::LsmConfig {
-        memtable_records: 32,
-        ..Default::default()
+    let lsm = |injector: &Arc<FaultInjector>, policy| {
+        let config = rum_lsm::LsmConfig {
+            memtable_records: 32,
+            ..Default::default()
+        };
+        let mut tree = LsmTree::with_device(storm_device(injector), config);
+        tree.set_retry_policy(policy);
+        tree
     };
-
-    // --- B+-tree ---------------------------------------------------------
-    let make_btree = |policy: RetryPolicy| {
-        move |injector: &Arc<FaultInjector>| {
-            let mut tree = rum_btree::BTree::with_device(
-                storm_device(injector),
-                rum_btree::BTreeConfig::default(),
-            );
-            tree.set_retry_policy(policy);
-            tree
-        }
-    };
-    for (pname, profile, rname, policy) in converge_legs(config.seed) {
-        run_cell(
-            make_btree(policy),
+    let flips = |ppm| FaultProfile::bitflips(config.seed ^ 0xF11B, ppm);
+    let mut rows = Vec::new();
+    for leg in legs(config.seed, flips(40_000)) {
+        let cell = run_cell(
+            btree,
             |t| t.scrub(),
             |t| t.device().checksum_bytes(),
             &workload,
-            CellKind::Converge,
-            (pname, profile),
-            (rname, policy),
-            &mut out,
+            leg,
         );
-    }
-    run_cell(
-        make_btree(RetryPolicy::default()),
-        |t| t.scrub(),
-        |t| t.device().checksum_bytes(),
-        &workload,
-        CellKind::Detect,
-        (
-            "bitflip",
-            FaultProfile::bitflips(config.seed ^ 0xF11B, 40_000),
-        ),
-        ("retry-3", RetryPolicy::default()),
-        &mut out,
-    );
-
-    // --- LSM tree --------------------------------------------------------
-    let make_lsm = |policy: RetryPolicy| {
-        move |injector: &Arc<FaultInjector>| {
-            let mut tree = rum_lsm::LsmTree::with_device(storm_device(injector), lsm_config);
-            tree.set_retry_policy(policy);
-            tree
-        }
-    };
-    for (pname, profile, rname, policy) in converge_legs(config.seed.rotate_left(13)) {
-        run_cell(
-            make_lsm(policy),
-            |t| t.scrub(),
-            |t| t.device().checksum_bytes(),
-            &workload,
-            CellKind::Converge,
-            (pname, profile),
-            (rname, policy),
-            &mut out,
-        );
+        rows.push(cell);
     }
     // The LSM batches work into far fewer (but larger-consequence) page
     // writes than the B+-tree, so its flip rate is higher to plant a
     // comparable number of flips per run.
-    run_cell(
-        make_lsm(RetryPolicy::default()),
-        |t| t.scrub(),
-        |t| t.device().checksum_bytes(),
-        &workload,
-        CellKind::Detect,
-        (
-            "bitflip",
-            FaultProfile::bitflips(config.seed ^ 0xF11B, 150_000),
-        ),
-        ("retry-3", RetryPolicy::default()),
-        &mut out,
-    );
-
-    // --- WAL-wrapped LSM tree (transparent healing) ----------------------
-    run_heal_cell(lsm_config, config.seed, 80_000, &workload, &mut out);
-    out
+    for leg in legs(config.seed.rotate_left(13), flips(150_000)) {
+        let cell = run_cell(
+            lsm,
+            |t| t.scrub(),
+            |t| t.device().checksum_bytes(),
+            &workload,
+            leg,
+        );
+        rows.push(cell);
+    }
+    // The WAL-wrapped LSM tree: transparent healing.
+    rows.push(run_heal_cell(lsm, config.seed, 80_000, &workload));
+    rows
 }
 
 /// The matrix's table, one row per cell.
@@ -485,9 +415,9 @@ pub fn table() -> Table<StormRow> {
 }
 
 /// The matrix's claims, checked. Any `false` fails the smoke job.
-pub fn checks(matrix: &StormMatrix) -> Vec<(String, bool)> {
+pub fn checks(rows: &[StormRow]) -> Vec<(String, bool)> {
     let mut out = Vec::new();
-    for r in &matrix.rows {
+    for r in rows {
         let cell = format!("{} / {} / {}", r.method, r.profile, r.policy);
         out.push((
             format!("{cell}: no served answer ever diverged from the fault-free reference"),
@@ -557,13 +487,13 @@ pub fn checks(matrix: &StormMatrix) -> Vec<(String, bool)> {
 
 /// `rum-bench fault_storm [--smoke]`.
 pub fn experiment(scale: Scale, _: &Target) -> Outcome {
-    let matrix = run(&scale.config(FaultStormConfig::smoke));
-    let (table, rows) = (table(), &matrix.rows);
+    let rows = run(&scale.config(FaultStormConfig::smoke));
+    let table = table();
     let rendered = format!(
         "=== Fault storm: retry convergence, corruption detection, transparent healing ===\n\n{}",
-        table.text(rows)
+        table.text(&rows)
     );
-    Outcome::sweep("fault_storm", rendered, table.csv(rows), checks(&matrix))
+    Outcome::sweep("fault_storm", rendered, table.csv(&rows), checks(&rows))
 }
 
 #[cfg(test)]
@@ -577,13 +507,13 @@ mod tests {
             operations: 300,
             seed: 0xFA_17_57,
         };
-        let matrix = run(&config);
+        let rows = run(&config);
         // 2 methods × (5 converge + 1 detect) + 1 heal cell.
-        assert_eq!(matrix.rows.len(), 13);
-        for (desc, ok) in checks(&matrix) {
+        assert_eq!(rows.len(), 13);
+        for (desc, ok) in checks(&rows) {
             assert!(ok, "failed check: {desc}");
         }
-        let csv = table().csv(&matrix.rows);
+        let csv = table().csv(&rows);
         assert_eq!(csv.lines().count(), 1 + 13);
     }
 
@@ -594,8 +524,8 @@ mod tests {
             operations: 200,
             seed: 42,
         };
-        let a = table().csv(&run(&config).rows);
-        let b = table().csv(&run(&config).rows);
+        let a = table().csv(&run(&config));
+        let b = table().csv(&run(&config));
         assert_eq!(a, b, "same seed must reproduce the matrix bit-for-bit");
     }
 }

@@ -15,14 +15,16 @@
 //! * LSM Bloom-filter bits per key ("logs enhanced by probabilistic data
 //!   structures ... at the expense of additional space").
 
-use rum_btree::{BTree, BTreeConfig, PartitionedBTree, PbtConfig, SplitPolicy};
+use std::cmp::Ordering::{self, Greater as Rises, Less as Falls};
+
+use rum_btree::{BTree, PartitionedBTree, SplitPolicy};
 use rum_core::runner::{default_threads, parallel_map, run_stream};
 use rum_core::triangle::{render_ascii, rum_point, RumPoint};
 use rum_core::workload::{OpMix, OpStream, WorkloadSpec};
 use rum_core::AccessMethod;
 use rum_core::RECORDS_PER_PAGE;
-use rum_lsm::{CompactionPolicy, LsmConfig, LsmTree};
-use rum_sparse::{ZoneMapConfig, ZoneMappedColumn};
+use rum_lsm::{CompactionPolicy, LsmTree};
+use rum_sparse::ZoneMappedColumn;
 
 use crate::{Outcome, Scale, Table, Target};
 
@@ -63,280 +65,232 @@ fn measure(
     }
 }
 
-fn standard_spec(n: usize, ops: usize) -> WorkloadSpec {
-    WorkloadSpec {
-        initial_records: n,
-        operations: ops,
-        mix: OpMix::BALANCED,
-        seed: 0x0F16_0003,
-        ..Default::default()
-    }
+/// A constructor for one point of a sweep.
+type Make = Box<dyn Fn() -> Box<dyn AccessMethod> + Send>;
+
+/// A sweep's points: each knob value, rendered, and its constructor.
+type Points = Vec<(String, Make)>;
+
+/// A point of a sweep: the knob's value, rendered, and a constructor that
+/// calls `build` with the default config as changed by `set`.
+fn point<C: Default + Copy + Send + 'static, M: AccessMethod + 'static>(
+    param: String,
+    build: fn(C) -> M,
+    set: impl FnOnce(&mut C),
+) -> (String, Make) {
+    let mut config = C::default();
+    set(&mut config);
+    (param, Box::new(move || Box::new(build(config))))
 }
 
-/// Sweep the B+-tree node size.
-pub fn btree_node_size(n: usize, ops: usize) -> Vec<SweepPoint> {
-    let w = standard_spec(n, ops);
-    [512usize, 1024, 2048, 4096, 8192, 16384, 32768]
-        .iter()
-        .map(|&node_size| {
-            let mut t = BTree::with_config(BTreeConfig {
-                node_size,
-                ..Default::default()
-            });
-            measure("btree-node-size", format!("{node_size}B"), &mut t, &w)
-        })
-        .collect()
-}
-
-/// Sweep the B+-tree bulk-load fill factor (and split policy at 1.0).
-pub fn btree_fill(n: usize, ops: usize) -> Vec<SweepPoint> {
-    let w = standard_spec(n, ops);
-    let mut out: Vec<SweepPoint> = [0.5f64, 0.7, 0.9, 1.0]
-        .iter()
-        .map(|&fill| {
-            let mut t = BTree::with_config(BTreeConfig {
-                fill_factor: fill,
-                ..Default::default()
-            });
-            measure("btree-fill", format!("{fill:.1}"), &mut t, &w)
-        })
-        .collect();
-    let mut t = BTree::with_config(BTreeConfig {
-        split_policy: SplitPolicy::RightHeavy,
-        ..Default::default()
-    });
-    out.push(measure("btree-fill", "right-heavy".into(), &mut t, &w));
-    out
-}
-
-/// Sweep the LSM size ratio `T` under both compaction policies.
+/// The six sweeps, in order: each names its knob, the workload every
+/// point runs and the points.
 ///
-/// Uses a mixed read/update workload so the hierarchy actually forms
-/// (flushes, overlapping runs) *and* enough point lookups probe it that
-/// the per-level read cost shows up in RO: sequential fresh inserts alone
-/// produce disjoint runs whose fence pointers hide the read-cost
-/// differences between the policies. The small memtable keeps the merge
-/// hierarchy several levels deep even at test scale, where a 256-record
-/// buffer would absorb most of the write stream and flatten the sweep.
-pub fn lsm_ratio(n: usize, ops: usize) -> Vec<SweepPoint> {
-    let w = WorkloadSpec {
+/// The LSM size-ratio sweep runs a mixed read/update workload so the
+/// hierarchy actually forms (flushes, overlapping runs) *and* enough
+/// point lookups probe it that the per-level read cost shows up in RO:
+/// sequential fresh inserts alone produce disjoint runs whose fence
+/// pointers hide the read-cost differences between the policies. Its
+/// small memtable keeps the merge hierarchy several levels deep even at
+/// test scale, where a 256-record buffer would absorb most of the write
+/// stream. Bloom bits run a miss-heavy read workload (where the filters
+/// earn their keep) and PBT partitions an update-heavy one (so copies
+/// pile up across partitions); "the number of partitions in PBT" is the
+/// paper's own example of a tunable parameter.
+fn sweeps(n: usize, ops: usize) -> Vec<(&'static str, WorkloadSpec, Points)> {
+    let spec = |operations, mix, seed| WorkloadSpec {
         initial_records: n,
-        operations: 4 * ops,
-        mix: OpMix {
-            get: 0.4,
-            insert: 0.15,
-            update: 0.4,
-            delete: 0.05,
-            range: 0.0,
-        },
-        seed: 0x0F16_0005,
+        operations,
+        mix,
+        seed,
         ..Default::default()
     };
-    let mut out = Vec::new();
-    for policy in [CompactionPolicy::Levelling, CompactionPolicy::Tiering] {
-        for t in [2usize, 4, 8, 16] {
-            let mut lsm = LsmTree::with_config(LsmConfig {
-                size_ratio: t,
-                policy,
-                memtable_records: 64,
-                ..Default::default()
-            });
-            let tag = match policy {
-                CompactionPolicy::Levelling => format!("T={t} lvl"),
-                CompactionPolicy::Tiering => format!("T={t} tier"),
-            };
-            out.push(measure("lsm-ratio", tag, &mut lsm, &w));
-        }
-    }
-    out
-}
-
-/// Sweep the ZoneMap partition size `P`.
-pub fn zonemap_partition(n: usize, ops: usize) -> Vec<SweepPoint> {
-    let w = standard_spec(n, ops);
-    [1usize, 4, 16, 64]
-        .iter()
-        .map(|&pages| {
-            let mut z = ZoneMappedColumn::with_config(ZoneMapConfig {
-                partition_records: pages * RECORDS_PER_PAGE,
-                ..Default::default()
-            });
-            measure(
-                "zonemap-P",
-                format!("{}r", pages * RECORDS_PER_PAGE),
-                &mut z,
-                &w,
-            )
-        })
-        .collect()
-}
-
-/// Sweep LSM Bloom bits per key on a miss-heavy read workload (where the
-/// filters earn their keep).
-pub fn bloom_bits(n: usize, ops: usize) -> Vec<SweepPoint> {
-    let w = WorkloadSpec {
-        initial_records: n,
-        operations: ops,
-        mix: OpMix::READ_HEAVY,
-        miss_fraction: 0.5,
-        seed: 0x0F16_0004,
-        ..Default::default()
+    let standard = spec(ops, OpMix::BALANCED, 0x0F16_0003);
+    let (btree, lsm) = (BTree::with_config, LsmTree::with_config);
+    let right_heavy = point("right-heavy".into(), btree, |c| {
+        c.split_policy = SplitPolicy::RightHeavy
+    });
+    let mix = |get, insert, update, delete| OpMix {
+        get,
+        insert,
+        update,
+        delete,
+        range: 0.0,
     };
-    [0.0f64, 2.0, 5.0, 10.0, 16.0]
-        .iter()
-        .map(|&bits| {
-            let mut lsm = LsmTree::with_config(LsmConfig {
-                bloom_bits_per_key: bits,
-                memtable_records: 256,
-                ..Default::default()
-            });
-            measure("bloom-bits", format!("{bits}b/key"), &mut lsm, &w)
-        })
-        .collect()
-}
-
-/// Sweep the partitioned B-tree's partition budget ("the number of
-/// partitions in PBT" — the paper's own example of a tunable parameter).
-pub fn pbt_partitions(n: usize, ops: usize) -> Vec<SweepPoint> {
-    // Update-heavy so copies pile up across partitions.
-    let w = WorkloadSpec {
-        initial_records: n,
-        operations: 2 * ops,
-        mix: OpMix {
-            get: 0.25,
-            insert: 0.2,
-            update: 0.5,
-            delete: 0.05,
-            range: 0.0,
-        },
-        seed: 0x0F16_0006,
-        ..Default::default()
-    };
-    [2usize, 4, 8, 16]
-        .iter()
-        .map(|&max_partitions| {
-            let mut t = PartitionedBTree::with_config(PbtConfig {
-                partition_records: 256,
-                max_partitions,
-                node: BTreeConfig::default(),
-            });
-            measure("pbt-partitions", format!("{max_partitions}p"), &mut t, &w)
-        })
-        .collect()
+    vec![
+        (
+            "btree-node-size",
+            standard,
+            [512usize, 1024, 2048, 4096, 8192, 16384, 32768]
+                .map(|v| point(format!("{v}B"), btree, |c| c.node_size = v))
+                .into(),
+        ),
+        (
+            "btree-fill",
+            standard,
+            [0.5f64, 0.7, 0.9, 1.0]
+                .map(|v| point(format!("{v:.1}"), btree, |c| c.fill_factor = v))
+                .into_iter()
+                .chain([right_heavy])
+                .collect(),
+        ),
+        (
+            "lsm-ratio",
+            spec(4 * ops, mix(0.4, 0.15, 0.4, 0.05), 0x0F16_0005),
+            [
+                (CompactionPolicy::Levelling, "lvl"),
+                (CompactionPolicy::Tiering, "tier"),
+            ]
+            .into_iter()
+            .flat_map(|(policy, tag)| {
+                [2usize, 4, 8, 16].map(|t| {
+                    point(format!("T={t} {tag}"), lsm, |c| {
+                        c.size_ratio = t;
+                        c.policy = policy;
+                        c.memtable_records = 64;
+                    })
+                })
+            })
+            .collect(),
+        ),
+        (
+            "zonemap-P",
+            standard,
+            [1usize, 4, 16, 64]
+                .map(|pages| pages * RECORDS_PER_PAGE)
+                .map(|v| {
+                    point(format!("{v}r"), ZoneMappedColumn::with_config, |c| {
+                        c.partition_records = v
+                    })
+                })
+                .into(),
+        ),
+        (
+            "bloom-bits",
+            WorkloadSpec {
+                miss_fraction: 0.5,
+                ..spec(ops, OpMix::READ_HEAVY, 0x0F16_0004)
+            },
+            [0.0f64, 2.0, 5.0, 10.0, 16.0]
+                .map(|v| {
+                    point(format!("{v}b/key"), lsm, |c| {
+                        c.bloom_bits_per_key = v;
+                        c.memtable_records = 256;
+                    })
+                })
+                .into(),
+        ),
+        (
+            "pbt-partitions",
+            spec(2 * ops, mix(0.25, 0.2, 0.5, 0.05), 0x0F16_0006),
+            [2usize, 4, 8, 16]
+                .map(|v| {
+                    point(format!("{v}p"), PartitionedBTree::with_config, |c| {
+                        c.partition_records = 256;
+                        c.max_partitions = v;
+                    })
+                })
+                .into(),
+        ),
+    ]
 }
 
 /// Run every sweep, one per worker; the concatenated output keeps the
 /// fixed sweep order regardless of which finishes first.
 pub fn run(n: usize, ops: usize) -> Vec<SweepPoint> {
-    type Sweep = fn(usize, usize) -> Vec<SweepPoint>;
-    let sweeps: Vec<Sweep> = vec![
-        btree_node_size,
-        btree_fill,
-        lsm_ratio,
-        zonemap_partition,
-        bloom_bits,
-        pbt_partitions,
-    ];
-    parallel_map(sweeps, default_threads(), |sweep| sweep(n, ops))
-        .into_iter()
-        .flatten()
-        .collect()
+    parallel_map(
+        sweeps(n, ops),
+        default_threads(),
+        |(sweep, spec, points)| {
+            (points.into_iter())
+                .map(|(param, make)| measure(sweep, param, make().as_mut(), &spec))
+                .collect::<Vec<_>>()
+        },
+    )
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
-/// Figure 3's claims, checked: every knob really moves the method in the
-/// expected direction.
-pub fn shape_checks(points: &[SweepPoint]) -> Vec<(String, bool)> {
-    let of =
-        |sweep: &str| -> Vec<&SweepPoint> { points.iter().filter(|p| p.sweep == sweep).collect() };
-    let mut checks = Vec::new();
+/// A claim about one sweep: `(label, (sweep, from, to, metric,
+/// direction))` holds when `metric` moves in `direction` from point
+/// `from` to point `to`.
+type Claim = (
+    &'static str,
+    (&'static str, &'static str, &'static str, Metric, Ordering),
+);
+type Metric = fn(&SweepPoint) -> f64;
 
-    // Larger LSM T (levelling): fewer levels → RO falls, merge batches
-    // grow → UO rises.
-    let lsm: Vec<&SweepPoint> = of("lsm-ratio")
-        .into_iter()
-        .filter(|p| p.param.ends_with("lvl"))
-        .collect();
-    if lsm.len() >= 2 {
-        checks.push((
-            "LSM T↑ (levelling): RO falls".into(),
-            lsm.last().unwrap().ro < lsm.first().unwrap().ro,
-        ));
-        checks.push((
-            "LSM T↑ (levelling): UO rises".into(),
-            lsm.last().unwrap().uo > lsm.first().unwrap().uo,
-        ));
-    }
-    // Tiering trades reads for writes relative to levelling at the same T.
-    let all_lsm = of("lsm-ratio");
-    let lvl4 = all_lsm.iter().find(|p| p.param == "T=4 lvl");
-    let tier4 = all_lsm.iter().find(|p| p.param == "T=4 tier");
-    if let (Some(l), Some(t)) = (lvl4, tier4) {
-        checks.push((
-            "tiering (T=4) has lower UO than levelling".into(),
-            t.uo < l.uo,
-        ));
-        checks.push((
-            "tiering (T=4) has higher RO than levelling".into(),
-            t.ro > l.ro,
-        ));
-    }
-    // Finer zonemap partitions: better reads, more metadata.
-    let zm = of("zonemap-P");
-    if zm.len() >= 2 {
-        checks.push((
-            "ZoneMap P↓: RO falls (finer pruning)".into(),
-            zm.first().unwrap().ro < zm.last().unwrap().ro,
-        ));
-        checks.push((
-            "ZoneMap P↓: MO rises (more zones)".into(),
-            zm.first().unwrap().mo > zm.last().unwrap().mo,
-        ));
-    }
-    // More bloom bits: better reads, more space.
-    let bb = of("bloom-bits");
-    if bb.len() >= 2 {
-        checks.push((
-            "Bloom bits↑: RO falls on miss-heavy reads".into(),
-            bb.last().unwrap().ro < bb.first().unwrap().ro,
-        ));
-        checks.push((
-            "Bloom bits↑: MO rises".into(),
-            bb.last().unwrap().mo > bb.first().unwrap().mo,
-        ));
-    }
-    // Bigger B-tree nodes: shorter tree but fatter accesses; the write
-    // cost per update grows with the node size.
-    let bn = of("btree-node-size");
-    if bn.len() >= 2 {
-        checks.push((
-            "B+-tree node↑: UO rises (fatter page writes)".into(),
-            bn.last().unwrap().uo > bn.first().unwrap().uo,
-        ));
-    }
-    // More PBT partitions: cheaper writes, more probes per read.
-    let pbt = of("pbt-partitions");
-    if pbt.len() >= 2 {
-        checks.push((
-            "PBT partitions↑: UO falls (merges deferred)".into(),
-            pbt.last().unwrap().uo < pbt.first().unwrap().uo,
-        ));
-        checks.push((
-            "PBT partitions↑: RO rises (more partitions probed)".into(),
-            pbt.last().unwrap().ro > pbt.first().unwrap().ro,
-        ));
-    }
-    // Lower fill factor: more slack → higher MO.
-    let bf: Vec<&SweepPoint> = of("btree-fill")
-        .into_iter()
-        .filter(|p| p.param != "right-heavy")
-        .collect();
-    if bf.len() >= 2 {
-        checks.push((
-            "B+-tree fill↓: MO rises (slack pages)".into(),
-            bf.first().unwrap().mo > bf.last().unwrap().mo,
-        ));
-    }
-    checks
+/// Figure 3's claims: each knob moves its method as the paper predicts.
+/// A larger LSM T (levelling) means fewer levels, so RO falls, but
+/// bigger merge batches, so UO rises; tiering trades reads for writes
+/// against levelling at the same T. Finer zonemap partitions and more
+/// Bloom bits buy reads with space. Bigger B-tree nodes make each page
+/// write fatter. More PBT partitions defer merges but add probes. A lower
+/// fill factor leaves slack pages.
+const CLAIMS: [Claim; 12] = [
+    (
+        "LSM T↑ (levelling): RO falls",
+        ("lsm-ratio", "T=2 lvl", "T=16 lvl", |p| p.ro, Falls),
+    ),
+    (
+        "LSM T↑ (levelling): UO rises",
+        ("lsm-ratio", "T=2 lvl", "T=16 lvl", |p| p.uo, Rises),
+    ),
+    (
+        "tiering (T=4) has lower UO than levelling",
+        ("lsm-ratio", "T=4 lvl", "T=4 tier", |p| p.uo, Falls),
+    ),
+    (
+        "tiering (T=4) has higher RO than levelling",
+        ("lsm-ratio", "T=4 lvl", "T=4 tier", |p| p.ro, Rises),
+    ),
+    (
+        "ZoneMap P↓: RO falls (finer pruning)",
+        ("zonemap-P", "16384r", "256r", |p| p.ro, Falls),
+    ),
+    (
+        "ZoneMap P↓: MO rises (more zones)",
+        ("zonemap-P", "16384r", "256r", |p| p.mo, Rises),
+    ),
+    (
+        "Bloom bits↑: RO falls on miss-heavy reads",
+        ("bloom-bits", "0b/key", "16b/key", |p| p.ro, Falls),
+    ),
+    (
+        "Bloom bits↑: MO rises",
+        ("bloom-bits", "0b/key", "16b/key", |p| p.mo, Rises),
+    ),
+    (
+        "B+-tree node↑: UO rises (fatter page writes)",
+        ("btree-node-size", "512B", "32768B", |p| p.uo, Rises),
+    ),
+    (
+        "PBT partitions↑: UO falls (merges deferred)",
+        ("pbt-partitions", "2p", "16p", |p| p.uo, Falls),
+    ),
+    (
+        "PBT partitions↑: RO rises (more partitions probed)",
+        ("pbt-partitions", "2p", "16p", |p| p.ro, Rises),
+    ),
+    (
+        "B+-tree fill↓: MO rises (slack pages)",
+        ("btree-fill", "1.0", "0.5", |p| p.mo, Rises),
+    ),
+];
+
+/// Figure 3's claims, checked against the measured points. A claim whose
+/// points were not measured fails.
+pub fn shape_checks(points: &[SweepPoint]) -> Vec<(String, bool)> {
+    let at =
+        |sweep: &str, param: &str| (points.iter()).find(|p| p.sweep == sweep && p.param == param);
+    (CLAIMS.iter())
+        .map(|&(label, (sweep, from, to, metric, direction))| {
+            let moved = (at(sweep, from).zip(at(sweep, to)))
+                .and_then(|(a, b)| metric(b).partial_cmp(&metric(a)));
+            (label.to_string(), moved == Some(direction))
+        })
+        .collect()
 }
 
 /// `rum-bench fig3 [--quick]`.

@@ -21,7 +21,6 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use rum_core::runner::measure_ops;
 use rum_core::workload::Op;
 use rum_core::{AccessMethod, Record};
 
@@ -59,77 +58,59 @@ pub fn dataset(n: usize) -> Vec<Record> {
 }
 
 /// Mean page accesses (reads + writes) per op of `ops` against a loaded
-/// method.
-fn pages_per_op(method: &mut dyn AccessMethod, ops: &[Op], what: &str) -> f64 {
-    let (_, d) = measure_ops(method, ops).expect(what);
-    d.page_accesses() as f64 / ops.len().max(1) as f64
+/// method: Table 1's one measure, fed by the op generators below.
+pub fn pages_per_op(method: &mut dyn AccessMethod, ops: &[Op]) -> f64 {
+    let before = method.tracker().snapshot();
+    for &op in ops {
+        op.apply(method).unwrap_or_else(|e| panic!("{op:?}: {e}"));
+    }
+    method.tracker().since(&before).page_accesses() as f64 / ops.len().max(1) as f64
 }
 
-/// Pages per op of `count` random point queries over live keys `0..n`.
-pub fn point_query_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> f64 {
-    let mut rng = StdRng::seed_from_u64(0xF00D);
-    let ops: Vec<Op> = (0..count)
-        .map(|_| Op::Get(2 * rng.gen_range(0..n as u64)))
-        .collect();
-    pages_per_op(method, &ops, "point queries")
+/// `count` ops drawn by `op` from an RNG seeded with `seed`.
+fn seeded(seed: u64, count: usize, mut op: impl FnMut(&mut StdRng) -> Op) -> Vec<Op> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..count).map(|_| op(&mut rng)).collect()
 }
 
-/// Pages per op of `count` range queries of `m` records each.
-pub fn range_query_cost(method: &mut dyn AccessMethod, n: usize, m: usize, count: usize) -> f64 {
-    let mut rng = StdRng::seed_from_u64(0xBEEF);
-    let ops: Vec<Op> = (0..count)
-        .map(|_| {
-            let lo = 2 * rng.gen_range(0..(n.saturating_sub(m).max(1)) as u64);
-            // Even keys: a span of 2(m-1) covers exactly m records.
-            Op::Range(lo, lo + 2 * (m as u64 - 1))
-        })
-        .collect();
-    pages_per_op(method, &ops, "range queries")
+/// `count` random point queries over live keys `0..n`.
+pub fn point_queries(n: usize, count: usize) -> Vec<Op> {
+    seeded(0xF00D, count, |rng| Op::Get(2 * rng.gen_range(0..n as u64)))
 }
 
-/// Pages per op of `count` inserts of fresh odd keys at random positions inside
-/// the loaded (even-keyed) range — the paper's average-position insert.
-pub fn insert_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> f64 {
-    let mut rng = StdRng::seed_from_u64(0xADD);
+/// `count` range queries of `m` records each.
+pub fn range_queries(n: usize, m: usize, count: usize) -> Vec<Op> {
+    seeded(0xBEEF, count, |rng| {
+        let lo = 2 * rng.gen_range(0..(n.saturating_sub(m).max(1)) as u64);
+        // Even keys: a span of 2(m-1) covers exactly m records.
+        Op::Range(lo, lo + 2 * (m as u64 - 1))
+    })
+}
+
+/// `count` inserts of fresh odd keys at random positions inside the loaded
+/// (even-keyed) range — the paper's average-position insert.
+pub fn inserts(n: usize, count: usize) -> Vec<Op> {
     let mut used = std::collections::HashSet::new();
     // Sample without replacement; widen the domain when the sample count
     // approaches the number of odd gaps (needed for amortized methods
     // that are measured over many inserts).
     let domain = (n as u64).max(4 * count as u64);
-    let ops: Vec<Op> = (0..count)
-        .map(|_| {
-            let mut j = rng.gen_range(0..domain);
-            while !used.insert(j) {
-                j = rng.gen_range(0..domain);
-            }
-            let k = 2 * j + 1;
-            Op::Insert(k, rum_core::workload::value_for(k, 1))
-        })
-        .collect();
-    pages_per_op(method, &ops, "inserts")
+    seeded(0xADD, count, |rng| {
+        let mut j = rng.gen_range(0..domain);
+        while !used.insert(j) {
+            j = rng.gen_range(0..domain);
+        }
+        let k = 2 * j + 1;
+        Op::Insert(k, rum_core::workload::value_for(k, 1))
+    })
 }
 
-/// Pages per op of `count` in-place updates of existing keys.
-pub fn update_cost(method: &mut dyn AccessMethod, n: usize, count: usize) -> f64 {
-    let mut rng = StdRng::seed_from_u64(0xCAFE);
-    let ops: Vec<Op> = (0..count)
-        .map(|_| {
-            let k = 2 * rng.gen_range(0..n as u64);
-            Op::Update(k, rum_core::workload::value_for(k, 2))
-        })
-        .collect();
-    pages_per_op(method, &ops, "updates")
-}
-
-/// Bulk-load `records` and report the construction cost and footprint:
-/// `(pages_written, physical_pages, space_amplification)`.
-pub fn load_cost(method: &mut dyn AccessMethod, records: &[Record]) -> (u64, f64, f64) {
-    let before = method.tracker().snapshot();
-    method.bulk_load(records).expect("bulk load");
-    let d = method.tracker().since(&before);
-    let profile = method.space_profile();
-    let physical_pages = profile.total_bytes() as f64 / rum_core::PAGE_SIZE as f64;
-    (d.page_writes, physical_pages, profile.space_amplification())
+/// `count` in-place updates of existing keys.
+pub fn updates(n: usize, count: usize) -> Vec<Op> {
+    seeded(0xCAFE, count, |rng| {
+        let k = 2 * rng.gen_range(0..n as u64);
+        Op::Update(k, rum_core::workload::value_for(k, 2))
+    })
 }
 
 /// Exit 2 unless `dir` is under the current directory. `results/` paths
@@ -194,18 +175,19 @@ mod tests {
     #[test]
     fn op_costs_measure_something() {
         let mut t = BTree::new();
-        let data = dataset(10_000);
-        let (pages_written, physical, mo) = load_cost(&mut t, &data);
-        assert!(pages_written > 0);
-        assert!(physical > 39.0); // 10k records = ~40 pages minimum
-        assert!(mo >= 1.0);
-        let pq = point_query_cost(&mut t, 10_000, 32);
+        t.bulk_load(&dataset(10_000)).unwrap();
+        let profile = t.space_profile();
+        assert!(t.tracker().snapshot().page_writes > 0);
+        // 10k records = ~40 pages minimum
+        assert!(profile.total_bytes() as f64 / rum_core::PAGE_SIZE as f64 > 39.0);
+        assert!(profile.space_amplification() >= 1.0);
+        let pq = pages_per_op(&mut t, &point_queries(10_000, 32));
         assert!(pq >= 1.0);
-        let rq = range_query_cost(&mut t, 10_000, 256, 8);
+        let rq = pages_per_op(&mut t, &range_queries(10_000, 256, 8));
         assert!(rq > pq);
-        let ins = insert_cost(&mut t, 10_000, 16);
+        let ins = pages_per_op(&mut t, &inserts(10_000, 16));
         assert!(ins >= 1.0);
-        let upd = update_cost(&mut t, 10_000, 16);
+        let upd = pages_per_op(&mut t, &updates(10_000, 16));
         assert!(upd >= 1.0);
     }
 

@@ -42,7 +42,7 @@ use rum_core::trace::TraceCollector;
 use rum_core::RECORD_SIZE;
 use rum_obs::{http_get, parse_prometheus, serve, PromSample};
 
-use crate::table::Finite;
+use crate::table::finite;
 use crate::trace::find_method;
 use crate::{baseline, fail, Outcome, Scale, Table, Target};
 
@@ -161,8 +161,8 @@ pub fn table<'a>() -> Table<ClassRow<'a>> {
         .col("attributed_write_bytes", "attr wr bytes:>14", |(.., a)| {
             a.attributed_write_bytes()
         })
-        .col("class_ro:.6", "RO:>9.3", |(.., a)| Finite(a.ro()))
-        .col("class_uo:.6", "UO:>9.3", |(.., a)| Finite(a.uo()))
+        .col("class_ro:.6", "RO:>9.3", |(.., a)| finite(a.ro()))
+        .col("class_uo:.6", "UO:>9.3", |(.., a)| finite(a.uo()))
         .col("debt_accrued_bytes", "", |(r, ..)| {
             r.debt.debt_accrued_bytes
         })

@@ -9,6 +9,7 @@
 //! aligned in 9 characters, 3 decimals) or `label:<18`; text between the
 //! colon and the `<`/`>` replaces the single space that otherwise separates
 //! a column from the one before it (`"view KiB:  >9.1"`, `"point: | >10"`).
+//! A precision applies to `f64` cells only; any other cell renders whole.
 //!
 //! A CSV whose rows already carry a tag, like `crash_matrix`'s `uo` and
 //! `cell` rows under one header, is a table with [`sections`]: the tag is
@@ -18,18 +19,18 @@
 //! [`sections`]: Table::sections
 //! [`section`]: Table::section
 
-use std::fmt::{self, Display};
+use std::any::Any;
+use std::fmt::Display;
 
 use rum_core::runner::RumReport;
 
-/// A float written as 0 when it is not finite: an amplification with
-/// nothing to amplify (a window of inserts retrieves no logical bytes).
-pub struct Finite(pub f64);
-
-impl Display for Finite {
-    fn fmt(&self, f: &mut fmt::Formatter) -> fmt::Result {
-        let x = if self.0.is_finite() { self.0 } else { 0.0 };
-        x.fmt(f)
+/// `x`, or 0 when it is not finite: an amplification with nothing to
+/// amplify (a window of inserts retrieves no logical bytes).
+pub fn finite(x: f64) -> f64 {
+    if x.is_finite() {
+        x
+    } else {
+        0.0
     }
 }
 
@@ -92,9 +93,8 @@ impl<R> Default for Table<R> {
 }
 
 impl<R> Table<R> {
-    /// Add a column; see the module doc for the two specs. A precision
-    /// applies to the column's floats, so give one to float columns only.
-    pub fn col<C: Display>(
+    /// Add a column; see the module doc for the two specs.
+    pub fn col<C: Display + 'static>(
         mut self,
         csv: &'static str,
         text: &str,
@@ -120,9 +120,12 @@ impl<R> Table<R> {
             csv_prec,
             text,
             section: self.section,
-            cell: Box::new(move |r, prec| match prec {
-                Some(p) => format!("{:.p$}", cell(r)),
-                None => cell(r).to_string(),
+            cell: Box::new(move |r, prec| {
+                let c = cell(r);
+                match (prec, (&c as &dyn Any).downcast_ref::<f64>()) {
+                    (Some(p), Some(x)) => format!("{x:.p$}"),
+                    _ => c.to_string(),
+                }
             }),
         });
         self
@@ -207,7 +210,7 @@ mod tests {
             .col("key", "key:<6", |r| r.1)
             .section("amp")
             .col("amp:.3", "amp:>8.2", |r| r.2)
-            .col("", "amp0: | >6.1", |r| Finite(r.2))
+            .col("", "amp0: | >6.1", |r| finite(r.2))
             .section("count")
             .col("count", "n:>4", |r| r.2 as u64);
         let rows = [
@@ -232,5 +235,19 @@ mod tests {
             let fields: Vec<usize> = rendered.lines().map(|l| l.split(sep).count()).collect();
             assert!(fields.iter().all(|&n| n == fields[0]), "{fields:?}");
         }
+    }
+
+    #[test]
+    fn a_precision_applies_to_floats_only() {
+        let t = Table::<(&'static str, f64, u64)>::default()
+            .col("name:.2", "name:<8.2", |r| r.0)
+            .col("x:.2", "x:>6.1", |r| r.1)
+            .col("n:.2", "n:>4.1", |r| r.2);
+        let rows = [("tiering", 1.0 / 3.0, 7)];
+        assert_eq!(t.csv(&rows), "name,x,n\ntiering,0.33,7\n");
+        assert_eq!(
+            t.text(&rows),
+            "name          x    n\ntiering     0.3    7\n"
+        );
     }
 }

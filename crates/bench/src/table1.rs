@@ -25,8 +25,8 @@ use rum_lsm::{LsmConfig, LsmTree};
 use rum_sparse::{ZoneMapConfig, ZoneMappedColumn};
 
 use crate::{
-    dataset, insert_cost, load_cost, point_query_cost, range_query_cost, update_cost, Outcome,
-    Scale, Table, Target,
+    dataset, inserts, pages_per_op, point_queries, range_queries, updates, Outcome, Scale, Table,
+    Target,
 };
 
 /// Shards in the "Sharded B+-Tree" row.
@@ -179,24 +179,25 @@ pub fn measure(
     p: &Table1Params,
 ) -> Table1Row {
     let mut m = factory();
-    let data = dataset(n);
-    let (load_pages, _load_size_pages, _load_mo) = load_cost(m.as_mut(), &data);
+    let before = m.tracker().snapshot();
+    m.bulk_load(&dataset(n)).expect("bulk load");
+    let load_pages = m.tracker().since(&before).page_writes;
     if family == Some(Family::LsmTree) {
         // Drive the LSM into steady state: a pristine bulk-loaded tree is
         // one perfect run (reads as cheap as a sorted column), which is
         // not the multi-level shape Table 1 describes. Churn a slice of
         // the keys so several levels hold live data.
         let churn = (2 * p.memtable).min(n / 2);
-        update_cost(m.as_mut(), n, churn);
+        pages_per_op(m.as_mut(), &updates(n, churn));
         // Flush the memtable: the paper's LSM read model probes runs, not
         // a warm write buffer (memtable hits would undercut even hashing).
         m.flush().expect("flush");
         m.tracker().reset();
     }
-    let point = point_query_cost(m.as_mut(), n, 64);
-    let range = range_query_cost(m.as_mut(), n, p.m, 16);
-    let update = update_cost(m.as_mut(), n, 32);
-    let insert = insert_cost(m.as_mut(), n, insert_samples(family, p));
+    let point = pages_per_op(m.as_mut(), &point_queries(n, 64));
+    let range = pages_per_op(m.as_mut(), &range_queries(n, p.m, 16));
+    let update = pages_per_op(m.as_mut(), &updates(n, 32));
+    let insert = pages_per_op(m.as_mut(), &inserts(n, insert_samples(family, p)));
     // Footprint measured at the END of the run: for history-dependent
     // structures (the LSM) the pristine bulk-loaded state undersells the
     // space the method actually occupies in steady state.

@@ -1,7 +1,7 @@
 //! Time-resolved RUM tracing: one suite method × one mix, run with a live
 //! [`TraceCollector`] and a [`MemorySink`], exported three ways —
 //!
-//! * **trajectory CSV** — one row per window of `RUM_TRACE_WINDOW` ops
+//! * **trajectory CSV** — one row per window of `--window` ops
 //!   (default 4096): windowed and cumulative RO/UO plus MO at the window
 //!   close, the amplification curves the aggregate report averages away;
 //! * **events JSONL** — every structured event the run emitted (LSM
@@ -18,7 +18,7 @@
 //! `rum-bench trace [METHOD] [--mix MIX] [--n OPS] [--window W]` traces
 //! one [`rum::standard_suite`] method (default `lsm-tree+wal`) under one
 //! [`mix_by_name`] mix (default `balanced`) for 10^5 ops; the window
-//! defaults to `RUM_TRACE_WINDOW` (4096). Results land in
+//! defaults to [`DEFAULT_TRACE_WINDOW`] (4096). Results land in
 //! `results/trace_<method>.jsonl`, `results/trajectory_<method>.csv` and
 //! `results/trace_<method>.folded`. `--smoke` is the CI trace leg: it
 //! traces `lsm-tree+wal` and `b+tree` at the baseline smoke scale and
@@ -29,11 +29,10 @@
 use rum::prelude::*;
 use rum_core::runner::{run_stream, run_stream_traced};
 use rum_core::trace::{
-    env_trace_window, events_to_jsonl, fold_events, ClassLatency, Event, MemorySink,
-    TraceCollector, TrajectoryWindow,
+    events_to_jsonl, fold_events, ClassLatency, Event, MemorySink, TraceCollector, TrajectoryWindow,
 };
 
-use crate::table::Finite;
+use crate::table::finite;
 use crate::{baseline, Outcome, Scale, Table, Target};
 
 /// Everything one traced run produces.
@@ -109,11 +108,11 @@ pub fn trajectory() -> Table<TrajectoryWindow> {
     Table::<TrajectoryWindow>::default()
         .col("window", "window:>6", |w| w.index)
         .col("ops", "ops:>7", |w| w.ops)
-        .col("ro:.6", "RO:>9.3", |w| Finite(w.ro()))
-        .col("uo:.6", "UO:>9.3", |w| Finite(w.uo()))
-        .col("mo:.6", "MO:>7.3", |w| Finite(w.mo))
-        .col("cum_ro:.6", "cumRO:>9.3", |w| Finite(w.cumulative_ro()))
-        .col("cum_uo:.6", "cumUO:>9.3", |w| Finite(w.cumulative_uo()))
+        .col("ro:.6", "RO:>9.3", |w| finite(w.ro()))
+        .col("uo:.6", "UO:>9.3", |w| finite(w.uo()))
+        .col("mo:.6", "MO:>7.3", |w| finite(w.mo))
+        .col("cum_ro:.6", "cumRO:>9.3", |w| finite(w.cumulative_ro()))
+        .col("cum_uo:.6", "cumUO:>9.3", |w| finite(w.cumulative_uo()))
         .col("read_bytes", "rd bytes:>11", |w| w.delta.total_read_bytes())
         .col("write_bytes", "wr bytes:>11", |w| {
             w.delta.total_write_bytes()
@@ -174,7 +173,7 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
     }
     let name = &target.method;
     let spec = target.spec(100_000, 0x7ACE_D000);
-    let window = target.window.unwrap_or_else(env_trace_window);
+    let window = target.window.unwrap_or(DEFAULT_TRACE_WINDOW);
     eprintln!(
         "[trace] {name} × {}, {} ops, window {window} ...",
         target.mix, spec.operations

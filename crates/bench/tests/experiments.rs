@@ -47,7 +47,28 @@ fn fig2_vertical_tradeoff_holds() {
 #[test]
 fn fig3_knobs_move_methods_as_predicted() {
     let points = fig3::run(1 << 12, 1 << 10);
-    assert_all(fig3::shape_checks(&points), "Figure 3");
+    let checks = fig3::shape_checks(&points);
+    // The twelve claims, in order: a row dropped from the claim list fails
+    // here instead of passing unchecked.
+    let labels: Vec<&str> = checks.iter().map(|(label, _)| label.as_str()).collect();
+    assert_eq!(
+        labels,
+        [
+            "LSM T↑ (levelling): RO falls",
+            "LSM T↑ (levelling): UO rises",
+            "tiering (T=4) has lower UO than levelling",
+            "tiering (T=4) has higher RO than levelling",
+            "ZoneMap P↓: RO falls (finer pruning)",
+            "ZoneMap P↓: MO rises (more zones)",
+            "Bloom bits↑: RO falls on miss-heavy reads",
+            "Bloom bits↑: MO rises",
+            "B+-tree node↑: UO rises (fatter page writes)",
+            "PBT partitions↑: UO falls (merges deferred)",
+            "PBT partitions↑: RO rises (more partitions probed)",
+            "B+-tree fill↓: MO rises (slack pages)",
+        ]
+    );
+    assert_all(checks, "Figure 3");
 }
 
 #[test]

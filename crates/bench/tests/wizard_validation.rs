@@ -3,7 +3,7 @@
 //! ranks — the wizard is only useful if Table 1's cost model predicts the
 //! real (simulated) world.
 
-use rum_bench::{dataset, insert_cost, point_query_cost, range_query_cost, table1};
+use rum_bench::{dataset, inserts, pages_per_op, point_queries, range_queries, table1};
 use rum_core::advisor::ProfileStore;
 use rum_core::wizard::{Constraints, Environment, Family};
 use rum_core::workload::OpMix;
@@ -23,10 +23,10 @@ fn measured_cost(family: Family, mix: &OpMix, n: usize) -> f64 {
     let write_frac = (mix.insert + mix.update + mix.delete) / total;
     let mut cost = 0.0;
     if mix.get > 0.0 {
-        cost += (mix.get / total) * point_query_cost(m.as_mut(), n, 32);
+        cost += (mix.get / total) * pages_per_op(m.as_mut(), &point_queries(n, 32));
     }
     if mix.range > 0.0 {
-        cost += (mix.range / total) * range_query_cost(m.as_mut(), n, params.m, 8);
+        cost += (mix.range / total) * pages_per_op(m.as_mut(), &range_queries(n, params.m, 8));
     }
     if write_frac > 0.0 {
         let samples = if family == Family::SortedColumn {
@@ -34,7 +34,7 @@ fn measured_cost(family: Family, mix: &OpMix, n: usize) -> f64 {
         } else {
             64
         };
-        cost += write_frac * insert_cost(m.as_mut(), n, samples);
+        cost += write_frac * pages_per_op(m.as_mut(), &inserts(n, samples));
     }
     cost
 }

@@ -271,7 +271,6 @@ pub fn hostile_ops(seed: u64, count: usize, key_domain: u64) -> Workload {
     Workload {
         initial: Vec::new(),
         ops,
-        spec_range_len: 64,
     }
 }
 

@@ -777,18 +777,6 @@ fn per_op(total: u64, ops: u64) -> f64 {
     }
 }
 
-/// Measure the average cost of a single operation kind, for Table 1 style
-/// experiments: runs `ops` against an already-loaded method and returns the
-/// per-operation page accesses and cost delta.
-pub fn measure_ops(method: &mut dyn AccessMethod, ops: &[Op]) -> Result<(f64, CostSnapshot)> {
-    let before = method.tracker().snapshot();
-    for &op in ops {
-        op.apply(method)?;
-    }
-    let d = method.tracker().since(&before);
-    Ok((per_op(d.page_accesses(), ops.len() as u64), d))
-}
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
@@ -1162,7 +1150,6 @@ pub(crate) mod tests {
             let workload = Workload {
                 initial: initial.clone(),
                 ops: ops.to_vec(),
-                spec_range_len: 0,
             };
             for threads in [1, 2] {
                 let mut sharded = crate::shard::ShardedMethod::with_threads(2, threads, factory);

@@ -20,8 +20,7 @@
 //!   [`CostSnapshot::add`](crate::tracker::CostSnapshot::add): pointwise
 //!   `u64` sums, so merging is associative and commutative.
 //! * [`TraceCollector`] — snapshots the [`CostTracker`] every `W` ops
-//!   (default [`DEFAULT_TRACE_WINDOW`], overridable via the
-//!   `RUM_TRACE_WINDOW` environment variable) and records per-window
+//!   (default [`DEFAULT_TRACE_WINDOW`]) and records per-window
 //!   RO/UO/MO plus cumulative curves. The per-window deltas sum **byte
 //!   exactly** to the aggregate op-phase totals, because every byte the
 //!   tracker accrues between `begin` and `finish` lands in exactly one
@@ -43,20 +42,6 @@ use crate::workload::Op;
 
 /// Default trajectory window width, in operations.
 pub const DEFAULT_TRACE_WINDOW: usize = 4096;
-
-/// Window width from the `RUM_TRACE_WINDOW` environment variable, falling
-/// back to [`DEFAULT_TRACE_WINDOW`] when unset, empty, zero, or
-/// unparsable — same contract as `RUM_THREADS`.
-pub fn env_trace_window() -> usize {
-    if let Ok(v) = std::env::var("RUM_TRACE_WINDOW") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    DEFAULT_TRACE_WINDOW
-}
 
 // ---- structured events ---------------------------------------------------
 
@@ -949,23 +934,6 @@ mod tests {
         let sink = noop_sink();
         assert!(!sink.enabled());
         sink.emit(EventKind::Window, &[("window", 1)]); // must be inert
-    }
-
-    #[test]
-    fn env_trace_window_parses_and_falls_back() {
-        // Every RUM_TRACE_WINDOW assertion lives in this one test: env
-        // vars are process-global, so splitting them across tests would
-        // race under the parallel test runner.
-        std::env::set_var("RUM_TRACE_WINDOW", "128");
-        assert_eq!(env_trace_window(), 128);
-        std::env::set_var("RUM_TRACE_WINDOW", " 64 ");
-        assert_eq!(env_trace_window(), 64, "whitespace is trimmed");
-        for junk in ["0", "", "-5", "many", "18446744073709551616"] {
-            std::env::set_var("RUM_TRACE_WINDOW", junk);
-            assert_eq!(env_trace_window(), DEFAULT_TRACE_WINDOW, "junk {junk:?}");
-        }
-        std::env::remove_var("RUM_TRACE_WINDOW");
-        assert_eq!(env_trace_window(), DEFAULT_TRACE_WINDOW);
     }
 
     #[test]

@@ -354,7 +354,6 @@ impl Default for WorkloadSpec {
 pub struct Workload {
     pub initial: Vec<Record>,
     pub ops: Vec<Op>,
-    pub spec_range_len: usize,
 }
 
 /// Deterministic value derivation so datasets are reproducible and
@@ -473,7 +472,6 @@ impl Workload {
         Workload {
             initial: stream.into_initial(),
             ops,
-            spec_range_len: spec.range_len,
         }
     }
 }

@@ -81,9 +81,9 @@ pub mod prelude {
         MetricsSnapshot, OpClass,
     };
     pub use rum_core::runner::{
-        default_threads, measure_ops, parallel_map, run_stream, run_stream_autotuned,
-        run_stream_metered, run_stream_sharded, run_stream_sharded_traced, run_stream_traced,
-        run_suite_stream, RumReport, DEFAULT_STREAM_BATCH,
+        default_threads, parallel_map, run_stream, run_stream_autotuned, run_stream_metered,
+        run_stream_sharded, run_stream_sharded_traced, run_stream_traced, run_suite_stream,
+        RumReport, DEFAULT_STREAM_BATCH,
     };
     pub use rum_core::trace::{
         noop_sink, Event, EventKind, LatencyHistogram, MemorySink, NoopSink, TraceCollector,

@@ -62,7 +62,6 @@ fn edge_streams() -> Vec<(&'static str, Workload)> {
     let stream = |ops: Vec<Op>| Workload {
         initial: initial.clone(),
         ops,
-        spec_range_len: 100,
     };
     let n = 1500;
     vec![
