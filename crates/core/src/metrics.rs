@@ -9,12 +9,8 @@
 //! This module does, with three pieces:
 //!
 //! * [`MetricsRegistry`] — named counters, gauges, and
-//!   [`LatencyHistogram`]s behind one mutex. Snapshots merge pointwise
-//!   ([`MetricsSnapshot::add`]) exactly like
-//!   [`CostSnapshot::add`]: commutative, associative `u64`/count sums,
-//!   so per-worker registries shard and fold back together
-//!   ([`MetricsRegistry::absorb`]) with a result identical to recording
-//!   everything in one registry.
+//!   [`LatencyHistogram`]s behind one mutex; readers copy out a whole
+//!   [`MetricsSnapshot`].
 //! * [`DebtLedger`] — the RUM conjecture prices access methods in
 //!   *amortized* overheads, but the tracker charges background work
 //!   (compaction, flush, WAL sync, view rebuild, recovery, migration)
@@ -28,9 +24,7 @@
 //!   totals ([`DebtSnapshot::conserves`]).
 //! * [`MetricsSink`] — a [`TraceSink`] that mirrors every emitted event
 //!   into the registry (`rum_events_total{kind}`,
-//!   `rum_event_bytes_total{component,kind}`), feeds the ledger, and
-//!   forwards to an optional inner sink, so a [`MemorySink`] trace and
-//!   the live mirror coexist.
+//!   `rum_event_bytes_total{component,kind}`) and feeds the ledger.
 //!
 //! Everything is opt-in: the compiled-in default sink everywhere remains
 //! [`NoopSink`](crate::trace::NoopSink), and
@@ -38,8 +32,6 @@
 //! observer of the tracker, so metrics-enabled runs are bit-identical in
 //! RO/UO/MO to metrics-disabled runs (`tests/metrics_conservation.rs`
 //! pins this for the whole standard suite).
-//!
-//! [`MemorySink`]: crate::trace::MemorySink
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
@@ -47,7 +39,8 @@ use std::sync::{Arc, Mutex};
 use crate::access::AccessMethod;
 use crate::runner::{RumReport, RunObserver};
 use crate::trace::{
-    detail_byte_weight, detail_field, EventKind, LatencyHistogram, TraceCollector, TraceSink,
+    detail_byte_weight, detail_field, ClassLatency, EventKind, LatencyHistogram, TraceCollector,
+    TraceSink,
 };
 use crate::tracker::{CostSnapshot, CostTracker};
 use crate::workload::Op;
@@ -124,11 +117,7 @@ impl MetricKey {
     }
 }
 
-/// A point-in-time copy of a registry's contents. Merging is pointwise
-/// and therefore commutative and associative, exactly like
-/// [`CostSnapshot::add`]: counters add, gauges add (shard a gauge only
-/// when a sum is the right fold — ratio gauges should be computed after
-/// merging, not merged), histograms merge bucketwise.
+/// A point-in-time copy of a registry's contents.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct MetricsSnapshot {
     pub counters: BTreeMap<MetricKey, u64>,
@@ -137,26 +126,6 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Fold `other` into `self` pointwise.
-    pub fn absorb(&mut self, other: &MetricsSnapshot) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            *self.gauges.entry(k.clone()).or_insert(0.0) += v;
-        }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
-        }
-    }
-
-    /// Pointwise sum of two snapshots (commutative, associative).
-    pub fn add(&self, other: &MetricsSnapshot) -> MetricsSnapshot {
-        let mut out = self.clone();
-        out.absorb(other);
-        out
-    }
-
     /// The counter's value (0 when absent).
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
         self.counters
@@ -170,7 +139,7 @@ impl MetricsSnapshot {
         self.gauges.get(&MetricKey::new(name, labels)).copied()
     }
 
-    /// The histogram, if any observations were recorded.
+    /// The histogram, if set.
     pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&LatencyHistogram> {
         self.histograms.get(&MetricKey::new(name, labels))
     }
@@ -178,10 +147,7 @@ impl MetricsSnapshot {
 
 /// A thread-safe registry of named counters, gauges, and histograms.
 /// All mutation goes through one mutex; readers take a full
-/// [`MetricsSnapshot`]. For sharded execution give each worker its own
-/// registry and [`absorb`](Self::absorb) the workers' snapshots on read
-/// — the merge laws guarantee the result equals a single shared
-/// registry.
+/// [`MetricsSnapshot`].
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     inner: Mutex<MetricsSnapshot>,
@@ -215,18 +181,11 @@ impl MetricsRegistry {
         self.lock().gauges.insert(MetricKey::new(name, labels), v);
     }
 
-    /// Record one observation into the named histogram.
-    pub fn observe(&self, name: &str, labels: &[(&str, &str)], value: u64) {
+    /// Set the named histogram to a copy of `h` (last write wins).
+    pub fn histogram_set(&self, name: &str, labels: &[(&str, &str)], h: &LatencyHistogram) {
         self.lock()
             .histograms
-            .entry(MetricKey::new(name, labels))
-            .or_default()
-            .record(value);
-    }
-
-    /// Fold another registry's snapshot into this one (shard merge).
-    pub fn absorb(&self, other: &MetricsSnapshot) {
-        self.lock().absorb(other);
+            .insert(MetricKey::new(name, labels), h.clone());
     }
 
     /// Copy out the full registry contents.
@@ -242,11 +201,6 @@ impl MetricsRegistry {
     /// The gauge's current value, if set.
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
         self.lock().gauge(name, labels)
-    }
-
-    /// The `q`-quantile of the named histogram, if it has observations.
-    pub fn histogram_quantile(&self, name: &str, labels: &[(&str, &str)], q: f64) -> Option<u64> {
-        self.lock().histogram(name, labels).map(|h| h.quantile(q))
     }
 }
 
@@ -375,16 +329,6 @@ impl DebtSnapshot {
     }
 }
 
-#[derive(Debug, Default)]
-struct LedgerState {
-    classes: [ClassAttribution; 3],
-    current: usize,
-    debt_accrued_bytes: u64,
-    debt_settled_bytes: u64,
-    reattributed_read_bytes: u64,
-    reattributed_write_bytes: u64,
-}
-
 /// Charges every background byte back to the foreground op class that
 /// causally incurred it.
 ///
@@ -414,7 +358,8 @@ struct LedgerState {
 /// ([`DebtSnapshot::conserves`]) is exact by construction.
 #[derive(Debug, Default)]
 pub struct DebtLedger {
-    inner: Mutex<LedgerState>,
+    /// The running class's [`OpClass::ALL`] index, and the attribution.
+    inner: Mutex<(usize, DebtSnapshot)>,
 }
 
 impl DebtLedger {
@@ -422,20 +367,20 @@ impl DebtLedger {
         DebtLedger::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, LedgerState> {
+    fn lock(&self) -> std::sync::MutexGuard<'_, (usize, DebtSnapshot)> {
         self.inner.lock().expect("debt ledger poisoned")
     }
 
     /// Declare the op class now executing; events that fire until the
     /// next `begin_class` are re-attributed relative to it.
     pub fn begin_class(&self, class: OpClass) {
-        self.lock().current = class.index();
+        self.lock().0 = class.index();
     }
 
     /// Fold a settled tracker delta into `class`. Write-class logical
     /// bytes accrue deferred-write debt.
     pub fn charge(&self, class: OpClass, delta: &CostSnapshot) {
-        let mut s = self.lock();
+        let s = &mut self.lock().1;
         let slot = &mut s.classes[class.index()];
         slot.charged = slot.charged.add(delta);
         if class == OpClass::Write {
@@ -476,11 +421,11 @@ impl DebtLedger {
             ),
             _ => return,
         };
-        let mut s = self.lock();
+        let (from, s) = &mut *self.lock();
+        let from = *from;
         if settles_debt {
             s.debt_settled_bytes += write_bytes;
         }
-        let from = s.current;
         let to = if from == OpClass::Load.index() {
             OpClass::Load.index()
         } else {
@@ -499,33 +444,22 @@ impl DebtLedger {
 
     /// Copy out the ledger.
     pub fn snapshot(&self) -> DebtSnapshot {
-        let s = self.lock();
-        DebtSnapshot {
-            classes: s.classes.clone(),
-            debt_accrued_bytes: s.debt_accrued_bytes,
-            debt_settled_bytes: s.debt_settled_bytes,
-            reattributed_read_bytes: s.reattributed_read_bytes,
-            reattributed_write_bytes: s.reattributed_write_bytes,
-        }
+        self.lock().1.clone()
     }
 
     /// Reset all attribution state (the current class reverts to Load).
     pub fn reset(&self) {
-        *self.lock() = LedgerState::default();
+        *self.lock() = Default::default();
     }
 }
 
 // ---- the sink -------------------------------------------------------------
 
 /// A [`TraceSink`] mirroring every event into a [`MetricsRegistry`] and a
-/// [`DebtLedger`], then forwarding to an optional inner sink. Install it
-/// via [`MetricsPlane::sink`] (or
-/// [`sink_with_forward`](MetricsPlane::sink_with_forward) to keep an
-/// existing [`MemorySink`](crate::trace::MemorySink) trace flowing).
+/// [`DebtLedger`]. Install it via [`MetricsPlane::sink`].
 pub struct MetricsSink {
     registry: Arc<MetricsRegistry>,
     ledger: Arc<DebtLedger>,
-    forward: Option<Arc<dyn TraceSink>>,
 }
 
 impl TraceSink for MetricsSink {
@@ -545,11 +479,6 @@ impl TraceSink for MetricsSink {
             );
         }
         self.ledger.on_event(kind, detail);
-        if let Some(forward) = &self.forward {
-            if forward.enabled() {
-                forward.emit(kind, detail);
-            }
-        }
     }
 }
 
@@ -570,8 +499,9 @@ impl TraceSink for MetricsSink {
 ///   `rum_debt_outstanding_bytes` — the deferred-write debt balance.
 /// * `rum_reattributed_read_bytes` / `rum_reattributed_write_bytes`.
 /// * `rum_space_amplification` (MO) and `rum_live_records`.
-/// * `rum_op_latency_p50_ns{class}` / `rum_op_latency_p99_ns{class}` from
-///   the `rum_op_latency_ns{class}` histograms.
+/// * `rum_op_latency_ns{class}` — the run's op latency histogram, and
+///   `rum_op_latency_p50_ns{class}` / `rum_op_latency_p99_ns{class}` from
+///   it; a class with no ops yet publishes none of the three.
 /// * `publish_final` additionally sets `rum_tracker_*_bytes` totals and
 ///   `rum_conservation_ok` (1 when [`DebtSnapshot::conserves`] holds).
 pub struct MetricsPlane {
@@ -606,37 +536,18 @@ impl MetricsPlane {
         &self.ledger
     }
 
-    /// A sink mirroring events into this plane (no forwarding).
+    /// A sink mirroring events into this plane.
     pub fn sink(&self) -> Arc<MetricsSink> {
         Arc::new(MetricsSink {
             registry: Arc::clone(&self.registry),
             ledger: Arc::clone(&self.ledger),
-            forward: None,
         })
     }
 
-    /// A sink mirroring events into this plane and forwarding each event
-    /// to `forward` (e.g. a [`MemorySink`](crate::trace::MemorySink)).
-    pub fn sink_with_forward(&self, forward: Arc<dyn TraceSink>) -> Arc<MetricsSink> {
-        Arc::new(MetricsSink {
-            registry: Arc::clone(&self.registry),
-            ledger: Arc::clone(&self.ledger),
-            forward: Some(forward),
-        })
-    }
-
-    /// Record one foreground op's latency into the per-class histogram.
-    pub fn observe_op(&self, is_read: bool, latency_ns: u64) {
-        self.registry.observe(
-            "rum_op_latency_ns",
-            &[("class", OpClass::of_read(is_read).as_str())],
-            latency_ns,
-        );
-    }
-
-    /// Publish the live gauge set from the current ledger state. Called
-    /// by the metered runner at every trajectory-window close.
-    pub fn refresh_live(&self, mo: f64, live_records: u64) {
+    /// Publish the live gauge set from the current ledger state and the
+    /// run's op latencies so far. Called by the metered runner at every
+    /// trajectory-window close.
+    pub fn refresh_live(&self, latency: &ClassLatency, mo: f64, live_records: u64) {
         let debt = self.ledger.snapshot();
         for class in OpClass::ALL {
             let a = debt.class(class);
@@ -701,26 +612,29 @@ impl MetricsPlane {
             .gauge_set("rum_space_amplification", &[], finite_or_zero(mo));
         self.registry
             .gauge_set("rum_live_records", &[], live_records as f64);
-        for class in ["read", "write"] {
-            let labels = [("class", class)];
-            for (name, q) in [
-                ("rum_op_latency_p50_ns", 0.50),
-                ("rum_op_latency_p99_ns", 0.99),
-            ] {
-                if let Some(v) = self
-                    .registry
-                    .histogram_quantile("rum_op_latency_ns", &labels, q)
-                {
-                    self.registry.gauge_set(name, &labels, v as f64);
-                }
+        for (class, h) in [("read", &latency.read), ("write", &latency.write)] {
+            if h.count() == 0 {
+                continue;
             }
+            let labels = [("class", class)];
+            self.registry.histogram_set("rum_op_latency_ns", &labels, h);
+            self.registry
+                .gauge_set("rum_op_latency_p50_ns", &labels, h.p50() as f64);
+            self.registry
+                .gauge_set("rum_op_latency_p99_ns", &labels, h.p99() as f64);
         }
     }
 
     /// [`refresh_live`](Self::refresh_live) plus the end-of-run truth:
     /// tracker byte totals and the conservation verdict against them.
-    pub fn publish_final(&self, totals: &CostSnapshot, mo: f64, live_records: u64) {
-        self.refresh_live(mo, live_records);
+    pub fn publish_final(
+        &self,
+        totals: &CostSnapshot,
+        latency: &ClassLatency,
+        mo: f64,
+        live_records: u64,
+    ) {
+        self.refresh_live(latency, mo, live_records);
         self.registry.gauge_set(
             "rum_tracker_read_bytes",
             &[],
@@ -750,8 +664,8 @@ impl MetricsPlane {
 /// A collector and a plane observing one run together
 /// ([`run_stream_metered`](crate::runner::run_stream_metered)): the ledger
 /// is charged every delta at the settle points the report is assembled
-/// from, op latencies are mirrored into the registry, and the live gauges
-/// are republished whenever the collector closes a window.
+/// from, and the collector's latencies and the live gauges are
+/// republished whenever the collector closes a window.
 pub(crate) struct Metered<'a> {
     pub(crate) trace: &'a mut TraceCollector,
     pub(crate) plane: &'a MetricsPlane,
@@ -774,13 +688,12 @@ impl<'m> RunObserver<dyn AccessMethod + 'm> for Metered<'_> {
     }
 
     fn on_op(&mut self, op: Op, latency_ns: u64, method: &(dyn AccessMethod + 'm)) -> bool {
-        let closed = self.trace.on_op(op, latency_ns, method);
-        self.plane.observe_op(op.is_read(), latency_ns);
-        closed
+        self.trace.on_op(op, latency_ns, method)
     }
 
     fn on_window(&mut self, method: &mut (dyn AccessMethod + 'm)) -> bool {
         self.plane.refresh_live(
+            &self.trace.latency,
             method.space_profile().space_amplification(),
             method.len() as u64,
         );
@@ -791,6 +704,7 @@ impl<'m> RunObserver<dyn AccessMethod + 'm> for Metered<'_> {
         self.trace.on_finish(method, report);
         self.plane.publish_final(
             &method.tracker().snapshot(),
+            &self.trace.latency,
             method.space_profile().space_amplification(),
             method.len() as u64,
         );
@@ -817,8 +731,10 @@ mod tests {
         r.counter_add("c", &[("k", "b")], 7);
         r.gauge_set("g", &[], 1.5);
         r.gauge_set("g", &[], 2.5); // last write wins
-        r.observe("h", &[], 100);
-        r.observe("h", &[], 300);
+        let mut h = LatencyHistogram::new();
+        h.record(100);
+        h.record(300);
+        r.histogram_set("h", &[], &h);
         assert_eq!(r.counter("c", &[("k", "a")]), 5);
         assert_eq!(r.counter("c", &[("k", "b")]), 7);
         assert_eq!(r.counter("c", &[("k", "missing")]), 0);
@@ -834,25 +750,6 @@ mod tests {
         r.counter_add("c", &[("b", "2"), ("a", "1")], 1);
         assert_eq!(r.counter("c", &[("a", "1"), ("b", "2")]), 2);
         assert_eq!(r.snapshot().counters.len(), 1);
-    }
-
-    #[test]
-    fn snapshot_add_is_commutative_and_identity_on_default() {
-        let a = {
-            let r = MetricsRegistry::new();
-            r.counter_add("c", &[], 4);
-            r.observe("h", &[], 50);
-            r.snapshot()
-        };
-        let b = {
-            let r = MetricsRegistry::new();
-            r.counter_add("c", &[], 6);
-            r.gauge_set("g", &[], 3.0);
-            r.snapshot()
-        };
-        assert_eq!(a.add(&b), b.add(&a));
-        assert_eq!(a.add(&MetricsSnapshot::default()), a);
-        assert_eq!(a.add(&b).counter("c", &[]), 10);
     }
 
     #[test]
@@ -923,8 +820,7 @@ mod tests {
     #[test]
     fn metrics_sink_mirrors_events_and_forwards() {
         let plane = MetricsPlane::new();
-        let mem = crate::trace::MemorySink::shared();
-        let sink = plane.sink_with_forward(mem.clone());
+        let sink = plane.sink();
         sink.emit(EventKind::LsmFlush, &[("level", 0), ("bytes", 4_096)]);
         sink.emit(EventKind::RetryAttempt, &[("page", 3), ("attempt", 1)]);
         assert_eq!(
@@ -946,7 +842,6 @@ mod tests {
             ),
             4_096
         );
-        assert_eq!(mem.len(), 2, "events still reach the forwarded sink");
     }
 
     #[test]
@@ -959,8 +854,9 @@ mod tests {
             ..Default::default()
         };
         plane.ledger().charge(OpClass::Read, &d);
-        plane.observe_op(true, 500);
-        plane.publish_final(&d, 1.25, 42);
+        let mut latency = ClassLatency::default();
+        latency.record(true, 500);
+        plane.publish_final(&d, &latency, 1.25, 42);
         let r = plane.registry();
         assert_eq!(
             r.gauge("rum_class_read_amplification", &[("class", "read")]),
@@ -969,8 +865,14 @@ mod tests {
         assert_eq!(r.gauge("rum_conservation_ok", &[]), Some(1.0));
         assert_eq!(r.gauge("rum_space_amplification", &[]), Some(1.25));
         assert_eq!(r.gauge("rum_live_records", &[]), Some(42.0));
-        assert!(r
-            .gauge("rum_op_latency_p50_ns", &[("class", "read")])
-            .is_some());
+        assert_eq!(
+            r.gauge("rum_op_latency_p50_ns", &[("class", "read")]),
+            Some(500.0)
+        );
+        // A class with no ops publishes no latency series.
+        assert_eq!(
+            r.gauge("rum_op_latency_p50_ns", &[("class", "write")]),
+            None
+        );
     }
 }

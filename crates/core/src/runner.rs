@@ -473,18 +473,18 @@ pub fn run_stream_traced(
 /// [`run_stream_traced`] with a live [`MetricsPlane`] attached: the
 /// plane's [`DebtLedger`](crate::metrics::DebtLedger) receives exactly
 /// the per-class tracker deltas the report is assembled from (the same
-/// settle points, the same snapshots), per-op latencies are mirrored
-/// into `rum_op_latency_ns{class}` histograms, and the live gauge set is
-/// republished at every trajectory-window close — so an exporter
-/// scraping the plane's registry sees per-op-class amortized RO/UO/MO
-/// evolve while the run is still going.
+/// settle points, the same snapshots), and at every trajectory-window
+/// close the live gauge set and the collector's per-class latency
+/// histograms (`rum_op_latency_ns{class}`, with their p50/p99 gauges)
+/// are republished — so an exporter scraping the plane's registry sees
+/// per-op-class amortized RO/UO/MO evolve while the run is still going.
+/// A scrape sees latencies as of the last window close, the same lag
+/// the gauges have.
 ///
 /// To feed the ledger's causal re-attribution, install a sink from the
-/// same plane on the method first
-/// (`method.set_trace_sink(plane.sink())`, or
-/// [`sink_with_forward`](MetricsPlane::sink_with_forward) to also keep a
-/// [`MemorySink`](crate::trace::MemorySink) trace). Without a sink the
-/// ledger still conserves — it just has no background events to move.
+/// same plane on the method first (`method.set_trace_sink(plane.sink())`).
+/// Without a sink the ledger still conserves — it just has no background
+/// events to move.
 ///
 /// The plane, like the collector, is a pure observer of the tracker:
 /// every counted measurement in the returned report (op counts, all

@@ -139,11 +139,9 @@ struct Job {
 struct Completion {
     shard: usize,
     outcome: Result<()>,
-    /// The shard tracker's delta over this job (`read_delta +
-    /// write_delta`) — what the facade folds into the wrapper tracker.
-    delta: CostSnapshot,
     /// The job's traffic by the class of op that incurred it, as the
-    /// shard's op loop booked it; a bulk load is write-class.
+    /// shard's op loop booked it; a bulk load is write-class. Their sum
+    /// is the shard tracker's delta over the job.
     read_delta: CostSnapshot,
     write_delta: CostSnapshot,
     /// Per-op latencies by class, present when the job was `timed`.
@@ -169,7 +167,6 @@ fn run_shard_job(shard: &Shard, index: usize, payload: JobPayload, timed: bool) 
         return Completion {
             shard: index,
             outcome: Err(poisoned_error(index)),
-            delta: CostSnapshot::default(),
             read_delta: CostSnapshot::default(),
             write_delta: CostSnapshot::default(),
             latency: None,
@@ -219,7 +216,6 @@ fn run_shard_job(shard: &Shard, index: usize, payload: JobPayload, timed: bool) 
     Completion {
         shard: index,
         outcome,
-        delta: read_delta.add(&write_delta),
         read_delta,
         write_delta,
         latency,
@@ -688,45 +684,52 @@ impl ShardedMethod {
                 ],
             );
         }
+        self.dispatch(parts.into_iter().map(JobPayload::Ops), pooled, timed)
+    }
 
-        if !pooled {
-            // Inline: the exact same job runner the workers use, shard
-            // order, costs folded immediately.
-            let mut outcome = BatchOutcome::new(timed);
-            for (index, part) in parts.into_iter().enumerate() {
-                if part.is_empty() {
+    /// Hand shard `i` the `i`-th payload: inline in shard order with costs
+    /// folded immediately when not `pooled` (the exact job runner the
+    /// workers use), else on the pool for [`collect`](Self::collect). An
+    /// empty op part is skipped and its buffer kept for reuse; a load part
+    /// is sent even when empty, since a bulk load replaces every shard's
+    /// contents.
+    fn dispatch(
+        &mut self,
+        payloads: impl Iterator<Item = JobPayload>,
+        pooled: bool,
+        timed: bool,
+    ) -> Result<PendingBatch> {
+        let mut outcome = BatchOutcome::new(timed);
+        let (reply, rx) = pooled.then(channel).unzip();
+        let mut expected = 0usize;
+        for (index, payload) in payloads.enumerate() {
+            let payload = match payload {
+                JobPayload::Ops(part) if part.is_empty() => {
                     self.spare.push(part);
                     continue;
                 }
-                let c = run_shard_job(&self.shards[index], index, JobPayload::Ops(part), timed);
-                self.fold(&mut outcome, c);
-            }
-            return Ok(PendingBatch {
-                outcome,
-                in_flight: None,
-            });
-        }
-
-        let (reply, rx) = channel();
-        let mut expected = 0usize;
-        for (index, part) in parts.into_iter().enumerate() {
-            if part.is_empty() {
-                self.spare.push(part);
-                continue;
-            }
-            let job = Job {
-                shard: index,
-                payload: JobPayload::Ops(part),
-                timed,
-                reply: reply.clone(),
+                payload => payload,
             };
-            self.send_job(index, job)?;
-            expected += 1;
+            match &reply {
+                Some(reply) => {
+                    let job = Job {
+                        shard: index,
+                        payload,
+                        timed,
+                        reply: reply.clone(),
+                    };
+                    self.send_job(index, job)?;
+                    expected += 1;
+                }
+                None => {
+                    let c = run_shard_job(&self.shards[index], index, payload, timed);
+                    self.fold(&mut outcome, c);
+                }
+            }
         }
-        drop(reply);
         Ok(PendingBatch {
-            outcome: BatchOutcome::new(timed),
-            in_flight: Some((rx, expected)),
+            outcome,
+            in_flight: rx.map(|rx| (rx, expected)),
         })
     }
 
@@ -769,7 +772,7 @@ impl ShardedMethod {
     /// per-class totals. Called in shard order, so the first error kept is
     /// the lowest failing shard's.
     fn fold(&mut self, outcome: &mut BatchOutcome, c: Completion) {
-        self.tracker.absorb(&c.delta);
+        self.tracker.absorb(&c.read_delta.add(&c.write_delta));
         outcome.read_delta = outcome.read_delta.add(&c.read_delta);
         outcome.write_delta = outcome.write_delta.add(&c.write_delta);
         if let Some(buf) = c.recycled {
@@ -916,26 +919,9 @@ impl AccessMethod for ShardedMethod {
             let shard = self.shard_of(r.key);
             parts[shard].push(r);
         }
-        if !self.ensure_pool() {
-            let mut outcome = BatchOutcome::new(false);
-            for (index, part) in parts.into_iter().enumerate() {
-                let c = run_shard_job(&self.shards[index], index, JobPayload::Load(part), false);
-                self.fold(&mut outcome, c);
-            }
-            return outcome.result;
-        }
-        let (reply, rx) = channel();
-        for (index, part) in parts.into_iter().enumerate() {
-            let job = Job {
-                shard: index,
-                payload: JobPayload::Load(part),
-                timed: false,
-                reply: reply.clone(),
-            };
-            self.send_job(index, job)?;
-        }
-        drop(reply);
-        self.collect(rx, k, BatchOutcome::new(false)).result
+        let pooled = self.ensure_pool();
+        let batch = self.dispatch(parts.into_iter().map(JobPayload::Load), pooled, false)?;
+        self.finish_batch_by_class(batch).result
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -1425,8 +1411,7 @@ mod tests {
                     let c = run_shard_job(&shard, 0, JobPayload::Ops(ops.clone()), true);
                     assert!(c.outcome.is_err(), "{ctx}");
                     assert_eq!(c.read_delta, read, "{ctx}: read class");
-                    assert_eq!(c.delta.delta(&c.read_delta), write, "{ctx}: write class");
-                    assert_eq!(c.delta, read.add(&write), "{ctx}: total");
+                    assert_eq!(c.write_delta, write, "{ctx}: write class");
                     // Only ops that completed are timed.
                     let latency = c.latency.expect("timed job");
                     assert_eq!(
@@ -1442,8 +1427,8 @@ mod tests {
                         assert!(after.outcome.is_ok(), "{ctx}");
                     } else {
                         assert!(after.outcome.is_err(), "{ctx}");
-                        assert_eq!(after.delta, CostSnapshot::default(), "{ctx}");
                         assert_eq!(after.read_delta, CostSnapshot::default(), "{ctx}");
+                        assert_eq!(after.write_delta, CostSnapshot::default(), "{ctx}");
                     }
                 }
             }

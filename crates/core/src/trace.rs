@@ -176,11 +176,6 @@ impl Event {
         detail_field(&self.detail, name)
     }
 
-    /// Physical bytes this event moved (the `bytes` field, 0 if absent).
-    pub fn bytes(&self) -> u64 {
-        self.field("bytes").unwrap_or(0)
-    }
-
     /// Physical bytes this event moved under either detail convention
     /// ([`detail_byte_weight`]): `bytes`, or `bytes_read + bytes_written`.
     pub fn byte_weight(&self) -> u64 {
@@ -213,23 +208,9 @@ pub fn events_to_jsonl(events: &[Event]) -> String {
 /// one `rum;<component>;<kind>[;L<level>] <bytes>` line per distinct
 /// stack, sorted for determinism. Feed to `flamegraph.pl` or `inferno`.
 pub fn fold_events(events: &[Event]) -> String {
-    fold_by(events, |e| e.byte_weight())
-}
-
-/// Folded stacks of event **counts** rather than bytes: one
-/// `rum;<component>;<kind>[;L<level>] <count>` line per stack, covering
-/// every event — including the byte-free kinds (retries, corruption
-/// detections, repair completions, drift episodes, tune decisions) that
-/// [`fold_events`] cannot weigh. Together the two exports make the
-/// `rum;component;kind` stack set complete.
-pub fn fold_event_counts(events: &[Event]) -> String {
-    fold_by(events, |_| 1)
-}
-
-fn fold_by(events: &[Event], weight: impl Fn(&Event) -> u64) -> String {
     let mut stacks: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
     for e in events {
-        let w = weight(e);
+        let w = e.byte_weight();
         if w == 0 {
             continue;
         }
@@ -970,12 +951,6 @@ mod tests {
         assert_eq!(
             folded,
             "rum;autotune;migration_complete 150\nrum;fault;retry_attempt 4096\n"
-        );
-        let counts = fold_event_counts(&events);
-        assert_eq!(
-            counts,
-            "rum;autotune;drift_detected 1\nrum;autotune;migration_complete 1\n\
-             rum;autotune;tune_decision 1\nrum;fault;retry_attempt 1\n"
         );
     }
 }

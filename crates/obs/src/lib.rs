@@ -480,6 +480,7 @@ pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::trace::LatencyHistogram;
 
     fn sample_registry() -> Arc<MetricsRegistry> {
         let r = MetricsRegistry::shared();
@@ -487,9 +488,11 @@ mod tests {
         r.counter_add("rum_events_total", &[("kind", "wal_sync")], 9);
         r.gauge_set("rum_space_amplification", &[], 1.25);
         r.gauge_set("rum_class_read_amplification", &[("class", "read")], 4.5);
+        let mut h = LatencyHistogram::new();
         for v in [100, 200, 100_000] {
-            r.observe("rum_op_latency_ns", &[("class", "read")], v);
+            h.record(v);
         }
+        r.histogram_set("rum_op_latency_ns", &[("class", "read")], &h);
         r
     }
 
@@ -557,7 +560,9 @@ mod tests {
         let r = MetricsRegistry::shared();
         r.counter_add("c", &[("k", "va\"lue")], 1);
         r.gauge_set("g", &[], f64::INFINITY);
-        r.observe("h", &[], 50);
+        let mut h = LatencyHistogram::new();
+        h.record(50);
+        r.histogram_set("h", &[], &h);
         let json = render_json(&r.snapshot());
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"counters\":["));

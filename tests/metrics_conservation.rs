@@ -14,6 +14,9 @@
 //!    installed, ledger charging, gauges republished every window) is
 //!    bit-identical in RO / UO / MO and all cost snapshots to a plain
 //!    run of the same stream.
+//! 4. **Latencies from the collector** — the published
+//!    `rum_op_latency_ns{class}` histograms and their p50/p99 gauges are
+//!    the run's collector histograms, and a class with no ops has none.
 
 use rum::prelude::*;
 
@@ -116,5 +119,39 @@ fn metered_run_is_bit_identical_to_plain_run() {
             .unwrap_or_else(|e| panic!("{name}: plain run failed: {e}"));
         let (observed, _, _) = metered_run(name);
         assert_eq!(baseline.counted_diff(&observed), None, "{name}");
+    }
+}
+
+/// The plane publishes the latencies the collector measured: each
+/// class's `rum_op_latency_ns` histogram is the collector's, its p50/p99
+/// gauges are that histogram's quantiles, and a class that ran no ops
+/// (the write class of a read-only stream) publishes none of the three.
+#[test]
+fn latency_series_are_the_collectors_histograms() {
+    for (mix, writes) in [(OpMix::BALANCED, true), (OpMix::READ_ONLY, false)] {
+        let mut method = find("b+tree");
+        let plane = MetricsPlane::new();
+        let mut trace = TraceCollector::new(256, plane.sink());
+        let spec = WorkloadSpec { mix, ..spec() };
+        run_stream_metered(method.as_mut(), OpStream::new(&spec), &mut trace, &plane).unwrap();
+        assert_eq!(trace.latency.write.count() > 0, writes, "{mix:?}");
+        let snap = plane.registry().snapshot();
+        for (class, h) in [
+            ("read", &trace.latency.read),
+            ("write", &trace.latency.write),
+        ] {
+            let labels = [("class", class)];
+            let published = (
+                snap.histogram("rum_op_latency_ns", &labels),
+                snap.gauge("rum_op_latency_p50_ns", &labels),
+                snap.gauge("rum_op_latency_p99_ns", &labels),
+            );
+            let expected = if h.count() > 0 {
+                (Some(h), Some(h.p50() as f64), Some(h.p99() as f64))
+            } else {
+                (None, None, None)
+            };
+            assert_eq!(published, expected, "{mix:?} class={class}");
+        }
     }
 }
