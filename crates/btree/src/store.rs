@@ -6,7 +6,6 @@
 //! bytes per touch (higher RO in bytes and higher UO per update). This is
 //! the node-size axis of the paper's §5 tunable B-tree.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rum_core::{CostTracker, DataClass, Result, RumError, PAGE_SIZE};
@@ -18,9 +17,7 @@ use crate::node::{Node, NodeId, NodeRef};
 pub struct NodeStore<D: BlockDevice> {
     pager: Pager<D>,
     node_size: usize,
-    pages_per_node: usize,
-    directory: HashMap<NodeId, Vec<PageId>>,
-    next_id: u64,
+    directory: Directory,
     /// Where a multi-page node's pages are put side by side to be read as
     /// one buffer; reused across reads. Single-page nodes never touch it.
     scratch: Vec<u8>,
@@ -34,9 +31,11 @@ impl<D: BlockDevice> NodeStore<D> {
         NodeStore {
             pager: Pager::new(device, tracker),
             node_size,
-            pages_per_node: node_size.div_ceil(PAGE_SIZE),
-            directory: HashMap::new(),
-            next_id: 0,
+            directory: Directory {
+                pages: Vec::new(),
+                per_node: node_size.div_ceil(PAGE_SIZE),
+                live: 0,
+            },
             scratch: Vec::new(),
             page: PageBuf::zeroed(),
         }
@@ -56,7 +55,7 @@ impl<D: BlockDevice> NodeStore<D> {
 
     /// Number of live nodes.
     pub fn node_count(&self) -> usize {
-        self.directory.len()
+        self.directory.live
     }
 
     /// Physical bytes occupied (pages are the allocation unit, so sub-page
@@ -67,28 +66,35 @@ impl<D: BlockDevice> NodeStore<D> {
 
     /// In-memory directory overhead.
     pub fn directory_bytes(&self) -> u64 {
-        (self.directory.len() * (8 + self.pages_per_node * 8)) as u64
+        (self.directory.live * (8 + self.directory.per_node * 8)) as u64
     }
 
-    /// Allocate an empty node.
+    /// Allocate an empty node: the next id, and fresh pages for it.
     pub fn allocate(&mut self) -> Result<NodeId> {
-        let id = NodeId(self.next_id);
-        self.next_id += 1;
-        let pages = (0..self.pages_per_node)
-            .map(|_| self.pager.allocate())
-            .collect::<Result<Vec<_>>>()?;
-        self.directory.insert(id, pages);
-        Ok(id)
+        let start = self.directory.pages.len();
+        for _ in 0..self.directory.per_node {
+            match self.pager.allocate() {
+                Ok(page) => self.directory.pages.push(page),
+                Err(e) => {
+                    self.directory.pages.truncate(start);
+                    return Err(e);
+                }
+            }
+        }
+        self.directory.live += 1;
+        Ok(NodeId((start / self.directory.per_node) as u64))
     }
 
     /// Free a node and its pages.
     pub fn free(&mut self, id: NodeId) -> Result<()> {
-        let pages = self
+        let slots = self
             .directory
-            .remove(&id)
+            .slots(id)
             .ok_or_else(|| RumError::Storage(format!("free of unknown node {id:?}")))?;
-        for p in pages {
-            self.pager.free(p)?;
+        self.directory.live -= 1;
+        for slot in slots {
+            let page = std::mem::replace(&mut self.directory.pages[slot], PageId::INVALID);
+            self.pager.free(page)?;
         }
         Ok(())
     }
@@ -97,7 +103,7 @@ impl<D: BlockDevice> NodeStore<D> {
     /// behind the store's back.
     #[cfg(test)]
     pub(crate) fn pages_of(&self, id: NodeId) -> &[PageId] {
-        &self.directory[&id]
+        self.directory.get(id).expect("a live node")
     }
 
     /// Lend a validated node to `f`, charging `pages_per_node` page
@@ -113,7 +119,7 @@ impl<D: BlockDevice> NodeStore<D> {
     ) -> Result<R> {
         let pages = self
             .directory
-            .get(&id)
+            .get(id)
             .ok_or_else(|| RumError::Storage(format!("read of unknown node {id:?}")))?;
         // Sub-page nodes are the node_size prefix of their page.
         let node_size = self.node_size;
@@ -147,7 +153,7 @@ impl<D: BlockDevice> NodeStore<D> {
     ) -> Result<R> {
         let pages = self
             .directory
-            .get(&id)
+            .get(id)
             .ok_or_else(|| RumError::Storage(format!("edit of unknown node {id:?}")))?;
         let node_size = self.node_size;
         if let [page] = pages[..] {
@@ -174,7 +180,7 @@ impl<D: BlockDevice> NodeStore<D> {
     pub fn write(&mut self, id: NodeId, class: DataClass, node: &Node) -> Result<()> {
         let pages = self
             .directory
-            .get(&id)
+            .get(id)
             .ok_or_else(|| RumError::Storage(format!("write of unknown node {id:?}")))?;
         if let [page] = pages[..] {
             let (body, slack) = self.page.split_at_mut(self.node_size.min(PAGE_SIZE));
@@ -183,20 +189,53 @@ impl<D: BlockDevice> NodeStore<D> {
             return self.pager.write(page, class, &self.page);
         }
         let scratch = &mut self.scratch;
-        scratch.resize(self.pages_per_node * PAGE_SIZE, 0);
+        scratch.resize(pages.len() * PAGE_SIZE, 0);
         let (body, slack) = scratch.split_at_mut(self.node_size);
         node.encode_into(body)?;
         slack.fill(0);
         write_pages(&mut self.pager, &mut self.page, pages, scratch, class)
     }
 
-    /// Free every node (used by bulk load).
+    /// Free every node (used by bulk load) and restart ids at 0. Pages go
+    /// back highest id first, so a device that reuses the last page freed
+    /// first hands a reload its pages lowest first, as a fresh load gets
+    /// them.
     pub fn clear(&mut self) -> Result<()> {
-        let ids: Vec<NodeId> = self.directory.keys().copied().collect();
-        for id in ids {
-            self.free(id)?;
+        let mut pages = std::mem::take(&mut self.directory.pages);
+        self.directory.live = 0;
+        pages.retain(PageId::is_valid);
+        pages.sort_unstable_by(|a, b| b.cmp(a));
+        for page in pages {
+            self.pager.free(page)?;
         }
         Ok(())
+    }
+}
+
+/// Node id → pages, as one dense table: node `i`'s `per_node` page ids
+/// sit at `[i·per_node, (i+1)·per_node)`, and ids are handed out in
+/// order from 0. A freed node's slots hold [`PageId::INVALID`].
+struct Directory {
+    pages: Vec<PageId>,
+    per_node: usize,
+    /// Nodes allocated and not freed.
+    live: usize,
+}
+
+impl Directory {
+    /// Where live node `id`'s page ids sit in the table, or `None` for a
+    /// freed, never-allocated or out-of-range id. Every step is checked,
+    /// so no id can wrap or panic.
+    fn slots(&self, id: NodeId) -> Option<std::ops::Range<usize>> {
+        let start = usize::try_from(id.0).ok()?.checked_mul(self.per_node)?;
+        let slots = start..start.checked_add(self.per_node)?;
+        let first = self.pages.get(slots.clone())?.first()?;
+        first.is_valid().then_some(slots)
+    }
+
+    /// The pages of live node `id`.
+    fn get(&self, id: NodeId) -> Option<&[PageId]> {
+        self.slots(id).map(|slots| &self.pages[slots])
     }
 }
 
@@ -302,6 +341,29 @@ mod tests {
         assert_eq!(s.pager().live_pages(), 0);
         assert!(read(&mut s, id, DataClass::Base).is_err());
         assert!(s.free(id).is_err());
+
+        // A garbled, freed or never-allocated id is an error on every
+        // call, never a panic or a wrapped index, whatever the node size.
+        for node_size in [512, 4096, 16384] {
+            let mut s = store(node_size);
+            let freed = s.allocate().unwrap();
+            let live = s.allocate().unwrap();
+            s.free(freed).unwrap();
+            let never = NodeId(live.0 + 1);
+            let unknown = |r: Result<()>| matches!(r, Err(RumError::Storage(_)));
+            for id in [NodeId::INVALID, NodeId(u64::MAX / 2), never, freed] {
+                let at = format!("node size {node_size}, {id:?}");
+                let read = s.with_node(id, DataClass::Base, |_| ());
+                assert!(unknown(read), "{at}");
+                let edited = s.edit_node(id, DataClass::Base, |_| ((), true));
+                assert!(unknown(edited), "{at}");
+                let written = s.write(id, DataClass::Base, &Node::empty_leaf());
+                assert!(unknown(written), "{at}");
+                assert!(unknown(s.free(id)), "{at}");
+            }
+            assert_eq!(s.node_count(), 1);
+            assert_eq!(s.pager().live_pages(), node_size.div_ceil(PAGE_SIZE));
+        }
     }
 
     #[test]

@@ -790,6 +790,36 @@ mod tests {
         check(&mut t, &hostile_ops(23, 6000, 2000)).unwrap();
     }
 
+    /// A reload reuses the old pages lowest first, as a fresh load takes
+    /// new ones: two trees with one history report the same costs, and
+    /// once reloaded a tree's ops cost what a fresh tree's do.
+    #[test]
+    fn a_reload_is_charged_as_the_history_and_not_the_free_order_says() {
+        use rum_core::runner::{run_stream, RumReport};
+        use rum_core::workload::{OpMix, OpStream, WorkloadSpec};
+        let spec = WorkloadSpec {
+            initial_records: 4000,
+            operations: 3000,
+            mix: OpMix::BALANCED,
+            ..Default::default()
+        };
+        let reloaded = || {
+            let mut t = loaded(3000);
+            for k in 0..600 {
+                t.insert(k * 2 + 1, k).unwrap(); // splits: more pages to free
+            }
+            run_stream(&mut t, OpStream::new(&spec)).unwrap()
+        };
+        let costs = |r: &RumReport| (r.load_costs, r.read_costs, r.write_costs);
+        let (a, b) = (reloaded(), reloaded());
+        assert_eq!(costs(&a), costs(&b));
+        let fresh = run_stream(&mut BTree::new(), OpStream::new(&spec)).unwrap();
+        assert_eq!(
+            (a.read_costs, a.write_costs),
+            (fresh.read_costs, fresh.write_costs)
+        );
+    }
+
     /// Writes edit leaves where the device holds them: after a hostile
     /// stream every page is still exactly what encoding its node writes,
     /// and every seal matches.

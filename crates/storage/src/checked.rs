@@ -16,9 +16,9 @@
 //! Elsewhere the portable kernel computes the same bits, and a seal
 //! written under one kernel verifies under any other.
 //!
-//! The seal lives in a sidecar (page id → CRC) rather than an in-page
-//! trailer so page capacity — and therefore every node layout and every
-//! baseline RUM number — is untouched. The sidecar *is* priced: its 4
+//! The seal lives in a sidecar (a table indexed by page id) rather than
+//! an in-page trailer so page capacity — and therefore every node layout
+//! and every baseline RUM number — is untouched. The sidecar *is* priced: its 4
 //! bytes per sealed page are reported by
 //! [`checksum_bytes`](CheckedDevice::checksum_bytes) and belong in MO.
 //!
@@ -27,7 +27,6 @@
 //! (`CheckedDevice<FaultDevice<MemDevice>>`) so injected bit-flips and
 //! torn pages land *under* the seal and are caught on the next read.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use rum_core::{Result, RumError};
@@ -37,19 +36,27 @@ use crate::device::{BlockDevice, EditFault, IoStats};
 use crate::page::{PageBuf, PageId};
 
 /// A [`BlockDevice`] wrapper verifying a CRC-32 seal on every read.
+///
+/// The seals sit in a table indexed by page id, which assumes what every
+/// device in the workspace does: ids are handed out densely from 0. A
+/// seal is set only after the inner device accepted the page, so the
+/// table grows only as far as the inner device's own ids reach.
 pub struct CheckedDevice<D: BlockDevice> {
     inner: D,
-    /// Sidecar seal map: raw page id → CRC-32 of the sealed contents.
-    /// Pages never written (freshly allocated) have no seal and are served
-    /// unverified — there is nothing to verify against yet.
-    sums: HashMap<u64, u32>,
+    /// Sidecar seal table: slot `i` holds the CRC-32 of page `i`'s sealed
+    /// contents. Pages never written (freshly allocated) have no seal and
+    /// are served unverified — there is nothing to verify against yet.
+    sums: Vec<Option<u32>>,
+    /// Pages holding a seal.
+    sealed: usize,
 }
 
 impl<D: BlockDevice> CheckedDevice<D> {
     pub fn new(inner: D) -> Self {
         CheckedDevice {
             inner,
-            sums: HashMap::new(),
+            sums: Vec::new(),
+            sealed: 0,
         }
     }
 
@@ -65,15 +72,36 @@ impl<D: BlockDevice> CheckedDevice<D> {
 
     /// Ids of all sealed pages, ascending (deterministic scrub order).
     pub fn sealed_pages(&self) -> Vec<PageId> {
-        let mut ids: Vec<u64> = self.sums.keys().copied().collect();
-        ids.sort_unstable();
-        ids.into_iter().map(PageId).collect()
+        (0..self.sums.len() as u64)
+            .zip(&self.sums)
+            .filter(|(_, seal)| seal.is_some())
+            .map(|(id, _)| PageId(id))
+            .collect()
     }
 
     /// Bytes the sidecar itself occupies — the MO price of detection
     /// (4 CRC bytes per sealed page).
     pub fn checksum_bytes(&self) -> u64 {
-        self.sums.len() as u64 * 4
+        self.sealed as u64 * 4
+    }
+
+    /// The seal of page `id`, if it has one.
+    fn seal(&self, id: PageId) -> Option<u32> {
+        self.sums
+            .get(usize::try_from(id.0).ok()?)
+            .copied()
+            .flatten()
+    }
+
+    /// Seal page `id`, which the inner device has just accepted.
+    fn set_seal(&mut self, id: PageId, seal: u32) {
+        let i = id.index();
+        if i >= self.sums.len() {
+            self.sums.resize(i + 1, None);
+        }
+        if self.sums[i].replace(seal).is_none() {
+            self.sealed += 1;
+        }
     }
 
     /// Verify one sealed page without going through the charged pager
@@ -81,9 +109,8 @@ impl<D: BlockDevice> CheckedDevice<D> {
     /// sealed); `Ok(Some((stored, computed)))` reports a mismatch. Device
     /// errors (transient faults, sticky pages) propagate.
     pub fn check_page(&mut self, id: PageId) -> Result<Option<(u32, u32)>> {
-        let stored = match self.sums.get(&id.0) {
-            Some(&s) => s,
-            None => return Ok(None),
+        let Some(stored) = self.seal(id) else {
+            return Ok(None);
         };
         let computed = self.inner.with_page(id, crc32)?;
         if computed == stored {
@@ -97,7 +124,7 @@ impl<D: BlockDevice> CheckedDevice<D> {
     /// repair after rebuilding a page's contents out-of-band.
     pub fn reseal(&mut self, id: PageId) -> Result<()> {
         let seal = self.inner.with_page(id, crc32)?;
-        self.sums.insert(id.0, seal);
+        self.set_seal(id, seal);
         Ok(())
     }
 }
@@ -108,7 +135,10 @@ impl<D: BlockDevice> BlockDevice for CheckedDevice<D> {
     }
 
     fn free(&mut self, id: PageId) -> Result<()> {
-        self.sums.remove(&id.0);
+        if self.seal(id).is_some() {
+            self.sums[id.index()] = None;
+            self.sealed -= 1;
+        }
         self.inner.free(id)
     }
 
@@ -119,7 +149,7 @@ impl<D: BlockDevice> BlockDevice for CheckedDevice<D> {
     /// The seal is verified on the lent bytes *before* `f` sees any of
     /// them: a damaged page is refused, never searched.
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        let seal = self.sums.get(&id.0).copied();
+        let seal = self.seal(id);
         self.inner.with_page(id, |bytes| {
             if let Some(stored) = seal {
                 let computed = crc32(bytes);
@@ -141,7 +171,7 @@ impl<D: BlockDevice> BlockDevice for CheckedDevice<D> {
         // torn) leaves the old seal in place, so a half-persisted page is
         // detected on the next read instead of trusted.
         self.inner.write_page(id, page)?;
-        self.sums.insert(id.0, seal);
+        self.set_seal(id, seal);
         Ok(())
     }
 
@@ -154,7 +184,7 @@ impl<D: BlockDevice> BlockDevice for CheckedDevice<D> {
         id: PageId,
         f: impl FnOnce(&mut [u8]) -> bool,
     ) -> std::result::Result<(), EditFault> {
-        let seal = self.sums.get(&id.0).copied();
+        let seal = self.seal(id);
         let mut refused = None;
         let mut new_seal = None;
         self.inner.with_page_mut(id, |bytes| {
@@ -179,7 +209,7 @@ impl<D: BlockDevice> BlockDevice for CheckedDevice<D> {
             return Err(EditFault::Read(e));
         }
         if let Some(seal) = new_seal {
-            self.sums.insert(id.0, seal);
+            self.set_seal(id, seal);
         }
         Ok(())
     }
@@ -299,8 +329,23 @@ mod tests {
         dev.write_page(id, &p).unwrap();
         assert_eq!(dev.read_page(id).unwrap(), p);
         assert_eq!(dev.checksum_bytes(), 4, "re-seal, not a second entry");
+
+        // A write the inner device refuses seals nothing and does not
+        // grow the table; a free past the table is the inner device's
+        // error.
+        let past = PageId(1000);
+        let refused = dev.write_page(past, &p).unwrap_err();
+        assert_eq!(refused, RumError::Storage(format!("{past} out of bounds")));
+        assert_eq!((dev.sums.len(), dev.sealed_pages()), (1, vec![id]));
+        for far in [past, PageId::INVALID] {
+            let err = dev.free(far).unwrap_err();
+            assert_eq!(err, RumError::Storage(format!("{far} out of bounds")));
+        }
+        assert_eq!(dev.sums.len(), 1);
+
         dev.free(id).unwrap();
         assert_eq!(dev.checksum_bytes(), 0);
+        assert!(dev.sealed_pages().is_empty());
     }
 
     #[test]
@@ -351,13 +396,13 @@ mod tests {
             let page = noise(seed);
             let old = dev.allocate().unwrap();
             dev.inner_mut().write_page(old, &page).unwrap();
-            dev.sums.insert(old.0, reference(page.as_slice()));
+            dev.set_seal(old, reference(page.as_slice()));
             assert_eq!(dev.with_page(old, <[u8]>::to_vec).unwrap(), page.as_slice());
             assert_eq!(dev.check_page(old).unwrap(), None);
 
             let new = dev.allocate().unwrap();
             dev.write_page(new, &page).unwrap();
-            assert_eq!(dev.sums[&new.0], reference(page.as_slice()));
+            assert_eq!(dev.seal(new), Some(reference(page.as_slice())));
         }
     }
 
