@@ -51,10 +51,6 @@ impl UpdateFriendlyBitmap {
         }
     }
 
-    pub fn len_bits(&self) -> u64 {
-        self.n_bits
-    }
-
     /// Times the deltas have been folded into the base.
     pub fn merges(&self) -> u64 {
         self.merges

@@ -448,8 +448,8 @@ pub fn run_stream(method: &mut dyn AccessMethod, source: impl OpSource) -> Resul
 
 /// [`run_stream`] with a [`TraceCollector`] observing the op phase:
 /// each op is individually timed into the collector's per-class latency
-/// histograms and the collector closes a trajectory window every
-/// [`window_ops`](TraceCollector::window_ops) operations.
+/// histograms and the collector closes a trajectory window every `window`
+/// operations (the width given to [`TraceCollector::new`]).
 ///
 /// The collector is a pure observer — it reads the tracker but never
 /// charges it — so every counted measurement in the returned report
@@ -1319,7 +1319,10 @@ pub(crate) mod tests {
         };
         let mut sharded = crate::shard::ShardedMethod::with_threads(2, 2, factory);
         let ops: Vec<Op> = (0..64u64).map(|k| Op::Insert(k, k)).collect();
-        let err = sharded.execute_batch(&ops).unwrap_err();
+        let err = sharded
+            .submit_batch(&ops, false)
+            .and_then(|b| sharded.finish_batch(b))
+            .unwrap_err();
         match err {
             crate::RumError::Corrupt(m) => {
                 assert!(m.contains("panicked"), "unexpected message: {m}")

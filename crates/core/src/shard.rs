@@ -14,8 +14,8 @@
 //!
 //! ## Execution model: a persistent worker pool
 //!
-//! Batched execution ([`execute_batch`](ShardedMethod::execute_batch) /
-//! [`submit_batch`](ShardedMethod::submit_batch)) runs on a **persistent
+//! Batched execution ([`submit_batch`](ShardedMethod::submit_batch) /
+//! [`finish_batch`](ShardedMethod::finish_batch)) runs on a **persistent
 //! pool** of long-lived named worker threads (`rum-shard-{w}`), started
 //! lazily by the first threaded batch and joined when the facade drops.
 //! Shard `s` is always served by worker `s % workers` through that
@@ -474,16 +474,9 @@ impl ShardedMethod {
     }
 
     /// Whether the persistent pool is currently running (it starts lazily
-    /// on the first threaded batch and stops on drop or
-    /// [`shutdown_pool`](Self::shutdown_pool)).
+    /// on the first threaded batch and stops on drop).
     pub fn pool_running(&self) -> bool {
         self.pool.is_some()
-    }
-
-    /// Join and discard the worker pool, if running. The next threaded
-    /// batch starts a fresh one; per-op calls never need the pool.
-    pub fn shutdown_pool(&mut self) {
-        self.pool = None;
     }
 
     /// Indices of shards currently refusing service after a worker panic.
@@ -615,9 +608,11 @@ impl ShardedMethod {
         buf
     }
 
-    /// Execute a batch of operations, partitioned per shard (ranges fan
-    /// out to every shard), concurrently on the persistent worker pool
-    /// when `threads > 1`.
+    /// Partition `ops` into per-shard sub-batches (ranges fan out to every
+    /// shard) and hand them to the worker pool, returning without waiting
+    /// for completion — the caller can assemble the next batch while the
+    /// workers run this one, then [`finish_batch`](Self::finish_batch) to
+    /// fold the costs in.
     ///
     /// Per-shard sub-batches preserve the batch's relative op order, and
     /// every key deterministically maps to one shard, so each shard's
@@ -627,15 +622,6 @@ impl ShardedMethod {
     /// charged by the inner instrumented wrappers and folded into the
     /// wrapper tracker afterwards, giving totals bit-identical to driving
     /// the wrapper one op at a time.
-    pub fn execute_batch(&mut self, ops: &[Op]) -> Result<()> {
-        let batch = self.submit_batch(ops, false)?;
-        self.finish_batch(batch).map(|_| ())
-    }
-
-    /// Partition `ops` into per-shard sub-batches and hand them to the
-    /// worker pool, returning without waiting for completion — the caller
-    /// can assemble the next batch while the workers run this one, then
-    /// [`finish_batch`](Self::finish_batch) to fold the costs in.
     ///
     /// A batch may mix read-class and write-class ops freely: each shard
     /// job splits its own traffic by class where it is counted.
@@ -1062,7 +1048,10 @@ mod tests {
             let mut batched = ShardedMethod::with_threads(4, threads, Amp2::boxed);
             batched.bulk_load(&records).unwrap();
             for chunk in ops.chunks(257) {
-                batched.execute_batch(chunk).unwrap();
+                batched
+                    .submit_batch(chunk, false)
+                    .and_then(|b| batched.finish_batch(b))
+                    .unwrap();
             }
             assert!(batched.pool_running(), "threads={threads}");
             assert_eq!(per_op.len(), batched.len());
@@ -1080,20 +1069,18 @@ mod tests {
     }
 
     #[test]
-    fn pool_persists_across_batches_and_stops_on_demand() {
+    fn pool_starts_lazily_and_persists_across_batches() {
         let mut sharded = ShardedMethod::with_threads(4, 2, Amp2::boxed);
         assert!(!sharded.pool_running(), "pool starts lazily");
         sharded.bulk_load(&sample_records(100)).unwrap();
         assert!(sharded.pool_running(), "bulk load starts the pool");
         for chunk in mixed_ops(1000).chunks(100) {
-            sharded.execute_batch(chunk).unwrap();
+            sharded
+                .submit_batch(chunk, false)
+                .and_then(|b| sharded.finish_batch(b))
+                .unwrap();
         }
         assert!(sharded.pool_running(), "pool survives across batches");
-        sharded.shutdown_pool();
-        assert!(!sharded.pool_running());
-        // A later batch restarts it transparently.
-        sharded.execute_batch(&[Op::Insert(1, 1)]).unwrap();
-        assert!(sharded.pool_running());
     }
 
     #[test]
@@ -1306,7 +1293,10 @@ mod tests {
             sharded.insert(k, k).unwrap();
         }
 
-        assert!(sharded.execute_batch(&[Op::Insert(trigger, 1)]).is_err());
+        assert!(sharded
+            .submit_batch(&[Op::Insert(trigger, 1)], false)
+            .and_then(|b| sharded.finish_batch(b))
+            .is_err());
         assert_eq!(sharded.poisoned_shards(), vec![bad]);
         assert!(sharded.get(doomed[0]).is_err(), "poisoned shard refuses");
 
@@ -1347,14 +1337,20 @@ mod tests {
         for &k in &doomed {
             sharded.insert(k, k).unwrap();
         }
-        assert!(sharded.execute_batch(&[Op::Insert(trigger, 1)]).is_err());
+        assert!(sharded
+            .submit_batch(&[Op::Insert(trigger, 1)], false)
+            .and_then(|b| sharded.finish_batch(b))
+            .is_err());
         assert_eq!(sharded.poisoned_shards(), vec![bad]);
         // try_heal reports success (the durable case: state replayed to
         // the acked prefix), so no factory is needed and data survives.
         assert_eq!(sharded.heal().unwrap(), 1);
         assert_eq!(sharded.get(doomed[0]).unwrap(), Some(doomed[0]));
         // The facade-level try_heal is the same operation behind the trait.
-        assert!(sharded.execute_batch(&[Op::Insert(trigger, 1)]).is_err());
+        assert!(sharded
+            .submit_batch(&[Op::Insert(trigger, 1)], false)
+            .and_then(|b| sharded.finish_batch(b))
+            .is_err());
         assert!(sharded.try_heal().unwrap());
         assert!(sharded.poisoned_shards().is_empty());
     }
@@ -1510,7 +1506,10 @@ mod tests {
 
         let ops = mixed_ops(100); // two of every five are get / range
         for chunk in ops.chunks(30) {
-            sharded.execute_batch(chunk).unwrap();
+            sharded
+                .submit_batch(chunk, false)
+                .and_then(|b| sharded.finish_batch(b))
+                .unwrap();
         }
         assert_eq!((sharded.dispatches(), sharded.dispatched_ops()), (4, 100));
 

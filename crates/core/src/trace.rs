@@ -676,11 +676,6 @@ impl TraceCollector {
         }
     }
 
-    /// Window width in operations.
-    pub fn window_ops(&self) -> u64 {
-        self.window_ops
-    }
-
     /// Windows closed so far.
     pub fn windows(&self) -> &[TrajectoryWindow] {
         &self.windows
@@ -749,8 +744,8 @@ impl TraceCollector {
 }
 
 /// The collector observing a run on its own: every op is clocked into the
-/// latency histograms, windows close every
-/// [`window_ops`](TraceCollector::window_ops) operations, and the report's
+/// latency histograms, windows close every `window` operations (the width
+/// given to [`new`](TraceCollector::new)), and the report's
 /// `p50_ns` / `p99_ns` are filled at the end.
 impl<'m> RunObserver<dyn AccessMethod + 'm> for TraceCollector {
     fn on_begin(&mut self, _load: &CostSnapshot, tracker: &CostTracker) {

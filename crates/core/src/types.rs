@@ -176,12 +176,6 @@ pub fn remove_record_at(area: &mut [u8], count: usize, i: usize) {
     area[(count - 1) * RECORD_SIZE..count * RECORD_SIZE].fill(0);
 }
 
-/// Number of pages needed to hold `n` records packed densely.
-#[inline]
-pub const fn pages_for_records(n: usize) -> usize {
-    n.div_ceil(RECORDS_PER_PAGE)
-}
-
 /// Logical size in bytes of `n` records of base data.
 #[inline]
 pub const fn base_bytes(n: usize) -> u64 {
@@ -272,14 +266,6 @@ mod tests {
                 assert_eq!(area, encoded(&want), "remove {i} of {count}");
             }
         }
-    }
-
-    #[test]
-    fn pages_for_records_rounds_up() {
-        assert_eq!(pages_for_records(0), 0);
-        assert_eq!(pages_for_records(1), 1);
-        assert_eq!(pages_for_records(256), 1);
-        assert_eq!(pages_for_records(257), 2);
     }
 
     #[test]

@@ -420,13 +420,6 @@ impl Zipfian {
         r.min(self.n - 1)
     }
 
-    /// Re-target the generator at a different domain size, reusing the skew.
-    pub fn resized(&self, n: usize) -> Zipfian {
-        let mut z = self.clone();
-        z.resize_to(n);
-        z
-    }
-
     /// Re-target the generator at a different domain size in place.
     ///
     /// `zetan` is maintained incrementally — `ζ(n±1) = ζ(n) ± (n±1)^-θ` —
@@ -1085,7 +1078,8 @@ mod tests {
 
     #[test]
     fn zipfian_resized_keeps_domain() {
-        let z = Zipfian::new(100, 0.5).resized(10);
+        let mut z = Zipfian::new(100, 0.5);
+        z.resize_to(10);
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..1000 {
             assert!(z.sample(&mut rng) < 10);

@@ -346,11 +346,6 @@ impl SortedRun {
         self.filter.is_some()
     }
 
-    /// Smallest key in the run, `None` when empty.
-    pub fn min_key(&self) -> Option<Key> {
-        self.fences.first().copied()
-    }
-
     /// Whether the run's `[min, max]` key envelope intersects `[lo, hi]`.
     /// A pure in-memory comparison against two cached keys — deliberately
     /// charge-free, so callers can prune disjoint runs for nothing.

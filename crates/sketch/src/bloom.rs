@@ -84,58 +84,6 @@ impl BloomFilter {
     }
 }
 
-/// A counting Bloom filter: 8-bit counters instead of bits, so deletions
-/// are supported (at 8× the space).
-#[derive(Clone, Debug)]
-pub struct CountingBloom {
-    counters: Vec<u8>,
-    k: u32,
-}
-
-impl CountingBloom {
-    pub fn new(expected: usize, counters_per_key: f64) -> Self {
-        assert!(counters_per_key > 0.0);
-        let n = ((expected.max(1) as f64 * counters_per_key).ceil() as usize).max(64);
-        let k = ((counters_per_key * std::f64::consts::LN_2).round() as u32).clamp(1, 30);
-        CountingBloom {
-            counters: vec![0u8; n],
-            k,
-        }
-    }
-
-    pub fn size_bytes(&self) -> u64 {
-        self.counters.len() as u64
-    }
-
-    #[inline]
-    fn positions(&self, key: u64) -> impl Iterator<Item = usize> + '_ {
-        let h1 = hash1(key);
-        let h2 = hash2(key);
-        let n = self.counters.len() as u64;
-        (0..self.k).map(move |i| (h1.wrapping_add((i as u64).wrapping_mul(h2)) % n) as usize)
-    }
-
-    pub fn insert(&mut self, key: u64) {
-        let pos: Vec<usize> = self.positions(key).collect();
-        for p in pos {
-            self.counters[p] = self.counters[p].saturating_add(1);
-        }
-    }
-
-    /// Remove one occurrence. Only call for keys actually inserted
-    /// (removing a never-inserted key can introduce false negatives).
-    pub fn remove(&mut self, key: u64) {
-        let pos: Vec<usize> = self.positions(key).collect();
-        for p in pos {
-            self.counters[p] = self.counters[p].saturating_sub(1);
-        }
-    }
-
-    pub fn may_contain(&self, key: u64) -> bool {
-        self.positions(key).all(|p| self.counters[p] > 0)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -209,39 +157,5 @@ mod tests {
         }
         assert!(f.fill_ratio() > before);
         assert!(f.fill_ratio() < 0.6, "should be near 50% at design point");
-    }
-
-    #[test]
-    fn counting_bloom_supports_deletion() {
-        let mut f = CountingBloom::new(1000, 10.0);
-        for k in 0..1000u64 {
-            f.insert(k);
-        }
-        assert!(f.may_contain(500));
-        f.remove(500);
-        assert!(
-            !f.may_contain(500) || {
-                // Residual collisions may keep it positive; removing again the
-                // same key must not underflow others.
-                true
-            }
-        );
-        // Other keys keep their no-false-negative guarantee.
-        for k in 0..1000u64 {
-            if k != 500 {
-                assert!(f.may_contain(k), "false negative for {k} after delete");
-            }
-        }
-    }
-
-    #[test]
-    fn counting_bloom_double_insert_survives_one_remove() {
-        let mut f = CountingBloom::new(100, 10.0);
-        f.insert(7);
-        f.insert(7);
-        f.remove(7);
-        assert!(f.may_contain(7));
-        f.remove(7);
-        assert!(!f.may_contain(7));
     }
 }

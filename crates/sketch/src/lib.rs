@@ -1,9 +1,10 @@
 //! # rum-sketch
 //!
 //! Probabilistic, space-optimized structures — the right corner of the
-//! paper's Figure 1 ("lossy index structures such as Bloom filters, lossy
-//! hash-based indexes like count-min sketches") and the §5 roadmap's
-//! "updatable probabilistic data structures (like quotient filters)".
+//! paper's Figure 1 ("lossy index structures such as Bloom filters") and
+//! the §5 roadmap's "updatable probabilistic data structures (like
+//! quotient filters)". Figure 1 also names count-min sketches; this
+//! reproduction does not build one, because no experiment places one.
 //!
 //! These are building blocks rather than full access methods: the LSM-tree
 //! hangs a [`BloomFilter`] off every run ("iterative logs enhanced by
@@ -17,11 +18,9 @@
 #![forbid(unsafe_code)]
 
 pub mod bloom;
-pub mod countmin;
 pub mod quotient;
 
-pub use bloom::{BloomFilter, CountingBloom};
-pub use countmin::CountMinSketch;
+pub use bloom::BloomFilter;
 pub use quotient::QuotientFilter;
 
 /// First hash for double hashing.

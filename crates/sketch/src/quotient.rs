@@ -66,11 +66,6 @@ impl QuotientFilter {
         1 << self.qbits
     }
 
-    /// Quotient bits (log2 of the slot count).
-    pub fn qbits(&self) -> u32 {
-        self.qbits
-    }
-
     /// Remainder bits stored per slot. A probe touches one `(rbits + 3)`-bit
     /// slot cluster, which is what a caller pricing probes in bytes needs.
     pub fn rbits(&self) -> u32 {

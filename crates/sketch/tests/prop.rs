@@ -2,7 +2,7 @@
 //! guarantees must hold under any input.
 
 use proptest::prelude::*;
-use rum_sketch::{BloomFilter, CountMinSketch, QuotientFilter};
+use rum_sketch::{BloomFilter, QuotientFilter};
 
 proptest! {
     #[test]
@@ -13,21 +13,6 @@ proptest! {
         }
         for &k in &keys {
             prop_assert!(f.may_contain(k));
-        }
-    }
-
-    #[test]
-    fn count_min_never_underestimates(
-        adds in proptest::collection::vec((0u64..100, 1u64..10), 1..500)
-    ) {
-        let mut s = CountMinSketch::new(64, 4);
-        let mut truth = std::collections::HashMap::new();
-        for &(k, c) in &adds {
-            s.add(k, c);
-            *truth.entry(k).or_insert(0u64) += c;
-        }
-        for (&k, &c) in &truth {
-            prop_assert!(s.estimate(k) >= c);
         }
     }
 
@@ -43,21 +28,20 @@ proptest! {
             if f.load() > 0.7 {
                 break;
             }
-            let fp_key = k; // model keyed by fingerprint below
             match op {
                 0 => {
                     f.insert(k);
-                    *model.entry(fingerprint_of(&f, fp_key)).or_insert(0) += 1;
+                    *model.entry(fingerprint_of(k)).or_insert(0) += 1;
                 }
                 1 => {
-                    let had = model.get(&fingerprint_of(&f, fp_key)).copied().unwrap_or(0) > 0;
+                    let had = model.get(&fingerprint_of(k)).copied().unwrap_or(0) > 0;
                     prop_assert_eq!(f.remove(k), had);
                     if had {
-                        *model.get_mut(&fingerprint_of(&f, fp_key)).unwrap() -= 1;
+                        *model.get_mut(&fingerprint_of(k)).unwrap() -= 1;
                     }
                 }
                 _ => {
-                    let expect = model.get(&fingerprint_of(&f, fp_key)).copied().unwrap_or(0) > 0;
+                    let expect = model.get(&fingerprint_of(k)).copied().unwrap_or(0) > 0;
                     prop_assert_eq!(f.may_contain(k), expect);
                 }
             }
@@ -67,10 +51,8 @@ proptest! {
     }
 }
 
-/// Recover the fingerprint a filter assigns to a key by inserting into a
-/// scratch clone and diffing (the geometry is (q=10, r=6) here, so the
-/// fingerprint is the top 16 bits of the mixed hash — recompute directly).
-fn fingerprint_of(_f: &QuotientFilter, key: u64) -> u64 {
-    // Mirror of the crate's hash1 at q+r = 16 bits.
+/// The fingerprint a `QuotientFilter::new(10, 6)` assigns to `key`: the
+/// top q + r = 16 bits of the crate's first hash, recomputed here.
+fn fingerprint_of(key: u64) -> u64 {
     key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 48
 }

@@ -25,20 +25,9 @@ use crate::page::{PageBuf, PageId};
 /// One cache level of the hierarchy.
 #[derive(Clone, Debug)]
 pub struct LevelSpec {
-    pub name: String,
     /// Capacity in pages. The MO this level spends.
     pub capacity_pages: usize,
     pub profile: DeviceProfile,
-}
-
-impl LevelSpec {
-    pub fn new(name: impl Into<String>, capacity_pages: usize, profile: DeviceProfile) -> Self {
-        LevelSpec {
-            name: name.into(),
-            capacity_pages,
-            profile,
-        }
-    }
 }
 
 /// Full hierarchy description: cache levels top (fastest) to bottom, plus
@@ -50,21 +39,13 @@ pub struct HierarchySpec {
 }
 
 impl HierarchySpec {
-    /// The classic three-level stack: CPU cache → DRAM → storage.
-    pub fn cache_mem_disk(cache_pages: usize, mem_pages: usize) -> Self {
-        HierarchySpec {
-            caches: vec![
-                LevelSpec::new("cpu-cache", cache_pages, DeviceProfile::CACHE),
-                LevelSpec::new("dram", mem_pages, DeviceProfile::DRAM),
-            ],
-            storage_profile: DeviceProfile::SSD,
-        }
-    }
-
     /// A single cache in front of storage (the minimal Figure 2 setup).
     pub fn buffer_and_storage(buffer_pages: usize, storage: DeviceProfile) -> Self {
         HierarchySpec {
-            caches: vec![LevelSpec::new("buffer", buffer_pages, DeviceProfile::DRAM)],
+            caches: vec![LevelSpec {
+                capacity_pages: buffer_pages,
+                profile: DeviceProfile::DRAM,
+            }],
             storage_profile: storage,
         }
     }
@@ -124,15 +105,6 @@ impl MemoryHierarchy {
     /// Number of levels including storage.
     pub fn levels(&self) -> usize {
         self.caches.len() + 1
-    }
-
-    /// Name of level `i` (storage is the last level).
-    pub fn level_name(&self, i: usize) -> &str {
-        if i < self.caches.len() {
-            &self.caches[i].spec.name
-        } else {
-            self.storage_profile.name
-        }
     }
 
     /// I/O stats of level `i` (storage is the last level).
@@ -318,9 +290,26 @@ mod tests {
         h.write_page(id, &p).unwrap();
     }
 
+    /// Two cache levels (CPU cache over DRAM) in front of SSD storage.
+    fn two_caches(cache_pages: usize, mem_pages: usize) -> HierarchySpec {
+        HierarchySpec {
+            caches: vec![
+                LevelSpec {
+                    capacity_pages: cache_pages,
+                    profile: DeviceProfile::CACHE,
+                },
+                LevelSpec {
+                    capacity_pages: mem_pages,
+                    profile: DeviceProfile::DRAM,
+                },
+            ],
+            storage_profile: DeviceProfile::SSD,
+        }
+    }
+
     #[test]
     fn data_survives_the_hierarchy() {
-        let mut h = MemoryHierarchy::new(HierarchySpec::cache_mem_disk(2, 4));
+        let mut h = MemoryHierarchy::new(two_caches(2, 4));
         let ids: Vec<_> = (0..10).map(|_| h.allocate().unwrap()).collect();
         for (i, id) in ids.iter().enumerate() {
             write_marker(&mut h, *id, i as u64);
@@ -333,7 +322,8 @@ mod tests {
 
     #[test]
     fn top_level_absorbs_hot_reads() {
-        let mut h = MemoryHierarchy::new(HierarchySpec::cache_mem_disk(4, 16));
+        let mut h = MemoryHierarchy::new(two_caches(4, 16));
+        assert_eq!(h.levels(), 3, "storage is level 2");
         let id = h.allocate().unwrap();
         h.read_page(id).unwrap(); // storage read, promoted everywhere
         let storage_before = h.level_stats(2).reads();
@@ -406,21 +396,12 @@ mod tests {
 
     #[test]
     fn free_purges_all_levels() {
-        let mut h = MemoryHierarchy::new(HierarchySpec::cache_mem_disk(4, 8));
+        let mut h = MemoryHierarchy::new(two_caches(4, 8));
         let id = h.allocate().unwrap();
         write_marker(&mut h, id, 3);
         h.free(id).unwrap();
         assert!(h.read_page(id).is_err());
         assert_eq!(h.level_resident(0), 0);
         assert_eq!(h.level_resident(1), 0);
-    }
-
-    #[test]
-    fn level_metadata() {
-        let h = MemoryHierarchy::new(HierarchySpec::cache_mem_disk(4, 8));
-        assert_eq!(h.levels(), 3);
-        assert_eq!(h.level_name(0), "cpu-cache");
-        assert_eq!(h.level_name(1), "dram");
-        assert_eq!(h.level_name(2), "ssd");
     }
 }

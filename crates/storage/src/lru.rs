@@ -95,24 +95,6 @@ impl<K: Eq + Hash + Copy> LruSet<K> {
         }
     }
 
-    /// Mark a resident key dirty; returns whether it was resident.
-    pub fn mark_dirty(&mut self, key: &K) -> bool {
-        if let Some(&idx) = self.map.get(key) {
-            self.nodes[idx].dirty = true;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Whether a resident key is dirty.
-    pub fn is_dirty(&self, key: &K) -> bool {
-        self.map
-            .get(key)
-            .map(|&idx| self.nodes[idx].dirty)
-            .unwrap_or(false)
-    }
-
     /// Insert `key` as most-recently-used. If the set is over capacity the
     /// least-recently-used key is evicted and returned as
     /// `(key, was_dirty)`. Inserting a resident key just touches it (and
@@ -231,7 +213,7 @@ mod tests {
     fn dirty_bit_travels_with_eviction() {
         let mut l = LruSet::new(1);
         l.insert(1, false);
-        assert!(l.mark_dirty(&1));
+        assert_eq!(l.insert(1, true), None, "1 is resident");
         assert_eq!(l.insert(2, false), Some((1, true)));
     }
 
@@ -240,8 +222,9 @@ mod tests {
         let mut l = LruSet::new(2);
         l.insert(1, false);
         l.insert(1, true);
-        assert!(l.is_dirty(&1));
         assert_eq!(l.len(), 1);
+        l.insert(2, false);
+        assert_eq!(l.insert(3, false), Some((1, true)));
     }
 
     #[test]

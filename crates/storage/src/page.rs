@@ -81,31 +81,8 @@ impl PageBuf {
     // ---- little-endian field accessors used by node layouts -------------
 
     #[inline]
-    pub fn read_u16(&self, off: usize) -> u16 {
-        u16::from_le_bytes(
-            self.data[off..off + 2]
-                .try_into()
-                .expect("slice is exactly 2 bytes"),
-        )
-    }
-
-    #[inline]
     pub fn write_u16(&mut self, off: usize, v: u16) {
         self.data[off..off + 2].copy_from_slice(&v.to_le_bytes());
-    }
-
-    #[inline]
-    pub fn read_u32(&self, off: usize) -> u32 {
-        u32::from_le_bytes(
-            self.data[off..off + 4]
-                .try_into()
-                .expect("slice is exactly 4 bytes"),
-        )
-    }
-
-    #[inline]
-    pub fn write_u32(&mut self, off: usize, v: u32) {
-        self.data[off..off + 4].copy_from_slice(&v.to_le_bytes());
     }
 
     #[inline]
@@ -157,10 +134,8 @@ mod tests {
     fn field_accessors_roundtrip() {
         let mut p = PageBuf::zeroed();
         p.write_u16(0, 0xBEEF);
-        p.write_u32(2, 0xDEAD_BEEF);
         p.write_u64(8, u64::MAX - 3);
-        assert_eq!(p.read_u16(0), 0xBEEF);
-        assert_eq!(p.read_u32(2), 0xDEAD_BEEF);
+        assert_eq!(p.as_slice()[..2], 0xBEEF_u16.to_le_bytes());
         assert_eq!(p.read_u64(8), u64::MAX - 3);
     }
 

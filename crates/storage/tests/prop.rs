@@ -14,8 +14,14 @@ fn apply_ops(ops: &[(u8, u8, u64)]) -> Result<()> {
     let mut raw = MemDevice::new();
     let mut hier = MemoryHierarchy::new(HierarchySpec {
         caches: vec![
-            LevelSpec::new("l1", 2, DeviceProfile::CACHE),
-            LevelSpec::new("l2", 5, DeviceProfile::DRAM),
+            LevelSpec {
+                capacity_pages: 2,
+                profile: DeviceProfile::CACHE,
+            },
+            LevelSpec {
+                capacity_pages: 5,
+                profile: DeviceProfile::DRAM,
+            },
         ],
         storage_profile: DeviceProfile::SSD,
     });

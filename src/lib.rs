@@ -45,7 +45,7 @@
 //! | [`btree`] | tunable paged B+-tree (read-optimized corner) |
 //! | [`hash`] | static + extendible hashing |
 //! | [`memindex`] | skip list, radix trie |
-//! | [`sketch`] | Bloom, counting Bloom, count-min, quotient filter |
+//! | [`sketch`] | Bloom filter, quotient filter |
 //! | [`sparse`] | zone maps / SMAs, column imprints |
 //! | [`bitmap`] | WAH bitmaps, update-friendly bitmaps, bitmap index |
 //! | [`lsm`] | levelled & tiered LSM-tree with Bloom filters and dynamic tuning |

@@ -64,11 +64,6 @@ impl FamilyMorph {
         })
     }
 
-    /// The family currently resident.
-    pub fn current_family(&self) -> Family {
-        self.family
-    }
-
     /// Family swaps performed so far.
     pub fn swaps(&self) -> u64 {
         self.swaps
@@ -211,7 +206,7 @@ mod tests {
             .unwrap()
             .expect("cross-family morph must run");
         let after = m.tracker().snapshot();
-        assert_eq!(m.current_family(), Family::LsmTree);
+        assert_eq!(m.family(), Family::LsmTree);
         assert_eq!(m.swaps(), 1);
         assert!(receipt.bytes_read > 0, "drain must be priced");
         assert!(receipt.bytes_written > 0, "rebuild must be priced");
@@ -321,7 +316,7 @@ mod tests {
             .morph_to(Family::HashIndex, &OpMix::BALANCED)
             .unwrap()
             .is_none());
-        assert_eq!(m.current_family(), Family::BTree);
+        assert_eq!(m.family(), Family::BTree);
         assert_eq!(m.swaps(), 0);
     }
 }

@@ -357,7 +357,10 @@ fn worker_panic_poisons_one_shard_and_spares_the_rest() {
     let mut ops: Vec<Op> = healthy_keys.iter().map(|&k| Op::Insert(k, 1)).collect();
     ops.extend(doomed_keys.iter().map(|&k| Op::Insert(k, 1)));
     ops.insert(ops.len() / 2, Op::Insert(trigger, 1));
-    let err = sharded.execute_batch(&ops).expect_err("panic must surface");
+    let err = sharded
+        .submit_batch(&ops, false)
+        .and_then(|b| sharded.finish_batch(b))
+        .expect_err("panic must surface");
     match err {
         RumError::Corrupt(m) => assert!(m.contains("panicked"), "message: {m}"),
         other => panic!("expected Corrupt, got {other:?}"),
@@ -368,7 +371,8 @@ fn worker_panic_poisons_one_shard_and_spares_the_rest() {
     assert!(sharded.pool_running(), "pool must survive a worker panic");
     let follow_up: Vec<Op> = healthy_keys.iter().map(|&k| Op::Update(k, 2)).collect();
     sharded
-        .execute_batch(&follow_up)
+        .submit_batch(&follow_up, false)
+        .and_then(|b| sharded.finish_batch(b))
         .expect("healthy shard keeps working");
     assert_eq!(sharded.get(healthy_keys[0]).unwrap(), Some(2));
 
@@ -376,7 +380,8 @@ fn worker_panic_poisons_one_shard_and_spares_the_rest() {
     // fan-out — is refused with Corrupt instead of reading unknown state.
     for result in [
         sharded
-            .execute_batch(&[Op::Insert(doomed_keys[0], 9)])
+            .submit_batch(&[Op::Insert(doomed_keys[0], 9)], false)
+            .and_then(|b| sharded.finish_batch(b))
             .map(|_| ()),
         sharded.get(doomed_keys[0]).map(|_| ()),
         sharded.range(0, Key::MAX).map(|_| ()),
@@ -433,7 +438,8 @@ fn poisoned_shard_heals_and_continues_with_bit_exact_costs() {
     // repeatable, not a one-shot escape hatch.
     for round in 0..2 {
         sharded
-            .execute_batch(&[Op::Insert(trigger, 1)])
+            .submit_batch(&[Op::Insert(trigger, 1)], false)
+            .and_then(|b| sharded.finish_batch(b))
             .expect_err("panic must surface");
         assert_eq!(sharded.poisoned_shards(), vec![bad_shard], "round {round}");
         sharded.set_factory(factory);
@@ -463,7 +469,10 @@ fn poisoned_shard_heals_and_continues_with_bit_exact_costs() {
     let healed_before = sharded.tracker().snapshot();
     let control_before = control.tracker().snapshot();
     for chunk in follow_up.chunks(17) {
-        sharded.execute_batch(chunk).unwrap();
+        sharded
+            .submit_batch(chunk, false)
+            .and_then(|b| sharded.finish_batch(b))
+            .unwrap();
     }
     for &op in &follow_up {
         op.apply(&mut control).unwrap();
@@ -509,7 +518,10 @@ fn dropped_pools_do_not_leak_worker_threads() {
         let ops: Vec<Op> = (0..256u64)
             .map(|i| Op::Insert(round * 1000 + i, i))
             .collect();
-        sharded.execute_batch(&ops).unwrap();
+        sharded
+            .submit_batch(&ops, false)
+            .and_then(|b| sharded.finish_batch(b))
+            .unwrap();
         assert!(sharded.pool_running());
     }
     // The task count is process-global and other tests run concurrently,
