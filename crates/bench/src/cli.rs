@@ -355,7 +355,7 @@ fn parse_command(args: &[String]) -> Result<Command, String> {
                 return Err(format!("{} takes no argument {arg:?}", e.name));
             }
             method => {
-                trace::find_method(method).ok_or_else(|| {
+                rum::suite_method(method).ok_or_else(|| {
                     let suite = trace::suite_names().join(", ");
                     format!("unknown method {method:?}; suite: {suite}")
                 })?;

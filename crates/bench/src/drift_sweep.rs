@@ -7,7 +7,7 @@
 //!
 //! * **four static LSM shapes** — [`advise`]'s pick for the read-heavy,
 //!   write-heavy, scan-heavy and balanced canonical mixes, frozen;
-//! * **tuner** — a [`SelfTuningLsm`] driven by
+//! * **tuner** — an [`LsmTree`] driven by
 //!   [`run_stream_autotuned`]: the tuner watches trajectory windows,
 //!   detects drift, and re-tunes T / policy / bloom bits / sorted view
 //!   in place, every migration priced (drain+rebuild I/O → UO, transient
@@ -32,7 +32,7 @@ use rum_core::trace::{noop_sink, TraceCollector};
 use rum_core::wizard::{Constraints, Environment, Family};
 use rum_core::workload::{Drift, OpMix, OpStream, WorkloadSpec};
 use rum_core::{AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value, PAGE_SIZE};
-use rum_lsm::tuning::{advise, SelfTuningLsm};
+use rum_lsm::tuning::advise;
 use rum_lsm::{LsmConfig, LsmTree};
 use std::sync::Arc;
 
@@ -321,7 +321,7 @@ fn tuner_for(config: &DriftSweepConfig, allow_family_swap: bool) -> AutoTuner {
 /// `Digest`; the tuner and the family showcase run under an
 /// [`AutoTuner`], the family showcase with family swaps allowed.
 pub fn run(config: &DriftSweepConfig) -> Vec<DriftRow> {
-    let lsm = |cfg| Box::new(SelfTuningLsm::new(LsmTree::with_config(cfg))) as Box<dyn Morphable>;
+    let lsm = |cfg| Box::new(LsmTree::with_config(cfg)) as Box<dyn Morphable>;
     let tuned = LsmConfig {
         memtable_records: 256,
         ..advise(&OpMix::BALANCED)

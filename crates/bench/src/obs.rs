@@ -43,7 +43,6 @@ use rum_core::RECORD_SIZE;
 use rum_obs::{http_get, parse_prometheus, serve, PromSample};
 
 use crate::table::finite;
-use crate::trace::find_method;
 use crate::{baseline, fail, Outcome, Scale, Table, Target};
 
 /// Configuration of one observability run.
@@ -101,7 +100,7 @@ pub struct MethodObs {
 
 /// Run one standard-suite method under the metrics plane.
 pub fn run_method(name: &str, cfg: &ObsConfig) -> Result<MethodObs> {
-    let mut method = find_method(name)
+    let mut method = rum::suite_method(name)
         .ok_or_else(|| RumError::InvalidArgument(format!("unknown suite method {name:?}")))?;
     let plane = MetricsPlane::shared();
     // The plane's sink feeds the ledger and the registry mirror; it is
@@ -214,11 +213,11 @@ pub fn metrics_equivalence(spec: &WorkloadSpec) -> Vec<EquivalenceRow> {
     let mut rows = Vec::new();
     let names: Vec<String> = rum::standard_suite().iter().map(|m| m.name()).collect();
     for name in names {
-        let mut plain = find_method(&name).expect("suite method");
+        let mut plain = rum::suite_method(&name).expect("suite method");
         let baseline = run_stream(plain.as_mut(), OpStream::new(spec))
             .unwrap_or_else(|e| panic!("{name} plain: {e}"));
 
-        let mut metered = find_method(&name).expect("suite method");
+        let mut metered = rum::suite_method(&name).expect("suite method");
         let plane = MetricsPlane::shared();
         let sink = plane.sink();
         metered.set_trace_sink(sink.clone());
@@ -499,7 +498,7 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
     let window = target.window.unwrap_or(2048);
     let addr = target.addr.as_deref().unwrap_or("127.0.0.1:0");
     let refresh_ms = target.refresh_ms.unwrap_or(250);
-    let mut method = find_method(method_name).expect("parse checked the method");
+    let mut method = rum::suite_method(method_name).expect("parse checked the method");
 
     let plane = MetricsPlane::shared();
     let server = serve(plane.registry().clone(), addr)
@@ -660,7 +659,7 @@ mod tests {
         // pins the property on the methods with the busiest background
         // machinery.
         for name in ["lsm-tree+wal", "lsm-tree+view", "b+tree"] {
-            let mut plain = find_method(name).unwrap();
+            let mut plain = rum::suite_method(name).unwrap();
             let spec = WorkloadSpec {
                 initial_records: 1_000,
                 operations: 2_000,
@@ -669,7 +668,7 @@ mod tests {
                 ..Default::default()
             };
             let baseline = run_stream(plain.as_mut(), OpStream::new(&spec)).unwrap();
-            let mut metered = find_method(name).unwrap();
+            let mut metered = rum::suite_method(name).unwrap();
             let plane = MetricsPlane::shared();
             let sink = plane.sink();
             metered.set_trace_sink(sink.clone());

@@ -48,11 +48,6 @@ pub struct TraceRun {
     pub windows_sum_exact: bool,
 }
 
-/// Look a method up in [`rum::standard_suite`] by its `name()`.
-pub fn find_method(name: &str) -> Option<Box<dyn AccessMethod>> {
-    rum::standard_suite().into_iter().find(|m| m.name() == name)
-}
-
 /// The `name()` of every standard-suite method, in suite order.
 pub fn suite_names() -> Vec<String> {
     rum::standard_suite().iter().map(|m| m.name()).collect()
@@ -143,10 +138,10 @@ fn smoke() -> Outcome {
         .into_iter()
         .map(|name| {
             eprintln!("[trace] smoke: {name} ...");
-            let mut traced = find_method(name).expect("suite name");
+            let mut traced = rum::suite_method(name).expect("suite name");
             let run = run_traced(traced.as_mut(), &spec, window)
                 .unwrap_or_else(|e| panic!("{name}: traced run failed: {e}"));
-            let mut untraced = find_method(name).expect("suite name");
+            let mut untraced = rum::suite_method(name).expect("suite name");
             let plain = run_stream(untraced.as_mut(), OpStream::new(&spec))
                 .unwrap_or_else(|e| panic!("{name}: untraced run failed: {e}"));
             let same =
@@ -178,7 +173,7 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
         "[trace] {name} × {}, {} ops, window {window} ...",
         target.mix, spec.operations
     );
-    let mut method = find_method(name).expect("parse checked the method");
+    let mut method = rum::suite_method(name).expect("parse checked the method");
     let run = run_traced(method.as_mut(), &spec, window)
         .unwrap_or_else(|e| crate::fail(&format!("traced run failed: {e}")));
 
@@ -240,7 +235,7 @@ mod tests {
 
     #[test]
     fn traced_lsm_run_produces_windows_events_and_exact_sums() {
-        let mut method = find_method("lsm-tree+wal").expect("suite has lsm-tree+wal");
+        let mut method = rum::suite_method("lsm-tree+wal").expect("suite has lsm-tree+wal");
         let run = run_traced(method.as_mut(), &spec(), 512).unwrap();
         assert!(run.windows_sum_exact, "windowed deltas must sum exactly");
         assert_eq!(run.windows.len(), 4_000usize.div_ceil(512));
@@ -281,8 +276,8 @@ mod tests {
 
     #[test]
     fn method_and_mix_lookups_work() {
-        assert!(find_method("b+tree").is_some());
-        assert!(find_method("no-such-method").is_none());
+        assert!(rum::suite_method("b+tree").is_some());
+        assert!(rum::suite_method("no-such-method").is_none());
         assert!(mix_by_name("balanced").is_some());
         assert!(mix_by_name("bogus").is_none());
         assert_eq!(sanitize_name("lsm-tree+wal"), "lsm-tree-wal");

@@ -11,6 +11,7 @@
 use std::sync::Arc;
 
 use crate::error::Result;
+use crate::trace::TraceSink;
 use crate::tracker::CostTracker;
 use crate::types::{base_bytes, Key, Record, Value, RECORD_SIZE};
 
@@ -111,10 +112,11 @@ pub trait AccessMethod: Send {
     /// The tracker this method charges physical traffic to: its account.
     ///
     /// One rule keeps the account whole across the method's life. A
-    /// structure rebuilt in place (recovery, a family swap, an LSM retune)
-    /// hands its history to its successor with
-    /// [`CostTracker::absorb`] before the successor does any work, so the
-    /// new tracker starts where the old one stopped. The `Arc` returned
+    /// structure rebuilt in place (recovery, a family swap, an LSM retune,
+    /// a shard rebuilt by its factory) hands its history and its trace
+    /// sink to its successor with [`succeed`] before the successor does
+    /// any work, so the new tracker starts where the old one stopped and
+    /// its events reach the same sink. The `Arc` returned
     /// here may therefore change across any `&mut self` call, and every
     /// reader (the runner at each settle, observers at each window) asks
     /// for it again instead of keeping a clone. Sharing one tracker among
@@ -151,14 +153,13 @@ pub trait AccessMethod: Send {
         Ok(())
     }
 
-    /// Install a [`TraceSink`](crate::trace::TraceSink) for structured
-    /// event emission (LSM flush/compaction, WAL sync/checkpoint, shard
-    /// dispatch...). Default: ignore it — methods without
-    /// noteworthy internal events need no wiring, and the compiled-in
-    /// default everywhere is the disabled
+    /// Install a [`TraceSink`] for structured event emission (LSM
+    /// flush/compaction, WAL sync/checkpoint, shard dispatch...). Default:
+    /// ignore it — methods without noteworthy internal events need no
+    /// wiring, and the compiled-in default everywhere is the disabled
     /// [`NoopSink`](crate::trace::NoopSink). Wrappers forward the sink to
     /// their inner methods.
-    fn set_trace_sink(&mut self, _sink: Arc<dyn crate::trace::TraceSink>) {}
+    fn set_trace_sink(&mut self, _sink: Arc<dyn TraceSink>) {}
 
     /// Attempt in-place self-repair after a worker panic or detected
     /// corruption left this instance in a suspect state. Returns
@@ -228,6 +229,20 @@ pub trait AccessMethod: Send {
             .logical_write((records.len() * RECORD_SIZE) as u64);
         Ok(())
     }
+}
+
+/// Make `successor` take over from the structure it replaces in place,
+/// before it does any work (the rule on [`AccessMethod::tracker`]): it
+/// absorbs `predecessor`, the old account, and installs `sink`, the trace
+/// sink the old structure reported to. The only place an account passes
+/// from one structure to another.
+pub fn succeed<M: AccessMethod + ?Sized>(
+    successor: &mut M,
+    predecessor: &CostTracker,
+    sink: &Arc<dyn TraceSink>,
+) {
+    successor.tracker().absorb(&predecessor.snapshot());
+    successor.set_trace_sink(Arc::clone(sink));
 }
 
 /// Validate a bulk-load input slice: strictly ascending keys.

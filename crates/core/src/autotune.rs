@@ -35,13 +35,13 @@
 
 use std::sync::Arc;
 
-use crate::access::AccessMethod;
+use crate::access::{succeed, AccessMethod};
 use crate::advisor::ProfileStore;
 use crate::error::Result;
 use crate::runner::{RumReport, RunObserver};
 use crate::trace::{noop_sink, EventKind, TraceCollector, TraceSink, TrajectoryWindow};
 use crate::tracker::{CostSnapshot, CostTracker};
-use crate::types::PAGE_SIZE;
+use crate::types::{Record, PAGE_SIZE, RECORD_SIZE};
 use crate::wizard::{Constraints, Environment, Family};
 use crate::workload::{Op, OpMix};
 
@@ -149,10 +149,38 @@ pub trait Morphable: AccessMethod {
     ///
     /// Implementations must keep the logical contents and carry the
     /// accumulated costs forward: a structure rebuilt by the migration
-    /// [`absorb`](crate::tracker::CostTracker::absorb)s its predecessor's
-    /// account (the rule on [`AccessMethod::tracker`]), so answers and
-    /// history both survive.
+    /// succeeds its predecessor through [`migrate`] (the rule on
+    /// [`AccessMethod::tracker`]), so answers, history and the trace sink
+    /// all survive.
     fn morph_to(&mut self, family: Family, mix: &OpMix) -> Result<Option<MigrationReceipt>>;
+}
+
+/// The one drain-and-rebuild migration: `drain` reads every record out of
+/// `old` through its priced read path, then `fresh` [`succeed`]s `old`
+/// (account and `sink`) and bulk loads them. The caller puts `fresh` in
+/// `old`'s place. The receipt's window opens before `drain`, so whatever
+/// `drain` charges (an LSM flushes its memtable first) is migration I/O;
+/// its transient MO is `old`'s resident bytes plus the drain buffer.
+pub fn migrate<M: AccessMethod + ?Sized>(
+    old: &mut M,
+    fresh: &mut M,
+    sink: &Arc<dyn TraceSink>,
+    [from, to]: [String; 2],
+    drain: impl FnOnce(&mut M) -> Result<Vec<Record>>,
+) -> Result<MigrationReceipt> {
+    let old_resident = old.space_profile().total_bytes();
+    let mark = old.tracker().snapshot();
+    let all = drain(old)?;
+    succeed(fresh, old.tracker(), sink);
+    fresh.bulk_load_impl(&all)?;
+    let delta = fresh.tracker().since(&mark);
+    Ok(MigrationReceipt {
+        from,
+        to,
+        bytes_read: delta.total_read_bytes(),
+        bytes_written: delta.total_write_bytes(),
+        peak_extra_bytes: old_resident + (all.len() * RECORD_SIZE) as u64,
+    })
 }
 
 /// Migration granularity of a [`TunePlan`].

@@ -67,9 +67,9 @@ pub mod types;
 pub mod wizard;
 pub mod workload;
 
-pub use access::{check_bulk_input, AccessMethod, SpaceProfile};
+pub use access::{check_bulk_input, succeed, AccessMethod, SpaceProfile};
 pub use autotune::{
-    AutoTuneConfig, AutoTuneSummary, AutoTuner, MigrationReceipt, Morphable, OpCounts,
+    migrate, AutoTuneConfig, AutoTuneSummary, AutoTuner, MigrationReceipt, Morphable, OpCounts,
     RetuneEstimate, TuneKind, TunePlan,
 };
 pub use error::{panic_payload_message, Result, RumError};

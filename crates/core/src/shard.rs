@@ -72,7 +72,7 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use crate::access::{AccessMethod, SpaceProfile};
+use crate::access::{succeed, AccessMethod, SpaceProfile};
 use crate::error::{panic_payload_message, Result, RumError};
 use crate::runner::OpPhase;
 use crate::trace::{ClassLatency, EventKind, LatencyHistogram, TraceSink};
@@ -499,8 +499,11 @@ impl ShardedMethod {
     ///    rebuilds from its checkpoint + committed WAL prefix, so the
     ///    healed shard serves exactly the acknowledged writes.
     /// 2. Otherwise, rebuild from the [`set_factory`](Self::set_factory)
-    ///    replacement: a fresh, empty instance — service restored, state
-    ///    reset (the honest outcome for a purely volatile structure).
+    ///    replacement: a fresh, empty instance that [`succeed`]s the
+    ///    poisoned one (its shard account and the trace sink) — service
+    ///    restored, state reset (the honest outcome for a purely volatile
+    ///    structure). The wrapper's account is untouched: it only folds
+    ///    per-op deltas.
     ///
     /// Repair I/O lands on the shard tracker and is folded into the
     /// wrapper tracker like any other delegated work; each healed shard
@@ -542,7 +545,7 @@ impl ShardedMethod {
                 ))
             })?;
             let mut fresh = factory(index);
-            fresh.set_trace_sink(Arc::clone(&self.sink));
+            succeed(fresh.as_mut(), guard.tracker(), &self.sink);
             *guard = fresh;
             true
         };

@@ -93,7 +93,7 @@ pub struct LsmTree<D: BlockDevice = MemDevice> {
     compactions: u64,
     /// Structured-event channel for flush/compaction records; the disabled
     /// [`NoopSink`](rum_core::trace::NoopSink) by default.
-    sink: Arc<dyn TraceSink>,
+    pub(crate) sink: Arc<dyn TraceSink>,
     /// Cross-run sorted view, present once a view-enabled range has built
     /// it. A flush or compaction leaves the anchors resident but stale.
     view: Option<SortedView>,

@@ -10,18 +10,16 @@
 //! [`advise`] maps an observed operation mix to an [`LsmConfig`];
 //! [`retune`] applies a new configuration to a live tree, performing a
 //! major compaction so the new shape takes effect immediately, and
-//! returns what that migration cost.
+//! returns what that migration cost. [`LsmTree`]'s [`Morphable`] face,
+//! which the [`AutoTuner`](rum_core::autotune::AutoTuner) drives, uses
+//! both.
 
 use std::sync::Arc;
 
-use rum_core::autotune::{MigrationReceipt, Morphable, RetuneEstimate};
-use rum_core::trace::TraceSink;
-use rum_core::tracker::CostTracker;
+use rum_core::autotune::{migrate, MigrationReceipt, Morphable, RetuneEstimate};
 use rum_core::wizard::{Environment, Family};
 use rum_core::workload::OpMix;
-use rum_core::{
-    AccessMethod, Key, Record, Result, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
-};
+use rum_core::{AccessMethod, Result, RECORDS_PER_PAGE};
 
 use crate::tree::{CompactionPolicy, LsmConfig, LsmTree};
 
@@ -138,31 +136,22 @@ pub fn describe(cfg: &LsmConfig) -> String {
 }
 
 /// Apply `config` to a live tree: its contents are drained and rebuilt
-/// under the new shape (a major compaction). The rebuilt tree absorbs the
-/// old tree's account before it loads, so the costs accumulated so far
-/// carry forward and the drain and rebuild I/O land on top of them, where
+/// under the new shape (a major compaction) by [`migrate`], so the rebuilt
+/// tree takes over the old tree's account and trace sink before it loads,
+/// and the flush, drain and rebuild I/O land on top of the history, where
 /// the runner's phase accounting books them as UO. The
 /// [`MigrationReceipt`] prices that I/O and the transient double-residency
 /// (old shape + drain buffer) as MO.
 pub fn retune(tree: &mut LsmTree, config: LsmConfig) -> Result<MigrationReceipt> {
-    let from = describe(tree.config());
-    let old_resident = tree.space_profile().total_bytes();
-    let before = tree.tracker().snapshot();
-    tree.flush()?;
-    let all: Vec<Record> = tree.range_impl(0, u64::MAX)?;
-    let buffer_bytes = (all.len() * RECORD_SIZE) as u64;
     let mut rebuilt = LsmTree::with_config(config);
-    rebuilt.tracker().absorb(&tree.tracker().snapshot());
-    rebuilt.bulk_load_impl(&all)?;
+    let sink = Arc::clone(&tree.sink);
+    let shapes = [describe(tree.config()), describe(&config)];
+    let receipt = migrate(tree, &mut rebuilt, &sink, shapes, |t| {
+        t.flush()?;
+        t.range_impl(0, u64::MAX)
+    })?;
     *tree = rebuilt;
-    let delta = tree.tracker().since(&before);
-    Ok(MigrationReceipt {
-        from,
-        to: describe(tree.config()),
-        bytes_read: delta.total_read_bytes(),
-        bytes_written: delta.total_write_bytes(),
-        peak_extra_bytes: old_resident + buffer_bytes,
-    })
+    Ok(receipt)
 }
 
 /// Toggle only the sorted view, priced: the one re-tune that needs no
@@ -184,23 +173,20 @@ pub fn toggle_view_priced(tree: &mut LsmTree, on: bool) -> Result<MigrationRecei
     })
 }
 
-/// An [`LsmTree`] that knows how to reshape itself: the [`Morphable`]
-/// face the [`AutoTuner`](rum_core::autotune::AutoTuner) drives.
-pub struct SelfTuningLsm {
-    tree: LsmTree,
-}
+/// A self-tuning LSM is an [`LsmTree`]: the tree is itself
+/// [`Morphable`]. This name only builds one, for callers that spell it.
+pub enum SelfTuningLsm {}
 
 impl SelfTuningLsm {
-    /// Wrap a live tree.
-    pub fn new(tree: LsmTree) -> Self {
-        SelfTuningLsm { tree }
+    /// The tree itself, ready for the
+    /// [`AutoTuner`](rum_core::autotune::AutoTuner).
+    #[allow(clippy::new_ret_no_self)]
+    pub fn new(tree: LsmTree) -> LsmTree {
+        tree
     }
+}
 
-    /// The wrapped tree.
-    pub fn tree(&self) -> &LsmTree {
-        &self.tree
-    }
-
+impl LsmTree {
     /// The advised shape for `mix`, keeping the live memtable size:
     /// `advise` tunes policy/ratio/filter/view, not the write buffer, so
     /// a tree with a non-default memtable must not look perpetually
@@ -214,10 +200,10 @@ impl SelfTuningLsm {
     /// so any value prices the comparison.)
     fn advised_for(&self, mix: &OpMix) -> LsmConfig {
         let mut cfg = LsmConfig {
-            memtable_records: self.tree.config().memtable_records,
+            memtable_records: self.config().memtable_records,
             ..advise(mix)
         };
-        let n = self.tree.len().max(1);
+        let n = self.len().max(1);
         let cost = |sorted_view| expected_cost(&LsmConfig { sorted_view, ..cfg }, mix, n, 16);
         cfg.sorted_view = cost(true) < cost(false);
         cfg
@@ -227,7 +213,7 @@ impl SelfTuningLsm {
     /// when a cheap path exists (a view-only toggle skips the drain: on
     /// costs one whole-tree scan plus the anchors, off is a free drop).
     fn cheap_bill(&self, advised: &LsmConfig) -> Option<f64> {
-        let current = self.tree.config();
+        let current = self.config();
         let view_only = LsmConfig {
             sorted_view: current.sorted_view,
             ..*advised
@@ -236,82 +222,31 @@ impl SelfTuningLsm {
             return None;
         }
         Some(if advised.sorted_view {
-            2.5 * self.tree.len() as f64 / RECORDS_PER_PAGE as f64
+            2.5 * self.len() as f64 / RECORDS_PER_PAGE as f64
         } else {
             0.0
         })
     }
 }
 
-impl AccessMethod for SelfTuningLsm {
-    fn name(&self) -> String {
-        self.tree.name()
-    }
-
-    fn len(&self) -> usize {
-        self.tree.len()
-    }
-
-    fn tracker(&self) -> &Arc<CostTracker> {
-        self.tree.tracker()
-    }
-
-    fn space_profile(&self) -> SpaceProfile {
-        self.tree.space_profile()
-    }
-
-    fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
-        self.tree.get_impl(key)
-    }
-
-    fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-        self.tree.range_impl(lo, hi)
-    }
-
-    fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        self.tree.insert_impl(key, value)
-    }
-
-    fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        self.tree.update_impl(key, value)
-    }
-
-    fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        self.tree.delete_impl(key)
-    }
-
-    fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        self.tree.bulk_load_impl(records)
-    }
-
-    fn flush(&mut self) -> Result<()> {
-        self.tree.flush()
-    }
-
-    fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
-        self.tree.set_trace_sink(sink);
-    }
-
-    fn try_heal(&mut self) -> Result<bool> {
-        self.tree.try_heal()
-    }
-}
-
-impl Morphable for SelfTuningLsm {
+/// An LSM reshapes itself: the [`Morphable`] face the
+/// [`AutoTuner`](rum_core::autotune::AutoTuner) drives re-tunes its knobs
+/// in place and declines every other family.
+impl Morphable for LsmTree {
     fn family(&self) -> Family {
         Family::LsmTree
     }
 
     fn shape(&self) -> String {
-        describe(self.tree.config())
+        describe(self.config())
     }
 
     fn retune_gain(&mut self, mix: &OpMix, env: &Environment) -> Option<RetuneEstimate> {
         let advised = self.advised_for(mix);
-        if advised == *self.tree.config() {
+        if advised == *self.config() {
             return None;
         }
-        let current_cost = expected_cost(self.tree.config(), mix, env.n, env.m);
+        let current_cost = expected_cost(self.config(), mix, env.n, env.m);
         let advised_cost = expected_cost(&advised, mix, env.n, env.m);
         if advised_cost >= current_cost {
             return None;
@@ -329,13 +264,13 @@ impl Morphable for SelfTuningLsm {
             return Ok(None);
         }
         let advised = self.advised_for(mix);
-        if advised == *self.tree.config() {
+        if advised == *self.config() {
             return Ok(None);
         }
         if self.cheap_bill(&advised).is_some() {
-            return toggle_view_priced(&mut self.tree, advised.sorted_view).map(Some);
+            return toggle_view_priced(self, advised.sorted_view).map(Some);
         }
-        retune(&mut self.tree, advised).map(Some)
+        retune(self, advised).map(Some)
     }
 }
 
@@ -493,7 +428,7 @@ mod tests {
             ..Default::default()
         };
         let balanced = advise(&OpMix::BALANCED);
-        let mut m = SelfTuningLsm::new(LsmTree::with_config(balanced));
+        let mut m = LsmTree::with_config(balanced);
         for k in 0..4096u64 {
             m.insert(k, k).unwrap();
         }
@@ -513,7 +448,7 @@ mod tests {
             .unwrap()
             .expect("morph should happen");
         assert!(receipt.bytes_written > 0);
-        assert_eq!(m.tree().config().policy, CompactionPolicy::Tiering);
+        assert_eq!(m.config().policy, CompactionPolicy::Tiering);
         assert_eq!(m.len(), 4096);
         // Foreign families are declined without touching the tree.
         assert!(m

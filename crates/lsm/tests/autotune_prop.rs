@@ -10,7 +10,7 @@ use rum_core::runner::run_stream_autotuned;
 use rum_core::trace::{noop_sink, TraceCollector};
 use rum_core::wizard::{Constraints, Environment};
 use rum_core::workload::{Drift, OpMix, OpStream, WorkloadSpec};
-use rum_lsm::tuning::{advise, SelfTuningLsm};
+use rum_lsm::tuning::advise;
 use rum_lsm::{LsmConfig, LsmTree};
 
 const N: usize = 4096;
@@ -58,7 +58,7 @@ fn run_tuned(start: &OpMix, mix: OpMix, drift: Drift, seed: u64) -> AutoTuneSumm
         memtable_records: 256,
         ..advise(start)
     };
-    let mut method = SelfTuningLsm::new(LsmTree::with_config(config));
+    let mut method = LsmTree::with_config(config);
     let mut tuner = AutoTuner::new(
         reactive(),
         start,

@@ -14,8 +14,6 @@ use rum_core::{
     Value, RECORD_SIZE,
 };
 
-#[allow(dead_code)]
-const NIL: u32 = u32::MAX;
 /// Key depth in bytes (u64 keys, 8-bit stride).
 const DEPTH: usize = 8;
 /// Bytes charged per node inspection: header + one child entry probed.

@@ -49,7 +49,7 @@ impl Zone {
         self.count > 0 && self.min <= hi && self.max >= lo
     }
 
-    fn absorb(&mut self, r: &Record) {
+    fn cover(&mut self, r: &Record) {
         self.min = self.min.min(r.key);
         self.max = self.max.max(r.key);
         self.count += 1;
@@ -151,7 +151,7 @@ impl ZoneMappedColumn {
         let mut z = Zone::empty();
         let pages = self.zone_pages(zi);
         self.file.scan(&mut self.pager, pages, |_, recs| {
-            recs.iter().for_each(|r| z.absorb(&r));
+            recs.iter().for_each(|r| z.cover(&r));
             ControlFlow::<()>::Continue(())
         })?;
         if zi < self.zones.len() {
@@ -283,7 +283,7 @@ impl AccessMethod for ZoneMappedColumn {
         if zi >= self.zones.len() {
             self.zones.push(Zone::empty());
         }
-        self.zones[zi].absorb(&Record::new(key, value));
+        self.zones[zi].cover(&Record::new(key, value));
         self.tracker.write(DataClass::Aux, Zone::BYTES);
         Ok(())
     }
@@ -342,7 +342,7 @@ impl AccessMethod for ZoneMappedColumn {
         for chunk in records.chunks(self.p()) {
             let mut z = Zone::empty();
             for r in chunk {
-                z.absorb(r);
+                z.cover(r);
             }
             self.zones.push(z);
         }

@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use rum_core::trace::{EventKind, TraceSink};
 use rum_core::{
-    AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError, SpaceProfile, Value,
-    PAGE_SIZE, RECORD_SIZE,
+    succeed, AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError, SpaceProfile,
+    Value, PAGE_SIZE, RECORD_SIZE,
 };
 
 use crate::fault::FaultInjector;
@@ -242,9 +242,9 @@ impl<M: AccessMethod> Durable<M> {
         let replay = self.wal.replay();
         let before = self.inner.tracker().snapshot();
         let mut fresh = (self.factory)();
-        // Accounting continuity: the reborn structure inherits the history
-        // of charges, then pays for its own recovery I/O on top.
-        fresh.tracker().absorb(&self.inner.tracker().snapshot());
+        // The reborn structure inherits the history of charges and the
+        // trace sink, then pays for its own recovery I/O on top.
+        succeed(&mut fresh, self.inner.tracker(), &self.sink);
         if !self.checkpoint.is_empty() {
             fresh.bulk_load_impl(&self.checkpoint)?;
         }

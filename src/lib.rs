@@ -166,6 +166,12 @@ pub fn standard_suite() -> Vec<Box<dyn AccessMethod>> {
     ]
 }
 
+/// A fresh instance of the [`standard_suite`] method whose `name()` is
+/// `name`, if the suite has one.
+pub fn suite_method(name: &str) -> Option<Box<dyn AccessMethod>> {
+    standard_suite().into_iter().find(|m| m.name() == name)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

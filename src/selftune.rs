@@ -5,8 +5,9 @@
 //!
 //! [`FamilyMorph`] wraps any suite structure and reports the resident
 //! structure's own [`CostTracker`]. A family swap (drain → build → bulk
-//! load) hands the old account to the new structure before it loads, so
-//! the costs accumulated so far carry forward and the swap is just another
+//! load, one [`migrate`]) hands the old account and the trace sink to the
+//! new structure before it loads, so the costs accumulated so far carry
+//! forward and the swap is just another
 //! priced reorganization — its I/O lands in UO and its transient
 //! double-residency is reported as MO in the [`MigrationReceipt`]. The
 //! [`AutoTuner`](rum_core::autotune::AutoTuner) drives swaps through the
@@ -14,31 +15,21 @@
 
 use std::sync::Arc;
 
-use rum_core::autotune::{MigrationReceipt, Morphable, RetuneEstimate};
+use rum_core::autotune::{migrate, MigrationReceipt, Morphable, RetuneEstimate};
 use rum_core::trace::TraceSink;
 use rum_core::wizard::{Environment, Family};
 use rum_core::workload::OpMix;
-use rum_core::{AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE};
+use rum_core::{AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value};
 
-/// Build a fresh, empty representative of `family`, or `None` for
-/// families that cannot serve the full range contract (hash indexes).
-///
-/// The LSM memtable matches [`standard_suite`](crate::standard_suite)'s
-/// sizing so drift-scale write streams actually flush and compact.
+/// Build a fresh, empty representative of `family`: the
+/// [`standard_suite`](crate::standard_suite) method it is calibrated from
+/// ([`Family::suite_method`]), so a drift-scale LSM flushes and compacts
+/// at the suite's memtable size. `None` for families that cannot serve
+/// the full range contract (hash indexes).
 pub fn build_family(family: Family) -> Option<Box<dyn AccessMethod>> {
     match family {
-        Family::BTree => Some(Box::new(crate::btree::BTree::new())),
         Family::HashIndex => None,
-        Family::ZoneMap => Some(Box::new(crate::sparse::ZoneMappedColumn::new())),
-        Family::LsmTree => Some(Box::new(crate::lsm::LsmTree::with_config(
-            crate::lsm::LsmConfig {
-                memtable_records: 256,
-                ..Default::default()
-            },
-        ))),
-        Family::SortedColumn => Some(Box::new(crate::columns::SortedColumn::new())),
-        Family::UnsortedColumn => Some(Box::new(crate::columns::UnsortedColumn::new())),
-        Family::CrackedColumn => Some(Box::new(crate::adaptive::CrackedColumn::new())),
+        _ => crate::suite_method(family.suite_method()),
     }
 }
 
@@ -136,9 +127,8 @@ impl Morphable for FamilyMorph {
 
     fn retune_gain(&mut self, _mix: &OpMix, _env: &Environment) -> Option<RetuneEstimate> {
         // The facade has no knobs of its own; in-place advice belongs to
-        // knob-aware wrappers like `rum_lsm::tuning::SelfTuningLsm`. The
-        // tuner's family-swap path (calibrated advisor ranking) is how
-        // this structure adapts.
+        // knob-aware structures like `LsmTree`. The tuner's family-swap
+        // path (calibrated advisor ranking) is how this structure adapts.
         None
     }
 
@@ -149,35 +139,27 @@ impl Morphable for FamilyMorph {
         let Some(mut fresh) = build_family(family) else {
             return Ok(None);
         };
-        let from = self.shape();
-        let old_resident = self.inner.space_profile().total_bytes();
-        let mark = self.inner.tracker().snapshot();
         // Drain through the priced read path: the old shape's RO is the
         // first half of the migration bill.
-        let all = self.inner.range_impl(0, u64::MAX)?;
-        // The new shape inherits the account, then pays for its build on
-        // top of it.
-        fresh.tracker().absorb(&self.inner.tracker().snapshot());
-        fresh.set_trace_sink(Arc::clone(&self.sink));
-        fresh.bulk_load_impl(&all)?;
+        let shapes = [self.shape(), format!("{family:?}")];
+        let receipt = migrate(
+            self.inner.as_mut(),
+            fresh.as_mut(),
+            &self.sink,
+            shapes,
+            |m| m.range_impl(0, u64::MAX),
+        )?;
         self.inner = fresh;
         self.family = family;
         self.swaps += 1;
-        let delta = self.inner.tracker().since(&mark);
-        Ok(Some(MigrationReceipt {
-            from,
-            to: self.shape(),
-            bytes_read: delta.total_read_bytes(),
-            bytes_written: delta.total_write_bytes(),
-            peak_extra_bytes: old_resident + (all.len() * RECORD_SIZE) as u64,
-        }))
+        Ok(Some(receipt))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rum_core::{AccessMethod, CostSnapshot};
+    use rum_core::{AccessMethod, CostSnapshot, RECORD_SIZE};
 
     #[test]
     fn every_range_capable_family_builds() {

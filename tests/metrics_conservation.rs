@@ -42,15 +42,8 @@ const STACKS: [&str; 5] = [
     "lsm-tree+wal",
 ];
 
-fn find(name: &str) -> Box<dyn AccessMethod> {
-    rum::standard_suite()
-        .into_iter()
-        .find(|m| m.name() == name)
-        .unwrap_or_else(|| panic!("{name} not in standard_suite"))
-}
-
 fn metered_run(name: &str) -> (RumReport, DebtSnapshot, CostSnapshot) {
-    let mut method = find(name);
+    let mut method = rum::suite_method(name).expect("suite method");
     let plane = MetricsPlane::shared();
     let sink = plane.sink();
     method.set_trace_sink(sink.clone());
@@ -114,7 +107,7 @@ fn view_rebuilds_reattribute_bytes_from_readers_to_writers() {
 #[test]
 fn metered_run_is_bit_identical_to_plain_run() {
     for name in STACKS {
-        let mut plain = find(name);
+        let mut plain = rum::suite_method(name).expect("suite method");
         let baseline = run_stream(plain.as_mut(), OpStream::new(&spec()))
             .unwrap_or_else(|e| panic!("{name}: plain run failed: {e}"));
         let (observed, _, _) = metered_run(name);
@@ -129,7 +122,7 @@ fn metered_run_is_bit_identical_to_plain_run() {
 #[test]
 fn latency_series_are_the_collectors_histograms() {
     for (mix, writes) in [(OpMix::BALANCED, true), (OpMix::READ_ONLY, false)] {
-        let mut method = find("b+tree");
+        let mut method = rum::suite_method("b+tree").expect("suite method");
         let plane = MetricsPlane::new();
         let mut trace = TraceCollector::new(256, plane.sink());
         let spec = WorkloadSpec { mix, ..spec() };

@@ -136,11 +136,7 @@ fn every_observer_and_every_source_reports_what_plain_run_stream_reports() {
                     .expect("B+-tree is range-capable"),
             )
         },
-        || {
-            Box::new(rum::lsm::tuning::SelfTuningLsm::new(
-                rum::lsm::LsmTree::new(),
-            ))
-        },
+        || Box::new(rum::lsm::LsmTree::new()),
     ];
     for fresh in morphables {
         let name = fresh().name();
