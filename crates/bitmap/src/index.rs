@@ -14,7 +14,6 @@ use rum_core::{
     check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
     Value,
 };
-use rum_storage::{MemDevice, Pager};
 
 use crate::updatable::UpdateFriendlyBitmap;
 
@@ -46,8 +45,6 @@ pub struct BitmapIndex {
     bitmaps: Vec<UpdateFriendlyBitmap>,
     config: BitmapConfig,
     live: usize,
-    pager: Pager<MemDevice>,
-    tracker: Arc<CostTracker>,
 }
 
 impl BitmapIndex {
@@ -57,16 +54,13 @@ impl BitmapIndex {
 
     pub fn with_config(config: BitmapConfig) -> Self {
         assert!(config.bins >= 1);
-        let tracker = CostTracker::new();
         BitmapIndex {
-            rows: PackedFile::new(),
+            rows: PackedFile::default(),
             bitmaps: (0..config.bins)
                 .map(|_| UpdateFriendlyBitmap::new(0, config.merge_threshold))
                 .collect(),
             config,
             live: 0,
-            pager: Pager::new(MemDevice::new(), Arc::clone(&tracker)),
-            tracker,
         }
     }
 
@@ -81,13 +75,13 @@ impl BitmapIndex {
 
     /// Charge reading one bin's bitmap (auxiliary traffic).
     fn charge_bitmap_read(&self, bin: usize) {
-        self.tracker
+        self.tracker()
             .read(DataClass::Aux, self.bitmaps[bin].size_bytes());
     }
 
     /// Charge a delta update to one bin's bitmap.
     fn charge_bitmap_write(&self) {
-        self.tracker.write(DataClass::Aux, 8);
+        self.tracker().write(DataClass::Aux, 8);
     }
 
     fn grow_bitmaps(&mut self, rows: u64) {
@@ -102,7 +96,7 @@ impl BitmapIndex {
         let bin = self.bin_of(key);
         self.charge_bitmap_read(bin);
         for row in self.bitmaps[bin].iter_ones() {
-            if self.rows.get(&mut self.pager, row as usize)?.key == key {
+            if self.rows.get(row as usize)?.key == key {
                 return Ok(Some(row));
             }
         }
@@ -131,18 +125,18 @@ impl AccessMethod for BitmapIndex {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.rows.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {
         let bitmap_bytes: u64 = self.bitmaps.iter().map(|b| b.size_bytes()).sum();
-        let physical = self.pager.physical_bytes() + self.rows.directory_bytes() + bitmap_bytes;
+        let physical = self.rows.physical_bytes() + bitmap_bytes;
         SpaceProfile::from_physical(self.live, physical)
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
         match self.find_row(key)? {
-            Some(row) => Ok(Some(self.rows.get(&mut self.pager, row as usize)?.value)),
+            Some(row) => Ok(Some(self.rows.get(row as usize)?.value)),
             None => Ok(None),
         }
     }
@@ -162,7 +156,7 @@ impl AccessMethod for BitmapIndex {
         rows.dedup();
         let mut out = Vec::new();
         for row in rows {
-            let rec = self.rows.get(&mut self.pager, row as usize)?;
+            let rec = self.rows.get(row as usize)?;
             if rec.key >= lo && rec.key <= hi {
                 out.push(rec);
             }
@@ -174,12 +168,11 @@ impl AccessMethod for BitmapIndex {
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         if let Some(row) = self.find_row(key)? {
             // Upsert: value change, bins untouched (bins are on the key).
-            self.rows
-                .set(&mut self.pager, row as usize, Record::new(key, value))?;
+            self.rows.set(row as usize, Record::new(key, value))?;
             return Ok(());
         }
         let row = self.rows.len() as u64;
-        self.rows.push(&mut self.pager, Record::new(key, value))?;
+        self.rows.push(Record::new(key, value))?;
         self.grow_bitmaps(row + 1);
         let bin = self.bin_of(key);
         self.bitmaps[bin].set(row);
@@ -191,8 +184,7 @@ impl AccessMethod for BitmapIndex {
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
         match self.find_row(key)? {
             Some(row) => {
-                self.rows
-                    .set(&mut self.pager, row as usize, Record::new(key, value))?;
+                self.rows.set(row as usize, Record::new(key, value))?;
                 Ok(true)
             }
             None => Ok(false),
@@ -216,7 +208,7 @@ impl AccessMethod for BitmapIndex {
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
         check_bulk_input(records)?;
-        self.rows.rebuild(&mut self.pager, records)?;
+        self.rows.rebuild(records)?;
         // Re-derive the domain so bins are balanced for this dataset.
         if let Some(last) = records.last() {
             self.config.key_domain = (last.key + 1).max(self.config.bins as u64);
@@ -231,7 +223,7 @@ impl AccessMethod for BitmapIndex {
         }
         for b in &mut self.bitmaps {
             b.merge();
-            self.tracker.write(DataClass::Aux, b.size_bytes());
+            self.rows.tracker().write(DataClass::Aux, b.size_bytes());
         }
         self.live = records.len();
         Ok(())

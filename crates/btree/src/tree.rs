@@ -50,7 +50,6 @@ impl Default for BTreeConfig {
 /// A clustered B+-tree over any block device.
 pub struct BTree<D: BlockDevice = MemDevice> {
     store: NodeStore<D>,
-    tracker: Arc<CostTracker>,
     config: BTreeConfig,
     root: NodeId,
     height: usize,
@@ -91,8 +90,7 @@ impl<D: BlockDevice> BTree<D> {
             "node_size {} too small for a B-tree node",
             config.node_size
         );
-        let tracker = CostTracker::new();
-        let mut store = NodeStore::new(device, Arc::clone(&tracker), config.node_size);
+        let mut store = NodeStore::new(device, CostTracker::new(), config.node_size);
         // Construction runs against a fresh, fault-free device: the fault
         // and checksum layers only start rejecting I/O after the tree is
         // built, so these first two page operations cannot fail unless the
@@ -103,10 +101,10 @@ impl<D: BlockDevice> BTree<D> {
         store
             .write(root, DataClass::Base, &Node::empty_leaf())
             .expect("a fresh device stores the empty root leaf");
-        tracker.reset(); // construction is not workload traffic
+        // Construction is not workload traffic.
+        store.pager().tracker().reset();
         BTree {
             store,
-            tracker,
             config,
             root,
             height: 1,
@@ -123,7 +121,6 @@ impl<D: BlockDevice> BTree<D> {
     /// structures — e.g. the partitioned B-tree — that aggregate several
     /// trees under one account).
     pub fn adopt_tracker(mut self, tracker: Arc<CostTracker>) -> Self {
-        self.tracker = Arc::clone(&tracker);
         self.store.pager_mut().set_tracker(tracker);
         self
     }
@@ -464,7 +461,7 @@ impl<D: BlockDevice> AccessMethod for BTree<D> {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.store.pager().tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {

@@ -36,18 +36,15 @@ pub struct AppendLog {
     /// (the log itself has no index; that is its defining property).
     live: HashSet<Key>,
     pager: Pager<MemDevice>,
-    tracker: Arc<CostTracker>,
 }
 
 impl AppendLog {
     pub fn new() -> Self {
-        let tracker = CostTracker::new();
         AppendLog {
             sealed: Vec::new(),
             tail: Vec::new(),
             live: HashSet::new(),
-            pager: Pager::new(MemDevice::new(), Arc::clone(&tracker)),
-            tracker,
+            pager: Pager::new(MemDevice::new(), CostTracker::new()),
         }
     }
 
@@ -58,7 +55,7 @@ impl AppendLog {
 
     fn append(&mut self, rec: Record) -> Result<()> {
         // Appending into the tail buffer costs exactly the record's bytes.
-        self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+        self.tracker().write(DataClass::Base, RECORD_SIZE as u64);
         self.tail.push(rec);
         if self.tail.len() == RECORDS_PER_PAGE {
             self.seal()?;
@@ -79,7 +76,7 @@ impl AppendLog {
         // Charge the page access directly on the device path, bypassing the
         // byte charge (Pager::write would double-count the bytes).
         self.pager.device_mut().write_page(id, &buf)?;
-        self.tracker.page_write();
+        self.tracker().page_write();
         self.sealed.push((id, self.tail.len()));
         self.tail.clear();
         Ok(())
@@ -97,13 +94,13 @@ impl AppendLog {
     fn find_latest(&mut self, key: Key) -> Result<Option<Record>> {
         // Tail first (newest), scanned backward; charge the bytes examined.
         if let Some(pos) = self.tail.iter().rposition(|r| r.key == key) {
-            self.tracker.read(
+            self.tracker().read(
                 DataClass::Base,
                 ((self.tail.len() - pos) * RECORD_SIZE) as u64,
             );
             return Ok(Some(self.tail[pos]));
         }
-        self.tracker
+        self.tracker()
             .read(DataClass::Base, (self.tail.len() * RECORD_SIZE) as u64);
         for idx in (0..self.sealed.len()).rev() {
             let hit = self.with_sealed(idx, |recs| recs.iter().rev().find(|r| r.key == key))?;
@@ -131,7 +128,7 @@ impl AccessMethod for AppendLog {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.pager.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {
@@ -154,7 +151,7 @@ impl AccessMethod for AppendLog {
         for idx in 0..self.sealed.len() {
             self.with_sealed(idx, |recs| versions.extend(recs.iter().filter(in_range)))?;
         }
-        self.tracker
+        self.tracker()
             .read(DataClass::Base, (self.tail.len() * RECORD_SIZE) as u64);
         versions.extend(self.tail.iter().copied().filter(in_range));
         // Stable: each key's versions stay oldest first, and the newest

@@ -11,50 +11,23 @@ use std::sync::Arc;
 use rum_core::{
     check_bulk_input, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value,
 };
-use rum_storage::{MemDevice, Pager};
 
 use crate::packed::PackedFile;
 
 /// Packed pages kept globally sorted by key.
+#[derive(Default)]
 pub struct SortedColumn {
     file: PackedFile,
-    pager: Pager<MemDevice>,
-    tracker: Arc<CostTracker>,
 }
 
 impl SortedColumn {
     pub fn new() -> Self {
-        let tracker = CostTracker::new();
-        SortedColumn {
-            file: PackedFile::new(),
-            pager: Pager::new(MemDevice::new(), Arc::clone(&tracker)),
-            tracker,
-        }
+        Self::default()
     }
 
-    /// Binary search over global record indices; each probe charges the
-    /// page it lands on (the tail probes share the final page thanks to
-    /// the packed file's one-page memo). Returns `Ok(idx)` for a hit and
-    /// `Err(insertion_idx)` for a miss, like `slice::binary_search`.
+    /// [`PackedFile::search`] over the whole column.
     fn search(&mut self, key: Key) -> Result<std::result::Result<usize, usize>> {
-        let mut lo = 0usize;
-        let mut hi = self.file.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let rec = self.file.get(&mut self.pager, mid)?;
-            match rec.key.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(Ok(mid)),
-            }
-        }
-        Ok(Err(lo))
-    }
-}
-
-impl Default for SortedColumn {
-    fn default() -> Self {
-        Self::new()
+        self.file.search(key, 0..self.file.len())
     }
 }
 
@@ -68,17 +41,16 @@ impl AccessMethod for SortedColumn {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.file.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {
-        let physical = self.pager.physical_bytes() + self.file.directory_bytes();
-        SpaceProfile::from_physical(self.file.len(), physical)
+        SpaceProfile::from_physical(self.file.len(), self.file.physical_bytes())
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
         match self.search(key)? {
-            Ok(idx) => Ok(Some(self.file.get(&mut self.pager, idx)?.value)),
+            Ok(idx) => Ok(Some(self.file.get(idx)?.value)),
             Err(_) => Ok(None),
         }
     }
@@ -88,23 +60,20 @@ impl AccessMethod for SortedColumn {
             Ok(i) | Err(i) => i,
         };
         // Sequential page reads from the start position.
-        self.file.range_from(&mut self.pager, start, hi)
+        self.file.range_from(start, hi)
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         match self.search(key)? {
-            Ok(idx) => self.file.set(&mut self.pager, idx, Record::new(key, value)),
-            Err(idx) => self
-                .file
-                .insert_at(&mut self.pager, idx, Record::new(key, value)),
+            Ok(idx) => self.file.set(idx, Record::new(key, value)),
+            Err(idx) => self.file.insert_at(idx, Record::new(key, value)),
         }
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
         match self.search(key)? {
             Ok(idx) => {
-                self.file
-                    .set(&mut self.pager, idx, Record::new(key, value))?;
+                self.file.set(idx, Record::new(key, value))?;
                 Ok(true)
             }
             Err(_) => Ok(false),
@@ -114,7 +83,7 @@ impl AccessMethod for SortedColumn {
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
         match self.search(key)? {
             Ok(idx) => {
-                self.file.remove_at(&mut self.pager, idx)?;
+                self.file.remove_at(idx)?;
                 Ok(true)
             }
             Err(_) => Ok(false),
@@ -123,7 +92,7 @@ impl AccessMethod for SortedColumn {
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
         check_bulk_input(records)?;
-        self.file.rebuild(&mut self.pager, records)
+        self.file.rebuild(records)
     }
 }
 

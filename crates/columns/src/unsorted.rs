@@ -12,17 +12,14 @@ use std::sync::Arc;
 
 use rum_core::{
     check_bulk_input, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value,
-    RECORDS_PER_PAGE,
 };
-use rum_storage::{MemDevice, Pager};
 
 use crate::packed::PackedFile;
 
 /// A heap of packed pages; records appear in arrival order.
+#[derive(Default)]
 pub struct UnsortedColumn {
     file: PackedFile,
-    pager: Pager<MemDevice>,
-    tracker: Arc<CostTracker>,
     /// Blind-append mode: `insert` skips the uniqueness scan (the paper's
     /// O(1) heap append). The caller guarantees fresh keys.
     blind: bool,
@@ -30,13 +27,7 @@ pub struct UnsortedColumn {
 
 impl UnsortedColumn {
     pub fn new() -> Self {
-        let tracker = CostTracker::new();
-        UnsortedColumn {
-            file: PackedFile::new(),
-            pager: Pager::new(MemDevice::new(), Arc::clone(&tracker)),
-            tracker,
-            blind: false,
-        }
+        Self::default()
     }
 
     /// A column whose inserts are blind appends, matching the paper's
@@ -49,22 +40,9 @@ impl UnsortedColumn {
         }
     }
 
-    /// Scan for `key`; returns its global index. The scan stops on the
-    /// page holding it, so a `get`/`set` of that index is a memo hit.
+    /// [`PackedFile::find`] over the whole column.
     fn find(&mut self, key: Key) -> Result<Option<usize>> {
-        let pages = 0..self.file.num_pages();
-        self.file.scan(&mut self.pager, pages, |page_idx, recs| {
-            match recs.iter().position(|r| r.key == key) {
-                Some(slot) => ControlFlow::Break(page_idx * RECORDS_PER_PAGE + slot),
-                None => ControlFlow::Continue(()),
-            }
-        })
-    }
-}
-
-impl Default for UnsortedColumn {
-    fn default() -> Self {
-        Self::new()
+        self.file.find(key, 0..self.file.num_pages())
     }
 }
 
@@ -78,17 +56,16 @@ impl AccessMethod for UnsortedColumn {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.file.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {
-        let physical = self.pager.physical_bytes() + self.file.directory_bytes();
-        SpaceProfile::from_physical(self.file.len(), physical)
+        SpaceProfile::from_physical(self.file.len(), self.file.physical_bytes())
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
         match self.find(key)? {
-            Some(idx) => Ok(Some(self.file.get(&mut self.pager, idx)?.value)),
+            Some(idx) => Ok(Some(self.file.get(idx)?.value)),
             None => Ok(None),
         }
     }
@@ -97,7 +74,7 @@ impl AccessMethod for UnsortedColumn {
         // Full scan, filter, sort — there is no order to exploit.
         let mut out = Vec::new();
         let pages = 0..self.file.num_pages();
-        self.file.scan(&mut self.pager, pages, |_, recs| {
+        self.file.scan(pages, |_, recs| {
             out.extend(recs.iter().filter(|r| r.key >= lo && r.key <= hi));
             ControlFlow::<()>::Continue(())
         })?;
@@ -108,20 +85,19 @@ impl AccessMethod for UnsortedColumn {
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         if self.blind {
             // The paper's heap append: O(1), no uniqueness scan.
-            return self.file.push(&mut self.pager, Record::new(key, value));
+            return self.file.push(Record::new(key, value));
         }
         // Upsert semantics require a scan to preserve key uniqueness.
         match self.find(key)? {
-            Some(idx) => self.file.set(&mut self.pager, idx, Record::new(key, value)),
-            None => self.file.push(&mut self.pager, Record::new(key, value)),
+            Some(idx) => self.file.set(idx, Record::new(key, value)),
+            None => self.file.push(Record::new(key, value)),
         }
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
         match self.find(key)? {
             Some(idx) => {
-                self.file
-                    .set(&mut self.pager, idx, Record::new(key, value))?;
+                self.file.set(idx, Record::new(key, value))?;
                 Ok(true)
             }
             None => Ok(false),
@@ -134,10 +110,10 @@ impl AccessMethod for UnsortedColumn {
                 // Swap-remove: move the tail record into the hole.
                 let last = self.file.len() - 1;
                 if idx != last {
-                    let tail = self.file.get(&mut self.pager, last)?;
-                    self.file.set(&mut self.pager, idx, tail)?;
+                    let tail = self.file.get(last)?;
+                    self.file.set(idx, tail)?;
                 }
-                self.file.pop(&mut self.pager)?;
+                self.file.pop()?;
                 Ok(true)
             }
             None => Ok(false),
@@ -146,13 +122,14 @@ impl AccessMethod for UnsortedColumn {
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
         check_bulk_input(records)?;
-        self.file.rebuild(&mut self.pager, records)
+        self.file.rebuild(records)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rum_core::RECORDS_PER_PAGE;
 
     fn loaded(n: u64) -> UnsortedColumn {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k, k * 2)).collect();

@@ -1,11 +1,13 @@
 //! Property-based differential tests for the column organizations and the
-//! §2 extreme designs.
+//! §2 extreme designs, and reference tests for the packed file's two shared
+//! lookups.
 
 use proptest::prelude::*;
+use rum_columns::packed::PackedFile;
 use rum_columns::{AppendLog, DenseArray, DirectAddressArray, SortedColumn, UnsortedColumn};
 use rum_core::oracle::check;
 use rum_core::workload::Op;
-use rum_core::AccessMethod;
+use rum_core::{AccessMethod, CostSnapshot, Record, RECORDS_PER_PAGE};
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
@@ -20,6 +22,80 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn run_against_model(method: &mut dyn AccessMethod, ops: &[Op]) {
     let name = method.name();
     check(method, (Vec::new(), ops.iter().copied())).unwrap_or_else(|d| panic!("{name}: {d:?}"));
+}
+
+/// A packed file holding `keys` in order, and its records.
+fn packed(keys: impl IntoIterator<Item = u64>) -> (PackedFile, Vec<Record>) {
+    let records: Vec<Record> = keys.into_iter().map(|k| Record::new(k, k ^ 7)).collect();
+    let mut file = PackedFile::default();
+    file.rebuild(&records).unwrap();
+    (file, records)
+}
+
+/// `(a, b)` folded into an ascending range within `0..=n`.
+fn span(a: u16, b: u16, n: usize) -> std::ops::Range<usize> {
+    let (a, b) = (a as usize % (n + 1), b as usize % (n + 1));
+    a.min(b)..a.max(b)
+}
+
+/// A `get` of an index the lookup just returned is charged nothing: the
+/// lookup left its page in the memo.
+fn get_is_free(file: &mut PackedFile, idx: usize, want: Record) {
+    let before = file.tracker().snapshot();
+    assert_eq!(file.get(idx).unwrap(), want);
+    assert_eq!(file.tracker().since(&before), CostSnapshot::default());
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `search` answers what `slice::binary_search` answers on the records
+    /// it is given, over files and ranges that cross page boundaries.
+    #[test]
+    fn packed_search_is_binary_search(
+        keys in proptest::collection::btree_set(any::<u16>(), 0..4 * RECORDS_PER_PAGE),
+        (a, b, key, live) in (any::<u16>(), any::<u16>(), any::<u16>(), any::<bool>()),
+    ) {
+        let (mut file, records) = packed(keys.into_iter().map(u64::from));
+        let r = span(a, b, records.len());
+        // Half the probes are keys the range holds.
+        let key = if live && !r.is_empty() {
+            records[r.start + key as usize % r.len()].key
+        } else {
+            u64::from(key)
+        };
+        let want = records[r.clone()]
+            .binary_search_by_key(&key, |rec| rec.key)
+            .map(|i| i + r.start)
+            .map_err(|i| i + r.start);
+        let got = file.search(key, r).unwrap();
+        prop_assert_eq!(got, want);
+        if let Ok(idx) = got {
+            get_is_free(&mut file, idx, records[idx]);
+        }
+    }
+
+    /// `find` returns the first record with the key in the pages it is
+    /// given; keys repeat, so "first" matters.
+    #[test]
+    fn packed_find_is_the_first_match(
+        keys in proptest::collection::vec(any::<u8>(), 0..4 * RECORDS_PER_PAGE),
+        (a, b, key) in (any::<u16>(), any::<u16>(), any::<u8>()),
+    ) {
+        let (mut file, records) = packed(keys.into_iter().map(u64::from));
+        let pages = span(a, b, file.num_pages());
+        let at = |page: usize| (page * RECORDS_PER_PAGE).min(records.len());
+        let first = at(pages.start);
+        let want = records[first..at(pages.end)]
+            .iter()
+            .position(|rec| rec.key == u64::from(key))
+            .map(|i| i + first);
+        let got = file.find(u64::from(key), pages).unwrap();
+        prop_assert_eq!(got, want);
+        if let Some(idx) = got {
+            get_is_free(&mut file, idx, records[idx]);
+        }
+    }
 }
 
 proptest! {

@@ -108,7 +108,6 @@ impl<'a> BucketMut<'a> {
 /// The extendible hash index.
 pub struct ExtendibleHash {
     pager: Pager<MemDevice>,
-    tracker: Arc<CostTracker>,
     /// `2^global_depth` entries; entry `i` points at the bucket page for
     /// hash prefixes equal to `i`.
     directory: Vec<PageId>,
@@ -118,8 +117,7 @@ pub struct ExtendibleHash {
 
 impl ExtendibleHash {
     pub fn new() -> Self {
-        let tracker = CostTracker::new();
-        let mut pager = Pager::new(MemDevice::new(), Arc::clone(&tracker));
+        let mut pager = Pager::new(MemDevice::new(), CostTracker::new());
         let first = pager.allocate().expect("first bucket");
         let bucket = Bucket {
             local_depth: 0,
@@ -128,10 +126,9 @@ impl ExtendibleHash {
         pager
             .write(first, DataClass::Base, &bucket.encode())
             .expect("first bucket write");
-        tracker.reset();
+        pager.tracker().reset();
         ExtendibleHash {
             pager,
-            tracker,
             directory: vec![first],
             global_depth: 0,
             live: 0,
@@ -159,7 +156,7 @@ impl ExtendibleHash {
 
     /// Charge a directory lookup (in-memory auxiliary metadata).
     fn charge_dir(&self) {
-        self.tracker.read(DataClass::Aux, 8);
+        self.pager.tracker().read(DataClass::Aux, 8);
     }
 
     /// Lend the validated bucket at `page` (local depth, records) to `f`.
@@ -309,7 +306,7 @@ impl AccessMethod for ExtendibleHash {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.pager.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {
@@ -380,7 +377,7 @@ impl AccessMethod for ExtendibleHash {
         // Rebuild in place, keeping the SAME tracker (callers hold clones
         // of it): reset to a single bucket, then insert — splits pre-size
         // the directory quickly.
-        let mut pager = Pager::new(MemDevice::new(), Arc::clone(&self.tracker));
+        let mut pager = Pager::new(MemDevice::new(), Arc::clone(self.pager.tracker()));
         let first = pager.allocate()?;
         pager.write(
             first,

@@ -25,7 +25,6 @@ const GROW_AT: f64 = 0.85;
 /// A linear-probing hash table of 16-byte slots packed 256 to a page.
 pub struct StaticHash {
     pager: Pager<MemDevice>,
-    tracker: Arc<CostTracker>,
     pages: Vec<PageId>,
     /// Total slots (pages × 256); always a power of two.
     slots: usize,
@@ -44,14 +43,12 @@ impl StaticHash {
     /// A table pre-sized for `expected` records at `load` occupancy.
     pub fn with_capacity(expected: usize, load: f64) -> Self {
         assert!((0.0..1.0).contains(&load) && load > 0.0, "bad load factor");
-        let tracker = CostTracker::new();
-        let mut pager = Pager::new(MemDevice::new(), Arc::clone(&tracker));
+        let mut pager = Pager::new(MemDevice::new(), CostTracker::new());
         let slots = Self::slots_for(expected, load);
         let pages = Self::fresh_pages(&mut pager, slots).expect("initial allocation");
-        tracker.reset();
+        pager.tracker().reset();
         StaticHash {
             pager,
-            tracker,
             pages,
             slots,
             live: 0,
@@ -203,7 +200,7 @@ impl AccessMethod for StaticHash {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.pager.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {

@@ -84,6 +84,9 @@ pub struct LsmTree<D: BlockDevice = MemDevice> {
     /// `levels[i]` holds the runs of level i, **oldest first**.
     levels: Vec<Vec<SortedRun>>,
     pager: Pager<D>,
+    /// The tree's account. Kept beside the pager's, not read from it:
+    /// `ensure_view` points the pager at a scratch tracker for the length
+    /// of a view refresh, then rebooks that traffic here.
     tracker: Arc<CostTracker>,
     /// Liveness oracle for `len()` and update/delete return values — not
     /// part of the structure (neither charged nor counted as space); an

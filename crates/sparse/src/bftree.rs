@@ -21,7 +21,6 @@ use rum_core::{
     Value, RECORDS_PER_PAGE,
 };
 use rum_sketch::QuotientFilter;
-use rum_storage::{MemDevice, Pager};
 
 /// Configuration of the approximate index.
 #[derive(Clone, Copy, Debug)]
@@ -55,8 +54,6 @@ pub struct BfTree {
     file: PackedFile,
     zones: Vec<Zone>,
     config: BfTreeConfig,
-    pager: Pager<MemDevice>,
-    tracker: Arc<CostTracker>,
 }
 
 impl BfTree {
@@ -67,13 +64,10 @@ impl BfTree {
     pub fn with_config(config: BfTreeConfig) -> Self {
         assert!(config.zone_records >= RECORDS_PER_PAGE);
         assert_eq!(config.zone_records % RECORDS_PER_PAGE, 0);
-        let tracker = CostTracker::new();
         BfTree {
-            file: PackedFile::new(),
+            file: PackedFile::default(),
             zones: Vec::new(),
             config,
-            pager: Pager::new(MemDevice::new(), Arc::clone(&tracker)),
-            tracker,
         }
     }
 
@@ -86,61 +80,37 @@ impl BfTree {
         self.zones.iter().map(|z| z.filter.size_bytes()).sum()
     }
 
-    fn zone_records(&self) -> usize {
-        self.config.zone_records
+    /// The records of zone `zi`, as global indices.
+    fn zone_records(&self, zi: usize) -> std::ops::Range<usize> {
+        let zr = self.config.zone_records;
+        zi * zr..((zi + 1) * zr).min(self.file.len())
     }
 
-    /// Zone index of record position `idx`.
-    fn zone_of_pos(&self, idx: usize) -> usize {
-        idx / self.zone_records()
-    }
-
-    /// Charge one filter probe (a handful of slots touched).
-    fn charge_filter_probe(&self) {
-        self.tracker.read(DataClass::Aux, 4);
-    }
-
-    /// Charge a filter update.
-    fn charge_filter_write(&self) {
-        self.tracker.write(DataClass::Aux, 4);
-    }
-
-    /// Binary search for `key` in the sorted file; `Ok(idx)` or
-    /// `Err(insertion_idx)`. Charges the pages probed.
+    /// [`PackedFile::search`] over the whole file.
     fn search(&mut self, key: Key) -> Result<std::result::Result<usize, usize>> {
-        let mut lo = 0usize;
-        let mut hi = self.file.len();
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let rec = self.file.get(&mut self.pager, mid)?;
-            match rec.key.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(Ok(mid)),
-            }
-        }
-        Ok(Err(lo))
+        self.file.search(key, 0..self.file.len())
     }
 
-    /// Rebuild the zone directory from the current file contents.
-    fn rebuild_zones(&mut self) -> Result<()> {
-        let n = self.file.len();
-        let zr = self.zone_records();
-        let mut zones = Vec::with_capacity(n.div_ceil(zr));
-        for zi in 0..n.div_ceil(zr) {
-            let start = zi * zr;
-            let end = ((zi + 1) * zr).min(n);
+    /// Rebuild the filters of the zone holding record `idx` and of every
+    /// zone after it: an insert or delete there shifts membership across
+    /// every later zone boundary. Each zone's records are read one `get`
+    /// at a time and its filter write is charged.
+    fn rebuild_zones_from(&mut self, idx: usize) -> Result<()> {
+        let zr = self.config.zone_records;
+        let first_zone = idx / zr;
+        self.zones.truncate(first_zone);
+        for zi in first_zone..self.file.len().div_ceil(zr) {
             let mut filter = QuotientFilter::with_capacity(zr.max(16), self.config.remainder_bits);
             let mut min_key = Key::MAX;
-            for idx in start..end {
-                let r = self.file.get(&mut self.pager, idx)?;
+            for i in self.zone_records(zi) {
+                let r = self.file.get(i)?;
                 filter.insert(r.key);
                 min_key = min_key.min(r.key);
             }
-            self.charge_filter_write();
-            zones.push(Zone { min_key, filter });
+            // One filter update.
+            self.tracker().write(DataClass::Aux, 4);
+            self.zones.push(Zone { min_key, filter });
         }
-        self.zones = zones;
         Ok(())
     }
 }
@@ -161,14 +131,12 @@ impl AccessMethod for BfTree {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.file.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {
-        let physical = self.pager.physical_bytes()
-            + self.file.directory_bytes()
-            + self.filter_bytes()
-            + self.zones.len() as u64 * 16;
+        let physical =
+            self.file.physical_bytes() + self.filter_bytes() + self.zones.len() as u64 * 16;
         SpaceProfile::from_physical(self.file.len(), physical)
     }
 
@@ -181,78 +149,45 @@ impl AccessMethod for BfTree {
         }
         // In-memory fence search (aux metadata).
         let steps = (self.zones.len().max(2) as f64).log2().ceil() as u64;
-        self.tracker.read(DataClass::Aux, steps * 8);
+        self.tracker().read(DataClass::Aux, steps * 8);
         let zi = match self.zones.binary_search_by_key(&key, |z| z.min_key) {
             Ok(i) => i,
             Err(0) => return Ok(None), // below the first zone
             Err(i) => i - 1,
         };
-        self.charge_filter_probe();
+        // One filter probe (a handful of slots touched).
+        self.tracker().read(DataClass::Aux, 4);
         if !self.zones[zi].filter.may_contain(key) {
             return Ok(None);
         }
-        // "Maybe": binary search the zone's pages.
-        let zr = self.zone_records();
-        let start = zi * zr;
-        let end = ((zi + 1) * zr).min(self.file.len());
-        let mut lo = start;
-        let mut hi = end;
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            let rec = self.file.get(&mut self.pager, mid)?;
-            match rec.key.cmp(&key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Greater => hi = mid,
-                std::cmp::Ordering::Equal => return Ok(Some(rec.value)),
-            }
+        // "Maybe": binary search the zone's pages. A miss is a false
+        // positive; a hit's `get` is a memo hit, free.
+        match self.file.search(key, self.zone_records(zi))? {
+            Ok(idx) => Ok(Some(self.file.get(idx)?.value)),
+            Err(_) => Ok(None),
         }
-        // A false positive: the filter said maybe, the zone said no.
-        Ok(None)
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-        // Ranges route by zone fences (filters answer point membership
-        // only), then scan sequentially like a sorted column.
+        // Filters answer point membership only, so a range binary-searches
+        // the whole file for its start (the zone fences are not consulted),
+        // then scans sequentially like a sorted column.
         let start = match self.search(lo)? {
             Ok(i) | Err(i) => i,
         };
-        self.file.range_from(&mut self.pager, start, hi)
+        self.file.range_from(start, hi)
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         match self.search(key)? {
-            Ok(idx) => {
-                // Value update: filters track keys only.
-                self.file.set(&mut self.pager, idx, Record::new(key, value))
-            }
+            // Value update: filters track keys only.
+            Ok(idx) => self.file.set(idx, Record::new(key, value)),
             Err(idx) => {
-                self.file
-                    .insert_at(&mut self.pager, idx, Record::new(key, value))?;
-                // The insert shifts records across zone boundaries: every
-                // zone from the insertion point on changes membership. A
-                // real BF-tree leaves slack per zone; we take the honest
+                self.file.insert_at(idx, Record::new(key, value))?;
+                // A real BF-tree leaves slack per zone; we take the honest
                 // (expensive) route and rebuild the affected filters —
                 // this is the structure's write tax.
-                let first_zone = self.zone_of_pos(idx);
-                let n = self.file.len();
-                let zr = self.zone_records();
-                // Drop stale zones and rebuild from first_zone onward.
-                self.zones.truncate(first_zone);
-                for zi in first_zone..n.div_ceil(zr) {
-                    let start = zi * zr;
-                    let end = ((zi + 1) * zr).min(n);
-                    let mut filter =
-                        QuotientFilter::with_capacity(zr.max(16), self.config.remainder_bits);
-                    let mut min_key = Key::MAX;
-                    for i in start..end {
-                        let r = self.file.get(&mut self.pager, i)?;
-                        filter.insert(r.key);
-                        min_key = min_key.min(r.key);
-                    }
-                    self.charge_filter_write();
-                    self.zones.push(Zone { min_key, filter });
-                }
-                Ok(())
+                self.rebuild_zones_from(idx)
             }
         }
     }
@@ -260,8 +195,7 @@ impl AccessMethod for BfTree {
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
         match self.search(key)? {
             Ok(idx) => {
-                self.file
-                    .set(&mut self.pager, idx, Record::new(key, value))?;
+                self.file.set(idx, Record::new(key, value))?;
                 Ok(true)
             }
             Err(_) => Ok(false),
@@ -271,27 +205,8 @@ impl AccessMethod for BfTree {
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
         match self.search(key)? {
             Ok(idx) => {
-                self.file.remove_at(&mut self.pager, idx)?;
-                // Same membership-shift problem as insert; rebuild the
-                // affected suffix of zones.
-                let first_zone = self.zone_of_pos(idx);
-                let n = self.file.len();
-                let zr = self.zone_records();
-                self.zones.truncate(first_zone);
-                for zi in first_zone..n.div_ceil(zr) {
-                    let start = zi * zr;
-                    let end = ((zi + 1) * zr).min(n);
-                    let mut filter =
-                        QuotientFilter::with_capacity(zr.max(16), self.config.remainder_bits);
-                    let mut min_key = Key::MAX;
-                    for i in start..end {
-                        let r = self.file.get(&mut self.pager, i)?;
-                        filter.insert(r.key);
-                        min_key = min_key.min(r.key);
-                    }
-                    self.charge_filter_write();
-                    self.zones.push(Zone { min_key, filter });
-                }
+                self.file.remove_at(idx)?;
+                self.rebuild_zones_from(idx)?;
                 Ok(true)
             }
             Err(_) => Ok(false),
@@ -300,8 +215,8 @@ impl AccessMethod for BfTree {
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
         check_bulk_input(records)?;
-        self.file.rebuild(&mut self.pager, records)?;
-        self.rebuild_zones()
+        self.file.rebuild(records)?;
+        self.rebuild_zones_from(0)
     }
 }
 

@@ -13,15 +13,11 @@
 use std::ops::{ControlFlow, Range};
 use std::sync::Arc;
 
+use rum_columns::packed::PackedFile;
 use rum_core::{
     check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
     Value, RECORDS_PER_PAGE,
 };
-use rum_storage::{MemDevice, Pager};
-
-// Reuse the packed-pages layout from rum-columns via a local copy of the
-// dependency; the columns crate exposes it publicly.
-use rum_columns::packed::PackedFile;
 
 /// Per-zone metadata: 32 bytes (min, max, count, sum) — the SMA extension
 /// of the plain min/max zone map.
@@ -80,8 +76,6 @@ pub struct ZoneMappedColumn {
     file: PackedFile,
     zones: Vec<Zone>,
     config: ZoneMapConfig,
-    pager: Pager<MemDevice>,
-    tracker: Arc<CostTracker>,
 }
 
 impl ZoneMappedColumn {
@@ -99,13 +93,10 @@ impl ZoneMappedColumn {
             0,
             "partition size must be page-aligned"
         );
-        let tracker = CostTracker::new();
         ZoneMappedColumn {
-            file: PackedFile::new(),
+            file: PackedFile::default(),
             zones: Vec::new(),
             config,
-            pager: Pager::new(MemDevice::new(), Arc::clone(&tracker)),
-            tracker,
         }
     }
 
@@ -123,7 +114,7 @@ impl ZoneMappedColumn {
 
     /// Charge a scan of the zone directory (auxiliary metadata).
     fn charge_zone_scan(&self) {
-        self.tracker
+        self.tracker()
             .read(DataClass::Aux, self.zones.len() as u64 * Zone::BYTES);
     }
 
@@ -135,22 +126,27 @@ impl ZoneMappedColumn {
         start / RECORDS_PER_PAGE..end.div_ceil(RECORDS_PER_PAGE)
     }
 
-    /// Find `key` within zone `zi`, reading its pages until it turns up.
-    fn find_in_zone(&mut self, zi: usize, key: Key) -> Result<Option<usize>> {
-        let pages = self.zone_pages(zi);
-        self.file.scan(&mut self.pager, pages, |page_idx, recs| {
-            match recs.iter().position(|r| r.key == key) {
-                Some(slot) => ControlFlow::Break(page_idx * RECORDS_PER_PAGE + slot),
-                None => ControlFlow::Continue(()),
+    /// The zone-pruned lookup every point op starts with: scan the zone
+    /// directory, then search each zone that may hold `key` until it turns
+    /// up. Returns the zone and the record's global index; the search stops
+    /// on the page holding it, so a `get` or `set` of that index is a memo
+    /// hit.
+    fn locate(&mut self, key: Key) -> Result<Option<(usize, usize)>> {
+        self.charge_zone_scan();
+        for zi in 0..self.zones.len() {
+            if self.zones[zi].overlaps(key, key) {
+                if let Some(idx) = self.file.find(key, self.zone_pages(zi))? {
+                    return Ok(Some((zi, idx)));
+                }
             }
-        })
+        }
+        Ok(None)
     }
 
     /// Recompute zone `zi`'s metadata by reading its pages.
     fn recompute_zone(&mut self, zi: usize) -> Result<()> {
         let mut z = Zone::empty();
-        let pages = self.zone_pages(zi);
-        self.file.scan(&mut self.pager, pages, |_, recs| {
+        self.file.scan(self.zone_pages(zi), |_, recs| {
             recs.iter().for_each(|r| z.cover(&r));
             ControlFlow::<()>::Continue(())
         })?;
@@ -161,7 +157,7 @@ impl ZoneMappedColumn {
                 self.zones.pop();
             }
             // Maintaining the sparse index costs one metadata write.
-            self.tracker.write(DataClass::Aux, Zone::BYTES);
+            self.tracker().write(DataClass::Aux, Zone::BYTES);
         }
         Ok(())
     }
@@ -184,8 +180,7 @@ impl ZoneMappedColumn {
                 sum = sum.wrapping_add(z.sum);
             } else {
                 // Partially covered: fall back to data pages.
-                let pages = self.zone_pages(zi);
-                self.file.scan(&mut self.pager, pages, |_, recs| {
+                self.file.scan(self.zone_pages(zi), |_, recs| {
                     for r in recs.iter().filter(|r| r.key >= lo && r.key <= hi) {
                         count += 1;
                         sum = sum.wrapping_add(r.value);
@@ -214,26 +209,19 @@ impl AccessMethod for ZoneMappedColumn {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.file.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {
-        let physical = self.pager.physical_bytes()
-            + self.file.directory_bytes()
-            + self.zones.len() as u64 * Zone::BYTES;
+        let physical = self.file.physical_bytes() + self.zones.len() as u64 * Zone::BYTES;
         SpaceProfile::from_physical(self.file.len(), physical)
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
-        self.charge_zone_scan();
-        for zi in 0..self.zones.len() {
-            if self.zones[zi].overlaps(key, key) {
-                if let Some(idx) = self.find_in_zone(zi, key)? {
-                    return Ok(Some(self.file.get(&mut self.pager, idx)?.value));
-                }
-            }
+        match self.locate(key)? {
+            Some((_, idx)) => Ok(Some(self.file.get(idx)?.value)),
+            None => Ok(None),
         }
-        Ok(None)
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
@@ -243,8 +231,7 @@ impl AccessMethod for ZoneMappedColumn {
             if !self.zones[zi].overlaps(lo, hi) {
                 continue;
             }
-            let pages = self.zone_pages(zi);
-            self.file.scan(&mut self.pager, pages, |_, recs| {
+            self.file.scan(self.zone_pages(zi), |_, recs| {
                 out.extend(recs.iter().filter(|r| r.key >= lo && r.key <= hi));
                 ControlFlow::<()>::Continue(())
             })?;
@@ -254,90 +241,66 @@ impl AccessMethod for ZoneMappedColumn {
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        // Upsert: check zones for an existing copy first (skipped in
-        // blind-append mode, where the caller guarantees fresh keys).
-        self.charge_zone_scan();
-        for zi in 0..if self.config.blind_appends {
-            0
-        } else {
-            self.zones.len()
-        } {
-            if self.zones[zi].overlaps(key, key) {
-                if let Some(idx) = self.find_in_zone(zi, key)? {
-                    let old = self.file.get(&mut self.pager, idx)?;
-                    self.file
-                        .set(&mut self.pager, idx, Record::new(key, value))?;
-                    // Fix the SMA sum in place; min/max are unchanged by a
-                    // value update.
-                    let z = &mut self.zones[zi];
-                    z.sum = z.sum.wrapping_sub(old.value).wrapping_add(value);
-                    self.tracker.write(DataClass::Aux, Zone::BYTES);
-                    return Ok(());
-                }
-            }
+        // Upsert: an existing copy is updated in place. Blind-append mode
+        // skips that search (the caller guarantees fresh keys) but still
+        // scans the zone directory.
+        if self.config.blind_appends {
+            self.charge_zone_scan();
+        } else if self.update_impl(key, value)? {
+            return Ok(());
         }
         // Append; extend the zone directory as needed.
-        let idx = self.file.len();
-        self.file.push(&mut self.pager, Record::new(key, value))?;
-        let zi = self.zone_of(idx);
+        let zi = self.zone_of(self.file.len());
+        self.file.push(Record::new(key, value))?;
         if zi >= self.zones.len() {
             self.zones.push(Zone::empty());
         }
         self.zones[zi].cover(&Record::new(key, value));
-        self.tracker.write(DataClass::Aux, Zone::BYTES);
+        self.tracker().write(DataClass::Aux, Zone::BYTES);
         Ok(())
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        self.charge_zone_scan();
-        for zi in 0..self.zones.len() {
-            if self.zones[zi].overlaps(key, key) {
-                if let Some(idx) = self.find_in_zone(zi, key)? {
-                    let old = self.file.get(&mut self.pager, idx)?;
-                    self.file
-                        .set(&mut self.pager, idx, Record::new(key, value))?;
-                    let z = &mut self.zones[zi];
-                    z.sum = z.sum.wrapping_sub(old.value).wrapping_add(value);
-                    self.tracker.write(DataClass::Aux, Zone::BYTES);
-                    return Ok(true);
-                }
-            }
-        }
-        Ok(false)
+        let Some((zi, idx)) = self.locate(key)? else {
+            return Ok(false);
+        };
+        let old = self.file.get(idx)?;
+        self.file.set(idx, Record::new(key, value))?;
+        // Fix the SMA sum in place; min/max are unchanged by a value
+        // update.
+        let z = &mut self.zones[zi];
+        z.sum = z.sum.wrapping_sub(old.value).wrapping_add(value);
+        self.tracker().write(DataClass::Aux, Zone::BYTES);
+        Ok(true)
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        self.charge_zone_scan();
-        for zi in 0..self.zones.len() {
-            if self.zones[zi].overlaps(key, key) {
-                if let Some(idx) = self.find_in_zone(zi, key)? {
-                    // Swap-remove with the global tail record.
-                    let last = self.file.len() - 1;
-                    let last_zone = self.zone_of(last);
-                    if idx != last {
-                        let tail = self.file.get(&mut self.pager, last)?;
-                        self.file.set(&mut self.pager, idx, tail)?;
-                    }
-                    self.file.pop(&mut self.pager)?;
-                    // Both affected zones need their metadata rebuilt: the
-                    // hole zone (a foreign record moved in) and the tail
-                    // zone (its last record left).
-                    if zi < self.zones.len() {
-                        self.recompute_zone(zi)?;
-                    }
-                    if last_zone != zi && last_zone < self.zones.len() {
-                        self.recompute_zone(last_zone)?;
-                    }
-                    return Ok(true);
-                }
-            }
+        let Some((zi, idx)) = self.locate(key)? else {
+            return Ok(false);
+        };
+        // Swap-remove with the global tail record.
+        let last = self.file.len() - 1;
+        let last_zone = self.zone_of(last);
+        if idx != last {
+            let tail = self.file.get(last)?;
+            self.file.set(idx, tail)?;
         }
-        Ok(false)
+        self.file.pop()?;
+        // Both affected zones need their metadata rebuilt: the hole zone (a
+        // foreign record moved in) and the tail zone (its last record
+        // left).
+        if zi < self.zones.len() {
+            self.recompute_zone(zi)?;
+        }
+        if last_zone != zi && last_zone < self.zones.len() {
+            self.recompute_zone(last_zone)?;
+        }
+        Ok(true)
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
         check_bulk_input(records)?;
-        self.file.rebuild(&mut self.pager, records)?;
+        self.file.rebuild(records)?;
         self.zones.clear();
         for chunk in records.chunks(self.p()) {
             let mut z = Zone::empty();
@@ -346,7 +309,7 @@ impl AccessMethod for ZoneMappedColumn {
             }
             self.zones.push(z);
         }
-        self.tracker
+        self.tracker()
             .write(DataClass::Aux, self.zones.len() as u64 * Zone::BYTES);
         Ok(())
     }

@@ -26,13 +26,23 @@
 //! one `morph_to`, its receipt folded too) and one drifting
 //! `run_stream_autotuned` run. Each is taken on two fresh instances that
 //! must agree.
+//!
+//! Configuration legs pin the settings the experiments build and the suite
+//! does not (Table 1's blind-append zone map and heap, Figure 3's zone maps
+//! at P = 1, 4 and 64 pages, `analytics_scan`'s bitmap index), each over
+//! the suite, reload and hostile legs in turn on one instance, and the zone
+//! map's SMA aggregates with their answers; again two fresh instances must
+//! agree.
 
+use rum::bitmap::{BitmapConfig, BitmapIndex};
+use rum::columns::UnsortedColumn;
 use rum::core::oracle::hostile_ops;
 use rum::core::workload::{Drift, KeyDist, OpMix, Workload, WorkloadSpec};
 use rum::lsm::tuning::advise;
 use rum::lsm::{LsmConfig, LsmTree};
 use rum::prelude::*;
 use rum::selftune::FamilyMorph;
+use rum::sparse::{ZoneMapConfig, ZoneMappedColumn};
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -184,11 +194,9 @@ fn suite_workload() -> Workload {
     })
 }
 
-#[test]
-fn per_op_charges_match_the_pinned_digests() {
-    let suite = suite_workload();
-    let hostile = hostile_ops(61, 3000, 2000);
-    let reload = Workload::generate(&WorkloadSpec {
+/// The write-heavy Zipf leg replayed after the suite leg on one instance.
+fn reload_workload() -> Workload {
+    Workload::generate(&WorkloadSpec {
         initial_records: 3000,
         operations: 3000,
         mix: OpMix::WRITE_HEAVY,
@@ -197,7 +205,14 @@ fn per_op_charges_match_the_pinned_digests() {
         miss_fraction: 0.0,
         seed: 0x52_4C_44,
         ..Default::default()
-    });
+    })
+}
+
+#[test]
+fn per_op_charges_match_the_pinned_digests() {
+    let suite = suite_workload();
+    let hostile = hostile_ops(61, 3000, 2000);
+    let reload = reload_workload();
     let methods = rum::standard_suite().len();
     assert_eq!(methods, PINNED.lines().count(), "one pin per suite method");
     let fresh = |i: usize| rum::standard_suite().swap_remove(i);
@@ -323,5 +338,78 @@ fn lifecycle_charges_match_the_pinned_digests() {
     assert!(
         table == LIFECYCLE_PINNED,
         "lifecycle charge digests moved; now:\n{table}"
+    );
+}
+
+/// A zone map of `pages`-page partitions.
+fn zonemap(pages: usize, blind_appends: bool) -> ZoneMappedColumn {
+    ZoneMappedColumn::with_config(ZoneMapConfig {
+        partition_records: pages * RECORDS_PER_PAGE,
+        blind_appends,
+    })
+}
+
+/// One line per configuration: a label, then its suite + reload + hostile
+/// digest.
+const CONFIG_PINNED: &str = "\
+table1-zonemap    5dae82b4a1cb0581
+table1-unsorted   7f46de13f2d02a32
+fig3-zonemap-1p   1fce8ee2b2bb3c6c
+fig3-zonemap-4p   ff84100d2aa5dff0
+fig3-zonemap-64p  2abd8adca777e106
+analytics-bitmap  6c2c6bba7134a635
+zonemap-aggregate 8922793537595436
+";
+
+#[test]
+fn configured_charges_match_the_pinned_digests() {
+    let (suite, reload) = (suite_workload(), reload_workload());
+    let hostile = hostile_ops(61, 3000, 2000);
+    type Build = fn() -> Box<dyn AccessMethod>;
+    let configs: [(&str, Build); 6] = [
+        ("table1-zonemap", || Box::new(zonemap(16, true))),
+        ("table1-unsorted", || {
+            Box::new(UnsortedColumn::blind_appends())
+        }),
+        ("fig3-zonemap-1p", || Box::new(zonemap(1, false))),
+        ("fig3-zonemap-4p", || Box::new(zonemap(4, false))),
+        ("fig3-zonemap-64p", || Box::new(zonemap(64, false))),
+        ("analytics-bitmap", || {
+            Box::new(BitmapIndex::with_config(BitmapConfig {
+                bins: 128,
+                key_domain: 1 << 18,
+                merge_threshold: 1024,
+            }))
+        }),
+    ];
+    let mut table = String::new();
+    for (label, build) in configs {
+        let d = twice(label, || {
+            digest(build().as_mut(), &[&suite, &reload, &hostile])
+        });
+        table += &format!("{label:<17} {d:016x}\n");
+    }
+    let aggregates = twice("zonemap aggregate", || {
+        let mut m = zonemap(16, false);
+        let mut h = Fnv(FNV_OFFSET);
+        h.load(&mut m, &suite.initial);
+        h.ops(&mut m, &suite.ops);
+        let top = suite.initial.last().expect("the suite loads records").key;
+        for (lo, hi) in [
+            (0, Key::MAX),
+            (top / 7, top / 3),
+            (top / 2, top / 2),
+            (top, Key::MAX),
+        ] {
+            let (count, sum) = h.charged(&mut m, |m| m.aggregate(lo, hi).expect("aggregate"));
+            h.word(count);
+            h.word(sum);
+        }
+        h.finish(&m)
+    });
+    table += &format!("zonemap-aggregate {aggregates:016x}\n");
+    assert!(
+        table == CONFIG_PINNED,
+        "configuration charge digests moved; now:\n{table}"
     );
 }
