@@ -7,8 +7,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value, RECORD_SIZE,
+    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
 };
 
 const CELL: u64 = RECORD_SIZE as u64;
@@ -349,7 +348,6 @@ impl AccessMethod for CrackedColumn {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.data = records.to_vec();
         self.index.clear();
         self.pending.clear();

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
+    binary_search_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
     Value, RECORD_SIZE,
 };
 
@@ -146,10 +146,8 @@ impl AdaptiveMerger {
                 let start = run.partition_point(|r| r.key < flo);
                 let end = run.partition_point(|r| r.key <= fhi);
                 // Binary searches over the run (auxiliary probing).
-                self.tracker.read(
-                    DataClass::Aux,
-                    2 * 8 * (run.len().max(2) as f64).log2().ceil() as u64,
-                );
+                self.tracker
+                    .read(DataClass::Aux, 2 * binary_search_bytes(run.len(), 8));
                 if start == end {
                     continue;
                 }
@@ -251,7 +249,6 @@ impl AccessMethod for AdaptiveMerger {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.merged.clear();
         self.covered = IntervalSet::new();
         // Initial runs: contiguous chunks, each sorted (input is sorted,

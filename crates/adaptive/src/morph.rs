@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
+    binary_search_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
     Value, RECORD_SIZE,
 };
 
@@ -136,8 +136,8 @@ impl MorphingIndex {
     fn find(&self, key: Key) -> Option<usize> {
         match self.shape {
             Shape::Sorted => {
-                let steps = (self.data.len().max(2) as f64).log2().ceil() as u64;
-                self.tracker.read(DataClass::Base, steps * CELL);
+                self.tracker
+                    .read(DataClass::Base, binary_search_bytes(self.data.len(), CELL));
                 self.data.binary_search_by_key(&key, |r| r.key).ok()
             }
             Shape::Log => {
@@ -184,9 +184,9 @@ impl AccessMethod for MorphingIndex {
             Shape::Sorted => {
                 let start = self.data.partition_point(|r| r.key < lo);
                 let end = self.data.partition_point(|r| r.key <= hi);
-                let steps = (self.data.len().max(2) as f64).log2().ceil() as u64;
+                let search = binary_search_bytes(self.data.len(), CELL);
                 self.tracker
-                    .read(DataClass::Base, steps * CELL + (end - start) as u64 * CELL);
+                    .read(DataClass::Base, search + (end - start) as u64 * CELL);
                 Ok(self.data[start..end].to_vec())
             }
             Shape::Log => {
@@ -269,7 +269,6 @@ impl AccessMethod for MorphingIndex {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.data = records.to_vec();
         self.tracker
             .write(DataClass::Base, records.len() as u64 * CELL);

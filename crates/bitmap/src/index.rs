@@ -10,10 +10,7 @@
 use std::sync::Arc;
 
 use rum_columns::packed::PackedFile;
-use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value,
-};
+use rum_core::{AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value};
 
 use crate::updatable::UpdateFriendlyBitmap;
 
@@ -207,7 +204,6 @@ impl AccessMethod for BitmapIndex {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.rows.rebuild(records)?;
         // Re-derive the domain so bins are balanced for this dataset.
         if let Some(last) = records.last() {

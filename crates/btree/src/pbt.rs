@@ -11,9 +11,7 @@
 
 use std::sync::Arc;
 
-use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value,
-};
+use rum_core::{AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value};
 use rum_storage::MemDevice;
 
 use crate::tree::{BTree, BTreeConfig};
@@ -221,7 +219,6 @@ impl AccessMethod for PartitionedBTree {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         let mut consolidated = Self::fresh_tree(&self.config, &self.tracker);
         consolidated.bulk_load_impl(records)?;
         self.partitions = vec![consolidated];

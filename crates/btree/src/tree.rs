@@ -3,8 +3,8 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, RecordSlice, Result,
-    RumError, SpaceProfile, Value,
+    AccessMethod, CostTracker, DataClass, Key, Record, RecordSlice, Result, RumError, SpaceProfile,
+    Value,
 };
 use rum_storage::{BlockDevice, CheckedDevice, MemDevice, RetryPolicy, ScrubReport};
 
@@ -529,7 +529,6 @@ impl<D: BlockDevice> AccessMethod for BTree<D> {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.store.clear()?;
         self.len = records.len();
 

@@ -15,8 +15,7 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value, RECORD_SIZE,
+    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
 };
 
 const CELL: u64 = RECORD_SIZE as u64;
@@ -128,7 +127,6 @@ impl AccessMethod for DenseArray {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.data = records.to_vec();
         self.tracker
             .write(DataClass::Base, records.len() as u64 * CELL);

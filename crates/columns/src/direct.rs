@@ -18,8 +18,8 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError,
-    SpaceProfile, Value, RECORD_SIZE,
+    AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError, SpaceProfile, Value,
+    RECORD_SIZE,
 };
 
 const CELL: u64 = RECORD_SIZE as u64;
@@ -182,7 +182,6 @@ impl AccessMethod for DirectAddressArray {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.slots.clear();
         self.live = 0;
         if let Some(last) = records.last() {

@@ -16,13 +16,13 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, encode_records, AccessMethod, CostTracker, DataClass, Key, Record,
-    RecordSlice, Result, RumError, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
+    check_not_tombstone, encode_records, AccessMethod, CostTracker, DataClass, Key, Record,
+    RecordSlice, Result, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
 };
 use rum_storage::{BlockDevice, MemDevice, PageBuf, PageId, Pager};
 
 /// Value sentinel marking a tombstone entry. User values must avoid it.
-pub const TOMBSTONE: Value = Value::MAX;
+pub use rum_core::TOMBSTONE;
 
 /// An ever-growing log of record versions.
 pub struct AppendLog {
@@ -169,22 +169,14 @@ impl AccessMethod for AppendLog {
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        if value == TOMBSTONE {
-            return Err(RumError::InvalidArgument(
-                "value u64::MAX is reserved as the tombstone sentinel".into(),
-            ));
-        }
+        check_not_tombstone(value)?;
         self.append(Record::new(key, value))?;
         self.live.insert(key);
         Ok(())
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        if value == TOMBSTONE {
-            return Err(RumError::InvalidArgument(
-                "value u64::MAX is reserved as the tombstone sentinel".into(),
-            ));
-        }
+        check_not_tombstone(value)?;
         if !self.live.contains(&key) {
             return Ok(false);
         }
@@ -202,18 +194,15 @@ impl AccessMethod for AppendLog {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
+        records
+            .iter()
+            .try_for_each(|r| check_not_tombstone(r.value))?;
         for (id, _) in self.sealed.drain(..) {
             self.pager.free(id)?;
         }
         self.tail.clear();
         self.live.clear();
         for r in records {
-            if r.value == TOMBSTONE {
-                return Err(RumError::InvalidArgument(
-                    "value u64::MAX is reserved as the tombstone sentinel".into(),
-                ));
-            }
             self.append(*r)?;
             self.live.insert(r.key);
         }

@@ -10,9 +10,7 @@
 use std::ops::ControlFlow;
 use std::sync::Arc;
 
-use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value,
-};
+use rum_core::{AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value};
 
 use crate::packed::PackedFile;
 
@@ -121,7 +119,6 @@ impl AccessMethod for UnsortedColumn {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.file.rebuild(records)
     }
 }

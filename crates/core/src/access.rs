@@ -81,12 +81,13 @@ impl SpaceProfile {
 ///   ascending key order. An inverted range (`lo > hi`) is
 ///   [`RumError::InvalidArgument`] for every method: the provided `range`
 ///   decides it before [`range_impl`](Self::range_impl) runs, so no
-///   implementor answers it its own way. Methods that fundamentally cannot
-///   answer range queries (pure hashing) return [`RumError::Unsupported`].
+///   implementor answers it its own way.
 /// * [`bulk_load`](Self::bulk_load) takes records sorted by strictly
-///   ascending key and replaces the current contents.
+///   ascending key and replaces the current contents. Any other order is
+///   [`RumError::InvalidArgument`] for every method: the provided
+///   `bulk_load` decides it before [`bulk_load_impl`](Self::bulk_load_impl)
+///   runs, so a refused load changes nothing and no hook re-checks it.
 ///
-/// [`RumError::Unsupported`]: crate::error::RumError::Unsupported
 /// [`RumError::InvalidArgument`]: crate::error::RumError::InvalidArgument
 ///
 /// [`oracle`](crate::oracle) holds a method to all of this, op by op.
@@ -144,7 +145,8 @@ pub trait AccessMethod: Send {
     /// Remove a key; `Ok(false)` if the key was known absent.
     fn delete_impl(&mut self, key: Key) -> Result<bool>;
 
-    /// Replace contents from records sorted by strictly ascending key.
+    /// Replace contents from records sorted by strictly ascending key
+    /// (the provided [`bulk_load`](Self::bulk_load) has checked the order).
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()>;
 
     /// Push any buffered state to its final place (e.g. flush an LSM
@@ -222,8 +224,10 @@ pub trait AccessMethod: Send {
     }
 
     /// Bulk load; charges the full input as the logical write, so the write
-    /// amplification of construction is meaningful.
+    /// amplification of construction is meaningful. Input whose keys are
+    /// not strictly ascending is refused here, for every method alike.
     fn bulk_load(&mut self, records: &[Record]) -> Result<()> {
+        check_bulk_input(records)?;
         self.bulk_load_impl(records)?;
         self.tracker()
             .logical_write((records.len() * RECORD_SIZE) as u64);
@@ -246,7 +250,7 @@ pub fn succeed<M: AccessMethod + ?Sized>(
 }
 
 /// Validate a bulk-load input slice: strictly ascending keys.
-pub fn check_bulk_input(records: &[Record]) -> Result<()> {
+fn check_bulk_input(records: &[Record]) -> Result<()> {
     for w in records.windows(2) {
         if w[0].key >= w[1].key {
             return Err(crate::error::RumError::InvalidArgument(format!(
@@ -302,19 +306,28 @@ mod tests {
         assert_eq!(m.tracker().snapshot(), before);
     }
 
-    #[test]
-    fn bulk_rejects_unsorted() {
-        let recs = vec![Record::new(2, 0), Record::new(1, 0)];
+    /// `Amp2`'s hook checks nothing: the refusal, and the untouched
+    /// contents and account, are the provided `bulk_load`'s.
+    fn refused_load(recs: &[Record]) {
+        let mut m = Amp2::new();
+        m.insert(7, 7).unwrap();
+        let before = m.tracker().snapshot();
         assert!(matches!(
-            check_bulk_input(&recs),
+            m.bulk_load(recs),
             Err(RumError::InvalidArgument(_))
         ));
+        assert_eq!(m.tracker().snapshot(), before);
+        assert_eq!(m.range(0, Key::MAX).unwrap(), [Record::new(7, 7)]);
+    }
+
+    #[test]
+    fn bulk_rejects_unsorted() {
+        refused_load(&[Record::new(2, 0), Record::new(1, 0)]);
     }
 
     #[test]
     fn bulk_rejects_duplicates() {
-        let recs = vec![Record::new(1, 0), Record::new(1, 1)];
-        assert!(check_bulk_input(&recs).is_err());
+        refused_load(&[Record::new(1, 0), Record::new(1, 1)]);
     }
 
     #[test]

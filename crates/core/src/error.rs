@@ -14,9 +14,6 @@ pub enum RumError {
     /// built for a fixed number of keys, or a direct-address array asked to
     /// exceed its configured key universe).
     CapacityExceeded(String),
-    /// The requested operation is not supported by this access method
-    /// (e.g. range queries on a pure hash index).
-    Unsupported(&'static str),
     /// The storage substrate rejected a request (bad page id, freed page...).
     Storage(String),
     /// An internal invariant was violated; indicates a bug.
@@ -61,7 +58,6 @@ impl fmt::Display for RumError {
         match self {
             RumError::DuplicateKey(k) => write!(f, "duplicate key {k}"),
             RumError::CapacityExceeded(m) => write!(f, "capacity exceeded: {m}"),
-            RumError::Unsupported(m) => write!(f, "unsupported operation: {m}"),
             RumError::Storage(m) => write!(f, "storage error: {m}"),
             RumError::Corrupt(m) => write!(f, "corrupt structure: {m}"),
             RumError::InvalidArgument(m) => write!(f, "invalid argument: {m}"),
@@ -105,9 +101,6 @@ mod tests {
     #[test]
     fn display_messages() {
         assert_eq!(RumError::DuplicateKey(5).to_string(), "duplicate key 5");
-        assert!(RumError::Unsupported("range on hash")
-            .to_string()
-            .contains("range on hash"));
         assert!(RumError::Storage("bad page".into())
             .to_string()
             .starts_with("storage error"));

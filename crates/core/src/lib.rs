@@ -67,7 +67,7 @@ pub mod types;
 pub mod wizard;
 pub mod workload;
 
-pub use access::{check_bulk_input, succeed, AccessMethod, SpaceProfile};
+pub use access::{succeed, AccessMethod, SpaceProfile};
 pub use autotune::{
     migrate, AutoTuneConfig, AutoTuneSummary, AutoTuner, MigrationReceipt, Morphable, OpCounts,
     RetuneEstimate, TuneKind, TunePlan,
@@ -82,8 +82,8 @@ pub use trace::{
     noop_sink, Event, EventKind, LatencyHistogram, MemorySink, NoopSink, TraceCollector, TraceSink,
     TrajectoryWindow, DEFAULT_TRACE_WINDOW,
 };
-pub use tracker::{CostSnapshot, CostTracker, DataClass};
+pub use tracker::{binary_search_bytes, CostSnapshot, CostTracker, DataClass};
 pub use types::{
-    encode_records, insert_record_at, remove_record_at, Key, Record, RecordSlice, Value, PAGE_SIZE,
-    RECORDS_PER_PAGE, RECORD_SIZE,
+    check_not_tombstone, encode_records, insert_record_at, remove_record_at, Key, Record,
+    RecordSlice, Value, PAGE_SIZE, RECORDS_PER_PAGE, RECORD_SIZE, TOMBSTONE,
 };

@@ -12,11 +12,10 @@
 //! everything [`OpStream`](crate::workload::OpStream) never emits because
 //! it only touches live keys.
 //!
-//! Two refusals are part of the contract and make the model skip the op:
-//! a range may answer [`RumError::Unsupported`] (pure hashing) and an
-//! insert [`RumError::InvalidArgument`] (a key or value the method
-//! reserves as a marker). The refused op must leave the method unchanged,
-//! which the invariants and every later answer check.
+//! One refusal is part of the contract and makes the model skip the op:
+//! an insert may answer [`RumError::InvalidArgument`] (a key or value the
+//! method reserves as a marker). The refused op must leave the method
+//! unchanged, which the invariants and every later answer check.
 
 use std::collections::BTreeMap;
 
@@ -166,8 +165,7 @@ impl Oracle {
         let agreed = agree(&got, &want)
             || matches!(
                 (op, &got),
-                (Op::Range(..), Err(RumError::Unsupported(_)))
-                    | (Op::Insert(..), Err(RumError::InvalidArgument(_)))
+                (Op::Insert(..), Err(RumError::InvalidArgument(_)))
             );
         if got.is_ok() {
             self.model.apply(op);
@@ -217,8 +215,7 @@ impl Oracle {
         Ok(acked)
     }
 
-    /// The closing full-range sweep: one last [`step`](Self::step), so a
-    /// method that refuses ranges is excused here as well.
+    /// The closing full-range sweep: one last [`step`](Self::step).
     pub fn finish<M: AccessMethod + ?Sized>(&mut self, method: &mut M) -> Verdict {
         self.step(method, Op::Range(0, Key::MAX))
     }
@@ -294,8 +291,8 @@ mod tests {
         TrackerReset,
         /// `base_bytes` counts one record too many once key 9 is in.
         ExtraBase,
-        /// Ranges are unsupported and key `u64::MAX` is reserved (both
-        /// allowed); every update fails with a transient error (not).
+        /// Key `u64::MAX` is reserved (allowed); every update fails with a
+        /// transient error (not).
         Refusing,
     }
 
@@ -346,9 +343,6 @@ mod tests {
             Ok(self.data.get(&key).copied())
         }
         fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-            if self.has(Fault::Refusing) {
-                return Err(RumError::Unsupported("range"));
-            }
             let all = self.data.range(lo..=hi);
             let kept = all.filter(|(&k, _)| !(self.has(Fault::ExclusiveHi) && k == hi));
             Ok(kept.map(|(&k, &v)| Record::new(k, v)).collect())
@@ -440,13 +434,12 @@ mod tests {
         let mut m = Faulty::new(Some(Fault::Refusing));
         let mut oracle = Oracle::load(&mut m, &[]).unwrap();
         oracle.step(&mut m, Op::Insert(1, 10)).unwrap();
-        // The two refusals the contract allows: the model skips the op.
+        // The refusal the contract allows: the model skips the op.
         oracle.step(&mut m, Op::Insert(Key::MAX, 1)).unwrap();
-        oracle.step(&mut m, Op::Range(0, 9)).unwrap();
         // Any other error is the method's own: same step, model as it was.
         for _ in 0..2 {
             let d = oracle.step(&mut m, Op::Update(1, 11)).unwrap_err();
-            assert_eq!(d.step, 3);
+            assert_eq!(d.step, 2);
             assert_eq!(d.refusal(), Some(&RumError::Transient("update".into())));
             assert_eq!(d.want, Observed::Answer(Ok(OpAnswer::Applied(true))));
         }

@@ -897,8 +897,9 @@ impl AccessMethod for ShardedMethod {
         self.mirrored(shard, |m| m.delete_impl(key))
     }
 
-    /// Partition the (ascending) input per shard — each partition stays
-    /// strictly ascending — and load shards concurrently on the pool.
+    /// Partition the input per shard and load shards concurrently on the
+    /// pool. The provided `bulk_load` checked the whole input's order before
+    /// any shard was touched, so each partition is strictly ascending.
     /// Every shard loads its partition, including empty ones: bulk load
     /// replaces prior contents everywhere.
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {

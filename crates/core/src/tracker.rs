@@ -36,6 +36,13 @@ pub enum DataClass {
     Aux,
 }
 
+/// Bytes an in-memory binary search touches over `entries` entries of
+/// `width` bytes each: `ceil(log2(max(entries, 2)))` probes. The one price
+/// of every fence, zone, anchor and sorted-array search.
+pub fn binary_search_bytes(entries: usize, width: u64) -> u64 {
+    (entries.max(2) as f64).log2().ceil() as u64 * width
+}
+
 /// Shared, atomic counter set. All units are bytes or page counts.
 #[derive(Debug, Default)]
 pub struct CostTracker {

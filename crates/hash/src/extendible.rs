@@ -7,9 +7,8 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, encode_records, insert_record_at, remove_record_at, AccessMethod,
-    CostTracker, DataClass, Key, Record, RecordSlice, Result, RumError, SpaceProfile, Value,
-    RECORD_SIZE,
+    encode_records, insert_record_at, remove_record_at, AccessMethod, CostTracker, DataClass, Key,
+    Record, RecordSlice, Result, RumError, SpaceProfile, Value, RECORD_SIZE,
 };
 use rum_storage::{MemDevice, PageBuf, PageId, Pager};
 
@@ -373,7 +372,6 @@ impl AccessMethod for ExtendibleHash {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         // Rebuild in place, keeping the SAME tracker (callers hold clones
         // of it): reset to a single bucket, then insert — splits pre-size
         // the directory quickly.

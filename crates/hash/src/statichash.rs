@@ -5,8 +5,8 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, encode_records, AccessMethod, CostTracker, DataClass, Key, Record,
-    RecordSlice, Result, RumError, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
+    encode_records, AccessMethod, CostTracker, DataClass, Key, Record, RecordSlice, Result,
+    RumError, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
 };
 use rum_storage::{MemDevice, PageBuf, PageId, Pager};
 
@@ -264,7 +264,8 @@ impl AccessMethod for StaticHash {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
+        // Keys ascend (the provided `bulk_load` checked): only the last
+        // can be a reserved marker.
         if records.last().map(|r| r.key >= GRAVE).unwrap_or(false) {
             return Err(RumError::InvalidArgument(
                 "keys u64::MAX-1 and u64::MAX are reserved slot markers".into(),

@@ -38,6 +38,6 @@ pub use tree::{CompactionPolicy, LsmConfig, LsmStats, LsmTree};
 pub use tuning::{advise, retune};
 pub use view::SortedView;
 
-/// Value sentinel marking a tombstone (consistent with
-/// `rum_columns::AppendLog`). User values must avoid it.
-pub const TOMBSTONE: rum_core::Value = rum_core::Value::MAX;
+/// Value sentinel marking a tombstone (the one `rum_columns::AppendLog`
+/// writes too). User values must avoid it.
+pub use rum_core::TOMBSTONE;

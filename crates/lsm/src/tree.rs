@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use rum_core::trace::{EventKind, TraceSink};
 use rum_core::{
-    check_bulk_input, AccessMethod, CostSnapshot, CostTracker, Key, Record, Result, RumError,
+    check_not_tombstone, AccessMethod, CostSnapshot, CostTracker, Key, Record, Result,
     SpaceProfile, Value,
 };
 use rum_storage::{BlockDevice, CheckedDevice, MemDevice, Pager, RetryPolicy, ScrubReport};
@@ -489,13 +489,6 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-        // `range` already refuses this; wrappers call the hook directly,
-        // and the memtable's `BTreeMap::range` panics on inverted bounds.
-        if lo > hi {
-            return Err(RumError::InvalidArgument(format!(
-                "inverted range {lo}..{hi}"
-            )));
-        }
         if self.config.sorted_view {
             self.ensure_view()?;
             // Snapshot after ensure_view so the hit event prices the
@@ -534,11 +527,7 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        if value == TOMBSTONE {
-            return Err(RumError::InvalidArgument(
-                "value u64::MAX is reserved as the tombstone sentinel".into(),
-            ));
-        }
+        check_not_tombstone(value)?;
         self.memtable.put(key, value, &self.tracker);
         self.live.insert(key);
         if self.memtable.len() >= self.config.memtable_records {
@@ -548,11 +537,7 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        if value == TOMBSTONE {
-            return Err(RumError::InvalidArgument(
-                "value u64::MAX is reserved as the tombstone sentinel".into(),
-            ));
-        }
+        check_not_tombstone(value)?;
         if !self.live.contains(&key) {
             return Ok(false);
         }
@@ -575,12 +560,9 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
-        if records.iter().any(|r| r.value == TOMBSTONE) {
-            return Err(RumError::InvalidArgument(
-                "value u64::MAX is reserved as the tombstone sentinel".into(),
-            ));
-        }
+        records
+            .iter()
+            .try_for_each(|r| check_not_tombstone(r.value))?;
         // Tear down.
         self.memtable = Memtable::new();
         for runs in std::mem::take(&mut self.levels) {
@@ -665,7 +647,7 @@ mod tests {
     use super::*;
     use rum_core::oracle::{check, hostile_ops, Oracle};
     use rum_core::workload::Op;
-    use rum_core::RECORDS_PER_PAGE;
+    use rum_core::{RumError, RECORDS_PER_PAGE};
 
     fn small_config(policy: CompactionPolicy) -> LsmConfig {
         LsmConfig {

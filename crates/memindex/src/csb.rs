@@ -16,8 +16,7 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value, RECORD_SIZE,
+    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
 };
 
 /// Separator keys per internal node (two cache lines of keys).
@@ -335,7 +334,6 @@ impl AccessMethod for CsbTree {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         // Rebuild in place but KEEP the tracker: callers hold clones of it
         // (replacing it would silently disconnect their accounting).
         let tracker = Arc::clone(&self.tracker);

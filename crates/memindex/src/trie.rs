@@ -10,8 +10,7 @@
 use std::sync::Arc;
 
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value, RECORD_SIZE,
+    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
 };
 
 /// Key depth in bytes (u64 keys, 8-bit stride).
@@ -265,7 +264,6 @@ impl AccessMethod for RadixTrie {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.nodes = vec![TrieNode::empty()];
         self.free.clear();
         self.len = 0;

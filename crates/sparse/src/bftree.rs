@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use rum_columns::packed::PackedFile;
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
+    binary_search_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
     Value, RECORDS_PER_PAGE,
 };
 use rum_sketch::QuotientFilter;
@@ -148,8 +148,8 @@ impl AccessMethod for BfTree {
             return Ok(None);
         }
         // In-memory fence search (aux metadata).
-        let steps = (self.zones.len().max(2) as f64).log2().ceil() as u64;
-        self.tracker().read(DataClass::Aux, steps * 8);
+        self.tracker()
+            .read(DataClass::Aux, binary_search_bytes(self.zones.len(), 8));
         let zi = match self.zones.binary_search_by_key(&key, |z| z.min_key) {
             Ok(i) => i,
             Err(0) => return Ok(None), // below the first zone
@@ -214,7 +214,6 @@ impl AccessMethod for BfTree {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.file.rebuild(records)?;
         self.rebuild_zones_from(0)
     }

@@ -15,8 +15,8 @@ use std::sync::Arc;
 
 use rum_columns::packed::PackedFile;
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value, RECORDS_PER_PAGE,
+    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value,
+    RECORDS_PER_PAGE,
 };
 
 /// Per-zone metadata: 32 bytes (min, max, count, sum) — the SMA extension
@@ -299,7 +299,6 @@ impl AccessMethod for ZoneMappedColumn {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.file.rebuild(records)?;
         self.zones.clear();
         for chunk in records.chunks(self.p()) {

@@ -407,7 +407,7 @@ mod tests {
     use crate::fault::{FaultInjector, FaultPlan};
     use rum_core::oracle::Oracle;
     use rum_core::workload::Op;
-    use rum_core::{check_bulk_input, RumError};
+    use rum_core::RumError;
     use std::collections::BTreeMap;
 
     /// Minimal correct method for exercising the wrapper.
@@ -467,7 +467,6 @@ mod tests {
             Ok(self.data.remove(&key).is_some())
         }
         fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-            check_bulk_input(records)?;
             self.tracker
                 .write(DataClass::Base, (records.len() * RECORD_SIZE) as u64);
             self.data = records.iter().map(|r| (r.key, r.value)).collect();

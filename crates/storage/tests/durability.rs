@@ -9,8 +9,7 @@ use proptest::prelude::*;
 use rum_core::oracle::Oracle;
 use rum_core::workload::Op;
 use rum_core::{
-    check_bulk_input, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value, RECORD_SIZE,
+    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
 };
 use rum_storage::{Durable, FaultInjector, FaultPlan};
 
@@ -71,7 +70,6 @@ impl AccessMethod for Toy {
         Ok(self.data.remove(&key).is_some())
     }
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
         self.tracker
             .write(DataClass::Base, (records.len() * RECORD_SIZE) as u64);
         self.data = records.iter().map(|r| (r.key, r.value)).collect();

@@ -116,21 +116,51 @@ fn every_suite_method_matches_the_model() {
     });
 }
 
+/// Over 50 live records, every input the provided entry points refuse
+/// (inverted ranges, a bulk load out of order or with a repeated key) is
+/// `InvalidArgument` and leaves contents and account as they were.
+fn refuses_bad_input(method: &mut dyn AccessMethod, name: &str) {
+    for k in 0..50u64 {
+        method.insert(k * 2, k).unwrap();
+    }
+    let before = (method.len(), method.range(0, u64::MAX).unwrap());
+    let account = method.tracker().snapshot();
+    for (lo, hi) in [(9, 3), (1, 0), (u64::MAX, 0), (u64::MAX, u64::MAX - 1)] {
+        let answer = method.range(lo, hi);
+        assert!(
+            matches!(answer, Err(RumError::InvalidArgument(_))),
+            "{name}: range({lo}, {hi}) answered {answer:?}"
+        );
+    }
+    for keys in [[5, 3], [4, 4]] {
+        let answer = method.bulk_load(&keys.map(|k| Record::new(k, k)));
+        assert!(
+            matches!(answer, Err(RumError::InvalidArgument(_))),
+            "{name}: bulk_load({keys:?}) answered {answer:?}"
+        );
+        assert_eq!(
+            method.tracker().snapshot(),
+            account,
+            "{name}: {keys:?} charged"
+        );
+    }
+    let after = (method.len(), method.range(0, u64::MAX).unwrap());
+    assert!(
+        after == before,
+        "{name}: refused input changed the contents"
+    );
+    assert_eq!(method.range(3, 9).unwrap().len(), 3, "{name}");
+}
+
 #[test]
 fn inverted_ranges_are_invalid_arguments_everywhere() {
-    for mut method in rum::standard_suite() {
-        let name = method.name();
-        for k in 0..50u64 {
-            method.insert(k * 2, k).unwrap();
-        }
-        for (lo, hi) in [(9, 3), (1, 0), (u64::MAX, 0), (u64::MAX, u64::MAX - 1)] {
-            let answer = method.range(lo, hi);
-            assert!(
-                matches!(answer, Err(RumError::InvalidArgument(_))),
-                "{name}: range({lo}, {hi}) answered {answer:?}"
-            );
-        }
-        assert_eq!(method.range(3, 9).unwrap().len(), 3, "{name}");
+    for i in 0..rum::standard_suite().len() {
+        let name = suite_method(i).name();
+        refuses_bad_input(suite_method(i).as_mut(), &format!("{name} [bare]"));
+        let mut sharded = ShardedMethod::with_threads(3, 2, |_| suite_method(i));
+        refuses_bad_input(&mut sharded, &format!("{name} [sharded]"));
+        let mut durable = Durable::new(move || Boxed(suite_method(i)));
+        refuses_bad_input(&mut durable, &format!("{name} [durable]"));
     }
 }
 
