@@ -180,6 +180,10 @@ impl AccessMethod for Digest {
         Ok(rs)
     }
 
+    fn check_records(&self, records: &[Record]) -> Result<()> {
+        self.inner.check_records(records)
+    }
+
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         self.inner.insert_impl(key, value)
     }

@@ -1,7 +1,8 @@
 //! The live-metrics observability experiment: suite methods run under
-//! the full metrics plane ([`MetricsPlane`] + [`DebtLedger`] +
-//! exporter-ready registry), producing the per-op-class **causally
-//! attributed** RUM table — who really pays for each background byte —
+//! the full metrics plane ([`MetricsPlane`]: a [`DebtLedger`] that is
+//! also the run's sink, plus the record the runner publishes at every
+//! window close), producing the per-op-class **causally attributed** RUM
+//! table — who really pays for each background byte —
 //! plus the two invariants the CI `obs` leg enforces:
 //!
 //! * **conservation** — per-class attributed bytes sum bit-equal to the
@@ -14,7 +15,7 @@
 //! `rum-bench top [METHOD] [--mix MIX] [--n OPS] [--window W] [--addr
 //! HOST:PORT] [--refresh MS]` is the live dashboard over the same plane:
 //! it runs `METHOD` (default `lsm-tree+wal`, 4·10^5 balanced ops) on a
-//! driver thread, serves the registry over HTTP, and *scrapes its own
+//! driver thread, serves the plane over HTTP, and *scrapes its own
 //! exporter* — everything on screen travelled through the Prometheus text
 //! format, so the dashboard doubles as an end-to-end test of the wire
 //! path. Each frame shows per-op-class amortized RO/UO, the causal debt
@@ -31,7 +32,6 @@
 //!
 //! [`DebtLedger`]: rum_core::metrics::DebtLedger
 
-use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
@@ -98,22 +98,27 @@ pub struct MethodObs {
     pub plane: Arc<MetricsPlane>,
 }
 
+/// Run `method` over `spec` under `plane`. The plane's sink (its ledger)
+/// goes on the method and on the `window`-op collector, so Window events
+/// are counted too.
+fn metered(
+    method: &mut dyn AccessMethod,
+    spec: &WorkloadSpec,
+    window: usize,
+    plane: &MetricsPlane,
+) -> Result<RumReport> {
+    let sink = plane.sink();
+    method.set_trace_sink(sink.clone());
+    let mut trace = TraceCollector::new(window, sink);
+    run_stream_metered(method, OpStream::new(spec), &mut trace, plane)
+}
+
 /// Run one standard-suite method under the metrics plane.
 pub fn run_method(name: &str, cfg: &ObsConfig) -> Result<MethodObs> {
     let mut method = rum::suite_method(name)
         .ok_or_else(|| RumError::InvalidArgument(format!("unknown suite method {name:?}")))?;
-    let plane = MetricsPlane::shared();
-    // The plane's sink feeds the ledger and the registry mirror; it is
-    // also the collector's sink, so Window events are mirrored too.
-    let sink = plane.sink();
-    method.set_trace_sink(sink.clone());
-    let mut trace = TraceCollector::new(cfg.window, sink);
-    let report = run_stream_metered(
-        method.as_mut(),
-        OpStream::new(&cfg.spec()),
-        &mut trace,
-        &plane,
-    )?;
+    let plane = Arc::new(MetricsPlane::new());
+    let report = metered(method.as_mut(), &cfg.spec(), cfg.window, &plane)?;
     let totals = method.tracker().snapshot();
     let debt = plane.ledger().snapshot();
     let conserved = debt.conserves(&totals);
@@ -210,29 +215,23 @@ pub struct EquivalenceRow {
 /// of the read/write/load cost snapshots: the metrics plane must be a
 /// pure observer.
 pub fn metrics_equivalence(spec: &WorkloadSpec) -> Vec<EquivalenceRow> {
-    let mut rows = Vec::new();
-    let names: Vec<String> = rum::standard_suite().iter().map(|m| m.name()).collect();
-    for name in names {
-        let mut plain = rum::suite_method(&name).expect("suite method");
-        let baseline = run_stream(plain.as_mut(), OpStream::new(spec))
+    let names = rum::standard_suite()
+        .iter()
+        .map(|m| m.name())
+        .collect::<Vec<_>>();
+    let rows = names.into_iter().map(|name| {
+        let method = || rum::suite_method(&name).expect("suite method");
+        let baseline = run_stream(method().as_mut(), OpStream::new(spec))
             .unwrap_or_else(|e| panic!("{name} plain: {e}"));
-
-        let mut metered = rum::suite_method(&name).expect("suite method");
-        let plane = MetricsPlane::shared();
-        let sink = plane.sink();
-        metered.set_trace_sink(sink.clone());
-        let mut trace = TraceCollector::new(512, sink);
-        let observed =
-            run_stream_metered(metered.as_mut(), OpStream::new(spec), &mut trace, &plane)
-                .unwrap_or_else(|e| panic!("{name} metered: {e}"));
-
+        let observed = metered(method().as_mut(), spec, 512, &MetricsPlane::new())
+            .unwrap_or_else(|e| panic!("{name} metered: {e}"));
         let identical = baseline.counted_diff(&observed).is_none();
-        rows.push(EquivalenceRow {
+        EquivalenceRow {
             method: name,
             identical,
-        });
-    }
-    rows
+        }
+    });
+    rows.collect()
 }
 
 /// Gauge lookup in one scrape: exact name + optional `class` label.
@@ -241,15 +240,6 @@ fn gauge(samples: &[PromSample], name: &str, class: Option<&str>) -> Option<f64>
         .iter()
         .find(|s| s.name == name && s.label("class") == class)
         .map(|s| s.value)
-}
-
-/// Sum of a counter family across all label sets (e.g. every `kind`).
-fn counter_sum(samples: &[PromSample], name: &str) -> f64 {
-    samples
-        .iter()
-        .filter(|s| s.name == name)
-        .map(|s| s.value)
-        .sum()
 }
 
 /// Render `history` as a fixed-width sparkline, scaled to its own range.
@@ -286,26 +276,30 @@ fn fmt_bytes(b: f64) -> String {
     }
 }
 
-/// Per-series gauge histories for the sparklines.
-#[derive(Default)]
-struct Histories {
-    series: BTreeMap<String, Vec<f64>>,
-}
+/// The gauges `top` keeps a history of, for the sparklines: label,
+/// series name and `class` label.
+const TRACKED: [(&str, &str, Option<&str>); 5] = [
+    (
+        "RO read (amortized)",
+        "rum_class_read_amplification",
+        Some("read"),
+    ),
+    (
+        "UO write (amortized)",
+        "rum_class_write_amplification",
+        Some("write"),
+    ),
+    ("MO (space amp)", "rum_space_amplification", None),
+    (
+        "debt outstanding (bytes)",
+        "rum_debt_outstanding_bytes",
+        None,
+    ),
+    ("live records", "rum_live_records", None),
+];
 
-impl Histories {
-    fn push(&mut self, key: &str, value: Option<f64>) {
-        if let Some(v) = value {
-            self.series.entry(key.to_string()).or_default().push(v);
-        }
-    }
-
-    fn line(&self, key: &str, width: usize) -> String {
-        self.series
-            .get(key)
-            .map(|h| sparkline(h, width))
-            .unwrap_or_default()
-    }
-}
+/// Each [`TRACKED`] gauge's values, one per scrape that carried it.
+type Histories = [Vec<f64>; TRACKED.len()];
 
 /// One dashboard frame, rendered entirely from a parsed scrape.
 fn render_frame(title: &str, scrape_no: u64, samples: &[PromSample], hist: &Histories) -> String {
@@ -314,29 +308,15 @@ fn render_frame(title: &str, scrape_no: u64, samples: &[PromSample], hist: &Hist
     out.push_str(&format!("rum_top — {title}  (scrape #{scrape_no})\n\n"));
 
     out.push_str(&format!("  {:<28} {:>12}  {}\n", "gauge", "now", "history"));
-    for (label, key) in [
-        ("RO read (amortized)", "ro_read"),
-        ("UO write (amortized)", "uo_write"),
-        ("MO (space amp)", "mo"),
-        ("debt outstanding (bytes)", "debt_out"),
-        ("live records", "live"),
-    ] {
-        let now = hist
-            .series
-            .get(key)
-            .and_then(|h| h.last().copied())
-            .unwrap_or(0.0);
-        let shown = if key == "debt_out" {
-            fmt_bytes(now)
-        } else if key == "live" {
-            format!("{now:.0}")
-        } else {
-            format!("{now:.3}")
+    for ((label, name, _), history) in TRACKED.iter().zip(hist) {
+        let now = history.last().copied().unwrap_or(0.0);
+        let shown = match *name {
+            "rum_debt_outstanding_bytes" => fmt_bytes(now),
+            "rum_live_records" => format!("{now:.0}"),
+            _ => format!("{now:.3}"),
         };
-        out.push_str(&format!(
-            "  {label:<28} {shown:>12}  {}\n",
-            hist.line(key, W)
-        ));
+        let line = sparkline(history, W);
+        out.push_str(&format!("  {label:<28} {shown:>12}  {line}\n"));
     }
 
     out.push_str("\n  causal debt attribution\n");
@@ -380,10 +360,8 @@ fn render_frame(title: &str, scrape_no: u64, samples: &[PromSample], hist: &Hist
         .filter_map(|s| s.label("kind").map(|k| (k, s.value)))
         .collect();
     kinds.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-    out.push_str(&format!(
-        "\n  events ({} total)\n",
-        counter_sum(samples, "rum_events_total") as u64
-    ));
+    let total: f64 = kinds.iter().map(|&(_, n)| n).sum();
+    out.push_str(&format!("\n  events ({} total)\n", total as u64));
     for chunk in kinds.chunks(3) {
         out.push_str("  ");
         for (kind, n) in chunk {
@@ -396,8 +374,8 @@ fn render_frame(title: &str, scrape_no: u64, samples: &[PromSample], hist: &Hist
 
 /// Act 2 of the smoke leg: serve `plane` on an ephemeral port and scrape
 /// it back. `Ok` is the passing check's text, `Err` the failing one's.
-fn exporter_roundtrip(plane: &MetricsPlane) -> std::result::Result<String, String> {
-    let mut server = serve(plane.registry().clone(), "127.0.0.1:0")
+fn exporter_roundtrip(plane: &Arc<MetricsPlane>) -> std::result::Result<String, String> {
+    let mut server = serve(Arc::clone(plane), "127.0.0.1:0")
         .map_err(|e| format!("exporter bind failed: {e}"))?;
     let addr = server.local_addr();
     let (status, body) = http_get(addr, "/metrics").map_err(|e| format!("scrape failed: {e}"))?;
@@ -500,8 +478,8 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
     let refresh_ms = target.refresh_ms.unwrap_or(250);
     let mut method = rum::suite_method(method_name).expect("parse checked the method");
 
-    let plane = MetricsPlane::shared();
-    let server = serve(plane.registry().clone(), addr)
+    let plane = Arc::new(MetricsPlane::new());
+    let server = serve(Arc::clone(&plane), addr)
         .unwrap_or_else(|e| fail(&format!("exporter bind on {addr} failed: {e}")));
     let bound = server.local_addr();
     eprintln!(
@@ -515,16 +493,7 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
     let driver = std::thread::Builder::new()
         .name("rum-top-driver".into())
         .spawn(move || {
-            let sink = driver_plane.sink();
-            method.set_trace_sink(sink.clone());
-            let mut collector = TraceCollector::new(window, sink);
-            let report = run_stream_metered(
-                method.as_mut(),
-                OpStream::new(&spec),
-                &mut collector,
-                &driver_plane,
-            );
-            let _ = tx.send(report);
+            let _ = tx.send(metered(method.as_mut(), &spec, window, &driver_plane));
         })
         .unwrap_or_else(|e| fail(&format!("driver thread: {e}")));
 
@@ -540,20 +509,9 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
             Ok((200, body)) => match parse_prometheus(&body) {
                 Ok(samples) => {
                     scrape_no += 1;
-                    hist.push(
-                        "ro_read",
-                        gauge(&samples, "rum_class_read_amplification", Some("read")),
-                    );
-                    hist.push(
-                        "uo_write",
-                        gauge(&samples, "rum_class_write_amplification", Some("write")),
-                    );
-                    hist.push("mo", gauge(&samples, "rum_space_amplification", None));
-                    hist.push(
-                        "debt_out",
-                        gauge(&samples, "rum_debt_outstanding_bytes", None),
-                    );
-                    hist.push("live", gauge(&samples, "rum_live_records", None));
+                    for ((_, name, class), history) in TRACKED.iter().zip(&mut hist) {
+                        history.extend(gauge(&samples, name, *class));
+                    }
                     // ANSI: clear screen, home cursor, redraw.
                     print!(
                         "\x1b[2J\x1b[H{}",
@@ -579,19 +537,18 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
         Err(e) => fail(&format!("metered run failed: {e}")),
     };
     let debt = plane.ledger().snapshot();
+    let totals = plane.published().and_then(|p| p.totals);
+    let conserved = totals.is_some_and(|t| debt.conserves(&t));
     Outcome {
         rendered: format!(
-            "\n{}\n{}\ndebt: accrued {} / settled {} / outstanding {}; conservation gauge {}\n\
+            "\n{}\n{}\ndebt: accrued {} / settled {} / outstanding {}; conserved {}\n\
              exporter stayed live through {scrape_no} scrapes on {bound}",
             RumReport::table_header(),
             report.table_row(),
             debt.debt_accrued_bytes,
             debt.debt_settled_bytes,
             debt.debt_outstanding_bytes(),
-            plane
-                .registry()
-                .gauge("rum_conservation_ok", &[])
-                .unwrap_or(-1.0),
+            if conserved { "yes" } else { "NO" },
         ),
         ..Default::default()
     }
@@ -608,26 +565,16 @@ mod tests {
         assert_eq!(rows.len(), cfg.methods.len());
         for r in &rows {
             assert!(r.conserved, "{}: attribution must conserve", r.name);
-            // The registry mirrored the event stream and published the
-            // final gauge set.
-            assert_eq!(
-                r.plane.registry().gauge("rum_conservation_ok", &[]),
-                Some(1.0),
-                "{}",
-                r.name
-            );
+            // The finished run published the totals it conserves against.
+            let published = r.plane.published().and_then(|p| p.totals);
+            assert_eq!(published, Some(r.totals), "{}", r.name);
         }
         // LSM variants defer writes: debt accrued and flushes settled
         // some of it; the write class carries the flush/compaction bytes.
         let lsm = rows.iter().find(|r| r.name == "lsm-tree").unwrap();
         assert!(lsm.debt.debt_accrued_bytes > 0);
         assert!(lsm.debt.debt_settled_bytes > 0);
-        assert!(
-            lsm.plane
-                .registry()
-                .counter("rum_events_total", &[("kind", "lsm_flush")])
-                > 0
-        );
+        assert!(lsm.debt.events[EventKind::LsmFlush as usize] > 0);
         // The sorted-view LSM rebuilds views during read spans, so bytes
         // were re-attributed from readers back to the writers that
         // invalidated the view.
@@ -668,14 +615,8 @@ mod tests {
                 ..Default::default()
             };
             let baseline = run_stream(plain.as_mut(), OpStream::new(&spec)).unwrap();
-            let mut metered = rum::suite_method(name).unwrap();
-            let plane = MetricsPlane::shared();
-            let sink = plane.sink();
-            metered.set_trace_sink(sink.clone());
-            let mut trace = TraceCollector::new(256, sink);
-            let observed =
-                run_stream_metered(metered.as_mut(), OpStream::new(&spec), &mut trace, &plane)
-                    .unwrap();
+            let mut method = rum::suite_method(name).unwrap();
+            let observed = metered(method.as_mut(), &spec, 256, &MetricsPlane::new()).unwrap();
             assert_eq!(baseline.ro.to_bits(), observed.ro.to_bits(), "{name} RO");
             assert_eq!(baseline.uo.to_bits(), observed.uo.to_bits(), "{name} UO");
             assert_eq!(baseline.mo.to_bits(), observed.mo.to_bits(), "{name} MO");

@@ -207,7 +207,7 @@ impl AccessMethod for BitmapIndex {
         self.rows.rebuild(records)?;
         // Re-derive the domain so bins are balanced for this dataset.
         if let Some(last) = records.last() {
-            self.config.key_domain = (last.key + 1).max(self.config.bins as u64);
+            self.config.key_domain = last.key.saturating_add(1).max(self.config.bins as u64);
         }
         let n = records.len() as u64;
         self.bitmaps = (0..self.config.bins)

@@ -16,8 +16,8 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use rum_core::{
-    check_not_tombstone, encode_records, AccessMethod, CostTracker, DataClass, Key, Record,
-    RecordSlice, Result, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
+    encode_records, AccessMethod, CostTracker, DataClass, Key, Record, RecordSlice, Result,
+    RumError, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
 };
 use rum_storage::{BlockDevice, MemDevice, PageBuf, PageId, Pager};
 
@@ -168,15 +168,23 @@ impl AccessMethod for AppendLog {
         Ok(versions)
     }
 
+    /// A delete writes [`TOMBSTONE`], so no user value may be it.
+    fn check_records(&self, records: &[Record]) -> Result<()> {
+        if records.iter().any(|r| r.value == TOMBSTONE) {
+            return Err(RumError::InvalidArgument(
+                "value u64::MAX is reserved as the tombstone sentinel".into(),
+            ));
+        }
+        Ok(())
+    }
+
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        check_not_tombstone(value)?;
         self.append(Record::new(key, value))?;
         self.live.insert(key);
         Ok(())
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        check_not_tombstone(value)?;
         if !self.live.contains(&key) {
             return Ok(false);
         }
@@ -194,9 +202,6 @@ impl AccessMethod for AppendLog {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        records
-            .iter()
-            .try_for_each(|r| check_not_tombstone(r.value))?;
         for (id, _) in self.sealed.drain(..) {
             self.pager.free(id)?;
         }

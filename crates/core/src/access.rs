@@ -87,6 +87,16 @@ impl SpaceProfile {
 ///   [`RumError::InvalidArgument`] for every method: the provided
 ///   `bulk_load` decides it before [`bulk_load_impl`](Self::bulk_load_impl)
 ///   runs, so a refused load changes nothing and no hook re-checks it.
+/// * A method may reserve values or keys as internal markers (the LSM-tree
+///   and the append log reserve [`TOMBSTONE`] as a value, the static hash
+///   index two slot-marker keys). It says so in
+///   [`check_records`](Self::check_records), which the provided `insert`,
+///   `update` and `bulk_load` ask before any hook runs, so a refused write
+///   is [`RumError::InvalidArgument`], is charged nothing and changes
+///   nothing. A wrapper that forwards the hooks of a method that reserves
+///   anything forwards `check_records` too.
+///
+/// [`TOMBSTONE`]: crate::types::TOMBSTONE
 ///
 /// [`RumError::InvalidArgument`]: crate::error::RumError::InvalidArgument
 ///
@@ -149,6 +159,13 @@ pub trait AccessMethod: Send {
     /// (the provided [`bulk_load`](Self::bulk_load) has checked the order).
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()>;
 
+    /// Refuse `records` if they carry a value or key this method reserves:
+    /// the one place a reservation is checked (see the Contract). Default:
+    /// nothing is reserved.
+    fn check_records(&self, _records: &[Record]) -> Result<()> {
+        Ok(())
+    }
+
     /// Push any buffered state to its final place (e.g. flush an LSM
     /// memtable). Default: nothing to do.
     fn flush(&mut self) -> Result<()> {
@@ -200,6 +217,7 @@ pub trait AccessMethod: Send {
 
     /// Upsert; charges one record as the logical write.
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
+        self.check_records(&[Record::new(key, value)])?;
         self.insert_impl(key, value)?;
         self.tracker().logical_write(RECORD_SIZE as u64);
         Ok(())
@@ -207,6 +225,7 @@ pub trait AccessMethod: Send {
 
     /// Update; charges one record as the logical write when applied.
     fn update(&mut self, key: Key, value: Value) -> Result<bool> {
+        self.check_records(&[Record::new(key, value)])?;
         let applied = self.update_impl(key, value)?;
         if applied {
             self.tracker().logical_write(RECORD_SIZE as u64);
@@ -225,9 +244,11 @@ pub trait AccessMethod: Send {
 
     /// Bulk load; charges the full input as the logical write, so the write
     /// amplification of construction is meaningful. Input whose keys are
-    /// not strictly ascending is refused here, for every method alike.
+    /// not strictly ascending is refused here, for every method alike, and
+    /// so is input [`check_records`](Self::check_records) refuses.
     fn bulk_load(&mut self, records: &[Record]) -> Result<()> {
         check_bulk_input(records)?;
+        self.check_records(records)?;
         self.bulk_load_impl(records)?;
         self.tracker()
             .logical_write((records.len() * RECORD_SIZE) as u64);

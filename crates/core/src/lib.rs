@@ -44,11 +44,10 @@
 //!   log-bucketed latency histograms, and structured component events
 //!   ([`trace::TraceSink`]), strictly opt-in with a
 //!   zero-observer-effect guarantee.
-//! * [`metrics`] — the live metrics plane: a zero-dependency registry of
-//!   counters/gauges/histograms mirroring the event stream, and the
-//!   [`DebtLedger`] attributing every background
-//!   byte to the op class that causally incurred it, with byte-exact
-//!   conservation against the tracker.
+//! * [`metrics`] — the live metrics plane: the [`DebtLedger`], which
+//!   counts the event stream and attributes every background byte to the
+//!   op class that causally incurred it, with byte-exact conservation
+//!   against the tracker, and what a metered run publishes beside it.
 
 #![forbid(unsafe_code)]
 
@@ -73,10 +72,7 @@ pub use autotune::{
     RetuneEstimate, TuneKind, TunePlan,
 };
 pub use error::{panic_payload_message, Result, RumError};
-pub use metrics::{
-    ClassAttribution, DebtLedger, DebtSnapshot, MetricKey, MetricsPlane, MetricsRegistry,
-    MetricsSink, MetricsSnapshot, OpClass,
-};
+pub use metrics::{ClassAttribution, DebtLedger, DebtSnapshot, MetricsPlane, OpClass};
 pub use shard::ShardedMethod;
 pub use trace::{
     noop_sink, Event, EventKind, LatencyHistogram, MemorySink, NoopSink, TraceCollector, TraceSink,
@@ -84,6 +80,6 @@ pub use trace::{
 };
 pub use tracker::{binary_search_bytes, CostSnapshot, CostTracker, DataClass};
 pub use types::{
-    check_not_tombstone, encode_records, insert_record_at, remove_record_at, Key, Record,
-    RecordSlice, Value, PAGE_SIZE, RECORDS_PER_PAGE, RECORD_SIZE, TOMBSTONE,
+    encode_records, insert_record_at, remove_record_at, Key, Record, RecordSlice, Value, PAGE_SIZE,
+    RECORDS_PER_PAGE, RECORD_SIZE, TOMBSTONE,
 };

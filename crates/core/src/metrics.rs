@@ -1,16 +1,13 @@
-//! The live metrics plane: a zero-dependency registry of counters,
-//! gauges, and log-bucketed histograms, plus **causal debt attribution**
-//! of background bytes to the foreground op class that incurred them.
+//! The live metrics plane: **causal debt attribution** of background
+//! bytes to the foreground op class that incurred them, plus what a
+//! metered run publishes for an exporter to render.
 //!
 //! The trace layer ([`crate::trace`]) answers "what happened, in order";
 //! an end-of-run [`RumReport`] answers "what
 //! did the whole run cost". Neither answers the production question
 //! *"which op class is paying for this compaction burst right now?"*
-//! This module does, with three pieces:
+//! This module does, with two stores and no third:
 //!
-//! * [`MetricsRegistry`] — named counters, gauges, and
-//!   [`LatencyHistogram`]s behind one mutex; readers copy out a whole
-//!   [`MetricsSnapshot`].
 //! * [`DebtLedger`] — the RUM conjecture prices access methods in
 //!   *amortized* overheads, but the tracker charges background work
 //!   (compaction, flush, WAL sync, view rebuild, recovery, migration)
@@ -21,10 +18,15 @@
 //!   settles it. Attribution is **conservative by construction**: every
 //!   re-attribution moves bytes between classes in a zero-sum way, so
 //!   the per-class attributed bytes always sum bit-equal to the tracker
-//!   totals ([`DebtSnapshot::conserves`]).
-//! * [`MetricsSink`] — a [`TraceSink`] that mirrors every emitted event
-//!   into the registry (`rum_events_total{kind}`,
-//!   `rum_event_bytes_total{component,kind}`) and feeds the ledger.
+//!   totals ([`DebtSnapshot::conserves`]). The ledger is also the
+//!   plane's [`TraceSink`]: it counts every event and its byte weight
+//!   per [`EventKind`].
+//! * [`MetricsPlane`] — the ledger plus [`Published`], the one record of
+//!   what only the runner sees (the collector's latencies, MO, live
+//!   records, the final tracker totals), swapped at every window close.
+//!
+//! An exporter (`rum-obs`) renders both at scrape time; nothing is copied
+//! into a string-keyed registry.
 //!
 //! Everything is opt-in: the compiled-in default sink everywhere remains
 //! [`NoopSink`](crate::trace::NoopSink), and
@@ -33,14 +35,12 @@
 //! RO/UO/MO to metrics-disabled runs (`tests/metrics_conservation.rs`
 //! pins this for the whole standard suite).
 
-use std::collections::BTreeMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::access::AccessMethod;
 use crate::runner::{RumReport, RunObserver};
 use crate::trace::{
-    detail_byte_weight, detail_field, ClassLatency, EventKind, LatencyHistogram, TraceCollector,
-    TraceSink,
+    detail_byte_weight, detail_field, ClassLatency, EventKind, TraceCollector, TraceSink,
 };
 use crate::tracker::{CostSnapshot, CostTracker};
 use crate::workload::Op;
@@ -79,128 +79,6 @@ impl OpClass {
         } else {
             OpClass::Write
         }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            OpClass::Load => 0,
-            OpClass::Read => 1,
-            OpClass::Write => 2,
-        }
-    }
-}
-
-// ---- the registry --------------------------------------------------------
-
-/// A fully-qualified metric identity: name plus sorted label pairs.
-/// Sorting at construction makes label order irrelevant to identity,
-/// mirroring Prometheus semantics.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MetricKey {
-    pub name: String,
-    /// Label pairs sorted by label name.
-    pub labels: Vec<(String, String)>,
-}
-
-impl MetricKey {
-    /// A key with the given name and labels (labels are sorted).
-    pub fn new(name: &str, labels: &[(&str, &str)]) -> MetricKey {
-        let mut labels: Vec<(String, String)> = labels
-            .iter()
-            .map(|&(k, v)| (k.to_string(), v.to_string()))
-            .collect();
-        labels.sort();
-        MetricKey {
-            name: name.to_string(),
-            labels,
-        }
-    }
-}
-
-/// A point-in-time copy of a registry's contents.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MetricsSnapshot {
-    pub counters: BTreeMap<MetricKey, u64>,
-    pub gauges: BTreeMap<MetricKey, f64>,
-    pub histograms: BTreeMap<MetricKey, LatencyHistogram>,
-}
-
-impl MetricsSnapshot {
-    /// The counter's value (0 when absent).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.counters
-            .get(&MetricKey::new(name, labels))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// The gauge's value, if set.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.gauges.get(&MetricKey::new(name, labels)).copied()
-    }
-
-    /// The histogram, if set.
-    pub fn histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&LatencyHistogram> {
-        self.histograms.get(&MetricKey::new(name, labels))
-    }
-}
-
-/// A thread-safe registry of named counters, gauges, and histograms.
-/// All mutation goes through one mutex; readers take a full
-/// [`MetricsSnapshot`].
-#[derive(Debug, Default)]
-pub struct MetricsRegistry {
-    inner: Mutex<MetricsSnapshot>,
-}
-
-impl MetricsRegistry {
-    pub fn new() -> MetricsRegistry {
-        MetricsRegistry::default()
-    }
-
-    /// A fresh registry behind an [`Arc`].
-    pub fn shared() -> Arc<MetricsRegistry> {
-        Arc::new(MetricsRegistry::new())
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsSnapshot> {
-        self.inner.lock().expect("metrics registry poisoned")
-    }
-
-    /// Add `v` to the named counter (created at 0 on first touch).
-    pub fn counter_add(&self, name: &str, labels: &[(&str, &str)], v: u64) {
-        *self
-            .lock()
-            .counters
-            .entry(MetricKey::new(name, labels))
-            .or_insert(0) += v;
-    }
-
-    /// Set the named gauge to `v` (last write wins).
-    pub fn gauge_set(&self, name: &str, labels: &[(&str, &str)], v: f64) {
-        self.lock().gauges.insert(MetricKey::new(name, labels), v);
-    }
-
-    /// Set the named histogram to a copy of `h` (last write wins).
-    pub fn histogram_set(&self, name: &str, labels: &[(&str, &str)], h: &LatencyHistogram) {
-        self.lock()
-            .histograms
-            .insert(MetricKey::new(name, labels), h.clone());
-    }
-
-    /// Copy out the full registry contents.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        self.lock().clone()
-    }
-
-    /// The counter's current value (0 when absent).
-    pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> u64 {
-        self.lock().counter(name, labels)
-    }
-
-    /// The gauge's current value, if set.
-    pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<f64> {
-        self.lock().gauge(name, labels)
     }
 }
 
@@ -277,12 +155,16 @@ pub struct DebtSnapshot {
     pub reattributed_read_bytes: u64,
     /// Physical write bytes moved between classes by re-attribution.
     pub reattributed_write_bytes: u64,
+    /// Events observed, indexed by `kind as usize` ([`EventKind::ALL`]).
+    pub events: [u64; EventKind::ALL.len()],
+    /// The events' byte weight ([`detail_byte_weight`]), indexed alike.
+    pub event_bytes: [u64; EventKind::ALL.len()],
 }
 
 impl DebtSnapshot {
     /// Attribution state for one class.
     pub fn class(&self, class: OpClass) -> &ClassAttribution {
-        &self.classes[class.index()]
+        &self.classes[class as usize]
     }
 
     /// Deferred-write debt not yet settled by flush/compaction: logical
@@ -334,8 +216,8 @@ impl DebtSnapshot {
 ///
 /// The runner tells the ledger which class is executing
 /// ([`begin_class`](Self::begin_class)) and hands it every settled
-/// tracker delta ([`charge`](Self::charge)); the [`MetricsSink`] feeds
-/// it every trace event ([`on_event`](Self::on_event)). Background
+/// tracker delta ([`charge`](Self::charge)); as a [`TraceSink`] it sees
+/// every trace event ([`on_event`](Self::on_event)) and counts it. Background
 /// events whose detail carries physical bytes are re-attributed from the
 /// class that was running when they fired to the class that owes them:
 ///
@@ -367,69 +249,55 @@ impl DebtLedger {
         DebtLedger::default()
     }
 
-    fn lock(&self) -> std::sync::MutexGuard<'_, (usize, DebtSnapshot)> {
+    fn lock(&self) -> MutexGuard<'_, (usize, DebtSnapshot)> {
         self.inner.lock().expect("debt ledger poisoned")
     }
 
     /// Declare the op class now executing; events that fire until the
     /// next `begin_class` are re-attributed relative to it.
     pub fn begin_class(&self, class: OpClass) {
-        self.lock().0 = class.index();
+        self.lock().0 = class as usize;
     }
 
     /// Fold a settled tracker delta into `class`. Write-class logical
     /// bytes accrue deferred-write debt.
     pub fn charge(&self, class: OpClass, delta: &CostSnapshot) {
         let s = &mut self.lock().1;
-        let slot = &mut s.classes[class.index()];
+        let slot = &mut s.classes[class as usize];
         slot.charged = slot.charged.add(delta);
         if class == OpClass::Write {
             s.debt_accrued_bytes += delta.logical_write_bytes;
         }
     }
 
-    /// Observe one trace event; background byte-moving kinds are
-    /// re-attributed to their debtor class.
+    /// Observe one trace event: count it and its byte weight, and
+    /// re-attribute a background byte-moving kind to its debtor class.
     pub fn on_event(&self, kind: EventKind, detail: &[(&'static str, u64)]) {
+        let (from, s) = &mut *self.lock();
+        s.events[kind as usize] += 1;
+        s.event_bytes[kind as usize] += detail_byte_weight(detail);
+        let field = |name| detail_field(detail, name).unwrap_or(0);
         let (write_bytes, read_bytes, settles_debt) = match kind {
-            EventKind::LsmFlush | EventKind::LsmCompaction => (
-                detail_field(detail, "bytes").unwrap_or(0),
-                detail_field(detail, "read_bytes").unwrap_or(0),
-                true,
-            ),
-            EventKind::WalSync | EventKind::WalCheckpoint => {
-                (detail_field(detail, "bytes").unwrap_or(0), 0, false)
+            EventKind::LsmFlush | EventKind::LsmCompaction => {
+                (field("bytes"), field("read_bytes"), true)
             }
-            EventKind::LsmViewBuild => (
-                // The tracker charges what the refresh consumed (run scan
-                // and old anchors) and the anchors it wrote together as
-                // auxiliary writes; move the same amount.
-                detail_field(detail, "bytes").unwrap_or(0)
-                    + detail_field(detail, "read_bytes").unwrap_or(0),
-                0,
-                false,
-            ),
-            EventKind::WalRecovery => (
-                detail_field(detail, "bytes").unwrap_or(0),
-                detail_field(detail, "read_bytes").unwrap_or(0),
-                false,
-            ),
-            EventKind::MigrationComplete => (
-                detail_field(detail, "bytes_written").unwrap_or(0),
-                detail_field(detail, "bytes_read").unwrap_or(0),
-                false,
-            ),
+            EventKind::WalSync | EventKind::WalCheckpoint => (field("bytes"), 0, false),
+            // The tracker charges what the refresh consumed (run scan and
+            // old anchors) and the anchors it wrote together as auxiliary
+            // writes; move the same amount.
+            EventKind::LsmViewBuild => (field("bytes") + field("read_bytes"), 0, false),
+            EventKind::WalRecovery => (field("bytes"), field("read_bytes"), false),
+            EventKind::MigrationComplete => (field("bytes_written"), field("bytes_read"), false),
             _ => return,
         };
-        let (from, s) = &mut *self.lock();
         let from = *from;
         if settles_debt {
             s.debt_settled_bytes += write_bytes;
         }
-        let to = if from == OpClass::Load.index() {
-            OpClass::Load.index()
+        let to = if from == OpClass::Load as usize {
+            OpClass::Load as usize
         } else {
-            OpClass::Write.index()
+            OpClass::Write as usize
         };
         if from == to || (write_bytes == 0 && read_bytes == 0) {
             return;
@@ -446,226 +314,94 @@ impl DebtLedger {
     pub fn snapshot(&self) -> DebtSnapshot {
         self.lock().1.clone()
     }
-
-    /// Reset all attribution state (the current class reverts to Load).
-    pub fn reset(&self) {
-        *self.lock() = Default::default();
-    }
 }
 
-// ---- the sink -------------------------------------------------------------
-
-/// A [`TraceSink`] mirroring every event into a [`MetricsRegistry`] and a
-/// [`DebtLedger`]. Install it via [`MetricsPlane::sink`].
-pub struct MetricsSink {
-    registry: Arc<MetricsRegistry>,
-    ledger: Arc<DebtLedger>,
-}
-
-impl TraceSink for MetricsSink {
+/// The ledger is the plane's sink ([`MetricsPlane::sink`]).
+impl TraceSink for DebtLedger {
     fn enabled(&self) -> bool {
         true
     }
 
     fn emit(&self, kind: EventKind, detail: &[(&'static str, u64)]) {
-        self.registry
-            .counter_add("rum_events_total", &[("kind", kind.as_str())], 1);
-        let weight = detail_byte_weight(detail);
-        if weight > 0 {
-            self.registry.counter_add(
-                "rum_event_bytes_total",
-                &[("component", kind.component()), ("kind", kind.as_str())],
-                weight,
-            );
-        }
-        self.ledger.on_event(kind, detail);
+        self.on_event(kind, detail);
     }
 }
 
 // ---- the plane ------------------------------------------------------------
 
-/// One registry + one ledger, bundled with the gauge-publication logic:
-/// the object a metered run and an exporter share.
-///
-/// Gauge families published by [`refresh_live`](Self::refresh_live) /
-/// [`publish_final`](Self::publish_final):
-///
-/// * `rum_class_read_amplification{class}` / `rum_class_write_amplification{class}`
-///   — live per-op-class amortized RO/UO (causally attributed; non-finite
-///   values are clamped to 0 so the text exposition stays parseable).
-/// * `rum_class_attributed_read_bytes{class}` / `..._write_bytes{class}`
-///   and `rum_class_logical_read_bytes{class}` / `..._write_bytes{class}`.
-/// * `rum_debt_accrued_bytes` / `rum_debt_settled_bytes` /
-///   `rum_debt_outstanding_bytes` — the deferred-write debt balance.
-/// * `rum_reattributed_read_bytes` / `rum_reattributed_write_bytes`.
-/// * `rum_space_amplification` (MO) and `rum_live_records`.
-/// * `rum_op_latency_ns{class}` — the run's op latency histogram, and
-///   `rum_op_latency_p50_ns{class}` / `rum_op_latency_p99_ns{class}` from
-///   it; a class with no ops yet publishes none of the three.
-/// * `publish_final` additionally sets `rum_tracker_*_bytes` totals and
-///   `rum_conservation_ok` (1 when [`DebtSnapshot::conserves`] holds).
-pub struct MetricsPlane {
-    registry: Arc<MetricsRegistry>,
-    ledger: Arc<DebtLedger>,
+/// What a metered run publishes beside the ledger: the facts only the
+/// runner sees, as of the last trajectory-window close.
+#[derive(Clone, Debug, Default)]
+pub struct Published {
+    /// The collector's per-class op latencies.
+    pub latency: ClassLatency,
+    /// Space amplification (MO) of the method.
+    pub mo: f64,
+    /// The method's live records.
+    pub live_records: u64,
+    /// The method's tracker totals, once the run has finished.
+    pub totals: Option<CostSnapshot>,
 }
 
-impl Default for MetricsPlane {
-    fn default() -> Self {
-        Self::new()
-    }
+/// One ledger + one [`Published`] record: the object a metered run and an
+/// exporter share. The exporter renders both as they stand when it is
+/// scraped (`rum_obs::render_prometheus`), so the ledger's series are
+/// live and the published ones lag by at most one window.
+#[derive(Default)]
+pub struct MetricsPlane {
+    ledger: Arc<DebtLedger>,
+    published: Mutex<Option<Published>>,
 }
 
 impl MetricsPlane {
     pub fn new() -> MetricsPlane {
-        MetricsPlane {
-            registry: MetricsRegistry::shared(),
-            ledger: Arc::new(DebtLedger::new()),
-        }
-    }
-
-    /// A fresh plane behind an [`Arc`], ready to share with an exporter.
-    pub fn shared() -> Arc<MetricsPlane> {
-        Arc::new(MetricsPlane::new())
-    }
-
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
+        MetricsPlane::default()
     }
 
     pub fn ledger(&self) -> &Arc<DebtLedger> {
         &self.ledger
     }
 
-    /// A sink mirroring events into this plane.
-    pub fn sink(&self) -> Arc<MetricsSink> {
-        Arc::new(MetricsSink {
-            registry: Arc::clone(&self.registry),
-            ledger: Arc::clone(&self.ledger),
-        })
+    /// The sink feeding this plane: its ledger.
+    pub fn sink(&self) -> Arc<DebtLedger> {
+        Arc::clone(&self.ledger)
     }
 
-    /// Publish the live gauge set from the current ledger state and the
-    /// run's op latencies so far. Called by the metered runner at every
-    /// trajectory-window close.
-    pub fn refresh_live(&self, latency: &ClassLatency, mo: f64, live_records: u64) {
-        let debt = self.ledger.snapshot();
-        for class in OpClass::ALL {
-            let a = debt.class(class);
-            let labels = [("class", class.as_str())];
-            self.registry.gauge_set(
-                "rum_class_read_amplification",
-                &labels,
-                finite_or_zero(a.ro()),
-            );
-            self.registry.gauge_set(
-                "rum_class_write_amplification",
-                &labels,
-                finite_or_zero(a.uo()),
-            );
-            self.registry.gauge_set(
-                "rum_class_attributed_read_bytes",
-                &labels,
-                a.attributed_read_bytes() as f64,
-            );
-            self.registry.gauge_set(
-                "rum_class_attributed_write_bytes",
-                &labels,
-                a.attributed_write_bytes() as f64,
-            );
-            self.registry.gauge_set(
-                "rum_class_logical_read_bytes",
-                &labels,
-                a.charged.logical_read_bytes as f64,
-            );
-            self.registry.gauge_set(
-                "rum_class_logical_write_bytes",
-                &labels,
-                a.charged.logical_write_bytes as f64,
-            );
-        }
-        self.registry.gauge_set(
-            "rum_debt_accrued_bytes",
-            &[],
-            debt.debt_accrued_bytes as f64,
-        );
-        self.registry.gauge_set(
-            "rum_debt_settled_bytes",
-            &[],
-            debt.debt_settled_bytes as f64,
-        );
-        self.registry.gauge_set(
-            "rum_debt_outstanding_bytes",
-            &[],
-            debt.debt_outstanding_bytes() as f64,
-        );
-        self.registry.gauge_set(
-            "rum_reattributed_read_bytes",
-            &[],
-            debt.reattributed_read_bytes as f64,
-        );
-        self.registry.gauge_set(
-            "rum_reattributed_write_bytes",
-            &[],
-            debt.reattributed_write_bytes as f64,
-        );
-        self.registry
-            .gauge_set("rum_space_amplification", &[], finite_or_zero(mo));
-        self.registry
-            .gauge_set("rum_live_records", &[], live_records as f64);
-        for (class, h) in [("read", &latency.read), ("write", &latency.write)] {
-            if h.count() == 0 {
-                continue;
-            }
-            let labels = [("class", class)];
-            self.registry.histogram_set("rum_op_latency_ns", &labels, h);
-            self.registry
-                .gauge_set("rum_op_latency_p50_ns", &labels, h.p50() as f64);
-            self.registry
-                .gauge_set("rum_op_latency_p99_ns", &labels, h.p99() as f64);
-        }
+    fn slot(&self) -> MutexGuard<'_, Option<Published>> {
+        self.published.lock().expect("metrics plane poisoned")
     }
 
-    /// [`refresh_live`](Self::refresh_live) plus the end-of-run truth:
-    /// tracker byte totals and the conservation verdict against them.
-    pub fn publish_final(
-        &self,
-        totals: &CostSnapshot,
-        latency: &ClassLatency,
-        mo: f64,
-        live_records: u64,
-    ) {
-        self.refresh_live(latency, mo, live_records);
-        self.registry.gauge_set(
-            "rum_tracker_read_bytes",
-            &[],
-            totals.total_read_bytes() as f64,
-        );
-        self.registry.gauge_set(
-            "rum_tracker_write_bytes",
-            &[],
-            totals.total_write_bytes() as f64,
-        );
-        self.registry.gauge_set(
-            "rum_tracker_logical_read_bytes",
-            &[],
-            totals.logical_read_bytes as f64,
-        );
-        self.registry.gauge_set(
-            "rum_tracker_logical_write_bytes",
-            &[],
-            totals.logical_write_bytes as f64,
-        );
-        let ok = self.ledger.snapshot().conserves(totals);
-        self.registry
-            .gauge_set("rum_conservation_ok", &[], if ok { 1.0 } else { 0.0 });
+    /// The record of the last window close (or of the finish), `None`
+    /// before the first.
+    pub fn published(&self) -> Option<Published> {
+        self.slot().clone()
+    }
+
+    /// Swap in a new record; a metered run does at every window close and
+    /// at the finish.
+    pub fn publish(&self, record: Published) {
+        *self.slot() = Some(record);
+    }
+}
+
+impl Published {
+    /// The record of `method` and the collector's `latency` now; with the
+    /// tracker totals once `finished`.
+    fn of(latency: &ClassLatency, method: &dyn AccessMethod, finished: bool) -> Published {
+        Published {
+            latency: latency.clone(),
+            mo: method.space_profile().space_amplification(),
+            live_records: method.len() as u64,
+            totals: finished.then(|| method.tracker().snapshot()),
+        }
     }
 }
 
 /// A collector and a plane observing one run together
 /// ([`run_stream_metered`](crate::runner::run_stream_metered)): the ledger
 /// is charged every delta at the settle points the report is assembled
-/// from, and the collector's latencies and the live gauges are
-/// republished whenever the collector closes a window.
+/// from, and the plane's [`Published`] record is swapped whenever the
+/// collector closes a window, and once more at the finish.
 pub(crate) struct Metered<'a> {
     pub(crate) trace: &'a mut TraceCollector,
     pub(crate) plane: &'a MetricsPlane,
@@ -692,65 +428,21 @@ impl<'m> RunObserver<dyn AccessMethod + 'm> for Metered<'_> {
     }
 
     fn on_window(&mut self, method: &mut (dyn AccessMethod + 'm)) -> bool {
-        self.plane.refresh_live(
-            &self.trace.latency,
-            method.space_profile().space_amplification(),
-            method.len() as u64,
-        );
+        let record = Published::of(&self.trace.latency, method, false);
+        self.plane.publish(record);
         false
     }
 
     fn on_finish(&mut self, method: &(dyn AccessMethod + 'm), report: &mut RumReport) {
         self.trace.on_finish(method, report);
-        self.plane.publish_final(
-            &method.tracker().snapshot(),
-            &self.trace.latency,
-            method.space_profile().space_amplification(),
-            method.len() as u64,
-        );
-    }
-}
-
-fn finite_or_zero(x: f64) -> f64 {
-    if x.is_finite() {
-        x
-    } else {
-        0.0
+        let record = Published::of(&self.trace.latency, method, true);
+        self.plane.publish(record);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_counters_gauges_histograms_roundtrip() {
-        let r = MetricsRegistry::new();
-        r.counter_add("c", &[("k", "a")], 2);
-        r.counter_add("c", &[("k", "a")], 3);
-        r.counter_add("c", &[("k", "b")], 7);
-        r.gauge_set("g", &[], 1.5);
-        r.gauge_set("g", &[], 2.5); // last write wins
-        let mut h = LatencyHistogram::new();
-        h.record(100);
-        h.record(300);
-        r.histogram_set("h", &[], &h);
-        assert_eq!(r.counter("c", &[("k", "a")]), 5);
-        assert_eq!(r.counter("c", &[("k", "b")]), 7);
-        assert_eq!(r.counter("c", &[("k", "missing")]), 0);
-        assert_eq!(r.gauge("g", &[]), Some(2.5));
-        let snap = r.snapshot();
-        assert_eq!(snap.histogram("h", &[]).unwrap().count(), 2);
-    }
-
-    #[test]
-    fn label_order_does_not_change_identity() {
-        let r = MetricsRegistry::new();
-        r.counter_add("c", &[("a", "1"), ("b", "2")], 1);
-        r.counter_add("c", &[("b", "2"), ("a", "1")], 1);
-        assert_eq!(r.counter("c", &[("a", "1"), ("b", "2")]), 2);
-        assert_eq!(r.snapshot().counters.len(), 1);
-    }
 
     #[test]
     fn ledger_moves_are_zero_sum_and_conserve() {
@@ -817,62 +509,54 @@ mod tests {
         assert_eq!(snap.class(OpClass::Load).moved_write_bytes, 0);
     }
 
+    /// The plane's sink is its ledger: every event is counted with its
+    /// byte weight, and a byte-moving one is forwarded to attribution.
     #[test]
     fn metrics_sink_mirrors_events_and_forwards() {
         let plane = MetricsPlane::new();
+        plane.ledger().begin_class(OpClass::Read);
         let sink = plane.sink();
         sink.emit(EventKind::LsmFlush, &[("level", 0), ("bytes", 4_096)]);
         sink.emit(EventKind::RetryAttempt, &[("page", 3), ("attempt", 1)]);
-        assert_eq!(
-            plane
-                .registry()
-                .counter("rum_events_total", &[("kind", "lsm_flush")]),
-            1
-        );
-        assert_eq!(
-            plane
-                .registry()
-                .counter("rum_events_total", &[("kind", "retry_attempt")]),
-            1
-        );
-        assert_eq!(
-            plane.registry().counter(
-                "rum_event_bytes_total",
-                &[("component", "lsm"), ("kind", "lsm_flush")]
-            ),
-            4_096
-        );
+        let snap = plane.ledger().snapshot();
+        assert_eq!(snap.events[EventKind::LsmFlush as usize], 1);
+        assert_eq!(snap.events[EventKind::RetryAttempt as usize], 1);
+        assert_eq!(snap.event_bytes[EventKind::LsmFlush as usize], 4_096);
+        assert_eq!(snap.event_bytes[EventKind::RetryAttempt as usize], 0);
+        assert_eq!(snap.events.iter().sum::<u64>(), 2);
+        assert_eq!(snap.reattributed_write_bytes, 4_096, "read span → writers");
+        assert!(plane.published().is_none(), "the sink publishes nothing");
     }
 
+    /// A metered run swaps the plane's record at window closes and at the
+    /// finish, which adds the tracker totals the ledger conserves against:
+    /// the exporter renders its gauges from that record and the ledger.
     #[test]
     fn plane_publishes_gauges_and_conservation() {
+        use crate::runner::{run_stream_metered, tests::Amp2};
+        use crate::types::Record;
+        use crate::workload::Workload;
         let plane = MetricsPlane::new();
-        plane.ledger().begin_class(OpClass::Read);
-        let d = CostSnapshot {
-            base_read_bytes: 2_048,
-            logical_read_bytes: 1_024,
-            ..Default::default()
+        let mut m = Amp2::new();
+        let mut trace = TraceCollector::new(4, plane.sink());
+        let ops = [
+            Op::Get(1),
+            Op::Insert(9, 9),
+            Op::Update(2, 7),
+            Op::Range(0, 5),
+        ];
+        let w = Workload {
+            initial: (0..8).map(|k| Record::new(k, k)).collect(),
+            ops: [&ops[..], &ops[..]].concat(),
         };
-        plane.ledger().charge(OpClass::Read, &d);
-        let mut latency = ClassLatency::default();
-        latency.record(true, 500);
-        plane.publish_final(&d, &latency, 1.25, 42);
-        let r = plane.registry();
-        assert_eq!(
-            r.gauge("rum_class_read_amplification", &[("class", "read")]),
-            Some(2.0)
-        );
-        assert_eq!(r.gauge("rum_conservation_ok", &[]), Some(1.0));
-        assert_eq!(r.gauge("rum_space_amplification", &[]), Some(1.25));
-        assert_eq!(r.gauge("rum_live_records", &[]), Some(42.0));
-        assert_eq!(
-            r.gauge("rum_op_latency_p50_ns", &[("class", "read")]),
-            Some(500.0)
-        );
-        // A class with no ops publishes no latency series.
-        assert_eq!(
-            r.gauge("rum_op_latency_p50_ns", &[("class", "write")]),
-            None
-        );
+        run_stream_metered(&mut m, &w, &mut trace, &plane).unwrap();
+        let record = plane.published().expect("a finished run published");
+        let totals = record.totals.expect("the finish carries the totals");
+        assert_eq!(totals, m.tracker().snapshot());
+        assert!(plane.ledger().snapshot().conserves(&totals));
+        assert_eq!(record.live_records, 9);
+        assert_eq!(record.mo, m.space_profile().space_amplification());
+        let latency = &record.latency;
+        assert_eq!((latency.read.count(), latency.write.count()), (4, 4));
     }
 }

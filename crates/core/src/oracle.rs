@@ -13,8 +13,9 @@
 //! it only touches live keys.
 //!
 //! One refusal is part of the contract and makes the model skip the op:
-//! an insert may answer [`RumError::InvalidArgument`] (a key or value the
-//! method reserves as a marker). The refused op must leave the method
+//! an insert or an update may answer [`RumError::InvalidArgument`] (a key
+//! or value the method reserves as a marker, refused by
+//! [`AccessMethod::check_records`]). The refused op must leave the method
 //! unchanged, which the invariants and every later answer check.
 
 use std::collections::BTreeMap;
@@ -165,7 +166,10 @@ impl Oracle {
         let agreed = agree(&got, &want)
             || matches!(
                 (op, &got),
-                (Op::Insert(..), Err(RumError::InvalidArgument(_)))
+                (
+                    Op::Insert(..) | Op::Update(..),
+                    Err(RumError::InvalidArgument(_))
+                )
             );
         if got.is_ok() {
             self.model.apply(op);

@@ -474,24 +474,24 @@ pub fn run_stream_traced(
 /// plane's [`DebtLedger`](crate::metrics::DebtLedger) receives exactly
 /// the per-class tracker deltas the report is assembled from (the same
 /// settle points, the same snapshots), and at every trajectory-window
-/// close the live gauge set and the collector's per-class latency
-/// histograms (`rum_op_latency_ns{class}`, with their p50/p99 gauges)
-/// are republished — so an exporter scraping the plane's registry sees
-/// per-op-class amortized RO/UO/MO evolve while the run is still going.
-/// A scrape sees latencies as of the last window close, the same lag
-/// the gauges have.
+/// close the plane's [`Published`](crate::metrics::Published) record
+/// (the collector's per-class latency histograms, MO, live records) is
+/// swapped — so an exporter scraping the plane sees per-op-class
+/// amortized RO/UO/MO evolve while the run is still going. A scrape
+/// reads the ledger as it stands and the record as of the last window
+/// close.
 ///
-/// To feed the ledger's causal re-attribution, install a sink from the
-/// same plane on the method first (`method.set_trace_sink(plane.sink())`).
+/// To feed the ledger's causal re-attribution, install the same plane's
+/// sink on the method first (`method.set_trace_sink(plane.sink())`).
 /// Without a sink the ledger still conserves — it just has no background
 /// events to move.
 ///
 /// The plane, like the collector, is a pure observer of the tracker:
 /// every counted measurement in the returned report (op counts, all
 /// three [`CostSnapshot`]s, RO/UO/MO bits) is identical to an untraced
-/// [`run_stream`] of the same stream. At the end of the run
-/// [`MetricsPlane::publish_final`] records the tracker totals and the
-/// conservation verdict (`rum_conservation_ok`), which holds byte-exactly
+/// [`run_stream`] of the same stream. At the end of the run the record
+/// carries the tracker totals, against which the exporter's
+/// conservation verdict (`rum_conservation_ok`) holds byte-exactly,
 /// because the ledger was charged every delta the tracker accrued.
 pub fn run_stream_metered(
     method: &mut dyn AccessMethod,

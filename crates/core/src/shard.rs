@@ -882,6 +882,14 @@ impl AccessMethod for ShardedMethod {
         Ok(merge_sorted_partials(partials))
     }
 
+    /// Every shard's reservations, asked before the input is partitioned,
+    /// so a refused load leaves every shard as it was.
+    fn check_records(&self, records: &[Record]) -> Result<()> {
+        self.shards
+            .iter()
+            .try_for_each(|shard| shard.lock().check_records(records))
+    }
+
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         let shard = self.shard_of(key);
         self.mirrored(shard, |m| m.insert_impl(key, value))

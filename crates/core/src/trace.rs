@@ -95,48 +95,46 @@ pub enum EventKind {
 }
 
 impl EventKind {
+    /// Every kind in declaration order (so `kind as usize` indexes it),
+    /// with its stable snake_case name (JSONL output, the `kind` label)
+    /// and the component a folded-stack view groups it under.
+    pub const ALL: [(EventKind, &'static str, &'static str); 18] = [
+        (EventKind::LsmFlush, "lsm_flush", "lsm"),
+        (EventKind::LsmCompaction, "lsm_compaction", "lsm"),
+        (EventKind::WalSync, "wal_sync", "wal"),
+        (EventKind::WalCheckpoint, "wal_checkpoint", "wal"),
+        (EventKind::WalRecovery, "wal_recovery", "wal"),
+        (EventKind::ShardDispatch, "shard_dispatch", "shard"),
+        (EventKind::LsmViewBuild, "lsm_view_build", "lsm"),
+        (EventKind::LsmViewInvalidate, "lsm_view_invalidate", "lsm"),
+        (EventKind::LsmViewHit, "lsm_view_hit", "lsm"),
+        (EventKind::Window, "window", "trace"),
+        (EventKind::FaultInjected, "fault_injected", "fault"),
+        (EventKind::RetryAttempt, "retry_attempt", "fault"),
+        (
+            EventKind::CorruptionDetected,
+            "corruption_detected",
+            "repair",
+        ),
+        (EventKind::RepairComplete, "repair_complete", "repair"),
+        (EventKind::DriftDetected, "drift_detected", "autotune"),
+        (EventKind::TuneDecision, "tune_decision", "autotune"),
+        (EventKind::MigrationStart, "migration_start", "autotune"),
+        (
+            EventKind::MigrationComplete,
+            "migration_complete",
+            "autotune",
+        ),
+    ];
+
     /// Stable snake_case name used in JSONL output.
     pub fn as_str(self) -> &'static str {
-        match self {
-            EventKind::LsmFlush => "lsm_flush",
-            EventKind::LsmCompaction => "lsm_compaction",
-            EventKind::WalSync => "wal_sync",
-            EventKind::WalCheckpoint => "wal_checkpoint",
-            EventKind::WalRecovery => "wal_recovery",
-            EventKind::ShardDispatch => "shard_dispatch",
-            EventKind::LsmViewBuild => "lsm_view_build",
-            EventKind::LsmViewInvalidate => "lsm_view_invalidate",
-            EventKind::LsmViewHit => "lsm_view_hit",
-            EventKind::Window => "window",
-            EventKind::FaultInjected => "fault_injected",
-            EventKind::RetryAttempt => "retry_attempt",
-            EventKind::CorruptionDetected => "corruption_detected",
-            EventKind::RepairComplete => "repair_complete",
-            EventKind::DriftDetected => "drift_detected",
-            EventKind::TuneDecision => "tune_decision",
-            EventKind::MigrationStart => "migration_start",
-            EventKind::MigrationComplete => "migration_complete",
-        }
+        Self::ALL[self as usize].1
     }
 
     /// The component a folded-stack view groups this kind under.
     pub fn component(self) -> &'static str {
-        match self {
-            EventKind::LsmFlush
-            | EventKind::LsmCompaction
-            | EventKind::LsmViewBuild
-            | EventKind::LsmViewInvalidate
-            | EventKind::LsmViewHit => "lsm",
-            EventKind::WalSync | EventKind::WalCheckpoint | EventKind::WalRecovery => "wal",
-            EventKind::ShardDispatch => "shard",
-            EventKind::Window => "trace",
-            EventKind::FaultInjected | EventKind::RetryAttempt => "fault",
-            EventKind::CorruptionDetected | EventKind::RepairComplete => "repair",
-            EventKind::DriftDetected
-            | EventKind::TuneDecision
-            | EventKind::MigrationStart
-            | EventKind::MigrationComplete => "autotune",
-        }
+        Self::ALL[self as usize].2
     }
 }
 
@@ -181,25 +179,22 @@ impl Event {
     pub fn byte_weight(&self) -> u64 {
         detail_byte_weight(&self.detail)
     }
-
-    /// One JSON object on one line:
-    /// `{"seq":3,"kind":"lsm_flush","level":0,"bytes":4096}`.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = format!("{{\"seq\":{},\"kind\":\"{}\"", self.seq, self.kind.as_str());
-        for (k, v) in &self.detail {
-            out.push_str(&format!(",\"{k}\":{v}"));
-        }
-        out.push('}');
-        out
-    }
 }
 
-/// Render events as JSONL, one [`Event::to_jsonl`] object per line.
+/// Render events as JSONL, one object per line:
+/// `{"seq":3,"kind":"lsm_flush","level":0,"bytes":4096}`.
 pub fn events_to_jsonl(events: &[Event]) -> String {
     let mut out = String::new();
     for e in events {
-        out.push_str(&e.to_jsonl());
-        out.push('\n');
+        out.push_str(&format!(
+            "{{\"seq\":{},\"kind\":\"{}\"",
+            e.seq,
+            e.kind.as_str()
+        ));
+        for (k, v) in &e.detail {
+            out.push_str(&format!(",\"{k}\":{v}"));
+        }
+        out.push_str("}\n");
     }
     out
 }
@@ -307,26 +302,11 @@ impl MemorySink {
         self.events.lock().expect("sink poisoned").clone()
     }
 
-    /// Number of events recorded so far.
-    pub fn len(&self) -> usize {
-        self.events.lock().expect("sink poisoned").len()
-    }
-
-    /// Whether no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Events shed after the sink filled to its capacity. They still
     /// consumed sequence numbers, so `seq` gaps never appear — the
     /// stored stream simply ends early.
     pub fn dropped(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Maximum number of events this sink stores.
-    pub fn capacity(&self) -> usize {
-        self.cap
     }
 }
 
@@ -466,15 +446,6 @@ impl LatencyHistogram {
             0
         } else {
             self.min
-        }
-    }
-
-    /// Mean observed value (0 when empty).
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
         }
     }
 
@@ -844,7 +815,7 @@ mod tests {
         let mut h = LatencyHistogram::new();
         assert_eq!(h.p50(), 0);
         assert_eq!(h.max(), 0);
-        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.sum(), 0);
         for v in 1..=10_000u64 {
             h.record(v);
         }
@@ -891,17 +862,24 @@ mod tests {
         assert_eq!(events.len(), 5);
         assert_eq!(events[0].seq, 0);
         assert_eq!(events[4].seq, 4);
-        assert_eq!(
-            events[0].to_jsonl(),
-            "{\"seq\":0,\"kind\":\"lsm_flush\",\"level\":0,\"bytes\":4096}"
-        );
         let jsonl = events_to_jsonl(&events);
         assert_eq!(jsonl.lines().count(), 5);
+        assert_eq!(
+            jsonl.lines().next(),
+            Some("{\"seq\":0,\"kind\":\"lsm_flush\",\"level\":0,\"bytes\":4096}")
+        );
         let folded = fold_events(&events);
         assert_eq!(
             folded,
             "rum;lsm;lsm_compaction;L1 128\nrum;lsm;lsm_flush;L0 4096\nrum;wal;wal_sync 25\n"
         );
+    }
+
+    #[test]
+    fn every_kind_sits_at_its_own_index() {
+        for (i, (kind, ..)) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "{kind:?}");
+        }
     }
 
     #[test]
@@ -918,14 +896,13 @@ mod tests {
         for i in 0..5 {
             sink.emit(EventKind::WalSync, &[("bytes", i)]);
         }
-        assert_eq!(sink.len(), 3);
-        assert_eq!(sink.dropped(), 2);
-        assert_eq!(sink.capacity(), 3);
         let events = sink.events();
+        assert_eq!(events.len(), 3);
+        assert_eq!(sink.dropped(), 2);
         assert_eq!(events[2].seq, 2, "stored prefix keeps its seq numbers");
-        assert_eq!(MemorySink::default().capacity(), DEFAULT_MEMORY_SINK_CAP);
+        assert_eq!(MemorySink::default().cap, DEFAULT_MEMORY_SINK_CAP);
         // A zero capacity is clamped up so the sink stays usable.
-        assert_eq!(MemorySink::bounded(0).capacity(), 1);
+        assert_eq!(MemorySink::bounded(0).cap, 1);
     }
 
     #[test]

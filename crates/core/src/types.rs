@@ -5,8 +5,6 @@
 //! `u64` value) and the block to a 4 KiB page, giving `B = 256` records per
 //! block — the block-size parameter of Table 1.
 
-use crate::error::{Result, RumError};
-
 /// Key type: unsigned 64-bit integers, as in the paper's integer-array model.
 pub type Key = u64;
 
@@ -179,18 +177,9 @@ pub fn remove_record_at(area: &mut [u8], count: usize, i: usize) {
 }
 
 /// The value a delete writes into a differential structure (the LSM-tree,
-/// the append log): a user value must avoid it.
+/// the append log): a user value must avoid it, and those methods refuse
+/// it in [`AccessMethod::check_records`](crate::AccessMethod::check_records).
 pub const TOMBSTONE: Value = Value::MAX;
-
-/// Refuse [`TOMBSTONE`] as a user value, for a method that reserves it.
-pub fn check_not_tombstone(value: Value) -> Result<()> {
-    if value == TOMBSTONE {
-        return Err(RumError::InvalidArgument(
-            "value u64::MAX is reserved as the tombstone sentinel".into(),
-        ));
-    }
-    Ok(())
-}
 
 /// Logical size in bytes of `n` records of base data.
 #[inline]

@@ -226,12 +226,17 @@ impl AccessMethod for StaticHash {
         Ok(out)
     }
 
-    fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        if key >= GRAVE {
+    /// `EMPTY` and `GRAVE` mark slots, so no key may be either.
+    fn check_records(&self, records: &[Record]) -> Result<()> {
+        if records.iter().any(|r| r.key >= GRAVE) {
             return Err(RumError::InvalidArgument(
                 "keys u64::MAX-1 and u64::MAX are reserved slot markers".into(),
             ));
         }
+        Ok(())
+    }
+
+    fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         self.maybe_grow()?;
         let (slot, existing) = self.probe(key)?;
         self.write_slot(slot, Record::new(key, value))?;
@@ -264,13 +269,6 @@ impl AccessMethod for StaticHash {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        // Keys ascend (the provided `bulk_load` checked): only the last
-        // can be a reserved marker.
-        if records.last().map(|r| r.key >= GRAVE).unwrap_or(false) {
-            return Err(RumError::InvalidArgument(
-                "keys u64::MAX-1 and u64::MAX are reserved slot markers".into(),
-            ));
-        }
         for id in std::mem::take(&mut self.pages) {
             self.pager.free(id)?;
         }
@@ -429,8 +427,9 @@ mod tests {
         let before = h.tracker().snapshot();
         for key in [EMPTY, GRAVE] {
             assert_eq!(h.get(key).unwrap(), None, "get {key}");
-            assert!(!h.update(key, 9).unwrap(), "update {key}");
             assert!(!h.delete(key).unwrap(), "delete {key}");
+            // A write carrying a marker key is refused before any hook.
+            assert!(h.update(key, 9).is_err(), "update {key}");
             assert!(h.insert(key, 9).is_err(), "insert {key}");
         }
         assert_eq!(h.len(), 9);

@@ -5,8 +5,7 @@ use std::sync::Arc;
 
 use rum_core::trace::{EventKind, TraceSink};
 use rum_core::{
-    check_not_tombstone, AccessMethod, CostSnapshot, CostTracker, Key, Record, Result,
-    SpaceProfile, Value,
+    AccessMethod, CostSnapshot, CostTracker, Key, Record, Result, RumError, SpaceProfile, Value,
 };
 use rum_storage::{BlockDevice, CheckedDevice, MemDevice, Pager, RetryPolicy, ScrubReport};
 
@@ -526,8 +525,17 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
         Ok(out)
     }
 
+    /// A delete writes [`TOMBSTONE`], so no user value may be it.
+    fn check_records(&self, records: &[Record]) -> Result<()> {
+        if records.iter().any(|r| r.value == TOMBSTONE) {
+            return Err(RumError::InvalidArgument(
+                "value u64::MAX is reserved as the tombstone sentinel".into(),
+            ));
+        }
+        Ok(())
+    }
+
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        check_not_tombstone(value)?;
         self.memtable.put(key, value, &self.tracker);
         self.live.insert(key);
         if self.memtable.len() >= self.config.memtable_records {
@@ -537,7 +545,6 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        check_not_tombstone(value)?;
         if !self.live.contains(&key) {
             return Ok(false);
         }
@@ -560,9 +567,6 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        records
-            .iter()
-            .try_for_each(|r| check_not_tombstone(r.value))?;
         // Tear down.
         self.memtable = Memtable::new();
         for runs in std::mem::take(&mut self.levels) {

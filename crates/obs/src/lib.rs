@@ -1,14 +1,15 @@
 //! # rum-obs
 //!
-//! A zero-dependency exporter for the [`rum_core::metrics`] plane:
-//! renders a [`MetricsSnapshot`] in Prometheus text exposition format
-//! (version 0.0.4) plus a JSON snapshot, and serves both over a plain
+//! A zero-dependency exporter for the [`rum_core::metrics`] plane: walks
+//! a [`MetricsPlane`] (its debt ledger and its published record) once
+//! per scrape and formats the walk as Prometheus text exposition
+//! (version 0.0.4) or as a JSON snapshot, served over a plain
 //! `std::net::TcpListener` — no async runtime, no HTTP crate.
 //!
 //! * [`render_prometheus`] / [`parse_prometheus`] — text format out and
 //!   (a validating subset) back in; the parser is what the CI smoke leg
 //!   uses to prove the exposition is well-formed.
-//! * [`render_json`] — the same snapshot as one JSON object, with
+//! * [`render_json`] — the same series as one JSON object, with
 //!   histogram quantiles pre-computed.
 //! * [`serve`] — a background thread accepting connections and
 //!   answering `GET /metrics` and `GET /snapshot.json`; bind to port 0
@@ -17,9 +18,9 @@
 //! * [`http_get`] — the matching one-shot client, used by `rum_top` and
 //!   the smoke tests.
 //!
-//! Everything here *reads* the registry; nothing writes it, so an
-//! exporter attached to a live run is as observer-free as the metrics
-//! plane itself.
+//! Everything here *reads* the plane; nothing writes it, so an exporter
+//! attached to a live run is as observer-free as the metrics plane
+//! itself.
 
 #![forbid(unsafe_code)]
 
@@ -30,107 +31,210 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use rum_core::metrics::{MetricKey, MetricsRegistry, MetricsSnapshot};
+use rum_core::metrics::{DebtSnapshot, MetricsPlane, OpClass, Published};
+use rum_core::trace::{EventKind, LatencyHistogram};
+
+// ---- the walk ---------------------------------------------------------------
+
+/// One exported series' value.
+enum Sample<'a> {
+    Counter(u64),
+    Gauge(f64),
+    Histogram(&'a LatencyHistogram),
+}
+
+/// One exported series. Names and label values are fixed snake_case
+/// identifiers, so neither format escapes them.
+struct Series<'a> {
+    name: &'static str,
+    /// Label pairs sorted by label name.
+    labels: Vec<(&'static str, &'static str)>,
+    sample: Sample<'a>,
+}
+
+impl Sample<'_> {
+    /// The exposition section (and `# TYPE`) this value belongs to.
+    fn section(&self) -> (usize, &'static str) {
+        match self {
+            Sample::Counter(_) => (0, "counter"),
+            Sample::Gauge(_) => (1, "gauge"),
+            Sample::Histogram(_) => (2, "histogram"),
+        }
+    }
+}
+
+/// Every series the plane's state exports, in exposition order:
+/// counters, gauges, then histograms, each by name and then labels.
+///
+/// * `rum_events_total{kind}` / `rum_event_bytes_total{component,kind}`
+///   — the ledger's event counts and byte weights (a kind that never
+///   fired, or never carried bytes, has no series).
+///
+/// Once the run has published (its first window close):
+/// * `rum_class_read_amplification{class}` / `rum_class_write_amplification{class}`
+///   — live per-op-class amortized RO/UO (causally attributed;
+///   non-finite values read 0 so every published value is finite).
+/// * `rum_class_attributed_read_bytes{class}` / `..._write_bytes{class}`
+///   and `rum_class_logical_read_bytes{class}` / `..._write_bytes{class}`.
+/// * `rum_debt_accrued_bytes` / `rum_debt_settled_bytes` /
+///   `rum_debt_outstanding_bytes` — the deferred-write debt balance.
+/// * `rum_reattributed_read_bytes` / `rum_reattributed_write_bytes`.
+/// * `rum_space_amplification` (MO) and `rum_live_records`.
+/// * `rum_op_latency_ns{class}` — the run's op latency histogram, and
+///   `rum_op_latency_p50_ns{class}` / `rum_op_latency_p99_ns{class}` from
+///   it; a class with no ops yet exports none of the three.
+/// * Once finished: the `rum_tracker_*_bytes` totals and
+///   `rum_conservation_ok` (1 when [`DebtSnapshot::conserves`] holds).
+fn walk<'a>(debt: &DebtSnapshot, published: Option<&'a Published>) -> Vec<Series<'a>> {
+    let mut out = Vec::new();
+    let mut push = |name, labels: &[_], sample| {
+        out.push(Series {
+            name,
+            labels: labels.to_vec(),
+            sample,
+        })
+    };
+    for (i, (_, kind, component)) in EventKind::ALL.into_iter().enumerate() {
+        let (events, bytes) = (debt.events[i], debt.event_bytes[i]);
+        if events > 0 {
+            let labels = [("kind", kind)];
+            push("rum_events_total", &labels, Sample::Counter(events));
+        }
+        if bytes > 0 {
+            let labels = [("component", component), ("kind", kind)];
+            push("rum_event_bytes_total", &labels, Sample::Counter(bytes));
+        }
+    }
+    if let Some(p) = published {
+        for class in OpClass::ALL {
+            let (a, labels) = (debt.class(class), [("class", class.as_str())]);
+            for (name, v) in [
+                ("rum_class_read_amplification", finite_or_zero(a.ro())),
+                ("rum_class_write_amplification", finite_or_zero(a.uo())),
+                (
+                    "rum_class_attributed_read_bytes",
+                    a.attributed_read_bytes() as f64,
+                ),
+                (
+                    "rum_class_attributed_write_bytes",
+                    a.attributed_write_bytes() as f64,
+                ),
+                (
+                    "rum_class_logical_read_bytes",
+                    a.charged.logical_read_bytes as f64,
+                ),
+                (
+                    "rum_class_logical_write_bytes",
+                    a.charged.logical_write_bytes as f64,
+                ),
+            ] {
+                push(name, &labels, Sample::Gauge(v));
+            }
+        }
+        let mut gauges = vec![
+            ("rum_debt_accrued_bytes", debt.debt_accrued_bytes as f64),
+            ("rum_debt_settled_bytes", debt.debt_settled_bytes as f64),
+            (
+                "rum_debt_outstanding_bytes",
+                debt.debt_outstanding_bytes() as f64,
+            ),
+            (
+                "rum_reattributed_read_bytes",
+                debt.reattributed_read_bytes as f64,
+            ),
+            (
+                "rum_reattributed_write_bytes",
+                debt.reattributed_write_bytes as f64,
+            ),
+            ("rum_space_amplification", finite_or_zero(p.mo)),
+            ("rum_live_records", p.live_records as f64),
+        ];
+        if let Some(t) = &p.totals {
+            gauges.extend([
+                ("rum_tracker_read_bytes", t.total_read_bytes() as f64),
+                ("rum_tracker_write_bytes", t.total_write_bytes() as f64),
+                (
+                    "rum_tracker_logical_read_bytes",
+                    t.logical_read_bytes as f64,
+                ),
+                (
+                    "rum_tracker_logical_write_bytes",
+                    t.logical_write_bytes as f64,
+                ),
+                (
+                    "rum_conservation_ok",
+                    f64::from(u8::from(debt.conserves(t))),
+                ),
+            ]);
+        }
+        for (name, v) in gauges {
+            push(name, &[], Sample::Gauge(v));
+        }
+        for (class, h) in [("read", &p.latency.read), ("write", &p.latency.write)] {
+            if h.count() > 0 {
+                let (labels, p50, p99) = ([("class", class)], h.p50() as f64, h.p99() as f64);
+                push("rum_op_latency_ns", &labels, Sample::Histogram(h));
+                push("rum_op_latency_p50_ns", &labels, Sample::Gauge(p50));
+                push("rum_op_latency_p99_ns", &labels, Sample::Gauge(p99));
+            }
+        }
+    }
+    let key = |s: &Series| (s.sample.section().0, s.name);
+    out.sort_by(|a, b| (key(a), &a.labels).cmp(&(key(b), &b.labels)));
+    out
+}
+
+fn finite_or_zero(x: f64) -> f64 {
+    if x.is_finite() {
+        x
+    } else {
+        0.0
+    }
+}
 
 // ---- text exposition -------------------------------------------------------
 
-fn render_labels(out: &mut String, labels: &[(String, String)], extra: Option<(&str, &str)>) {
-    if labels.is_empty() && extra.is_none() {
-        return;
-    }
-    out.push('{');
-    let mut first = true;
-    for (k, v) in labels {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(&escape_label(v));
-        out.push('"');
-    }
-    if let Some((k, v)) = extra {
-        if !first {
-            out.push(',');
-        }
-        out.push_str(k);
-        out.push_str("=\"");
-        out.push_str(&escape_label(v));
-        out.push('"');
-    }
-    out.push('}');
-}
-
-fn escape_label(v: &str) -> String {
-    v.replace('\\', "\\\\")
-        .replace('"', "\\\"")
-        .replace('\n', "\\n")
-}
-
-fn format_value(v: f64) -> String {
-    if v.is_nan() {
-        "NaN".to_string()
-    } else if v == f64::INFINITY {
-        "+Inf".to_string()
-    } else if v == f64::NEG_INFINITY {
-        "-Inf".to_string()
+fn render_labels(labels: &[(&str, &str)], le: Option<&str>) -> String {
+    let pairs = labels.iter().copied().chain(le.map(|v| ("le", v)));
+    let pairs: Vec<String> = pairs.map(|(k, v)| format!("{k}=\"{v}\"")).collect();
+    if pairs.is_empty() {
+        String::new()
     } else {
-        format!("{v}")
+        format!("{{{}}}", pairs.join(","))
     }
 }
 
-fn type_line(out: &mut String, last: &mut String, name: &str, kind: &str) {
-    if last != name {
-        out.push_str(&format!("# TYPE {name} {kind}\n"));
-        *last = name.to_string();
-    }
-}
-
-/// Render a snapshot in Prometheus text exposition format: counters,
+/// Render the plane in Prometheus text exposition format: counters,
 /// gauges, then histograms (cumulative `_bucket{le=…}` series over the
 /// non-empty log buckets, plus `+Inf`, `_sum`, and `_count`). `# TYPE`
 /// lines are emitted once per metric name; series order is
 /// deterministic (name, then sorted labels).
-pub fn render_prometheus(snap: &MetricsSnapshot) -> String {
+pub fn render_prometheus(plane: &MetricsPlane) -> String {
+    let (debt, published) = (plane.ledger().snapshot(), plane.published());
     let mut out = String::new();
-    let mut last = String::new();
-    for (key, v) in &snap.counters {
-        type_line(&mut out, &mut last, &key.name, "counter");
-        out.push_str(&key.name);
-        render_labels(&mut out, &key.labels, None);
-        out.push_str(&format!(" {v}\n"));
-    }
-    for (key, v) in &snap.gauges {
-        type_line(&mut out, &mut last, &key.name, "gauge");
-        out.push_str(&key.name);
-        render_labels(&mut out, &key.labels, None);
-        out.push(' ');
-        out.push_str(&format_value(*v));
-        out.push('\n');
-    }
-    for (key, h) in &snap.histograms {
-        type_line(&mut out, &mut last, &key.name, "histogram");
-        let mut cumulative = 0u64;
-        for (upper, count) in h.nonzero_buckets() {
-            cumulative += count;
-            out.push_str(&key.name);
-            out.push_str("_bucket");
-            render_labels(&mut out, &key.labels, Some(("le", &upper.to_string())));
-            out.push_str(&format!(" {cumulative}\n"));
+    let mut last = "";
+    for s in walk(&debt, published.as_ref()) {
+        let (name, labels) = (s.name, render_labels(&s.labels, None));
+        if name != last {
+            out.push_str(&format!("# TYPE {name} {}\n", s.sample.section().1));
+            last = name;
         }
-        out.push_str(&key.name);
-        out.push_str("_bucket");
-        render_labels(&mut out, &key.labels, Some(("le", "+Inf")));
-        out.push_str(&format!(" {}\n", h.count()));
-        out.push_str(&key.name);
-        out.push_str("_sum");
-        render_labels(&mut out, &key.labels, None);
-        out.push_str(&format!(" {}\n", h.sum()));
-        out.push_str(&key.name);
-        out.push_str("_count");
-        render_labels(&mut out, &key.labels, None);
-        out.push_str(&format!(" {}\n", h.count()));
+        match s.sample {
+            Sample::Counter(v) => out.push_str(&format!("{name}{labels} {v}\n")),
+            Sample::Gauge(v) => out.push_str(&format!("{name}{labels} {v}\n")),
+            Sample::Histogram(h) => {
+                let mut cumulative = 0u64;
+                for (upper, count) in h.nonzero_buckets() {
+                    cumulative += count;
+                    let le = render_labels(&s.labels, Some(&upper.to_string()));
+                    out.push_str(&format!("{name}_bucket{le} {cumulative}\n"));
+                }
+                let le = render_labels(&s.labels, Some("+Inf"));
+                out.push_str(&format!("{name}_bucket{le} {}\n", h.count()));
+                out.push_str(&format!("{name}_sum{labels} {}\n", h.sum()));
+                out.push_str(&format!("{name}_count{labels} {}\n", h.count()));
+            }
+        }
     }
     out
 }
@@ -232,67 +336,29 @@ pub fn parse_prometheus(text: &str) -> Result<Vec<PromSample>, String> {
 
 // ---- JSON snapshot ---------------------------------------------------------
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-fn json_f64(v: f64) -> String {
-    // JSON has no Inf/NaN literals; non-finite gauges become null.
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-fn json_key(key: &MetricKey) -> String {
-    let labels: Vec<String> = key
-        .labels
-        .iter()
-        .map(|(k, v)| format!("\"{}\":\"{}\"", json_escape(k), json_escape(v)))
-        .collect();
-    format!(
-        "\"name\":\"{}\",\"labels\":{{{}}}",
-        json_escape(&key.name),
-        labels.join(",")
-    )
-}
-
-/// Render a snapshot as one JSON object:
+/// Render the plane as one JSON object:
 /// `{"counters":[…],"gauges":[…],"histograms":[…]}`, histograms with
-/// count/sum/min/p50/p90/p99/max pre-computed. Hand-rolled (and
-/// escape-correct) because the workspace builds offline with no JSON
-/// dependency.
-pub fn render_json(snap: &MetricsSnapshot) -> String {
-    let counters: Vec<String> = snap
-        .counters
-        .iter()
-        .map(|(k, v)| format!("{{{},\"value\":{v}}}", json_key(k)))
-        .collect();
-    let gauges: Vec<String> = snap
-        .gauges
-        .iter()
-        .map(|(k, v)| format!("{{{},\"value\":{}}}", json_key(k), json_f64(*v)))
-        .collect();
-    let histograms: Vec<String> = snap
-        .histograms
-        .iter()
-        .map(|(k, h)| {
-            format!(
-                "{{{},\"count\":{},\"sum\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-                json_key(k),
+/// count/sum/min/p50/p90/p99/max pre-computed. Hand-rolled because the
+/// workspace builds offline with no JSON dependency.
+pub fn render_json(plane: &MetricsPlane) -> String {
+    let (debt, published) = (plane.ledger().snapshot(), plane.published());
+    let mut sections: [Vec<String>; 3] = Default::default();
+    for s in walk(&debt, published.as_ref()) {
+        let labels: Vec<String> = s
+            .labels
+            .iter()
+            .map(|(k, v)| format!("\"{k}\":\"{v}\""))
+            .collect();
+        let head = format!(
+            "\"name\":\"{}\",\"labels\":{{{}}}",
+            s.name,
+            labels.join(",")
+        );
+        let body = match s.sample {
+            Sample::Counter(v) => format!("{{{head},\"value\":{v}}}"),
+            Sample::Gauge(v) => format!("{{{head},\"value\":{v}}}"),
+            Sample::Histogram(h) => format!(
+                "{{{head},\"count\":{},\"sum\":{},\"min\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
                 h.count(),
                 h.sum(),
                 h.min(),
@@ -300,15 +366,12 @@ pub fn render_json(snap: &MetricsSnapshot) -> String {
                 h.p90(),
                 h.p99(),
                 h.max()
-            )
-        })
-        .collect();
-    format!(
-        "{{\"counters\":[{}],\"gauges\":[{}],\"histograms\":[{}]}}",
-        counters.join(","),
-        gauges.join(","),
-        histograms.join(",")
-    )
+            ),
+        };
+        sections[s.sample.section().0].push(body);
+    }
+    let [counters, gauges, histograms] = sections.map(|s| s.join(","));
+    format!("{{\"counters\":[{counters}],\"gauges\":[{gauges}],\"histograms\":[{histograms}]}}")
 }
 
 // ---- the server ------------------------------------------------------------
@@ -348,11 +411,12 @@ impl Drop for MetricsServer {
 }
 
 /// Serve `GET /metrics` (Prometheus text) and `GET /snapshot.json` from
-/// `registry` on `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
+/// `plane` on `addr` (e.g. `"127.0.0.1:0"` for an ephemeral port).
 /// One background thread handles connections serially — scrape traffic,
-/// not serving traffic. Every response snapshots the registry at
-/// request time, so a scrape mid-run sees the live state.
-pub fn serve(registry: Arc<MetricsRegistry>, addr: &str) -> io::Result<MetricsServer> {
+/// not serving traffic. Every response renders the plane at request
+/// time, so a scrape mid-run sees the ledger as it stands and the
+/// record of the last window close.
+pub fn serve(plane: Arc<MetricsPlane>, addr: &str) -> io::Result<MetricsServer> {
     let listener = TcpListener::bind(addr)?;
     let local = listener.local_addr()?;
     let stop = Arc::new(AtomicBool::new(false));
@@ -365,7 +429,7 @@ pub fn serve(registry: Arc<MetricsRegistry>, addr: &str) -> io::Result<MetricsSe
                     break;
                 }
                 if let Ok(mut stream) = conn {
-                    let _ = answer(&mut stream, &registry);
+                    let _ = answer(&mut stream, &plane);
                 }
             }
         })?;
@@ -413,7 +477,7 @@ fn write_response(
     stream.flush()
 }
 
-fn answer(stream: &mut TcpStream, registry: &MetricsRegistry) -> io::Result<()> {
+fn answer(stream: &mut TcpStream, plane: &MetricsPlane) -> io::Result<()> {
     let path = match read_request_path(stream) {
         Ok(p) => p,
         // A malformed request (or the shutdown wake-up connection)
@@ -422,7 +486,7 @@ fn answer(stream: &mut TcpStream, registry: &MetricsRegistry) -> io::Result<()> 
     };
     match path.as_str() {
         "/metrics" => {
-            let body = render_prometheus(&registry.snapshot());
+            let body = render_prometheus(plane);
             write_response(
                 stream,
                 "200 OK",
@@ -431,7 +495,7 @@ fn answer(stream: &mut TcpStream, registry: &MetricsRegistry) -> io::Result<()> 
             )
         }
         "/snapshot.json" => {
-            let body = render_json(&registry.snapshot());
+            let body = render_json(plane);
             write_response(stream, "200 OK", "application/json", &body)
         }
         "/" => write_response(
@@ -480,41 +544,61 @@ pub fn http_get(addr: impl ToSocketAddrs, path: &str) -> io::Result<(u16, String
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rum_core::trace::LatencyHistogram;
+    use rum_core::trace::{ClassLatency, TraceSink};
+    use rum_core::CostSnapshot;
 
-    fn sample_registry() -> Arc<MetricsRegistry> {
-        let r = MetricsRegistry::shared();
-        r.counter_add("rum_events_total", &[("kind", "lsm_flush")], 3);
-        r.counter_add("rum_events_total", &[("kind", "wal_sync")], 9);
-        r.gauge_set("rum_space_amplification", &[], 1.25);
-        r.gauge_set("rum_class_read_amplification", &[("class", "read")], 4.5);
-        let mut h = LatencyHistogram::new();
-        for v in [100, 200, 100_000] {
-            h.record(v);
+    /// A plane fed through its sink and its ledger, and the record a
+    /// finished run publishes: 3 flushes and 9 WAL syncs, one read-class
+    /// charge, three read latencies and no writes.
+    fn sample_plane() -> Arc<MetricsPlane> {
+        let plane = Arc::new(MetricsPlane::new());
+        let sink = plane.sink();
+        for _ in 0..3 {
+            sink.emit(EventKind::LsmFlush, &[("level", 0), ("bytes", 4_096)]);
         }
-        r.histogram_set("rum_op_latency_ns", &[("class", "read")], &h);
-        r
+        for _ in 0..9 {
+            sink.emit(EventKind::WalSync, &[("bytes", 100)]);
+        }
+        plane.ledger().begin_class(OpClass::Read);
+        let d = CostSnapshot {
+            base_read_bytes: 2_048,
+            logical_read_bytes: 1_024,
+            ..Default::default()
+        };
+        plane.ledger().charge(OpClass::Read, &d);
+        let mut latency = ClassLatency::default();
+        for v in [10, 20, 30] {
+            latency.record(true, v);
+        }
+        plane.publish(Published {
+            latency,
+            mo: 1.25,
+            live_records: 42,
+            totals: Some(d),
+        });
+        plane
+    }
+
+    fn value(samples: &[PromSample], name: &str, label: Option<(&str, &str)>) -> Option<f64> {
+        let hit =
+            |s: &&PromSample| s.name == name && label.is_none_or(|(k, v)| s.label(k) == Some(v));
+        samples.iter().find(hit).map(|s| s.value)
     }
 
     #[test]
     fn render_parse_roundtrip_preserves_samples() {
-        let text = render_prometheus(&sample_registry().snapshot());
+        let text = render_prometheus(&sample_plane());
         assert!(text.contains("# TYPE rum_events_total counter"));
         assert!(text.contains("rum_events_total{kind=\"lsm_flush\"} 3"));
+        assert!(text.contains("rum_event_bytes_total{component=\"wal\",kind=\"wal_sync\"} 900"));
         assert!(text.contains("# TYPE rum_op_latency_ns histogram"));
         assert!(text.contains("rum_op_latency_ns_count{class=\"read\"} 3"));
         assert!(text.contains("le=\"+Inf\"} 3"));
         let samples = parse_prometheus(&text).expect("rendered text must parse");
-        let flush = samples
-            .iter()
-            .find(|s| s.name == "rum_events_total" && s.label("kind") == Some("lsm_flush"))
-            .unwrap();
-        assert_eq!(flush.value, 3.0);
-        let inf_bucket = samples
-            .iter()
-            .find(|s| s.name == "rum_op_latency_ns_bucket" && s.label("le") == Some("+Inf"))
-            .unwrap();
-        assert_eq!(inf_bucket.value, 3.0);
+        let flush = value(&samples, "rum_events_total", Some(("kind", "lsm_flush")));
+        assert_eq!(flush, Some(3.0));
+        let inf = value(&samples, "rum_op_latency_ns_bucket", Some(("le", "+Inf")));
+        assert_eq!(inf, Some(3.0));
         // Cumulative bucket counts are monotone.
         let mut last = 0.0;
         for s in samples
@@ -524,6 +608,26 @@ mod tests {
             assert!(s.value >= last, "bucket counts must be cumulative");
             last = s.value;
         }
+    }
+
+    /// The gauges come from the ledger and the published record: RO is
+    /// attributed over logical bytes, the verdict is checked against the
+    /// published totals, and a class with no ops exports no latency.
+    #[test]
+    fn gauges_render_the_ledger_and_the_published_record() {
+        let samples = parse_prometheus(&render_prometheus(&sample_plane())).unwrap();
+        let read = Some(("class", "read"));
+        assert_eq!(
+            value(&samples, "rum_class_read_amplification", read),
+            Some(2.0)
+        );
+        assert_eq!(value(&samples, "rum_conservation_ok", None), Some(1.0));
+        assert_eq!(value(&samples, "rum_space_amplification", None), Some(1.25));
+        assert_eq!(value(&samples, "rum_live_records", None), Some(42.0));
+        assert_eq!(value(&samples, "rum_op_latency_p50_ns", read), Some(20.0));
+        let write = Some(("class", "write"));
+        assert_eq!(value(&samples, "rum_op_latency_p50_ns", write), None);
+        assert!(samples.iter().all(|s| s.value.is_finite()));
     }
 
     #[test]
@@ -542,51 +646,37 @@ mod tests {
     }
 
     #[test]
-    fn special_values_render_as_prometheus_spells_them() {
-        let r = MetricsRegistry::shared();
-        r.gauge_set("g_inf", &[], f64::INFINITY);
-        r.gauge_set("g_nan", &[], f64::NAN);
-        let text = render_prometheus(&r.snapshot());
-        assert!(text.contains("g_inf +Inf"));
-        assert!(text.contains("g_nan NaN"));
-        let parsed = parse_prometheus(&text).unwrap();
-        assert!(parsed
-            .iter()
-            .any(|s| s.name == "g_inf" && s.value.is_infinite()));
-    }
-
-    #[test]
-    fn json_snapshot_is_structured_and_escapes() {
-        let r = MetricsRegistry::shared();
-        r.counter_add("c", &[("k", "va\"lue")], 1);
-        r.gauge_set("g", &[], f64::INFINITY);
-        let mut h = LatencyHistogram::new();
-        h.record(50);
-        r.histogram_set("h", &[], &h);
-        let json = render_json(&r.snapshot());
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"counters\":["));
-        assert!(json.contains("va\\\"lue"));
-        assert!(
-            json.contains("\"value\":null"),
-            "non-finite gauge becomes null"
-        );
-        assert!(json.contains("\"p50\":50"));
+    fn json_snapshot_is_structured() {
+        let json = render_json(&sample_plane());
+        assert!(json.starts_with("{\"counters\":[") && json.ends_with("]}"));
+        assert!(json.contains(
+            "{\"name\":\"rum_events_total\",\"labels\":{\"kind\":\"wal_sync\"},\"value\":9}"
+        ));
+        assert!(json.contains("{\"name\":\"rum_live_records\",\"labels\":{},\"value\":42}"));
+        assert!(json.contains("\"count\":3,\"sum\":60,\"min\":10,\"p50\":20"));
     }
 
     #[test]
     fn server_serves_metrics_json_and_404() {
-        let registry = sample_registry();
-        let mut server = serve(Arc::clone(&registry), "127.0.0.1:0").expect("bind");
+        let plane = Arc::new(MetricsPlane::new());
+        let mut server = serve(Arc::clone(&plane), "127.0.0.1:0").expect("bind");
         let addr = server.local_addr();
-        let (status, body) = http_get(addr, "/metrics").expect("scrape");
-        assert_eq!(status, 200);
-        let samples = parse_prometheus(&body).expect("live scrape parses");
-        assert!(samples.iter().any(|s| s.name == "rum_space_amplification"));
-        // The scrape is live: mutate and scrape again.
-        registry.counter_add("rum_events_total", &[("kind", "wal_sync")], 1);
-        let (_, body2) = http_get(addr, "/metrics").unwrap();
-        assert!(body2.contains("rum_events_total{kind=\"wal_sync\"} 10"));
+        let scrape = || {
+            let (status, body) = http_get(addr, "/metrics").expect("scrape");
+            assert_eq!(status, 200);
+            parse_prometheus(&body).expect("live scrape parses")
+        };
+        // The sink alone feeds counters; gauges wait for the first record.
+        plane.sink().emit(EventKind::WalSync, &[("bytes", 8)]);
+        let samples = scrape();
+        assert_eq!(value(&samples, "rum_events_total", None), Some(1.0));
+        assert_eq!(value(&samples, "rum_space_amplification", None), None);
+        // The scrape is live: publish, emit, and scrape again.
+        plane.publish(Published::default());
+        plane.sink().emit(EventKind::WalSync, &[("bytes", 8)]);
+        let samples = scrape();
+        assert_eq!(value(&samples, "rum_events_total", None), Some(2.0));
+        assert_eq!(value(&samples, "rum_space_amplification", None), Some(0.0));
         let (status, json) = http_get(addr, "/snapshot.json").unwrap();
         assert_eq!(status, 200);
         assert!(json.contains("\"gauges\":["));

@@ -327,6 +327,11 @@ impl<M: AccessMethod> AccessMethod for Durable<M> {
         self.read_healing(|m| m.range_impl(lo, hi))
     }
 
+    /// The inner method's reservations, asked before anything is logged.
+    fn check_records(&self, records: &[Record]) -> Result<()> {
+        self.inner.check_records(records)
+    }
+
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         self.log_write(WalEntry::Insert { key, value }, |m| {
             m.insert_impl(key, value)

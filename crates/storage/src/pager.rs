@@ -552,7 +552,7 @@ mod tests {
             pages.collect(),
             tracker.snapshot(),
             inj.transient_faults(),
-            sink.len(),
+            sink.events().len(),
             seen,
         )
     }

@@ -77,8 +77,7 @@ pub mod prelude {
         RetuneEstimate, TuneKind, TunePlan,
     };
     pub use rum_core::metrics::{
-        ClassAttribution, DebtLedger, DebtSnapshot, MetricsPlane, MetricsRegistry, MetricsSink,
-        MetricsSnapshot, OpClass,
+        ClassAttribution, DebtLedger, DebtSnapshot, MetricsPlane, OpClass,
     };
     pub use rum_core::runner::{
         default_threads, parallel_map, run_stream, run_stream_autotuned, run_stream_metered,

@@ -48,6 +48,9 @@ impl AccessMethod for Boxed {
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
         self.0.range_impl(lo, hi)
     }
+    fn check_records(&self, records: &[Record]) -> Result<()> {
+        self.0.check_records(records)
+    }
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         self.0.insert_impl(key, value)
     }
@@ -118,8 +121,13 @@ fn every_suite_method_matches_the_model() {
 
 /// Over 50 live records, every input the provided entry points refuse
 /// (inverted ranges, a bulk load out of order or with a repeated key) is
-/// `InvalidArgument` and leaves contents and account as they were.
-fn refuses_bad_input(method: &mut dyn AccessMethod, name: &str) {
+/// `InvalidArgument` and leaves contents and account as they were. Then
+/// writes that carry a value or key some method reserves (the tombstone
+/// `u64::MAX`, the hash slot markers `u64::MAX - 1` and `u64::MAX`): a
+/// method may refuse each, and a refusal is `InvalidArgument` that
+/// changes nothing. Returns which of those writes were refused, so a
+/// stack can be held to its bare method's verdicts.
+fn refuses_bad_input(method: &mut dyn AccessMethod, name: &str) -> Vec<bool> {
     for k in 0..50u64 {
         method.insert(k * 2, k).unwrap();
     }
@@ -150,17 +158,63 @@ fn refuses_bad_input(method: &mut dyn AccessMethod, name: &str) {
         "{name}: refused input changed the contents"
     );
     assert_eq!(method.range(3, 9).unwrap().len(), 3, "{name}");
+    let reserved = u64::MAX;
+    let loads = [
+        (0..10u64)
+            .map(|k| Record::new(k, if k == 4 { reserved } else { k }))
+            .collect::<Vec<_>>(),
+        vec![Record::new(1, 1), Record::new(reserved - 1, 1)],
+        vec![Record::new(1, 1), Record::new(reserved, 1)],
+    ];
+    let ops = [
+        Op::Insert(7, reserved),
+        Op::Update(8, reserved),
+        Op::Insert(reserved - 1, 1),
+        Op::Insert(reserved, 1),
+        Op::Update(reserved, 1),
+    ];
+    let writes = ops.iter().map(|op| format!("{op:?}"));
+    let writes = writes.chain(loads.iter().map(|l| format!("bulk_load({l:?})")));
+    let mut refused = Vec::new();
+    for (i, what) in writes.enumerate() {
+        let before = (method.len(), method.range(0, u64::MAX).unwrap());
+        let account = method.tracker().snapshot();
+        let answer = match ops.get(i) {
+            Some(op) => op.apply(method).map(drop),
+            None => method.bulk_load(&loads[i - ops.len()]),
+        };
+        refused.push(answer.is_err());
+        if let Err(e) = answer {
+            assert!(
+                matches!(e, RumError::InvalidArgument(_)),
+                "{name}: {what} answered {e:?}"
+            );
+            assert_eq!(
+                method.tracker().snapshot(),
+                account,
+                "{name}: {what} charged"
+            );
+            let after = (method.len(), method.range(0, u64::MAX).unwrap());
+            assert!(
+                after == before,
+                "{name}: refused {what} changed the contents"
+            );
+        }
+    }
+    refused
 }
 
 #[test]
 fn inverted_ranges_are_invalid_arguments_everywhere() {
     for i in 0..rum::standard_suite().len() {
         let name = suite_method(i).name();
-        refuses_bad_input(suite_method(i).as_mut(), &format!("{name} [bare]"));
+        let bare = refuses_bad_input(suite_method(i).as_mut(), &format!("{name} [bare]"));
         let mut sharded = ShardedMethod::with_threads(3, 2, |_| suite_method(i));
-        refuses_bad_input(&mut sharded, &format!("{name} [sharded]"));
+        let refused = refuses_bad_input(&mut sharded, &format!("{name} [sharded]"));
+        assert_eq!(refused, bare, "{name} [sharded]: refusals differ from bare");
         let mut durable = Durable::new(move || Boxed(suite_method(i)));
-        refuses_bad_input(&mut durable, &format!("{name} [durable]"));
+        let refused = refuses_bad_input(&mut durable, &format!("{name} [durable]"));
+        assert_eq!(refused, bare, "{name} [durable]: refusals differ from bare");
     }
 }
 
