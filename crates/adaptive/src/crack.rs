@@ -7,10 +7,8 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rum_core::{
-    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
+    base_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value,
 };
-
-const CELL: u64 = RECORD_SIZE as u64;
 
 /// Cracking knobs.
 #[derive(Clone, Copy, Debug)]
@@ -96,10 +94,10 @@ impl CrackedColumn {
     /// (first position with `key >= pivot`). Charges the piece read and
     /// the swapped records written.
     fn partition(&mut self, lo: usize, hi: usize, pivot: Key) -> usize {
-        self.tracker.read(DataClass::Base, (hi - lo) as u64 * CELL);
+        self.tracker.read_records(hi - lo);
         let mut i = lo;
         let mut j = hi;
-        let mut swaps = 0u64;
+        let mut swaps = 0;
         while i < j {
             if self.data[i].key < pivot {
                 i += 1;
@@ -110,7 +108,7 @@ impl CrackedColumn {
             }
         }
         if swaps > 0 {
-            self.tracker.write(DataClass::Base, 2 * swaps * CELL);
+            self.tracker.write_records(2 * swaps);
         }
         i
     }
@@ -189,7 +187,7 @@ impl CrackedColumn {
         if self.pending.is_empty() && self.deleted.is_empty() {
             return;
         }
-        let moved = self.pending.len() as u64;
+        let moved = self.pending.len();
         // Purge deleted keys from the old region *before* appending the
         // pending buffer: a deleted-then-reinserted key has its stale copy
         // in the region and its live copy in the buffer.
@@ -199,10 +197,8 @@ impl CrackedColumn {
         }
         self.data.append(&mut self.pending);
         // The fold rewrites the region.
-        self.tracker
-            .read(DataClass::Base, self.data.len() as u64 * CELL);
-        self.tracker
-            .write(DataClass::Base, (self.data.len() as u64 + moved) * CELL);
+        self.tracker.read_records(self.data.len());
+        self.tracker.write_records(self.data.len() + moved);
         self.index.clear();
     }
 
@@ -218,7 +214,7 @@ impl CrackedColumn {
     fn pending_pos(&self, key: Key) -> Option<usize> {
         let pos = self.pending.iter().position(|r| r.key == key);
         let examined = pos.map(|p| p + 1).unwrap_or(self.pending.len());
-        self.tracker.read(DataClass::Base, examined as u64 * CELL);
+        self.tracker.read_records(examined);
         pos
     }
 }
@@ -247,7 +243,7 @@ impl AccessMethod for CrackedColumn {
     }
 
     fn space_profile(&self) -> SpaceProfile {
-        let physical = (self.data.len() + self.pending.len()) as u64 * CELL
+        let physical = base_bytes(self.data.len() + self.pending.len())
             + self.index_bytes()
             + self.deleted.len() as u64 * 8;
         SpaceProfile::from_physical(self.live_keys.len(), physical)
@@ -265,7 +261,7 @@ impl AccessMethod for CrackedColumn {
         let p1 = self.crack_at(key);
         let p2 = self.crack_after(key);
         // The piece [p1, p2) now contains exactly the matches.
-        self.tracker.read(DataClass::Base, (p2 - p1) as u64 * CELL);
+        self.tracker.read_records(p2 - p1);
         Ok(self.data[p1..p2].first().map(|r| r.value))
     }
 
@@ -273,16 +269,14 @@ impl AccessMethod for CrackedColumn {
         self.maybe_merge();
         let p1 = self.crack_at(lo);
         let p2 = self.crack_after(hi);
-        self.tracker
-            .read(DataClass::Base, (p2.saturating_sub(p1)) as u64 * CELL);
+        self.tracker.read_records(p2.saturating_sub(p1));
         let mut out: Vec<Record> = self.data[p1..p2]
             .iter()
             .filter(|r| !self.deleted.contains(&r.key))
             .copied()
             .collect();
         // Pending inserts are unindexed: scan them too.
-        self.tracker
-            .read(DataClass::Base, self.pending.len() as u64 * CELL);
+        self.tracker.read_records(self.pending.len());
         out.extend(
             self.pending
                 .iter()
@@ -303,7 +297,7 @@ impl AccessMethod for CrackedColumn {
         // the cracked region; the fresh copy lives in `pending`, which all
         // read paths consult first.
         self.pending.push(Record::new(key, value));
-        self.tracker.write(DataClass::Base, CELL);
+        self.tracker.write_records(1);
         self.live_keys.insert(key);
         self.maybe_merge();
         Ok(())
@@ -315,7 +309,7 @@ impl AccessMethod for CrackedColumn {
         }
         if let Some(p) = self.pending_pos(key) {
             self.pending[p].value = value;
-            self.tracker.write(DataClass::Base, CELL);
+            self.tracker.write_records(1);
             return Ok(true);
         }
         if self.deleted.contains(&key) {
@@ -325,7 +319,7 @@ impl AccessMethod for CrackedColumn {
         let p2 = self.crack_after(key);
         if p1 < p2 {
             self.data[p1].value = value;
-            self.tracker.write(DataClass::Base, CELL);
+            self.tracker.write_records(1);
             Ok(true)
         } else {
             Ok(false)
@@ -338,7 +332,7 @@ impl AccessMethod for CrackedColumn {
         }
         if let Some(p) = self.pending_pos(key) {
             self.pending.swap_remove(p);
-            self.tracker.write(DataClass::Base, CELL);
+            self.tracker.write_records(1);
             return Ok(true);
         }
         self.deleted.insert(key);
@@ -353,8 +347,7 @@ impl AccessMethod for CrackedColumn {
         self.pending.clear();
         self.deleted.clear();
         self.live_keys = records.iter().map(|r| r.key).collect();
-        self.tracker
-            .write(DataClass::Base, records.len() as u64 * CELL);
+        self.tracker.write_records(records.len());
         Ok(())
     }
 }

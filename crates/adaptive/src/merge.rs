@@ -7,11 +7,8 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rum_core::{
-    binary_search_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value, RECORD_SIZE,
+    base_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value,
 };
-
-const CELL: u64 = RECORD_SIZE as u64;
 
 /// A set of disjoint inclusive intervals over `u64`.
 #[derive(Clone, Debug, Default)]
@@ -145,19 +142,19 @@ impl AdaptiveMerger {
             for run in &mut self.runs {
                 let start = run.partition_point(|r| r.key < flo);
                 let end = run.partition_point(|r| r.key <= fhi);
-                // Binary searches over the run (auxiliary probing).
-                self.tracker
-                    .read(DataClass::Aux, 2 * binary_search_bytes(run.len(), 8));
+                // One binary search over the run per bound (auxiliary
+                // probing).
+                self.tracker.search(DataClass::Aux, run.len(), 8);
+                self.tracker.search(DataClass::Aux, run.len(), 8);
                 if start == end {
                     continue;
                 }
-                let moved = (end - start) as u64;
-                let shifted = (run.len() - end) as u64;
+                let moved = end - start;
+                let shifted = run.len() - end;
                 // Read the extracted records, write them into the merged
                 // store, and pay for closing the gap in the run.
-                self.tracker.read(DataClass::Base, moved * CELL);
-                self.tracker
-                    .write(DataClass::Base, (moved + shifted) * CELL);
+                self.tracker.read_records(moved);
+                self.tracker.write_records(moved + shifted);
                 for r in run.drain(start..end) {
                     // Never clobber a newer version already consolidated.
                     self.merged.entry(r.key).or_insert(r.value);
@@ -175,8 +172,7 @@ impl AdaptiveMerger {
             .range(lo..=hi)
             .map(|(&k, &v)| Record::new(k, v))
             .collect();
-        self.tracker
-            .read(DataClass::Base, (out.len().max(1) as u64) * CELL);
+        self.tracker.read_records(out.len().max(1));
         out
     }
 }
@@ -201,7 +197,7 @@ impl AccessMethod for AdaptiveMerger {
     }
 
     fn space_profile(&self) -> SpaceProfile {
-        let records = (self.unmerged_records() + self.merged.len()) as u64 * CELL;
+        let records = base_bytes(self.unmerged_records() + self.merged.len());
         let interval_meta = self.covered.len() as u64 * 16;
         // The merged store keeps tree structure: ~16 bytes/entry overhead.
         let tree_overhead = self.merged.len() as u64 * 16;
@@ -211,7 +207,7 @@ impl AccessMethod for AdaptiveMerger {
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
         self.consolidate(key, key);
         let r = self.merged.get(&key).copied();
-        self.tracker.read(DataClass::Base, CELL);
+        self.tracker.read_records(1);
         Ok(r)
     }
 
@@ -225,7 +221,7 @@ impl AccessMethod for AdaptiveMerger {
         // point covered, so stale run copies can never resurface over it.
         self.consolidate(key, key);
         self.merged.insert(key, value);
-        self.tracker.write(DataClass::Base, CELL);
+        self.tracker.write_records(1);
         Ok(())
     }
 
@@ -235,7 +231,7 @@ impl AccessMethod for AdaptiveMerger {
             return Ok(false);
         };
         *slot = value;
-        self.tracker.write(DataClass::Base, CELL);
+        self.tracker.write_records(1);
         Ok(true)
     }
 
@@ -244,7 +240,7 @@ impl AccessMethod for AdaptiveMerger {
         if self.merged.remove(&key).is_none() {
             return Ok(false);
         }
-        self.tracker.write(DataClass::Base, CELL);
+        self.tracker.write_records(1);
         Ok(true)
     }
 
@@ -257,8 +253,7 @@ impl AccessMethod for AdaptiveMerger {
             .chunks(self.run_records)
             .map(|c| c.to_vec())
             .collect();
-        self.tracker
-            .write(DataClass::Base, records.len() as u64 * CELL);
+        self.tracker.write_records(records.len());
         Ok(())
     }
 }

@@ -16,12 +16,7 @@
 
 use std::sync::Arc;
 
-use rum_core::{
-    binary_search_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value, RECORD_SIZE,
-};
-
-const CELL: u64 = RECORD_SIZE as u64;
+use rum_core::{base_bytes, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value};
 
 /// Which physical shape the index currently holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -120,14 +115,13 @@ impl MorphingIndex {
 
     /// Physically re-shape: a charged full read + rewrite of the data.
     fn morph_to(&mut self, shape: Shape) {
-        let bytes = self.data.len() as u64 * CELL;
-        self.tracker.read(DataClass::Base, bytes);
+        self.tracker.read_records(self.data.len());
         if shape == Shape::Sorted {
             self.data.sort_unstable();
         }
         // (Morphing to Log keeps the current order; future appends restore
         // the log property.)
-        self.tracker.write(DataClass::Base, bytes);
+        self.tracker.write_records(self.data.len());
         self.shape = shape;
         self.morphs += 1;
     }
@@ -136,14 +130,13 @@ impl MorphingIndex {
     fn find(&self, key: Key) -> Option<usize> {
         match self.shape {
             Shape::Sorted => {
-                self.tracker
-                    .read(DataClass::Base, binary_search_bytes(self.data.len(), CELL));
+                self.tracker.search_records(self.data.len());
                 self.data.binary_search_by_key(&key, |r| r.key).ok()
             }
             Shape::Log => {
                 let pos = self.data.iter().rposition(|r| r.key == key);
                 let examined = pos.map(|p| self.data.len() - p).unwrap_or(self.data.len());
-                self.tracker.read(DataClass::Base, examined as u64 * CELL);
+                self.tracker.read_records(examined);
                 pos
             }
         }
@@ -170,7 +163,7 @@ impl AccessMethod for MorphingIndex {
     }
 
     fn space_profile(&self) -> SpaceProfile {
-        SpaceProfile::from_physical(self.data.len(), self.data.len() as u64 * CELL)
+        SpaceProfile::from_physical(self.data.len(), base_bytes(self.data.len()))
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
@@ -184,14 +177,12 @@ impl AccessMethod for MorphingIndex {
             Shape::Sorted => {
                 let start = self.data.partition_point(|r| r.key < lo);
                 let end = self.data.partition_point(|r| r.key <= hi);
-                let search = binary_search_bytes(self.data.len(), CELL);
-                self.tracker
-                    .read(DataClass::Base, search + (end - start) as u64 * CELL);
+                self.tracker.search_records(self.data.len());
+                self.tracker.read_records(end - start);
                 Ok(self.data[start..end].to_vec())
             }
             Shape::Log => {
-                self.tracker
-                    .read(DataClass::Base, self.data.len() as u64 * CELL);
+                self.tracker.read_records(self.data.len());
                 let mut out: Vec<Record> = self
                     .data
                     .iter()
@@ -216,18 +207,18 @@ impl AccessMethod for MorphingIndex {
                 } else {
                     self.data.push(Record::new(key, value));
                 }
-                self.tracker.write(DataClass::Base, CELL);
+                self.tracker.write_records(1);
             }
             Shape::Sorted => match self.data.binary_search_by_key(&key, |r| r.key) {
                 Ok(i) => {
                     self.data[i].value = value;
-                    self.tracker.write(DataClass::Base, CELL);
+                    self.tracker.write_records(1);
                 }
                 Err(i) => {
                     // Shifting the tail is the sorted shape's write debt.
-                    let shifted = (self.data.len() - i) as u64;
+                    let shifted = self.data.len() - i;
                     self.data.insert(i, Record::new(key, value));
-                    self.tracker.write(DataClass::Base, (shifted + 1) * CELL);
+                    self.tracker.write_records(shifted + 1);
                 }
             },
         }
@@ -239,7 +230,7 @@ impl AccessMethod for MorphingIndex {
         match self.find(key) {
             Some(i) => {
                 self.data[i].value = value;
-                self.tracker.write(DataClass::Base, CELL);
+                self.tracker.write_records(1);
                 Ok(true)
             }
             None => Ok(false),
@@ -254,12 +245,12 @@ impl AccessMethod for MorphingIndex {
                     Shape::Log => {
                         // Swap-remove keeps the log dense with one write.
                         self.data.swap_remove(i);
-                        self.tracker.write(DataClass::Base, CELL);
+                        self.tracker.write_records(1);
                     }
                     Shape::Sorted => {
-                        let shifted = (self.data.len() - i - 1) as u64;
+                        let shifted = self.data.len() - i - 1;
                         self.data.remove(i);
-                        self.tracker.write(DataClass::Base, shifted.max(1) * CELL);
+                        self.tracker.write_records(shifted.max(1));
                     }
                 }
                 Ok(true)
@@ -270,8 +261,7 @@ impl AccessMethod for MorphingIndex {
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
         self.data = records.to_vec();
-        self.tracker
-            .write(DataClass::Base, records.len() as u64 * CELL);
+        self.tracker.write_records(records.len());
         // A sorted bulk load leaves the index in its read-optimized shape.
         self.shape = Shape::Sorted;
         self.window_reads = 0;

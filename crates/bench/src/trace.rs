@@ -42,6 +42,9 @@ pub struct TraceRun {
     pub windows: Vec<TrajectoryWindow>,
     /// Structured events in emission order.
     pub events: Vec<Event>,
+    /// Events the sink shed once it was full: when nonzero, `events` (and
+    /// the JSONL and folded stacks written from it) end early.
+    pub dropped: u64,
     pub latency: ClassLatency,
     /// The byte-exact invariant: sum of windowed deltas == op-phase
     /// aggregate (`read_costs + write_costs`), compared field by field.
@@ -92,6 +95,7 @@ pub fn run_traced(
         latency: trace.latency.clone(),
         windows: trace.into_windows(),
         events: sink.events(),
+        dropped: sink.dropped(),
         windows_sum_exact,
     })
 }
@@ -148,10 +152,12 @@ fn smoke() -> Outcome {
                 run.report.method == plain.method && run.report.counted_diff(&plain).is_none();
             (
                 format!(
-                    "{name}: {} windows sum byte-exactly; traced == untraced bit-for-bit",
-                    run.windows.len()
+                    "{name}: {} windows sum byte-exactly; traced == untraced bit-for-bit; \
+                     {} events dropped",
+                    run.windows.len(),
+                    run.dropped
                 ),
-                run.windows_sum_exact && same,
+                run.windows_sum_exact && same && run.dropped == 0,
             )
         })
         .collect();
@@ -190,6 +196,7 @@ pub fn experiment(scale: Scale, target: &Target) -> Outcome {
     for (kind, count) in event_counts(&run.events) {
         rendered.push_str(&format!("  {kind:<16} {count:>7}\n"));
     }
+    rendered.push_str(&format!("  {:<16} {:>7}\n", "(dropped)", run.dropped));
     rendered.push_str(&format!(
         "\n{}\n{}\n",
         RumReport::table_header(),
@@ -238,6 +245,7 @@ mod tests {
         let mut method = rum::suite_method("lsm-tree+wal").expect("suite has lsm-tree+wal");
         let run = run_traced(method.as_mut(), &spec(), 512).unwrap();
         assert!(run.windows_sum_exact, "windowed deltas must sum exactly");
+        assert_eq!(run.dropped, 0, "the default sink holds a test run's events");
         assert_eq!(run.windows.len(), 4_000usize.div_ceil(512));
         assert_eq!(
             run.windows.iter().map(|w| w.ops).sum::<u64>(),

@@ -14,11 +14,7 @@
 
 use std::sync::Arc;
 
-use rum_core::{
-    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
-};
-
-const CELL: u64 = RECORD_SIZE as u64;
+use rum_core::{base_bytes, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value};
 
 /// Records packed contiguously with zero slack; no order, no index.
 pub struct DenseArray {
@@ -42,7 +38,7 @@ impl DenseArray {
             Some(i) => i + 1,
             None => self.data.len(),
         };
-        self.tracker.read(DataClass::Base, examined as u64 * CELL);
+        self.tracker.read_records(examined);
         pos
     }
 }
@@ -68,7 +64,7 @@ impl AccessMethod for DenseArray {
 
     fn space_profile(&self) -> SpaceProfile {
         // Exactly the live data, nothing else: MO = 1.0 by construction.
-        SpaceProfile::from_physical(self.data.len(), self.data.len() as u64 * CELL)
+        SpaceProfile::from_physical(self.data.len(), base_bytes(self.data.len()))
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
@@ -77,8 +73,7 @@ impl AccessMethod for DenseArray {
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
         // Full scan: every selection reads the whole relation.
-        self.tracker
-            .read(DataClass::Base, self.data.len() as u64 * CELL);
+        self.tracker.read_records(self.data.len());
         let mut out: Vec<Record> = self
             .data
             .iter()
@@ -93,11 +88,11 @@ impl AccessMethod for DenseArray {
         match self.find(key) {
             Some(i) => {
                 self.data[i].value = value;
-                self.tracker.write(DataClass::Base, CELL);
+                self.tracker.write_records(1);
             }
             None => {
                 self.data.push(Record::new(key, value));
-                self.tracker.write(DataClass::Base, CELL);
+                self.tracker.write_records(1);
             }
         }
         Ok(())
@@ -107,7 +102,7 @@ impl AccessMethod for DenseArray {
         match self.find(key) {
             Some(i) => {
                 self.data[i].value = value;
-                self.tracker.write(DataClass::Base, CELL);
+                self.tracker.write_records(1);
                 Ok(true)
             }
             None => Ok(false),
@@ -119,7 +114,7 @@ impl AccessMethod for DenseArray {
             Some(i) => {
                 // Swap-remove keeps the array dense with one cell write.
                 self.data.swap_remove(i);
-                self.tracker.write(DataClass::Base, CELL);
+                self.tracker.write_records(1);
                 Ok(true)
             }
             None => Ok(false),
@@ -128,8 +123,7 @@ impl AccessMethod for DenseArray {
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
         self.data = records.to_vec();
-        self.tracker
-            .write(DataClass::Base, records.len() as u64 * CELL);
+        self.tracker.write_records(records.len());
         Ok(())
     }
 }
@@ -171,10 +165,10 @@ mod tests {
             a.get(u64::MAX).unwrap();
             a.tracker().snapshot().total_read_bytes()
         };
-        assert_eq!(cost_of_miss(1000), 1000 * CELL);
+        assert_eq!(cost_of_miss(1000), base_bytes(1000));
         assert_eq!(
             cost_of_miss(4000),
-            4000 * CELL,
+            base_bytes(4000),
             "RO = N: linear in the relation"
         );
     }
@@ -215,7 +209,7 @@ mod tests {
         a.get(999).unwrap();
         let last = a.tracker().snapshot().total_read_bytes();
         assert!(first < last);
-        assert_eq!(first, CELL);
-        assert_eq!(last, 1000 * CELL);
+        assert_eq!(first, base_bytes(1));
+        assert_eq!(last, base_bytes(1000));
     }
 }

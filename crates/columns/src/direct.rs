@@ -18,11 +18,8 @@
 use std::sync::Arc;
 
 use rum_core::{
-    AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError, SpaceProfile, Value,
-    RECORD_SIZE,
+    base_bytes, AccessMethod, CostTracker, Key, Record, Result, RumError, SpaceProfile, Value,
 };
-
-const CELL: u64 = RECORD_SIZE as u64;
 
 /// One slot per key in `[0, universe)`; the universe grows to cover the
 /// largest key ever inserted — that growth *is* the unbounded MO.
@@ -56,15 +53,16 @@ impl DirectAddressArray {
     }
 
     fn ensure(&mut self, key: Key) -> Result<()> {
-        let needed = key as usize + 1;
-        if needed > self.max_universe {
+        // Saturating: `u64::MAX` is refused like any key past the cap.
+        let needed = key.saturating_add(1);
+        if needed > self.max_universe as u64 {
             return Err(RumError::CapacityExceeded(format!(
                 "key {key} exceeds max universe {}",
                 self.max_universe
             )));
         }
-        if needed > self.slots.len() {
-            self.slots.resize(needed, None);
+        if needed as usize > self.slots.len() {
+            self.slots.resize(needed as usize, None);
         }
         Ok(())
     }
@@ -76,7 +74,7 @@ impl DirectAddressArray {
         if old_key == new_key {
             return Ok(true);
         }
-        self.tracker.read(DataClass::Base, CELL);
+        self.tracker.read_records(1);
         let value = match self.slots.get(old_key as usize).copied().flatten() {
             Some(v) => v,
             None => return Ok(false),
@@ -87,11 +85,11 @@ impl DirectAddressArray {
         }
         // Empty the old block...
         self.slots[old_key as usize] = None;
-        self.tracker.write(DataClass::Base, CELL);
+        self.tracker.write_records(1);
         // ...and insert the value in its new block.
         self.slots[new_key as usize] = Some(value);
-        self.tracker.write(DataClass::Base, CELL);
-        self.tracker.logical_write(CELL);
+        self.tracker.write_records(1);
+        self.tracker.logical_write(base_bytes(1));
         Ok(true)
     }
 }
@@ -117,14 +115,14 @@ impl AccessMethod for DirectAddressArray {
 
     fn space_profile(&self) -> SpaceProfile {
         // Every slot occupies a record-sized cell whether live or not.
-        SpaceProfile::from_physical(self.live, self.slots.len() as u64 * CELL)
+        SpaceProfile::from_physical(self.live, base_bytes(self.slots.len()))
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
         // Exactly one cell read — min(RO) = 1.0.
         let v = self.slots.get(key as usize).copied().flatten();
         if v.is_some() {
-            self.tracker.read(DataClass::Base, CELL);
+            self.tracker.read_records(1);
         }
         // A miss in a direct-address array reads nothing: slot emptiness is
         // knowable from the address alone in the paper's model.
@@ -138,8 +136,7 @@ impl AccessMethod for DirectAddressArray {
             return Ok(out);
         }
         // Touch every slot in the range — sparse population is the cost.
-        let touched = (hi_clamped - lo as usize + 1) as u64;
-        self.tracker.read(DataClass::Base, touched * CELL);
+        self.tracker.read_records(hi_clamped - lo as usize + 1);
         for k in lo as usize..=hi_clamped {
             if let Some(v) = self.slots[k] {
                 out.push(Record::new(k as Key, v));
@@ -154,7 +151,7 @@ impl AccessMethod for DirectAddressArray {
             self.live += 1;
         }
         self.slots[key as usize] = Some(value);
-        self.tracker.write(DataClass::Base, CELL);
+        self.tracker.write_records(1);
         Ok(())
     }
 
@@ -162,7 +159,7 @@ impl AccessMethod for DirectAddressArray {
         match self.slots.get_mut(key as usize) {
             Some(slot @ Some(_)) => {
                 *slot = Some(value);
-                self.tracker.write(DataClass::Base, CELL);
+                self.tracker.write_records(1);
                 Ok(true)
             }
             _ => Ok(false),
@@ -174,7 +171,7 @@ impl AccessMethod for DirectAddressArray {
             Some(slot @ Some(_)) => {
                 *slot = None;
                 self.live -= 1;
-                self.tracker.write(DataClass::Base, CELL);
+                self.tracker.write_records(1);
                 Ok(true)
             }
             _ => Ok(false),
@@ -189,7 +186,7 @@ impl AccessMethod for DirectAddressArray {
         }
         for r in records {
             self.slots[r.key as usize] = Some(r.value);
-            self.tracker.write(DataClass::Base, CELL);
+            self.tracker.write_records(1);
         }
         self.live = records.len();
         Ok(())
@@ -251,6 +248,19 @@ mod tests {
             a.insert(100, 0),
             Err(RumError::CapacityExceeded(_))
         ));
+    }
+
+    #[test]
+    fn the_largest_key_is_refused_and_charges_nothing() {
+        let mut a = DirectAddressArray::new();
+        a.insert(1, 0).unwrap();
+        let before = a.tracker().snapshot();
+        assert!(matches!(
+            a.insert(u64::MAX, 0),
+            Err(RumError::CapacityExceeded(_))
+        ));
+        assert_eq!(a.tracker().snapshot(), before);
+        assert_eq!((a.len(), a.universe()), (1, 2));
     }
 
     #[test]

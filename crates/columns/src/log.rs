@@ -19,7 +19,7 @@ use rum_core::{
     encode_records, AccessMethod, CostTracker, DataClass, Key, Record, RecordSlice, Result,
     RumError, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
 };
-use rum_storage::{BlockDevice, MemDevice, PageBuf, PageId, Pager};
+use rum_storage::{MemDevice, PageBuf, PageId, Pager};
 
 /// Value sentinel marking a tombstone entry. User values must avoid it.
 pub use rum_core::TOMBSTONE;
@@ -55,7 +55,7 @@ impl AppendLog {
 
     fn append(&mut self, rec: Record) -> Result<()> {
         // Appending into the tail buffer costs exactly the record's bytes.
-        self.tracker().write(DataClass::Base, RECORD_SIZE as u64);
+        self.tracker().write_records(1);
         self.tail.push(rec);
         if self.tail.len() == RECORDS_PER_PAGE {
             self.seal()?;
@@ -73,10 +73,7 @@ impl AppendLog {
         let id = self.pager.allocate()?;
         let mut buf = PageBuf::zeroed();
         encode_records(&mut buf, 0, &self.tail);
-        // Charge the page access directly on the device path, bypassing the
-        // byte charge (Pager::write would double-count the bytes).
-        self.pager.device_mut().write_page(id, &buf)?;
-        self.tracker().page_write();
+        self.pager.write_precharged(id, &buf)?;
         self.sealed.push((id, self.tail.len()));
         self.tail.clear();
         Ok(())
@@ -94,14 +91,10 @@ impl AppendLog {
     fn find_latest(&mut self, key: Key) -> Result<Option<Record>> {
         // Tail first (newest), scanned backward; charge the bytes examined.
         if let Some(pos) = self.tail.iter().rposition(|r| r.key == key) {
-            self.tracker().read(
-                DataClass::Base,
-                ((self.tail.len() - pos) * RECORD_SIZE) as u64,
-            );
+            self.tracker().read_records(self.tail.len() - pos);
             return Ok(Some(self.tail[pos]));
         }
-        self.tracker()
-            .read(DataClass::Base, (self.tail.len() * RECORD_SIZE) as u64);
+        self.tracker().read_records(self.tail.len());
         for idx in (0..self.sealed.len()).rev() {
             let hit = self.with_sealed(idx, |recs| recs.iter().rev().find(|r| r.key == key))?;
             if hit.is_some() {
@@ -151,8 +144,7 @@ impl AccessMethod for AppendLog {
         for idx in 0..self.sealed.len() {
             self.with_sealed(idx, |recs| versions.extend(recs.iter().filter(in_range)))?;
         }
-        self.tracker()
-            .read(DataClass::Base, (self.tail.len() * RECORD_SIZE) as u64);
+        self.tracker().read_records(self.tail.len());
         versions.extend(self.tail.iter().copied().filter(in_range));
         // Stable: each key's versions stay oldest first, and the newest
         // overwrites the one kept.

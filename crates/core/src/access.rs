@@ -13,7 +13,7 @@ use std::sync::Arc;
 use crate::error::Result;
 use crate::trace::TraceSink;
 use crate::tracker::CostTracker;
-use crate::types::{base_bytes, Key, Record, Value, RECORD_SIZE};
+use crate::types::{base_bytes, Key, Record, Value};
 
 /// Space occupied by a structure, split per the paper's MO definition.
 ///
@@ -197,7 +197,7 @@ pub trait AccessMethod: Send {
     fn get(&mut self, key: Key) -> Result<Option<Value>> {
         let r = self.get_impl(key)?;
         if r.is_some() {
-            self.tracker().logical_read(RECORD_SIZE as u64);
+            self.tracker().logical_read(base_bytes(1));
         }
         Ok(r)
     }
@@ -211,7 +211,7 @@ pub trait AccessMethod: Send {
             )));
         }
         let rs = self.range_impl(lo, hi)?;
-        self.tracker().logical_read((rs.len() * RECORD_SIZE) as u64);
+        self.tracker().logical_read(base_bytes(rs.len()));
         Ok(rs)
     }
 
@@ -219,7 +219,7 @@ pub trait AccessMethod: Send {
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
         self.check_records(&[Record::new(key, value)])?;
         self.insert_impl(key, value)?;
-        self.tracker().logical_write(RECORD_SIZE as u64);
+        self.tracker().logical_write(base_bytes(1));
         Ok(())
     }
 
@@ -228,7 +228,7 @@ pub trait AccessMethod: Send {
         self.check_records(&[Record::new(key, value)])?;
         let applied = self.update_impl(key, value)?;
         if applied {
-            self.tracker().logical_write(RECORD_SIZE as u64);
+            self.tracker().logical_write(base_bytes(1));
         }
         Ok(applied)
     }
@@ -237,7 +237,7 @@ pub trait AccessMethod: Send {
     fn delete(&mut self, key: Key) -> Result<bool> {
         let applied = self.delete_impl(key)?;
         if applied {
-            self.tracker().logical_write(RECORD_SIZE as u64);
+            self.tracker().logical_write(base_bytes(1));
         }
         Ok(applied)
     }
@@ -250,8 +250,7 @@ pub trait AccessMethod: Send {
         check_bulk_input(records)?;
         self.check_records(records)?;
         self.bulk_load_impl(records)?;
-        self.tracker()
-            .logical_write((records.len() * RECORD_SIZE) as u64);
+        self.tracker().logical_write(base_bytes(records.len()));
         Ok(())
     }
 }

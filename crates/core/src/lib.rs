@@ -78,8 +78,8 @@ pub use trace::{
     noop_sink, Event, EventKind, LatencyHistogram, MemorySink, NoopSink, TraceCollector, TraceSink,
     TrajectoryWindow, DEFAULT_TRACE_WINDOW,
 };
-pub use tracker::{binary_search_bytes, CostSnapshot, CostTracker, DataClass};
+pub use tracker::{CostSnapshot, CostTracker, DataClass};
 pub use types::{
-    encode_records, insert_record_at, remove_record_at, Key, Record, RecordSlice, Value, PAGE_SIZE,
-    RECORDS_PER_PAGE, RECORD_SIZE, TOMBSTONE,
+    base_bytes, encode_records, insert_record_at, remove_record_at, Key, Record, RecordSlice,
+    Value, PAGE_SIZE, RECORDS_PER_PAGE, RECORD_SIZE, TOMBSTONE,
 };

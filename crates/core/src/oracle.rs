@@ -6,17 +6,20 @@
 //! ([`load`](Oracle::load) → [`step`](Oracle::step) →
 //! [`finish`](Oracle::finish)), comparing each answer and, after every
 //! op, the invariants no op may break: `len`, `space_profile().base_bytes
-//! == 16 · len`, and tracker counters that never run backwards. The first
-//! disagreement comes back as a [`Divergence`] value. [`check`] is the
-//! loop over any [`OpSource`]; [`hostile_ops`] is the seeded stream of
-//! everything [`OpStream`](crate::workload::OpStream) never emits because
-//! it only touches live keys.
+//! == 16 · len`, tracker counters that never run backwards, and a refusal
+//! that charges nothing. The first disagreement comes back as a
+//! [`Divergence`] value. [`check`] is the loop over any [`OpSource`];
+//! [`hostile_ops`] is the seeded stream of everything
+//! [`OpStream`](crate::workload::OpStream) never emits because it only
+//! touches live keys.
 //!
 //! One refusal is part of the contract and makes the model skip the op:
 //! an insert or an update may answer [`RumError::InvalidArgument`] (a key
 //! or value the method reserves as a marker, refused by
 //! [`AccessMethod::check_records`]). The refused op must leave the method
-//! unchanged, which the invariants and every later answer check.
+//! unchanged: its tracker snapshot must equal the one before the op (as
+//! must an inverted range's, which every method refuses), and the other
+//! invariants and every later answer check the rest.
 
 use std::collections::BTreeMap;
 
@@ -86,7 +89,8 @@ pub enum Observed {
     /// `space_profile().base_bytes` after the op.
     BaseBytes(u64),
     /// Tracker counters after the op (`got`), one of them below where it
-    /// stood after the previous op (`want`).
+    /// stood after the previous op, or a refused op's different from where
+    /// they stood before it (`want`).
     Counters(Box<CostSnapshot>),
 }
 
@@ -162,6 +166,7 @@ impl Oracle {
             })
         };
         let want = self.model.answer(op);
+        let start = method.tracker().snapshot();
         let got = op.apply(method);
         let agreed = agree(&got, &want)
             || matches!(
@@ -186,6 +191,12 @@ impl Oracle {
             return diverged(
                 Observed::Counters(Box::new(now)),
                 Observed::Counters(Box::new(before)),
+            );
+        }
+        if got.is_err() && now != start {
+            return diverged(
+                Observed::Counters(Box::new(now)),
+                Observed::Counters(Box::new(start)),
             );
         }
         let (len, base) = (method.len(), method.space_profile().base_bytes);
@@ -298,6 +309,8 @@ mod tests {
         /// Key `u64::MAX` is reserved (allowed); every update fails with a
         /// transient error (not).
         Refusing,
+        /// The insert of key 9 is refused after one record is charged.
+        ChargedRefusal,
     }
 
     /// A correct map with at most one [`Fault`] switched on.
@@ -353,6 +366,10 @@ mod tests {
         }
         fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
             if self.has(Fault::Refusing) && key == Key::MAX {
+                return Err(RumError::InvalidArgument("reserved".into()));
+            }
+            if self.has(Fault::ChargedRefusal) && key == 9 {
+                self.tracker.write_records(1);
                 return Err(RumError::InvalidArgument("reserved".into()));
             }
             if !(self.has(Fault::DropInsert) && key == 7) {
@@ -431,6 +448,12 @@ mod tests {
             panic!("expected a counters divergence, got {d:?}");
         };
         assert!(got.logical_write_bytes < want.logical_write_bytes);
+        let d = run(Some(Fault::ChargedRefusal), vec![]).expect_err("the charge must be seen");
+        assert_eq!((d.step, d.op), (7, OPS[7]));
+        let (Observed::Counters(got), Observed::Counters(want)) = (&d.got, &d.want) else {
+            panic!("expected a counters divergence, got {d:?}");
+        };
+        assert_eq!(got.delta(want).base_write_bytes, base_bytes(1));
     }
 
     #[test]

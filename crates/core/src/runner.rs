@@ -781,7 +781,7 @@ fn per_op(total: u64, ops: u64) -> f64 {
 pub(crate) mod tests {
     use super::*;
     use crate::access::SpaceProfile;
-    use crate::tracker::{CostTracker, DataClass};
+    use crate::tracker::CostTracker;
     use crate::types::{Key, Record, Value, RECORD_SIZE};
     use crate::workload::{OpMix, Workload, WorkloadSpec};
     use std::sync::Arc;
@@ -825,7 +825,7 @@ pub(crate) mod tests {
         fn get_impl(&mut self, key: Key) -> crate::Result<Option<Value>> {
             let r = self.data.get(&key).copied();
             if r.is_some() {
-                self.tracker.read(DataClass::Base, 2 * RECORD_SIZE as u64);
+                self.tracker.read_records(2);
             }
             Ok(r)
         }
@@ -835,18 +835,17 @@ pub(crate) mod tests {
                 .range(lo..=hi)
                 .map(|(&k, &v)| Record::new(k, v))
                 .collect();
-            self.tracker
-                .read(DataClass::Base, (2 * out.len() * RECORD_SIZE) as u64);
+            self.tracker.read_records(2 * out.len());
             Ok(out)
         }
         fn insert_impl(&mut self, key: Key, value: Value) -> crate::Result<()> {
-            self.tracker.write(DataClass::Base, 2 * RECORD_SIZE as u64);
+            self.tracker.write_records(2);
             self.data.insert(key, value);
             Ok(())
         }
         fn update_impl(&mut self, key: Key, value: Value) -> crate::Result<bool> {
             if self.data.contains_key(&key) {
-                self.tracker.write(DataClass::Base, 2 * RECORD_SIZE as u64);
+                self.tracker.write_records(2);
                 self.data.insert(key, value);
                 Ok(true)
             } else {
@@ -855,7 +854,7 @@ pub(crate) mod tests {
         }
         fn delete_impl(&mut self, key: Key) -> crate::Result<bool> {
             if self.data.remove(&key).is_some() {
-                self.tracker.write(DataClass::Base, 2 * RECORD_SIZE as u64);
+                self.tracker.write_records(2);
                 Ok(true)
             } else {
                 Ok(false)
@@ -863,8 +862,7 @@ pub(crate) mod tests {
         }
         fn bulk_load_impl(&mut self, records: &[Record]) -> crate::Result<()> {
             self.data = records.iter().map(|r| (r.key, r.value)).collect();
-            self.tracker
-                .write(DataClass::Base, (records.len() * RECORD_SIZE) as u64);
+            self.tracker.write_records(records.len());
             Ok(())
         }
     }

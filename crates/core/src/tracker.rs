@@ -19,9 +19,29 @@
 //!
 //! Counters are atomic so a tracker can be shared (`Arc<CostTracker>`)
 //! between an access method and the storage substrate beneath it.
+//!
+//! **One charge vocabulary.** A method names what it touched and the
+//! tracker decides what that costs in bytes:
+//!
+//! * records: [`read_records`](CostTracker::read_records) /
+//!   [`write_records`](CostTracker::write_records), `n × RECORD_SIZE`
+//!   bytes of base data;
+//! * an in-memory binary search: [`search`](CostTracker::search), or
+//!   [`search_records`](CostTracker::search_records) over sorted records;
+//! * a device page: [`read_page`](CostTracker::read_page) /
+//!   [`write_page`](CostTracker::write_page), charged by the pager only;
+//! * memory-resident auxiliary bytes of an irregular shape (node headers,
+//!   zone entries, filter probes, directory slots): the raw
+//!   [`read`](CostTracker::read) / [`write`](CostTracker::write).
+//!
+//! The WAL's log pages are priced once too, in `rum-storage`. So whether
+//! a method is byte- or page-granular is a property of which of these
+//! calls it makes, and a change to how a unit is priced is a change here.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+use crate::types::{base_bytes, PAGE_SIZE, RECORD_SIZE};
 
 /// Whether a physical access touched base data or auxiliary data.
 ///
@@ -34,13 +54,6 @@ pub enum DataClass {
     Base,
     /// Index nodes, fence pointers, filters, directories, zone metadata...
     Aux,
-}
-
-/// Bytes an in-memory binary search touches over `entries` entries of
-/// `width` bytes each: `ceil(log2(max(entries, 2)))` probes. The one price
-/// of every fence, zone, anchor and sorted-array search.
-pub fn binary_search_bytes(entries: usize, width: u64) -> u64 {
-    (entries.max(2) as f64).log2().ceil() as u64 * width
 }
 
 /// Shared, atomic counter set. All units are bytes or page counts.
@@ -64,7 +77,9 @@ impl CostTracker {
         Arc::new(Self::default())
     }
 
-    /// Charge a physical read of `bytes` bytes of `class` data.
+    /// Charge a physical read of `bytes` bytes of `class` data. Outside
+    /// `rum-storage` this is memory-resident auxiliary data of an irregular
+    /// shape; records, searches and pages have their own calls.
     #[inline]
     pub fn read(&self, class: DataClass, bytes: u64) {
         match class {
@@ -73,13 +88,60 @@ impl CostTracker {
         };
     }
 
-    /// Charge a physical write of `bytes` bytes of `class` data.
+    /// Charge a physical write of `bytes` bytes of `class` data; as
+    /// [`read`](Self::read).
     #[inline]
     pub fn write(&self, class: DataClass, bytes: u64) {
         match class {
             DataClass::Base => self.base_write_bytes.fetch_add(bytes, Ordering::Relaxed),
             DataClass::Aux => self.aux_write_bytes.fetch_add(bytes, Ordering::Relaxed),
         };
+    }
+
+    /// Charge reading `n` records of base data.
+    #[inline]
+    pub fn read_records(&self, n: usize) {
+        self.read(DataClass::Base, base_bytes(n));
+    }
+
+    /// Charge writing `n` records of base data.
+    #[inline]
+    pub fn write_records(&self, n: usize) {
+        self.write(DataClass::Base, base_bytes(n));
+    }
+
+    /// Charge one in-memory binary search over `entries` entries of `width`
+    /// bytes of `class` data: `ceil(log2(max(entries, 2)))` probes, read.
+    /// The one price of every fence, zone, anchor and sorted-array search.
+    #[inline]
+    pub fn search(&self, class: DataClass, entries: usize, width: u64) {
+        let probes = (entries.max(2) as f64).log2().ceil() as u64;
+        self.read(class, probes * width);
+    }
+
+    /// Charge one binary search over `n` sorted records of base data.
+    #[inline]
+    pub fn search_records(&self, n: usize) {
+        self.search(DataClass::Base, n, RECORD_SIZE as u64);
+    }
+
+    /// Charge one whole-page read of `class` data: a page access,
+    /// `PAGE_SIZE` bytes and `ns` of simulated device time. The pager's
+    /// charge for every attempt that touches the device.
+    #[inline]
+    pub fn read_page(&self, class: DataClass, ns: u64) {
+        self.page_reads.fetch_add(1, Ordering::Relaxed);
+        self.read(class, PAGE_SIZE as u64);
+        self.sim_time(ns);
+    }
+
+    /// Charge one whole-page write of `class` data; as
+    /// [`read_page`](Self::read_page).
+    #[inline]
+    pub fn write_page(&self, class: DataClass, ns: u64) {
+        self.page_write();
+        self.write(class, PAGE_SIZE as u64);
+        self.sim_time(ns);
     }
 
     /// Record that a query retrieved `bytes` bytes of useful data
@@ -96,14 +158,8 @@ impl CostTracker {
         self.logical_write_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Charge one whole-page read (page-granular devices call this in
-    /// addition to [`read`](Self::read)).
-    #[inline]
-    pub fn page_read(&self) {
-        self.page_reads.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Charge one whole-page write.
+    /// Count one page write and nothing else: for a page whose bytes are
+    /// charged apart from it (the WAL's log pages, a sealed log page).
     #[inline]
     pub fn page_write(&self) {
         self.page_writes.fetch_add(1, Ordering::Relaxed);
@@ -282,15 +338,37 @@ mod tests {
         t.write(DataClass::Aux, 20);
         t.logical_read(25);
         t.logical_write(10);
-        t.page_read();
-        t.page_read();
+        t.read_page(DataClass::Aux, 0);
+        t.read_page(DataClass::Aux, 0);
         t.page_write();
         let s = t.snapshot();
-        assert_eq!(s.total_read_bytes(), 150);
+        let page = PAGE_SIZE as u64;
+        assert_eq!(s.total_read_bytes(), 150 + 2 * page);
         assert_eq!(s.total_write_bytes(), 50);
+        assert_eq!((s.page_reads, s.page_writes), (2, 1));
         assert_eq!(s.page_accesses(), 3);
-        assert!((s.read_amplification() - 6.0).abs() < 1e-12);
+        let ro = (150 + 2 * page) as f64 / 25.0;
+        assert!((s.read_amplification() - ro).abs() < 1e-12);
         assert!((s.write_amplification() - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn the_vocabulary_prices_each_unit() {
+        let t = CostTracker::new();
+        t.read_records(3);
+        t.write_records(2);
+        t.search(DataClass::Aux, 1000, 8);
+        t.search_records(1);
+        t.read_page(DataClass::Aux, 7);
+        t.write_page(DataClass::Base, 5);
+        let s = t.snapshot();
+        let page = PAGE_SIZE as u64;
+        assert_eq!(
+            (s.base_read_bytes, s.base_write_bytes),
+            (48 + 16, 32 + page)
+        );
+        assert_eq!((s.aux_read_bytes, s.aux_write_bytes), (10 * 8 + page, 0));
+        assert_eq!((s.page_reads, s.page_writes, s.sim_time_ns), (1, 1, 12));
     }
 
     #[test]
@@ -325,8 +403,7 @@ mod tests {
         let t = CostTracker::new();
         t.read(DataClass::Base, 1);
         t.write(DataClass::Aux, 2);
-        t.page_read();
-        t.sim_time(99);
+        t.read_page(DataClass::Aux, 99);
         t.reset();
         assert_eq!(t.snapshot(), CostSnapshot::default());
     }

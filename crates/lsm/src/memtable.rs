@@ -6,7 +6,7 @@
 //! place: [`Memtable::range`] is a walk the tree lays straight over the
 //! runs' answer ([`overlay`](crate::run::overlay)), not a `Vec`.
 
-use rum_core::{CostTracker, DataClass, Key, Record, Value, RECORD_SIZE};
+use rum_core::{CostTracker, Key, Record, Value};
 use std::collections::BTreeMap;
 
 /// Estimated in-memory bytes per entry (record + tree-node overhead).
@@ -39,7 +39,7 @@ impl Memtable {
 
     /// Upsert (tombstones included); charges one record of base write.
     pub fn put(&mut self, key: Key, value: Value, tracker: &CostTracker) {
-        tracker.write(DataClass::Base, RECORD_SIZE as u64);
+        tracker.write_records(1);
         self.entries.insert(key, value);
     }
 
@@ -47,13 +47,13 @@ impl Memtable {
     pub fn get(&self, key: Key, tracker: &CostTracker) -> Option<Value> {
         let r = self.entries.get(&key).copied();
         if r.is_some() {
-            tracker.read(DataClass::Base, RECORD_SIZE as u64);
+            tracker.read_records(1);
         }
         r
     }
 
     /// Entries in `[lo, hi]` (`lo <= hi`), ascending, as a walk over the
-    /// map; charges the bytes it yields up front.
+    /// map; charges the records it yields up front.
     pub fn range(
         &self,
         lo: Key,
@@ -61,8 +61,7 @@ impl Memtable {
         tracker: &CostTracker,
     ) -> impl DoubleEndedIterator<Item = Record> + Clone + '_ {
         let slice = self.entries.range(lo..=hi);
-        let bytes = slice.clone().count() * RECORD_SIZE;
-        tracker.read(DataClass::Base, bytes as u64);
+        tracker.read_records(slice.clone().count());
         slice.map(|(&k, &v)| Record::new(k, v))
     }
 
@@ -116,7 +115,7 @@ mod tests {
         let before = t.snapshot();
         let keys: Vec<Key> = m.range(3, 6, &t).map(|r| r.key).collect();
         assert_eq!(keys, vec![3, 4, 5, 6]);
-        assert_eq!(t.since(&before).base_read_bytes, 4 * RECORD_SIZE as u64);
+        assert_eq!(t.since(&before).base_read_bytes, rum_core::base_bytes(4));
     }
 
     #[test]

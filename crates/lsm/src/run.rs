@@ -13,8 +13,8 @@
 //! (the memtable over a range answer, added runs over the view's anchors).
 
 use rum_core::{
-    binary_search_bytes, encode_records, DataClass, Key, Record, RecordSlice, Result, RumError,
-    Value, RECORDS_PER_PAGE, RECORD_SIZE,
+    encode_records, DataClass, Key, Record, RecordSlice, Result, RumError, Value, RECORDS_PER_PAGE,
+    RECORD_SIZE,
 };
 use rum_sketch::{BloomFilter, QuotientFilter};
 use rum_storage::{BlockDevice, PageBuf, PageId, Pager};
@@ -401,9 +401,7 @@ impl SortedRun {
             }
         }
         // Fence binary search (in-memory aux metadata).
-        pager
-            .tracker()
-            .read(DataClass::Aux, binary_search_bytes(self.fences.len(), 8));
+        pager.tracker().search(DataClass::Aux, self.fences.len(), 8);
         let page_idx = match self.fences.binary_search(&key) {
             Ok(i) => i,
             Err(0) => return Ok(None), // key below the run's first fence
@@ -424,9 +422,7 @@ impl SortedRun {
         if self.len == 0 || lo > hi {
             return Ok(Vec::new());
         }
-        pager
-            .tracker()
-            .read(DataClass::Aux, binary_search_bytes(self.fences.len(), 8));
+        pager.tracker().search(DataClass::Aux, self.fences.len(), 8);
         let mut page_idx = match self.fences.binary_search(&lo) {
             Ok(i) => i,
             Err(0) => 0,

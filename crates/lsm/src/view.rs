@@ -24,7 +24,7 @@
 //! re-classed as auxiliary *write* traffic by the tree, so the RO it buys
 //! on queries is paid for in the other two corners rather than hidden.
 
-use rum_core::{binary_search_bytes, DataClass, Key, Record, Result, RumError};
+use rum_core::{DataClass, Key, Record, Result, RumError};
 use rum_storage::{BlockDevice, Pager};
 
 use crate::run::{merge_streams, overlay, SortedRun};
@@ -185,7 +185,7 @@ impl SortedView {
         // metadata — same pricing as a run's fence search.
         pager
             .tracker()
-            .read(DataClass::Aux, binary_search_bytes(self.entries.len(), 8));
+            .search(DataClass::Aux, self.entries.len(), 8);
         let tail = &self.entries[self.entries.partition_point(|e| e.key < lo)..];
         // A range is short against the view: gallop to its end rather
         // than bisect the whole tail.

@@ -16,7 +16,7 @@
 use std::sync::Arc;
 
 use rum_core::{
-    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
+    base_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value,
 };
 
 /// Separator keys per internal node (two cache lines of keys).
@@ -43,7 +43,7 @@ impl CsbNode {
     fn bytes(&self) -> u64 {
         match self {
             CsbNode::Internal { keys, .. } => keys.len() as u64 * 8 + 8 + 8,
-            CsbNode::Leaf { records } => records.len() as u64 * RECORD_SIZE as u64 + 8,
+            CsbNode::Leaf { records } => base_bytes(records.len()) + 8,
         }
     }
 }
@@ -99,9 +99,7 @@ impl CsbTree {
             CsbNode::Internal { keys, .. } => {
                 self.tracker.read(DataClass::Aux, keys.len() as u64 * 8 + 8)
             }
-            CsbNode::Leaf { records } => self
-                .tracker
-                .read(DataClass::Base, records.len() as u64 * RECORD_SIZE as u64),
+            CsbNode::Leaf { records } => self.tracker.read_records(records.len()),
         }
     }
 
@@ -150,13 +148,13 @@ impl CsbTree {
                 match records.binary_search_by_key(&key, |r| r.key) {
                     Ok(i) => {
                         records[i].value = value;
-                        self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+                        self.tracker.write_records(1);
                         None
                     }
                     Err(i) => {
                         records.insert(i, Record::new(key, value));
                         self.len += 1;
-                        self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+                        self.tracker.write_records(1);
                         if records.len() <= LEAF_RECORDS {
                             return None;
                         }
@@ -165,8 +163,7 @@ impl CsbTree {
                         let mid = records.len() / 2;
                         let right = records.split_off(mid);
                         let sep = right[0].key;
-                        self.tracker
-                            .write(DataClass::Base, right.len() as u64 * RECORD_SIZE as u64);
+                        self.tracker.write_records(right.len());
                         Some((sep, CsbNode::Leaf { records: right }))
                     }
                 }
@@ -309,7 +306,7 @@ impl AccessMethod for CsbTree {
         match records.binary_search_by_key(&key, |r| r.key) {
             Ok(i) => {
                 records[i].value = value;
-                self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+                self.tracker.write_records(1);
                 Ok(true)
             }
             Err(_) => Ok(false),
@@ -326,7 +323,7 @@ impl AccessMethod for CsbTree {
             Ok(i) => {
                 records.remove(i);
                 self.len -= 1;
-                self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+                self.tracker.write_records(1);
                 Ok(true)
             }
             Err(_) => Ok(false),
@@ -345,8 +342,7 @@ impl AccessMethod for CsbTree {
             return Ok(());
         }
         self.len = records.len();
-        self.tracker
-            .write(DataClass::Base, records.len() as u64 * RECORD_SIZE as u64);
+        self.tracker.write_records(records.len());
         let mut level: Vec<(Key, CsbNode)> = records
             .chunks(LEAF_RECORDS)
             .map(|c| {

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rum_core::{
-    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
+    base_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value,
 };
 
 const MAX_LEVEL: usize = 32;
@@ -67,7 +67,7 @@ impl SkipList {
     /// Charge an inspection of node `idx`: its record (base) plus the one
     /// forward pointer followed to reach it (aux).
     fn charge_visit(&self, _idx: usize) {
-        self.tracker.read(DataClass::Base, RECORD_SIZE as u64);
+        self.tracker.read_records(1);
         self.tracker.read(DataClass::Aux, PTR);
     }
 
@@ -145,8 +145,7 @@ impl AccessMethod for SkipList {
             .filter(|(i, _)| !self.free.contains(i))
             .map(|(_, n)| n.forward.len() as u64 * PTR)
             .sum();
-        let physical =
-            (self.len as u64) * RECORD_SIZE as u64 + tower_bytes + MAX_LEVEL as u64 * PTR;
+        let physical = base_bytes(self.len) + tower_bytes + MAX_LEVEL as u64 * PTR;
         SpaceProfile::from_physical(self.len, physical)
     }
 
@@ -178,7 +177,7 @@ impl AccessMethod for SkipList {
         let (update, cand) = self.find_update(key);
         if cand != NIL && self.nodes[cand].rec.key == key {
             self.nodes[cand].rec.value = value;
-            self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+            self.tracker.write_records(1);
             return Ok(());
         }
         let height = self.random_level();
@@ -187,7 +186,7 @@ impl AccessMethod for SkipList {
         }
         let idx = self.alloc(Record::new(key, value), height);
         // Writing the new record and its tower.
-        self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+        self.tracker.write_records(1);
         self.tracker.write(DataClass::Aux, height as u64 * PTR);
         for (l, &pred) in update.iter().enumerate().take(height) {
             if pred == NIL {
@@ -208,7 +207,7 @@ impl AccessMethod for SkipList {
         let (_, cand) = self.find_update(key);
         if cand != NIL && self.nodes[cand].rec.key == key {
             self.nodes[cand].rec.value = value;
-            self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+            self.tracker.write_records(1);
             Ok(true)
         } else {
             Ok(false)
@@ -255,7 +254,7 @@ impl AccessMethod for SkipList {
                 self.level = height;
             }
             let idx = self.alloc(*r, height);
-            self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+            self.tracker.write_records(1);
             self.tracker.write(DataClass::Aux, height as u64 * PTR);
             for (l, tail) in tails.iter_mut().enumerate().take(height) {
                 if *tail == NIL {

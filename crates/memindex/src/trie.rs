@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use rum_core::{
-    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
+    base_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value,
 };
 
 /// Key depth in bytes (u64 keys, 8-bit stride).
@@ -128,7 +128,7 @@ impl RadixTrie {
         if depth == DEPTH {
             if let Some(v) = n.value {
                 if prefix >= lo && prefix <= hi {
-                    self.tracker.read(DataClass::Base, RECORD_SIZE as u64);
+                    self.tracker.read_records(1);
                     out.push(Record::new(prefix, v));
                 }
             }
@@ -175,7 +175,7 @@ impl AccessMethod for RadixTrie {
             .map(|n| NODE_HEADER_BYTES + n.children.len() as u64 * CHILD_BYTES)
             .sum::<u64>()
             - self.free.len() as u64 * NODE_HEADER_BYTES;
-        let physical = self.len as u64 * RECORD_SIZE as u64 + aux;
+        let physical = base_bytes(self.len) + aux;
         SpaceProfile::from_physical(self.len, physical)
     }
 
@@ -216,7 +216,7 @@ impl AccessMethod for RadixTrie {
             self.len += 1;
         }
         node.value = Some(value);
-        self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+        self.tracker.write_records(1);
         Ok(())
     }
 
@@ -230,7 +230,7 @@ impl AccessMethod for RadixTrie {
             return Ok(false);
         }
         self.nodes[leaf].value = Some(value);
-        self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+        self.tracker.write_records(1);
         Ok(true)
     }
 
@@ -245,7 +245,7 @@ impl AccessMethod for RadixTrie {
         }
         self.nodes[leaf].value = None;
         self.len -= 1;
-        self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+        self.tracker.write_records(1);
         // Prune now-empty nodes bottom-up (reclaiming auxiliary space).
         let bytes = key.to_be_bytes();
         for d in (1..=DEPTH).rev() {

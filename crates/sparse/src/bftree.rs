@@ -17,8 +17,8 @@ use std::sync::Arc;
 
 use rum_columns::packed::PackedFile;
 use rum_core::{
-    binary_search_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile,
-    Value, RECORDS_PER_PAGE,
+    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value,
+    RECORDS_PER_PAGE,
 };
 use rum_sketch::QuotientFilter;
 
@@ -148,8 +148,7 @@ impl AccessMethod for BfTree {
             return Ok(None);
         }
         // In-memory fence search (aux metadata).
-        self.tracker()
-            .read(DataClass::Aux, binary_search_bytes(self.zones.len(), 8));
+        self.tracker().search(DataClass::Aux, self.zones.len(), 8);
         let zi = match self.zones.binary_search_by_key(&key, |z| z.min_key) {
             Ok(i) => i,
             Err(0) => return Ok(None), // below the first zone

@@ -21,12 +21,12 @@ use std::sync::Arc;
 
 use rum_core::trace::{EventKind, TraceSink};
 use rum_core::{
-    succeed, AccessMethod, CostTracker, DataClass, Key, Record, Result, RumError, SpaceProfile,
-    Value, PAGE_SIZE, RECORD_SIZE,
+    base_bytes, succeed, AccessMethod, CostTracker, Key, Record, Result, RumError, SpaceProfile,
+    Value,
 };
 
 use crate::fault::FaultInjector;
-use crate::wal::{Wal, WalEntry};
+use crate::wal::{log_write, Wal, WalEntry};
 
 /// Quarantine-rebuild cycles one operation may consume before detected
 /// corruption is surfaced to the caller (see
@@ -135,18 +135,18 @@ impl<M: AccessMethod> Durable<M> {
         self.wal.synced_total() + self.checkpoint_bytes
     }
 
-    /// Charge `bytes` of checkpoint traffic as auxiliary writes (byte-exact
-    /// plus page-granular accesses, like the WAL's own accounting).
-    fn charge_checkpoint(&mut self, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let tracker = self.inner.tracker();
-        tracker.write(DataClass::Aux, bytes);
-        for _ in 0..bytes.div_ceil(PAGE_SIZE as u64).max(1) {
-            tracker.page_write();
-        }
+    /// Charge a checkpoint of `records` records at the log price and trace
+    /// it.
+    fn charge_checkpoint(&mut self, records: usize) {
+        let bytes = base_bytes(records);
+        log_write(self.inner.tracker(), 0, bytes);
         self.checkpoint_bytes += bytes;
+        if self.sink.enabled() {
+            self.sink.emit(
+                EventKind::WalCheckpoint,
+                &[("records", records as u64), ("bytes", bytes)],
+            );
+        }
     }
 
     /// The write-ahead protocol for one mutation: log the record, sync it,
@@ -315,7 +315,7 @@ impl<M: AccessMethod> AccessMethod for Durable<M> {
 
     fn space_profile(&self) -> SpaceProfile {
         let mut profile = self.inner.space_profile();
-        profile.aux_bytes += self.wal.total_len() + (self.checkpoint.len() * RECORD_SIZE) as u64;
+        profile.aux_bytes += self.wal.total_len() + base_bytes(self.checkpoint.len());
         profile
     }
 
@@ -353,18 +353,9 @@ impl<M: AccessMethod> AccessMethod for Durable<M> {
         // The load itself is the checkpoint: nothing to replay.
         self.checkpoint = records.to_vec();
         self.wal.truncate();
-        self.charge_checkpoint((records.len() * RECORD_SIZE) as u64);
+        self.charge_checkpoint(records.len());
         self.next_seq = 0;
         self.dirty = false;
-        if self.sink.enabled() {
-            self.sink.emit(
-                EventKind::WalCheckpoint,
-                &[
-                    ("records", records.len() as u64),
-                    ("bytes", (records.len() * RECORD_SIZE) as u64),
-                ],
-            );
-        }
         Ok(())
     }
 
@@ -376,18 +367,9 @@ impl<M: AccessMethod> AccessMethod for Durable<M> {
         self.wal.sync()?;
         if self.dirty {
             self.checkpoint = self.inner.range_impl(0, Key::MAX)?;
-            self.charge_checkpoint((self.checkpoint.len() * RECORD_SIZE) as u64);
+            self.charge_checkpoint(self.checkpoint.len());
             self.wal.truncate();
             self.dirty = false;
-            if self.sink.enabled() {
-                self.sink.emit(
-                    EventKind::WalCheckpoint,
-                    &[
-                        ("records", self.checkpoint.len() as u64),
-                        ("bytes", (self.checkpoint.len() * RECORD_SIZE) as u64),
-                    ],
-                );
-            }
         }
         Ok(())
     }
@@ -441,7 +423,7 @@ mod tests {
             &self.tracker
         }
         fn space_profile(&self) -> SpaceProfile {
-            SpaceProfile::from_physical(self.data.len(), (self.data.len() * RECORD_SIZE) as u64)
+            SpaceProfile::from_physical(self.data.len(), base_bytes(self.data.len()))
         }
         fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
             Ok(self.data.get(&key).copied())
@@ -454,14 +436,14 @@ mod tests {
                 .collect())
         }
         fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-            self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+            self.tracker.write_records(1);
             self.data.insert(key, value);
             Ok(())
         }
         fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
             match self.data.get_mut(&key) {
                 Some(v) => {
-                    self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+                    self.tracker.write_records(1);
                     *v = value;
                     Ok(true)
                 }
@@ -472,8 +454,7 @@ mod tests {
             Ok(self.data.remove(&key).is_some())
         }
         fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-            self.tracker
-                .write(DataClass::Base, (records.len() * RECORD_SIZE) as u64);
+            self.tracker.write_records(records.len());
             self.data = records.iter().map(|r| (r.key, r.value)).collect();
             Ok(())
         }
@@ -494,6 +475,35 @@ mod tests {
         assert_eq!(s.aux_write_bytes, d.wal().synced_total());
         assert!(s.aux_write_bytes > 0, "WAL traffic must be visible in UO");
         assert_eq!(d.logging_bytes(), s.aux_write_bytes);
+    }
+
+    #[test]
+    fn each_checkpoint_is_charged_and_traced_once() {
+        let mut d = Durable::new(Toy::new);
+        let sink = rum_core::trace::MemorySink::shared();
+        d.set_trace_sink(Arc::clone(&sink) as _);
+        let records: Vec<Record> = (0..10u64).map(|k| Record::new(k, k)).collect();
+        d.bulk_load(&records).unwrap();
+        d.insert(20, 1).unwrap();
+        d.flush().unwrap();
+        d.flush().unwrap(); // clean: no second checkpoint
+        let checkpoints: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::WalCheckpoint)
+            .map(|e| e.detail)
+            .collect();
+        assert_eq!(
+            checkpoints,
+            vec![
+                vec![("records", 10), ("bytes", base_bytes(10))],
+                vec![("records", 11), ("bytes", base_bytes(11))],
+            ]
+        );
+        assert_eq!(
+            d.logging_bytes(),
+            d.wal().synced_total() + base_bytes(10) + base_bytes(11)
+        );
     }
 
     #[test]

@@ -134,6 +134,19 @@ impl<D: BlockDevice> Pager<D> {
         }
     }
 
+    /// Write a page whose bytes were charged before it was written (the
+    /// append log's sealed tail, charged record by record as it filled):
+    /// one page write is counted and nothing else. No bytes, so they are
+    /// not counted twice; and, unlike [`write`](Self::write), no simulated
+    /// device time and no retry of a transient fault. Pricing its device
+    /// time would move every simulated-time figure of the append log, so it
+    /// waits for a deliberate regeneration of the counted artifacts.
+    pub fn write_precharged(&mut self, id: PageId, page: &PageBuf) -> Result<()> {
+        self.device.write_page(id, page)?;
+        self.tracker.page_write();
+        Ok(())
+    }
+
     /// Copy a page out — [`with_page`](Self::with_page) into an owned
     /// buffer. Editing a page does not need one
     /// ([`with_page_mut`](Self::with_page_mut)).
@@ -230,20 +243,16 @@ impl<D: BlockDevice> Pager<D> {
         }
     }
 
-    /// One page read of `class` traffic and its simulated time.
+    /// One page read of `class` traffic at its simulated device time.
     fn charge_read(&mut self, id: PageId, class: DataClass) {
-        self.tracker.page_read();
-        self.tracker.read(class, PAGE_SIZE as u64);
-        let ns = self.classifier.read(&self.profile, id);
-        self.tracker.sim_time(ns);
+        self.tracker
+            .read_page(class, self.classifier.read(&self.profile, id));
     }
 
-    /// One page write of `class` traffic and its simulated time.
+    /// One page write of `class` traffic at its simulated device time.
     fn charge_write(&mut self, id: PageId, class: DataClass) {
-        self.tracker.page_write();
-        self.tracker.write(class, PAGE_SIZE as u64);
-        let ns = self.classifier.write(&self.profile, id);
-        self.tracker.sim_time(ns);
+        self.tracker
+            .write_page(class, self.classifier.write(&self.profile, id));
     }
 
     /// Whether a failed device attempt performed (and should charge) a

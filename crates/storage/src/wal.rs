@@ -133,6 +133,22 @@ pub struct WalReplay {
     pub valid_len: u64,
 }
 
+/// The log price: `n` bytes landing at durable offset `start` are `n`
+/// auxiliary bytes written plus one page write per log page they span, at
+/// least one (an fsync rewrites at least the tail page). Every WAL sync
+/// and every [`Durable`](crate::durable::Durable) checkpoint (a log of its
+/// own, written from offset 0) is charged through it.
+pub(crate) fn log_write(tracker: &CostTracker, start: u64, n: u64) {
+    if n == 0 {
+        return;
+    }
+    tracker.write(DataClass::Aux, n);
+    let page = PAGE_SIZE as u64;
+    for _ in 0..((start + n).div_ceil(page) - start / page).max(1) {
+        tracker.page_write();
+    }
+}
+
 /// The write-ahead log. `pending` models volatile buffered appends;
 /// `durable` models what survives power loss. [`Wal::sync`] moves pending
 /// bytes to durable — consulting the [`FaultInjector`], when armed, which
@@ -227,21 +243,6 @@ impl Wal {
         self.pending.extend_from_slice(payload);
     }
 
-    /// Charge `n` bytes landing at durable offset `start` as auxiliary
-    /// write traffic: byte-exact bytes plus one page access per log page
-    /// touched (an fsync rewrites at least the tail page).
-    fn charge(&self, start: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.tracker.write(DataClass::Aux, n);
-        let page = PAGE_SIZE as u64;
-        let pages = (start + n).div_ceil(page) - start / page;
-        for _ in 0..pages.max(1) {
-            self.tracker.page_write();
-        }
-    }
-
     /// Make pending appends durable. Returns `Err(RumError::Crash)` when
     /// the armed fault fires; whatever prefix the injector let through is
     /// already on "disk" (and charged), mirroring a real power event.
@@ -310,7 +311,7 @@ impl Wal {
                         self.durable[idx] ^= 1 << (bit % 8);
                     }
                 }
-                self.charge(start, n);
+                log_write(&self.tracker, start, n);
                 self.synced_total += n;
                 if self.sink.enabled() {
                     self.sink.emit(
@@ -336,7 +337,7 @@ impl Wal {
                     }
                 }
                 self.pending.clear();
-                self.charge(start, keep as u64);
+                log_write(&self.tracker, start, keep as u64);
                 self.synced_total += keep as u64;
                 if self.sink.enabled() {
                     self.sink.emit(

@@ -8,9 +8,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rum_core::oracle::Oracle;
 use rum_core::workload::Op;
-use rum_core::{
-    AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE,
-};
+use rum_core::{AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value, RECORD_SIZE};
 use rum_storage::{Durable, FaultInjector, FaultPlan};
 
 /// Minimal correct method: a BTreeMap with byte-exact base charges.
@@ -52,14 +50,14 @@ impl AccessMethod for Toy {
             .collect())
     }
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+        self.tracker.write_records(1);
         self.data.insert(key, value);
         Ok(())
     }
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
         match self.data.get_mut(&key) {
             Some(v) => {
-                self.tracker.write(DataClass::Base, RECORD_SIZE as u64);
+                self.tracker.write_records(1);
                 *v = value;
                 Ok(true)
             }
@@ -70,8 +68,7 @@ impl AccessMethod for Toy {
         Ok(self.data.remove(&key).is_some())
     }
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        self.tracker
-            .write(DataClass::Base, (records.len() * RECORD_SIZE) as u64);
+        self.tracker.write_records(records.len());
         self.data = records.iter().map(|r| (r.key, r.value)).collect();
         Ok(())
     }

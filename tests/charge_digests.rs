@@ -33,9 +33,14 @@
 //! the suite, reload and hostile legs in turn on one instance, and the zone
 //! map's SMA aggregates with their answers; again two fresh instances must
 //! agree.
+//!
+//! Extreme legs pin the two byte-granular methods outside the suite, the
+//! dense array and the direct-address array of §2's propositions, over the
+//! suite and hostile streams, and the direct array's `relocate` (the
+//! paper's "change a value"), its answers folded too.
 
 use rum::bitmap::{BitmapConfig, BitmapIndex};
-use rum::columns::UnsortedColumn;
+use rum::columns::{DenseArray, DirectAddressArray, UnsortedColumn};
 use rum::core::oracle::hostile_ops;
 use rum::core::workload::{Drift, KeyDist, OpMix, Workload, WorkloadSpec};
 use rum::lsm::tuning::advise;
@@ -411,5 +416,49 @@ fn configured_charges_match_the_pinned_digests() {
     assert!(
         table == CONFIG_PINNED,
         "configuration charge digests moved; now:\n{table}"
+    );
+}
+
+/// `relocate` over the suite's dense load: each probed key moves to a
+/// fresh slot past the top, onto itself, onto a live neighbour, and from
+/// the slot it just left.
+fn relocate_digest() -> u64 {
+    let suite = suite_workload();
+    let mut m = DirectAddressArray::new();
+    let mut h = Fnv(FNV_OFFSET);
+    h.load(&mut m, &suite.initial);
+    let top = suite.initial.last().expect("the suite loads records").key;
+    for k in (0..top).step_by(61) {
+        for (from, to) in [(k, top + 1 + k), (k, k), (k + 1, k + 2), (k, k + 1)] {
+            let answer = h.charged(&mut m, |m| m.relocate(from, to));
+            h.word(answer.map_or(2, u64::from));
+        }
+    }
+    h.finish(&m)
+}
+
+/// Suite and hostile digests of each extreme, and the relocate leg.
+const EXTREMES_PINNED: &str = "\
+dense-array          4a6f7e801636534d fc353f5ba9fb4100
+direct-address-array 7dd41e2b2e2c87b5 548d774c71c01b96 55927e312cd55a59
+";
+
+#[test]
+fn extreme_charges_match_the_pinned_digests() {
+    let suite = suite_workload();
+    let hostile = hostile_ops(61, 3000, 2000);
+    let legs = |m: fn() -> Box<dyn AccessMethod>| {
+        let s = digest(m().as_mut(), &[&suite]);
+        let h = digest(m().as_mut(), &[&hostile]);
+        format!("{s:016x} {h:016x}")
+    };
+    let dense = legs(|| Box::new(DenseArray::new()));
+    let direct = legs(|| Box::new(DirectAddressArray::new()));
+    let relocate = relocate_digest();
+    let table =
+        format!("dense-array          {dense}\ndirect-address-array {direct} {relocate:016x}\n");
+    assert!(
+        table == EXTREMES_PINNED,
+        "extreme charge digests moved; now:\n{table}"
     );
 }
