@@ -326,7 +326,7 @@ pub fn text(run: &AdvisorRun) -> String {
             .col("", "rank:<4", |(i, _, _)| i + 1)
             .col("", "analytic:<18", |(_, a, _)| a.family.name())
             .col("", "pages/op:>10.3", |(_, a, _)| a.expected_cost)
-            .col("", "measured:   <18", |(_, _, m)| m.family.name())
+            .col_after("   ", "", "measured:<18", |(_, _, m)| m.family.name())
             .col("", "pages/op:>10.3", |(_, _, m)| m.expected_cost)
             .col(
                 "",

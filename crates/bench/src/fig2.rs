@@ -13,7 +13,7 @@ use rum_btree::{BTree, BTreeConfig};
 use rum_core::runner::{default_threads, parallel_map};
 use rum_core::workload::{KeyDist, KeySpace, OpMix, OpStream, WorkloadSpec};
 use rum_core::AccessMethod;
-use rum_storage::{BlockDevice, DeviceProfile, HierarchySpec, MemoryHierarchy};
+use rum_storage::{BlockDevice, DeviceProfile, MemoryHierarchy};
 
 use crate::{Outcome, Scale, Table, Target};
 
@@ -66,16 +66,14 @@ pub fn run(
     parallel_map(buffer_sweep.to_vec(), default_threads(), |buffer_pages| {
         let mut stream = OpStream::new(&spec);
         let records = stream.take_initial();
-        let hierarchy =
-            MemoryHierarchy::new(HierarchySpec::buffer_and_storage(buffer_pages, storage));
+        let hierarchy = MemoryHierarchy::new(buffer_pages, storage);
         let mut tree = BTree::with_device(hierarchy, BTreeConfig::default());
         tree.bulk_load(&records).expect("load");
         drop(records);
         // Quiesce load traffic so the measurement is the workload's.
         tree.device_mut().sync().expect("sync");
-        for lvl in 0..tree.device().levels() {
-            tree.device().level_stats(lvl).reset();
-        }
+        tree.device().buffer_stats().reset();
+        tree.device().storage_stats().reset();
 
         for op in stream {
             op.apply(&mut tree).expect("op");
@@ -85,9 +83,9 @@ pub fn run(
         let h = tree.device();
         Fig2Row {
             buffer_pages,
-            buffer_reads: h.level_stats(0).reads(),
-            storage_reads: h.level_stats(1).reads(),
-            storage_writes: h.level_stats(1).writes(),
+            buffer_reads: h.buffer_stats().reads(),
+            storage_reads: h.storage_stats().reads(),
+            storage_writes: h.storage_stats().writes(),
             sim_ms: h.total_sim_ns() as f64 / 1e6,
         }
     })

@@ -123,7 +123,7 @@ pub fn proposition3(n_sweep: &[u64]) -> Vec<PropPoint> {
 /// One proposition's sweep: the parameter, then RO/UO/MO.
 fn table(x: &str, ro: &str, mo: &str) -> Table<PropPoint> {
     Table::<PropPoint>::default()
-        .col("", &format!("{x}:  >12"), |p| p.x)
+        .col_after("  ", "", &format!("{x}:>12"), |p| p.x)
         .col("", ro, |p| p.ro)
         .col("", "UO:>8.3", |p| p.uo)
         .col("", mo, |p| p.mo)

@@ -222,7 +222,7 @@ pub fn table() -> Table<RangeRow> {
         .col("filter", "filter:>9", |r| r.filter)
         .col("view", "view:>4", |r| if r.view { "on" } else { "off" })
         .report("  ", |r| &r.report)
-        .col("view_kib:.1", "view KiB:  >9.1", |r| {
+        .col_after("  ", "view_kib:.1", "view KiB:>9.1", |r| {
             r.view_bytes as f64 / 1024.0
         })
         .col("identical", "equal:>6", |r| {

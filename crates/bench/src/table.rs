@@ -6,9 +6,9 @@
 //! leaves the column out of that rendering. Both specs borrow `format!`'s
 //! syntax after a colon. The CSV spec is `name` (floats shortest-roundtrip)
 //! or `name:.6` (fixed decimals). The text spec is `label:>9.3` (right-
-//! aligned in 9 characters, 3 decimals) or `label:<18`; text between the
-//! colon and the `<`/`>` replaces the single space that otherwise separates
-//! a column from the one before it (`"view KiB:  >9.1"`, `"point: | >10"`).
+//! aligned in 9 characters, 3 decimals) or `label:<18`, and nothing else:
+//! a column is separated from the one before it by a single space, or by
+//! the separator [`col_after`](Table::col_after) is given (`" | "`).
 //! A precision applies to `f64` cells only; any other cell renders whole.
 //!
 //! A CSV whose rows already carry a tag, like `crash_matrix`'s `uo` and
@@ -102,12 +102,16 @@ impl<R> Table<R> {
     ) -> Self {
         let text = (!text.is_empty()).then(|| {
             let (label, layout) = text.rsplit_once(':').expect("a text spec is label:layout");
-            let at = layout.find(['<', '>']).expect("a layout has < or >");
-            let (width, prec) = precision(&layout[at + 1..]);
+            let left = match layout.chars().next() {
+                Some('<') => true,
+                Some('>') => false,
+                _ => panic!("a text spec is label:<width or label:>width, not {text:?}"),
+            };
+            let (width, prec) = precision(&layout[1..]);
             Text {
                 label: label.to_string(),
-                sep: (at > 0).then(|| layout[..at].to_string()),
-                left: layout[at..].starts_with('<'),
+                sep: None,
+                left,
                 width: width.parse().expect("a width is digits"),
                 prec,
             }
@@ -131,13 +135,29 @@ impl<R> Table<R> {
         self
     }
 
+    /// [`col`](Self::col), separated in the text from the column before it
+    /// by `sep` instead of a single space.
+    pub fn col_after<C: Display + 'static>(
+        self,
+        sep: &str,
+        csv: &'static str,
+        text: &str,
+        cell: impl Fn(&R) -> C + 'static,
+    ) -> Self {
+        let mut table = self.col(csv, text, cell);
+        if let Some(text) = table.columns.last_mut().and_then(|c| c.text.as_mut()) {
+            text.sep = Some(sep.into());
+        }
+        table
+    }
+
     /// Splice in [`RumReport`]'s own columns as one group, after `sep`:
     /// `csv_header`/`csv_row` in the CSV, `table_header`/`table_row` in
     /// the text.
     pub fn report(self, sep: &str, report: impl Fn(&R) -> &RumReport + Copy + 'static) -> Self {
-        let text = format!("{}:{sep}<0", RumReport::table_header());
+        let text = format!("{}:<0", RumReport::table_header());
         self.col(RumReport::csv_header(), "", move |r| report(r).csv_row())
-            .col("", &text, move |r| report(r).table_row())
+            .col_after(sep, "", &text, move |r| report(r).table_row())
     }
 
     /// Tag each row with its section, `tag(row)`, in a first CSV column
@@ -210,7 +230,7 @@ mod tests {
             .col("key", "key:<6", |r| r.1)
             .section("amp")
             .col("amp:.3", "amp:>8.2", |r| r.2)
-            .col("", "amp0: | >6.1", |r| finite(r.2))
+            .col_after(" | ", "", "amp0:>6.1", |r| finite(r.2))
             .section("count")
             .col("count", "n:>4", |r| r.2 as u64);
         let rows = [
@@ -235,6 +255,12 @@ mod tests {
             let fields: Vec<usize> = rendered.lines().map(|l| l.split(sep).count()).collect();
             assert!(fields.iter().all(|&n| n == fields[0]), "{fields:?}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "a text spec is label:<width or label:>width")]
+    fn a_separator_inside_a_spec_is_refused() {
+        let _ = Table::<u64>::default().col("", "point: | >10", |r| *r);
     }
 
     #[test]

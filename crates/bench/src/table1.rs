@@ -261,13 +261,13 @@ pub fn table(params: &Table1Params) -> Table<Table1Row> {
         .col("", "load(pgW):>10", |r| r.load_pages)
         .col("", "size(pg):>10", |r| pages(r.size_pages))
         .col("", "MO:>8.3", |r| r.mo)
-        .col("", "point: | >10", |r| pages(r.point_pages))
+        .col_after(" | ", "", "point:>10", |r| pages(r.point_pages))
         .col("", "(theory):>10", move |r| pages(theory(r).0))
-        .col("", "range: | >10", |r| pages(r.range_pages))
+        .col_after(" | ", "", "range:>10", |r| pages(r.range_pages))
         .col("", "(theory):>10", move |r| pages(theory(r).1))
-        .col("", "insert: | >10", |r| pages(r.insert_pages))
+        .col_after(" | ", "", "insert:>10", |r| pages(r.insert_pages))
         .col("", "(theory):>10", move |r| pages(theory(r).2))
-        .col("", "update: | >10", |r| pages(r.update_pages))
+        .col_after(" | ", "", "update:>10", |r| pages(r.update_pages))
 }
 
 /// The paper's qualitative claims about Table 1, checked against the

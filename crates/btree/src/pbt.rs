@@ -11,7 +11,9 @@
 
 use std::sync::Arc;
 
-use rum_core::{AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value};
+use rum_core::{
+    merge_streams, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value,
+};
 use rum_storage::MemDevice;
 
 use crate::tree::{BTree, BTreeConfig};
@@ -104,24 +106,22 @@ impl PartitionedBTree {
 
     /// Merge every partition into one (newest copy of each key wins).
     fn consolidate(&mut self) -> Result<()> {
-        let mut merged: std::collections::BTreeMap<Key, Value> = Default::default();
-        // Oldest partition first, newer overwrite.
-        let old = std::mem::take(&mut self.partitions);
-        for mut part in old {
-            for r in part.range(0, Key::MAX)? {
-                merged.insert(r.key, r.value);
-            }
+        let mut answers = Vec::with_capacity(self.partitions.len());
+        for mut part in std::mem::take(&mut self.partitions) {
+            answers.push(part.range(0, Key::MAX)?);
         }
-        let records: Vec<Record> = merged
-            .into_iter()
-            .filter(|(k, _)| self.live.contains(k))
-            .map(|(k, v)| Record::new(k, v))
-            .collect();
+        let records = self.merge_live(&mut answers);
         let mut consolidated = Self::fresh_tree(&self.config, &self.tracker);
         consolidated.bulk_load_impl(&records)?;
         self.partitions = vec![consolidated];
         self.merges += 1;
         Ok(())
+    }
+
+    /// The partitions' answers, oldest first, merged newest-wins; keys no
+    /// longer live are dropped.
+    fn merge_live(&self, answers: &mut [Vec<Record>]) -> Vec<Record> {
+        merge_streams(answers, |r| r.key, |r| self.live.contains(&r.key))
     }
 }
 
@@ -173,18 +173,11 @@ impl AccessMethod for PartitionedBTree {
     }
 
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
-        // Oldest first; newer copies overwrite.
-        let mut merged: std::collections::BTreeMap<Key, Value> = Default::default();
+        let mut answers = Vec::with_capacity(self.partitions.len());
         for p in self.partitions.iter_mut() {
-            for r in p.range_impl(lo, hi)? {
-                merged.insert(r.key, r.value);
-            }
+            answers.push(p.range_impl(lo, hi)?);
         }
-        Ok(merged
-            .into_iter()
-            .filter(|(k, _)| self.live.contains(k))
-            .map(|(k, v)| Record::new(k, v))
-            .collect())
+        Ok(self.merge_live(&mut answers))
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {

@@ -125,8 +125,8 @@ impl<D: BlockDevice> BTree<D> {
         self
     }
 
-    /// The underlying block device (e.g. to inspect per-level stats of a
-    /// [`MemoryHierarchy`](rum_storage::MemoryHierarchy)).
+    /// The underlying block device (e.g. to inspect the buffer and storage
+    /// stats of a [`MemoryHierarchy`](rum_storage::MemoryHierarchy)).
     pub fn device(&self) -> &D {
         self.store.pager().device()
     }
@@ -962,11 +962,8 @@ mod tests {
 
     #[test]
     fn works_over_a_memory_hierarchy() {
-        use rum_storage::{HierarchySpec, MemoryHierarchy};
-        let h = MemoryHierarchy::new(HierarchySpec::buffer_and_storage(
-            8,
-            rum_storage::DeviceProfile::SSD,
-        ));
+        use rum_storage::{DeviceProfile, MemoryHierarchy};
+        let h = MemoryHierarchy::new(8, DeviceProfile::SSD);
         let mut t = BTree::with_device(h, BTreeConfig::default());
         for k in 0..5000u64 {
             t.insert(k, k).unwrap();

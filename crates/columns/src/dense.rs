@@ -133,6 +133,12 @@ mod tests {
     use super::*;
 
     #[test]
+    fn model_check_random_ops() {
+        use rum_core::oracle::{check, hostile_ops};
+        check(&mut DenseArray::new(), &hostile_ops(61, 3000, 2000)).unwrap();
+    }
+
+    #[test]
     fn proposition_3_mo_is_exactly_one() {
         let mut a = DenseArray::new();
         for k in 0..1000u64 {

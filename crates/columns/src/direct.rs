@@ -28,7 +28,8 @@ pub struct DirectAddressArray {
     live: usize,
     tracker: Arc<CostTracker>,
     /// Hard cap on universe growth, to keep experiments from exhausting
-    /// host memory; hitting it returns `CapacityExceeded`.
+    /// host memory: a write of a key at or past it is refused before it
+    /// runs, and a relocation there returns `CapacityExceeded`.
     max_universe: usize,
 }
 
@@ -69,20 +70,22 @@ impl DirectAddressArray {
 
     /// The paper's "change a value": move the record at `old_key` to
     /// `new_key`. Two physical cell writes (clear + set) for one logical
-    /// update — UO = 2.0, the Proposition 1 bound.
+    /// update — UO = 2.0, the Proposition 1 bound. A move onto a live slot
+    /// or past the universe is refused and charged nothing: whether a slot
+    /// is free is known from its address, as a missed `get` is.
     pub fn relocate(&mut self, old_key: Key, new_key: Key) -> Result<bool> {
         if old_key == new_key {
             return Ok(true);
         }
-        self.tracker.read_records(1);
-        let value = match self.slots.get(old_key as usize).copied().flatten() {
-            Some(v) => v,
-            None => return Ok(false),
+        let Some(value) = self.slots.get(old_key as usize).copied().flatten() else {
+            self.tracker.read_records(1);
+            return Ok(false);
         };
         self.ensure(new_key)?;
         if self.slots[new_key as usize].is_some() {
             return Err(RumError::DuplicateKey(new_key));
         }
+        self.tracker.read_records(1);
         // Empty the old block...
         self.slots[old_key as usize] = None;
         self.tracker.write_records(1);
@@ -178,6 +181,17 @@ impl AccessMethod for DirectAddressArray {
         }
     }
 
+    /// Keys at or past the universe cap are refused before any write runs.
+    fn check_records(&self, records: &[Record]) -> Result<()> {
+        match records.iter().find(|r| r.key >= self.max_universe as u64) {
+            Some(r) => Err(RumError::InvalidArgument(format!(
+                "key {} exceeds max universe {}",
+                r.key, self.max_universe
+            ))),
+            None => Ok(()),
+        }
+    }
+
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
         self.slots.clear();
         self.live = 0;
@@ -246,6 +260,10 @@ mod tests {
         assert!(a.insert(99, 0).is_ok());
         assert!(matches!(
             a.insert(100, 0),
+            Err(RumError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            a.relocate(99, 100),
             Err(RumError::CapacityExceeded(_))
         ));
     }
@@ -257,10 +275,29 @@ mod tests {
         let before = a.tracker().snapshot();
         assert!(matches!(
             a.insert(u64::MAX, 0),
-            Err(RumError::CapacityExceeded(_))
+            Err(RumError::InvalidArgument(_))
         ));
         assert_eq!(a.tracker().snapshot(), before);
         assert_eq!((a.len(), a.universe()), (1, 2));
+    }
+
+    #[test]
+    fn a_refused_load_keeps_contents_and_account() {
+        let mut a = DirectAddressArray::with_max_universe(1000);
+        a.insert(1, 10).unwrap();
+        a.insert(2, 20).unwrap();
+        let before = a.tracker().snapshot();
+        let load = [Record::new(5, 5), Record::new(5000, 5)];
+        assert!(matches!(
+            a.bulk_load(&load),
+            Err(RumError::InvalidArgument(_))
+        ));
+        assert_eq!(a.tracker().snapshot(), before);
+        assert_eq!(a.len(), 2);
+        assert_eq!(
+            a.range(0, Key::MAX).unwrap(),
+            [Record::new(1, 10), Record::new(2, 20)]
+        );
     }
 
     #[test]
@@ -269,6 +306,27 @@ mod tests {
         a.insert(1, 10).unwrap();
         a.insert(2, 20).unwrap();
         assert!(matches!(a.relocate(1, 2), Err(RumError::DuplicateKey(2))));
+    }
+
+    #[test]
+    fn refused_relocates_charge_nothing() {
+        let mut a = DirectAddressArray::with_max_universe(100);
+        a.insert(1, 10).unwrap();
+        a.insert(2, 20).unwrap();
+        let before = a.tracker().snapshot();
+        assert!(matches!(a.relocate(1, 2), Err(RumError::DuplicateKey(2))));
+        assert!(matches!(
+            a.relocate(1, 100),
+            Err(RumError::CapacityExceeded(_))
+        ));
+        assert_eq!(a.tracker().snapshot(), before);
+        assert_eq!((a.get(1).unwrap(), a.universe()), (Some(10), 3));
+    }
+
+    #[test]
+    fn model_check_random_ops() {
+        use rum_core::oracle::{check, hostile_ops};
+        check(&mut DirectAddressArray::new(), &hostile_ops(61, 3000, 2000)).unwrap();
     }
 
     #[test]

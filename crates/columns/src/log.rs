@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use rum_core::{
     encode_records, AccessMethod, CostTracker, DataClass, Key, Record, RecordSlice, Result,
-    RumError, SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
+    SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
 };
 use rum_storage::{MemDevice, PageBuf, PageId, Pager};
 
@@ -158,16 +158,6 @@ impl AccessMethod for AppendLog {
         });
         versions.retain(|r| r.value != TOMBSTONE);
         Ok(versions)
-    }
-
-    /// A delete writes [`TOMBSTONE`], so no user value may be it.
-    fn check_records(&self, records: &[Record]) -> Result<()> {
-        if records.iter().any(|r| r.value == TOMBSTONE) {
-            return Err(RumError::InvalidArgument(
-                "value u64::MAX is reserved as the tombstone sentinel".into(),
-            ));
-        }
-        Ok(())
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 use crate::error::Result;
 use crate::trace::TraceSink;
 use crate::tracker::CostTracker;
-use crate::types::{base_bytes, Key, Record, Value};
+use crate::types::{base_bytes, Key, Record, Value, TOMBSTONE};
 
 /// Space occupied by a structure, split per the paper's MO definition.
 ///
@@ -87,16 +87,18 @@ impl SpaceProfile {
 ///   [`RumError::InvalidArgument`] for every method: the provided
 ///   `bulk_load` decides it before [`bulk_load_impl`](Self::bulk_load_impl)
 ///   runs, so a refused load changes nothing and no hook re-checks it.
-/// * A method may reserve values or keys as internal markers (the LSM-tree
-///   and the append log reserve [`TOMBSTONE`] as a value, the static hash
-///   index two slot-marker keys). It says so in
-///   [`check_records`](Self::check_records), which the provided `insert`,
-///   `update` and `bulk_load` ask before any hook runs, so a refused write
-///   is [`RumError::InvalidArgument`], is charged nothing and changes
+/// * The value [`TOMBSTONE`] is the workspace's reservation: the
+///   differential structures (the LSM-tree, the append log) write it to
+///   mark a delete, so the provided `insert`, `update` and `bulk_load`
+///   refuse it for every method, before any hook runs, whatever a wrapper
+///   forwards.
+/// * A method may also reserve keys (the static hash index's two slot
+///   markers, the direct-address array's keys past its universe). It says
+///   so in [`check_records`](Self::check_records), which the same three
+///   entry points ask before any hook runs. A refused write is
+///   [`RumError::InvalidArgument`], is charged nothing and changes
 ///   nothing. A wrapper that forwards the hooks of a method that reserves
-///   anything forwards `check_records` too.
-///
-/// [`TOMBSTONE`]: crate::types::TOMBSTONE
+///   keys forwards `check_records` too.
 ///
 /// [`RumError::InvalidArgument`]: crate::error::RumError::InvalidArgument
 ///
@@ -124,7 +126,7 @@ pub trait AccessMethod: Send {
     ///
     /// One rule keeps the account whole across the method's life. A
     /// structure rebuilt in place (recovery, a family swap, an LSM retune,
-    /// a shard rebuilt by its factory) hands its history and its trace
+    /// a poisoned shard's self-repair) hands its history and its trace
     /// sink to its successor with [`succeed`] before the successor does
     /// any work, so the new tracker starts where the old one stopped and
     /// its events reach the same sink. The `Arc` returned
@@ -159,8 +161,8 @@ pub trait AccessMethod: Send {
     /// (the provided [`bulk_load`](Self::bulk_load) has checked the order).
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()>;
 
-    /// Refuse `records` if they carry a value or key this method reserves:
-    /// the one place a reservation is checked (see the Contract). Default:
+    /// Refuse `records` if they carry a key this method reserves: the one
+    /// place a key reservation is checked (see the Contract). Default:
     /// nothing is reserved.
     fn check_records(&self, _records: &[Record]) -> Result<()> {
         Ok(())
@@ -217,7 +219,9 @@ pub trait AccessMethod: Send {
 
     /// Upsert; charges one record as the logical write.
     fn insert(&mut self, key: Key, value: Value) -> Result<()> {
-        self.check_records(&[Record::new(key, value)])?;
+        let record = [Record::new(key, value)];
+        check_input(&record)?;
+        self.check_records(&record)?;
         self.insert_impl(key, value)?;
         self.tracker().logical_write(base_bytes(1));
         Ok(())
@@ -225,7 +229,9 @@ pub trait AccessMethod: Send {
 
     /// Update; charges one record as the logical write when applied.
     fn update(&mut self, key: Key, value: Value) -> Result<bool> {
-        self.check_records(&[Record::new(key, value)])?;
+        let record = [Record::new(key, value)];
+        check_input(&record)?;
+        self.check_records(&record)?;
         let applied = self.update_impl(key, value)?;
         if applied {
             self.tracker().logical_write(base_bytes(1));
@@ -244,10 +250,11 @@ pub trait AccessMethod: Send {
 
     /// Bulk load; charges the full input as the logical write, so the write
     /// amplification of construction is meaningful. Input whose keys are
-    /// not strictly ascending is refused here, for every method alike, and
-    /// so is input [`check_records`](Self::check_records) refuses.
+    /// not strictly ascending, or that carries [`TOMBSTONE`], is refused
+    /// here, for every method alike, and so is input
+    /// [`check_records`](Self::check_records) refuses.
     fn bulk_load(&mut self, records: &[Record]) -> Result<()> {
-        check_bulk_input(records)?;
+        check_input(records)?;
         self.check_records(records)?;
         self.bulk_load_impl(records)?;
         self.tracker().logical_write(base_bytes(records.len()));
@@ -269,15 +276,23 @@ pub fn succeed<M: AccessMethod + ?Sized>(
     successor.set_trace_sink(Arc::clone(sink));
 }
 
-/// Validate a bulk-load input slice: strictly ascending keys.
-fn check_bulk_input(records: &[Record]) -> Result<()> {
-    for w in records.windows(2) {
-        if w[0].key >= w[1].key {
+/// Validate write input in one pass: strictly ascending keys, and no
+/// value that is [`TOMBSTONE`].
+fn check_input(records: &[Record]) -> Result<()> {
+    let mut prev: Option<Key> = None;
+    for r in records {
+        if prev.is_some_and(|p| p >= r.key) {
             return Err(crate::error::RumError::InvalidArgument(format!(
                 "bulk_load input not strictly ascending at key {}",
-                w[1].key
+                r.key
             )));
         }
+        if r.value == TOMBSTONE {
+            return Err(crate::error::RumError::InvalidArgument(
+                "value u64::MAX is reserved as the tombstone sentinel".into(),
+            ));
+        }
+        prev = Some(r.key);
     }
     Ok(())
 }
@@ -348,6 +363,29 @@ mod tests {
     #[test]
     fn bulk_rejects_duplicates() {
         refused_load(&[Record::new(1, 0), Record::new(1, 1)]);
+    }
+
+    #[test]
+    fn bulk_rejects_the_tombstone() {
+        refused_load(&[Record::new(1, 0), Record::new(2, TOMBSTONE)]);
+    }
+
+    /// The tombstone is refused for a method that reserves nothing itself.
+    #[test]
+    fn writes_refuse_the_tombstone_and_charge_nothing() {
+        let mut m = Amp2::new();
+        m.insert(7, 7).unwrap();
+        let before = m.tracker().snapshot();
+        assert!(matches!(
+            m.insert(8, TOMBSTONE),
+            Err(RumError::InvalidArgument(_))
+        ));
+        assert!(matches!(
+            m.update(7, TOMBSTONE),
+            Err(RumError::InvalidArgument(_))
+        ));
+        assert_eq!(m.tracker().snapshot(), before);
+        assert_eq!(m.range(0, Key::MAX).unwrap(), [Record::new(7, 7)]);
     }
 
     #[test]

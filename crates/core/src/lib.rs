@@ -80,6 +80,6 @@ pub use trace::{
 };
 pub use tracker::{CostSnapshot, CostTracker, DataClass};
 pub use types::{
-    base_bytes, encode_records, insert_record_at, remove_record_at, Key, Record, RecordSlice,
-    Value, PAGE_SIZE, RECORDS_PER_PAGE, RECORD_SIZE, TOMBSTONE,
+    base_bytes, encode_records, insert_record_at, merge_streams, remove_record_at, Key, Record,
+    RecordSlice, Value, PAGE_SIZE, RECORDS_PER_PAGE, RECORD_SIZE, TOMBSTONE,
 };

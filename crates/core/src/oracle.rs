@@ -13,13 +13,14 @@
 //! [`OpStream`](crate::workload::OpStream) never emits because it only
 //! touches live keys.
 //!
-//! One refusal is part of the contract and makes the model skip the op:
-//! an insert or an update may answer [`RumError::InvalidArgument`] (a key
-//! or value the method reserves as a marker, refused by
-//! [`AccessMethod::check_records`]). The refused op must leave the method
-//! unchanged: its tracker snapshot must equal the one before the op (as
-//! must an inverted range's, which every method refuses), and the other
-//! invariants and every later answer check the rest.
+//! Refusals are part of the contract and make the model skip the op: an
+//! insert or an update of the value [`TOMBSTONE`] answers
+//! [`RumError::InvalidArgument`] for every method, and any other insert or
+//! update may answer it too (a key the method reserves as a marker,
+//! refused by [`AccessMethod::check_records`]). A refused op must leave
+//! the method unchanged: its tracker snapshot must equal the one before
+//! the op (as must an inverted range's, which every method refuses), and
+//! the other invariants and every later answer check the rest.
 
 use std::collections::BTreeMap;
 
@@ -28,7 +29,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use crate::access::AccessMethod;
 use crate::error::{Result, RumError};
 use crate::tracker::CostSnapshot;
-use crate::types::{base_bytes, Key, Record, Value};
+use crate::types::{base_bytes, Key, Record, Value, TOMBSTONE};
 use crate::workload::{Op, OpAnswer, OpSource, Workload};
 
 /// The reference contents, and the answer a correct method gives.
@@ -52,6 +53,11 @@ impl Model {
                     .map(|(&k, &v)| Record::new(k, v))
                     .collect(),
             ),
+            Op::Insert(_, TOMBSTONE) | Op::Update(_, TOMBSTONE) => {
+                return Err(RumError::InvalidArgument(
+                    "value u64::MAX is reserved as the tombstone sentinel".into(),
+                ))
+            }
             Op::Insert(..) => OpAnswer::Insert,
             Op::Update(k, _) | Op::Delete(k) => OpAnswer::Applied(self.0.contains_key(&k)),
         })
@@ -474,6 +480,18 @@ mod tests {
         let held: Vec<Record> = oracle.model.records().collect();
         assert_eq!(held, [Record::new(1, 10)]);
         oracle.finish(&mut m).unwrap();
+    }
+
+    #[test]
+    fn the_model_refuses_the_tombstone_value() {
+        let mut model = Model::default();
+        model.apply(Op::Insert(1, 1));
+        for op in [Op::Insert(2, TOMBSTONE), Op::Update(1, TOMBSTONE)] {
+            assert!(
+                matches!(model.answer(op), Err(RumError::InvalidArgument(_))),
+                "{op:?}"
+            );
+        }
     }
 
     #[test]

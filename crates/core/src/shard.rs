@@ -65,19 +65,18 @@
 //! per-class totals are bit-identical to the serial per-op run's at any K,
 //! pool width and batch size.
 
-use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
-use crate::access::{succeed, AccessMethod, SpaceProfile};
+use crate::access::{AccessMethod, SpaceProfile};
 use crate::error::{panic_payload_message, Result, RumError};
 use crate::runner::OpPhase;
 use crate::trace::{ClassLatency, EventKind, LatencyHistogram, TraceSink};
 use crate::tracker::{CostSnapshot, CostTracker};
-use crate::types::{Key, Record, Value};
+use crate::types::{merge_streams, Key, Record, Value};
 use crate::workload::Op;
 
 /// One shard slot, shared between the facade and the pool workers.
@@ -388,16 +387,7 @@ pub struct ShardedMethod {
     /// carried.
     dispatches: u64,
     dispatched_ops: u64,
-    /// Replacement factory for rebuild-based healing, armed by
-    /// [`set_factory`](Self::set_factory). When a poisoned shard's inner
-    /// method cannot repair itself ([`AccessMethod::try_heal`] returns
-    /// `Ok(false)`), [`heal`](Self::heal) swaps in `factory(shard)` —
-    /// fresh state, service restored.
-    factory: Option<ShardFactory>,
 }
-
-/// Builds a replacement inner method for one shard (by shard index).
-type ShardFactory = Box<dyn Fn(usize) -> Box<dyn AccessMethod> + Send>;
 
 impl ShardedMethod {
     /// `k` shards from `factory(shard_index)`, with the batch worker pool
@@ -431,23 +421,7 @@ impl ShardedMethod {
             spare: Vec::new(),
             dispatches: 0,
             dispatched_ops: 0,
-            factory: None,
         }
-    }
-
-    /// Arm rebuild-based healing: when [`heal`](Self::heal) meets a
-    /// poisoned shard whose inner method has no self-repair of its own,
-    /// the shard is replaced with `factory(shard_index)` instead of
-    /// staying refused forever.
-    ///
-    /// Kept separate from the construction factory because the
-    /// constructors accept short-lived closures; healing needs one the
-    /// wrapper can own for its whole lifetime.
-    pub fn set_factory<F>(&mut self, factory: F)
-    where
-        F: Fn(usize) -> Box<dyn AccessMethod> + Send + 'static,
-    {
-        self.factory = Some(Box::new(factory));
     }
 
     /// Number of shards (the paper's `K`).
@@ -492,25 +466,18 @@ impl ShardedMethod {
     /// Restore service on every poisoned shard and return how many were
     /// healed. Healing is **explicit** — a poisoned shard keeps refusing
     /// until the operator (or a supervising layer) decides its state
-    /// question is answered — and two-tiered:
-    ///
-    /// 1. Ask the inner method to repair itself
-    ///    ([`AccessMethod::try_heal`]). A [`Durable`]-wrapped method
-    ///    rebuilds from its checkpoint + committed WAL prefix, so the
-    ///    healed shard serves exactly the acknowledged writes.
-    /// 2. Otherwise, rebuild from the [`set_factory`](Self::set_factory)
-    ///    replacement: a fresh, empty instance that [`succeed`]s the
-    ///    poisoned one (its shard account and the trace sink) — service
-    ///    restored, state reset (the honest outcome for a purely volatile
-    ///    structure). The wrapper's account is untouched: it only folds
-    ///    per-op deltas.
+    /// question is answered — and has one path: the inner method repairs
+    /// itself ([`AccessMethod::try_heal`]). A [`Durable`]-wrapped method
+    /// rebuilds from its checkpoint + committed WAL prefix, so the healed
+    /// shard serves exactly the acknowledged writes.
     ///
     /// Repair I/O lands on the shard tracker and is folded into the
     /// wrapper tracker like any other delegated work; each healed shard
     /// emits one [`EventKind::RepairComplete`].
     ///
-    /// Errors if a poisoned shard has neither self-repair nor a factory:
-    /// refusing service stays strictly safer than serving unknown state.
+    /// Errors if a poisoned shard cannot repair itself: it stays refused,
+    /// since refusing service is strictly safer than serving unknown (or
+    /// silently emptied) state.
     ///
     /// [`Durable`]: AccessMethod::try_heal
     pub fn heal(&mut self) -> Result<usize> {
@@ -521,41 +488,24 @@ impl ShardedMethod {
         Ok(poisoned.len())
     }
 
-    /// Heal one shard (see [`heal`](Self::heal) for the strategy).
+    /// Heal one shard (see [`heal`](Self::heal)).
     fn heal_shard(&self, index: usize) -> Result<()> {
         let slot = &self.shards[index];
         let mut guard = slot.lock();
         let before = guard.tracker().snapshot();
-        let self_repaired = match guard.try_heal() {
-            Ok(done) => done,
-            // Self-repair failed outright; fall back to replacement if we
-            // can, otherwise surface the repair error.
-            Err(e) if self.factory.is_none() => return Err(e),
-            Err(_) => false,
-        };
+        let repaired = guard.try_heal()?;
         let delta = guard.tracker().since(&before);
         self.tracker.absorb(&delta);
-        let rebuilt = if self_repaired {
-            false
-        } else {
-            let factory = self.factory.as_ref().ok_or_else(|| {
-                RumError::Corrupt(format!(
-                    "shard {index} cannot heal: the inner method has no self-repair \
-                     and no replacement factory is set"
-                ))
-            })?;
-            let mut fresh = factory(index);
-            succeed(fresh.as_mut(), guard.tracker(), &self.sink);
-            *guard = fresh;
-            true
-        };
+        if !repaired {
+            return Err(RumError::Corrupt(format!(
+                "shard {index} cannot heal: the inner method has no self-repair"
+            )));
+        }
         drop(guard);
         slot.poisoned.store(false, Ordering::Release);
         if self.sink.enabled() {
-            self.sink.emit(
-                EventKind::RepairComplete,
-                &[("shard", index as u64), ("rebuilt", u64::from(rebuilt))],
-            );
+            self.sink
+                .emit(EventKind::RepairComplete, &[("shard", index as u64)]);
         }
         Ok(())
     }
@@ -811,33 +761,6 @@ impl ShardedMethod {
     }
 }
 
-/// K-way merge of individually sorted, key-disjoint partial results into
-/// one ascending run, via a min-heap seeded with each partial's head:
-/// O(total · log K) instead of the old O(total · K) selection scan. Ties
-/// (impossible for key-disjoint shards, but handled) pop the lowest shard
-/// index first, matching the old scan's preference.
-fn merge_sorted_partials(partials: Vec<Vec<Record>>) -> Vec<Record> {
-    use std::cmp::Reverse;
-    let total: usize = partials.iter().map(Vec::len).sum();
-    let mut merged = Vec::with_capacity(total);
-    let mut cursors = vec![0usize; partials.len()];
-    let mut heap: BinaryHeap<Reverse<(Key, usize)>> = partials
-        .iter()
-        .enumerate()
-        .filter(|(_, p)| !p.is_empty())
-        .map(|(shard, p)| Reverse((p[0].key, shard)))
-        .collect();
-    while let Some(Reverse((_, shard))) = heap.pop() {
-        let cursor = cursors[shard];
-        merged.push(partials[shard][cursor]);
-        cursors[shard] = cursor + 1;
-        if let Some(next) = partials[shard].get(cursor + 1) {
-            heap.push(Reverse((next.key, shard)));
-        }
-    }
-    merged
-}
-
 impl AccessMethod for ShardedMethod {
     fn name(&self) -> String {
         self.name.clone()
@@ -871,15 +794,16 @@ impl AccessMethod for ShardedMethod {
         self.mirrored(shard, |m| m.get_impl(key))
     }
 
-    /// Fan out to every shard and k-way merge the (individually sorted,
-    /// key-disjoint) partial results into ascending key order.
+    /// Fan out to every shard and merge the (individually sorted,
+    /// key-disjoint) partial results into ascending key order with the
+    /// one merge kernel.
     fn range_impl(&mut self, lo: Key, hi: Key) -> Result<Vec<Record>> {
         let k = self.shards.len();
         let mut partials: Vec<Vec<Record>> = Vec::with_capacity(k);
         for shard in 0..k {
             partials.push(self.mirrored(shard, |m| m.range_impl(lo, hi))?);
         }
-        Ok(merge_sorted_partials(partials))
+        Ok(merge_streams(&mut partials, |r| r.key, |_| true))
     }
 
     /// Every shard's reservations, asked before the input is partitioned,
@@ -1115,8 +1039,8 @@ mod tests {
     }
 
     #[test]
-    fn heap_merge_matches_linear_scan_reference() {
-        // The old O(total×K) selection loop, kept as the reference.
+    fn fan_in_merge_matches_linear_scan_reference() {
+        // A selection loop over the heads, kept as the reference.
         fn linear_merge(partials: &[Vec<Record>]) -> Vec<Record> {
             let total: usize = partials.iter().map(Vec::len).sum();
             let mut merged = Vec::with_capacity(total);
@@ -1160,9 +1084,10 @@ mod tests {
             }
             partials[0].clear(); // one empty partial
             let expected = linear_merge(&partials);
-            assert_eq!(merge_sorted_partials(partials), expected, "k={k}");
+            let merged = merge_streams(&mut partials, |r| r.key, |_| true);
+            assert_eq!(merged, expected, "k={k}");
         }
-        assert_eq!(merge_sorted_partials(Vec::new()), Vec::new());
+        assert_eq!(merge_streams(&mut [], |r: &Record| r.key, |_| true), []);
     }
 
     #[test]
@@ -1291,7 +1216,7 @@ mod tests {
     }
 
     #[test]
-    fn heal_rebuilds_a_poisoned_shard_from_the_factory() {
+    fn heal_leaves_a_shard_that_cannot_repair_itself_refused() {
         let trigger: Key = 0xBAD_F00D;
         // threads = 1: batches run inline through the same job runner the
         // pool uses, so poisoning is deterministic and thread-free.
@@ -1312,38 +1237,31 @@ mod tests {
         assert_eq!(sharded.poisoned_shards(), vec![bad]);
         assert!(sharded.get(doomed[0]).is_err(), "poisoned shard refuses");
 
-        // No self-repair, no factory: healing must refuse too.
-        match sharded.heal() {
-            Err(RumError::Corrupt(m)) => assert!(m.contains("no replacement factory"), "{m}"),
-            other => panic!("heal without a factory must fail, got {other:?}"),
+        // No self-repair: healing refuses, through the trait too, and the
+        // shard keeps refusing rather than serve emptied state.
+        for _ in 0..2 {
+            match sharded.heal() {
+                Err(RumError::Corrupt(m)) => assert!(m.contains("no self-repair"), "{m}"),
+                other => panic!("heal without self-repair must fail, got {other:?}"),
+            }
+            assert!(sharded.try_heal().is_err());
+            assert_eq!(sharded.poisoned_shards(), vec![bad], "still poisoned");
+            assert!(sharded.get(doomed[0]).is_err(), "still refused");
         }
-        assert_eq!(sharded.poisoned_shards(), vec![bad], "still poisoned");
-
-        sharded.set_factory(Trip::factory(trigger, false));
-        assert_eq!(sharded.heal().unwrap(), 1);
-        assert!(sharded.poisoned_shards().is_empty());
-        // Service restored: the rebuilt shard starts fresh (volatile inner,
-        // nothing to replay), the healthy shard kept its data.
-        assert_eq!(sharded.get(doomed[0]).unwrap(), None);
+        // The healthy shard kept serving all along.
         assert_eq!(sharded.get(healthy[0]).unwrap(), Some(healthy[0]));
-        sharded.insert(doomed[0], 7).unwrap();
-        assert_eq!(sharded.get(doomed[0]).unwrap(), Some(7));
-        let repairs: Vec<_> = sink
+        assert!(!sink
             .events()
-            .into_iter()
-            .filter(|e| e.kind == EventKind::RepairComplete)
-            .collect();
-        assert_eq!(repairs.len(), 1);
-        assert_eq!(repairs[0].field("shard"), Some(bad as u64));
-        assert_eq!(repairs[0].field("rebuilt"), Some(1));
-        // Healing an already-healthy wrapper is a no-op.
-        assert_eq!(sharded.heal().unwrap(), 0);
+            .iter()
+            .any(|e| e.kind == EventKind::RepairComplete));
     }
 
     #[test]
     fn heal_prefers_the_inner_methods_own_repair() {
         let trigger: Key = 0xBAD_F00D;
         let mut sharded = ShardedMethod::with_threads(2, 1, Trip::factory(trigger, true));
+        let sink = crate::trace::MemorySink::shared();
+        sharded.set_trace_sink(Arc::clone(&sink) as _);
         let bad = sharded.shard_of(trigger);
         let doomed = keys_on_shard(&sharded, bad, trigger, 4);
         for &k in &doomed {
@@ -1355,9 +1273,18 @@ mod tests {
             .is_err());
         assert_eq!(sharded.poisoned_shards(), vec![bad]);
         // try_heal reports success (the durable case: state replayed to
-        // the acked prefix), so no factory is needed and data survives.
+        // the acked prefix), so the data survives.
         assert_eq!(sharded.heal().unwrap(), 1);
         assert_eq!(sharded.get(doomed[0]).unwrap(), Some(doomed[0]));
+        let repairs: Vec<_> = sink
+            .events()
+            .into_iter()
+            .filter(|e| e.kind == EventKind::RepairComplete)
+            .collect();
+        assert_eq!(repairs.len(), 1);
+        assert_eq!(repairs[0].field("shard"), Some(bad as u64));
+        // Healing an already-healthy wrapper is a no-op.
+        assert_eq!(sharded.heal().unwrap(), 0);
         // The facade-level try_heal is the same operation behind the trait.
         assert!(sharded
             .submit_batch(&[Op::Insert(trigger, 1)], false)

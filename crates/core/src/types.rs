@@ -187,9 +187,139 @@ pub const fn base_bytes(n: usize) -> u64 {
     (n * RECORD_SIZE) as u64
 }
 
+/// Merge sorted, unique-key `inputs` ordered **oldest → newest** into one
+/// sorted, unique-key `Vec`: where a key repeats across inputs the newest
+/// input's item wins, and a winner `keep` rejects is dropped with every
+/// version it shadows (tombstones at the bottom level, or in a query
+/// answer). Every newest-wins merge in the workspace calls it: the
+/// LSM-tree's flush, compaction, probe-every-run range and sorted-view
+/// refresh (over its added runs), the partitioned B-tree's consolidation
+/// and range, and the sharded range fan-in (whose inputs are key-disjoint).
+///
+/// A k-way cursor merge by linear scans of the heads, since k is the
+/// handful of runs a merge or a range touches. One scan finds the input
+/// to take from, a second how far: up to the smallest head of the others,
+/// so a big run merged with small ones streams out in long streaks. A
+/// lone non-empty input is taken out of `inputs` and returned filtered,
+/// without a copy.
+pub fn merge_streams<T: Copy>(
+    inputs: &mut [Vec<T>],
+    key: impl Fn(&T) -> Key,
+    keep: impl Fn(&T) -> bool,
+) -> Vec<T> {
+    let mut occupied = inputs.iter().enumerate().filter(|(_, s)| !s.is_empty());
+    match (occupied.next(), occupied.next()) {
+        (None, _) => return Vec::new(),
+        (Some((i, _)), None) => {
+            let mut only = std::mem::take(&mut inputs[i]);
+            only.retain(keep);
+            return only;
+        }
+        _ => {}
+    }
+    let mut at = vec![0usize; inputs.len()];
+    let mut out = Vec::with_capacity(inputs.iter().map(Vec::len).sum());
+    loop {
+        // Smallest head key; `<=` lets the newest input holding it win.
+        let mut min: Option<(Key, usize)> = None;
+        for (i, s) in inputs.iter().enumerate() {
+            if let Some(item) = s.get(at[i]) {
+                let k = key(item);
+                if min.is_none_or(|(m, _)| k <= m) {
+                    min = Some((k, i));
+                }
+            }
+        }
+        let Some((k, newest)) = min else {
+            return out;
+        };
+        // Step the others over the version they lost with; below their
+        // smallest remaining head nothing shadows the winner's items.
+        let mut bound: Option<Key> = None;
+        for (i, s) in inputs.iter().enumerate() {
+            if i == newest {
+                continue;
+            }
+            if s.get(at[i]).is_some_and(|item| key(item) == k) {
+                at[i] += 1;
+            }
+            if let Some(item) = s.get(at[i]) {
+                bound = Some(bound.map_or(key(item), |b| b.min(key(item))));
+            }
+        }
+        let streak = &inputs[newest][at[newest]..];
+        let len = streak
+            .iter()
+            .position(|item| bound.is_some_and(|b| key(item) >= b))
+            .unwrap_or(streak.len());
+        out.extend(streak[..len].iter().filter(|item| keep(item)));
+        at[newest] += len;
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What `merge_streams` replaced, kept as its oracle: push every
+    /// stream through a map, oldest first, so newer versions overwrite.
+    fn merge_oracle(inputs: &[Vec<Record>], drop_tombstones: bool) -> Vec<Record> {
+        let mut map = std::collections::BTreeMap::new();
+        for r in inputs.iter().flatten() {
+            map.insert(r.key, r.value);
+        }
+        map.into_iter()
+            .filter(|&(_, v)| !(drop_tombstones && v == TOMBSTONE))
+            .map(|(k, v)| Record::new(k, v))
+            .collect()
+    }
+
+    proptest::proptest! {
+        /// 0–6 inputs, some empty, over a key domain small enough that
+        /// keys repeat across inputs; a fifth of the values are tombstones.
+        #[test]
+        fn the_merge_kernel_matches_the_map_oracle(
+            raw in proptest::collection::vec(
+                proptest::collection::btree_set((0u64..48, 0u64..5), 0..40),
+                0..7,
+            ),
+            drop_tombstones in proptest::prelude::any::<bool>(),
+        ) {
+            let inputs: Vec<Vec<Record>> = raw
+                .iter()
+                .enumerate()
+                .map(|(i, set)| {
+                    let mut stream: Vec<Record> = set
+                        .iter()
+                        .map(|&(k, v)| Record::new(k, if v == 0 { TOMBSTONE } else { i as u64 }))
+                        .collect();
+                    stream.dedup_by_key(|r| r.key);
+                    stream
+                })
+                .collect();
+            let expect = merge_oracle(&inputs, drop_tombstones);
+            let got = merge_streams(
+                &mut inputs.clone(),
+                |r| r.key,
+                |r| !(drop_tombstones && r.value == TOMBSTONE),
+            );
+            proptest::prop_assert_eq!(got, expect);
+        }
+    }
+
+    #[test]
+    fn the_merge_kernel_takes_a_lone_input_without_copying() {
+        let mut inputs = vec![
+            Vec::new(),
+            (0..100).map(|k| Record::new(k * 2, k)).collect(),
+            Vec::new(),
+        ];
+        let at = inputs[1].as_ptr();
+        let got = merge_streams(&mut inputs, |r| r.key, |r| r.key != 4);
+        assert_eq!(got.as_ptr(), at);
+        assert_eq!(got.len(), 99);
+        assert!(merge_streams(&mut [Vec::<Record>::new()], |r| r.key, |_| true).is_empty());
+    }
 
     #[test]
     fn constants_are_consistent() {

@@ -1018,6 +1018,11 @@ mod tests {
         ];
         for (name, spec, pinned) in cases {
             let w = Workload::generate(&spec);
+            let tombstone = w.initial.iter().any(|r| r.value == crate::types::TOMBSTONE)
+                || w.ops.iter().any(|op| {
+                    matches!(op, Op::Insert(_, v) | Op::Update(_, v) if *v == crate::types::TOMBSTONE)
+                });
+            assert!(!tombstone, "{name}: the traffic writes the tombstone value");
             let mut words = Vec::new();
             for r in &w.initial {
                 words.extend([r.key, r.value]);

@@ -1,16 +1,18 @@
 //! Immutable sorted runs: packed pages + fence pointers + an optional
-//! point-probe filter (Bloom or quotient), and the crate's two kernels
-//! over sorted, unique-key streams.
+//! point-probe filter (Bloom or quotient), and [`overlay`], the crate's
+//! in-place kernel over sorted, unique-key streams.
 //!
 //! Fence pointers (first key per page, kept in memory) route a point probe
 //! to exactly one page; the filter short-circuits probes for absent keys —
 //! the paper's "more efficient reads ... by avoiding accessing unnecessary
 //! data at the expense of additional space".
 //!
-//! [`merge_streams`] merges k streams into a new `Vec` (flush, compaction,
-//! the probe-every-run range, the sorted view's added runs);
-//! [`overlay`] lays one short newer stream over a long older one in place
-//! (the memtable over a range answer, added runs over the view's anchors).
+//! [`merge_streams`](rum_core::merge_streams), the workspace's one merge
+//! kernel, merges k streams into
+//! a new `Vec` (flush, compaction, the probe-every-run range, the sorted
+//! view's added runs); [`overlay`] lays one short newer stream over a long
+//! older one in place (the memtable over a range answer, added runs over
+//! the view's anchors).
 
 use rum_core::{
     encode_records, DataClass, Key, Record, RecordSlice, Result, RumError, Value, RECORDS_PER_PAGE,
@@ -90,76 +92,8 @@ impl RunFilter {
     }
 }
 
-/// Merge sorted, unique-key `inputs` ordered **oldest → newest** into one
-/// sorted, unique-key `Vec`: where a key repeats across inputs the newest
-/// input's item wins, and a winner `keep` rejects is dropped with every
-/// version it shadows (tombstones at the bottom level, or in a query
-/// answer). Flush, compaction, the probe-every-run range and the sorted
-/// view's refresh (over its added runs) call it.
-///
-/// A k-way cursor merge by linear scans of the heads, since k is the
-/// handful of runs a merge or a range touches. One scan finds the input
-/// to take from, a second how far: up to the smallest head of the others,
-/// so a big run merged with small ones streams out in long streaks. A
-/// lone non-empty input is taken out of `inputs` and returned filtered,
-/// without a copy.
-pub fn merge_streams<T: Copy>(
-    inputs: &mut [Vec<T>],
-    key: impl Fn(&T) -> Key,
-    keep: impl Fn(&T) -> bool,
-) -> Vec<T> {
-    let mut occupied = inputs.iter().enumerate().filter(|(_, s)| !s.is_empty());
-    match (occupied.next(), occupied.next()) {
-        (None, _) => return Vec::new(),
-        (Some((i, _)), None) => {
-            let mut only = std::mem::take(&mut inputs[i]);
-            only.retain(keep);
-            return only;
-        }
-        _ => {}
-    }
-    let mut at = vec![0usize; inputs.len()];
-    let mut out = Vec::with_capacity(inputs.iter().map(Vec::len).sum());
-    loop {
-        // Smallest head key; `<=` lets the newest input holding it win.
-        let mut min: Option<(Key, usize)> = None;
-        for (i, s) in inputs.iter().enumerate() {
-            if let Some(item) = s.get(at[i]) {
-                let k = key(item);
-                if min.is_none_or(|(m, _)| k <= m) {
-                    min = Some((k, i));
-                }
-            }
-        }
-        let Some((k, newest)) = min else {
-            return out;
-        };
-        // Step the others over the version they lost with; below their
-        // smallest remaining head nothing shadows the winner's items.
-        let mut bound: Option<Key> = None;
-        for (i, s) in inputs.iter().enumerate() {
-            if i == newest {
-                continue;
-            }
-            if s.get(at[i]).is_some_and(|item| key(item) == k) {
-                at[i] += 1;
-            }
-            if let Some(item) = s.get(at[i]) {
-                bound = Some(bound.map_or(key(item), |b| b.min(key(item))));
-            }
-        }
-        let streak = &inputs[newest][at[newest]..];
-        let len = streak
-            .iter()
-            .position(|item| bound.is_some_and(|b| key(item) >= b))
-            .unwrap_or(streak.len());
-        out.extend(streak[..len].iter().filter(|item| keep(item)));
-        at[newest] += len;
-    }
-}
-
 /// Lay `newer` over `base` in place: the answer of
-/// `merge_streams(&mut [base, newer], key, |e| !dead(e))` without a second
+/// [`merge_streams`](rum_core::merge_streams)`(&mut [base, newer], key, |e| !dead(e))` without a second
 /// array. Both ascend with unique keys, every item of `newer` is newer
 /// than every item of `base`, and `base` holds nothing `dead`. A newer
 /// item overwrites the item of its key, or deletes it if `dead`; a dead
@@ -472,7 +406,7 @@ impl SortedRun {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rum_core::CostTracker;
+    use rum_core::{merge_streams, CostTracker};
     use rum_storage::MemDevice;
 
     fn pager() -> Pager<MemDevice> {
@@ -481,52 +415,6 @@ mod tests {
 
     fn recs(n: u64) -> Vec<Record> {
         (0..n).map(|k| Record::new(k * 2, k)).collect()
-    }
-
-    /// What `merge_streams` replaced, kept as its oracle: push every
-    /// stream through a map, oldest first, so newer versions overwrite.
-    fn merge_oracle(inputs: &[Vec<Record>], drop_tombstones: bool) -> Vec<Record> {
-        let mut map = std::collections::BTreeMap::new();
-        for r in inputs.iter().flatten() {
-            map.insert(r.key, r.value);
-        }
-        map.into_iter()
-            .filter(|&(_, v)| !(drop_tombstones && v == crate::TOMBSTONE))
-            .map(|(k, v)| Record::new(k, v))
-            .collect()
-    }
-
-    proptest::proptest! {
-        /// 0–6 inputs, some empty, over a key domain small enough that
-        /// keys repeat across inputs; a fifth of the values are tombstones.
-        #[test]
-        fn merge_streams_matches_the_map_oracle(
-            raw in proptest::collection::vec(
-                proptest::collection::btree_set((0u64..48, 0u64..5), 0..40),
-                0..7,
-            ),
-            drop_tombstones in proptest::prelude::any::<bool>(),
-        ) {
-            let inputs: Vec<Vec<Record>> = raw
-                .iter()
-                .enumerate()
-                .map(|(i, set)| {
-                    let mut stream: Vec<Record> = set
-                        .iter()
-                        .map(|&(k, v)| Record::new(k, if v == 0 { crate::TOMBSTONE } else { i as u64 }))
-                        .collect();
-                    stream.dedup_by_key(|r| r.key);
-                    stream
-                })
-                .collect();
-            let expect = merge_oracle(&inputs, drop_tombstones);
-            let got = merge_streams(
-                &mut inputs.clone(),
-                |r| r.key,
-                |r| !(drop_tombstones && r.value == crate::TOMBSTONE),
-            );
-            proptest::prop_assert_eq!(got, expect);
-        }
     }
 
     /// `overlay` against the merge it stands for, through `Record` (key,
@@ -607,16 +495,6 @@ mod tests {
                 assert_eq!(gallop_back(&s, |&x| x < k), want, "n={n} k={k}");
             }
         }
-    }
-
-    #[test]
-    fn merge_streams_takes_a_lone_input_without_copying() {
-        let mut inputs = vec![Vec::new(), recs(100), Vec::new()];
-        let at = inputs[1].as_ptr();
-        let got = merge_streams(&mut inputs, |r| r.key, |r| r.key != 4);
-        assert_eq!(got.as_ptr(), at);
-        assert_eq!(got.len(), 99);
-        assert!(merge_streams(&mut [Vec::<Record>::new()], |r| r.key, |_| true).is_empty());
     }
 
     #[test]

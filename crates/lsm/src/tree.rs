@@ -5,12 +5,13 @@ use std::sync::Arc;
 
 use rum_core::trace::{EventKind, TraceSink};
 use rum_core::{
-    AccessMethod, CostSnapshot, CostTracker, Key, Record, Result, RumError, SpaceProfile, Value,
+    merge_streams, AccessMethod, CostSnapshot, CostTracker, Key, Record, Result, SpaceProfile,
+    Value,
 };
 use rum_storage::{BlockDevice, CheckedDevice, MemDevice, Pager, RetryPolicy, ScrubReport};
 
 use crate::memtable::Memtable;
-use crate::run::{merge_streams, overlay, FilterKind, SortedRun};
+use crate::run::{overlay, FilterKind, SortedRun};
 use crate::view::{SortedView, ENTRY_BYTES};
 use crate::TOMBSTONE;
 
@@ -523,16 +524,6 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
         let mut out = Self::merge_records(&mut inputs, true);
         self.overlay_memtable(&mut out, lo, hi);
         Ok(out)
-    }
-
-    /// A delete writes [`TOMBSTONE`], so no user value may be it.
-    fn check_records(&self, records: &[Record]) -> Result<()> {
-        if records.iter().any(|r| r.value == TOMBSTONE) {
-            return Err(RumError::InvalidArgument(
-                "value u64::MAX is reserved as the tombstone sentinel".into(),
-            ));
-        }
-        Ok(())
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {

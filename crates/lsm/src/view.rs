@@ -24,10 +24,10 @@
 //! re-classed as auxiliary *write* traffic by the tree, so the RO it buys
 //! on queries is paid for in the other two corners rather than hidden.
 
-use rum_core::{DataClass, Key, Record, Result, RumError};
+use rum_core::{merge_streams, DataClass, Key, Record, Result, RumError};
 use rum_storage::{BlockDevice, Pager};
 
-use crate::run::{merge_streams, overlay, SortedRun};
+use crate::run::{overlay, SortedRun};
 use crate::TOMBSTONE;
 
 /// Bytes one anchor occupies: an 8-byte key plus two 4-byte indices.

@@ -50,15 +50,6 @@ impl DeviceProfile {
         rand_write_ns: 1_000,
     };
 
-    /// CPU cache level: a handful of nanoseconds.
-    pub const CACHE: DeviceProfile = DeviceProfile {
-        name: "cache",
-        seq_read_ns: 20,
-        rand_read_ns: 40,
-        seq_write_ns: 20,
-        rand_write_ns: 40,
-    };
-
     /// Cost of reading `page` when the previous access was `prev`.
     pub fn read_cost(&self, prev: Option<PageId>, page: PageId) -> u64 {
         if is_sequential(prev, page) {

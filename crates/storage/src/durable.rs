@@ -14,8 +14,9 @@
 //! writes, so the wrapped method's UO honestly includes the price of its
 //! logging protocol — the RUM cost the paper folds into write
 //! amplification. [`Durable::logging_bytes`] reports that extra traffic
-//! exactly, which the crash-matrix bench uses as a self-check:
-//! `UO(with WAL) − UO(without) == logging_bytes / logical_write_bytes`.
+//! exactly (WAL syncs plus checkpoints). The crash-matrix bench holds
+//! the WAL's share to the op-phase write delta:
+//! `UO(with WAL) − UO(without) == wal().synced_total() / logical_write_bytes`.
 
 use std::sync::Arc;
 

@@ -17,8 +17,7 @@
 //!   the sequential-vs-random distinction the paper calls out ("in the
 //!   1970s ... minimize the number of random accesses on disk; ... now we
 //!   minimize the number of random accesses to main memory").
-//! * [`lru`] — an intrusive O(1) LRU used by the hierarchy's cache
-//!   levels.
+//! * [`lru`] — an intrusive O(1) LRU used by the hierarchy's buffer.
 //! * [`pager`] — the [`Pager`]: the facade access methods
 //!   allocate and touch pages through; every access is charged to a
 //!   [`CostTracker`](rum_core::CostTracker) with its
@@ -27,9 +26,8 @@
 //!   ([`Pager::with_page`]) and edits are made where the page lies
 //!   ([`Pager::with_page_mut`], one read-modify-write charged as a read
 //!   and a write), so neither copies a page the device already holds.
-//! * [`hierarchy`] — the multi-level
-//!   [`MemoryHierarchy`] simulator behind the
-//!   Figure 2 experiment.
+//! * [`hierarchy`] — the [`MemoryHierarchy`] simulator behind the
+//!   Figure 2 experiment: one DRAM buffer over a storage device.
 //! * [`crc`] — the CRC-32 both integrity layers below share. One
 //!   function, three kernels chosen from the machine and the input, same
 //!   bits from each: two carry-less-multiply folding kernels (`x86_64`:
@@ -82,7 +80,7 @@ pub use fault::{
     splitmix64, Backoff, FaultDevice, FaultInjector, FaultPlan, FaultProfile, ReadOutcome,
     RetryPolicy, WriteOutcome,
 };
-pub use hierarchy::{HierarchySpec, LevelSpec, MemoryHierarchy};
+pub use hierarchy::MemoryHierarchy;
 pub use lru::LruSet;
 pub use page::{PageBuf, PageId};
 pub use pager::Pager;

@@ -1,5 +1,5 @@
-//! An intrusive, O(1) LRU index used by each level of the
-//! memory-hierarchy simulator. It tracks *which* keys are resident
+//! An intrusive, O(1) LRU index used by the memory-hierarchy
+//! simulator's buffer. It tracks *which* keys are resident
 //! (and their dirty bits); payload storage is the caller's business.
 
 use std::collections::HashMap;

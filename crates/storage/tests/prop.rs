@@ -4,27 +4,14 @@ use proptest::prelude::*;
 use rum_core::{Result, RumError};
 use rum_storage::{
     BlockDevice, CheckedDevice, DeviceProfile, FaultDevice, FaultInjector, FaultPlan, FaultProfile,
-    HierarchySpec, LevelSpec, LruSet, MemDevice, MemoryHierarchy, PageBuf, PageId, Pager,
-    RetryPolicy,
+    LruSet, MemDevice, MemoryHierarchy, PageBuf, PageId, Pager, RetryPolicy,
 };
 
 /// Any sequence of device ops applied to a raw device and a hierarchy
 /// must read back identical data.
 fn apply_ops(ops: &[(u8, u8, u64)]) -> Result<()> {
     let mut raw = MemDevice::new();
-    let mut hier = MemoryHierarchy::new(HierarchySpec {
-        caches: vec![
-            LevelSpec {
-                capacity_pages: 2,
-                profile: DeviceProfile::CACHE,
-            },
-            LevelSpec {
-                capacity_pages: 5,
-                profile: DeviceProfile::DRAM,
-            },
-        ],
-        storage_profile: DeviceProfile::SSD,
-    });
+    let mut hier = MemoryHierarchy::new(5, DeviceProfile::SSD);
     let mut ids: Vec<(PageId, PageId)> = Vec::new();
 
     for &(op, slot, val) in ops {

@@ -440,7 +440,7 @@ fn relocate_digest() -> u64 {
 /// Suite and hostile digests of each extreme, and the relocate leg.
 const EXTREMES_PINNED: &str = "\
 dense-array          4a6f7e801636534d fc353f5ba9fb4100
-direct-address-array 7dd41e2b2e2c87b5 548d774c71c01b96 55927e312cd55a59
+direct-address-array 7dd41e2b2e2c87b5 548d774c71c01b96 46df559d47aa8259
 ";
 
 #[test]

@@ -124,7 +124,8 @@ fn every_suite_method_matches_the_model() {
 /// `InvalidArgument` and leaves contents and account as they were. Then
 /// writes that carry a value or key some method reserves (the tombstone
 /// `u64::MAX`, the hash slot markers `u64::MAX - 1` and `u64::MAX`): a
-/// method may refuse each, and a refusal is `InvalidArgument` that
+/// method may refuse each key, must refuse each of the three
+/// tombstone-valued writes, and a refusal is `InvalidArgument` that
 /// changes nothing. Returns which of those writes were refused, so a
 /// stack can be held to its bare method's verdicts.
 fn refuses_bad_input(method: &mut dyn AccessMethod, name: &str) -> Vec<bool> {
@@ -200,6 +201,9 @@ fn refuses_bad_input(method: &mut dyn AccessMethod, name: &str) -> Vec<bool> {
                 "{name}: refused {what} changed the contents"
             );
         }
+    }
+    for (i, what) in [(0, "insert"), (1, "update"), (ops.len(), "bulk_load")] {
+        assert!(refused[i], "{name}: a tombstone-valued {what} was accepted");
     }
     refused
 }

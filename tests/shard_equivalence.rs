@@ -21,6 +21,7 @@
 //! representative per RUM corner.
 
 use rum::prelude::*;
+use rum::storage::Durable;
 
 type Factory = fn() -> Box<dyn AccessMethod>;
 
@@ -398,16 +399,18 @@ fn worker_panic_poisons_one_shard_and_spares_the_rest() {
 #[test]
 fn poisoned_shard_heals_and_continues_with_bit_exact_costs() {
     // The full resilience cycle on the pooled path: worker panic poisons a
-    // shard → explicit heal rebuilds it from the factory → the wrapper
-    // keeps executing pooled batches, and everything it counts afterwards
-    // is bit-identical to a never-poisoned control instance in the same
-    // state. Healing restores service without perturbing the cost model.
+    // shard → explicit heal lets its `Durable` inner repair itself from
+    // checkpoint + committed WAL → the healed shard holds exactly its
+    // acknowledged writes, the wrapper keeps executing pooled batches, and
+    // everything it counts afterwards is bit-identical to a never-poisoned
+    // control instance in the same state. Healing restores service without
+    // perturbing the cost model.
     let trigger: Key = 0xBAD_F00D;
     let factory = move |_: usize| {
-        Box::new(PanicOnKey {
+        Box::new(Durable::new(move || PanicOnKey {
             inner: rum::btree::BTree::new(),
             trigger,
-        }) as Box<dyn AccessMethod>
+        })) as Box<dyn AccessMethod>
     };
     let thread_count = || -> usize {
         if cfg!(target_os = "linux") {
@@ -442,21 +445,26 @@ fn poisoned_shard_heals_and_continues_with_bit_exact_costs() {
             .and_then(|b| sharded.finish_batch(b))
             .expect_err("panic must surface");
         assert_eq!(sharded.poisoned_shards(), vec![bad_shard], "round {round}");
-        sharded.set_factory(factory);
         assert_eq!(sharded.heal().unwrap(), 1, "round {round}");
         assert!(sharded.poisoned_shards().is_empty(), "round {round}");
+        // The healed shard replayed its acknowledged writes and nothing
+        // else: every inserted key, never the tripwire's unacked insert.
+        for &k in healthy_keys.iter().chain(&doomed_keys) {
+            assert_eq!(sharded.get(k).unwrap(), Some(1), "round {round} key {k}");
+        }
+        assert_eq!(sharded.get(trigger).unwrap(), None, "round {round}");
+        assert_eq!(sharded.len(), healthy_keys.len() + doomed_keys.len());
     }
-    // The healed shard was rebuilt fresh (PanicOnKey has no WAL to replay):
-    // its pre-panic contents are gone, the healthy shard's survived.
-    assert_eq!(sharded.get(doomed_keys[0]).unwrap(), None);
-    assert_eq!(sharded.get(healthy_keys[0]).unwrap(), Some(1));
 
-    // Control: a never-poisoned instance brought to the identical state —
-    // healthy shard loaded, bad shard empty.
+    // Control: a never-poisoned instance brought to the identical state.
+    // Both checkpoint, so neither log carries the tripwire's unacked
+    // records into the traffic compared below.
     let mut control = rum::core::ShardedMethod::with_threads(2, 2, factory);
-    for &k in &healthy_keys {
+    for &k in healthy_keys.iter().chain(&doomed_keys) {
         control.insert(k, 1).unwrap();
     }
+    sharded.flush().unwrap();
+    control.flush().unwrap();
 
     // Identical post-heal traffic on both instances, spanning both shards;
     // the healed wrapper runs it as pooled batches, the control serially.

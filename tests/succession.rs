@@ -4,8 +4,8 @@
 //!
 //! One table over the sites: an LSM re-tuned by `lsm::tuning::retune` and
 //! by `Morphable::morph_to`, a WAL-wrapped LSM after `Durable::recover` and
-//! after `try_heal`, a `FamilyMorph` swap into an LSM, and a sharded LSM
-//! whose poisoned shard is rebuilt by its factory. Each site gets a
+//! after `try_heal`, a `FamilyMorph` swap into an LSM, and a sharded
+//! WAL-wrapped LSM whose poisoned shard heals itself. Each site gets a
 //! `MemorySink`, writes past its memtable, is rebuilt, then writes past
 //! the memtable again: the second writes must reach the sink as flush
 //! events, and `tracker()` must never go backwards across the rebuild.
@@ -85,7 +85,7 @@ fn site<M: AccessMethod>(mut m: M, rebuild: impl FnOnce(&mut M)) -> Option<Strin
     (!lost.is_empty()).then(|| lost.join("; "))
 }
 
-/// An LSM shard that panics on [`TRIP`], so one shard can be poisoned.
+/// An LSM that panics on [`TRIP`], so one shard can be poisoned.
 struct Tripwire(LsmTree);
 
 impl AccessMethod for Tripwire {
@@ -125,8 +125,9 @@ impl AccessMethod for Tripwire {
     }
 }
 
+/// A shard that can heal itself: a WAL-wrapped [`Tripwire`].
 fn tripwire(_shard: usize) -> Box<dyn AccessMethod> {
-    Box::new(Tripwire(small_lsm()))
+    Box::new(Durable::new(|| Tripwire(small_lsm())))
 }
 
 #[test]
@@ -167,13 +168,12 @@ fn every_rebuild_site_hands_over_account_and_sink() {
             }),
         ),
         (
-            "poisoned-shard factory heal",
+            "poisoned-shard self-heal",
             site(ShardedMethod::with_threads(2, 1, tripwire), |s| {
                 let poison = s.submit_batch(&[Op::Insert(TRIP, 0)], false);
                 assert!(poison.and_then(|b| s.finish_batch(b)).is_err());
                 assert_eq!(s.poisoned_shards().len(), 1);
-                s.set_factory(tripwire);
-                assert_eq!(s.heal().expect("factory heal"), 1);
+                assert_eq!(s.heal().expect("self-heal"), 1);
             }),
         ),
     ];
