@@ -25,11 +25,10 @@
 //!    onto storage that keeps decaying is bounded instead: `Durable`
 //!    gives up after `MAX_HEAL_CYCLES` rebuilds and surfaces the error.)
 //!
-//! Sticky bad sectors (permanently unreadable pages) are part of the
-//! fault model but deliberately not in this matrix: they are detected,
-//! not recovered, and their semantics are pinned by unit tests in
-//! `rum-storage`. Crash-shaped faults (power loss, torn writes, failed
-//! flushes) have their own matrix in [`crash`](crate::crash).
+//! A hard read error is not injected: the pager surfaces it on the first
+//! attempt and never retries it, which unit tests in `rum-storage` pin.
+//! Crash-shaped faults (power loss, torn writes, failed flushes) have
+//! their own matrix in [`crash`](crate::crash).
 
 use std::sync::{Arc, Mutex};
 

@@ -73,7 +73,7 @@ pub fn run(
         // Quiesce load traffic so the measurement is the workload's.
         tree.device_mut().sync().expect("sync");
         tree.device().buffer_stats().reset();
-        tree.device().storage_stats().reset();
+        tree.device().stats().reset();
 
         for op in stream {
             op.apply(&mut tree).expect("op");
@@ -84,8 +84,8 @@ pub fn run(
         Fig2Row {
             buffer_pages,
             buffer_reads: h.buffer_stats().reads(),
-            storage_reads: h.storage_stats().reads(),
-            storage_writes: h.storage_stats().writes(),
+            storage_reads: h.stats().reads(),
+            storage_writes: h.stats().writes(),
             sim_ms: h.total_sim_ns() as f64 / 1e6,
         }
     })

@@ -70,10 +70,10 @@ pub enum EventKind {
     LsmViewHit,
     /// A [`TraceCollector`] trajectory window closing.
     Window,
-    /// A seeded fault fired on the I/O path (transient error, sticky page,
-    /// injected bit-flip).
+    /// A seeded transient fault failed an attempt on the I/O path (a page
+    /// access or a WAL sync).
     FaultInjected,
-    /// A retry of a page access after a transient fault.
+    /// A retry of a page access or a WAL sync after a transient fault.
     RetryAttempt,
     /// A sealed page failed checksum verification (scrub or foreground
     /// read): silent corruption became a detected error.

@@ -107,7 +107,7 @@ impl<D: BlockDevice> CheckedDevice<D> {
     /// Verify one sealed page without going through the charged pager
     /// path. `Ok(None)` means the seal matches (or the page was never
     /// sealed); `Ok(Some((stored, computed)))` reports a mismatch. Device
-    /// errors (transient faults, sticky pages) propagate.
+    /// errors (transient faults, a page that cannot be read) propagate.
     pub fn check_page(&mut self, id: PageId) -> Result<Option<(u32, u32)>> {
         let Some(stored) = self.seal(id) else {
             return Ok(None);
@@ -235,8 +235,8 @@ pub struct ScrubReport {
     pub pages_scanned: usize,
     /// Pages whose contents no longer match their seal.
     pub corrupt: Vec<PageId>,
-    /// Pages that could not be read at all (sticky-bad sectors, retries
-    /// exhausted).
+    /// Pages that could not be read at all (a hard device error, or
+    /// retries exhausted).
     pub unreadable: Vec<PageId>,
 }
 

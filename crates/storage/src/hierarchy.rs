@@ -8,18 +8,20 @@
 //!
 //! The claim is about one adjacent pair of levels, and a
 //! [`MemoryHierarchy`] is exactly that pair: a write-back DRAM LRU buffer
-//! (identity + dirty bit only) over a backing store that holds the actual
-//! bytes. Each level keeps its own [`IoStats`], so experiments can observe
+//! (identity + dirty bit only) over a backing store, a [`MemDevice`] that
+//! holds the actual bytes. Each level keeps its own [`IoStats`] (the
+//! buffer's in [`buffer_stats`](MemoryHierarchy::buffer_stats), the
+//! storage level's in [`BlockDevice::stats`]), so experiments can observe
 //! the vertical tradeoff: grow the buffer's capacity (its MO) and watch
 //! the storage level's reads and writes fall (its RO/UO).
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use rum_core::{Result, RumError};
+use rum_core::Result;
 
 use crate::cost::{AccessClassifier, DeviceProfile};
-use crate::device::{BlockDevice, IoStats};
+use crate::device::{BlockDevice, IoStats, MemDevice};
 use crate::lru::LruSet;
 use crate::page::{PageBuf, PageId};
 
@@ -56,8 +58,7 @@ pub struct MemoryHierarchy {
     lru: LruSet<PageId>,
     buffer: Level,
     storage: Level,
-    pages: Vec<Option<PageBuf>>,
-    free_list: Vec<PageId>,
+    store: MemDevice,
 }
 
 impl MemoryHierarchy {
@@ -66,8 +67,7 @@ impl MemoryHierarchy {
             lru: LruSet::new(buffer_pages),
             buffer: Level::new(DeviceProfile::DRAM),
             storage: Level::new(storage_profile),
-            pages: Vec::new(),
-            free_list: Vec::new(),
+            store: MemDevice::new(),
         }
     }
 
@@ -76,23 +76,9 @@ impl MemoryHierarchy {
         &self.buffer.stats
     }
 
-    /// I/O stats of the storage device (level n).
-    pub fn storage_stats(&self) -> &Arc<IoStats> {
-        &self.storage.stats
-    }
-
     /// Total simulated time across both levels, nanoseconds.
     pub fn total_sim_ns(&self) -> u64 {
         self.buffer.stats.sim_ns() + self.storage.stats.sim_ns()
-    }
-
-    /// The live buffer behind `id`, or why there is none.
-    fn slot(&mut self, id: PageId) -> Result<&mut PageBuf> {
-        match self.pages.get_mut(id.index()) {
-            Some(Some(page)) => Ok(page),
-            Some(None) => Err(RumError::Storage(format!("{id} is freed"))),
-            None => Err(RumError::Storage(format!("{id} out of bounds"))),
-        }
     }
 
     /// Make `id` the buffer's most recent page; a dirty page it evicts is
@@ -111,21 +97,12 @@ impl BlockDevice for MemoryHierarchy {
             .stats
             .allocations
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(id) = self.free_list.pop() {
-            self.pages[id.index()] = Some(PageBuf::zeroed());
-            Ok(id)
-        } else {
-            let id = PageId(self.pages.len() as u64);
-            self.pages.push(Some(PageBuf::zeroed()));
-            Ok(id)
-        }
+        self.store.allocate()
     }
 
     fn free(&mut self, id: PageId) -> Result<()> {
-        self.slot(id)?;
+        self.store.free(id)?;
         self.lru.remove(&id);
-        self.pages[id.index()] = None;
-        self.free_list.push(id);
         self.storage.stats.frees.fetch_add(1, Ordering::Relaxed);
         Ok(())
     }
@@ -135,18 +112,18 @@ impl BlockDevice for MemoryHierarchy {
     }
 
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        self.slot(id)?;
+        let out = self.store.with_page(id, f)?;
         if self.lru.touch(&id) {
             self.buffer.charge_read(id);
         } else {
             self.storage.charge_read(id);
             self.install(id, false);
         }
-        Ok(f(self.slot(id)?.as_slice()))
+        Ok(out)
     }
 
     fn write_page(&mut self, id: PageId, page: &PageBuf) -> Result<()> {
-        self.slot(id)?.as_mut_slice().copy_from_slice(page);
+        self.store.write_page(id, page)?;
         // Write-back: the buffer absorbs the write.
         self.buffer.charge_write(id);
         self.install(id, true);
@@ -154,7 +131,7 @@ impl BlockDevice for MemoryHierarchy {
     }
 
     fn live_pages(&self) -> usize {
-        self.pages.len() - self.free_list.len()
+        self.store.live_pages()
     }
 
     fn stats(&self) -> &Arc<IoStats> {
@@ -199,15 +176,11 @@ mod tests {
         let mut h = MemoryHierarchy::new(4, DeviceProfile::SSD);
         let id = h.allocate().unwrap();
         h.read_page(id).unwrap(); // storage read, installed in the buffer
-        let storage_before = h.storage_stats().reads();
+        let storage_before = h.stats().reads();
         for _ in 0..100 {
             h.read_page(id).unwrap();
         }
-        assert_eq!(
-            h.storage_stats().reads(),
-            storage_before,
-            "no more storage reads"
-        );
+        assert_eq!(h.stats().reads(), storage_before, "no more storage reads");
         assert_eq!(h.buffer_stats().reads(), 100);
     }
 
@@ -230,7 +203,7 @@ mod tests {
                 let id = ids[rng.gen_range(0..ids.len())];
                 h.read_page(id).unwrap();
             }
-            h.storage_stats().reads()
+            h.stats().reads()
         };
         let small = storage_reads(4);
         let medium = storage_reads(16);
@@ -248,9 +221,9 @@ mod tests {
             write_marker(&mut h, *id, i as u64);
         }
         // The buffer holds 2; the 4 dirty pages it evicted reached storage.
-        assert_eq!(h.storage_stats().writes(), 4);
+        assert_eq!(h.stats().writes(), 4);
         h.sync().unwrap();
-        assert_eq!(h.storage_stats().writes(), 6);
+        assert_eq!(h.stats().writes(), 6);
     }
 
     #[test]
@@ -261,7 +234,7 @@ mod tests {
             write_marker(&mut h, id, v);
         }
         h.sync().unwrap();
-        assert_eq!(h.storage_stats().writes(), 1, "50 writes coalesced to one");
+        assert_eq!(h.stats().writes(), 1, "50 writes coalesced to one");
     }
 
     #[test]
@@ -273,7 +246,7 @@ mod tests {
         assert!(h.read_page(id).is_err());
         // The freed dirty page left the buffer: nothing is written back.
         h.sync().unwrap();
-        assert_eq!(h.storage_stats().writes(), 0);
+        assert_eq!(h.stats().writes(), 0);
         assert_eq!(h.live_pages(), 0);
     }
 }

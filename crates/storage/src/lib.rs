@@ -27,7 +27,8 @@
 //!   ([`Pager::with_page_mut`], one read-modify-write charged as a read
 //!   and a write), so neither copies a page the device already holds.
 //! * [`hierarchy`] — the [`MemoryHierarchy`] simulator behind the
-//!   Figure 2 experiment: one DRAM buffer over a storage device.
+//!   Figure 2 experiment: one DRAM buffer over a storage device whose
+//!   bytes a [`MemDevice`] holds.
 //! * [`crc`] — the CRC-32 both integrity layers below share. One
 //!   function, three kernels chosen from the machine and the input, same
 //!   bits from each: two carry-less-multiply folding kernels (`x86_64`:
@@ -48,8 +49,11 @@
 //!   writes, and failed flushes over the WAL sync path and the block
 //!   device, powering the crash-matrix experiment; plus recurring seeded
 //!   faults ([`FaultProfile`]) — transient read/write errors with bounded
-//!   bursts, sticky bad pages, silent bit-flips — and the deterministic
-//!   [`RetryPolicy`] the pager and WAL answer them with.
+//!   bursts and silent bit-flips. Both durable paths land an injected
+//!   write fault the one way [`WriteOutcome::land`] does, and the pager
+//!   and the WAL answer a failed attempt with the one step
+//!   [`RetryPolicy::retry_after`]: give up, or retry after a
+//!   deterministic backoff that is charged as simulated time.
 //! * [`checked`] — sealed pages: [`CheckedDevice`]
 //!   seals every write with a CRC-32 ([`crc`]) in a sidecar map and verifies
 //!   on read, turning silent bit-rot into
@@ -77,8 +81,7 @@ pub use crc::crc32;
 pub use device::{BlockDevice, EditFault, IoStats, MemDevice};
 pub use durable::{Durable, RecoveryReport};
 pub use fault::{
-    splitmix64, Backoff, FaultDevice, FaultInjector, FaultPlan, FaultProfile, ReadOutcome,
-    RetryPolicy, WriteOutcome,
+    splitmix64, FaultDevice, FaultInjector, FaultPlan, FaultProfile, RetryPolicy, WriteOutcome,
 };
 pub use hierarchy::MemoryHierarchy;
 pub use lru::LruSet;

@@ -323,24 +323,18 @@ impl<D: BlockDevice> Pager<D> {
                 _ => {}
             }
         }
-        if !e.is_transient() || *attempt >= self.retry.max_attempts {
+        // The wasted attempt being retried cost one page of device
+        // traffic.
+        let Some(delay) = self.retry.retry_after(
+            e,
+            *attempt,
+            &*self.sink,
+            Some(("page", id.0)),
+            PAGE_SIZE as u64,
+        ) else {
             return Some(e.clone());
-        }
-        let delay = self.retry.backoff.delay_ns(*attempt);
+        };
         self.tracker.sim_time(delay);
-        if self.sink.enabled() {
-            self.sink.emit(
-                EventKind::RetryAttempt,
-                &[
-                    ("page", id.0),
-                    ("attempt", u64::from(*attempt)),
-                    ("backoff_ns", delay),
-                    // The wasted attempt being retried cost one page of
-                    // device traffic.
-                    ("bytes", PAGE_SIZE as u64),
-                ],
-            );
-        }
         *attempt += 1;
         None
     }
@@ -695,6 +689,34 @@ mod tests {
         assert_eq!(err, pager.read(id, DataClass::Base).unwrap_err());
         // The refused attempt still touched the device, once per call.
         assert_eq!(tracker.since(&before).page_reads, 2);
+    }
+
+    #[test]
+    fn a_hard_read_error_is_surfaced_at_once_uncharged_and_never_retried() {
+        let tracker = CostTracker::new();
+        let mut pager = Pager::new(MemDevice::new(), Arc::clone(&tracker));
+        let sink = rum_core::trace::MemorySink::shared();
+        pager.set_trace_sink(sink.clone());
+        let id = pager.allocate().unwrap();
+        pager.free(id).unwrap();
+        let before = tracker.snapshot();
+        let mut called = false;
+        let err = pager
+            .with_page(id, DataClass::Base, |_| called = true)
+            .unwrap_err();
+        assert!(matches!(err, RumError::Storage(_)), "got {err:?}");
+        assert!(!called, "a freed page is not lent");
+        assert_eq!(tracker.since(&before), rum_core::CostSnapshot::default());
+        assert_eq!(
+            pager.device().stats().reads(),
+            0,
+            "a refused read is not a read"
+        );
+        assert!(
+            sink.events().is_empty(),
+            "no fault, no retry: {:?}",
+            sink.events()
+        );
     }
 
     #[test]

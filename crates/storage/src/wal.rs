@@ -165,10 +165,6 @@ pub struct Wal {
     /// Structured-event channel for sync outcomes; the disabled
     /// [`NoopSink`](rum_core::trace::NoopSink) by default.
     sink: Arc<dyn TraceSink>,
-    /// How [`sync`](Self::sync) responds to transient injector faults:
-    /// retried in place (pending bytes kept) up to `max_attempts`, backoff
-    /// charged as simulated time. Never consulted on a clean device.
-    retry: RetryPolicy,
 }
 
 impl Wal {
@@ -181,7 +177,6 @@ impl Wal {
             injector: None,
             synced_total: 0,
             sink: rum_core::trace::noop_sink(),
-            retry: RetryPolicy::default(),
         }
     }
 
@@ -204,11 +199,6 @@ impl Wal {
     /// persisted or charged.
     pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
         self.sink = sink;
-    }
-
-    /// Change how transient sync faults are retried.
-    pub fn set_retry_policy(&mut self, retry: RetryPolicy) {
-        self.retry = retry;
     }
 
     /// Bytes surviving on durable storage right now.
@@ -246,42 +236,31 @@ impl Wal {
     /// Make pending appends durable. Returns `Err(RumError::Crash)` when
     /// the armed fault fires; whatever prefix the injector let through is
     /// already on "disk" (and charged), mirroring a real power event.
-    /// Transient injector faults are retried in place per the
+    /// Transient injector faults are retried in place under the default
     /// [`RetryPolicy`] — pending bytes are kept across failed attempts, and
     /// backoff is charged as simulated time — before surfacing
     /// [`RumError::Transient`].
     pub fn sync(&mut self) -> Result<()> {
         let mut attempt = 1u32;
         loop {
-            match self.sync_attempt() {
-                Err(RumError::Transient(m)) => {
-                    if self.sink.enabled() {
-                        self.sink.emit(
-                            EventKind::FaultInjected,
-                            &[("attempt", u64::from(attempt)), ("wal", 1)],
-                        );
-                    }
-                    if attempt >= self.retry.max_attempts {
-                        return Err(RumError::Transient(m));
-                    }
-                    let delay = self.retry.backoff.delay_ns(attempt);
-                    self.tracker.sim_time(delay);
-                    if self.sink.enabled() {
-                        self.sink.emit(
-                            EventKind::RetryAttempt,
-                            &[
-                                ("attempt", u64::from(attempt)),
-                                ("backoff_ns", delay),
-                                // Pending bytes the failed attempt tried
-                                // (and the retry will try again) to land.
-                                ("bytes", self.pending.len() as u64),
-                            ],
-                        );
-                    }
-                    attempt += 1;
-                }
+            let e = match self.sync_attempt() {
+                Err(e @ RumError::Transient(_)) => e,
                 other => return other,
+            };
+            if self.sink.enabled() {
+                self.sink.emit(
+                    EventKind::FaultInjected,
+                    &[("attempt", u64::from(attempt)), ("wal", 1)],
+                );
             }
+            // The retry weighs the pending bytes the failed attempt tried
+            // (and the next will try again) to land.
+            let pending = self.pending.len() as u64;
+            let delay = RetryPolicy::default()
+                .retry_after(&e, attempt, &*self.sink, None, pending)
+                .ok_or(e)?;
+            self.tracker.sim_time(delay);
+            attempt += 1;
         }
     }
 
@@ -298,19 +277,10 @@ impl Wal {
         let start = self.durable.len() as u64;
         match outcome {
             WriteOutcome::Persist | WriteOutcome::PersistFlipped { .. } => {
-                let flip = match outcome {
-                    WriteOutcome::PersistFlipped { bit } => Some(bit),
-                    _ => None,
-                };
                 self.durable.append(&mut self.pending);
-                if let Some(bit) = flip {
-                    // Silent media corruption inside the just-landed bytes;
-                    // the per-frame CRC turns it into a torn tail on replay.
-                    let idx = start as usize + (bit / 8) as usize;
-                    if idx < self.durable.len() {
-                        self.durable[idx] ^= 1 << (bit % 8);
-                    }
-                }
+                // Silent media corruption inside the just-landed bytes;
+                // the per-frame CRC turns it into a torn tail on replay.
+                outcome.land(&mut self.durable[start as usize..]);
                 log_write(&self.tracker, start, n);
                 self.synced_total += n;
                 if self.sink.enabled() {
@@ -327,15 +297,7 @@ impl Wal {
             WriteOutcome::CrashKeeping { keep, torn } => {
                 let keep = (keep as usize).min(self.pending.len());
                 self.durable.extend_from_slice(&self.pending[..keep]);
-                if torn && keep > 0 {
-                    // The sector under the write head when power dropped:
-                    // flip the tail of what landed so only the checksum —
-                    // not truncation — can reveal the damage.
-                    let len = self.durable.len();
-                    for b in &mut self.durable[len - keep.min(8)..] {
-                        *b ^= 0xA5;
-                    }
-                }
+                outcome.land(&mut self.durable[start as usize..]);
                 self.pending.clear();
                 log_write(&self.tracker, start, keep as u64);
                 self.synced_total += keep as u64;
