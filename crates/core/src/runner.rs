@@ -170,9 +170,10 @@ fn finite(x: f64) -> f64 {
 /// sub-batch.
 ///
 /// Costs are attributed per operation *class*, not per operation. The
-/// loop [`settle`](Self::settle)s: the tracker is snapshotted (9 atomic
-/// loads) only when the ops switch between the read class (get/range) and
-/// the write class (insert/update/delete), plus once at the end. Between
+/// loop [`settle`](Self::settle)s: the tracker is snapshotted (18 relaxed
+/// loads, two halves of each of its nine counters) only when the ops
+/// switch between the read class (get/range) and the write class
+/// (insert/update/delete), plus once at the end. Between
 /// switches every byte the tracker accrues comes from operations of the
 /// running class, so the per-class sums equal the per-op sums exactly
 /// while the hot loop sheds the per-op snapshot. The batched driver never

@@ -17,8 +17,29 @@
 //!   the tracker, because space is a state property rather than a traffic
 //!   property.
 //!
-//! Counters are atomic so a tracker can be shared (`Arc<CostTracker>`)
-//! between an access method and the storage substrate beneath it.
+//! A tracker is shared (`Arc<CostTracker>`) between an access method and
+//! the storage substrate beneath it, and may be charged from any thread,
+//! exactly. Each counter is a [`Counter`], a pair of halves, and the
+//! tracker remembers the thread that built it, its *owner*:
+//!
+//! * a charge on the owner thread adds to the `own` half with a relaxed
+//!   load and store, no read-modify-write and so no fence. No other thread
+//!   ever writes `own`, so each load sees the owner's previous store and
+//!   no add is lost;
+//! * a charge from any other thread (a shard pool's worker, a test's
+//!   spawned thread) adds to the `shared` half with `fetch_add`, exact
+//!   under any interleaving;
+//! * a [`snapshot`](CostTracker::snapshot) sums the halves: 18 relaxed
+//!   loads. Once every charging thread is joined (or otherwise
+//!   synchronised with the reader) the sums are the exact totals.
+//!
+//! The owner is a per-thread token drawn once from a global sequence that
+//! never repeats, so a tracker whose owner has exited is foreign to every
+//! later thread and their charges all take the `shared` half.
+//! [`reset`](CostTracker::reset) stores zero to both halves, so it is
+//! exact when no charge runs concurrently with it, which holds at every
+//! call site: each resets between phases, on the thread that then charges
+//! or before handing the method to it.
 //!
 //! **One charge vocabulary.** A method names what it touched and the
 //! tracker decides what that costs in bytes:
@@ -38,6 +59,7 @@
 //! a method is byte- or page-granular is a property of which of these
 //! calls it makes, and a change to how a unit is priced is a change here.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -56,25 +78,144 @@ pub enum DataClass {
     Aux,
 }
 
-/// Shared, atomic counter set. All units are bytes or page counts.
+/// One exact `u64` counter in two halves: `own`, written by one writer at
+/// a time with a relaxed load and store, and `shared`, which any thread
+/// adds to with `fetch_add`. Its value is their sum.
+#[derive(Debug, Default)]
+pub struct Counter {
+    own: AtomicU64,
+    shared: AtomicU64,
+}
+
+impl Counter {
+    /// Add `n` as the counter's sole writer: a relaxed load and store, no
+    /// read-modify-write. Exact while each call happens before the next
+    /// (one thread, or a writer handed between threads by a move or a
+    /// join); two threads calling it at once can lose an add.
+    #[inline]
+    pub fn add_own(&self, n: u64) {
+        let v = self.own.load(Ordering::Relaxed);
+        self.own.store(v.wrapping_add(n), Ordering::Relaxed);
+    }
+
+    /// Add `n` from any thread.
+    #[inline]
+    pub fn add_shared(&self, n: u64) {
+        self.shared.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// The counter's value: both halves, two relaxed loads.
+    #[inline]
+    pub fn get(&self) -> u64 {
+        self.own
+            .load(Ordering::Relaxed)
+            .wrapping_add(self.shared.load(Ordering::Relaxed))
+    }
+
+    /// Zero both halves; exact when no add runs concurrently.
+    pub fn reset(&self) {
+        self.own.store(0, Ordering::Relaxed);
+        self.shared.store(0, Ordering::Relaxed);
+    }
+}
+
+thread_local! {
+    /// This thread's owner token; 0 until the thread first needs one.
+    static TOKEN: Cell<u64> = const { Cell::new(0) };
+}
+
+/// The thread that built a tracker, by token.
+#[derive(Debug)]
+struct Owner(u64);
+
+impl Owner {
+    /// The calling thread's token: one thread-local load once drawn.
+    #[inline]
+    fn current() -> u64 {
+        match TOKEN.get() {
+            0 => Self::draw(),
+            t => t,
+        }
+    }
+
+    /// Draw the calling thread's token. The sequence is checked rather
+    /// than wrapped, so no two threads ever share a token.
+    #[cold]
+    fn draw() -> u64 {
+        static NEXT: AtomicU64 = AtomicU64::new(1);
+        let t = NEXT
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| n.checked_add(1))
+            .expect("owner tokens never run out");
+        TOKEN.set(t);
+        t
+    }
+
+    #[inline]
+    fn is_current(&self) -> bool {
+        self.0 == Self::current()
+    }
+}
+
+impl Default for Owner {
+    fn default() -> Self {
+        Owner(Self::current())
+    }
+}
+
+/// Shared counter set, exact from any thread and free of read-modify-writes
+/// on the thread that built it. All units are bytes or page counts.
 #[derive(Debug, Default)]
 pub struct CostTracker {
-    base_read_bytes: AtomicU64,
-    aux_read_bytes: AtomicU64,
-    base_write_bytes: AtomicU64,
-    aux_write_bytes: AtomicU64,
-    logical_read_bytes: AtomicU64,
-    logical_write_bytes: AtomicU64,
-    page_reads: AtomicU64,
-    page_writes: AtomicU64,
+    owner: Owner,
+    base_read_bytes: Counter,
+    aux_read_bytes: Counter,
+    base_write_bytes: Counter,
+    aux_write_bytes: Counter,
+    logical_read_bytes: Counter,
+    logical_write_bytes: Counter,
+    page_reads: Counter,
+    page_writes: Counter,
     /// Simulated device time, charged by the storage cost model.
-    sim_time_ns: AtomicU64,
+    sim_time_ns: Counter,
 }
 
 impl CostTracker {
-    /// Create a fresh tracker wrapped in an [`Arc`] for sharing.
+    /// Create a fresh tracker wrapped in an [`Arc`] for sharing. The
+    /// calling thread becomes its owner.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    /// Add each `(counter, n)`: to the `own` halves on the owner thread,
+    /// to the `shared` halves anywhere else. Every charge goes through
+    /// here, so the owner check is made once per charge.
+    #[inline]
+    fn add(&self, adds: &[(&Counter, u64)]) {
+        if self.owner.is_current() {
+            for &(c, n) in adds {
+                c.add_own(n);
+            }
+        } else {
+            for &(c, n) in adds {
+                c.add_shared(n);
+            }
+        }
+    }
+
+    #[inline]
+    fn read_counter(&self, class: DataClass) -> &Counter {
+        match class {
+            DataClass::Base => &self.base_read_bytes,
+            DataClass::Aux => &self.aux_read_bytes,
+        }
+    }
+
+    #[inline]
+    fn write_counter(&self, class: DataClass) -> &Counter {
+        match class {
+            DataClass::Base => &self.base_write_bytes,
+            DataClass::Aux => &self.aux_write_bytes,
+        }
     }
 
     /// Charge a physical read of `bytes` bytes of `class` data. Outside
@@ -82,20 +223,14 @@ impl CostTracker {
     /// shape; records, searches and pages have their own calls.
     #[inline]
     pub fn read(&self, class: DataClass, bytes: u64) {
-        match class {
-            DataClass::Base => self.base_read_bytes.fetch_add(bytes, Ordering::Relaxed),
-            DataClass::Aux => self.aux_read_bytes.fetch_add(bytes, Ordering::Relaxed),
-        };
+        self.add(&[(self.read_counter(class), bytes)]);
     }
 
     /// Charge a physical write of `bytes` bytes of `class` data; as
     /// [`read`](Self::read).
     #[inline]
     pub fn write(&self, class: DataClass, bytes: u64) {
-        match class {
-            DataClass::Base => self.base_write_bytes.fetch_add(bytes, Ordering::Relaxed),
-            DataClass::Aux => self.aux_write_bytes.fetch_add(bytes, Ordering::Relaxed),
-        };
+        self.add(&[(self.write_counter(class), bytes)]);
     }
 
     /// Charge reading `n` records of base data.
@@ -130,73 +265,82 @@ impl CostTracker {
     /// charge for every attempt that touches the device.
     #[inline]
     pub fn read_page(&self, class: DataClass, ns: u64) {
-        self.page_reads.fetch_add(1, Ordering::Relaxed);
-        self.read(class, PAGE_SIZE as u64);
-        self.sim_time(ns);
+        self.add(&[
+            (&self.page_reads, 1),
+            (self.read_counter(class), PAGE_SIZE as u64),
+            (&self.sim_time_ns, ns),
+        ]);
     }
 
     /// Charge one whole-page write of `class` data; as
     /// [`read_page`](Self::read_page).
     #[inline]
     pub fn write_page(&self, class: DataClass, ns: u64) {
-        self.page_write();
-        self.write(class, PAGE_SIZE as u64);
-        self.sim_time(ns);
+        self.add(&[
+            (&self.page_writes, 1),
+            (self.write_counter(class), PAGE_SIZE as u64),
+            (&self.sim_time_ns, ns),
+        ]);
     }
 
     /// Record that a query retrieved `bytes` bytes of useful data
     /// (the denominator of read amplification).
     #[inline]
     pub fn logical_read(&self, bytes: u64) {
-        self.logical_read_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.add(&[(&self.logical_read_bytes, bytes)]);
     }
 
     /// Record that `bytes` bytes were logically updated
     /// (the denominator of write amplification).
     #[inline]
     pub fn logical_write(&self, bytes: u64) {
-        self.logical_write_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.add(&[(&self.logical_write_bytes, bytes)]);
     }
 
     /// Count one page write and nothing else: for a page whose bytes are
     /// charged apart from it (the WAL's log pages, a sealed log page).
     #[inline]
     pub fn page_write(&self) {
-        self.page_writes.fetch_add(1, Ordering::Relaxed);
+        self.add(&[(&self.page_writes, 1)]);
     }
 
     /// Charge simulated device time.
     #[inline]
     pub fn sim_time(&self, ns: u64) {
-        self.sim_time_ns.fetch_add(ns, Ordering::Relaxed);
+        self.add(&[(&self.sim_time_ns, ns)]);
     }
 
     /// Capture the current counter values.
     pub fn snapshot(&self) -> CostSnapshot {
         CostSnapshot {
-            base_read_bytes: self.base_read_bytes.load(Ordering::Relaxed),
-            aux_read_bytes: self.aux_read_bytes.load(Ordering::Relaxed),
-            base_write_bytes: self.base_write_bytes.load(Ordering::Relaxed),
-            aux_write_bytes: self.aux_write_bytes.load(Ordering::Relaxed),
-            logical_read_bytes: self.logical_read_bytes.load(Ordering::Relaxed),
-            logical_write_bytes: self.logical_write_bytes.load(Ordering::Relaxed),
-            page_reads: self.page_reads.load(Ordering::Relaxed),
-            page_writes: self.page_writes.load(Ordering::Relaxed),
-            sim_time_ns: self.sim_time_ns.load(Ordering::Relaxed),
+            base_read_bytes: self.base_read_bytes.get(),
+            aux_read_bytes: self.aux_read_bytes.get(),
+            base_write_bytes: self.base_write_bytes.get(),
+            aux_write_bytes: self.aux_write_bytes.get(),
+            logical_read_bytes: self.logical_read_bytes.get(),
+            logical_write_bytes: self.logical_write_bytes.get(),
+            page_reads: self.page_reads.get(),
+            page_writes: self.page_writes.get(),
+            sim_time_ns: self.sim_time_ns.get(),
         }
     }
 
-    /// Reset every counter to zero.
+    /// Reset every counter to zero; exact when no charge runs
+    /// concurrently (see the module doc).
     pub fn reset(&self) {
-        self.base_read_bytes.store(0, Ordering::Relaxed);
-        self.aux_read_bytes.store(0, Ordering::Relaxed);
-        self.base_write_bytes.store(0, Ordering::Relaxed);
-        self.aux_write_bytes.store(0, Ordering::Relaxed);
-        self.logical_read_bytes.store(0, Ordering::Relaxed);
-        self.logical_write_bytes.store(0, Ordering::Relaxed);
-        self.page_reads.store(0, Ordering::Relaxed);
-        self.page_writes.store(0, Ordering::Relaxed);
-        self.sim_time_ns.store(0, Ordering::Relaxed);
+        for c in [
+            &self.base_read_bytes,
+            &self.aux_read_bytes,
+            &self.base_write_bytes,
+            &self.aux_write_bytes,
+            &self.logical_read_bytes,
+            &self.logical_write_bytes,
+            &self.page_reads,
+            &self.page_writes,
+            &self.sim_time_ns,
+        ] {
+            c.reset();
+        }
     }
 
     /// Counters accumulated since `earlier` was captured.
@@ -211,21 +355,17 @@ impl CostTracker {
     /// merged totals are identical no matter which order (or from which
     /// worker thread) the deltas arrive.
     pub fn absorb(&self, d: &CostSnapshot) {
-        self.base_read_bytes
-            .fetch_add(d.base_read_bytes, Ordering::Relaxed);
-        self.aux_read_bytes
-            .fetch_add(d.aux_read_bytes, Ordering::Relaxed);
-        self.base_write_bytes
-            .fetch_add(d.base_write_bytes, Ordering::Relaxed);
-        self.aux_write_bytes
-            .fetch_add(d.aux_write_bytes, Ordering::Relaxed);
-        self.logical_read_bytes
-            .fetch_add(d.logical_read_bytes, Ordering::Relaxed);
-        self.logical_write_bytes
-            .fetch_add(d.logical_write_bytes, Ordering::Relaxed);
-        self.page_reads.fetch_add(d.page_reads, Ordering::Relaxed);
-        self.page_writes.fetch_add(d.page_writes, Ordering::Relaxed);
-        self.sim_time_ns.fetch_add(d.sim_time_ns, Ordering::Relaxed);
+        self.add(&[
+            (&self.base_read_bytes, d.base_read_bytes),
+            (&self.aux_read_bytes, d.aux_read_bytes),
+            (&self.base_write_bytes, d.base_write_bytes),
+            (&self.aux_write_bytes, d.aux_write_bytes),
+            (&self.logical_read_bytes, d.logical_read_bytes),
+            (&self.logical_write_bytes, d.logical_write_bytes),
+            (&self.page_reads, d.page_reads),
+            (&self.page_writes, d.page_writes),
+            (&self.sim_time_ns, d.sim_time_ns),
+        ]);
     }
 }
 
@@ -460,5 +600,121 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(t.snapshot().base_read_bytes, 4000);
+    }
+
+    /// One charge of every kind; `charged_times(n)` is `n` of them.
+    fn charge_all(t: &CostTracker) {
+        t.read_records(1);
+        t.read(DataClass::Aux, 3);
+        t.write_records(1);
+        t.write(DataClass::Aux, 5);
+        t.logical_read(7);
+        t.logical_write(11);
+        t.read_page(DataClass::Aux, 13);
+        t.write_page(DataClass::Base, 17);
+        t.page_write();
+    }
+
+    fn charged_times(n: u64) -> CostSnapshot {
+        let page = PAGE_SIZE as u64;
+        let rec = RECORD_SIZE as u64;
+        CostSnapshot {
+            base_read_bytes: n * rec,
+            aux_read_bytes: n * (3 + page),
+            base_write_bytes: n * (rec + page),
+            aux_write_bytes: n * 5,
+            logical_read_bytes: n * 7,
+            logical_write_bytes: n * 11,
+            page_reads: n,
+            page_writes: 2 * n,
+            sim_time_ns: n * 30,
+        }
+    }
+
+    #[test]
+    fn owner_and_foreign_charges_meet_exactly() {
+        let t = CostTracker::new();
+        let one = charged_times(1);
+        // All four threads start charging together.
+        let start = Arc::new(std::sync::Barrier::new(4));
+        let workers: Vec<_> = (0..3)
+            .map(|_| {
+                let t = Arc::clone(&t);
+                let start = Arc::clone(&start);
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..2000 {
+                        charge_all(&t);
+                        t.absorb(&one);
+                    }
+                })
+            })
+            .collect();
+        start.wait();
+        for _ in 0..5000 {
+            charge_all(&t);
+        }
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(t.snapshot(), charged_times(5000 + 3 * 2 * 2000));
+        assert_eq!(t.page_reads.own.load(Ordering::Relaxed), 5000);
+        assert_eq!(t.page_reads.shared.load(Ordering::Relaxed), 3 * 2 * 2000);
+    }
+
+    #[test]
+    fn a_tracker_charged_only_off_its_owner_is_exact() {
+        // The shard pool's shape: built on the caller, charged on a worker.
+        let t = CostTracker::new();
+        let worker = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                for _ in 0..3000 {
+                    charge_all(&t);
+                }
+            })
+        };
+        worker.join().unwrap();
+        assert_eq!(t.snapshot(), charged_times(3000));
+        assert_eq!(t.page_reads.own.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_tracker_outlives_its_owner_and_loses_no_add() {
+        let t = std::thread::spawn(|| {
+            let t = CostTracker::new();
+            charge_all(&t);
+            t
+        })
+        .join()
+        .unwrap();
+        // The owner has exited: every later thread is foreign, however the
+        // runtime reuses its stack or its thread-local block.
+        let workers: Vec<_> = (0..4)
+            .map(|_| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    for _ in 0..1000 {
+                        charge_all(&t);
+                    }
+                })
+            })
+            .collect();
+        for w in workers {
+            w.join().unwrap();
+        }
+        assert_eq!(t.snapshot(), charged_times(1 + 4000));
+        assert_eq!(t.page_reads.own.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn owner_tokens_are_never_reused() {
+        let mut seen: Vec<u64> = (0..16)
+            .map(|_| std::thread::spawn(Owner::current).join().unwrap())
+            .collect();
+        seen.push(Owner::current());
+        seen.sort_unstable();
+        seen.dedup();
+        assert_eq!(seen.len(), 17);
     }
 }

@@ -1,46 +1,69 @@
 //! Instrumented block devices.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use rum_core::tracker::Counter;
 use rum_core::{Result, RumError};
 
 use crate::page::{PageBuf, PageId};
 
 /// Raw device-level I/O counters (what actually reached the device, after
 /// any caching above it).
+///
+/// Anyone may read them through [`BlockDevice::stats`]; only the device
+/// that built them adds to them, from its `&mut self` methods. That device
+/// is each counter's sole writer ([`Counter::add_own`]): an add is a plain
+/// load and store, and a device moved to another thread takes its writes
+/// with it, ordered by the move.
 #[derive(Debug, Default)]
 pub struct IoStats {
-    pub page_reads: AtomicU64,
-    pub page_writes: AtomicU64,
-    pub allocations: AtomicU64,
-    pub frees: AtomicU64,
+    page_reads: Counter,
+    page_writes: Counter,
+    allocations: Counter,
+    frees: Counter,
     /// Simulated device time spent, nanoseconds.
-    pub sim_time_ns: AtomicU64,
+    sim_time_ns: Counter,
 }
 
 impl IoStats {
     pub fn reads(&self) -> u64 {
-        self.page_reads.load(Ordering::Relaxed)
+        self.page_reads.get()
     }
     pub fn writes(&self) -> u64 {
-        self.page_writes.load(Ordering::Relaxed)
+        self.page_writes.get()
     }
     pub fn allocs(&self) -> u64 {
-        self.allocations.load(Ordering::Relaxed)
+        self.allocations.get()
     }
     pub fn freed(&self) -> u64 {
-        self.frees.load(Ordering::Relaxed)
+        self.frees.get()
     }
     pub fn sim_ns(&self) -> u64 {
-        self.sim_time_ns.load(Ordering::Relaxed)
+        self.sim_time_ns.get()
     }
+    /// Zero every counter; exact when the device is not in use meanwhile.
     pub fn reset(&self) {
-        self.page_reads.store(0, Ordering::Relaxed);
-        self.page_writes.store(0, Ordering::Relaxed);
-        self.allocations.store(0, Ordering::Relaxed);
-        self.frees.store(0, Ordering::Relaxed);
-        self.sim_time_ns.store(0, Ordering::Relaxed);
+        self.page_reads.reset();
+        self.page_writes.reset();
+        self.allocations.reset();
+        self.frees.reset();
+        self.sim_time_ns.reset();
+    }
+
+    pub(crate) fn count_read(&self) {
+        self.page_reads.add_own(1);
+    }
+    pub(crate) fn count_write(&self) {
+        self.page_writes.add_own(1);
+    }
+    pub(crate) fn count_alloc(&self) {
+        self.allocations.add_own(1);
+    }
+    pub(crate) fn count_free(&self) {
+        self.frees.add_own(1);
+    }
+    pub(crate) fn count_sim_ns(&self, ns: u64) {
+        self.sim_time_ns.add_own(ns);
     }
 }
 
@@ -167,7 +190,7 @@ impl Default for MemDevice {
 
 impl BlockDevice for MemDevice {
     fn allocate(&mut self) -> Result<PageId> {
-        self.stats.allocations.fetch_add(1, Ordering::Relaxed);
+        self.stats.count_alloc();
         if let Some(id) = self.free_list.pop() {
             self.pages[id.index()] = Some(PageBuf::zeroed());
             Ok(id)
@@ -182,7 +205,7 @@ impl BlockDevice for MemDevice {
         self.slot(id)?;
         self.pages[id.index()] = None;
         self.free_list.push(id);
-        self.stats.frees.fetch_add(1, Ordering::Relaxed);
+        self.stats.count_free();
         Ok(())
     }
 
@@ -193,13 +216,13 @@ impl BlockDevice for MemDevice {
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         let page = self.slot(id)?;
         let out = f(page.as_slice());
-        self.stats.page_reads.fetch_add(1, Ordering::Relaxed);
+        self.stats.count_read();
         Ok(out)
     }
 
     fn write_page(&mut self, id: PageId, page: &PageBuf) -> Result<()> {
         self.slot(id)?.as_mut_slice().copy_from_slice(page);
-        self.stats.page_writes.fetch_add(1, Ordering::Relaxed);
+        self.stats.count_write();
         Ok(())
     }
 
@@ -212,9 +235,9 @@ impl BlockDevice for MemDevice {
     ) -> std::result::Result<(), EditFault> {
         let page = self.slot(id).map_err(EditFault::Read)?;
         let changed = f(page.as_mut_slice());
-        self.stats.page_reads.fetch_add(1, Ordering::Relaxed);
+        self.stats.count_read();
         if changed {
-            self.stats.page_writes.fetch_add(1, Ordering::Relaxed);
+            self.stats.count_write();
         }
         Ok(())
     }
@@ -304,6 +327,35 @@ mod tests {
     fn out_of_bounds_errors() {
         let mut d = MemDevice::new();
         assert!(d.read_page(PageId(5)).is_err());
+    }
+
+    #[test]
+    fn a_device_moved_to_a_worker_and_back_keeps_exact_stats() {
+        let mut d = MemDevice::new();
+        let id = d.allocate().unwrap();
+        d.write_page(id, &PageBuf::zeroed()).unwrap();
+        let stats = Arc::clone(d.stats());
+        let mut d = std::thread::spawn(move || {
+            for _ in 0..500 {
+                d.read_page(id).unwrap();
+                d.with_page_mut(id, |bytes| {
+                    bytes[0] ^= 1;
+                    true
+                })
+                .unwrap();
+            }
+            let extra = d.allocate().unwrap();
+            d.free(extra).unwrap();
+            d
+        })
+        .join()
+        .unwrap();
+        d.with_page(id, |_| ()).unwrap();
+        d.write_page(id, &PageBuf::zeroed()).unwrap();
+        assert_eq!(
+            (stats.reads(), stats.writes(), stats.allocs(), stats.freed()),
+            (1001, 502, 2, 1)
+        );
     }
 
     #[test]

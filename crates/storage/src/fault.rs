@@ -380,7 +380,7 @@ impl FaultInjector {
 
     /// Consult the profile for one page read: whether it fails
     /// transiently.
-    pub fn on_page_read(&self) -> bool {
+    pub fn on_read(&self) -> bool {
         let ppm = self.profile.map_or(0, |p| p.read_error_ppm);
         self.transient_hit(&self.read_ops, &self.read_faulty_until, ppm, READ_SALT)
     }
@@ -481,7 +481,7 @@ impl<D: BlockDevice> BlockDevice for FaultDevice<D> {
     }
 
     fn with_page<R>(&mut self, id: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
-        if self.injector.on_page_read() {
+        if self.injector.on_read() {
             return Err(RumError::Transient(format!("transient read error on {id}")));
         }
         self.inner.with_page(id, f)
@@ -592,9 +592,7 @@ mod tests {
             .map(|seed| FaultProfile::transient(seed, 1_000_000, 64))
             .find(|&p| {
                 let inj = FaultInjector::with_profile(FaultPlan::None, Some(p));
-                (0..k).all(|_| {
-                    inj.on_page_read() && inj.on_durable_write(1) == WriteOutcome::Transient
-                })
+                (0..k).all(|_| inj.on_read() && inj.on_durable_write(1) == WriteOutcome::Transient)
             })
             .expect("some seed opens with long bursts")
     }
@@ -719,8 +717,8 @@ mod tests {
         let profile = FaultProfile::transient(7, 100_000, 2);
         let inj = FaultInjector::with_profile(FaultPlan::None, Some(profile));
         let twin = FaultInjector::with_profile(FaultPlan::None, Some(profile));
-        let seq: Vec<bool> = (0..300).map(|_| inj.on_page_read()).collect();
-        let seq2: Vec<bool> = (0..300).map(|_| twin.on_page_read()).collect();
+        let seq: Vec<bool> = (0..300).map(|_| inj.on_read()).collect();
+        let seq2: Vec<bool> = (0..300).map(|_| twin.on_read()).collect();
         assert_eq!(seq, seq2);
         assert!(seq.contains(&true));
     }

@@ -15,7 +15,6 @@
 //! the vertical tradeoff: grow the buffer's capacity (its MO) and watch
 //! the storage level's reads and writes fall (its RO/UO).
 
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use rum_core::Result;
@@ -41,14 +40,14 @@ impl Level {
         }
     }
     fn charge_read(&mut self, id: PageId) {
-        self.stats.page_reads.fetch_add(1, Ordering::Relaxed);
+        self.stats.count_read();
         let ns = self.classifier.read(&self.profile, id);
-        self.stats.sim_time_ns.fetch_add(ns, Ordering::Relaxed);
+        self.stats.count_sim_ns(ns);
     }
     fn charge_write(&mut self, id: PageId) {
-        self.stats.page_writes.fetch_add(1, Ordering::Relaxed);
+        self.stats.count_write();
         let ns = self.classifier.write(&self.profile, id);
-        self.stats.sim_time_ns.fetch_add(ns, Ordering::Relaxed);
+        self.stats.count_sim_ns(ns);
     }
 }
 
@@ -93,17 +92,14 @@ impl MemoryHierarchy {
 
 impl BlockDevice for MemoryHierarchy {
     fn allocate(&mut self) -> Result<PageId> {
-        self.storage
-            .stats
-            .allocations
-            .fetch_add(1, Ordering::Relaxed);
+        self.storage.stats.count_alloc();
         self.store.allocate()
     }
 
     fn free(&mut self, id: PageId) -> Result<()> {
         self.store.free(id)?;
         self.lru.remove(&id);
-        self.storage.stats.frees.fetch_add(1, Ordering::Relaxed);
+        self.storage.stats.count_free();
         Ok(())
     }
 

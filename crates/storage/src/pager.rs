@@ -126,7 +126,9 @@ impl<D: BlockDevice> Pager<D> {
                     return Ok(out);
                 }
                 Err(e) => {
-                    if let Some(err) = self.read_failed(id, class, &e, &mut attempt) {
+                    if let Some(err) =
+                        self.attempt_failed(Self::charge_read, id, class, &e, &mut attempt)
+                    {
                         return Err(err);
                     }
                 }
@@ -195,7 +197,9 @@ impl<D: BlockDevice> Pager<D> {
                 Ok(()) => None,
                 Err(EditFault::Write(e, page)) => Some((e, page)),
                 Err(EditFault::Read(e)) => {
-                    if let Some(err) = self.read_failed(id, class, &e, &mut attempt) {
+                    if let Some(err) =
+                        self.attempt_failed(Self::charge_read, id, class, &e, &mut attempt)
+                    {
                         return Err(err);
                     }
                     continue;
@@ -210,7 +214,9 @@ impl<D: BlockDevice> Pager<D> {
                 // loop carries on with the edited copy.
                 Some((e, page)) => {
                     let mut attempt = 1u32;
-                    if let Some(err) = self.write_failed(id, class, &e, &mut attempt) {
+                    if let Some(err) =
+                        self.attempt_failed(Self::charge_write, id, class, &e, &mut attempt)
+                    {
                         return Err(err);
                     }
                     self.write_from(id, class, &page, attempt)?;
@@ -235,7 +241,9 @@ impl<D: BlockDevice> Pager<D> {
                     return Ok(());
                 }
                 Err(e) => {
-                    if let Some(err) = self.write_failed(id, class, &e, &mut attempt) {
+                    if let Some(err) =
+                        self.attempt_failed(Self::charge_write, id, class, &e, &mut attempt)
+                    {
                         return Err(err);
                     }
                 }
@@ -264,31 +272,22 @@ impl<D: BlockDevice> Pager<D> {
         matches!(e, RumError::Transient(_) | RumError::CorruptPage { .. })
     }
 
-    /// One failed read attempt: charged if it touched the device, then
-    /// traced and either retried (`None`) or given up on.
-    fn read_failed(
+    /// One failed attempt: charged by `charge` ([`charge_read`] or
+    /// [`charge_write`]) if it touched the device, then traced and either
+    /// retried (`None`) or given up on.
+    ///
+    /// [`charge_read`]: Self::charge_read
+    /// [`charge_write`]: Self::charge_write
+    fn attempt_failed(
         &mut self,
+        charge: fn(&mut Self, PageId, DataClass),
         id: PageId,
         class: DataClass,
         e: &RumError,
         attempt: &mut u32,
     ) -> Option<RumError> {
         if Self::touched_device(e) {
-            self.charge_read(id, class);
-        }
-        self.note_failure(id, e, attempt)
-    }
-
-    /// One failed write attempt, as [`read_failed`](Self::read_failed).
-    fn write_failed(
-        &mut self,
-        id: PageId,
-        class: DataClass,
-        e: &RumError,
-        attempt: &mut u32,
-    ) -> Option<RumError> {
-        if Self::touched_device(e) {
-            self.charge_write(id, class);
+            charge(self, id, class);
         }
         self.note_failure(id, e, attempt)
     }
