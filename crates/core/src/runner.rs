@@ -808,6 +808,14 @@ pub(crate) mod tests {
                 tracker: CostTracker::new(),
             }
         }
+
+        /// An `Amp2` that charges `tracker`, which others may share.
+        pub(crate) fn with_tracker(tracker: Arc<CostTracker>) -> Self {
+            Amp2 {
+                tracker,
+                ..Amp2::new()
+            }
+        }
     }
 
     impl AccessMethod for Amp2 {

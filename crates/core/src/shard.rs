@@ -49,6 +49,17 @@
 //! the inner wrappers on the batched path — so both paths report the same
 //! totals.
 //!
+//! Whoever holds a shard's lock owns its tracker. The factory builds every
+//! shard on the calling thread, which would make every charge a pool
+//! worker makes a foreign one (a `fetch_add` each); so the wrapper
+//! releases each shard's tracker once, and locking a shard (for a job, a
+//! per-op call, a heal or a read of its state) takes the tracker until it
+//! unlocks. Its charges then take the owner's fence-free path on whichever
+//! thread runs them, and the hand-over keeps them exact
+//! (`rum_core::tracker`'s module doc). Shards that share one tracker stay
+//! exact too: at most one of them holds it at a time and the others charge
+//! it as a foreign thread would.
+//!
 //! RO and UO need those totals split by the class of op that incurred
 //! them, and on the batched path the wrapper's tracker cannot give that:
 //! by the time a mixed batch is folded it holds both classes. The split is
@@ -65,6 +76,7 @@
 //! per-class totals are bit-identical to the serial per-op run's at any K,
 //! pool width and batch size.
 
+use std::ops::{Deref, DerefMut};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -92,6 +104,8 @@ struct Shard {
 
 impl Shard {
     fn new(method: Box<dyn AccessMethod>) -> Arc<Shard> {
+        // Built on the caller's thread; whoever locks it next takes it.
+        method.tracker().release();
         Arc::new(Shard {
             method: Mutex::new(method),
             poisoned: AtomicBool::new(false),
@@ -102,10 +116,40 @@ impl Shard {
     /// job panics are caught *inside* the guard scope (so they never poison
     /// the std mutex), and the `poisoned` flag — not the mutex — is the
     /// authoritative "state is unreliable" signal.
-    fn lock(&self) -> MutexGuard<'_, Box<dyn AccessMethod>> {
-        self.method
+    ///
+    /// The lock holder owns the shard's tracker (module doc): the lock
+    /// takes it, and the drop gives it up before unlocking.
+    fn lock(&self) -> Locked<'_> {
+        let guard = self
+            .method
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        guard.tracker().hold();
+        Locked(guard)
+    }
+}
+
+/// A locked shard, holding the shard's tracker until it unlocks.
+struct Locked<'a>(MutexGuard<'a, Box<dyn AccessMethod>>);
+
+impl Deref for Locked<'_> {
+    type Target = Box<dyn AccessMethod>;
+    fn deref(&self) -> &Self::Target {
+        &self.0
+    }
+}
+
+impl DerefMut for Locked<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.0
+    }
+}
+
+impl Drop for Locked<'_> {
+    fn drop(&mut self) {
+        // Whatever this thread owns of it: the tracker the lock took, or
+        // the one a heal's rebuild just built here.
+        self.0.tracker().release();
     }
 }
 
@@ -1005,6 +1049,48 @@ mod tests {
     }
 
     #[test]
+    fn shards_sharing_one_tracker_count_it_exactly_on_the_pool() {
+        // Every shard charges one account, so at most one worker holds it
+        // at a time and the other charges it as a foreign thread. The
+        // account must read what a serial run puts there: the same ops,
+        // one per inline batch. (The facade's folds are not compared: a
+        // job's delta of a shared account includes its neighbours'
+        // concurrent traffic.)
+        let records = sample_records(500);
+        let ops = mixed_ops(4000);
+        let sharing = |shared: &Arc<CostTracker>| {
+            let shared = Arc::clone(shared);
+            move |_| Box::new(Amp2::with_tracker(Arc::clone(&shared))) as Box<dyn AccessMethod>
+        };
+
+        let serial_account = CostTracker::new();
+        let mut serial = ShardedMethod::with_threads(4, 1, sharing(&serial_account));
+        serial.bulk_load(&records).unwrap();
+        for &op in &ops {
+            serial
+                .submit_batch(&[op], false)
+                .and_then(|b| serial.finish_batch(b))
+                .unwrap();
+        }
+
+        let pooled_account = CostTracker::new();
+        let mut pooled = ShardedMethod::with_threads(4, 2, sharing(&pooled_account));
+        pooled.bulk_load(&records).unwrap();
+        for chunk in ops.chunks(257) {
+            pooled
+                .submit_batch(chunk, false)
+                .and_then(|b| pooled.finish_batch(b))
+                .unwrap();
+        }
+        assert!(pooled.pool_running());
+        assert_eq!(serial_account.snapshot(), pooled_account.snapshot());
+        assert_eq!(
+            serial.range(0, Key::MAX).unwrap(),
+            pooled.range(0, Key::MAX).unwrap()
+        );
+    }
+
+    #[test]
     fn pool_starts_lazily_and_persists_across_batches() {
         let mut sharded = ShardedMethod::with_threads(4, 2, Amp2::boxed);
         assert!(!sharded.pool_running(), "pool starts lazily");
@@ -1072,7 +1158,7 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for k in [1usize, 2, 3, 5, 8] {
+        for k in [1usize, 2, 3, 5, 8, 9, 16] {
             let mut partials: Vec<Vec<Record>> = vec![Vec::new(); k];
             for i in 0..500u64 {
                 let key = next() % 10_000;

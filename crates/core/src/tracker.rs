@@ -20,22 +20,34 @@
 //! A tracker is shared (`Arc<CostTracker>`) between an access method and
 //! the storage substrate beneath it, and may be charged from any thread,
 //! exactly. Each counter is a [`Counter`], a pair of halves, and the
-//! tracker remembers the thread that built it, its *owner*:
+//! tracker names at most one thread as its *owner*, at first the thread
+//! that built it:
 //!
 //! * a charge on the owner thread adds to the `own` half with a relaxed
-//!   load and store, no read-modify-write and so no fence. No other thread
-//!   ever writes `own`, so each load sees the owner's previous store and
-//!   no add is lost;
-//! * a charge from any other thread (a shard pool's worker, a test's
-//!   spawned thread) adds to the `shared` half with `fetch_add`, exact
-//!   under any interleaving;
+//!   load and store, no read-modify-write and so no fence. Only the owner
+//!   writes `own`, so each load sees the owner's previous store and no add
+//!   is lost;
+//! * a charge from any other thread (a test's spawned thread, a worker
+//!   charging a tracker someone else holds) adds to the `shared` half with
+//!   `fetch_add`, exact under any interleaving;
 //! * a [`snapshot`](CostTracker::snapshot) sums the halves: 18 relaxed
 //!   loads. Once every charging thread is joined (or otherwise
 //!   synchronised with the reader) the sums are the exact totals.
 //!
 //! The owner is a per-thread token drawn once from a global sequence that
-//! never repeats, so a tracker whose owner has exited is foreign to every
-//! later thread and their charges all take the `shared` half.
+//! starts at 1 and never repeats, so a tracker whose owner has exited is
+//! foreign to every later thread and their charges all take the `shared`
+//! half. Ownership can move, but only in two steps inside this crate:
+//! the owner gives it up (`release`: a compare-and-swap from its own token
+//! to 0, "unowned", with `Release`), and then one thread takes it (`hold`:
+//! a compare-and-swap from 0 with `Acquire`). The swap reads the store
+//! that gave the tracker up, so the new owner's first load of `own` sees
+//! the old owner's last store, and `own` keeps one writer at a time. A
+//! thread that finds the tracker owned by another leaves it alone and
+//! charges `shared`. This is how a shard pool's worker charges the shard
+//! it has locked at the owner's price: the shard wrapper releases each
+//! shard's tracker once, and whoever holds a shard's lock holds its
+//! tracker (`rum_core::shard`).
 //! [`reset`](CostTracker::reset) stores zero to both halves, so it is
 //! exact when no charge runs concurrently with it, which holds at every
 //! call site: each resets between phases, on the thread that then charges
@@ -90,8 +102,9 @@ pub struct Counter {
 impl Counter {
     /// Add `n` as the counter's sole writer: a relaxed load and store, no
     /// read-modify-write. Exact while each call happens before the next
-    /// (one thread, or a writer handed between threads by a move or a
-    /// join); two threads calling it at once can lose an add.
+    /// (one thread, or a writer handed between threads by a move, a join
+    /// or a tracker's release and hold); two threads calling it at once
+    /// can lose an add.
     #[inline]
     pub fn add_own(&self, n: u64) {
         let v = self.own.load(Ordering::Relaxed);
@@ -124,9 +137,10 @@ thread_local! {
     static TOKEN: Cell<u64> = const { Cell::new(0) };
 }
 
-/// The thread that built a tracker, by token.
+/// The thread that owns a tracker's `own` halves, by token; 0 while no
+/// thread does.
 #[derive(Debug)]
-struct Owner(u64);
+struct Owner(AtomicU64);
 
 impl Owner {
     /// The calling thread's token: one thread-local load once drawn.
@@ -150,20 +164,22 @@ impl Owner {
         t
     }
 
+    /// One relaxed load: only the calling thread ever stores its own
+    /// token, so the load cannot name it unless it is the owner.
     #[inline]
     fn is_current(&self) -> bool {
-        self.0 == Self::current()
+        self.0.load(Ordering::Relaxed) == Self::current()
     }
 }
 
 impl Default for Owner {
     fn default() -> Self {
-        Owner(Self::current())
+        Owner(AtomicU64::new(Self::current()))
     }
 }
 
 /// Shared counter set, exact from any thread and free of read-modify-writes
-/// on the thread that built it. All units are bytes or page counts.
+/// on the thread that owns it. All units are bytes or page counts.
 #[derive(Debug, Default)]
 pub struct CostTracker {
     owner: Owner,
@@ -184,6 +200,29 @@ impl CostTracker {
     /// calling thread becomes its owner.
     pub fn new() -> Arc<Self> {
         Arc::new(Self::default())
+    }
+
+    /// Take ownership if no thread has it, and say whether this call took
+    /// it: then the calling thread's charges take the `own` halves until
+    /// it calls [`release`](Self::release). `false` when the caller owns
+    /// it already or another thread does (the caller's charges then take
+    /// `shared`).
+    pub(crate) fn hold(&self) -> bool {
+        self.owner
+            .0
+            .compare_exchange(0, Owner::current(), Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+    }
+
+    /// Give up ownership if the calling thread has it, so that a later
+    /// [`hold`](Self::hold) on another thread can take it; a no-op
+    /// anywhere else.
+    pub(crate) fn release(&self) {
+        let me = Owner::current();
+        let _ = self
+            .owner
+            .0
+            .compare_exchange(me, 0, Ordering::Release, Ordering::Relaxed);
     }
 
     /// Add each `(counter, n)`: to the `own` halves on the owner thread,
@@ -705,6 +744,102 @@ mod tests {
         }
         assert_eq!(t.snapshot(), charged_times(1 + 4000));
         assert_eq!(t.page_reads.own.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn holders_taking_turns_charge_own_and_a_bystander_charges_shared() {
+        let t = CostTracker::new();
+        t.release();
+        let turn = Arc::new(std::sync::Mutex::new(()));
+        let holders: Vec<_> = (0..2)
+            .map(|_| {
+                let (t, turn) = (Arc::clone(&t), Arc::clone(&turn));
+                std::thread::spawn(move || {
+                    for _ in 0..500 {
+                        let _turn = turn.lock().unwrap();
+                        assert!(t.hold(), "the last holder let go");
+                        for _ in 0..4 {
+                            charge_all(&t);
+                        }
+                        t.release();
+                    }
+                })
+            })
+            .collect();
+        let bystander = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                for _ in 0..3000 {
+                    charge_all(&t);
+                }
+            })
+        };
+        for h in holders {
+            h.join().unwrap();
+        }
+        bystander.join().unwrap();
+        assert_eq!(t.snapshot(), charged_times(2 * 500 * 4 + 3000));
+        // Every holder's add landed in `own`: the bystander never held, so
+        // `shared` has exactly its adds.
+        assert_eq!(t.page_reads.own.load(Ordering::Relaxed), 2 * 500 * 4);
+        assert_eq!(t.page_reads.shared.load(Ordering::Relaxed), 3000);
+        assert_eq!(t.owner.0.load(Ordering::Relaxed), 0, "the last hold let go");
+    }
+
+    #[test]
+    fn holders_racing_for_the_tracker_alone_lose_no_add() {
+        // No lock around the holds: the owner word's release and acquire
+        // are all that orders one holder's `own` stores before the next's.
+        let t = CostTracker::new();
+        t.release();
+        let holders: Vec<_> = (0..2)
+            .map(|_| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    let mut turns = 0;
+                    while turns < 500 {
+                        if !t.hold() {
+                            std::thread::yield_now();
+                            continue;
+                        }
+                        for _ in 0..4 {
+                            charge_all(&t);
+                        }
+                        t.release();
+                        turns += 1;
+                    }
+                })
+            })
+            .collect();
+        for h in holders {
+            h.join().unwrap();
+        }
+        assert_eq!(t.snapshot(), charged_times(2 * 500 * 4));
+        assert_eq!(t.page_reads.shared.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn a_hold_is_a_no_op_for_the_owner_and_while_another_thread_owns() {
+        let t = CostTracker::new();
+        assert!(!t.hold(), "the builder owns it already");
+        charge_all(&t);
+        assert_eq!(t.page_reads.own.load(Ordering::Relaxed), 1, "still owned");
+        let other = {
+            let t = Arc::clone(&t);
+            std::thread::spawn(move || {
+                assert!(!t.hold());
+                t.release();
+                charge_all(&t);
+            })
+        };
+        other.join().unwrap();
+        assert_eq!(t.page_reads.shared.load(Ordering::Relaxed), 1);
+        t.release();
+        assert!(t.hold());
+        assert!(!t.hold(), "a second hold takes nothing");
+        charge_all(&t);
+        assert_eq!(t.page_reads.own.load(Ordering::Relaxed), 2);
+        assert_eq!(t.snapshot(), charged_times(3));
     }
 
     #[test]

@@ -217,7 +217,15 @@ pub fn merge_streams<T: Copy>(
         }
         _ => {}
     }
-    let mut at = vec![0usize; inputs.len()];
+    // One cursor per input, on the stack for the handful a range or a
+    // merge usually has.
+    let (mut few, mut many) = ([0usize; 8], Vec::new());
+    let at: &mut [usize] = if inputs.len() <= few.len() {
+        &mut few[..inputs.len()]
+    } else {
+        many.resize(inputs.len(), 0);
+        &mut many
+    };
     let mut out = Vec::with_capacity(inputs.iter().map(Vec::len).sum());
     loop {
         // Smallest head key; `<=` lets the newest input holding it win.
@@ -275,13 +283,14 @@ mod tests {
     }
 
     proptest::proptest! {
-        /// 0–6 inputs, some empty, over a key domain small enough that
-        /// keys repeat across inputs; a fifth of the values are tombstones.
+        /// 0–11 inputs (past the 8 whose cursors live on the stack), some
+        /// empty, over a key domain small enough that keys repeat across
+        /// inputs; a fifth of the values are tombstones.
         #[test]
         fn the_merge_kernel_matches_the_map_oracle(
             raw in proptest::collection::vec(
                 proptest::collection::btree_set((0u64..48, 0u64..5), 0..40),
-                0..7,
+                0..12,
             ),
             drop_tombstones in proptest::prelude::any::<bool>(),
         ) {
