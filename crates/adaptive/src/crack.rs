@@ -1,13 +1,14 @@
 //! Database cracking: the column partitions itself a little more on every
 //! query, converging from scan cost toward index cost.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use rum_core::{
-    base_bytes, AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceProfile, Value,
+    base_bytes, AccessMethod, CostTracker, DataClass, Key, KeySet, Record, Result, SpaceProfile,
+    Value,
 };
 
 /// Cracking knobs.
@@ -43,11 +44,11 @@ pub struct CrackedColumn {
     /// Recent inserts, not yet cracked.
     pending: Vec<Record>,
     /// Keys deleted from the cracked region but not yet compacted away.
-    deleted: HashSet<Key>,
+    deleted: KeySet,
     /// Liveness oracle (uncharged, like the LSM's): routes upserts and
     /// short-circuits deletes of absent keys without paying lookup cost
     /// that the real operation would not need.
-    live_keys: HashSet<Key>,
+    live_keys: KeySet,
     config: CrackConfig,
     rng: StdRng,
     tracker: Arc<CostTracker>,
@@ -72,8 +73,8 @@ impl CrackedColumn {
             data: Vec::new(),
             index: BTreeMap::new(),
             pending: Vec::new(),
-            deleted: HashSet::new(),
-            live_keys: HashSet::new(),
+            deleted: KeySet::default(),
+            live_keys: KeySet::default(),
             rng: StdRng::seed_from_u64(config.seed),
             config,
             tracker: CostTracker::new(),
@@ -192,8 +193,8 @@ impl CrackedColumn {
         // pending buffer: a deleted-then-reinserted key has its stale copy
         // in the region and its live copy in the buffer.
         if !self.deleted.is_empty() {
-            let deleted = std::mem::take(&mut self.deleted);
-            self.data.retain(|r| !deleted.contains(&r.key));
+            self.data.retain(|r| !self.deleted.contains(r.key));
+            self.deleted.clear();
         }
         self.data.append(&mut self.pending);
         // The fold rewrites the region.
@@ -254,7 +255,7 @@ impl AccessMethod for CrackedColumn {
         if let Some(p) = self.pending_pos(key) {
             return Ok(Some(self.pending[p].value));
         }
-        if self.deleted.contains(&key) {
+        if self.deleted.contains(key) {
             self.tracker.read(DataClass::Aux, 8);
             return Ok(None);
         }
@@ -272,7 +273,7 @@ impl AccessMethod for CrackedColumn {
         self.tracker.read_records(p2.saturating_sub(p1));
         let mut out: Vec<Record> = self.data[p1..p2]
             .iter()
-            .filter(|r| !self.deleted.contains(&r.key))
+            .filter(|r| !self.deleted.contains(r.key))
             .copied()
             .collect();
         // Pending inserts are unindexed: scan them too.
@@ -289,7 +290,7 @@ impl AccessMethod for CrackedColumn {
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
         // Upsert: route to update when the key is live.
-        if self.live_keys.contains(&key) {
+        if self.live_keys.contains(key) {
             self.update_impl(key, value)?;
             return Ok(());
         }
@@ -304,7 +305,7 @@ impl AccessMethod for CrackedColumn {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        if !self.live_keys.contains(&key) {
+        if !self.live_keys.contains(key) {
             return Ok(false);
         }
         if let Some(p) = self.pending_pos(key) {
@@ -312,7 +313,7 @@ impl AccessMethod for CrackedColumn {
             self.tracker.write_records(1);
             return Ok(true);
         }
-        if self.deleted.contains(&key) {
+        if self.deleted.contains(key) {
             return Ok(false);
         }
         let p1 = self.crack_at(key);
@@ -327,7 +328,7 @@ impl AccessMethod for CrackedColumn {
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        if !self.live_keys.remove(&key) {
+        if !self.live_keys.remove(key) {
             return Ok(false);
         }
         if let Some(p) = self.pending_pos(key) {
@@ -346,7 +347,7 @@ impl AccessMethod for CrackedColumn {
         self.index.clear();
         self.pending.clear();
         self.deleted.clear();
-        self.live_keys = records.iter().map(|r| r.key).collect();
+        self.live_keys.assign(records.iter().map(|r| r.key));
         self.tracker.write_records(records.len());
         Ok(())
     }

@@ -12,7 +12,7 @@
 use std::sync::Arc;
 
 use rum_core::{
-    merge_streams, AccessMethod, CostTracker, Key, Record, Result, SpaceProfile, Value,
+    merge_streams, AccessMethod, CostTracker, Key, KeySet, Record, Result, SpaceProfile, Value,
 };
 use rum_storage::MemDevice;
 
@@ -48,7 +48,7 @@ pub struct PartitionedBTree {
     tracker: Arc<CostTracker>,
     /// Liveness oracle (uncharged; see the LSM's note): blind inserts
     /// shadow older copies, so `len` is not derivable from partition sizes.
-    live: std::collections::HashSet<Key>,
+    live: KeySet,
     merges: u64,
 }
 
@@ -65,7 +65,7 @@ impl PartitionedBTree {
             partitions: vec![Self::fresh_tree(&config, &tracker)],
             config,
             tracker,
-            live: std::collections::HashSet::new(),
+            live: KeySet::default(),
             merges: 0,
         }
     }
@@ -121,7 +121,7 @@ impl PartitionedBTree {
     /// The partitions' answers, oldest first, merged newest-wins; keys no
     /// longer live are dropped.
     fn merge_live(&self, answers: &mut [Vec<Record>]) -> Vec<Record> {
-        merge_streams(answers, |r| r.key, |r| self.live.contains(&r.key))
+        merge_streams(answers, |r| r.key, |r| self.live.contains(r.key))
     }
 }
 
@@ -154,7 +154,7 @@ impl AccessMethod for PartitionedBTree {
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
-        if !self.live.contains(&key) {
+        if !self.live.contains(key) {
             // Probing partitions for a dead key would still cost reads in a
             // real PBT; we charge the newest partition's probe to stay
             // honest about misses.
@@ -192,7 +192,7 @@ impl AccessMethod for PartitionedBTree {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        if !self.live.contains(&key) {
+        if !self.live.contains(key) {
             return Ok(false);
         }
         self.insert_impl(key, value)?;
@@ -200,7 +200,7 @@ impl AccessMethod for PartitionedBTree {
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        if !self.live.remove(&key) {
+        if !self.live.remove(key) {
             return Ok(false);
         }
         // Remove the key from every partition that holds a copy (a PBT
@@ -215,7 +215,7 @@ impl AccessMethod for PartitionedBTree {
         let mut consolidated = Self::fresh_tree(&self.config, &self.tracker);
         consolidated.bulk_load_impl(records)?;
         self.partitions = vec![consolidated];
-        self.live = records.iter().map(|r| r.key).collect();
+        self.live.assign(records.iter().map(|r| r.key));
         // A freshly loaded PBT still needs an empty active partition so
         // new inserts stay cheap.
         self.partitions

@@ -12,11 +12,10 @@
 //! deletes append a tombstone. Nothing is ever reclaimed: that is the
 //! point.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use rum_core::{
-    encode_records, AccessMethod, CostTracker, DataClass, Key, Record, RecordSlice, Result,
+    encode_records, AccessMethod, CostTracker, DataClass, Key, KeySet, Record, RecordSlice, Result,
     SpaceProfile, Value, RECORDS_PER_PAGE, RECORD_SIZE,
 };
 use rum_storage::{MemDevice, PageBuf, PageId, Pager};
@@ -34,7 +33,7 @@ pub struct AppendLog {
     /// bookkeeping for `len()` and return values, *not* part of the
     /// structure — it is neither charged as traffic nor counted as space
     /// (the log itself has no index; that is its defining property).
-    live: HashSet<Key>,
+    live: KeySet,
     pager: Pager<MemDevice>,
 }
 
@@ -43,7 +42,7 @@ impl AppendLog {
         AppendLog {
             sealed: Vec::new(),
             tail: Vec::new(),
-            live: HashSet::new(),
+            live: KeySet::default(),
             pager: Pager::new(MemDevice::new(), CostTracker::new()),
         }
     }
@@ -167,7 +166,7 @@ impl AccessMethod for AppendLog {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        if !self.live.contains(&key) {
+        if !self.live.contains(key) {
             return Ok(false);
         }
         self.append(Record::new(key, value))?;
@@ -175,11 +174,11 @@ impl AccessMethod for AppendLog {
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        if !self.live.contains(&key) {
+        if !self.live.contains(key) {
             return Ok(false);
         }
         self.append(Record::new(key, TOMBSTONE))?;
-        self.live.remove(&key);
+        self.live.remove(key);
         Ok(true)
     }
 
@@ -188,10 +187,9 @@ impl AccessMethod for AppendLog {
             self.pager.free(id)?;
         }
         self.tail.clear();
-        self.live.clear();
+        self.live.assign(records.iter().map(|r| r.key));
         for r in records {
             self.append(*r)?;
-            self.live.insert(r.key);
         }
         Ok(())
     }
@@ -249,7 +247,7 @@ mod tests {
     impl AppendLog {
         /// Test helper: upsert regardless of liveness.
         fn update_or_insert(&mut self, k: Key, v: Value) {
-            if self.live.contains(&k) {
+            if self.live.contains(k) {
                 self.update(k, v).unwrap();
             } else {
                 self.insert(k, v).unwrap();

@@ -22,6 +22,8 @@
 //! * [`tracker`] — [`CostTracker`], the instrumented
 //!   counter set from which all three amplifications are computed.
 //! * [`access`] — the [`AccessMethod`] trait.
+//! * [`keyset`] — [`KeySet`], the compact exact key set behind every
+//!   method's uncharged liveness oracle.
 //! * [`workload`] — seeded workload generators (uniform / zipfian /
 //!   sequential key distributions, configurable operation mixes).
 //! * [`oracle`] — the one differential oracle: a `BTreeMap` model of the
@@ -55,6 +57,7 @@ pub mod access;
 pub mod advisor;
 pub mod autotune;
 pub mod error;
+pub mod keyset;
 pub mod metrics;
 pub mod oracle;
 pub mod runner;
@@ -72,6 +75,7 @@ pub use autotune::{
     RetuneEstimate, TuneKind, TunePlan,
 };
 pub use error::{panic_payload_message, Result, RumError};
+pub use keyset::KeySet;
 pub use metrics::{ClassAttribution, DebtLedger, DebtSnapshot, MetricsPlane, OpClass};
 pub use shard::ShardedMethod;
 pub use trace::{

@@ -1,12 +1,11 @@
 //! The LSM-tree proper: memtable + levelled/tiered run hierarchy.
 
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use rum_core::trace::{EventKind, TraceSink};
 use rum_core::{
-    merge_streams, AccessMethod, CostSnapshot, CostTracker, Key, Record, Result, SpaceProfile,
-    Value,
+    merge_streams, AccessMethod, CostSnapshot, CostTracker, Key, KeySet, Record, Result,
+    SpaceProfile, Value,
 };
 use rum_storage::{BlockDevice, CheckedDevice, MemDevice, Pager, RetryPolicy, ScrubReport};
 
@@ -92,7 +91,7 @@ pub struct LsmTree<D: BlockDevice = MemDevice> {
     /// part of the structure (neither charged nor counted as space); an
     /// LSM cannot know liveness without reads, and the paper's UO model
     /// assumes blind writes.
-    live: HashSet<Key>,
+    live: KeySet,
     compactions: u64,
     /// Structured-event channel for flush/compaction records; the disabled
     /// [`NoopSink`](rum_core::trace::NoopSink) by default.
@@ -136,7 +135,7 @@ impl<D: BlockDevice> LsmTree<D> {
             levels: Vec::new(),
             pager: Pager::new(device, Arc::clone(&tracker)),
             tracker,
-            live: HashSet::new(),
+            live: KeySet::default(),
             compactions: 0,
             sink: rum_core::trace::noop_sink(),
             view: None,
@@ -330,7 +329,7 @@ impl<D: BlockDevice> LsmTree<D> {
     /// gets its id. The view's refresh needs the new run to be newer than
     /// every run that survives it: it is pushed last in its level, and the
     /// cascade that calls this has emptied every shallower level.
-    fn place_run(&mut self, level: usize, records: Vec<Record>) -> Result<()> {
+    fn place_run(&mut self, level: usize, records: &[Record]) -> Result<()> {
         self.mark_view_stale();
         self.ensure_level(level);
         debug_assert!(
@@ -342,7 +341,7 @@ impl<D: BlockDevice> LsmTree<D> {
         }
         let run = SortedRun::build(
             &mut self.pager,
-            &records,
+            records,
             self.config.filter,
             self.config.bloom_bits_per_key,
         )?
@@ -351,6 +350,15 @@ impl<D: BlockDevice> LsmTree<D> {
         // interval; 2^32 placements apart is as good as unique.
         self.next_run_id = self.next_run_id.wrapping_add(1);
         self.levels[level].push(run);
+        Ok(())
+    }
+
+    /// Free every run in `runs`, in order, leaving the vector empty with
+    /// its capacity.
+    fn destroy_runs(pager: &mut Pager<D>, runs: &mut Vec<SortedRun>) -> Result<()> {
+        for run in runs.drain(..) {
+            run.destroy(pager)?;
+        }
         Ok(())
     }
 
@@ -374,18 +382,21 @@ impl<D: BlockDevice> LsmTree<D> {
             // Merge everything at `level` plus (for levelling) the run
             // already at level+1, and place the result at level+1.
             self.ensure_level(level + 1);
-            let mut inputs: Vec<Vec<Record>> = Vec::new();
-            let mut to_destroy = Vec::new();
-            if self.config.policy == CompactionPolicy::Levelling {
-                for run in std::mem::take(&mut self.levels[level + 1]) {
-                    inputs.push(run.scan_all(&mut self.pager)?);
-                    to_destroy.push(run);
-                }
+            let levelling = self.config.policy == CompactionPolicy::Levelling;
+            let mut below = if levelling {
+                std::mem::take(&mut self.levels[level + 1])
+            } else {
+                Vec::new()
+            };
+            let mut inputs: Vec<Vec<Record>> =
+                Vec::with_capacity(below.len() + self.levels[level].len());
+            for run in &below {
+                inputs.push(run.scan_all(&mut self.pager)?);
             }
             // Oldest first within the level.
-            for run in std::mem::take(&mut self.levels[level]) {
+            let mut here = std::mem::take(&mut self.levels[level]);
+            for run in &here {
                 inputs.push(run.scan_all(&mut self.pager)?);
-                to_destroy.push(run);
             }
             // Tombstones may be dropped only when every older version is
             // part of this merge: nothing deeper than level+1, and (for
@@ -400,10 +411,14 @@ impl<D: BlockDevice> LsmTree<D> {
             let records_in: usize = inputs.iter().map(Vec::len).sum();
             let merged = Self::merge_doomed(inputs, drop_tomb);
             let records_out = merged.len();
-            for run in to_destroy {
-                run.destroy(&mut self.pager)?;
+            Self::destroy_runs(&mut self.pager, &mut below)?;
+            Self::destroy_runs(&mut self.pager, &mut here)?;
+            // The emptied levels keep their buffers for the runs to come.
+            self.levels[level] = here;
+            if levelling {
+                self.levels[level + 1] = below;
             }
-            self.place_run(level + 1, merged)?;
+            self.place_run(level + 1, &merged)?;
             self.compactions += 1;
             if let Some(before) = before {
                 let d = self.tracker.since(&before);
@@ -536,7 +551,7 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
-        if !self.live.contains(&key) {
+        if !self.live.contains(key) {
             return Ok(false);
         }
         self.memtable.put(key, value, &self.tracker);
@@ -547,7 +562,7 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn delete_impl(&mut self, key: Key) -> Result<bool> {
-        if !self.live.remove(&key) {
+        if !self.live.remove(key) {
             return Ok(false);
         }
         self.memtable.put(key, TOMBSTONE, &self.tracker);
@@ -565,13 +580,13 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
                 run.destroy(&mut self.pager)?;
             }
         }
-        self.live = records.iter().map(|r| r.key).collect();
+        self.live.assign(records.iter().map(|r| r.key));
         // One run at the shallowest level that fits it.
         let mut level = 0;
         while self.capacity(level) < records.len() {
             level += 1;
         }
-        self.place_run(level, records.to_vec())
+        self.place_run(level, records)
     }
 
     /// Flush the memtable and run compactions to restore invariants.
@@ -588,25 +603,23 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
             CompactionPolicy::Levelling => {
                 // Merge with the existing level-0 run eagerly.
                 self.ensure_level(0);
-                let old: Vec<SortedRun> = std::mem::take(&mut self.levels[0]);
-                let mut inputs = Vec::new();
-                let mut doomed = Vec::new();
-                for run in old {
+                let mut old = std::mem::take(&mut self.levels[0]);
+                let mut inputs = Vec::with_capacity(old.len() + 1);
+                for run in &old {
                     inputs.push(run.scan_all(&mut self.pager)?);
-                    doomed.push(run);
                 }
                 inputs.push(fresh);
                 let drop_tomb = self.is_bottom(0);
                 let merged = Self::merge_doomed(inputs, drop_tomb);
                 records_out = merged.len();
-                for run in doomed {
-                    run.destroy(&mut self.pager)?;
-                }
-                self.place_run(0, merged)?;
+                Self::destroy_runs(&mut self.pager, &mut old)?;
+                // The emptied level keeps its buffer for the merged run.
+                self.levels[0] = old;
+                self.place_run(0, &merged)?;
             }
             CompactionPolicy::Tiering => {
                 records_out = fresh.len();
-                self.place_run(0, fresh)?;
+                self.place_run(0, &fresh)?;
             }
         }
         if let Some(before) = before {
