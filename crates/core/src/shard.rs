@@ -56,9 +56,9 @@
 //! per-op call, a heal or a read of its state) takes the tracker until it
 //! unlocks. Its charges then take the owner's fence-free path on whichever
 //! thread runs them, and the hand-over keeps them exact
-//! (`rum_core::tracker`'s module doc). Shards that share one tracker stay
-//! exact too: at most one of them holds it at a time and the others charge
-//! it as a foreign thread would.
+//! (`rum_core::tracker`'s module doc). Each shard needs a tracker of its
+//! own: a job's delta of a tracker two shards share would hold its
+//! neighbour's concurrent traffic too, so the facade refuses such shards.
 //!
 //! RO and UO need those totals split by the class of op that incurred
 //! them, and on the batched path the wrapper's tracker cannot give that:
@@ -447,13 +447,22 @@ impl ShardedMethod {
 
     /// `k` shards with an explicit batch worker count (capped at `k`;
     /// `threads <= 1` executes batches inline, in shard order, with no
-    /// pool).
+    /// pool). Panics if `k` is 0 or two shards share one tracker.
     pub fn with_threads<F>(k: usize, threads: usize, factory: F) -> Self
     where
         F: Fn(usize) -> Box<dyn AccessMethod>,
     {
         assert!(k >= 1, "a sharded method needs at least one shard");
-        let shards: Vec<Arc<Shard>> = (0..k).map(|i| Shard::new(factory(i))).collect();
+        let methods: Vec<_> = (0..k).map(factory).collect();
+        for (i, m) in methods.iter().enumerate() {
+            assert!(
+                methods[..i]
+                    .iter()
+                    .all(|o| !Arc::ptr_eq(o.tracker(), m.tracker())),
+                "shard {i} shares its tracker with an earlier shard; each shard needs its own"
+            );
+        }
+        let shards: Vec<Arc<Shard>> = methods.into_iter().map(Shard::new).collect();
         let name = format!("{}-x{}", shards[0].lock().name(), k);
         ShardedMethod {
             name,
@@ -537,10 +546,10 @@ impl ShardedMethod {
         let slot = &self.shards[index];
         let mut guard = slot.lock();
         let before = guard.tracker().snapshot();
-        let repaired = guard.try_heal()?;
-        let delta = guard.tracker().since(&before);
-        self.tracker.absorb(&delta);
-        if !repaired {
+        let repaired = guard.try_heal();
+        // Folded on every exit: a failed repair's traffic is still spent.
+        self.tracker.absorb(&guard.tracker().since(&before));
+        if !repaired? {
             return Err(RumError::Corrupt(format!(
                 "shard {index} cannot heal: the inner method has no self-repair"
             )));
@@ -1049,45 +1058,14 @@ mod tests {
     }
 
     #[test]
-    fn shards_sharing_one_tracker_count_it_exactly_on_the_pool() {
-        // Every shard charges one account, so at most one worker holds it
-        // at a time and the other charges it as a foreign thread. The
-        // account must read what a serial run puts there: the same ops,
-        // one per inline batch. (The facade's folds are not compared: a
-        // job's delta of a shared account includes its neighbours'
-        // concurrent traffic.)
-        let records = sample_records(500);
-        let ops = mixed_ops(4000);
-        let sharing = |shared: &Arc<CostTracker>| {
-            let shared = Arc::clone(shared);
-            move |_| Box::new(Amp2::with_tracker(Arc::clone(&shared))) as Box<dyn AccessMethod>
-        };
-
-        let serial_account = CostTracker::new();
-        let mut serial = ShardedMethod::with_threads(4, 1, sharing(&serial_account));
-        serial.bulk_load(&records).unwrap();
-        for &op in &ops {
-            serial
-                .submit_batch(&[op], false)
-                .and_then(|b| serial.finish_batch(b))
-                .unwrap();
-        }
-
-        let pooled_account = CostTracker::new();
-        let mut pooled = ShardedMethod::with_threads(4, 2, sharing(&pooled_account));
-        pooled.bulk_load(&records).unwrap();
-        for chunk in ops.chunks(257) {
-            pooled
-                .submit_batch(chunk, false)
-                .and_then(|b| pooled.finish_batch(b))
-                .unwrap();
-        }
-        assert!(pooled.pool_running());
-        assert_eq!(serial_account.snapshot(), pooled_account.snapshot());
-        assert_eq!(
-            serial.range(0, Key::MAX).unwrap(),
-            pooled.range(0, Key::MAX).unwrap()
-        );
+    #[should_panic(expected = "shares its tracker")]
+    fn shards_sharing_one_tracker_are_refused() {
+        // A job's delta of a shared tracker would hold its neighbours'
+        // concurrent traffic, so the facade would count it twice.
+        let shared = CostTracker::new();
+        let _ = ShardedMethod::with_threads(4, 2, |_| {
+            Box::new(Amp2::with_tracker(Arc::clone(&shared))) as Box<dyn AccessMethod>
+        });
     }
 
     #[test]
@@ -1214,8 +1192,8 @@ mod tests {
     struct Trip {
         inner: Amp2,
         trigger: Key,
-        /// When set, `try_heal` claims self-repair (data preserved).
-        self_heals: bool,
+        /// What `try_heal` does.
+        heal: Heal,
         /// Return `Err` at the tripwire instead of panicking.
         errors: bool,
     }
@@ -1225,16 +1203,30 @@ mod tests {
     const TRIP_READ_BYTES: u64 = 7;
     const TRIP_WRITE_BYTES: u64 = 11;
 
+    /// What a [`Trip`]'s `try_heal` does.
+    #[derive(Clone, Copy)]
+    enum Heal {
+        /// Reports no self-repair.
+        Refuses,
+        /// Claims self-repair (data preserved).
+        Repairs,
+        /// Charges [`TRIP_HEAL_BYTES`], then fails.
+        Fails,
+    }
+
+    /// What a failing heal charges before it errs.
+    const TRIP_HEAL_BYTES: u64 = 13;
+
     impl Trip {
-        fn factory(trigger: Key, self_heals: bool) -> impl Fn(usize) -> Box<dyn AccessMethod> {
-            move |_| Trip::boxed(trigger, self_heals, false)
+        fn factory(trigger: Key, heal: Heal) -> impl Fn(usize) -> Box<dyn AccessMethod> {
+            move |_| Trip::boxed(trigger, heal, false)
         }
 
-        fn boxed(trigger: Key, self_heals: bool, errors: bool) -> Box<dyn AccessMethod> {
+        fn boxed(trigger: Key, heal: Heal, errors: bool) -> Box<dyn AccessMethod> {
             Box::new(Trip {
                 inner: Amp2::new(),
                 trigger,
-                self_heals,
+                heal,
                 errors,
             })
         }
@@ -1289,7 +1281,14 @@ mod tests {
             self.inner.bulk_load_impl(records)
         }
         fn try_heal(&mut self) -> Result<bool> {
-            Ok(self.self_heals)
+            match self.heal {
+                Heal::Refuses => Ok(false),
+                Heal::Repairs => Ok(true),
+                Heal::Fails => {
+                    self.tracker().read(DataClass::Aux, TRIP_HEAL_BYTES);
+                    Err(RumError::Corrupt("repair failed".into()))
+                }
+            }
         }
     }
 
@@ -1306,7 +1305,7 @@ mod tests {
         let trigger: Key = 0xBAD_F00D;
         // threads = 1: batches run inline through the same job runner the
         // pool uses, so poisoning is deterministic and thread-free.
-        let mut sharded = ShardedMethod::with_threads(2, 1, Trip::factory(trigger, false));
+        let mut sharded = ShardedMethod::with_threads(2, 1, Trip::factory(trigger, Heal::Refuses));
         let sink = crate::trace::MemorySink::shared();
         sharded.set_trace_sink(Arc::clone(&sink) as _);
         let bad = sharded.shard_of(trigger);
@@ -1345,7 +1344,7 @@ mod tests {
     #[test]
     fn heal_prefers_the_inner_methods_own_repair() {
         let trigger: Key = 0xBAD_F00D;
-        let mut sharded = ShardedMethod::with_threads(2, 1, Trip::factory(trigger, true));
+        let mut sharded = ShardedMethod::with_threads(2, 1, Trip::factory(trigger, Heal::Repairs));
         let sink = crate::trace::MemorySink::shared();
         sharded.set_trace_sink(Arc::clone(&sink) as _);
         let bad = sharded.shard_of(trigger);
@@ -1378,6 +1377,29 @@ mod tests {
             .is_err());
         assert!(sharded.try_heal().unwrap());
         assert!(sharded.poisoned_shards().is_empty());
+    }
+
+    #[test]
+    fn a_failed_heal_still_folds_its_traffic() {
+        let trigger: Key = 0xBAD_F00D;
+        let mut sharded = ShardedMethod::with_threads(2, 1, Trip::factory(trigger, Heal::Fails));
+        let bad = sharded.shard_of(trigger);
+        assert!(sharded
+            .submit_batch(&[Op::Insert(trigger, 1)], false)
+            .and_then(|b| sharded.finish_batch(b))
+            .is_err());
+        assert_eq!(sharded.poisoned_shards(), vec![bad]);
+        let facade = sharded.tracker().snapshot();
+        let shard = sharded.shards[bad].lock().tracker().snapshot();
+        assert!(sharded.heal().is_err());
+        let facade_delta = sharded.tracker().since(&facade);
+        let shard_delta = sharded.shards[bad].lock().tracker().since(&shard);
+        assert_eq!(shard_delta.aux_read_bytes, TRIP_HEAL_BYTES);
+        assert_eq!(
+            facade_delta, shard_delta,
+            "the facade must see the heal's traffic"
+        );
+        assert_eq!(sharded.poisoned_shards(), vec![bad], "still refused");
     }
 
     /// Per-class traffic of `ops` applied one at a time to `m`, the
@@ -1417,7 +1439,7 @@ mod tests {
                     let mut ops = healthy.clone();
                     ops.insert(at, tripped);
 
-                    let mut reference = Trip::boxed(trigger, false, true);
+                    let mut reference = Trip::boxed(trigger, Heal::Refuses, true);
                     reference.bulk_load_impl(&records).unwrap();
                     let (read, write) = per_op_split(reference.as_mut(), &ops);
                     let tripped_part = if tripped.is_read() { read } else { write };
@@ -1426,7 +1448,7 @@ mod tests {
                         "{ctx}: the failing op must leave partial traffic behind"
                     );
 
-                    let shard = Shard::new(Trip::boxed(trigger, false, errors));
+                    let shard = Shard::new(Trip::boxed(trigger, Heal::Refuses, errors));
                     let load = run_shard_job(&shard, 0, JobPayload::Load(records.clone()), false);
                     assert_eq!(load.read_delta, CostSnapshot::default(), "{ctx}");
                     let c = run_shard_job(&shard, 0, JobPayload::Ops(ops.clone()), true);
@@ -1474,8 +1496,9 @@ mod tests {
 
                     // Reference: per-op through the facade, skipping what
                     // the failed shard never reached.
-                    let mut reference =
-                        ShardedMethod::with_threads(2, 1, |_| Trip::boxed(trigger, false, true));
+                    let mut reference = ShardedMethod::with_threads(2, 1, |_| {
+                        Trip::boxed(trigger, Heal::Refuses, true)
+                    });
                     reference.bulk_load(&records).unwrap();
                     let bad = reference.shard_of(trigger);
                     let reached: Vec<Op> = ops
@@ -1502,7 +1525,7 @@ mod tests {
                     }
 
                     let mut batched = ShardedMethod::with_threads(2, threads, |_| {
-                        Trip::boxed(trigger, false, errors)
+                        Trip::boxed(trigger, Heal::Refuses, errors)
                     });
                     batched.bulk_load(&records).unwrap();
                     let before = batched.tracker().snapshot();

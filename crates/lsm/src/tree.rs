@@ -82,11 +82,10 @@ pub struct LsmTree<D: BlockDevice = MemDevice> {
     memtable: Memtable,
     /// `levels[i]` holds the runs of level i, **oldest first**.
     levels: Vec<Vec<SortedRun>>,
+    /// The tree's pages, and through [`Pager::tracker`] its account: every
+    /// charge the tree makes, on a page or not, lands on the pager's
+    /// tracker.
     pager: Pager<D>,
-    /// The tree's account. Kept beside the pager's, not read from it:
-    /// `ensure_view` points the pager at a scratch tracker for the length
-    /// of a view refresh, then rebooks that traffic here.
-    tracker: Arc<CostTracker>,
     /// Liveness oracle for `len()` and update/delete return values — not
     /// part of the structure (neither charged nor counted as space); an
     /// LSM cannot know liveness without reads, and the paper's UO model
@@ -128,13 +127,11 @@ impl<D: BlockDevice> LsmTree<D> {
     pub fn with_device(device: D, config: LsmConfig) -> Self {
         assert!(config.size_ratio >= 2, "size ratio T must be >= 2");
         assert!(config.memtable_records >= 16, "memtable too small");
-        let tracker = CostTracker::new();
         LsmTree {
             config,
             memtable: Memtable::new(),
             levels: Vec::new(),
-            pager: Pager::new(device, Arc::clone(&tracker)),
-            tracker,
+            pager: Pager::new(device, CostTracker::new()),
             live: KeySet::default(),
             compactions: 0,
             sink: rum_core::trace::noop_sink(),
@@ -212,14 +209,6 @@ impl<D: BlockDevice> LsmTree<D> {
         }
     }
 
-    /// Whether every level strictly below `level` is empty.
-    fn is_bottom(&self, level: usize) -> bool {
-        self.levels
-            .iter()
-            .skip(level + 1)
-            .all(|runs| runs.is_empty())
-    }
-
     /// Merge record streams ordered **oldest → newest**, newest version
     /// winning; optionally drop tombstones (safe only at the bottom).
     fn merge_records(inputs: &mut [Vec<Record>], drop_tombstones: bool) -> Vec<Record> {
@@ -255,7 +244,7 @@ impl<D: BlockDevice> LsmTree<D> {
     /// Lay the memtable's `[lo, hi]` over `out`, the runs' live answer
     /// for that range: its versions win and its tombstones delete.
     fn overlay_memtable(&self, out: &mut Vec<Record>, lo: Key, hi: Key) {
-        let mem = self.memtable.range(lo, hi, &self.tracker);
+        let mem = self.memtable.range(lo, hi, self.pager.tracker());
         overlay(out, mem, |r| r.key, |r| r.value == TOMBSTONE);
     }
 
@@ -293,16 +282,19 @@ impl<D: BlockDevice> LsmTree<D> {
         if self.view_current {
             return Ok(());
         }
+        // The refresh reads on a scratch tracker, held apart from the
+        // account, which then books that traffic as maintenance.
+        let account = Arc::clone(self.pager.tracker());
         let scratch = CostTracker::new();
         self.pager.set_tracker(Arc::clone(&scratch));
         let view = self.view.get_or_insert_with(SortedView::default);
         let refreshed = view.refresh(&mut self.pager, runs_oldest_first(&self.levels));
-        self.pager.set_tracker(Arc::clone(&self.tracker));
+        self.pager.set_tracker(account);
         let did = refreshed?;
         self.view_current = true;
         let d = scratch.snapshot();
         let consumed = d.total_read_bytes() + did.old_anchors as u64 * ENTRY_BYTES;
-        self.tracker.absorb(&CostSnapshot {
+        self.pager.tracker().absorb(&CostSnapshot {
             aux_write_bytes: consumed + view.size_bytes(),
             page_writes: d.page_reads,
             sim_time_ns: d.sim_time_ns,
@@ -362,80 +354,125 @@ impl<D: BlockDevice> LsmTree<D> {
         Ok(())
     }
 
-    /// Restore level-size invariants after new data arrived at `from`.
-    fn compact_from(&mut self, from: usize) -> Result<()> {
-        let mut level = from;
+    /// The one merge every flush and compaction runs: take the runs of
+    /// the levels in `read` (oldest first, at most two), scan them in that
+    /// order, then add `fresh` (the drained memtable, newest of all), merge
+    /// newest-wins, free the runs in the order they were read and place the
+    /// result at `to`. The emptied levels keep their buffers for the runs
+    /// to come. Returns the records merged in and written out.
+    fn merge_step(
+        &mut self,
+        read: &[usize],
+        fresh: Option<Vec<Record>>,
+        to: usize,
+    ) -> Result<(usize, usize)> {
+        self.ensure_level(to);
+        let width = read.iter().map(|&l| self.levels[l].len()).sum::<usize>();
+        let mut inputs = Vec::with_capacity(width + usize::from(fresh.is_some()));
+        let mut doomed: [Vec<SortedRun>; 2] = Default::default();
+        debug_assert!(
+            read.len() <= doomed.len(),
+            "a merge step reads at most two levels"
+        );
+        for (runs, &level) in doomed.iter_mut().zip(read) {
+            *runs = std::mem::take(&mut self.levels[level]);
+            for run in runs.iter() {
+                inputs.push(run.scan_all(&mut self.pager)?);
+            }
+        }
+        inputs.extend(fresh);
+        // Every shallower level is empty (the cascade drains it first), so
+        // once the read levels are out, an empty tree means no older
+        // version survives outside this merge and tombstones may go.
+        let bottom = self.levels.iter().all(Vec::is_empty);
+        let records_in = inputs.iter().map(Vec::len).sum();
+        let merged = Self::merge_doomed(inputs, bottom);
+        for (runs, &level) in doomed.iter_mut().zip(read) {
+            Self::destroy_runs(&mut self.pager, runs)?;
+            self.levels[level] = std::mem::take(runs);
+        }
+        self.place_run(to, &merged)?;
+        Ok((records_in, merged.len()))
+    }
+
+    /// Run one flush (`compaction` is `None`: an `LsmFlush` at level 0) or
+    /// one compaction of a level into the next (`Some((level, to))`: an
+    /// `LsmCompaction`), and when traced emit its event with the records
+    /// `step` reports moving in and out and the traffic it charged. A
+    /// flush's event holds only the flush: the compactions it triggers
+    /// report their own.
+    fn traced_step(
+        &mut self,
+        compaction: Option<(usize, usize)>,
+        step: impl FnOnce(&mut Self) -> Result<(usize, usize)>,
+    ) -> Result<()> {
+        let before = self.sink.enabled().then(|| self.pager.tracker().snapshot());
+        let (records_in, records_out) = step(self)?;
+        let Some(before) = before else {
+            return Ok(());
+        };
+        let d = self.pager.tracker().since(&before);
+        let [records_in, records_out, read_bytes, bytes] = [
+            ("records_in", records_in as u64),
+            ("records_out", records_out as u64),
+            ("read_bytes", d.total_read_bytes()),
+            ("bytes", d.total_write_bytes()),
+        ];
+        match compaction {
+            None => self.sink.emit(
+                EventKind::LsmFlush,
+                &[("level", 0), records_in, records_out, read_bytes, bytes],
+            ),
+            Some((level, to)) => self.sink.emit(
+                EventKind::LsmCompaction,
+                &[
+                    ("level", level as u64),
+                    ("to_level", to as u64),
+                    records_in,
+                    records_out,
+                    read_bytes,
+                    bytes,
+                ],
+            ),
+        }
+        Ok(())
+    }
+
+    /// Restore level-size invariants after a flush into level 0: a full
+    /// level merges into the next (levelling: with the run already there;
+    /// tiering: as one more run), and so on down while levels overflow.
+    fn compact(&mut self) -> Result<()> {
+        let mut level = 0;
         loop {
             self.ensure_level(level);
-            let trigger = match self.config.policy {
+            let full = match self.config.policy {
                 CompactionPolicy::Levelling => {
                     let entries: usize = self.levels[level].iter().map(|r| r.len()).sum();
                     entries > self.capacity(level)
                 }
                 CompactionPolicy::Tiering => self.levels[level].len() >= self.config.size_ratio,
             };
-            if !trigger {
+            if !full {
                 return Ok(());
             }
-            let traced = self.sink.enabled();
-            let before = traced.then(|| self.tracker.snapshot());
-            // Merge everything at `level` plus (for levelling) the run
-            // already at level+1, and place the result at level+1.
-            self.ensure_level(level + 1);
-            let levelling = self.config.policy == CompactionPolicy::Levelling;
-            let mut below = if levelling {
-                std::mem::take(&mut self.levels[level + 1])
-            } else {
-                Vec::new()
-            };
-            let mut inputs: Vec<Vec<Record>> =
-                Vec::with_capacity(below.len() + self.levels[level].len());
-            for run in &below {
-                inputs.push(run.scan_all(&mut self.pager)?);
-            }
-            // Oldest first within the level.
-            let mut here = std::mem::take(&mut self.levels[level]);
-            for run in &here {
-                inputs.push(run.scan_all(&mut self.pager)?);
-            }
-            // Tombstones may be dropped only when every older version is
-            // part of this merge: nothing deeper than level+1, and (for
-            // tiering, which does not consume level+1's runs) level+1
-            // itself must be empty.
-            let drop_tomb = match self.config.policy {
-                CompactionPolicy::Levelling => self.is_bottom(level + 1),
-                CompactionPolicy::Tiering => {
-                    self.levels[level + 1].is_empty() && self.is_bottom(level + 1)
-                }
-            };
-            let records_in: usize = inputs.iter().map(Vec::len).sum();
-            let merged = Self::merge_doomed(inputs, drop_tomb);
-            let records_out = merged.len();
-            Self::destroy_runs(&mut self.pager, &mut below)?;
-            Self::destroy_runs(&mut self.pager, &mut here)?;
-            // The emptied levels keep their buffers for the runs to come.
-            self.levels[level] = here;
-            if levelling {
-                self.levels[level + 1] = below;
-            }
-            self.place_run(level + 1, &merged)?;
+            let to = level + 1;
+            self.traced_step(Some((level, to)), |t| match t.config.policy {
+                CompactionPolicy::Levelling => t.merge_step(&[to, level], None, to),
+                CompactionPolicy::Tiering => t.merge_step(&[level], None, to),
+            })?;
             self.compactions += 1;
-            if let Some(before) = before {
-                let d = self.tracker.since(&before);
-                self.sink.emit(
-                    EventKind::LsmCompaction,
-                    &[
-                        ("level", level as u64),
-                        ("to_level", level as u64 + 1),
-                        ("records_in", records_in as u64),
-                        ("records_out", records_out as u64),
-                        ("read_bytes", d.total_read_bytes()),
-                        ("bytes", d.total_write_bytes()),
-                    ],
-                );
-            }
-            level += 1;
+            level = to;
         }
+    }
+
+    /// Buffer `value` (a tombstone for a delete) for `key`, flushing a
+    /// full memtable.
+    fn put(&mut self, key: Key, value: Value) -> Result<()> {
+        self.memtable.put(key, value, self.pager.tracker());
+        if self.memtable.len() >= self.config.memtable_records {
+            self.flush()?;
+        }
+        Ok(())
     }
 }
 
@@ -472,7 +509,7 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn tracker(&self) -> &Arc<CostTracker> {
-        &self.tracker
+        self.pager.tracker()
     }
 
     fn space_profile(&self) -> SpaceProfile {
@@ -488,7 +525,7 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn get_impl(&mut self, key: Key) -> Result<Option<Value>> {
-        if let Some(v) = self.memtable.get(key, &self.tracker) {
+        if let Some(v) = self.memtable.get(key, self.pager.tracker()) {
             return Ok(if v == TOMBSTONE { None } else { Some(v) });
         }
         // Top level first; within a level, newest run first.
@@ -508,13 +545,13 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
             self.ensure_view()?;
             // Snapshot after ensure_view so the hit event prices the
             // query itself, not a refresh it happened to trigger.
-            let before = self.sink.enabled().then(|| self.tracker.snapshot());
+            let before = self.sink.enabled().then(|| self.pager.tracker().snapshot());
             let view = self.view.as_ref().expect("ensure_view just refreshed it");
             let runs = runs_oldest_first(&self.levels);
             let mut out = view.range(&mut self.pager, runs, lo, hi)?;
             self.overlay_memtable(&mut out, lo, hi);
             if let Some(before) = before {
-                let d = self.tracker.since(&before);
+                let d = self.pager.tracker().since(&before);
                 self.sink.emit(
                     EventKind::LsmViewHit,
                     &[
@@ -542,22 +579,15 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
     }
 
     fn insert_impl(&mut self, key: Key, value: Value) -> Result<()> {
-        self.memtable.put(key, value, &self.tracker);
         self.live.insert(key);
-        if self.memtable.len() >= self.config.memtable_records {
-            self.flush()?;
-        }
-        Ok(())
+        self.put(key, value)
     }
 
     fn update_impl(&mut self, key: Key, value: Value) -> Result<bool> {
         if !self.live.contains(key) {
             return Ok(false);
         }
-        self.memtable.put(key, value, &self.tracker);
-        if self.memtable.len() >= self.config.memtable_records {
-            self.flush()?;
-        }
+        self.put(key, value)?;
         Ok(true)
     }
 
@@ -565,20 +595,15 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
         if !self.live.remove(key) {
             return Ok(false);
         }
-        self.memtable.put(key, TOMBSTONE, &self.tracker);
-        if self.memtable.len() >= self.config.memtable_records {
-            self.flush()?;
-        }
+        self.put(key, TOMBSTONE)?;
         Ok(true)
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
         // Tear down.
         self.memtable = Memtable::new();
-        for runs in std::mem::take(&mut self.levels) {
-            for run in runs {
-                run.destroy(&mut self.pager)?;
-            }
+        for mut runs in std::mem::take(&mut self.levels) {
+            Self::destroy_runs(&mut self.pager, &mut runs)?;
         }
         self.live.assign(records.iter().map(|r| r.key));
         // One run at the shallowest level that fits it.
@@ -594,50 +619,22 @@ impl<D: BlockDevice> AccessMethod for LsmTree<D> {
         if self.memtable.is_empty() {
             return Ok(());
         }
-        let traced = self.sink.enabled();
-        let before = traced.then(|| self.tracker.snapshot());
-        let fresh = self.memtable.drain_sorted();
-        let records_in = fresh.len();
-        let records_out;
-        match self.config.policy {
-            CompactionPolicy::Levelling => {
+        self.traced_step(None, |t| {
+            let fresh = t.memtable.drain_sorted();
+            // A flush reports the records it took from the memtable, not
+            // the level-0 run it merged them with.
+            let records_in = fresh.len();
+            let records_out = match t.config.policy {
                 // Merge with the existing level-0 run eagerly.
-                self.ensure_level(0);
-                let mut old = std::mem::take(&mut self.levels[0]);
-                let mut inputs = Vec::with_capacity(old.len() + 1);
-                for run in &old {
-                    inputs.push(run.scan_all(&mut self.pager)?);
+                CompactionPolicy::Levelling => t.merge_step(&[0], Some(fresh), 0)?.1,
+                CompactionPolicy::Tiering => {
+                    t.place_run(0, &fresh)?;
+                    records_in
                 }
-                inputs.push(fresh);
-                let drop_tomb = self.is_bottom(0);
-                let merged = Self::merge_doomed(inputs, drop_tomb);
-                records_out = merged.len();
-                Self::destroy_runs(&mut self.pager, &mut old)?;
-                // The emptied level keeps its buffer for the merged run.
-                self.levels[0] = old;
-                self.place_run(0, &merged)?;
-            }
-            CompactionPolicy::Tiering => {
-                records_out = fresh.len();
-                self.place_run(0, &fresh)?;
-            }
-        }
-        if let Some(before) = before {
-            // Bytes of the flush itself; the compactions it triggers below
-            // report their own traffic in their own events.
-            let d = self.tracker.since(&before);
-            self.sink.emit(
-                EventKind::LsmFlush,
-                &[
-                    ("level", 0),
-                    ("records_in", records_in as u64),
-                    ("records_out", records_out as u64),
-                    ("read_bytes", d.total_read_bytes()),
-                    ("bytes", d.total_write_bytes()),
-                ],
-            );
-        }
-        self.compact_from(0)
+            };
+            Ok((records_in, records_out))
+        })?;
+        self.compact()
     }
 
     /// Keep the sink for flush/compaction events and forward it to the
@@ -1147,9 +1144,10 @@ mod tests {
     /// What a from-scratch build over `t`'s runs yields. Reads through
     /// `t`'s pager on a throwaway tracker, so `t`'s charges do not move.
     fn cold_anchors(t: &mut LsmTree) -> Vec<crate::view::ViewEntry> {
+        let account = Arc::clone(t.pager.tracker());
         t.pager.set_tracker(CostTracker::new());
         let cold = SortedView::build(&mut t.pager, runs_oldest_first(&t.levels));
-        t.pager.set_tracker(Arc::clone(&t.tracker));
+        t.pager.set_tracker(account);
         cold.unwrap().anchors().to_vec()
     }
 

@@ -122,9 +122,15 @@ pub fn expected_cost(cfg: &LsmConfig, mix: &OpMix, n: usize, m: usize) -> f64 {
         let write_frac = (mix.insert + mix.update + mix.delete) / total;
         let range_frac = mix.range / total;
         let refreshes_per_op = (write_frac / cfg.memtable_records.max(16) as f64).min(range_frac);
-        cost += refreshes_per_op * 2.5 * (n.max(1) as f64 / b);
+        cost += refreshes_per_op * view_refresh_pages(n.max(1));
     }
     cost
+}
+
+/// What one sorted-view refresh over `n` records costs, in pages: scan
+/// `n/b`, anchors ~`1.5 n/b`. The same price bills a view-only toggle.
+fn view_refresh_pages(n: usize) -> f64 {
+    2.5 * (n as f64 / RECORDS_PER_PAGE as f64)
 }
 
 /// One-line shape description for receipts and trace events.
@@ -222,7 +228,7 @@ impl LsmTree {
             return None;
         }
         Some(if advised.sorted_view {
-            2.5 * self.len() as f64 / RECORDS_PER_PAGE as f64
+            view_refresh_pages(self.len())
         } else {
             0.0
         })

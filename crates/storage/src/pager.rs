@@ -112,28 +112,21 @@ impl<D: BlockDevice> Pager<D> {
         f: impl FnOnce(&[u8]) -> R,
     ) -> Result<R> {
         let mut f = Some(f);
-        let mut attempt = 1u32;
-        loop {
-            let r = self.device.with_page(id, |bytes| {
+        let out = self.attempts(id, class, Self::charge_read, |device| {
+            device.with_page(id, |bytes| {
                 let f = f
                     .take()
                     .expect("a device lends the page only on the one attempt that succeeds");
                 f(bytes)
-            });
-            match r {
-                Ok(out) => {
-                    self.charge_read(id, class);
-                    return Ok(out);
-                }
-                Err(e) => {
-                    if let Some(err) =
-                        self.attempt_failed(Self::charge_read, id, class, &e, &mut attempt)
-                    {
-                        return Err(err);
-                    }
-                }
-            }
+            })
+        });
+        // Handed back as the loop built it: unwrapping the answer and
+        // wrapping it again added stack copies that cost `btree-point`
+        // 2-6 % of its `ops_per_s` (2-vCPU x86_64).
+        if out.is_ok() {
+            self.charge_read(id, class);
         }
+        out
     }
 
     /// Write a page whose bytes were charged before it was written (the
@@ -161,7 +154,11 @@ impl<D: BlockDevice> Pager<D> {
     /// the [`RetryPolicy`], and every failed attempt is priced as extra
     /// UO.
     pub fn write(&mut self, id: PageId, class: DataClass, page: &PageBuf) -> Result<()> {
-        self.write_from(id, class, page, 1)
+        self.attempts(id, class, Self::charge_write, |device| {
+            device.write_page(id, page)
+        })?;
+        self.charge_write(id, class);
+        Ok(())
     }
 
     /// Edit a page where the device holds it: `f` gets its bytes and
@@ -183,9 +180,10 @@ impl<D: BlockDevice> Pager<D> {
     ) -> Result<R> {
         let mut f = Some(f);
         let mut out = None;
-        let mut attempt = 1u32;
-        loop {
-            let r = self.device.with_page_mut(id, |bytes| {
+        // The read half: a failed read is retried; a read that succeeded
+        // ends it, whether or not the write behind it landed.
+        let failed_write = self.attempts(id, class, Self::charge_read, |device| {
+            let r = device.with_page_mut(id, |bytes| {
                 let f = f
                     .take()
                     .expect("a device lends the page only on the one attempt that succeeds");
@@ -193,61 +191,50 @@ impl<D: BlockDevice> Pager<D> {
                 out = Some((answer, changed));
                 changed
             });
-            let failed_write = match r {
-                Ok(()) => None,
-                Err(EditFault::Write(e, page)) => Some((e, page)),
-                Err(EditFault::Read(e)) => {
-                    if let Some(err) =
-                        self.attempt_failed(Self::charge_read, id, class, &e, &mut attempt)
-                    {
-                        return Err(err);
-                    }
-                    continue;
-                }
-            };
-            let (answer, changed) = out.expect("the read succeeded, so the edit ran");
-            self.charge_read(id, class);
-            match failed_write {
-                None if changed => self.charge_write(id, class),
-                None => {}
-                // The first write attempt failed; the rest of the write
-                // loop carries on with the edited copy.
-                Some((e, page)) => {
-                    let mut attempt = 1u32;
-                    if let Some(err) =
-                        self.attempt_failed(Self::charge_write, id, class, &e, &mut attempt)
-                    {
-                        return Err(err);
-                    }
-                    self.write_from(id, class, &page, attempt)?;
-                }
+            match r {
+                Ok(()) => Ok(None),
+                Err(EditFault::Write(e, page)) => Ok(Some((e, page))),
+                Err(EditFault::Read(e)) => Err(e),
             }
-            return Ok(answer);
+        })?;
+        let (answer, changed) = out.expect("the read succeeded, so the edit ran");
+        self.charge_read(id, class);
+        match failed_write {
+            None if changed => self.charge_write(id, class),
+            None => {}
+            // The write half: its first attempt already failed, and the
+            // loop carries on from that failure with the edited copy.
+            Some((e, page)) => {
+                let mut first = Some(e);
+                self.attempts(id, class, Self::charge_write, |device| match first.take() {
+                    Some(e) => Err(e),
+                    None => device.write_page(id, &page),
+                })?;
+                self.charge_write(id, class);
+            }
         }
+        Ok(answer)
     }
 
-    /// The write loop from attempt number `attempt` on.
-    fn write_from(
+    /// The one attempt loop: `op` tries the device until an attempt
+    /// succeeds or a failure is given up on. Each failed attempt goes
+    /// through [`attempt_failed`](Self::attempt_failed), charged by
+    /// `charge`. The attempt that succeeds is left for the caller to
+    /// charge, so the success path stays a direct call.
+    fn attempts<T>(
         &mut self,
         id: PageId,
         class: DataClass,
-        page: &PageBuf,
-        mut attempt: u32,
-    ) -> Result<()> {
+        charge: fn(&mut Self, PageId, DataClass),
+        mut op: impl FnMut(&mut D) -> Result<T>,
+    ) -> Result<T> {
+        let mut attempt = 1u32;
         loop {
-            match self.device.write_page(id, page) {
-                Ok(()) => {
-                    self.charge_write(id, class);
-                    return Ok(());
-                }
-                Err(e) => {
-                    if let Some(err) =
-                        self.attempt_failed(Self::charge_write, id, class, &e, &mut attempt)
-                    {
-                        return Err(err);
-                    }
-                }
+            match op(&mut self.device) {
+                Ok(out) => return Ok(out),
+                Err(e) => self.attempt_failed(charge, id, class, e, attempt)?,
             }
+            attempt += 1;
         }
     }
 
@@ -263,18 +250,13 @@ impl<D: BlockDevice> Pager<D> {
             .write_page(class, self.classifier.write(&self.profile, id));
     }
 
-    /// Whether a failed device attempt performed (and should charge) a
-    /// physical page touch: a transient fault or a checksum mismatch cost
-    /// the access before failing. Other errors (bad page id, power loss —
+    /// One failed attempt, numbered `attempt`: charged by `charge`
+    /// ([`charge_read`] or [`charge_write`]) if it touched the device,
+    /// traced, then either retried (`Ok`, after charging the backoff) or
+    /// given up on (`Err`). A transient fault or a checksum mismatch cost
+    /// the access before failing; other errors (bad page id, power loss —
     /// whose partial-write accounting lives with the fault injector) keep
     /// their long-standing uncharged behavior.
-    fn touched_device(e: &RumError) -> bool {
-        matches!(e, RumError::Transient(_) | RumError::CorruptPage { .. })
-    }
-
-    /// One failed attempt: charged by `charge` ([`charge_read`] or
-    /// [`charge_write`]) if it touched the device, then traced and either
-    /// retried (`None`) or given up on.
     ///
     /// [`charge_read`]: Self::charge_read
     /// [`charge_write`]: Self::charge_write
@@ -283,30 +265,24 @@ impl<D: BlockDevice> Pager<D> {
         charge: fn(&mut Self, PageId, DataClass),
         id: PageId,
         class: DataClass,
-        e: &RumError,
-        attempt: &mut u32,
-    ) -> Option<RumError> {
-        if Self::touched_device(e) {
-            charge(self, id, class);
-        }
-        self.note_failure(id, e, attempt)
-    }
-
-    /// Common failure handling for one failed attempt: trace it, decide
-    /// whether to retry (returns `None`, after charging backoff and
-    /// bumping `attempt`) or give up (returns the error to surface).
-    fn note_failure(&mut self, id: PageId, e: &RumError, attempt: &mut u32) -> Option<RumError> {
-        if self.sink.enabled() {
-            match e {
-                RumError::Transient(_) => {
+        e: RumError,
+        attempt: u32,
+    ) -> Result<()> {
+        match &e {
+            RumError::Transient(_) => {
+                charge(self, id, class);
+                if self.sink.enabled() {
                     self.sink.emit(
                         EventKind::FaultInjected,
-                        &[("page", id.0), ("attempt", u64::from(*attempt))],
+                        &[("page", id.0), ("attempt", u64::from(attempt))],
                     );
                 }
-                RumError::CorruptPage {
-                    stored, computed, ..
-                } => {
+            }
+            RumError::CorruptPage {
+                stored, computed, ..
+            } => {
+                charge(self, id, class);
+                if self.sink.enabled() {
                     self.sink.emit(
                         EventKind::CorruptionDetected,
                         &[
@@ -319,23 +295,22 @@ impl<D: BlockDevice> Pager<D> {
                         ],
                     );
                 }
-                _ => {}
             }
+            _ => {}
         }
         // The wasted attempt being retried cost one page of device
         // traffic.
         let Some(delay) = self.retry.retry_after(
-            e,
-            *attempt,
+            &e,
+            attempt,
             &*self.sink,
             Some(("page", id.0)),
             PAGE_SIZE as u64,
         ) else {
-            return Some(e.clone());
+            return Err(e);
         };
         self.tracker.sim_time(delay);
-        *attempt += 1;
-        None
+        Ok(())
     }
 
     /// Live pages on the device — the physical footprint in pages.

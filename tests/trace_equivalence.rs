@@ -226,6 +226,107 @@ fn lsm_view_events_are_opt_in_and_observer_free() {
     assert!(build.detail.iter().any(|&(k, v)| k == "bytes" && v > 0));
 }
 
+/// The LSM's event stream, pinned field for field. `metrics_conservation`
+/// pins per-kind counts and byte weights only, so a merge whose
+/// `records_in`, `records_out`, `level` or `to_level` moved would pass it.
+/// Here every flush, compaction and sorted-view event the four LSM suite
+/// slots emit (kind, then each field's name and value, in emit order) is
+/// folded into an FNV-1a digest, over a balanced stream after a bulk load
+/// and over the oracle's hostile stream from empty, each closed by a
+/// flush.
+#[test]
+fn lsm_event_streams_are_pinned() {
+    const PINS: [(&str, u64, u64); 4] = [
+        ("lsm-tree", 0x7b16_44cb_57c2_c2f8, 0xc3c4_f58c_a83a_67c0),
+        (
+            "lsm-tree-tiered",
+            0xa7fd_1cf5_9761_65c5,
+            0x8de3_3003_4677_3d12,
+        ),
+        (
+            "lsm-tree+view",
+            0x49c1_0aa4_931a_ad2c,
+            0xb76f_ea1e_45c8_2001,
+        ),
+        ("lsm-tree+wal", 0x7b16_44cb_57c2_c2f8, 0xc3c4_f58c_a83a_67c0),
+    ];
+    let lsm_kinds = [
+        EventKind::LsmFlush,
+        EventKind::LsmCompaction,
+        EventKind::LsmViewBuild,
+        EventKind::LsmViewInvalidate,
+        EventKind::LsmViewHit,
+    ];
+    let digest = |events: &[Event]| {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let mut byte = |b: u8| h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        let mut seen = [0usize; 5];
+        for e in events {
+            let Some(i) = lsm_kinds.iter().position(|&k| k == e.kind) else {
+                continue;
+            };
+            seen[i] += 1;
+            e.kind.as_str().bytes().for_each(&mut byte);
+            for &(name, value) in &e.detail {
+                name.bytes().for_each(&mut byte);
+                value.to_le_bytes().into_iter().for_each(&mut byte);
+            }
+        }
+        (h, seen)
+    };
+    let balanced = WorkloadSpec {
+        initial_records: 2_000,
+        operations: 6_000,
+        mix: OpMix::BALANCED,
+        seed: 0x15_4E7,
+        ..Default::default()
+    };
+    let hostile = rum::core::oracle::hostile_ops(48, 12_000, 4_000);
+    let slots: Vec<usize> = rum::standard_suite()
+        .iter()
+        .enumerate()
+        .filter(|(_, m)| m.name().contains("lsm"))
+        .map(|(i, _)| i)
+        .collect();
+    assert_eq!(slots.len(), PINS.len());
+    let mut got = Vec::new();
+    for (&slot, &(name, _, _)) in slots.iter().zip(&PINS) {
+        let mut legs = [0u64; 2];
+        for (leg, (initial, ops)) in [
+            (
+                Workload::generate(&balanced).initial,
+                OpStream::new(&balanced).collect(),
+            ),
+            (Vec::new(), hostile.ops.clone()),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let mut m = rum::standard_suite().swap_remove(slot);
+            assert_eq!(m.name(), name);
+            let sink = MemorySink::shared();
+            m.set_trace_sink(sink.clone());
+            m.bulk_load(&initial).unwrap();
+            for op in ops {
+                let _ = op.apply(m.as_mut());
+            }
+            m.flush().unwrap();
+            let (h, seen) = digest(&sink.events());
+            assert!(seen[0] > 0 && seen[1] > 0, "{name} leg {leg}: {seen:?}");
+            if name.contains("view") {
+                assert!(
+                    seen[2..].iter().all(|&n| n > 0),
+                    "{name} leg {leg}: {seen:?}"
+                );
+            }
+            legs[leg] = h;
+        }
+        got.push((name, legs[0], legs[1]));
+    }
+    let want: Vec<(&str, u64, u64)> = PINS.to_vec();
+    assert_eq!(got, want, "LSM event digests moved; now {got:#x?}");
+}
+
 fn histogram_of(samples: &[u64]) -> LatencyHistogram {
     let mut h = LatencyHistogram::new();
     for &s in samples {
