@@ -11,29 +11,12 @@ use rum_core::{
     Value,
 };
 
-/// Cracking knobs.
-#[derive(Clone, Copy, Debug)]
-pub struct CrackConfig {
-    /// Add a random pivot alongside each query pivot (stochastic cracking,
-    /// robust against sequential query patterns).
-    pub stochastic: bool,
-    /// Pending-insert buffer size before it is folded into the cracked
-    /// region (which resets the cracker index — the simple
-    /// "forget and re-crack" update strategy).
-    pub pending_threshold: usize,
-    /// Seed for stochastic pivots.
-    pub seed: u64,
-}
-
-impl Default for CrackConfig {
-    fn default() -> Self {
-        CrackConfig {
-            stochastic: false,
-            pending_threshold: 4096,
-            seed: 0xCAC,
-        }
-    }
-}
+/// Pending inserts (or deleted keys) held before they are folded into the
+/// cracked region, which resets the cracker index: the simple "forget and
+/// re-crack" update strategy.
+const PENDING_THRESHOLD: usize = 4096;
+/// Seed of a stochastic cracker's random pivots.
+const SEED: u64 = 3;
 
 /// A self-organizing in-memory column.
 pub struct CrackedColumn {
@@ -49,34 +32,32 @@ pub struct CrackedColumn {
     /// short-circuits deletes of absent keys without paying lookup cost
     /// that the real operation would not need.
     live_keys: KeySet,
-    config: CrackConfig,
+    /// Add a random pivot alongside each query pivot (stochastic cracking,
+    /// robust against sequential query patterns).
+    stochastic: bool,
     rng: StdRng,
     tracker: Arc<CostTracker>,
 }
 
 impl CrackedColumn {
     pub fn new() -> Self {
-        Self::with_config(CrackConfig::default())
+        Self::cracker(false)
     }
 
     /// A stochastic cracker (random auxiliary pivots).
-    pub fn stochastic(seed: u64) -> Self {
-        Self::with_config(CrackConfig {
-            stochastic: true,
-            seed,
-            ..Default::default()
-        })
+    pub fn stochastic() -> Self {
+        Self::cracker(true)
     }
 
-    pub fn with_config(config: CrackConfig) -> Self {
+    fn cracker(stochastic: bool) -> Self {
         CrackedColumn {
             data: Vec::new(),
             index: BTreeMap::new(),
             pending: Vec::new(),
             deleted: KeySet::default(),
             live_keys: KeySet::default(),
-            rng: StdRng::seed_from_u64(config.seed),
-            config,
+            stochastic,
+            rng: StdRng::seed_from_u64(SEED),
             tracker: CostTracker::new(),
         }
     }
@@ -150,7 +131,7 @@ impl CrackedColumn {
         self.index.insert(pivot, split);
         self.tracker.write(DataClass::Aux, 16);
 
-        if self.config.stochastic {
+        if self.stochastic {
             // Crack the larger residual half at one of its own keys.
             let (rlo, rhi) = if split - lo >= hi - split {
                 (lo, split)
@@ -204,9 +185,7 @@ impl CrackedColumn {
     }
 
     fn maybe_merge(&mut self) {
-        if self.pending.len() > self.config.pending_threshold
-            || self.deleted.len() > self.config.pending_threshold
-        {
+        if self.pending.len() > PENDING_THRESHOLD || self.deleted.len() > PENDING_THRESHOLD {
             self.merge_pending();
         }
     }
@@ -228,7 +207,7 @@ impl Default for CrackedColumn {
 
 impl AccessMethod for CrackedColumn {
     fn name(&self) -> String {
-        if self.config.stochastic {
+        if self.stochastic {
             "stochastic-cracking".into()
         } else {
             "cracked-column".into()
@@ -357,7 +336,8 @@ impl AccessMethod for CrackedColumn {
 mod tests {
     use super::*;
     use rand::seq::SliceRandom;
-    use rum_core::oracle::{check, hostile_ops};
+    use rum_core::oracle::{hostile_ops, Oracle};
+    use rum_core::workload::Op;
 
     /// A shuffled dataset (cracking on pre-sorted data is degenerate).
     fn shuffled(n: u64, seed: u64) -> Vec<Record> {
@@ -437,7 +417,7 @@ mod tests {
         // the huge right piece every time; stochastic cracking splits it.
         let run = |stochastic: bool| {
             let mut c = if stochastic {
-                CrackedColumn::stochastic(5)
+                CrackedColumn::stochastic()
             } else {
                 CrackedColumn::new()
             };
@@ -472,37 +452,61 @@ mod tests {
 
     #[test]
     fn pending_inserts_are_visible_and_fold_in() {
-        let mut c = CrackedColumn::with_config(CrackConfig {
-            pending_threshold: 10,
-            ..Default::default()
-        });
+        let mut c = CrackedColumn::new();
         let recs: Vec<Record> = (0..100u64).map(|k| Record::new(k * 2, k)).collect();
         c.bulk_load(&recs).unwrap();
         c.range(0, 100).unwrap(); // build some index
         let pieces = c.pieces();
+        assert!(pieces > 1);
         for k in 0..5u64 {
             c.insert(k * 2 + 1, 99).unwrap();
         }
         // Visible while pending.
         assert_eq!(c.get(3).unwrap(), Some(99));
         assert_eq!(c.range(0, 9).unwrap().len(), 10);
-        // Exceed the threshold: fold resets the index.
-        for k in 5..20u64 {
+        // Exceed the threshold: the fold empties the buffer (five inserts
+        // arrive after it) and resets the index.
+        let fresh = PENDING_THRESHOLD as u64 + 1;
+        for k in 5..5 + fresh {
             c.insert(k * 2 + 1, 99).unwrap();
         }
-        assert!(c.pieces() < pieces || pieces == 1);
+        assert_eq!(c.pending.len(), 5, "the pending merge must have run");
+        assert_eq!(c.pieces(), 1);
         assert_eq!(c.get(3).unwrap(), Some(99));
-        assert_eq!(c.len(), 120);
+        assert_eq!(c.len(), 105 + fresh as usize);
     }
 
     #[test]
     fn model_check_random_ops() {
-        let mut c = CrackedColumn::with_config(CrackConfig {
-            pending_threshold: 64,
-            stochastic: true,
-            seed: 9,
-        });
-        check(&mut c, &hostile_ops(31, 4000, 1500)).unwrap();
+        // A dense column and a stream over the same domain: most ops hit
+        // live keys, deleted base keys are reinserted into the pending
+        // buffer, and the held deletes pass the threshold, so folds purge
+        // stale region copies while their live copies wait in the buffer.
+        let mut stream = hostile_ops(31, 12_000, 6000);
+        stream.initial = (0..6000u64).map(|k| Record::new(k, k)).collect();
+        // Two thirds of the column deleted up front bring the first fold
+        // early.
+        let head = (0..6000u64).filter(|k| k % 3 != 0).map(Op::Delete);
+        stream.ops.splice(0..0, head);
+        for mut c in [CrackedColumn::new(), CrackedColumn::stochastic()] {
+            let mut oracle = Oracle::load(&mut c, &stream.initial).unwrap();
+            c.data.shuffle(&mut StdRng::seed_from_u64(7));
+            let mut stale_folds = 0;
+            for &op in &stream.ops {
+                let full = c.pending.len().max(c.deleted.len()) >= PENDING_THRESHOLD;
+                let stale = full && c.pending.iter().any(|r| c.deleted.contains(r.key));
+                oracle.step(&mut c, op).unwrap();
+                if stale && c.pending.is_empty() && c.deleted.is_empty() {
+                    stale_folds += 1;
+                }
+            }
+            oracle.finish(&mut c).unwrap();
+            assert!(
+                stale_folds > 0,
+                "{}: no fold ran with a reinserted key in both the buffer and the deleted set",
+                c.name()
+            );
+        }
     }
 
     use rand::{rngs::StdRng, Rng, SeedableRng};

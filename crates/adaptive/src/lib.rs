@@ -25,6 +25,6 @@ pub mod crack;
 pub mod merge;
 pub mod morph;
 
-pub use crack::{CrackConfig, CrackedColumn};
+pub use crack::CrackedColumn;
 pub use merge::{AdaptiveMerger, IntervalSet};
-pub use morph::{MorphConfig, MorphingIndex, Shape};
+pub use morph::{MorphingIndex, Shape};

@@ -94,6 +94,9 @@ impl IntervalSet {
     }
 }
 
+/// Records per initial sorted run.
+const RUN_RECORDS: usize = 4096;
+
 /// The adaptive merger.
 ///
 /// `consolidate` drains every run copy of each key range it covers, so
@@ -108,18 +111,16 @@ pub struct AdaptiveMerger {
     merged: BTreeMap<Key, Value>,
     /// Key ranges already consolidated.
     covered: IntervalSet,
-    run_records: usize,
     tracker: Arc<CostTracker>,
 }
 
 impl AdaptiveMerger {
-    /// Runs of `run_records` records each.
-    pub fn new(run_records: usize) -> Self {
+    /// Runs of 4096 records each.
+    pub fn new() -> Self {
         AdaptiveMerger {
             runs: Vec::new(),
             merged: BTreeMap::new(),
             covered: IntervalSet::new(),
-            run_records: run_records.max(16),
             tracker: CostTracker::new(),
         }
     }
@@ -179,7 +180,7 @@ impl AdaptiveMerger {
 
 impl Default for AdaptiveMerger {
     fn default() -> Self {
-        Self::new(4096)
+        Self::new()
     }
 }
 
@@ -249,10 +250,7 @@ impl AccessMethod for AdaptiveMerger {
         self.covered = IntervalSet::new();
         // Initial runs: contiguous chunks, each sorted (input is sorted,
         // so chunks are too — real systems sort each run at load).
-        self.runs = records
-            .chunks(self.run_records)
-            .map(|c| c.to_vec())
-            .collect();
+        self.runs = records.chunks(RUN_RECORDS).map(|c| c.to_vec()).collect();
         self.tracker.write_records(records.len());
         Ok(())
     }
@@ -261,7 +259,7 @@ impl AccessMethod for AdaptiveMerger {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rum_core::oracle::{check, hostile_ops};
+    use rum_core::oracle::{hostile_ops, Oracle};
 
     mod interval_set {
         use super::*;
@@ -336,16 +334,16 @@ mod tests {
         }
     }
 
-    fn loaded(n: u64, run: usize) -> AdaptiveMerger {
+    fn loaded(n: u64) -> AdaptiveMerger {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k, k + 1)).collect();
-        let mut m = AdaptiveMerger::new(run);
+        let mut m = AdaptiveMerger::new();
         m.bulk_load(&recs).unwrap();
         m
     }
 
     #[test]
     fn crud_roundtrip() {
-        let mut m = loaded(1000, 100);
+        let mut m = loaded(1000);
         assert_eq!(m.get(500).unwrap(), Some(501));
         assert_eq!(m.get(1000).unwrap(), None);
         assert!(m.update(500, 9).unwrap());
@@ -360,7 +358,7 @@ mod tests {
 
     #[test]
     fn queries_consolidate_their_ranges() {
-        let mut m = loaded(10_000, 1000);
+        let mut m = loaded(10_000);
         assert_eq!(m.unmerged_records(), 10_000);
         let rs = m.range(2000, 2999).unwrap();
         assert_eq!(rs.len(), 1000);
@@ -375,7 +373,7 @@ mod tests {
 
     #[test]
     fn repeated_queries_get_cheaper() {
-        let mut m = loaded(100_000, 10_000);
+        let mut m = loaded(100_000);
         let cost = |m: &mut AdaptiveMerger| {
             let before = m.tracker().snapshot();
             m.range(50_000, 50_999).unwrap();
@@ -391,7 +389,7 @@ mod tests {
 
     #[test]
     fn cold_data_is_never_reorganized() {
-        let mut m = loaded(10_000, 1000);
+        let mut m = loaded(10_000);
         for _ in 0..50 {
             m.range(1000, 1099).unwrap();
         }
@@ -402,7 +400,7 @@ mod tests {
 
     #[test]
     fn results_correct_across_consolidation_boundaries() {
-        let mut m = loaded(5000, 500);
+        let mut m = loaded(5000);
         m.range(100, 200).unwrap();
         m.range(150, 400).unwrap(); // overlaps covered + uncovered
         let rs = m.range(90, 410).unwrap();
@@ -412,7 +410,7 @@ mod tests {
 
     #[test]
     fn inserts_never_resurface_stale_run_copies() {
-        let mut m = loaded(1000, 100);
+        let mut m = loaded(1000);
         // Overwrite key 555 before its run was ever consolidated.
         m.insert_impl(555, 42).unwrap();
         // Now consolidate the surrounding range: the run still holds the
@@ -424,8 +422,14 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        let mut stream = hostile_ops(43, 4000, 2500);
-        stream.initial = (0..2000u64).map(|k| Record::new(k, k)).collect();
-        check(&mut AdaptiveMerger::new(128), &stream).unwrap();
+        let mut stream = hostile_ops(43, 4000, 10_000);
+        stream.initial = (0..10_000u64).map(|k| Record::new(k, k)).collect();
+        let mut m = AdaptiveMerger::new();
+        let mut oracle = Oracle::load(&mut m, &stream.initial).unwrap();
+        assert_eq!(m.runs.len(), 3, "the stream spans three runs");
+        for &op in &stream.ops {
+            oracle.step(&mut m, op).unwrap();
+        }
+        oracle.finish(&mut m).unwrap();
     }
 }

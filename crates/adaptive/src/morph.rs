@@ -27,34 +27,18 @@ pub enum Shape {
     Sorted,
 }
 
-/// Morphing thresholds.
-#[derive(Clone, Copy, Debug)]
-pub struct MorphConfig {
-    /// Operations per observation window.
-    pub window: usize,
-    /// Morph to [`Shape::Sorted`] when the window's read fraction exceeds
-    /// this.
-    pub to_sorted_at: f64,
-    /// Morph to [`Shape::Log`] when the window's read fraction falls below
-    /// this (must be < `to_sorted_at`: the gap is the hysteresis band).
-    pub to_log_at: f64,
-}
-
-impl Default for MorphConfig {
-    fn default() -> Self {
-        MorphConfig {
-            window: 256,
-            to_sorted_at: 0.6,
-            to_log_at: 0.2,
-        }
-    }
-}
+/// Operations per observation window.
+const WINDOW: usize = 256;
+/// Morph to [`Shape::Sorted`] when the window's read fraction exceeds this.
+const TO_SORTED_AT: f64 = 0.6;
+/// Morph to [`Shape::Log`] when the window's read fraction falls below
+/// this; the gap up to [`TO_SORTED_AT`] is the hysteresis band.
+const TO_LOG_AT: f64 = 0.2;
 
 /// The morphing index.
 pub struct MorphingIndex {
     data: Vec<Record>,
     shape: Shape,
-    config: MorphConfig,
     /// Reads and writes observed in the current window.
     window_reads: usize,
     window_writes: usize,
@@ -64,19 +48,9 @@ pub struct MorphingIndex {
 
 impl MorphingIndex {
     pub fn new() -> Self {
-        Self::with_config(MorphConfig::default())
-    }
-
-    pub fn with_config(config: MorphConfig) -> Self {
-        assert!(
-            config.to_log_at < config.to_sorted_at,
-            "hysteresis inverted"
-        );
-        assert!(config.window >= 8, "window too small to observe a mix");
         MorphingIndex {
             data: Vec::new(),
             shape: Shape::Log,
-            config,
             window_reads: 0,
             window_writes: 0,
             morphs: 0,
@@ -100,15 +74,15 @@ impl MorphingIndex {
             self.window_writes += 1;
         }
         let total = self.window_reads + self.window_writes;
-        if total < self.config.window {
+        if total < WINDOW {
             return;
         }
         let read_frac = self.window_reads as f64 / total as f64;
         self.window_reads = 0;
         self.window_writes = 0;
         match self.shape {
-            Shape::Log if read_frac > self.config.to_sorted_at => self.morph_to(Shape::Sorted),
-            Shape::Sorted if read_frac < self.config.to_log_at => self.morph_to(Shape::Log),
+            Shape::Log if read_frac > TO_SORTED_AT => self.morph_to(Shape::Sorted),
+            Shape::Sorted if read_frac < TO_LOG_AT => self.morph_to(Shape::Log),
             _ => {}
         }
     }
@@ -275,17 +249,9 @@ mod tests {
     use super::*;
     use rum_core::oracle::{check, hostile_ops};
 
-    fn cfg(window: usize) -> MorphConfig {
-        MorphConfig {
-            window,
-            to_sorted_at: 0.6,
-            to_log_at: 0.2,
-        }
-    }
-
     #[test]
     fn crud_roundtrip_across_shapes() {
-        let mut m = MorphingIndex::with_config(cfg(16));
+        let mut m = MorphingIndex::new();
         for k in [9u64, 1, 5, 3, 7] {
             m.insert(k, k * 10).unwrap();
         }
@@ -295,7 +261,7 @@ mod tests {
         assert!(m.delete(9).unwrap());
         assert_eq!(m.len(), 4);
         // Read-heavy burst: should morph to sorted.
-        for _ in 0..64 {
+        for _ in 0..WINDOW {
             m.get(1).unwrap();
         }
         assert_eq!(m.shape(), Shape::Sorted);
@@ -312,36 +278,37 @@ mod tests {
 
     #[test]
     fn morphs_to_sorted_under_reads_and_back_under_writes() {
-        let mut m = MorphingIndex::with_config(cfg(32));
+        let mut m = MorphingIndex::new();
         for k in 0..100u64 {
             m.insert(k, k).unwrap();
         }
         assert_eq!(m.shape(), Shape::Log);
-        for _ in 0..100 {
+        for _ in 0..2 * WINDOW {
             m.get(50).unwrap();
         }
         assert_eq!(m.shape(), Shape::Sorted);
         let morphs = m.morphs();
-        for k in 100..300u64 {
+        let end = 100 + 2 * WINDOW as u64;
+        for k in 100..end {
             m.insert(k, k).unwrap();
         }
         assert_eq!(m.shape(), Shape::Log);
         assert!(m.morphs() > morphs);
         // Contents intact throughout.
-        for k in (0..300u64).step_by(37) {
+        for k in (0..end).step_by(37) {
             assert_eq!(m.get(k).unwrap(), Some(k));
         }
     }
 
     #[test]
     fn hysteresis_prevents_thrash_on_balanced_mixes() {
-        let mut m = MorphingIndex::with_config(cfg(32));
+        let mut m = MorphingIndex::new();
         for k in 0..50u64 {
             m.insert(k, k).unwrap();
         }
         let before = m.morphs();
         // 50/50 mix sits inside the hysteresis band: no morphs.
-        for i in 0..512u64 {
+        for i in 0..4 * WINDOW as u64 {
             if i % 2 == 0 {
                 m.get(i % 50).unwrap();
             } else {
@@ -353,7 +320,7 @@ mod tests {
 
     #[test]
     fn read_cost_falls_after_morph() {
-        let mut m = MorphingIndex::with_config(cfg(64));
+        let mut m = MorphingIndex::new();
         for k in 0..4000u64 {
             m.insert(k, k).unwrap();
         }
@@ -363,7 +330,7 @@ mod tests {
             m.tracker().since(&before).total_read_bytes()
         };
         let log_cost = probe_cost(&mut m);
-        for _ in 0..128 {
+        for _ in 0..2 * WINDOW {
             m.get(0).unwrap();
         }
         assert_eq!(m.shape(), Shape::Sorted);
@@ -376,7 +343,7 @@ mod tests {
 
     #[test]
     fn write_cost_falls_after_morph_back() {
-        let mut m = MorphingIndex::with_config(cfg(32));
+        let mut m = MorphingIndex::new();
         let recs: Vec<Record> = (0..4000u64).map(|k| Record::new(k * 2, k)).collect();
         m.bulk_load(&recs).unwrap();
         assert_eq!(m.shape(), Shape::Sorted);
@@ -387,7 +354,7 @@ mod tests {
         };
         let sorted_cost = insert_cost(&mut m, 1); // front insert: max shift
                                                   // Write burst flips it back to the log.
-        for i in 0..64u64 {
+        for i in 0..WINDOW as u64 {
             m.insert(100_000 + i, 0).unwrap();
         }
         assert_eq!(m.shape(), Shape::Log);
@@ -400,9 +367,24 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        let mut m = MorphingIndex::with_config(cfg(16));
-        check(&mut m, &hostile_ops(83, 4000, 800)).unwrap();
-        assert!(m.morphs() > 0, "the stream should have triggered morphs");
+        // The hostile mix reads ~42% of the time, inside the hysteresis
+        // band, so each four-window chunk puts its reads first: a window
+        // mostly in the reads morphs to sorted, one in the writes back to
+        // the log.
+        let mut stream = hostile_ops(83, 16 * WINDOW, 800);
+        for chunk in stream.ops.chunks_mut(4 * WINDOW) {
+            chunk.sort_by_key(|op| !op.is_read());
+        }
+        let mut m = MorphingIndex::new();
+        check(&mut m, &stream).unwrap();
+        assert!(m.morphs() >= 6, "the stream should have triggered morphs");
+        // Unreordered, the same mix stays in the band: a bulk-loaded index
+        // stays sorted, reads following writes in the sorted shape.
+        let mut stream = hostile_ops(83, 16 * WINDOW, 800);
+        stream.initial = (0..400u64).map(|k| Record::new(k * 2, k)).collect();
+        let mut m = MorphingIndex::new();
+        check(&mut m, &stream).unwrap();
+        assert_eq!((m.shape(), m.morphs()), (Shape::Sorted, 0));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //! must stay exact no matter how the structure reorganizes mid-stream.
 
 use proptest::prelude::*;
-use rum_adaptive::{AdaptiveMerger, CrackConfig, CrackedColumn, IntervalSet};
-use rum_core::oracle::check;
+use rum_adaptive::{AdaptiveMerger, CrackedColumn, IntervalSet};
+use rum_core::oracle::Oracle;
 use rum_core::workload::Op;
 use rum_core::{AccessMethod, Record};
 
@@ -17,8 +17,11 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     ]
 }
 
-fn run(method: &mut dyn AccessMethod, base: Vec<Record>, ops: Vec<Op>) {
-    check(method, (base, ops.into_iter())).unwrap();
+/// Step each of `ops` through `oracle`, held to the model.
+fn run(oracle: &mut Oracle, method: &mut dyn AccessMethod, ops: &[Op]) {
+    for &op in ops {
+        oracle.step(method, op).unwrap();
+    }
 }
 
 proptest! {
@@ -29,32 +32,48 @@ proptest! {
         base_keys in proptest::collection::btree_set(0u16..500, 0..200),
         ops in proptest::collection::vec(op_strategy(), 1..200),
         stochastic in any::<bool>(),
-        threshold in 4usize..64,
     ) {
         let base: Vec<Record> = base_keys
             .iter()
             .map(|&k| Record::new(k as u64, k as u64))
             .collect();
-        let mut c = CrackedColumn::with_config(CrackConfig {
-            stochastic,
-            pending_threshold: threshold,
-            seed: 1,
-        });
-        run(&mut c, base, ops);
+        let mut c = if stochastic {
+            CrackedColumn::stochastic()
+        } else {
+            CrackedColumn::new()
+        };
+        let mut oracle = Oracle::load(&mut c, &base).unwrap();
+        let (head, tail) = ops.split_at(ops.len() / 2);
+        run(&mut oracle, &mut c, head);
+        run(&mut oracle, &mut c, &[Op::Get(0)]);
+        prop_assert!(c.pieces() > 1);
+        // Every base key deleted and every other one reinserted, then a
+        // burst of fresh keys past the pending threshold (4096): the fold
+        // purges the stale copies of the reinserted keys from the column
+        // and resets the cracker index.
+        let deletes = base_keys.iter().map(|&k| Op::Delete(k as u64));
+        let reinserts = base_keys.iter().step_by(2).map(|&k| Op::Insert(k as u64, 7));
+        let fresh = (0..4097u64).map(|k| Op::Insert(1 << 20 | k, k));
+        let burst: Vec<Op> = deletes.chain(reinserts).chain(fresh).collect();
+        run(&mut oracle, &mut c, &burst);
+        prop_assert_eq!(c.pieces(), 1, "the pending merge must have run");
+        run(&mut oracle, &mut c, tail);
+        oracle.finish(&mut c).unwrap();
     }
 
     #[test]
     fn adaptive_merging_matches_model(
-        base_keys in proptest::collection::btree_set(0u16..500, 0..200),
+        n in 4097u64..9000,
         ops in proptest::collection::vec(op_strategy(), 1..200),
-        run_size in 16usize..128,
     ) {
-        let base: Vec<Record> = base_keys
-            .iter()
-            .map(|&k| Record::new(k as u64, k as u64))
-            .collect();
-        let mut m = AdaptiveMerger::new(run_size);
-        run(&mut m, base, ops);
+        // Keys spread over the ops' u16 domain, in two or more 4096-record
+        // runs.
+        let base: Vec<Record> = (0..n).map(|k| Record::new(k * 7, k)).collect();
+        let mut m = AdaptiveMerger::new();
+        let mut oracle = Oracle::load(&mut m, &base).unwrap();
+        prop_assert!(m.unmerged_records() > 4096, "one run holds at most 4096");
+        run(&mut oracle, &mut m, &ops);
+        oracle.finish(&mut m).unwrap();
     }
 
     #[test]

@@ -25,38 +25,29 @@ use rum::prelude::*;
 
 use crate::{Outcome, Scale, Table, Target};
 
-/// Grid + comparison configuration.
+/// Operations per grid cell, per initial record.
+const OPS_PER_RECORD: usize = 2;
+/// Base seed of every grid cell's workload.
+const SEED: u64 = 0x0AD7_150E;
+
+/// Grid configuration. Every cell measures each of the
+/// [`canonical_mixes`], and the rankings are compared for each of them.
 #[derive(Clone, Debug)]
 pub struct AdvisorConfig {
     /// Initial live-set sizes (the scale axis of the profiles).
     pub scales: Vec<usize>,
-    /// Operations per cell = `ops_factor × scale`.
-    pub ops_factor: usize,
-    /// Mix presets measured *and* compared (the canonical mixes).
-    pub mixes: Vec<(&'static str, OpMix)>,
     /// Key distributions measured.
     pub dists: Vec<(&'static str, KeyDist)>,
-    /// Suite worker threads per cell.
-    pub threads: usize,
-    /// Agreement tolerance: the analytic top family's measured cost may
-    /// exceed the measured winner's cost by at most this factor.
-    pub tolerance: f64,
-    pub seed: u64,
 }
 
 impl Default for AdvisorConfig {
     fn default() -> Self {
         AdvisorConfig {
             scales: vec![2_000, 8_000, 32_000],
-            ops_factor: 2,
-            mixes: canonical_mixes().to_vec(),
             dists: vec![
                 ("uniform", KeyDist::Uniform),
                 ("zipf", KeyDist::Zipf { theta: 0.99 }),
             ],
-            threads: rum::core::runner::default_threads(),
-            tolerance: AGREEMENT_TOLERANCE,
-            seed: 0x0AD7_150E,
         }
     }
 }
@@ -67,12 +58,12 @@ impl AdvisorConfig {
         AdvisorConfig {
             scales: vec![2_000, 8_000],
             dists: vec![("uniform", KeyDist::Uniform)],
-            ..Default::default()
         }
     }
 }
 
-/// The declared agreement tolerance (see [`AdvisorConfig::tolerance`]).
+/// The declared agreement tolerance: the analytic top family's measured
+/// cost may exceed the measured winner's cost by at most this factor.
 ///
 /// Analytic Table 1 costs are asymptotic page counts; measured costs carry
 /// constants the model deliberately drops (bloom filters, cache-resident
@@ -116,31 +107,30 @@ pub struct AdvisorRun {
     pub verdicts: Vec<MixVerdict>,
     /// Environment the rankings were evaluated at (n = largest grid scale).
     pub env: Environment,
-    pub tolerance: f64,
 }
 
 /// Build the profile store from the measurement grid, then compare
-/// rankings for every configured mix.
+/// rankings for every canonical mix.
 pub fn run(config: &AdvisorConfig) -> AdvisorRun {
     let mut store = ProfileStore::new();
     for &scale in &config.scales {
         for (di, (dname, dist)) in config.dists.iter().enumerate() {
-            for (mi, (mname, mix)) in config.mixes.iter().enumerate() {
+            for (mi, (mname, mix)) in canonical_mixes().iter().enumerate() {
                 let spec = WorkloadSpec {
                     initial_records: scale,
-                    operations: scale * config.ops_factor,
+                    operations: scale * OPS_PER_RECORD,
                     mix: *mix,
                     dist: *dist,
-                    seed: config
-                        .seed
+                    seed: SEED
                         .wrapping_add(scale as u64)
                         .wrapping_add((di as u64) << 40)
                         .wrapping_add((mi as u64) << 48),
                     ..Default::default()
                 };
                 eprintln!("[advisor] n={scale} dist={dname} mix={mname} ...");
-                let reports = run_suite_stream(&mut rum::standard_suite(), &spec, config.threads)
-                    .unwrap_or_else(|e| panic!("grid cell failed: {e}"));
+                let reports =
+                    run_suite_stream(&mut rum::standard_suite(), &spec, default_threads())
+                        .unwrap_or_else(|e| panic!("grid cell failed: {e}"));
                 store.ingest(&spec, &reports);
             }
         }
@@ -150,16 +140,14 @@ pub fn run(config: &AdvisorConfig) -> AdvisorRun {
         n: config.scales.iter().copied().max().unwrap_or(1 << 14),
         ..Default::default()
     };
-    let verdicts = config
-        .mixes
+    let verdicts = canonical_mixes()
         .iter()
-        .map(|&(name, mix)| verdict(&store, name, &mix, &env, config.tolerance))
+        .map(|&(name, mix)| verdict(&store, name, &mix, &env))
         .collect();
     AdvisorRun {
         store,
         verdicts,
         env,
-        tolerance: config.tolerance,
     }
 }
 
@@ -169,7 +157,6 @@ pub fn verdict(
     mix_name: &'static str,
     mix: &OpMix,
     env: &Environment,
-    tolerance: f64,
 ) -> MixVerdict {
     let cons = Constraints::default();
     let analytic = ProfileStore::new().recommend(mix, env, &cons);
@@ -190,7 +177,7 @@ pub fn verdict(
     } else {
         1.0
     };
-    let agree = top_analytic == top_measured || cost_ratio <= tolerance;
+    let agree = top_analytic == top_measured || cost_ratio <= AGREEMENT_TOLERANCE;
     let top_deviation = measured
         .recs
         .iter()
@@ -246,7 +233,7 @@ pub fn checks(run: &AdvisorRun) -> Vec<(String, bool)> {
         out.push((
             format!(
                 "mix {}: analytic and measured agree on the top family within {:.1}x{}",
-                v.mix_name, run.tolerance, detail
+                v.mix_name, AGREEMENT_TOLERANCE, detail
             ),
             v.agree,
         ));
@@ -313,9 +300,9 @@ pub fn grid_summary(config: &AdvisorConfig) -> String {
         "grid: scales {:?} × dists {:?} × mixes {:?}, {} ops/record, seed {:#x}",
         config.scales,
         config.dists.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
-        config.mixes.iter().map(|(n, _)| *n).collect::<Vec<_>>(),
-        config.ops_factor,
-        config.seed,
+        canonical_mixes().map(|(n, _)| n),
+        OPS_PER_RECORD,
+        SEED,
     )
 }
 
@@ -405,15 +392,10 @@ mod tests {
     fn tiny_grid_calibrates_all_families_and_roundtrips() {
         let config = AdvisorConfig {
             scales: vec![500, 1500],
-            ops_factor: 2,
-            mixes: vec![("balanced", OpMix::BALANCED)],
             dists: vec![("uniform", KeyDist::Uniform)],
-            threads: 1,
-            tolerance: AGREEMENT_TOLERANCE,
-            seed: 42,
         };
         let run = super::run(&config);
-        assert_eq!(run.verdicts.len(), 1);
+        assert_eq!(run.verdicts.len(), 5);
         let v = &run.verdicts[0];
         assert!(v.measured.calibrated, "all 7 families must be measured");
         // 21 suite methods × 2 scales land in the store.
@@ -429,6 +411,6 @@ mod tests {
         assert!(rendered.contains("Table 1 deviations"));
         // Both stores rank every family.
         let csv = rankings().csv(&ranked(&run));
-        assert_eq!(csv.lines().count(), 1 + 2 * v.measured.recs.len());
+        assert_eq!(csv.lines().count(), 1 + 2 * 5 * v.measured.recs.len());
     }
 }

@@ -24,6 +24,9 @@ use rum_storage::{splitmix64, Durable, FaultInjector, FaultPlan};
 
 use crate::{Outcome, Scale, Table, Target};
 
+/// Base seed for crash-point selection.
+const SEED: u64 = 0xC4A5_4000;
+
 /// Matrix configuration.
 #[derive(Clone, Debug)]
 pub struct CrashConfig {
@@ -34,8 +37,6 @@ pub struct CrashConfig {
     /// Seeded crash points per (method, workload) cell, cycling through
     /// clean crash / torn write / failed flush.
     pub crash_points: usize,
-    /// Base seed for crash-point selection.
-    pub seed: u64,
 }
 
 impl Default for CrashConfig {
@@ -44,7 +45,6 @@ impl Default for CrashConfig {
             initial_records: 2000,
             operations: 2000,
             crash_points: 12,
-            seed: 0xC4A5_4000,
         }
     }
 }
@@ -56,7 +56,6 @@ impl CrashConfig {
             initial_records: 400,
             operations: 400,
             crash_points: 6,
-            ..Default::default()
         }
     }
 }
@@ -128,7 +127,7 @@ fn workloads(config: &CrashConfig) -> Vec<(&'static str, Workload)> {
             initial_records: config.initial_records,
             operations: config.operations,
             mix,
-            seed: config.seed ^ name.len() as u64,
+            seed: SEED ^ name.len() as u64,
             ..Default::default()
         };
         (name, Workload::generate(&spec))
@@ -170,7 +169,7 @@ where
         // --- seeded crash points -----------------------------------------
         let write_ops = workload.ops.iter().filter(|o| !o.is_read()).count() as u64;
         for point in 0..config.crash_points {
-            let seed = splitmix64(config.seed ^ (out.cells.len() as u64) << 8 | point as u64);
+            let seed = splitmix64(SEED ^ (out.cells.len() as u64) << 8 | point as u64);
             let (plan, label) = match point % 3 {
                 0 => {
                     let at = seed % wal_bytes.max(1);
@@ -375,7 +374,6 @@ mod tests {
             initial_records: 200,
             operations: 200,
             crash_points: 6,
-            seed: 7,
         };
         let matrix = run(&config);
         assert_eq!(matrix.uo.len(), 4, "2 methods x 2 workloads");

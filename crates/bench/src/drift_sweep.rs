@@ -38,6 +38,9 @@ use std::sync::Arc;
 
 use crate::{Outcome, Scale, Table, Target};
 
+/// Target result size of each range query.
+const RANGE_LEN: usize = 16;
+
 /// Sweep configuration.
 #[derive(Clone, Debug)]
 pub struct DriftSweepConfig {
@@ -60,8 +63,6 @@ pub struct DriftSweepConfig {
     /// check is always strict: summed across the suite, adaptation wins
     /// must beat every fixed choice.
     pub corridor: f64,
-    /// Target result size of each range query.
-    pub range_len: usize,
 }
 
 impl Default for DriftSweepConfig {
@@ -77,7 +78,6 @@ impl Default for DriftSweepConfig {
             period: 24_000,
             window: 512,
             corridor: 1.05,
-            range_len: 16,
         }
     }
 }
@@ -91,7 +91,6 @@ impl DriftSweepConfig {
             period: 8_000,
             window: 256,
             corridor: 1.10,
-            ..Default::default()
         }
     }
 }
@@ -118,7 +117,7 @@ fn spec_for(config: &DriftSweepConfig, drift: Drift, salt: u64) -> WorkloadSpec 
         operations: config.operations,
         mix: OpMix::BALANCED,
         drift,
-        range_len: config.range_len,
+        range_len: RANGE_LEN,
         seed: 0x0D51_F7ED ^ salt,
         ..Default::default()
     }
@@ -286,7 +285,7 @@ impl DriftRow {
 fn env_for(config: &DriftSweepConfig) -> Environment {
     Environment {
         n: config.n,
-        m: config.range_len,
+        m: RANGE_LEN,
     }
 }
 
@@ -524,7 +523,6 @@ mod tests {
             period: 8_000,
             window: 256,
             corridor: 1.25,
-            range_len: 16,
         };
         let rows = run(&config);
         assert_eq!(rows.len(), 18); // 3 scenarios x (4 static + tuner + family)

@@ -44,6 +44,9 @@ use rum_storage::{
 
 use crate::{Outcome, Scale, Table, Target};
 
+/// Base seed for the workload and every fault profile.
+const SEED: u64 = 0xFA_17_57;
+
 /// Matrix configuration.
 #[derive(Clone, Debug)]
 pub struct FaultStormConfig {
@@ -51,8 +54,6 @@ pub struct FaultStormConfig {
     pub initial_records: usize,
     /// Operations per cell.
     pub operations: usize,
-    /// Base seed for the workload and every fault profile.
-    pub seed: u64,
 }
 
 impl Default for FaultStormConfig {
@@ -60,7 +61,6 @@ impl Default for FaultStormConfig {
         FaultStormConfig {
             initial_records: 2000,
             operations: 2000,
-            seed: 0xFA_17_57,
         }
     }
 }
@@ -71,7 +71,6 @@ impl FaultStormConfig {
         FaultStormConfig {
             initial_records: 400,
             operations: 400,
-            ..Default::default()
         }
     }
 }
@@ -157,7 +156,7 @@ fn workload(config: &FaultStormConfig) -> Workload {
         initial_records: config.initial_records,
         operations: config.operations,
         mix: OpMix::BALANCED,
-        seed: config.seed,
+        seed: SEED,
         ..Default::default()
     })
 }
@@ -355,9 +354,9 @@ pub fn run(config: &FaultStormConfig) -> Vec<StormRow> {
         tree.set_retry_policy(policy);
         tree
     };
-    let flips = |ppm| FaultProfile::bitflips(config.seed ^ 0xF11B, ppm);
+    let flips = |ppm| FaultProfile::bitflips(SEED ^ 0xF11B, ppm);
     let mut rows = Vec::new();
-    for leg in legs(config.seed, flips(40_000)) {
+    for leg in legs(SEED, flips(40_000)) {
         let cell = run_cell(
             btree,
             |t| t.scrub(),
@@ -370,7 +369,7 @@ pub fn run(config: &FaultStormConfig) -> Vec<StormRow> {
     // The LSM batches work into far fewer (but larger-consequence) page
     // writes than the B+-tree, so its flip rate is higher to plant a
     // comparable number of flips per run.
-    for leg in legs(config.seed.rotate_left(13), flips(150_000)) {
+    for leg in legs(SEED.rotate_left(13), flips(150_000)) {
         let cell = run_cell(
             lsm,
             |t| t.scrub(),
@@ -381,7 +380,7 @@ pub fn run(config: &FaultStormConfig) -> Vec<StormRow> {
         rows.push(cell);
     }
     // The WAL-wrapped LSM tree: transparent healing.
-    rows.push(run_heal_cell(lsm, config.seed, 80_000, &workload));
+    rows.push(run_heal_cell(lsm, SEED, 80_000, &workload));
     rows
 }
 
@@ -504,7 +503,6 @@ mod tests {
         let config = FaultStormConfig {
             initial_records: 300,
             operations: 300,
-            seed: 0xFA_17_57,
         };
         let rows = run(&config);
         // 2 methods × (5 converge + 1 detect) + 1 heal cell.
@@ -521,10 +519,9 @@ mod tests {
         let config = FaultStormConfig {
             initial_records: 200,
             operations: 200,
-            seed: 42,
         };
         let a = table().csv(&run(&config));
         let b = table().csv(&run(&config));
-        assert_eq!(a, b, "same seed must reproduce the matrix bit-for-bit");
+        assert_eq!(a, b, "the seed must reproduce the matrix bit-for-bit");
     }
 }

@@ -24,7 +24,7 @@
 //! Prometheus can scrape the same run.
 //!
 //! `rum-bench top --smoke` is the CI obs leg, in three acts:
-//!   1. conservation over every [`ObsConfig::smoke`] method;
+//!   1. conservation over each of its four methods;
 //!   2. exporter round-trip — serve a finished plane on an ephemeral
 //!      port, scrape `/metrics`, validate it with the strict parser, and
 //!      check the key series exist (including `rum_conservation_ok 1`);
@@ -45,42 +45,22 @@ use rum_obs::{http_get, parse_prometheus, serve, PromSample};
 use crate::table::finite;
 use crate::{baseline, fail, Outcome, Scale, Table, Target};
 
-/// Configuration of one observability run.
-pub struct ObsConfig {
-    pub initial_records: usize,
-    pub operations: usize,
-    /// Trajectory window (gauges republish at every window close).
-    pub window: usize,
-    pub seed: u64,
-    /// Standard-suite method names to run.
-    pub methods: Vec<String>,
-}
+/// The standard-suite methods of the smoke run: few enough for the smoke
+/// leg, and every LSM variant among them flushes, compacts, syncs its WAL
+/// and rebuilds its sorted view over [`smoke_spec`].
+const SMOKE_METHODS: [&str; 4] = ["b+tree", "lsm-tree", "lsm-tree+view", "lsm-tree+wal"];
+/// Trajectory window of the smoke run (gauges republish at every window
+/// close).
+const SMOKE_WINDOW: usize = 512;
 
-impl ObsConfig {
-    /// The deterministic CI configuration: small enough for the smoke
-    /// leg, large enough that every LSM variant flushes, compacts, syncs
-    /// its WAL, and rebuilds its sorted view.
-    pub fn smoke() -> ObsConfig {
-        ObsConfig {
-            initial_records: 2_000,
-            operations: 6_000,
-            window: 512,
-            seed: 0x0B5E_7241,
-            methods: ["b+tree", "lsm-tree", "lsm-tree+view", "lsm-tree+wal"]
-                .iter()
-                .map(|s| s.to_string())
-                .collect(),
-        }
-    }
-
-    fn spec(&self) -> WorkloadSpec {
-        WorkloadSpec {
-            initial_records: self.initial_records,
-            operations: self.operations,
-            mix: OpMix::BALANCED,
-            seed: self.seed,
-            ..Default::default()
-        }
+/// The deterministic stream every smoke method runs.
+fn smoke_spec() -> WorkloadSpec {
+    WorkloadSpec {
+        initial_records: 2_000,
+        operations: 6_000,
+        mix: OpMix::BALANCED,
+        seed: 0x0B5E_7241,
+        ..Default::default()
     }
 }
 
@@ -113,12 +93,13 @@ fn metered(
     run_stream_metered(method, OpStream::new(spec), &mut trace, plane)
 }
 
-/// Run one standard-suite method under the metrics plane.
-pub fn run_method(name: &str, cfg: &ObsConfig) -> Result<MethodObs> {
+/// Run one standard-suite method over the smoke stream under the metrics
+/// plane.
+pub fn run_method(name: &str) -> Result<MethodObs> {
     let mut method = rum::suite_method(name)
         .ok_or_else(|| RumError::InvalidArgument(format!("unknown suite method {name:?}")))?;
     let plane = Arc::new(MetricsPlane::new());
-    let report = metered(method.as_mut(), &cfg.spec(), cfg.window, &plane)?;
+    let report = metered(method.as_mut(), &smoke_spec(), SMOKE_WINDOW, &plane)?;
     let totals = method.tracker().snapshot();
     let debt = plane.ledger().snapshot();
     let conserved = debt.conserves(&totals);
@@ -132,11 +113,11 @@ pub fn run_method(name: &str, cfg: &ObsConfig) -> Result<MethodObs> {
     })
 }
 
-/// Run every configured method, in order.
-pub fn run(cfg: &ObsConfig) -> Vec<MethodObs> {
-    cfg.methods
+/// Run every smoke method, in order.
+pub fn run() -> Vec<MethodObs> {
+    SMOKE_METHODS
         .iter()
-        .map(|name| run_method(name, cfg).unwrap_or_else(|e| panic!("obs run {name}: {e}")))
+        .map(|name| run_method(name).unwrap_or_else(|e| panic!("obs run {name}: {e}")))
         .collect()
 }
 
@@ -413,13 +394,13 @@ fn exporter_roundtrip(plane: &Arc<MetricsPlane>) -> std::result::Result<String, 
 /// `rum-bench top --smoke`: the three acts of the module doc, one check each.
 fn smoke() -> Outcome {
     eprintln!("[obs] smoke: causal attribution + conservation ...");
-    let rows = run(&ObsConfig::smoke());
+    let rows = run();
 
     eprintln!("[obs] smoke: exporter round-trip ...");
     let lsm = rows
         .iter()
         .find(|r| r.name == "lsm-tree")
-        .expect("lsm-tree is an ObsConfig::smoke method");
+        .expect("lsm-tree is a smoke method");
     let exporter = exporter_roundtrip(&lsm.plane);
 
     eprintln!("[obs] smoke: metrics-on ≡ metrics-off across the standard suite ...");
@@ -560,9 +541,8 @@ mod tests {
 
     #[test]
     fn smoke_run_conserves_and_attributes_background_bytes() {
-        let cfg = ObsConfig::smoke();
-        let rows = run(&cfg);
-        assert_eq!(rows.len(), cfg.methods.len());
+        let rows = run();
+        assert_eq!(rows.len(), SMOKE_METHODS.len());
         for r in &rows {
             assert!(r.conserved, "{}: attribution must conserve", r.name);
             // The finished run published the totals it conserves against.
@@ -592,9 +572,8 @@ mod tests {
 
     #[test]
     fn smoke_csv_is_deterministic() {
-        let cfg = ObsConfig::smoke();
         let csv = || {
-            let (rows, table) = (run(&cfg), table());
+            let (rows, table) = (run(), table());
             table.csv(&class_rows(&rows))
         };
         assert_eq!(csv(), csv());

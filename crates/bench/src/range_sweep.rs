@@ -39,8 +39,6 @@ pub struct RangeSweepConfig {
     pub n: usize,
     /// Operations in the stream.
     pub operations: usize,
-    /// Target result size of each range query.
-    pub range_len: usize,
     /// Required RO advantage of view-on over view-off on the scan-heavy
     /// mix: `ro_off >= ro_on * ro_ratio_floor`. The full sweep demands
     /// the headline 2×; the smoke run only demands strictly lower.
@@ -52,7 +50,6 @@ impl Default for RangeSweepConfig {
         RangeSweepConfig {
             n: 100_000,
             operations: 30_000,
-            range_len: 16,
             ro_ratio_floor: 2.0,
         }
     }
@@ -67,7 +64,6 @@ impl RangeSweepConfig {
             n: 20_000,
             operations: 8_000,
             ro_ratio_floor: 1.0,
-            ..Default::default()
         }
     }
 }
@@ -105,13 +101,15 @@ fn tree(filter: FilterKind, sorted_view: bool) -> LsmTree {
 
 /// Gap between bulk-loaded keys: inserts land on the in-between slots.
 const KEY_SPACING: u64 = 4;
+/// Target result size of each range query.
+const RANGE_LEN: usize = 16;
 
 fn spec_for(config: &RangeSweepConfig, mix: OpMix, seed_salt: u64) -> WorkloadSpec {
     WorkloadSpec {
         initial_records: config.n,
         operations: config.operations,
         mix,
-        range_len: config.range_len,
+        range_len: RANGE_LEN,
         key_space: KeySpace::Dense {
             spacing: KEY_SPACING,
         },
@@ -326,7 +324,6 @@ mod tests {
         let config = RangeSweepConfig {
             n: 4_000,
             operations: 3_000,
-            range_len: 16,
             ro_ratio_floor: 1.0,
         };
         let rows = run(&config);

@@ -34,7 +34,7 @@ fn section_cracking() {
     // Load *shuffled* physical order via per-record inserts.
     let build = |stochastic: bool| -> CrackedColumn {
         let mut c = if stochastic {
-            CrackedColumn::stochastic(3)
+            CrackedColumn::stochastic()
         } else {
             CrackedColumn::new()
         };

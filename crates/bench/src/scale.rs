@@ -5,8 +5,8 @@
 //! this sweep is where the streaming machinery earns its keep. For each
 //! (n, K) cell a `ShardedMethod` of K B+-trees takes `n` operations drawn
 //! straight from an [`OpStream`] — never materialized — in batches of
-//! `batch` ops, reads and writes mixed as the stream has them, executed
-//! across K shard workers.
+//! [`DEFAULT_STREAM_BATCH`] ops, reads and writes mixed as the stream has
+//! them, executed across K shard workers.
 //!
 //! What the sweep demonstrates, in RUM terms:
 //!
@@ -50,11 +50,6 @@ pub struct ScaleConfig {
     pub ns: Vec<usize>,
     /// Shard counts to sweep.
     pub ks: Vec<usize>,
-    /// Ops per [`ShardedMethod::submit_batch`] dispatch.
-    pub batch: usize,
-    /// Cross-check the smallest n against a serial, per-op, materialized
-    /// run (costly: it builds the `Vec<Op>` the streaming path avoids).
-    pub verify: bool,
 }
 
 impl Default for ScaleConfig {
@@ -62,8 +57,6 @@ impl Default for ScaleConfig {
         ScaleConfig {
             ns: vec![100_000, 1_000_000, 10_000_000],
             ks: vec![1, 2, 4, 8],
-            batch: DEFAULT_STREAM_BATCH,
-            verify: true,
         }
     }
 }
@@ -78,7 +71,6 @@ impl ScaleConfig {
         ScaleConfig {
             ns: vec![100_000],
             ks: vec![1, 2, 8],
-            ..Default::default()
         }
     }
 }
@@ -91,8 +83,6 @@ pub struct ScaleRow {
     /// Shard count.
     pub k: usize,
     pub report: RumReport,
-    /// Ops per dispatch the cell was configured with.
-    pub batch: usize,
     /// [`ShardedMethod::dispatches`] and
     /// [`ShardedMethod::dispatched_ops`] after the run.
     pub dispatches: u64,
@@ -122,8 +112,8 @@ fn sharded(k: usize) -> ShardedMethod {
 /// Run the sweep. Cells run serially (each cell already uses the shard
 /// workers); rows come back in (n, K) sweep order.
 ///
-/// When `verify` is set, every K at the *smallest* n is re-run serially,
-/// per-op, and the batched report's RO/UO/MO must match bit-for-bit.
+/// Every K at the *smallest* n is re-run serially, per-op, and the batched
+/// report's RO/UO/MO must match bit-for-bit.
 pub fn run(config: &ScaleConfig) -> Vec<ScaleRow> {
     let smallest = config.ns.iter().copied().min();
     let mut rows = Vec::with_capacity(config.ns.len() * config.ks.len());
@@ -139,7 +129,7 @@ pub fn run(config: &ScaleConfig) -> Vec<ScaleRow> {
             let report = run_stream_sharded_traced(
                 &mut method,
                 OpStream::new(&spec),
-                config.batch,
+                DEFAULT_STREAM_BATCH,
                 &mut trace,
             )
             .expect("sharded stream run");
@@ -148,7 +138,7 @@ pub fn run(config: &ScaleConfig) -> Vec<ScaleRow> {
                 t0.elapsed().as_secs_f32(),
                 report.ops_per_sec
             );
-            let verified = if config.verify && Some(n) == smallest {
+            let verified = if Some(n) == smallest {
                 let serial = run_stream(&mut sharded(k), OpStream::new(&spec)).expect("serial run");
                 Some(serial.counted_diff(&report).is_none())
             } else {
@@ -158,7 +148,6 @@ pub fn run(config: &ScaleConfig) -> Vec<ScaleRow> {
                 n,
                 k,
                 report,
-                batch: config.batch.max(1),
                 dispatches: method.dispatches(),
                 dispatched_ops: method.dispatched_ops(),
                 verified,
@@ -207,7 +196,7 @@ pub fn checks(rows: &[ScaleRow]) -> Vec<(String, bool)> {
                 ok,
             ));
         }
-        let full_batches = r.n.div_ceil(r.batch) as u64;
+        let full_batches = r.n.div_ceil(DEFAULT_STREAM_BATCH) as u64;
         out.push((
             format!(
                 "n={} K={}: {} dispatches, at most ⌈n/{}⌉ + 1 = {} (a batch ends only where it \
@@ -215,7 +204,7 @@ pub fn checks(rows: &[ScaleRow]) -> Vec<(String, bool)> {
                 r.n,
                 r.k,
                 r.dispatches,
-                r.batch,
+                DEFAULT_STREAM_BATCH,
                 full_batches + 1
             ),
             r.dispatches <= full_batches + 1,
@@ -310,8 +299,6 @@ mod tests {
         let config = ScaleConfig {
             ns: vec![2000],
             ks: vec![1, 2, 4],
-            batch: 128,
-            verify: true,
         };
         let rows = run(&config);
         assert_eq!(rows.len(), 3);

@@ -73,16 +73,15 @@ fn fig3_knobs_move_methods_as_predicted() {
 
 #[test]
 fn scale_sweep_holds_at_test_scale() {
-    // A miniature of the CI smoke job: stream a few batches across 1, 2,
+    // A miniature of the CI smoke job: stream three batches across 1, 2,
     // and 4 shards, cross-check every K against the serial per-op run,
     // and require finite, well-formed RUM values throughout.
     let config = scale::ScaleConfig {
-        ns: vec![4096],
+        ns: vec![20_000],
         ks: vec![1, 2, 4],
-        batch: 512,
-        verify: true,
     };
     let rows = scale::run(&config);
+    assert!(rows.iter().all(|r| r.dispatches >= 3), "three batches");
     assert_all(scale::checks(&rows), "scale sweep");
 }
 

@@ -14,60 +14,43 @@ use rum_core::{AccessMethod, CostTracker, DataClass, Key, Record, Result, SpaceP
 
 use crate::updatable::UpdateFriendlyBitmap;
 
-/// Configuration of the binning and delta-merge behavior.
-#[derive(Clone, Copy, Debug)]
-pub struct BitmapConfig {
-    /// Number of key-range bins (the "cardinality" of the index).
-    pub bins: usize,
-    /// Expected key-domain upper bound; keys beyond it land in the last
-    /// bin (pruning degrades gracefully).
-    pub key_domain: u64,
-    /// Delta entries per bitmap before a merge.
-    pub merge_threshold: usize,
-}
-
-impl Default for BitmapConfig {
-    fn default() -> Self {
-        BitmapConfig {
-            bins: 64,
-            key_domain: 1 << 20,
-            merge_threshold: 1024,
-        }
-    }
-}
+/// Number of key-range bins (the "cardinality" of the index).
+const BINS: usize = 64;
+/// Key-domain upper bound until a bulk load re-derives it; keys beyond it
+/// land in the last bin (pruning degrades gracefully).
+const INITIAL_KEY_DOMAIN: u64 = 1 << 20;
+/// Delta entries per bitmap before a merge.
+const MERGE_THRESHOLD: usize = 1024;
 
 /// The bitmap index.
 pub struct BitmapIndex {
     rows: PackedFile,
     bitmaps: Vec<UpdateFriendlyBitmap>,
-    config: BitmapConfig,
+    /// Expected key-domain upper bound, the span the bins divide.
+    key_domain: u64,
     live: usize,
 }
 
 impl BitmapIndex {
     pub fn new() -> Self {
-        Self::with_config(BitmapConfig::default())
-    }
-
-    pub fn with_config(config: BitmapConfig) -> Self {
-        assert!(config.bins >= 1);
         BitmapIndex {
             rows: PackedFile::default(),
-            bitmaps: (0..config.bins)
-                .map(|_| UpdateFriendlyBitmap::new(0, config.merge_threshold))
-                .collect(),
-            config,
+            bitmaps: Self::empty_bitmaps(0),
+            key_domain: INITIAL_KEY_DOMAIN,
             live: 0,
         }
     }
 
-    pub fn config(&self) -> &BitmapConfig {
-        &self.config
+    /// One empty bitmap per bin, each `rows` rows long.
+    fn empty_bitmaps(rows: u64) -> Vec<UpdateFriendlyBitmap> {
+        (0..BINS)
+            .map(|_| UpdateFriendlyBitmap::new(rows, MERGE_THRESHOLD))
+            .collect()
     }
 
     fn bin_of(&self, key: Key) -> usize {
-        let width = (self.config.key_domain / self.config.bins as u64).max(1);
-        ((key / width) as usize).min(self.config.bins - 1)
+        let width = (self.key_domain / BINS as u64).max(1);
+        ((key / width) as usize).min(BINS - 1)
     }
 
     /// Charge reading one bin's bitmap (auxiliary traffic).
@@ -207,12 +190,9 @@ impl AccessMethod for BitmapIndex {
         self.rows.rebuild(records)?;
         // Re-derive the domain so bins are balanced for this dataset.
         if let Some(last) = records.last() {
-            self.config.key_domain = last.key.saturating_add(1).max(self.config.bins as u64);
+            self.key_domain = last.key.saturating_add(1).max(BINS as u64);
         }
-        let n = records.len() as u64;
-        self.bitmaps = (0..self.config.bins)
-            .map(|_| UpdateFriendlyBitmap::new(n, self.config.merge_threshold))
-            .collect();
+        self.bitmaps = Self::empty_bitmaps(records.len() as u64);
         for (row, r) in records.iter().enumerate() {
             let bin = self.bin_of(r.key);
             self.bitmaps[bin].set(row as u64);
@@ -241,11 +221,7 @@ mod tests {
 
     #[test]
     fn crud_roundtrip() {
-        let mut b = BitmapIndex::with_config(BitmapConfig {
-            bins: 8,
-            key_domain: 1000,
-            merge_threshold: 16,
-        });
+        let mut b = BitmapIndex::new();
         b.insert(10, 100).unwrap();
         b.insert(500, 200).unwrap();
         assert_eq!(b.get(10).unwrap(), Some(100));
@@ -310,39 +286,21 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        let mut b = BitmapIndex::with_config(BitmapConfig {
-            bins: 16,
-            key_domain: 2000,
-            merge_threshold: 32,
-        });
-        check(&mut b, &hostile_ops(61, 3000, 2000)).unwrap();
-    }
-
-    #[test]
-    fn more_bins_prune_better_but_cost_more_space() {
-        let build = |bins: usize| {
-            let recs: Vec<Record> = (0..20_000u64).map(|k| Record::new(k, 0)).collect();
-            let mut b = BitmapIndex::with_config(BitmapConfig {
-                bins,
-                key_domain: 20_000,
-                merge_threshold: 1024,
-            });
-            b.bulk_load(&recs).unwrap();
-            b
-        };
-        let mut fine = build(256);
-        let mut coarse = build(8);
-        let cost = |b: &mut BitmapIndex| {
-            let before = b.tracker().snapshot();
-            b.range(5000, 5050).unwrap();
-            b.tracker().since(&before).page_reads
-        };
-        assert!(cost(&mut fine) <= cost(&mut coarse));
-        let fine_aux = fine.space_profile().aux_bytes;
-        let coarse_aux = coarse.space_profile().aux_bytes;
+        // Bulk-loaded, the bins split the stream's key domain 64 ways.
+        let mut stream = hostile_ops(61, 3000, 2000);
+        stream.initial = (0..2000u64).step_by(2).map(|k| Record::new(k, k)).collect();
+        check(&mut BitmapIndex::new(), &stream).unwrap();
+        // A sparse tail out to 248 000 makes the bins 3875 keys wide, so
+        // the stream's churn falls in bins 0 and 1, each passing the merge
+        // threshold while ranges span bin boundaries and the tail.
+        let mut stream = hostile_ops(61, 12_000, 8000);
+        stream.initial = (1..32u64).map(|k| Record::new(k * 8000, k)).collect();
+        let mut b = BitmapIndex::new();
+        check(&mut b, &stream).unwrap();
+        let merged: Vec<u64> = b.bitmaps.iter().map(|m| m.merges()).collect();
         assert!(
-            fine_aux >= coarse_aux,
-            "fine {fine_aux} vs coarse {coarse_aux}"
+            merged[..2].iter().all(|&m| m > 0),
+            "merges per bin: {merged:?}"
         );
     }
 }

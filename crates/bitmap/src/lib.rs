@@ -21,6 +21,6 @@ pub mod index;
 pub mod updatable;
 pub mod wah;
 
-pub use index::{BitmapConfig, BitmapIndex};
+pub use index::BitmapIndex;
 pub use updatable::UpdateFriendlyBitmap;
 pub use wah::WahVec;

@@ -16,7 +16,7 @@ use rum_core::{
 };
 use rum_storage::MemDevice;
 
-use crate::tree::{BTree, BTreeConfig};
+use crate::tree::BTree;
 
 /// PBT tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -25,8 +25,6 @@ pub struct PbtConfig {
     pub partition_records: usize,
     /// Sealed + active partitions allowed before a full consolidation.
     pub max_partitions: usize,
-    /// Node configuration shared by all partitions.
-    pub node: BTreeConfig,
 }
 
 impl Default for PbtConfig {
@@ -34,7 +32,6 @@ impl Default for PbtConfig {
         PbtConfig {
             partition_records: 4096,
             max_partitions: 8,
-            node: BTreeConfig::default(),
         }
     }
 }
@@ -62,7 +59,7 @@ impl PartitionedBTree {
         assert!(config.max_partitions >= 2);
         let tracker = CostTracker::new();
         PartitionedBTree {
-            partitions: vec![Self::fresh_tree(&config, &tracker)],
+            partitions: vec![Self::fresh_tree(&tracker)],
             config,
             tracker,
             live: KeySet::default(),
@@ -70,11 +67,10 @@ impl PartitionedBTree {
         }
     }
 
-    fn fresh_tree(config: &PbtConfig, tracker: &Arc<CostTracker>) -> BTree<MemDevice> {
-        let tree = BTree::with_config(config.node);
+    fn fresh_tree(tracker: &Arc<CostTracker>) -> BTree<MemDevice> {
         // Route the partition's charges into the shared tracker by
         // replacing its private one.
-        tree.adopt_tracker(Arc::clone(tracker))
+        BTree::new().adopt_tracker(Arc::clone(tracker))
     }
 
     pub fn partition_count(&self) -> usize {
@@ -99,8 +95,7 @@ impl PartitionedBTree {
         if self.partitions.len() + 1 > self.config.max_partitions {
             self.consolidate()?;
         }
-        self.partitions
-            .push(Self::fresh_tree(&self.config, &self.tracker));
+        self.partitions.push(Self::fresh_tree(&self.tracker));
         Ok(())
     }
 
@@ -111,7 +106,7 @@ impl PartitionedBTree {
             answers.push(part.range(0, Key::MAX)?);
         }
         let records = self.merge_live(&mut answers);
-        let mut consolidated = Self::fresh_tree(&self.config, &self.tracker);
+        let mut consolidated = Self::fresh_tree(&self.tracker);
         consolidated.bulk_load_impl(&records)?;
         self.partitions = vec![consolidated];
         self.merges += 1;
@@ -212,14 +207,13 @@ impl AccessMethod for PartitionedBTree {
     }
 
     fn bulk_load_impl(&mut self, records: &[Record]) -> Result<()> {
-        let mut consolidated = Self::fresh_tree(&self.config, &self.tracker);
+        let mut consolidated = Self::fresh_tree(&self.tracker);
         consolidated.bulk_load_impl(records)?;
         self.partitions = vec![consolidated];
         self.live.assign(records.iter().map(|r| r.key));
         // A freshly loaded PBT still needs an empty active partition so
         // new inserts stay cheap.
-        self.partitions
-            .push(Self::fresh_tree(&self.config, &self.tracker));
+        self.partitions.push(Self::fresh_tree(&self.tracker));
         Ok(())
     }
 }
@@ -233,7 +227,6 @@ mod tests {
         PbtConfig {
             partition_records: 64,
             max_partitions: 4,
-            node: BTreeConfig::default(),
         }
     }
 
@@ -318,7 +311,6 @@ mod tests {
             let mut t = PartitionedBTree::with_config(PbtConfig {
                 partition_records: 256,
                 max_partitions,
-                node: BTreeConfig::default(),
             });
             // Scattered inserts so partitions overlap.
             for i in 0..4000u64 {

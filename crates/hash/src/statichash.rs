@@ -17,8 +17,10 @@ const EMPTY: Key = Key::MAX;
 /// Slot marker: a deleted slot that probes must walk through.
 const GRAVE: Key = Key::MAX - 1;
 
-/// Default target load factor for sizing.
-const DEFAULT_LOAD: f64 = 0.5;
+/// Records an empty table is sized for.
+const INITIAL_RECORDS: usize = 64;
+/// Target load factor for sizing.
+const LOAD: f64 = 0.5;
 /// Grow when the occupancy (live + graves) exceeds this.
 const GROW_AT: f64 = 0.85;
 
@@ -31,20 +33,13 @@ pub struct StaticHash {
     live: usize,
     /// Live + tombstones: what drives probe lengths and growth.
     occupied: usize,
-    target_load: f64,
 }
 
 impl StaticHash {
-    /// An empty table sized for ~64 records at the default load factor.
+    /// An empty table sized for 64 records at load factor 0.5: one page.
     pub fn new() -> Self {
-        Self::with_capacity(64, DEFAULT_LOAD)
-    }
-
-    /// A table pre-sized for `expected` records at `load` occupancy.
-    pub fn with_capacity(expected: usize, load: f64) -> Self {
-        assert!((0.0..1.0).contains(&load) && load > 0.0, "bad load factor");
         let mut pager = Pager::new(MemDevice::new(), CostTracker::new());
-        let slots = Self::slots_for(expected, load);
+        let slots = Self::slots_for(INITIAL_RECORDS);
         let pages = Self::fresh_pages(&mut pager, slots).expect("initial allocation");
         pager.tracker().reset();
         StaticHash {
@@ -53,12 +48,11 @@ impl StaticHash {
             slots,
             live: 0,
             occupied: 0,
-            target_load: load,
         }
     }
 
-    fn slots_for(expected: usize, load: f64) -> usize {
-        let want = ((expected.max(1) as f64 / load).ceil() as usize).max(RECORDS_PER_PAGE);
+    fn slots_for(expected: usize) -> usize {
+        let want = ((expected.max(1) as f64 / LOAD).ceil() as usize).max(RECORDS_PER_PAGE);
         want.next_power_of_two()
     }
 
@@ -272,7 +266,7 @@ impl AccessMethod for StaticHash {
         for id in std::mem::take(&mut self.pages) {
             self.pager.free(id)?;
         }
-        self.slots = Self::slots_for(records.len(), self.target_load);
+        self.slots = Self::slots_for(records.len());
         self.pages = Self::fresh_pages(&mut self.pager, self.slots)?;
         self.live = 0;
         self.occupied = 0;
@@ -294,7 +288,7 @@ mod tests {
 
     fn loaded(n: u64) -> StaticHash {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k, k * 3)).collect();
-        let mut h = StaticHash::with_capacity(n as usize, DEFAULT_LOAD);
+        let mut h = StaticHash::new();
         h.bulk_load(&recs).unwrap();
         h
     }
@@ -354,8 +348,9 @@ mod tests {
 
     #[test]
     fn grows_transparently() {
-        let mut h = StaticHash::with_capacity(16, 0.5);
+        let mut h = StaticHash::new();
         let initial_cap = h.capacity();
+        assert_eq!(initial_cap, RECORDS_PER_PAGE);
         for k in 0..10_000u64 {
             h.insert(k, k).unwrap();
         }
@@ -369,7 +364,7 @@ mod tests {
     #[test]
     fn tombstones_keep_probe_chains_intact() {
         // Force collisions into a tiny table, then delete a middle link.
-        let mut h = StaticHash::with_capacity(16, 0.5);
+        let mut h = StaticHash::new();
         for k in 0..100u64 {
             h.insert(k, k).unwrap();
         }
@@ -384,7 +379,7 @@ mod tests {
 
     #[test]
     fn tombstone_slots_are_reused() {
-        let mut h = StaticHash::with_capacity(64, 0.5);
+        let mut h = StaticHash::new();
         for k in 0..30u64 {
             h.insert(k, k).unwrap();
         }
@@ -415,7 +410,7 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        let mut h = StaticHash::with_capacity(16, 0.5);
+        let mut h = StaticHash::new();
         check(&mut h, &hostile_ops(31, 5000, 1000)).unwrap();
     }
 
@@ -440,9 +435,21 @@ mod tests {
     #[test]
     fn probe_chains_cross_pages_and_wrap_at_pinned_cost() {
         // Two pages: a chain that starts in the last two slots of page 1
-        // runs on into page 0.
-        let mut h = StaticHash::with_capacity(256, DEFAULT_LOAD);
-        assert_eq!(h.capacity(), 2 * RECORDS_PER_PAGE);
+        // runs on into page 0. A bulk load of 129 records sizes the table
+        // to two pages; they are homed mid-table, clear of the chain, and
+        // keyed above every key the test probes or scans for.
+        const FILLER: Key = 1 << 40;
+        let slots = 2 * RECORDS_PER_PAGE;
+        let filler: Vec<Record> = (FILLER..)
+            .filter(|&k| {
+                (64..448).contains(&((hash64(k) >> (64 - slots.trailing_zeros())) as usize))
+            })
+            .take(129)
+            .map(|k| Record::new(k, k))
+            .collect();
+        let mut h = StaticHash::new();
+        h.bulk_load(&filler).unwrap();
+        assert_eq!(h.capacity(), slots);
         let keys: Vec<Key> = (0..u64::MAX)
             .filter(|&k| h.home_slot(k) >= h.capacity() - 2)
             .take(7)
@@ -466,7 +473,7 @@ mod tests {
         h.insert(keys[6], 1).unwrap(); // and reuses it
         probe(&mut h, keys[6], Some(1));
         assert_eq!(reads, [1, 2, 2, 2, 2]);
-        assert_eq!(h.range(0, u64::MAX - 2).unwrap().len(), 6);
+        assert_eq!(h.range(0, FILLER - 1).unwrap().len(), 6);
         // Number for number what the copying implementation charged.
         assert_eq!(
             t.since(&start),
@@ -484,7 +491,7 @@ mod tests {
         );
 
         // One page: the same chain wraps inside the page it started in.
-        let mut h = StaticHash::with_capacity(64, DEFAULT_LOAD);
+        let mut h = StaticHash::new();
         assert_eq!(h.capacity(), RECORDS_PER_PAGE);
         let keys: Vec<Key> = (0..u64::MAX)
             .filter(|&k| h.home_slot(k) >= h.capacity() - 2)

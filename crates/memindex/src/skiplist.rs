@@ -14,6 +14,8 @@ const MAX_LEVEL: usize = 32;
 const P: f64 = 0.5;
 const NIL: usize = usize::MAX;
 const PTR: u64 = 8;
+/// Seed of the tower heights, fixed for reproducible experiments.
+const SEED: u64 = 0xC0FFEE;
 
 struct SkipNode {
     rec: Record,
@@ -35,18 +37,13 @@ pub struct SkipList {
 
 impl SkipList {
     pub fn new() -> Self {
-        Self::with_seed(0xC0FFEE)
-    }
-
-    /// Deterministic tower heights for reproducible experiments.
-    pub fn with_seed(seed: u64) -> Self {
         SkipList {
             nodes: Vec::new(),
             free: Vec::new(),
             head: vec![NIL; MAX_LEVEL],
             level: 1,
             len: 0,
-            rng: StdRng::seed_from_u64(seed),
+            rng: StdRng::seed_from_u64(SEED),
             tracker: CostTracker::new(),
         }
     }
@@ -306,7 +303,7 @@ mod tests {
     fn search_cost_is_logarithmic() {
         let visits = |n: u64| {
             let recs: Vec<Record> = (0..n).map(|k| Record::new(k, k)).collect();
-            let mut s = SkipList::with_seed(3);
+            let mut s = SkipList::new();
             s.bulk_load(&recs).unwrap();
             s.tracker().reset();
             let probes = 200u64;
@@ -372,7 +369,7 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let build = || {
-            let mut s = SkipList::with_seed(99);
+            let mut s = SkipList::new();
             for k in 0..100u64 {
                 s.insert(k, k).unwrap();
             }

@@ -8,8 +8,8 @@
 //! *zone* of pages carries a small **quotient filter** over its keys: a
 //! point probe consults the zone filters (cheap, in-memory, approximate)
 //! and reads pages only in zones whose filter answers "maybe". False
-//! positives cost extra page reads — the filter size knob trades MO
-//! directly against RO. Because the filters are quotient filters (not
+//! positives cost extra page reads — the filter size trades MO directly
+//! against RO. Because the filters are quotient filters (not
 //! Bloom), **deletes and inserts update them exactly**, which is what
 //! keeps the approximate index usable under churn.
 
@@ -22,24 +22,11 @@ use rum_core::{
 };
 use rum_sketch::QuotientFilter;
 
-/// Configuration of the approximate index.
-#[derive(Clone, Copy, Debug)]
-pub struct BfTreeConfig {
-    /// Records per filtered zone (page-aligned).
-    pub zone_records: usize,
-    /// Remainder bits per quotient-filter entry: the RO/MO knob
-    /// (false-positive rate ≈ load · 2^-rbits).
-    pub remainder_bits: u32,
-}
-
-impl Default for BfTreeConfig {
-    fn default() -> Self {
-        BfTreeConfig {
-            zone_records: 4 * RECORDS_PER_PAGE,
-            remainder_bits: 8,
-        }
-    }
-}
+/// Records per filtered zone (four pages).
+const ZONE_RECORDS: usize = 4 * RECORDS_PER_PAGE;
+/// Remainder bits per quotient-filter entry: the RO/MO trade of the
+/// filters (false-positive rate ≈ load · 2^-rbits).
+const REMAINDER_BITS: u32 = 8;
 
 /// A zone: its key fence (for routing) plus its filter.
 struct Zone {
@@ -53,21 +40,13 @@ pub struct BfTree {
     /// Sorted base data.
     file: PackedFile,
     zones: Vec<Zone>,
-    config: BfTreeConfig,
 }
 
 impl BfTree {
     pub fn new() -> Self {
-        Self::with_config(BfTreeConfig::default())
-    }
-
-    pub fn with_config(config: BfTreeConfig) -> Self {
-        assert!(config.zone_records >= RECORDS_PER_PAGE);
-        assert_eq!(config.zone_records % RECORDS_PER_PAGE, 0);
         BfTree {
             file: PackedFile::default(),
             zones: Vec::new(),
-            config,
         }
     }
 
@@ -82,8 +61,7 @@ impl BfTree {
 
     /// The records of zone `zi`, as global indices.
     fn zone_records(&self, zi: usize) -> std::ops::Range<usize> {
-        let zr = self.config.zone_records;
-        zi * zr..((zi + 1) * zr).min(self.file.len())
+        zi * ZONE_RECORDS..((zi + 1) * ZONE_RECORDS).min(self.file.len())
     }
 
     /// [`PackedFile::search`] over the whole file.
@@ -96,11 +74,10 @@ impl BfTree {
     /// every later zone boundary. Each zone's records are read one `get`
     /// at a time and its filter write is charged.
     fn rebuild_zones_from(&mut self, idx: usize) -> Result<()> {
-        let zr = self.config.zone_records;
-        let first_zone = idx / zr;
+        let first_zone = idx / ZONE_RECORDS;
         self.zones.truncate(first_zone);
-        for zi in first_zone..self.file.len().div_ceil(zr) {
-            let mut filter = QuotientFilter::with_capacity(zr.max(16), self.config.remainder_bits);
+        for zi in first_zone..self.file.len().div_ceil(ZONE_RECORDS) {
+            let mut filter = QuotientFilter::with_capacity(ZONE_RECORDS, REMAINDER_BITS);
             let mut min_key = Key::MAX;
             for i in self.zone_records(zi) {
                 let r = self.file.get(i)?;
@@ -223,9 +200,9 @@ mod tests {
     use super::*;
     use rum_core::oracle::{check, hostile_ops};
 
-    fn loaded(n: u64, cfg: BfTreeConfig) -> BfTree {
+    fn loaded(n: u64) -> BfTree {
         let recs: Vec<Record> = (0..n).map(|k| Record::new(k * 2, k)).collect();
-        let mut t = BfTree::with_config(cfg);
+        let mut t = BfTree::new();
         t.bulk_load(&recs).unwrap();
         t
     }
@@ -249,7 +226,7 @@ mod tests {
 
     #[test]
     fn filters_prune_miss_probes() {
-        let mut t = loaded(16 * RECORDS_PER_PAGE as u64, BfTreeConfig::default());
+        let mut t = loaded(16 * RECORDS_PER_PAGE as u64);
         let before = t.tracker().snapshot();
         // In-domain misses (odd keys): almost every zone filter says no.
         for k in 0..200u64 {
@@ -263,74 +240,15 @@ mod tests {
             "filters should prune most miss reads, got {}",
             d.page_reads
         );
-    }
-
-    #[test]
-    fn more_remainder_bits_fewer_false_positive_reads() {
-        // NB: the misses must be *random* keys. Structured probes (e.g.
-        // the odd neighbors of the even live keys) land in the gaps of the
-        // Fibonacci-hash fingerprint lattice (three-distance theorem) and
-        // produce zero collisions at any remainder width.
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let miss_reads = |rbits: u32| {
-            let mut t = loaded(
-                32 * RECORDS_PER_PAGE as u64,
-                BfTreeConfig {
-                    remainder_bits: rbits,
-                    ..Default::default()
-                },
-            );
-            let mut rng = StdRng::seed_from_u64(6);
-            let before = t.tracker().snapshot();
-            for _ in 0..2000 {
-                // Truly random keys above the live domain: they fence-route
-                // to the last zone and measure its filter's real FPR.
-                // (Structured probes — e.g. the odd neighbors of the live
-                // even keys — sit in the gaps of the Fibonacci-hash
-                // fingerprint lattice and never collide.)
-                let k: u64 = rng.gen_range(1 << 32..u64::MAX);
-                t.get(k).unwrap();
-            }
-            t.tracker().since(&before).page_reads
-        };
-        let coarse = miss_reads(3);
-        let fine = miss_reads(12);
-        assert!(
-            fine < coarse,
-            "12-bit remainders ({fine} reads) should beat 3-bit ({coarse})"
-        );
-        assert!(
-            coarse > 20,
-            "3-bit filters must show false positives: {coarse}"
-        );
-    }
-
-    #[test]
-    fn filter_space_tracks_remainder_bits() {
-        let t4 = loaded(
-            8 * RECORDS_PER_PAGE as u64,
-            BfTreeConfig {
-                remainder_bits: 4,
-                ..Default::default()
-            },
-        );
-        let t12 = loaded(
-            8 * RECORDS_PER_PAGE as u64,
-            BfTreeConfig {
-                remainder_bits: 12,
-                ..Default::default()
-            },
-        );
-        assert!(t12.filter_bytes() > t4.filter_bytes());
-        // The whole index stays small either way (quotient filters round
+        // The filters keep the whole index small (quotient filters round
         // their slot count up to a power of two, so allow some slack).
-        assert!(t12.space_profile().space_amplification() < 1.35);
+        assert!(t.space_profile().space_amplification() < 1.35);
     }
 
     #[test]
     fn hits_never_lost_to_filters() {
         // One-sided error: a live key must always be found.
-        let mut t = loaded(4000, BfTreeConfig::default());
+        let mut t = loaded(4000);
         for k in (0..4000u64).step_by(97) {
             assert_eq!(t.get(k * 2).unwrap(), Some(k), "key {}", k * 2);
         }
@@ -338,7 +256,7 @@ mod tests {
 
     #[test]
     fn range_is_exact_despite_approximate_point_index() {
-        let mut t = loaded(3000, BfTreeConfig::default());
+        let mut t = loaded(3000);
         let rs = t.range(100, 200).unwrap();
         let keys: Vec<u64> = rs.iter().map(|r| r.key).collect();
         assert_eq!(keys, (100..=200).step_by(2).collect::<Vec<_>>());
@@ -348,7 +266,7 @@ mod tests {
     fn deletes_keep_filters_accurate() {
         // The quotient filter's headline: removal really removes, so miss
         // probes on deleted keys stay cheap (a Bloom filter would decay).
-        let mut t = loaded(8 * RECORDS_PER_PAGE as u64, BfTreeConfig::default());
+        let mut t = loaded(8 * RECORDS_PER_PAGE as u64);
         let victims: Vec<u64> = (0..200u64).map(|k| k * 2 * 4).collect();
         for &k in &victims {
             assert!(t.delete(k).unwrap());
@@ -367,12 +285,13 @@ mod tests {
 
     #[test]
     fn model_check_random_ops() {
-        let mut t = BfTree::with_config(BfTreeConfig {
-            zone_records: RECORDS_PER_PAGE,
-            remainder_bits: 10,
-        });
-        let mut stream = hostile_ops(47, 1200, 2000);
-        stream.initial = (0..600u64).map(|k| Record::new(k * 3, k)).collect();
+        // Three zones: inserts and deletes shift records across the zone
+        // boundaries, so every later zone's filter is rebuilt.
+        let mut t = BfTree::new();
+        let mut stream = hostile_ops(47, 1200, 8000);
+        stream.initial = (0..2600u64).map(|k| Record::new(k * 3, k)).collect();
         check(&mut t, &stream).unwrap();
+        assert_eq!(t.zone_count(), t.len().div_ceil(ZONE_RECORDS));
+        assert!(t.zone_count() >= 2, "the stream must span a zone boundary");
     }
 }

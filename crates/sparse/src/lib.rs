@@ -23,6 +23,6 @@ pub mod bftree;
 pub mod imprint;
 pub mod zonemap;
 
-pub use bftree::{BfTree, BfTreeConfig};
+pub use bftree::BfTree;
 pub use imprint::ColumnImprint;
 pub use zonemap::{ZoneMapConfig, ZoneMappedColumn};

@@ -18,7 +18,7 @@ fn main() -> Result<()> {
 
     let mut cracked = CrackedColumn::new();
     cracked.bulk_load(&records)?;
-    let mut merger = AdaptiveMerger::new(16_384);
+    let mut merger = AdaptiveMerger::new();
     merger.bulk_load(&records)?;
 
     println!(

@@ -7,7 +7,7 @@
 //! cargo run --release --example analytics_scan
 //! ```
 
-use rum::bitmap::{BitmapConfig, BitmapIndex};
+use rum::bitmap::BitmapIndex;
 use rum::prelude::*;
 use rum::sparse::{ColumnImprint, ZoneMapConfig, ZoneMappedColumn};
 
@@ -52,11 +52,7 @@ fn main() -> Result<()> {
     );
 
     // --- Bitmap index on the dimension --------------------------------
-    let mut bi = BitmapIndex::with_config(BitmapConfig {
-        bins: 128,
-        key_domain: n,
-        merge_threshold: 1024,
-    });
+    let mut bi = BitmapIndex::new();
     bi.bulk_load(&records)?;
     let before = bi.tracker().snapshot();
     let rs = bi.range(40_000, 41_000)?;

@@ -29,17 +29,15 @@
 //!
 //! Configuration legs pin the settings the experiments build and the suite
 //! does not (Table 1's blind-append zone map and heap, Figure 3's zone maps
-//! at P = 1, 4 and 64 pages, `analytics_scan`'s bitmap index), each over
-//! the suite, reload and hostile legs in turn on one instance, and the zone
-//! map's SMA aggregates with their answers; again two fresh instances must
-//! agree.
+//! at P = 1, 4 and 64 pages), each over the suite, reload and hostile legs
+//! in turn on one instance, and the zone map's SMA aggregates with their
+//! answers; again two fresh instances must agree.
 //!
 //! Extreme legs pin the two byte-granular methods outside the suite, the
 //! dense array and the direct-address array of §2's propositions, over the
 //! suite and hostile streams, and the direct array's `relocate` (the
 //! paper's "change a value"), its answers folded too.
 
-use rum::bitmap::{BitmapConfig, BitmapIndex};
 use rum::columns::{DenseArray, DirectAddressArray, UnsortedColumn};
 use rum::core::oracle::hostile_ops;
 use rum::core::workload::{Drift, KeyDist, OpMix, Workload, WorkloadSpec};
@@ -362,7 +360,6 @@ table1-unsorted   7f46de13f2d02a32
 fig3-zonemap-1p   1fce8ee2b2bb3c6c
 fig3-zonemap-4p   ff84100d2aa5dff0
 fig3-zonemap-64p  2abd8adca777e106
-analytics-bitmap  6c2c6bba7134a635
 zonemap-aggregate 8922793537595436
 ";
 
@@ -371,7 +368,7 @@ fn configured_charges_match_the_pinned_digests() {
     let (suite, reload) = (suite_workload(), reload_workload());
     let hostile = hostile_ops(61, 3000, 2000);
     type Build = fn() -> Box<dyn AccessMethod>;
-    let configs: [(&str, Build); 6] = [
+    let configs: [(&str, Build); 5] = [
         ("table1-zonemap", || Box::new(zonemap(16, true))),
         ("table1-unsorted", || {
             Box::new(UnsortedColumn::blind_appends())
@@ -379,13 +376,6 @@ fn configured_charges_match_the_pinned_digests() {
         ("fig3-zonemap-1p", || Box::new(zonemap(1, false))),
         ("fig3-zonemap-4p", || Box::new(zonemap(4, false))),
         ("fig3-zonemap-64p", || Box::new(zonemap(64, false))),
-        ("analytics-bitmap", || {
-            Box::new(BitmapIndex::with_config(BitmapConfig {
-                bins: 128,
-                key_domain: 1 << 18,
-                merge_threshold: 1024,
-            }))
-        }),
     ];
     let mut table = String::new();
     for (label, build) in configs {

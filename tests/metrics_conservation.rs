@@ -256,9 +256,9 @@ lsm-tree+view 9caf5e6186c16abd 0863d34aa11c2c66
 lsm-tree+wal  5058324be5659508 75b47c9104a33e47
 ";
 
-/// The methods and stream of `rum-bench top --smoke` (`ObsConfig::smoke`
-/// in `crates/bench/src/obs.rs`), run as it runs them: the plane's sink
-/// on the method and on the collector.
+/// The methods and stream of `rum-bench top --smoke` (`SMOKE_METHODS` and
+/// `smoke_spec` in `crates/bench/src/obs.rs`), run as it runs them: the
+/// plane's sink on the method and on the collector.
 #[test]
 fn final_scrape_matches_the_pinned_digests() {
     let spec = WorkloadSpec {
